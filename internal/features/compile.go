@@ -31,15 +31,27 @@ type CompiledEncoder struct {
 	// quicAttrs reports whether any attribute reads QUIC transport
 	// parameters, so TCP-schema encoders never resolve them.
 	quicAttrs bool
+	// extSlots numbers the TLS extension types the attributes read: type ->
+	// 1 + the type's position in EncodeScratch.extPos. EncodeInto walks a
+	// hello's extension list once to fill extPos, and every ext-sourced
+	// attribute (about twenty-five of them) then finds its extension by
+	// index instead of rescanning the list.
+	extSlots flatTable[uint16]
+	numExts  int
 }
 
 // EncodeScratch holds the per-caller mutable state EncodeInto needs to run
-// allocation-free: reusable buffers for extension-list walking and token
-// rendering. One scratch per goroutine; the zero value is ready to use.
+// allocation-free: the current hello's extension index and reusable buffers
+// for extension-list walking and token rendering. One scratch per
+// goroutine; the zero value is ready to use.
 type EncodeScratch struct {
-	u16  []uint16
-	alpn [][]byte
-	tok  []byte
+	// extPos[slot] is the position in Hello.Extensions of the first
+	// extension of the slot's type (CompiledEncoder.extSlots), -1 if the
+	// hello has none. Valid for the hello and encoder of the current call.
+	extPos []int32
+	u16    []uint16
+	alpn   [][]byte
+	tok    []byte
 }
 
 // slot-writer opcodes; one per distinct extraction routine.
@@ -83,15 +95,17 @@ type compiledAttr struct {
 	col   int // first output column
 	width int // expanded columns (list width, else 1)
 	bit   uint8
-	ext   uint16 // TLS extension type, for ext-sourced ops
+	ext   int    // slot in EncodeScratch.extPos for ext-sourced ops, else -1
 	param uint64 // QUIC transport-parameter id, for q-ops
 
-	u16        map[uint16]int // raw uint16 -> 1-based vocab id
-	u64        map[uint64]int // raw param id -> vocab id (q1)
-	u8         map[uint8]int  // status_request type -> vocab id
-	str        map[string]int // raw bytes or rendered token -> vocab id
-	grease     int            // vocab id of the collapsed GREASE token (0 if unseen)
-	keepGrease bool           // the ablation: raw GREASE values resolve like any other
+	// u16 maps a raw uint16 wire value (cipher suite, extension id, named
+	// group, ...; for o3 the status_request type byte) to its 1-based vocab
+	// id. GREASE collapse is folded in at compile time: unless the encoder
+	// keeps GREASE, all sixteen RFC 8701 values carry the GREASE token's id.
+	u16    flatTable[uint16]
+	u64    flatTable[uint64] // raw param id -> vocab id (q1)
+	str    map[string]int    // raw bytes or rendered token -> vocab id
+	grease int               // q1: vocab id of the collapsed GREASE token (0 if unseen)
 }
 
 // Compile lowers a fitted encoder into its serving-path form with default
@@ -108,16 +122,28 @@ func Compile(e *Encoder) (*CompiledEncoder, error) {
 func CompileWithOptions(e *Encoder, o Options) (*CompiledEncoder, error) {
 	ce := &CompiledEncoder{opts: o}
 	col := 0
+	extSlots := map[uint16]int{} // extension type -> 1-based slot
 	for _, a := range e.Attrs {
-		ca := compiledAttr{col: col, width: 1, keepGrease: o.KeepGrease}
+		ca := compiledAttr{col: col, width: 1, ext: -1}
 		if a.Kind == List {
 			ca.width = a.Width
 		}
 		col += ca.width
-		if err := lowerAttr(&ca, a); err != nil {
+		ext, err := lowerAttr(&ca, a)
+		if err != nil {
 			return nil, err
 		}
-		buildTables(&ca, a, e.vocabs[a.Label])
+		if ext >= 0 {
+			slot, ok := extSlots[uint16(ext)]
+			if !ok {
+				slot = len(extSlots) + 1
+				extSlots[uint16(ext)] = slot
+			}
+			ca.ext = slot - 1
+		}
+		if err := buildTables(&ca, e.vocabs[a.Label], o); err != nil {
+			return nil, fmt.Errorf("features: attribute %q: %w", a.Label, err)
+		}
 		switch ca.op {
 		case opQParamIDs, opQUint, opQPresence, opQLen, opQCat:
 			ce.quicAttrs = true
@@ -125,11 +151,15 @@ func CompileWithOptions(e *Encoder, o Options) (*CompiledEncoder, error) {
 		ce.attrs = append(ce.attrs, ca)
 	}
 	ce.width = col
+	ce.numExts = len(extSlots)
+	ce.extSlots, _ = newFlatTable(extSlots) // slots are 1..n: always internable
 	return ce, nil
 }
 
-// lowerAttr maps a Table 2 label to its opcode and wire source.
-func lowerAttr(ca *compiledAttr, a Attribute) error {
+// lowerAttr maps a Table 2 label to its opcode and wire source. ext is the
+// TLS extension type the attribute reads, -1 when it reads none.
+func lowerAttr(ca *compiledAttr, a Attribute) (ext int, err error) {
+	ext = -1
 	switch a.Label {
 	case "t1":
 		ca.op = opInitPacketSize
@@ -160,49 +190,49 @@ func lowerAttr(ca *compiledAttr, a Attribute) error {
 	case "o1":
 		ca.op = opExtTypes
 	case "o2":
-		ca.op, ca.ext = opExtLen, tlsproto.ExtServerName
+		ca.op, ext = opExtLen, int(tlsproto.ExtServerName)
 	case "o3":
-		ca.op = opStatusRequest
+		ca.op, ext = opStatusRequest, int(tlsproto.ExtStatusRequest)
 	case "o4":
-		ca.op, ca.ext = opU16List, tlsproto.ExtSupportedGroups
+		ca.op, ext = opU16List, int(tlsproto.ExtSupportedGroups)
 	case "o5":
-		ca.op, ca.ext = opU8BytesCat, tlsproto.ExtECPointFormats
+		ca.op, ext = opU8BytesCat, int(tlsproto.ExtECPointFormats)
 	case "o6":
-		ca.op, ca.ext = opU16List, tlsproto.ExtSignatureAlgorithms
+		ca.op, ext = opU16List, int(tlsproto.ExtSignatureAlgorithms)
 	case "o7":
-		ca.op, ca.ext = opALPN, tlsproto.ExtALPN
+		ca.op, ext = opALPN, int(tlsproto.ExtALPN)
 	case "o8":
-		ca.op, ca.ext = opExtLen, tlsproto.ExtSCT
+		ca.op, ext = opExtLen, int(tlsproto.ExtSCT)
 	case "o9":
-		ca.op, ca.ext = opExtLen, tlsproto.ExtPadding
+		ca.op, ext = opExtLen, int(tlsproto.ExtPadding)
 	case "o10":
-		ca.op, ca.ext = opPresence, tlsproto.ExtEncryptThenMac
+		ca.op, ext = opPresence, int(tlsproto.ExtEncryptThenMac)
 	case "o11":
-		ca.op, ca.ext = opPresence, tlsproto.ExtExtendedMasterSecret
+		ca.op, ext = opPresence, int(tlsproto.ExtExtendedMasterSecret)
 	case "o12":
-		ca.op = opCompressCert
+		ca.op, ext = opCompressCert, int(tlsproto.ExtCompressCertificate)
 	case "o13":
-		ca.op = opRecordSizeLimit
+		ca.op, ext = opRecordSizeLimit, int(tlsproto.ExtRecordSizeLimit)
 	case "o14":
-		ca.op, ca.ext = opU16List, tlsproto.ExtDelegatedCredentials
+		ca.op, ext = opU16List, int(tlsproto.ExtDelegatedCredentials)
 	case "o15":
-		ca.op, ca.ext = opExtLen, tlsproto.ExtSessionTicket
+		ca.op, ext = opExtLen, int(tlsproto.ExtSessionTicket)
 	case "o16":
-		ca.op, ca.ext = opPresence, tlsproto.ExtPreSharedKey
+		ca.op, ext = opPresence, int(tlsproto.ExtPreSharedKey)
 	case "o17":
-		ca.op, ca.ext = opExtLen, tlsproto.ExtEarlyData
+		ca.op, ext = opExtLen, int(tlsproto.ExtEarlyData)
 	case "o18":
-		ca.op = opSupportedVersions
+		ca.op, ext = opSupportedVersions, int(tlsproto.ExtSupportedVersions)
 	case "o19":
-		ca.op, ca.ext = opU8BytesCat, tlsproto.ExtPSKKeyExchangeModes
+		ca.op, ext = opU8BytesCat, int(tlsproto.ExtPSKKeyExchangeModes)
 	case "o20":
-		ca.op, ca.ext = opPresence, tlsproto.ExtPostHandshakeAuth
+		ca.op, ext = opPresence, int(tlsproto.ExtPostHandshakeAuth)
 	case "o21":
-		ca.op = opKeyShare
+		ca.op, ext = opKeyShare, int(tlsproto.ExtKeyShare)
 	case "o22":
-		ca.op, ca.ext = opALPN, tlsproto.ExtApplicationSettings
+		ca.op, ext = opALPN, int(tlsproto.ExtApplicationSettings)
 	case "o23":
-		ca.op, ca.ext = opPresence, tlsproto.ExtRenegotiationInfo
+		ca.op, ext = opPresence, int(tlsproto.ExtRenegotiationInfo)
 	case "q1":
 		ca.op = opQParamIDs
 	case "q2":
@@ -244,48 +274,56 @@ func lowerAttr(ca *compiledAttr, a Attribute) error {
 	case "q20":
 		ca.op, ca.param = opQCat, quicproto.ParamVersionInformation
 	default:
-		return fmt.Errorf("features: cannot compile attribute %q", a.Label)
+		return ext, fmt.Errorf("features: cannot compile attribute %q", a.Label)
 	}
-	return nil
+	return ext, nil
 }
 
 // buildTables interns an attribute's fitted vocabulary as raw-wire-value
 // lookup tables. Tokens that no serving-side extraction could ever produce
-// (non-canonical hex spellings, odd-length hex) are dropped: Transform
-// could never match them either, so the miss-to-zero behaviour is identical.
-func buildTables(ca *compiledAttr, a Attribute, vocab map[string]int) {
+// (non-canonical hex spellings, odd-length hex, a raw GREASE code point under
+// an encoder that collapses GREASE) are dropped: Transform could never match
+// them either, so the miss-to-zero behaviour is identical.
+func buildTables(ca *compiledAttr, vocab map[string]int, o Options) (err error) {
 	switch ca.op {
 	case opLegacyVersion, opCipherSuites, opExtTypes, opU16List,
 		opSupportedVersions, opKeyShare:
-		ca.u16 = make(map[uint16]int, len(vocab))
+		// m2 renders the raw version; every list goes through suiteToken.
+		collapse := !o.KeepGrease && ca.op != opLegacyVersion
+		u16 := make(map[uint16]int, len(vocab))
 		for tok, id := range vocab {
-			if tok == greaseToken {
-				ca.grease = id
-				continue
-			}
-			if v, ok := parseHexToken(tok, 16); ok {
-				ca.u16[uint16(v)] = id
+			v, ok := parseHexToken(tok, 16)
+			switch {
+			case tok == greaseToken && collapse:
+				for i := 0; i < 16; i++ {
+					u16[wire.GreaseValue(i)] = id
+				}
+			case ok && !(collapse && wire.IsGrease(uint16(v))):
+				u16[uint16(v)] = id
 			}
 		}
+		ca.u16, err = newFlatTable(u16)
 	case opQParamIDs:
-		ca.u64 = make(map[uint64]int, len(vocab))
+		u64 := make(map[uint64]int, len(vocab))
 		for tok, id := range vocab {
 			if tok == greaseToken {
 				ca.grease = id
 				continue
 			}
 			if v, ok := parseHexToken(tok, 64); ok {
-				ca.u64[v] = id
+				u64[v] = id
 			}
 		}
+		ca.u64, err = newFlatTable(u64)
 	case opStatusRequest:
-		ca.u8 = make(map[uint8]int, len(vocab))
+		u8 := make(map[uint16]int, len(vocab))
 		for tok, id := range vocab {
 			n, err := strconv.Atoi(tok)
 			if err == nil && n >= 0 && n <= 255 && strconv.Itoa(n) == tok {
-				ca.u8[uint8(n)] = id
+				u8[uint16(n)] = id
 			}
 		}
+		ca.u16, err = newFlatTable(u8)
 	case opU8BytesCat, opQCat:
 		ca.str = make(map[string]int, len(vocab))
 		hexKeyed := ca.op == opU8BytesCat || ca.param == quicproto.ParamVersionInformation
@@ -307,6 +345,7 @@ func buildTables(ca *compiledAttr, a Attribute, vocab map[string]int) {
 			ca.str[tok] = id
 		}
 	}
+	return err
 }
 
 // parseHexToken inverts the "0x%x" token rendering, rejecting spellings the
@@ -352,6 +391,9 @@ func (ce *CompiledEncoder) EncodeInto(dst []float64, info *HandshakeInfo, sc *En
 	}
 
 	ch := info.Hello
+	if ch != nil {
+		ce.indexExtensions(sc, ch)
+	}
 	var tp *quicproto.TransportParameters
 	if info.QUIC && ce.quicAttrs {
 		// Mirrors extractQUIC's lazy parse; the pipeline's assembler
@@ -395,18 +437,23 @@ func (ce *CompiledEncoder) EncodeInto(dst []float64, info *HandshakeInfo, sc *En
 		if ch == nil {
 			continue // hello-sourced slots stay zero, as in Extract
 		}
+		// Ext-sourced attributes read one extension's body. An absent
+		// extension leaves their slots zero, as the reference accessors'
+		// nil results do.
+		var e *tlsproto.Extension
+		if ca.ext >= 0 {
+			if sc.extPos[ca.ext] < 0 {
+				continue
+			}
+			e = &ch.Extensions[sc.extPos[ca.ext]]
+		}
 		switch ca.op {
 		case opHandshakeLength:
 			dst[ca.col] = float64(ch.HandshakeLength)
 		case opLegacyVersion:
-			dst[ca.col] = float64(ca.u16[ch.LegacyVersion])
+			dst[ca.col] = float64(ca.u16.get(ch.LegacyVersion))
 		case opCipherSuites:
-			for i, s := range ch.CipherSuites {
-				if i >= ca.width {
-					break
-				}
-				dst[ca.col+i] = float64(ca.u16ID(s))
-			}
+			ca.writeU16List(dst, ch.CipherSuites)
 		case opCompressionLen:
 			dst[ca.col] = lengthValue(len(ch.CompressionMethods))
 		case opExtensionsLength:
@@ -416,50 +463,7 @@ func (ce *CompiledEncoder) EncodeInto(dst []float64, info *HandshakeInfo, sc *En
 				if i >= ca.width {
 					break
 				}
-				dst[ca.col+i] = float64(ca.u16ID(ch.Extensions[i].Type))
-			}
-		case opExtLen:
-			dst[ca.col] = lengthValue(ch.ExtensionLen(ca.ext))
-		case opStatusRequest:
-			if t := ch.StatusRequestType(); t != 0 {
-				dst[ca.col] = float64(ca.u8[t])
-			}
-		case opU16List:
-			sc.u16 = ch.AppendUint16List(ca.ext, sc.u16[:0])
-			ca.writeU16List(dst, sc.u16)
-		case opSupportedVersions:
-			sc.u16 = ch.AppendSupportedVersions(sc.u16[:0])
-			ca.writeU16List(dst, sc.u16)
-		case opKeyShare:
-			sc.u16 = ch.AppendKeyShareGroups(sc.u16[:0])
-			ca.writeU16List(dst, sc.u16)
-		case opU8BytesCat:
-			if b := ch.U8PrefixedBytes(ca.ext); b != nil {
-				dst[ca.col] = float64(ca.str[string(b)]) //vp:allocok map-index string conversion is not materialized
-			}
-		case opALPN:
-			// The map index converts the aliased wire bytes in place — no
-			// string is materialized.
-			sc.alpn = ch.AppendALPN(ca.ext, sc.alpn[:0])
-			for i, name := range sc.alpn {
-				if i >= ca.width {
-					break
-				}
-				dst[ca.col+i] = float64(ca.str[string(name)]) //vp:allocok map-index string conversion is not materialized
-			}
-		case opPresence:
-			if ch.HasExtension(ca.ext) {
-				dst[ca.col] = 1
-			}
-		case opCompressCert:
-			sc.u16 = ch.AppendCompressCertAlgorithms(sc.u16[:0])
-			if len(sc.u16) > 0 {
-				sc.tok = appendCompressToken(sc.tok[:0], sc.u16)
-				dst[ca.col] = float64(ca.str[string(sc.tok)]) //vp:allocok map-index string conversion is not materialized
-			}
-		case opRecordSizeLimit:
-			if lim := ch.RecordSizeLimit(); lim > 0 {
-				dst[ca.col] = float64(lim)
+				dst[ca.col+i] = float64(ca.u16.get(ch.Extensions[i].Type))
 			}
 		case opQParamIDs:
 			if tp == nil {
@@ -473,7 +477,7 @@ func (ce *CompiledEncoder) EncodeInto(dst []float64, info *HandshakeInfo, sc *En
 				if !ce.opts.KeepGrease && wire.GreaseTransportParam(id) {
 					dst[ca.col+i] = float64(ca.grease)
 				} else {
-					dst[ca.col+i] = float64(ca.u64[id])
+					dst[ca.col+i] = float64(ca.u64.get(id))
 				}
 			}
 		case opQUint:
@@ -498,26 +502,75 @@ func (ce *CompiledEncoder) EncodeInto(dst []float64, info *HandshakeInfo, sc *En
 			if p, ok := tp.Get(ca.param); ok {
 				dst[ca.col] = float64(ca.str[string(p.Value)]) //vp:allocok map-index string conversion is not materialized
 			}
+		case opExtLen:
+			dst[ca.col] = lengthValue(len(e.Data))
+		case opStatusRequest:
+			// Type 0 is StatusRequestType's "absent": never looked up.
+			if len(e.Data) > 0 && e.Data[0] != 0 {
+				dst[ca.col] = float64(ca.u16.get(uint16(e.Data[0])))
+			}
+		case opU16List:
+			sc.u16 = e.AppendUint16List(sc.u16[:0])
+			ca.writeU16List(dst, sc.u16)
+		case opSupportedVersions:
+			sc.u16 = e.AppendU8Uint16List(sc.u16[:0])
+			ca.writeU16List(dst, sc.u16)
+		case opKeyShare:
+			sc.u16 = e.AppendKeyShareGroups(sc.u16[:0])
+			ca.writeU16List(dst, sc.u16)
+		case opU8BytesCat:
+			if b := e.U8PrefixedBytes(); b != nil {
+				dst[ca.col] = float64(ca.str[string(b)]) //vp:allocok map-index string conversion is not materialized
+			}
+		case opALPN:
+			// The map index converts the aliased wire bytes in place — no
+			// string is materialized.
+			sc.alpn = e.AppendALPN(sc.alpn[:0])
+			for i, name := range sc.alpn {
+				if i >= ca.width {
+					break
+				}
+				dst[ca.col+i] = float64(ca.str[string(name)]) //vp:allocok map-index string conversion is not materialized
+			}
+		case opPresence:
+			dst[ca.col] = 1
+		case opCompressCert:
+			sc.u16 = e.AppendU8Uint16List(sc.u16[:0])
+			if len(sc.u16) > 0 {
+				sc.tok = appendCompressToken(sc.tok[:0], sc.u16)
+				dst[ca.col] = float64(ca.str[string(sc.tok)]) //vp:allocok map-index string conversion is not materialized
+			}
+		case opRecordSizeLimit:
+			if len(e.Data) == 2 {
+				dst[ca.col] = float64(uint16(e.Data[0])<<8 | uint16(e.Data[1]))
+			}
 		}
 	}
 	return dst
 }
 
-// u16ID resolves one uint16 wire value through the interned vocabulary,
-// collapsing GREASE exactly as Options.suiteToken does.
-func (ca *compiledAttr) u16ID(v uint16) int {
-	if !ca.keepGrease && wire.IsGrease(v) {
-		return ca.grease
-	}
-	return ca.u16[v]
-}
-
+// writeU16List resolves a uint16 list through the interned vocabulary (GREASE
+// collapse included, see compiledAttr.u16) into the attribute's columns.
 func (ca *compiledAttr) writeU16List(dst []float64, vals []uint16) {
 	for i, v := range vals {
 		if i >= ca.width {
 			return
 		}
-		dst[ca.col+i] = float64(ca.u16ID(v))
+		dst[ca.col+i] = float64(ca.u16.get(v))
+	}
+}
+
+// indexExtensions fills sc.extPos for one hello: a single walk of its
+// extension list, first occurrence winning as in ClientHello.Extension.
+func (ce *CompiledEncoder) indexExtensions(sc *EncodeScratch, ch *tlsproto.ClientHello) {
+	sc.extPos = sc.extPos[:0]
+	for range ce.numExts {
+		sc.extPos = append(sc.extPos, -1)
+	}
+	for i := range ch.Extensions {
+		if slot := ce.extSlots.get(ch.Extensions[i].Type); slot != 0 && sc.extPos[slot-1] < 0 {
+			sc.extPos[slot-1] = int32(i)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package features
 
 import (
 	"fmt"
+	"strconv"
 	"testing"
 
 	"videoplat/internal/fingerprint"
@@ -12,7 +13,7 @@ import (
 // genInfos renders a spread of handshakes across platforms, providers and
 // transports, several random draws each — GREASE draws, per-platform
 // extension sets, QUIC transport parameters all vary.
-func genInfos(t *testing.T, tr fingerprint.Transport, seeds ...uint64) []*HandshakeInfo {
+func genInfos(t testing.TB, tr fingerprint.Transport, seeds ...uint64) []*HandshakeInfo {
 	t.Helper()
 	var infos []*HandshakeInfo
 	for _, seed := range seeds {
@@ -230,6 +231,141 @@ func TestEncodeIntoZeroAlloc(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Errorf("quic=%v: EncodeInto allocates %.1f per call, want 0", quic, allocs)
+		}
+	}
+}
+
+// BenchmarkEncodeInto measures the compiled encode of one handshake, cycling
+// through every platform's TCP hello so vocabulary and extension-index
+// lookups see the serving path's mix rather than one hot flow.
+func BenchmarkEncodeInto(b *testing.B) {
+	infos := genInfos(b, fingerprint.TCP, 6)
+	ce, err := Compile(fitted(b, false, Options{}))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var sc EncodeScratch
+	var dst []float64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dst = ce.EncodeInto(dst, infos[i%len(infos)], &sc)
+	}
+}
+
+// fitted returns an encoder fitted on rendered handshakes extracted with o.
+func fitted(t testing.TB, quic bool, o Options) *Encoder {
+	t.Helper()
+	tr := fingerprint.TCP
+	if quic {
+		tr = fingerprint.QUIC
+	}
+	enc, err := NewEncoder(quic, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var samples []*FieldValues
+	for _, info := range genInfos(t, tr, 1, 2) {
+		samples = append(samples, ExtractWithOptions(info, o))
+	}
+	enc.Fit(samples)
+	return enc
+}
+
+// TestU16TablesMatchVocabularyExhaustively checks every uint16-keyed
+// attribute of a compiled encoder against the fitted vocabulary it was
+// interned from, for all 65,536 wire values: the flat table must resolve
+// each value to exactly the id Transform finds for the token Extract
+// renders — GREASE collapse, the KeepGrease ablation and m2's uncollapsed
+// version included. Fit and compile options are crossed, so vocabularies
+// also hold tokens the compile-time options make unreachable.
+func TestU16TablesMatchVocabularyExhaustively(t *testing.T) {
+	for _, quic := range []bool{false, true} {
+		for _, fitOpts := range []Options{{}, {KeepGrease: true}} {
+			enc := fitted(t, quic, fitOpts)
+			// Whatever the fit saw, give every vocabulary the tokens the
+			// options disagree about — the collapsed GREASE token and raw
+			// GREASE code points — and spellings no extraction renders.
+			for _, a := range enc.Attrs {
+				vocab := enc.vocabs[a.Label]
+				if vocab == nil {
+					continue
+				}
+				for _, tok := range []string{greaseToken, "0xa0a", "0xfafa", "0x0a0a", "0XFAFA", "0x00ff", "007", "7"} {
+					if _, ok := vocab[tok]; !ok {
+						vocab[tok] = len(vocab) + 1
+					}
+				}
+			}
+			for _, o := range []Options{{}, {KeepGrease: true}} {
+				ce, err := CompileWithOptions(enc, o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tables := 0
+				for i := range ce.attrs {
+					ca := &ce.attrs[i]
+					label := enc.Attrs[i].Label
+					var token func(v uint16) (string, bool)
+					switch ca.op {
+					case opCipherSuites, opExtTypes, opU16List, opSupportedVersions, opKeyShare:
+						token = func(v uint16) (string, bool) { return o.suiteToken(v), true }
+					case opLegacyVersion:
+						token = func(v uint16) (string, bool) { return "0x" + strconv.FormatUint(uint64(v), 16), true }
+					case opStatusRequest:
+						token = func(v uint16) (string, bool) { return strconv.Itoa(int(v)), v <= 255 }
+					default:
+						continue
+					}
+					tables++
+					vocab := enc.vocabs[label]
+					for v := 0; v <= 0xffff; v++ {
+						want := 0
+						if tok, ok := token(uint16(v)); ok {
+							want = vocab[tok]
+						}
+						if got := ca.u16.get(uint16(v)); got != want {
+							t.Fatalf("quic=%v fit=%+v compile=%+v %s: value %#x resolves to %d, vocabulary says %d",
+								quic, fitOpts, o, label, v, got, want)
+						}
+					}
+				}
+				if tables < 9 {
+					t.Fatalf("only %d uint16-keyed attributes checked", tables)
+				}
+			}
+		}
+	}
+}
+
+// TestFlatTable checks the table against the map it was built from, on
+// 64-bit keys that collide in their low bits, and its id-range contract.
+func TestFlatTable(t *testing.T) {
+	rng := newRng(9)
+	for _, n := range []int{0, 1, 2, 3, 17, 200} {
+		entries := map[uint64]int{}
+		for len(entries) < n {
+			entries[rng.Uint64()<<16] = 1 + len(entries)
+		}
+		tab, err := newFlatTable(entries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(tab.slots) != 0 && len(tab.slots) < 2*n {
+			t.Fatalf("%d entries in %d slots: load factor above one half", n, len(tab.slots))
+		}
+		for k, id := range entries {
+			if got := tab.get(k); got != id {
+				t.Fatalf("n=%d: get(%#x) = %d, want %d", n, k, got, id)
+			}
+			if got := tab.get(k + 1); got != 0 {
+				t.Fatalf("n=%d: get of an absent key = %d", n, got)
+			}
+		}
+	}
+	for _, id := range []int{0, -1, 1 << 31} {
+		if _, err := newFlatTable(map[uint16]int{7: id}); err == nil {
+			t.Errorf("id %d interned; want an error so Compile falls back", id)
 		}
 	}
 }

@@ -3,11 +3,15 @@ package pipeline
 import (
 	"math/rand/v2"
 	"net/netip"
+	"reflect"
 	"testing"
 	"time"
 
+	"videoplat/internal/features"
 	"videoplat/internal/fingerprint"
 	"videoplat/internal/packet"
+	"videoplat/internal/quicproto"
+	"videoplat/internal/tracegen"
 )
 
 // tcpFlowFrames builds handcrafted frames for one TCP flow. Client frames
@@ -180,5 +184,102 @@ func TestShardedOversizedCounter(t *testing.T) {
 	s.Close()
 	if got := s.IngestStats().OversizedHandshakes; got != 1 {
 		t.Fatalf("sharded oversized_handshakes = %d, want 1", got)
+	}
+}
+
+// clientFrames renders one flow and returns its client-direction frames.
+func clientFrames(t *testing.T, seed uint64, tr fingerprint.Transport) [][]byte {
+	t.Helper()
+	ft, err := tracegen.New(seed).Flow("windows_chrome", fingerprint.YouTube, tr, tracegen.FlowSpec{PayloadFrames: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var frames [][]byte
+	for _, fr := range ft.Frames {
+		if fr.ClientToServer {
+			frames = append(frames, fr.Data)
+		}
+	}
+	return frames
+}
+
+// TestAssemblerAllocCeilings pins what assembling one whole flow allocates
+// — only what the flow has to own until it is classified. TCP: the copy of
+// its client bytes, and the ClientHello with its cipher suites and
+// extensions, parsed where they lie in that copy. QUIC: the decrypted
+// payload, the Initial's three cipher objects (crypto/aes cannot re-key
+// one), the ClientHello's three, and the transport parameters with their
+// list.
+func TestAssemblerAllocCeilings(t *testing.T) {
+	for _, c := range []struct {
+		tr      fingerprint.Transport
+		ceiling float64
+	}{
+		{fingerprint.TCP, 4},
+		{fingerprint.QUIC, 9},
+	} {
+		frames := clientFrames(t, 7, c.tr)
+		var (
+			parser packet.Parser
+			parsed packet.Parsed
+			opener quicproto.Opener
+		)
+		assemble := func() bool {
+			var a hsAssembler
+			a.init()
+			for _, fr := range frames {
+				if a.consume(&parser, &parsed, &opener, fr) {
+					return a.finish().Hello != nil
+				}
+			}
+			return false
+		}
+		if !assemble() {
+			t.Fatalf("%s: flow did not assemble", c.tr)
+		}
+		if n := testing.AllocsPerRun(50, func() { assemble() }); n > c.ceiling {
+			t.Errorf("%s: assembling a flow allocates %.0f, want <= %.0f", c.tr, n, c.ceiling)
+		}
+	}
+}
+
+// TestAssembledHelloSurvivesLaterFlows is the copy-on-retain invariant with
+// batch classification deferred: flow A completes, then — before anything
+// classifies it — the same parser, Opener and frame buffer (a recycled
+// arena) carry other flows. What A's assembler hands to the classifier must
+// not have moved.
+func TestAssembledHelloSurvivesLaterFlows(t *testing.T) {
+	for _, tr := range []fingerprint.Transport{fingerprint.TCP, fingerprint.QUIC} {
+		var (
+			parser packet.Parser
+			parsed packet.Parsed
+			opener quicproto.Opener
+			arena  []byte // every frame is consumed from here, then overwritten
+		)
+		run := func(a *hsAssembler, seed uint64) *features.HandshakeInfo {
+			a.init()
+			for _, fr := range clientFrames(t, seed, tr) {
+				arena = append(arena[:0], fr...)
+				done := a.consume(&parser, &parsed, &opener, arena)
+				clear(arena)
+				if done {
+					return a.finish()
+				}
+			}
+			t.Fatalf("%s: flow %d did not assemble", tr, seed)
+			return nil
+		}
+		var a, b, c hsAssembler
+		info := run(&a, 7)
+		before := features.Extract(info)
+		run(&b, 8)
+		run(&c, 9)
+		if after := features.Extract(info); !reflect.DeepEqual(before, after) {
+			t.Errorf("%s: flow A's handshake changed while later flows were assembled", tr)
+		}
+		var fresh hsAssembler
+		if want := features.Extract(run(&fresh, 7)); !reflect.DeepEqual(before, want) {
+			t.Errorf("%s: flow A extracted differently from a fresh assembly of the same frames", tr)
+		}
 	}
 }

@@ -14,7 +14,11 @@
 // flow key, canonical key and payload length that travel with the frame's
 // bytes — packed back-to-back into a pooled per-batch arena, one channel
 // send per shard per batch (HandlePacketBatch; HandlePacket ships a batch
-// of one). Shard workers never re-parse.
+// of one). What crosses a shard queue is the frame's bytes and that summary,
+// not the decoded layers, so a shard worker routes and accounts every frame
+// without a decode — and decodes again only the frames that can still
+// advance a handshake: the client-direction frames of a flow with no verdict
+// yet (hsAssembler.consume), a handful per flow.
 //
 // Buffer-reuse rules: a batch's arena is recycled as soon as the shard
 // worker has run every frame through the pipeline, which is safe because
@@ -113,17 +117,26 @@ func MatchProvider(sni string) (prov fingerprint.Provider, content, ok bool) {
 // the state ExtractFrames' batch fold would have reached — ExtractFrames is
 // implemented on top of it.
 //
-// The assembler owns every byte it retains: TCP payloads are copied into
-// tcpStream, and the Hello produced by the record/Initial parsers is backed
-// by freshly assembled buffers — never by the input frame — so callers may
+// The assembler owns every byte it retains, and the assembled Hello aliases
+// nothing else: TCP payloads are copied into tcpStream and a hello that
+// arrived in one record is parsed where it lies there; a QUIC Initial is
+// decrypted straight into quicPayload and a hello that arrived in one CRYPTO
+// frame is parsed where it lies there. Never the input frame — callers may
 // recycle frame buffers (e.g. Sharded's batch arenas) as soon as consume
-// returns.
+// returns — and never the Opener, which a batch's later flows reuse while
+// this one's classification is still deferred to flushBatch. The buffers
+// live until the flow's assembler is released (st.asm = hsAssembler{}), and
+// with them everything info.Hello points into.
 type hsAssembler struct {
 	info      features.HandshakeInfo
 	sawSYN    bool
 	tcpStream []byte // buffered client-direction TCP payload bytes
 	frames    int    // client frames consumed so far
 
+	// quicPayload is the decrypted payload of the flow's latest Initial —
+	// the buffer quicproto.Opener.Open writes into, reused across the
+	// flow's Initials until one completes the hello.
+	quicPayload []byte
 	// cryptoStream buffers a QUIC CRYPTO stream split across Initials
 	// (e.g. a hello fragmented around a mid-handshake migration). Only a
 	// contiguous prefix is kept; out-of-order fragments end the flow as
@@ -149,23 +162,23 @@ func (a *hsAssembler) init() { a.info.TCPWScale = -1 }
 func (a *hsAssembler) buffered() int { return len(a.tcpStream) + len(a.cryptoStream) }
 
 // consume feeds one client-direction frame to the state machine, parsing it
-// with the caller's scratch parser state. It returns true once the flow's
-// ClientHello has been fully assembled, after which a.info is complete
-// (including pre-parsed QUIC transport parameters) and no further frames
-// should be offered. Callers that already decoded the frame (the plain
-// HandlePacket path) use consumeParsed instead, keeping the parse-once
-// contract.
-func (a *hsAssembler) consume(parser *packet.Parser, parsed *packet.Parsed, frame []byte) bool {
+// with the caller's scratch parser state and opening QUIC Initials with the
+// caller's Opener. It returns true once the flow's ClientHello has been
+// fully assembled, after which a.info is complete (including pre-parsed
+// QUIC transport parameters) and no further frames should be offered.
+// Callers that already decoded the frame (the plain HandlePacket path) use
+// consumeParsed instead, keeping the parse-once contract.
+func (a *hsAssembler) consume(parser *packet.Parser, parsed *packet.Parsed, opener *quicproto.Opener, frame []byte) bool {
 	if err := parser.Parse(frame, parsed); err != nil {
 		a.frames++
 		return false // non-IP noise is skipped, as a tap would
 	}
-	return a.consumeParsed(parsed, frame)
+	return a.consumeParsed(parsed, opener, frame)
 }
 
 // consumeParsed is consume after its decode. parsed must be the result of
 // Parser.Parse(frame, parsed).
-func (a *hsAssembler) consumeParsed(parsed *packet.Parsed, frame []byte) bool {
+func (a *hsAssembler) consumeParsed(parsed *packet.Parsed, opener *quicproto.Opener, frame []byte) bool {
 	a.frames++
 	info := &a.info
 	switch {
@@ -217,8 +230,9 @@ func (a *hsAssembler) consumeParsed(parsed *packet.Parsed, frame []byte) bool {
 			}
 			return false
 		}
-		init, err := quicproto.ParseInitial(parsed.Payload)
-		if err != nil {
+		var init quicproto.Initial
+		var err error
+		if a.quicPayload, err = opener.Open(&init, parsed.Payload, a.quicPayload); err != nil {
 			return false
 		}
 		if !a.sawInit {
@@ -228,7 +242,7 @@ func (a *hsAssembler) consumeParsed(parsed *packet.Parsed, frame []byte) bool {
 			info.InitPacketSize = init.WireSize
 		}
 		// Fast path: the whole hello in one Initial — no buffering, the
-		// parsed Hello is backed by the Initial's own assembly buffer.
+		// parsed Hello is backed by quicPayload.
 		if init.CryptoOffset == 0 && len(a.cryptoStream) == 0 {
 			if ch, err := tlsproto.Parse(init.CryptoData); err == nil {
 				info.Hello = ch
@@ -271,10 +285,11 @@ func (a *hsAssembler) finish() *features.HandshakeInfo {
 func ExtractFrames(frames [][]byte) (*features.HandshakeInfo, error) {
 	var parser packet.Parser
 	var parsed packet.Parsed
+	var opener quicproto.Opener
 	var a hsAssembler
 	a.init()
 	for _, frame := range frames {
-		if a.consume(&parser, &parsed, frame) {
+		if a.consume(&parser, &parsed, &opener, frame) {
 			return a.finish(), nil
 		}
 	}

@@ -306,6 +306,11 @@ type Pipeline struct {
 
 	parser packet.Parser
 	parsed packet.Parsed
+	// opener decrypts the QUIC Initials of every flow this pipeline
+	// assembles. It keeps nothing of a packet once Open returns (the
+	// decrypted bytes go to the flow's assembler), so one per pipeline is
+	// safe for the same reason scratch is.
+	opener quicproto.Opener
 	// scratch holds the classification path's reusable buffers (encoded
 	// vector, forest probabilities, extension-walk scratch). One per
 	// pipeline is safe: HandlePacket is single-goroutine by contract, and
@@ -435,7 +440,8 @@ func (p *Pipeline) HandlePacket(ts time.Time, frame []byte) (*FlowRecord, error)
 
 // handleParsed is HandlePacket after its decode — the parse-once seam: the
 // one decode is summarized into the flow key and payload length for
-// handleKeyed, so nothing downstream re-parses. parsed must be the result
+// handleKeyed and handed on for handshake assembly, so on this path nothing
+// downstream decodes again. parsed must be the result
 // of Parser.Parse(frame, parsed); its slices may alias frame. The pipeline
 // copies anything it retains past the call, so the caller may recycle both
 // frame and parsed as soon as it returns.
@@ -528,9 +534,9 @@ func (p *Pipeline) handleKeyed(ts time.Time, frame []byte, key, canon packet.Flo
 	}
 	var complete bool
 	if parsed != nil {
-		complete = st.asm.consumeParsed(parsed, frame)
+		complete = st.asm.consumeParsed(parsed, &p.opener, frame)
 	} else {
-		complete = st.asm.consume(&p.parser, &p.parsed, frame)
+		complete = st.asm.consume(&p.parser, &p.parsed, &p.opener, frame)
 	}
 	if timed {
 		d := time.Since(asmStart)

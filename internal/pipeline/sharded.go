@@ -40,10 +40,15 @@ type IngestPacket struct {
 // 20 Gbps tap. Hashing is symmetric (both directions of a flow land on the
 // same shard), and each shard owns its flow table, so shards never contend.
 //
-// Ingest contract: each frame is parsed exactly once, on the ingest
-// goroutine, and the decode is summarized into the flow key, canonical key
-// and payload length that travel with the frame — shard workers never
-// re-parse (Pipeline.handleKeyed). Frames that do not decode to a TCP/UDP
+// Ingest contract: each frame is decoded on the ingest goroutine, and the
+// decode is summarized into the flow key, canonical key and payload length
+// that travel with the frame. Only that summary crosses the queue, so a
+// shard worker accounts a frame without decoding it (Pipeline.handleKeyed)
+// — unless the frame is a client-direction frame of a flow that has no
+// verdict yet: handshake assembly needs the layers, and hsAssembler.consume
+// decodes those few frames per flow a second time. Frames of decided flows,
+// server-direction frames and everything on an established flow are decoded
+// exactly once. Frames that do not decode to a TCP/UDP
 // 5-tuple are dropped at ingest and counted in Ignored() — they carry no
 // flow, so copying them and occupying a shard queue slot (formerly always
 // shard 0's, skewing its load) bought nothing — and decodable flows off

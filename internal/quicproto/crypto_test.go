@@ -2,12 +2,13 @@ package quicproto
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"videoplat/internal/wire"
 )
 
-// buildFrames assembles a raw frame sequence for assembleCrypto tests.
+// cryptoFrame encodes one CRYPTO frame for assembleCrypto tests.
 func cryptoFrame(off uint64, data []byte) []byte {
 	w := wire.NewWriter(16 + len(data))
 	w.Uint8(frameCrypto)
@@ -15,6 +16,13 @@ func cryptoFrame(off uint64, data []byte) []byte {
 	_ = w.Varint(uint64(len(data)))
 	w.Write(data)
 	return w.Bytes()
+}
+
+// assemble runs a raw frame sequence through the frame walk.
+func assemble(frames []byte) (*Initial, error) {
+	p := &Initial{}
+	_, err := assembleCrypto(p, frames)
+	return p, err
 }
 
 func TestAssembleCryptoOutOfOrderSegments(t *testing.T) {
@@ -25,8 +33,8 @@ func TestAssembleCryptoOutOfOrderSegments(t *testing.T) {
 	frames = append(frames, cryptoFrame(0, want[:8])...)
 	frames = append(frames, 0x00, 0x00) // trailing PADDING
 
-	p := &Initial{}
-	if err := p.assembleCrypto(frames); err != nil {
+	p, err := assemble(frames)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(p.CryptoData, want) {
@@ -40,8 +48,8 @@ func TestAssembleCryptoOverlappingSegments(t *testing.T) {
 	frames = append(frames, cryptoFrame(0, want[:10])...)
 	frames = append(frames, cryptoFrame(6, want[6:])...) // overlaps 6..10
 
-	p := &Initial{}
-	if err := p.assembleCrypto(frames); err != nil {
+	p, err := assemble(frames)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(p.CryptoData, want) {
@@ -54,9 +62,8 @@ func TestAssembleCryptoGapDetected(t *testing.T) {
 	frames = append(frames, cryptoFrame(0, []byte("abc"))...)
 	frames = append(frames, cryptoFrame(10, []byte("xyz"))...) // hole 3..10
 
-	p := &Initial{}
-	if err := p.assembleCrypto(frames); err == nil {
-		t.Error("gap not detected")
+	if _, err := assemble(frames); !errors.Is(err, ErrMalformed) {
+		t.Errorf("gap not detected: err = %v", err)
 	}
 }
 
@@ -64,8 +71,8 @@ func TestAssembleCryptoSkipsACK(t *testing.T) {
 	// ACK frame: type 0x02, largest=5, delay=0, range count=0, first range=2.
 	ack := []byte{0x02, 0x05, 0x00, 0x00, 0x02}
 	frames := append(append([]byte{}, ack...), cryptoFrame(0, []byte("ch"))...)
-	p := &Initial{}
-	if err := p.assembleCrypto(frames); err != nil {
+	p, err := assemble(frames)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if string(p.CryptoData) != "ch" {
@@ -75,17 +82,15 @@ func TestAssembleCryptoSkipsACK(t *testing.T) {
 
 func TestAssembleCryptoRejectsUnexpectedFrame(t *testing.T) {
 	// STREAM frames (0x08+) are not allowed in Initial packets.
-	p := &Initial{}
-	if err := p.assembleCrypto([]byte{0x08, 0x00}); err == nil {
-		t.Error("STREAM frame accepted in Initial")
+	if _, err := assemble([]byte{0x08, 0x00}); !errors.Is(err, ErrMalformed) {
+		t.Errorf("STREAM frame accepted in Initial: err = %v", err)
 	}
 }
 
 func TestAssembleCryptoTruncatedFrame(t *testing.T) {
-	p := &Initial{}
 	// CRYPTO header claims 100 bytes but only 2 follow.
 	bad := []byte{frameCrypto, 0x00, 0x64, 'a', 'b'}
-	if err := p.assembleCrypto(bad); err == nil {
-		t.Error("truncated crypto accepted")
+	if _, err := assemble(bad); !errors.Is(err, ErrMalformed) {
+		t.Errorf("truncated crypto accepted: err = %v", err)
 	}
 }

@@ -27,6 +27,8 @@ func fuzzSeeds(tb testing.TB) [][]byte {
 	if dg, err := shapes[0].Seal(1300); err == nil {
 		out = append(out, dg)
 	}
+	// A scattered hello at the CRYPTO-frame bound, and one frame over it.
+	out = append(out, scatteredInitial(tb, hello, maxCryptoSegments), scatteredInitial(tb, hello, maxCryptoSegments+1))
 	mutated := make([][]byte, 0, 3*len(out))
 	for _, dg := range out {
 		mutated = append(mutated, dg[:len(dg)/2], dg[:7])
@@ -53,10 +55,24 @@ func FuzzParseInitial(f *testing.F) {
 	for _, dg := range fuzzSeeds(f) {
 		f.Add(dg)
 	}
+	// One Opener for the whole run, as a pipeline keeps one for its lifetime:
+	// whatever an input leaves behind in it is there for the next input to
+	// trip over. Every input is also parsed with a fresh Opener, and the two
+	// must agree.
+	var used Opener
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := ParseInitial(data)
+		var q Initial
+		if _, uerr := used.Open(&q, data, nil); uerr != err {
+			t.Fatalf("fresh Opener: %v; long-lived Opener: %v", err, uerr)
+		}
 		if err != nil {
 			return
+		}
+		if !bytes.Equal(q.CryptoData, p.CryptoData) || q.CryptoOffset != p.CryptoOffset ||
+			q.PacketNumber != p.PacketNumber || !bytes.Equal(q.DCID, p.DCID) ||
+			!bytes.Equal(q.SCID, p.SCID) || !bytes.Equal(q.Token, p.Token) {
+			t.Fatalf("long-lived Opener decoded %+v, fresh one %+v", q, *p)
 		}
 		// Accepted packets must respect the reassembly bounds: CIDs capped
 		// at the RFC 9000 maximum, CRYPTO capped so an attacker-controlled

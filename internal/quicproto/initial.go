@@ -1,8 +1,16 @@
+// Package quicproto implements the subset of QUIC v1 (RFC 9000/9001) needed
+// to generate and analyze Initial packets: long-header encoding, the Initial
+// secret schedule (HKDF over SHA-256), AES-128-GCM payload protection,
+// AES-based header protection, CRYPTO-frame (re)assembly, and the transport
+// parameter codec including the Google-specific parameters observed in
+// YouTube traffic.
+//
+// Initial packets are encrypted with keys derived from public values (the
+// destination connection ID), so an on-path observer — the ISP vantage point
+// of the paper — can decrypt them and read the embedded TLS ClientHello.
 package quicproto
 
 import (
-	"crypto/aes"
-	"crypto/cipher"
 	"errors"
 	"fmt"
 
@@ -12,12 +20,6 @@ import (
 // Version1 is the QUIC version 1 field value.
 const Version1 uint32 = 0x00000001
 
-// initialSaltV1 is the version-1 Initial salt (RFC 9001 §5.2).
-var initialSaltV1 = []byte{
-	0x38, 0x76, 0x2c, 0xf7, 0xf5, 0x59, 0x34, 0xb3, 0x4d, 0x17,
-	0x9a, 0xe6, 0xa4, 0xc8, 0x0c, 0xad, 0xcc, 0xbb, 0x7f, 0x0a,
-}
-
 // Errors returned by the Initial packet codec.
 var (
 	ErrNotLongHeader = errors.New("quicproto: not a long-header packet")
@@ -26,58 +28,6 @@ var (
 	ErrAuthFailure   = errors.New("quicproto: payload authentication failed")
 	ErrMalformed     = errors.New("quicproto: malformed packet")
 )
-
-// keys holds one direction's Initial packet-protection material.
-type keys struct {
-	aead cipher.AEAD
-	iv   []byte
-	hp   cipher.Block // AES-ECB header-protection cipher
-}
-
-// deriveKeys derives the client's (or server's) Initial keys from the
-// client's destination connection ID.
-func deriveKeys(dcid []byte, label string) (*keys, error) {
-	initialSecret := hkdfExtract(initialSaltV1, dcid)
-	side := hkdfExpandLabel(initialSecret, label, 32)
-	key := hkdfExpandLabel(side, "quic key", 16)
-	iv := hkdfExpandLabel(side, "quic iv", 12)
-	hpKey := hkdfExpandLabel(side, "quic hp", 16)
-
-	block, err := aes.NewCipher(key)
-	if err != nil {
-		return nil, fmt.Errorf("quicproto: aead key: %w", err)
-	}
-	aead, err := cipher.NewGCM(block)
-	if err != nil {
-		return nil, fmt.Errorf("quicproto: gcm: %w", err)
-	}
-	hp, err := aes.NewCipher(hpKey)
-	if err != nil {
-		return nil, fmt.Errorf("quicproto: hp key: %w", err)
-	}
-	return &keys{aead: aead, iv: iv, hp: hp}, nil
-}
-
-func clientKeys(dcid []byte) (*keys, error) { return deriveKeys(dcid, "client in") }
-
-// nonce XORs the packet number into the static IV.
-func (k *keys) nonce(pn uint64) []byte {
-	n := make([]byte, len(k.iv))
-	copy(n, k.iv)
-	for i := 0; i < 8; i++ {
-		n[len(n)-1-i] ^= byte(pn >> (8 * i))
-	}
-	return n
-}
-
-// headerProtectionMask computes the 5-byte HP mask from the 16-byte sample.
-func (k *keys) headerProtectionMask(sample []byte) [5]byte {
-	var block [16]byte
-	k.hp.Encrypt(block[:], sample)
-	var mask [5]byte
-	copy(mask[:], block[:5])
-	return mask
-}
 
 // Initial is a decoded (or to-be-encoded) QUIC Initial packet.
 type Initial struct {
@@ -99,217 +49,24 @@ type Initial struct {
 	WireSize int
 }
 
-// maxCryptoLen bounds the reassembled CRYPTO stream of one packet. CRYPTO
-// offset and length ride attacker-controlled varints (up to 2^62-1), so
-// without a cap a single forged Initial could demand an arbitrarily large
-// reassembly buffer. Real first-flight hellos are well under 16 KB; 256 KB
-// leaves room for any conceivable hello while keeping the worst-case
-// allocation trivial.
-const maxCryptoLen = 1 << 18
-
-// frame type codes handled in Initial packets.
-const (
-	framePadding = 0x00
-	framePing    = 0x01
-	frameACK     = 0x02
-	frameCrypto  = 0x06
-)
-
 // ParseInitial decrypts and decodes a client Initial packet from a UDP
 // datagram. Coalesced packets after the Initial are ignored. The CRYPTO
-// stream is reassembled in offset order.
+// stream is reassembled in offset order. The returned DCID, SCID and Token
+// alias datagram; CryptoData is freshly allocated. It is Opener.Open with a
+// fresh Opener and buffer, for callers that parse one packet; a per-packet
+// path keeps an Opener.
 func ParseInitial(datagram []byte) (*Initial, error) {
-	r := wire.NewReader(datagram)
-	first, err := r.Uint8()
-	if err != nil {
-		return nil, fmt.Errorf("%w: empty datagram", ErrMalformed)
-	}
-	if first&0x80 == 0 {
-		return nil, ErrNotLongHeader
-	}
-	if (first>>4)&0x03 != 0 { // long packet type: Initial = 0
-		return nil, ErrNotInitial
-	}
-	version, err := r.Uint32()
-	if err != nil {
-		return nil, fmt.Errorf("%w: version", ErrMalformed)
-	}
-	if version != Version1 {
-		return nil, fmt.Errorf("%w: %#x", ErrBadVersion, version)
-	}
-	p := &Initial{Version: version}
-
-	dcidLen, err := r.Uint8()
-	if err != nil || dcidLen > 20 {
-		return nil, fmt.Errorf("%w: dcid length", ErrMalformed)
-	}
-	if p.DCID, err = r.Bytes(int(dcidLen)); err != nil {
-		return nil, fmt.Errorf("%w: dcid", ErrMalformed)
-	}
-	scidLen, err := r.Uint8()
-	if err != nil || scidLen > 20 {
-		return nil, fmt.Errorf("%w: scid length", ErrMalformed)
-	}
-	if p.SCID, err = r.Bytes(int(scidLen)); err != nil {
-		return nil, fmt.Errorf("%w: scid", ErrMalformed)
-	}
-	tokenLen, err := r.Varint()
-	if err != nil {
-		return nil, fmt.Errorf("%w: token length", ErrMalformed)
-	}
-	if p.Token, err = r.Bytes(int(tokenLen)); err != nil {
-		return nil, fmt.Errorf("%w: token", ErrMalformed)
-	}
-	length, err := r.Varint()
-	if err != nil {
-		return nil, fmt.Errorf("%w: length", ErrMalformed)
-	}
-	pnOffset := r.Offset()
-	if int(length) > r.Len() || length < 20 {
-		return nil, fmt.Errorf("%w: packet length %d", ErrMalformed, length)
-	}
-
-	k, err := clientKeys(p.DCID)
-	if err != nil {
+	// Open makes this check itself; making it here first keeps the common
+	// rejections clear of the two allocations below.
+	if err := checkInitial(datagram); err != nil {
 		return nil, err
 	}
-
-	// Remove header protection: sample starts 4 bytes past the start of the
-	// packet number field.
-	if pnOffset+4+16 > len(datagram) {
-		return nil, fmt.Errorf("%w: too short for hp sample", ErrMalformed)
-	}
-	hdr := append([]byte{}, datagram[:pnOffset]...)
-	mask := k.headerProtectionMask(datagram[pnOffset+4 : pnOffset+4+16])
-	firstUnmasked := first ^ (mask[0] & 0x0f)
-	pnLen := int(firstUnmasked&0x03) + 1
-	hdr[0] = firstUnmasked
-	var pn uint64
-	for i := 0; i < pnLen; i++ {
-		b := datagram[pnOffset+i] ^ mask[1+i]
-		hdr = append(hdr, b)
-		pn = pn<<8 | uint64(b)
-	}
-	p.PacketNumber = pn
-
-	ciphertext := datagram[pnOffset+pnLen : pnOffset+int(length)]
-	plaintext, err := k.aead.Open(nil, k.nonce(pn), ciphertext, hdr)
-	if err != nil {
-		return nil, ErrAuthFailure
-	}
-	if err := p.assembleCrypto(plaintext); err != nil {
+	var o Opener
+	p := new(Initial)
+	if _, err := o.Open(p, datagram, nil); err != nil {
 		return nil, err
 	}
-	p.WireSize = len(datagram)
 	return p, nil
-}
-
-// assembleCrypto walks the frame sequence and reassembles the CRYPTO data
-// this packet carries into one contiguous run. The run need not start at
-// stream offset 0 — a hello split across Initials puts later fragments at
-// nonzero offsets — so the result is (CryptoOffset, CryptoData). Gaps
-// *within* one packet's segments remain malformed (no real stack fragments
-// its own flight), and the total reassembly is bounded by maxCryptoLen so
-// forged offset varints cannot demand huge buffers.
-func (p *Initial) assembleCrypto(frames []byte) error {
-	type segment struct {
-		off  uint64
-		data []byte
-	}
-	var segs []segment
-	minOff := uint64(1<<63 - 1)
-	var maxEnd uint64
-	r := wire.NewReader(frames)
-	for !r.Empty() {
-		ft, err := r.Varint()
-		if err != nil {
-			return fmt.Errorf("%w: frame type", ErrMalformed)
-		}
-		switch {
-		case ft == framePadding, ft == framePing:
-			// no body
-		case ft == frameACK || ft == frameACK+1:
-			if err := skipACK(r, ft); err != nil {
-				return err
-			}
-		case ft == frameCrypto:
-			off, err := r.Varint()
-			if err != nil {
-				return fmt.Errorf("%w: crypto offset", ErrMalformed)
-			}
-			n, err := r.Varint()
-			if err != nil {
-				return fmt.Errorf("%w: crypto length", ErrMalformed)
-			}
-			if off > maxCryptoLen || n > maxCryptoLen || off+n > maxCryptoLen {
-				return fmt.Errorf("%w: crypto stream exceeds %d bytes", ErrMalformed, maxCryptoLen)
-			}
-			data, err := r.Bytes(int(n))
-			if err != nil {
-				return fmt.Errorf("%w: crypto data", ErrMalformed)
-			}
-			segs = append(segs, segment{off, data})
-			if off < minOff {
-				minOff = off
-			}
-			if off+n > maxEnd {
-				maxEnd = off + n
-			}
-		default:
-			return fmt.Errorf("%w: unexpected frame type %#x in Initial", ErrMalformed, ft)
-		}
-	}
-	if maxEnd == 0 {
-		return nil
-	}
-	span := maxEnd - minOff
-	buf := make([]byte, span)
-	filled := make([]bool, span)
-	for _, s := range segs {
-		copy(buf[s.off-minOff:], s.data)
-		for i := uint64(0); i < uint64(len(s.data)); i++ {
-			filled[s.off-minOff+i] = true
-		}
-	}
-	for _, ok := range filled {
-		if !ok {
-			return fmt.Errorf("%w: crypto stream has gaps", ErrMalformed)
-		}
-	}
-	p.CryptoOffset = minOff
-	p.CryptoData = buf
-	return nil
-}
-
-func skipACK(r *wire.Reader, ft uint64) error {
-	// largest acked, ack delay (RFC 9000 §19.3)
-	for i := 0; i < 2; i++ {
-		if _, err := r.Varint(); err != nil {
-			return fmt.Errorf("%w: ack", ErrMalformed)
-		}
-	}
-	count, err := r.Varint()
-	if err != nil {
-		return fmt.Errorf("%w: ack range count", ErrMalformed)
-	}
-	if _, err := r.Varint(); err != nil { // first ack range
-		return fmt.Errorf("%w: ack first range", ErrMalformed)
-	}
-	for i := uint64(0); i < count; i++ { // gap + range length pairs
-		for j := 0; j < 2; j++ {
-			if _, err := r.Varint(); err != nil {
-				return fmt.Errorf("%w: ack range %d", ErrMalformed, i)
-			}
-		}
-	}
-	if ft == frameACK+1 { // ACK_ECN: ECT0, ECT1, CE counts
-		for j := 0; j < 3; j++ {
-			if _, err := r.Varint(); err != nil {
-				return fmt.Errorf("%w: ack ecn counts", ErrMalformed)
-			}
-		}
-	}
-	return nil
 }
 
 // MinInitialSize is the minimum UDP payload size for client Initials
@@ -321,15 +78,6 @@ const MinInitialSize = 1200
 // padded with PADDING frames to at least minSize (use 0 for the RFC default
 // of 1200).
 func (p *Initial) Seal(minSize int) ([]byte, error) {
-	if minSize == 0 {
-		minSize = MinInitialSize
-	}
-	if len(p.DCID) > 20 || len(p.SCID) > 20 {
-		return nil, fmt.Errorf("%w: connection id too long", ErrMalformed)
-	}
-	const pnLen = 4 // fixed-length packet number keeps the header math simple
-
-	// Plaintext frames: CRYPTO(offset=CryptoOffset) + padding.
 	frames := wire.NewWriter(len(p.CryptoData) + 64)
 	frames.Uint8(frameCrypto)
 	if err := frames.Varint(p.CryptoOffset); err != nil {
@@ -339,6 +87,20 @@ func (p *Initial) Seal(minSize int) ([]byte, error) {
 		return nil, err
 	}
 	frames.Write(p.CryptoData)
+	return p.sealFrames(frames, minSize)
+}
+
+// sealFrames is Seal for an arbitrary frame sequence: pad to minSize,
+// encrypt, protect the header. Seal's single CRYPTO frame is the only
+// sequence the generator needs; tests seal the shapes it never emits.
+func (p *Initial) sealFrames(frames *wire.Writer, minSize int) ([]byte, error) {
+	if minSize == 0 {
+		minSize = MinInitialSize
+	}
+	if len(p.DCID) > maxCIDLen || len(p.SCID) > maxCIDLen {
+		return nil, errCID
+	}
+	const pnLen = 4 // fixed-length packet number keeps the header math simple
 
 	// Compute header size to find how much padding reaches minSize.
 	hdrLen := func(payloadLen int) int {
@@ -378,14 +140,17 @@ func (p *Initial) Seal(minSize int) ([]byte, error) {
 
 	k, err := clientKeys(p.DCID)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("quicproto: initial keys: %w", err)
 	}
-	ciphertext := k.aead.Seal(nil, k.nonce(p.PacketNumber), frames.Bytes(), hdr.Bytes())
+	var nonce [12]byte
+	k.nonce(&nonce, p.PacketNumber)
+	ciphertext := k.aead.Seal(nil, nonce[:], frames.Bytes(), hdr.Bytes())
 
 	out := append(append([]byte{}, hdr.Bytes()...), ciphertext...)
 
 	// Apply header protection.
-	mask := k.headerProtectionMask(out[pnOffset+4 : pnOffset+4+16])
+	var mask [16]byte
+	k.headerProtectionMask(&mask, out[pnOffset+4:pnOffset+4+16])
 	out[0] ^= mask[0] & 0x0f
 	for i := 0; i < pnLen; i++ {
 		out[pnOffset+i] ^= mask[1+i]
@@ -428,7 +193,7 @@ type LongHeaderCIDs struct {
 func ParseLongHeaderCIDs(datagram []byte) (LongHeaderCIDs, error) {
 	var out LongHeaderCIDs
 	if len(datagram) < 7 {
-		return out, fmt.Errorf("%w: short long header", ErrMalformed)
+		return out, errTruncated
 	}
 	first := datagram[0]
 	if first&0x80 == 0 {
@@ -440,15 +205,15 @@ func ParseLongHeaderCIDs(datagram []byte) (LongHeaderCIDs, error) {
 	i := 5
 	dcidLen := int(datagram[i])
 	i++
-	if dcidLen > 20 || i+dcidLen >= len(datagram) {
-		return out, fmt.Errorf("%w: dcid length", ErrMalformed)
+	if dcidLen > maxCIDLen || i+dcidLen >= len(datagram) {
+		return out, errCID
 	}
 	out.DCID = datagram[i : i+dcidLen]
 	i += dcidLen
 	scidLen := int(datagram[i])
 	i++
-	if scidLen > 20 || i+scidLen > len(datagram) {
-		return out, fmt.Errorf("%w: scid length", ErrMalformed)
+	if scidLen > maxCIDLen || i+scidLen > len(datagram) {
+		return out, errCID
 	}
 	out.SCID = datagram[i : i+scidLen]
 	return out, nil

@@ -1,10 +1,6 @@
 package quicproto
 
-import (
-	"fmt"
-
-	"videoplat/internal/wire"
-)
+import "videoplat/internal/wire"
 
 // Transport parameter IDs (RFC 9000 §18.2 plus extensions seen in the wild).
 const (
@@ -30,6 +26,8 @@ const (
 	ParamGoogleVersion                  uint64 = 0x4752 // Google
 )
 
+var errParam = malformed("transport parameter runs past the extension")
+
 // TransportParameter is one raw parameter in wire order.
 type TransportParameter struct {
 	ID    uint64
@@ -43,24 +41,31 @@ type TransportParameters struct {
 	Params []TransportParameter
 }
 
-// ParseTransportParameters decodes an extension-57 body.
+// ParseTransportParameters decodes an extension-57 body. Values alias b.
+// The body is walked twice, first to validate and count, so Params is
+// allocated once at its exact size.
 func ParseTransportParameters(b []byte) (*TransportParameters, error) {
+	n := 0
+	for r := wire.NewReader(b); !r.Empty(); n++ {
+		if _, err := r.Varint(); err != nil {
+			return nil, errParam
+		}
+		size, err := r.Varint()
+		if err != nil || r.Skip(int(size)) != nil {
+			return nil, errParam
+		}
+	}
 	tp := &TransportParameters{}
+	if n == 0 {
+		return tp, nil
+	}
+	tp.Params = make([]TransportParameter, n)
 	r := wire.NewReader(b)
-	for !r.Empty() {
-		id, err := r.Varint()
-		if err != nil {
-			return nil, fmt.Errorf("%w: param id", ErrMalformed)
-		}
-		n, err := r.Varint()
-		if err != nil {
-			return nil, fmt.Errorf("%w: param %#x length", ErrMalformed, id)
-		}
-		val, err := r.Bytes(int(n))
-		if err != nil {
-			return nil, fmt.Errorf("%w: param %#x value", ErrMalformed, id)
-		}
-		tp.Params = append(tp.Params, TransportParameter{ID: id, Value: val})
+	for i := range tp.Params { // the reads cannot fail: checked above
+		p := &tp.Params[i]
+		p.ID, _ = r.Varint()
+		size, _ := r.Varint()
+		p.Value, _ = r.Bytes(int(size))
 	}
 	return tp, nil
 }

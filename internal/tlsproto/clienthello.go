@@ -69,6 +69,26 @@ var (
 	ErrMalformed      = errors.New("tlsproto: malformed ClientHello")
 )
 
+// The parser's rejections are pre-built: a tap turns away a half-delivered
+// record on every segment of every still-assembling flow, so saying why
+// formats nothing and allocates nothing. Each wraps ErrMalformed.
+var (
+	errRecordTruncated = malformed("record truncated")
+	errTruncated       = malformed("handshake message truncated")
+	errField           = malformed("field runs past the message")
+	errCipherSuites    = malformed("cipher suite length")
+	errExtensions      = malformed("extensions length")
+	errExtension       = malformed("extension runs past the extensions block")
+	errTooManyExts     = malformed("more than 64 extensions")
+)
+
+func malformed(what string) error { return fmt.Errorf("%w: %s", ErrMalformed, what) }
+
+// maxExtensions bounds the extensions of one ClientHello. Real hellos carry
+// about twenty; the block's 16-bit length alone would allow sixteen thousand
+// empty ones, each an Extensions entry the flow then owns.
+const maxExtensions = 64
+
 // Extension is one raw TLS extension in wire order.
 type Extension struct {
 	Type uint16
@@ -245,125 +265,154 @@ func (ch *ClientHello) ExtensionLen(typ uint16) int {
 
 // Parse decodes a ClientHello handshake message (starting at the handshake
 // header, i.e. after any TLS record framing). Returned slices alias msg.
+// CipherSuites and Extensions are each allocated once at their exact size —
+// the extensions block is walked twice, first to validate and count — so a
+// hello costs three allocations whatever it carries.
 func Parse(msg []byte) (*ClientHello, error) {
 	r := wire.NewReader(msg)
 	typ, err := r.Uint8()
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
+		return nil, errTruncated
 	}
 	if typ != handshakeClientHello {
 		return nil, ErrNotClientHello
 	}
 	bodyLen, err := r.Uint24()
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
+		return nil, errTruncated
 	}
-	if int(bodyLen) > r.Len() {
-		return nil, fmt.Errorf("%w: handshake body truncated (%d > %d)", ErrMalformed, bodyLen, r.Len())
+	body, err := r.Bytes(int(bodyLen))
+	if err != nil {
+		return nil, errTruncated
 	}
-	body, _ := r.Bytes(int(bodyLen))
 	ch := &ClientHello{HandshakeLength: int(bodyLen)}
 	br := wire.NewReader(body)
 
 	if ch.LegacyVersion, err = br.Uint16(); err != nil {
-		return nil, fmt.Errorf("%w: version", ErrMalformed)
+		return nil, errField
 	}
 	random, err := br.Bytes(32)
 	if err != nil {
-		return nil, fmt.Errorf("%w: random", ErrMalformed)
+		return nil, errField
 	}
 	copy(ch.Random[:], random)
 
 	sidLen, err := br.Uint8()
 	if err != nil {
-		return nil, fmt.Errorf("%w: session id length", ErrMalformed)
+		return nil, errField
 	}
 	if ch.SessionID, err = br.Bytes(int(sidLen)); err != nil {
-		return nil, fmt.Errorf("%w: session id", ErrMalformed)
+		return nil, errField
 	}
 
 	csLen, err := br.Uint16()
 	if err != nil || csLen%2 != 0 || int(csLen) > br.Len() {
-		return nil, fmt.Errorf("%w: cipher suite length", ErrMalformed)
+		return nil, errCipherSuites
 	}
 	ch.CipherSuites = make([]uint16, csLen/2)
 	for i := range ch.CipherSuites {
-		if ch.CipherSuites[i], err = br.Uint16(); err != nil {
-			return nil, fmt.Errorf("%w: cipher suites", ErrMalformed)
-		}
+		ch.CipherSuites[i], _ = br.Uint16() // csLen bytes are there: checked above
 	}
 
 	cmLen, err := br.Uint8()
 	if err != nil {
-		return nil, fmt.Errorf("%w: compression length", ErrMalformed)
+		return nil, errField
 	}
 	if ch.CompressionMethods, err = br.Bytes(int(cmLen)); err != nil {
-		return nil, fmt.Errorf("%w: compression methods", ErrMalformed)
+		return nil, errField
 	}
 
 	if br.Empty() {
 		return ch, nil // extensions are optional in TLS <= 1.2
 	}
 	extLen, err := br.Uint16()
-	if err != nil || int(extLen) > br.Len() {
-		return nil, fmt.Errorf("%w: extensions length", ErrMalformed)
+	if err != nil {
+		return nil, errExtensions
+	}
+	exts, err := br.Bytes(int(extLen))
+	if err != nil {
+		return nil, errExtensions
 	}
 	ch.ExtensionsLength = int(extLen)
-	er := wire.NewReader(body[len(body)-br.Len() : len(body)-br.Len()+int(extLen)])
-	for !er.Empty() {
-		typ, err := er.Uint16()
-		if err != nil {
-			return nil, fmt.Errorf("%w: extension type", ErrMalformed)
+
+	// Pass one: every extension lies inside the block, and how many.
+	n := 0
+	for er := wire.NewReader(exts); !er.Empty(); n++ {
+		if n == maxExtensions {
+			return nil, errTooManyExts
+		}
+		if er.Skip(2) != nil {
+			return nil, errExtension
 		}
 		dataLen, err := er.Uint16()
-		if err != nil {
-			return nil, fmt.Errorf("%w: extension length", ErrMalformed)
+		if err != nil || er.Skip(int(dataLen)) != nil {
+			return nil, errExtension
 		}
-		data, err := er.Bytes(int(dataLen))
-		if err != nil {
-			return nil, fmt.Errorf("%w: extension %d body", ErrMalformed, typ)
-		}
-		ch.Extensions = append(ch.Extensions, Extension{Type: typ, Data: data})
+	}
+	if n == 0 {
+		return ch, nil
+	}
+	// Pass two: the reads cannot fail.
+	ch.Extensions = make([]Extension, n)
+	er := wire.NewReader(exts)
+	for i := range ch.Extensions {
+		e := &ch.Extensions[i]
+		e.Type, _ = er.Uint16()
+		dataLen, _ := er.Uint16()
+		e.Data, _ = er.Bytes(int(dataLen))
 	}
 	return ch, nil
 }
 
-// ParseRecord decodes a ClientHello wrapped in a TLS record, as found at the
-// start of a TCP connection's client byte stream. Multi-record hellos
-// (records split across the 16 KB boundary) are reassembled.
+// recordHeaderLen is a TLS record's header: type, legacy version, length.
+const recordHeaderLen = 5
+
+// ParseRecord decodes a ClientHello wrapped in TLS records, as found at the
+// start of a TCP connection's client byte stream. It first walks the record
+// headers (and the 4-byte handshake header inside the first fragments) to
+// decide, without copying or parsing anything, between three outcomes: the
+// stream does not start with a handshake record (ErrNotHandshake), the
+// hello is not all here yet (an ErrMalformed — offer the stream again with
+// more bytes), or it is complete. Only a complete hello is parsed. One that
+// sits in a single record — every real one; records hold 16 KB — is parsed
+// where it lies, so the returned slices alias stream; one split across
+// records is first reassembled into a buffer of its own.
 func ParseRecord(stream []byte) (*ClientHello, error) {
-	var handshake []byte
-	r := wire.NewReader(stream)
-	for {
-		typ, err := r.Uint8()
-		if err != nil {
-			return nil, fmt.Errorf("%w: record header", ErrMalformed)
+	var hdr [4]byte      // the handshake header, which may itself span records
+	have, want := 0, -1  // handshake bytes framed so far; message length once hdr is whole
+	off, records := 0, 0 // end of the last complete record; how many
+	for want < 0 || have < want {
+		rest := stream[off:]
+		if len(rest) > 0 && rest[0] != recordTypeHandshake {
+			return nil, ErrNotHandshake // decided on the type byte alone
 		}
-		if typ != recordTypeHandshake {
-			return nil, ErrNotHandshake
+		if len(rest) < recordHeaderLen {
+			return nil, errRecordTruncated
 		}
-		if err := r.Skip(2); err != nil { // legacy record version
-			return nil, fmt.Errorf("%w: record version", ErrMalformed)
+		n := int(rest[3])<<8 | int(rest[4])
+		if len(rest)-recordHeaderLen < n {
+			return nil, errRecordTruncated
 		}
-		recLen, err := r.Uint16()
-		if err != nil {
-			return nil, fmt.Errorf("%w: record length", ErrMalformed)
-		}
-		frag, err := r.Bytes(int(recLen))
-		if err != nil {
-			return nil, fmt.Errorf("%w: record body truncated", ErrMalformed)
-		}
-		handshake = append(handshake, frag...)
-		if len(handshake) >= 4 {
-			want := 4 + int(uint32(handshake[1])<<16|uint32(handshake[2])<<8|uint32(handshake[3]))
-			if len(handshake) >= want {
-				return Parse(handshake[:want])
+		if have < len(hdr) {
+			copy(hdr[have:], rest[recordHeaderLen:recordHeaderLen+n])
+			if have+n >= len(hdr) {
+				want = len(hdr) + (int(hdr[1])<<16 | int(hdr[2])<<8 | int(hdr[3]))
 			}
 		}
-		if r.Empty() {
-			return nil, fmt.Errorf("%w: handshake spans more records than captured", ErrMalformed)
-		}
+		have += n
+		off += recordHeaderLen + n
+		records++
 	}
+	if records == 1 {
+		return Parse(stream[recordHeaderLen : recordHeaderLen+want])
+	}
+	msg := make([]byte, 0, have)
+	for off = 0; len(msg) < want; {
+		n := int(stream[off+3])<<8 | int(stream[off+4])
+		msg = append(msg, stream[off+recordHeaderLen:off+recordHeaderLen+n]...)
+		off += recordHeaderLen + n
+	}
+	return Parse(msg[:want])
 }
 
 // Marshal encodes the ClientHello as a handshake message (handshake header

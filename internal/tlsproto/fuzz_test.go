@@ -39,6 +39,14 @@ func corpusHellos(tb testing.TB) [][]byte {
 	add(label, prov, fingerprint.TCP, fingerprint.Options{ZeroRTT: true})
 	add(label, prov, fingerprint.TCP, fingerprint.Options{OpenSet: true})
 
+	// One extension past the parser's per-hello bound (maxExtensions, 64).
+	over := &tlsproto.ClientHello{LegacyVersion: tlsproto.VersionTLS12,
+		CipherSuites: []uint16{0x1301}, CompressionMethods: []byte{0}}
+	for i := 0; i < 65; i++ {
+		over.Extensions = append(over.Extensions, tlsproto.Extension{Type: uint16(0x100 + i)})
+	}
+	out = append(out, over.Marshal())
+
 	mutated := make([][]byte, 0, 3*len(out))
 	for _, msg := range out {
 		for _, cut := range []int{1, len(msg) / 2, len(msg) - 1} {

@@ -106,6 +106,22 @@ func (r *Reader) Skip(n int) error {
 	return nil
 }
 
+// SkipZeros advances the cursor past the run of zero bytes at its position,
+// eight bytes per step. QUIC pads an Initial with hundreds of one-byte
+// PADDING frames (type 0x00); walking them as one run instead of one varint
+// each is what keeps the frame walk proportional to the real frames.
+func (r *Reader) SkipZeros() {
+	b := r.buf[r.off:]
+	i := 0
+	for len(b)-i >= 8 && binary.LittleEndian.Uint64(b[i:]) == 0 {
+		i += 8
+	}
+	for i < len(b) && b[i] == 0 {
+		i++
+	}
+	r.off += i
+}
+
 // Rest returns all unread bytes and consumes them.
 func (r *Reader) Rest() []byte {
 	v := r.buf[r.off:]

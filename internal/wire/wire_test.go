@@ -194,6 +194,27 @@ func TestRestAndOffset(t *testing.T) {
 	}
 }
 
+func TestSkipZeros(t *testing.T) {
+	// Every run length around the 8-byte stride, at every alignment, ending
+	// either at a nonzero byte or at the end of the buffer.
+	for lead := 0; lead < 9; lead++ {
+		for run := 0; run < 40; run++ {
+			for _, tail := range [][]byte{nil, {7, 0, 0}} {
+				buf := append(bytes.Repeat([]byte{0xff}, lead), make([]byte, run)...)
+				buf = append(buf, tail...)
+				r := NewReader(buf)
+				if err := r.Skip(lead); err != nil {
+					t.Fatal(err)
+				}
+				r.SkipZeros()
+				if r.Offset() != lead+run {
+					t.Fatalf("lead=%d run=%d tail=%v: offset %d, want %d", lead, run, tail, r.Offset(), lead+run)
+				}
+			}
+		}
+	}
+}
+
 func BenchmarkVarintDecode(b *testing.B) {
 	buf := AppendVarint(nil, 494878333)
 	b.ReportAllocs()
