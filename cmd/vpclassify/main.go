@@ -48,8 +48,10 @@ func main() {
 			printRecord(rec)
 		}
 	}
+	st := p.Stats()
 	fmt.Printf("\npackets: %d  classified flows: %d  unknown: %d\n",
-		p.Packets, p.ClassifiedFlows, p.UnknownFlows)
+		st.Packets, st.Verdicts[pipeline.VerdictClassified],
+		st.Verdicts[pipeline.VerdictAbstained]+st.Verdicts[pipeline.VerdictAbstainedECH]+st.Verdicts[pipeline.VerdictAbstainedZeroRTT])
 
 	fmt.Println("\nfinal flow telemetry:")
 	for _, rec := range p.Flows() {

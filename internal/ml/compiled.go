@@ -306,34 +306,13 @@ func (cf *CompiledForest) leafOf(nodes []cnode, root int32, x []float64) int32 {
 
 // PredictProbaInto averages member probabilities into out's capacity,
 // byte-identical to RandomForest.PredictProbaInto on the forest this was
-// compiled from: per-tree leaf distributions are accumulated in tree order
-// and divided by the tree count, in the same float operation order. The
-// returned slice is the (possibly grown) buffer. Zero-allocation with a warm
-// buffer, pinned by TestCompiledForestZeroAlloc.
+// compiled from. It is the one-row case of PredictBatchInto — there is one
+// compiled walk. The returned slice is the (possibly grown) buffer.
+// Zero-allocation with a warm buffer, pinned by TestCompiledForestZeroAlloc.
 //
 //vp:hotpath
 func (cf *CompiledForest) PredictProbaInto(x, out []float64) []float64 {
-	if cap(out) < cf.classes {
-		out = make([]float64, cf.classes) //vp:allocok cold first-call growth; steady state reuses out
-	} else {
-		out = out[:cf.classes]
-		clear(out)
-	}
-	nodes := cf.nodes
-	leafRow := cf.leafRow
-	rowOff := cf.rowOff
-	probaIdx := cf.probaIdx
-	probaVal := cf.probaVal
-	for _, root := range cf.roots {
-		row := leafRow[cf.leafOf(nodes, root, x)]
-		for k := rowOff[row]; k < rowOff[row+1]; k++ {
-			out[probaIdx[k]] += probaVal[k]
-		}
-	}
-	for i := range out {
-		out[i] /= float64(cf.trees)
-	}
-	return out
+	return cf.PredictBatchInto(x, len(x), out)
 }
 
 // PredictInto returns the argmax class index and its probability, reusing
@@ -352,15 +331,17 @@ func (cf *CompiledForest) PredictInto(x []float64, proba *[]float64) (int, float
 	return best, bestP
 }
 
-// PredictBatchInto evaluates n = len(rows)/stride flows in one call: row r's
-// feature vector is rows[r*stride : r*stride+stride], and its averaged class
-// distribution lands in the returned buffer at [r*NumClasses() :
-// (r+1)*NumClasses()]. Trees are the outer loop, so each tree's packed nodes
-// stay cache-resident while every row traverses them — the batch-over-arena
-// shape that makes one call classify a whole ingest batch. Each row's
-// accumulation still happens in tree order, so per-row results are
-// byte-identical to PredictProbaInto. out is reused via its capacity.
-// Zero-allocation with a warm buffer, pinned by TestCompiledForestZeroAlloc.
+// PredictBatchInto is the compiled walk. It evaluates n = len(rows)/stride
+// flows in one call: row r's feature vector is rows[r*stride :
+// r*stride+stride], and its averaged class distribution lands in the
+// returned buffer at [r*NumClasses() : (r+1)*NumClasses()]. Rows are the
+// outer loop and each row descends the whole forest in interleaved lanes, so
+// the cost per row does not depend on how many rows share the call. Per-tree
+// leaf distributions are accumulated in tree order and divided by the tree
+// count, in the same float operation order as
+// RandomForest.PredictProbaInto, so every row's result is byte-identical to
+// the reference. out is reused via its capacity. Zero-allocation with a
+// warm buffer, pinned by TestCompiledForestZeroAlloc.
 //
 //vp:hotpath
 func (cf *CompiledForest) PredictBatchInto(rows []float64, stride int, out []float64) []float64 {
@@ -398,7 +379,7 @@ func (cf *CompiledForest) PredictBatchInto(rows []float64, stride int, out []flo
 	// by step d are always a prefix of the chunk, and advancing lo excludes
 	// them, so no step is spent spinning a finished tree on its self-loop.
 	// The accumulate pass reads leaves back in original tree order through
-	// pos, so per-row results stay byte-identical to PredictProbaInto.
+	// pos, so per-row results stay byte-identical to the reference forest.
 	if len(nodes) == 0 {
 		return out
 	}

@@ -45,11 +45,10 @@ func TestECHAbstainsWithoutHint(t *testing.T) {
 	if _, _, ok := MatchProvider(rec.SNI); ok {
 		t.Errorf("outer SNI %q matches a video provider — the ECH front leaks", rec.SNI)
 	}
-	if p.UnknownFlows != 1 {
-		t.Errorf("UnknownFlows = %d, want 1", p.UnknownFlows)
-	}
-	if p.EarlyClassified() != 0 {
-		t.Errorf("EarlyClassified = %d, want 0", p.EarlyClassified())
+	if st := p.Stats(); st.Verdicts[VerdictAbstainedECH] != 1 {
+		t.Errorf("Stats().Verdicts[abstained-ech] = %d, want 1", st.Verdicts[VerdictAbstainedECH])
+	} else if st.EarlyClassified != 0 {
+		t.Errorf("EarlyClassified = %d, want 0", st.EarlyClassified)
 	}
 }
 
@@ -75,8 +74,8 @@ func TestZeroRTTAbstainsWithoutHint(t *testing.T) {
 	if rec.Classified || rec.SNI != "" {
 		t.Errorf("0-RTT flow leaked classification state: classified=%v sni=%q", rec.Classified, rec.SNI)
 	}
-	if p.UnknownFlows != 1 {
-		t.Errorf("UnknownFlows = %d, want 1", p.UnknownFlows)
+	if got := p.Stats().Verdicts[VerdictAbstainedZeroRTT]; got != 1 {
+		t.Errorf("Stats().Verdicts[abstained-0rtt] = %d, want 1", got)
 	}
 }
 
@@ -133,8 +132,8 @@ func TestECHDegradedGateRejects(t *testing.T) {
 	if recs[0].Verdict != VerdictAbstainedECH {
 		t.Fatalf("verdict = %s, want %s (margin gate must reject)", recs[0].Verdict, VerdictAbstainedECH)
 	}
-	if p.EarlyClassified() != 0 {
-		t.Errorf("EarlyClassified = %d, want 0", p.EarlyClassified())
+	if got := p.Stats().EarlyClassified; got != 0 {
+		t.Errorf("EarlyClassified = %d, want 0", got)
 	}
 }
 
@@ -159,23 +158,23 @@ func TestECHDegradedClassification(t *testing.T) {
 	if len(recs) != 1 {
 		t.Fatalf("tracked %d records, want 1", len(recs))
 	}
-	rec := recs[0]
+	rec, st := recs[0], p.Stats()
 	switch rec.Verdict {
 	case VerdictClassified:
 		if !rec.Classified || rec.Provider != fingerprint.Netflix {
 			t.Errorf("classified record inconsistent: classified=%v provider=%v", rec.Classified, rec.Provider)
 		}
-		if p.EarlyClassified() != 1 || p.ClassifiedFlows != 1 || p.UnknownFlows != 0 {
-			t.Errorf("counters = early %d / classified %d / unknown %d, want 1/1/0",
-				p.EarlyClassified(), p.ClassifiedFlows, p.UnknownFlows)
+		if st.EarlyClassified != 1 || st.Verdicts[VerdictClassified] != 1 || st.Verdicts[VerdictAbstainedECH] != 0 {
+			t.Errorf("counters = early %d / classified %d / abstained-ech %d, want 1/1/0",
+				st.EarlyClassified, st.Verdicts[VerdictClassified], st.Verdicts[VerdictAbstainedECH])
 		}
 	case VerdictAbstainedECH:
 		if rec.Classified {
 			t.Error("abstained record marked classified")
 		}
-		if p.EarlyClassified() != 0 || p.UnknownFlows != 1 {
-			t.Errorf("counters = early %d / unknown %d, want 0/1",
-				p.EarlyClassified(), p.UnknownFlows)
+		if st.EarlyClassified != 0 || st.Verdicts[VerdictAbstainedECH] != 1 {
+			t.Errorf("counters = early %d / abstained-ech %d, want 0/1",
+				st.EarlyClassified, st.Verdicts[VerdictAbstainedECH])
 		}
 	default:
 		t.Fatalf("verdict = %s, want %s or %s", rec.Verdict, VerdictClassified, VerdictAbstainedECH)
@@ -202,18 +201,18 @@ func TestZeroRTTDegradedEscalation(t *testing.T) {
 	if len(recs) != 1 {
 		t.Fatalf("tracked %d records, want 1", len(recs))
 	}
-	rec := recs[0]
+	rec, st := recs[0], p.Stats()
 	switch rec.Verdict {
 	case VerdictClassified:
 		if rec.Provider != fingerprint.YouTube {
 			t.Errorf("provider = %v, want YouTube (from the hint)", rec.Provider)
 		}
-		if p.EarlyClassified() != 1 {
-			t.Errorf("EarlyClassified = %d, want 1", p.EarlyClassified())
+		if st.EarlyClassified != 1 {
+			t.Errorf("EarlyClassified = %d, want 1", st.EarlyClassified)
 		}
 	case VerdictAbstainedZeroRTT:
-		if p.UnknownFlows != 1 {
-			t.Errorf("UnknownFlows = %d, want 1", p.UnknownFlows)
+		if st.Verdicts[VerdictAbstainedZeroRTT] != 1 {
+			t.Errorf("Stats().Verdicts[abstained-0rtt] = %d, want 1", st.Verdicts[VerdictAbstainedZeroRTT])
 		}
 	default:
 		t.Fatalf("verdict = %s, want %s or %s", rec.Verdict, VerdictClassified, VerdictAbstainedZeroRTT)
@@ -244,10 +243,9 @@ func TestMigrationClassifiedVerdict(t *testing.T) {
 	if rec.SNI != ft.SNI || rec.Provider != fingerprint.YouTube {
 		t.Errorf("record identity = %q/%v, want %q/YouTube", rec.SNI, rec.Provider, ft.SNI)
 	}
-	if p.EarlyClassified() != 0 {
-		t.Errorf("EarlyClassified = %d, want 0 — migration is not a degraded path", p.EarlyClassified())
-	}
-	if p.Migrations() != 1 {
-		t.Errorf("Migrations() = %d, want 1", p.Migrations())
+	if st := p.Stats(); st.EarlyClassified != 0 {
+		t.Errorf("EarlyClassified = %d, want 0 — migration is not a degraded path", st.EarlyClassified)
+	} else if st.Migrations != 1 {
+		t.Errorf("Migrations = %d, want 1", st.Migrations)
 	}
 }

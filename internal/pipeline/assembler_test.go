@@ -130,17 +130,17 @@ func TestMaxHelloBytesAbandonsOversizedFlow(t *testing.T) {
 	}
 	feed(ff.client(nil, packet.FlagSYN))
 	feed(ff.client(endlessRecordChunk(true, 600), packet.FlagACK|packet.FlagPSH))
-	if got := p.OversizedHandshakes(); got != 0 {
+	if got := p.Stats().Verdicts[VerdictOversized]; got != 0 {
 		t.Fatalf("oversized after 600 buffered bytes = %d, want 0", got)
 	}
 	feed(ff.client(endlessRecordChunk(false, 600), packet.FlagACK|packet.FlagPSH))
-	if got := p.OversizedHandshakes(); got != 1 {
+	if got := p.Stats().Verdicts[VerdictOversized]; got != 1 {
 		t.Fatalf("oversized after 1200 buffered bytes = %d, want 1", got)
 	}
 	// The flow is abandoned: more client bytes neither re-trigger assembly
 	// nor bump the counter again.
 	feed(ff.client(endlessRecordChunk(false, 600), packet.FlagACK|packet.FlagPSH))
-	if got := p.OversizedHandshakes(); got != 1 {
+	if got := p.Stats().Verdicts[VerdictOversized]; got != 1 {
 		t.Fatalf("oversized counted twice: %d", got)
 	}
 	flows := p.Flows()
@@ -164,7 +164,7 @@ func TestMaxHelloBytesDisabledBuffersOn(t *testing.T) {
 	p.HandlePacket(ts, ff.client(nil, packet.FlagSYN))
 	p.HandlePacket(ts, ff.client(endlessRecordChunk(true, 60000), packet.FlagACK|packet.FlagPSH))
 	p.HandlePacket(ts, ff.client(endlessRecordChunk(false, 60000), packet.FlagACK|packet.FlagPSH))
-	if got := p.OversizedHandshakes(); got != 0 {
+	if got := p.Stats().Verdicts[VerdictOversized]; got != 0 {
 		t.Fatalf("unbounded config still abandoned the flow: %d", got)
 	}
 }
@@ -243,11 +243,11 @@ func TestAssemblerAllocCeilings(t *testing.T) {
 	}
 }
 
-// TestAssembledHelloSurvivesLaterFlows is the copy-on-retain invariant with
-// batch classification deferred: flow A completes, then — before anything
-// classifies it — the same parser, Opener and frame buffer (a recycled
-// arena) carry other flows. What A's assembler hands to the classifier must
-// not have moved.
+// TestAssembledHelloSurvivesLaterFlows is the copy-on-retain invariant: flow
+// A completes, then the same parser, Opener and frame buffer (a recycled
+// arena) carry other flows. What A's assembler handed to the classifier —
+// and, through OnClassify, to a hook that may still be reading it — must not
+// have moved.
 func TestAssembledHelloSurvivesLaterFlows(t *testing.T) {
 	for _, tr := range []fingerprint.Transport{fingerprint.TCP, fingerprint.QUIC} {
 		var (

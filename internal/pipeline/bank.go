@@ -49,15 +49,23 @@ type Model struct {
 // Predict classifies one handshake's field values (the training/experiments
 // representation). The serving path uses Bank.ClassifyHandshake instead.
 func (m *Model) Predict(v *features.FieldValues) (string, float64) {
-	x := m.Encoder.Transform(v)
-	ci, conf := ml.Predict(m.Forest, x)
-	return m.Classes[ci], conf
+	class, conf, _ := m.predict(v)
+	return class, conf
+}
+
+// predict is the reference prediction — Encoder.Transform, then the
+// pointer-walk forest — returning the winning class, its probability and the
+// top-1/top-2 margin read from the same probability vector.
+func (m *Model) predict(v *features.FieldValues) (string, float64, float64) {
+	var proba []float64
+	ci, conf := m.Forest.PredictInto(m.Encoder.Transform(v), &proba)
+	return m.Classes[ci], conf, probaMargin(proba, ci, conf)
 }
 
 // Compiled returns the model's serving-path compiled encoder, lowering the
 // fitted encoder on first use. It returns nil when the encoder cannot be
-// compiled (an attribute schema this build does not know), in which case
-// callers fall back to Extract+Transform.
+// compiled (an attribute schema this build does not know), in which case the
+// model's bank entry serves through the reference path (see ClassifyBatch).
 func (m *Model) Compiled() *features.CompiledEncoder {
 	m.compileOnce.Do(func() {
 		m.compiled, _ = features.Compile(m.Encoder)
@@ -68,7 +76,7 @@ func (m *Model) Compiled() *features.CompiledEncoder {
 // CompiledForest returns the model's serving-path compiled forest, lowering
 // the fitted ensemble into flat node arrays on first use. It returns nil
 // when the forest cannot be compiled (empty or malformed ensembles), in
-// which case callers fall back to the pointer-walking reference path.
+// which case the model's bank entry serves through the reference path.
 func (m *Model) CompiledForest() *ml.CompiledForest {
 	m.forestOnce.Do(func() {
 		m.cforest, _ = ml.CompileForest(m.Forest)
@@ -114,18 +122,17 @@ type bankEntry struct {
 	platform, device, agent *Model
 	// shared is the single compiled encoder serving all three objectives,
 	// nil when the per-objective encoders differ (hand-assembled banks) or
-	// cannot be compiled — Classify's Extract+Transform path is the
-	// fallback.
+	// cannot be compiled.
 	shared *features.CompiledEncoder
 	// cplatform/cdevice/cagent are the objectives' compiled serving
-	// forests (flat node arrays); nil when an ensemble did not compile, in
-	// which case prediction falls back to the pointer walk.
+	// forests (flat node arrays); nil when an ensemble did not compile.
 	cplatform, cdevice, cagent *ml.CompiledForest
 }
 
 // batchable reports whether this entry carries every compiled serving form
-// the batched classify pass needs: one shared encode pass plus flat-array
-// forests for all three objectives.
+// the compiled evaluator needs: one shared encode pass plus flat-array
+// forests for all three objectives. An entry missing any of them serves
+// whole through the reference path.
 func (e *bankEntry) batchable() bool {
 	return e.shared != nil && e.cplatform != nil && e.cdevice != nil && e.cagent != nil
 }
@@ -263,8 +270,8 @@ func (b *Bank) Model(prov fingerprint.Provider, tr fingerprint.Transport, obj Ob
 // serving path is unaffected).
 type CompiledFootprint struct {
 	// Models counts the bank's trained models; CompiledModels those whose
-	// forests lowered into the flat serving form (the rest serve through the
-	// pointer-walk fallback).
+	// forests lowered into the flat serving form (an entry holding one that
+	// did not serves through the reference path).
 	Models         int   `json:"models"`
 	CompiledModels int   `json:"compiled_models"`
 	Nodes          int   `json:"nodes"`
@@ -337,36 +344,34 @@ type Prediction struct {
 // Classify runs the three objectives for a flow and applies the confidence
 // selector: composite first; below threshold, fall back to the individual
 // device/agent models; if none clears the threshold the flow is Unknown.
-// This is the training/experiments entry point over extracted FieldValues;
-// the serving path is ClassifyHandshake.
+// This is the reference path over extracted FieldValues — the
+// training/experiments entry point, the golden oracle the compiled evaluator
+// is pinned against, and what serves an entry that cannot compile.
 func (b *Bank) Classify(prov fingerprint.Provider, tr fingerprint.Transport, v *features.FieldValues) (Prediction, error) {
 	var p Prediction
 	e := b.entry(prov, tr)
 	if e == nil {
 		return p, fmt.Errorf("pipeline: no models for %s/%s", prov, tr)
 	}
-	p.Platform, p.PlatformConf, p.PlatformMargin = e.platform.predictMargin(v)
-	p.Device, p.DeviceConf = e.device.Predict(v)
-	p.Agent, p.AgentConf = e.agent.Predict(v)
+	p.Platform, p.PlatformConf, p.PlatformMargin = e.platform.predict(v)
+	p.Device, p.DeviceConf, _ = e.device.predict(v)
+	p.Agent, p.AgentConf, _ = e.agent.predict(v)
 	p.applySelector()
 	return p, nil
 }
 
 // ClassifyScratch holds one worker's reusable classification buffers: the
-// encoded feature vector, the forest probability accumulator, the compiled
-// encoder's extension-walking scratch, and the batched path's row and
-// probability matrices. Each pipeline (and thus each shard) owns one, so the
-// steady-state encode+predict path performs no allocations. The zero value
-// is ready to use; not safe for concurrent use.
+// encoded row matrix, the forest probability matrix and the compiled
+// encoder's extension-walking scratch. Each pipeline (and thus each shard)
+// owns one, so the steady-state encode+predict path performs no allocations.
+// The zero value is ready to use; not safe for concurrent use.
 type ClassifyScratch struct {
-	vec   []float64
+	// rows is the encoded-row matrix (flows × encoder width, packed
+	// back-to-back); proba is one objective's probability matrix (flows ×
+	// class count). Both are reused via their capacity.
+	rows  []float64
 	proba []float64
 	enc   features.EncodeScratch
-	// rows is ClassifyBatch's encoded-row matrix (flows × encoder width,
-	// packed back-to-back); bproba is the per-objective batched probability
-	// matrix (flows × class count). Both are reused via their capacity.
-	rows   []float64
-	bproba []float64
 }
 
 // growFloats resizes a scratch buffer to n elements, growing its capacity
@@ -382,49 +387,30 @@ func growFloats(s []float64, n int) []float64 {
 	return s
 }
 
-// ClassifyHandshake classifies an assembled handshake directly — the
-// serving-path fast variant of Classify. With a TrainBank-built (or
-// deserialized) bank the three objectives share one compiled encode pass:
-// raw wire values resolve through interned tables into sc's pooled vector,
-// with no FieldValues maps and no string formatting. Predictions are
-// byte-identical to Classify(prov, tr, features.Extract(info)) — pinned by
-// the golden-equivalence tests. A nil sc allocates temporaries (used by
-// off-path callers like the shadow evaluator). Zero-allocation with a warm
-// scratch, pinned by TestClassifyHandshakeZeroAlloc.
+// ClassifyHandshake classifies one assembled handshake: ClassifyBatch over a
+// single flow. Zero-allocation with a warm scratch, pinned by
+// TestClassifyHandshakeZeroAlloc.
 //
 //vp:hotpath
 func (b *Bank) ClassifyHandshake(prov fingerprint.Provider, tr fingerprint.Transport, info *features.HandshakeInfo, sc *ClassifyScratch) (Prediction, error) {
-	var p Prediction
-	e := b.entry(prov, tr)
-	if e == nil {
-		return p, fmt.Errorf("pipeline: no models for %s/%s", prov, tr) //vp:allocok cold no-models error path
-	}
-	if e.shared == nil {
-		// Encoders differ or did not compile: fall back to the reference
-		// extraction path.
-		return b.Classify(prov, tr, features.Extract(info)) //vp:allocok cold fallback when encoders did not compile
-	}
-	if sc == nil {
-		sc = &ClassifyScratch{} //vp:allocok cold nil-scratch path for off-path callers
-	}
-	sc.vec = e.shared.EncodeInto(sc.vec, info, &sc.enc)
-	p.Platform, p.PlatformConf, p.PlatformMargin = e.platform.predictCompiledMargin(e.cplatform, sc.vec, &sc.proba)
-	p.Device, p.DeviceConf = e.device.predictCompiled(e.cdevice, sc.vec, &sc.proba)
-	p.Agent, p.AgentConf = e.agent.predictCompiled(e.cagent, sc.vec, &sc.proba)
-	p.applySelector()
-	return p, nil
+	infos := [1]*features.HandshakeInfo{info}
+	var out [1]Prediction
+	err := b.ClassifyBatch(prov, tr, infos[:], sc, out[:])
+	return out[0], err
 }
 
-// ClassifyBatch classifies every handshake of one (provider, transport) in a
-// single pass — the batch spine of the compiled serving path. All flows are
-// encoded back-to-back into sc's row matrix, then each objective's compiled
-// forest sweeps the whole matrix with trees as the outer loop, so a tree's
-// flat nodes stay cache-resident while every row traverses them.
-// Per-flow predictions are byte-identical to ClassifyHandshake (pinned by the
-// golden-equivalence tests). out must have len(infos) capacity-visible slots
-// (out[i] receives infos[i]'s prediction). Entries without a full compiled
-// serving form fall back to per-flow ClassifyHandshake. Zero-allocation with
-// a warm scratch, pinned by TestClassifyBatchZeroAlloc.
+// ClassifyBatch is the serving classifier: it classifies the handshakes of
+// one (provider, transport) through the bank's compiled evaluator. The flows
+// are encoded back-to-back into sc's row matrix by the three objectives'
+// shared compiled encoder — raw wire values resolved through interned
+// tables, no FieldValues maps, no string formatting — and each objective's
+// compiled forest then evaluates the matrix. out[i] receives infos[i]'s
+// prediction, so out must hold at least len(infos) slots. Predictions are
+// byte-identical to Classify(prov, tr, features.Extract(info)), pinned by
+// the golden-equivalence tests; an entry that is not batchable is served by
+// exactly that call. A nil sc allocates temporaries (used by off-path
+// callers like the shadow evaluator). Zero-allocation with a warm scratch,
+// pinned by TestClassifyBatchZeroAlloc.
 //
 //vp:hotpath
 func (b *Bank) ClassifyBatch(prov fingerprint.Provider, tr fingerprint.Transport, infos []*features.HandshakeInfo, sc *ClassifyScratch, out []Prediction) error {
@@ -435,20 +421,18 @@ func (b *Bank) ClassifyBatch(prov fingerprint.Provider, tr fingerprint.Transport
 	if e == nil {
 		return fmt.Errorf("pipeline: no models for %s/%s", prov, tr) //vp:allocok cold no-models error path
 	}
-	if sc == nil {
-		sc = &ClassifyScratch{} //vp:allocok cold nil-scratch path for off-path callers
-	}
 	if !e.batchable() {
-		// Missing a compiled encoder or forest: serve each flow through the
-		// per-flow path, which applies its own fallbacks.
 		for i, info := range infos {
-			p, err := b.ClassifyHandshake(prov, tr, info, sc)
+			p, err := b.Classify(prov, tr, features.Extract(info)) //vp:allocok cannot-compile fallback: the allocating reference path, by design
 			if err != nil {
 				return err
 			}
 			out[i] = p
 		}
 		return nil
+	}
+	if sc == nil {
+		sc = &ClassifyScratch{} //vp:allocok cold nil-scratch path for off-path callers
 	}
 	stride := e.shared.Width()
 	sc.rows = growFloats(sc.rows, len(infos)*stride)
@@ -459,17 +443,17 @@ func (b *Bank) ClassifyBatch(prov fingerprint.Provider, tr fingerprint.Transport
 	return nil
 }
 
-// classifyRows runs the three batched objective passes over an encoded row
-// matrix and fills out[:n] with selector-applied predictions.
+// classifyRows runs the three objectives' compiled forests over an encoded
+// row matrix and fills out[:n] with selector-applied predictions.
 //
 //vp:hotpath
 func (e *bankEntry) classifyRows(sc *ClassifyScratch, n, stride int, out []Prediction) {
 	rows := sc.rows[:n*stride]
 
-	sc.bproba = e.cplatform.PredictBatchInto(rows, stride, sc.bproba)
+	sc.proba = e.cplatform.PredictBatchInto(rows, stride, sc.proba)
 	w := e.cplatform.NumClasses()
 	for i := 0; i < n; i++ {
-		proba := sc.bproba[i*w : (i+1)*w]
+		proba := sc.proba[i*w : (i+1)*w]
 		ci, conf := argmaxProba(proba)
 		out[i] = Prediction{
 			Platform:       e.platform.Classes[ci],
@@ -478,18 +462,18 @@ func (e *bankEntry) classifyRows(sc *ClassifyScratch, n, stride int, out []Predi
 		}
 	}
 
-	sc.bproba = e.cdevice.PredictBatchInto(rows, stride, sc.bproba)
+	sc.proba = e.cdevice.PredictBatchInto(rows, stride, sc.proba)
 	w = e.cdevice.NumClasses()
 	for i := 0; i < n; i++ {
-		ci, conf := argmaxProba(sc.bproba[i*w : (i+1)*w])
+		ci, conf := argmaxProba(sc.proba[i*w : (i+1)*w])
 		out[i].Device = e.device.Classes[ci]
 		out[i].DeviceConf = conf
 	}
 
-	sc.bproba = e.cagent.PredictBatchInto(rows, stride, sc.bproba)
+	sc.proba = e.cagent.PredictBatchInto(rows, stride, sc.proba)
 	w = e.cagent.NumClasses()
 	for i := 0; i < n; i++ {
-		ci, conf := argmaxProba(sc.bproba[i*w : (i+1)*w])
+		ci, conf := argmaxProba(sc.proba[i*w : (i+1)*w])
 		out[i].Agent = e.agent.Classes[ci]
 		out[i].AgentConf = conf
 		out[i].applySelector()
@@ -510,55 +494,6 @@ func argmaxProba(proba []float64) (int, float64) {
 	return best, bestP
 }
 
-// predictCompiled predicts over an already-encoded vector through the
-// compiled forest, falling back to the pointer walk when the ensemble did
-// not compile. Both paths are byte-identical.
-//
-//vp:hotpath
-func (m *Model) predictCompiled(cf *ml.CompiledForest, x []float64, proba *[]float64) (string, float64) {
-	if cf == nil {
-		return m.predictInto(x, proba) //vp:allocok cold fallback when forest did not compile
-	}
-	ci, conf := cf.PredictInto(x, proba)
-	return m.Classes[ci], conf
-}
-
-// predictCompiledMargin is predictCompiled plus the top-1/top-2 margin.
-//
-//vp:hotpath
-func (m *Model) predictCompiledMargin(cf *ml.CompiledForest, x []float64, proba *[]float64) (string, float64, float64) {
-	if cf == nil {
-		return m.predictIntoMargin(x, proba) //vp:allocok cold fallback when forest did not compile
-	}
-	ci, conf := cf.PredictInto(x, proba)
-	return m.Classes[ci], conf, probaMargin(*proba, ci, conf)
-}
-
-// predictInto is Predict over an already-encoded vector with caller-owned
-// probability scratch.
-func (m *Model) predictInto(x []float64, proba *[]float64) (string, float64) {
-	ci, conf := m.Forest.PredictInto(x, proba)
-	return m.Classes[ci], conf
-}
-
-// predictIntoMargin is predictInto plus the top-1/top-2 probability margin,
-// read from the probability vector the forest already filled — no extra
-// inference pass and no allocations.
-func (m *Model) predictIntoMargin(x []float64, proba *[]float64) (string, float64, float64) {
-	ci, conf := m.Forest.PredictInto(x, proba)
-	return m.Classes[ci], conf, probaMargin(*proba, ci, conf)
-}
-
-// predictMargin is the reference-path twin of predictIntoMargin, used by
-// Classify so both classification paths compute the margin from the same
-// PredictProbaInto output and stay bitwise identical (golden equivalence).
-func (m *Model) predictMargin(v *features.FieldValues) (string, float64, float64) {
-	x := m.Encoder.Transform(v)
-	var proba []float64
-	ci, conf := m.Forest.PredictInto(x, &proba)
-	return m.Classes[ci], conf, probaMargin(proba, ci, conf)
-}
-
 // probaMargin is the gap between the winning class probability and the best
 // runner-up. With a single-class model there is no runner-up and the margin
 // equals the confidence (maximally decisive).
@@ -576,7 +511,7 @@ func probaMargin(proba []float64, best int, conf float64) float64 {
 }
 
 // applySelector applies the §4.1 confidence selector to raw per-objective
-// predictions, shared by Classify and ClassifyHandshake.
+// predictions, shared by the reference and compiled paths.
 func (p *Prediction) applySelector() {
 	switch {
 	case p.PlatformConf >= ConfidenceThreshold:

@@ -138,6 +138,44 @@ func checkBatchEquivalence(t *testing.T, bank *Bank, flows []*tracegen.FlowTrace
 	}
 }
 
+// checkFallbackEquivalence pins the cannot-compile path: an entry stripped of
+// its compiled forests is not batchable, and both serving entry points must
+// then answer with exactly the reference Classify prediction. It strips
+// every entry of bank.
+func checkFallbackEquivalence(t *testing.T, bank *Bank, flows []*tracegen.FlowTrace) {
+	t.Helper()
+	for _, prov := range fingerprint.AllProviders() {
+		for _, tr := range []fingerprint.Transport{fingerprint.TCP, fingerprint.QUIC} {
+			if e := bank.entry(prov, tr); e != nil {
+				e.cplatform, e.cdevice, e.cagent = nil, nil, nil
+			}
+		}
+	}
+	var sc ClassifyScratch
+	for fi, ft := range flows {
+		info, err := ExtractTrace(ft)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := bank.Classify(ft.Provider, ft.Transport, features.Extract(info))
+		if err != nil {
+			t.Fatal(err)
+		}
+		one, err := bank.ClassifyHandshake(ft.Provider, ft.Transport, info, &sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		batch := make([]Prediction, 2)
+		if err := bank.ClassifyBatch(ft.Provider, ft.Transport, []*features.HandshakeInfo{info, info}, &sc, batch); err != nil {
+			t.Fatal(err)
+		}
+		if one != ref || batch[0] != ref || batch[1] != ref {
+			t.Fatalf("fallback: flow %d (%s) diverges from the reference:\nper-flow: %+v\nbatch:    %+v\nref:      %+v",
+				fi, ft.Label, one, batch, ref)
+		}
+	}
+}
+
 func TestCompiledBankGoldenEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains a bank")
@@ -190,6 +228,8 @@ func TestCompiledBankGoldenEquivalence(t *testing.T) {
 			t.Fatalf("restored bank diverges on %s: %+v vs %+v", ft.Label, a, b)
 		}
 	}
+
+	checkFallbackEquivalence(t, restored, flows)
 }
 
 // TestBankReloadRebuildsServingIndex pins that UnmarshalBinary into a Bank
@@ -388,10 +428,11 @@ func benchBankAndFlow(b *testing.B) (*Bank, *features.HandshakeInfo) {
 	return bank, info
 }
 
-// BenchmarkClassifyHandshake measures the per-flow serving path in its three
-// forms: compiled flat-array forests (the production path), the pointer-walk
-// reference (compiled index stripped), and the batched sweep (amortized
-// per-flow cost at batch size 64). All must report 0 allocs/op.
+// BenchmarkClassifyHandshake measures the per-flow serving path: the
+// compiled evaluator one flow at a time (the production path) and over a
+// 64-flow batch, which must both report 0 allocs/op, and the reference
+// fallback an entry with its compiled forests stripped is served by — the
+// allocating Extract+Transform+pointer-walk path, by design.
 func BenchmarkClassifyHandshake(b *testing.B) {
 	b.Run("compiled", func(b *testing.B) {
 		bank, info := benchBankAndFlow(b)
@@ -416,8 +457,8 @@ func BenchmarkClassifyHandshake(b *testing.B) {
 		if _, err := bank.ClassifyHandshake(fingerprint.YouTube, fingerprint.QUIC, info, &sc); err != nil {
 			b.Fatal(err)
 		}
-		// Strip the compiled forests so prediction takes the reference
-		// pointer-walk fallback — the pre-compilation baseline.
+		// Strip the compiled forests so the entry is served whole by the
+		// reference path — the pre-compilation baseline.
 		e := bank.entry(fingerprint.YouTube, fingerprint.QUIC)
 		e.cplatform, e.cdevice, e.cagent = nil, nil, nil
 		if _, err := bank.ClassifyHandshake(fingerprint.YouTube, fingerprint.QUIC, info, &sc); err != nil {

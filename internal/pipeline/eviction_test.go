@@ -191,8 +191,8 @@ func TestShardedDeliverNeverBlocks(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("deliver blocked on a full results buffer")
 	}
-	if s.Dropped() != 2 {
-		t.Errorf("dropped = %d, want 2", s.Dropped())
+	if got := s.IngestStats().DroppedResults; got != 2 {
+		t.Errorf("dropped = %d, want 2", got)
 	}
 	if rec := <-s.results; rec.SNI != "a" {
 		t.Errorf("buffered record = %q, want first delivery", rec.SNI)

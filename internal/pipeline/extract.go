@@ -5,10 +5,10 @@
 // with the 80% confidence selector of §4.1. Classified flows are joined with
 // volumetric telemetry for the §5 analyses.
 //
-// # Parse-once batched ingest
+// # Parse-once batch ingest
 //
 // Two entry points feed the pipeline. Pipeline.HandlePacket is the
-// single-core batch path. Sharded is the deployment shape of the paper's
+// single-core path. Sharded is the deployment shape of the paper's
 // multi-queue DPDK prototype: an ingest goroutine parses each frame exactly
 // once (the same decode that picks the shard) and summarizes it into the
 // flow key, canonical key and payload length that travel with the frame's
@@ -27,13 +27,14 @@
 // telemetry are values). Code that adds retention to the flow path must
 // keep that copy-on-retain invariant or the arena recycle in Sharded
 // becomes a use-after-free. Frames with no TCP/UDP 5-tuple are dropped at
-// ingest (counted in Sharded.Ignored); queue depths and the best-effort
+// ingest (counted in IngestStats.Ignored); queue depths and the best-effort
 // results buffer are Config knobs with shard-count-scaled defaults.
 //
-// # Zero-allocation classification fast path
+// # Classify on arrival, finalize once
 //
-// Classification — the per-flow cost once ingest is parse-once — is built
-// around two pieces:
+// A flow is labeled the moment its handshake completes (Fig 4, §4.1), on
+// the frame that completes it, in Pipeline.handleKeyed — for a Sharded, on
+// the owning shard's worker. Three pieces make that one path:
 //
 //   - Incremental handshake assembly. Each flow owns an hsAssembler, a
 //     small state machine that consumes client-direction bytes as they
@@ -42,26 +43,36 @@
 //     instead of re-running full reassembly over every buffered frame on
 //     every packet. Server-direction packets never touch assembly, and
 //     buffered bytes are bounded by Config.MaxHelloBytes (oversized flows
-//     are abandoned and counted in OversizedHandshakes).
+//     are abandoned with VerdictOversized).
 //
-//   - Compiled encoding and pooled prediction. Bank.ClassifyHandshake
-//     encodes the assembled handshake once through the models' shared
-//     features.CompiledEncoder — raw wire values resolved through interned
-//     tables, no FieldValues maps, no string formatting — and runs the
-//     three objectives' forests through ml's PredictInto over the
-//     pipeline-owned ClassifyScratch. The encode+predict stage performs
-//     zero steady-state allocations, and its output is byte-identical to
-//     the reference Extract+Transform+Classify path (pinned by the
-//     golden-equivalence tests).
+//   - One compiled evaluator. Bank.ClassifyBatch encodes handshakes through
+//     the three objectives' shared features.CompiledEncoder — raw wire
+//     values resolved through interned tables, no FieldValues maps, no
+//     string formatting — into a row matrix and runs each objective's
+//     ml.CompiledForest over it; Bank.ClassifyHandshake, what the pipeline
+//     calls, is its one-row case. The stage performs zero steady-state
+//     allocations over the pipeline-owned ClassifyScratch, and its output
+//     is byte-identical to the reference Extract+Transform+Classify path
+//     (pinned by the golden-equivalence tests). That reference path is the
+//     training entry point and the test oracle, and it serves a bank entry
+//     whose encoder or forests cannot compile.
+//
+//   - One exit. Every terminal decision — classified, abstained, not video,
+//     no handshake, oversized, classifier error, the ECH and 0-RTT abstains,
+//     and eviction of a flow still undecided — goes through
+//     Pipeline.finalize, the only code that stamps FlowRecord.Verdict, bumps
+//     the per-verdict counter behind Pipeline.Stats, closes the flow's span
+//     and releases its buffered handshake bytes. A flow therefore carries
+//     exactly one verdict and is counted exactly once.
 //
 // Scratch-reuse rules: each Pipeline owns one ClassifyScratch (and each
 // Sharded shard owns its Pipeline), so scratch state is single-goroutine by
-// construction. The HandshakeInfo passed to Config.OnClassify aliases the
-// flow's assembler buffers and is only valid for the duration of the hook
-// call; the shadow evaluator classifies synchronously within it.
-// Serialized banks carry only encoders and forests — compiled tables and
-// the shared-encoder index rebuild lazily after UnmarshalBinary — so the
-// gob format is unchanged and older banks load into the fast path.
+// construction. The HandshakeInfo passed to Config.OnClassify is only valid
+// for the duration of the hook call; the shadow evaluator classifies
+// synchronously within it. Serialized banks carry only encoders and forests
+// — compiled tables and the shared-encoder index rebuild lazily after
+// UnmarshalBinary — so the gob format is unchanged and older banks load
+// into the compiled evaluator.
 package pipeline
 
 import (
@@ -123,10 +134,11 @@ func MatchProvider(sni string) (prov fingerprint.Provider, content, ok bool) {
 // decrypted straight into quicPayload and a hello that arrived in one CRYPTO
 // frame is parsed where it lies there. Never the input frame — callers may
 // recycle frame buffers (e.g. Sharded's batch arenas) as soon as consume
-// returns — and never the Opener, which a batch's later flows reuse while
-// this one's classification is still deferred to flushBatch. The buffers
-// live until the flow's assembler is released (st.asm = hsAssembler{}), and
-// with them everything info.Hello points into.
+// returns — and never the Opener, which the pipeline's other flows reuse.
+// The buffers live until the flow's assembler is released by
+// Pipeline.finalize (or, for an OnClassify hook still reading the handshake,
+// until the last reference to info.Hello goes), and with them everything
+// info.Hello points into.
 type hsAssembler struct {
 	info      features.HandshakeInfo
 	sawSYN    bool

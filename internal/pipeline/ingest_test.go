@@ -3,10 +3,12 @@ package pipeline
 import (
 	"fmt"
 	"net/netip"
+	"sync"
 	"testing"
 	"time"
 
 	"videoplat/internal/fingerprint"
+	"videoplat/internal/flowtable"
 	"videoplat/internal/obs"
 	"videoplat/internal/packet"
 	"videoplat/internal/tracegen"
@@ -36,7 +38,7 @@ func icmpFrame(t *testing.T) []byte {
 // TestIngestDropsUndecodableFrames pins the satellite bugfix: frames that
 // fail to parse or are non-TCP/UDP used to land on shard 0 (idx=0
 // fallback), skewing its load and wasting a copy + channel send each. They
-// must now be dropped at ingest, counted in Ignored, and reach no shard.
+// must now be dropped at ingest, counted in IngestStats, and reach no shard.
 func TestIngestDropsUndecodableFrames(t *testing.T) {
 	bank := &Bank{models: map[bankKey]*Model{}}
 	s := NewSharded(bank, 4)
@@ -68,30 +70,33 @@ func TestIngestDropsUndecodableFrames(t *testing.T) {
 	}
 	s.Close()
 
-	if got := s.Ignored(); got != 5 {
-		t.Errorf("Ignored() = %d, want 5", got)
+	if got := s.IngestStats().Ignored; got != 5 {
+		t.Errorf("IngestStats().Ignored = %d, want 5", got)
 	}
-	if got := s.Filtered(); got != 2 {
-		t.Errorf("Filtered() = %d, want 2", got)
+	if got := s.IngestStats().Filtered; got != 2 {
+		t.Errorf("IngestStats().Filtered = %d, want 2", got)
 	}
-	var total int
+	var total uint64
 	for i, sh := range s.shards {
-		if sh.p.Packets == 0 {
+		n := sh.p.Stats().Packets
+		if n == 0 {
 			t.Errorf("shard %d saw no packets: undecodable-drop must not starve shards", i)
 		}
-		total += sh.p.Packets
+		total += n
 	}
 	if total != flows {
 		t.Errorf("shards saw %d packets, want %d (ignored frames must reach none)", total, flows)
 	}
-	if s.shards[0].p.Packets == flows {
+	if s.shards[0].p.Stats().Packets == flows {
 		t.Error("all packets on shard 0: ingest still skews")
 	}
 }
 
-// TestBatchedMatchesSinglePacket is the parse-once equivalence check: the
-// batched entry point must produce exactly the flows and classifications of
-// the per-packet path — same SNIs, predictions, byte and packet telemetry.
+// TestBatchedMatchesSinglePacket is the parse-once equivalence check: every
+// entry point — plain Pipeline.HandlePacket, Sharded.HandlePacket and
+// Sharded.HandlePacketBatch at several batch sizes — must produce exactly
+// the same terminal record per flow: same SNIs, verdicts, predictions, byte
+// and packet telemetry. Terminal records are OnEvict's plus Flows().
 func TestBatchedMatchesSinglePacket(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bank training is slow")
@@ -120,12 +125,12 @@ func TestBatchedMatchesSinglePacket(t *testing.T) {
 		all = append(all, ft)
 	}
 	// Interleave packets across flows, as a tap would deliver them.
-	var pkts []IngestPacket
+	var interleaved []IngestPacket
 	for j := 0; ; j++ {
 		any := false
 		for _, ft := range all {
 			if j < len(ft.Frames) {
-				pkts = append(pkts, IngestPacket{TS: ft.Start.Add(ft.Frames[j].Offset), Data: ft.Frames[j].Data})
+				interleaved = append(interleaved, IngestPacket{TS: ft.Start.Add(ft.Frames[j].Offset), Data: ft.Frames[j].Data})
 				any = true
 			}
 		}
@@ -133,8 +138,18 @@ func TestBatchedMatchesSinglePacket(t *testing.T) {
 			break
 		}
 	}
+	// Cap pressure: flow A runs to its verdict, then flow B arrives and
+	// evicts it from a one-flow table — within one ingest batch when the
+	// batch is large enough.
+	var capPressure []IngestPacket
+	for _, ft := range all[1:3] {
+		for _, fr := range ft.Frames {
+			capPressure = append(capPressure, IngestPacket{TS: ft.Start.Add(fr.Offset), Data: fr.Data})
+		}
+	}
 
 	type summary struct {
+		verdict    Verdict
 		platform   string
 		status     Status
 		classified bool
@@ -143,50 +158,92 @@ func TestBatchedMatchesSinglePacket(t *testing.T) {
 		pktsDown   int
 		pktsUp     int
 	}
-	run := func(batchSize int) map[string]summary {
-		s := NewSharded(bank, 4)
-		go func() {
-			for range s.Results() {
+	for _, in := range []struct {
+		name   string
+		shards int
+		cfg    Config
+		pkts   []IngestPacket
+		flows  int
+	}{
+		{"interleaved", 4, Config{}, interleaved, len(specs)},
+		{"cap-pressure", 1, Config{MaxFlows: 1}, capPressure, 2},
+	} {
+		// run replays the input through one entry point: batchSize < 0 is
+		// the plain Pipeline, 0 is Sharded.HandlePacket, anything else a
+		// Sharded.HandlePacketBatch size.
+		run := func(batchSize int) map[string]summary {
+			var mu sync.Mutex
+			out := map[string]summary{}
+			record := func(rec *FlowRecord) {
+				mu.Lock()
+				defer mu.Unlock()
+				if _, dup := out[rec.SNI]; dup {
+					t.Errorf("%s batch=%d: flow %s has two terminal records", in.name, batchSize, rec.SNI)
+				}
+				out[rec.SNI] = summary{
+					verdict:    rec.Verdict,
+					platform:   rec.Prediction.Platform,
+					status:     rec.Prediction.Status,
+					classified: rec.Classified,
+					bytesDown:  rec.BytesDown,
+					bytesUp:    rec.BytesUp,
+					pktsDown:   rec.PacketsDown,
+					pktsUp:     rec.PacketsUp,
+				}
 			}
-		}()
-		if batchSize <= 1 {
-			for _, p := range pkts {
-				s.HandlePacket(p.TS, p.Data)
+			cfg := in.cfg
+			cfg.OnEvict = func(rec *FlowRecord, _ flowtable.Reason) { record(rec) }
+			if batchSize < 0 {
+				p := NewWithConfig(bank, cfg)
+				for _, pkt := range in.pkts {
+					if _, err := p.HandlePacket(pkt.TS, pkt.Data); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for _, rec := range p.Flows() {
+					record(rec)
+				}
+				return out
 			}
-		} else {
-			for off := 0; off < len(pkts); off += batchSize {
-				end := min(off+batchSize, len(pkts))
-				s.HandlePacketBatch(pkts[off:end])
+			s := NewShardedWithConfig(bank, in.shards, cfg)
+			go func() {
+				for range s.Results() {
+				}
+			}()
+			if batchSize == 0 {
+				for _, pkt := range in.pkts {
+					s.HandlePacket(pkt.TS, pkt.Data)
+				}
+			} else {
+				for off := 0; off < len(in.pkts); off += batchSize {
+					s.HandlePacketBatch(in.pkts[off:min(off+batchSize, len(in.pkts))])
+				}
 			}
+			s.Close()
+			for _, rec := range s.Flows() {
+				record(rec)
+			}
+			return out
 		}
-		s.Close()
-		out := map[string]summary{}
-		for _, rec := range s.Flows() {
-			out[rec.SNI] = summary{
-				platform:   rec.Prediction.Platform,
-				status:     rec.Prediction.Status,
-				classified: rec.Classified,
-				bytesDown:  rec.BytesDown,
-				bytesUp:    rec.BytesUp,
-				pktsDown:   rec.PacketsDown,
-				pktsUp:     rec.PacketsUp,
-			}
-		}
-		return out
-	}
 
-	single := run(1)
-	if len(single) != len(specs) {
-		t.Fatalf("single-packet path tracked %d flows, want %d", len(single), len(specs))
-	}
-	for _, batchSize := range []int{7, 64, len(pkts)} {
-		batched := run(batchSize)
-		if len(batched) != len(single) {
-			t.Fatalf("batch=%d tracked %d flows, single tracked %d", batchSize, len(batched), len(single))
+		want := run(-1)
+		if len(want) != in.flows {
+			t.Fatalf("%s: plain pipeline finalized %d flows, want %d", in.name, len(want), in.flows)
 		}
-		for sni, want := range single {
-			if got, ok := batched[sni]; !ok || got != want {
-				t.Errorf("batch=%d flow %s = %+v, single-packet = %+v", batchSize, sni, got, want)
+		for sni, w := range want {
+			if w.verdict != VerdictClassified && w.verdict != VerdictAbstained {
+				t.Errorf("%s: flow %s verdict = %s, want a classification outcome", in.name, sni, w.verdict)
+			}
+		}
+		for _, batchSize := range []int{0, 7, 64, len(in.pkts)} {
+			got := run(batchSize)
+			if len(got) != len(want) {
+				t.Fatalf("%s batch=%d finalized %d flows, plain pipeline %d", in.name, batchSize, len(got), len(want))
+			}
+			for sni, w := range want {
+				if have, ok := got[sni]; !ok || have != w {
+					t.Errorf("%s batch=%d flow %s = %+v, plain pipeline = %+v", in.name, batchSize, sni, have, w)
+				}
 			}
 		}
 	}
@@ -195,7 +252,7 @@ func TestBatchedMatchesSinglePacket(t *testing.T) {
 // TestResultsDropUnderStalledConsumer pins the revised best-effort
 // contract: the results buffer is configurable (and shard-count-scaled by
 // default), and a consumer that stops draining costs exactly the overflow,
-// counted in Dropped, while Close still never deadlocks.
+// counted in IngestStats.DroppedResults, while Close still never deadlocks.
 func TestResultsDropUnderStalledConsumer(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bank training is slow")
@@ -231,11 +288,9 @@ func TestResultsDropUnderStalledConsumer(t *testing.T) {
 		t.Errorf("buffered results = %d, want full buffer %d", buffered, buffer)
 	}
 	want := uint64(len(labels) - buffer)
-	if got := s.Dropped(); got != want {
-		t.Errorf("Dropped() = %d, want %d (%d flows, buffer %d)", got, want, len(labels), buffer)
-	}
-	if got := s.IngestStats(); got.DroppedResults != s.Dropped() || got.Ignored != 0 {
-		t.Errorf("IngestStats() = %+v inconsistent with counters", got)
+	if got := s.IngestStats(); got.DroppedResults != want || got.Ignored != 0 {
+		t.Errorf("IngestStats() = %+v, want %d dropped results (%d flows, buffer %d) and nothing ignored",
+			got, want, len(labels), buffer)
 	}
 }
 
@@ -272,7 +327,7 @@ func TestIngestStallCounter(t *testing.T) {
 		s.HandlePacket(now, tcpFrame(t, uint16(1000+i%512), 443))
 	}
 	s.Close()
-	if s.Stalls() == 0 {
+	if s.IngestStats().Stalls == 0 {
 		t.Error("no stalls recorded while flooding a depth-1 inbox")
 	}
 }

@@ -49,8 +49,8 @@ func TestMigrationMidStreamSingleRecord(t *testing.T) {
 	if got := rec.PacketsUp + rec.PacketsDown; got != len(ft.Frames) {
 		t.Errorf("record counted %d packets, want all %d (pre- and post-migration)", got, len(ft.Frames))
 	}
-	if p.Migrations() != 1 {
-		t.Errorf("Migrations() = %d, want 1", p.Migrations())
+	if got := p.Stats().Migrations; got != 1 {
+		t.Errorf("Stats().Migrations = %d, want 1", got)
 	}
 	if st := p.TableStats(); st.Rekeyed != 1 || st.Inserted != 1 || st.Active != 1 {
 		t.Errorf("table stats = %+v, want 1 rekey of 1 inserted flow", st)
@@ -80,8 +80,8 @@ func TestMigrationMidHandshakeAssemblerSurvives(t *testing.T) {
 	if rec.Provider != fingerprint.YouTube {
 		t.Errorf("record provider = %v, want YouTube", rec.Provider)
 	}
-	if p.Migrations() != 1 {
-		t.Errorf("Migrations() = %d, want 1", p.Migrations())
+	if got := p.Stats().Migrations; got != 1 {
+		t.Errorf("Stats().Migrations = %d, want 1", got)
 	}
 }
 
@@ -114,8 +114,8 @@ func TestMigrationUnderCapPressure(t *testing.T) {
 			t.Errorf("flow %s produced %d records, want exactly 1", k, total[k])
 		}
 	}
-	if p.Migrations() != flows {
-		t.Errorf("Migrations() = %d, want %d", p.Migrations(), flows)
+	if got := p.Stats().Migrations; got != flows {
+		t.Errorf("Stats().Migrations = %d, want %d", got, flows)
 	}
 	if st := p.TableStats(); st.Rekeyed != flows {
 		t.Errorf("table rekeyed = %d, want %d", st.Rekeyed, flows)
@@ -194,9 +194,6 @@ func TestShardedMigrationRouting(t *testing.T) {
 		if byKey[ft.Key().String()] != 1 {
 			t.Errorf("flow %v has %d records, want 1", ft.Key(), byKey[ft.Key().String()])
 		}
-	}
-	if got := s.Migrations(); got != flows {
-		t.Errorf("Migrations() = %d, want %d", got, flows)
 	}
 	if st := s.TableStats(); st.Rekeyed != flows {
 		t.Errorf("table rekeyed = %d, want %d", st.Rekeyed, flows)

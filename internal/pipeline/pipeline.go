@@ -150,14 +150,8 @@ type flowState struct {
 	rec       FlowRecord
 	asm       hsAssembler    // incremental handshake assembly state
 	clientKey packet.FlowKey // direction of the initiating packet
-	done      bool           // classification finished (or rejected)
-	// pendingClassify marks a flow whose completed handshake sits in the
-	// batch-mode deferred-classification queue awaiting flushBatch. Cleared
-	// by the flush, or by the eviction hook for flows evicted mid-batch (the
-	// flush then skips them; their record was already delivered to OnEvict
-	// with an honest VerdictPending).
-	pendingClassify bool
-	span            *obs.Span // lifecycle trace, non-nil only for sampled flows
+	done      bool           // finalize ran: rec.Verdict is terminal
+	span      *obs.Span      // lifecycle trace, non-nil only for sampled flows
 
 	// early is the best degraded prediction so far for a flow whose hello
 	// may never surface (0-RTT): each client frame re-classifies on what is
@@ -180,13 +174,14 @@ type Config struct {
 	// in batch messages. Deeper queues absorb ingest bursts at the cost of
 	// memory (each queued batch pins its pooled arena); a full inbox
 	// applies backpressure to the ingest goroutine, counted in
-	// Sharded.Stalls. 0 selects DefaultShardQueueDepth. Ignored by a plain
-	// Pipeline.
+	// IngestStats.Stalls. 0 selects DefaultShardQueueDepth. Ignored by a
+	// plain Pipeline.
 	ShardQueueDepth int
 	// ResultsBuffer is the capacity of a Sharded pipeline's Results channel.
 	// 0 selects DefaultResultsBufferPerShard per shard, so wider deployments
 	// get proportionally more burst headroom before best-effort delivery
-	// starts dropping (see Sharded.Dropped). Ignored by a plain Pipeline.
+	// starts dropping (see IngestStats.DroppedResults). Ignored by a plain
+	// Pipeline.
 	ResultsBuffer int
 	// IdleTimeout retires flows with no packet for this long, measured in
 	// packet time so trace replay and live capture behave identically.
@@ -199,8 +194,8 @@ type Config struct {
 	OnEvict func(rec *FlowRecord, reason flowtable.Reason)
 	// MaxHelloBytes caps the client handshake bytes buffered per flow while
 	// waiting for a complete ClientHello. A flow whose buffered bytes
-	// exceed the cap is abandoned (never classified) and counted in
-	// OversizedHandshakes — without it, a peer streaming endless handshake
+	// exceed the cap is abandoned (never classified) and finalized as
+	// VerdictOversized — without it, a peer streaming endless handshake
 	// records down one flow grows that flow's buffer without bound until
 	// the 8-frame heuristic trips, and frames can be arbitrarily large.
 	// 0 selects DefaultMaxHelloBytes; negative disables the cap.
@@ -245,13 +240,6 @@ type Config struct {
 	// flow ran and how deep its shard's inbox was at admission.
 	shardID    int
 	queueDepth func() int
-	// batched, set by NewShardedWithConfig, defers each completed
-	// handshake's classification to the end of its ingest batch so one
-	// Bank.ClassifyBatch call sweeps every completed flow of the batch
-	// through the compiled forests (trees outer, rows inner — see
-	// ml.CompiledForest.PredictBatchInto). The shard worker calls flushBatch
-	// after replaying each batch's frames, before the batch arena recycles.
-	batched bool
 }
 
 // DefaultMaxHelloBytes bounds per-flow buffered handshake bytes when
@@ -294,9 +282,10 @@ const maxFlowCIDs = 8
 // Pipeline is the streaming packet processor of Fig 4. Feed packets with
 // HandlePacket; classified flows are returned as events and accumulated for
 // Flows(). Not safe for concurrent use — shard by flow hash across instances
-// for multi-core deployments, as the DPDK prototype does — with one
-// exception: SwapBank may be called from any goroutine to hot-swap the
-// classifier bank without pausing packet processing.
+// for multi-core deployments, as the DPDK prototype does — with two
+// exceptions: SwapBank may be called from any goroutine to hot-swap the
+// classifier bank without pausing packet processing, and Stats and
+// TableStats may be read from any goroutine.
 type Pipeline struct {
 	bank atomic.Pointer[Bank]
 
@@ -312,15 +301,10 @@ type Pipeline struct {
 	// safe for the same reason scratch is.
 	opener quicproto.Opener
 	// scratch holds the classification path's reusable buffers (encoded
-	// vector, forest probabilities, extension-walk scratch). One per
-	// pipeline is safe: HandlePacket is single-goroutine by contract, and
-	// each shard of a Sharded owns its own Pipeline.
+	// rows, forest probabilities, extension-walk scratch). One per pipeline
+	// is safe: HandlePacket is single-goroutine by contract, and each shard
+	// of a Sharded owns its own Pipeline.
 	scratch ClassifyScratch
-
-	// oversized counts flows abandoned because their buffered handshake
-	// bytes exceeded Config.MaxHelloBytes. Atomic so Sharded can aggregate
-	// it across running shards.
-	oversized atomic.Uint64
 
 	// cids indexes the QUIC connection IDs observed on live flows back to
 	// their canonical flow key, so a packet arriving on an unknown 5-tuple
@@ -334,12 +318,6 @@ type Pipeline struct {
 	// own CID length; here clients draw theirs per profile).
 	cidLens uint32
 
-	// migrations counts flows re-keyed onto a new 5-tuple; earlyClassified
-	// counts degraded (partial-feature) classifications accepted by the
-	// margin gate. Atomics so Sharded can aggregate across running shards.
-	migrations      atomic.Uint64
-	earlyClassified atomic.Uint64
-
 	// batchQueueWait is the shard-queue wait of the batch currently being
 	// processed, set by the shard worker before it replays the batch's
 	// frames so sampled spans can attribute the wait to each frame. Owned
@@ -347,15 +325,44 @@ type Pipeline struct {
 	// for a plain (unsharded) pipeline.
 	batchQueueWait int64
 
-	// pending holds batch mode's deferred classifications, grouped per
-	// (provider, transport) so each group flushes through one
-	// Bank.ClassifyBatch call. Owned by the single goroutine calling
-	// handleKeyed/flushBatch; group capacity is reused across batches so the
-	// steady state never allocates.
-	pending []pendingGroup
+	// The counters behind Stats. Written only by the HandlePacket
+	// goroutine; atomics so a snapshot may be taken from any other.
+	packets         atomic.Uint64
+	verdicts        [NumVerdicts]atomic.Uint64 // bumped by finalize alone
+	migrations      atomic.Uint64
+	earlyClassified atomic.Uint64
+}
 
-	// Stats counters.
-	Packets, VideoPackets, ClassifiedFlows, UnknownFlows int
+// Stats is a point-in-time snapshot of a Pipeline's counters. All fields are
+// monotonic.
+type Stats struct {
+	// Packets counts frames offered to HandlePacket, decodable or not.
+	Packets uint64
+	// Verdicts counts finalized flows by terminal verdict. Every flow is
+	// finalized exactly once — when its handshake resolves, or at eviction
+	// if it never did — so once the table has drained the counts sum to
+	// TableStats().Inserted. Verdicts[VerdictPending] is always zero.
+	Verdicts [NumVerdicts]uint64
+	// Migrations counts flows re-keyed onto a new 5-tuple by QUIC
+	// connection migration.
+	Migrations uint64
+	// EarlyClassified counts degraded (partial-feature) classifications
+	// accepted by the EarlyMinMargin gate; they are also counted in
+	// Verdicts[VerdictClassified].
+	EarlyClassified uint64
+}
+
+// Stats snapshots the pipeline's counters. Safe from any goroutine.
+func (p *Pipeline) Stats() Stats {
+	st := Stats{
+		Packets:         p.packets.Load(),
+		Migrations:      p.migrations.Load(),
+		EarlyClassified: p.earlyClassified.Load(),
+	}
+	for v := range st.Verdicts {
+		st.Verdicts[v] = p.verdicts[v].Load()
+	}
+	return st
 }
 
 // New returns a Pipeline over a trained bank with an unbounded flow table.
@@ -368,24 +375,18 @@ func NewWithConfig(bank *Bank, cfg Config) *Pipeline {
 	p.flows = flowtable.New[*flowState](
 		flowtable.Config{MaxFlows: cfg.MaxFlows, IdleTimeout: cfg.IdleTimeout},
 		func(_ packet.FlowKey, st *flowState, reason flowtable.Reason) {
-			p.finishSpan(st, "evicted")
 			p.unregisterCIDs(st)
-			switch {
-			case st.pendingClassify:
-				// Evicted between batch-mode deferral and flushBatch: the
-				// handshake completed but was never classified. Clearing the
-				// mark tells the flush to skip this flow; the record leaves
-				// with an honest VerdictPending.
-				st.pendingClassify = false
-			case st.rec.Verdict == VerdictPending && st.asm.zeroRTT:
-				// Evicted mid-flow with only 0-RTT early data seen: the
-				// hello was never coming, so the flow leaves as an explicit
-				// resumption abstain rather than a generic no-handshake.
-				st.rec.Verdict = VerdictAbstainedZeroRTT
-			case st.rec.Verdict == VerdictPending:
-				// Evicted before the handshake resolved: the classifier
-				// never saw this flow.
-				st.rec.Verdict = VerdictNoHandshake
+			if !st.done {
+				// Evicted before the handshake resolved: the classifier never
+				// saw this flow. With only 0-RTT early data seen the hello was
+				// never coming, so the flow leaves as an explicit resumption
+				// abstain rather than a generic no-handshake.
+				p.finishSpan(st, "evicted")
+				v := VerdictNoHandshake
+				if st.asm.zeroRTT {
+					v = VerdictAbstainedZeroRTT
+				}
+				p.finalize(st, v)
 			}
 			if cfg.OnEvict != nil {
 				rec := st.rec
@@ -395,9 +396,33 @@ func NewWithConfig(bank *Bank, cfg Config) *Pipeline {
 	return p
 }
 
-// finishSpan completes a sampled flow's span with its terminal verdict and
+// finalize is the one exit of a flow's decision: every terminal site — no
+// handshake, oversized, not video, classifier error, classified, abstained,
+// and eviction of a flow still undecided — ends here, so a flow carries
+// exactly one verdict and is counted exactly once. Anything else the record
+// should say (prediction, provider, model version) must be set before the
+// call. The flow's buffered handshake bytes are released: st.asm, and any
+// HandshakeInfo pointing into it, is dead afterwards.
+func (p *Pipeline) finalize(st *flowState, v Verdict) {
+	st.done = true
+	st.rec.Verdict = v
+	p.verdicts[v].Add(1)
+	if st.span != nil {
+		label := v.String()
+		switch v {
+		case VerdictClassified:
+			label = st.rec.Prediction.Device + "/" + st.rec.Prediction.Agent
+		case VerdictAbstained:
+			label = "unknown"
+		}
+		p.finishSpan(st, label)
+	}
+	st.asm = hsAssembler{}
+}
+
+// finishSpan completes a sampled flow's span with its terminal label and
 // hands it back to the tracer. No-op for unsampled flows.
-func (p *Pipeline) finishSpan(st *flowState, verdict string) {
+func (p *Pipeline) finishSpan(st *flowState, label string) {
 	if st.span == nil {
 		return
 	}
@@ -409,7 +434,7 @@ func (p *Pipeline) finishSpan(st *flowState, verdict string) {
 	if sp.ModelVersion == "" {
 		sp.ModelVersion = st.rec.ModelVersion
 	}
-	sp.Verdict = verdict
+	sp.Verdict = label
 	p.cfg.Tracer.Finish(sp)
 }
 
@@ -422,36 +447,27 @@ func (p *Pipeline) TableStats() flowtable.Stats { return p.flows.Stats() }
 func (p *Pipeline) Bank() *Bank { return p.bank.Load() }
 
 // SwapBank atomically replaces the classifier bank. Classification never
-// blocks on a swap: HandlePacket loads the bank pointer once per packet, so
-// a flow classifying when the swap lands completes coherently against the
-// bank it started with and the next packet sees the new one. Safe from any
-// goroutine.
+// blocks on a swap: a classification loads the bank pointer once, so a flow
+// classifying when the swap lands completes coherently against the bank it
+// started with and the next one sees the new bank. Safe from any goroutine.
 func (p *Pipeline) SwapBank(bank *Bank) { p.bank.Store(bank) }
 
 // HandlePacket processes one frame. It returns a non-nil FlowRecord exactly
-// when the frame completed a flow's classification.
+// when the frame completed a flow's classification. The frame is decoded
+// once, here; the decode is handed on for handshake assembly, so nothing
+// downstream decodes again. The pipeline copies anything it retains past
+// the call, so the caller may recycle frame as soon as it returns.
 func (p *Pipeline) HandlePacket(ts time.Time, frame []byte) (*FlowRecord, error) {
 	if err := p.parser.Parse(frame, &p.parsed); err != nil {
-		p.Packets++
+		p.packets.Add(1)
 		return nil, nil // undecodable frames are not errors for the tap
 	}
-	return p.handleParsed(ts, frame, &p.parsed)
-}
-
-// handleParsed is HandlePacket after its decode — the parse-once seam: the
-// one decode is summarized into the flow key and payload length for
-// handleKeyed and handed on for handshake assembly, so on this path nothing
-// downstream decodes again. parsed must be the result
-// of Parser.Parse(frame, parsed); its slices may alias frame. The pipeline
-// copies anything it retains past the call, so the caller may recycle both
-// frame and parsed as soon as it returns.
-func (p *Pipeline) handleParsed(ts time.Time, frame []byte, parsed *packet.Parsed) (*FlowRecord, error) {
-	key, ok := parsed.Flow()
+	key, ok := p.parsed.Flow()
 	if !ok {
-		p.Packets++
+		p.packets.Add(1)
 		return nil, nil
 	}
-	return p.handleKeyed(ts, frame, key, key.Canonical(), len(parsed.Payload), parsed)
+	return p.handleKeyed(ts, frame, key, key.Canonical(), len(p.parsed.Payload), &p.parsed)
 }
 
 // handleKeyed is the post-decode flow path. key, canon and payloadLen are
@@ -462,9 +478,11 @@ func (p *Pipeline) handleParsed(ts time.Time, frame []byte, parsed *packet.Parse
 // parsed, when non-nil, is the caller's decode of frame, letting the
 // assembler skip its own parse; shard workers pass nil (only the summary
 // crosses the queue) and the assembler re-decodes the few client
-// handshake-phase frames it actually consumes.
+// handshake-phase frames it actually consumes. A handshake that completes is
+// classified here, on arrival, and the flow finalized before the call
+// returns.
 func (p *Pipeline) handleKeyed(ts time.Time, frame []byte, key, canon packet.FlowKey, payloadLen int, parsed *packet.Parsed) (*FlowRecord, error) {
-	p.Packets++
+	p.packets.Add(1)
 	if !isVideoPort(key) {
 		return nil, nil
 	}
@@ -557,17 +575,11 @@ func (p *Pipeline) handleKeyed(ts time.Time, frame []byte, key, canon packet.Flo
 			// features or abstain explicitly into the open-set bucket.
 			return p.finishDegraded(st, &st.asm.info, VerdictAbstainedZeroRTT)
 		case st.asm.frames > 8:
-			st.done = true // no hello in the first packets: not a video flow
-			st.rec.Verdict = VerdictNoHandshake
-			p.finishSpan(st, "no-handshake")
+			// No hello in the first packets: not a video flow.
+			p.finalize(st, VerdictNoHandshake)
 		case p.maxHelloBytes() > 0 && st.asm.buffered() > p.maxHelloBytes():
-			st.done = true // oversized handshake: abandon, don't buffer more
-			st.rec.Verdict = VerdictOversized
-			p.oversized.Add(1)
-			p.finishSpan(st, "oversized")
-		}
-		if st.done {
-			st.asm = hsAssembler{} // release buffered handshake bytes
+			// Oversized handshake: abandon, don't buffer more.
+			p.finalize(st, VerdictOversized)
 		}
 		return nil, nil
 	}
@@ -584,32 +596,16 @@ func (p *Pipeline) handleKeyed(ts time.Time, frame []byte, key, canon packet.Flo
 			st.rec.SNI = sni // the fronted (outer) name — observable truth
 			return p.finishDegraded(st, info, VerdictAbstainedECH)
 		}
-		st.done = true
-		st.rec.Verdict = VerdictNotVideo
 		if st.span != nil {
 			st.span.SNI = sni // the record stays SNI-less for non-video flows
 		}
-		p.finishSpan(st, "not-video")
-		st.asm = hsAssembler{}
+		p.finalize(st, VerdictNotVideo)
 		return nil, nil
 	}
-	p.VideoPackets++
 	st.rec.SNI = sni
 	st.rec.Provider = prov
 	st.rec.Content = content
-	st.rec.Transport = fingerprint.TCP
-	if info.QUIC {
-		st.rec.Transport = fingerprint.QUIC
-	}
-
-	if p.cfg.batched {
-		// Batch mode: park the completed handshake until the shard worker
-		// flushes the batch, so one compiled-forest sweep classifies every
-		// completed flow of the batch together. st.asm keeps owning the
-		// handshake bytes (info aliases them) until finishClassification.
-		p.deferClassify(st, prov, info)
-		return nil, nil
-	}
+	st.rec.Transport = transportOf(info)
 
 	bank := p.bank.Load() // one load: the whole classification uses one bank
 	var clStart time.Time
@@ -617,62 +613,44 @@ func (p *Pipeline) handleKeyed(ts time.Time, frame []byte, key, canon packet.Flo
 		clStart = time.Now()
 	}
 	pred, err := bank.ClassifyHandshake(prov, st.rec.Transport, info, &p.scratch)
-	var nanos int64
 	if timed {
-		nanos = int64(time.Since(clStart))
-	}
-	return p.finishClassification(st, info, pred, err, bank, nanos)
-}
-
-// finishClassification applies one flow's classification outcome: latency
-// attribution, verdict accounting, span completion, the OnClassify hook, and
-// the release of the flow's buffered handshake bytes. Shared by the
-// immediate (per-flow) path and flushBatch, so the two modes cannot drift.
-// nanos is the flow's attributed classification time (zero when latency
-// observation is off). Returns the completed record exactly when the flow
-// classified without error.
-func (p *Pipeline) finishClassification(st *flowState, info *features.HandshakeInfo, pred Prediction, err error, bank *Bank, nanos int64) (*FlowRecord, error) {
-	if nanos > 0 {
-		p.cfg.Observer.Record(obs.StageClassify, time.Duration(nanos))
-		st.rec.ClassifyNanos = nanos
+		d := time.Since(clStart)
+		p.cfg.Observer.Record(obs.StageClassify, d)
+		st.rec.ClassifyNanos = int64(d)
 		if st.span != nil {
-			st.span.ClassifyNS += nanos
+			st.span.ClassifyNS += int64(d)
 		}
 	}
-	st.done = true
 	if err != nil {
-		st.rec.Verdict = VerdictError
 		if st.span != nil {
 			st.span.ModelVersion = bank.Version
 		}
-		p.finishSpan(st, "error")
-		st.asm = hsAssembler{}
+		p.finalize(st, VerdictError)
 		return nil, err
 	}
 	st.rec.Prediction = pred
 	st.rec.Classified = true
 	st.rec.ModelVersion = bank.Version
+	v := VerdictClassified
 	if pred.Status == Unknown {
-		st.rec.Verdict = VerdictAbstained
-		p.UnknownFlows++
-	} else {
-		st.rec.Verdict = VerdictClassified
-		p.ClassifiedFlows++
+		v = VerdictAbstained
 	}
-	if st.span != nil {
-		verdict := "unknown"
-		if pred.Status != Unknown {
-			verdict = pred.Device + "/" + pred.Agent
-		}
-		p.finishSpan(st, verdict)
-	}
+	hs := *info // finalize releases the assembler info points into; OnClassify runs after it
+	p.finalize(st, v)
 	out := st.rec // copy at classification time
 	if p.cfg.OnClassify != nil {
-		hookRec := st.rec
-		p.cfg.OnClassify(&hookRec, info)
+		hookRec, hookHS := st.rec, hs
+		p.cfg.OnClassify(&hookRec, &hookHS)
 	}
-	st.asm = hsAssembler{} // release only after the hook: info aliases it
 	return &out, nil
+}
+
+// transportOf names the transport an assembled (or partial) handshake rode.
+func transportOf(info *features.HandshakeInfo) fingerprint.Transport {
+	if info.QUIC {
+		return fingerprint.QUIC
+	}
+	return fingerprint.TCP
 }
 
 // hintFor resolves the provider hint for a flow's server side (the 443
@@ -709,11 +687,7 @@ func (p *Pipeline) escalateEarly(st *flowState) {
 	if !ok {
 		return
 	}
-	tr := fingerprint.TCP
-	if st.asm.info.QUIC {
-		tr = fingerprint.QUIC
-	}
-	pred, err := p.bank.Load().ClassifyHandshake(prov, tr, &st.asm.info, &p.scratch)
+	pred, err := p.bank.Load().ClassifyHandshake(prov, transportOf(&st.asm.info), &st.asm.info, &p.scratch)
 	if err != nil || pred.Status == Unknown {
 		return
 	}
@@ -730,14 +704,9 @@ func (p *Pipeline) escalateEarly(st *flowState) {
 // abstains into the open-set bucket with the explicit fallback verdict.
 // Config.OnClassify is deliberately not invoked: drift monitors and shadow
 // evaluators compare full-feature classifications, and feeding them
-// partial-feature records would poison both baselines. Runs immediately
-// even in batch mode — degraded flows never join a ClassifyBatch sweep.
+// partial-feature records would poison both baselines.
 func (p *Pipeline) finishDegraded(st *flowState, info *features.HandshakeInfo, fallback Verdict) (*FlowRecord, error) {
-	st.done = true
-	st.rec.Transport = fingerprint.TCP
-	if info.QUIC {
-		st.rec.Transport = fingerprint.QUIC
-	}
+	st.rec.Transport = transportOf(info)
 	bank := p.bank.Load()
 	best, have := st.early, st.hasEarly
 	prov, hinted := p.hintFor(st)
@@ -746,24 +715,18 @@ func (p *Pipeline) finishDegraded(st *flowState, info *features.HandshakeInfo, f
 			best, have = pred, true
 		}
 	}
-	if hinted && have && best.Status != Unknown && best.PlatformMargin >= p.earlyMinMargin() {
-		st.rec.Provider = prov
-		st.rec.Prediction = best
-		st.rec.Classified = true
-		st.rec.Verdict = VerdictClassified
-		st.rec.ModelVersion = bank.Version
-		p.ClassifiedFlows++
-		p.earlyClassified.Add(1)
-		p.finishSpan(st, best.Device+"/"+best.Agent)
-		out := st.rec
-		st.asm = hsAssembler{}
-		return &out, nil
+	if !hinted || !have || best.Status == Unknown || best.PlatformMargin < p.earlyMinMargin() {
+		p.finalize(st, fallback)
+		return nil, nil
 	}
-	st.rec.Verdict = fallback
-	p.UnknownFlows++
-	p.finishSpan(st, fallback.String())
-	st.asm = hsAssembler{}
-	return nil, nil
+	st.rec.Provider = prov
+	st.rec.Prediction = best
+	st.rec.Classified = true
+	st.rec.ModelVersion = bank.Version
+	p.earlyClassified.Add(1)
+	p.finalize(st, VerdictClassified)
+	out := st.rec
+	return &out, nil
 }
 
 // migrateFlow resolves a flow-table miss against the CID index: when the
@@ -866,117 +829,6 @@ func (p *Pipeline) unregisterCIDs(st *flowState) {
 	st.cids = nil
 }
 
-// Migrations reports flows re-keyed onto a new 5-tuple by connection
-// migration. Safe from any goroutine.
-func (p *Pipeline) Migrations() uint64 { return p.migrations.Load() }
-
-// EarlyClassified reports degraded (partial-feature) classifications
-// accepted by the EarlyMinMargin gate. Safe from any goroutine.
-func (p *Pipeline) EarlyClassified() uint64 { return p.earlyClassified.Load() }
-
-// pendingGroup accumulates one (provider, transport)'s deferred
-// classifications within the current ingest batch. flows and infos are
-// parallel; preds is the ClassifyBatch output matrix. All slices keep their
-// capacity across batches.
-type pendingGroup struct {
-	prov  fingerprint.Provider
-	tr    fingerprint.Transport
-	flows []*flowState
-	infos []*features.HandshakeInfo
-	preds []Prediction
-}
-
-// deferClassify parks a completed handshake in its (provider, transport)
-// group for the end-of-batch flush. The flow is marked done so later frames
-// of the same batch skip handshake work, exactly as after an immediate
-// classification.
-func (p *Pipeline) deferClassify(st *flowState, prov fingerprint.Provider, info *features.HandshakeInfo) {
-	g := p.pendingFor(prov, st.rec.Transport)
-	g.flows = append(g.flows, st)
-	g.infos = append(g.infos, info)
-	st.done = true
-	st.pendingClassify = true
-}
-
-// pendingFor returns the current batch's group for a (provider, transport),
-// reviving retired group capacity before growing the slice. The group count
-// is bounded by providers × transports, so the linear scan stays trivial.
-func (p *Pipeline) pendingFor(prov fingerprint.Provider, tr fingerprint.Transport) *pendingGroup {
-	for i := range p.pending {
-		g := &p.pending[i]
-		if g.prov == prov && g.tr == tr {
-			return g
-		}
-	}
-	if len(p.pending) < cap(p.pending) {
-		p.pending = p.pending[:len(p.pending)+1]
-	} else {
-		p.pending = append(p.pending, pendingGroup{})
-	}
-	g := &p.pending[len(p.pending)-1]
-	g.prov, g.tr = prov, tr
-	g.flows = g.flows[:0]
-	g.infos = g.infos[:0]
-	return g
-}
-
-// growPreds resizes a prediction matrix to n rows, reusing capacity.
-func growPreds(s []Prediction, n int) []Prediction {
-	if cap(s) < n {
-		s = append(s[:cap(s)], make([]Prediction, n-cap(s))...)
-	}
-	return s[:n]
-}
-
-// flushBatch classifies every deferred handshake of the just-replayed ingest
-// batch, one Bank.ClassifyBatch sweep per (provider, transport) group, and
-// hands completed records to deliver. Called by the owning shard worker
-// after a batch's frames and before the batch arena recycles (the deferred
-// HandshakeInfos alias flow-owned buffers, not the arena, but flushing per
-// batch keeps deferral latency at one batch). The batch's classify time is
-// attributed evenly across its flows. No-op when nothing was deferred.
-func (p *Pipeline) flushBatch(deliver func(*FlowRecord)) {
-	if len(p.pending) == 0 {
-		return
-	}
-	bank := p.bank.Load() // one load: the whole flush uses one bank
-	timed := p.cfg.Observer != nil || p.cfg.Tracer != nil
-	for gi := range p.pending {
-		g := &p.pending[gi]
-		n := len(g.flows)
-		if n == 0 {
-			continue
-		}
-		g.preds = growPreds(g.preds, n)
-		var start time.Time
-		if timed {
-			start = time.Now()
-		}
-		err := bank.ClassifyBatch(g.prov, g.tr, g.infos, &p.scratch, g.preds)
-		var per int64
-		if timed {
-			per = int64(time.Since(start)) / int64(n)
-		}
-		for i, st := range g.flows {
-			if !st.pendingClassify {
-				continue // evicted between deferral and flush
-			}
-			st.pendingClassify = false
-			rec, ferr := p.finishClassification(st, g.infos[i], g.preds[i], err, bank, per)
-			if ferr == nil && rec != nil && deliver != nil {
-				deliver(rec)
-			}
-		}
-		// Release the flow-state and handshake pointers so retired groups
-		// never pin evicted flows past the flush.
-		clear(g.flows)
-		g.flows = g.flows[:0]
-		clear(g.infos)
-		g.infos = g.infos[:0]
-	}
-	p.pending = p.pending[:0]
-}
-
 // noteQueueWait records how long the batch about to be replayed waited in
 // its shard's inbox, so sampled spans can attribute the wait per frame.
 // Called by the owning shard worker only (same goroutine as handleKeyed).
@@ -989,11 +841,6 @@ func (p *Pipeline) maxHelloBytes() int {
 	}
 	return p.cfg.MaxHelloBytes
 }
-
-// OversizedHandshakes reports how many flows were abandoned because their
-// buffered handshake bytes exceeded Config.MaxHelloBytes. Safe from any
-// goroutine.
-func (p *Pipeline) OversizedHandshakes() uint64 { return p.oversized.Load() }
 
 // isVideoPort is the port filter of the paper's tap: the providers' video
 // flows all ride 443. One predicate serves both the per-pipeline filter and

@@ -242,8 +242,8 @@ func TestPipelineIgnoresNonVideoTraffic(t *testing.T) {
 	if _, err := p.HandlePacket(time.Now(), []byte{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
-	if p.Packets != 1 {
-		t.Errorf("packets = %d", p.Packets)
+	if got := p.Stats().Packets; got != 1 {
+		t.Errorf("packets = %d", got)
 	}
 }
 

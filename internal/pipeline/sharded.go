@@ -27,7 +27,7 @@ const (
 	DefaultResultsBufferPerShard = 64
 )
 
-// IngestPacket is one timestamped frame handed to the batched ingest path.
+// IngestPacket is one timestamped frame handed to the batch ingest path.
 // The Data bytes are copied into a pooled arena on ingest, so the caller
 // may reuse them as soon as HandlePacketBatch returns.
 type IngestPacket struct {
@@ -48,32 +48,33 @@ type IngestPacket struct {
 // verdict yet: handshake assembly needs the layers, and hsAssembler.consume
 // decodes those few frames per flow a second time. Frames of decided flows,
 // server-direction frames and everything on an established flow are decoded
-// exactly once. Frames that do not decode to a TCP/UDP
-// 5-tuple are dropped at ingest and counted in Ignored() — they carry no
-// flow, so copying them and occupying a shard queue slot (formerly always
-// shard 0's, skewing its load) bought nothing — and decodable flows off
-// port 443 are likewise dropped and counted in Filtered(), since the
-// pipeline's video filter would discard them anyway. Frame bytes are packed
-// back-to-back into per-batch arenas drawn from a sync.Pool and recycled
-// once the owning shard's pipeline has consumed the batch; the pipeline
-// copies anything it retains, so recycled arenas never alias live flow
-// state.
+// exactly once. A frame that completes a handshake is classified by its
+// shard worker on the spot, so a flow's verdict never waits on the rest of
+// its ingest batch. Frames that do not decode to a TCP/UDP 5-tuple are
+// dropped at ingest and counted in IngestStats.Ignored — they carry no flow,
+// so copying them and occupying a shard queue slot bought nothing — and
+// decodable flows off port 443 are likewise dropped and counted in
+// IngestStats.Filtered, since the pipeline's video filter would discard
+// them anyway. Frame bytes are packed back-to-back into per-batch arenas
+// drawn from a sync.Pool and recycled once the owning shard's pipeline has
+// consumed the batch; the pipeline copies anything it retains, so recycled
+// arenas never alias live flow state.
 //
 // HandlePacket and HandlePacketBatch are intended for a single ingest
 // goroutine (the shard workers provide the parallelism) and must not be
 // called concurrently with each other. When a shard's inbox fills, ingest
 // blocks until the worker catches up — backpressure, not loss — and the
-// stall is counted in Stalls().
+// stall is counted in IngestStats.Stalls.
 //
 // Results delivery contract: classified-flow records are delivered on
 // Results() on a best-effort basis. A consumer that stops draining does not
 // block the shard workers — once the buffer fills, further records are
-// counted in Dropped() and discarded, so Close never deadlocks on a stalled
-// consumer. The buffer defaults to DefaultResultsBufferPerShard per shard
-// (Config.ResultsBuffer overrides), so a consumer that is actively draining
-// rides out bursts proportional to the fan-out width. Complete final state
-// is always available from Flows() (plus the Config.OnEvict hook for flows
-// evicted from a bounded table).
+// counted in IngestStats.DroppedResults and discarded, so Close never
+// deadlocks on a stalled consumer. The buffer defaults to
+// DefaultResultsBufferPerShard per shard (Config.ResultsBuffer overrides), so
+// a consumer that is actively draining rides out bursts proportional to the
+// fan-out width. Complete final state is always available from Flows() (plus
+// the Config.OnEvict hook for flows evicted from a bounded table).
 type Sharded struct {
 	shards   []*shard
 	results  chan *FlowRecord
@@ -216,16 +217,11 @@ func NewShardedWithConfig(bank *Bank, n int, cfg Config) *Sharded {
 		shCfg := cfg
 		shCfg.shardID = i
 		shCfg.queueDepth = func() int { return len(in) }
-		// Shard workers classify in batch mode: completed handshakes are
-		// deferred during frame replay and flushed through one compiled
-		// ClassifyBatch sweep per (provider, transport) at batch end.
-		shCfg.batched = true
 		sh := &shard{in: in, p: NewWithConfig(bank, shCfg)}
 		s.shards = append(s.shards, sh)
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
-			deliver := s.deliver // one method-value closure per worker, not per batch
 			for msg := range sh.in {
 				if msg.snap != nil {
 					msg.snap <- sh.p.Flows()
@@ -244,9 +240,6 @@ func NewShardedWithConfig(bank *Bank, n int, cfg Config) *Sharded {
 						s.deliver(rec)
 					}
 				}
-				// Classify the batch's deferred handshakes before the arena
-				// recycles, one compiled sweep per (provider, transport).
-				sh.p.flushBatch(deliver)
 				// The pipeline copies anything it retains, so the arena is
 				// dead here and the whole batch recycles in one pool op.
 				s.batchPool.Put(b)
@@ -379,27 +372,10 @@ func (s *Sharded) send(sh *shard, msg shardMsg) {
 	}
 }
 
-// HandlePacket routes one frame to its flow's shard as a batch of one. The
-// frame is copied, so the caller may reuse it immediately. See the type
-// comment for the ingest contract (single ingest goroutine; frames without
-// a TCP/UDP 5-tuple are dropped and counted in Ignored).
-//
-//vp:borrowed frame
+// HandlePacket routes one frame to its flow's shard: HandlePacketBatch of
+// one element. The frame is copied, so the caller may reuse it immediately.
 func (s *Sharded) HandlePacket(ts time.Time, frame []byte) {
-	var t0 time.Time
-	if s.obsv != nil {
-		t0 = time.Now()
-	}
-	f, idx, ok := s.decode(ts, frame)
-	if s.obsv != nil {
-		s.obsv.Record(obs.StageDecode, time.Since(t0))
-	}
-	if !ok {
-		return
-	}
-	b := s.getBatch()
-	b.add(f, frame)
-	s.send(s.shards[idx], shardMsg{batch: b})
+	s.HandlePacketBatch([]IngestPacket{{TS: ts, Data: frame}})
 }
 
 // HandlePacketBatch routes a batch of frames with one decode per frame and
@@ -469,9 +445,10 @@ func (s *Sharded) SwapBank(bank *Bank) {
 	}
 }
 
-// IngestStats is a point-in-time snapshot of the ingest-path counters — the
-// TableStats analogue for the batched entry point. All fields are monotonic
-// and safe to read from any goroutine via Sharded.IngestStats.
+// IngestStats is the one point-in-time snapshot of a Sharded's counters: the
+// ingest goroutine's own and, summed across shards, the per-pipeline ones
+// an operator reads beside them. All fields are monotonic and safe to read
+// from any goroutine via Sharded.IngestStats.
 type IngestStats struct {
 	// Ignored counts frames dropped at ingest: they failed to parse or were
 	// not TCP/UDP, so they carry no flow to route.
@@ -502,51 +479,25 @@ type IngestStats struct {
 
 // IngestStats snapshots the ingest counters. Safe from any goroutine.
 func (s *Sharded) IngestStats() IngestStats {
-	return IngestStats{
-		Ignored:             s.ignored.Load(),
-		Filtered:            s.filtered.Load(),
-		DroppedResults:      s.dropped.Load(),
-		Stalls:              s.stalls.Load(),
-		OversizedHandshakes: s.OversizedHandshakes(),
-		Migrations:          s.Migrations(),
-		EarlyClassified:     s.EarlyClassified(),
+	st := IngestStats{
+		Ignored:        s.ignored.Load(),
+		Filtered:       s.filtered.Load(),
+		DroppedResults: s.dropped.Load(),
+		Stalls:         s.stalls.Load(),
 	}
-}
-
-// Migrations sums the per-shard count of flows re-keyed by connection
-// migration. Safe from any goroutine.
-func (s *Sharded) Migrations() uint64 {
-	var n uint64
 	for _, sh := range s.shards {
-		n += sh.p.Migrations()
+		ps := sh.p.Stats()
+		st.OversizedHandshakes += ps.Verdicts[VerdictOversized]
+		st.Migrations += ps.Migrations
+		st.EarlyClassified += ps.EarlyClassified
 	}
-	return n
-}
-
-// EarlyClassified sums the per-shard count of accepted degraded
-// classifications. Safe from any goroutine.
-func (s *Sharded) EarlyClassified() uint64 {
-	var n uint64
-	for _, sh := range s.shards {
-		n += sh.p.EarlyClassified()
-	}
-	return n
-}
-
-// OversizedHandshakes sums the per-shard count of flows abandoned because
-// their buffered handshake bytes exceeded Config.MaxHelloBytes. Safe from
-// any goroutine.
-func (s *Sharded) OversizedHandshakes() uint64 {
-	var n uint64
-	for _, sh := range s.shards {
-		n += sh.p.OversizedHandshakes()
-	}
-	return n
+	return st
 }
 
 // QueueDepths reports each shard's current inbox occupancy in messages —
-// the live back-pressure picture (Stalls only counts after the fact). Safe
-// from any goroutine; values are instantaneous and independently sampled.
+// the live back-pressure picture (IngestStats.Stalls only counts after the
+// fact). Safe from any goroutine; values are instantaneous and independently
+// sampled.
 func (s *Sharded) QueueDepths() []int {
 	out := make([]int, len(s.shards))
 	for i, sh := range s.shards {
@@ -564,22 +515,6 @@ func (s *Sharded) ResultsBuffered() int { return len(s.results) }
 
 // ResultsCapacity reports the Results channel capacity.
 func (s *Sharded) ResultsCapacity() int { return cap(s.results) }
-
-// Dropped reports how many results were discarded because the consumer was
-// not draining Results. Safe from any goroutine.
-func (s *Sharded) Dropped() uint64 { return s.dropped.Load() }
-
-// Ignored reports how many frames were dropped at ingest because they
-// failed to parse or were not TCP/UDP. Safe from any goroutine.
-func (s *Sharded) Ignored() uint64 { return s.ignored.Load() }
-
-// Filtered reports how many decodable flows were dropped at ingest by the
-// port-443 video filter. Safe from any goroutine.
-func (s *Sharded) Filtered() uint64 { return s.filtered.Load() }
-
-// Stalls reports how many ingest submissions blocked on a full shard inbox.
-// Safe from any goroutine.
-func (s *Sharded) Stalls() uint64 { return s.stalls.Load() }
 
 // Close stops the workers after draining queued packets and closes Results.
 func (s *Sharded) Close() {

@@ -81,6 +81,11 @@ type Retrainer struct {
 	lastAttempt time.Time
 	lastSwap    time.Time
 	lastErr     error
+	// stopped is set when Start returns; from then on ObserveClassified
+	// starts no resolve goroutine. resolving tracks the ones in flight, so
+	// Start can wait for them: Start owns every goroutine the retrainer runs.
+	stopped   bool
+	resolving sync.WaitGroup
 }
 
 // NewRetrainer returns a Retrainer over a registry with at least one
@@ -124,9 +129,17 @@ func (rt *Retrainer) Trigger(reason string) {
 }
 
 // Start runs the retrain loop until ctx is cancelled. Call from its own
-// goroutine (`go rt.Start(ctx)`); training happens here, never on the
-// serving path.
+// goroutine; training happens here, never on the serving path. When Start
+// returns the retrainer is quiescent: any shadow resolution in flight has
+// finished and no later ObserveClassified or Trigger starts work, so the
+// caller may tear down the registry directory once it has waited for Start.
 func (rt *Retrainer) Start(ctx context.Context) {
+	defer func() {
+		rt.mu.Lock()
+		rt.stopped = true
+		rt.mu.Unlock()
+		rt.resolving.Wait()
+	}()
 	attempt := uint64(0)
 	for {
 		var req triggerReq
@@ -192,9 +205,19 @@ func (rt *Retrainer) ObserveClassified(rec *pipeline.FlowRecord, hs *features.Ha
 		return
 	}
 	// Verdict is ready; exactly one observer claims the resolution.
-	if rt.shadow.CompareAndSwap(se, nil) {
-		go rt.resolve(se)
+	if !rt.shadow.CompareAndSwap(se, nil) {
+		return
 	}
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	if rt.stopped {
+		return
+	}
+	rt.resolving.Add(1)
+	go func() {
+		defer rt.resolving.Done()
+		rt.resolve(se)
+	}()
 }
 
 func (rt *Retrainer) resolve(se *shadowEval) {

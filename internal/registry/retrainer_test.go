@@ -65,9 +65,7 @@ func TestRetrainerClosesTheDriftLoop(t *testing.T) {
 		t.Fatal(err)
 	}
 	rt.BindMonitor(mon)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go rt.Start(ctx)
+	stop := runRetrainer(t, rt)
 
 	closed, err := tracegen.New(22).LabDataset(0.03, fingerprint.Options{})
 	if err != nil {
@@ -113,7 +111,7 @@ func TestRetrainerClosesTheDriftLoop(t *testing.T) {
 	// One full cycle is what this test pins down; stop the loop so the
 	// hair-trigger config (1ms cooldown, tiny windows) cannot start a
 	// second one while we assert.
-	cancel()
+	stop()
 
 	cur := reg.Current()
 	if cur.Manifest.ID == "v0001" || cur.Bank.Version != cur.Manifest.ID {
@@ -188,9 +186,7 @@ func TestRetrainerRejectionRearmsMonitor(t *testing.T) {
 		t.Fatal(err)
 	}
 	rt.BindMonitor(mon)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go rt.Start(ctx)
+	runRetrainer(t, rt)
 
 	closed, err := tracegen.New(22).LabDataset(0.03, fingerprint.Options{})
 	if err != nil {
@@ -230,6 +226,26 @@ func TestRetrainerRejectionRearmsMonitor(t *testing.T) {
 		}
 		return false
 	})
+}
+
+// runRetrainer runs rt's loop and returns a stop function that cancels it
+// and waits for Start to return, after which the retrainer writes nothing
+// more into the registry directory. stop also runs at test cleanup — before
+// t.TempDir removes the directory, since cleanups run last-registered first.
+func runRetrainer(t *testing.T, rt *Retrainer) (stop func()) {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		rt.Start(ctx)
+	}()
+	stop = func() {
+		cancel()
+		<-done
+	}
+	t.Cleanup(stop)
+	return stop
 }
 
 func waitFor(t *testing.T, d time.Duration, cond func() bool) {

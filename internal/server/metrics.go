@@ -204,9 +204,6 @@ var metricsCatalog = []metricDef{
 		func(st *Stats) []string {
 			var out []string
 			for _, ls := range st.Latency {
-				if ls.Count == 0 {
-					continue
-				}
 				for _, q := range []struct {
 					label string
 					ms    float64
@@ -221,9 +218,6 @@ var metricsCatalog = []metricDef{
 		func(st *Stats) []string {
 			var out []string
 			for _, ls := range st.Latency {
-				if ls.Count == 0 {
-					continue
-				}
 				out = append(out, fmt.Sprintf("videoplat_stage_latency_max_seconds{stage=%q} %g",
 					ls.Stage, ls.MaxMs/1e3))
 			}

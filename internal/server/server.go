@@ -408,8 +408,20 @@ func (s *Server) Run(ctx context.Context) error {
 	defer cancelReplay()
 	go s.replay(replayCtx)
 	s.running.Store(true) // ingest machinery is live: readiness can pass
-	if s.cfg.Retrainer != nil {
-		go s.cfg.Retrainer.Start(replayCtx) // training never runs on the serving path
+	// retrainDone closes once the retrainer's loop has returned, by which
+	// point it has joined every goroutine it started.
+	retrainDone := make(chan struct{})
+	go func() {
+		defer close(retrainDone)
+		if s.cfg.Retrainer != nil {
+			s.cfg.Retrainer.Start(replayCtx) // training never runs on the serving path
+		}
+	}()
+	stopIngest := func() {
+		cancelReplay()
+		<-s.replayDone
+		<-retrainDone
+		s.finishPipeline()
 	}
 
 	httpErr := make(chan error, 1)
@@ -418,15 +430,10 @@ func (s *Server) Run(ctx context.Context) error {
 	select {
 	case <-ctx.Done():
 	case err := <-httpErr:
-		cancelReplay()
-		<-s.replayDone
-		s.finishPipeline()
+		stopIngest()
 		return fmt.Errorf("server: http: %w", err)
 	}
-
-	cancelReplay()
-	<-s.replayDone
-	s.finishPipeline()
+	stopIngest()
 
 	shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()

@@ -67,12 +67,15 @@
 // The serving spine is built for line rate: ingest parses each frame
 // exactly once, per-flow handshakes are assembled incrementally (state-
 // machine reassembly in O(client bytes), bounded by
-// PipelineConfig.MaxHelloBytes), and classification runs a compiled
-// zero-allocation path — the bank's three objectives share one encode pass
-// over interned raw-wire-value tables (Bank.ClassifyHandshake), writing
-// into per-shard scratch instead of building per-flow maps and strings.
-// The fast path is byte-identical to the reference extraction path, pinned
-// by golden-equivalence tests.
+// PipelineConfig.MaxHelloBytes), and a flow is classified on the frame that
+// completes its handshake, through one compiled zero-allocation evaluator —
+// the bank's three objectives share one encode pass over interned
+// raw-wire-value tables and run compiled forests over the encoded row
+// (Bank.ClassifyBatch; Bank.ClassifyHandshake is its one-flow case),
+// writing into per-shard scratch instead of building per-flow maps and
+// strings. The evaluator is byte-identical to the reference extraction path
+// (Bank.Classify), pinned by golden-equivalence tests; every flow leaves
+// with exactly one terminal Verdict, counted in Pipeline.Stats.
 //
 // See examples/quickstart for an end-to-end batch walkthrough,
 // examples/serve-replay for the streaming daemon, examples/telemetry-query
@@ -136,17 +139,20 @@ type (
 	// consumes.
 	HandshakeInfo = features.HandshakeInfo
 	// ClassifyScratch holds a worker's reusable classification buffers for
-	// the zero-allocation Bank.ClassifyHandshake fast path.
+	// the zero-allocation Bank.ClassifyHandshake / Bank.ClassifyBatch
+	// evaluator.
 	ClassifyScratch = pipeline.ClassifyScratch
 	// ShardedPipeline fans packets across per-shard Pipelines by flow
 	// hash, parsing each frame exactly once at ingest — the multi-queue
 	// deployment shape of the paper's §4.3.3 prototype.
 	ShardedPipeline = pipeline.Sharded
-	// IngestPacket is one timestamped frame for the batched ingest path
+	// IngestPacket is one timestamped frame for the batch ingest path
 	// (ShardedPipeline.HandlePacketBatch).
 	IngestPacket = pipeline.IngestPacket
-	// IngestStats are the ingest-path counters: frames ignored at ingest,
-	// best-effort results dropped, and backpressure stalls.
+	// IngestStats is the sharded pipeline's one counter snapshot: frames
+	// ignored and filtered at ingest, best-effort results dropped,
+	// backpressure stalls, and the shard pipelines' oversized-handshake,
+	// migration and early-classification counts.
 	IngestStats = pipeline.IngestStats
 	// FlowTableStats are a bounded flow table's occupancy/eviction counters.
 	FlowTableStats = flowtable.Stats
@@ -352,8 +358,10 @@ func NewBoundedPipeline(bank *Bank, cfg PipelineConfig) *Pipeline {
 // its own cfg-bounded flow table. Feed frames from one ingest goroutine
 // with HandlePacket or, for high rates, HandlePacketBatch — each frame is
 // parsed exactly once at ingest, buffers are pooled, and a batch costs at
-// most one channel send per shard. Classified flows arrive on Results()
-// (best-effort; see the Sharded type docs), and Close drains the workers.
+// most one channel send per shard. A flow is classified by its shard worker
+// on the frame that completes its handshake. Classified flows arrive on
+// Results() (best-effort; see the Sharded type docs), IngestStats() is the
+// counter snapshot, and Close drains the workers.
 func NewShardedPipeline(bank *Bank, n int, cfg PipelineConfig) *ShardedPipeline {
 	return pipeline.NewShardedWithConfig(bank, n, cfg)
 }
