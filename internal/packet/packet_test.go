@@ -176,6 +176,43 @@ func TestUnsupportedEtherTypePassthrough(t *testing.T) {
 	}
 }
 
+// TestPayloadOffLocatesPayload pins Parsed.PayloadOff across header shapes —
+// TCP options, IPv4 options, IPv6, UDP, a non-IP frame — each with and
+// without an Ethernet trailer after the datagram, where the payload is not
+// the frame's tail.
+func TestPayloadOffLocatesPayload(t *testing.T) {
+	payload := []byte("the transport payload")
+	udp6 := (&IPv6{HopLimit: 58, Protocol: ProtoUDP, Src: src6, Dst: dst6}).Append(nil,
+		(&UDP{SrcPort: 55000, DstPort: 443}).Append(nil, payload, src6, dst6))
+	ip4opts := (&IPv4{TTL: 64, Protocol: ProtoUDP, Src: srcIP, Dst: dstIP, Options: []byte{1, 1, 1, 1}}).Append(nil,
+		(&UDP{SrcPort: 55000, DstPort: 443}).Append(nil, payload, srcIP, dstIP))
+	for name, frame := range map[string][]byte{
+		"tcp syn with options": buildTCPSyn(t, payload),
+		"udp over ipv6":        (&Ethernet{EtherType: EtherTypeIPv6}).Append(nil, udp6),
+		"ipv4 with options":    (&Ethernet{EtherType: EtherTypeIPv4}).Append(nil, ip4opts),
+		"not ip":               (&Ethernet{EtherType: 0x0806}).Append(nil, payload),
+	} {
+		for _, trailer := range []int{0, 4} {
+			frame := append(append([]byte(nil), frame...), make([]byte, trailer)...)
+			var p Parser
+			var out Parsed
+			if err := p.Parse(frame, &out); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			want := payload
+			if name == "not ip" {
+				want = frame[14:] // nothing says where a non-IP payload ends
+			}
+			if !bytes.Equal(out.Payload, want) {
+				t.Fatalf("%s, trailer %d: payload %q", name, trailer, out.Payload)
+			}
+			if got := frame[out.PayloadOff : out.PayloadOff+len(out.Payload)]; &got[0] != &out.Payload[0] {
+				t.Errorf("%s, trailer %d: PayloadOff %d is not where Payload starts", name, trailer, out.PayloadOff)
+			}
+		}
+	}
+}
+
 func TestFlowKeyCanonicalSymmetry(t *testing.T) {
 	k := FlowKey{Src: srcIP, Dst: dstIP, SrcPort: 51000, DstPort: 443, Proto: ProtoTCP}
 	if k.Canonical() != k.Reverse().Canonical() {

@@ -28,6 +28,11 @@ type Parsed struct {
 	TCP     TCP
 	UDP     UDP
 	Payload []byte // transport payload
+	// PayloadOff is where Payload starts in the frame handed to Parse. The
+	// payload need not run to the frame's end — IP and UDP length fields cut
+	// off an Ethernet trailer or padding — so the offset is recorded during
+	// the decode rather than derived from the lengths afterwards.
+	PayloadOff int
 
 	decodedStorage [4]LayerType
 }
@@ -96,13 +101,14 @@ type Parser struct{}
 //vp:hotpath
 func (ps *Parser) Parse(frame []byte, out *Parsed) error {
 	out.Decoded = out.decodedStorage[:0]
-	out.Payload = nil
+	out.Payload, out.PayloadOff = nil, 0
 
 	rest, err := out.Eth.Decode(frame)
 	if err != nil {
 		return fmt.Errorf("ethernet: %w", err) //vp:allocok cold malformed-frame error path
 	}
 	out.Decoded = append(out.Decoded, LayerEthernet)
+	off := 14 // Ethernet II header
 
 	var proto uint8
 	switch out.Eth.EtherType {
@@ -112,30 +118,35 @@ func (ps *Parser) Parse(frame []byte, out *Parsed) error {
 		}
 		out.Decoded = append(out.Decoded, LayerIPv4)
 		proto = out.IP4.Protocol
+		off += 20 + len(out.IP4.Options)
 	case EtherTypeIPv6:
 		if rest, err = out.IP6.Decode(rest); err != nil {
 			return fmt.Errorf("ipv6: %w", err) //vp:allocok cold malformed-frame error path
 		}
 		out.Decoded = append(out.Decoded, LayerIPv6)
 		proto = out.IP6.Protocol
+		off += 40 // fixed header; extension headers are not walked
 	default:
-		out.Payload = rest
+		out.Payload, out.PayloadOff = rest, off
 		return nil
 	}
 
 	switch proto {
 	case ProtoTCP:
+		segment := len(rest)
 		if rest, err = out.TCP.Decode(rest); err != nil {
 			return fmt.Errorf("tcp: %w", err) //vp:allocok cold malformed-frame error path
 		}
 		out.Decoded = append(out.Decoded, LayerTCP)
+		off += segment - len(rest) // TCP.Decode strips exactly the header, options included
 	case ProtoUDP:
 		if rest, err = out.UDP.Decode(rest); err != nil {
 			return fmt.Errorf("udp: %w", err) //vp:allocok cold malformed-frame error path
 		}
 		out.Decoded = append(out.Decoded, LayerUDP)
+		off += 8
 	}
-	out.Payload = rest
+	out.Payload, out.PayloadOff = rest, off
 	return nil
 }
 

@@ -10,25 +10,44 @@
 // Two entry points feed the pipeline. Pipeline.HandlePacket is the
 // single-core path. Sharded is the deployment shape of the paper's
 // multi-queue DPDK prototype: an ingest goroutine parses each frame exactly
-// once (the same decode that picks the shard) and summarizes it into the
-// flow key, canonical key and payload length that travel with the frame's
-// bytes — packed back-to-back into a pooled per-batch arena, one channel
-// send per shard per batch (HandlePacketBatch; HandlePacket ships a batch
-// of one). What crosses a shard queue is the frame's bytes and that summary,
-// not the decoded layers, so a shard worker routes and accounts every frame
-// without a decode — and decodes again only the frames that can still
-// advance a handshake: the client-direction frames of a flow with no verdict
-// yet (hsAssembler.consume), a handful per flow.
+// once (Sharded.decode, the same decode that picks the shard) and writes the
+// frame's summary — timestamp, wire key, whether the canonical key is its
+// reverse, where the payload starts and how long it is on the wire — into
+// the owning shard's pending batch, beside the bytes of the frame the shard
+// can still read, packed back-to-back into a pooled per-batch arena; one
+// channel send per shard per batch (HandlePacketBatch; HandlePacket ships a
+// batch of one). The paper classifies a flow from its handshake and wants
+// nothing else of the stream but byte and packet counts, so what is kept of
+// a frame (keepLen) is all of it, Ethernet trailer included, except for the
+// two kinds that make up the bulk of a video stream: a TCP segment from port
+// 443 to any other port is kept through its TCP header, and a QUIC short
+// header through the flags byte and the longest connection ID. The first is
+// exact because of one orientation rule, applied wherever a flow's client
+// side is set (clientSide): the client is the endpoint talking to :443, so a
+// segment from the :443 side is never client-direction and never reaches
+// handshake assembly. The second because connection-ID lookup and the
+// assembler read nothing further into a short header. A shard worker routes
+// and accounts every frame from its summary without a decode — and decodes
+// again only the frames that can still advance a handshake: the
+// client-direction frames of a flow with no verdict yet
+// (hsAssembler.consume), a handful per flow, none of them cut.
 //
-// Buffer-reuse rules: a batch's arena is recycled as soon as the shard
-// worker has run every frame through the pipeline, which is safe because
-// the pipeline copies anything it retains past the call (client handshake
-// payload bytes are copied into the flow's assembler; flow keys and
-// telemetry are values). Code that adds retention to the flow path must
-// keep that copy-on-retain invariant or the arena recycle in Sharded
-// becomes a use-after-free. Frames with no TCP/UDP 5-tuple are dropped at
-// ingest (counted in IngestStats.Ignored); queue depths and the best-effort
-// results buffer are Config knobs with shard-count-scaled defaults.
+// Buffer-reuse rules: the caller's frame buffers are free as soon as
+// HandlePacketBatch returns — what is kept was copied. A batch's arena is
+// recycled as soon as the shard worker has run every frame through the
+// pipeline, which is safe because the pipeline copies anything it retains
+// past the call (client handshake payload bytes are copied into the flow's
+// assembler; flow keys and telemetry are values). Code that adds retention
+// to the flow path must keep that copy-on-retain invariant or the arena
+// recycle in Sharded becomes a use-after-free; code that reads further into
+// a frame on the flow path must widen keepLen, or it reads a cut frame on a
+// Sharded and a whole one on a Pipeline (TestBatchedMatchesSinglePacket and
+// FuzzShardedMatchesPipeline compare the two). The payload is never found by
+// counting back from a frame's end: packet.Parsed.PayloadOff says where it
+// starts, whatever padding follows the datagram. Frames with no TCP/UDP
+// 5-tuple are dropped at ingest (counted in IngestStats.Ignored); queue
+// depths and the best-effort results buffer are Config knobs with
+// shard-count-scaled defaults.
 //
 // # Classify on arrival, finalize once
 //

@@ -7,10 +7,12 @@ import (
 	"testing"
 	"time"
 
+	"videoplat/internal/features"
 	"videoplat/internal/fingerprint"
 	"videoplat/internal/flowtable"
 	"videoplat/internal/obs"
 	"videoplat/internal/packet"
+	"videoplat/internal/quicproto"
 	"videoplat/internal/tracegen"
 )
 
@@ -18,12 +20,9 @@ import (
 // ports — enough for the ingest path to extract a 5-tuple and route it.
 func tcpFrame(t *testing.T, srcPort, dstPort uint16) []byte {
 	t.Helper()
-	src := netip.MustParseAddr("10.1.2.3")
-	dst := netip.MustParseAddr("93.184.216.34")
-	tcp := packet.TCP{SrcPort: srcPort, DstPort: dstPort, Flags: packet.FlagACK, Window: 64240}
-	ip := packet.IPv4{TTL: 64, Protocol: packet.ProtoTCP, Src: src, Dst: dst}
-	eth := packet.Ethernet{EtherType: packet.EtherTypeIPv4}
-	return eth.Append(nil, ip.Append(nil, tcp.Append(nil, nil, src, dst)))
+	src := netip.AddrPortFrom(netip.MustParseAddr("10.1.2.3"), srcPort)
+	dst := netip.AddrPortFrom(netip.MustParseAddr("93.184.216.34"), dstPort)
+	return craftFrame(src, dst, packet.ProtoTCP, packet.FlagACK, nil, 0)
 }
 
 // icmpFrame builds a decodable IPv4 frame that is neither TCP nor UDP.
@@ -92,11 +91,122 @@ func TestIngestDropsUndecodableFrames(t *testing.T) {
 	}
 }
 
+// craftFrame builds one Ethernet frame between two endpoints — IPv4 or IPv6
+// by the addresses' family, TCP with the given flags or UDP — followed by
+// trailer bytes of Ethernet padding after the IP datagram.
+func craftFrame(src, dst netip.AddrPort, proto, tcpFlags uint8, payload []byte, trailer int) []byte {
+	var seg []byte
+	if proto == packet.ProtoTCP {
+		tcp := packet.TCP{SrcPort: src.Port(), DstPort: dst.Port(), Flags: tcpFlags, Window: 64240}
+		seg = tcp.Append(nil, payload, src.Addr(), dst.Addr())
+	} else {
+		udp := packet.UDP{SrcPort: src.Port(), DstPort: dst.Port()}
+		seg = udp.Append(nil, payload, src.Addr(), dst.Addr())
+	}
+	var frame []byte
+	if src.Addr().Is4() {
+		ip := packet.IPv4{TTL: 64, Protocol: proto, Src: src.Addr(), Dst: dst.Addr()}
+		eth := packet.Ethernet{EtherType: packet.EtherTypeIPv4}
+		frame = eth.Append(nil, ip.Append(nil, seg))
+	} else {
+		ip := packet.IPv6{HopLimit: 64, Protocol: proto, Src: src.Addr(), Dst: dst.Addr()}
+		eth := packet.Ethernet{EtherType: packet.EtherTypeIPv6}
+		frame = eth.Append(nil, ip.Append(nil, seg))
+	}
+	return append(frame, make([]byte, trailer)...)
+}
+
+// shortHeader is a QUIC 1-RTT payload of n bytes: the fixed bit, then cid,
+// then filler.
+func shortHeader(cid []byte, n int) []byte {
+	b := append([]byte{0x40}, cid...)
+	for len(b) < n {
+		b = append(b, byte(len(b)))
+	}
+	return b
+}
+
+// tracePackets is a rendered flow as ingest input, each frame followed by
+// trailer bytes of Ethernet padding.
+func tracePackets(ft *tracegen.FlowTrace, trailer int) []IngestPacket {
+	var out []IngestPacket
+	for _, fr := range ft.Frames {
+		data := append(append([]byte(nil), fr.Data...), make([]byte, trailer)...)
+		out = append(out, IngestPacket{TS: ft.Start.Add(fr.Offset), Data: data})
+	}
+	return out
+}
+
+// withBulk splices an established flow's traffic into a rendered QUIC flow
+// after its first `at` frames: MTU-sized short headers from the server and
+// short ones from the client, all on the flow's original tuple.
+func withBulk(ft *tracegen.FlowTrace, at int, pkts []IngestPacket) []IngestPacket {
+	client := netip.AddrPortFrom(ft.ClientAddr, ft.ClientPort)
+	server := netip.AddrPortFrom(ft.ServerAddr, ft.ServerPort)
+	ts := pkts[at-1].TS
+	var bulk []IngestPacket
+	for i := 0; i < 6; i++ {
+		ts = ts.Add(time.Millisecond)
+		bulk = append(bulk,
+			IngestPacket{TS: ts, Data: craftFrame(server, client, packet.ProtoUDP, 0, shortHeader(nil, 1350), 0)},
+			IngestPacket{TS: ts, Data: craftFrame(client, server, packet.ProtoUDP, 0, shortHeader([]byte{9, 8, 7, 6, 5, 4, 3, 2}, 22+i), 0)})
+	}
+	out := append([]IngestPacket(nil), pkts[:at]...)
+	out = append(out, bulk...)
+	return append(out, pkts[at:]...)
+}
+
+// fastOpenPackets rewrites a rendered TCP flow as a TCP Fast Open one: the
+// ClientHello rides the SYN, and the client's bare ACK and hello segment are
+// gone.
+func fastOpenPackets(t *testing.T, ft *tracegen.FlowTrace) []IngestPacket {
+	t.Helper()
+	var (
+		parser     packet.Parser
+		syn, hello packet.Parsed
+	)
+	if err := parser.Parse(ft.Frames[0].Data, &syn); err != nil {
+		t.Fatal(err)
+	}
+	if err := parser.Parse(ft.Frames[3].Data, &hello); err != nil || len(hello.Payload) == 0 {
+		t.Fatalf("frame 3 of a rendered TCP flow is not its ClientHello (err %v)", err)
+	}
+	seg := syn.TCP.Append(nil, hello.Payload, syn.IP4.Src, syn.IP4.Dst)
+	out := []IngestPacket{{TS: ft.Start, Data: syn.Eth.Append(nil, syn.IP4.Append(nil, seg))}}
+	for i, fr := range ft.Frames {
+		if i != 0 && !fr.ClientToServer {
+			out = append(out, IngestPacket{TS: ft.Start.Add(fr.Offset), Data: fr.Data})
+		}
+	}
+	return out
+}
+
+// interleave merges per-flow packet sequences round-robin, as a tap would
+// deliver them; each flow's own order is kept.
+func interleave(flows ...[]IngestPacket) []IngestPacket {
+	var out []IngestPacket
+	for j := 0; ; j++ {
+		any := false
+		for _, pkts := range flows {
+			if j < len(pkts) {
+				out = append(out, pkts[j])
+				any = true
+			}
+		}
+		if !any {
+			return out
+		}
+	}
+}
+
 // TestBatchedMatchesSinglePacket is the parse-once equivalence check: every
 // entry point — plain Pipeline.HandlePacket, Sharded.HandlePacket and
 // Sharded.HandlePacketBatch at several batch sizes — must produce exactly
 // the same terminal record per flow: same SNIs, verdicts, predictions, byte
-// and packet telemetry. Terminal records are OnEvict's plus Flows().
+// and packet telemetry, and the same per-verdict counts. Terminal records
+// are OnEvict's plus Flows(). The handshake-then-bulk input is the check on
+// what Sharded's ingest leaves out of its arenas (keepLen): every frame it
+// cuts, and every reader of a cut payload, is in it.
 func TestBatchedMatchesSinglePacket(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bank training is slow")
@@ -104,6 +214,13 @@ func TestBatchedMatchesSinglePacket(t *testing.T) {
 	bank, _ := trainSmallBank(t, 31, 0.02)
 
 	g := tracegen.New(77)
+	render := func(label string, prov fingerprint.Provider, tr fingerprint.Transport, opts fingerprint.Options) *tracegen.FlowTrace {
+		ft, err := g.Flow(label, prov, tr, tracegen.FlowSpec{Options: opts, PayloadFrames: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ft
+	}
 	var all []*tracegen.FlowTrace
 	specs := []struct {
 		label string
@@ -117,38 +234,40 @@ func TestBatchedMatchesSinglePacket(t *testing.T) {
 		{"macOS_safari", fingerprint.Amazon, fingerprint.TCP},
 		{"ps5_nativeApp", fingerprint.Netflix, fingerprint.TCP},
 	}
+	var perFlow [][]IngestPacket
 	for _, sp := range specs {
-		ft, err := g.Flow(sp.label, sp.prov, sp.tr, tracegen.FlowSpec{PayloadFrames: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
+		ft := render(sp.label, sp.prov, sp.tr, fingerprint.Options{})
 		all = append(all, ft)
-	}
-	// Interleave packets across flows, as a tap would deliver them.
-	var interleaved []IngestPacket
-	for j := 0; ; j++ {
-		any := false
-		for _, ft := range all {
-			if j < len(ft.Frames) {
-				interleaved = append(interleaved, IngestPacket{TS: ft.Start.Add(ft.Frames[j].Offset), Data: ft.Frames[j].Data})
-				any = true
-			}
-		}
-		if !any {
-			break
-		}
+		perFlow = append(perFlow, tracePackets(ft, 0))
 	}
 	// Cap pressure: flow A runs to its verdict, then flow B arrives and
 	// evicts it from a one-flow table — within one ingest batch when the
 	// batch is large enough.
-	var capPressure []IngestPacket
-	for _, ft := range all[1:3] {
-		for _, fr := range ft.Frames {
-			capPressure = append(capPressure, IngestPacket{TS: ft.Start.Add(fr.Offset), Data: fr.Data})
-		}
-	}
+	capPressure := append(tracePackets(all[1], 0), tracePackets(all[2], 0)...)
+
+	// Handshake, then the traffic of an established flow. MTU-sized server
+	// TCP segments (the rendered payload frames); short headers of 22 bytes
+	// and up in both directions; two migrations whose first packet on the new
+	// tuple is a short header arriving after bulk, so the CID lookup that
+	// re-keys the flow runs on a cut payload — one client with a 3-byte
+	// connection ID, one with none (Chrome), whose post-migration server
+	// frames carry no ID at all; a TCP Fast Open SYN carrying the hello; and a
+	// TCP flow whose every frame, SYN included, ends in Ethernet padding.
+	migration := fingerprint.Options{Migration: true}
+	quic := render("macOS_safari", fingerprint.YouTube, fingerprint.QUIC, fingerprint.Options{})
+	migCID := render("windows_firefox", fingerprint.YouTube, fingerprint.QUIC, migration)
+	migNoCID := render("windows_chrome", fingerprint.YouTube, fingerprint.QUIC, migration)
+	bulk := interleave(
+		tracePackets(render("windows_firefox", fingerprint.Netflix, fingerprint.TCP, fingerprint.Options{}), 0),
+		withBulk(quic, 2, tracePackets(quic, 0)),
+		withBulk(migCID, 2, tracePackets(migCID, 0)),
+		withBulk(migNoCID, 2, tracePackets(migNoCID, 0)),
+		fastOpenPackets(t, render("ps5_nativeApp", fingerprint.Amazon, fingerprint.TCP, fingerprint.Options{})),
+		tracePackets(render("iOS_nativeApp", fingerprint.Disney, fingerprint.TCP, fingerprint.Options{}), 6),
+	)
 
 	type summary struct {
+		sni        string
 		verdict    Verdict
 		platform   string
 		status     Status
@@ -157,30 +276,40 @@ func TestBatchedMatchesSinglePacket(t *testing.T) {
 		bytesUp    int64
 		pktsDown   int
 		pktsUp     int
+		initSize   int // HandshakeInfo.InitPacketSize, as OnClassify saw it
+	}
+	type outcome struct {
+		flows      map[packet.FlowKey]summary
+		verdicts   [NumVerdicts]uint64
+		migrations uint64
 	}
 	for _, in := range []struct {
-		name   string
-		shards int
-		cfg    Config
-		pkts   []IngestPacket
-		flows  int
+		name       string
+		shards     int
+		cfg        Config
+		pkts       []IngestPacket
+		flows      int
+		migrations uint64
 	}{
-		{"interleaved", 4, Config{}, interleaved, len(specs)},
-		{"cap-pressure", 1, Config{MaxFlows: 1}, capPressure, 2},
+		{"interleaved", 4, Config{}, interleave(perFlow...), len(specs), 0},
+		{"cap-pressure", 1, Config{MaxFlows: 1}, capPressure, 2, 0},
+		{"handshake-then-bulk", 4, Config{}, bulk, 6, 2},
 	} {
 		// run replays the input through one entry point: batchSize < 0 is
 		// the plain Pipeline, 0 is Sharded.HandlePacket, anything else a
 		// Sharded.HandlePacketBatch size.
-		run := func(batchSize int) map[string]summary {
+		run := func(batchSize int) outcome {
 			var mu sync.Mutex
-			out := map[string]summary{}
+			out := outcome{flows: map[packet.FlowKey]summary{}}
+			initSize := map[packet.FlowKey]int{}
 			record := func(rec *FlowRecord) {
 				mu.Lock()
 				defer mu.Unlock()
-				if _, dup := out[rec.SNI]; dup {
+				if _, dup := out.flows[rec.Key]; dup {
 					t.Errorf("%s batch=%d: flow %s has two terminal records", in.name, batchSize, rec.SNI)
 				}
-				out[rec.SNI] = summary{
+				out.flows[rec.Key] = summary{
+					sni:        rec.SNI,
 					verdict:    rec.Verdict,
 					platform:   rec.Prediction.Platform,
 					status:     rec.Prediction.Status,
@@ -189,10 +318,16 @@ func TestBatchedMatchesSinglePacket(t *testing.T) {
 					bytesUp:    rec.BytesUp,
 					pktsDown:   rec.PacketsDown,
 					pktsUp:     rec.PacketsUp,
+					initSize:   initSize[rec.Key],
 				}
 			}
 			cfg := in.cfg
 			cfg.OnEvict = func(rec *FlowRecord, _ flowtable.Reason) { record(rec) }
+			cfg.OnClassify = func(rec *FlowRecord, hs *features.HandshakeInfo) {
+				mu.Lock()
+				defer mu.Unlock()
+				initSize[rec.Key] = hs.InitPacketSize
+			}
 			if batchSize < 0 {
 				p := NewWithConfig(bank, cfg)
 				for _, pkt := range in.pkts {
@@ -203,6 +338,8 @@ func TestBatchedMatchesSinglePacket(t *testing.T) {
 				for _, rec := range p.Flows() {
 					record(rec)
 				}
+				st := p.Stats()
+				out.verdicts, out.migrations = st.Verdicts, st.Migrations
 				return out
 			}
 			s := NewShardedWithConfig(bank, in.shards, cfg)
@@ -223,28 +360,185 @@ func TestBatchedMatchesSinglePacket(t *testing.T) {
 			for _, rec := range s.Flows() {
 				record(rec)
 			}
+			for _, sh := range s.shards {
+				st := sh.p.Stats()
+				for v, n := range st.Verdicts {
+					out.verdicts[v] += n
+				}
+				out.migrations += st.Migrations
+			}
 			return out
 		}
 
 		want := run(-1)
-		if len(want) != in.flows {
-			t.Fatalf("%s: plain pipeline finalized %d flows, want %d", in.name, len(want), in.flows)
+		if len(want.flows) != in.flows {
+			t.Fatalf("%s: plain pipeline finalized %d flows, want %d", in.name, len(want.flows), in.flows)
 		}
-		for sni, w := range want {
+		if want.migrations != in.migrations {
+			t.Errorf("%s: plain pipeline re-keyed %d flows, want %d", in.name, want.migrations, in.migrations)
+		}
+		for key, w := range want.flows {
 			if w.verdict != VerdictClassified && w.verdict != VerdictAbstained {
-				t.Errorf("%s: flow %s verdict = %s, want a classification outcome", in.name, sni, w.verdict)
+				t.Errorf("%s: flow %s (%v) verdict = %s, want a classification outcome", in.name, w.sni, key, w.verdict)
+			}
+			if w.initSize == 0 {
+				t.Errorf("%s: flow %s (%v) was classified with no InitPacketSize", in.name, w.sni, key)
 			}
 		}
 		for _, batchSize := range []int{0, 7, 64, len(in.pkts)} {
 			got := run(batchSize)
-			if len(got) != len(want) {
-				t.Fatalf("%s batch=%d finalized %d flows, plain pipeline %d", in.name, batchSize, len(got), len(want))
+			if len(got.flows) != len(want.flows) {
+				t.Fatalf("%s batch=%d finalized %d flows, plain pipeline %d", in.name, batchSize, len(got.flows), len(want.flows))
 			}
-			for sni, w := range want {
-				if have, ok := got[sni]; !ok || have != w {
-					t.Errorf("%s batch=%d flow %s = %+v, plain pipeline = %+v", in.name, batchSize, sni, have, w)
+			for key, w := range want.flows {
+				if have, ok := got.flows[key]; !ok || have != w {
+					t.Errorf("%s batch=%d flow %v = %+v, plain pipeline = %+v", in.name, batchSize, key, have, w)
 				}
 			}
+			if got.verdicts != want.verdicts || got.migrations != want.migrations {
+				t.Errorf("%s batch=%d: verdict counts %v and %d migrations, plain pipeline %v and %d",
+					in.name, batchSize, got.verdicts, got.migrations, want.verdicts, want.migrations)
+			}
+		}
+	}
+}
+
+// TestKeepRule pins, frame kind by frame kind, how much of a frame ingest
+// packs for the shard (keepLen) and where it says the payload starts: whole
+// frames for everything handshake assembly or CID learning can read, the
+// headers alone for a TCP segment from the :443 side, and the flags byte
+// plus the longest connection ID for a short header.
+func TestKeepRule(t *testing.T) {
+	var (
+		client  = netip.MustParseAddrPort("192.168.1.7:50000")
+		server  = netip.MustParseAddrPort("203.0.113.10:443")
+		peer443 = netip.MustParseAddrPort("192.168.1.7:443")
+		client6 = netip.MustParseAddrPort("[2001:db8::7]:50000")
+		server6 = netip.MustParseAddrPort("[2001:db8::10]:443")
+	)
+	const (
+		eth, ip4, ip6, tcp, udp = 14, 20, 40, 20, 8
+		whole                   = -1
+	)
+	longHeader := func(typ uint8, n int) []byte {
+		b := []byte{0xc0 | typ<<4, 0, 0, 0, 1, 8, 1, 2, 3, 4, 5, 6, 7, 8, 0}
+		return append(b, make([]byte, n-len(b))...)
+	}
+	for _, c := range []struct {
+		name       string
+		frame      []byte
+		kept       int // bytes packed; whole = the frame, trailer included
+		payloadOff int
+	}{
+		{"SYN", craftFrame(client, server, packet.ProtoTCP, packet.FlagSYN, nil, 0), whole, eth + ip4 + tcp},
+		{"SYN, padded to the Ethernet minimum", craftFrame(client, server, packet.ProtoTCP, packet.FlagSYN, nil, 6), whole, eth + ip4 + tcp},
+		{"client data", craftFrame(client, server, packet.ProtoTCP, packet.FlagACK, make([]byte, 517), 0), whole, eth + ip4 + tcp},
+		{"server data", craftFrame(server, client, packet.ProtoTCP, packet.FlagACK, make([]byte, 1400), 0), eth + ip4 + tcp, eth + ip4 + tcp},
+		{"server data with a trailer", craftFrame(server, client, packet.ProtoTCP, packet.FlagACK, make([]byte, 1400), 4), eth + ip4 + tcp, eth + ip4 + tcp},
+		{"bare server ACK", craftFrame(server, client, packet.ProtoTCP, packet.FlagACK, nil, 0), eth + ip4 + tcp, eth + ip4 + tcp},
+		{"both ports 443", craftFrame(server, peer443, packet.ProtoTCP, packet.FlagACK, make([]byte, 1400), 0), whole, eth + ip4 + tcp},
+		{"short header of 21 bytes", craftFrame(server, client, packet.ProtoUDP, 0, shortHeader(nil, 21), 0), whole, eth + ip4 + udp},
+		{"short header of 22 bytes", craftFrame(server, client, packet.ProtoUDP, 0, shortHeader(nil, 22), 0), eth + ip4 + udp + 21, eth + ip4 + udp},
+		{"client short header", craftFrame(client, server, packet.ProtoUDP, 0, shortHeader(nil, 1350), 0), eth + ip4 + udp + 21, eth + ip4 + udp},
+		{"short header with a trailer", craftFrame(client, server, packet.ProtoUDP, 0, shortHeader(nil, 1350), 4), eth + ip4 + udp + 21, eth + ip4 + udp},
+		{"long header (Initial)", craftFrame(client, server, packet.ProtoUDP, 0, longHeader(quicproto.TypeInitial, 1250), 0), whole, eth + ip4 + udp},
+		{"long header (server Handshake)", craftFrame(server, client, packet.ProtoUDP, 0, longHeader(quicproto.TypeHandshake, 1200), 0), whole, eth + ip4 + udp},
+		{"0-RTT", craftFrame(client, server, packet.ProtoUDP, 0, longHeader(quicproto.Type0RTT, 1250), 0), whole, eth + ip4 + udp},
+		{"IPv6 client data", craftFrame(client6, server6, packet.ProtoTCP, packet.FlagACK, make([]byte, 517), 0), whole, eth + ip6 + tcp},
+		{"IPv6 server data", craftFrame(server6, client6, packet.ProtoTCP, packet.FlagACK, make([]byte, 1400), 0), eth + ip6 + tcp, eth + ip6 + tcp},
+		{"IPv6 short header", craftFrame(server6, client6, packet.ProtoUDP, 0, shortHeader(nil, 1350), 0), eth + ip6 + udp + 21, eth + ip6 + udp},
+	} {
+		s := NewSharded(emptyBank(), 1)
+		s.decode(time.Time{}, c.frame)
+		b := s.pending[0]
+		if b == nil || len(b.frames) != 1 {
+			t.Fatalf("%s: decode packed no frame", c.name)
+		}
+		f := b.frames[0]
+		want := c.kept
+		if want == whole {
+			want = len(c.frame)
+		}
+		if got := int(f.end - f.off); got != want || len(b.arena) != want {
+			t.Errorf("%s: kept %d of %d bytes (arena %d), want %d", c.name, got, len(c.frame), len(b.arena), want)
+		}
+		if int(f.payloadOff) != c.payloadOff {
+			t.Errorf("%s: payload offset %d, want %d", c.name, f.payloadOff, c.payloadOff)
+		}
+		if err := s.parser.Parse(c.frame, &s.scratch); err != nil || int(f.payloadLen) != len(s.scratch.Payload) {
+			t.Errorf("%s: payload length %d, the decode says %d (err %v)", c.name, f.payloadLen, len(s.scratch.Payload), err)
+		}
+		s.Close()
+	}
+}
+
+// TestBatchArenaBound pins maxBatchArena: a HandlePacketBatch call far
+// larger than one arena may hold is shipped as several batches, none over
+// the bound, and every frame still reaches the shard.
+func TestBatchArenaBound(t *testing.T) {
+	client := netip.MustParseAddrPort("192.168.1.7:50000")
+	server := netip.MustParseAddrPort("203.0.113.10:443")
+	frame := craftFrame(client, server, packet.ProtoTCP, packet.FlagACK, make([]byte, 1400), 0)
+	n := 3*maxBatchArena/len(frame) + 1
+	s := NewSharded(emptyBank(), 1)
+	for i := 0; i < n; i++ {
+		s.decode(time.Time{}, frame)
+		if got := len(s.pending[0].arena); got > maxBatchArena {
+			t.Fatalf("after %d frames the pending arena holds %d bytes, over the %d bound", i+1, got, maxBatchArena)
+		}
+	}
+	s.HandlePacketBatch(nil) // ships what is still pending
+	s.Close()
+	if got := s.shards[0].p.Stats().Packets; got != uint64(n) {
+		t.Errorf("the shard saw %d packets, want %d", got, n)
+	}
+}
+
+// TestHandlePacketBatchZeroAlloc pins the steady state of the whole ingest
+// hand-off — decode, route, pack, queue, and the shard worker's replay: with
+// pools warm and every flow decided, a 64-frame batch allocates nothing on
+// either side of the queue. The inboxes are one deep so that only a handful
+// of batches can be in flight at once: the pool then holds them all after
+// the warm-up, where a deep inbox would let ingest run ahead of the workers
+// and draw fresh batches for as long as the queue keeps growing.
+func TestHandlePacketBatchZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under the race detector sync.Pool drops a quarter of what it is handed")
+	}
+	server := netip.MustParseAddrPort("203.0.113.10:443")
+	var pkts []IngestPacket
+	now := time.Now()
+	for i := 0; i < 64; i++ {
+		client := netip.AddrPortFrom(netip.MustParseAddr("192.168.1.7"), uint16(50000+i/4))
+		var frame []byte
+		switch i % 4 {
+		case 0:
+			frame = craftFrame(server, client, packet.ProtoTCP, packet.FlagACK, make([]byte, 1400), 0)
+		case 1:
+			frame = craftFrame(client, server, packet.ProtoTCP, packet.FlagACK, nil, 0)
+		case 2:
+			frame = craftFrame(server, client, packet.ProtoUDP, 0, shortHeader(nil, 1350), 0)
+		case 3:
+			frame = craftFrame(client, server, packet.ProtoUDP, 0, shortHeader([]byte{1, 2, 3, 4, 5, 6, 7, 8}, 40), 0)
+		}
+		pkts = append(pkts, IngestPacket{TS: now, Data: frame})
+	}
+	s := NewShardedWithConfig(emptyBank(), 2, Config{ShardQueueDepth: 1})
+	go func() {
+		for range s.Results() {
+		}
+	}()
+	for i := 0; i < 512; i++ {
+		s.HandlePacketBatch(pkts) // nine client frames in, every flow is no-handshake
+	}
+	allocs := testing.AllocsPerRun(500, func() { s.HandlePacketBatch(pkts) })
+	s.Close()
+	if allocs != 0 {
+		t.Errorf("a steady-state 64-frame batch allocates %.1f times, want 0", allocs)
+	}
+	for _, rec := range s.Flows() {
+		if rec.Verdict != VerdictNoHandshake {
+			t.Fatalf("flow %v is %s: the batches were not all decided-flow traffic", rec.Key, rec.Verdict)
 		}
 	}
 }
@@ -367,14 +661,10 @@ func BenchmarkIngestInstrumented(b *testing.B) {
 func benchIngest(b *testing.B, shards, batchSize int, cfg Config) {
 	const flows = 256
 	frames := make([][]byte, flows)
-	src := netip.MustParseAddr("10.1.2.3")
-	dst := netip.MustParseAddr("93.184.216.34")
+	dst := netip.MustParseAddrPort("93.184.216.34:443")
 	for i := range frames {
-		tcp := packet.TCP{SrcPort: uint16(10000 + i), DstPort: 443, Flags: packet.FlagACK, Window: 64240}
-		ip := packet.IPv4{TTL: 64, Protocol: packet.ProtoTCP, Src: src, Dst: dst}
-		eth := packet.Ethernet{EtherType: packet.EtherTypeIPv4}
-		payload := make([]byte, 1200)
-		frames[i] = eth.Append(nil, ip.Append(nil, tcp.Append(nil, payload, src, dst)))
+		src := netip.AddrPortFrom(netip.MustParseAddr("10.1.2.3"), uint16(10000+i))
+		frames[i] = craftFrame(src, dst, packet.ProtoTCP, packet.FlagACK, make([]byte, 1200), 0)
 	}
 	now := time.Now()
 	bank := &Bank{models: map[bankKey]*Model{}}

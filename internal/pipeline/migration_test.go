@@ -152,6 +152,47 @@ func TestMigrationIdleEvictionCleansCIDs(t *testing.T) {
 	}
 }
 
+// TestMigrationTrailerPaddedFrames pins where the payload is looked for: a
+// frame may carry Ethernet padding or a trailer after its IP datagram, and
+// the QUIC payload is then not the frame's tail. Every frame of a migrating
+// flow is padded here: the long headers must still teach the CID index the
+// flow's connection IDs, and the short header that opens the new path must
+// still re-key the flow rather than spawn a ghost — on a Pipeline and, with
+// the payload located by the ingest-time decode, on a Sharded.
+func TestMigrationTrailerPaddedFrames(t *testing.T) {
+	ft := renderScenarioFlow(t, 41, fingerprint.Options{Migration: true}, false)
+	padded := tracePackets(ft, 4)
+
+	p := New(emptyBank())
+	for i, pkt := range padded {
+		p.HandlePacket(pkt.TS, pkt.Data)
+		if i == 1 && len(p.cids) != 2 {
+			// The client's Initial names its DCID (android_chrome's own ID is
+			// empty); the server's flight adds the server's.
+			t.Errorf("CID index holds %d IDs after the padded long-header flights, want 2", len(p.cids))
+		}
+	}
+	if st := p.TableStats(); p.Stats().Migrations != 1 || st.Rekeyed != 1 || st.Inserted != 1 {
+		t.Errorf("Pipeline: %d migrations, table %+v; want 1 migration re-keying the 1 inserted flow", p.Stats().Migrations, st)
+	}
+
+	s := NewSharded(emptyBank(), 4)
+	go func() {
+		for range s.Results() {
+		}
+	}()
+	s.HandlePacketBatch(padded)
+	s.Close()
+	if st := s.TableStats(); s.IngestStats().Migrations != 1 || st.Rekeyed != 1 || st.Inserted != 1 {
+		t.Errorf("Sharded: %d migrations, table %+v; want 1 migration re-keying the 1 inserted flow", s.IngestStats().Migrations, st)
+	}
+	for _, rec := range append(p.Flows(), s.Flows()...) {
+		if got := rec.PacketsUp + rec.PacketsDown; got != len(ft.Frames) || rec.Key != ft.Key() {
+			t.Errorf("record %v counted %d packets, want all %d on %v", rec.Key, got, len(ft.Frames), ft.Key())
+		}
+	}
+}
+
 // TestShardedMigrationRouting pins the ingest layer: shard placement hashes
 // the 5-tuple, so a migrated tuple would hash to the wrong shard — the
 // CID routing cache must override it and deliver post-migration frames to

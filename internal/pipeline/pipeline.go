@@ -107,6 +107,8 @@ func VerdictNames() [NumVerdicts]string {
 // platform and volumetric telemetry — the rows stored in the paper's
 // PostgreSQL database.
 type FlowRecord struct {
+	// Key is the flow's 5-tuple in client-to-server orientation (see
+	// clientSide) as first seen; a migrated flow keeps its original tuple.
 	Key       packet.FlowKey
 	Provider  fingerprint.Provider
 	Transport fingerprint.Transport
@@ -149,7 +151,7 @@ func (r *FlowRecord) MbpsDown() float64 {
 type flowState struct {
 	rec       FlowRecord
 	asm       hsAssembler    // incremental handshake assembly state
-	clientKey packet.FlowKey // direction of the initiating packet
+	clientKey packet.FlowKey // client-to-server direction of the current tuple: clientSide of it
 	done      bool           // finalize ran: rec.Verdict is terminal
 	span      *obs.Span      // lifecycle trace, non-nil only for sampled flows
 
@@ -467,21 +469,43 @@ func (p *Pipeline) HandlePacket(ts time.Time, frame []byte) (*FlowRecord, error)
 		p.packets.Add(1)
 		return nil, nil
 	}
-	return p.handleKeyed(ts, frame, key, key.Canonical(), len(p.parsed.Payload), &p.parsed)
+	payload := p.parsed.Payload
+	return p.handleKeyed(ts, frame, payload, key, key.Canonical(), len(payload), &p.parsed)
+}
+
+// clientSide orients a port-443 flow key client to server: the client is the
+// endpoint talking to :443, whichever side the tap happened to see first —
+// a server flight that overtakes the SYN on a two-tap merge, or a daemon
+// started mid-flow, must not swap upstream and downstream. With both ports
+// 443 the packet's own direction stands. Every assignment of
+// flowState.clientKey goes through here, so a segment from the :443 side is
+// never the client direction and never reaches handshake assembly — the
+// fact Sharded's ingest relies on when it ships such segments without their
+// payload.
+func clientSide(key packet.FlowKey) packet.FlowKey {
+	if key.DstPort != 443 && key.SrcPort == 443 {
+		return key.Reverse()
+	}
+	return key
 }
 
 // handleKeyed is the post-decode flow path. key, canon and payloadLen are
 // the ingest-time decode's summary — everything the flow stage needs, small
 // enough to travel through a shard queue without dragging the full layer
-// structs along. frame is still required for handshake assembly (client
-// payload bytes are copied into flow state until a ClientHello parses out).
-// parsed, when non-nil, is the caller's decode of frame, letting the
-// assembler skip its own parse; shard workers pass nil (only the summary
-// crosses the queue) and the assembler re-decodes the few client
-// handshake-phase frames it actually consumes. A handshake that completes is
-// classified here, on arrival, and the flow finalized before the call
-// returns.
-func (p *Pipeline) handleKeyed(ts time.Time, frame []byte, key, canon packet.FlowKey, payloadLen int, parsed *packet.Parsed) (*FlowRecord, error) {
+// structs along. payload is the frame's transport payload, or the leading
+// part of it that Sharded's ingest kept (see Sharded.decode): the CID index
+// reads at most its first 21 bytes of a short header and the long-header
+// prefix, so a cut payload serves it; payloadLen is the length on the wire
+// and is what the byte counters use. frame (the kept bytes, for a shard
+// worker) is still required for handshake assembly, which copies client
+// payload bytes into flow state until a ClientHello parses out; the frames
+// assembly consumes are never cut. parsed, when non-nil, is the caller's
+// decode of frame, letting the assembler skip its own parse; shard workers
+// pass nil (only the summary crosses the queue) and the assembler re-decodes
+// the few client handshake-phase frames it actually consumes. A handshake
+// that completes is classified here, on arrival, and the flow finalized
+// before the call returns.
+func (p *Pipeline) handleKeyed(ts time.Time, frame, payload []byte, key, canon packet.FlowKey, payloadLen int, parsed *packet.Parsed) (*FlowRecord, error) {
 	p.packets.Add(1)
 	if !isVideoPort(key) {
 		return nil, nil
@@ -489,11 +513,11 @@ func (p *Pipeline) handleKeyed(ts time.Time, frame []byte, key, canon packet.Flo
 	p.maybeSweep(ts)
 	st, ok := p.flows.Touch(canon, ts)
 	if !ok {
-		st, ok = p.migrateFlow(key, canon, frame, payloadLen, ts)
+		st, ok = p.migrateFlow(key, canon, payload, ts)
 	}
 	if !ok {
-		st = &flowState{clientKey: key}
-		st.rec.Key = key
+		st = &flowState{clientKey: clientSide(key)}
+		st.rec.Key = st.clientKey
 		st.rec.FirstSeen = ts
 		st.asm.init()
 		if p.cfg.Tracer != nil {
@@ -519,10 +543,8 @@ func (p *Pipeline) handleKeyed(ts time.Time, frame []byte, key, canon packet.Flo
 	// chosen CID — so a later 5-tuple change is recognized as migration
 	// instead of spawning a ghost flow. Runs even for flows already
 	// classified: migration happens mid-stream, long after the verdict.
-	if key.Proto == packet.ProtoUDP && payloadLen > 0 && payloadLen <= len(frame) {
-		if pl := frame[len(frame)-payloadLen:]; quicproto.IsLongHeader(pl) {
-			p.learnCIDs(st, canon, pl)
-		}
+	if key.Proto == packet.ProtoUDP && quicproto.IsLongHeader(payload) {
+		p.learnCIDs(st, canon, payload)
 	}
 
 	// Telemetry split by direction.
@@ -653,17 +675,13 @@ func transportOf(info *features.HandshakeInfo) fingerprint.Transport {
 	return fingerprint.TCP
 }
 
-// hintFor resolves the provider hint for a flow's server side (the 443
-// endpoint of the initiating packet).
+// hintFor resolves the provider hint for a flow's server side, which
+// clientSide makes the destination of clientKey.
 func (p *Pipeline) hintFor(st *flowState) (fingerprint.Provider, bool) {
 	if p.cfg.ProviderHint == nil {
 		return 0, false
 	}
-	addr := st.clientKey.Dst
-	if st.clientKey.DstPort != 443 {
-		addr = st.clientKey.Src
-	}
-	return p.cfg.ProviderHint(addr)
+	return p.cfg.ProviderHint(st.clientKey.Dst)
 }
 
 // earlyMinMargin resolves the Config.EarlyMinMargin default.
@@ -733,12 +751,13 @@ func (p *Pipeline) finishDegraded(st *flowState, info *features.HandshakeInfo, f
 // frame's QUIC connection ID belongs to a live flow, that flow is re-keyed
 // onto the new 5-tuple (connection migration) and keeps its assembler
 // state, record and telemetry — one FlowRecord per logical flow, not a
-// ghost per path. ok is false when the frame matches no known CID.
-func (p *Pipeline) migrateFlow(key, canon packet.FlowKey, frame []byte, payloadLen int, ts time.Time) (*flowState, bool) {
-	if len(p.cids) == 0 || key.Proto != packet.ProtoUDP || payloadLen <= 0 || payloadLen > len(frame) {
+// ghost per path. ok is false when the frame matches no known CID. payload
+// may be cut as handleKeyed describes.
+func (p *Pipeline) migrateFlow(key, canon packet.FlowKey, payload []byte, ts time.Time) (*flowState, bool) {
+	if len(p.cids) == 0 || key.Proto != packet.ProtoUDP || len(payload) == 0 {
 		return nil, false
 	}
-	oldCanon, ok := p.lookupCID(frame[len(frame)-payloadLen:])
+	oldCanon, ok := p.lookupCID(payload)
 	if !ok || !p.flows.Rekey(oldCanon, canon) {
 		return nil, false
 	}
@@ -750,11 +769,7 @@ func (p *Pipeline) migrateFlow(key, canon packet.FlowKey, frame []byte, payloadL
 	// The client now speaks from the migrated tuple (the 443 side stays the
 	// server); re-pointing clientKey keeps the direction split and any
 	// still-running handshake assembly correct for everything that follows.
-	if key.DstPort == 443 {
-		st.clientKey = key
-	} else {
-		st.clientKey = key.Reverse()
-	}
+	st.clientKey = clientSide(key)
 	// Follow the flow in the CID index so a second migration re-keys again
 	// and eviction cleans up under the current key.
 	for _, ck := range st.cids {

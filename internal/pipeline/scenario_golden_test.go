@@ -13,7 +13,7 @@ import (
 // migration, and mid-handshake migration (the ClientHello split across two
 // Initials, reassembled by the CRYPTO-offset path). 0-RTT flows have no
 // hello at all and are covered by the partial-info sweep below.
-func scenarioEvalFlows(t *testing.T) []*tracegen.FlowTrace {
+func scenarioEvalFlows(t testing.TB) []*tracegen.FlowTrace {
 	t.Helper()
 	g := tracegen.New(1234)
 	var out []*tracegen.FlowTrace

@@ -1,6 +1,8 @@
 package pipeline
 
 import (
+	"encoding/binary"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -15,11 +17,15 @@ import (
 // fields are zero.
 const (
 	// DefaultShardQueueDepth is the per-shard inbox capacity in batch
-	// messages. Worst-case queued frame memory per shard is roughly
-	// depth × the largest batch's bytes (a 64-frame batch of 1.5KB frames
-	// is ~96KB, so 64 messages bound a shard at a few MB even if every
-	// frame of every batch hashes to it); in the common case a shard only
-	// queues its hash-share of each batch, far less.
+	// messages. A queued batch holds a ~100-byte summary per frame plus the
+	// frame's kept bytes (keepLen): whole for handshake and other
+	// client-direction frames, ~60–75 bytes for the server TCP segments and
+	// QUIC short headers that are the bulk of a stream. A 64-frame batch is
+	// therefore ~10KB of established-flow traffic and ~100KB if every frame
+	// is an MTU-sized handshake frame hashing to one shard, so 64 messages
+	// bound a shard at well under 1MB in the common case and a few MB at
+	// worst; no batch packs more than maxBatchArena, whatever the size of
+	// the caller's batches.
 	DefaultShardQueueDepth = 64
 	// DefaultResultsBufferPerShard scales the Results channel with the shard
 	// count: every shard worker gets this much burst headroom before
@@ -28,8 +34,9 @@ const (
 )
 
 // IngestPacket is one timestamped frame handed to the batch ingest path.
-// The Data bytes are copied into a pooled arena on ingest, so the caller
-// may reuse them as soon as HandlePacketBatch returns.
+// What the pipeline still needs of Data is copied into a pooled arena on
+// ingest, so the caller may reuse the bytes as soon as HandlePacketBatch
+// returns.
 type IngestPacket struct {
 	TS   time.Time
 	Data []byte
@@ -40,25 +47,29 @@ type IngestPacket struct {
 // 20 Gbps tap. Hashing is symmetric (both directions of a flow land on the
 // same shard), and each shard owns its flow table, so shards never contend.
 //
-// Ingest contract: each frame is decoded on the ingest goroutine, and the
-// decode is summarized into the flow key, canonical key and payload length
-// that travel with the frame. Only that summary crosses the queue, so a
-// shard worker accounts a frame without decoding it (Pipeline.handleKeyed)
+// Ingest contract: each frame is decoded on the ingest goroutine
+// (Sharded.decode), and the decode is summarized — wire key, direction
+// relative to the canonical key, payload offset and on-the-wire length —
+// in place into the owning shard's pending batch. Only that summary and the
+// leading bytes of the frame that the flow stage can still read (keepLen)
+// cross the queue: server-side TCP payloads and the bodies of QUIC short
+// headers, which nothing past ingest looks at, are counted and left behind.
+// A shard worker accounts a frame without decoding it (Pipeline.handleKeyed)
 // — unless the frame is a client-direction frame of a flow that has no
 // verdict yet: handshake assembly needs the layers, and hsAssembler.consume
-// decodes those few frames per flow a second time. Frames of decided flows,
-// server-direction frames and everything on an established flow are decoded
-// exactly once. A frame that completes a handshake is classified by its
-// shard worker on the spot, so a flow's verdict never waits on the rest of
-// its ingest batch. Frames that do not decode to a TCP/UDP 5-tuple are
-// dropped at ingest and counted in IngestStats.Ignored — they carry no flow,
-// so copying them and occupying a shard queue slot bought nothing — and
-// decodable flows off port 443 are likewise dropped and counted in
-// IngestStats.Filtered, since the pipeline's video filter would discard
-// them anyway. Frame bytes are packed back-to-back into per-batch arenas
-// drawn from a sync.Pool and recycled once the owning shard's pipeline has
-// consumed the batch; the pipeline copies anything it retains, so recycled
-// arenas never alias live flow state.
+// decodes those few frames per flow, always kept whole, a second time.
+// Frames of decided flows, server-direction frames and everything on an
+// established flow are decoded exactly once. A frame that completes a
+// handshake is classified by its shard worker on the spot, so a flow's
+// verdict never waits on the rest of its ingest batch. Frames that do not
+// decode to a TCP/UDP 5-tuple are dropped at ingest and counted in
+// IngestStats.Ignored — they carry no flow, so copying them and occupying a
+// shard queue slot bought nothing — and decodable flows off port 443 are
+// likewise dropped and counted in IngestStats.Filtered, since the pipeline's
+// video filter would discard them anyway. Kept bytes are packed back-to-back
+// into per-batch arenas drawn from a sync.Pool and recycled once the owning
+// shard's pipeline has consumed the batch; the pipeline copies anything it
+// retains, so recycled arenas never alias live flow state.
 //
 // HandlePacket and HandlePacketBatch are intended for a single ingest
 // goroutine (the shard workers provide the parallelism) and must not be
@@ -147,39 +158,70 @@ type shardMsg struct {
 	enq time.Time
 }
 
-// ingestBatch is the unit shipped to a shard: one or more frames decoded at
-// ingest, their bytes packed back-to-back into a single arena. Packing
-// keeps the copy path sequential (a streamed append instead of scattered
-// per-frame buffers) and makes recycling one pool op per batch. Frames
-// reference their bytes by arena offset, so arena growth during packing
-// never invalidates them.
+// ingestBatch is the unit shipped to a shard: the summaries of one or more
+// frames decoded at ingest, and the bytes of those frames the shard can
+// still read, packed back-to-back into a single arena. Packing keeps the
+// copy path sequential (a streamed append instead of scattered per-frame
+// buffers) and makes recycling one pool op per batch. Frames reference
+// their bytes by arena offset, so arena growth during packing never
+// invalidates them.
 type ingestBatch struct {
 	arena  []byte
 	frames []ingestFrame
 }
 
-// ingestFrame is the per-frame summary of the single ingest-time decode:
-// where the bytes live in the batch arena, the flow key (plus its canonical
-// form, so workers never recompute it) and the transport payload length —
-// everything the flow stage needs without dragging the full layer structs
-// through the queue.
+// maxBatchArena caps the bytes one batch packs: Sharded.decode ships a
+// shard's pending batch early rather than grow its arena past this, which
+// keeps ingestFrame's offsets in int32 however many frames a caller hands
+// HandlePacketBatch at once, and bounds what one inbox slot can pin.
+const maxBatchArena = 1 << 20
+
+// ingestFrame is the per-frame summary of the single ingest-time decode —
+// everything the flow stage needs without dragging the layer structs
+// through the queue. Sharded.decode fills a slot of the batch in place, and
+// the worker reads it there: the struct is never passed by value.
 type ingestFrame struct {
-	ts         time.Time
-	off, end   int // frame bytes are arena[off:end]
-	key, canon packet.FlowKey
-	payloadLen int
+	ts  time.Time
+	key packet.FlowKey // as on the wire
+	// reversed says the flow's canonical key is key.Reverse(), not key, so
+	// the worker derives it without the address comparison ingest already
+	// made and without a second 56-byte key in every summary.
+	reversed bool
+	off, end int32 // the kept bytes, keepLen of the frame, are arena[off:end]
+	// payloadOff is where the transport payload starts within the kept
+	// bytes; payloadLen is its length on the wire, which is what the byte
+	// counters use. The kept part of it is shorter when keepLen cut the frame
+	// and ends before the kept bytes do when an Ethernet trailer follows.
+	payloadOff, payloadLen int32
 }
 
-// add packs one decoded frame and its bytes into the batch. data is only
-// borrowed: its bytes are copied into the arena and the caller may recycle
-// the buffer as soon as add returns.
-//
-//vp:borrowed data
-func (b *ingestBatch) add(f ingestFrame, data []byte) {
-	f.off = len(b.arena)
-	b.arena = append(b.arena, data...)
-	f.end = len(b.arena)
-	b.frames = append(b.frames, f)
+// shortHeaderKeep is how much of a QUIC short-header payload anything past
+// ingest reads: the flags byte and the longest connection ID, which are what
+// Pipeline.lookupCID probes and all hsAssembler looks at.
+const shortHeaderKeep = 1 + 20
+
+// keepLen is how many leading bytes of a frame the flow stage can still
+// read, given the frame's decode: its key, where its transport payload
+// starts and the payload itself. That is the whole frame, Ethernet trailer
+// included, with two exceptions. A TCP segment from port 443 to any other
+// port is never the client direction (clientSide), so it never reaches
+// handshake assembly and nothing reads past its TCP header. A UDP payload
+// that is a short header — or no QUIC at all — is read for a connection ID
+// and no further, so shortHeaderKeep bytes of it serve. These two are the
+// bulk of a video stream: what a decided flow still needs of them is their
+// length, which the summary carries.
+func keepLen(key packet.FlowKey, frameLen, payloadOff int, payload []byte) int {
+	switch key.Proto {
+	case packet.ProtoTCP:
+		if key.SrcPort == 443 && key.DstPort != 443 {
+			return payloadOff
+		}
+	case packet.ProtoUDP:
+		if len(payload) > shortHeaderKeep && !quicproto.IsLongHeader(payload) {
+			return payloadOff + shortHeaderKeep
+		}
+	}
+	return frameLen
 }
 
 // NewSharded starts n shard workers over a shared trained bank with
@@ -235,7 +277,16 @@ func NewShardedWithConfig(bank *Bank, n int, cfg Config) *Sharded {
 				b := msg.batch
 				for i := range b.frames {
 					f := &b.frames[i]
-					rec, err := sh.p.handleKeyed(f.ts, b.arena[f.off:f.end], f.key, f.canon, f.payloadLen, nil)
+					kept := b.arena[f.off:f.end]
+					payload := kept[f.payloadOff:]
+					if len(payload) > int(f.payloadLen) {
+						payload = payload[:f.payloadLen] // an Ethernet trailer follows it
+					}
+					canon := f.key
+					if f.reversed {
+						canon = f.key.Reverse()
+					}
+					rec, err := sh.p.handleKeyed(f.ts, kept, payload, f.key, canon, int(f.payloadLen), nil)
 					if err == nil && rec != nil {
 						s.deliver(rec)
 					}
@@ -261,31 +312,37 @@ func (s *Sharded) getBatch() *ingestBatch {
 }
 
 // decode parses one frame — the single parse of the ingest path — into the
-// ingest goroutine's scratch state and summarizes it. ok is false when the
-// frame carries no TCP/UDP 5-tuple (counted in Ignored) or is not port-443
-// traffic (counted in Filtered): neither can become a video flow, so
-// neither is worth an arena copy and a shard hop.
-func (s *Sharded) decode(ts time.Time, data []byte) (ingestFrame, int, bool) {
+// ingest goroutine's scratch state, picks the shard that owns its flow and
+// writes its summary and kept bytes (keepLen) straight into that shard's
+// pending batch. A frame that carries no TCP/UDP 5-tuple (counted in
+// Ignored) or is not port-443 traffic (counted in Filtered) goes nowhere:
+// neither can become a video flow, so neither is worth an arena copy and a
+// shard hop. data is only borrowed: what is kept of it is copied into the
+// arena — the one place frame bytes are copied — and the caller may recycle
+// the buffer as soon as decode returns.
+//
+//vp:borrowed data
+func (s *Sharded) decode(ts time.Time, data []byte) {
 	if err := s.parser.Parse(data, &s.scratch); err != nil {
 		s.ignored.Add(1)
-		return ingestFrame{}, 0, false
+		return
 	}
 	key, ok := s.scratch.Flow()
 	if !ok {
 		s.ignored.Add(1)
-		return ingestFrame{}, 0, false
+		return
 	}
 	if !isVideoPort(key) {
 		s.filtered.Add(1)
-		return ingestFrame{}, 0, false
+		return
 	}
+	payload := s.scratch.Payload
 	canon := key.Canonical()
-	f := ingestFrame{ts: ts, key: key, canon: canon, payloadLen: len(s.scratch.Payload)}
 	idx := int(hashKey(canon) % uint64(len(s.shards)))
-	if key.Proto == packet.ProtoUDP && len(s.scratch.Payload) > 0 {
+	if key.Proto == packet.ProtoUDP && len(payload) > 0 {
 		if own, hit := s.tupleRoute[canon]; hit {
 			idx = own
-		} else if routed := s.routeQUIC(s.scratch.Payload, idx); routed != idx {
+		} else if routed := s.routeQUIC(payload, idx); routed != idx {
 			// CID routing overrode the hash: a migrated tuple. Pin it so
 			// CID-less frames on this tuple follow the flow too.
 			idx = routed
@@ -297,7 +354,34 @@ func (s *Sharded) decode(ts time.Time, data []byte) (ingestFrame, int, bool) {
 			}
 		}
 	}
-	return f, idx, true
+
+	keep := keepLen(key, len(data), s.scratch.PayloadOff, payload)
+	b := s.pending[idx]
+	if b != nil && len(b.arena)+keep > maxBatchArena {
+		s.flush(idx)
+		b = nil
+	}
+	if b == nil {
+		b = s.getBatch()
+		s.pending[idx] = b
+	}
+	b.frames = append(b.frames, ingestFrame{})
+	f := &b.frames[len(b.frames)-1]
+	f.ts = ts
+	f.key = key
+	f.reversed = canon != key
+	f.off = int32(len(b.arena))
+	b.arena = append(b.arena, data[:keep]...)
+	f.end = int32(len(b.arena))
+	f.payloadOff = int32(s.scratch.PayloadOff)
+	f.payloadLen = int32(len(payload))
+}
+
+// flush hands a shard its pending batch; the shard owns it from here.
+func (s *Sharded) flush(idx int) {
+	b := s.pending[idx]
+	s.pending[idx] = nil
+	s.send(s.shards[idx], shardMsg{batch: b})
 }
 
 // routeQUIC overrides the hash-based shard of a QUIC frame when its
@@ -373,16 +457,18 @@ func (s *Sharded) send(sh *shard, msg shardMsg) {
 }
 
 // HandlePacket routes one frame to its flow's shard: HandlePacketBatch of
-// one element. The frame is copied, so the caller may reuse it immediately.
+// one element. What is kept of the frame is copied, so the caller may reuse
+// it immediately.
 func (s *Sharded) HandlePacket(ts time.Time, frame []byte) {
 	s.HandlePacketBatch([]IngestPacket{{TS: ts, Data: frame}})
 }
 
 // HandlePacketBatch routes a batch of frames with one decode per frame and
 // at most one channel send per shard, amortizing the per-packet channel
-// cost that dominates the single-packet path at high rates. Every pkt.Data
-// is copied into a pooled arena, so callers may reuse the batch and its
-// buffers immediately. See the type comment for the ingest contract.
+// cost that dominates the single-packet path at high rates. What is kept of
+// each pkt.Data is copied into a pooled arena, so callers may reuse the
+// batch and its buffers immediately. See the type comment for the ingest
+// contract.
 func (s *Sharded) HandlePacketBatch(pkts []IngestPacket) {
 	// Rolling clock: one time.Now per frame when observed, attributing the
 	// full per-frame ingest cost (decode + arena pack) to StageDecode.
@@ -390,16 +476,8 @@ func (s *Sharded) HandlePacketBatch(pkts []IngestPacket) {
 	if s.obsv != nil {
 		t0 = time.Now()
 	}
-	for _, pkt := range pkts {
-		f, idx, ok := s.decode(pkt.TS, pkt.Data)
-		if ok {
-			b := s.pending[idx]
-			if b == nil {
-				b = s.getBatch()
-				s.pending[idx] = b
-			}
-			b.add(f, pkt.Data)
-		}
+	for i := range pkts {
+		s.decode(pkts[i].TS, pkts[i].Data)
 		if s.obsv != nil {
 			t1 := time.Now()
 			s.obsv.Record(obs.StageDecode, t1.Sub(t0))
@@ -408,8 +486,7 @@ func (s *Sharded) HandlePacketBatch(pkts []IngestPacket) {
 	}
 	for idx, b := range s.pending {
 		if b != nil {
-			s.pending[idx] = nil // the shard owns it from here
-			s.send(s.shards[idx], shardMsg{batch: b})
+			s.flush(idx)
 		}
 	}
 }
@@ -565,29 +642,29 @@ func (s *Sharded) TableStats() flowtable.Stats {
 	return st
 }
 
-// hashKey is an FNV-1a over the canonical 5-tuple; symmetric because the
-// key is canonicalized first.
+// hashKey hashes a canonical 5-tuple a word at a time: multiply–rotate over
+// the two 16-byte addresses and a word holding ports and protocol, then an
+// avalanche finalizer. It is symmetric because the key is canonicalized
+// first. The finalizer is not optional: a multiply carries a difference
+// upward only, so without it the low bits of the result — the ones that pick
+// the shard — are blind to the high bits of the last word, and tuples that
+// differ only in the top bits of a port would all share a shard.
 func hashKey(k packet.FlowKey) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	mix := func(b byte) {
-		h ^= uint64(b)
-		h *= prime
-	}
+	const m = 0x9e3779b97f4a7c15 // 2^64 / golden ratio, odd
 	src, dst := k.Src.As16(), k.Dst.As16()
-	for _, b := range src {
-		mix(b)
+	h := uint64(0)
+	for _, w := range [5]uint64{
+		binary.LittleEndian.Uint64(src[:8]), binary.LittleEndian.Uint64(src[8:]),
+		binary.LittleEndian.Uint64(dst[:8]), binary.LittleEndian.Uint64(dst[8:]),
+		uint64(k.SrcPort)<<24 | uint64(k.DstPort)<<8 | uint64(k.Proto),
+	} {
+		h = bits.RotateLeft64((h^w)*m, 29)
 	}
-	for _, b := range dst {
-		mix(b)
-	}
-	mix(byte(k.SrcPort >> 8))
-	mix(byte(k.SrcPort))
-	mix(byte(k.DstPort >> 8))
-	mix(byte(k.DstPort))
-	mix(k.Proto)
+	// The 64-bit finalizer of MurmurHash3.
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	h ^= h >> 33
 	return h
 }
