@@ -68,7 +68,6 @@ type options struct {
 	shards       int
 	batchSize    int
 	shardQueue   int
-	resultsBuf   int
 	maxHello     int
 	maxFlows     int
 	idleTimeout  time.Duration
@@ -119,7 +118,6 @@ func registerFlags(fs *flag.FlagSet) *options {
 	fs.IntVar(&o.shards, "shards", 0, "pipeline shards (0 = GOMAXPROCS)")
 	fs.IntVar(&o.batchSize, "batch-size", 0, "frames read and dispatched per ingest batch (0 = default 64)")
 	fs.IntVar(&o.shardQueue, "shard-queue", 0, "per-shard ingest inbox depth in batches (0 = default 64)")
-	fs.IntVar(&o.resultsBuf, "results-buffer", 0, "classified-results channel capacity (0 = 64 per shard)")
 	fs.IntVar(&o.maxHello, "max-hello-bytes", 0, "per-flow buffered handshake byte cap (0 = default 64KiB, <0 = unbounded); oversized flows are abandoned and counted")
 	fs.IntVar(&o.maxFlows, "max-flows", 65536, "flow-table cap across shards (<0 = unbounded)")
 	fs.DurationVar(&o.idleTimeout, "idle-timeout", 90*time.Second, "evict flows idle for this long, in trace time (<0 = never)")
@@ -285,7 +283,6 @@ func main() {
 		Rate:            o.rate,
 		BatchSize:       o.batchSize,
 		ShardQueueDepth: o.shardQueue,
-		ResultsBuffer:   o.resultsBuf,
 		MaxHelloBytes:   o.maxHello,
 		EarlyMinMargin:  o.earlyMinMargin,
 		ProviderHint:    providerHint,

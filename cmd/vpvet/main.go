@@ -1,14 +1,12 @@
 // Command vpvet is the repo's contract linter: a go vet -vettool
-// multichecker bundling the four analyzers that enforce the serving spine's
+// multichecker bundling the three analyzers that enforce the serving spine's
 // hot-path contracts statically (see docs/ANALYZERS.md):
 //
-//   - borrowck:      //vp:borrowed parameters must not escape the call
-//   - hotpath:       //vp:hotpath functions (and their module callees)
+//   - borrowck: //vp:borrowed parameters must not escape the call
+//   - hotpath:  //vp:hotpath functions (and their module callees)
 //     must not allocate
-//   - nilguard:      exported methods on //vp:nilsafe types must begin
+//   - nilguard: exported methods on //vp:nilsafe types must begin
 //     with a nil-receiver guard
-//   - metriccatalog: emitted videoplat_* series and the metricsCatalog
-//     table must agree
 //
 // Build and run it through the vet driver so packages are analyzed in
 // dependency order with facts flowing between them:
@@ -22,7 +20,6 @@ import (
 
 	"videoplat/internal/analysis/borrowck"
 	"videoplat/internal/analysis/hotpath"
-	"videoplat/internal/analysis/metriccatalog"
 	"videoplat/internal/analysis/nilguard"
 )
 
@@ -31,6 +28,5 @@ func main() {
 		borrowck.Analyzer,
 		hotpath.Analyzer,
 		nilguard.Analyzer,
-		metriccatalog.Analyzer,
 	)
 }

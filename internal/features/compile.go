@@ -111,7 +111,7 @@ type compiledAttr struct {
 // Compile lowers a fitted encoder into its serving-path form with default
 // extraction options (the paper's configuration, and what the pipeline's
 // Extract uses). It fails only for attribute labels this build does not know
-// how to lower, so callers can fall back to Extract+Transform.
+// how to lower.
 func Compile(e *Encoder) (*CompiledEncoder, error) {
 	return CompileWithOptions(e, Options{})
 }

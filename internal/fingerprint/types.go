@@ -26,7 +26,10 @@ const (
 	Netflix
 	Disney
 	Amazon
-	numProviders
+
+	// NumProviders is the number of Provider values, for fixed-size counter
+	// arrays.
+	NumProviders = int(Amazon) + 1
 )
 
 // AllProviders lists the studied providers in paper order.

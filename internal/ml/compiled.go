@@ -84,8 +84,8 @@ type CompiledForest struct {
 	realNodes int
 }
 
-// errEmptyForest and errRaggedForest are the CompileForest failure modes;
-// callers treat either as "serve through the reference pointer walk".
+// errEmptyForest and errRaggedForest are the CompileForest failure modes; a
+// bank holding such a forest is refused when it is built or loaded.
 var (
 	errEmptyForest  = errors.New("ml: cannot compile an empty forest")
 	errRaggedForest = errors.New("ml: cannot compile a forest with mixed leaf-distribution widths")
@@ -94,8 +94,7 @@ var (
 // CompileForest lowers a fitted forest into its compiled serving form. It
 // fails for ensembles the flat layout cannot represent faithfully — no
 // trees, or leaf distributions of differing widths (impossible for forests
-// trained by Fit, defensive for hand-assembled or corrupted ones) — so
-// callers can fall back to the reference path.
+// trained by Fit, defensive for hand-assembled or corrupted ones).
 func CompileForest(f *RandomForest) (*CompiledForest, error) {
 	if f == nil || len(f.trees) == 0 {
 		return nil, errEmptyForest

@@ -2,7 +2,6 @@ package pipeline
 
 import (
 	"fmt"
-	"sync"
 
 	"videoplat/internal/features"
 	"videoplat/internal/fingerprint"
@@ -34,16 +33,15 @@ func (o Objective) String() string {
 }
 
 // Model is one trained classifier: its fitted encoder, forest and class
-// universe.
+// universe, plus the compiled serving forms of both, lowered once when the
+// bank that holds the model is built (Bank.buildIndex).
 type Model struct {
 	Encoder *features.Encoder
 	Forest  *ml.RandomForest
 	Classes []string
 
-	compileOnce sync.Once
-	compiled    *features.CompiledEncoder
-	forestOnce  sync.Once
-	cforest     *ml.CompiledForest
+	compiled *features.CompiledEncoder
+	cforest  *ml.CompiledForest
 }
 
 // Predict classifies one handshake's field values (the training/experiments
@@ -62,27 +60,14 @@ func (m *Model) predict(v *features.FieldValues) (string, float64, float64) {
 	return m.Classes[ci], conf, probaMargin(proba, ci, conf)
 }
 
-// Compiled returns the model's serving-path compiled encoder, lowering the
-// fitted encoder on first use. It returns nil when the encoder cannot be
-// compiled (an attribute schema this build does not know), in which case the
-// model's bank entry serves through the reference path (see ClassifyBatch).
-func (m *Model) Compiled() *features.CompiledEncoder {
-	m.compileOnce.Do(func() {
-		m.compiled, _ = features.Compile(m.Encoder)
-	})
-	return m.compiled
-}
+// Compiled returns the model's serving-path compiled encoder. Never nil for
+// a model of a bank TrainBank or UnmarshalBinary returned.
+func (m *Model) Compiled() *features.CompiledEncoder { return m.compiled }
 
-// CompiledForest returns the model's serving-path compiled forest, lowering
-// the fitted ensemble into flat node arrays on first use. It returns nil
-// when the forest cannot be compiled (empty or malformed ensembles), in
-// which case the model's bank entry serves through the reference path.
-func (m *Model) CompiledForest() *ml.CompiledForest {
-	m.forestOnce.Do(func() {
-		m.cforest, _ = ml.CompileForest(m.Forest)
-	})
-	return m.cforest
-}
+// CompiledForest returns the model's serving-path compiled forest (flat node
+// arrays). Never nil for a model of a bank TrainBank or UnmarshalBinary
+// returned.
+func (m *Model) CompiledForest() *ml.CompiledForest { return m.cforest }
 
 // bankKey identifies a model in the bank.
 type bankKey struct {
@@ -105,12 +90,10 @@ type Bank struct {
 	Version string
 
 	// entries is the serving-path index: per (provider, transport), the
-	// three objective models plus — when their fitted encoders are
-	// equivalent, which TrainBank guarantees — one shared compiled encoder
-	// so a flow is encoded once for all three predictions. Built lazily
-	// (the model set is immutable after TrainBank/UnmarshalBinary).
-	entriesOnce sync.Once
-	entries     map[entryKey]*bankEntry
+	// three objective models, whose fitted encoders are equivalent so a flow
+	// is encoded once — by the platform model's compiled encoder — for all
+	// three predictions. Built by buildIndex; read-only afterwards.
+	entries map[entryKey]*bankEntry
 }
 
 type entryKey struct {
@@ -120,52 +103,52 @@ type entryKey struct {
 
 type bankEntry struct {
 	platform, device, agent *Model
-	// shared is the single compiled encoder serving all three objectives,
-	// nil when the per-objective encoders differ (hand-assembled banks) or
-	// cannot be compiled.
-	shared *features.CompiledEncoder
-	// cplatform/cdevice/cagent are the objectives' compiled serving
-	// forests (flat node arrays); nil when an ensemble did not compile.
-	cplatform, cdevice, cagent *ml.CompiledForest
-}
-
-// batchable reports whether this entry carries every compiled serving form
-// the compiled evaluator needs: one shared encode pass plus flat-array
-// forests for all three objectives. An entry missing any of them serves
-// whole through the reference path.
-func (e *bankEntry) batchable() bool {
-	return e.shared != nil && e.cplatform != nil && e.cdevice != nil && e.cagent != nil
 }
 
 // entry returns the serving index entry for a (provider, transport), or nil
 // when any objective model is missing.
 func (b *Bank) entry(prov fingerprint.Provider, tr fingerprint.Transport) *bankEntry {
-	b.entriesOnce.Do(func() { //vp:allocok one-time lazy serving-index build under sync.Once
-		b.entries = map[entryKey]*bankEntry{}
-		for key := range b.models {
-			ek := entryKey{key.Provider, key.Transport}
-			if _, done := b.entries[ek]; done {
-				continue
-			}
-			e := &bankEntry{
-				platform: b.models[bankKey{ek.Provider, ek.Transport, PlatformObjective}],
-				device:   b.models[bankKey{ek.Provider, ek.Transport, DeviceObjective}],
-				agent:    b.models[bankKey{ek.Provider, ek.Transport, AgentObjective}],
-			}
-			if e.platform == nil || e.device == nil || e.agent == nil {
-				continue
-			}
-			if e.platform.Encoder.EquivalentTo(e.device.Encoder) &&
-				e.platform.Encoder.EquivalentTo(e.agent.Encoder) {
-				e.shared = e.platform.Compiled()
-			}
-			e.cplatform = e.platform.CompiledForest()
-			e.cdevice = e.device.CompiledForest()
-			e.cagent = e.agent.CompiledForest()
-			b.entries[ek] = e
-		}
-	})
 	return b.entries[entryKey{prov, tr}]
+}
+
+// buildIndex lowers every model into its compiled serving forms and builds
+// the serving index over them — the last step of TrainBank and
+// UnmarshalBinary, so a bank that exists can be served: there is no
+// uncompiled path to fall back to. It fails, naming the model, when an
+// encoder or forest cannot compile or when the three objective encoders of
+// one (provider, transport) differ and so cannot share an encode pass.
+func (b *Bank) buildIndex() error {
+	for key, m := range b.models {
+		var err error
+		if m.compiled, err = features.Compile(m.Encoder); err == nil {
+			m.cforest, err = ml.CompileForest(m.Forest)
+		}
+		if err != nil {
+			return fmt.Errorf("pipeline: compiling %s/%s/%s: %w", key.Provider, key.Transport, key.Objective, err)
+		}
+	}
+	b.entries = map[entryKey]*bankEntry{}
+	for key, m := range b.models {
+		if key.Objective != PlatformObjective {
+			continue
+		}
+		e := &bankEntry{
+			platform: m,
+			device:   b.models[bankKey{key.Provider, key.Transport, DeviceObjective}],
+			agent:    b.models[bankKey{key.Provider, key.Transport, AgentObjective}],
+		}
+		if e.device == nil || e.agent == nil {
+			continue
+		}
+		for obj, other := range map[Objective]*Model{DeviceObjective: e.device, AgentObjective: e.agent} {
+			if !m.Encoder.EquivalentTo(other.Encoder) {
+				return fmt.Errorf("pipeline: %s/%s/%s: encoder differs from the %s model's",
+					key.Provider, key.Transport, obj, PlatformObjective)
+			}
+		}
+		b.entries[entryKey{key.Provider, key.Transport}] = e
+	}
+	return nil
 }
 
 // TrainConfig controls bank training.
@@ -222,6 +205,9 @@ func TrainBank(ds *tracegen.Dataset, cfg TrainConfig) (*Bank, error) {
 			b.models[bankKey{prov, tr, obj}] = m
 		}
 	}
+	if err := b.buildIndex(); err != nil {
+		return nil, err
+	}
 	return b, nil
 }
 
@@ -262,16 +248,14 @@ func (b *Bank) Model(prov fingerprint.Provider, tr fingerprint.Transport, obj Ob
 	return b.models[bankKey{prov, tr, obj}]
 }
 
-// CompiledFootprint summarizes the bank's compiled serving index: how many
-// of its models compiled into flat node arrays, their total flattened node
-// count, and the resident bytes those arrays pin. Surfaced through the ops
-// endpoints so operators can see what the compiled fast path costs in
-// memory. Calling it lowers any not-yet-compiled models (cached, so the
-// serving path is unaffected).
+// CompiledFootprint summarizes the bank's compiled serving index: its
+// models' total flattened node count and the resident bytes those arrays
+// pin. Surfaced through the ops endpoints so operators can see what the
+// compiled evaluator costs in memory.
 type CompiledFootprint struct {
-	// Models counts the bank's trained models; CompiledModels those whose
-	// forests lowered into the flat serving form (an entry holding one that
-	// did not serves through the reference path).
+	// Models counts the bank's trained models and CompiledModels those with
+	// a compiled forest: the same number, since a bank is compiled where it
+	// is built. Both stay in the document for its readers.
 	Models         int   `json:"models"`
 	CompiledModels int   `json:"compiled_models"`
 	Nodes          int   `json:"nodes"`
@@ -283,13 +267,9 @@ func (b *Bank) CompiledFootprint() CompiledFootprint {
 	var fp CompiledFootprint
 	for _, m := range b.models {
 		fp.Models++
-		cf := m.CompiledForest()
-		if cf == nil {
-			continue
-		}
 		fp.CompiledModels++
-		fp.Nodes += cf.NumNodes()
-		fp.Bytes += cf.Bytes()
+		fp.Nodes += m.cforest.NumNodes()
+		fp.Bytes += m.cforest.Bytes()
 	}
 	return fp
 }
@@ -345,8 +325,8 @@ type Prediction struct {
 // selector: composite first; below threshold, fall back to the individual
 // device/agent models; if none clears the threshold the flow is Unknown.
 // This is the reference path over extracted FieldValues — the
-// training/experiments entry point, the golden oracle the compiled evaluator
-// is pinned against, and what serves an entry that cannot compile.
+// training/experiments entry point and the golden oracle the compiled
+// evaluator is pinned against; nothing serves through it.
 func (b *Bank) Classify(prov fingerprint.Provider, tr fingerprint.Transport, v *features.FieldValues) (Prediction, error) {
 	var p Prediction
 	e := b.entry(prov, tr)
@@ -407,10 +387,9 @@ func (b *Bank) ClassifyHandshake(prov fingerprint.Provider, tr fingerprint.Trans
 // compiled forest then evaluates the matrix. out[i] receives infos[i]'s
 // prediction, so out must hold at least len(infos) slots. Predictions are
 // byte-identical to Classify(prov, tr, features.Extract(info)), pinned by
-// the golden-equivalence tests; an entry that is not batchable is served by
-// exactly that call. A nil sc allocates temporaries (used by off-path
-// callers like the shadow evaluator). Zero-allocation with a warm scratch,
-// pinned by TestClassifyBatchZeroAlloc.
+// the golden-equivalence tests. A nil sc allocates temporaries (used by
+// off-path callers like the shadow evaluator). Zero-allocation with a warm
+// scratch, pinned by TestClassifyBatchZeroAlloc.
 //
 //vp:hotpath
 func (b *Bank) ClassifyBatch(prov fingerprint.Provider, tr fingerprint.Transport, infos []*features.HandshakeInfo, sc *ClassifyScratch, out []Prediction) error {
@@ -421,23 +400,14 @@ func (b *Bank) ClassifyBatch(prov fingerprint.Provider, tr fingerprint.Transport
 	if e == nil {
 		return fmt.Errorf("pipeline: no models for %s/%s", prov, tr) //vp:allocok cold no-models error path
 	}
-	if !e.batchable() {
-		for i, info := range infos {
-			p, err := b.Classify(prov, tr, features.Extract(info)) //vp:allocok cannot-compile fallback: the allocating reference path, by design
-			if err != nil {
-				return err
-			}
-			out[i] = p
-		}
-		return nil
-	}
 	if sc == nil {
 		sc = &ClassifyScratch{} //vp:allocok cold nil-scratch path for off-path callers
 	}
-	stride := e.shared.Width()
+	enc := e.platform.compiled
+	stride := enc.Width()
 	sc.rows = growFloats(sc.rows, len(infos)*stride)
 	for i, info := range infos {
-		e.shared.EncodeInto(sc.rows[i*stride:i*stride:(i+1)*stride], info, &sc.enc)
+		enc.EncodeInto(sc.rows[i*stride:i*stride:(i+1)*stride], info, &sc.enc)
 	}
 	e.classifyRows(sc, len(infos), stride, out)
 	return nil
@@ -450,8 +420,8 @@ func (b *Bank) ClassifyBatch(prov fingerprint.Provider, tr fingerprint.Transport
 func (e *bankEntry) classifyRows(sc *ClassifyScratch, n, stride int, out []Prediction) {
 	rows := sc.rows[:n*stride]
 
-	sc.proba = e.cplatform.PredictBatchInto(rows, stride, sc.proba)
-	w := e.cplatform.NumClasses()
+	sc.proba = e.platform.cforest.PredictBatchInto(rows, stride, sc.proba)
+	w := e.platform.cforest.NumClasses()
 	for i := 0; i < n; i++ {
 		proba := sc.proba[i*w : (i+1)*w]
 		ci, conf := argmaxProba(proba)
@@ -462,16 +432,16 @@ func (e *bankEntry) classifyRows(sc *ClassifyScratch, n, stride int, out []Predi
 		}
 	}
 
-	sc.proba = e.cdevice.PredictBatchInto(rows, stride, sc.proba)
-	w = e.cdevice.NumClasses()
+	sc.proba = e.device.cforest.PredictBatchInto(rows, stride, sc.proba)
+	w = e.device.cforest.NumClasses()
 	for i := 0; i < n; i++ {
 		ci, conf := argmaxProba(sc.proba[i*w : (i+1)*w])
 		out[i].Device = e.device.Classes[ci]
 		out[i].DeviceConf = conf
 	}
 
-	sc.proba = e.cagent.PredictBatchInto(rows, stride, sc.proba)
-	w = e.cagent.NumClasses()
+	sc.proba = e.agent.cforest.PredictBatchInto(rows, stride, sc.proba)
+	w = e.agent.cforest.NumClasses()
 	for i := 0; i < n; i++ {
 		ci, conf := argmaxProba(sc.proba[i*w : (i+1)*w])
 		out[i].Agent = e.agent.Classes[ci]

@@ -1,11 +1,15 @@
 package pipeline
 
 import (
+	"bytes"
+	"encoding/gob"
 	"reflect"
+	"strings"
 	"testing"
 
 	"videoplat/internal/features"
 	"videoplat/internal/fingerprint"
+	"videoplat/internal/ml"
 	"videoplat/internal/tracegen"
 )
 
@@ -122,9 +126,6 @@ func checkBatchEquivalence(t *testing.T, bank *Bank, flows []*tracegen.FlowTrace
 		g.want = append(g.want, want)
 	}
 	for k, g := range groups {
-		if e := bank.entry(k.Provider, k.Transport); e == nil || !e.batchable() {
-			t.Fatalf("%s: %s/%s entry is not batchable", tag, k.Provider, k.Transport)
-		}
 		out := make([]Prediction, len(g.infos))
 		if err := bank.ClassifyBatch(k.Provider, k.Transport, g.infos, &sc, out); err != nil {
 			t.Fatal(err)
@@ -138,44 +139,6 @@ func checkBatchEquivalence(t *testing.T, bank *Bank, flows []*tracegen.FlowTrace
 	}
 }
 
-// checkFallbackEquivalence pins the cannot-compile path: an entry stripped of
-// its compiled forests is not batchable, and both serving entry points must
-// then answer with exactly the reference Classify prediction. It strips
-// every entry of bank.
-func checkFallbackEquivalence(t *testing.T, bank *Bank, flows []*tracegen.FlowTrace) {
-	t.Helper()
-	for _, prov := range fingerprint.AllProviders() {
-		for _, tr := range []fingerprint.Transport{fingerprint.TCP, fingerprint.QUIC} {
-			if e := bank.entry(prov, tr); e != nil {
-				e.cplatform, e.cdevice, e.cagent = nil, nil, nil
-			}
-		}
-	}
-	var sc ClassifyScratch
-	for fi, ft := range flows {
-		info, err := ExtractTrace(ft)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref, err := bank.Classify(ft.Provider, ft.Transport, features.Extract(info))
-		if err != nil {
-			t.Fatal(err)
-		}
-		one, err := bank.ClassifyHandshake(ft.Provider, ft.Transport, info, &sc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		batch := make([]Prediction, 2)
-		if err := bank.ClassifyBatch(ft.Provider, ft.Transport, []*features.HandshakeInfo{info, info}, &sc, batch); err != nil {
-			t.Fatal(err)
-		}
-		if one != ref || batch[0] != ref || batch[1] != ref {
-			t.Fatalf("fallback: flow %d (%s) diverges from the reference:\nper-flow: %+v\nbatch:    %+v\nref:      %+v",
-				fi, ft.Label, one, batch, ref)
-		}
-	}
-}
-
 func TestCompiledBankGoldenEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains a bank")
@@ -183,20 +146,6 @@ func TestCompiledBankGoldenEquivalence(t *testing.T) {
 	bank := goldenBank(t)
 	flows := goldenEvalFlows(t)
 	checkBankEquivalence(t, bank, flows, "fresh")
-
-	// The three per-objective encoders are fitted on the same samples, so
-	// the serving path must be sharing one compiled encode pass.
-	for _, prov := range fingerprint.AllProviders() {
-		for _, tr := range []fingerprint.Transport{fingerprint.TCP, fingerprint.QUIC} {
-			e := bank.entry(prov, tr)
-			if e == nil {
-				continue
-			}
-			if e.shared == nil {
-				t.Errorf("%s/%s: objectives do not share an encode pass", prov, tr)
-			}
-		}
-	}
 
 	// The contract must survive deployment: gob round-trip the bank (the
 	// vptrain -> registry -> vpserve path) and re-pin everything.
@@ -228,8 +177,6 @@ func TestCompiledBankGoldenEquivalence(t *testing.T) {
 			t.Fatalf("restored bank diverges on %s: %+v vs %+v", ft.Label, a, b)
 		}
 	}
-
-	checkFallbackEquivalence(t, restored, flows)
 }
 
 // TestBankReloadRebuildsServingIndex pins that UnmarshalBinary into a Bank
@@ -286,31 +233,99 @@ func TestBankReloadRebuildsCompiledForests(t *testing.T) {
 	if err := b.UnmarshalBinary(blob); err != nil {
 		t.Fatal(err)
 	}
-	old := b.entry(fingerprint.YouTube, fingerprint.TCP)
-	if old == nil || !old.batchable() {
-		t.Fatal("pre-reload entry did not compile")
-	}
 	oldModel := b.Model(fingerprint.YouTube, fingerprint.TCP, PlatformObjective)
+	oldForest := oldModel.CompiledForest()
+	if oldForest == nil {
+		t.Fatal("pre-reload model did not compile")
+	}
 	if err := b.UnmarshalBinary(blob); err != nil {
 		t.Fatal(err) // in-place reload: new *Model instances
-	}
-	e := b.entry(fingerprint.YouTube, fingerprint.TCP)
-	if e == nil || !e.batchable() {
-		t.Fatal("post-reload entry did not compile")
 	}
 	m := b.Model(fingerprint.YouTube, fingerprint.TCP, PlatformObjective)
 	if m == oldModel {
 		t.Fatal("reload did not replace the models")
 	}
-	if e.cplatform != m.CompiledForest() {
-		t.Error("serving index still carries the pre-reload compiled platform forest")
+	if e := b.entry(fingerprint.YouTube, fingerprint.TCP); e == nil || e.platform != m {
+		t.Error("serving index still carries the pre-reload platform model")
 	}
-	if e.cplatform == old.cplatform {
+	if m.CompiledForest() == nil || m.CompiledForest() == oldForest {
 		t.Error("compiled platform forest was not rebuilt for the reloaded model")
 	}
 	fp := b.CompiledFootprint()
 	if fp.CompiledModels != fp.Models || fp.Nodes == 0 || fp.Bytes == 0 {
 		t.Errorf("post-reload footprint looks wrong: %+v", fp)
+	}
+}
+
+// TestUnmarshalRefusesUnservableBank pins the load-time contract: a blob
+// holding a model that cannot be lowered into the compiled serving forms —
+// a forest with no trees, or objective encoders that cannot share an encode
+// pass — is refused with an error naming the model, and a Bank reloaded in
+// place keeps serving what it held.
+func TestUnmarshalRefusesUnservableBank(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains a bank")
+	}
+	good, err := goldenBank(t).MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// corrupt re-encodes the blob with one model's field rewritten.
+	corrupt := func(prov fingerprint.Provider, tr fingerprint.Transport, obj Objective, edit func(*modelDTO)) []byte {
+		var dto bankDTO
+		if err := gob.NewDecoder(bytes.NewReader(good)).Decode(&dto); err != nil {
+			t.Fatal(err)
+		}
+		for i := range dto.Models {
+			md := &dto.Models[i]
+			if md.Provider == uint8(prov) && md.Transport == uint8(tr) && md.Objective == uint8(obj) {
+				edit(md)
+			}
+		}
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(dto); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	emptyForest, err := (&ml.RandomForest{}).MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	unfitted, err := features.NewEncoder(false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	otherEncoder, err := unfitted.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		name string
+		blob []byte
+		want string
+	}{
+		{"forest without trees",
+			corrupt(fingerprint.Netflix, fingerprint.TCP, DeviceObjective, func(md *modelDTO) { md.Forest = emptyForest }),
+			"netflix/tcp/device type"},
+		{"objective encoders differ",
+			corrupt(fingerprint.YouTube, fingerprint.TCP, AgentObjective, func(md *modelDTO) { md.Encoder = otherEncoder }),
+			"youtube/tcp/software agent"},
+	} {
+		b := &Bank{}
+		if err := b.UnmarshalBinary(good); err != nil {
+			t.Fatal(err)
+		}
+		before := b.Model(fingerprint.YouTube, fingerprint.TCP, PlatformObjective)
+		err := b.UnmarshalBinary(tc.blob)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: UnmarshalBinary error = %v, want one naming %s", tc.name, err, tc.want)
+		}
+		if b.Model(fingerprint.YouTube, fingerprint.TCP, PlatformObjective) != before ||
+			b.entry(fingerprint.YouTube, fingerprint.TCP) == nil {
+			t.Errorf("%s: a refused reload disturbed the bank it was loading into", tc.name)
+		}
 	}
 }
 
@@ -452,22 +467,13 @@ func BenchmarkClassifyHandshake(b *testing.B) {
 	})
 
 	b.Run("pointer-walk", func(b *testing.B) {
+		// The reference path — extract, Encoder.Transform, pointer-walk
+		// forests — which is what every flow cost before compilation.
 		bank, info := benchBankAndFlow(b)
-		var sc ClassifyScratch
-		if _, err := bank.ClassifyHandshake(fingerprint.YouTube, fingerprint.QUIC, info, &sc); err != nil {
-			b.Fatal(err)
-		}
-		// Strip the compiled forests so the entry is served whole by the
-		// reference path — the pre-compilation baseline.
-		e := bank.entry(fingerprint.YouTube, fingerprint.QUIC)
-		e.cplatform, e.cdevice, e.cagent = nil, nil, nil
-		if _, err := bank.ClassifyHandshake(fingerprint.YouTube, fingerprint.QUIC, info, &sc); err != nil {
-			b.Fatal(err)
-		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := bank.ClassifyHandshake(fingerprint.YouTube, fingerprint.QUIC, info, &sc); err != nil {
+			if _, err := bank.Classify(fingerprint.YouTube, fingerprint.QUIC, features.Extract(info)); err != nil {
 				b.Fatal(err)
 			}
 		}

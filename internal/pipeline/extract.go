@@ -73,24 +73,27 @@
 //     allocations over the pipeline-owned ClassifyScratch, and its output
 //     is byte-identical to the reference Extract+Transform+Classify path
 //     (pinned by the golden-equivalence tests). That reference path is the
-//     training entry point and the test oracle, and it serves a bank entry
-//     whose encoder or forests cannot compile.
+//     training entry point and the test oracle, nothing more: a bank whose
+//     encoders or forests cannot compile is refused by TrainBank and
+//     UnmarshalBinary, so none reaches a pipeline.
 //
 //   - One exit. Every terminal decision — classified, abstained, not video,
 //     no handshake, oversized, classifier error, the ECH and 0-RTT abstains,
 //     and eviction of a flow still undecided — goes through
 //     Pipeline.finalize, the only code that stamps FlowRecord.Verdict, bumps
-//     the per-verdict counter behind Pipeline.Stats, closes the flow's span
-//     and releases its buffered handshake bytes. A flow therefore carries
-//     exactly one verdict and is counted exactly once.
+//     the per-verdict (and, for a classified flow, per-provider) counter
+//     behind Pipeline.Stats, closes the flow's span and releases its buffered
+//     handshake bytes. A flow therefore carries exactly one verdict and is
+//     counted exactly once; anything that reports how many flows were
+//     classified reads those counters (Sharded.IngestStats sums them).
 //
 // Scratch-reuse rules: each Pipeline owns one ClassifyScratch (and each
 // Sharded shard owns its Pipeline), so scratch state is single-goroutine by
 // construction. The HandshakeInfo passed to Config.OnClassify is only valid
 // for the duration of the hook call; the shadow evaluator classifies
 // synchronously within it. Serialized banks carry only encoders and forests
-// — compiled tables and the shared-encoder index rebuild lazily after
-// UnmarshalBinary — so the gob format is unchanged and older banks load
+// — UnmarshalBinary rebuilds the compiled tables and the serving index
+// before it returns — so the gob format is unchanged and older banks load
 // into the compiled evaluator.
 package pipeline
 

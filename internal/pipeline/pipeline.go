@@ -330,7 +330,8 @@ type Pipeline struct {
 	// The counters behind Stats. Written only by the HandlePacket
 	// goroutine; atomics so a snapshot may be taken from any other.
 	packets         atomic.Uint64
-	verdicts        [NumVerdicts]atomic.Uint64 // bumped by finalize alone
+	verdicts        [NumVerdicts]atomic.Uint64              // bumped by finalize alone
+	classifiedBy    [fingerprint.NumProviders]atomic.Uint64 // likewise
 	migrations      atomic.Uint64
 	earlyClassified atomic.Uint64
 }
@@ -345,6 +346,10 @@ type Stats struct {
 	// if it never did — so once the table has drained the counts sum to
 	// TableStats().Inserted. Verdicts[VerdictPending] is always zero.
 	Verdicts [NumVerdicts]uint64
+	// ClassifiedByProvider splits Verdicts[VerdictClassified] by the flow's
+	// provider: the per-provider stream counts of the paper's §5, exact
+	// because finalize bumps them beside the verdict.
+	ClassifiedByProvider [fingerprint.NumProviders]uint64
 	// Migrations counts flows re-keyed onto a new 5-tuple by QUIC
 	// connection migration.
 	Migrations uint64
@@ -363,6 +368,9 @@ func (p *Pipeline) Stats() Stats {
 	}
 	for v := range st.Verdicts {
 		st.Verdicts[v] = p.verdicts[v].Load()
+	}
+	for i := range st.ClassifiedByProvider {
+		st.ClassifiedByProvider[i] = p.classifiedBy[i].Load()
 	}
 	return st
 }
@@ -409,6 +417,10 @@ func (p *Pipeline) finalize(st *flowState, v Verdict) {
 	st.done = true
 	st.rec.Verdict = v
 	p.verdicts[v].Add(1)
+	// A ProviderHint may name a provider outside the studied four.
+	if prov := int(st.rec.Provider); v == VerdictClassified && prov < len(p.classifiedBy) {
+		p.classifiedBy[prov].Add(1)
+	}
 	if st.span != nil {
 		label := v.String()
 		switch v {

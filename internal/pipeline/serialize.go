@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
-	"sync"
 
 	"videoplat/internal/features"
 	"videoplat/internal/fingerprint"
@@ -61,7 +60,10 @@ func (b *Bank) MarshalBinary() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// UnmarshalBinary restores a bank serialized by MarshalBinary.
+// UnmarshalBinary restores a bank serialized by MarshalBinary, serving index
+// included. A blob holding a model that cannot be compiled is refused (see
+// buildIndex); on any error b is left as it was, so a Bank reloaded in place
+// either serves the decoded models or keeps serving the old ones.
 func (b *Bank) UnmarshalBinary(data []byte) error {
 	var dto bankDTO
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&dto); err != nil {
@@ -71,13 +73,7 @@ func (b *Bank) UnmarshalBinary(data []byte) error {
 		return fmt.Errorf("pipeline: bank format v%d was written by a newer build (this build reads up to v%d)",
 			dto.Format, bankFormat)
 	}
-	b.Version = dto.Version
-	b.Config = dto.Config
-	b.models = map[bankKey]*Model{}
-	// Reset the lazily built serving index: a Bank reloaded in place must
-	// not keep dispatching through entries that point at the old models.
-	b.entriesOnce = sync.Once{}
-	b.entries = nil
+	nb := Bank{Version: dto.Version, Config: dto.Config, models: map[bankKey]*Model{}}
 	for _, md := range dto.Models {
 		enc := &features.Encoder{}
 		if err := enc.UnmarshalBinary(md.Encoder); err != nil {
@@ -87,11 +83,15 @@ func (b *Bank) UnmarshalBinary(data []byte) error {
 		if err := forest.UnmarshalBinary(md.Forest); err != nil {
 			return err
 		}
-		b.models[bankKey{
+		nb.models[bankKey{
 			Provider:  fingerprint.Provider(md.Provider),
 			Transport: fingerprint.Transport(md.Transport),
 			Objective: Objective(md.Objective),
 		}] = &Model{Encoder: enc, Forest: forest, Classes: md.Classes}
 	}
+	if err := nb.buildIndex(); err != nil {
+		return err
+	}
+	*b = nb
 	return nil
 }

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"videoplat/internal/fingerprint"
 	"videoplat/internal/flowtable"
 	"videoplat/internal/obs"
 	"videoplat/internal/packet"
@@ -552,6 +553,14 @@ type IngestStats struct {
 	// EarlyClassified counts degraded (partial-feature) classifications
 	// accepted by the EarlyMinMargin gate (summed across shards).
 	EarlyClassified uint64 `json:"early_classified"`
+	// Classified and Abstained count the flows finalized as
+	// VerdictClassified and VerdictAbstained, and ClassifiedByProvider
+	// splits the former by fingerprint.Provider (all summed across shards).
+	// They are the shard workers' own verdict counters, so they are exact
+	// however many records Results() dropped.
+	Classified           uint64                           `json:"classified_flows"`
+	Abstained            uint64                           `json:"abstained_flows"`
+	ClassifiedByProvider [fingerprint.NumProviders]uint64 `json:"classified_by_provider"`
 }
 
 // IngestStats snapshots the ingest counters. Safe from any goroutine.
@@ -567,6 +576,11 @@ func (s *Sharded) IngestStats() IngestStats {
 		st.OversizedHandshakes += ps.Verdicts[VerdictOversized]
 		st.Migrations += ps.Migrations
 		st.EarlyClassified += ps.EarlyClassified
+		st.Classified += ps.Verdicts[VerdictClassified]
+		st.Abstained += ps.Verdicts[VerdictAbstained]
+		for i, n := range ps.ClassifiedByProvider {
+			st.ClassifiedByProvider[i] += n
+		}
 	}
 	return st
 }
@@ -585,13 +599,6 @@ func (s *Sharded) QueueDepths() []int {
 
 // QueueCapacity reports the per-shard inbox capacity in messages.
 func (s *Sharded) QueueCapacity() int { return cap(s.shards[0].in) }
-
-// ResultsBuffered reports how many classified records are currently queued
-// in the Results channel awaiting the consumer. Safe from any goroutine.
-func (s *Sharded) ResultsBuffered() int { return len(s.results) }
-
-// ResultsCapacity reports the Results channel capacity.
-func (s *Sharded) ResultsCapacity() int { return cap(s.results) }
 
 // Close stops the workers after draining queued packets and closes Results.
 func (s *Sharded) Close() {

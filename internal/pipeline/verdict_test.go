@@ -3,6 +3,7 @@ package pipeline
 import (
 	"math/rand/v2"
 	"net/netip"
+	"sync"
 	"testing"
 	"time"
 
@@ -129,48 +130,35 @@ func TestPipelineAssignsVerdicts(t *testing.T) {
 	}
 }
 
-// TestEveryFlowFinalizedExactlyOnce replays one flow of every terminal kind
-// — plain, ECH, 0-RTT (confirmed and cut short), migrated, oversized,
-// not-video, no-handshake (given up on and cut short) — through a bounded
-// pipeline, then moves packet time past the idle timeout so all of them
-// evict. Every record must leave with a terminal verdict, and the verdict
-// counters must account for each inserted flow once: per verdict they equal
-// the records that carry it, and in sum the table's insertions.
-func TestEveryFlowFinalizedExactlyOnce(t *testing.T) {
-	if testing.Short() {
-		t.Skip("bank training is slow")
+// everyTerminalKind renders one flow of every terminal kind — plain, ECH,
+// 0-RTT (confirmed and cut short), migrated, oversized (against a
+// MaxHelloBytes of 1024), not-video, no-handshake (given up on and cut
+// short) — then the plain flow again an hour later, so that on the pipeline
+// that owns it its first frame sweeps every idle flow out and it classifies
+// once more: ten inserted flows in all.
+func everyTerminalKind(t *testing.T) []IngestPacket {
+	t.Helper()
+	var out []IngestPacket
+	trace := func(ft *tracegen.FlowTrace, shift time.Duration) {
+		for _, fr := range ft.Frames {
+			out = append(out, IngestPacket{TS: ft.Start.Add(shift + fr.Offset), Data: fr.Data})
+		}
 	}
-	bank, _ := trainSmallBank(t, 31, 0.02)
-	var evicted []*FlowRecord
-	p := NewWithConfig(bank, Config{
-		MaxFlows:      64,
-		IdleTimeout:   time.Minute,
-		MaxHelloBytes: 1024,
-		ProviderHint:  tracegen.ProviderOfAddr,
-		OnEvict:       func(rec *FlowRecord, _ flowtable.Reason) { evicted = append(evicted, rec) },
-	})
-
 	plain := renderAdversarial(t, 3, "windows_chrome", fingerprint.Netflix, fingerprint.TCP, fingerprint.Options{})
-	feedTrace(p, plain)
-	feedTrace(p, renderAdversarial(t, 5, "macOS_safari", fingerprint.Amazon, fingerprint.TCP, fingerprint.Options{ECH: true}))
-	feedTrace(p, renderAdversarial(t, 7, "android_chrome", fingerprint.YouTube, fingerprint.QUIC, fingerprint.Options{ZeroRTT: true}))
+	trace(plain, 0)
+	trace(renderAdversarial(t, 5, "macOS_safari", fingerprint.Amazon, fingerprint.TCP, fingerprint.Options{ECH: true}), 0)
+	trace(renderAdversarial(t, 7, "android_chrome", fingerprint.YouTube, fingerprint.QUIC, fingerprint.Options{ZeroRTT: true}), 0)
 	cut := renderAdversarial(t, 9, "iOS_chrome", fingerprint.YouTube, fingerprint.QUIC, fingerprint.Options{ZeroRTT: true})
 	cut.Frames = cut.Frames[:2] // early data only: the short-header confirmation never arrives
-	feedTrace(p, cut)
-	feedTrace(p, renderScenarioFlow(t, 11, fingerprint.Options{Migration: true}, true))
+	trace(cut, 0)
+	trace(renderScenarioFlow(t, 11, fingerprint.Options{Migration: true}, true), 0)
 
-	ts := plain.Start
 	handmade := func(host byte) tcpFlowFrames {
 		ff := newTCPFlowFrames()
 		ff.src = netip.AddrFrom4([4]byte{192, 168, 7, host})
 		return ff
 	}
-	feed := func(frame []byte) {
-		t.Helper()
-		if rec, err := p.HandlePacket(ts, frame); err != nil || rec != nil {
-			t.Fatalf("hand-made frame classified or errored: %v %v", rec, err)
-		}
-	}
+	feed := func(frame []byte) { out = append(out, IngestPacket{TS: plain.Start, Data: frame}) }
 	oversized := handmade(1)
 	feed(oversized.client(nil, packet.FlagSYN))
 	feed(oversized.client(endlessRecordChunk(true, 600), packet.FlagACK|packet.FlagPSH))
@@ -196,17 +184,51 @@ func TestEveryFlowFinalizedExactlyOnce(t *testing.T) {
 	}
 	feed(handmade(4).client(nil, packet.FlagSYN)) // mid-handshake when the sweep comes
 
-	// The plain flow again, an hour on: its first frame sweeps every idle
-	// flow out, and it classifies, so nothing undecided stays behind.
-	for _, fr := range plain.Frames {
-		if _, err := p.HandlePacket(plain.Start.Add(time.Hour+fr.Offset), fr.Data); err != nil {
+	trace(plain, time.Hour)
+	return out
+}
+
+// classifiedByProvider counts the records that carry VerdictClassified by
+// their provider, the way Stats.ClassifiedByProvider should have.
+func classifiedByProvider(recs []*FlowRecord) (by [fingerprint.NumProviders]uint64) {
+	for _, rec := range recs {
+		if rec.Verdict == VerdictClassified {
+			by[rec.Provider]++
+		}
+	}
+	return by
+}
+
+// TestEveryFlowFinalizedExactlyOnce replays everyTerminalKind through a
+// bounded pipeline, whose last flow moves packet time past the idle timeout
+// so all the others evict. Every record must leave with a terminal verdict,
+// and the verdict counters must account for each inserted flow once: per
+// verdict they equal the records that carry it, in sum the table's
+// insertions, and the classified ones split by provider the way the records
+// do.
+func TestEveryFlowFinalizedExactlyOnce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("bank training is slow")
+	}
+	bank, _ := trainSmallBank(t, 31, 0.02)
+	var evicted []*FlowRecord
+	p := NewWithConfig(bank, Config{
+		MaxFlows:      64,
+		IdleTimeout:   time.Minute,
+		MaxHelloBytes: 1024,
+		ProviderHint:  tracegen.ProviderOfAddr,
+		OnEvict:       func(rec *FlowRecord, _ flowtable.Reason) { evicted = append(evicted, rec) },
+	})
+	for _, pkt := range everyTerminalKind(t) {
+		if _, err := p.HandlePacket(pkt.TS, pkt.Data); err != nil {
 			t.Fatal(err)
 		}
 	}
 
 	st, table := p.Stats(), p.TableStats()
+	recs := append(evicted, p.Flows()...)
 	var carried [NumVerdicts]uint64
-	for _, rec := range append(evicted, p.Flows()...) {
+	for _, rec := range recs {
 		carried[rec.Verdict]++
 	}
 	if carried[VerdictPending] != 0 {
@@ -233,5 +255,67 @@ func TestEveryFlowFinalizedExactlyOnce(t *testing.T) {
 	if got := st.Verdicts[VerdictAbstainedECH] + st.Verdicts[VerdictAbstainedZeroRTT] + st.EarlyClassified; got != 3 || st.Verdicts[VerdictAbstainedZeroRTT] == 0 {
 		t.Errorf("degraded flows: abstained-ech %d + abstained-0rtt %d + early %d, want 3 with at least one abstained-0rtt",
 			st.Verdicts[VerdictAbstainedECH], st.Verdicts[VerdictAbstainedZeroRTT], st.EarlyClassified)
+	}
+
+	if want := classifiedByProvider(recs); st.ClassifiedByProvider != want {
+		t.Errorf("Stats().ClassifiedByProvider = %v, classified records carry %v", st.ClassifiedByProvider, want)
+	}
+	var byProvider uint64
+	for _, n := range st.ClassifiedByProvider {
+		byProvider += n
+	}
+	// Netflix twice (the plain flow and its replay) and the migrated YouTube
+	// flow at least.
+	if byProvider != st.Verdicts[VerdictClassified] || byProvider < 3 {
+		t.Errorf("ClassifiedByProvider sums to %d, Verdicts[classified] = %d, want equal and at least 3",
+			byProvider, st.Verdicts[VerdictClassified])
+	}
+}
+
+// TestShardedCountersSurviveDroppedResults is the Sharded variant: the same
+// frames through two shards with a one-slot Results buffer that nobody
+// drains, so nearly every record offered to it is dropped. IngestStats'
+// classified, abstained and per-provider counts must still equal what
+// OnEvict and Flows() — the lossless pair — delivered.
+func TestShardedCountersSurviveDroppedResults(t *testing.T) {
+	if testing.Short() {
+		t.Skip("bank training is slow")
+	}
+	bank, _ := trainSmallBank(t, 31, 0.02)
+	var mu sync.Mutex
+	var recs []*FlowRecord
+	s := NewShardedWithConfig(bank, 2, Config{
+		MaxFlows:      64,
+		IdleTimeout:   time.Minute,
+		MaxHelloBytes: 1024,
+		ResultsBuffer: 1,
+		ProviderHint:  tracegen.ProviderOfAddr,
+		OnEvict: func(rec *FlowRecord, _ flowtable.Reason) {
+			mu.Lock()
+			recs = append(recs, rec)
+			mu.Unlock()
+		},
+	})
+	s.HandlePacketBatch(everyTerminalKind(t))
+	s.Close()
+	recs = append(recs, s.Flows()...)
+
+	st := s.IngestStats()
+	var carried [NumVerdicts]uint64
+	for _, rec := range recs {
+		carried[rec.Verdict]++
+	}
+	if st.DroppedResults == 0 {
+		t.Error("Results() dropped nothing: the test is not exercising a lagging consumer")
+	}
+	if st.Classified != carried[VerdictClassified] || st.Classified < 3 {
+		t.Errorf("IngestStats().Classified = %d, %d records carry the verdict, want equal and at least 3",
+			st.Classified, carried[VerdictClassified])
+	}
+	if st.Abstained != carried[VerdictAbstained] {
+		t.Errorf("IngestStats().Abstained = %d, %d records carry the verdict", st.Abstained, carried[VerdictAbstained])
+	}
+	if want := classifiedByProvider(recs); st.ClassifiedByProvider != want {
+		t.Errorf("IngestStats().ClassifiedByProvider = %v, classified records carry %v", st.ClassifiedByProvider, want)
 	}
 }

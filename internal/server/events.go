@@ -63,14 +63,9 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("unknown event type %q", typ), http.StatusBadRequest)
 		return
 	}
-	limit := 100
-	if v := q.Get("limit"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 1 {
-			http.Error(w, "bad limit", http.StatusBadRequest)
-			return
-		}
-		limit = n
+	limit, ok := parseLimit(w, r, 100)
+	if !ok {
+		return
 	}
 	events := s.journal.Events(since, typ, limit)
 	if events == nil {

@@ -89,9 +89,6 @@ func TestObservabilityEndpoints(t *testing.T) {
 	if len(st.Ingest.QueueDepths) != 2 || st.Ingest.QueueCapacity <= 0 {
 		t.Errorf("queue gauges = depths %v cap %d", st.Ingest.QueueDepths, st.Ingest.QueueCapacity)
 	}
-	if st.Ingest.ResultsCapacity <= 0 {
-		t.Errorf("results capacity = %d", st.Ingest.ResultsCapacity)
-	}
 
 	// /trace serves the span ring, newest first, with the limit honored.
 	var snap obs.TraceSnapshot
@@ -135,7 +132,6 @@ func TestObservabilityEndpoints(t *testing.T) {
 		`videoplat_stage_latency_samples_total{stage="rollup"}`,
 		`videoplat_shard_queue_depth{shard="0"}`,
 		`videoplat_shard_queue_depth{shard="1"}`,
-		"videoplat_results_capacity",
 		`videoplat_trace_spans_total{event="finished"}`,
 		"videoplat_goroutines",
 		"videoplat_heap_alloc_bytes",

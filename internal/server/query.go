@@ -36,13 +36,9 @@ func (s *Server) handleWindows(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	limit := 100
-	if v := q.Get("limit"); v != "" {
-		limit, err = strconv.Atoi(v)
-		if err != nil || limit < 1 {
-			http.Error(w, "bad limit", http.StatusBadRequest)
-			return
-		}
+	limit, ok := parseLimit(w, r, 100)
+	if !ok {
+		return
 	}
 
 	// The store applies the limit (keeping the newest windows) so only the

@@ -90,9 +90,6 @@ type Config struct {
 	// ShardQueueDepth is the per-shard ingest inbox depth in batch
 	// messages (0 = pipeline default).
 	ShardQueueDepth int
-	// ResultsBuffer is the classified-results channel capacity
-	// (0 = pipeline default, scaled by shard count).
-	ResultsBuffer int
 	// MaxHelloBytes caps per-flow buffered handshake bytes while waiting
 	// for a complete ClientHello (0 = pipeline default; <0 = unbounded).
 	// Flows over the cap are abandoned and counted as
@@ -194,14 +191,12 @@ type Server struct {
 	journal *obs.Journal
 	running atomic.Bool // ingest/replay loops started (readiness)
 
-	startWall  time.Time
-	packets    atomic.Uint64
-	batches    atomic.Uint64
-	bytes      atomic.Uint64
-	classified atomic.Uint64
-	unknown    atomic.Uint64
-	finalized  atomic.Uint64 // records that reached the rollup
-	swaps      atomic.Uint64 // bank hot-swaps applied to the pipeline
+	startWall time.Time
+	packets   atomic.Uint64
+	batches   atomic.Uint64
+	bytes     atomic.Uint64
+	finalized atomic.Uint64 // records that reached the rollup
+	swaps     atomic.Uint64 // bank hot-swaps applied to the pipeline
 
 	// verdicts counts finalized flows by pipeline.Verdict, for /stats and
 	// the videoplat_flow_verdicts_total metric.
@@ -224,9 +219,6 @@ type Server struct {
 	aggDone    chan struct{}
 
 	lastTS atomic.Int64 // latest packet timestamp (trace clock), unix nanos
-
-	provMu     sync.Mutex // guards byProvider only (see aggregate)
-	byProvider map[string]uint64
 
 	mu         sync.RWMutex
 	replayErr  error
@@ -265,7 +257,6 @@ func New(bank *pipeline.Bank, src Source, cfg Config) (*Server, error) {
 		evictions:  make(chan *pipeline.FlowRecord, 1024),
 		replayDone: make(chan struct{}),
 		aggDone:    make(chan struct{}),
-		byProvider: map[string]uint64{},
 	}
 	if s.journal == nil {
 		s.journal = obs.NewJournal(0, nil)
@@ -277,7 +268,6 @@ func New(bank *pipeline.Bank, src Source, cfg Config) (*Server, error) {
 
 	pcfg := pipeline.Config{
 		ShardQueueDepth: cfg.ShardQueueDepth,
-		ResultsBuffer:   cfg.ResultsBuffer,
 		MaxHelloBytes:   cfg.MaxHelloBytes,
 		EarlyMinMargin:  cfg.EarlyMinMargin,
 		ProviderHint:    cfg.ProviderHint,
@@ -563,30 +553,22 @@ func (s *Server) effectiveBatchSize() int {
 	return size
 }
 
-// aggregate consumes classification results (live counters) and evicted
-// flows (final telemetry → rollup) until both channels close.
+// aggregate folds evicted flows (final telemetry → rollup) until the
+// evictions channel closes. It must never wait on s.mu, which /flows holds
+// across a shard snapshot — a shard blocked on a full evictions buffer would
+// deadlock otherwise. It also drains Results() and discards what it reads:
+// the live counters come from the shard verdict counters (Snapshot), and
+// draining keeps dropped_results meaning "the consumer lagged".
 func (s *Server) aggregate() {
 	defer close(s.aggDone)
 	results := s.sharded.Results()
 	evictions := s.evictions
 	for results != nil || evictions != nil {
 		select {
-		case rec, ok := <-results:
+		case _, ok := <-results:
 			if !ok {
 				results = nil
-				continue
 			}
-			if rec.Prediction.Status == pipeline.Unknown {
-				s.unknown.Add(1)
-				continue
-			}
-			s.classified.Add(1)
-			// byProvider has its own mutex: aggregate must never wait on
-			// s.mu, which /flows holds across a shard snapshot — a shard
-			// blocked on a full evictions buffer would deadlock otherwise.
-			s.provMu.Lock()
-			s.byProvider[rec.Provider.String()]++
-			s.provMu.Unlock()
 		case rec, ok := <-evictions:
 			if !ok {
 				evictions = nil
@@ -662,10 +644,6 @@ type Stats struct {
 		// near-capacity depths mean the shards can't keep up (see Stalls).
 		QueueDepths   []int `json:"queue_depths"`
 		QueueCapacity int   `json:"queue_capacity"`
-		// ResultsBuffered/ResultsCapacity is the classified-results channel's
-		// live occupancy; a full buffer is where DroppedResults come from.
-		ResultsBuffered int `json:"results_buffered"`
-		ResultsCapacity int `json:"results_capacity"`
 	} `json:"ingest"`
 
 	// Latency is the per-stage pipeline latency digest (count, mean and
@@ -702,6 +680,11 @@ type Stats struct {
 		PprofEnabled     bool    `json:"pprof_enabled"`
 	} `json:"config"`
 
+	// ClassifiedFlows, UnknownFlows and ByProvider are read from the shard
+	// workers' verdict counters (pipeline.IngestStats): flows finalized as
+	// classified, as abstained, and the former split by provider. Exact and
+	// live — they count a flow when its handshake resolves, not when it is
+	// evicted into FinalizedFlows.
 	ClassifiedFlows uint64            `json:"classified_flows"`
 	UnknownFlows    uint64            `json:"unknown_flows"`
 	FinalizedFlows  uint64            `json:"finalized_flows"`
@@ -777,8 +760,6 @@ func (s *Server) Snapshot() Stats {
 	st.Ingest.EarlyClassified = ing.EarlyClassified
 	st.Ingest.QueueDepths = s.sharded.QueueDepths()
 	st.Ingest.QueueCapacity = s.sharded.QueueCapacity()
-	st.Ingest.ResultsBuffered = s.sharded.ResultsBuffered()
-	st.Ingest.ResultsCapacity = s.sharded.ResultsCapacity()
 	st.Latency = s.obsv.StageStats()
 	tsnap := s.tracer.Snapshot(1) // counters only; spans served by /trace
 	st.Trace.SampleEvery = tsnap.SampleEvery
@@ -793,8 +774,14 @@ func (s *Server) Snapshot() Stats {
 	st.Config.WindowSeconds = s.cfg.WindowWidth.Seconds()
 	st.Config.TraceSampleEvery = tsnap.SampleEvery
 	st.Config.PprofEnabled = s.cfg.EnablePprof
-	st.ClassifiedFlows = s.classified.Load()
-	st.UnknownFlows = s.unknown.Load()
+	st.ClassifiedFlows = ing.Classified
+	st.UnknownFlows = ing.Abstained
+	st.ByProvider = map[string]uint64{}
+	for prov, n := range ing.ClassifiedByProvider {
+		if n > 0 {
+			st.ByProvider[fingerprint.Provider(prov).String()] = n
+		}
+	}
 	st.FinalizedFlows = s.finalized.Load()
 	st.FlowVerdicts = s.verdictCounts()
 	st.Events = s.journal.Stats()
@@ -829,12 +816,6 @@ func (s *Server) Snapshot() Stats {
 		st.Replay.Error = s.replayErr.Error()
 	}
 	s.mu.RUnlock()
-	s.provMu.Lock()
-	st.ByProvider = make(map[string]uint64, len(s.byProvider))
-	for k, v := range s.byProvider {
-		st.ByProvider[k] = v
-	}
-	s.provMu.Unlock()
 	return st
 }
 
@@ -865,14 +846,9 @@ type flowSummary struct {
 }
 
 func (s *Server) handleFlows(w http.ResponseWriter, r *http.Request) {
-	limit := 100
-	if q := r.URL.Query().Get("limit"); q != "" {
-		n, err := strconv.Atoi(q)
-		if err != nil || n < 1 {
-			http.Error(w, "bad limit", http.StatusBadRequest)
-			return
-		}
-		limit = n
+	limit, ok := parseLimit(w, r, 100)
+	if !ok {
+		return
 	}
 
 	// The read lock is held across the live snapshot: finishPipeline flips
@@ -1011,16 +987,9 @@ func (s *Server) handleModelsExport(w http.ResponseWriter, _ *http.Request) {
 // the most recently finished spans (?limit= caps them, default 32) and the
 // slowest-flow exemplars.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	limit := 32
-	if q := r.URL.Query().Get("limit"); q != "" {
-		n, err := strconv.Atoi(q)
-		if err != nil || n < 1 {
-			http.Error(w, "bad limit", http.StatusBadRequest)
-			return
-		}
-		limit = n
+	if limit, ok := parseLimit(w, r, 32); ok {
+		writeJSON(w, s.tracer.Snapshot(limit))
 	}
-	writeJSON(w, s.tracer.Snapshot(limit))
 }
 
 // handlePprof dispatches /debug/pprof/* to Go's runtime profilers when the
@@ -1045,6 +1014,22 @@ func (s *Server) handlePprof(w http.ResponseWriter, r *http.Request) {
 	default:
 		netpprof.Handler(name).ServeHTTP(w, r)
 	}
+}
+
+// parseLimit reads the ?limit= of /flows, /trace, /events and /windows: a
+// positive integer, def when absent. On anything else it has replied 400
+// "bad limit" and ok is false.
+func parseLimit(w http.ResponseWriter, r *http.Request, def int) (limit int, ok bool) {
+	v := r.URL.Query().Get("limit")
+	if v == "" {
+		return def, true
+	}
+	n, err := strconv.Atoi(v)
+	if err != nil || n < 1 {
+		http.Error(w, "bad limit", http.StatusBadRequest)
+		return 0, false
+	}
+	return n, true
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

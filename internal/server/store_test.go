@@ -256,9 +256,10 @@ func TestWindowsAndQueryEndpoints(t *testing.T) {
 }
 
 // TestMetricsMatchCatalog pins the /metrics exposition to the catalog that
-// MetricNames (and the runbook drift test) is built on: every emitted
-// series is in the catalog, and every unconditional catalog entry is
-// emitted.
+// MetricNames (and the runbook drift test) is built on: catalog names are
+// unique, every emitted series is in the catalog, and every catalog entry is
+// emitted except the retrainer counters, which a daemon without a retrainer
+// must leave out.
 func TestMetricsMatchCatalog(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bank training is slow")
@@ -294,6 +295,9 @@ func TestMetricsMatchCatalog(t *testing.T) {
 	}
 	catalog := map[string]bool{}
 	for _, name := range MetricNames() {
+		if catalog[name] {
+			t.Errorf("catalog names %s twice", name)
+		}
 		catalog[name] = true
 	}
 	for name := range emitted {
@@ -301,14 +305,15 @@ func TestMetricsMatchCatalog(t *testing.T) {
 			t.Errorf("emitted series %s not in catalog", name)
 		}
 	}
-	for _, m := range metricsCatalog {
-		if !m.conditional && !emitted[m.name] {
-			t.Errorf("catalog series %s not emitted", m.name)
-		}
+	retrainerOnly := map[string]bool{
+		"videoplat_model_retrains_total":   true,
+		"videoplat_model_promotions_total": true,
+		"videoplat_model_rejections_total": true,
 	}
-	// The conditional retrainer series must stay out without a retrainer.
-	if emitted["videoplat_model_retrains_total"] {
-		t.Error("retrainer series emitted without a retrainer")
+	for name := range catalog {
+		if emitted[name] == retrainerOnly[name] {
+			t.Errorf("catalog series %s: emitted = %v without a retrainer", name, emitted[name])
+		}
 	}
 	for _, want := range []string{
 		`videoplat_telemetry_store_windows{tier="raw"}`,

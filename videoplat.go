@@ -74,8 +74,10 @@
 // (Bank.ClassifyBatch; Bank.ClassifyHandshake is its one-flow case),
 // writing into per-shard scratch instead of building per-flow maps and
 // strings. The evaluator is byte-identical to the reference extraction path
-// (Bank.Classify), pinned by golden-equivalence tests; every flow leaves
-// with exactly one terminal Verdict, counted in Pipeline.Stats.
+// (Bank.Classify), pinned by golden-equivalence tests, and a bank is compiled
+// where it is built — TrainBank and Bank.UnmarshalBinary refuse one that
+// cannot be — so the reference path never serves; every flow leaves with
+// exactly one terminal Verdict, counted in Pipeline.Stats.
 //
 // See examples/quickstart for an end-to-end batch walkthrough,
 // examples/serve-replay for the streaming daemon, examples/telemetry-query
@@ -361,7 +363,8 @@ func NewBoundedPipeline(bank *Bank, cfg PipelineConfig) *Pipeline {
 // most one channel send per shard. A flow is classified by its shard worker
 // on the frame that completes its handshake. Classified flows arrive on
 // Results() (best-effort; see the Sharded type docs), IngestStats() is the
-// counter snapshot, and Close drains the workers.
+// counter snapshot — its classified, abstained and per-provider counts are
+// exact whatever Results() dropped — and Close drains the workers.
 func NewShardedPipeline(bank *Bank, n int, cfg PipelineConfig) *ShardedPipeline {
 	return pipeline.NewShardedWithConfig(bank, n, cfg)
 }
