@@ -1,25 +1,25 @@
-// Benchmarks regenerating every table and figure of the paper (one bench
-// per experiment, reporting the headline metric), plus the microbenchmarks
-// behind the §4.3.3 real-time deployment claims and the ablation studies
-// listed in DESIGN.md.
+// Benchmarks regenerating every table and figure of the paper and its four
+// ablation studies (one bench per experiment, reporting the headline
+// metric), plus BenchmarkSwapUnderLoad, the cost of hot-swapping the bank
+// under a packet stream. Throughput and per-layer timings of the serving
+// spine are not measured here: bench/ (bash bench/run.sh) is their one
+// source.
 //
 // Run everything with:
 //
-//	go test -bench=. -benchmem
+//	go test -run xxx -bench . -benchmem .
 //
 // Experiment benches use the quick context (small dataset scale); the
 // cmd/vpexperiments tool runs the same code at full scale.
 package videoplat_test
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
-	"videoplat"
 	"videoplat/internal/experiments"
-	"videoplat/internal/features"
 	"videoplat/internal/fingerprint"
+	"videoplat/internal/ml"
 	"videoplat/internal/pipeline"
 	"videoplat/internal/tracegen"
 )
@@ -205,7 +205,7 @@ func BenchmarkFig14Importance(b *testing.B) {
 	}
 }
 
-// --- Ablations (design choices called out in DESIGN.md) ---
+// --- Ablations ---
 
 func BenchmarkAblationListEncoding(b *testing.B) {
 	for i := 0; i < b.N; i++ {
@@ -247,452 +247,22 @@ func BenchmarkAblationGlobalClassifier(b *testing.B) {
 	}
 }
 
-// --- Real-time deployment microbenchmarks (§4.3.3: 20 Gbps, 1000+
-// concurrent flows on a commodity server) ---
+// --- Model hot-swap under load (no bench/ layer measures a swap storm) ---
 
-func trainedBank(b *testing.B) *videoplat.Bank {
+// trainedBank fits a 15-tree bank on the scale-0.04 lab dataset; at seed 1 it
+// is the bank bench/ trains.
+func trainedBank(b *testing.B, seed uint64) *pipeline.Bank {
 	b.Helper()
-	ds, err := videoplat.GenerateLabDataset(1, 0.04)
+	ds, err := tracegen.New(seed).LabDataset(0.04, fingerprint.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	bank, err := videoplat.Train(ds, videoplat.ForestConfig{NumTrees: 15, MaxDepth: 20, MaxFeatures: 34, Seed: 1})
+	bank, err := pipeline.TrainBank(ds, pipeline.TrainConfig{Forest: ml.ForestConfig{
+		NumTrees: 15, MaxDepth: 20, MaxFeatures: 34, Seed: seed}})
 	if err != nil {
 		b.Fatal(err)
 	}
 	return bank
-}
-
-// BenchmarkPipelineThroughput measures full-pipeline packet handling over a
-// mixed workload, reporting bytes/s toward the 20 Gbps budget.
-func BenchmarkPipelineThroughput(b *testing.B) {
-	bank := trainedBank(b)
-	g := tracegen.New(123)
-	var frames []tracegen.Frame
-	var total int64
-	start := time.Date(2023, 7, 7, 0, 0, 0, 0, time.UTC)
-	for i := 0; i < 50; i++ {
-		label := fingerprint.AllPlatformLabels()[i%17]
-		prov := fingerprint.AllProviders()[i%4]
-		if !fingerprint.SupportMatrix(label, prov) {
-			prov = fingerprint.YouTube
-		}
-		if !fingerprint.SupportMatrix(label, prov) {
-			continue
-		}
-		tr := fingerprint.TCP
-		if !fingerprint.SupportsTCP(label, prov) {
-			tr = fingerprint.QUIC
-		}
-		ft, err := g.Flow(label, prov, tr, tracegen.FlowSpec{Start: start, PayloadFrames: 8})
-		if err != nil {
-			b.Fatal(err)
-		}
-		frames = append(frames, ft.Frames...)
-		for _, fr := range ft.Frames {
-			total += int64(len(fr.Data))
-		}
-	}
-	b.SetBytes(total)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p := videoplat.NewPipeline(bank)
-		for _, fr := range frames {
-			if _, err := p.HandlePacket(start, fr.Data); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
-// BenchmarkAttributeExtraction measures the Table 2 attribute generator on
-// a decrypted QUIC handshake (the green box of Fig 4).
-func BenchmarkAttributeExtraction(b *testing.B) {
-	g := tracegen.New(5)
-	ft, err := g.Flow("windows_chrome", fingerprint.YouTube, fingerprint.QUIC,
-		tracegen.FlowSpec{PayloadFrames: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	info, err := pipeline.ExtractTrace(ft)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		features.Extract(info)
-	}
-}
-
-// BenchmarkClassifyFlow measures one classifier-bank invocation (12-model
-// bank, three objectives with confidence selection).
-func BenchmarkClassifyFlow(b *testing.B) {
-	bank := trainedBank(b)
-	g := tracegen.New(7)
-	ft, err := g.Flow("macOS_safari", fingerprint.Netflix, fingerprint.TCP,
-		tracegen.FlowSpec{PayloadFrames: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	info, err := pipeline.ExtractTrace(ft)
-	if err != nil {
-		b.Fatal(err)
-	}
-	v := features.Extract(info)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := bank.Classify(fingerprint.Netflix, fingerprint.TCP, v); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkClassify measures the steady-state per-flow classification path
-// (assemble -> extract -> encode -> predict): the "flow" variants run a
-// complete flow through the streaming pipeline per iteration, so allocs/op
-// is the allocation cost of classifying one flow; the "encode-predict"
-// variants isolate the compiled fast path over an assembled handshake,
-// which must stay at 0 allocs/op.
-func BenchmarkClassify(b *testing.B) {
-	bank := trainedBank(b)
-	// The predict tier gets its own production-scale bank (40 depth-20 trees
-	// per model over a larger lab dataset, the §4.3.1 serving shape): the
-	// compiled layout's advantage is cache behavior, which only shows once
-	// the ensembles outgrow L1 — the quick 15-tree bank above stays
-	// cache-resident and would understate the gap.
-	predictDS, err := videoplat.GenerateLabDataset(1, 0.2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	predictBank, err := videoplat.Train(predictDS, videoplat.ForestConfig{NumTrees: 40, MaxDepth: 20, MaxFeatures: 34, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	start := time.Date(2023, 7, 7, 0, 0, 0, 0, time.UTC)
-	for _, tc := range []struct {
-		name string
-		tr   fingerprint.Transport
-	}{
-		{"tcp", fingerprint.TCP},
-		{"quic", fingerprint.QUIC},
-	} {
-		ft, err := tracegen.New(7).Flow("windows_chrome", fingerprint.YouTube, tc.tr,
-			tracegen.FlowSpec{Start: start, PayloadFrames: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		info, err := pipeline.ExtractTrace(ft)
-		if err != nil {
-			b.Fatal(err)
-		}
-
-		b.Run("flow/"+tc.name, func(b *testing.B) {
-			p := videoplat.NewPipeline(bank)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for _, fr := range ft.Frames {
-					if _, err := p.HandlePacket(start, fr.Data); err != nil {
-						b.Fatal(err)
-					}
-				}
-				p.Reset()
-			}
-		})
-		b.Run("encode-predict/"+tc.name, func(b *testing.B) {
-			var sc pipeline.ClassifyScratch
-			// Warm the lazily built model index and scratch capacities so
-			// the timed region is pure steady state (0 allocs/op).
-			if _, err := bank.ClassifyHandshake(fingerprint.YouTube, tc.tr, info, &sc); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := bank.ClassifyHandshake(fingerprint.YouTube, tc.tr, info, &sc); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		// The predict tier isolates the forest pass this PR compiles: the
-		// same fitted bank's three objective ensembles over 64 distinct
-		// pre-encoded flows, as the reference pointer walk, the compiled
-		// flat-array walk, and the lane-interleaved batch sweep. All three
-		// must hold 0 allocs/op; compiled+batch must beat the pointer walk
-		// by ≥2× ns/flow.
-		b.Run("predict/"+tc.name, func(b *testing.B) {
-			const batch = 64
-			models := [3]*pipeline.Model{
-				predictBank.Model(fingerprint.YouTube, tc.tr, pipeline.PlatformObjective),
-				predictBank.Model(fingerprint.YouTube, tc.tr, pipeline.DeviceObjective),
-				predictBank.Model(fingerprint.YouTube, tc.tr, pipeline.AgentObjective),
-			}
-			var rows []float64
-			stride := 0
-			g := tracegen.New(77)
-			labels := fingerprint.AllPlatformLabels()
-			for i := 0; len(rows)/max(stride, 1) < batch; i++ {
-				label := labels[i%len(labels)]
-				if !fingerprint.SupportMatrix(label, fingerprint.YouTube) {
-					continue
-				}
-				if tc.tr == fingerprint.TCP && !fingerprint.SupportsTCP(label, fingerprint.YouTube) {
-					continue
-				}
-				if tc.tr == fingerprint.QUIC && !fingerprint.SupportsQUIC(label, fingerprint.YouTube) {
-					continue
-				}
-				bft, err := g.Flow(label, fingerprint.YouTube, tc.tr, tracegen.FlowSpec{Start: start, PayloadFrames: 1})
-				if err != nil {
-					b.Fatal(err)
-				}
-				binfo, err := pipeline.ExtractTrace(bft)
-				if err != nil {
-					b.Fatal(err)
-				}
-				vec := models[0].Encoder.Transform(features.Extract(binfo))
-				stride = len(vec)
-				rows = append(rows, vec...)
-			}
-			var proba []float64
-
-			b.Run("pointer-walk", func(b *testing.B) {
-				models[0].Forest.PredictInto(rows[:stride], &proba)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					for r := 0; r < batch; r++ {
-						row := rows[r*stride : (r+1)*stride]
-						for _, m := range models {
-							m.Forest.PredictInto(row, &proba)
-						}
-					}
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/flow")
-			})
-			b.Run("compiled", func(b *testing.B) {
-				for _, m := range models {
-					if m.CompiledForest() == nil {
-						b.Fatal("forest did not compile")
-					}
-				}
-				models[0].CompiledForest().PredictInto(rows[:stride], &proba)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					for r := 0; r < batch; r++ {
-						row := rows[r*stride : (r+1)*stride]
-						for _, m := range models {
-							m.CompiledForest().PredictInto(row, &proba)
-						}
-					}
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/flow")
-			})
-			b.Run("batch", func(b *testing.B) {
-				var outs [3][]float64
-				for oi, m := range models {
-					cf := m.CompiledForest()
-					if cf == nil {
-						b.Fatal("forest did not compile")
-					}
-					outs[oi] = cf.PredictBatchInto(rows, stride, nil)
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					for oi, m := range models {
-						outs[oi] = m.CompiledForest().PredictBatchInto(rows, stride, outs[oi])
-					}
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/flow")
-			})
-		})
-	}
-}
-
-// BenchmarkConcurrentFlows models the paper's 1000-concurrent-flow load:
-// interleaved handshakes across many simultaneous flows.
-func BenchmarkConcurrentFlows(b *testing.B) {
-	bank := trainedBank(b)
-	g := tracegen.New(11)
-	const concurrent = 200
-	var flows []*tracegen.FlowTrace
-	start := time.Date(2023, 7, 7, 0, 0, 0, 0, time.UTC)
-	for i := 0; i < concurrent; i++ {
-		ft, err := g.Flow("windows_chrome", fingerprint.Netflix, fingerprint.TCP,
-			tracegen.FlowSpec{Start: start, PayloadFrames: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		flows = append(flows, ft)
-	}
-	// Interleave: packet j of every flow, then packet j+1...
-	var schedule [][]byte
-	for j := 0; ; j++ {
-		any := false
-		for _, ft := range flows {
-			if j < len(ft.Frames) {
-				schedule = append(schedule, ft.Frames[j].Data)
-				any = true
-			}
-		}
-		if !any {
-			break
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p := videoplat.NewPipeline(bank)
-		for _, data := range schedule {
-			if _, err := p.HandlePacket(start, data); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.ReportMetric(concurrent, "concurrent-flows")
-}
-
-// BenchmarkShardedThroughput measures the multi-core fan-out pipeline on
-// the same mixed workload as BenchmarkPipelineThroughput.
-func BenchmarkShardedThroughput(b *testing.B) {
-	bank := trainedBank(b)
-	g := tracegen.New(321)
-	var frames []tracegen.Frame
-	var total int64
-	start := time.Date(2023, 7, 7, 0, 0, 0, 0, time.UTC)
-	for i := 0; i < 50; i++ {
-		label := fingerprint.AllPlatformLabels()[i%17]
-		prov := fingerprint.AllProviders()[i%4]
-		if !fingerprint.SupportMatrix(label, prov) {
-			prov = fingerprint.YouTube
-		}
-		if !fingerprint.SupportMatrix(label, prov) {
-			continue
-		}
-		tr := fingerprint.TCP
-		if !fingerprint.SupportsTCP(label, prov) {
-			tr = fingerprint.QUIC
-		}
-		ft, err := g.Flow(label, prov, tr, tracegen.FlowSpec{Start: start, PayloadFrames: 8})
-		if err != nil {
-			b.Fatal(err)
-		}
-		frames = append(frames, ft.Frames...)
-		for _, fr := range ft.Frames {
-			total += int64(len(fr.Data))
-		}
-	}
-	b.SetBytes(total)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s := pipeline.NewSharded(bank, 4)
-		go func() {
-			for range s.Results() {
-			}
-		}()
-		for _, fr := range frames {
-			s.HandlePacket(start, fr.Data)
-		}
-		s.Close()
-	}
-}
-
-// BenchmarkShardedPacketRate sweeps shard counts on a fixed mixed workload
-// and reports packets/sec — the scaling baseline future PRs (wider sharding,
-// live capture) are measured against. One pipeline serves the whole
-// sub-benchmark and the workload is replayed through it: the untimed first
-// pass classifies every flow, so timed passes measure the steady-state hot
-// path — established-flow packets at line rate, which is what a sustained
-// 20 Gbps tap overwhelmingly carries. The /batch variants drive the same
-// workload through the parse-once batched ingest path (HandlePacketBatch,
-// 64 frames per batch) so the batched-vs-single pps gap is tracked per
-// shard count; the /bounded variants run with production flow-table limits
-// to show the eviction machinery's overhead.
-func BenchmarkShardedPacketRate(b *testing.B) {
-	bank := trainedBank(b)
-	g := tracegen.New(653)
-	var frames []tracegen.Frame
-	start := time.Date(2023, 7, 7, 0, 0, 0, 0, time.UTC)
-	labels := fingerprint.AllPlatformLabels()
-	for i := 0; i < 50; i++ {
-		label := labels[i%len(labels)]
-		prov := fingerprint.AllProviders()[i%4]
-		if !fingerprint.SupportMatrix(label, prov) {
-			prov = fingerprint.YouTube
-		}
-		if !fingerprint.SupportMatrix(label, prov) {
-			continue
-		}
-		tr := fingerprint.TCP
-		if !fingerprint.SupportsTCP(label, prov) {
-			tr = fingerprint.QUIC
-		}
-		ft, err := g.Flow(label, prov, tr, tracegen.FlowSpec{Start: start, PayloadFrames: 8})
-		if err != nil {
-			b.Fatal(err)
-		}
-		frames = append(frames, ft.Frames...)
-	}
-
-	// batchSize 0 = per-packet ingest; otherwise the batched parse-once
-	// path (one decode per frame, one channel send per shard per batch).
-	run := func(b *testing.B, shards, batchSize int, cfg pipeline.Config) {
-		var batches [][]pipeline.IngestPacket
-		if batchSize > 0 {
-			pkts := make([]pipeline.IngestPacket, len(frames))
-			for i, fr := range frames {
-				pkts[i] = pipeline.IngestPacket{TS: start, Data: fr.Data}
-			}
-			for off := 0; off < len(pkts); off += batchSize {
-				batches = append(batches, pkts[off:min(off+batchSize, len(pkts))])
-			}
-		}
-		s := pipeline.NewShardedWithConfig(bank, shards, cfg)
-		go func() {
-			for range s.Results() {
-			}
-		}()
-		feed := func() {
-			if batchSize > 0 {
-				for _, batch := range batches {
-					s.HandlePacketBatch(batch)
-				}
-			} else {
-				for _, fr := range frames {
-					s.HandlePacket(start, fr.Data)
-				}
-			}
-		}
-		feed() // untimed: classify the flows, warm the pools
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			feed()
-		}
-		b.StopTimer()
-		s.Close()
-		b.ReportMetric(float64(b.N*len(frames))/b.Elapsed().Seconds(), "pkts/s")
-	}
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			run(b, shards, 0, pipeline.Config{})
-		})
-		b.Run(fmt.Sprintf("shards=%d/batch", shards), func(b *testing.B) {
-			run(b, shards, 64, pipeline.Config{})
-		})
-		b.Run(fmt.Sprintf("shards=%d/bounded", shards), func(b *testing.B) {
-			run(b, shards, 0, pipeline.Config{MaxFlows: 1024, IdleTimeout: 90 * time.Second})
-		})
-		b.Run(fmt.Sprintf("shards=%d/bounded/batch", shards), func(b *testing.B) {
-			run(b, shards, 64, pipeline.Config{MaxFlows: 1024, IdleTimeout: 90 * time.Second})
-		})
-	}
 }
 
 // BenchmarkSwapUnderLoad measures classification throughput while the bank
@@ -700,15 +270,7 @@ func BenchmarkShardedPacketRate(b *testing.B) {
 // quantifying the cost of the registry's zero-downtime swap path (an atomic
 // pointer load per packet; a swap storm should not dent packet rate).
 func BenchmarkSwapUnderLoad(b *testing.B) {
-	bankA := trainedBank(b)
-	dsB, err := videoplat.GenerateLabDataset(2, 0.04)
-	if err != nil {
-		b.Fatal(err)
-	}
-	bankB, err := videoplat.Train(dsB, videoplat.ForestConfig{NumTrees: 15, MaxDepth: 20, MaxFeatures: 34, Seed: 2})
-	if err != nil {
-		b.Fatal(err)
-	}
+	bankA, bankB := trainedBank(b, 1), trainedBank(b, 2)
 
 	g := tracegen.New(653)
 	var frames []tracegen.Frame
@@ -747,7 +309,7 @@ func BenchmarkSwapUnderLoad(b *testing.B) {
 			if swapping {
 				go func() {
 					defer close(done)
-					banks := [2]*videoplat.Bank{bankA, bankB}
+					banks := [2]*pipeline.Bank{bankA, bankB}
 					for j := 0; ; j++ {
 						select {
 						case <-stop:

@@ -9,17 +9,18 @@ import (
 	"fmt"
 	"log"
 
-	"videoplat"
 	"videoplat/internal/campus"
 	"videoplat/internal/fingerprint"
+	"videoplat/internal/pipeline"
+	"videoplat/internal/tracegen"
 )
 
 func main() {
-	ds, err := videoplat.GenerateLabDataset(3, 0.06)
+	ds, err := tracegen.New(3).LabDataset(0.06, fingerprint.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	bank, err := videoplat.Train(ds, videoplat.ForestConfig{})
+	bank, err := pipeline.TrainBank(ds, pipeline.TrainConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -67,8 +68,8 @@ func main() {
 	}
 
 	fmt.Println("\nplanning takeaways (mirroring the paper's findings):")
-	apMac := bw[videoplat.Amazon]["macOS"].Median
-	apTV := bw[videoplat.Amazon]["TV"].Median
+	apMac := bw[fingerprint.Amazon]["macOS"].Median
+	apTV := bw[fingerprint.Amazon]["TV"].Median
 	fmt.Printf("  - Amazon on Mac PCs needs %.1fx the TV bandwidth (paper: ~1.5x)\n", apMac/apTV)
 	fmt.Println("  - YouTube demand is mobile-heavy and spread 16:00-24:00; subscription")
 	fmt.Println("    services concentrate in a sharper 19:00-23:00 window on PCs/TVs.")

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"log"
 
-	"videoplat"
 	"videoplat/internal/drift"
 	"videoplat/internal/features"
 	"videoplat/internal/fingerprint"
@@ -19,18 +18,18 @@ import (
 )
 
 func main() {
-	lab, err := videoplat.GenerateLabDataset(9, 0.05)
+	lab, err := tracegen.New(9).LabDataset(0.05, fingerprint.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	bank, err := videoplat.Train(lab, videoplat.ForestConfig{})
+	bank, err := pipeline.TrainBank(lab, pipeline.TrainConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	mon := drift.NewMonitor(drift.Config{Window: 120, Baseline: 120, ConfidenceDrop: 0.05})
 
-	classify := func(ds *videoplat.Dataset, phase string) {
+	classify := func(ds *tracegen.Dataset, phase string) {
 		for _, ft := range ds.Flows {
 			info, err := pipeline.ExtractTrace(ft)
 			if err != nil {
@@ -40,7 +39,7 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			mon.Observe(&videoplat.FlowRecord{Classified: true,
+			mon.Observe(&pipeline.FlowRecord{Classified: true,
 				Provider: ft.Provider, Transport: ft.Transport, Prediction: pred})
 		}
 		fmt.Printf("\nafter %s:\n", phase)
@@ -63,7 +62,7 @@ func main() {
 	classify(current, "phase 1 (current traffic)")
 
 	// Phase 2: the fleet updates — open-set profiles drift the handshakes.
-	drifted, err := videoplat.GenerateOpenSetDataset(102, 8)
+	drifted, err := tracegen.New(102).OpenSetDataset(8)
 	if err != nil {
 		log.Fatal(err)
 	}

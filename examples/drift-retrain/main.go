@@ -29,9 +29,12 @@ import (
 	"log"
 	"os"
 
-	"videoplat"
+	"videoplat/internal/drift"
 	"videoplat/internal/fingerprint"
+	"videoplat/internal/ml"
 	"videoplat/internal/pipeline"
+	"videoplat/internal/registry"
+	"videoplat/internal/server"
 	"videoplat/internal/tracegen"
 )
 
@@ -43,16 +46,16 @@ func main() {
 	defer os.RemoveAll(dir)
 
 	// 1. Initial model: train on current lab traffic, promote as v0001.
-	reg, err := videoplat.NewRegistry(videoplat.RegistryConfig{Dir: dir})
+	reg, err := registry.New(registry.Config{Dir: dir})
 	if err != nil {
 		log.Fatal(err)
 	}
-	lab, err := videoplat.GenerateLabDataset(1, 0.03)
+	lab, err := tracegen.New(1).LabDataset(0.03, fingerprint.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	initial, err := videoplat.Train(lab, videoplat.ForestConfig{
-		NumTrees: 15, MaxDepth: 20, MaxFeatures: 34, Seed: 1})
+	initial, err := pipeline.TrainBank(lab, pipeline.TrainConfig{Forest: ml.ForestConfig{
+		NumTrees: 15, MaxDepth: 20, MaxFeatures: 34, Seed: 1}})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -65,17 +68,17 @@ func main() {
 	}
 	fmt.Printf("registry %s: promoted %s (initial bank)\n", dir, m0.ID)
 
-	reg.OnSwap(func(v *videoplat.ModelVersion) {
+	reg.OnSwap(func(v *registry.Version) {
 		fmt.Printf(">>> hot-swap: now serving %s (%s)\n", v.Manifest.ID, v.Manifest.Reason)
 	})
 
 	// 2-4. Drift monitor + retrainer, wired through the daemon. The train
 	// func models "collect fresh ground truth from the updated fleet":
 	// current lab profiles plus the open-set (drifted) ones.
-	mon := videoplat.NewDriftMonitor(videoplat.DriftConfig{
+	mon := drift.NewMonitor(drift.Config{
 		Window: 40, Baseline: 40, ConfidenceDrop: 0.05})
-	rt, err := videoplat.NewRetrainer(reg, videoplat.RetrainerConfig{
-		Train: func(reason string, seed uint64) (*videoplat.Bank, error) {
+	rt, err := registry.NewRetrainer(reg, registry.RetrainerConfig{
+		Train: func(reason string, seed uint64) (*pipeline.Bank, error) {
 			fmt.Printf("retraining (%s)...\n", reason)
 			ds, err := tracegen.New(seed).LabDataset(0.03, fingerprint.Options{})
 			if err != nil {
@@ -86,10 +89,10 @@ func main() {
 				return nil, err
 			}
 			ds.Flows = append(ds.Flows, drifted.Flows...)
-			return pipeline.TrainBank(ds, pipeline.TrainConfig{Forest: videoplat.ForestConfig{
+			return pipeline.TrainBank(ds, pipeline.TrainConfig{Forest: ml.ForestConfig{
 				NumTrees: 15, MaxDepth: 20, MaxFeatures: 34, Seed: seed}})
 		},
-		Gate: videoplat.ShadowGate{SampleRate: 1, MinFlows: 30, MinAgreement: 0.1},
+		Gate: registry.Gate{SampleRate: 1, MinFlows: 30, MinAgreement: 0.1},
 		Seed: 1000,
 	})
 	if err != nil {
@@ -101,9 +104,9 @@ func main() {
 	// update (open-set perturbation) injected after session 100. Pacing
 	// matters: it leaves the retrainer wall-clock time to train and
 	// shadow-evaluate while traffic still flows.
-	srv, err := videoplat.NewServer(reg.Current().Bank,
-		videoplat.NewDriftingSynthSource(7, 600, 100),
-		videoplat.ServeConfig{
+	srv, err := server.New(reg.Current().Bank,
+		server.NewDriftingSynthSource(7, 600, 100),
+		server.Config{
 			Addr: "127.0.0.1:0", Rate: 800,
 			Registry: reg, Drift: mon, Retrainer: rt,
 		})

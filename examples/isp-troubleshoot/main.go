@@ -12,16 +12,17 @@ import (
 	"sort"
 	"time"
 
-	"videoplat"
+	"videoplat/internal/fingerprint"
+	"videoplat/internal/pipeline"
 	"videoplat/internal/tracegen"
 )
 
 func main() {
-	ds, err := videoplat.GenerateLabDataset(7, 0.05)
+	ds, err := tracegen.New(7).LabDataset(0.05, fingerprint.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	bank, err := videoplat.Train(ds, videoplat.ForestConfig{})
+	bank, err := pipeline.TrainBank(ds, pipeline.TrainConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -29,19 +30,19 @@ func main() {
 	// The household: five devices streaming concurrently through one NAT.
 	household := []struct {
 		label string
-		prov  videoplat.Provider
-		tr    videoplat.Transport
+		prov  fingerprint.Provider
+		tr    fingerprint.Transport
 		note  string
 	}{
-		{"windows_firefox", videoplat.Netflix, videoplat.TCP, "teen's gaming PC"},
-		{"macOS_safari", videoplat.Netflix, videoplat.TCP, "home-office MacBook"},
-		{"iOS_nativeApp", videoplat.Netflix, videoplat.TCP, "parent's iPhone"},
-		{"androidTV_nativeApp", videoplat.Netflix, videoplat.TCP, "living-room TV"},
-		{"windows_chrome", videoplat.YouTube, videoplat.QUIC, "same PC, second screen"},
+		{"windows_firefox", fingerprint.Netflix, fingerprint.TCP, "teen's gaming PC"},
+		{"macOS_safari", fingerprint.Netflix, fingerprint.TCP, "home-office MacBook"},
+		{"iOS_nativeApp", fingerprint.Netflix, fingerprint.TCP, "parent's iPhone"},
+		{"androidTV_nativeApp", fingerprint.Netflix, fingerprint.TCP, "living-room TV"},
+		{"windows_chrome", fingerprint.YouTube, fingerprint.QUIC, "same PC, second screen"},
 	}
 
 	g := tracegen.New(99)
-	p := videoplat.NewPipeline(bank)
+	p := pipeline.New(bank)
 	start := time.Date(2023, 10, 1, 20, 0, 0, 0, time.UTC)
 
 	fmt.Println("household flows as seen at the ISP (one shared IPv4):")
@@ -59,7 +60,7 @@ func main() {
 				continue
 			}
 			verdict := rec.Prediction.Platform
-			if rec.Prediction.Status != videoplat.Composite {
+			if rec.Prediction.Status != pipeline.Composite {
 				verdict = fmt.Sprintf("partial(device=%s)", rec.Prediction.Device)
 			}
 			match := " "
@@ -75,8 +76,8 @@ func main() {
 	fmt.Println("\nsupport-desk summary for the Netflix ticket:")
 	byPlatform := map[string]int{}
 	for _, rec := range p.Flows() {
-		if rec.Classified && rec.Provider == videoplat.Netflix &&
-			rec.Prediction.Status == videoplat.Composite {
+		if rec.Classified && rec.Provider == fingerprint.Netflix &&
+			rec.Prediction.Status == pipeline.Composite {
 			byPlatform[rec.Prediction.Platform]++
 		}
 	}

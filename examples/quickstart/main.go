@@ -1,20 +1,21 @@
 // Quickstart: generate a labeled dataset, train the classifier bank, and
 // classify live packets of an unseen video flow — the minimal end-to-end
-// use of the videoplat public API.
+// use of the implementation packages, imported the way cmd/* import them.
 package main
 
 import (
 	"fmt"
 	"log"
 
-	"videoplat"
+	"videoplat/internal/fingerprint"
+	"videoplat/internal/pipeline"
 	"videoplat/internal/tracegen"
 )
 
 func main() {
 	// 1. Render a small labeled training set with the composition of the
 	//    paper's Table 1 (5% scale ≈ 600 flows).
-	ds, err := videoplat.GenerateLabDataset(1, 0.05)
+	ds, err := tracegen.New(1).LabDataset(0.05, fingerprint.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -23,7 +24,7 @@ func main() {
 
 	// 2. Train the per-provider classifier bank (zero config selects the
 	//    paper's tuned hyperparameters).
-	bank, err := videoplat.Train(ds, videoplat.ForestConfig{})
+	bank, err := pipeline.TrainBank(ds, pipeline.TrainConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -31,11 +32,11 @@ func main() {
 	// 3. Classify packets the bank has never seen: an iPhone streaming
 	//    Disney+ through the native app.
 	g := tracegen.New(42)
-	flow, err := g.Flow("iOS_nativeApp", videoplat.Disney, videoplat.TCP, tracegen.FlowSpec{})
+	flow, err := g.Flow("iOS_nativeApp", fingerprint.Disney, fingerprint.TCP, tracegen.FlowSpec{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	p := videoplat.NewPipeline(bank)
+	p := pipeline.New(bank)
 	for _, fr := range flow.Frames {
 		rec, err := p.HandlePacket(flow.Start.Add(fr.Offset), fr.Data)
 		if err != nil {
@@ -46,10 +47,10 @@ func main() {
 		}
 		fmt.Printf("\nflow to %s (%s over %s)\n", rec.SNI, rec.Provider, rec.Transport)
 		switch rec.Prediction.Status {
-		case videoplat.Composite:
+		case pipeline.Composite:
 			fmt.Printf("  platform: %s (confidence %.0f%%)\n",
 				rec.Prediction.Platform, rec.Prediction.PlatformConf*100)
-		case videoplat.Partial:
+		case pipeline.Partial:
 			fmt.Printf("  partial: device=%q agent=%q\n",
 				rec.Prediction.Device, rec.Prediction.Agent)
 		default:
@@ -59,7 +60,7 @@ func main() {
 	}
 
 	// 4. The same bank handles QUIC: a Chrome-on-Windows YouTube flow.
-	quicFlow, err := g.Flow("windows_chrome", videoplat.YouTube, videoplat.QUIC, tracegen.FlowSpec{})
+	quicFlow, err := g.Flow("windows_chrome", fingerprint.YouTube, fingerprint.QUIC, tracegen.FlowSpec{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -74,5 +75,5 @@ func main() {
 		}
 	}
 
-	fmt.Println("\nsupported platforms:", videoplat.Platforms())
+	fmt.Println("\nsupported platforms:", fingerprint.AllPlatformLabels())
 }

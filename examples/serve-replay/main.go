@@ -21,8 +21,11 @@ import (
 	"path/filepath"
 	"time"
 
-	"videoplat"
 	"videoplat/internal/fingerprint"
+	"videoplat/internal/ml"
+	"videoplat/internal/pipeline"
+	"videoplat/internal/server"
+	"videoplat/internal/telemetry"
 	"videoplat/internal/tracegen"
 )
 
@@ -39,19 +42,19 @@ func main() {
 	writeTraffic(pcapPath)
 
 	// 2. Train a small classifier bank.
-	ds, err := videoplat.GenerateLabDataset(1, 0.04)
+	ds, err := tracegen.New(1).LabDataset(0.04, fingerprint.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	bank, err := videoplat.Train(ds, videoplat.ForestConfig{
-		NumTrees: 15, MaxDepth: 20, MaxFeatures: 34, Seed: 1})
+	bank, err := pipeline.TrainBank(ds, pipeline.TrainConfig{Forest: ml.ForestConfig{
+		NumTrees: 15, MaxDepth: 20, MaxFeatures: 34, Seed: 1}})
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	// 3. Assemble the daemon: pcap replay source, bounded flow tables,
 	//    1-minute rollup windows into a JSONL sink, ops API on a free port.
-	src, err := videoplat.OpenReplaySource(pcapPath)
+	src, err := server.OpenFileSource(pcapPath)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -60,13 +63,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	srv, err := videoplat.NewServer(bank, src, videoplat.ServeConfig{
+	srv, err := server.New(bank, src, server.Config{
 		Addr:        "127.0.0.1:0",
 		MaxFlows:    64,
 		IdleTimeout: 90 * time.Second,
 		WindowWidth: time.Minute,
 		Rate:        2000, // pace the replay so we can watch it live
-		Sink:        videoplat.NewJSONLSink(sinkFile),
+		Sink:        telemetry.NewJSONLSink(sinkFile),
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -116,12 +119,12 @@ func writeTraffic(path string) {
 	var traces []*tracegen.FlowTrace
 	specs := []struct {
 		label string
-		prov  videoplat.Provider
+		prov  fingerprint.Provider
 	}{
-		{"windows_chrome", videoplat.YouTube},
-		{"iOS_nativeApp", videoplat.Netflix},
-		{"macOS_safari", videoplat.Disney},
-		{"androidTV_nativeApp", videoplat.Amazon},
+		{"windows_chrome", fingerprint.YouTube},
+		{"iOS_nativeApp", fingerprint.Netflix},
+		{"macOS_safari", fingerprint.Disney},
+		{"androidTV_nativeApp", fingerprint.Amazon},
 	}
 	for i := 0; i < 20; i++ {
 		sp := specs[i%len(specs)]

@@ -26,7 +26,12 @@ import (
 	"path/filepath"
 	"time"
 
-	"videoplat"
+	"videoplat/internal/fingerprint"
+	"videoplat/internal/ml"
+	"videoplat/internal/pipeline"
+	"videoplat/internal/server"
+	"videoplat/internal/telemetry"
+	"videoplat/internal/tracegen"
 )
 
 func main() {
@@ -38,12 +43,12 @@ func main() {
 	histPath := filepath.Join(dir, "history.jsonl")
 
 	// 1. Train a small classifier bank.
-	ds, err := videoplat.GenerateLabDataset(1, 0.04)
+	ds, err := tracegen.New(1).LabDataset(0.04, fingerprint.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	bank, err := videoplat.Train(ds, videoplat.ForestConfig{
-		NumTrees: 15, MaxDepth: 20, MaxFeatures: 34, Seed: 1})
+	bank, err := pipeline.TrainBank(ds, pipeline.TrainConfig{Forest: ml.ForestConfig{
+		NumTrees: 15, MaxDepth: 20, MaxFeatures: 34, Seed: 1}})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -54,11 +59,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	store := videoplat.NewTelemetryStore(videoplat.TelemetryStoreConfig{
+	store := telemetry.NewStore(telemetry.StoreConfig{
 		Tiers:   []time.Duration{5 * time.Minute},
-		Persist: videoplat.NewJSONLSink(hist),
+		Persist: telemetry.NewJSONLSink(hist),
 	})
-	srv, err := videoplat.NewServer(bank, videoplat.NewSynthSource(11, 40), videoplat.ServeConfig{
+	srv, err := server.New(bank, server.NewSynthSource(11, 40), server.Config{
 		Addr:        "127.0.0.1:0",
 		WindowWidth: time.Minute,
 		Store:       store,
@@ -80,7 +85,7 @@ func main() {
 	}
 
 	fmt.Println("\n--- provider demand over time (/query?by=provider&step=5m) ---")
-	var byProv videoplat.QueryResult
+	var byProv telemetry.QueryResult
 	getJSON(base+"/query?by=provider&step=5m", &byProv)
 	for _, sr := range byProv.Series {
 		fmt.Printf("  %-10s", sr.Key)
@@ -93,7 +98,7 @@ func main() {
 	}
 
 	fmt.Println("\n--- per-platform provisioning (/query?by=platform) ---")
-	var byPlat videoplat.QueryResult
+	var byPlat telemetry.QueryResult
 	getJSON(base+"/query?by=platform&step=60m", &byPlat)
 	for _, sr := range byPlat.Series {
 		p := sr.Points[0]
@@ -102,9 +107,9 @@ func main() {
 	}
 
 	fmt.Println("\n--- busiest 5-minute bucket (/query?step=5m) ---")
-	var total videoplat.QueryResult
+	var total telemetry.QueryResult
 	getJSON(base+"/query?step=5m", &total)
-	var peak videoplat.QueryPoint
+	var peak telemetry.QueryPoint
 	for _, p := range total.Series[0].Points {
 		if p.BytesDown > peak.BytesDown {
 			peak = p
@@ -115,8 +120,8 @@ func main() {
 
 	fmt.Println("\n--- downsampled history (/windows?tier=5m) ---")
 	var wins struct {
-		Count   int                       `json:"count"`
-		Windows []*videoplat.RollupWindow `json:"windows"`
+		Count   int                 `json:"count"`
+		Windows []*telemetry.Window `json:"windows"`
 	}
 	getJSON(base+"/windows?tier=5m", &wins)
 	fmt.Printf("  %d coarse buckets retained (raw windows compact 5:1)\n", wins.Count)
@@ -128,19 +133,19 @@ func main() {
 	if err := <-runErr; err != nil {
 		log.Fatal(err)
 	}
-	final, err := srv.Store().Query(time.Time{}, time.Time{}, time.Hour, videoplat.GroupTotal)
+	final, err := srv.Store().Query(time.Time{}, time.Time{}, time.Hour, telemetry.GroupTotal)
 	if err != nil {
 		log.Fatal(err)
 	}
 	if _, err := hist.Seek(0, 0); err != nil {
 		log.Fatal(err)
 	}
-	reborn := videoplat.NewTelemetryStore(videoplat.TelemetryStoreConfig{})
+	reborn := telemetry.NewStore(telemetry.StoreConfig{})
 	n, err := reborn.Reload(hist)
 	if err != nil {
 		log.Fatal(err)
 	}
-	reloaded, err := reborn.Query(time.Time{}, time.Time{}, time.Hour, videoplat.GroupTotal)
+	reloaded, err := reborn.Query(time.Time{}, time.Time{}, time.Hour, telemetry.GroupTotal)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -149,7 +154,7 @@ func main() {
 		sumFlows(final), sumFlows(reloaded))
 }
 
-func sumFlows(res *videoplat.QueryResult) int {
+func sumFlows(res *telemetry.QueryResult) int {
 	var n int
 	for _, sr := range res.Series {
 		for _, p := range sr.Points {

@@ -113,7 +113,7 @@ func NilSafe(decl *ast.GenDecl, spec *ast.TypeSpec) bool {
 //
 //	buf = grow(buf) //vp:allocok warm-scratch growth, amortized
 //
-//	//vp:allocok lazy one-time init, pinned by TestFoldZeroAlloc
+//	//vp:allocok lazy one-time init, pinned by TestQualityFoldZeroAlloc
 //	m = make(map[string]int)
 func AllocWaivers(fset *token.FileSet, f *ast.File) map[int]bool {
 	var lines map[int]bool

@@ -235,24 +235,6 @@ func TestEncodeIntoZeroAlloc(t *testing.T) {
 	}
 }
 
-// BenchmarkEncodeInto measures the compiled encode of one handshake, cycling
-// through every platform's TCP hello so vocabulary and extension-index
-// lookups see the serving path's mix rather than one hot flow.
-func BenchmarkEncodeInto(b *testing.B) {
-	infos := genInfos(b, fingerprint.TCP, 6)
-	ce, err := Compile(fitted(b, false, Options{}))
-	if err != nil {
-		b.Fatal(err)
-	}
-	var sc EncodeScratch
-	var dst []float64
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dst = ce.EncodeInto(dst, infos[i%len(infos)], &sc)
-	}
-}
-
 // fitted returns an encoder fitted on rendered handshakes extracted with o.
 func fitted(t testing.TB, quic bool, o Options) *Encoder {
 	t.Helper()

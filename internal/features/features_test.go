@@ -297,34 +297,3 @@ func TestSummarize(t *testing.T) {
 		}
 	}
 }
-
-func BenchmarkExtract(b *testing.B) {
-	rng := newRng(5)
-	f, err := fingerprint.Generate(rng, "windows_chrome", fingerprint.YouTube, fingerprint.QUIC, fingerprint.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	info := infoFromFingerprint(f)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		Extract(info)
-	}
-}
-
-func BenchmarkEncoderTransform(b *testing.B) {
-	rng := newRng(6)
-	f, err := fingerprint.Generate(rng, "windows_chrome", fingerprint.YouTube, fingerprint.QUIC, fingerprint.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	v := Extract(infoFromFingerprint(f))
-	enc, err := NewEncoder(true, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	enc.Fit([]*FieldValues{v})
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		enc.Transform(v)
-	}
-}

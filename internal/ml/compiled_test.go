@@ -219,82 +219,3 @@ func TestPredictProbaIntoSizesOnce(t *testing.T) {
 		t.Errorf("reused buffer has len %d, want %d", len(reused), f.NumClasses())
 	}
 }
-
-// BenchmarkForestInference compares the serving inference forms on a
-// production-shaped ensemble (the paper's depth-20 forests over a wide
-// attribute vector, §4.3.1) — large enough that the pointer-walk's
-// heap-scattered nodes fall out of cache, which is the regime the compiled
-// flat layout exists for. The tests above pin byte-identity on a smaller
-// fixture; this fixture is about ns/flow.
-func BenchmarkForestInference(b *testing.B) {
-	rng := rand.New(rand.NewPCG(11, 13))
-	const (
-		nFeat    = 60
-		nClasses = 12
-		nRows    = 3000
-	)
-	var x [][]float64
-	var labels []string
-	for i := 0; i < nRows; i++ {
-		c := i % nClasses
-		row := make([]float64, nFeat)
-		for j := range row {
-			row[j] = float64((c*j)%7) + rng.Float64()*4
-		}
-		x = append(x, row)
-		labels = append(labels, string(rune('a'+c)))
-	}
-	d, err := NewDataset(x, labels)
-	if err != nil {
-		b.Fatal(err)
-	}
-	f := &RandomForest{Config: ForestConfig{NumTrees: 40, MaxDepth: 20, MaxFeatures: 34, Seed: 1}}
-	f.Fit(d)
-	cf, err := CompileForest(f)
-	if err != nil {
-		b.Fatal(err)
-	}
-	// All variants classify the same 64-flow working set per iteration —
-	// distinct rows, so no variant gets an unrealistically learned branch
-	// pattern — and report comparable ns/flow.
-	const batch = 64
-	work := d.X[:batch]
-	stride := nFeat
-	rows := make([]float64, 0, batch*stride)
-	for _, row := range work {
-		rows = append(rows, row...)
-	}
-	var proba []float64
-
-	b.Run("pointer-walk", func(b *testing.B) {
-		f.PredictInto(work[0], &proba)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for _, row := range work {
-				f.PredictInto(row, &proba)
-			}
-		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/flow")
-	})
-	b.Run("compiled", func(b *testing.B) {
-		cf.PredictInto(work[0], &proba)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for _, row := range work {
-				cf.PredictInto(row, &proba)
-			}
-		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/flow")
-	})
-	b.Run("compiled-batch", func(b *testing.B) {
-		out := cf.PredictBatchInto(rows, stride, nil)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			out = cf.PredictBatchInto(rows, stride, out)
-		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/flow")
-	})
-}

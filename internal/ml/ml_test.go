@@ -363,14 +363,3 @@ func BenchmarkForestFit(b *testing.B) {
 		f.Fit(d)
 	}
 }
-
-func BenchmarkForestPredict(b *testing.B) {
-	d := synthBlobs(500, 20, 1.0)
-	f := &RandomForest{Config: ForestConfig{NumTrees: 50, MaxDepth: 15, Seed: 8}}
-	f.Fit(d)
-	x := d.X[0]
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		f.PredictProba(x)
-	}
-}

@@ -7,7 +7,7 @@
 // The package sits below pipeline, telemetry and server and imports none of
 // them, so every layer of the serving spine can record into it without
 // cycles. Recording is wait-free (atomic adds on fixed arrays) and performs
-// no allocation, pinned by TestRecordZeroAlloc and BenchmarkRecordLatency.
+// no allocation, pinned by TestRecordZeroAlloc.
 package obs
 
 import (

@@ -203,16 +203,6 @@ func TestStageStats(t *testing.T) {
 	}
 }
 
-// BenchmarkRecordLatency is the CI-pinned hot-path benchmark: one histogram
-// record per op, required to report 0 allocs/op.
-func BenchmarkRecordLatency(b *testing.B) {
-	var h Histogram
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		h.Record(time.Duration(i&0xFFFFF) * time.Nanosecond)
-	}
-}
-
 // BenchmarkRecordLatencyParallel exercises contended recording across
 // goroutines, the shape shard workers produce.
 func BenchmarkRecordLatencyParallel(b *testing.B) {

@@ -42,15 +42,6 @@ func (s Stage) String() string {
 	return stageNames[s]
 }
 
-// Stages lists every stage in pipeline order.
-func Stages() []Stage {
-	out := make([]Stage, NumStages)
-	for i := range out {
-		out[i] = Stage(i)
-	}
-	return out
-}
-
 // PipelineObserver holds one lock-free histogram per pipeline stage. All
 // methods are nil-receiver safe, so instrumented code paths need only a
 // single pointer check (or none: Record on a nil observer is a no-op).

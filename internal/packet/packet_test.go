@@ -289,16 +289,3 @@ func TestParseAllocFree(t *testing.T) {
 		t.Errorf("Parse allocates %v times per run, want 0", allocs)
 	}
 }
-
-func BenchmarkParseTCPSyn(b *testing.B) {
-	frame := buildTCPSyn(&testing.T{}, nil)
-	var p Parser
-	var out Parsed
-	b.ReportAllocs()
-	b.SetBytes(int64(len(frame)))
-	for i := 0; i < b.N; i++ {
-		if err := p.Parse(frame, &out); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

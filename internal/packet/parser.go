@@ -71,6 +71,16 @@ func (p *Parsed) TTL() uint8 {
 	return p.IP6.HopLimit
 }
 
+// IPLen returns the size of the IP packet as its header states it — IPv4
+// total length, or the IPv6 fixed header plus payload length — so an Ethernet
+// trailer or padding after the packet does not count.
+func (p *Parsed) IPLen() int {
+	if p.Has(LayerIPv4) {
+		return int(p.IP4.TotalLen)
+	}
+	return 40 + int(p.IP6.PayloadLen)
+}
+
 // Flow returns the 5-tuple flow key of the packet, or ok=false for
 // non-TCP/UDP traffic.
 func (p *Parsed) Flow() (FlowKey, bool) {

@@ -117,9 +117,6 @@ func NewReader(r io.Reader) (*Reader, error) {
 // LinkType returns the file's DLT value.
 func (pr *Reader) LinkType() uint32 { return pr.linkType }
 
-// Snaplen returns the file's snap length.
-func (pr *Reader) Snaplen() uint32 { return pr.snaplen }
-
 // Next returns the next record, or io.EOF at the end of the file. The
 // returned data is freshly allocated and safe to retain.
 func (pr *Reader) Next() (Packet, error) {

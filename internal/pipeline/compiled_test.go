@@ -420,103 +420,3 @@ func TestClassifyPartialZeroAlloc(t *testing.T) {
 		t.Errorf("partial-info ClassifyHandshake allocates %.1f per call, want 0", allocs)
 	}
 }
-
-// benchBankAndFlow trains a bench bank and one QUIC YouTube flow.
-func benchBankAndFlow(b *testing.B) (*Bank, *features.HandshakeInfo) {
-	b.Helper()
-	ds, err := tracegen.New(1).LabDataset(0.04, fingerprint.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	bank, err := TrainBank(ds, TrainConfig{Forest: DefaultForestConfig()})
-	if err != nil {
-		b.Fatal(err)
-	}
-	ft, err := tracegen.New(7).Flow("windows_chrome", fingerprint.YouTube, fingerprint.QUIC, tracegen.FlowSpec{PayloadFrames: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	info, err := ExtractTrace(ft)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return bank, info
-}
-
-// BenchmarkClassifyHandshake measures the per-flow serving path: the
-// compiled evaluator one flow at a time (the production path) and over a
-// 64-flow batch, which must both report 0 allocs/op, and the reference
-// fallback an entry with its compiled forests stripped is served by — the
-// allocating Extract+Transform+pointer-walk path, by design.
-func BenchmarkClassifyHandshake(b *testing.B) {
-	b.Run("compiled", func(b *testing.B) {
-		bank, info := benchBankAndFlow(b)
-		var sc ClassifyScratch
-		// Warm the lazily built entry index, compiled tables and scratch so
-		// the timed region measures the steady state (0 allocs/op).
-		if _, err := bank.ClassifyHandshake(fingerprint.YouTube, fingerprint.QUIC, info, &sc); err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := bank.ClassifyHandshake(fingerprint.YouTube, fingerprint.QUIC, info, &sc); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-
-	b.Run("pointer-walk", func(b *testing.B) {
-		// The reference path — extract, Encoder.Transform, pointer-walk
-		// forests — which is what every flow cost before compilation.
-		bank, info := benchBankAndFlow(b)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := bank.Classify(fingerprint.YouTube, fingerprint.QUIC, features.Extract(info)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-
-	b.Run("batch", func(b *testing.B) {
-		bank, info := benchBankAndFlow(b)
-		const batch = 64
-		infos := make([]*features.HandshakeInfo, batch)
-		for i := range infos {
-			infos[i] = info
-		}
-		var sc ClassifyScratch
-		out := make([]Prediction, batch)
-		if err := bank.ClassifyBatch(fingerprint.YouTube, fingerprint.QUIC, infos, &sc, out); err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := bank.ClassifyBatch(fingerprint.YouTube, fingerprint.QUIC, infos, &sc, out); err != nil {
-				b.Fatal(err)
-			}
-		}
-		// ns/flow comparability with the per-flow variants.
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/flow")
-	})
-
-	b.Run("partial", func(b *testing.B) {
-		// The degraded tier: no ClientHello, only transport-visible features —
-		// what ECH/0-RTT early classification pays per escalation attempt.
-		bank, _ := benchBankAndFlow(b)
-		info := &features.HandshakeInfo{QUIC: true, TTL: 52, InitPacketSize: 1252}
-		var sc ClassifyScratch
-		if _, err := bank.ClassifyHandshake(fingerprint.YouTube, fingerprint.QUIC, info, &sc); err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := bank.ClassifyHandshake(fingerprint.YouTube, fingerprint.QUIC, info, &sc); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}

@@ -207,12 +207,12 @@ func (a *hsAssembler) consume(parser *packet.Parser, parsed *packet.Parsed, open
 		a.frames++
 		return false // non-IP noise is skipped, as a tap would
 	}
-	return a.consumeParsed(parsed, opener, frame)
+	return a.consumeParsed(parsed, opener)
 }
 
-// consumeParsed is consume after its decode. parsed must be the result of
-// Parser.Parse(frame, parsed).
-func (a *hsAssembler) consumeParsed(parsed *packet.Parsed, opener *quicproto.Opener, frame []byte) bool {
+// consumeParsed is consume after its decode: parsed is what Parser.Parse
+// made of the frame.
+func (a *hsAssembler) consumeParsed(parsed *packet.Parsed, opener *quicproto.Opener) bool {
 	a.frames++
 	info := &a.info
 	switch {
@@ -222,7 +222,7 @@ func (a *hsAssembler) consumeParsed(parsed *packet.Parsed, opener *quicproto.Ope
 			a.sawSYN = true
 			info.QUIC = false
 			info.TTL = parsed.TTL()
-			info.InitPacketSize = len(frame) - 14 // IP packet size
+			info.InitPacketSize = parsed.IPLen()
 			info.TCPFlags = t.Flags
 			info.TCPWindow = t.Window
 			info.TCPMSS = t.MSS()

@@ -9,6 +9,7 @@ import (
 	"videoplat/internal/features"
 	"videoplat/internal/fingerprint"
 	"videoplat/internal/packet"
+	"videoplat/internal/tracegen"
 )
 
 // TestExtractFramesSplitClientHello feeds a ClientHello split across two TCP
@@ -174,5 +175,64 @@ func TestExtractFramesQUICShortHeaderIgnored(t *testing.T) {
 	frame := eth.Append(nil, ip.Append(nil, seg))
 	if _, err := ExtractFrames([][]byte{frame}); err != ErrNoHandshake {
 		t.Errorf("err = %v, want ErrNoHandshake", err)
+	}
+}
+
+// TestTrailerDoesNotChangeInitPacketSize pins that a TCP flow's
+// initial-packet-size attribute is the SYN's IP packet size, not its frame's:
+// a tap that appends an Ethernet trailer or pads to the minimum frame must
+// extract the same HandshakeInfo as one that does not, over IPv4 and IPv6.
+func TestTrailerDoesNotChangeInitPacketSize(t *testing.T) {
+	const trailer = 6
+	ft, err := tracegen.New(61).Flow("iOS_nativeApp", fingerprint.Netflix, fingerprint.TCP, tracegen.FlowSpec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var v4 [][]byte
+	for _, fr := range ft.Frames {
+		if fr.ClientToServer {
+			v4 = append(v4, fr.Data)
+		}
+	}
+
+	f, err := fingerprint.Generate(rand.New(rand.NewPCG(3, 3)), "iOS_nativeApp", fingerprint.Netflix, fingerprint.TCP, fingerprint.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	client := netip.MustParseAddrPort("[2001:db8::2]:50000")
+	server := netip.MustParseAddrPort("[2001:db8::443]:443")
+	v6 := [][]byte{
+		craftFrame(client, server, packet.ProtoTCP, packet.FlagSYN, nil, 0),
+		craftFrame(client, server, packet.ProtoTCP, packet.FlagACK|packet.FlagPSH, f.Hello.MarshalRecord(), 0),
+	}
+
+	for _, c := range []struct {
+		name   string
+		frames [][]byte
+		want   int // the SYN's IP packet size
+	}{
+		{"IPv4", v4, len(v4[0]) - 14},
+		{"IPv6", v6, len(v6[0]) - 14},
+	} {
+		plain, err := ExtractFrames(c.frames)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		var withTrailer [][]byte
+		for _, fr := range c.frames {
+			withTrailer = append(withTrailer, append(append([]byte(nil), fr...), make([]byte, trailer)...))
+		}
+		padded, err := ExtractFrames(withTrailer)
+		if err != nil {
+			t.Fatalf("%s, %d trailer bytes: %v", c.name, trailer, err)
+		}
+		if plain.InitPacketSize != c.want || padded.InitPacketSize != c.want {
+			t.Errorf("%s: init packet size = %d plain, %d with a %d-byte trailer, want %d both",
+				c.name, plain.InitPacketSize, padded.InitPacketSize, trailer, c.want)
+		}
+		if !reflect.DeepEqual(plain, padded) {
+			t.Errorf("%s: HandshakeInfo differs with a %d-byte trailer:\n plain  %+v\n padded %+v",
+				c.name, trailer, plain, padded)
+		}
 	}
 }

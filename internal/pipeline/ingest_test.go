@@ -1,7 +1,6 @@
 package pipeline
 
 import (
-	"fmt"
 	"net/netip"
 	"sync"
 	"testing"
@@ -10,7 +9,6 @@ import (
 	"videoplat/internal/features"
 	"videoplat/internal/fingerprint"
 	"videoplat/internal/flowtable"
-	"videoplat/internal/obs"
 	"videoplat/internal/packet"
 	"videoplat/internal/quicproto"
 	"videoplat/internal/tracegen"
@@ -624,80 +622,4 @@ func TestIngestStallCounter(t *testing.T) {
 	if s.IngestStats().Stalls == 0 {
 		t.Error("no stalls recorded while flooding a depth-1 inbox")
 	}
-}
-
-// BenchmarkIngest isolates the ingest layer itself — steady-state frames of
-// established (done) flows through a warm Sharded, no classification — so
-// the per-frame cost of routing (copy, parse, hash, queue) is measurable
-// apart from the classifier. Compares the per-packet and batched entry
-// points.
-func BenchmarkIngest(b *testing.B) {
-	for _, shards := range []int{1, 4} {
-		name := func(v string) string { return fmt.Sprintf("shards=%d-%s", shards, v) }
-		b.Run(name("single"), func(b *testing.B) { benchIngest(b, shards, 0, Config{}) })
-		b.Run(name("batch64"), func(b *testing.B) { benchIngest(b, shards, 64, Config{}) })
-	}
-}
-
-// BenchmarkIngestInstrumented is BenchmarkIngest with the full latency
-// observability attached (per-stage histograms plus a sampling tracer) —
-// the CI-pinned proof that instrumentation keeps the steady-state ingest
-// path at 0 allocs/pkt. Spans are admitted only at flow creation, which the
-// warm-up performs outside the timed region.
-func BenchmarkIngestInstrumented(b *testing.B) {
-	cfg := Config{
-		Observer: obs.NewPipelineObserver(),
-		Tracer:   obs.NewTracer(obs.TracerConfig{SampleEvery: 64}),
-	}
-	for _, shards := range []int{1, 4} {
-		name := func(v string) string { return fmt.Sprintf("shards=%d-%s", shards, v) }
-		b.Run(name("single"), func(b *testing.B) { benchIngest(b, shards, 0, cfg) })
-		b.Run(name("batch64"), func(b *testing.B) { benchIngest(b, shards, 64, cfg) })
-	}
-}
-
-// benchIngest isolates the ingest layer: steady-state frames of established
-// (done) flows through a warm Sharded under cfg's instrumentation.
-func benchIngest(b *testing.B, shards, batchSize int, cfg Config) {
-	const flows = 256
-	frames := make([][]byte, flows)
-	dst := netip.MustParseAddrPort("93.184.216.34:443")
-	for i := range frames {
-		src := netip.AddrPortFrom(netip.MustParseAddr("10.1.2.3"), uint16(10000+i))
-		frames[i] = craftFrame(src, dst, packet.ProtoTCP, packet.FlagACK, make([]byte, 1200), 0)
-	}
-	now := time.Now()
-	bank := &Bank{models: map[bankKey]*Model{}}
-
-	s := NewShardedWithConfig(bank, shards, cfg)
-	go func() {
-		for range s.Results() {
-		}
-	}()
-	var pkts []IngestPacket
-	for _, fr := range frames {
-		pkts = append(pkts, IngestPacket{TS: now, Data: fr})
-	}
-	feed := func() {
-		if batchSize <= 1 {
-			for _, p := range pkts {
-				s.HandlePacket(p.TS, p.Data)
-			}
-		} else {
-			for off := 0; off < len(pkts); off += batchSize {
-				s.HandlePacketBatch(pkts[off:min(off+batchSize, len(pkts))])
-			}
-		}
-	}
-	for i := 0; i < 12; i++ {
-		feed() // mark every flow done, warm the pools
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		feed()
-	}
-	b.StopTimer()
-	s.Close()
-	b.ReportMetric(float64(b.N*len(frames))/b.Elapsed().Seconds(), "pkts/s")
 }

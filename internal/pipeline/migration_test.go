@@ -120,8 +120,8 @@ func TestMigrationUnderCapPressure(t *testing.T) {
 	if st := p.TableStats(); st.Rekeyed != flows {
 		t.Errorf("table rekeyed = %d, want %d", st.Rekeyed, flows)
 	}
-	if len(p.cids) > maxFlowCIDs*2 {
-		t.Errorf("CID index holds %d entries for 2 live flows — eviction is leaking entries", len(p.cids))
+	if p.cids.len() > maxFlowCIDs*2 {
+		t.Errorf("CID index holds %d entries for 2 live flows — eviction is leaking entries", p.cids.len())
 	}
 }
 
@@ -132,7 +132,7 @@ func TestMigrationIdleEvictionCleansCIDs(t *testing.T) {
 	p := NewWithConfig(emptyBank(), Config{IdleTimeout: 30 * time.Second})
 	ft := renderScenarioFlow(t, 71, fingerprint.Options{Migration: true}, false)
 	feedTrace(p, ft)
-	if len(p.cids) == 0 {
+	if p.cids.len() == 0 {
 		t.Fatal("no CIDs learned from a QUIC flow")
 	}
 	// An unrelated TCP packet far in the future sweeps the idle table.
@@ -147,8 +147,8 @@ func TestMigrationIdleEvictionCleansCIDs(t *testing.T) {
 	}
 	// Only the fresh TCP flow may still hold index entries (it holds none:
 	// TCP flows never learn CIDs), so the index must be empty.
-	if len(p.cids) != 0 {
-		t.Errorf("CID index holds %d entries after idle eviction, want 0", len(p.cids))
+	if p.cids.len() != 0 {
+		t.Errorf("CID index holds %d entries after idle eviction, want 0", p.cids.len())
 	}
 }
 
@@ -166,10 +166,10 @@ func TestMigrationTrailerPaddedFrames(t *testing.T) {
 	p := New(emptyBank())
 	for i, pkt := range padded {
 		p.HandlePacket(pkt.TS, pkt.Data)
-		if i == 1 && len(p.cids) != 2 {
+		if i == 1 && p.cids.len() != 2 {
 			// The client's Initial names its DCID (android_chrome's own ID is
 			// empty); the server's flight adds the server's.
-			t.Errorf("CID index holds %d IDs after the padded long-header flights, want 2", len(p.cids))
+			t.Errorf("CID index holds %d IDs after the padded long-header flights, want 2", p.cids.len())
 		}
 	}
 	if st := p.TableStats(); p.Stats().Migrations != 1 || st.Rekeyed != 1 || st.Inserted != 1 {

@@ -258,24 +258,6 @@ const DefaultMaxHelloBytes = 64 << 10
 // VerdictClassified.
 const DefaultEarlyMinMargin = 0.10
 
-// cidKey is a QUIC connection ID as a map key: fixed array plus length, so
-// indexing allocates nothing.
-type cidKey struct {
-	n uint8
-	b [20]byte
-}
-
-// mkCIDKey converts a wire CID. ok is false for empty or oversized IDs,
-// which are never worth indexing.
-func mkCIDKey(cid []byte) (cidKey, bool) {
-	if len(cid) == 0 || len(cid) > 20 {
-		return cidKey{}, false
-	}
-	k := cidKey{n: uint8(len(cid))}
-	copy(k.b[:], cid)
-	return k, true
-}
-
 // maxFlowCIDs caps per-flow CID registrations. A handshake exposes at most
 // a few IDs (client DCID/SCID, the server's chosen CID); anything past that
 // is a peer churning IDs to bloat the index.
@@ -313,12 +295,7 @@ type Pipeline struct {
 	// whose CID is known re-keys the existing flow (connection migration)
 	// instead of spawning a ghost. Owned by the HandlePacket goroutine;
 	// allocated lazily on the first long-header frame.
-	cids map[cidKey]packet.FlowKey
-	// cidLens is a bitmask of CID lengths present in cids. Short headers do
-	// not carry their DCID length on the wire, so a migration probe tries
-	// each length the tap has actually seen (a real deployment pins its
-	// own CID length; here clients draw theirs per profile).
-	cidLens uint32
+	cids cidIndex[packet.FlowKey]
 
 	// batchQueueWait is the shard-queue wait of the batch currently being
 	// processed, set by the shard worker before it replays the batch's
@@ -586,7 +563,7 @@ func (p *Pipeline) handleKeyed(ts time.Time, frame, payload []byte, key, canon p
 	}
 	var complete bool
 	if parsed != nil {
-		complete = st.asm.consumeParsed(parsed, &p.opener, frame)
+		complete = st.asm.consumeParsed(parsed, &p.opener)
 	} else {
 		complete = st.asm.consume(&p.parser, &p.parsed, &p.opener, frame)
 	}
@@ -766,10 +743,10 @@ func (p *Pipeline) finishDegraded(st *flowState, info *features.HandshakeInfo, f
 // ghost per path. ok is false when the frame matches no known CID. payload
 // may be cut as handleKeyed describes.
 func (p *Pipeline) migrateFlow(key, canon packet.FlowKey, payload []byte, ts time.Time) (*flowState, bool) {
-	if len(p.cids) == 0 || key.Proto != packet.ProtoUDP || len(payload) == 0 {
+	if p.cids.len() == 0 || key.Proto != packet.ProtoUDP || len(payload) == 0 {
 		return nil, false
 	}
-	oldCanon, ok := p.lookupCID(payload)
+	oldCanon, ok := p.cids.lookup(payload)
 	if !ok || !p.flows.Rekey(oldCanon, canon) {
 		return nil, false
 	}
@@ -785,41 +762,9 @@ func (p *Pipeline) migrateFlow(key, canon packet.FlowKey, payload []byte, ts tim
 	// Follow the flow in the CID index so a second migration re-keys again
 	// and eviction cleans up under the current key.
 	for _, ck := range st.cids {
-		p.cids[ck] = canon
+		p.cids.put(ck, canon)
 	}
 	return st, true
-}
-
-// lookupCID maps a QUIC payload to the canonical key of the live flow that
-// registered one of its connection IDs. Long headers carry explicit IDs;
-// short headers carry only DCID bytes with no on-wire length, so each
-// length the tap has registered is probed shortest-first.
-func (p *Pipeline) lookupCID(payload []byte) (packet.FlowKey, bool) {
-	if quicproto.IsLongHeader(payload) {
-		ids, err := quicproto.ParseLongHeaderCIDs(payload)
-		if err != nil {
-			return packet.FlowKey{}, false
-		}
-		for _, cid := range [2][]byte{ids.DCID, ids.SCID} {
-			if ck, ok := mkCIDKey(cid); ok {
-				if canon, hit := p.cids[ck]; hit {
-					return canon, true
-				}
-			}
-		}
-		return packet.FlowKey{}, false
-	}
-	for l := 1; l <= 20; l++ {
-		if p.cidLens&(1<<uint(l)) == 0 || 1+l > len(payload) {
-			continue
-		}
-		if ck, ok := mkCIDKey(payload[1 : 1+l]); ok {
-			if canon, hit := p.cids[ck]; hit {
-				return canon, true
-			}
-		}
-	}
-	return packet.FlowKey{}, false
 }
 
 // learnCIDs registers a long-header frame's connection IDs for the flow.
@@ -837,21 +782,17 @@ func (p *Pipeline) learnCID(st *flowState, canon packet.FlowKey, cid []byte) {
 	if !ok || len(st.cids) >= maxFlowCIDs {
 		return
 	}
-	if existing, hit := p.cids[ck]; hit && existing == canon {
+	if existing, hit := p.cids.get(cid); hit && existing == canon {
 		return
 	}
-	if p.cids == nil {
-		p.cids = make(map[cidKey]packet.FlowKey)
-	}
-	p.cids[ck] = canon
-	p.cidLens |= 1 << uint(ck.n)
+	p.cids.put(ck, canon)
 	st.cids = append(st.cids, ck)
 }
 
 // unregisterCIDs removes a flow's CID index entries (eviction cleanup).
 func (p *Pipeline) unregisterCIDs(st *flowState) {
 	for _, ck := range st.cids {
-		delete(p.cids, ck)
+		p.cids.delete(ck)
 	}
 	st.cids = nil
 }
@@ -912,7 +853,6 @@ func (p *Pipeline) Flows() []*FlowRecord {
 // invoking the eviction hook.
 func (p *Pipeline) Reset() {
 	p.flows.Clear()
-	p.cids = nil
-	p.cidLens = 0
+	p.cids = cidIndex[packet.FlowKey]{}
 	p.lastSweep = time.Time{}
 }

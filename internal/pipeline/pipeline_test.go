@@ -247,25 +247,6 @@ func TestPipelineIgnoresNonVideoTraffic(t *testing.T) {
 	}
 }
 
-func BenchmarkPipelineHandshakePath(b *testing.B) {
-	bank, _ := trainSmallBank(b, 5, 0.02)
-	g := tracegen.New(123)
-	ft, err := g.Flow("windows_chrome", fingerprint.YouTube, fingerprint.QUIC, tracegen.FlowSpec{PayloadFrames: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p := New(bank)
-		for _, fr := range ft.Frames {
-			if _, err := p.HandlePacket(ft.Start.Add(fr.Offset), fr.Data); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
 func TestBankSerializationRoundTrip(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bank training is slow")

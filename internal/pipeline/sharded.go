@@ -125,11 +125,7 @@ type Sharded struct {
 	// shard that treats it as a new flow — exactly what no cache would do.
 	// Learning stops at maxCIDRoutes; a long-running deployment sheds the
 	// cache by Close/restart (documented in OPERATIONS.md).
-	cidRoute map[cidKey]int
-	// cidRouteLens mirrors Pipeline.cidLens at ingest: the CID lengths
-	// present in cidRoute, for probing short headers that do not carry a
-	// DCID length on the wire.
-	cidRouteLens uint32
+	cidRoute cidIndex[int]
 	// tupleRoute pins a canonical 5-tuple to the shard its flow lives on,
 	// learned whenever CID routing overrides the tuple hash. It exists for
 	// frames CID routing cannot see: a client with a zero-length connection
@@ -198,7 +194,7 @@ type ingestFrame struct {
 
 // shortHeaderKeep is how much of a QUIC short-header payload anything past
 // ingest reads: the flags byte and the longest connection ID, which are what
-// Pipeline.lookupCID probes and all hsAssembler looks at.
+// cidIndex.lookup probes and all hsAssembler looks at.
 const shortHeaderKeep = 1 + 20
 
 // keepLen is how many leading bytes of a frame the flow stage can still
@@ -393,16 +389,8 @@ func (s *Sharded) flush(idx int) {
 // server's CID).
 func (s *Sharded) routeQUIC(payload []byte, hashIdx int) int {
 	if !quicproto.IsLongHeader(payload) {
-		// Short header: no CID length on the wire, probe each length seen.
-		for l := 1; l <= 20; l++ {
-			if s.cidRouteLens&(1<<uint(l)) == 0 || 1+l > len(payload) {
-				continue
-			}
-			if ck, ok := mkCIDKey(payload[1 : 1+l]); ok {
-				if idx, hit := s.cidRoute[ck]; hit {
-					return idx
-				}
-			}
+		if idx, hit := s.cidRoute.lookup(payload); hit {
+			return idx
 		}
 		return hashIdx
 	}
@@ -414,29 +402,20 @@ func (s *Sharded) routeQUIC(payload []byte, hashIdx int) int {
 	// it, so a frame pairing a known ID with a fresh one (the server flight
 	// echoing the client's SCID while announcing its own CID) registers the
 	// fresh ID to the flow's shard, not the tuple hash.
-	var keys [2]cidKey
-	var valid [2]bool
-	idx, routed := hashIdx, false
-	for i, cid := range [2][]byte{ids.DCID, ids.SCID} {
-		if ck, ok := mkCIDKey(cid); ok {
-			keys[i], valid[i] = ck, true
-			if got, hit := s.cidRoute[ck]; hit && !routed {
-				idx, routed = got, true
-			}
-		}
+	idx, hit := s.cidRoute.get(ids.DCID)
+	if !hit {
+		idx, hit = s.cidRoute.get(ids.SCID)
 	}
-	for i := range keys {
-		if !valid[i] {
+	if !hit {
+		idx = hashIdx
+	}
+	for _, cid := range [2][]byte{ids.DCID, ids.SCID} {
+		if _, known := s.cidRoute.get(cid); known || s.cidRoute.len() >= maxCIDRoutes {
 			continue
 		}
-		if _, hit := s.cidRoute[keys[i]]; hit || len(s.cidRoute) >= maxCIDRoutes {
-			continue
+		if ck, ok := mkCIDKey(cid); ok {
+			s.cidRoute.put(ck, idx)
 		}
-		if s.cidRoute == nil {
-			s.cidRoute = make(map[cidKey]int)
-		}
-		s.cidRoute[keys[i]] = idx
-		s.cidRouteLens |= 1 << uint(keys[i].n)
 	}
 	return idx
 }

@@ -298,49 +298,12 @@ func TestInitialWithTokenAndCoalescedPadding(t *testing.T) {
 	}
 }
 
-func BenchmarkParseInitial(b *testing.B) {
-	in := &Initial{Version: Version1, DCID: []byte{1, 2, 3, 4, 5, 6, 7, 8},
-		CryptoData: make([]byte, 512)}
-	dg, err := in.Seal(0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.SetBytes(int64(len(dg)))
-	for i := 0; i < b.N; i++ {
-		if _, err := ParseInitial(dg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkSealInitial(b *testing.B) {
 	in := &Initial{Version: Version1, DCID: []byte{1, 2, 3, 4, 5, 6, 7, 8},
 		CryptoData: make([]byte, 512)}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := in.Seal(0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkOpenerOpen(b *testing.B) {
-	in := &Initial{Version: Version1, DCID: []byte{1, 2, 3, 4, 5, 6, 7, 8},
-		CryptoData: make([]byte, 512)}
-	dg, err := in.Seal(0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var (
-		o Opener
-		p Initial
-	)
-	b.ReportAllocs()
-	b.SetBytes(int64(len(dg)))
-	for i := 0; i < b.N; i++ {
-		// A nil buffer per packet: every flow owns its own.
-		if _, err := o.Open(&p, dg, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

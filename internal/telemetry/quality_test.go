@@ -338,19 +338,3 @@ func TestQualityFoldZeroAlloc(t *testing.T) {
 		t.Errorf("cell fold allocates %v times per record, want 0", allocs)
 	}
 }
-
-// BenchmarkQualityFold measures the per-flow quality recording cost; CI pins
-// its allocation count at zero.
-func BenchmarkQualityFold(b *testing.B) {
-	q := &QualitySummary{}
-	c := &Cell{}
-	rec := qualRec(fingerprint.YouTube, "windows_chrome", w0, 0.9, 0.5)
-	q.add(rec)
-	c.add(rec)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		q.add(rec)
-		c.add(rec)
-	}
-}

@@ -36,7 +36,7 @@ type Cell struct {
 }
 
 // add folds one finalized flow into the cell. On the window-fold path,
-// pinned allocation-free (modulo lazy one-time inits) by TestFoldZeroAlloc.
+// pinned allocation-free (modulo lazy one-time inits) by TestQualityFoldZeroAlloc.
 //
 //vp:hotpath
 func (c *Cell) add(rec *pipeline.FlowRecord) {

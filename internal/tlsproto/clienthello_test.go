@@ -261,17 +261,6 @@ func TestGreaseInHello(t *testing.T) {
 	}
 }
 
-func BenchmarkParseClientHello(b *testing.B) {
-	msg := sampleHello().Marshal()
-	b.ReportAllocs()
-	b.SetBytes(int64(len(msg)))
-	for i := 0; i < b.N; i++ {
-		if _, err := Parse(msg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkMarshalClientHello(b *testing.B) {
 	ch := sampleHello()
 	b.ReportAllocs()
