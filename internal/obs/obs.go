@@ -6,8 +6,9 @@ import "time"
 type Stage int
 
 const (
-	// StageDecode is ingest frame decoding: link/network/transport header
-	// parsing plus flow-key canonicalization, on the single ingest goroutine.
+	// StageDecode is a frame's whole ingest: the header summary (5-tuple,
+	// shard hash, payload bounds), routing and the arena copy, on the single
+	// ingest goroutine.
 	StageDecode Stage = iota
 	// StageQueueWait is the time a batch spends in a shard's channel between
 	// the ingest goroutine's send and the shard worker picking it up.

@@ -6,6 +6,11 @@
 // decodes into preallocated layer structs with no per-packet allocation, so a
 // single Parser can sustain line-rate parsing on one goroutine. Parsers are
 // not safe for concurrent use; create one per goroutine.
+//
+// Summary is the decode for every packet of a tap: the 5-tuple, its canonical
+// order and the payload bounds read at fixed header offsets, no layer struct
+// filled. It accepts exactly the frames Parser.Parse and Parsed.Flow find a
+// flow in, so the full decode can be kept for the frames that need it.
 package packet
 
 import (

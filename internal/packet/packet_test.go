@@ -289,3 +289,24 @@ func TestParseAllocFree(t *testing.T) {
 		t.Errorf("Parse allocates %v times per run, want 0", allocs)
 	}
 }
+
+func TestSummaryAllocFree(t *testing.T) {
+	udp := &UDP{SrcPort: 55000, DstPort: 443}
+	ip := &IPv6{HopLimit: 58, Protocol: ProtoUDP, Src: src6, Dst: dst6}
+	eth := &Ethernet{EtherType: EtherTypeIPv6}
+	frames := [][]byte{
+		buildTCPSyn(t, []byte("payload")),
+		eth.Append(nil, ip.Append(nil, udp.Append(nil, []byte("quic"), src6, dst6))),
+	}
+	var sum Summary
+	allocs := testing.AllocsPerRun(100, func() {
+		for _, frame := range frames {
+			if !sum.Decode(frame) {
+				t.Fatal("no 5-tuple")
+			}
+		}
+	})
+	if allocs > 0 {
+		t.Errorf("Summary.Decode allocates %v times per run, want 0", allocs)
+	}
+}

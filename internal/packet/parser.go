@@ -105,8 +105,9 @@ type Parser struct{}
 
 // Parse decodes frame into out. Layers that cannot be decoded terminate the
 // walk; Decoded records how far it got. An unsupported EtherType or IP
-// protocol is not an error — the payload is simply left at that layer.
-// Zero-allocation on the decode path, pinned by TestParseAllocFree.
+// protocol, or a non-first IPv4 fragment, is not an error — the payload is
+// simply left at that layer. Zero-allocation on the decode path, pinned by
+// TestParseAllocFree. Summary.Decode is the per-packet subset of this decode.
 //
 //vp:hotpath
 func (ps *Parser) Parse(frame []byte, out *Parsed) error {
@@ -129,6 +130,12 @@ func (ps *Parser) Parse(frame []byte, out *Parsed) error {
 		out.Decoded = append(out.Decoded, LayerIPv4)
 		proto = out.IP4.Protocol
 		off += 20 + len(out.IP4.Options)
+		if out.IP4.FragOff != 0 {
+			// A non-first fragment has no transport header: its first bytes
+			// are the middle of a datagram, not ports.
+			out.Payload, out.PayloadOff = rest, off
+			return nil
+		}
 	case EtherTypeIPv6:
 		if rest, err = out.IP6.Decode(rest); err != nil {
 			return fmt.Errorf("ipv6: %w", err) //vp:allocok cold malformed-frame error path

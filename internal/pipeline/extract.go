@@ -5,32 +5,39 @@
 // with the 80% confidence selector of §4.1. Classified flows are joined with
 // volumetric telemetry for the §5 analyses.
 //
-// # Parse-once batch ingest
+// # Summarize-once batch ingest
 //
 // Two entry points feed the pipeline. Pipeline.HandlePacket is the
 // single-core path. Sharded is the deployment shape of the paper's
-// multi-queue DPDK prototype: an ingest goroutine parses each frame exactly
-// once (Sharded.decode, the same decode that picks the shard) and writes the
-// frame's summary — timestamp, wire key, whether the canonical key is its
-// reverse, where the payload starts and how long it is on the wire — into
-// the owning shard's pending batch, beside the bytes of the frame the shard
-// can still read, packed back-to-back into a pooled per-batch arena; one
-// channel send per shard per batch (HandlePacketBatch; HandlePacket ships a
-// batch of one). The paper classifies a flow from its handshake and wants
-// nothing else of the stream but byte and packet counts, so what is kept of
-// a frame (keepLen) is all of it, Ethernet trailer included, except for the
-// two kinds that make up the bulk of a video stream: a TCP segment from port
-// 443 to any other port is kept through its TCP header, and a QUIC short
-// header through the flags byte and the longest connection ID. The first is
-// exact because of one orientation rule, applied wherever a flow's client
-// side is set (clientSide): the client is the endpoint talking to :443, so a
-// segment from the :443 side is never client-direction and never reaches
-// handshake assembly. The second because connection-ID lookup and the
-// assembler read nothing further into a short header. A shard worker routes
-// and accounts every frame from its summary without a decode — and decodes
-// again only the frames that can still advance a handshake: the
-// client-direction frames of a flow with no verdict yet
-// (hsAssembler.consume), a handful per flow, none of them cut.
+// multi-queue DPDK prototype. Both give a frame the same per-packet decode,
+// packet.Summary: one pass over the fixed header offsets that yields the
+// 5-tuple, whether the canonical key is its reverse, the canonical key as
+// hash input and where the payload starts and how long it is on the wire —
+// no layer struct filled, no address compared or hashed a second time — and
+// both hand the result to Pipeline.handleKeyed. A Sharded's ingest goroutine
+// (Sharded.decode) writes the summary, with the frame's timestamp, into the
+// owning shard's pending batch, beside the bytes of the frame the shard can
+// still read, packed back-to-back into a pooled per-batch arena; one channel
+// send per shard per batch (HandlePacketBatch; HandlePacket ships a batch of
+// one). The paper classifies a flow from its handshake and wants nothing
+// else of the stream but byte and packet counts, so what is kept of a frame
+// (keepLen) is all of it, Ethernet trailer included, except for the two kinds
+// that make up the bulk of a video stream: a TCP segment from port 443 to any
+// other port is kept through its TCP header, and a QUIC short header through
+// the flags byte and the longest connection ID. The first is exact because
+// of one orientation rule, applied wherever a flow's client side is set
+// (clientSide): the client is the endpoint talking to :443, so a segment
+// from the :443 side is never client-direction and never reaches handshake
+// assembly. The second because connection-ID lookup and the assembler read
+// nothing further into a short header. The flow stage routes and accounts
+// every frame from its summary — and gives the full decode
+// (packet.Parser.Parse: TTL, TCP flags, window and options) only to the
+// frames that can still advance a handshake: the client-direction frames of
+// a flow with no verdict yet (hsAssembler.consume), a handful per flow, none
+// of them cut. packet.Parser.Parse is also the summary's oracle
+// (TestSummaryMatchesParse, FuzzSummaryMatchesParse): the two agree on every
+// frame about whether there is a 5-tuple, what it is and where the payload
+// lies.
 //
 // Buffer-reuse rules: the caller's frame buffers are free as soon as
 // HandlePacketBatch returns — what is kept was copied. A batch's arena is
@@ -43,11 +50,11 @@
 // a frame on the flow path must widen keepLen, or it reads a cut frame on a
 // Sharded and a whole one on a Pipeline (TestBatchedMatchesSinglePacket and
 // FuzzShardedMatchesPipeline compare the two). The payload is never found by
-// counting back from a frame's end: packet.Parsed.PayloadOff says where it
-// starts, whatever padding follows the datagram. Frames with no TCP/UDP
-// 5-tuple are dropped at ingest (counted in IngestStats.Ignored); queue
-// depths and the best-effort results buffer are Config knobs with
-// shard-count-scaled defaults.
+// counting back from a frame's end: packet.Summary.PayloadOff (and
+// packet.Parsed.PayloadOff) says where it starts, whatever padding follows
+// the datagram. Frames with no TCP/UDP 5-tuple are dropped at ingest
+// (counted in IngestStats.Ignored); queue depths and the best-effort results
+// buffer are Config knobs with shard-count-scaled defaults.
 //
 // # Classify on arrival, finalize once
 //
@@ -195,25 +202,18 @@ func (a *hsAssembler) init() { a.info.TCPWScale = -1 }
 // (the quantity Config.MaxHelloBytes bounds).
 func (a *hsAssembler) buffered() int { return len(a.tcpStream) + len(a.cryptoStream) }
 
-// consume feeds one client-direction frame to the state machine, parsing it
-// with the caller's scratch parser state and opening QUIC Initials with the
-// caller's Opener. It returns true once the flow's ClientHello has been
-// fully assembled, after which a.info is complete (including pre-parsed
-// QUIC transport parameters) and no further frames should be offered.
-// Callers that already decoded the frame (the plain HandlePacket path) use
-// consumeParsed instead, keeping the parse-once contract.
+// consume feeds one client-direction frame to the state machine, decoding it
+// in full with the caller's scratch parser state — the TTL, flags and options
+// the per-packet packet.Summary skips are read here — and opening QUIC
+// Initials with the caller's Opener. It returns true once the flow's
+// ClientHello has been fully assembled, after which a.info is complete
+// (including pre-parsed QUIC transport parameters) and no further frames
+// should be offered.
 func (a *hsAssembler) consume(parser *packet.Parser, parsed *packet.Parsed, opener *quicproto.Opener, frame []byte) bool {
+	a.frames++
 	if err := parser.Parse(frame, parsed); err != nil {
-		a.frames++
 		return false // non-IP noise is skipped, as a tap would
 	}
-	return a.consumeParsed(parsed, opener)
-}
-
-// consumeParsed is consume after its decode: parsed is what Parser.Parse
-// made of the frame.
-func (a *hsAssembler) consumeParsed(parsed *packet.Parsed, opener *quicproto.Opener) bool {
-	a.frames++
 	info := &a.info
 	switch {
 	case parsed.Has(packet.LayerTCP):

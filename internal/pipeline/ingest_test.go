@@ -197,7 +197,7 @@ func interleave(flows ...[]IngestPacket) []IngestPacket {
 	}
 }
 
-// TestBatchedMatchesSinglePacket is the parse-once equivalence check: every
+// TestBatchedMatchesSinglePacket is the entry-point equivalence check: every
 // entry point — plain Pipeline.HandlePacket, Sharded.HandlePacket and
 // Sharded.HandlePacketBatch at several batch sizes — must produce exactly
 // the same terminal record per flow: same SNIs, verdicts, predictions, byte
@@ -463,8 +463,9 @@ func TestKeepRule(t *testing.T) {
 		if int(f.payloadOff) != c.payloadOff {
 			t.Errorf("%s: payload offset %d, want %d", c.name, f.payloadOff, c.payloadOff)
 		}
-		if err := s.parser.Parse(c.frame, &s.scratch); err != nil || int(f.payloadLen) != len(s.scratch.Payload) {
-			t.Errorf("%s: payload length %d, the decode says %d (err %v)", c.name, f.payloadLen, len(s.scratch.Payload), err)
+		var parsed packet.Parsed
+		if err := new(packet.Parser).Parse(c.frame, &parsed); err != nil || int(f.payloadLen) != len(parsed.Payload) {
+			t.Errorf("%s: payload length %d, the decode says %d (err %v)", c.name, f.payloadLen, len(parsed.Payload), err)
 		}
 		s.Close()
 	}

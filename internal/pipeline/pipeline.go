@@ -444,22 +444,19 @@ func (p *Pipeline) Bank() *Bank { return p.bank.Load() }
 func (p *Pipeline) SwapBank(bank *Bank) { p.bank.Store(bank) }
 
 // HandlePacket processes one frame. It returns a non-nil FlowRecord exactly
-// when the frame completed a flow's classification. The frame is decoded
-// once, here; the decode is handed on for handshake assembly, so nothing
-// downstream decodes again. The pipeline copies anything it retains past
-// the call, so the caller may recycle frame as soon as it returns.
+// when the frame completed a flow's classification. The frame gets the same
+// per-packet decode a Sharded's ingest gives it (packet.Summary) and goes on
+// to handleKeyed as a shard worker's frames do, whole. The pipeline copies
+// anything it retains past the call, so the caller may recycle frame as soon
+// as it returns.
 func (p *Pipeline) HandlePacket(ts time.Time, frame []byte) (*FlowRecord, error) {
-	if err := p.parser.Parse(frame, &p.parsed); err != nil {
+	var sum packet.Summary
+	if !sum.Decode(frame) {
 		p.packets.Add(1)
-		return nil, nil // undecodable frames are not errors for the tap
+		return nil, nil // frames with no TCP/UDP 5-tuple are not errors for the tap
 	}
-	key, ok := p.parsed.Flow()
-	if !ok {
-		p.packets.Add(1)
-		return nil, nil
-	}
-	payload := p.parsed.Payload
-	return p.handleKeyed(ts, frame, payload, key, key.Canonical(), len(payload), &p.parsed)
+	payload := frame[sum.PayloadOff : sum.PayloadOff+sum.PayloadLen]
+	return p.handleKeyed(ts, frame, payload, sum.Key, sum.Reversed, sum.PayloadLen)
 }
 
 // clientSide orients a port-443 flow key client to server: the client is the
@@ -478,28 +475,30 @@ func clientSide(key packet.FlowKey) packet.FlowKey {
 	return key
 }
 
-// handleKeyed is the post-decode flow path. key, canon and payloadLen are
-// the ingest-time decode's summary — everything the flow stage needs, small
-// enough to travel through a shard queue without dragging the full layer
-// structs along. payload is the frame's transport payload, or the leading
-// part of it that Sharded's ingest kept (see Sharded.decode): the CID index
-// reads at most its first 21 bytes of a short header and the long-header
-// prefix, so a cut payload serves it; payloadLen is the length on the wire
-// and is what the byte counters use. frame (the kept bytes, for a shard
-// worker) is still required for handshake assembly, which copies client
-// payload bytes into flow state until a ClientHello parses out; the frames
-// assembly consumes are never cut. parsed, when non-nil, is the caller's
-// decode of frame, letting the assembler skip its own parse; shard workers
-// pass nil (only the summary crosses the queue) and the assembler re-decodes
-// the few client handshake-phase frames it actually consumes. A handshake
-// that completes is classified here, on arrival, and the flow finalized
-// before the call returns.
-func (p *Pipeline) handleKeyed(ts time.Time, frame, payload []byte, key, canon packet.FlowKey, payloadLen int, parsed *packet.Parsed) (*FlowRecord, error) {
+// handleKeyed is the flow path, fed from a frame's packet.Summary: key as on
+// the wire, reversed saying the canonical key is key.Reverse(), payloadLen
+// the transport payload's length on the wire — everything the flow stage
+// needs of a decode, small enough to travel through a shard queue. payload
+// is the frame's transport payload, or the leading part of it that Sharded's
+// ingest kept (see Sharded.decode): the CID index reads at most its first 21
+// bytes of a short header and the long-header prefix, so a cut payload serves
+// it; payloadLen is what the byte counters use. frame (the kept bytes, for a
+// shard worker) is for handshake assembly alone: a client-direction frame of
+// a flow with no verdict yet gets the full decode there (hsAssembler.consume)
+// — a few frames per flow, never cut — and its payload bytes are copied into
+// flow state until a ClientHello parses out. A handshake that completes is
+// classified here, on arrival, and the flow finalized before the call
+// returns.
+func (p *Pipeline) handleKeyed(ts time.Time, frame, payload []byte, key packet.FlowKey, reversed bool, payloadLen int) (*FlowRecord, error) {
 	p.packets.Add(1)
 	if !isVideoPort(key) {
 		return nil, nil
 	}
 	p.maybeSweep(ts)
+	canon := key
+	if reversed {
+		canon = key.Reverse()
+	}
 	st, ok := p.flows.Touch(canon, ts)
 	if !ok {
 		st, ok = p.migrateFlow(key, canon, payload, ts)
@@ -561,12 +560,7 @@ func (p *Pipeline) handleKeyed(ts time.Time, frame, payload []byte, key, canon p
 	if timed {
 		asmStart = time.Now()
 	}
-	var complete bool
-	if parsed != nil {
-		complete = st.asm.consumeParsed(parsed, &p.opener)
-	} else {
-		complete = st.asm.consume(&p.parser, &p.parsed, &p.opener, frame)
-	}
+	complete := st.asm.consume(&p.parser, &p.parsed, &p.opener, frame)
 	if timed {
 		d := time.Since(asmStart)
 		p.cfg.Observer.Record(obs.StageAssembly, d)

@@ -1,7 +1,6 @@
 package pipeline
 
 import (
-	"encoding/binary"
 	"math/bits"
 	"sync"
 	"sync/atomic"
@@ -48,22 +47,24 @@ type IngestPacket struct {
 // 20 Gbps tap. Hashing is symmetric (both directions of a flow land on the
 // same shard), and each shard owns its flow table, so shards never contend.
 //
-// Ingest contract: each frame is decoded on the ingest goroutine
-// (Sharded.decode), and the decode is summarized — wire key, direction
-// relative to the canonical key, payload offset and on-the-wire length —
-// in place into the owning shard's pending batch. Only that summary and the
-// leading bytes of the frame that the flow stage can still read (keepLen)
-// cross the queue: server-side TCP payloads and the bodies of QUIC short
-// headers, which nothing past ingest looks at, are counted and left behind.
-// A shard worker accounts a frame without decoding it (Pipeline.handleKeyed)
-// — unless the frame is a client-direction frame of a flow that has no
-// verdict yet: handshake assembly needs the layers, and hsAssembler.consume
-// decodes those few frames per flow, always kept whole, a second time.
+// Ingest contract: the ingest goroutine summarizes each frame
+// (Sharded.decode, over packet.Summary: the wire key, its direction relative
+// to the canonical key, the shard hash's input and the payload's offset and
+// on-the-wire length, all read at fixed header offsets with no layer struct
+// filled) in place into the owning shard's pending batch. Only that summary
+// and the leading bytes of the frame that the flow stage can still read
+// (keepLen) cross the queue: server-side TCP payloads and the bodies of QUIC
+// short headers, which nothing past ingest looks at, are counted and left
+// behind. A shard worker accounts a frame from its summary alone
+// (Pipeline.handleKeyed) — unless the frame is a client-direction frame of a
+// flow that has no verdict yet: handshake assembly needs TTL, TCP flags and
+// options, and hsAssembler.consume gives those few frames per flow, always
+// kept whole, the one full decode (packet.Parser.Parse) any frame gets.
 // Frames of decided flows, server-direction frames and everything on an
-// established flow are decoded exactly once. A frame that completes a
-// handshake is classified by its shard worker on the spot, so a flow's
-// verdict never waits on the rest of its ingest batch. Frames that do not
-// decode to a TCP/UDP 5-tuple are dropped at ingest and counted in
+// established flow are never decoded past the summary. A frame that
+// completes a handshake is classified by its shard worker on the spot, so a
+// flow's verdict never waits on the rest of its ingest batch. Frames that
+// carry no TCP/UDP 5-tuple are dropped at ingest and counted in
 // IngestStats.Ignored — they carry no flow, so copying them and occupying a
 // shard queue slot bought nothing — and decodable flows off port 443 are
 // likewise dropped and counted in IngestStats.Filtered, since the pipeline's
@@ -103,11 +104,10 @@ type Sharded struct {
 	// single-ingest-goroutine contract) so the hot path never allocates it.
 	pending []*ingestBatch
 
-	// Scratch decode state for the ingest goroutine — HandlePacket and
-	// HandlePacketBatch are single-goroutine by contract, so one parser and
-	// one Parsed serve every frame and the hot layer structs stay resident.
-	parser  packet.Parser
-	scratch packet.Parsed
+	// sum is the ingest goroutine's scratch decode — HandlePacket and
+	// HandlePacketBatch are single-goroutine by contract, so one serves every
+	// frame.
+	sum packet.Summary
 
 	// obsv/tracer mirror Config.Observer/Config.Tracer. When both are nil
 	// the instrumentation collapses to one nil check per frame and shard
@@ -119,7 +119,7 @@ type Sharded struct {
 	// their flow. Shard placement hashes the 5-tuple, so a migrated flow's
 	// packets would otherwise hash to the wrong shard and the owning
 	// shard's CID index would never see them; this ingest-side cache (owned
-	// by the single ingest goroutine, like the parser scratch) routes by
+	// by the single ingest goroutine, like the decode scratch) routes by
 	// CID first. It is a routing cache, not authoritative state: entries go
 	// stale when flows evict, a stale hit merely routes the packet to a
 	// shard that treats it as a new flow — exactly what no cache would do.
@@ -144,7 +144,7 @@ type shard struct {
 	p  *Pipeline
 }
 
-// shardMsg carries a batch of pre-parsed frames or, when snap is non-nil, a
+// shardMsg carries a batch of summarized frames or, when snap is non-nil, a
 // request for the shard's current flow records (answered from the worker
 // goroutine, so snapshots never race packet processing).
 type shardMsg struct {
@@ -173,10 +173,10 @@ type ingestBatch struct {
 // HandlePacketBatch at once, and bounds what one inbox slot can pin.
 const maxBatchArena = 1 << 20
 
-// ingestFrame is the per-frame summary of the single ingest-time decode —
-// everything the flow stage needs without dragging the layer structs
-// through the queue. Sharded.decode fills a slot of the batch in place, and
-// the worker reads it there: the struct is never passed by value.
+// ingestFrame is what crosses the queue of a frame's packet.Summary, beside
+// its timestamp and kept bytes — everything the flow stage needs.
+// Sharded.decode fills a slot of the batch in place, and the worker reads it
+// there: the struct is never passed by value.
 type ingestFrame struct {
 	ts  time.Time
 	key packet.FlowKey // as on the wire
@@ -279,11 +279,7 @@ func NewShardedWithConfig(bank *Bank, n int, cfg Config) *Sharded {
 					if len(payload) > int(f.payloadLen) {
 						payload = payload[:f.payloadLen] // an Ethernet trailer follows it
 					}
-					canon := f.key
-					if f.reversed {
-						canon = f.key.Reverse()
-					}
-					rec, err := sh.p.handleKeyed(f.ts, kept, payload, f.key, canon, int(f.payloadLen), nil)
+					rec, err := sh.p.handleKeyed(f.ts, kept, payload, f.key, f.reversed, int(f.payloadLen))
 					if err == nil && rec != nil {
 						s.deliver(rec)
 					}
@@ -308,9 +304,10 @@ func (s *Sharded) getBatch() *ingestBatch {
 	return new(ingestBatch)
 }
 
-// decode parses one frame — the single parse of the ingest path — into the
-// ingest goroutine's scratch state, picks the shard that owns its flow and
-// writes its summary and kept bytes (keepLen) straight into that shard's
+// decode summarizes one frame (packet.Summary: the 5-tuple, its canonical
+// order and hash words and the payload bounds, read at fixed header offsets
+// with no layer decoded), picks the shard that owns its flow and writes the
+// summary and the frame's kept bytes (keepLen) straight into that shard's
 // pending batch. A frame that carries no TCP/UDP 5-tuple (counted in
 // Ignored) or is not port-443 traffic (counted in Filtered) goes nowhere:
 // neither can become a video flow, so neither is worth an arena copy and a
@@ -320,23 +317,22 @@ func (s *Sharded) getBatch() *ingestBatch {
 //
 //vp:borrowed data
 func (s *Sharded) decode(ts time.Time, data []byte) {
-	if err := s.parser.Parse(data, &s.scratch); err != nil {
+	sum := &s.sum
+	if !sum.Decode(data) {
 		s.ignored.Add(1)
 		return
 	}
-	key, ok := s.scratch.Flow()
-	if !ok {
-		s.ignored.Add(1)
-		return
-	}
-	if !isVideoPort(key) {
+	if !isVideoPort(sum.Key) {
 		s.filtered.Add(1)
 		return
 	}
-	payload := s.scratch.Payload
-	canon := key.Canonical()
-	idx := int(hashKey(canon) % uint64(len(s.shards)))
-	if key.Proto == packet.ProtoUDP && len(payload) > 0 {
+	payload := data[sum.PayloadOff : sum.PayloadOff+sum.PayloadLen]
+	idx := int(hashWords(&sum.Words) % uint64(len(s.shards)))
+	if sum.Key.Proto == packet.ProtoUDP && len(payload) > 0 {
+		canon := sum.Key
+		if sum.Reversed {
+			canon = canon.Reverse()
+		}
 		if own, hit := s.tupleRoute[canon]; hit {
 			idx = own
 		} else if routed := s.routeQUIC(payload, idx); routed != idx {
@@ -352,7 +348,7 @@ func (s *Sharded) decode(ts time.Time, data []byte) {
 		}
 	}
 
-	keep := keepLen(key, len(data), s.scratch.PayloadOff, payload)
+	keep := keepLen(sum.Key, len(data), sum.PayloadOff, payload)
 	b := s.pending[idx]
 	if b != nil && len(b.arena)+keep > maxBatchArena {
 		s.flush(idx)
@@ -365,13 +361,13 @@ func (s *Sharded) decode(ts time.Time, data []byte) {
 	b.frames = append(b.frames, ingestFrame{})
 	f := &b.frames[len(b.frames)-1]
 	f.ts = ts
-	f.key = key
-	f.reversed = canon != key
+	f.key = sum.Key
+	f.reversed = sum.Reversed
 	f.off = int32(len(b.arena))
 	b.arena = append(b.arena, data[:keep]...)
 	f.end = int32(len(b.arena))
-	f.payloadOff = int32(s.scratch.PayloadOff)
-	f.payloadLen = int32(len(payload))
+	f.payloadOff = int32(sum.PayloadOff)
+	f.payloadLen = int32(sum.PayloadLen)
 }
 
 // flush hands a shard its pending batch; the shard owns it from here.
@@ -443,11 +439,11 @@ func (s *Sharded) HandlePacket(ts time.Time, frame []byte) {
 	s.HandlePacketBatch([]IngestPacket{{TS: ts, Data: frame}})
 }
 
-// HandlePacketBatch routes a batch of frames with one decode per frame and
-// at most one channel send per shard, amortizing the per-packet channel
-// cost that dominates the single-packet path at high rates. What is kept of
-// each pkt.Data is copied into a pooled arena, so callers may reuse the
-// batch and its buffers immediately. See the type comment for the ingest
+// HandlePacketBatch routes a batch of frames with one summary decode per
+// frame and at most one channel send per shard, amortizing the per-packet
+// channel cost that dominates the single-packet path at high rates. What is
+// kept of each pkt.Data is copied into a pooled arena, so callers may reuse
+// the batch and its buffers immediately. See the type comment for the ingest
 // contract.
 func (s *Sharded) HandlePacketBatch(pkts []IngestPacket) {
 	// Rolling clock: one time.Now per frame when observed, attributing the
@@ -507,8 +503,8 @@ func (s *Sharded) SwapBank(bank *Bank) {
 // an operator reads beside them. All fields are monotonic and safe to read
 // from any goroutine via Sharded.IngestStats.
 type IngestStats struct {
-	// Ignored counts frames dropped at ingest: they failed to parse or were
-	// not TCP/UDP, so they carry no flow to route.
+	// Ignored counts frames dropped at ingest: malformed, not TCP/UDP over
+	// IP, or a non-first IP fragment, so they carry no flow to route.
 	Ignored uint64 `json:"ignored_frames"`
 	// Filtered counts decodable flows dropped at ingest by the port-443
 	// video filter — on a general tap, the bulk of the traffic — before
@@ -628,22 +624,17 @@ func (s *Sharded) TableStats() flowtable.Stats {
 	return st
 }
 
-// hashKey hashes a canonical 5-tuple a word at a time: multiply–rotate over
-// the two 16-byte addresses and a word holding ports and protocol, then an
-// avalanche finalizer. It is symmetric because the key is canonicalized
-// first. The finalizer is not optional: a multiply carries a difference
-// upward only, so without it the low bits of the result — the ones that pick
-// the shard — are blind to the high bits of the last word, and tuples that
-// differ only in the top bits of a port would all share a shard.
-func hashKey(k packet.FlowKey) uint64 {
+// hashWords hashes a canonical 5-tuple, given as packet.Summary.Words:
+// multiply–rotate over the two 16-byte addresses and a word holding ports and
+// protocol, then an avalanche finalizer. It is symmetric because the words
+// are of the canonical key. The finalizer is not optional: a multiply carries
+// a difference upward only, so without it the low bits of the result — the
+// ones that pick the shard — are blind to the high bits of the last word, and
+// tuples that differ only in the top bits of a port would all share a shard.
+func hashWords(words *[5]uint64) uint64 {
 	const m = 0x9e3779b97f4a7c15 // 2^64 / golden ratio, odd
-	src, dst := k.Src.As16(), k.Dst.As16()
 	h := uint64(0)
-	for _, w := range [5]uint64{
-		binary.LittleEndian.Uint64(src[:8]), binary.LittleEndian.Uint64(src[8:]),
-		binary.LittleEndian.Uint64(dst[:8]), binary.LittleEndian.Uint64(dst[8:]),
-		uint64(k.SrcPort)<<24 | uint64(k.DstPort)<<8 | uint64(k.Proto),
-	} {
+	for _, w := range words {
 		h = bits.RotateLeft64((h^w)*m, 29)
 	}
 	// The 64-bit finalizer of MurmurHash3.

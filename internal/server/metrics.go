@@ -89,7 +89,7 @@ var metricsCatalog = []metricDef{
 		func(st *Stats) []sample { return value(float64(st.DroppedResults)) }},
 	{"videoplat_ingest_batches_total", "counter", "Frame batches dispatched to the pipeline.",
 		func(st *Stats) []sample { return value(float64(st.Ingest.Batches)) }},
-	{"videoplat_ingest_frames_ignored_total", "counter", "Frames dropped at ingest (unparseable or non-TCP/UDP).",
+	{"videoplat_ingest_frames_ignored_total", "counter", "Frames dropped at ingest (malformed, not TCP/UDP, or a non-first IP fragment).",
 		func(st *Stats) []sample { return value(float64(st.Ingest.IgnoredFrames)) }},
 	{"videoplat_ingest_frames_filtered_total", "counter", "Decodable flows dropped at ingest by the port-443 video filter.",
 		func(st *Stats) []sample { return value(float64(st.Ingest.FilteredFrames)) }},

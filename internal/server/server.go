@@ -8,12 +8,13 @@
 // (/healthz) and Prometheus-style gauges (/metrics).
 //
 // The replay loop reads and dispatches frames in batches
-// (Config.BatchSize) through the pipeline's parse-once ingest path: each
-// frame is decoded exactly once, on the replay goroutine, and shipped with
-// its flow key in a pooled per-batch arena that shard workers recycle
-// after the pipeline consumes it — no re-parse, no per-packet allocation,
-// one channel send per shard per batch. Frames that don't decode to a
-// TCP/UDP 5-tuple are dropped at ingest and surface as ignored_frames in
+// (Config.BatchSize) through the pipeline's batch ingest path: each frame's
+// 5-tuple, shard hash and payload bounds are read off its headers once, on
+// the replay goroutine (packet.Summary), and shipped in a pooled per-batch
+// arena that shard workers recycle after the pipeline consumes it — no
+// layer decode off the handshake, no per-packet allocation, one channel
+// send per shard per batch. Frames that carry no TCP/UDP 5-tuple are
+// dropped at ingest and surface as ignored_frames in
 // /stats and /metrics, alongside the ingest stall (backpressure) and
 // dropped-result counters.
 //
@@ -481,8 +482,8 @@ func (s *Server) finishPipeline() {
 
 // replay streams the source through the sharded pipeline in batches of up
 // to cfg.BatchSize frames, pacing to cfg.Rate packets/sec when set. Each
-// batch is one HandlePacketBatch call — one decode per frame on this
-// goroutine and one channel send per shard, the parse-once ingest contract.
+// batch is one HandlePacketBatch call — one header summary per frame on
+// this goroutine and one channel send per shard, Sharded's ingest contract.
 func (s *Server) replay(ctx context.Context) {
 	defer close(s.replayDone)
 	var interval time.Duration
@@ -614,7 +615,7 @@ type Stats struct {
 	FlowTable      flowtable.Stats `json:"flow_table"`
 	DroppedResults uint64          `json:"dropped_results"`
 
-	// Ingest reports the batched parse-once ingest path's counters.
+	// Ingest reports the batch ingest path's counters.
 	Ingest struct {
 		// BatchSize is the effective frames-per-batch of the replay loop
 		// (the configured size, capped for rate-limited replays).
