@@ -1,7 +1,7 @@
 // Benchmarks regenerating every table and figure of the paper and its four
-// ablation studies (one bench per experiment, reporting the headline
-// metric), plus BenchmarkSwapUnderLoad, the cost of hot-swapping the bank
-// under a packet stream. Throughput and per-layer timings of the serving
+// ablation studies (BenchmarkExperiments, one sub-benchmark per entry of
+// experiments.Catalog), plus BenchmarkSwapUnderLoad, the cost of hot-swapping
+// the bank under a packet stream. Throughput and per-layer timings of the serving
 // spine are not measured here: bench/ (bash bench/run.sh) is their one
 // source.
 //
@@ -24,226 +24,19 @@ import (
 	"videoplat/internal/tracegen"
 )
 
-func quick() *experiments.Context { return experiments.QuickContext() }
-
-func reportMetric(b *testing.B, r *experiments.Report, key, unit string) {
-	b.Helper()
-	if v, ok := r.Metrics[key]; ok {
-		b.ReportMetric(v, unit)
-	}
-}
-
-// --- One benchmark per paper table/figure ---
-
-func BenchmarkTable1Dataset(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Table1(quick())
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportMetric(b, r, "total_flows", "flows")
-	}
-}
-
-func BenchmarkFig3FieldDiversity(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig3(quick())
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportMetric(b, r, "constant_fields", "constant-fields")
-	}
-}
-
-func BenchmarkFig5InfoGain(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rs, err := experiments.Fig5(quick())
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportMetric(b, rs[0], "high_all", "high-importance-attrs")
-	}
-}
-
-func BenchmarkFig6aGridSearch(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig6a(quick())
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportMetric(b, r, "best_accuracy", "accuracy")
-	}
-}
-
-func BenchmarkFig6bcdConfusion(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rs, err := experiments.Fig6bcd(quick())
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportMetric(b, rs[0], "accuracy", "accuracy")
-	}
-}
-
-func BenchmarkAlgoComparison(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.AlgoComparison(quick())
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportMetric(b, r, "random forest", "rf-accuracy")
-	}
-}
-
-func BenchmarkTable3OpenSet(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Table3(quick())
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportMetric(b, r, "YT (QUIC)/user platform", "yt-quic-accuracy")
-	}
-}
-
-func BenchmarkTable4Confidence(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Table4(quick())
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportMetric(b, r, "YT (QUIC)/user platform/correct", "median-correct-conf")
-	}
-}
-
-func BenchmarkTable5Subsets(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Table5(quick())
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportMetric(b, r, "full attribute set/platform", "full-set-accuracy")
-	}
-}
-
-func BenchmarkTable6Baselines(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Table6(quick())
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportMetric(b, r, "Ours/YT (QUIC)", "ours-yt-quic")
-	}
-}
-
-func BenchmarkFig7WatchTime(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig7(quick())
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportMetric(b, r, "youtube/total_hours_per_day", "yt-hours-per-day")
-	}
-}
-
-func BenchmarkFig8AgentWatchTime(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig8(quick()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig9Bandwidth(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig9(quick())
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportMetric(b, r, "amazon/macOS/median", "ap-mac-median-mbps")
-	}
-}
-
-func BenchmarkFig10AgentBandwidth(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig10(quick()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig11Temporal(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig11(quick())
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportMetric(b, r, "netflix/peak_hour", "nf-peak-hour")
-	}
-}
-
-func BenchmarkFig12Heatmaps(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig12(quick()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig13Diversity(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig13(quick()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig14Importance(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig14(quick()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// --- Ablations ---
-
-func BenchmarkAblationListEncoding(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.AblationListEncoding(quick())
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportMetric(b, r, "positional", "positional-accuracy")
-	}
-}
-
-func BenchmarkAblationGrease(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.AblationGrease(quick())
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportMetric(b, r, "normalized", "normalized-accuracy")
-	}
-}
-
-func BenchmarkAblationConfidenceSelector(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.AblationConfidenceSelector(quick())
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportMetric(b, r, "composite_rate", "composite-rate")
-	}
-}
-
-func BenchmarkAblationGlobalClassifier(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.AblationGlobalClassifier(quick())
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportMetric(b, r, "global", "global-accuracy")
+// BenchmarkExperiments regenerates every entry of the experiments catalog —
+// each table and figure of the paper, and the four ablations — as one
+// sub-benchmark per entry, each iteration on a fresh quick context so
+// nothing is served from a previous iteration's caches.
+func BenchmarkExperiments(b *testing.B) {
+	for _, e := range experiments.Catalog {
+		b.Run(e.Name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := e.Run(experiments.QuickContext()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

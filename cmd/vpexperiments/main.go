@@ -6,14 +6,14 @@
 //	vpexperiments [flags] <experiment>...
 //	vpexperiments -scale 0.3 all
 //
-// Experiments: table1 fig3 fig5 fig6a fig6bcd algocmp table3 table4 table5
-// table6 fig7 fig8 fig9 fig10 fig11 fig12 fig13 fig14 ablations all
+// Run it with no arguments to list the experiments (experiments.Catalog).
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"videoplat/internal/experiments"
 )
@@ -29,84 +29,40 @@ func main() {
 	flag.IntVar(&ctx.CampusSessionsPerDay, "sessions", ctx.CampusSessionsPerDay, "campus sessions per day")
 	flag.Parse()
 
+	byName := map[string]experiments.Experiment{}
+	var names []string
+	for _, e := range experiments.Catalog {
+		byName[e.Name] = e
+		names = append(names, e.Name)
+	}
+
 	args := flag.Args()
 	if len(args) == 0 {
 		fmt.Fprintln(os.Stderr, "usage: vpexperiments [flags] <experiment>|all")
-		fmt.Fprintln(os.Stderr, "experiments: table1 fig3 fig5 fig6a fig6bcd algocmp table3 table4")
-		fmt.Fprintln(os.Stderr, "             table5 table6 fig7 fig8 fig9 fig10 fig11 fig12 fig13 fig14 ablations")
+		fmt.Fprintln(os.Stderr, "experiments:", strings.Join(names, " "))
 		os.Exit(2)
 	}
-
-	single := map[string]func(*experiments.Context) (*experiments.Report, error){
-		"table1":  experiments.Table1,
-		"fig3":    experiments.Fig3,
-		"fig6a":   experiments.Fig6a,
-		"algocmp": experiments.AlgoComparison,
-		"table3":  experiments.Table3,
-		"table4":  experiments.Table4,
-		"table5":  experiments.Table5,
-		"table6":  experiments.Table6,
-		"fig7":    experiments.Fig7,
-		"fig8":    experiments.Fig8,
-		"fig9":    experiments.Fig9,
-		"fig10":   experiments.Fig10,
-		"fig11":   experiments.Fig11,
-	}
-	multi := map[string]func(*experiments.Context) ([]*experiments.Report, error){
-		"fig5":    experiments.Fig5,
-		"fig6bcd": experiments.Fig6bcd,
-		"fig12":   experiments.Fig12,
-		"fig13":   experiments.Fig13,
-		"fig14":   experiments.Fig14,
-	}
-	ablations := []func(*experiments.Context) (*experiments.Report, error){
-		experiments.AblationListEncoding,
-		experiments.AblationGrease,
-		experiments.AblationConfidenceSelector,
-		experiments.AblationGlobalClassifier,
-	}
-
-	order := []string{"table1", "fig3", "fig5", "fig6a", "fig6bcd", "algocmp",
-		"table3", "table4", "table5", "table6",
-		"fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "ablations"}
-
-	var todo []string
+	todo := args
 	for _, a := range args {
 		if a == "all" {
-			todo = order
+			todo = names
 			break
 		}
-		todo = append(todo, a)
 	}
 
 	for _, name := range todo {
-		switch {
-		case single[name] != nil:
-			r, err := single[name](ctx)
-			exitOn(err)
-			fmt.Println(r)
-		case multi[name] != nil:
-			rs, err := multi[name](ctx)
-			exitOn(err)
-			for _, r := range rs {
-				fmt.Println(r)
-			}
-		case name == "ablations":
-			for _, fn := range ablations {
-				r, err := fn(ctx)
-				exitOn(err)
-				fmt.Println(r)
-			}
-		default:
+		e, ok := byName[name]
+		if !ok {
 			fmt.Fprintf(os.Stderr, "unknown experiment %q\n", name)
 			os.Exit(2)
 		}
-	}
-}
-
-func exitOn(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "vpexperiments:", err)
-		os.Exit(1)
+		rs, err := e.Run(ctx)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "vpexperiments:", err)
+			os.Exit(1)
+		}
+		for _, r := range rs {
+			fmt.Println(r)
+		}
 	}
 }

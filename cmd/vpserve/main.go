@@ -492,13 +492,6 @@ func sessionsDesc(n int) string {
 	return fmt.Sprint(n)
 }
 
-func driftDesc(after int) string {
-	if after <= 0 {
-		return ""
-	}
-	return fmt.Sprintf(", open-set drift after %d", after)
-}
-
 func exitOn(err error) {
 	if err != nil {
 		slog.Error("fatal", "error", err)

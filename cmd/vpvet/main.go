@@ -1,12 +1,10 @@
 // Command vpvet is the repo's contract linter: a go vet -vettool
-// multichecker bundling the three analyzers that enforce the serving spine's
+// multichecker bundling the two analyzers that enforce the serving spine's
 // hot-path contracts statically (see docs/ANALYZERS.md):
 //
 //   - borrowck: //vp:borrowed parameters must not escape the call
 //   - hotpath:  //vp:hotpath functions (and their module callees)
 //     must not allocate
-//   - nilguard: exported methods on //vp:nilsafe types must begin
-//     with a nil-receiver guard
 //
 // Build and run it through the vet driver so packages are analyzed in
 // dependency order with facts flowing between them:
@@ -20,13 +18,11 @@ import (
 
 	"videoplat/internal/analysis/borrowck"
 	"videoplat/internal/analysis/hotpath"
-	"videoplat/internal/analysis/nilguard"
 )
 
 func main() {
 	unitchecker.Main(
 		borrowck.Analyzer,
 		hotpath.Analyzer,
-		nilguard.Analyzer,
 	)
 }

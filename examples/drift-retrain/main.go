@@ -6,9 +6,10 @@
 //  2. the daemon classifies live synthetic traffic; after 100 sessions the
 //     "fleet updates" (tracegen renders flows with the open-set profile
 //     perturbation), so v0001's confidence decays;
-//  3. the drift monitor flags the decaying classifiers and triggers the
-//     retrainer, which trains a replacement on fresh ground truth (lab +
-//     drifted profiles) off the hot path;
+//  3. the drift monitor flags the decaying classifiers — the example prints
+//     every classifier's baseline vs recent confidence at that moment — and
+//     triggers the retrainer, which trains a replacement on fresh ground
+//     truth (lab + drifted profiles) off the hot path;
 //  4. the candidate shadow-classifies a sample of live flows alongside
 //     v0001 and is promoted only when it clears the gate — an atomic bank
 //     swap that never pauses classification.
@@ -98,6 +99,20 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	// Subscribers run in registration order, so the monitor's view is printed
+	// before the retrainer (bound next) is triggered by the same transition.
+	mon.Subscribe(func(drift.Status) {
+		fmt.Println("drift monitor flagged a classifier:")
+		for _, st := range mon.Statuses() {
+			flag := "healthy"
+			if st.Drifting {
+				flag = "RETRAIN"
+			}
+			fmt.Printf("  %-8s %-5s  baseline=%.0f%% recent=%.0f%% unknown=%.0f%%  [%s] %s\n",
+				st.Provider, st.Transport, st.BaselineMedian*100, st.RecentMedian*100,
+				st.UnknownRate*100, flag, st.Reason)
+		}
+	})
 	rt.BindMonitor(mon)
 
 	// Live traffic: 600 sessions paced at 800 packets/sec, with the fleet

@@ -1,16 +1,19 @@
-// Telemetry-query: the capacity-planning scenario (examples/capacity-planning)
-// reworked as live queries against a running daemon. Instead of batch-feeding
-// flows into an Aggregator offline, the daemon replays a synthetic workload,
-// rolls finalized flows into 1-minute windows, retains them in the queryable
-// telemetry store (with a 5-minute downsampling tier and JSONL persistence),
-// and an "operator" asks the questions over HTTP while and after it runs:
-// which provider dominates the evening, what bandwidth should each platform
-// be provisioned for, and what history survives a restart.
+// Telemetry-query: the streaming daemon end to end, and the capacity-planning
+// scenario (examples/capacity-planning) reworked as live queries against it.
+// A synthetic capture is rendered to a pcap file (what cmd/vpgen writes) and
+// replayed through a vpserve-style Server, which rolls finalized flows into
+// 1-minute windows and retains them in the queryable telemetry store (with a
+// 5-minute downsampling tier and JSONL persistence). An "operator" then reads
+// the ops API (/stats, /flows, /metrics) and asks the planning questions over
+// /query: which provider dominates, what bandwidth should each platform be
+// provisioned for, and what history survives a restart.
 //
 // This is the in-process equivalent of:
 //
-//	vpserve -synth 40 -window 1m -telemetry-tiers 5m \
-//	        -telemetry-persist history.jsonl -exit-when-done
+//	vpgen -sessions 40 -out traffic.pcap
+//	vpserve -pcap traffic.pcap -window 1m -telemetry-tiers 5m \
+//	        -telemetry-persist history.jsonl
+//	curl localhost:8080/stats
 //	curl 'localhost:8080/query?by=provider&step=5m'
 //	curl 'localhost:8080/query?by=platform'
 //	curl 'localhost:8080/windows?tier=5m'
@@ -20,14 +23,17 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"time"
 
 	"videoplat/internal/fingerprint"
 	"videoplat/internal/ml"
+	"videoplat/internal/pcap"
 	"videoplat/internal/pipeline"
 	"videoplat/internal/server"
 	"videoplat/internal/telemetry"
@@ -54,7 +60,13 @@ func main() {
 	}
 
 	// 2. Build a telemetry store with a 5-minute downsampling tier and
-	//    JSONL persistence, and a daemon replaying 40 synthetic sessions.
+	//    JSONL persistence, and a daemon replaying a 40-session pcap file.
+	pcapPath := filepath.Join(dir, "traffic.pcap")
+	writeTraffic(pcapPath)
+	src, err := server.OpenFileSource(pcapPath)
+	if err != nil {
+		log.Fatal(err)
+	}
 	hist, err := os.OpenFile(histPath, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		log.Fatal(err)
@@ -63,7 +75,7 @@ func main() {
 		Tiers:   []time.Duration{5 * time.Minute},
 		Persist: telemetry.NewJSONLSink(hist),
 	})
-	srv, err := server.New(bank, server.NewSynthSource(11, 40), server.Config{
+	srv, err := server.New(bank, src, server.Config{
 		Addr:        "127.0.0.1:0",
 		WindowWidth: time.Minute,
 		Store:       store,
@@ -83,6 +95,23 @@ func main() {
 	for srv.Store().Stats().Tiers[0].Windows == 0 {
 		time.Sleep(10 * time.Millisecond) // let the first evictions roll up
 	}
+
+	fmt.Println("\n--- ops API (/stats, /flows?limit=3, /metrics) ---")
+	var st server.Stats
+	getJSON(base+"/stats", &st)
+	fmt.Printf("  replayed %d packets; %d flows tracked, %d classified, %d rollup windows sealed\n",
+		st.Replay.Packets, st.FlowTable.Inserted, st.ClassifiedFlows, st.Rollup.Sealed)
+	var flows struct {
+		Flows []struct {
+			SNI      string `json:"sni"`
+			Platform string `json:"platform"`
+		} `json:"flows"`
+	}
+	getJSON(base+"/flows?limit=3", &flows)
+	for _, f := range flows.Flows {
+		fmt.Printf("  live flow: %-32s -> %s\n", f.SNI, f.Platform)
+	}
+	fmt.Printf("  /metrics: %d videoplat_* sample lines\n", strings.Count(getText(base+"/metrics"), "\nvideoplat_"))
 
 	fmt.Println("\n--- provider demand over time (/query?by=provider&step=5m) ---")
 	var byProv telemetry.QueryResult
@@ -164,7 +193,35 @@ func sumFlows(res *telemetry.QueryResult) int {
 	return n
 }
 
-func getJSON(url string, out any) {
+// writeTraffic renders 40 mixed video sessions — the daemon's own synthetic
+// workload — into a pcap at path.
+func writeTraffic(path string) {
+	f, err := os.Create(path)
+	if err != nil {
+		log.Fatal(err)
+	}
+	w, err := pcap.NewWriter(f, 0)
+	if err != nil {
+		log.Fatal(err)
+	}
+	for src := server.NewSynthSource(11, 40); ; {
+		pkt, err := src.Next()
+		if err == io.EOF {
+			break
+		}
+		if err == nil {
+			err = w.WritePacket(pkt.Timestamp, pkt.Data)
+		}
+		if err != nil {
+			log.Fatal(err)
+		}
+	}
+	if err := f.Close(); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func getText(url string) string {
 	resp, err := http.Get(url)
 	if err != nil {
 		log.Fatal(err)
@@ -173,7 +230,15 @@ func getJSON(url string, out any) {
 	if resp.StatusCode != http.StatusOK {
 		log.Fatalf("GET %s: %s", url, resp.Status)
 	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		log.Fatalf("GET %s: %v", url, err)
+	}
+	return string(body)
+}
+
+func getJSON(url string, out any) {
+	if err := json.Unmarshal([]byte(getText(url)), out); err != nil {
 		log.Fatalf("GET %s: %v", url, err)
 	}
 }

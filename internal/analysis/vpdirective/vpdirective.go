@@ -1,6 +1,6 @@
 // Package vpdirective parses the //vp: comment directives that declare the
 // serving spine's hot-path contracts in source, where the analyzers in
-// sibling packages (borrowck, hotpath, nilguard) can enforce them at go vet
+// sibling packages (borrowck, hotpath) can enforce them at go vet
 // time.
 //
 // The grammar deliberately mirrors the //go: pragma family: a directive is a
@@ -16,10 +16,6 @@
 //	//  on a function or method: the named pointer-typed parameters are
 //	//  borrowed for the duration of the call and must not be stored,
 //	//  captured, sent, appended or returned.
-//
-//	//vp:nilsafe
-//	//  on a type declaration: every exported pointer-receiver method must
-//	//  begin with a nil-receiver guard.
 //
 //	//vp:allocok reason
 //	//  on (or immediately above) an allocating line inside a hot-path
@@ -87,23 +83,6 @@ func ForFunc(fd *ast.FuncDecl) Func {
 		}
 	}
 	return out
-}
-
-// NilSafe reports whether a type declaration carries //vp:nilsafe in either
-// the GenDecl doc (the usual single-spec form) or the TypeSpec's own doc
-// (grouped type blocks).
-func NilSafe(decl *ast.GenDecl, spec *ast.TypeSpec) bool {
-	for _, g := range []*ast.CommentGroup{decl.Doc, spec.Doc, spec.Comment} {
-		if g == nil {
-			continue
-		}
-		for _, c := range g.List {
-			if name, _, ok := parse(c); ok && name == "nilsafe" {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // AllocWaivers returns the set of line numbers in f (1-based, in f's file)

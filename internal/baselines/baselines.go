@@ -185,13 +185,3 @@ func All() []*Technique {
 		},
 	}
 }
-
-// ByRef returns the technique with the given bracketed reference.
-func ByRef(ref string) *Technique {
-	for _, t := range All() {
-		if t.Ref == ref {
-			return t
-		}
-	}
-	return nil
-}

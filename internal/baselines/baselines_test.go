@@ -46,9 +46,6 @@ func TestAllSixTechniques(t *testing.T) {
 	if adaptable != 4 {
 		t.Errorf("adaptable = %d, want 4 (Table 6 shows two dashes)", adaptable)
 	}
-	if ByRef("[28]") == nil || ByRef("[99]") != nil {
-		t.Error("ByRef lookup wrong")
-	}
 }
 
 func TestAdaptableTechniquesTrainAndClassify(t *testing.T) {
@@ -93,7 +90,12 @@ func TestRenCollapsesOnQUIC(t *testing.T) {
 	values, y := genValues(t, labels, fingerprint.YouTube, fingerprint.QUIC, 20, 4)
 
 	evalTech := func(ref string) float64 {
-		tech := ByRef(ref)
+		var tech *Technique
+		for _, cand := range All() {
+			if cand.Ref == ref {
+				tech = cand
+			}
+		}
 		enc, err := tech.Build(values, true)
 		if err != nil {
 			t.Fatal(err)

@@ -199,6 +199,7 @@ func Simulate(cfg Config, bank *pipeline.Bank) (*Result, error) {
 		Agg:        &telemetry.Aggregator{Days: float64(cfg.Days)},
 		TrueLabels: map[string]int{},
 	}
+	var sc pipeline.ClassifyScratch
 
 	for day := 0; day < cfg.Days; day++ {
 		for _, prov := range fingerprint.AllProviders() {
@@ -215,7 +216,7 @@ func Simulate(cfg Config, bank *pipeline.Bank) (*Result, error) {
 					n++
 				}
 				for i := 0; i < n; i++ {
-					if err := oneSession(rng, cfg, res, bank, prov, day, h); err != nil {
+					if err := oneSession(rng, cfg, res, bank, &sc, prov, day, h); err != nil {
 						return nil, err
 					}
 				}
@@ -225,7 +226,7 @@ func Simulate(cfg Config, bank *pipeline.Bank) (*Result, error) {
 	return res, nil
 }
 
-func oneSession(rng *rand.Rand, cfg Config, res *Result, bank *pipeline.Bank, prov fingerprint.Provider, day, hour int) error {
+func oneSession(rng *rand.Rand, cfg Config, res *Result, bank *pipeline.Bank, sc *pipeline.ClassifyScratch, prov fingerprint.Provider, day, hour int) error {
 	label := pick(rng, platformWeights[prov])
 	if label == "" {
 		return fmt.Errorf("campus: no platforms for %s", prov)
@@ -239,7 +240,7 @@ func oneSession(rng *rand.Rand, cfg Config, res *Result, bank *pipeline.Bank, pr
 		return err
 	}
 	info := features.FromFlow(fp, uint8(1+rng.IntN(3)))
-	pred, err := bank.Classify(prov, tr, features.Extract(info))
+	pred, err := bank.ClassifyHandshake(prov, tr, info, sc)
 	if err != nil {
 		return err
 	}

@@ -172,7 +172,7 @@ func TestEndToEndWithOpenSetDrift(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			pred, err := bank.Classify(ft.Provider, ft.Transport, extract(info))
+			pred, err := bank.ClassifyHandshake(ft.Provider, ft.Transport, info, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

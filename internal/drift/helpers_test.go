@@ -3,7 +3,6 @@ package drift
 import (
 	"testing"
 
-	"videoplat/internal/features"
 	"videoplat/internal/fingerprint"
 	"videoplat/internal/ml"
 	"videoplat/internal/pipeline"
@@ -39,8 +38,4 @@ func newGen(t testing.TB) *gen {
 		t.Fatal(err)
 	}
 	return &gen{bank: bank, closed: dataset{closed.Flows}, open: dataset{open.Flows}}
-}
-
-func extract(info *features.HandshakeInfo) *features.FieldValues {
-	return features.Extract(info)
 }

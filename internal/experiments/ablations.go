@@ -127,13 +127,14 @@ func AblationConfidenceSelector(c *Context) (*Report, error) {
 		return nil, err
 	}
 	var composite, partial, unknown, partialUseful int
+	var scratch pipeline.ClassifyScratch
 	total := 0
 	for _, ft := range open.Flows {
 		info, err := pipeline.ExtractTrace(ft)
 		if err != nil {
 			return nil, err
 		}
-		pred, err := bank.Classify(ft.Provider, ft.Transport, features.Extract(info))
+		pred, err := bank.ClassifyHandshake(ft.Provider, ft.Transport, info, &scratch)
 		if err != nil {
 			return nil, err
 		}

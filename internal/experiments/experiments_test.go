@@ -327,3 +327,28 @@ func TestScenarioNames(t *testing.T) {
 		t.Error("scenario order wrong")
 	}
 }
+
+// TestCatalog pins the command-line names vpexperiments accepts, in the
+// order "all" runs them, and that every entry regenerates at least one
+// report at the quick context.
+func TestCatalog(t *testing.T) {
+	want := strings.Fields("table1 fig3 fig5 fig6a fig6bcd algocmp table3 table4 table5 table6 " +
+		"fig7 fig8 fig9 fig10 fig11 fig12 fig13 fig14 ablations")
+	if len(Catalog) != len(want) {
+		t.Fatalf("catalog has %d entries, want %d", len(Catalog), len(want))
+	}
+	for i, e := range Catalog {
+		if e.Name != want[i] {
+			t.Errorf("catalog[%d] = %q, want %q", i, e.Name, want[i])
+		}
+		if testing.Short() {
+			continue
+		}
+		rs, err := e.Run(sharedCtx)
+		if err != nil {
+			t.Errorf("%s: %v", e.Name, err)
+		} else if len(rs) == 0 {
+			t.Errorf("%s: no reports", e.Name)
+		}
+	}
+}

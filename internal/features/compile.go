@@ -19,13 +19,12 @@ import (
 // extension bytes — through interned lookup tables built once at compile
 // time, and writes the encoded vector straight into a caller-owned
 // []float64. EncodeInto(dst, info, sc) is element-identical to
-// Transform(ExtractWithOptions(info, opts)) for every handshake (pinned by
-// the golden-equivalence tests).
+// Transform(Extract(info)) for every handshake (pinned by the
+// golden-equivalence tests).
 //
 // A CompiledEncoder is immutable after Compile and safe for concurrent use;
 // per-call mutable state lives in the caller's EncodeScratch.
 type CompiledEncoder struct {
-	opts  Options
 	width int
 	attrs []compiledAttr
 	// quicAttrs reports whether any attribute reads QUIC transport
@@ -108,19 +107,12 @@ type compiledAttr struct {
 	grease int               // q1: vocab id of the collapsed GREASE token (0 if unseen)
 }
 
-// Compile lowers a fitted encoder into its serving-path form with default
-// extraction options (the paper's configuration, and what the pipeline's
-// Extract uses). It fails only for attribute labels this build does not know
-// how to lower.
+// Compile lowers a fitted encoder into its serving-path form, equivalent to
+// Transform∘Extract: default extraction options, the paper's configuration
+// (the GREASE ablation goes through the reference ExtractWithOptions). It
+// fails only for attribute labels this build does not know how to lower.
 func Compile(e *Encoder) (*CompiledEncoder, error) {
-	return CompileWithOptions(e, Options{})
-}
-
-// CompileWithOptions is Compile for a non-default extraction configuration
-// (e.g. the KeepGrease ablation). The compiled encoder is equivalent to
-// Transform∘ExtractWithOptions for the same Options value.
-func CompileWithOptions(e *Encoder, o Options) (*CompiledEncoder, error) {
-	ce := &CompiledEncoder{opts: o}
+	ce := &CompiledEncoder{}
 	col := 0
 	extSlots := map[uint16]int{} // extension type -> 1-based slot
 	for _, a := range e.Attrs {
@@ -141,7 +133,7 @@ func CompileWithOptions(e *Encoder, o Options) (*CompiledEncoder, error) {
 			}
 			ca.ext = slot - 1
 		}
-		if err := buildTables(&ca, e.vocabs[a.Label], o); err != nil {
+		if err := buildTables(&ca, e.vocabs[a.Label]); err != nil {
 			return nil, fmt.Errorf("features: attribute %q: %w", a.Label, err)
 		}
 		switch ca.op {
@@ -281,15 +273,15 @@ func lowerAttr(ca *compiledAttr, a Attribute) (ext int, err error) {
 
 // buildTables interns an attribute's fitted vocabulary as raw-wire-value
 // lookup tables. Tokens that no serving-side extraction could ever produce
-// (non-canonical hex spellings, odd-length hex, a raw GREASE code point under
-// an encoder that collapses GREASE) are dropped: Transform could never match
+// (non-canonical hex spellings, odd-length hex, a raw GREASE code point in a
+// list that collapses GREASE) are dropped: Transform could never match
 // them either, so the miss-to-zero behaviour is identical.
-func buildTables(ca *compiledAttr, vocab map[string]int, o Options) (err error) {
+func buildTables(ca *compiledAttr, vocab map[string]int) (err error) {
 	switch ca.op {
 	case opLegacyVersion, opCipherSuites, opExtTypes, opU16List,
 		opSupportedVersions, opKeyShare:
 		// m2 renders the raw version; every list goes through suiteToken.
-		collapse := !o.KeepGrease && ca.op != opLegacyVersion
+		collapse := ca.op != opLegacyVersion
 		u16 := make(map[uint16]int, len(vocab))
 		for tok, id := range vocab {
 			v, ok := parseHexToken(tok, 16)
@@ -373,10 +365,10 @@ func (ce *CompiledEncoder) Encode(info *HandshakeInfo) []float64 {
 
 // EncodeInto encodes a handshake directly into dst, reusing its capacity,
 // and returns the width-long vector. The result is element-identical to
-// Transform(ExtractWithOptions(info, opts)) on the encoder this was compiled
-// from. sc provides the per-caller buffers that keep the steady state
-// allocation-free; nil sc allocates a temporary one. Zero-allocation in the
-// steady state, pinned by TestEncodeIntoZeroAlloc.
+// Transform(Extract(info)) on the encoder this was compiled from. sc provides
+// the per-caller buffers that keep the steady state allocation-free; nil sc
+// allocates a temporary one. Zero-allocation in the steady state, pinned by
+// TestEncodeIntoZeroAlloc.
 //
 //vp:hotpath
 func (ce *CompiledEncoder) EncodeInto(dst []float64, info *HandshakeInfo, sc *EncodeScratch) []float64 {
@@ -474,7 +466,7 @@ func (ce *CompiledEncoder) EncodeInto(dst []float64, info *HandshakeInfo, sc *En
 					break
 				}
 				id := tp.Params[i].ID
-				if !ce.opts.KeepGrease && wire.GreaseTransportParam(id) {
+				if wire.GreaseTransportParam(id) {
 					dst[ca.col+i] = float64(ca.grease)
 				} else {
 					dst[ca.col+i] = float64(ca.u64.get(id))

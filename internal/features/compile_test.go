@@ -80,9 +80,9 @@ func edgeInfos() []*HandshakeInfo {
 	}
 }
 
-func checkEqual(t *testing.T, enc *Encoder, ce *CompiledEncoder, info *HandshakeInfo, o Options, tag string) {
+func checkEqual(t *testing.T, enc *Encoder, ce *CompiledEncoder, info *HandshakeInfo, tag string) {
 	t.Helper()
-	want := enc.Transform(ExtractWithOptions(info, o))
+	want := enc.Transform(Extract(info))
 	got := ce.EncodeInto(nil, info, nil)
 	if len(want) != len(got) {
 		t.Fatalf("%s: width %d vs %d", tag, len(got), len(want))
@@ -103,7 +103,7 @@ func TestCompiledEncoderMatchesTransform(t *testing.T) {
 	tcpEval := append(genInfos(t, fingerprint.TCP, 77), edgeInfos()...)
 	quicEval := append(genInfos(t, fingerprint.QUIC, 78), edgeInfos()...)
 
-	fit := func(quic bool, train []*HandshakeInfo, subset []string, o Options) (*Encoder, *CompiledEncoder) {
+	fit := func(quic bool, train []*HandshakeInfo, subset []string) (*Encoder, *CompiledEncoder) {
 		t.Helper()
 		enc, err := NewEncoder(quic, subset)
 		if err != nil {
@@ -111,10 +111,10 @@ func TestCompiledEncoderMatchesTransform(t *testing.T) {
 		}
 		var samples []*FieldValues
 		for _, info := range train {
-			samples = append(samples, ExtractWithOptions(info, o))
+			samples = append(samples, Extract(info))
 		}
 		enc.Fit(samples)
-		ce, err := CompileWithOptions(enc, o)
+		ce, err := Compile(enc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,7 +130,6 @@ func TestCompiledEncoderMatchesTransform(t *testing.T) {
 		train  []*HandshakeInfo
 		eval   []*HandshakeInfo
 		subset []string
-		opts   Options
 	}{
 		{name: "tcp", train: tcpTrain, eval: tcpEval},
 		{name: "quic", quic: true, train: quicTrain, eval: quicEval},
@@ -142,12 +141,10 @@ func TestCompiledEncoderMatchesTransform(t *testing.T) {
 			subset: []string{"t1", "t11", "m2", "m3", "o3", "o5", "o7", "o12", "o13", "o19"}},
 		{name: "quic-subset", quic: true, train: quicTrain, eval: quicEval,
 			subset: []string{"t1", "m3", "q1", "q2", "q13", "q17", "q18", "q20"}},
-		{name: "tcp-keepgrease", train: tcpTrain, eval: tcpEval, opts: Options{KeepGrease: true}},
-		{name: "quic-keepgrease", quic: true, train: quicTrain, eval: quicEval, opts: Options{KeepGrease: true}},
 	} {
-		enc, ce := fit(tc.quic, tc.train, tc.subset, tc.opts)
+		enc, ce := fit(tc.quic, tc.train, tc.subset)
 		for i, info := range tc.eval {
-			checkEqual(t, enc, ce, info, tc.opts, fmt.Sprintf("%s[%d]", tc.name, i))
+			checkEqual(t, enc, ce, info, fmt.Sprintf("%s[%d]", tc.name, i))
 		}
 	}
 }
@@ -183,7 +180,7 @@ func TestCompiledEncoderSurvivesSerialization(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, info := range eval {
-		checkEqual(t, enc, ce, info, Options{}, fmt.Sprintf("roundtrip[%d]", i))
+		checkEqual(t, enc, ce, info, fmt.Sprintf("roundtrip[%d]", i))
 	}
 }
 
@@ -258,16 +255,16 @@ func fitted(t testing.TB, quic bool, o Options) *Encoder {
 // attribute of a compiled encoder against the fitted vocabulary it was
 // interned from, for all 65,536 wire values: the flat table must resolve
 // each value to exactly the id Transform finds for the token Extract
-// renders — GREASE collapse, the KeepGrease ablation and m2's uncollapsed
-// version included. Fit and compile options are crossed, so vocabularies
-// also hold tokens the compile-time options make unreachable.
+// renders — GREASE collapse and m2's uncollapsed version included. The
+// encoder is also fitted on KeepGrease extractions, so vocabularies hold raw
+// GREASE tokens the compiled (always-collapsing) encoder cannot reach.
 func TestU16TablesMatchVocabularyExhaustively(t *testing.T) {
 	for _, quic := range []bool{false, true} {
 		for _, fitOpts := range []Options{{}, {KeepGrease: true}} {
 			enc := fitted(t, quic, fitOpts)
 			// Whatever the fit saw, give every vocabulary the tokens the
-			// options disagree about — the collapsed GREASE token and raw
-			// GREASE code points — and spellings no extraction renders.
+			// fit options disagree about — the collapsed GREASE token and
+			// raw GREASE code points — and spellings no extraction renders.
 			for _, a := range enc.Attrs {
 				vocab := enc.vocabs[a.Label]
 				if vocab == nil {
@@ -279,42 +276,40 @@ func TestU16TablesMatchVocabularyExhaustively(t *testing.T) {
 					}
 				}
 			}
-			for _, o := range []Options{{}, {KeepGrease: true}} {
-				ce, err := CompileWithOptions(enc, o)
-				if err != nil {
-					t.Fatal(err)
+			ce, err := Compile(enc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tables := 0
+			for i := range ce.attrs {
+				ca := &ce.attrs[i]
+				label := enc.Attrs[i].Label
+				var token func(v uint16) (string, bool)
+				switch ca.op {
+				case opCipherSuites, opExtTypes, opU16List, opSupportedVersions, opKeyShare:
+					token = func(v uint16) (string, bool) { return Options{}.suiteToken(v), true }
+				case opLegacyVersion:
+					token = func(v uint16) (string, bool) { return "0x" + strconv.FormatUint(uint64(v), 16), true }
+				case opStatusRequest:
+					token = func(v uint16) (string, bool) { return strconv.Itoa(int(v)), v <= 255 }
+				default:
+					continue
 				}
-				tables := 0
-				for i := range ce.attrs {
-					ca := &ce.attrs[i]
-					label := enc.Attrs[i].Label
-					var token func(v uint16) (string, bool)
-					switch ca.op {
-					case opCipherSuites, opExtTypes, opU16List, opSupportedVersions, opKeyShare:
-						token = func(v uint16) (string, bool) { return o.suiteToken(v), true }
-					case opLegacyVersion:
-						token = func(v uint16) (string, bool) { return "0x" + strconv.FormatUint(uint64(v), 16), true }
-					case opStatusRequest:
-						token = func(v uint16) (string, bool) { return strconv.Itoa(int(v)), v <= 255 }
-					default:
-						continue
+				tables++
+				vocab := enc.vocabs[label]
+				for v := 0; v <= 0xffff; v++ {
+					want := 0
+					if tok, ok := token(uint16(v)); ok {
+						want = vocab[tok]
 					}
-					tables++
-					vocab := enc.vocabs[label]
-					for v := 0; v <= 0xffff; v++ {
-						want := 0
-						if tok, ok := token(uint16(v)); ok {
-							want = vocab[tok]
-						}
-						if got := ca.u16.get(uint16(v)); got != want {
-							t.Fatalf("quic=%v fit=%+v compile=%+v %s: value %#x resolves to %d, vocabulary says %d",
-								quic, fitOpts, o, label, v, got, want)
-						}
+					if got := ca.u16.get(uint16(v)); got != want {
+						t.Fatalf("quic=%v fit=%+v %s: value %#x resolves to %d, vocabulary says %d",
+							quic, fitOpts, label, v, got, want)
 					}
 				}
-				if tables < 9 {
-					t.Fatalf("only %d uint16-keyed attributes checked", tables)
-				}
+			}
+			if tables < 9 {
+				t.Fatalf("only %d uint16-keyed attributes checked", tables)
 			}
 		}
 	}

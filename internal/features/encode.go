@@ -167,9 +167,6 @@ func (e *Encoder) EquivalentTo(o *Encoder) bool {
 	return true
 }
 
-// VocabSize returns the fitted vocabulary size for an attribute label.
-func (e *Encoder) VocabSize(label string) int { return len(e.vocabs[label]) }
-
 // AttrColumns returns the expanded column indices belonging to the given
 // attribute label. Used to aggregate per-column importances back to Table 2
 // attributes.

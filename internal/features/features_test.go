@@ -80,16 +80,6 @@ func TestTable2Counts(t *testing.T) {
 	}
 }
 
-func TestAttributeByLabel(t *testing.T) {
-	a := AttributeByLabel("o13")
-	if a == nil || a.Name != "record_size_limit" {
-		t.Fatalf("o13 = %+v", a)
-	}
-	if AttributeByLabel("zz9") != nil {
-		t.Error("bogus label found")
-	}
-}
-
 func TestExtractTCPFlow(t *testing.T) {
 	rng := newRng(1)
 	f, err := fingerprint.Generate(rng, "windows_firefox", fingerprint.Netflix, fingerprint.TCP, fingerprint.Options{})
@@ -216,7 +206,7 @@ func TestEncoderFitTransform(t *testing.T) {
 	if vecs[0][cols[0]] == vecs[1][cols[0]] {
 		t.Error("o13 identical between chrome and firefox")
 	}
-	if enc.VocabSize("m3") == 0 {
+	if len(enc.vocabs["m3"]) == 0 {
 		t.Error("m3 vocab empty")
 	}
 }

@@ -186,16 +186,6 @@ var Table2 = []Attribute{
 	{"q20", "version_information", Categorical, Medium, QUICOnly, 1},
 }
 
-// AttributeByLabel returns the Table 2 row with the given label, or nil.
-func AttributeByLabel(label string) *Attribute {
-	for i := range Table2 {
-		if Table2[i].Label == label {
-			return &Table2[i]
-		}
-	}
-	return nil
-}
-
 // ForTransport returns the attributes applicable to the given transport:
 // 42 for TCP, 50 for QUIC (the paper's "only 50 are applicable to QUIC").
 func ForTransport(quic bool) []Attribute {

@@ -31,23 +31,6 @@ func TestAllPlatformsHaveProfiles(t *testing.T) {
 	}
 }
 
-func TestParsePlatformKeyRoundTrip(t *testing.T) {
-	for _, label := range AllPlatformLabels() {
-		k, err := ParsePlatformKey(label)
-		if err != nil {
-			t.Fatalf("%s: %v", label, err)
-		}
-		if k.Label() != label {
-			t.Errorf("round trip %q -> %q", label, k.Label())
-		}
-	}
-	for _, bad := range []string{"", "nounderscore", "mars_chrome", "windows_netscape"} {
-		if _, err := ParsePlatformKey(bad); err == nil {
-			t.Errorf("ParsePlatformKey(%q) succeeded", bad)
-		}
-	}
-}
-
 func TestSupportMatrixMatchesTable1(t *testing.T) {
 	// Spot-check the dashes of Table 1.
 	cases := []struct {

@@ -14,7 +14,6 @@ package fingerprint
 
 import (
 	"fmt"
-	"strings"
 )
 
 // Provider is one of the four studied video content providers.
@@ -189,48 +188,6 @@ func (k PlatformKey) Label() string {
 		return k.Product + "_" + k.Agent.String()
 	}
 	return k.Platform.Label()
-}
-
-// ParsePlatformKey parses a label such as "windows_chrome" or
-// "androidTV_nativeApp" back into a key.
-func ParsePlatformKey(label string) (PlatformKey, error) {
-	i := strings.LastIndexByte(label, '_')
-	if i < 0 {
-		return PlatformKey{}, fmt.Errorf("fingerprint: bad platform label %q", label)
-	}
-	devStr, agStr := label[:i], label[i+1:]
-	var ag Agent
-	switch agStr {
-	case "chrome":
-		ag = Chrome
-	case "edge":
-		ag = Edge
-	case "firefox":
-		ag = Firefox
-	case "safari":
-		ag = Safari
-	case "samsungInternet":
-		ag = SamsungInternet
-	case "nativeApp":
-		ag = NativeApp
-	default:
-		return PlatformKey{}, fmt.Errorf("fingerprint: unknown agent %q", agStr)
-	}
-	switch devStr {
-	case "windows":
-		return PlatformKey{Platform{Windows, ag}, ""}, nil
-	case "macOS":
-		return PlatformKey{Platform{MacOS, ag}, ""}, nil
-	case "android":
-		return PlatformKey{Platform{Android, ag}, ""}, nil
-	case "iOS":
-		return PlatformKey{Platform{IOS, ag}, ""}, nil
-	case "androidTV":
-		return PlatformKey{Platform{TV, ag}, "androidTV"}, nil
-	case "ps5":
-		return PlatformKey{Platform{TV, ag}, "ps5"}, nil
-	}
-	return PlatformKey{}, fmt.Errorf("fingerprint: unknown device %q", devStr)
 }
 
 // Transport is the flow's transport protocol.

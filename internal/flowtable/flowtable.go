@@ -92,7 +92,7 @@ type Table[V any] struct {
 // New returns a Table bounded by cfg. onEvict, if non-nil, is called
 // synchronously with each evicted flow's key, state and eviction reason —
 // the hook through which final flow telemetry reaches a sink. It is not
-// called for entries removed by Delete or dropped by Clear.
+// called for entries dropped by Clear.
 func New[V any](cfg Config, onEvict func(packet.FlowKey, V, Reason)) *Table[V] {
 	return &Table[V]{
 		cfg:     cfg,
@@ -190,19 +190,6 @@ func (t *Table[V]) ExpireIdle(now time.Time) int {
 		n++
 	}
 	return n
-}
-
-// Delete removes a flow without invoking the eviction hook, reporting
-// whether it was present.
-func (t *Table[V]) Delete(key packet.FlowKey) bool {
-	e, ok := t.entries[key]
-	if !ok {
-		return false
-	}
-	t.unlink(e)
-	delete(t.entries, key)
-	t.active.Store(uint64(len(t.entries)))
-	return true
 }
 
 // Clear drops every flow without invoking the eviction hook.

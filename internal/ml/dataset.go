@@ -61,30 +61,6 @@ func (d *Dataset) Subset(rows []int) *Dataset {
 	return &Dataset{X: x, Y: y, Classes: d.Classes}
 }
 
-// SelectColumns returns a copy restricted to the given feature columns.
-func (d *Dataset) SelectColumns(cols []int) *Dataset {
-	x := make([][]float64, len(d.X))
-	for i, row := range d.X {
-		nr := make([]float64, len(cols))
-		for j, c := range cols {
-			nr[j] = row[c]
-		}
-		x[i] = nr
-	}
-	return &Dataset{X: x, Y: d.Y, Classes: d.Classes}
-}
-
-// Relabel returns a dataset with classes remapped through fn (e.g. composite
-// platform labels down to device-type or software-agent labels).
-func (d *Dataset) Relabel(fn func(string) string) *Dataset {
-	labels := make([]string, len(d.Y))
-	for i, y := range d.Y {
-		labels[i] = fn(d.Classes[y])
-	}
-	nd, _ := NewDataset(d.X, labels)
-	return nd
-}
-
 // Classifier is the common interface of the three model families.
 type Classifier interface {
 	Fit(d *Dataset)

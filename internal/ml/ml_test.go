@@ -76,9 +76,17 @@ func TestDecisionTreeDepthLimit(t *testing.T) {
 	d := synthBlobs(300, 4, 2.0)
 	tree := &DecisionTree{Config: TreeConfig{MaxDepth: 2}}
 	tree.Fit(d)
-	if got := tree.Depth(); got > 2 {
+	if got := depthOf(tree.root); got > 2 {
 		t.Errorf("depth = %d, want <= 2", got)
 	}
+}
+
+// depthOf is a subtree's maximum depth (a leaf = 0).
+func depthOf(n *node) int {
+	if n == nil || n.isLeaf() {
+		return 0
+	}
+	return 1 + max(depthOf(n.left), depthOf(n.right))
 }
 
 func TestDecisionTreeSingleClass(t *testing.T) {
@@ -305,26 +313,6 @@ func TestAttributeImportanceAggregation(t *testing.T) {
 	imp := AttributeImportance(gains, map[string][]int{"m3": {0, 1}, "t1": {2}})
 	if imp["m3"] != 0.9 || imp["t1"] != 0.3 {
 		t.Errorf("importance = %v", imp)
-	}
-}
-
-func TestRelabelAndSelectColumns(t *testing.T) {
-	d := synthBlobs(30, 17, 1.0)
-	rl := d.Relabel(func(s string) string {
-		if s == "a" || s == "b" {
-			return "ab"
-		}
-		return s
-	})
-	if len(rl.Classes) != 2 {
-		t.Errorf("relabel classes = %v", rl.Classes)
-	}
-	sel := d.SelectColumns([]int{2, 0})
-	if sel.NumFeatures() != 2 {
-		t.Errorf("selected features = %d", sel.NumFeatures())
-	}
-	if sel.X[0][0] != d.X[0][2] || sel.X[0][1] != d.X[0][0] {
-		t.Error("column selection order wrong")
 	}
 }
 

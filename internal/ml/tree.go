@@ -181,17 +181,3 @@ func (t *DecisionTree) PredictProba(x []float64) []float64 {
 	}
 	return n.proba
 }
-
-// Depth returns the tree's maximum depth (root = 0), for tests.
-func (t *DecisionTree) Depth() int { return depthOf(t.root) }
-
-func depthOf(n *node) int {
-	if n == nil || n.isLeaf() {
-		return 0
-	}
-	l, r := depthOf(n.left), depthOf(n.right)
-	if l > r {
-		return l + 1
-	}
-	return r + 1
-}

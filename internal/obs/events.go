@@ -88,8 +88,6 @@ const DefaultJournalCapacity = 1024
 // are dropped (and counted). All methods are safe for concurrent use, and
 // safe on a nil *Journal (records are discarded), so instrumented code does
 // not need journal-presence checks.
-//
-//vp:nilsafe
 type Journal struct {
 	mu     sync.Mutex
 	ring   []Event // fixed capacity, filled circularly

@@ -69,8 +69,6 @@ func BucketUpperBound(i int) int64 {
 // The zero value is ready to use. All exported methods are nil-receiver
 // safe, so call sites holding a possibly-nil *Histogram (e.g. from
 // PipelineObserver.Stage) need no pointer check.
-//
-//vp:nilsafe
 type Histogram struct {
 	counts [NumBuckets]atomic.Uint64
 	sum    atomic.Int64

@@ -46,8 +46,6 @@ func (s Stage) String() string {
 // PipelineObserver holds one lock-free histogram per pipeline stage. All
 // methods are nil-receiver safe, so instrumented code paths need only a
 // single pointer check (or none: Record on a nil observer is a no-op).
-//
-//vp:nilsafe
 type PipelineObserver struct {
 	hists [NumStages]Histogram
 }

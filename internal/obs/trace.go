@@ -62,8 +62,6 @@ type TracerConfig struct {
 // retains finished spans in a bounded ring plus a separate slowest-K set.
 // Admit/Finish are safe from concurrent shard workers and no-ops on a nil
 // receiver, so an untraced deployment passes a nil *Tracer straight through.
-//
-//vp:nilsafe
 type Tracer struct {
 	every   int
 	ringCap int

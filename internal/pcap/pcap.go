@@ -82,11 +82,10 @@ func (pw *Writer) WritePacket(ts time.Time, data []byte) error {
 
 // Reader iterates over the records of a libpcap file.
 type Reader struct {
-	r        io.Reader
-	order    binary.ByteOrder
-	nanos    bool
-	snaplen  uint32
-	linkType uint32
+	r       io.Reader
+	order   binary.ByteOrder
+	nanos   bool
+	snaplen uint32
 }
 
 // NewReader parses the file header and returns a Reader.
@@ -110,12 +109,8 @@ func NewReader(r io.Reader) (*Reader, error) {
 		return nil, ErrBadMagic
 	}
 	pr.snaplen = pr.order.Uint32(hdr[16:])
-	pr.linkType = pr.order.Uint32(hdr[20:])
 	return pr, nil
 }
-
-// LinkType returns the file's DLT value.
-func (pr *Reader) LinkType() uint32 { return pr.linkType }
 
 // Next returns the next record, or io.EOF at the end of the file. The
 // returned data is freshly allocated and safe to retain.

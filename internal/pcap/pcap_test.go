@@ -26,8 +26,8 @@ func TestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.LinkType() != LinkTypeEthernet {
-		t.Errorf("LinkType = %d", r.LinkType())
+	if lt := binary.LittleEndian.Uint32(buf.Bytes()[20:]); lt != LinkTypeEthernet {
+		t.Errorf("written link type = %d", lt)
 	}
 	for i, want := range pkts {
 		got, err := r.Next()

@@ -44,22 +44,6 @@ type Model struct {
 	cforest  *ml.CompiledForest
 }
 
-// Predict classifies one handshake's field values (the training/experiments
-// representation). The serving path uses Bank.ClassifyHandshake instead.
-func (m *Model) Predict(v *features.FieldValues) (string, float64) {
-	class, conf, _ := m.predict(v)
-	return class, conf
-}
-
-// predict is the reference prediction — Encoder.Transform, then the
-// pointer-walk forest — returning the winning class, its probability and the
-// top-1/top-2 margin read from the same probability vector.
-func (m *Model) predict(v *features.FieldValues) (string, float64, float64) {
-	var proba []float64
-	ci, conf := m.Forest.PredictInto(m.Encoder.Transform(v), &proba)
-	return m.Classes[ci], conf, probaMargin(proba, ci, conf)
-}
-
 // Compiled returns the model's serving-path compiled encoder. Never nil for
 // a model of a bank TrainBank or UnmarshalBinary returned.
 func (m *Model) Compiled() *features.CompiledEncoder { return m.compiled }
@@ -321,25 +305,6 @@ type Prediction struct {
 	AgentConf      float64
 }
 
-// Classify runs the three objectives for a flow and applies the confidence
-// selector: composite first; below threshold, fall back to the individual
-// device/agent models; if none clears the threshold the flow is Unknown.
-// This is the reference path over extracted FieldValues — the
-// training/experiments entry point and the golden oracle the compiled
-// evaluator is pinned against; nothing serves through it.
-func (b *Bank) Classify(prov fingerprint.Provider, tr fingerprint.Transport, v *features.FieldValues) (Prediction, error) {
-	var p Prediction
-	e := b.entry(prov, tr)
-	if e == nil {
-		return p, fmt.Errorf("pipeline: no models for %s/%s", prov, tr)
-	}
-	p.Platform, p.PlatformConf, p.PlatformMargin = e.platform.predict(v)
-	p.Device, p.DeviceConf, _ = e.device.predict(v)
-	p.Agent, p.AgentConf, _ = e.agent.predict(v)
-	p.applySelector()
-	return p, nil
-}
-
 // ClassifyScratch holds one worker's reusable classification buffers: the
 // encoded row matrix, the forest probability matrix and the compiled
 // encoder's extension-walking scratch. Each pipeline (and thus each shard)
@@ -379,17 +344,22 @@ func (b *Bank) ClassifyHandshake(prov fingerprint.Provider, tr fingerprint.Trans
 	return out[0], err
 }
 
-// ClassifyBatch is the serving classifier: it classifies the handshakes of
-// one (provider, transport) through the bank's compiled evaluator. The flows
-// are encoded back-to-back into sc's row matrix by the three objectives'
-// shared compiled encoder — raw wire values resolved through interned
-// tables, no FieldValues maps, no string formatting — and each objective's
-// compiled forest then evaluates the matrix. out[i] receives infos[i]'s
-// prediction, so out must hold at least len(infos) slots. Predictions are
-// byte-identical to Classify(prov, tr, features.Extract(info)), pinned by
-// the golden-equivalence tests. A nil sc allocates temporaries (used by
-// off-path callers like the shadow evaluator). Zero-allocation with a warm
-// scratch, pinned by TestClassifyBatchZeroAlloc.
+// ClassifyBatch is the bank's one classifier — serving, experiments and the
+// campus simulation all answer through it: it classifies the handshakes of
+// one (provider, transport) through the bank's compiled evaluator and applies
+// the §4.1 confidence selector (composite first; below threshold, fall back
+// to the individual device/agent models; if none clears the threshold the
+// flow is Unknown). The flows are encoded back-to-back into sc's row matrix
+// by the three objectives' shared compiled encoder — raw wire values resolved
+// through interned tables, no FieldValues maps, no string formatting — and
+// each objective's compiled forest then evaluates the matrix. out[i] receives
+// infos[i]'s prediction, so out must hold at least len(infos) slots.
+// Predictions are byte-identical to the reference evaluator (features.Extract
+// → Encoder.Transform → pointer-walk forest), which lives test-side in
+// oracle_test.go and is pinned against this path by the golden-equivalence
+// tests. A nil sc allocates temporaries (used by off-path callers like the
+// shadow evaluator). Zero-allocation with a warm scratch, pinned by
+// TestClassifyBatchZeroAlloc.
 //
 //vp:hotpath
 func (b *Bank) ClassifyBatch(prov fingerprint.Provider, tr fingerprint.Transport, infos []*features.HandshakeInfo, sc *ClassifyScratch, out []Prediction) error {

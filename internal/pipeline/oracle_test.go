@@ -1,0 +1,36 @@
+package pipeline
+
+import (
+	"fmt"
+
+	"videoplat/internal/features"
+	"videoplat/internal/fingerprint"
+)
+
+// The reference evaluator: Encoder.Transform over extracted FieldValues, then
+// the pointer-walk forest. It is the oracle the golden-equivalence tests pin
+// the compiled evaluator (Bank.ClassifyBatch) against, and lives in a _test
+// file so nothing can serve, simulate or experiment through it.
+
+// predict returns the winning class, its probability and the top-1/top-2
+// margin read from the same probability vector.
+func (m *Model) predict(v *features.FieldValues) (string, float64, float64) {
+	var proba []float64
+	ci, conf := m.Forest.PredictInto(m.Encoder.Transform(v), &proba)
+	return m.Classes[ci], conf, probaMargin(proba, ci, conf)
+}
+
+// Classify runs the three objectives for a flow through the reference
+// evaluator and applies the confidence selector.
+func (b *Bank) Classify(prov fingerprint.Provider, tr fingerprint.Transport, v *features.FieldValues) (Prediction, error) {
+	var p Prediction
+	e := b.entry(prov, tr)
+	if e == nil {
+		return p, fmt.Errorf("pipeline: no models for %s/%s", prov, tr)
+	}
+	p.Platform, p.PlatformConf, p.PlatformMargin = e.platform.predict(v)
+	p.Device, p.DeviceConf, _ = e.device.predict(v)
+	p.Agent, p.AgentConf, _ = e.agent.predict(v)
+	p.applySelector()
+	return p, nil
+}

@@ -12,11 +12,12 @@ import (
 // metricDef is one /metrics series: its name and Prometheus metadata, stated
 // once, plus a sampler producing the series' samples for a stats snapshot.
 // handleMetrics prints the name in front of every sample, so a row cannot
-// declare one series and emit another, and MetricNames exposes the same
-// column, so a series cannot be added to the endpoint without the
-// documentation drift test (docs/OPERATIONS.md) seeing it. A sampler that
-// returns no samples (the retrainer counters without -auto-retrain) drops
-// the series, HELP and TYPE lines included, from the exposition.
+// declare one series and emit another, and the documentation drift test
+// (docs_test.go, against docs/OPERATIONS.md) reads the same table, so a
+// series cannot be added to the endpoint, or change type, without it seeing.
+// A sampler that returns no samples (the retrainer counters without
+// -auto-retrain) drops the series, HELP and TYPE lines included, from the
+// exposition.
 type metricDef struct {
 	name, typ, help string
 	samples         func(st *Stats) []sample
@@ -224,18 +225,6 @@ var metricsCatalog = []metricDef{
 			return []sample{count(fmt.Sprintf("{go_version=%q,version=%q,revision=%q}",
 				st.Build.GoVersion, st.Build.Version, st.Build.VCSRevision), 1)}
 		}},
-}
-
-// MetricNames lists every videoplat_* series /metrics can emit, in
-// exposition order — the source of truth the operator runbook is checked
-// against. The retrainer counters appear here even when the running
-// configuration omits them.
-func MetricNames() []string {
-	out := make([]string, len(metricsCatalog))
-	for i, m := range metricsCatalog {
-		out[i] = m.name
-	}
-	return out
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {

@@ -347,9 +347,8 @@ func New(bank *pipeline.Bank, src Source, cfg Config) (*Server, error) {
 }
 
 // routes is the complete operations API surface. Registration and the
-// documented endpoint list both derive from this table, so a handler cannot
-// be added without Endpoints (and the docs/OPERATIONS.md drift test that
-// consumes it) seeing it.
+// docs/OPERATIONS.md drift test (docs_test.go) both read this table, so a
+// handler cannot be added without the test seeing it.
 var routes = []struct {
 	pattern string
 	handler func(*Server, http.ResponseWriter, *http.Request)
@@ -368,16 +367,6 @@ var routes = []struct {
 	{"GET /models/export", (*Server).handleModelsExport},
 	{"GET /trace", (*Server).handleTrace},
 	{"GET /debug/pprof/", (*Server).handlePprof},
-}
-
-// Endpoints lists every operations API route as "METHOD /path" patterns, in
-// registration order.
-func Endpoints() []string {
-	out := make([]string, len(routes))
-	for i, rt := range routes {
-		out[i] = rt.pattern
-	}
-	return out
 }
 
 // Addr returns the bound operations API address.

@@ -39,9 +39,6 @@ func NewBoxStats(xs []float64) BoxStats {
 	return BoxStats{Min: s[0], Q1: q(0.25), Median: q(0.5), Q3: q(0.75), Max: s[len(s)-1], N: len(s)}
 }
 
-// IQR is the interquartile range.
-func (b BoxStats) IQR() float64 { return b.Q3 - b.Q1 }
-
 // Aggregator accumulates classified flow records. Only records whose
 // prediction cleared the confidence selector contribute to platform
 // breakdowns; the paper excludes the ~20% low-confidence sessions the same
@@ -223,17 +220,6 @@ func (a *Aggregator) HourlyUsage(prov fingerprint.Provider) (pc, mobile [24]floa
 		return out
 	}
 	return collect(pcAcc), collect(mobAcc)
-}
-
-// TotalWatchHours sums usable watch time (the "400k hours" headline).
-func (a *Aggregator) TotalWatchHours() float64 {
-	var total float64
-	for _, rec := range a.records {
-		if usable(rec) {
-			total += rec.Duration().Hours()
-		}
-	}
-	return total
 }
 
 // ExcludedFraction reports the share of classified content flows rejected by

@@ -30,9 +30,6 @@ func TestBoxStats(t *testing.T) {
 	if b.Q1 != 2 || b.Q3 != 4 {
 		t.Errorf("quartiles = %v/%v", b.Q1, b.Q3)
 	}
-	if b.IQR() != 2 {
-		t.Errorf("IQR = %v", b.IQR())
-	}
 	if z := NewBoxStats(nil); z.N != 0 || z.Median != 0 {
 		t.Errorf("empty box = %+v", z)
 	}
@@ -63,9 +60,6 @@ func TestWatchTimeAggregation(t *testing.T) {
 	byAgent := a.WatchTimeByAgent()
 	if got := byAgent[fingerprint.YouTube]["windows"]["chrome"]; math.Abs(got-2) > 1e-9 {
 		t.Errorf("windows/chrome = %v", got)
-	}
-	if a.TotalWatchHours() != 5 {
-		t.Errorf("total hours = %v", a.TotalWatchHours())
 	}
 }
 

@@ -19,7 +19,6 @@ import (
 	"videoplat/internal/packet"
 	"videoplat/internal/pcap"
 	"videoplat/internal/quicproto"
-	"videoplat/internal/tlsproto"
 )
 
 // Frame is one rendered packet with its offset from the flow start.
@@ -541,38 +540,4 @@ func WritePCAP(w io.Writer, traces []*FlowTrace) error {
 		}
 	}
 	return nil
-}
-
-// SNIOf extracts the ClientHello SNI from a trace's first client frame, for
-// tests that validate rendering.
-func SNIOf(ft *FlowTrace) (string, error) {
-	var p packet.Parser
-	var out packet.Parsed
-	for _, fr := range ft.Frames {
-		if !fr.ClientToServer {
-			continue
-		}
-		if err := p.Parse(fr.Data, &out); err != nil {
-			return "", err
-		}
-		switch {
-		case out.Has(packet.LayerTCP) && len(out.Payload) > 0:
-			ch, err := tlsproto.ParseRecord(out.Payload)
-			if err != nil {
-				continue
-			}
-			return ch.ServerName(), nil
-		case out.Has(packet.LayerUDP) && quicproto.IsLongHeader(out.Payload):
-			init, err := quicproto.ParseInitial(out.Payload)
-			if err != nil {
-				continue
-			}
-			ch, err := tlsproto.Parse(init.CryptoData)
-			if err != nil {
-				continue
-			}
-			return ch.ServerName(), nil
-		}
-	}
-	return "", fmt.Errorf("tracegen: no ClientHello found")
 }

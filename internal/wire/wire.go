@@ -122,13 +122,6 @@ func (r *Reader) SkipZeros() {
 	r.off += i
 }
 
-// Rest returns all unread bytes and consumes them.
-func (r *Reader) Rest() []byte {
-	v := r.buf[r.off:]
-	r.off = len(r.buf)
-	return v
-}
-
 // Varint reads a QUIC variable-length integer (RFC 9000 §16): the two most
 // significant bits of the first byte encode the total length 1/2/4/8.
 func (r *Reader) Varint() (uint64, error) {

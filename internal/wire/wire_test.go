@@ -188,9 +188,9 @@ func TestRestAndOffset(t *testing.T) {
 	if r.Offset() != 1 {
 		t.Fatalf("Offset = %d", r.Offset())
 	}
-	rest := r.Rest()
-	if !bytes.Equal(rest, []byte{2, 3, 4}) || !r.Empty() {
-		t.Fatalf("Rest = %v, empty=%v", rest, r.Empty())
+	rest, err := r.Bytes(r.Len())
+	if err != nil || !bytes.Equal(rest, []byte{2, 3, 4}) || !r.Empty() {
+		t.Fatalf("rest = %v, %v, empty=%v", rest, err, r.Empty())
 	}
 }
 
