@@ -1,5 +1,3 @@
 module videoplat
 
 go 1.24
-
-require golang.org/x/tools v0.28.1-0.20250131145412-98746475647e

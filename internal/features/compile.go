@@ -369,14 +369,12 @@ func (ce *CompiledEncoder) Encode(info *HandshakeInfo) []float64 {
 // the per-caller buffers that keep the steady state allocation-free; nil sc
 // allocates a temporary one. Zero-allocation in the steady state, pinned by
 // TestEncodeIntoZeroAlloc.
-//
-//vp:hotpath
 func (ce *CompiledEncoder) EncodeInto(dst []float64, info *HandshakeInfo, sc *EncodeScratch) []float64 {
 	if sc == nil {
-		sc = &EncodeScratch{} //vp:allocok cold nil-scratch path for off-path callers
+		sc = &EncodeScratch{} // cold nil-scratch path for off-path callers
 	}
 	if cap(dst) < ce.width {
-		dst = make([]float64, ce.width) //vp:allocok cold first-call growth; steady state reuses dst
+		dst = make([]float64, ce.width) // cold first-call growth; steady state reuses dst
 	} else {
 		dst = dst[:ce.width]
 		clear(dst)
@@ -393,7 +391,7 @@ func (ce *CompiledEncoder) EncodeInto(dst []float64, info *HandshakeInfo, sc *En
 		tp = info.Params
 		if tp == nil && ch != nil {
 			if e, ok := ch.Extension(tlsproto.ExtQUICTransportParams); ok {
-				tp, _ = quicproto.ParseTransportParameters(e.Data) //vp:allocok cold lazy parse; assembler pre-populates Params when serving
+				tp, _ = quicproto.ParseTransportParameters(e.Data) // cold lazy parse; assembler pre-populates Params when serving
 			}
 		}
 	}
@@ -492,7 +490,7 @@ func (ce *CompiledEncoder) EncodeInto(dst []float64, info *HandshakeInfo, sc *En
 				break
 			}
 			if p, ok := tp.Get(ca.param); ok {
-				dst[ca.col] = float64(ca.str[string(p.Value)]) //vp:allocok map-index string conversion is not materialized
+				dst[ca.col] = float64(ca.str[string(p.Value)]) // map-index string conversion is not materialized
 			}
 		case opExtLen:
 			dst[ca.col] = lengthValue(len(e.Data))
@@ -512,7 +510,7 @@ func (ce *CompiledEncoder) EncodeInto(dst []float64, info *HandshakeInfo, sc *En
 			ca.writeU16List(dst, sc.u16)
 		case opU8BytesCat:
 			if b := e.U8PrefixedBytes(); b != nil {
-				dst[ca.col] = float64(ca.str[string(b)]) //vp:allocok map-index string conversion is not materialized
+				dst[ca.col] = float64(ca.str[string(b)]) // map-index string conversion is not materialized
 			}
 		case opALPN:
 			// The map index converts the aliased wire bytes in place — no
@@ -522,7 +520,7 @@ func (ce *CompiledEncoder) EncodeInto(dst []float64, info *HandshakeInfo, sc *En
 				if i >= ca.width {
 					break
 				}
-				dst[ca.col+i] = float64(ca.str[string(name)]) //vp:allocok map-index string conversion is not materialized
+				dst[ca.col+i] = float64(ca.str[string(name)]) // map-index string conversion is not materialized
 			}
 		case opPresence:
 			dst[ca.col] = 1
@@ -530,7 +528,7 @@ func (ce *CompiledEncoder) EncodeInto(dst []float64, info *HandshakeInfo, sc *En
 			sc.u16 = e.AppendU8Uint16List(sc.u16[:0])
 			if len(sc.u16) > 0 {
 				sc.tok = appendCompressToken(sc.tok[:0], sc.u16)
-				dst[ca.col] = float64(ca.str[string(sc.tok)]) //vp:allocok map-index string conversion is not materialized
+				dst[ca.col] = float64(ca.str[string(sc.tok)]) // map-index string conversion is not materialized
 			}
 		case opRecordSizeLimit:
 			if len(e.Data) == 2 {
@@ -582,7 +580,7 @@ func appendCompressToken(tok []byte, algs []uint16) []byte {
 			tok = append(tok, "zstd"...)
 		default:
 			tok = append(tok, "0x"...)
-			tok = strconv.AppendUint(tok, uint64(a), 16) //vp:allocok amortized growth of reused scratch, pinned by TestEncodeIntoZeroAlloc
+			tok = strconv.AppendUint(tok, uint64(a), 16) // amortized growth of reused scratch, pinned by TestEncodeIntoZeroAlloc
 		}
 	}
 	return tok

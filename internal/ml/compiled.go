@@ -280,8 +280,6 @@ func (cf *CompiledForest) Bytes() int64 {
 // data-dependent and near 50/50, so a conditional jump there would
 // mispredict on ~half the levels); the only branch is the exit test, which
 // fires once per walk when the node steps onto a leaf's self-loop.
-//
-//vp:hotpath
 func (cf *CompiledForest) leafOf(nodes []cnode, root int32, x []float64) int32 {
 	// nodes is padded to a power of two, so the mask is a no-op for every
 	// real id and proves the index in bounds (no per-step bounds check).
@@ -308,17 +306,14 @@ func (cf *CompiledForest) leafOf(nodes []cnode, root int32, x []float64) int32 {
 // compiled from. It is the one-row case of PredictBatchInto — there is one
 // compiled walk. The returned slice is the (possibly grown) buffer.
 // Zero-allocation with a warm buffer, pinned by TestCompiledForestZeroAlloc.
-//
-//vp:hotpath
 func (cf *CompiledForest) PredictProbaInto(x, out []float64) []float64 {
 	return cf.PredictBatchInto(x, len(x), out)
 }
 
 // PredictInto returns the argmax class index and its probability, reusing
 // *proba as the probability scratch — the compiled twin of
-// RandomForest.PredictInto, with identical argmax tie-breaking.
-//
-//vp:hotpath
+// RandomForest.PredictInto, with identical argmax tie-breaking and the same
+// zero-allocation pin (TestCompiledForestZeroAlloc).
 func (cf *CompiledForest) PredictInto(x []float64, proba *[]float64) (int, float64) {
 	*proba = cf.PredictProbaInto(x, *proba)
 	best, bestP := 0, -1.0
@@ -341,8 +336,6 @@ func (cf *CompiledForest) PredictInto(x []float64, proba *[]float64) (int, float
 // RandomForest.PredictProbaInto, so every row's result is byte-identical to
 // the reference. out is reused via its capacity. Zero-allocation with a
 // warm buffer, pinned by TestCompiledForestZeroAlloc.
-//
-//vp:hotpath
 func (cf *CompiledForest) PredictBatchInto(rows []float64, stride int, out []float64) []float64 {
 	n := 0
 	if stride > 0 {
@@ -350,7 +343,7 @@ func (cf *CompiledForest) PredictBatchInto(rows []float64, stride int, out []flo
 	}
 	need := n * cf.classes
 	if cap(out) < need {
-		out = make([]float64, need) //vp:allocok cold first-call growth; steady state reuses out
+		out = make([]float64, need) // cold first-call growth; steady state reuses out
 	} else {
 		out = out[:need]
 		clear(out)

@@ -89,9 +89,8 @@ func (f *RandomForest) PredictProba(x []float64) []float64 {
 // serving loop can reuse one probability buffer per worker and predict
 // without allocating. The returned slice is the (possibly grown) buffer;
 // the float operations are performed in the same order as PredictProba, so
-// the two are bitwise identical.
-//
-//vp:hotpath
+// the two are bitwise identical (and the steady state allocation-free:
+// TestPredictIntoMatchesPredict).
 func (f *RandomForest) PredictProbaInto(x, out []float64) []float64 {
 	if len(f.trees) == 0 {
 		// No members: an explicit empty distribution instead of reaching the
@@ -101,7 +100,7 @@ func (f *RandomForest) PredictProbaInto(x, out []float64) []float64 {
 	// Size the output from the fitted class count once, instead of re-growing
 	// it leaf by leaf for every member tree.
 	if cap(out) < f.classes {
-		out = make([]float64, f.classes) //vp:allocok cold first-call growth; steady state reuses out
+		out = make([]float64, f.classes) // cold first-call growth; steady state reuses out
 	} else {
 		out = out[:f.classes]
 		clear(out)
@@ -120,9 +119,8 @@ func (f *RandomForest) PredictProbaInto(x, out []float64) []float64 {
 
 // PredictInto returns the argmax class index and its probability, reusing
 // *proba as the probability scratch buffer (it is grown in place as
-// needed). Equivalent to Predict(f, x) with zero steady-state allocations.
-//
-//vp:hotpath
+// needed). Equivalent to Predict(f, x) with zero steady-state allocations,
+// pinned by TestPredictIntoMatchesPredict.
 func (f *RandomForest) PredictInto(x []float64, proba *[]float64) (int, float64) {
 	*proba = f.PredictProbaInto(x, *proba)
 	if len(*proba) == 0 {

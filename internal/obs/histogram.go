@@ -75,10 +75,8 @@ type Histogram struct {
 	max    atomic.Int64
 }
 
-// Record adds one latency sample. 0 allocs/op, safe from any goroutine,
-// no-op on a nil receiver.
-//
-//vp:hotpath
+// Record adds one latency sample. 0 allocs/op (TestRecordZeroAlloc), safe
+// from any goroutine, no-op on a nil receiver.
 func (h *Histogram) Record(d time.Duration) {
 	if h == nil {
 		return

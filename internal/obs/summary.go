@@ -21,16 +21,16 @@ type Summary struct {
 	Buckets map[int]uint64 `json:"buckets,omitempty"`
 }
 
-// Observe folds one latency sample into the summary.
-//
-//vp:hotpath
+// Observe folds one latency sample into the summary. On the window-fold
+// path: allocation-free once Buckets exists, pinned through the whole fold
+// by TestQualityFoldZeroAlloc in internal/telemetry.
 func (s *Summary) Observe(d time.Duration) {
 	ns := int64(d)
 	if ns < 0 {
 		ns = 0
 	}
 	if s.Buckets == nil {
-		s.Buckets = make(map[int]uint64) //vp:allocok lazy one-time init per window
+		s.Buckets = make(map[int]uint64) // lazy one-time init per window
 	}
 	s.Buckets[bucketIndex(ns)]++
 	s.Count++

@@ -83,7 +83,7 @@ func (ip *IPv4) Decode(b []byte) (payload []byte, err error) {
 		return nil, ErrTruncated
 	}
 	if v := b[0] >> 4; v != 4 {
-		return nil, fmt.Errorf("packet: IPv4 version %d: %w", v, ErrUnsupported) //vp:allocok cold malformed-header error path
+		return nil, fmt.Errorf("packet: IPv4 version %d: %w", v, ErrUnsupported) // cold malformed-header error path
 	}
 	ihl := int(b[0]&0x0f) * 4
 	if ihl < 20 || len(b) < ihl {
@@ -148,7 +148,7 @@ func (ip *IPv6) Decode(b []byte) (payload []byte, err error) {
 		return nil, ErrTruncated
 	}
 	if v := b[0] >> 4; v != 6 {
-		return nil, fmt.Errorf("packet: IPv6 version %d: %w", v, ErrUnsupported) //vp:allocok cold malformed-header error path
+		return nil, fmt.Errorf("packet: IPv6 version %d: %w", v, ErrUnsupported) // cold malformed-header error path
 	}
 	ip.TrafficClass = b[0]<<4 | b[1]>>4
 	ip.FlowLabel = binary.BigEndian.Uint32(b[0:4]) & 0xfffff

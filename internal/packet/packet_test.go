@@ -3,7 +3,9 @@ package packet
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"net/netip"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -221,8 +223,34 @@ func TestFlowKeyCanonicalSymmetry(t *testing.T) {
 	if k.Reverse().Reverse() != k {
 		t.Error("Reverse not involutive")
 	}
-	if s := k.String(); s == "" {
-		t.Error("empty String")
+}
+
+// TestFlowKeyStringEndpointsParse pins the rendering a /trace span's flow
+// carries: each endpoint reads back through netip.ParseAddrPort — an IPv6
+// address is bracketed, or its last group and the port run together — and an
+// IPv4 key renders as it always has.
+func TestFlowKeyStringEndpointsParse(t *testing.T) {
+	for _, c := range []struct {
+		key  FlowKey
+		want string
+	}{
+		{FlowKey{Src: srcIP, Dst: dstIP, SrcPort: 51000, DstPort: 443, Proto: ProtoTCP},
+			fmt.Sprintf("%s:%d->%s:%d/tcp", srcIP, 51000, dstIP, 443)},
+		{FlowKey{Src: src6, Dst: dst6, SrcPort: 50000, DstPort: 443, Proto: ProtoUDP},
+			"[2001:db8::10]:50000->[2607:f8b0::1]:443/udp"},
+	} {
+		got := c.key.String()
+		if got != c.want {
+			t.Errorf("String() = %q, want %q", got, c.want)
+		}
+		ends, _, _ := strings.Cut(got, "/")
+		src, dst, _ := strings.Cut(ends, "->")
+		if ap, err := netip.ParseAddrPort(src); err != nil || ap != netip.AddrPortFrom(c.key.Src, c.key.SrcPort) {
+			t.Errorf("source %q reads back as %v (err %v)", src, ap, err)
+		}
+		if ap, err := netip.ParseAddrPort(dst); err != nil || ap != netip.AddrPortFrom(c.key.Dst, c.key.DstPort) {
+			t.Errorf("destination %q reads back as %v (err %v)", dst, ap, err)
+		}
 	}
 }
 

@@ -108,15 +108,13 @@ type Parser struct{}
 // protocol, or a non-first IPv4 fragment, is not an error — the payload is
 // simply left at that layer. Zero-allocation on the decode path, pinned by
 // TestParseAllocFree. Summary.Decode is the per-packet subset of this decode.
-//
-//vp:hotpath
 func (ps *Parser) Parse(frame []byte, out *Parsed) error {
 	out.Decoded = out.decodedStorage[:0]
 	out.Payload, out.PayloadOff = nil, 0
 
 	rest, err := out.Eth.Decode(frame)
 	if err != nil {
-		return fmt.Errorf("ethernet: %w", err) //vp:allocok cold malformed-frame error path
+		return fmt.Errorf("ethernet: %w", err) // cold malformed-frame error path
 	}
 	out.Decoded = append(out.Decoded, LayerEthernet)
 	off := 14 // Ethernet II header
@@ -125,7 +123,7 @@ func (ps *Parser) Parse(frame []byte, out *Parsed) error {
 	switch out.Eth.EtherType {
 	case EtherTypeIPv4:
 		if rest, err = out.IP4.Decode(rest); err != nil {
-			return fmt.Errorf("ipv4: %w", err) //vp:allocok cold malformed-frame error path
+			return fmt.Errorf("ipv4: %w", err) // cold malformed-frame error path
 		}
 		out.Decoded = append(out.Decoded, LayerIPv4)
 		proto = out.IP4.Protocol
@@ -138,7 +136,7 @@ func (ps *Parser) Parse(frame []byte, out *Parsed) error {
 		}
 	case EtherTypeIPv6:
 		if rest, err = out.IP6.Decode(rest); err != nil {
-			return fmt.Errorf("ipv6: %w", err) //vp:allocok cold malformed-frame error path
+			return fmt.Errorf("ipv6: %w", err) // cold malformed-frame error path
 		}
 		out.Decoded = append(out.Decoded, LayerIPv6)
 		proto = out.IP6.Protocol
@@ -152,13 +150,13 @@ func (ps *Parser) Parse(frame []byte, out *Parsed) error {
 	case ProtoTCP:
 		segment := len(rest)
 		if rest, err = out.TCP.Decode(rest); err != nil {
-			return fmt.Errorf("tcp: %w", err) //vp:allocok cold malformed-frame error path
+			return fmt.Errorf("tcp: %w", err) // cold malformed-frame error path
 		}
 		out.Decoded = append(out.Decoded, LayerTCP)
 		off += segment - len(rest) // TCP.Decode strips exactly the header, options included
 	case ProtoUDP:
 		if rest, err = out.UDP.Decode(rest); err != nil {
-			return fmt.Errorf("udp: %w", err) //vp:allocok cold malformed-frame error path
+			return fmt.Errorf("udp: %w", err) // cold malformed-frame error path
 		}
 		out.Decoded = append(out.Decoded, LayerUDP)
 		off += 8
@@ -188,7 +186,7 @@ func (k FlowKey) Canonical() FlowKey {
 	return k
 }
 
-// String renders "src:port->dst:port/proto".
+// String renders "src:port->dst:port/proto", an IPv6 address in brackets.
 func (k FlowKey) String() string {
 	proto := "?"
 	switch k.Proto {
@@ -197,5 +195,5 @@ func (k FlowKey) String() string {
 	case ProtoUDP:
 		proto = "udp"
 	}
-	return fmt.Sprintf("%s:%d->%s:%d/%s", k.Src, k.SrcPort, k.Dst, k.DstPort, proto)
+	return fmt.Sprintf("%s->%s/%s", netip.AddrPortFrom(k.Src, k.SrcPort), netip.AddrPortFrom(k.Dst, k.DstPort), proto)
 }

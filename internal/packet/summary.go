@@ -35,9 +35,6 @@ type Summary struct {
 // (TestSummaryMatchesParse and FuzzSummaryMatchesParse in internal/pipeline).
 // s is undefined after a false return. Nothing of frame is retained, nothing
 // allocated (TestSummaryAllocFree).
-//
-//vp:hotpath
-//vp:borrowed frame
 func (s *Summary) Decode(frame []byte) bool {
 	if len(frame) < 14 {
 		return false

@@ -4,6 +4,7 @@ import (
 	"math/rand/v2"
 	"net/netip"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -43,16 +44,68 @@ func (ff tcpFlowFrames) server(payload []byte, flags uint8) []byte {
 	return eth.Append(nil, ip.Append(nil, seg))
 }
 
-// TestStreamingSplitHelloWithServerInterleave pins the incremental
-// assembler's streaming behaviour: a ClientHello split across three client
-// segments with server packets interleaved classifies exactly once, on the
-// client frame that completes the record — and the interleaved server
-// packets neither advance nor disturb assembly.
-func TestStreamingSplitHelloWithServerInterleave(t *testing.T) {
-	if testing.Short() {
-		t.Skip("trains a bank")
+// frameLender is the borrow contract as a test input. An entry point only
+// borrows the frames it is handed — what it keeps it must copy — so the
+// lender hands every frame over in one reused buffer and overwrites that
+// buffer with 0xA5 the moment the entry point returns, as a capture ring
+// reuses its slots. State that still aliases a frame then reads poison, and
+// the flow it belonged to ends on a different verdict than its frames say.
+type frameLender struct {
+	buf  []byte
+	pkts []IngestPacket
+}
+
+// batch lends pkts to handle as one call's worth of frames.
+func (l *frameLender) batch(pkts []IngestPacket, handle func([]IngestPacket)) {
+	l.buf, l.pkts = l.buf[:0], l.pkts[:0]
+	for _, pkt := range pkts {
+		l.buf = append(l.buf, pkt.Data...)
 	}
-	bank := goldenBank(t)
+	off := 0
+	for _, pkt := range pkts {
+		l.pkts = append(l.pkts, IngestPacket{TS: pkt.TS, Data: l.buf[off : off+len(pkt.Data)]})
+		off += len(pkt.Data)
+	}
+	handle(l.pkts)
+	for i := range l.buf {
+		l.buf[i] = 0xA5
+	}
+}
+
+// each lends pkts to handle one frame per call.
+func (l *frameLender) each(pkts []IngestPacket, handle func(ts time.Time, frame []byte)) {
+	for i := range pkts {
+		l.batch(pkts[i:i+1], func(one []IngestPacket) { handle(one[0].TS, one[0].Data) })
+	}
+}
+
+// eachRecycled lends pkts to a Sharded one frame per HandlePacket call and
+// makes each call pack into the arena the call before it used. A busy tap
+// gets that recycling by volume; here a SnapshotFlows round trip after every
+// frame waits until the worker has put the batch back, and one P makes
+// sync.Pool hand that very batch to the next call (its caches are per P, so
+// with more the worker's put can sit where ingest never looks). Under the
+// race detector the pool drops a quarter of its puts and the reuse is only
+// usual.
+func (l *frameLender) eachRecycled(s *Sharded, pkts []IngestPacket) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	l.each(pkts, func(ts time.Time, frame []byte) {
+		s.HandlePacket(ts, frame)
+		s.SnapshotFlows()
+	})
+}
+
+// splitHelloIndex is the frame of splitHelloPackets that completes the hello.
+const splitHelloIndex = 6
+
+// splitHelloPackets is one TCP flow whose ClientHello record spans three
+// client segments, server packets in between, a millisecond apart from
+// start; it returns the hello's SNI beside the frames. A flow like this is
+// what makes frame retention visible: between its first segment and its
+// last, the caller's buffer (frameLender) and a Sharded's batch arena have
+// both been handed on.
+func splitHelloPackets(t testing.TB, start time.Time) ([]IngestPacket, string) {
+	t.Helper()
 	rng := rand.New(rand.NewPCG(1, 1))
 	f, err := fingerprint.Generate(rng, "macOS_safari", fingerprint.Amazon, fingerprint.TCP, fingerprint.Options{})
 	if err != nil {
@@ -62,35 +115,51 @@ func TestStreamingSplitHelloWithServerInterleave(t *testing.T) {
 	cut1, cut2 := len(record)/3, 2*len(record)/3
 
 	ff := newTCPFlowFrames()
-	type step struct {
-		frame    []byte
-		classify bool
+	var pkts []IngestPacket
+	for i, frame := range [][]byte{
+		ff.client(nil, packet.FlagSYN),
+		ff.server(nil, packet.FlagSYN|packet.FlagACK),
+		ff.client(record[:cut1], packet.FlagACK|packet.FlagPSH),
+		ff.server([]byte{0xde, 0xad}, packet.FlagACK), // server bytes mid-handshake
+		ff.client(record[cut1:cut2], packet.FlagACK|packet.FlagPSH),
+		ff.server(nil, packet.FlagACK),
+		ff.client(record[cut2:], packet.FlagACK|packet.FlagPSH), // splitHelloIndex
+		ff.server([]byte{1, 2, 3}, packet.FlagACK),              // post-classification traffic
+	} {
+		pkts = append(pkts, IngestPacket{TS: start.Add(time.Duration(i) * time.Millisecond), Data: frame})
 	}
-	steps := []step{
-		{ff.client(nil, packet.FlagSYN), false},
-		{ff.server(nil, packet.FlagSYN|packet.FlagACK), false},
-		{ff.client(record[:cut1], packet.FlagACK|packet.FlagPSH), false},
-		{ff.server([]byte{0xde, 0xad}, packet.FlagACK), false}, // server bytes mid-handshake
-		{ff.client(record[cut1:cut2], packet.FlagACK|packet.FlagPSH), false},
-		{ff.server(nil, packet.FlagACK), false},
-		{ff.client(record[cut2:], packet.FlagACK|packet.FlagPSH), true},
-		{ff.server([]byte{1, 2, 3}, packet.FlagACK), false}, // post-classification traffic
+	return pkts, f.SNI
+}
+
+// TestStreamingSplitHelloWithServerInterleave pins the incremental
+// assembler's streaming behaviour: a ClientHello split across three client
+// segments with server packets interleaved classifies exactly once, on the
+// client frame that completes the record — and the interleaved server
+// packets neither advance nor disturb assembly. Every frame is lent
+// (frameLender), so a first segment the assembler aliased instead of copying
+// is poison by the time the last one arrives.
+func TestStreamingSplitHelloWithServerInterleave(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains a bank")
 	}
+	bank := goldenBank(t)
+	pkts, sni := splitHelloPackets(t, time.Date(2023, 7, 7, 0, 0, 0, 0, time.UTC))
 
 	p := New(bank)
-	ts := time.Date(2023, 7, 7, 0, 0, 0, 0, time.UTC)
-	for i, s := range steps {
-		rec, err := p.HandlePacket(ts, s.frame)
+	step := 0
+	new(frameLender).each(pkts, func(ts time.Time, frame []byte) {
+		rec, err := p.HandlePacket(ts, frame)
 		if err != nil {
-			t.Fatalf("step %d: %v", i, err)
+			t.Fatalf("step %d: %v", step, err)
 		}
-		if got := rec != nil; got != s.classify {
-			t.Fatalf("step %d: classified=%v, want %v", i, got, s.classify)
+		if got, want := rec != nil, step == splitHelloIndex; got != want {
+			t.Fatalf("step %d: classified=%v, want %v", step, got, want)
 		}
-		if rec != nil && rec.SNI != f.SNI {
-			t.Fatalf("step %d: SNI %q, want %q", i, rec.SNI, f.SNI)
+		if rec != nil && rec.SNI != sni {
+			t.Fatalf("step %d: SNI %q, want %q", step, rec.SNI, sni)
 		}
-	}
+		step++
+	})
 	flows := p.Flows()
 	if len(flows) != 1 || !flows[0].Classified {
 		t.Fatalf("want 1 classified flow, got %+v", flows)

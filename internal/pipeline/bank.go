@@ -321,11 +321,9 @@ type ClassifyScratch struct {
 
 // growFloats resizes a scratch buffer to n elements, growing its capacity
 // amortized and zeroing the visible window.
-//
-//vp:hotpath
 func growFloats(s []float64, n int) []float64 {
 	if cap(s) < n {
-		s = append(s[:cap(s)], make([]float64, n-cap(s))...) //vp:allocok amortized scratch growth, pinned by TestClassifyBatchZeroAlloc
+		s = append(s[:cap(s)], make([]float64, n-cap(s))...) // amortized scratch growth, pinned by TestClassifyBatchZeroAlloc
 	}
 	s = s[:n]
 	clear(s)
@@ -335,8 +333,6 @@ func growFloats(s []float64, n int) []float64 {
 // ClassifyHandshake classifies one assembled handshake: ClassifyBatch over a
 // single flow. Zero-allocation with a warm scratch, pinned by
 // TestClassifyHandshakeZeroAlloc.
-//
-//vp:hotpath
 func (b *Bank) ClassifyHandshake(prov fingerprint.Provider, tr fingerprint.Transport, info *features.HandshakeInfo, sc *ClassifyScratch) (Prediction, error) {
 	infos := [1]*features.HandshakeInfo{info}
 	var out [1]Prediction
@@ -360,18 +356,16 @@ func (b *Bank) ClassifyHandshake(prov fingerprint.Provider, tr fingerprint.Trans
 // tests. A nil sc allocates temporaries (used by off-path callers like the
 // shadow evaluator). Zero-allocation with a warm scratch, pinned by
 // TestClassifyBatchZeroAlloc.
-//
-//vp:hotpath
 func (b *Bank) ClassifyBatch(prov fingerprint.Provider, tr fingerprint.Transport, infos []*features.HandshakeInfo, sc *ClassifyScratch, out []Prediction) error {
 	if len(infos) == 0 {
 		return nil
 	}
 	e := b.entry(prov, tr)
 	if e == nil {
-		return fmt.Errorf("pipeline: no models for %s/%s", prov, tr) //vp:allocok cold no-models error path
+		return fmt.Errorf("pipeline: no models for %s/%s", prov, tr) // cold no-models error path
 	}
 	if sc == nil {
-		sc = &ClassifyScratch{} //vp:allocok cold nil-scratch path for off-path callers
+		sc = &ClassifyScratch{} // cold nil-scratch path for off-path callers
 	}
 	enc := e.platform.compiled
 	stride := enc.Width()
@@ -384,9 +378,8 @@ func (b *Bank) ClassifyBatch(prov fingerprint.Provider, tr fingerprint.Transport
 }
 
 // classifyRows runs the three objectives' compiled forests over an encoded
-// row matrix and fills out[:n] with selector-applied predictions.
-//
-//vp:hotpath
+// row matrix and fills out[:n] with selector-applied predictions. Inside
+// ClassifyBatch's zero-allocation pin.
 func (e *bankEntry) classifyRows(sc *ClassifyScratch, n, stride int, out []Prediction) {
 	rows := sc.rows[:n*stride]
 
@@ -422,8 +415,6 @@ func (e *bankEntry) classifyRows(sc *ClassifyScratch, n, stride int, out []Predi
 
 // argmaxProba returns the winning class index and probability with the same
 // tie-breaking as RandomForest.PredictInto (first strict maximum wins).
-//
-//vp:hotpath
 func argmaxProba(proba []float64) (int, float64) {
 	best, bestP := 0, -1.0
 	for i, v := range proba {

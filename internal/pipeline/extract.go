@@ -46,10 +46,16 @@
 // past the call (client handshake payload bytes are copied into the flow's
 // assembler; flow keys and telemetry are values). Code that adds retention
 // to the flow path must keep that copy-on-retain invariant or the arena
-// recycle in Sharded becomes a use-after-free; code that reads further into
-// a frame on the flow path must widen keepLen, or it reads a cut frame on a
-// Sharded and a whole one on a Pipeline (TestBatchedMatchesSinglePacket and
-// FuzzShardedMatchesPipeline compare the two). The payload is never found by
+// recycle in Sharded becomes a use-after-free. The guard is dynamic:
+// TestBatchedMatchesSinglePacket, TestStreamingSplitHelloWithServerInterleave
+// and FuzzShardedMatchesPipeline lend every frame from a buffer they
+// overwrite the moment the entry point returns, make a Sharded pack each
+// frame into the arena the one before it used, and carry a ClientHello that
+// spans segments — so a pointer kept into a frame reads something else by
+// the time the flow is classified, and the flow's verdict says so. Code that
+// reads further into a frame on the flow path must widen keepLen, or it
+// reads a cut frame on a Sharded and a whole one on a Pipeline (the same
+// tests compare the two). The payload is never found by
 // counting back from a frame's end: packet.Summary.PayloadOff (and
 // packet.Parsed.PayloadOff) says where it starts, whatever padding follows
 // the datagram. Frames with no TCP/UDP 5-tuple are dropped at ingest

@@ -44,10 +44,16 @@ func splitFrames(data []byte) [][]byte {
 // migration and early-classification counts, the table counters. Sharded
 // drops undecodable and off-443 frames at ingest, before a shard can count
 // them, so Packets alone legitimately differs and the frames offered must
-// equal the shard's Packets plus ingest's Ignored and Filtered. The corpus
-// is seeded with the adversarial scenario flows and a handshake-then-bulk
-// flow, so mutations start from frames that reach every branch of the keep
-// rule.
+// equal the shard's Packets plus ingest's Ignored and Filtered. The Pipeline
+// reads the frames where they lie and they stay as they are; the Sharded is
+// lent them (frameLender.eachRecycled), each overwritten the moment the call
+// returns and packed into the arena the frame before it used. The two share
+// the whole flow stage, so state that aliases a frame instead of copying it
+// reads the frame on one side and something else on the other, and the
+// records differ. The corpus is seeded with the adversarial scenario flows, a
+// handshake-then-bulk flow and a hello split over three segments, so
+// mutations start from frames that reach every branch of the keep rule and
+// from a flow that outlives its first frame.
 func FuzzShardedMatchesPipeline(f *testing.F) {
 	bank, _ := trainSmallBank(f, 31, 0.02)
 	var scenario [][]byte
@@ -72,11 +78,19 @@ func FuzzShardedMatchesPipeline(f *testing.F) {
 		bulk = append(bulk, pkt.Data)
 	}
 	f.Add(packFrames(bulk))
+	var split [][]byte
+	splitHello, _ := splitHelloPackets(f, time.Time{})
+	for _, pkt := range splitHello {
+		split = append(split, pkt.Data)
+	}
+	f.Add(packFrames(split))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		frames := splitFrames(data)
 		start := time.Date(2023, 7, 7, 0, 0, 0, 0, time.UTC)
-		ts := func(i int) time.Time { return start.Add(time.Duration(i) * 300 * time.Millisecond) }
+		var pkts []IngestPacket
+		for i, fr := range splitFrames(data) {
+			pkts = append(pkts, IngestPacket{TS: start.Add(time.Duration(i) * 300 * time.Millisecond), Data: fr})
+		}
 		config := func(evicted *[]*FlowRecord) Config {
 			return Config{
 				MaxFlows: 4, IdleTimeout: 3 * time.Second,
@@ -87,8 +101,8 @@ func FuzzShardedMatchesPipeline(f *testing.F) {
 
 		var want []*FlowRecord
 		p := NewWithConfig(bank, config(&want))
-		for i, fr := range frames {
-			p.HandlePacket(ts(i), fr) // a classifier error is a verdict, checked below
+		for _, pkt := range pkts {
+			p.HandlePacket(pkt.TS, pkt.Data) // a classifier error is a verdict, checked below
 		}
 		want = append(want, p.Flows()...)
 
@@ -98,9 +112,7 @@ func FuzzShardedMatchesPipeline(f *testing.F) {
 			for range s.Results() {
 			}
 		}()
-		for i, fr := range frames {
-			s.HandlePacket(ts(i), fr)
-		}
+		new(frameLender).eachRecycled(s, pkts)
 		s.Close()
 		got = append(got, s.Flows()...)
 
@@ -119,7 +131,7 @@ func FuzzShardedMatchesPipeline(f *testing.F) {
 		if gt, wt := s.TableStats(), p.TableStats(); gt != wt {
 			t.Errorf("Sharded table %+v, Pipeline %+v", gt, wt)
 		}
-		offered := uint64(len(frames))
+		offered := uint64(len(pkts))
 		if ps.Packets != offered || ss.Packets+ing.Ignored+ing.Filtered != offered {
 			t.Errorf("%d frames offered: Pipeline counted %d, Sharded %d + %d ignored + %d filtered",
 				offered, ps.Packets, ss.Packets, ing.Ignored, ing.Filtered)

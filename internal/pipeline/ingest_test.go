@@ -205,6 +205,15 @@ func interleave(flows ...[]IngestPacket) []IngestPacket {
 // are OnEvict's plus Flows(). The handshake-then-bulk input is the check on
 // what Sharded's ingest leaves out of its arenas (keepLen): every frame it
 // cuts, and every reader of a cut payload, is in it.
+//
+// It is also the check on copy-on-retain. Every entry point is fed through a
+// frameLender, which overwrites the frames the moment the call returns, and
+// the interleaved and bulk inputs carry a flow whose ClientHello spans three
+// segments (splitHelloPackets): an assembler that kept a pointer into its
+// first segment reads poison on a Pipeline, and on a Sharded at batch size 1
+// an arena that has carried other frames since. Each entry point must bring
+// every flow to a classification outcome on its own, so a retention bug
+// shows on the path it is on and not only as a difference between two.
 func TestBatchedMatchesSinglePacket(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bank training is slow")
@@ -238,6 +247,8 @@ func TestBatchedMatchesSinglePacket(t *testing.T) {
 		all = append(all, ft)
 		perFlow = append(perFlow, tracePackets(ft, 0))
 	}
+	splitHello, _ := splitHelloPackets(t, all[0].Start)
+	perFlow = append(perFlow, splitHello)
 	// Cap pressure: flow A runs to its verdict, then flow B arrives and
 	// evicts it from a one-flow table — within one ingest batch when the
 	// batch is large enough.
@@ -262,6 +273,7 @@ func TestBatchedMatchesSinglePacket(t *testing.T) {
 		withBulk(migNoCID, 2, tracePackets(migNoCID, 0)),
 		fastOpenPackets(t, render("ps5_nativeApp", fingerprint.Amazon, fingerprint.TCP, fingerprint.Options{})),
 		tracePackets(render("iOS_nativeApp", fingerprint.Disney, fingerprint.TCP, fingerprint.Options{}), 6),
+		splitHello,
 	)
 
 	type summary struct {
@@ -289,9 +301,9 @@ func TestBatchedMatchesSinglePacket(t *testing.T) {
 		flows      int
 		migrations uint64
 	}{
-		{"interleaved", 4, Config{}, interleave(perFlow...), len(specs), 0},
+		{"interleaved", 4, Config{}, interleave(perFlow...), len(perFlow), 0},
 		{"cap-pressure", 1, Config{MaxFlows: 1}, capPressure, 2, 0},
-		{"handshake-then-bulk", 4, Config{}, bulk, 6, 2},
+		{"handshake-then-bulk", 4, Config{}, bulk, 7, 2},
 	} {
 		// run replays the input through one entry point: batchSize < 0 is
 		// the plain Pipeline, 0 is Sharded.HandlePacket, anything else a
@@ -305,6 +317,12 @@ func TestBatchedMatchesSinglePacket(t *testing.T) {
 				defer mu.Unlock()
 				if _, dup := out.flows[rec.Key]; dup {
 					t.Errorf("%s batch=%d: flow %s has two terminal records", in.name, batchSize, rec.SNI)
+				}
+				if rec.Verdict != VerdictClassified && rec.Verdict != VerdictAbstained {
+					t.Errorf("%s batch=%d: flow %q (%v) verdict = %s, want a classification outcome", in.name, batchSize, rec.SNI, rec.Key, rec.Verdict)
+				}
+				if initSize[rec.Key] == 0 {
+					t.Errorf("%s batch=%d: flow %q (%v) was classified with no InitPacketSize", in.name, batchSize, rec.SNI, rec.Key)
 				}
 				out.flows[rec.Key] = summary{
 					sni:        rec.SNI,
@@ -326,13 +344,14 @@ func TestBatchedMatchesSinglePacket(t *testing.T) {
 				defer mu.Unlock()
 				initSize[rec.Key] = hs.InitPacketSize
 			}
+			var lender frameLender
 			if batchSize < 0 {
 				p := NewWithConfig(bank, cfg)
-				for _, pkt := range in.pkts {
-					if _, err := p.HandlePacket(pkt.TS, pkt.Data); err != nil {
+				lender.each(in.pkts, func(ts time.Time, frame []byte) {
+					if _, err := p.HandlePacket(ts, frame); err != nil {
 						t.Fatal(err)
 					}
-				}
+				})
 				for _, rec := range p.Flows() {
 					record(rec)
 				}
@@ -346,12 +365,10 @@ func TestBatchedMatchesSinglePacket(t *testing.T) {
 				}
 			}()
 			if batchSize == 0 {
-				for _, pkt := range in.pkts {
-					s.HandlePacket(pkt.TS, pkt.Data)
-				}
+				lender.eachRecycled(s, in.pkts)
 			} else {
 				for off := 0; off < len(in.pkts); off += batchSize {
-					s.HandlePacketBatch(in.pkts[off:min(off+batchSize, len(in.pkts))])
+					lender.batch(in.pkts[off:min(off+batchSize, len(in.pkts))], s.HandlePacketBatch)
 				}
 			}
 			s.Close()
@@ -374,14 +391,6 @@ func TestBatchedMatchesSinglePacket(t *testing.T) {
 		}
 		if want.migrations != in.migrations {
 			t.Errorf("%s: plain pipeline re-keyed %d flows, want %d", in.name, want.migrations, in.migrations)
-		}
-		for key, w := range want.flows {
-			if w.verdict != VerdictClassified && w.verdict != VerdictAbstained {
-				t.Errorf("%s: flow %s (%v) verdict = %s, want a classification outcome", in.name, w.sni, key, w.verdict)
-			}
-			if w.initSize == 0 {
-				t.Errorf("%s: flow %s (%v) was classified with no InitPacketSize", in.name, w.sni, key)
-			}
 		}
 		for _, batchSize := range []int{0, 7, 64, len(in.pkts)} {
 			got := run(batchSize)

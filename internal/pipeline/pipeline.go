@@ -205,10 +205,13 @@ type Config struct {
 	// OnClassify, if non-nil, is invoked once per classification attempt
 	// with a copy of the flow record (after the confidence selector ran)
 	// and the assembled handshake, letting a shadow evaluator re-classify
-	// the same flow with a candidate bank. The HandshakeInfo is only valid
-	// for the duration of the call — its buffers are recycled when the
-	// hook returns. Called synchronously from HandlePacket; for Sharded it
-	// runs on shard goroutines and must be safe for concurrent use.
+	// the same flow with a candidate bank. The HandshakeInfo is lent for
+	// the duration of the call. What it points into is the flow's own
+	// handshake buffer, which nothing reuses, so a hook that kept it would
+	// read the same bytes later — and hold that buffer, a flow's worth of
+	// handshake, for as long as it did (TestAssembledHelloSurvivesLaterFlows).
+	// Called synchronously from HandlePacket; for Sharded it runs on shard
+	// goroutines and must be safe for concurrent use.
 	OnClassify func(rec *FlowRecord, hs *features.HandshakeInfo)
 	// Observer, if non-nil, receives per-stage latency samples (handshake
 	// assembly, classification; for Sharded also ingest decode and shard

@@ -313,9 +313,8 @@ func (s *Sharded) getBatch() *ingestBatch {
 // neither can become a video flow, so neither is worth an arena copy and a
 // shard hop. data is only borrowed: what is kept of it is copied into the
 // arena — the one place frame bytes are copied — and the caller may recycle
-// the buffer as soon as decode returns.
-//
-//vp:borrowed data
+// the buffer as soon as decode returns (TestBatchedMatchesSinglePacket and
+// FuzzShardedMatchesPipeline overwrite it the moment it does).
 func (s *Sharded) decode(ts time.Time, data []byte) {
 	sum := &s.sum
 	if !sum.Decode(data) {

@@ -194,8 +194,6 @@ func (rt *Retrainer) Start(ctx context.Context) {
 // separate goroutine, so the serving path never waits on registry disk IO.
 // Safe for concurrent use from shard goroutines. The HandshakeInfo is only
 // borrowed for the duration of the call (the OnClassify contract).
-//
-//vp:borrowed hs
 func (rt *Retrainer) ObserveClassified(rec *pipeline.FlowRecord, hs *features.HandshakeInfo) {
 	se := rt.shadow.Load()
 	if se == nil {

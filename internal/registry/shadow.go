@@ -112,8 +112,6 @@ func (sh *Shadow) Candidate() *pipeline.Bank { return sh.candidate }
 // The HandshakeInfo is only borrowed for the duration of the call, matching
 // the pipeline's OnClassify contract. Returns true once enough samples
 // exist for a verdict.
-//
-//vp:borrowed hs
 func (sh *Shadow) Observe(rec *pipeline.FlowRecord, hs *features.HandshakeInfo) bool {
 	sh.mu.Lock()
 	sh.seen++

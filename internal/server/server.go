@@ -869,8 +869,8 @@ func (s *Server) handleFlows(w http.ResponseWriter, r *http.Request) {
 			break
 		}
 		fs := flowSummary{
-			Src:        fmt.Sprintf("%s:%d", rec.Key.Src, rec.Key.SrcPort),
-			Dst:        fmt.Sprintf("%s:%d", rec.Key.Dst, rec.Key.DstPort),
+			Src:        netip.AddrPortFrom(rec.Key.Src, rec.Key.SrcPort).String(),
+			Dst:        netip.AddrPortFrom(rec.Key.Dst, rec.Key.DstPort).String(),
 			Transport:  rec.Transport.String(),
 			SNI:        rec.SNI,
 			Classified: rec.Classified,
@@ -879,7 +879,9 @@ func (s *Server) handleFlows(w http.ResponseWriter, r *http.Request) {
 			BytesUp:    rec.BytesUp,
 			MbpsDown:   rec.MbpsDown(),
 		}
-		if rec.SNI != "" {
+		// A classified flow has a provider even with no SNI: a 0-RTT
+		// resumption accepted through ProviderHint never shows a hello.
+		if rec.SNI != "" || rec.Classified {
 			fs.Provider = rec.Provider.String()
 		}
 		if rec.Classified {

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/netip"
 	"os"
 	"path/filepath"
 	"strings"
@@ -16,6 +17,8 @@ import (
 
 	"videoplat/internal/fingerprint"
 	"videoplat/internal/ml"
+	"videoplat/internal/packet"
+	"videoplat/internal/pcap"
 	"videoplat/internal/pipeline"
 	"videoplat/internal/telemetry"
 	"videoplat/internal/tracegen"
@@ -313,5 +316,112 @@ func TestSynthSourceDeterministicAndFinite(t *testing.T) {
 	n2, sig2 := count()
 	if n1 == 0 || n1 != n2 || sig1 != sig2 {
 		t.Errorf("source not deterministic: %d/%d packets, %q vs %q", n1, n2, sig1, sig2)
+	}
+}
+
+// sliceSource replays a fixed packet list, then EOF.
+type sliceSource struct{ pkts []pcap.Packet }
+
+func (s *sliceSource) Next() (pcap.Packet, error) {
+	if len(s.pkts) == 0 {
+		return pcap.Packet{}, io.EOF
+	}
+	pkt := s.pkts[0]
+	s.pkts = s.pkts[1:]
+	return pkt, nil
+}
+
+// TestFlowsRowsNameProviderAndEndpoints pins two things about a /flows row.
+// A classified flow names its provider whether or not it ever showed an SNI:
+// a QUIC 0-RTT resumption accepted through the provider hint is classified
+// with none. And src and dst read back through netip.ParseAddrPort, which an
+// unbracketed IPv6 address does not.
+func TestFlowsRowsNameProviderAndEndpoints(t *testing.T) {
+	var pkts []pcap.Packet
+	g := tracegen.New(41)
+	for _, label := range fingerprint.AllPlatformLabels() {
+		if !fingerprint.SupportsQUIC(label, fingerprint.YouTube) {
+			continue
+		}
+		ft, err := g.Flow(label, fingerprint.YouTube, fingerprint.QUIC,
+			tracegen.FlowSpec{Options: fingerprint.Options{ZeroRTT: true}, PayloadFrames: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, fr := range ft.Frames {
+			pkts = append(pkts, pcap.Packet{Timestamp: ft.Start.Add(fr.Offset), Data: fr.Data, OrigLen: len(fr.Data)})
+		}
+	}
+	src6, dst6 := netip.MustParseAddr("2001:db8::7"), netip.MustParseAddr("2001:db8::10")
+	syn := packet.TCP{SrcPort: 50000, DstPort: 443, Flags: packet.FlagSYN, Window: 64240}
+	ip6 := packet.IPv6{HopLimit: 64, Protocol: packet.ProtoTCP, Src: src6, Dst: dst6}
+	eth := packet.Ethernet{EtherType: packet.EtherTypeIPv6}
+	frame := eth.Append(nil, ip6.Append(nil, syn.Append(nil, nil, src6, dst6)))
+	pkts = append(pkts, pcap.Packet{Timestamp: pkts[len(pkts)-1].Timestamp, Data: frame, OrigLen: len(frame)})
+
+	// A bank that knows one platform is sure of it on any input — the only
+	// kind that accepts a flow on its TTL and first packet size alone.
+	ds, err := tracegen.New(9).LabDataset(0.02, fingerprint.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	one := &tracegen.Dataset{}
+	for _, ft := range ds.Flows {
+		if ft.Label == "android_chrome" {
+			one.Flows = append(one.Flows, ft)
+		}
+	}
+	bank, err := pipeline.TrainBank(one, pipeline.TrainConfig{Forest: ml.ForestConfig{
+		NumTrees: 5, MaxDepth: 4, MaxFeatures: 34, Seed: 7}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(bank, &sliceSource{pkts: pkts}, Config{
+		Addr:           "127.0.0.1:0",
+		Shards:         2,
+		ProviderHint:   tracegen.ProviderOfAddr,
+		EarlyMinMargin: -1, // accept any margin the selector let through
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	runErr := make(chan error, 1)
+	go func() { runErr <- srv.Run(ctx) }()
+	select {
+	case <-srv.ReplayDone():
+	case <-time.After(30 * time.Second):
+		t.Fatal("replay did not finish")
+	}
+	var fl struct {
+		Flows []flowSummary `json:"flows"`
+	}
+	getJSON(t, "http://"+srv.Addr()+"/flows?limit=1000", &fl)
+	cancel()
+	if err := <-runErr; err != nil {
+		t.Fatalf("run: %v", err)
+	}
+
+	var resumed, v6 int
+	for _, row := range fl.Flows {
+		if row.Platform != "" && row.Provider == "" {
+			t.Errorf("flow %s -> %s is classified as %s with no provider", row.Src, row.Dst, row.Platform)
+		}
+		if row.Platform != "" && row.SNI == "" {
+			resumed++
+		}
+		for _, end := range []string{row.Src, row.Dst} {
+			ap, err := netip.ParseAddrPort(end)
+			if err != nil {
+				t.Errorf("endpoint %q does not parse: %v", end, err)
+			} else if ap.Addr().Is6() {
+				v6++
+			}
+		}
+	}
+	if resumed == 0 || v6 != 2 {
+		t.Fatalf("%d rows: %d classified with no SNI and %d IPv6 endpoints, want some and 2: nothing was checked",
+			len(fl.Flows), resumed, v6)
 	}
 }

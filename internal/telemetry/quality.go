@@ -49,7 +49,7 @@ func (h *ConfidenceHist) Observe(v float64) {
 	h.Count++
 	h.Sum += v
 	if h.Buckets == nil {
-		h.Buckets = make(map[int]uint64) //vp:allocok lazy one-time init, pinned by TestQualityFoldZeroAlloc
+		h.Buckets = make(map[int]uint64) // lazy one-time init, pinned by TestQualityFoldZeroAlloc
 	}
 	h.Buckets[confBucket(v)]++
 }
@@ -149,21 +149,20 @@ type QualitySummary struct {
 	ShadowDisagreed uint64 `json:"shadow_disagreed,omitempty"`
 }
 
-// add folds one finalized flow into the summary.
-//
-//vp:hotpath
+// add folds one finalized flow into the summary. Allocation-free once the
+// lazy maps and digests exist, pinned by TestQualityFoldZeroAlloc.
 func (q *QualitySummary) add(rec *pipeline.FlowRecord) {
 	if q.Verdicts == nil {
-		q.Verdicts = make(map[string]uint64) //vp:allocok lazy one-time init, pinned by TestQualityFoldZeroAlloc
+		q.Verdicts = make(map[string]uint64) // lazy one-time init, pinned by TestQualityFoldZeroAlloc
 	}
 	q.Verdicts[rec.Verdict.String()]++
 	if rec.Classified {
 		if q.Confidence == nil {
-			q.Confidence = &ConfidenceHist{} //vp:allocok lazy one-time init, pinned by TestQualityFoldZeroAlloc
+			q.Confidence = &ConfidenceHist{} // lazy one-time init, pinned by TestQualityFoldZeroAlloc
 		}
 		q.Confidence.Observe(rec.Prediction.PlatformConf)
 		if q.Margin == nil {
-			q.Margin = &ConfidenceHist{} //vp:allocok lazy one-time init, pinned by TestQualityFoldZeroAlloc
+			q.Margin = &ConfidenceHist{} // lazy one-time init, pinned by TestQualityFoldZeroAlloc
 		}
 		q.Margin.Observe(rec.Prediction.PlatformMargin)
 	}

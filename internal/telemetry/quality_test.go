@@ -322,13 +322,26 @@ func TestQueryQualitySeries(t *testing.T) {
 	}
 }
 
-// TestQualityFoldZeroAlloc pins that folding a flow's quality signals into a
-// warm window allocates nothing — the recording path runs once per finalized
-// flow on the aggregate goroutine.
+// TestQualityFoldZeroAlloc pins that folding a flow into a warm window
+// allocates nothing — the recording path runs once per finalized flow on the
+// aggregate goroutine. The whole fold first (Rollup.Add into an open window:
+// both cells, the model-version count, obs.Summary.Observe for the latency
+// summary and the quality summary, in one chain), then the two parts with
+// folds of their own.
 func TestQualityFoldZeroAlloc(t *testing.T) {
-	q := &QualitySummary{}
 	rec := qualRec(fingerprint.YouTube, "windows_chrome", w0, 0.9, 0.5)
-	q.add(rec) // warm: maps and histograms exist after the first fold
+	rec.ModelVersion = "v1"
+	rec.ClassifyNanos = 40_000
+	r := NewRollup(time.Minute, nil)
+	r.Add(rec) // warm: cells, maps and histograms exist after the first fold
+	if allocs := testing.AllocsPerRun(100, func() { r.Add(rec) }); allocs != 0 {
+		t.Errorf("window fold allocates %v times per record, want 0", allocs)
+	}
+	if w := r.Current(); w.Latency == nil || w.Latency.Count != 102 || w.ModelVersions["v1"] != 102 {
+		t.Fatalf("the folds did not reach the latency summary and the version count: %+v", w)
+	}
+	q := &QualitySummary{}
+	q.add(rec)
 	if allocs := testing.AllocsPerRun(100, func() { q.add(rec) }); allocs != 0 {
 		t.Errorf("quality fold allocates %v times per record, want 0", allocs)
 	}

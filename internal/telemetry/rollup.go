@@ -37,8 +37,6 @@ type Cell struct {
 
 // add folds one finalized flow into the cell. On the window-fold path,
 // pinned allocation-free (modulo lazy one-time inits) by TestQualityFoldZeroAlloc.
-//
-//vp:hotpath
 func (c *Cell) add(rec *pipeline.FlowRecord) {
 	c.Flows++
 	if rec.Classified {
@@ -48,7 +46,7 @@ func (c *Cell) add(rec *pipeline.FlowRecord) {
 			c.AbstainedFlows++
 		}
 		if c.Confidence == nil {
-			c.Confidence = &ConfidenceHist{} //vp:allocok lazy one-time init per window cell
+			c.Confidence = &ConfidenceHist{} // lazy one-time init per window cell
 		}
 		c.Confidence.Observe(rec.Prediction.PlatformConf)
 	}
@@ -432,19 +430,9 @@ func (r *Rollup) Current() *Window {
 	if r.cur == nil {
 		return nil
 	}
-	snap := *r.cur
-	snap.ByProvider = cloneCells(r.cur.ByProvider)
-	snap.ByPlatform = cloneCells(r.cur.ByPlatform)
-	if r.cur.ModelVersions != nil {
-		snap.ModelVersions = make(map[string]int, len(r.cur.ModelVersions))
-		for k, v := range r.cur.ModelVersions {
-			snap.ModelVersions[k] = v
-		}
-	}
-	snap.Latency = r.cur.Latency.Clone()
-	snap.Quality = r.cur.Quality.Clone()
+	snap := r.cur.Clone()
 	snap.seal()
-	return &snap
+	return snap
 }
 
 func cloneCells(m map[string]*Cell) map[string]*Cell {
