@@ -30,13 +30,22 @@ func main() {
 	f, err := os.Open(flag.Arg(0))
 	exitOn(err)
 	defer f.Close()
-	r, err := pcap.OpenReader(f) // accepts classic pcap and pcapng
-	exitOn(err)
+	exitOn(extract(f, os.Stdout))
+}
 
-	// Group client frames per canonical flow.
+// extract reads a capture from in and writes the attribute CSV to out.
+func extract(in io.ReadSeeker, out io.Writer) error {
+	r, err := pcap.OpenReader(in) // accepts classic pcap and pcapng
+	if err != nil {
+		return err
+	}
+
+	// Group client frames per canonical flow. The client direction is the
+	// pipeline's rule, not "whichever side the capture shows first": a
+	// two-tap merge or a capture started mid-flow may lead with the server.
 	type flowBuf struct {
 		frames [][]byte
-		key    packet.FlowKey
+		key    packet.FlowKey // client to server
 	}
 	flows := map[packet.FlowKey]*flowBuf{}
 	var order []*flowBuf
@@ -47,7 +56,9 @@ func main() {
 		if err == io.EOF {
 			break
 		}
-		exitOn(err)
+		if err != nil {
+			return err
+		}
 		if parser.Parse(pkt.Data, &parsed) != nil {
 			continue
 		}
@@ -58,21 +69,23 @@ func main() {
 		canon := key.Canonical()
 		fb := flows[canon]
 		if fb == nil {
-			fb = &flowBuf{key: key}
+			fb = &flowBuf{key: pipeline.ClientSide(key)}
 			flows[canon] = fb
 			order = append(order, fb)
 		}
-		if key == fb.key { // client-to-server direction
+		if key == fb.key {
 			fb.frames = append(fb.frames, pkt.Data)
 		}
 	}
 
-	w := csv.NewWriter(os.Stdout)
+	w := csv.NewWriter(out)
 	header := []string{"flow", "sni", "provider", "transport"}
 	for _, a := range features.Table2 {
 		header = append(header, a.Label)
 	}
-	exitOn(w.Write(header))
+	if err := w.Write(header); err != nil {
+		return err
+	}
 
 	for _, fb := range order {
 		info, err := pipeline.ExtractFrames(fb.frames)
@@ -94,10 +107,12 @@ func main() {
 		for _, a := range features.Table2 {
 			row = append(row, renderValue(v, a))
 		}
-		exitOn(w.Write(row))
+		if err := w.Write(row); err != nil {
+			return err
+		}
 	}
 	w.Flush()
-	exitOn(w.Error())
+	return w.Error()
 }
 
 func renderValue(v *features.FieldValues, a features.Attribute) string {

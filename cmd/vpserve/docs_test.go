@@ -3,6 +3,7 @@ package main
 import (
 	"flag"
 	"os"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
@@ -11,7 +12,8 @@ import (
 )
 
 // These tests pin docs/OPERATIONS.md to the code it documents: the
-// registered vpserve flag set and the flow-verdict taxonomy (the route table
+// registered vpserve flag set, the server.Config it fills and the
+// flow-verdict taxonomy (the route table
 // and the /metrics catalog are pinned beside them, in internal/server).
 // Adding a flag or verdict without documenting it — or documenting one that
 // no longer exists — fails CI.
@@ -47,6 +49,52 @@ func TestOperationsDocCoversFlags(t *testing.T) {
 		if !registered[m[1]] {
 			t.Errorf("docs/OPERATIONS.md documents `-%s`, which is not a registered vpserve flag", m[1])
 		}
+	}
+}
+
+// TestServerConfigFieldsHaveFlags keeps server.Config from growing a field
+// that only ever takes its default: with every flag set to a non-zero value,
+// each exported field of the config the daemon builds is non-zero, or is
+// listed here as something main attaches rather than a setting.
+func TestServerConfigFieldsHaveFlags(t *testing.T) {
+	programmatic := map[string]string{
+		"Sink":         "the -rollup file, opened by main",
+		"Store":        "built by buildStore from the -telemetry-* flags",
+		"Registry":     "opened by main from -registry-dir",
+		"Drift":        "the monitor main builds beside the registry",
+		"Retrainer":    "built by main under -auto-retrain",
+		"Journal":      "the one journal main shares across subsystems",
+		"ProviderHint": "a function; -no-provider-hint clears it",
+		"BatchSize":    "no flag: named by bench/daemon.go",
+	}
+
+	fs := flag.NewFlagSet("vpserve", flag.ContinueOnError)
+	o := registerFlags(fs)
+	fs.VisitAll(func(f *flag.Flag) {
+		for _, v := range []string{"7", "7s", "true"} { // numbers and strings, durations, bools
+			if f.Value.Set(v) == nil {
+				return
+			}
+		}
+		t.Fatalf("flag -%s accepts none of the sentinel values", f.Name)
+	})
+	cfg := reflect.ValueOf(o.serverConfig())
+	for i := 0; i < cfg.NumField(); i++ {
+		field := cfg.Type().Field(i)
+		if !field.IsExported() {
+			continue
+		}
+		_, listed := programmatic[field.Name]
+		switch set := !cfg.Field(i).IsZero(); {
+		case !set && !listed:
+			t.Errorf("server.Config.%s is set by no vpserve flag: give it one, make it a constant, or list it as programmatic-only", field.Name)
+		case set && listed:
+			t.Errorf("server.Config.%s is listed as programmatic-only but serverConfig sets it from a flag", field.Name)
+		}
+		delete(programmatic, field.Name)
+	}
+	for name := range programmatic {
+		t.Errorf("programmatic-only list names %s, which is not a server.Config field", name)
 	}
 }
 

@@ -2,9 +2,10 @@
 // capture (or generates synthetic traffic) through the sharded
 // classification pipeline with bounded per-shard flow tables, rolls
 // finalized flows into tumbling telemetry windows written as JSONL, and
-// serves an operations API (/stats, /flows, /windows, /query, /healthz,
-// /metrics) while it runs. SIGINT/SIGTERM trigger a graceful shutdown that
-// drains the shards and flushes the final partial window.
+// serves an operations API (/stats, /flows, /windows, /query, /events,
+// /models, /trace, /healthz, /readyz, /metrics) while it runs.
+// SIGINT/SIGTERM trigger a graceful shutdown that drains the shards and
+// flushes the final partial window.
 //
 // Sealed windows are retained in a queryable in-memory store, so
 // longitudinal questions — per-provider traffic over the last day,
@@ -66,9 +67,6 @@ type options struct {
 	seed         uint64
 	rate         float64
 	shards       int
-	batchSize    int
-	shardQueue   int
-	maxHello     int
 	maxFlows     int
 	idleTimeout  time.Duration
 	window       time.Duration
@@ -80,10 +78,8 @@ type options struct {
 	telemetryTiers   string
 	telemetryPersist string
 
-	pprof        bool
-	traceSample  int
-	traceRing    int
-	traceSlowest int
+	pprof       bool
+	traceSample int
 
 	registryDir string
 	autoRetrain bool
@@ -116,11 +112,8 @@ func registerFlags(fs *flag.FlagSet) *options {
 	fs.Uint64Var(&o.seed, "seed", 1, "seed for synthetic traffic and self-training")
 	fs.Float64Var(&o.rate, "rate", 0, "replay pace in packets/sec (0 = as fast as possible)")
 	fs.IntVar(&o.shards, "shards", 0, "pipeline shards (0 = GOMAXPROCS)")
-	fs.IntVar(&o.batchSize, "batch-size", 0, "frames read and dispatched per ingest batch (0 = default 64)")
-	fs.IntVar(&o.shardQueue, "shard-queue", 0, "per-shard ingest inbox depth in batches (0 = default 64)")
-	fs.IntVar(&o.maxHello, "max-hello-bytes", 0, "per-flow buffered handshake byte cap (0 = default 64KiB, <0 = unbounded); oversized flows are abandoned and counted")
-	fs.IntVar(&o.maxFlows, "max-flows", 65536, "flow-table cap across shards (<0 = unbounded)")
-	fs.DurationVar(&o.idleTimeout, "idle-timeout", 90*time.Second, "evict flows idle for this long, in trace time (<0 = never)")
+	fs.IntVar(&o.maxFlows, "max-flows", 65536, "flow-table cap across shards")
+	fs.DurationVar(&o.idleTimeout, "idle-timeout", 90*time.Second, "evict flows idle for this long, in trace time")
 	fs.DurationVar(&o.window, "window", time.Minute, "rollup window width")
 	fs.StringVar(&o.rollupOut, "rollup", "", "JSONL file receiving sealed rollup windows (default: discard)")
 	fs.Float64Var(&o.trainScale, "train-scale", 0.04, "lab-dataset scale for self-trained and retrained banks")
@@ -132,8 +125,6 @@ func registerFlags(fs *flag.FlagSet) *options {
 
 	fs.BoolVar(&o.pprof, "pprof", false, "serve Go runtime profiling under /debug/pprof/ (off by default)")
 	fs.IntVar(&o.traceSample, "trace-sample", 0, "trace every Nth flow's lifecycle for /trace (0 = default 256, 1 = every flow, <0 = disable tracing)")
-	fs.IntVar(&o.traceRing, "trace-ring", 0, "finished spans retained for /trace (0 = default 256)")
-	fs.IntVar(&o.traceSlowest, "trace-slowest", 0, "slowest-flow exemplars retained for /trace (0 = default 16)")
 
 	fs.StringVar(&o.registryDir, "registry-dir", "", "versioned model registry directory (enables /models, promote/rollback hot-swap)")
 	fs.BoolVar(&o.autoRetrain, "auto-retrain", false, "retrain and shadow-promote a new bank when drift is detected (requires -registry-dir)")
@@ -152,6 +143,31 @@ func registerFlags(fs *flag.FlagSet) *options {
 	fs.StringVar(&o.logFormat, "log-format", "text", "structured log output format: text or json")
 	fs.BoolVar(&o.version, "version", false, "print build identification and exit")
 	return o
+}
+
+// serverConfig is the one place flags become server.Config fields. Every
+// exported field is set here from a flag, or is one of the programmatic-only
+// fields TestServerConfigFieldsHaveFlags lists (the subsystems main builds
+// and attaches), so a field cannot be added that merely defaults forever.
+func (o *options) serverConfig() server.Config {
+	cfg := server.Config{
+		Addr:             o.addr,
+		Shards:           o.shards,
+		MaxFlows:         o.maxFlows,
+		IdleTimeout:      o.idleTimeout,
+		WindowWidth:      o.window,
+		Rate:             o.rate,
+		EarlyMinMargin:   o.earlyMinMargin,
+		EnablePprof:      o.pprof,
+		TraceSampleEvery: o.traceSample,
+	}
+	// The synthetic stand-in for the deployment's IP-to-CDN knowledge: the
+	// generator's provider address plan is the hint. A real tap would plug
+	// in its prefix database here.
+	if !o.noProviderHint {
+		cfg.ProviderHint = tracegen.ProviderOfAddr
+	}
+	return cfg
 }
 
 func main() {
@@ -173,6 +189,13 @@ func main() {
 		handler = slog.NewJSONHandler(os.Stderr, nil)
 	default:
 		fmt.Fprintf(os.Stderr, "vpserve: -log-format %q: want text or json\n", o.logFormat)
+		os.Exit(2)
+	}
+	// These once meant "unbounded" / "never" when negative; refuse rather than
+	// let an old launch script silently get the defaults instead.
+	if o.maxFlows <= 0 || o.idleTimeout <= 0 {
+		fmt.Fprintf(os.Stderr, "vpserve: -max-flows %d, -idle-timeout %s: both must be positive (the flow table is always bounded)\n",
+			o.maxFlows, o.idleTimeout)
 		os.Exit(2)
 	}
 	logger := slog.New(handler).With("app", "vpserve")
@@ -266,38 +289,11 @@ func main() {
 	exitOn(err)
 	defer closeStore()
 
-	// The synthetic stand-in for the deployment's IP-to-CDN knowledge: the
-	// generator's provider address plan is the hint. A real tap would plug
-	// in its prefix database here.
-	providerHint := tracegen.ProviderOfAddr
-	if o.noProviderHint {
-		providerHint = nil
-	}
-
-	srv, err := server.New(bank, src, server.Config{
-		Addr:            o.addr,
-		Shards:          o.shards,
-		MaxFlows:        o.maxFlows,
-		IdleTimeout:     o.idleTimeout,
-		WindowWidth:     o.window,
-		Rate:            o.rate,
-		BatchSize:       o.batchSize,
-		ShardQueueDepth: o.shardQueue,
-		MaxHelloBytes:   o.maxHello,
-		EarlyMinMargin:  o.earlyMinMargin,
-		ProviderHint:    providerHint,
-		Sink:            sink,
-		Store:           store,
-		Registry:        reg,
-		Drift:           mon,
-		Retrainer:       rt,
-		Journal:         journal,
-
-		EnablePprof:      o.pprof,
-		TraceSampleEvery: o.traceSample,
-		TraceRing:        o.traceRing,
-		TraceSlowest:     o.traceSlowest,
-	})
+	cfg := o.serverConfig()
+	cfg.Sink, cfg.Store = sink, store
+	cfg.Registry, cfg.Drift, cfg.Retrainer = reg, mon, rt
+	cfg.Journal = journal
+	srv, err := server.New(bank, src, cfg)
 	exitOn(err)
 	slog.Info("operations API listening",
 		"addr", "http://"+srv.Addr(),

@@ -77,7 +77,7 @@ func main() {
 	// func models "collect fresh ground truth from the updated fleet":
 	// current lab profiles plus the open-set (drifted) ones.
 	mon := drift.NewMonitor(drift.Config{
-		Window: 40, Baseline: 40, ConfidenceDrop: 0.05})
+		Window: 40, ConfidenceDrop: 0.05})
 	rt, err := registry.NewRetrainer(reg, registry.RetrainerConfig{
 		Train: func(reason string, seed uint64) (*pipeline.Bank, error) {
 			fmt.Printf("retraining (%s)...\n", reason)

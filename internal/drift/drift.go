@@ -25,11 +25,10 @@ import (
 // Config tunes detection.
 type Config struct {
 	// Window is the number of recent predictions per classifier considered
-	// "current" (default 500).
+	// "current" (default 500), and the number of initial predictions that
+	// form the reference distribution: the two medians compared are taken
+	// over samples of the same size.
 	Window int
-	// Baseline is the number of initial predictions that form the
-	// reference distribution (default: same as Window).
-	Baseline int
 	// ConfidenceDrop flags a classifier when the current median confidence
 	// is below baseline median minus this margin (default 0.10).
 	ConfidenceDrop float64
@@ -41,9 +40,6 @@ type Config struct {
 func (c *Config) defaults() {
 	if c.Window <= 0 {
 		c.Window = 500
-	}
-	if c.Baseline <= 0 {
-		c.Baseline = c.Window
 	}
 	if c.ConfidenceDrop == 0 {
 		c.ConfidenceDrop = 0.10
@@ -60,7 +56,7 @@ type key struct {
 }
 
 type series struct {
-	baseline     []float64 // first Baseline confidences
+	baseline     []float64 // first Window confidences
 	recent       []float64 // ring of last Window confidences
 	recentIdx    int
 	recentFull   bool
@@ -171,7 +167,7 @@ func (m *Monitor) Observe(rec *pipeline.FlowRecord) {
 
 	conf := rec.Prediction.PlatformConf
 	unknown := rec.Prediction.Status == pipeline.Unknown
-	if len(s.baseline) < m.cfg.Baseline {
+	if len(s.baseline) < m.cfg.Window {
 		s.baseline = append(s.baseline, conf)
 	}
 	s.recent[s.recentIdx] = conf
@@ -189,7 +185,7 @@ func (m *Monitor) Observe(rec *pipeline.FlowRecord) {
 	var fire []func(Status)
 	var st Status
 	if len(m.subs) > 0 && !s.notified &&
-		s.observations >= m.cfg.Baseline && s.observations%evalPeriod == 0 {
+		s.observations >= m.cfg.Window && s.observations%evalPeriod == 0 {
 		st = m.statusLocked(k, s)
 		if st.Drifting {
 			s.notified = true
@@ -238,7 +234,7 @@ func (m *Monitor) statusLocked(k key, s *series) Status {
 	st.RecentMedian = median(s.recentWindow())
 	st.UnknownRate = s.unknownRate()
 	switch {
-	case s.observations < m.cfg.Baseline:
+	case s.observations < m.cfg.Window:
 		st.Reason = "warming up"
 	case st.RecentMedian < st.BaselineMedian-m.cfg.ConfidenceDrop:
 		st.Drifting = true

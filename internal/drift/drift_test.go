@@ -15,7 +15,7 @@ func obs(prov fingerprint.Provider, conf float64, status pipeline.Status) *pipel
 }
 
 func TestHealthyClassifierNotFlagged(t *testing.T) {
-	m := NewMonitor(Config{Window: 50, Baseline: 50})
+	m := NewMonitor(Config{Window: 50})
 	for i := 0; i < 200; i++ {
 		m.Observe(obs(fingerprint.Netflix, 0.95, pipeline.Composite))
 	}
@@ -32,7 +32,7 @@ func TestHealthyClassifierNotFlagged(t *testing.T) {
 }
 
 func TestConfidenceDropFlagged(t *testing.T) {
-	m := NewMonitor(Config{Window: 50, Baseline: 50, ConfidenceDrop: 0.1})
+	m := NewMonitor(Config{Window: 50, ConfidenceDrop: 0.1})
 	for i := 0; i < 50; i++ {
 		m.Observe(obs(fingerprint.YouTube, 0.95, pipeline.Composite))
 	}
@@ -50,7 +50,7 @@ func TestConfidenceDropFlagged(t *testing.T) {
 }
 
 func TestUnknownRateFlagged(t *testing.T) {
-	m := NewMonitor(Config{Window: 40, Baseline: 40, MaxUnknownRate: 0.3})
+	m := NewMonitor(Config{Window: 40, MaxUnknownRate: 0.3})
 	for i := 0; i < 40; i++ {
 		m.Observe(obs(fingerprint.Disney, 0.9, pipeline.Composite))
 	}
@@ -73,7 +73,7 @@ func TestUnknownRateFlagged(t *testing.T) {
 }
 
 func TestWarmup(t *testing.T) {
-	m := NewMonitor(Config{Window: 100, Baseline: 100})
+	m := NewMonitor(Config{Window: 100})
 	for i := 0; i < 10; i++ {
 		m.Observe(obs(fingerprint.Amazon, 0.5, pipeline.Unknown))
 	}
@@ -92,7 +92,7 @@ func TestUnclassifiedIgnored(t *testing.T) {
 }
 
 func TestSubscribeFiresOnceOnDriftTransition(t *testing.T) {
-	m := NewMonitor(Config{Window: 50, Baseline: 50, ConfidenceDrop: 0.1})
+	m := NewMonitor(Config{Window: 50, ConfidenceDrop: 0.1})
 	var fired []Status
 	m.Subscribe(func(st Status) { fired = append(fired, st) })
 
@@ -115,7 +115,7 @@ func TestSubscribeFiresOnceOnDriftTransition(t *testing.T) {
 }
 
 func TestRebaselineResetsReferenceAndRearmsSubscribers(t *testing.T) {
-	m := NewMonitor(Config{Window: 50, Baseline: 50, ConfidenceDrop: 0.1})
+	m := NewMonitor(Config{Window: 50, ConfidenceDrop: 0.1})
 	fired := 0
 	m.Subscribe(func(Status) { fired++ })
 
@@ -164,7 +164,7 @@ func TestEndToEndWithOpenSetDrift(t *testing.T) {
 	// should see lower confidence than the closed-set baseline.
 	g := newGen(t)
 	bank := g.bank
-	m := NewMonitor(Config{Window: 60, Baseline: 60, ConfidenceDrop: 0.03})
+	m := NewMonitor(Config{Window: 60, ConfidenceDrop: 0.03})
 
 	feed := func(ds dataset) {
 		for _, ft := range ds.flows {

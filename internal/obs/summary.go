@@ -59,21 +59,6 @@ func (s *Summary) Merge(other *Summary) {
 	}
 }
 
-// Clone returns a deep copy (nil in, nil out).
-func (s *Summary) Clone() *Summary {
-	if s == nil {
-		return nil
-	}
-	c := *s
-	if s.Buckets != nil {
-		c.Buckets = make(map[int]uint64, len(s.Buckets))
-		for i, n := range s.Buckets {
-			c.Buckets[i] = n
-		}
-	}
-	return &c
-}
-
 // Quantile returns the q-quantile (0 < q <= 1) as a duration, reported at
 // the containing bucket's upper bound, clamped to the observed maximum.
 // Zero samples (or a nil summary) yield zero.

@@ -61,15 +61,15 @@ func TestSummaryJSONRoundTrip(t *testing.T) {
 func TestSummaryCloneIndependence(t *testing.T) {
 	var s Summary
 	s.Observe(time.Millisecond)
-	c := s.Clone()
+	// Merge into an empty summary is how a window's digest is copied
+	// (telemetry.Window.Clone): the copy must share no buckets with s.
+	var c Summary
+	c.Merge(&s)
 	c.Observe(2 * time.Millisecond)
-	if s.Count != 1 || c.Count != 2 {
-		t.Fatalf("clone not independent: orig %d, clone %d", s.Count, c.Count)
+	if s.Count != 1 || c.Count != 2 || s.Buckets[bucketIndex(int64(2*time.Millisecond))] != 0 {
+		t.Fatalf("copy not independent: orig %d, copy %d", s.Count, c.Count)
 	}
 	var nilSum *Summary
-	if nilSum.Clone() != nil {
-		t.Fatal("nil Clone should be nil")
-	}
 	if nilSum.Quantile(0.99) != 0 || nilSum.Mean() != 0 {
 		t.Fatal("nil summary quantile/mean should be zero")
 	}

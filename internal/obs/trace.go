@@ -49,13 +49,16 @@ type TracerConfig struct {
 	// SampleEvery admits every Nth flow (1 = every flow; default 256;
 	// <0 disables sampling entirely).
 	SampleEvery int
-	// Ring is how many finished spans the recent-history ring retains
-	// (default 256).
-	Ring int
-	// Slowest is how many slowest-by-total-duration spans are retained
-	// separately as exemplars (default 16).
-	Slowest int
 }
+
+// What a Tracer retains, fixed rather than configured: /trace is read by a
+// person, and a page of recent spans plus a handful of slow exemplars is
+// what one reads. Which flows land here is SampleEvery's job; how many stay
+// does not vary with the deployment.
+const (
+	traceRing    = 256 // finished spans in the recent-history ring
+	traceSlowest = 16  // slowest-by-total-duration spans kept beside it
+)
 
 // Tracer samples flow lifecycles deterministically (every Nth admitted
 // flow), pools span records so steady-state tracing does not allocate, and
@@ -63,7 +66,9 @@ type TracerConfig struct {
 // Admit/Finish are safe from concurrent shard workers and no-ops on a nil
 // receiver, so an untraced deployment passes a nil *Tracer straight through.
 type Tracer struct {
-	every   int
+	every int
+	// ringCap and slowCap are traceRing and traceSlowest, held as fields so
+	// an in-package test can shrink them before first use.
 	ringCap int
 	slowCap int
 
@@ -77,19 +82,13 @@ type Tracer struct {
 	slowest []Span // sorted by TotalNS descending, up to slowCap
 }
 
-// NewTracer returns a tracer with cfg's sampling and retention. Zero-valued
-// fields take the TracerConfig defaults.
+// NewTracer returns a tracer with cfg's sampling rate (zero takes the
+// default) retaining traceRing recent and traceSlowest slowest spans.
 func NewTracer(cfg TracerConfig) *Tracer {
 	if cfg.SampleEvery == 0 {
 		cfg.SampleEvery = 256
 	}
-	if cfg.Ring <= 0 {
-		cfg.Ring = 256
-	}
-	if cfg.Slowest <= 0 {
-		cfg.Slowest = 16
-	}
-	t := &Tracer{every: cfg.SampleEvery, ringCap: cfg.Ring, slowCap: cfg.Slowest}
+	t := &Tracer{every: cfg.SampleEvery, ringCap: traceRing, slowCap: traceSlowest}
 	t.pool.New = func() any { return new(Span) }
 	return t
 }

@@ -34,7 +34,7 @@ func TestTracerSamplingDeterminism(t *testing.T) {
 }
 
 func TestTracerSampleEveryOne(t *testing.T) {
-	tr := NewTracer(TracerConfig{SampleEvery: 1, Ring: 8})
+	tr := NewTracer(TracerConfig{SampleEvery: 1})
 	for i := 0; i < 5; i++ {
 		sp := tr.Admit()
 		if sp == nil {
@@ -64,7 +64,8 @@ func TestTracerDisabled(t *testing.T) {
 // checks the slowest-K set keeps exactly the K largest, sorted descending,
 // while the ring keeps the most recent regardless of duration.
 func TestTracerSlowestRetention(t *testing.T) {
-	tr := NewTracer(TracerConfig{SampleEvery: 1, Ring: 4, Slowest: 3})
+	tr := NewTracer(TracerConfig{SampleEvery: 1})
+	tr.ringCap, tr.slowCap = 4, 3 // small enough for seven spans to overflow both
 	// Durations in ms: 5, 1, 9, 3, 7, 2, 8 → slowest 3 = 9, 8, 7.
 	for _, ms := range []int64{5, 1, 9, 3, 7, 2, 8} {
 		sp := tr.Admit()
@@ -113,7 +114,7 @@ func TestTracerSpanReuse(t *testing.T) {
 // TestTracerConcurrent exercises Admit/Finish/Snapshot from many goroutines
 // under -race.
 func TestTracerConcurrent(t *testing.T) {
-	tr := NewTracer(TracerConfig{SampleEvery: 2, Ring: 64, Slowest: 8})
+	tr := NewTracer(TracerConfig{SampleEvery: 2})
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -143,8 +144,9 @@ func TestTracerConcurrent(t *testing.T) {
 	if snap.Admitted != 8000 || snap.Finished != 8000 {
 		t.Fatalf("admitted/finished = %d/%d, want 8000/8000", snap.Admitted, snap.Finished)
 	}
-	if len(snap.Recent) != 64 || len(snap.Slowest) != 8 {
-		t.Fatalf("recent/slowest lens = %d/%d, want 64/8", len(snap.Recent), len(snap.Slowest))
+	if len(snap.Recent) != traceRing || len(snap.Slowest) != traceSlowest {
+		t.Fatalf("recent/slowest lens = %d/%d, want %d/%d",
+			len(snap.Recent), len(snap.Slowest), traceRing, traceSlowest)
 	}
 }
 

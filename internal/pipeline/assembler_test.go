@@ -171,7 +171,7 @@ func TestStreamingSplitHelloWithServerInterleave(t *testing.T) {
 
 // endlessRecordChunk returns TCP payload bytes that look like the start of
 // a huge handshake record: ParseRecord keeps reporting a truncated body, so
-// the assembler keeps buffering — the scenario MaxHelloBytes bounds.
+// the assembler keeps buffering — the scenario maxHelloBytes bounds.
 func endlessRecordChunk(first bool, n int) []byte {
 	chunk := make([]byte, n)
 	if first {
@@ -187,7 +187,7 @@ func TestMaxHelloBytesAbandonsOversizedFlow(t *testing.T) {
 		t.Skip("trains a bank")
 	}
 	bank := goldenBank(t)
-	p := NewWithConfig(bank, Config{MaxHelloBytes: 1024})
+	p := NewWithConfig(bank, Config{helloCap: 1024})
 	ff := newTCPFlowFrames()
 	ts := time.Date(2023, 7, 7, 0, 0, 0, 0, time.UTC)
 
@@ -222,19 +222,46 @@ func TestMaxHelloBytesAbandonsOversizedFlow(t *testing.T) {
 	}
 }
 
-func TestMaxHelloBytesDisabledBuffersOn(t *testing.T) {
-	if testing.Short() {
-		t.Skip("trains a bank")
+// TestOversizedAtProductionBound trips VerdictOversized at the shipped
+// maxHelloBytes, through the public API and a default Config, so the number
+// that serves is exercised and not only the helloCap seam: a handshake
+// message declared 1 MiB long, streamed as maximum-size TLS records that
+// never complete it, inside the 8-frame handshake budget. At or below 64 KiB
+// buffered the flow is still pending; the first byte past it abandons it.
+func TestOversizedAtProductionBound(t *testing.T) {
+	const recordBody = 1 << 14 // the largest TLS record
+	var stream []byte
+	for len(stream) < maxHelloBytes+recordBody {
+		stream = append(stream, 22, 0x03, 0x01, recordBody>>8, recordBody&0xff)
+		body := make([]byte, recordBody)
+		if len(stream) == 5 {
+			body[0], body[1] = 1, 0x10 // ClientHello, 0x100000 bytes long
+		}
+		stream = append(stream, body...)
 	}
-	bank := goldenBank(t)
-	p := NewWithConfig(bank, Config{MaxHelloBytes: -1})
+
+	p := New(emptyBank())
 	ff := newTCPFlowFrames()
 	ts := time.Date(2023, 7, 7, 0, 0, 0, 0, time.UTC)
-	p.HandlePacket(ts, ff.client(nil, packet.FlagSYN))
-	p.HandlePacket(ts, ff.client(endlessRecordChunk(true, 60000), packet.FlagACK|packet.FlagPSH))
-	p.HandlePacket(ts, ff.client(endlessRecordChunk(false, 60000), packet.FlagACK|packet.FlagPSH))
-	if got := p.Stats().Verdicts[VerdictOversized]; got != 0 {
-		t.Fatalf("unbounded config still abandoned the flow: %d", got)
+	oversized := func() uint64 { return p.Stats().Verdicts[VerdictOversized] }
+	feed := func(payload []byte, flags uint8) {
+		t.Helper()
+		if rec, err := p.HandlePacket(ts, ff.client(payload, flags)); err != nil || rec != nil {
+			t.Fatalf("unexpected classification/err: %v %v", rec, err)
+		}
+	}
+	feed(nil, packet.FlagSYN)
+	feed(stream[:40000], packet.FlagACK|packet.FlagPSH)
+	feed(stream[40000:maxHelloBytes], packet.FlagACK|packet.FlagPSH)
+	if got := oversized(); got != 0 {
+		t.Fatalf("oversized with exactly %d bytes buffered = %d, want 0", maxHelloBytes, got)
+	}
+	feed(stream[maxHelloBytes:maxHelloBytes+1], packet.FlagACK|packet.FlagPSH)
+	if got := oversized(); got != 1 {
+		t.Fatalf("oversized one byte past %d buffered = %d, want 1", maxHelloBytes, got)
+	}
+	if flows := p.Flows(); len(flows) != 1 || flows[0].Verdict != VerdictOversized {
+		t.Fatalf("want one flow finalized oversized, got %+v", flows)
 	}
 }
 
@@ -245,7 +272,7 @@ func TestShardedOversizedCounter(t *testing.T) {
 		t.Skip("trains a bank")
 	}
 	bank := goldenBank(t)
-	s := NewShardedWithConfig(bank, 2, Config{MaxHelloBytes: 512})
+	s := NewShardedWithConfig(bank, 2, Config{helloCap: 512})
 	ff := newTCPFlowFrames()
 	ts := time.Date(2023, 7, 7, 0, 0, 0, 0, time.UTC)
 	s.HandlePacket(ts, ff.client(nil, packet.FlagSYN))

@@ -26,7 +26,7 @@
 // other port is kept through its TCP header, and a QUIC short header through
 // the flags byte and the longest connection ID. The first is exact because
 // of one orientation rule, applied wherever a flow's client side is set
-// (clientSide): the client is the endpoint talking to :443, so a segment
+// (ClientSide): the client is the endpoint talking to :443, so a segment
 // from the :443 side is never client-direction and never reaches handshake
 // assembly. The second because connection-ID lookup and the assembler read
 // nothing further into a short header. The flow stage routes and accounts
@@ -59,8 +59,9 @@
 // counting back from a frame's end: packet.Summary.PayloadOff (and
 // packet.Parsed.PayloadOff) says where it starts, whatever padding follows
 // the datagram. Frames with no TCP/UDP 5-tuple are dropped at ingest
-// (counted in IngestStats.Ignored); queue depths and the best-effort results
-// buffer are Config knobs with shard-count-scaled defaults.
+// (counted in IngestStats.Ignored). The shard inbox depth is a constant
+// (shardQueueDepth); the best-effort results buffer is Config.ResultsBuffer,
+// with a shard-count-scaled default.
 //
 // # Classify on arrival, finalize once
 //
@@ -74,8 +75,8 @@
 //     bytes), so a flow is reassembled once in O(client handshake bytes)
 //     instead of re-running full reassembly over every buffered frame on
 //     every packet. Server-direction packets never touch assembly, and
-//     buffered bytes are bounded by Config.MaxHelloBytes (oversized flows
-//     are abandoned with VerdictOversized).
+//     buffered bytes are bounded by maxHelloBytes (oversized flows are
+//     abandoned with VerdictOversized).
 //
 //   - One compiled evaluator. Bank.ClassifyBatch encodes handshakes through
 //     the three objectives' shared features.CompiledEncoder — raw wire
@@ -102,12 +103,14 @@
 //
 // Scratch-reuse rules: each Pipeline owns one ClassifyScratch (and each
 // Sharded shard owns its Pipeline), so scratch state is single-goroutine by
-// construction. The HandshakeInfo passed to Config.OnClassify is only valid
-// for the duration of the hook call; the shadow evaluator classifies
-// synchronously within it. Serialized banks carry only encoders and forests
-// — UnmarshalBinary rebuilds the compiled tables and the serving index
-// before it returns — so the gob format is unchanged and older banks load
-// into the compiled evaluator.
+// construction. The HandshakeInfo passed to Config.OnClassify is lent for
+// the hook call and points into the flow's own handshake buffer, not into
+// scratch: nothing reuses those bytes, but a hook that kept it would pin a
+// flow's worth of handshake (see Config.OnClassify); the shadow evaluator
+// classifies synchronously within the call. Serialized banks carry only
+// encoders and forests — UnmarshalBinary rebuilds the compiled tables and
+// the serving index before it returns — so the gob format is unchanged and
+// older banks load into the compiled evaluator.
 package pipeline
 
 import (
@@ -205,7 +208,7 @@ type hsAssembler struct {
 func (a *hsAssembler) init() { a.info.TCPWScale = -1 }
 
 // buffered reports the client handshake bytes currently held for this flow
-// (the quantity Config.MaxHelloBytes bounds).
+// (the quantity maxHelloBytes bounds).
 func (a *hsAssembler) buffered() int { return len(a.tcpStream) + len(a.cryptoStream) }
 
 // consume feeds one client-direction frame to the state machine, decoding it

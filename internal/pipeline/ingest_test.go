@@ -531,7 +531,7 @@ func TestHandlePacketBatchZeroAlloc(t *testing.T) {
 		}
 		pkts = append(pkts, IngestPacket{TS: now, Data: frame})
 	}
-	s := NewShardedWithConfig(emptyBank(), 2, Config{ShardQueueDepth: 1})
+	s := NewShardedWithConfig(emptyBank(), 2, Config{inboxDepth: 1})
 	go func() {
 		for range s.Results() {
 		}
@@ -596,7 +596,8 @@ func TestResultsDropUnderStalledConsumer(t *testing.T) {
 	}
 }
 
-// TestShardedDefaultQueueDepths pins the shard-count-scaled defaults.
+// TestShardedDefaultQueueDepths pins what a default Config serves with: the
+// shard-count-scaled results buffer and inboxes of shardQueueDepth.
 func TestShardedDefaultQueueDepths(t *testing.T) {
 	bank := &Bank{models: map[bankKey]*Model{}}
 	for _, n := range []int{1, 4} {
@@ -605,16 +606,16 @@ func TestShardedDefaultQueueDepths(t *testing.T) {
 			t.Errorf("n=%d: results buffer = %d, want %d", n, got, want)
 		}
 		for _, sh := range s.shards {
-			if got := cap(sh.in); got != DefaultShardQueueDepth {
-				t.Errorf("n=%d: shard inbox depth = %d, want %d", n, got, DefaultShardQueueDepth)
+			if got := cap(sh.in); got != shardQueueDepth {
+				t.Errorf("n=%d: shard inbox depth = %d, want %d", n, got, shardQueueDepth)
 			}
 		}
 		s.Close()
 	}
-	s := NewShardedWithConfig(bank, 2, Config{ShardQueueDepth: 8, ResultsBuffer: 5})
-	if cap(s.results) != 5 || cap(s.shards[0].in) != 8 {
-		t.Errorf("explicit depths not honoured: results=%d inbox=%d",
-			cap(s.results), cap(s.shards[0].in))
+	// ResultsBuffer is still an option (bench/lag.go sets it).
+	s := NewShardedWithConfig(bank, 2, Config{ResultsBuffer: 5})
+	if cap(s.results) != 5 {
+		t.Errorf("explicit ResultsBuffer not honoured: results=%d", cap(s.results))
 	}
 	s.Close()
 }
@@ -623,7 +624,7 @@ func TestShardedDefaultQueueDepths(t *testing.T) {
 // so ingest must block at least once, and the stall is counted.
 func TestIngestStallCounter(t *testing.T) {
 	bank := &Bank{models: map[bankKey]*Model{}}
-	s := NewShardedWithConfig(bank, 1, Config{ShardQueueDepth: 1})
+	s := NewShardedWithConfig(bank, 1, Config{inboxDepth: 1})
 	now := time.Now()
 	for i := 0; i < 2000; i++ {
 		s.HandlePacket(now, tcpFrame(t, uint16(1000+i%512), 443))

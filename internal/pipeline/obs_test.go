@@ -13,7 +13,7 @@ import (
 // and a sample-everything tracer over the given bank.
 func observedSharded(bank *Bank, every int) (*Sharded, *obs.PipelineObserver, *obs.Tracer) {
 	o := obs.NewPipelineObserver()
-	tr := obs.NewTracer(obs.TracerConfig{SampleEvery: every, Ring: 64, Slowest: 8})
+	tr := obs.NewTracer(obs.TracerConfig{SampleEvery: every})
 	s := NewShardedWithConfig(bank, 2, Config{Observer: o, Tracer: tr})
 	return s, o, tr
 }

@@ -34,14 +34,9 @@ const (
 	// VerdictAbstained: classification ran but no objective cleared the
 	// confidence threshold — the §4.1 open-set rejection.
 	VerdictAbstained
-	// VerdictBaselineOnly is reserved for the degradation ladder (ROADMAP):
-	// the flow was labeled by the cheap JA3 baseline because the full
-	// classifier was shed under overload. Nothing emits it yet; it exists so
-	// the telemetry schema does not change when the ladder lands.
-	VerdictBaselineOnly
 	// VerdictNoHandshake: no ClientHello surfaced in the first packets.
 	VerdictNoHandshake
-	// VerdictOversized: buffered handshake bytes exceeded MaxHelloBytes and
+	// VerdictOversized: buffered handshake bytes exceeded maxHelloBytes and
 	// the flow was abandoned unclassified.
 	VerdictOversized
 	// VerdictNotVideo: a handshake parsed but its SNI matched no video
@@ -74,8 +69,6 @@ func (v Verdict) String() string {
 		return "classified"
 	case VerdictAbstained:
 		return "abstained"
-	case VerdictBaselineOnly:
-		return "baseline-only"
 	case VerdictNoHandshake:
 		return "no-handshake"
 	case VerdictOversized:
@@ -108,7 +101,7 @@ func VerdictNames() [NumVerdicts]string {
 // PostgreSQL database.
 type FlowRecord struct {
 	// Key is the flow's 5-tuple in client-to-server orientation (see
-	// clientSide) as first seen; a migrated flow keeps its original tuple.
+	// ClientSide) as first seen; a migrated flow keeps its original tuple.
 	Key       packet.FlowKey
 	Provider  fingerprint.Provider
 	Transport fingerprint.Transport
@@ -151,7 +144,7 @@ func (r *FlowRecord) MbpsDown() float64 {
 type flowState struct {
 	rec       FlowRecord
 	asm       hsAssembler    // incremental handshake assembly state
-	clientKey packet.FlowKey // client-to-server direction of the current tuple: clientSide of it
+	clientKey packet.FlowKey // client-to-server direction of the current tuple: ClientSide of it
 	done      bool           // finalize ran: rec.Verdict is terminal
 	span      *obs.Span      // lifecycle trace, non-nil only for sampled flows
 
@@ -172,13 +165,6 @@ type flowState struct {
 type Config struct {
 	// MaxFlows caps tracked flows (LRU eviction on overflow). 0 = unbounded.
 	MaxFlows int
-	// ShardQueueDepth is the per-shard inbox capacity of a Sharded pipeline,
-	// in batch messages. Deeper queues absorb ingest bursts at the cost of
-	// memory (each queued batch pins its pooled arena); a full inbox
-	// applies backpressure to the ingest goroutine, counted in
-	// IngestStats.Stalls. 0 selects DefaultShardQueueDepth. Ignored by a
-	// plain Pipeline.
-	ShardQueueDepth int
 	// ResultsBuffer is the capacity of a Sharded pipeline's Results channel.
 	// 0 selects DefaultResultsBufferPerShard per shard, so wider deployments
 	// get proportionally more burst headroom before best-effort delivery
@@ -194,14 +180,6 @@ type Config struct {
 	// telemetry can reach a sink instead of vanishing. Called synchronously
 	// from HandlePacket (for Sharded, from the owning shard's goroutine).
 	OnEvict func(rec *FlowRecord, reason flowtable.Reason)
-	// MaxHelloBytes caps the client handshake bytes buffered per flow while
-	// waiting for a complete ClientHello. A flow whose buffered bytes
-	// exceed the cap is abandoned (never classified) and finalized as
-	// VerdictOversized — without it, a peer streaming endless handshake
-	// records down one flow grows that flow's buffer without bound until
-	// the 8-frame heuristic trips, and frames can be arbitrarily large.
-	// 0 selects DefaultMaxHelloBytes; negative disables the cap.
-	MaxHelloBytes int
 	// OnClassify, if non-nil, is invoked once per classification attempt
 	// with a copy of the flow record (after the confidence selector ran)
 	// and the assembled handshake, letting a shadow evaluator re-classify
@@ -245,13 +223,24 @@ type Config struct {
 	// flow ran and how deep its shard's inbox was at admission.
 	shardID    int
 	queueDepth func() int
+
+	// Test seams, not options: in-package tests shrink shardQueueDepth and
+	// maxHelloBytes to reach a full inbox or an oversized flow with a few
+	// small frames. Zero — all that code outside this package can leave
+	// here — selects the constant.
+	inboxDepth int
+	helloCap   int
 }
 
-// DefaultMaxHelloBytes bounds per-flow buffered handshake bytes when
-// Config.MaxHelloBytes is zero: generous enough for any real multi-record
-// ClientHello (TLS records cap at 16 KB and hellos are a fraction of that),
-// tight enough that a million tracked flows cannot pin gigabytes.
-const DefaultMaxHelloBytes = 64 << 10
+// maxHelloBytes caps the client handshake bytes buffered per flow while
+// waiting for a complete ClientHello: four maximum-size TLS records, where
+// a real hello is a fraction of one, yet tight enough that a million
+// tracked flows cannot pin gigabytes. A flow over it is abandoned and
+// finalized as VerdictOversized — without the cap a peer streaming endless
+// handshake records down one flow grows that flow's buffer until the
+// 8-frame heuristic trips, and frames can be arbitrarily large. A parser
+// bound, not a deployment setting: no traffic mix wants another value.
+const maxHelloBytes = 64 << 10
 
 // DefaultEarlyMinMargin is the PlatformMargin floor for degraded
 // classifications when Config.EarlyMinMargin is zero. Partial-feature
@@ -360,6 +349,9 @@ func New(bank *Bank) *Pipeline { return NewWithConfig(bank, Config{}) }
 
 // NewWithConfig returns a Pipeline whose flow table is bounded by cfg.
 func NewWithConfig(bank *Bank, cfg Config) *Pipeline {
+	if cfg.helloCap == 0 {
+		cfg.helloCap = maxHelloBytes
+	}
 	p := &Pipeline{cfg: cfg}
 	p.bank.Store(bank)
 	p.flows = flowtable.New[*flowState](
@@ -462,7 +454,7 @@ func (p *Pipeline) HandlePacket(ts time.Time, frame []byte) (*FlowRecord, error)
 	return p.handleKeyed(ts, frame, payload, sum.Key, sum.Reversed, sum.PayloadLen)
 }
 
-// clientSide orients a port-443 flow key client to server: the client is the
+// ClientSide orients a port-443 flow key client to server: the client is the
 // endpoint talking to :443, whichever side the tap happened to see first —
 // a server flight that overtakes the SYN on a two-tap merge, or a daemon
 // started mid-flow, must not swap upstream and downstream. With both ports
@@ -471,7 +463,7 @@ func (p *Pipeline) HandlePacket(ts time.Time, frame []byte) (*FlowRecord, error)
 // never the client direction and never reaches handshake assembly — the
 // fact Sharded's ingest relies on when it ships such segments without their
 // payload.
-func clientSide(key packet.FlowKey) packet.FlowKey {
+func ClientSide(key packet.FlowKey) packet.FlowKey {
 	if key.DstPort != 443 && key.SrcPort == 443 {
 		return key.Reverse()
 	}
@@ -507,7 +499,7 @@ func (p *Pipeline) handleKeyed(ts time.Time, frame, payload []byte, key packet.F
 		st, ok = p.migrateFlow(key, canon, payload, ts)
 	}
 	if !ok {
-		st = &flowState{clientKey: clientSide(key)}
+		st = &flowState{clientKey: ClientSide(key)}
 		st.rec.Key = st.clientKey
 		st.rec.FirstSeen = ts
 		st.asm.init()
@@ -585,7 +577,7 @@ func (p *Pipeline) handleKeyed(ts time.Time, frame, payload []byte, key packet.F
 		case st.asm.frames > 8:
 			// No hello in the first packets: not a video flow.
 			p.finalize(st, VerdictNoHandshake)
-		case p.maxHelloBytes() > 0 && st.asm.buffered() > p.maxHelloBytes():
+		case st.asm.buffered() > p.cfg.helloCap:
 			// Oversized handshake: abandon, don't buffer more.
 			p.finalize(st, VerdictOversized)
 		}
@@ -662,7 +654,7 @@ func transportOf(info *features.HandshakeInfo) fingerprint.Transport {
 }
 
 // hintFor resolves the provider hint for a flow's server side, which
-// clientSide makes the destination of clientKey.
+// ClientSide makes the destination of clientKey.
 func (p *Pipeline) hintFor(st *flowState) (fingerprint.Provider, bool) {
 	if p.cfg.ProviderHint == nil {
 		return 0, false
@@ -755,7 +747,7 @@ func (p *Pipeline) migrateFlow(key, canon packet.FlowKey, payload []byte, ts tim
 	// The client now speaks from the migrated tuple (the 443 side stays the
 	// server); re-pointing clientKey keeps the direction split and any
 	// still-running handshake assembly correct for everything that follows.
-	st.clientKey = clientSide(key)
+	st.clientKey = ClientSide(key)
 	// Follow the flow in the CID index so a second migration re-keys again
 	// and eviction cleans up under the current key.
 	for _, ck := range st.cids {
@@ -798,14 +790,6 @@ func (p *Pipeline) unregisterCIDs(st *flowState) {
 // its shard's inbox, so sampled spans can attribute the wait per frame.
 // Called by the owning shard worker only (same goroutine as handleKeyed).
 func (p *Pipeline) noteQueueWait(d time.Duration) { p.batchQueueWait = int64(d) }
-
-// maxHelloBytes resolves the Config.MaxHelloBytes default.
-func (p *Pipeline) maxHelloBytes() int {
-	if p.cfg.MaxHelloBytes == 0 {
-		return DefaultMaxHelloBytes
-	}
-	return p.cfg.MaxHelloBytes
-}
 
 // isVideoPort is the port filter of the paper's tap: the providers' video
 // flows all ride 443. One predicate serves both the per-pipeline filter and

@@ -13,23 +13,25 @@ import (
 	"videoplat/internal/quicproto"
 )
 
-// Default queue depths for Sharded, used when the corresponding Config
-// fields are zero.
 const (
-	// DefaultShardQueueDepth is the per-shard inbox capacity in batch
-	// messages. A queued batch holds a ~100-byte summary per frame plus the
-	// frame's kept bytes (keepLen): whole for handshake and other
+	// shardQueueDepth is the per-shard inbox capacity in batch messages. A
+	// full inbox applies backpressure to the ingest goroutine, counted in
+	// IngestStats.Stalls. A queued batch holds a ~100-byte summary per frame
+	// plus the frame's kept bytes (keepLen): whole for handshake and other
 	// client-direction frames, ~60–75 bytes for the server TCP segments and
 	// QUIC short headers that are the bulk of a stream. A 64-frame batch is
 	// therefore ~10KB of established-flow traffic and ~100KB if every frame
 	// is an MTU-sized handshake frame hashing to one shard, so 64 messages
 	// bound a shard at well under 1MB in the common case and a few MB at
 	// worst; no batch packs more than maxBatchArena, whatever the size of
-	// the caller's batches.
-	DefaultShardQueueDepth = 64
+	// the caller's batches. Not a setting: 64 messages of 64-frame batches
+	// is the pair every bench/ workload validates, and a deployment that
+	// stalls needs more shards, not a deeper queue in front of the same
+	// workers.
+	shardQueueDepth = 64
 	// DefaultResultsBufferPerShard scales the Results channel with the shard
-	// count: every shard worker gets this much burst headroom before
-	// best-effort delivery starts dropping.
+	// count when Config.ResultsBuffer is zero: every shard worker gets this
+	// much burst headroom before best-effort delivery starts dropping.
 	DefaultResultsBufferPerShard = 64
 )
 
@@ -201,7 +203,7 @@ const shortHeaderKeep = 1 + 20
 // read, given the frame's decode: its key, where its transport payload
 // starts and the payload itself. That is the whole frame, Ethernet trailer
 // included, with two exceptions. A TCP segment from port 443 to any other
-// port is never the client direction (clientSide), so it never reaches
+// port is never the client direction (ClientSide), so it never reaches
 // handshake assembly and nothing reads past its TCP header. A UDP payload
 // that is a short header — or no QUIC at all — is read for a connection ID
 // and no further, so shortHeaderKeep bytes of it serve. These two are the
@@ -228,16 +230,14 @@ func NewSharded(bank *Bank, n int) *Sharded { return NewShardedWithConfig(bank, 
 // NewShardedWithConfig starts n shard workers whose pipelines are each
 // bounded by cfg. cfg.MaxFlows applies per shard; cfg.OnEvict is invoked
 // from shard goroutines and must be safe for concurrent use.
-// cfg.ShardQueueDepth and cfg.ResultsBuffer size the per-shard inboxes and
-// the Results channel (zero selects the shard-count-scaled defaults). Call
-// Close to drain and stop.
+// cfg.ResultsBuffer sizes the Results channel (zero selects the
+// shard-count-scaled default). Call Close to drain and stop.
 func NewShardedWithConfig(bank *Bank, n int, cfg Config) *Sharded {
 	if n < 1 {
 		n = 1
 	}
-	depth := cfg.ShardQueueDepth
-	if depth <= 0 {
-		depth = DefaultShardQueueDepth
+	if cfg.inboxDepth == 0 {
+		cfg.inboxDepth = shardQueueDepth
 	}
 	rbuf := cfg.ResultsBuffer
 	if rbuf <= 0 {
@@ -250,7 +250,7 @@ func NewShardedWithConfig(bank *Bank, n int, cfg Config) *Sharded {
 		tracer:  cfg.Tracer,
 	}
 	for i := 0; i < n; i++ {
-		in := make(chan shardMsg, depth)
+		in := make(chan shardMsg, cfg.inboxDepth)
 		// Each shard's pipeline gets a private Config copy carrying its
 		// identity and a live inbox-depth probe for sampled spans.
 		shCfg := cfg
@@ -514,12 +514,11 @@ type IngestStats struct {
 	DroppedResults uint64 `json:"dropped_results"`
 	// Stalls counts ingest submissions that found a shard inbox full and
 	// had to wait — sustained growth means the shard workers can't keep up
-	// with the offered rate (deepen ShardQueueDepth, add shards, or accept
-	// the backpressure).
+	// with the offered rate (add shards, or accept the backpressure).
 	Stalls uint64 `json:"stalls"`
 	// OversizedHandshakes counts flows abandoned on the shard workers
-	// because their buffered handshake bytes exceeded Config.MaxHelloBytes
-	// (summed across shards).
+	// because their buffered handshake bytes exceeded maxHelloBytes (summed
+	// across shards).
 	OversizedHandshakes uint64 `json:"oversized_handshakes"`
 	// Migrations counts flows re-keyed onto a new 5-tuple by QUIC
 	// connection migration (summed across shards).

@@ -39,14 +39,23 @@ func TestVerdictTaxonomy(t *testing.T) {
 			t.Errorf("Verdict(%d).String() = %q, VerdictNames()[%d] = %q", i, got, i, name)
 		}
 	}
-	for v, want := range map[Verdict]string{
-		VerdictClassified:  "classified",
-		VerdictAbstained:   "abstained",
-		VerdictNoHandshake: "no-handshake",
-		VerdictError:       "error",
-	} {
-		if v.String() != want {
-			t.Errorf("%d.String() = %q, want %q", v, v.String(), want)
+	// The whole vocabulary: windows and JSONL persist these strings.
+	want := map[Verdict]string{
+		VerdictClassified:       "classified",
+		VerdictAbstained:        "abstained",
+		VerdictNoHandshake:      "no-handshake",
+		VerdictOversized:        "oversized",
+		VerdictNotVideo:         "not-video",
+		VerdictError:            "error",
+		VerdictAbstainedECH:     "abstained-ech",
+		VerdictAbstainedZeroRTT: "abstained-0rtt",
+	}
+	if len(want)+1 != NumVerdicts {
+		t.Errorf("NumVerdicts = %d, want pending + the %d named here", NumVerdicts, len(want))
+	}
+	for v, name := range want {
+		if v.String() != name {
+			t.Errorf("%d.String() = %q, want %q", v, v.String(), name)
 		}
 	}
 }
@@ -132,7 +141,7 @@ func TestPipelineAssignsVerdicts(t *testing.T) {
 
 // everyTerminalKind renders one flow of every terminal kind — plain, ECH,
 // 0-RTT (confirmed and cut short), migrated, oversized (against a
-// MaxHelloBytes of 1024), not-video, no-handshake (given up on and cut
+// helloCap of 1024), not-video, no-handshake (given up on and cut
 // short) — then the plain flow again an hour later, so that on the pipeline
 // that owns it its first frame sweeps every idle flow out and it classifies
 // once more: ten inserted flows in all.
@@ -213,11 +222,11 @@ func TestEveryFlowFinalizedExactlyOnce(t *testing.T) {
 	bank, _ := trainSmallBank(t, 31, 0.02)
 	var evicted []*FlowRecord
 	p := NewWithConfig(bank, Config{
-		MaxFlows:      64,
-		IdleTimeout:   time.Minute,
-		MaxHelloBytes: 1024,
-		ProviderHint:  tracegen.ProviderOfAddr,
-		OnEvict:       func(rec *FlowRecord, _ flowtable.Reason) { evicted = append(evicted, rec) },
+		MaxFlows:     64,
+		IdleTimeout:  time.Minute,
+		helloCap:     1024,
+		ProviderHint: tracegen.ProviderOfAddr,
+		OnEvict:      func(rec *FlowRecord, _ flowtable.Reason) { evicted = append(evicted, rec) },
 	})
 	for _, pkt := range everyTerminalKind(t) {
 		if _, err := p.HandlePacket(pkt.TS, pkt.Data); err != nil {
@@ -287,7 +296,7 @@ func TestShardedCountersSurviveDroppedResults(t *testing.T) {
 	s := NewShardedWithConfig(bank, 2, Config{
 		MaxFlows:      64,
 		IdleTimeout:   time.Minute,
-		MaxHelloBytes: 1024,
+		helloCap:      1024,
 		ResultsBuffer: 1,
 		ProviderHint:  tracegen.ProviderOfAddr,
 		OnEvict: func(rec *FlowRecord, _ flowtable.Reason) {

@@ -69,16 +69,23 @@ type Version struct {
 type Config struct {
 	// Dir is the on-disk store. Created if missing.
 	Dir string
-	// Keep bounds how many non-active versions are retained on disk; the
-	// oldest are pruned after each Add. 0 keeps everything.
-	Keep int
 }
+
+// keepVersions is how many retired or rejected versions a registry retains
+// beside the active one and any un-evaluated candidates; the oldest beyond
+// it are pruned. Retention is behaviour, not an option: an auto-retraining
+// daemon adds a version (~100 KB at the vpserve defaults) per attempt, up to
+// one per cooldown while drift persists, for as long as it lives. Sixteen
+// is a post-mortem's worth of history; Rollback's target is always among
+// them (see pruneLocked).
+const keepVersions = 16
 
 // Registry is a versioned bank store with an atomically swappable active
 // version. Safe for concurrent use; Current is lock-free.
 type Registry struct {
-	cfg Config
-	cur atomic.Pointer[Version]
+	cfg  Config
+	keep int // keepVersions; a field so an in-package test can shrink it
+	cur  atomic.Pointer[Version]
 
 	// swapMu serializes whole activations (state change + OnSwap fan-out):
 	// without it two concurrent Promotes could run their subscriber
@@ -101,7 +108,7 @@ func New(cfg Config) (*Registry, error) {
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("registry: creating %s: %w", cfg.Dir, err)
 	}
-	r := &Registry{cfg: cfg, manifests: map[string]*Manifest{}}
+	r := &Registry{cfg: cfg, keep: keepVersions, manifests: map[string]*Manifest{}}
 
 	ents, err := os.ReadDir(cfg.Dir)
 	if err != nil {
@@ -231,14 +238,7 @@ func (r *Registry) Promote(id string) (*Version, error) {
 // version.
 func (r *Registry) Rollback() (*Version, error) {
 	r.mu.Lock()
-	var prev string
-	cur := r.activeIDLocked()
-	for i := len(r.history) - 2; i >= 0; i-- {
-		if r.history[i] != cur {
-			prev = r.history[i]
-			break
-		}
-	}
+	prev := r.rollbackTargetLocked()
 	r.mu.Unlock()
 	if prev == "" {
 		return nil, fmt.Errorf("registry: no previous version to roll back to")
@@ -246,7 +246,7 @@ func (r *Registry) Rollback() (*Version, error) {
 	return r.Promote(prev)
 }
 
-// List returns every stored manifest, sorted by version id.
+// List returns every stored manifest, oldest version first.
 func (r *Registry) List() []Manifest {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -254,7 +254,7 @@ func (r *Registry) List() []Manifest {
 	for _, m := range r.manifests {
 		out = append(out, *m)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	sort.Slice(out, func(i, j int) bool { return older(out[i].ID, out[j].ID) })
 	return out
 }
 
@@ -313,6 +313,7 @@ func (r *Registry) activateLocked(m *Manifest, bank *pipeline.Bank) (*Version, e
 	}
 	v := &Version{Manifest: *m, Bank: bank}
 	r.cur.Store(v)
+	r.pruneLocked() // the version just retired may be one too many
 	return v, nil
 }
 
@@ -381,36 +382,69 @@ func (r *Registry) activeIDLocked() string {
 	return r.history[len(r.history)-1]
 }
 
+// rollbackTargetLocked is the version Rollback would re-activate: the last
+// history entry that differs from the active one, "" if there is none.
+func (r *Registry) rollbackTargetLocked() string {
+	cur := r.activeIDLocked()
+	for i := len(r.history) - 2; i >= 0; i-- {
+		if r.history[i] != cur {
+			return r.history[i]
+		}
+	}
+	return ""
+}
+
+// ordinal is the number in a version id ("v0017" → 17; 0 for a foreign id).
+func ordinal(id string) int {
+	var n int
+	fmt.Sscanf(id, "v%d", &n) // a failed scan leaves 0
+	return n
+}
+
+// older is the registry's one version ordering, used by List and by
+// pruning: by ordinal, because ids outgrow their %04d padding at v10000 (a
+// week of once-a-minute retrains) and "v10000" sorts before "v9999" as a
+// string; ties — foreign ids an operator imported, all ordinal 0 — by id.
+func older(a, b string) bool {
+	if oa, ob := ordinal(a), ordinal(b); oa != ob {
+		return oa < ob
+	}
+	return a < b
+}
+
 // nextOrdinalLocked returns one past the highest stored version ordinal.
 func (r *Registry) nextOrdinalLocked() int {
 	max := 0
 	for id := range r.manifests {
-		var n int
-		if _, err := fmt.Sscanf(id, "v%d", &n); err == nil && n > max {
+		if n := ordinal(id); n > max {
 			max = n
 		}
 	}
 	return max + 1
 }
 
-// pruneLocked removes the oldest non-active, non-candidate versions beyond
-// cfg.Keep. The active version and un-evaluated candidates are never
-// pruned.
+// pruneLocked removes the oldest retired and rejected versions beyond
+// r.keep. The active version and un-evaluated candidates are never pruned.
+// Nor is Rollback's target, which takes one of the keep slots wherever it
+// ranks: a run of rejected candidates all outrank the version they failed
+// to replace, and must not push it out before the one that finally passes
+// the gate can be rolled back.
 func (r *Registry) pruneLocked() {
-	if r.cfg.Keep <= 0 {
-		return
-	}
-	active := r.activeIDLocked()
+	active, rollback := r.activeIDLocked(), r.rollbackTargetLocked()
+	keep := r.keep
 	var prunable []string
 	for id, m := range r.manifests {
-		if id == active || m.State == StateCandidate || m.State == StateActive {
-			continue
+		switch {
+		case id == active || m.State == StateCandidate || m.State == StateActive:
+		case id == rollback:
+			keep--
+		default:
+			prunable = append(prunable, id)
 		}
-		prunable = append(prunable, id)
 	}
-	sort.Strings(prunable)
+	sort.Slice(prunable, func(i, j int) bool { return older(prunable[i], prunable[j]) })
 	removed := map[string]bool{}
-	for len(prunable) > r.cfg.Keep {
+	for len(prunable) > max(keep, 0) {
 		id := prunable[0]
 		prunable = prunable[1:]
 		os.Remove(r.bankPath(id))

@@ -1,8 +1,10 @@
 package registry
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"videoplat/internal/features"
@@ -168,15 +170,145 @@ func TestRollbackWithoutPredecessorFails(t *testing.T) {
 	}
 }
 
+// TestRetentionBoundsLongRunningRegistry is the daemon that never restarts:
+// forty retrain cycles through a registry nobody configured leave the active
+// version and keepVersions retired ones — on disk, in List and in HISTORY —
+// and Rollback still has its target.
+func TestRetentionBoundsLongRunningRegistry(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains a bank")
+	}
+	dir := t.TempDir()
+	reg, err := New(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bank := trainBank(t, 1, ml.ForestConfig{NumTrees: 3, MaxDepth: 5, MaxFeatures: 10, Seed: 1})
+	const cycles = 40
+	for i := 0; i < cycles; i++ {
+		m, err := reg.Add(bank, "cycle", 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := reg.Promote(m.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	banks, _ := filepath.Glob(filepath.Join(dir, "*.bank"))
+	manifests, _ := filepath.Glob(filepath.Join(dir, "*.json"))
+	if len(banks) > keepVersions+1 || len(manifests) != len(banks) || len(reg.List()) != len(banks) {
+		t.Errorf("after %d cycles: %d banks, %d manifests on disk, %d listed; want at most %d of each",
+			cycles, len(banks), len(manifests), len(reg.List()), keepVersions+1)
+	}
+	blob, err := os.ReadFile(filepath.Join(dir, "HISTORY"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range strings.Fields(string(blob)) {
+		if _, err := os.Stat(filepath.Join(dir, id+".bank")); err != nil {
+			t.Errorf("HISTORY names %s, whose bank is gone: %v", id, err)
+		}
+	}
+	v, err := reg.Rollback()
+	if err != nil {
+		t.Fatalf("rollback after %d cycles: %v", cycles, err)
+	}
+	if want := fmt.Sprintf("v%04d", cycles-1); v.Manifest.ID != want {
+		t.Errorf("rollback landed on %s, want %s", v.Manifest.ID, want)
+	}
+}
+
+// TestRejectedRunKeepsRollbackTarget is persistent drift: more candidates
+// than keepVersions fail the gate before one passes, every one of them newer
+// than the version they failed to replace. That version must outlive the
+// pruning its own retirement triggers, because the promotion that retired it
+// is the one an operator may need to undo.
+func TestRejectedRunKeepsRollbackTarget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains a bank")
+	}
+	dir := t.TempDir()
+	reg, err := New(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bank := trainBank(t, 1, ml.ForestConfig{NumTrees: 3, MaxDepth: 5, MaxFeatures: 10, Seed: 1})
+	first, err := reg.Add(bank, "initial", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reg.Promote(first.ID); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < keepVersions+1; i++ {
+		m, err := reg.Add(bank, "drift", 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := reg.SetShadowMetrics(m.ID, ShadowMetrics{}, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	passed, err := reg.Add(bank, "drift", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reg.Promote(passed.ID); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(reg.List()); n > keepVersions+1 {
+		t.Errorf("%d versions stored, want at most %d", n, keepVersions+1)
+	}
+	v, err := reg.Rollback()
+	if err != nil {
+		t.Fatalf("rollback after %d rejected candidates: %v", keepVersions+1, err)
+	}
+	if v.Manifest.ID != first.ID {
+		t.Errorf("rollback landed on %s, want %s", v.Manifest.ID, first.ID)
+	}
+}
+
+// TestVersionOrderIsOrdinalThenID pins the one ordering List and pruning
+// share: v10000 is newer than v9999 though it sorts before it as a string,
+// and foreign ids (ordinal 0) are oldest, ordered among themselves by id.
+func TestVersionOrderIsOrdinalThenID(t *testing.T) {
+	reg, err := New(Config{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := []string{"imported-b", "imported-a", "v9999", "v10000", "v10001"}
+	for _, id := range ids {
+		reg.manifests[id] = &Manifest{ID: id, State: StateRetired}
+	}
+	var got []string
+	for _, m := range reg.List() {
+		got = append(got, m.ID)
+	}
+	if want := "imported-a imported-b v9999 v10000 v10001"; strings.Join(got, " ") != want {
+		t.Errorf("List order = %v, want %s", got, want)
+	}
+	for _, c := range []struct {
+		keep   int
+		oldest string
+	}{{4, "imported-b"}, {2, "v10000"}} {
+		reg.keep = c.keep
+		reg.pruneLocked()
+		if l := reg.List(); len(l) != c.keep || l[0].ID != c.oldest {
+			t.Errorf("keep=%d: survivors = %v, want %d starting at %s", c.keep, l, c.keep, c.oldest)
+		}
+	}
+}
+
 func TestKeepPrunesOldRetiredVersions(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains banks")
 	}
 	dir := t.TempDir()
-	reg, err := New(Config{Dir: dir, Keep: 1})
+	reg, err := New(Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
+	reg.keep = 1
 	for seed := uint64(1); seed <= 3; seed++ {
 		bank := trainBank(t, seed, ml.ForestConfig{NumTrees: 3, MaxDepth: 5, MaxFeatures: 10, Seed: seed})
 		m, err := reg.Add(bank, "cycle", seed)
@@ -187,7 +319,7 @@ func TestKeepPrunesOldRetiredVersions(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// v0003 active, v0002 retired (kept), v0001 pruned on the next Add.
+	// v0003 active, v0002 retired (kept), v0001 pruned.
 	bank := trainBank(t, 4, ml.ForestConfig{NumTrees: 3, MaxDepth: 5, MaxFeatures: 10, Seed: 4})
 	if _, err := reg.Add(bank, "cycle", 4); err != nil {
 		t.Fatal(err)

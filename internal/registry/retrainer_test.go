@@ -47,7 +47,7 @@ func TestRetrainerClosesTheDriftLoop(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	mon := drift.NewMonitor(drift.Config{Window: 40, Baseline: 40, ConfidenceDrop: 0.05})
+	mon := drift.NewMonitor(drift.Config{Window: 40, ConfidenceDrop: 0.05})
 	trained := make(chan string, 1)
 	rt, err := NewRetrainer(reg, RetrainerConfig{
 		Train: func(reason string, seed uint64) (*pipeline.Bank, error) {
@@ -176,7 +176,7 @@ func TestRetrainerRejectionRearmsMonitor(t *testing.T) {
 	}
 	bad := trainBank(t, 2, ml.ForestConfig{NumTrees: 12, MaxDepth: 1, MaxFeatures: 34, Seed: 2})
 
-	mon := drift.NewMonitor(drift.Config{Window: 40, Baseline: 40, ConfidenceDrop: 0.05})
+	mon := drift.NewMonitor(drift.Config{Window: 40, ConfidenceDrop: 0.05})
 	rt, err := NewRetrainer(reg, RetrainerConfig{
 		Train:    func(string, uint64) (*pipeline.Bank, error) { return bad, nil },
 		Gate:     Gate{SampleRate: 1, MinFlows: 30},

@@ -28,16 +28,20 @@ type Gate struct {
 	// confident. An exact 0 selects the default; negative disables the
 	// check.
 	MinAgreement float64
-	// ConfidenceSlack is how far the candidate's mean platform confidence
-	// may sit below the active bank's and still pass (default 0.02). An
-	// exact 0 selects the default; negative demands the candidate strictly
-	// beat the active bank.
-	ConfidenceSlack float64
-	// UnknownSlack is how far the candidate's unknown-rate may exceed the
-	// active bank's and still pass (default 0.05). An exact 0 selects the
-	// default; negative demands strict improvement.
-	UnknownSlack float64
 }
+
+// The gate's tolerance for sampling noise, fixed: a candidate retrained on
+// fresh ground truth should match or beat the incumbent, and these are the
+// margins within which "match" holds over MinFlows samples. A deployment
+// that wants a stricter or looser bar moves MinFlows or MinAgreement.
+const (
+	// confidenceSlack is how far the candidate's mean platform confidence
+	// may sit below the active bank's and still pass.
+	confidenceSlack = 0.02
+	// unknownSlack is how far the candidate's unknown-rate may exceed the
+	// active bank's and still pass.
+	unknownSlack = 0.05
+)
 
 func (g *Gate) defaults() {
 	if g.SampleRate <= 0 || g.SampleRate > 1 {
@@ -48,12 +52,6 @@ func (g *Gate) defaults() {
 	}
 	if g.MinAgreement == 0 {
 		g.MinAgreement = 0.5
-	}
-	if g.ConfidenceSlack == 0 {
-		g.ConfidenceSlack = 0.02
-	}
-	if g.UnknownSlack == 0 {
-		g.UnknownSlack = 0.05
 	}
 }
 
@@ -180,12 +178,12 @@ func (sh *Shadow) Verdict() (m ShadowMetrics, ok bool) {
 		return m, false
 	}
 	switch {
-	case m.CandidateMeanConf < m.ActiveMeanConf-sh.gate.ConfidenceSlack:
+	case m.CandidateMeanConf < m.ActiveMeanConf-confidenceSlack:
 		m.Reason = fmt.Sprintf("candidate mean confidence %.2f below active %.2f (slack %.2f)",
-			m.CandidateMeanConf, m.ActiveMeanConf, sh.gate.ConfidenceSlack)
-	case m.CandidateUnknownRate > m.ActiveUnknownRate+sh.gate.UnknownSlack:
+			m.CandidateMeanConf, m.ActiveMeanConf, confidenceSlack)
+	case m.CandidateUnknownRate > m.ActiveUnknownRate+unknownSlack:
 		m.Reason = fmt.Sprintf("candidate unknown rate %.2f exceeds active %.2f (slack %.2f)",
-			m.CandidateUnknownRate, m.ActiveUnknownRate, sh.gate.UnknownSlack)
+			m.CandidateUnknownRate, m.ActiveUnknownRate, unknownSlack)
 	case m.AgreementFlows > 0 && m.Agreement < sh.gate.MinAgreement:
 		m.Reason = fmt.Sprintf("agreement %.2f below %.2f over %d confident flows",
 			m.Agreement, sh.gate.MinAgreement, m.AgreementFlows)

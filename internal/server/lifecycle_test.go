@@ -253,7 +253,7 @@ func TestAutoRetrainSwapsUnderInjectedDrift(t *testing.T) {
 	}
 
 	journal := obs.NewJournal(256, nil)
-	mon := drift.NewMonitor(drift.Config{Window: 30, Baseline: 30, ConfidenceDrop: 0.05})
+	mon := drift.NewMonitor(drift.Config{Window: 30, ConfidenceDrop: 0.05})
 	rt, err := registry.NewRetrainer(reg, registry.RetrainerConfig{
 		Train:    func(string, uint64) (*pipeline.Bank, error) { return replacement, nil },
 		Gate:     registry.Gate{SampleRate: 1, MinFlows: 25, MinAgreement: 0.05},

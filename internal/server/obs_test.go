@@ -37,8 +37,6 @@ func TestObservabilityEndpoints(t *testing.T) {
 		Shards:           2,
 		MaxFlows:         4, // force cap evictions so the rollup stage runs live
 		TraceSampleEvery: 1,
-		TraceRing:        64,
-		TraceSlowest:     8,
 		EnablePprof:      true,
 	})
 	defer cancel()

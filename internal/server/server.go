@@ -73,10 +73,10 @@ type Config struct {
 	// Shards is the pipeline fan-out width (default GOMAXPROCS).
 	Shards int
 	// MaxFlows caps tracked flows across all shards (default 65536,
-	// divided evenly per shard; <0 = unbounded).
+	// divided evenly per shard).
 	MaxFlows int
 	// IdleTimeout retires flows with no packet for this long, in trace
-	// time (default 90s; <0 = never).
+	// time (default 90s).
 	IdleTimeout time.Duration
 	// WindowWidth is the tumbling rollup window width (default 1 minute).
 	WindowWidth time.Duration
@@ -85,17 +85,10 @@ type Config struct {
 	// is min(BatchSize, Rate/20) packets.
 	Rate float64
 	// BatchSize is how many frames the replay loop reads from the source
-	// and dispatches per pipeline batch (default 64; 1 degenerates to
-	// per-packet dispatch).
+	// and dispatches per pipeline batch (default 64, the size the bench/
+	// workloads validate against the pipeline's 64-message shard inboxes).
+	// Not a vpserve flag: the field stays because bench/daemon.go names it.
 	BatchSize int
-	// ShardQueueDepth is the per-shard ingest inbox depth in batch
-	// messages (0 = pipeline default).
-	ShardQueueDepth int
-	// MaxHelloBytes caps per-flow buffered handshake bytes while waiting
-	// for a complete ClientHello (0 = pipeline default; <0 = unbounded).
-	// Flows over the cap are abandoned and counted as
-	// oversized_handshakes in /stats and /metrics.
-	MaxHelloBytes int
 	// EarlyMinMargin is the PlatformMargin floor for degraded
 	// classifications of flows whose hello is encrypted (ECH) or absent
 	// (0-RTT) (0 = pipeline default of 0.10; <0 = any margin).
@@ -149,11 +142,6 @@ type Config struct {
 	// (default 256; <0 disables tracing entirely). 1 traces every flow —
 	// useful in tests, expensive at line rate.
 	TraceSampleEvery int
-	// TraceRing is how many finished spans /trace retains (default 256).
-	TraceRing int
-	// TraceSlowest is how many slowest-flow exemplars /trace retains
-	// separately (default 16).
-	TraceSlowest int
 }
 
 func (c *Config) fillDefaults() {
@@ -163,10 +151,12 @@ func (c *Config) fillDefaults() {
 	if c.Shards <= 0 {
 		c.Shards = runtime.GOMAXPROCS(0)
 	}
-	if c.MaxFlows == 0 {
+	// No value lifts the flow-table bounds: a daemon that never restarts has
+	// no use for an unbounded table.
+	if c.MaxFlows <= 0 {
 		c.MaxFlows = 65536
 	}
-	if c.IdleTimeout == 0 {
+	if c.IdleTimeout <= 0 {
 		c.IdleTimeout = 90 * time.Second
 	}
 	if c.WindowWidth <= 0 {
@@ -244,16 +234,12 @@ func New(bank *pipeline.Bank, src Source, cfg Config) (*Server, error) {
 		sink = telemetry.MultiSink(store, cfg.Sink)
 	}
 	s := &Server{
-		cfg:    cfg,
-		src:    src,
-		rollup: telemetry.NewRollup(cfg.WindowWidth, sink),
-		store:  store,
-		obsv:   obs.NewPipelineObserver(),
-		tracer: obs.NewTracer(obs.TracerConfig{
-			SampleEvery: cfg.TraceSampleEvery,
-			Ring:        cfg.TraceRing,
-			Slowest:     cfg.TraceSlowest,
-		}),
+		cfg:        cfg,
+		src:        src,
+		rollup:     telemetry.NewRollup(cfg.WindowWidth, sink),
+		store:      store,
+		obsv:       obs.NewPipelineObserver(),
+		tracer:     obs.NewTracer(obs.TracerConfig{SampleEvery: cfg.TraceSampleEvery}),
 		journal:    cfg.Journal,
 		evictions:  make(chan *pipeline.FlowRecord, 1024),
 		replayDone: make(chan struct{}),
@@ -268,12 +254,12 @@ func New(bank *pipeline.Bank, src Source, cfg Config) (*Server, error) {
 	s.rollup.SetEnrich(s.enrichWindow)
 
 	pcfg := pipeline.Config{
-		ShardQueueDepth: cfg.ShardQueueDepth,
-		MaxHelloBytes:   cfg.MaxHelloBytes,
-		EarlyMinMargin:  cfg.EarlyMinMargin,
-		ProviderHint:    cfg.ProviderHint,
-		Observer:        s.obsv,
-		Tracer:          s.tracer,
+		MaxFlows:       max(cfg.MaxFlows/cfg.Shards, 1), // per shard
+		IdleTimeout:    cfg.IdleTimeout,
+		EarlyMinMargin: cfg.EarlyMinMargin,
+		ProviderHint:   cfg.ProviderHint,
+		Observer:       s.obsv,
+		Tracer:         s.tracer,
 		OnEvict: func(rec *pipeline.FlowRecord, _ flowtable.Reason) {
 			s.evictions <- rec
 		},
@@ -291,16 +277,6 @@ func New(bank *pipeline.Bank, src Source, cfg Config) (*Server, error) {
 				cfg.Retrainer.ObserveClassified(rec, hs)
 			}
 		}
-	}
-	if cfg.MaxFlows > 0 {
-		perShard := cfg.MaxFlows / cfg.Shards
-		if perShard < 1 {
-			perShard = 1
-		}
-		pcfg.MaxFlows = perShard
-	}
-	if cfg.IdleTimeout > 0 {
-		pcfg.IdleTimeout = cfg.IdleTimeout
 	}
 	s.sharded = pipeline.NewShardedWithConfig(bank, cfg.Shards, pcfg)
 
@@ -621,7 +597,7 @@ type Stats struct {
 		// inbox (backpressure, not loss).
 		Stalls uint64 `json:"stalls"`
 		// OversizedHandshakes counts flows abandoned because their
-		// buffered handshake bytes exceeded the MaxHelloBytes cap.
+		// buffered handshake bytes exceeded the 64 KiB handshake cap.
 		OversizedHandshakes uint64 `json:"oversized_handshakes"`
 		// Migrations counts QUIC connection migrations absorbed by CID
 		// re-keying (each is a flow whose 5-tuple changed mid-connection).

@@ -69,21 +69,6 @@ func (h *ConfidenceHist) Merge(src *ConfidenceHist) {
 	}
 }
 
-// Clone returns an independent deep copy; nil-safe (returns nil).
-func (h *ConfidenceHist) Clone() *ConfidenceHist {
-	if h == nil {
-		return nil
-	}
-	out := &ConfidenceHist{Count: h.Count, Sum: h.Sum}
-	if h.Buckets != nil {
-		out.Buckets = make(map[int]uint64, len(h.Buckets))
-		for b, n := range h.Buckets {
-			out.Buckets[b] = n
-		}
-	}
-	return out
-}
-
 // Quantile returns the upper bound of the bucket containing the q-quantile
 // observation (q in [0, 1]), or 0 when empty. Reporting the bucket bound
 // rather than interpolating keeps the answer identical no matter how the
@@ -198,25 +183,4 @@ func (q *QualitySummary) Merge(src *QualitySummary) {
 	}
 	q.ShadowAgreed += src.ShadowAgreed
 	q.ShadowDisagreed += src.ShadowDisagreed
-}
-
-// Clone returns an independent deep copy; nil-safe (returns nil).
-func (q *QualitySummary) Clone() *QualitySummary {
-	if q == nil {
-		return nil
-	}
-	out := &QualitySummary{
-		DriftScore:      q.DriftScore,
-		ShadowAgreed:    q.ShadowAgreed,
-		ShadowDisagreed: q.ShadowDisagreed,
-	}
-	if q.Verdicts != nil {
-		out.Verdicts = make(map[string]uint64, len(q.Verdicts))
-		for k, v := range q.Verdicts {
-			out.Verdicts[k] = v
-		}
-	}
-	out.Confidence = q.Confidence.Clone()
-	out.Margin = q.Margin.Clone()
-	return out
 }

@@ -74,7 +74,9 @@ func TestConfidenceHistBuckets(t *testing.T) {
 }
 
 // TestQualitySummaryMergeClone checks exact verdict counts and bucket totals
-// across Merge and Clone — the arithmetic every downsampled tier depends on.
+// across Merge — the arithmetic every downsampled tier depends on — and that
+// Merge into an empty summary aliases nothing of its source, which is how
+// Window.Clone copies one.
 func TestQualitySummaryMergeClone(t *testing.T) {
 	a := &QualitySummary{}
 	a.add(qualRec(fingerprint.YouTube, "windows_chrome", w0, 0.9, 0.5))
@@ -91,7 +93,8 @@ func TestQualitySummaryMergeClone(t *testing.T) {
 	b.ShadowAgreed = 1
 	b.ShadowDisagreed = 2
 
-	m := a.Clone()
+	m := &QualitySummary{}
+	m.Merge(a)
 	m.Merge(b)
 	wantVerdicts := map[string]uint64{"classified": 2, "abstained": 1, "no-handshake": 1}
 	for k, want := range wantVerdicts {
@@ -121,15 +124,16 @@ func TestQualitySummaryMergeClone(t *testing.T) {
 		t.Errorf("merged shadow = %d/%d, want 5/2", m.ShadowAgreed, m.ShadowDisagreed)
 	}
 
-	// Clone must be deep: mutating the merge result cannot reach a. (a holds
-	// two classification attempts — the classified flow and the abstention.)
+	// The copy must be deep: mutating the merge result cannot reach a. (a
+	// holds two classification attempts — the classified flow and the
+	// abstention.)
 	if a.Verdicts["classified"] != 1 || a.Confidence.Count != 2 {
-		t.Fatalf("Merge mutated the Clone source: %+v", a)
+		t.Fatalf("Merge mutated its source: %+v", a)
 	}
 	m.Verdicts["classified"] = 99
 	m.Confidence.Observe(0.5)
 	if a.Verdicts["classified"] != 1 || a.Confidence.Count != 2 {
-		t.Error("Clone aliases maps or histograms")
+		t.Error("Merge into an empty summary aliases its source's maps or histograms")
 	}
 }
 
@@ -181,9 +185,15 @@ func TestWindowQualityFold(t *testing.T) {
 
 	c := w.Clone()
 	c.Quality.Verdicts["classified"] = 99
+	c.Quality.Confidence.Observe(0.1)
+	c.Quality.Margin.Observe(0.1)
 	c.ByProvider[fingerprint.YouTube.String()].Confidence.Observe(0.1)
-	if w.Quality.Verdicts["classified"] != 2 || yt.Confidence.Count != 3 {
-		t.Error("Window.Clone aliases quality state")
+	c.ByPlatform["windows_chrome"].Flows = 99
+	c.ModelVersions["unversioned"] = 99
+	if w.Quality.Verdicts["classified"] != 2 || w.Quality.Confidence.Count != 3 ||
+		w.Quality.Margin.Count != 3 || yt.Confidence.Count != 3 ||
+		w.ByPlatform["windows_chrome"].Flows != 2 || w.ModelVersions["unversioned"] != 3 {
+		t.Error("Window.Clone aliases quality state, cells or model versions")
 	}
 }
 

@@ -189,20 +189,14 @@ func (w *Window) seal() {
 	}
 }
 
-// Clone returns a deep copy of w that shares no state with the original.
+// Clone returns a deep copy of w that shares no state with the original:
+// Merge into an empty window aliases nothing of its source and recomputes
+// the derived fields to the values they already hold, so it is the one
+// place that knows how a window is copied.
 func (w *Window) Clone() *Window {
-	snap := *w
-	snap.ByProvider = cloneCells(w.ByProvider)
-	snap.ByPlatform = cloneCells(w.ByPlatform)
-	if w.ModelVersions != nil {
-		snap.ModelVersions = make(map[string]int, len(w.ModelVersions))
-		for k, v := range w.ModelVersions {
-			snap.ModelVersions[k] = v
-		}
-	}
-	snap.Latency = w.Latency.Clone()
-	snap.Quality = w.Quality.Clone()
-	return &snap
+	c := &Window{}
+	c.Merge(w)
+	return c
 }
 
 // Merge folds src into w: the time range extends to cover both windows,
@@ -433,16 +427,6 @@ func (r *Rollup) Current() *Window {
 	snap := r.cur.Clone()
 	snap.seal()
 	return snap
-}
-
-func cloneCells(m map[string]*Cell) map[string]*Cell {
-	out := make(map[string]*Cell, len(m))
-	for k, c := range m {
-		cc := *c
-		cc.Confidence = c.Confidence.Clone()
-		out[k] = &cc
-	}
-	return out
 }
 
 func (r *Rollup) open(ts time.Time) {
