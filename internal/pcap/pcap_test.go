@@ -3,6 +3,7 @@ package pcap
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"io"
 	"testing"
 	"time"
@@ -151,5 +152,48 @@ func TestInsaneCaptureLength(t *testing.T) {
 	}
 	if _, err := r.Next(); err == nil {
 		t.Error("expected sanity-bound error")
+	}
+}
+
+// classicFile is a little-endian libpcap file with the given header snap
+// length and one record claiming capLen bytes, followed by data.
+func classicFile(snaplen, capLen uint32, data []byte) []byte {
+	le := binary.LittleEndian
+	raw := make([]byte, 40, 40+len(data))
+	le.PutUint32(raw[0:], magicMicros)
+	le.PutUint16(raw[4:], 2)
+	le.PutUint16(raw[6:], 4)
+	le.PutUint32(raw[16:], snaplen)
+	le.PutUint32(raw[20:], LinkTypeEthernet)
+	le.PutUint32(raw[24+8:], capLen)
+	le.PutUint32(raw[24+12:], capLen)
+	return append(raw, data...)
+}
+
+// TestCaptureLengthBoundDoesNotWrap pins the sanity bound's arithmetic: in
+// 32 bits, snaplen+65536 wraps for a header snap length near 2^32, so a
+// 40-byte file could make Next allocate a GiB before finding the data
+// missing, and a real record under a huge snap length was refused.
+func TestCaptureLengthBoundDoesNotWrap(t *testing.T) {
+	r, err := NewReader(bytes.NewReader(classicFile(0x80000000, 1<<30, nil)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := heapAllocBytes()
+	_, err = r.Next()
+	if grew := heapAllocBytes() - before; grew > 1<<20 {
+		t.Errorf("a 40-byte file made Next allocate %d bytes", grew)
+	}
+	if err == nil || errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Errorf("err = %v, want the sanity-bound error before any read", err)
+	}
+
+	data := make([]byte, 70000)
+	r, err = NewReader(bytes.NewReader(classicFile(0xffffffff, uint32(len(data)), data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pkt, err := r.Next(); err != nil || len(pkt.Data) != len(data) {
+		t.Errorf("a %d-byte record under snap length 0xffffffff: %d bytes, err %v", len(data), len(pkt.Data), err)
 	}
 }

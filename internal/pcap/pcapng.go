@@ -33,94 +33,115 @@ type NGReader struct {
 	order binary.ByteOrder
 	// per-interface timestamp denominator (ticks per second)
 	ifaceTicks []uint64
-	snapLen    uint32
+	hdr        [12]byte // block header scratch, a field so it does not escape per call
+	frames     frameChunks
 }
 
 // NewNGReader parses the section header and returns an NGReader.
 func NewNGReader(r io.Reader) (*NGReader, error) {
 	ng := &NGReader{r: r}
-	if err := ng.readSectionHeader(); err != nil {
+	if _, err := io.ReadFull(r, ng.hdr[:]); err != nil {
+		return nil, fmt.Errorf("pcap: reading pcapng header: %w", err)
+	}
+	if binary.LittleEndian.Uint32(ng.hdr[0:]) != blockSectionHeader {
+		return nil, ErrNotPcapNG
+	}
+	if err := ng.startSection(); err != nil {
 		return nil, err
 	}
 	return ng, nil
 }
 
-func (ng *NGReader) readSectionHeader() error {
-	var hdr [12]byte
-	if _, err := io.ReadFull(ng.r, hdr[:]); err != nil {
-		return fmt.Errorf("pcap: reading pcapng header: %w", err)
-	}
-	if binary.LittleEndian.Uint32(hdr[0:]) != blockSectionHeader {
-		return ErrNotPcapNG
-	}
+// startSection reads the byte order from the section header block whose
+// first 12 bytes are in ng.hdr and skips the rest of the block: version,
+// section length and options are not needed. A new section forgets the
+// interfaces of the last one.
+func (ng *NGReader) startSection() error {
 	switch {
-	case binary.LittleEndian.Uint32(hdr[8:]) == byteOrderMagic:
+	case binary.LittleEndian.Uint32(ng.hdr[8:]) == byteOrderMagic:
 		ng.order = binary.LittleEndian
-	case binary.BigEndian.Uint32(hdr[8:]) == byteOrderMagic:
+	case binary.BigEndian.Uint32(ng.hdr[8:]) == byteOrderMagic:
 		ng.order = binary.BigEndian
 	default:
 		return ErrNotPcapNG
 	}
-	total := ng.order.Uint32(hdr[4:])
+	total := ng.order.Uint32(ng.hdr[4:])
 	if total < 28 || total%4 != 0 {
 		return fmt.Errorf("pcap: bad section header length %d", total)
 	}
-	// Remaining: version (4) + section length (8) + options + trailing len.
-	rest := make([]byte, total-12)
-	if _, err := io.ReadFull(ng.r, rest); err != nil {
+	if err := ng.skip(total - 12); err != nil {
 		return fmt.Errorf("pcap: section header body: %w", err)
 	}
-	ng.ifaceTicks = nil // new section resets interfaces
+	ng.ifaceTicks = ng.ifaceTicks[:0]
 	return nil
 }
 
-// Next returns the next captured packet or io.EOF.
+// skip discards the next n bytes of the block being read without buffering
+// them, so a block's claimed length costs no memory. Input that ends first
+// is io.ErrUnexpectedEOF: a block cut short is damage, not the end of the
+// capture.
+func (ng *NGReader) skip(n uint32) error {
+	_, err := io.CopyN(io.Discard, ng.r, int64(n))
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	return err
+}
+
+// Next returns the next captured packet or io.EOF; a file that ends part way
+// through a block is an error. The returned data is carved, like
+// Reader.Next's, from a buffer shared with neighbouring packets that is
+// never reused, so it is safe to retain.
 func (ng *NGReader) Next() (Packet, error) {
 	for {
-		var hdr [8]byte
-		if _, err := io.ReadFull(ng.r, hdr[:]); err != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+		hdr := ng.hdr[:8]
+		if _, err := io.ReadFull(ng.r, hdr); err != nil {
+			if errors.Is(err, io.EOF) {
 				return Packet{}, io.EOF
 			}
-			return Packet{}, err
+			return Packet{}, fmt.Errorf("pcap: reading block header: %w", err)
 		}
 		blockType := ng.order.Uint32(hdr[0:])
-		total := ng.order.Uint32(hdr[4:])
 		if blockType == blockSectionHeader {
-			// New section: re-read full header. We already consumed 8
-			// bytes; emulate by handling inline.
-			var rest [4]byte
-			if _, err := io.ReadFull(ng.r, rest[:]); err != nil {
+			// A new section: its byte order is in the next four bytes.
+			if _, err := io.ReadFull(ng.r, ng.hdr[8:]); err != nil {
+				return Packet{}, fmt.Errorf("pcap: reading pcapng header: %w", err)
+			}
+			if err := ng.startSection(); err != nil {
 				return Packet{}, err
 			}
-			switch {
-			case binary.LittleEndian.Uint32(rest[:]) == byteOrderMagic:
-				ng.order = binary.LittleEndian
-			case binary.BigEndian.Uint32(rest[:]) == byteOrderMagic:
-				ng.order = binary.BigEndian
-			default:
-				return Packet{}, ErrNotPcapNG
-			}
-			total = ng.order.Uint32(hdr[4:])
-			body := make([]byte, total-12)
-			if _, err := io.ReadFull(ng.r, body); err != nil {
-				return Packet{}, err
-			}
-			ng.ifaceTicks = nil
 			continue
 		}
-		if total < 12 || total%4 != 0 || total > 1<<26 {
+		total := ng.order.Uint32(hdr[4:])
+		if total < 12 || total%4 != 0 {
 			return Packet{}, fmt.Errorf("pcap: bad block length %d", total)
 		}
-		body := make([]byte, total-12)
-		if _, err := io.ReadFull(ng.r, body); err != nil {
-			return Packet{}, fmt.Errorf("pcap: block body: %w", err)
+		n := total - 12 // the body, between header and trailing length
+		var body []byte
+		trailer := hdr[:4]
+		switch blockType {
+		case blockInterfaceDesc, blockEnhancedPacket, blockSimplePacket:
+			if total > maxRecordLen {
+				return Packet{}, fmt.Errorf("pcap: block length %d exceeds sanity bound", total)
+			}
+			// Body and trailing length in one read, at the tail of the frame
+			// chunk: a packet's bytes are then handed out where they landed.
+			buf := ng.frames.tail(int(n) + 4)
+			if _, err := io.ReadFull(ng.r, buf); err != nil {
+				return Packet{}, fmt.Errorf("pcap: block body: %w", err)
+			}
+			body, trailer = buf[:n], buf[n:]
+		default:
+			// Unknown blocks (name resolution, statistics, ...) are skipped
+			// unread.
+			if err := ng.skip(n); err != nil {
+				return Packet{}, fmt.Errorf("pcap: block body: %w", err)
+			}
+			if _, err := io.ReadFull(ng.r, trailer); err != nil {
+				return Packet{}, fmt.Errorf("pcap: block trailer: %w", err)
+			}
 		}
-		var trailer [4]byte
-		if _, err := io.ReadFull(ng.r, trailer[:]); err != nil {
-			return Packet{}, fmt.Errorf("pcap: block trailer: %w", err)
-		}
-		if ng.order.Uint32(trailer[:]) != total {
+		if ng.order.Uint32(trailer) != total {
 			return Packet{}, fmt.Errorf("pcap: block length mismatch")
 		}
 
@@ -128,25 +149,17 @@ func (ng *NGReader) Next() (Packet, error) {
 		case blockInterfaceDesc:
 			ng.handleInterface(body)
 		case blockEnhancedPacket:
-			pkt, ok, err := ng.handleEnhanced(body)
-			if err != nil {
-				return Packet{}, err
-			}
-			if ok {
-				return pkt, nil
-			}
+			return ng.handleEnhanced(body)
 		case blockSimplePacket:
 			if len(body) < 4 {
 				return Packet{}, fmt.Errorf("pcap: short simple packet block")
 			}
 			origLen := ng.order.Uint32(body[0:])
-			data := body[4:]
-			if uint32(len(data)) > origLen {
-				data = data[:origLen]
+			capLen := len(body) - 4
+			if uint32(capLen) > origLen {
+				capLen = int(origLen)
 			}
-			return Packet{Data: append([]byte{}, data...), OrigLen: int(origLen)}, nil
-		default:
-			// skip unknown blocks (name resolution, statistics, ...)
+			return Packet{Data: ng.frames.claim(4 + capLen)[4:], OrigLen: int(origLen)}, nil
 		}
 	}
 }
@@ -184,17 +197,19 @@ func (ng *NGReader) handleInterface(body []byte) {
 	ng.ifaceTicks = append(ng.ifaceTicks, ticks)
 }
 
-func (ng *NGReader) handleEnhanced(body []byte) (Packet, bool, error) {
+// handleEnhanced decodes an enhanced packet block whose body is the tail of
+// the frame chunk, and hands out its packet bytes from there.
+func (ng *NGReader) handleEnhanced(body []byte) (Packet, error) {
 	if len(body) < 20 {
-		return Packet{}, false, fmt.Errorf("pcap: short enhanced packet block")
+		return Packet{}, fmt.Errorf("pcap: short enhanced packet block")
 	}
 	ifaceID := ng.order.Uint32(body[0:])
 	tsHigh := ng.order.Uint32(body[4:])
 	tsLow := ng.order.Uint32(body[8:])
 	capLen := ng.order.Uint32(body[12:])
 	origLen := ng.order.Uint32(body[16:])
-	if 20+int(capLen) > len(body) {
-		return Packet{}, false, fmt.Errorf("pcap: enhanced packet capture length overflow")
+	if capLen > uint32(len(body)-20) {
+		return Packet{}, fmt.Errorf("pcap: enhanced packet capture length overflow")
 	}
 	ticks := uint64(1_000_000)
 	if int(ifaceID) < len(ng.ifaceTicks) {
@@ -206,9 +221,9 @@ func (ng *NGReader) handleEnhanced(body []byte) (Packet, bool, error) {
 	ns := frac * uint64(time.Second) / ticks
 	return Packet{
 		Timestamp: time.Unix(int64(sec), int64(ns)).UTC(),
-		Data:      append([]byte{}, body[20:20+capLen]...),
+		Data:      ng.frames.claim(20 + int(capLen))[20:],
 		OrigLen:   int(origLen),
-	}, true, nil
+	}, nil
 }
 
 // NGWriter emits a minimal single-interface pcapng file (section header +

@@ -169,3 +169,26 @@ func TestNGTruncatedBlock(t *testing.T) {
 		t.Errorf("err = %v, want decode error", err)
 	}
 }
+
+// TestNGTruncatedBlockHeader cuts the file inside a block's 8-byte header,
+// not its body: that is damage too, reported as an error as Reader reports a
+// cut record header, not a clean io.EOF.
+func TestNGTruncatedBlockHeader(t *testing.T) {
+	var buf bytes.Buffer
+	w, _ := NewNGWriter(&buf, 0)
+	_ = w.WritePacket(time.Unix(5, 0), []byte{1, 2, 3, 4, 5})
+	whole := len(buf.Bytes())
+	_ = w.WritePacket(time.Unix(6, 0), []byte{6, 7, 8})
+	for cut := 1; cut < 8; cut++ {
+		r, err := NewNGReader(bytes.NewReader(buf.Bytes()[:whole+cut]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.Next(); err != nil {
+			t.Fatalf("cut %d: first packet: %v", cut, err)
+		}
+		if _, err := r.Next(); err == nil || err == io.EOF {
+			t.Errorf("cut %d bytes into the second block header: err = %v, want an error", cut, err)
+		}
+	}
+}

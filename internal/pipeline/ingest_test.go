@@ -551,6 +551,44 @@ func TestHandlePacketBatchZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestHandlePacketBatchShortFrames covers the look-ahead prefetch's guard:
+// an empty, a 1-byte or a 13-byte frame first in a batch or in any of its
+// last three slots — where the look-ahead starts reading, or runs out — is
+// counted in Ignored like any frame too short for an Ethernet header, and
+// every other frame of the batch still reaches a shard.
+func TestHandlePacketBatchShortFrames(t *testing.T) {
+	client := netip.MustParseAddrPort("192.168.1.7:50000")
+	server := netip.MustParseAddrPort("203.0.113.10:443")
+	good := craftFrame(client, server, packet.ProtoTCP, packet.FlagACK, nil, 0)
+	for _, n := range []int{1, 2, 3, 8} {
+		for _, short := range [][]byte{nil, {}, {0x45}, make([]byte, 13)} {
+			for _, pos := range []int{0, n - 3, n - 2, n - 1} {
+				if pos < 0 {
+					continue
+				}
+				pkts := make([]IngestPacket, n)
+				for i := range pkts {
+					pkts[i].Data = good
+				}
+				pkts[pos].Data = short
+				s := NewSharded(emptyBank(), 2)
+				s.HandlePacketBatch(pkts)
+				s.Close()
+				if got := s.IngestStats().Ignored; got != 1 {
+					t.Errorf("%d-byte frame at %d of %d: Ignored = %d, want 1", len(short), pos, n, got)
+				}
+				var seen uint64
+				for _, sh := range s.shards {
+					seen += sh.p.Stats().Packets
+				}
+				if seen != uint64(n-1) {
+					t.Errorf("%d-byte frame at %d of %d: shards saw %d frames, want %d", len(short), pos, n, seen, n-1)
+				}
+			}
+		}
+	}
+}
+
 // TestResultsDropUnderStalledConsumer pins the revised best-effort
 // contract: the results buffer is configurable (and shard-count-scaled by
 // default), and a consumer that stops draining costs exactly the overflow,
