@@ -86,36 +86,6 @@ func (pw *Writer) WritePacket(ts time.Time, data []byte) error {
 // snap length, and what one hostile length field can make Next allocate.
 const maxRecordLen = 1 << 20
 
-// chunkSize is the size of the buffers frames are carved from.
-const chunkSize = 64 << 10
-
-// frameChunks hands out the frame bytes of one reader back-to-back from
-// chunkSize buffers, so a record costs a share of one allocation rather than
-// one of its own. A chunk's bytes are handed out once and never written
-// again, so a returned frame stays valid, unchanged, for as long as the
-// caller keeps it; a kept frame keeps its whole chunk alive.
-type frameChunks struct{ buf []byte }
-
-// tail returns n writable bytes after the last frame handed out, starting a
-// new chunk (or, for n > chunkSize, a buffer of n bytes) when they do not
-// fit. Nothing is handed out: the next tail call returns the same memory
-// unless claim is called in between.
-func (c *frameChunks) tail(n int) []byte {
-	if cap(c.buf)-len(c.buf) < n {
-		c.buf = make([]byte, 0, max(n, chunkSize))
-	}
-	return c.buf[len(c.buf) : len(c.buf)+n]
-}
-
-// claim hands out the first n bytes of the last tail. The result's capacity
-// ends with it, so an append by the caller reallocates rather than write
-// into the next frame.
-func (c *frameChunks) claim(n int) []byte {
-	start := len(c.buf)
-	c.buf = c.buf[:start+n]
-	return c.buf[start : start+n : start+n]
-}
-
 // Reader iterates over the records of a libpcap file.
 type Reader struct {
 	r       io.Reader
@@ -123,7 +93,6 @@ type Reader struct {
 	nanos   bool
 	snaplen uint32
 	hdr     [16]byte // record header scratch, a field so it does not escape per call
-	frames  frameChunks
 }
 
 // NewReader parses the file header and returns a Reader.
@@ -151,9 +120,8 @@ func NewReader(r io.Reader) (*Reader, error) {
 }
 
 // Next returns the next record, or io.EOF at the end of the file. The
-// returned data is the reader's to write only once: it is carved from a
-// buffer shared with neighbouring records that is never reused, so it is
-// safe to retain, and later Next calls leave it unchanged.
+// returned data is freshly allocated, exactly its capture length, and safe
+// to retain.
 func (pr *Reader) Next() (Packet, error) {
 	hdr := pr.hdr[:]
 	if _, err := io.ReadFull(pr.r, hdr); err != nil {
@@ -171,7 +139,7 @@ func (pr *Reader) Next() (Packet, error) {
 	if uint64(capLen) > min(uint64(pr.snaplen)+65536, maxRecordLen) {
 		return Packet{}, fmt.Errorf("pcap: record capture length %d exceeds sanity bound", capLen)
 	}
-	data := pr.frames.tail(int(capLen))
+	data := make([]byte, capLen)
 	if _, err := io.ReadFull(pr.r, data); err != nil {
 		return Packet{}, fmt.Errorf("pcap: reading record data: %w", err)
 	}
@@ -181,7 +149,7 @@ func (pr *Reader) Next() (Packet, error) {
 	}
 	return Packet{
 		Timestamp: time.Unix(int64(sec), ns).UTC(),
-		Data:      pr.frames.claim(len(data)),
+		Data:      data,
 		OrigLen:   int(origLen),
 	}, nil
 }

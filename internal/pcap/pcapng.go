@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"time"
 )
 
@@ -34,7 +35,7 @@ type NGReader struct {
 	// per-interface timestamp denominator (ticks per second)
 	ifaceTicks []uint64
 	hdr        [12]byte // block header scratch, a field so it does not escape per call
-	frames     frameChunks
+	body       []byte   // block body and trailer scratch, reused from block to block
 }
 
 // NewNGReader parses the section header and returns an NGReader.
@@ -89,9 +90,8 @@ func (ng *NGReader) skip(n uint32) error {
 }
 
 // Next returns the next captured packet or io.EOF; a file that ends part way
-// through a block is an error. The returned data is carved, like
-// Reader.Next's, from a buffer shared with neighbouring packets that is
-// never reused, so it is safe to retain.
+// through a block is an error. The returned data is, like Reader.Next's,
+// freshly allocated, exactly its capture length, and safe to retain.
 func (ng *NGReader) Next() (Packet, error) {
 	for {
 		hdr := ng.hdr[:8]
@@ -124,9 +124,12 @@ func (ng *NGReader) Next() (Packet, error) {
 			if total > maxRecordLen {
 				return Packet{}, fmt.Errorf("pcap: block length %d exceeds sanity bound", total)
 			}
-			// Body and trailing length in one read, at the tail of the frame
-			// chunk: a packet's bytes are then handed out where they landed.
-			buf := ng.frames.tail(int(n) + 4)
+			// Body and trailing length in one read into the scratch; a
+			// packet's bytes are copied out of it.
+			if cap(ng.body) < int(n)+4 {
+				ng.body = make([]byte, n+4)
+			}
+			buf := ng.body[:n+4]
 			if _, err := io.ReadFull(ng.r, buf); err != nil {
 				return Packet{}, fmt.Errorf("pcap: block body: %w", err)
 			}
@@ -159,7 +162,7 @@ func (ng *NGReader) Next() (Packet, error) {
 			if uint32(capLen) > origLen {
 				capLen = int(origLen)
 			}
-			return Packet{Data: ng.frames.claim(4 + capLen)[4:], OrigLen: int(origLen)}, nil
+			return Packet{Data: append([]byte{}, body[4:4+capLen]...), OrigLen: int(origLen)}, nil
 		}
 	}
 }
@@ -179,11 +182,16 @@ func (ng *NGReader) handleInterface(body []byte) {
 			if code == optEndOfOpt {
 				break
 			}
+			// A resolution finer than 64 bits of ticks per second can count
+			// (2^64 and up, 10^20 and up) would wrap ticks, to zero for a
+			// power of two; it is ignored and the default stands.
 			if code == optIfTsResol && olen >= 1 {
 				r := val[0]
 				if r&0x80 != 0 { // power of two
-					ticks = 1 << (r & 0x7f)
-				} else {
+					if r&0x7f < 64 {
+						ticks = 1 << (r & 0x7f)
+					}
+				} else if r <= 19 {
 					ticks = 1
 					for i := byte(0); i < r; i++ {
 						ticks *= 10
@@ -197,8 +205,8 @@ func (ng *NGReader) handleInterface(body []byte) {
 	ng.ifaceTicks = append(ng.ifaceTicks, ticks)
 }
 
-// handleEnhanced decodes an enhanced packet block whose body is the tail of
-// the frame chunk, and hands out its packet bytes from there.
+// handleEnhanced decodes an enhanced packet block's body, copying the packet
+// bytes out of it.
 func (ng *NGReader) handleEnhanced(body []byte) (Packet, error) {
 	if len(body) < 20 {
 		return Packet{}, fmt.Errorf("pcap: short enhanced packet block")
@@ -218,10 +226,13 @@ func (ng *NGReader) handleEnhanced(body []byte) (Packet, error) {
 	raw := uint64(tsHigh)<<32 | uint64(tsLow)
 	sec := raw / ticks
 	frac := raw % ticks
-	ns := frac * uint64(time.Second) / ticks
+	// frac*1e9 overflows 64 bits for resolutions past about 10^10 ticks per
+	// second, so it is taken in 128; frac < ticks keeps the quotient in 64.
+	hi, lo := bits.Mul64(frac, uint64(time.Second))
+	ns, _ := bits.Div64(hi, lo, ticks)
 	return Packet{
 		Timestamp: time.Unix(int64(sec), int64(ns)).UTC(),
-		Data:      ng.frames.claim(20 + int(capLen))[20:],
+		Data:      append([]byte{}, body[20:20+capLen]...),
 		OrigLen:   int(origLen),
 	}, nil
 }

