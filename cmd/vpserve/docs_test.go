@@ -58,7 +58,7 @@ func TestOperationsDocCoversFlags(t *testing.T) {
 // listed here as something main attaches rather than a setting.
 func TestServerConfigFieldsHaveFlags(t *testing.T) {
 	programmatic := map[string]string{
-		"Sink":         "the -rollup file, opened by main",
+		"Sink":         "the -telemetry-persist file's JSONL sink, opened by buildStore",
 		"Store":        "built by buildStore from the -telemetry-* flags",
 		"Registry":     "opened by main from -registry-dir",
 		"Drift":        "the monitor main builds beside the registry",

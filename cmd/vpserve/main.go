@@ -1,9 +1,9 @@
 // Command vpserve is the streaming ingest daemon: it replays a pcap/pcapng
 // capture (or generates synthetic traffic) through the sharded
 // classification pipeline with bounded per-shard flow tables, rolls
-// finalized flows into tumbling telemetry windows written as JSONL, and
-// serves an operations API (/stats, /flows, /windows, /query, /events,
-// /models, /trace, /healthz, /readyz, /metrics) while it runs.
+// finalized flows into tumbling telemetry windows, and serves an
+// operations API (/stats, /flows, /windows, /query, /events, /models,
+// /trace, /healthz, /readyz, /metrics) while it runs.
 // SIGINT/SIGTERM trigger a graceful shutdown that drains the shards and
 // flushes the final partial window.
 //
@@ -12,8 +12,9 @@
 // per-platform bandwidth by the hour — are answered live from /query
 // instead of post-processing rollup files. -telemetry-retain bounds the
 // store (count or age), -telemetry-tiers adds coarser downsampling
-// resolutions so long ranges stay cheap, and -telemetry-persist keeps the
-// history in a JSONL file that is reloaded on restart.
+// resolutions so long ranges stay cheap, and -telemetry-persist, the one
+// archive, appends every sealed window to a JSONL file that is reloaded on
+// restart.
 //
 // With -registry-dir the daemon keeps its banks in a versioned model
 // registry: /models lists the version history, /models/promote and
@@ -26,7 +27,7 @@
 //
 // Usage:
 //
-//	vpserve -model bank.gob -pcap capture.pcap -rate 5000 -rollup windows.jsonl
+//	vpserve -model bank.gob -pcap capture.pcap -rate 5000 -telemetry-persist windows.jsonl
 //	vpserve -synth 500 -addr :8080            # self-train a demo bank, synthetic load
 //	vpserve -pcap capture.pcap -exit-when-done
 //	vpserve -synth 400 -telemetry-tiers 10m,1h -telemetry-persist history.jsonl
@@ -70,7 +71,6 @@ type options struct {
 	maxFlows     int
 	idleTimeout  time.Duration
 	window       time.Duration
-	rollupOut    string
 	trainScale   float64
 	exitWhenDone bool
 
@@ -115,7 +115,6 @@ func registerFlags(fs *flag.FlagSet) *options {
 	fs.IntVar(&o.maxFlows, "max-flows", 65536, "flow-table cap across shards")
 	fs.DurationVar(&o.idleTimeout, "idle-timeout", 90*time.Second, "evict flows idle for this long, in trace time")
 	fs.DurationVar(&o.window, "window", time.Minute, "rollup window width")
-	fs.StringVar(&o.rollupOut, "rollup", "", "JSONL file receiving sealed rollup windows (default: discard)")
 	fs.Float64Var(&o.trainScale, "train-scale", 0.04, "lab-dataset scale for self-trained and retrained banks")
 	fs.BoolVar(&o.exitWhenDone, "exit-when-done", false, "shut down once the replay source is exhausted")
 
@@ -277,15 +276,7 @@ func main() {
 			"adversarial", o.adversarial)
 	}
 
-	var sink telemetry.Sink
-	if o.rollupOut != "" {
-		f, err := os.Create(o.rollupOut)
-		exitOn(err)
-		defer f.Close()
-		sink = telemetry.NewJSONLSink(f)
-	}
-
-	store, closeStore, err := buildStore(o.window, o.telemetryRetain, o.telemetryTiers, o.telemetryPersist)
+	store, sink, closeStore, err := buildStore(o.window, o.telemetryRetain, o.telemetryTiers, o.telemetryPersist)
 	exitOn(err)
 	defer closeStore()
 
@@ -370,24 +361,26 @@ func printVersion() {
 }
 
 // buildStore assembles the daemon's telemetry window store from the
-// -telemetry-* flags: retention (a count or an age), downsampling tiers
-// relative to the rollup width, and optional JSONL persistence whose
-// existing history is reloaded before the daemon starts.
-func buildStore(window time.Duration, retain, tiers, persist string) (*telemetry.Store, func(), error) {
+// -telemetry-* flags: retention (a count or an age) and downsampling tiers
+// relative to the rollup width. With -telemetry-persist it also reloads the
+// file's history into the store and returns the JSONL sink that appends to
+// it, which the server hands every sealed window beside the store (nil
+// without the flag).
+func buildStore(window time.Duration, retain, tiers, persist string) (*telemetry.Store, telemetry.Sink, func(), error) {
 	cfg := telemetry.StoreConfig{}
 	if n, err := strconv.Atoi(retain); err == nil {
 		if n <= 0 {
-			return nil, nil, fmt.Errorf("-telemetry-retain %q: count must be positive", retain)
+			return nil, nil, nil, fmt.Errorf("-telemetry-retain %q: count must be positive", retain)
 		}
 		cfg.MaxWindows = n
 	} else if age, err := time.ParseDuration(retain); err == nil {
 		if age <= 0 {
-			return nil, nil, fmt.Errorf("-telemetry-retain %q: age must be positive", retain)
+			return nil, nil, nil, fmt.Errorf("-telemetry-retain %q: age must be positive", retain)
 		}
 		cfg.MaxAge = age
 		cfg.MaxWindows = -1 // the age horizon is the sole bound
 	} else {
-		return nil, nil, fmt.Errorf("-telemetry-retain %q: want a window count (1440) or an age (24h)", retain)
+		return nil, nil, nil, fmt.Errorf("-telemetry-retain %q: want a window count (1440) or an age (24h)", retain)
 	}
 
 	switch tiers {
@@ -398,38 +391,37 @@ func buildStore(window time.Duration, retain, tiers, persist string) (*telemetry
 		for _, part := range strings.Split(tiers, ",") {
 			d, err := time.ParseDuration(strings.TrimSpace(part))
 			if err != nil || d <= 0 {
-				return nil, nil, fmt.Errorf("-telemetry-tiers %q: bad width %q (want durations like 10m,1h)", tiers, part)
+				return nil, nil, nil, fmt.Errorf("-telemetry-tiers %q: bad width %q (want durations like 10m,1h)", tiers, part)
 			}
 			// A tier no coarser than the window duplicates raw windows for
 			// zero resolution gain; a non-multiple mis-aligns buckets so
 			// whole windows land in ranges their flows don't occupy.
 			if d <= window || d%window != 0 {
-				return nil, nil, fmt.Errorf("-telemetry-tiers %q: width %s must be a multiple of -window %s, coarser than it", tiers, d, window)
+				return nil, nil, nil, fmt.Errorf("-telemetry-tiers %q: width %s must be a multiple of -window %s, coarser than it", tiers, d, window)
 			}
 			cfg.Tiers = append(cfg.Tiers, d)
 		}
 	}
 
+	store := telemetry.NewStore(cfg)
 	if persist == "" {
-		return telemetry.NewStore(cfg), func() {}, nil
+		return store, nil, func() {}, nil
 	}
 	f, err := os.OpenFile(persist, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
-		return nil, nil, fmt.Errorf("-telemetry-persist: %w", err)
+		return nil, nil, nil, fmt.Errorf("-telemetry-persist: %w", err)
 	}
-	cfg.Persist = telemetry.NewJSONLSink(f)
-	store := telemetry.NewStore(cfg)
 	// Reload leaves the file position at EOF, so the sink appends after
 	// the restored history.
 	n, err := store.Reload(f)
 	if err != nil {
 		f.Close()
-		return nil, nil, fmt.Errorf("-telemetry-persist %s: %v (repair or remove the file)", persist, err)
+		return nil, nil, nil, fmt.Errorf("-telemetry-persist %s: %v (repair or remove the file)", persist, err)
 	}
 	if n > 0 {
 		slog.Info("reloaded telemetry windows", "windows", n, "path", persist)
 	}
-	return store, func() { f.Close() }, nil
+	return store, telemetry.NewJSONLSink(f), func() { f.Close() }, nil
 }
 
 // retrainFunc regenerates "fresh ground truth" for a replacement bank. The

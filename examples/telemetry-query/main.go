@@ -71,14 +71,14 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	store := telemetry.NewStore(telemetry.StoreConfig{
-		Tiers:   []time.Duration{5 * time.Minute},
-		Persist: telemetry.NewJSONLSink(hist),
-	})
+	// The server hands every sealed window to the store and the sink alike
+	// (telemetry.MultiSink): the JSONL file is the archive, the store what
+	// /query reads.
 	srv, err := server.New(bank, src, server.Config{
 		Addr:        "127.0.0.1:0",
 		WindowWidth: time.Minute,
-		Store:       store,
+		Store:       telemetry.NewStore(telemetry.StoreConfig{Tiers: []time.Duration{5 * time.Minute}}),
+		Sink:        telemetry.NewJSONLSink(hist),
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -181,10 +181,11 @@ func TestECHDegradedClassification(t *testing.T) {
 	}
 }
 
-// TestZeroRTTDegradedEscalation pins confidence escalation on opaque flows:
-// with a hint available the pipeline classifies on the partial features seen
-// so far, keeps the best margin, and the terminal decision is one of the two
-// explicit outcomes with matching counters.
+// TestZeroRTTDegradedEscalation pins degraded classification of opaque
+// flows: with a hint available the pipeline classifies on the partial
+// features the 0-RTT packets showed, once the short header proves no hello
+// is coming, and the terminal decision is one of the two explicit outcomes
+// with matching counters.
 func TestZeroRTTDegradedEscalation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains a bank")

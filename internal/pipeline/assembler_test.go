@@ -11,7 +11,6 @@ import (
 	"videoplat/internal/features"
 	"videoplat/internal/fingerprint"
 	"videoplat/internal/packet"
-	"videoplat/internal/quicproto"
 	"videoplat/internal/tracegen"
 )
 
@@ -302,8 +301,9 @@ func clientFrames(t *testing.T, seed uint64, tr fingerprint.Transport) [][]byte 
 // TestAssemblerAllocCeilings pins what assembling one whole flow allocates
 // — only what the flow has to own until it is classified. TCP: the copy of
 // its client bytes, and the ClientHello with its cipher suites and
-// extensions, parsed where they lie in that copy. QUIC: the decrypted
-// payload, the Initial's three cipher objects (crypto/aes cannot re-key
+// extensions, parsed where they lie in that copy. QUIC: the copy of its
+// CRYPTO bytes (the Initial is decrypted into the scratch, which every flow
+// shares), the Initial's three cipher objects (crypto/aes cannot re-key
 // one), the ClientHello's three, and the transport parameters with their
 // list.
 func TestAssemblerAllocCeilings(t *testing.T) {
@@ -315,16 +315,12 @@ func TestAssemblerAllocCeilings(t *testing.T) {
 		{fingerprint.QUIC, 9},
 	} {
 		frames := clientFrames(t, 7, c.tr)
-		var (
-			parser packet.Parser
-			parsed packet.Parsed
-			opener quicproto.Opener
-		)
+		var scratch asmScratch
 		assemble := func() bool {
 			var a hsAssembler
 			a.init()
 			for _, fr := range frames {
-				if a.consume(&parser, &parsed, &opener, fr) {
+				if a.consume(&scratch, fr) {
 					return a.finish().Hello != nil
 				}
 			}
@@ -347,16 +343,14 @@ func TestAssemblerAllocCeilings(t *testing.T) {
 func TestAssembledHelloSurvivesLaterFlows(t *testing.T) {
 	for _, tr := range []fingerprint.Transport{fingerprint.TCP, fingerprint.QUIC} {
 		var (
-			parser packet.Parser
-			parsed packet.Parsed
-			opener quicproto.Opener
-			arena  []byte // every frame is consumed from here, then overwritten
+			scratch asmScratch
+			arena   []byte // every frame is consumed from here, then overwritten
 		)
 		run := func(a *hsAssembler, seed uint64) *features.HandshakeInfo {
 			a.init()
 			for _, fr := range clientFrames(t, seed, tr) {
 				arena = append(arena[:0], fr...)
-				done := a.consume(&parser, &parsed, &opener, arena)
+				done := a.consume(&scratch, arena)
 				clear(arena)
 				if done {
 					return a.finish()

@@ -400,7 +400,8 @@ func TestClassifyHandshakeZeroAlloc(t *testing.T) {
 // TestClassifyPartialZeroAlloc pins the degraded serving path: a partial
 // HandshakeInfo with no ClientHello — the input ECH and 0-RTT flows present
 // to the early-classification gate — must classify with zero allocations,
-// since escalateEarly runs once per opaque frame on the hot path.
+// since finishDegraded runs it on the serving path for every hinted ECH and
+// 0-RTT flow.
 func TestClassifyPartialZeroAlloc(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains a bank")

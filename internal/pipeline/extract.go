@@ -71,12 +71,16 @@
 //
 //   - Incremental handshake assembly. Each flow owns an hsAssembler, a
 //     small state machine that consumes client-direction bytes as they
-//     arrive and remembers parse progress (SYN fields, buffered TCP payload
-//     bytes), so a flow is reassembled once in O(client handshake bytes)
-//     instead of re-running full reassembly over every buffered frame on
-//     every packet. Server-direction packets never touch assembly, and
-//     buffered bytes are bounded by maxHelloBytes (oversized flows are
-//     abandoned with VerdictOversized).
+//     arrive and remembers parse progress (SYN fields, and one buffer of
+//     handshake bytes: the TCP payload, or the QUIC CRYPTO runs copied out
+//     of each Initial as it is opened), so a flow is reassembled once in
+//     O(client handshake bytes) instead of re-running full reassembly over
+//     every buffered frame on every packet. What decoding and decrypting a
+//     frame needs beyond that — parser state, the Opener, the decrypted
+//     Initial — is one asmScratch per pipeline, kept by no flow.
+//     Server-direction packets never touch assembly, and buffered bytes are
+//     bounded by maxHelloBytes (oversized flows are abandoned with
+//     VerdictOversized).
 //
 //   - One compiled evaluator. Bank.ClassifyBatch encodes handshakes through
 //     the three objectives' shared features.CompiledEncoder — raw wire
@@ -101,16 +105,17 @@
 //     counted exactly once; anything that reports how many flows were
 //     classified reads those counters (Sharded.IngestStats sums them).
 //
-// Scratch-reuse rules: each Pipeline owns one ClassifyScratch (and each
-// Sharded shard owns its Pipeline), so scratch state is single-goroutine by
-// construction. The HandshakeInfo passed to Config.OnClassify is lent for
-// the hook call and points into the flow's own handshake buffer, not into
-// scratch: nothing reuses those bytes, but a hook that kept it would pin a
-// flow's worth of handshake (see Config.OnClassify); the shadow evaluator
-// classifies synchronously within the call. Serialized banks carry only
-// encoders and forests — UnmarshalBinary rebuilds the compiled tables and
-// the serving index before it returns — so the gob format is unchanged and
-// older banks load into the compiled evaluator.
+// Scratch-reuse rules: each Pipeline owns one asmScratch and one
+// ClassifyScratch (and each Sharded shard owns its Pipeline), so scratch
+// state is single-goroutine by construction. The HandshakeInfo passed to
+// Config.OnClassify is lent for the hook call and points into the flow's
+// own handshake buffer, not into scratch: nothing reuses those bytes, but a
+// hook that kept it would pin a flow's worth of handshake (see
+// Config.OnClassify); the shadow evaluator classifies synchronously within
+// the call. Serialized banks carry only encoders and forests —
+// UnmarshalBinary rebuilds the compiled tables and the serving index before
+// it returns — so the gob format is unchanged and older banks load into the
+// compiled evaluator.
 package pipeline
 
 import (
@@ -159,39 +164,33 @@ func MatchProvider(sni string) (prov fingerprint.Provider, content, ok bool) {
 
 // hsAssembler is the incremental per-flow handshake assembler: a small
 // state machine that consumes client-direction frames one at a time,
-// remembering parse progress (SYN fields seen, TCP payload bytes buffered),
+// remembering parse progress (SYN fields seen, handshake bytes buffered),
 // so a flow's handshake is reassembled in O(total client bytes) instead of
 // re-running full reassembly over every buffered frame on every packet.
 // Consuming a flow's client frames in order leaves the assembler in exactly
 // the state ExtractFrames' batch fold would have reached — ExtractFrames is
 // implemented on top of it.
 //
-// The assembler owns every byte it retains, and the assembled Hello aliases
-// nothing else: TCP payloads are copied into tcpStream and a hello that
-// arrived in one record is parsed where it lies there; a QUIC Initial is
-// decrypted straight into quicPayload and a hello that arrived in one CRYPTO
-// frame is parsed where it lies there. Never the input frame — callers may
-// recycle frame buffers (e.g. Sharded's batch arenas) as soon as consume
-// returns — and never the Opener, which the pipeline's other flows reuse.
-// The buffers live until the flow's assembler is released by
+// The assembler owns every byte it retains, in one buffer, and the
+// assembled Hello aliases nothing else: a flow is TCP or QUIC, so stream
+// holds either the client's TCP payload as it arrives or the QUIC CRYPTO
+// runs that continue the stream, copied out of each Initial as it is
+// opened, and the hello is parsed where it lies there. Never the input frame
+// — callers may recycle frame buffers (e.g. Sharded's batch arenas) as soon
+// as consume returns — and never the asmScratch, which the pipeline's other
+// flows reuse. The buffer lives until the flow's assembler is released by
 // Pipeline.finalize (or, for an OnClassify hook still reading the handshake,
-// until the last reference to info.Hello goes), and with them everything
+// until the last reference to info.Hello goes), and with it everything
 // info.Hello points into.
 type hsAssembler struct {
-	info      features.HandshakeInfo
-	sawSYN    bool
-	tcpStream []byte // buffered client-direction TCP payload bytes
-	frames    int    // client frames consumed so far
-
-	// quicPayload is the decrypted payload of the flow's latest Initial —
-	// the buffer quicproto.Opener.Open writes into, reused across the
-	// flow's Initials until one completes the hello.
-	quicPayload []byte
-	// cryptoStream buffers a QUIC CRYPTO stream split across Initials
-	// (e.g. a hello fragmented around a mid-handshake migration). Only a
-	// contiguous prefix is kept; out-of-order fragments end the flow as
-	// no-handshake rather than buying an unbounded reorder buffer.
-	cryptoStream []byte
+	info features.HandshakeInfo
+	// stream buffers the flow's client handshake bytes. For QUIC only a
+	// contiguous prefix of the CRYPTO stream is kept; a run that does not
+	// continue it ends the flow as no-handshake rather than buying an
+	// unbounded reorder buffer.
+	stream []byte
+	frames int // client frames consumed so far
+	sawSYN bool
 	// sawInit records that the transport attributes (TTL, initial packet
 	// size) were captured from the flow's first QUIC packet, so later
 	// packets never overwrite them.
@@ -205,22 +204,36 @@ type hsAssembler struct {
 	giveUp bool
 }
 
+// asmScratch is what assembling a frame uses and keeps nothing of: the full
+// decode's parser state, the Opener, and the buffer a QUIC Initial is
+// decrypted into. One serves every flow of a pipeline, because consume
+// copies whatever a flow keeps into that flow's own stream before it
+// returns; and one per Pipeline (each Sharded shard owns its own) makes it
+// single-goroutine by construction.
+type asmScratch struct {
+	parser packet.Parser
+	parsed packet.Parsed
+	opener quicproto.Opener
+	plain  []byte // the latest Initial's decrypted payload
+}
+
 func (a *hsAssembler) init() { a.info.TCPWScale = -1 }
 
 // buffered reports the client handshake bytes currently held for this flow
 // (the quantity maxHelloBytes bounds).
-func (a *hsAssembler) buffered() int { return len(a.tcpStream) + len(a.cryptoStream) }
+func (a *hsAssembler) buffered() int { return len(a.stream) }
 
 // consume feeds one client-direction frame to the state machine, decoding it
-// in full with the caller's scratch parser state — the TTL, flags and options
-// the per-packet packet.Summary skips are read here — and opening QUIC
-// Initials with the caller's Opener. It returns true once the flow's
-// ClientHello has been fully assembled, after which a.info is complete
-// (including pre-parsed QUIC transport parameters) and no further frames
-// should be offered.
-func (a *hsAssembler) consume(parser *packet.Parser, parsed *packet.Parsed, opener *quicproto.Opener, frame []byte) bool {
+// in full with the scratch parser state — the TTL, flags and options the
+// per-packet packet.Summary skips are read here — and opening QUIC Initials
+// with the scratch Opener. It returns true once the flow's ClientHello has
+// been fully assembled, after which a.info is complete (including
+// pre-parsed QUIC transport parameters) and no further frames should be
+// offered.
+func (a *hsAssembler) consume(s *asmScratch, frame []byte) bool {
 	a.frames++
-	if err := parser.Parse(frame, parsed); err != nil {
+	parsed := &s.parsed
+	if err := s.parser.Parse(frame, parsed); err != nil {
 		return false // non-IP noise is skipped, as a tap would
 	}
 	info := &a.info
@@ -239,15 +252,15 @@ func (a *hsAssembler) consume(parser *packet.Parser, parsed *packet.Parsed, open
 			info.TCPSACK = t.SACKPermitted()
 		}
 		if len(parsed.Payload) > 0 && info.Hello == nil {
-			a.tcpStream = append(a.tcpStream, parsed.Payload...)
-			ch, err := tlsproto.ParseRecord(a.tcpStream)
+			a.stream = append(a.stream, parsed.Payload...)
+			ch, err := tlsproto.ParseRecord(a.stream)
 			if err == nil {
 				info.Hello = ch
 				return true
 			}
 			if !errors.Is(err, tlsproto.ErrMalformed) {
 				// Not a handshake record at all: wrong flow start.
-				a.tcpStream = a.tcpStream[:0]
+				a.stream = a.stream[:0]
 			}
 		}
 	case parsed.Has(packet.LayerUDP):
@@ -260,50 +273,40 @@ func (a *hsAssembler) consume(parser *packet.Parser, parsed *packet.Parsed, open
 			}
 			return false
 		}
+		var init quicproto.Initial
 		if quicproto.LongHeaderType(parsed.Payload) == quicproto.Type0RTT {
 			// 0-RTT early data: opaque under resumed keys, and evidence the
-			// flow is a session resumption. Its envelope still carries the
-			// transport attributes the degraded path classifies on.
+			// flow is a session resumption. It carries no CRYPTO stream.
 			a.zeroRTT = true
-			if !a.sawInit {
-				a.sawInit = true
-				info.QUIC = true
-				info.TTL = parsed.TTL()
-				info.InitPacketSize = len(parsed.Payload)
+		} else {
+			var err error
+			if s.plain, err = s.opener.Open(&init, parsed.Payload, s.plain); err != nil {
+				return false
 			}
-			return false
 		}
-		var init quicproto.Initial
-		var err error
-		if a.quicPayload, err = opener.Open(&init, parsed.Payload, a.quicPayload); err != nil {
-			return false
-		}
+		// The flow's first QUIC packet, early data or Initial, carries the
+		// transport attributes — what the degraded path classifies on when
+		// no hello ever comes.
 		if !a.sawInit {
 			a.sawInit = true
 			info.QUIC = true
 			info.TTL = parsed.TTL()
-			info.InitPacketSize = init.WireSize
+			info.InitPacketSize = len(parsed.Payload)
 		}
-		// Fast path: the whole hello in one Initial — no buffering, the
-		// parsed Hello is backed by quicPayload.
-		if init.CryptoOffset == 0 && len(a.cryptoStream) == 0 {
-			if ch, err := tlsproto.Parse(init.CryptoData); err == nil {
-				info.Hello = ch
-				return true
-			}
+		// A hello split across Initials (a client that migrated
+		// mid-handshake fragments its flight) arrives as several CRYPTO
+		// runs. Each that continues the stream is copied onto it; a gap
+		// means the flow ends as no-handshake via the frame-count heuristic.
+		if len(init.CryptoData) == 0 || int(init.CryptoOffset) != len(a.stream) {
+			return false
 		}
-		// Cross-packet CRYPTO accumulation: a hello split across Initials
-		// (a client that migrated mid-handshake fragments its flight).
-		// Fragments must arrive contiguously; a gap means the flow ends as
-		// no-handshake via the frame-count heuristic.
-		if int(init.CryptoOffset) == len(a.cryptoStream) && len(init.CryptoData) > 0 {
-			a.cryptoStream = append(a.cryptoStream, init.CryptoData...)
-			if ch, err := tlsproto.Parse(a.cryptoStream); err == nil {
-				info.Hello = ch
-				return true
-			}
+		a.stream = append(a.stream, init.CryptoData...)
+		ch, err := tlsproto.Parse(a.stream)
+		if err != nil {
+			return false
 		}
-		return false
+		info.Hello = ch
+		return true
 	}
 	return false
 }
@@ -326,14 +329,14 @@ func (a *hsAssembler) finish() *features.HandshakeInfo {
 // handshake-attribute path of Fig 4's preprocessing stage, expressed as a
 // batch fold over the incremental assembler the streaming pipeline uses.
 func ExtractFrames(frames [][]byte) (*features.HandshakeInfo, error) {
-	var parser packet.Parser
-	var parsed packet.Parsed
-	var opener quicproto.Opener
-	var a hsAssembler
-	a.init()
+	var x struct { // one allocation for both
+		a hsAssembler
+		s asmScratch
+	}
+	x.a.init()
 	for _, frame := range frames {
-		if a.consume(&parser, &parsed, &opener, frame) {
-			return a.finish(), nil
+		if x.a.consume(&x.s, frame) {
+			return x.a.finish(), nil
 		}
 	}
 	return nil, ErrNoHandshake

@@ -6,6 +6,7 @@ import (
 
 	"videoplat/internal/fingerprint"
 	"videoplat/internal/flowtable"
+	"videoplat/internal/leakcheck"
 	"videoplat/internal/tracegen"
 )
 
@@ -198,6 +199,7 @@ func TestMigrationTrailerPaddedFrames(t *testing.T) {
 // CID routing cache must override it and deliver post-migration frames to
 // the owning shard. One record per logical flow across the whole Sharded.
 func TestShardedMigrationRouting(t *testing.T) {
+	leakcheck.Check(t)
 	const flows = 6
 	s := NewSharded(emptyBank(), 4)
 	go func() {

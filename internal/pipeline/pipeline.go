@@ -147,13 +147,6 @@ type flowState struct {
 	clientKey packet.FlowKey // client-to-server direction of the current tuple: ClientSide of it
 	done      bool           // finalize ran: rec.Verdict is terminal
 	span      *obs.Span      // lifecycle trace, non-nil only for sampled flows
-
-	// early is the best degraded prediction so far for a flow whose hello
-	// may never surface (0-RTT): each client frame re-classifies on what is
-	// visible and the highest-margin attempt is kept, so the terminal
-	// decision escalates with confidence instead of betting on one look.
-	early    Prediction
-	hasEarly bool
 	// cids lists this flow's registrations in the pipeline's CID index so
 	// eviction can unregister them.
 	cids []cidKey
@@ -269,13 +262,10 @@ type Pipeline struct {
 	flows     *flowtable.Table[*flowState]
 	lastSweep time.Time
 
-	parser packet.Parser
-	parsed packet.Parsed
-	// opener decrypts the QUIC Initials of every flow this pipeline
-	// assembles. It keeps nothing of a packet once Open returns (the
-	// decrypted bytes go to the flow's assembler), so one per pipeline is
-	// safe for the same reason scratch is.
-	opener quicproto.Opener
+	// assembly is what every flow's hsAssembler.consume borrows for a frame
+	// and keeps nothing of (the flow copies its handshake bytes into its own
+	// buffer), so one per pipeline is safe for the same reason scratch is.
+	assembly asmScratch
 	// scratch holds the classification path's reusable buffers (encoded
 	// rows, forest probabilities, extension-walk scratch). One per pipeline
 	// is safe: HandlePacket is single-goroutine by contract, and each shard
@@ -301,7 +291,6 @@ type Pipeline struct {
 	packets         atomic.Uint64
 	verdicts        [NumVerdicts]atomic.Uint64              // bumped by finalize alone
 	classifiedBy    [fingerprint.NumProviders]atomic.Uint64 // likewise
-	migrations      atomic.Uint64
 	earlyClassified atomic.Uint64
 }
 
@@ -320,7 +309,8 @@ type Stats struct {
 	// because finalize bumps them beside the verdict.
 	ClassifiedByProvider [fingerprint.NumProviders]uint64
 	// Migrations counts flows re-keyed onto a new 5-tuple by QUIC
-	// connection migration.
+	// connection migration: the flow table's Rekeyed, which nothing else
+	// moves.
 	Migrations uint64
 	// EarlyClassified counts degraded (partial-feature) classifications
 	// accepted by the EarlyMinMargin gate; they are also counted in
@@ -332,7 +322,7 @@ type Stats struct {
 func (p *Pipeline) Stats() Stats {
 	st := Stats{
 		Packets:         p.packets.Load(),
-		Migrations:      p.migrations.Load(),
+		Migrations:      p.flows.Stats().Rekeyed,
 		EarlyClassified: p.earlyClassified.Load(),
 	}
 	for v := range st.Verdicts {
@@ -555,7 +545,7 @@ func (p *Pipeline) handleKeyed(ts time.Time, frame, payload []byte, key packet.F
 	if timed {
 		asmStart = time.Now()
 	}
-	complete := st.asm.consume(&p.parser, &p.parsed, &p.opener, frame)
+	complete := st.asm.consume(&p.assembly, frame)
 	if timed {
 		d := time.Since(asmStart)
 		p.cfg.Observer.Record(obs.StageAssembly, d)
@@ -564,11 +554,6 @@ func (p *Pipeline) handleKeyed(ts time.Time, frame, payload []byte, key packet.F
 		}
 	}
 	if !complete {
-		if st.asm.zeroRTT && !st.asm.giveUp {
-			// Confidence escalation: classify on what is visible so far and
-			// keep the highest-margin attempt for the terminal decision.
-			p.escalateEarly(st)
-		}
 		switch {
 		case st.asm.giveUp, st.asm.zeroRTT && st.asm.frames > 8:
 			// 0-RTT resumption: the hello is not coming. Decide on partial
@@ -673,50 +658,33 @@ func (p *Pipeline) earlyMinMargin() float64 {
 	return p.cfg.EarlyMinMargin
 }
 
-// escalateEarly runs one degraded classification attempt on the features
-// visible so far, keeping the highest-margin prediction — the confidence
-// escalation of a flow whose hello may never surface. Bounded by the
-// 8-frame handshake heuristic, so an opaque flow costs at most a handful of
-// attempts before its terminal decision.
-func (p *Pipeline) escalateEarly(st *flowState) {
-	prov, ok := p.hintFor(st)
-	if !ok {
-		return
-	}
-	pred, err := p.bank.Load().ClassifyHandshake(prov, transportOf(&st.asm.info), &st.asm.info, &p.scratch)
-	if err != nil || pred.Status == Unknown {
-		return
-	}
-	if !st.hasEarly || pred.PlatformMargin > st.early.PlatformMargin {
-		st.early, st.hasEarly = pred, true
-	}
-}
-
 // finishDegraded terminates a flow whose decisive features never surfaced —
 // an ECH hello with no real SNI, or a 0-RTT resumption with no hello at
-// all. With a provider hint available the flow is classified on whatever
-// features did materialize, accepted only when the prediction clears both
-// the confidence selector and the EarlyMinMargin gate; otherwise the flow
-// abstains into the open-set bucket with the explicit fallback verdict.
-// Config.OnClassify is deliberately not invoked: drift monitors and shadow
-// evaluators compare full-feature classifications, and feeding them
-// partial-feature records would poison both baselines.
+// all. With a provider hint available the flow is classified once, on
+// whatever features did materialize (for 0-RTT they are fixed by the flow's
+// first packet, so an earlier look would have seen the same), by the bank
+// whose Version the record is then stamped with. The prediction is accepted
+// only when it clears both the confidence selector and the EarlyMinMargin
+// gate; otherwise the flow abstains into the open-set bucket with the
+// explicit fallback verdict. Config.OnClassify is deliberately not invoked:
+// drift monitors and shadow evaluators compare full-feature
+// classifications, and feeding them partial-feature records would poison
+// both baselines.
 func (p *Pipeline) finishDegraded(st *flowState, info *features.HandshakeInfo, fallback Verdict) (*FlowRecord, error) {
 	st.rec.Transport = transportOf(info)
-	bank := p.bank.Load()
-	best, have := st.early, st.hasEarly
 	prov, hinted := p.hintFor(st)
-	if hinted && !have {
-		if pred, err := bank.ClassifyHandshake(prov, st.rec.Transport, info, &p.scratch); err == nil {
-			best, have = pred, true
-		}
+	if !hinted {
+		p.finalize(st, fallback)
+		return nil, nil
 	}
-	if !hinted || !have || best.Status == Unknown || best.PlatformMargin < p.earlyMinMargin() {
+	bank := p.bank.Load() // one load: the prediction and its version stamp
+	pred, err := bank.ClassifyHandshake(prov, st.rec.Transport, info, &p.scratch)
+	if err != nil || pred.Status == Unknown || pred.PlatformMargin < p.earlyMinMargin() {
 		p.finalize(st, fallback)
 		return nil, nil
 	}
 	st.rec.Provider = prov
-	st.rec.Prediction = best
+	st.rec.Prediction = pred
 	st.rec.Classified = true
 	st.rec.ModelVersion = bank.Version
 	p.earlyClassified.Add(1)
@@ -743,7 +711,6 @@ func (p *Pipeline) migrateFlow(key, canon packet.FlowKey, payload []byte, ts tim
 	if !ok {
 		return nil, false // unreachable: Rekey just installed canon
 	}
-	p.migrations.Add(1)
 	// The client now speaks from the migrated tuple (the 443 side stays the
 	// server); re-pointing clientKey keeps the direction split and any
 	// still-running handshake assembly correct for everything that follows.

@@ -3,9 +3,11 @@ package pipeline
 import (
 	"bytes"
 	"encoding/gob"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"videoplat/internal/features"
 	"videoplat/internal/fingerprint"
@@ -26,6 +28,49 @@ func trainSmallBank(t testing.TB, seed uint64, scale float64) (*Bank, *tracegen.
 		t.Fatal(err)
 	}
 	return bank, ds
+}
+
+// decidedFlowBytes is the heap a decided flow may hold in a Pipeline's
+// table: its flowState, table entry and map slot, and its SNI. The flows of
+// TestFlowStateFootprint measure 734 bytes each on amd64 with Go 1.24.
+const decidedFlowBytes = 800
+
+// TestFlowStateFootprint pins what a tracked flow costs once it is decided,
+// the resident bytes at N active flows a daemon pays. A flowState fits the
+// 512-byte size class, and 10^5 classified flows in a default-Config
+// Pipeline hold at most decidedFlowBytes of heap each.
+func TestFlowStateFootprint(t *testing.T) {
+	if size := unsafe.Sizeof(flowState{}); size > 512 {
+		t.Errorf("flowState is %d bytes, want <= 512", size)
+	}
+
+	const flows = 100_000
+	bank := platformBank(t, "windows_chrome", fingerprint.TCP, "")
+	ft, err := tracegen.New(62).Flow("windows_chrome", fingerprint.YouTube, fingerprint.TCP, tracegen.FlowSpec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hello := append([]byte(nil), ft.Frames[3].Data...) // the ClientHello segment
+	client := hello[26:30]                             // its IPv4 source
+	p := New(bank)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < flows; i++ {
+		client[1], client[2], client[3] = byte(i>>16), byte(i>>8), byte(i)
+		p.HandlePacket(ft.Start, hello)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if got := p.Stats().Verdicts[VerdictClassified]; got != flows {
+		t.Fatalf("%d of %d flows classified", got, flows)
+	}
+	perFlow := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / flows
+	runtime.KeepAlive(p)
+	if perFlow > decidedFlowBytes {
+		t.Errorf("a decided flow holds %.0f bytes of heap, want <= %d", perFlow, decidedFlowBytes)
+	}
+	t.Logf("%.0f bytes per decided flow", perFlow)
 }
 
 func TestMatchProvider(t *testing.T) {

@@ -127,20 +127,23 @@ type Sharded struct {
 	// CID first. It is a routing cache, not authoritative state: entries go
 	// stale when flows evict, a stale hit merely routes the packet to a
 	// shard that treats it as a new flow — exactly what no cache would do.
-	// Learning stops at maxCIDRoutes; a long-running deployment sheds the
-	// cache by Close/restart (documented in OPERATIONS.md).
+	// It ages instead of filling up: two generations of maxCIDRoutes/2
+	// entries (generations), so a daemon that never restarts keeps routing
+	// the flows of the last tens of thousands of connections, and a CID
+	// still in use is refreshed by every hit.
 	cidRoute cidIndex[int]
 	// tupleRoute pins a canonical 5-tuple to the shard its flow lives on,
 	// learned whenever CID routing overrides the tuple hash. It exists for
 	// frames CID routing cannot see: a client with a zero-length connection
 	// ID (Chrome) receives post-migration short headers carrying no CID at
 	// all, and only the migrated tuple links them to the owning shard. Same
-	// ownership and staleness story as cidRoute; shares its size cap.
-	tupleRoute map[packet.FlowKey]int
+	// ownership, staleness and ageing as cidRoute, under the same bound.
+	tupleRoute generations[packet.FlowKey, int]
 }
 
-// maxCIDRoutes bounds the ingest routing cache: 64K entries (~1.5 MB) covers
-// tens of thousands of concurrent QUIC flows before learning stops.
+// maxCIDRoutes bounds each ingest routing cache: 64K entries (~1.5 MB for
+// the CIDs) in two generations of half that, which covers tens of thousands
+// of concurrent QUIC flows.
 const maxCIDRoutes = 1 << 16
 
 type shard struct {
@@ -251,6 +254,8 @@ func NewShardedWithConfig(bank *Bank, n int, cfg Config) *Sharded {
 		obsv:    cfg.Observer,
 		tracer:  cfg.Tracer,
 	}
+	s.cidRoute.m.bound = maxCIDRoutes / 2
+	s.tupleRoute.bound = maxCIDRoutes / 2
 	for i := 0; i < n; i++ {
 		in := make(chan shardMsg, cfg.inboxDepth)
 		// Each shard's pipeline gets a private Config copy carrying its
@@ -334,18 +339,13 @@ func (s *Sharded) decode(ts time.Time, data []byte) {
 		if sum.Reversed {
 			canon = canon.Reverse()
 		}
-		if own, hit := s.tupleRoute[canon]; hit {
+		if own, hit := s.tupleRoute.get(canon); hit {
 			idx = own
 		} else if routed := s.routeQUIC(payload, idx); routed != idx {
 			// CID routing overrode the hash: a migrated tuple. Pin it so
 			// CID-less frames on this tuple follow the flow too.
 			idx = routed
-			if len(s.tupleRoute) < maxCIDRoutes {
-				if s.tupleRoute == nil {
-					s.tupleRoute = make(map[packet.FlowKey]int)
-				}
-				s.tupleRoute[canon] = idx
-			}
+			s.tupleRoute.put(canon, idx)
 		}
 	}
 
@@ -407,7 +407,7 @@ func (s *Sharded) routeQUIC(payload []byte, hashIdx int) int {
 		idx = hashIdx
 	}
 	for _, cid := range [2][]byte{ids.DCID, ids.SCID} {
-		if _, known := s.cidRoute.get(cid); known || s.cidRoute.len() >= maxCIDRoutes {
+		if _, known := s.cidRoute.get(cid); known {
 			continue
 		}
 		if ck, ok := mkCIDKey(cid); ok {

@@ -1,13 +1,18 @@
 package pipeline
 
 import (
+	"bytes"
 	"math/rand/v2"
 	"net/netip"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"videoplat/internal/fingerprint"
+	"videoplat/internal/flowtable"
+	"videoplat/internal/leakcheck"
 	"videoplat/internal/packet"
+	"videoplat/internal/quicproto"
 	"videoplat/internal/tracegen"
 )
 
@@ -15,6 +20,7 @@ func TestShardedPipelineClassifiesAllFlows(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bank training is slow")
 	}
+	leakcheck.Check(t)
 	bank, _ := trainSmallBank(t, 31, 0.02)
 	s := NewSharded(bank, 4)
 
@@ -150,6 +156,7 @@ func TestHashKeyDistribution(t *testing.T) {
 }
 
 func TestShardedSingleShard(t *testing.T) {
+	leakcheck.Check(t)
 	bank := &Bank{models: map[bankKey]*Model{}}
 	s := NewSharded(bank, 0) // clamps to 1
 	if len(s.shards) != 1 {
@@ -159,5 +166,145 @@ func TestShardedSingleShard(t *testing.T) {
 	s.Close()
 	if got := len(s.Flows()); got != 0 {
 		t.Errorf("flows = %d", got)
+	}
+}
+
+// soakFrame is one frame of a rendered flow, with where copy n stamps itself
+// in: the client's IPv4 address and the first bytes of each connection ID.
+type soakFrame struct {
+	off    time.Duration
+	data   []byte
+	client int   // offset of the client's address
+	cids   []int // offsets of connection IDs, each at least 3 bytes long
+}
+
+// soakFrames prepares ft, an IPv4 QUIC flow, for copying: every frame with
+// the offsets of the bytes that make copy n a flow of its own.
+func soakFrames(t *testing.T, ft *tracegen.FlowTrace) []soakFrame {
+	t.Helper()
+	const payload = 14 + 20 + 8 // Ethernet, option-less IPv4, UDP
+	var ids [][]byte
+	for _, fr := range ft.Frames {
+		if p := fr.Data[payload:]; quicproto.IsLongHeader(p) {
+			cids, err := quicproto.ParseLongHeaderCIDs(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids = append(ids, cids.DCID, cids.SCID)
+		}
+	}
+	var out []soakFrame
+	for _, fr := range ft.Frames {
+		f := soakFrame{off: fr.Offset, data: fr.Data, client: 30}
+		if fr.ClientToServer {
+			f.client = 26
+		}
+		p := fr.Data[payload:]
+		if quicproto.IsLongHeader(p) {
+			if p[5] >= 3 { // the DCID's length
+				f.cids = append(f.cids, payload+6)
+			}
+			if p[6+p[5]] >= 3 { // the SCID's length
+				f.cids = append(f.cids, payload+7+int(p[5]))
+			}
+		} else {
+			for _, id := range ids {
+				if len(id) >= 3 && bytes.HasPrefix(p[1:], id) {
+					f.cids = append(f.cids, payload+1)
+					break
+				}
+			}
+		}
+		out = append(out, f)
+	}
+	return out
+}
+
+// TestShardedRouteCachesAge is the soak test of the ingest route caches a
+// daemon that never restarts depends on. Every QUIC connection teaches
+// cidRoute its IDs, and every migration that lands off its tuple hash
+// teaches tupleRoute the new tuple; 2×maxCIDRoutes short 0-RTT flows that
+// all migrate, copied from one render with their client addresses and
+// connection IDs rewritten, teach both caches several times what either
+// may hold. Every migration must still re-key its flow on the shard that
+// owns it — a cache that stopped learning would send about half of the
+// later ones to the other shard by tuple hash, as ghost flows — so
+// Migrations advances by one per flow all the way, neither cache holds
+// more than maxCIDRoutes entries, and each logical flow leaves exactly one
+// FlowRecord, with every one of its frames counted.
+func TestShardedRouteCachesAge(t *testing.T) {
+	leakcheck.Check(t)
+	ft := renderAdversarial(t, 5, "android_chrome", fingerprint.YouTube, fingerprint.QUIC,
+		fingerprint.Options{ZeroRTT: true, Migration: true})
+	if !ft.Migrated {
+		t.Fatal("trace did not migrate")
+	}
+	tmpl := soakFrames(t, ft)
+	size := 0
+	for _, f := range tmpl {
+		size += len(f.data)
+	}
+
+	var records, partial atomic.Int64
+	count := func(rec *FlowRecord) {
+		records.Add(1)
+		if rec.PacketsUp+rec.PacketsDown != len(tmpl) {
+			partial.Add(1)
+		}
+	}
+	s := NewShardedWithConfig(emptyBank(), 2, Config{
+		MaxFlows: 64,
+		OnEvict:  func(rec *FlowRecord, _ flowtable.Reason) { count(rec) },
+	})
+	const (
+		flows      = 2 * maxCIDRoutes
+		perBatch   = 64 // flows per HandlePacketBatch
+		checkEvery = maxCIDRoutes / 4
+	)
+	buf := make([]byte, 0, perBatch*size)
+	var pkts []IngestPacket
+feed:
+	for n := 0; n < flows; n += perBatch {
+		buf, pkts = buf[:0], pkts[:0]
+		for c := n; c < n+perBatch; c++ {
+			for _, f := range tmpl {
+				start := len(buf)
+				buf = append(buf, f.data...)
+				b := buf[start:]
+				b[f.client+1], b[f.client+2], b[f.client+3] = byte(c>>16), byte(c>>8), byte(c)
+				for _, at := range f.cids {
+					b[at] ^= byte(c >> 16)
+					b[at+1] ^= byte(c >> 8)
+					b[at+2] ^= byte(c)
+				}
+				ts := ft.Start.Add(time.Duration(c) * time.Millisecond).Add(f.off)
+				pkts = append(pkts, IngestPacket{TS: ts, Data: b})
+			}
+		}
+		s.HandlePacketBatch(pkts)
+		if done := n + perBatch; done%checkEvery == 0 {
+			s.SnapshotFlows() // every shard has run every batch sent so far
+			if got := s.IngestStats().Migrations; got != uint64(done) {
+				t.Errorf("after %d migrated flows, %d migrations: the route caches stopped routing them to their shard", done, got)
+				break feed
+			}
+			if c, tu := s.cidRoute.len(), s.tupleRoute.len(); c > maxCIDRoutes || tu > maxCIDRoutes {
+				t.Errorf("after %d flows the route caches hold %d CIDs and %d tuples, over the %d bound", done, c, tu, maxCIDRoutes)
+				break feed
+			}
+		}
+	}
+	s.Close()
+	for _, rec := range s.Flows() {
+		count(rec)
+	}
+	if got := records.Load(); got != flows {
+		t.Errorf("%d flow records for %d logical flows", got, flows)
+	}
+	if got := partial.Load(); got != 0 {
+		t.Errorf("%d flow records count fewer than all %d frames of their flow", got, len(tmpl))
+	}
+	if st := s.TableStats(); st.Rekeyed != flows {
+		t.Errorf("table rekeyed = %d, want %d", st.Rekeyed, flows)
 	}
 }

@@ -7,6 +7,8 @@ import (
 
 	"videoplat/internal/fingerprint"
 	"videoplat/internal/ml"
+	"videoplat/internal/packet"
+	"videoplat/internal/quicproto"
 	"videoplat/internal/tracegen"
 )
 
@@ -161,6 +163,87 @@ func TestSwapBankVisibleToSubsequentPackets(t *testing.T) {
 	p.SwapBank(bankB)
 	if v := classify(102); v != "vB" {
 		t.Fatalf("post-swap version = %q", v)
+	}
+}
+
+// platformBank trains a bank on YouTube flows of one platform only, over
+// one transport, so that it names that platform, with full confidence, for
+// whatever features it is shown.
+func platformBank(t *testing.T, label string, tr fingerprint.Transport, version string) *Bank {
+	t.Helper()
+	g := tracegen.New(61)
+	ds := &tracegen.Dataset{}
+	for i := 0; i < 4; i++ {
+		ft, err := g.Flow(label, fingerprint.YouTube, tr, tracegen.FlowSpec{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ds.Flows = append(ds.Flows, ft)
+	}
+	bank, err := TrainBank(ds, TrainConfig{Forest: ml.ForestConfig{
+		NumTrees: 5, MaxDepth: 20, MaxFeatures: 34, Seed: 8}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bank.Version = version
+	return bank
+}
+
+// TestSwapBankDegradedPredictionMatchesVersion pins that a degraded
+// classification and the ModelVersion its record carries come from one
+// bank. A 0-RTT flow's bank is hot-swapped between its early-data packets
+// and the client short header that ends the wait for a hello, and each bank
+// knows a different single platform, so they disagree on the flow's partial
+// features with full confidence. The record must hold the new bank's
+// prediction of those features beside the new bank's version, not a
+// prediction the old bank made while the early data arrived.
+func TestSwapBankDegradedPredictionMatchesVersion(t *testing.T) {
+	bankA := platformBank(t, "android_chrome", fingerprint.QUIC, "vA")
+	bankB := platformBank(t, "iOS_safari", fingerprint.QUIC, "vB")
+	ft := renderAdversarial(t, 29, "android_chrome", fingerprint.YouTube, fingerprint.QUIC, fingerprint.Options{ZeroRTT: true})
+
+	// The early-data frames, up to the client's first short header, and the
+	// partial features they show.
+	var (
+		partial hsAssembler
+		scratch asmScratch
+		sum     packet.Summary
+	)
+	partial.init()
+	early := 0
+	for ; early < len(ft.Frames); early++ {
+		fr := ft.Frames[early]
+		if !fr.ClientToServer {
+			continue
+		}
+		if !sum.Decode(fr.Data) || !quicproto.IsLongHeader(fr.Data[sum.PayloadOff:]) {
+			break
+		}
+		partial.consume(&scratch, fr.Data)
+	}
+	var sc ClassifyScratch
+	want, err := bankB.ClassifyHandshake(fingerprint.YouTube, fingerprint.QUIC, &partial.info, &sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old, err := bankA.ClassifyHandshake(fingerprint.YouTube, fingerprint.QUIC, &partial.info, &sc)
+	if err != nil || old.Status == Unknown || want.Status == Unknown || old == want {
+		t.Fatalf("the banks must predict the partial features confidently and differently: %+v vs %+v (%v)", old, want, err)
+	}
+
+	p := NewWithConfig(bankA, Config{ProviderHint: tracegen.ProviderOfAddr, EarlyMinMargin: -1})
+	for i, fr := range ft.Frames {
+		if i == early {
+			p.SwapBank(bankB)
+		}
+		p.HandlePacket(ft.Start.Add(fr.Offset), fr.Data)
+	}
+	recs := p.Flows()
+	if len(recs) != 1 || recs[0].Verdict != VerdictClassified {
+		t.Fatalf("want one classified flow, got %+v", recs)
+	}
+	if rec := recs[0]; rec.ModelVersion != "vB" || rec.Prediction != want {
+		t.Errorf("record predicts %+v and is stamped %q; bank vB predicts %+v", rec.Prediction, rec.ModelVersion, want)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"videoplat/internal/fingerprint"
 
 	"videoplat/internal/drift"
+	"videoplat/internal/leakcheck"
 	"videoplat/internal/ml"
 	"videoplat/internal/pipeline"
 	"videoplat/internal/tracegen"
@@ -22,6 +23,7 @@ func TestRetrainerClosesTheDriftLoop(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains banks")
 	}
+	leakcheck.Check(t)
 	reg, err := New(Config{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
@@ -162,6 +164,7 @@ func TestRetrainerRejectionRearmsMonitor(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains banks")
 	}
+	leakcheck.Check(t)
 	reg, err := New(Config{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)

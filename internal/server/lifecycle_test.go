@@ -10,6 +10,7 @@ import (
 
 	"videoplat/internal/drift"
 	"videoplat/internal/fingerprint"
+	"videoplat/internal/leakcheck"
 	"videoplat/internal/ml"
 	"videoplat/internal/obs"
 	"videoplat/internal/pipeline"
@@ -47,6 +48,35 @@ func postJSON(t *testing.T, url string, out any) (int, string) {
 	return resp.StatusCode, string(body)
 }
 
+// TestShutdownJoinsEveryGoroutine is the goroutine audit of the daemon's
+// lifecycle. Run starts the replay, the HTTP server, the retrainer host and
+// aggregate, which folds evictions into the rollup and still drains
+// Results() to throw it away. All of them, aggregate included, must have
+// exited once Run returns from a cancellation mid-replay, and so must the
+// shard workers New started.
+func TestShutdownJoinsEveryGoroutine(t *testing.T) {
+	leakcheck.Check(t)
+	srv, err := New(&pipeline.Bank{}, NewSynthSource(3, 0), Config{Addr: "127.0.0.1:0", Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	runErr := make(chan error, 1)
+	go func() { runErr <- srv.Run(ctx) }()
+	for srv.packets.Load() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	var st Stats
+	getJSON(t, "http://"+srv.Addr()+"/stats", &st)
+	if !leakcheck.Running("server.(*Server).aggregate") {
+		t.Error("no aggregate goroutine while the replay runs")
+	}
+	cancel()
+	if err := <-runErr; err != nil {
+		t.Fatalf("run: %v", err)
+	}
+}
+
 // modelsDoc mirrors the /models response shape.
 type modelsDoc struct {
 	Active   string              `json:"active"`
@@ -62,6 +92,7 @@ func TestModelsEndpointsHotSwapRoundTrip(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bank training is slow")
 	}
+	leakcheck.Check(t)
 	reg, err := registry.New(registry.Config{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
@@ -175,6 +206,7 @@ func TestModelsWithoutRegistry(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bank training is slow")
 	}
+	leakcheck.Check(t)
 	srv, err := New(trainBank(t), NewSynthSource(3, 5), Config{Addr: "127.0.0.1:0", Shards: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -221,6 +253,7 @@ func TestAutoRetrainSwapsUnderInjectedDrift(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bank training is slow")
 	}
+	leakcheck.Check(t)
 	reg, err := registry.New(registry.Config{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)

@@ -125,8 +125,6 @@ var metricsCatalog = []metricDef{
 		func(st *Stats) []sample { return value(float64(st.Rollup.Store.Compactions)) }},
 	{"videoplat_telemetry_store_loaded_windows", "gauge", "Windows reloaded from persistence at startup.",
 		func(st *Stats) []sample { return value(float64(st.Rollup.Store.LoadedWindows)) }},
-	{"videoplat_telemetry_store_persist_errors_total", "counter", "Failed writes to the store's persistence sink.",
-		func(st *Stats) []sample { return value(float64(st.Rollup.Store.PersistErrors)) }},
 	{"videoplat_model_active_info", "gauge", "Active model bank version (value is always 1).",
 		func(st *Stats) []sample {
 			return []sample{count(fmt.Sprintf("{version=%q}", st.Models.ActiveVersion), 1)}

@@ -20,9 +20,9 @@
 //
 // Sealed rollup windows are also retained in a queryable telemetry store
 // (Config.Store, defaulted when nil): a bounded in-memory ring with
-// downsampling tiers and optional JSONL persistence that /windows (range
-// listing) and /query (time-range re-aggregation by provider, platform or
-// model version) serve live — the paper's longitudinal per-provider /
+// downsampling tiers, reloadable from the JSONL archive Config.Sink writes,
+// that /windows (range listing) and /query (time-range re-aggregation by
+// provider, platform or model version) serve live — the paper's longitudinal per-provider /
 // per-platform questions answered from the daemon instead of offline JSONL
 // post-processing. Store occupancy, eviction, compaction and sink-error
 // counters surface in /stats and /metrics.
@@ -97,13 +97,15 @@ type Config struct {
 	// knowledge of the tap). Nil disables degraded classification: ECH and
 	// 0-RTT flows then abstain into the open-set bucket.
 	ProviderHint func(addr netip.Addr) (fingerprint.Provider, bool)
-	// Sink receives sealed rollup windows (nil = discard). Independent of
-	// the Store: windows always reach both.
+	// Sink receives sealed rollup windows (nil = discard), e.g. the JSONL
+	// archive of vpserve -telemetry-persist. Independent of the Store:
+	// windows always reach both.
 	Sink telemetry.Sink
 	// Store retains sealed rollup windows for the /windows and /query
 	// endpoints. Nil selects a default store (1024 windows per tier, with
-	// 10x- and 60x-window downsampling tiers); supply one to tune
-	// retention, downsampling or persistence (see telemetry.StoreConfig).
+	// 10x- and 60x-window downsampling tiers); supply one to tune retention
+	// or downsampling (see telemetry.StoreConfig), or one that Reload has
+	// filled from a previous run's archive.
 	Store *telemetry.Store
 
 	// Registry, if non-nil, enables the model lifecycle API: /models,

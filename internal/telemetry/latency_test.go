@@ -59,10 +59,7 @@ func TestWindowLatencyFold(t *testing.T) {
 // a persistence round trip.
 func TestQueryLatencySeries(t *testing.T) {
 	var persisted bytes.Buffer
-	store := NewStore(StoreConfig{
-		Tiers:   []time.Duration{10 * time.Minute},
-		Persist: NewJSONLSink(&persisted),
-	})
+	store := NewStore(StoreConfig{Tiers: []time.Duration{10 * time.Minute}})
 
 	// 30 one-minute windows, two samples each, latency ramping by window so
 	// buckets are distinguishable after merging.
@@ -73,7 +70,7 @@ func TestQueryLatencySeries(t *testing.T) {
 			latRec(base, int64(time.Duration(i+1)*time.Millisecond)),
 			latRec(base.Add(20*time.Second), int64(time.Duration(2*(i+1))*time.Millisecond)))
 	}
-	feed(t, store, sealWindows(t, time.Minute, recs...)...)
+	feed(t, MultiSink(store, NewJSONLSink(&persisted)), sealWindows(t, time.Minute, recs...)...)
 
 	// Raw-resolution query: every 1m bucket has its own p99.
 	res, err := store.Query(time.Time{}, time.Time{}, time.Minute, GroupTotal)

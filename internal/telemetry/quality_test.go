@@ -202,10 +202,7 @@ func TestWindowQualityFold(t *testing.T) {
 // across 1m→10m downsampling and a persistence restart.
 func TestQueryQualitySeries(t *testing.T) {
 	var persisted bytes.Buffer
-	store := NewStore(StoreConfig{
-		Tiers:   []time.Duration{10 * time.Minute},
-		Persist: NewJSONLSink(&persisted),
-	})
+	store := NewStore(StoreConfig{Tiers: []time.Duration{10 * time.Minute}})
 
 	// 30 one-minute windows, each with two confident YouTube classifications
 	// and one Netflix abstention — fixed values so the expected histogram
@@ -218,7 +215,7 @@ func TestQueryQualitySeries(t *testing.T) {
 			qualRec(fingerprint.YouTube, "iOS_nativeApp", base.Add(10*time.Second), 0.7, 0.3),
 			abstainRec(fingerprint.Netflix, base.Add(20*time.Second), 0.3))
 	}
-	feed(t, store, sealWindows(t, time.Minute, recs...)...)
+	feed(t, MultiSink(store, NewJSONLSink(&persisted)), sealWindows(t, time.Minute, recs...)...)
 
 	// Raw-resolution totals: every 1m bucket carries its verdict counts,
 	// abstain rate, and exact confidence quantiles.

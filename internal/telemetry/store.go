@@ -25,11 +25,6 @@ type StoreConfig struct {
 	// should be ascending multiples of the rollup window width so bucket
 	// boundaries align. Nil means no downsampling (raw tier only).
 	Tiers []time.Duration
-	// Persist, if non-nil, receives every raw sealed window the store
-	// accepts (reloaded history is not re-written). Pair it with a
-	// JSONLSink over an append-mode file and Reload at startup for
-	// history that survives restarts.
-	Persist Sink
 }
 
 // tier is one retention ring: sealed windows in ascending Start order plus,
@@ -44,26 +39,26 @@ type tier struct {
 
 // Store retains sealed rollup windows for live querying: a bounded
 // in-memory ring of raw windows plus optional coarser downsampling tiers,
-// with count- and age-based retention and optional persistence. It
-// implements Sink, so it sits directly behind a Rollup (alone or fanned out
-// with MultiSink alongside a JSONL archive).
+// with count- and age-based retention. It implements Sink, so it sits
+// directly behind a Rollup, alone or fanned out with MultiSink alongside a
+// JSONL archive — which Reload replays into a fresh store, so history
+// survives restarts.
 //
-// Every accepted window is deep-copied, folded into each downsampling
-// tier's current bucket, and forwarded to the Persist sink; Query and
-// Windows serve re-aggregated copies, so callers can never observe or
-// corrupt shared state. Store is safe for concurrent use.
+// Every accepted window is deep-copied and folded into each downsampling
+// tier's current bucket; Query and Windows serve re-aggregated copies, so
+// callers can never observe or corrupt shared state. Store is safe for
+// concurrent use.
 type Store struct {
 	mu    sync.Mutex
 	cfg   StoreConfig
 	raw   *tier
 	tiers []*tier // downsampled, ascending width; excludes raw
 
-	rawWidth    time.Duration // width of the first accepted window
-	latest      time.Time     // newest End seen, the age-retention anchor
-	evictCount  uint64
-	evictAge    uint64
-	loaded      int
-	persistErrs uint64
+	rawWidth   time.Duration // width of the first accepted window
+	latest     time.Time     // newest End seen, the age-retention anchor
+	evictCount uint64
+	evictAge   uint64
+	loaded     int
 }
 
 // NewStore returns a Store with cfg's retention and tiers. Tier widths are
@@ -87,21 +82,12 @@ func NewStore(cfg StoreConfig) *Store {
 }
 
 // WriteWindow accepts one sealed window: a deep copy enters the raw ring
-// and every downsampling tier, retention is enforced, and the original is
-// forwarded to the Persist sink. Implements Sink.
+// and every downsampling tier, and retention is enforced. Implements Sink;
+// it never fails.
 func (s *Store) WriteWindow(w *Window) error {
 	s.mu.Lock()
 	s.add(w)
-	persist := s.cfg.Persist
 	s.mu.Unlock()
-	if persist != nil {
-		if err := persist.WriteWindow(w); err != nil {
-			s.mu.Lock()
-			s.persistErrs++
-			s.mu.Unlock()
-			return fmt.Errorf("telemetry: store persist: %w", err)
-		}
-	}
 	return nil
 }
 
@@ -215,7 +201,7 @@ func (s *Store) retain() {
 // Reload replays JSONL-encoded windows (the JSONLSink format) into the
 // store, returning how many were loaded. Call before serving traffic to
 // restore a previous run's history; reloaded windows follow the normal
-// downsampling and retention paths but are not re-written to Persist.
+// downsampling and retention paths and are written to no sink.
 func (s *Store) Reload(r io.Reader) (int, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16<<20) // windows with many cells exceed the default line cap
@@ -273,8 +259,6 @@ type StoreStats struct {
 	Compactions uint64 `json:"compactions"`
 	// LoadedWindows is how many windows Reload restored at startup.
 	LoadedWindows int `json:"loaded_windows,omitempty"`
-	// PersistErrors counts failed writes to the Persist sink.
-	PersistErrors uint64 `json:"persist_errors,omitempty"`
 }
 
 // Stats snapshots the store's occupancy and counters.
@@ -285,7 +269,6 @@ func (s *Store) Stats() StoreStats {
 		EvictedCount:  s.evictCount,
 		EvictedAge:    s.evictAge,
 		LoadedWindows: s.loaded,
-		PersistErrors: s.persistErrs,
 	}
 	for _, t := range append([]*tier{s.raw}, s.tiers...) {
 		ts := TierStats{Windows: len(t.ring), OpenBucket: t.open != nil, Compactions: t.compactions}

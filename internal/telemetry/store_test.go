@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"videoplat/internal/fingerprint"
+	"videoplat/internal/leakcheck"
 	"videoplat/internal/pipeline"
 )
 
@@ -33,7 +34,7 @@ func sealWindows(t *testing.T, width time.Duration, recs ...*pipeline.FlowRecord
 	return cap.wins
 }
 
-func feed(t *testing.T, s *Store, wins ...*Window) {
+func feed(t *testing.T, s Sink, wins ...*Window) {
 	t.Helper()
 	for _, w := range wins {
 		if err := s.WriteWindow(w); err != nil {
@@ -43,6 +44,7 @@ func feed(t *testing.T, s *Store, wins ...*Window) {
 }
 
 func TestStoreQueryStepReaggregation(t *testing.T) {
+	leakcheck.Check(t)
 	// Two 1-minute windows re-aggregated into one 2-minute point: sums for
 	// flows/bytes/watch, max for peak, and a watch-time-weighted mean —
 	// NOT the average of the two windows' means.
@@ -110,6 +112,7 @@ func TestStoreQueryStepReaggregation(t *testing.T) {
 }
 
 func TestStoreQueryRangeAndGroups(t *testing.T) {
+	leakcheck.Check(t)
 	recs := []*pipeline.FlowRecord{
 		rollRec(fingerprint.YouTube, "windows_chrome", w0, 10*time.Second, 1<<20),
 		rollRec(fingerprint.Netflix, "", w0.Add(time.Minute), 10*time.Second, 2<<20),
@@ -149,6 +152,7 @@ func TestStoreQueryRangeAndGroups(t *testing.T) {
 }
 
 func TestStoreQueryLateFlowsAndModelVersions(t *testing.T) {
+	leakcheck.Check(t)
 	// Window 1: one v0001 flow plus a late flow; window 2: two v0002 flows.
 	// Merged into one bucket, late counts and per-version counts must sum.
 	a := rollRec(fingerprint.YouTube, "windows_chrome", w0, 10*time.Second, 1<<20)
@@ -200,6 +204,7 @@ func TestStoreQueryLateFlowsAndModelVersions(t *testing.T) {
 }
 
 func TestStoreRetentionEvictionOrder(t *testing.T) {
+	leakcheck.Check(t)
 	var recs []*pipeline.FlowRecord
 	for i := 0; i < 5; i++ {
 		recs = append(recs, rollRec(fingerprint.YouTube, "", w0.Add(time.Duration(i)*time.Minute), time.Second, 1000))
@@ -248,6 +253,7 @@ func TestStoreRetentionEvictionOrder(t *testing.T) {
 }
 
 func TestStoreDownsampleTierBoundaries(t *testing.T) {
+	leakcheck.Check(t)
 	// 1-minute windows into a 3-minute tier: minutes 0,1,2 share a bucket,
 	// minute 3 opens the next and seals the first.
 	var recs []*pipeline.FlowRecord
@@ -293,6 +299,7 @@ func TestStoreDownsampleTierBoundaries(t *testing.T) {
 }
 
 func TestStoreQueryFallsBackToCoarseTier(t *testing.T) {
+	leakcheck.Check(t)
 	// Raw retention of 2 with a 3-minute tier: after 6 windows the raw ring
 	// only reaches back 2 minutes, so a full-history query must be served
 	// from the coarse tier — same totals, coarser resolution.
@@ -331,6 +338,7 @@ func TestStoreQueryFallsBackToCoarseTier(t *testing.T) {
 }
 
 func TestStorePersistenceReloadRoundTrip(t *testing.T) {
+	leakcheck.Check(t)
 	recs := []*pipeline.FlowRecord{
 		rollRec(fingerprint.YouTube, "windows_chrome", w0, 10*time.Second, 10<<20),
 		rollRec(fingerprint.Netflix, "iOS_nativeApp", w0.Add(time.Minute), 20*time.Second, 5<<20),
@@ -339,8 +347,8 @@ func TestStorePersistenceReloadRoundTrip(t *testing.T) {
 	recs[0].ModelVersion = "v0001"
 
 	var jsonl bytes.Buffer
-	src := NewStore(StoreConfig{Tiers: []time.Duration{2 * time.Minute}, Persist: NewJSONLSink(&jsonl)})
-	feed(t, src, sealWindows(t, time.Minute, recs...)...)
+	src := NewStore(StoreConfig{Tiers: []time.Duration{2 * time.Minute}})
+	feed(t, MultiSink(src, NewJSONLSink(&jsonl)), sealWindows(t, time.Minute, recs...)...)
 
 	dst := NewStore(StoreConfig{Tiers: []time.Duration{2 * time.Minute}})
 	n, err := dst.Reload(bytes.NewReader(jsonl.Bytes()))
@@ -373,6 +381,7 @@ func TestStorePersistenceReloadRoundTrip(t *testing.T) {
 }
 
 func TestStoreWindowsLimitKeepsNewest(t *testing.T) {
+	leakcheck.Check(t)
 	var recs []*pipeline.FlowRecord
 	for i := 0; i < 5; i++ {
 		recs = append(recs, rollRec(fingerprint.YouTube, "", w0.Add(time.Duration(i)*time.Minute), time.Second, 1000))
@@ -394,6 +403,7 @@ func TestStoreWindowsLimitKeepsNewest(t *testing.T) {
 }
 
 func TestStoreQueryCoarseTierAlignsSince(t *testing.T) {
+	leakcheck.Check(t)
 	// Raw retention of 2 with a 3-minute tier: a since that lands inside a
 	// coarse bucket must widen to its boundary, not drop the bucket — the
 	// straddling bucket's flows stay in the response.
@@ -426,6 +436,7 @@ func TestStoreQueryCoarseTierAlignsSince(t *testing.T) {
 }
 
 func TestStoreQueryModelCountsAttempts(t *testing.T) {
+	leakcheck.Check(t)
 	// Model attribution counts every classification attempt, including
 	// confidence-rejected (Unknown) predictions — unlike classified_flows.
 	ok := rollRec(fingerprint.YouTube, "windows_chrome", w0, 10*time.Second, 1<<20)
@@ -462,6 +473,7 @@ type failSink struct{ err error }
 func (f *failSink) WriteWindow(*Window) error { return f.err }
 
 func TestRollupCountsEverySinkError(t *testing.T) {
+	leakcheck.Check(t)
 	sink := &failSink{err: errors.New("disk full")}
 	r := NewRollup(time.Minute, sink)
 	for i := 0; i < 3; i++ {
@@ -482,6 +494,7 @@ func TestRollupCountsEverySinkError(t *testing.T) {
 }
 
 func TestMultiSinkFanOut(t *testing.T) {
+	leakcheck.Check(t)
 	good := &captureSink{}
 	bad := &failSink{err: errors.New("down")}
 	m := MultiSink(bad, good)
