@@ -195,7 +195,11 @@ func AblationGlobalClassifier(c *Context) (*Report, error) {
 	resAll := ml.CrossValidate(c.forestFactory(20, 34), dAll, c.Folds, c.Seed)
 
 	var sum float64
-	for prov, acc := range perProvider {
+	for _, prov := range fingerprint.AllProviders() { // not map order: the report is diffed
+		acc, ok := perProvider[prov]
+		if !ok {
+			continue
+		}
 		r.Printf("per-provider %-8s %.2f%%", prov, acc*100)
 		sum += acc
 	}

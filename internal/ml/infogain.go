@@ -106,21 +106,33 @@ func discretize(col []float64, maxBins int) []int {
 	return out
 }
 
+// mutualInformation sums over the (bin, class) cells in key order, so equal
+// inputs give bit-identical gains: a float sum in map order differs in its
+// last bits from run to run, enough to reorder attributes of equal gain in
+// rankAttributes. x holds discretize's bin ids, all below maxBins, so the
+// joint counts fit a dense table.
 func mutualInformation(x []int, y []int, classes int) float64 {
 	n := float64(len(x))
-	joint := map[[2]int]int{}
-	xCounts := map[int]int{}
+	bins := 0
+	for _, b := range x {
+		bins = max(bins, b+1)
+	}
+	joint := make([]int, bins*classes)
+	xCounts := make([]int, bins)
 	yCounts := make([]int, classes)
 	for i := range x {
-		joint[[2]int{x[i], y[i]}]++
+		joint[x[i]*classes+y[i]]++
 		xCounts[x[i]]++
 		yCounts[y[i]]++
 	}
 	var mi float64
 	for k, c := range joint {
+		if c == 0 {
+			continue
+		}
 		pxy := float64(c) / n
-		px := float64(xCounts[k[0]]) / n
-		py := float64(yCounts[k[1]]) / n
+		px := float64(xCounts[k/classes]) / n
+		py := float64(yCounts[k%classes]) / n
 		mi += pxy * math.Log2(pxy/(px*py))
 	}
 	return mi

@@ -308,6 +308,35 @@ func TestInformationGain(t *testing.T) {
 	}
 }
 
+// TestInformationGainBitIdentical pins that equal inputs give equal gains to
+// the last bit: rankAttributes breaks ties between attributes on exact
+// equality, so a gain that wobbles in its last bits reorders Fig 5 and moves
+// Fig 6(a) from run to run.
+func TestInformationGainBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewPCG(27, 3))
+	classes := []string{"a", "b", "c", "d", "e", "f"}
+	var x [][]float64
+	var y []string
+	for i := 0; i < 600; i++ {
+		row := make([]float64, 8)
+		for j := range row {
+			row[j] = float64(rng.IntN(40)) // many (bin, class) cells per column
+		}
+		x = append(x, row)
+		y = append(y, classes[rng.IntN(len(classes))])
+	}
+	d, _ := NewDataset(x, y)
+	first := InformationGain(d, 64)
+	for run := 0; run < 10; run++ {
+		for j, g := range InformationGain(d, 64) {
+			if math.Float64bits(g) != math.Float64bits(first[j]) {
+				t.Fatalf("run %d: column %d gain %v (%#x), first run %v (%#x)",
+					run, j, g, math.Float64bits(g), first[j], math.Float64bits(first[j]))
+			}
+		}
+	}
+}
+
 func TestAttributeImportanceAggregation(t *testing.T) {
 	gains := []float64{0.1, 0.9, 0.3}
 	imp := AttributeImportance(gains, map[string][]int{"m3": {0, 1}, "t1": {2}})
