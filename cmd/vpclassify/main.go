@@ -55,7 +55,7 @@ func main() {
 
 	fmt.Println("\nfinal flow telemetry:")
 	for _, rec := range p.Flows() {
-		if !rec.Classified {
+		if !rec.Verdict.ClassifierRan() {
 			continue
 		}
 		fmt.Printf("  %-46s %8s %6.1fs %8.2f Mbps\n",

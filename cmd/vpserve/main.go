@@ -318,7 +318,7 @@ func main() {
 		"flows_tracked", st.FlowTable.Inserted,
 		"evicted_idle", st.FlowTable.EvictedIdle,
 		"evicted_cap", st.FlowTable.EvictedCap,
-		"classified", st.ClassifiedFlows,
+		"classified", st.FlowVerdicts["classified"],
 		"rollup_windows", st.Rollup.Sealed,
 		"store_windows", st.Rollup.Store.Tiers[0].Windows,
 		"store_evicted", st.Rollup.Store.EvictedCount+st.Rollup.Store.EvictedAge,

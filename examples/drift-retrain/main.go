@@ -153,7 +153,7 @@ func main() {
 	}
 	st := srv.Snapshot()
 	fmt.Printf("\nserved %d packets, %d classified flows, %d hot-swap(s); active model: %s\n",
-		st.Replay.Packets, st.ClassifiedFlows, st.Models.Swaps, st.Models.ActiveVersion)
+		st.Replay.Packets, st.FlowVerdicts["classified"], st.Models.Swaps, st.Models.ActiveVersion)
 	if st.Models.Swaps == 0 {
 		fmt.Println("(no swap this run — raise -synth or lower the drift thresholds)")
 	}

@@ -76,7 +76,7 @@ func main() {
 	fmt.Println("\nsupport-desk summary for the Netflix ticket:")
 	byPlatform := map[string]int{}
 	for _, rec := range p.Flows() {
-		if rec.Classified && rec.Provider == fingerprint.Netflix &&
+		if rec.Verdict == pipeline.VerdictClassified && rec.Provider == fingerprint.Netflix &&
 			rec.Prediction.Status == pipeline.Composite {
 			byPlatform[rec.Prediction.Platform]++
 		}

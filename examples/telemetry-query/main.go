@@ -100,7 +100,7 @@ func main() {
 	var st server.Stats
 	getJSON(base+"/stats", &st)
 	fmt.Printf("  replayed %d packets; %d flows tracked, %d classified, %d rollup windows sealed\n",
-		st.Replay.Packets, st.FlowTable.Inserted, st.ClassifiedFlows, st.Rollup.Sealed)
+		st.Replay.Packets, st.FlowTable.Inserted, st.FlowVerdicts["classified"], st.Rollup.Sealed)
 	var flows struct {
 		Flows []struct {
 			SNI      string `json:"sni"`

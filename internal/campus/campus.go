@@ -270,7 +270,7 @@ func oneSession(rng *rand.Rand, cfg Config, res *Result, bank *pipeline.Bank, sc
 		SNI:        fp.SNI,
 		Content:    true,
 		Prediction: pred,
-		Classified: true,
+		Verdict:    pred.Verdict(),
 		FirstSeen:  start,
 		LastSeen:   start.Add(dur),
 		BytesDown:  bytesDown,

@@ -143,7 +143,7 @@ func (m *Monitor) Rearm() {
 
 // Observe records one classified flow.
 func (m *Monitor) Observe(rec *pipeline.FlowRecord) {
-	if !rec.Classified {
+	if !rec.Verdict.ClassifierRan() {
 		return
 	}
 	m.mu.Lock()

@@ -8,9 +8,10 @@ import (
 )
 
 func obs(prov fingerprint.Provider, conf float64, status pipeline.Status) *pipeline.FlowRecord {
+	pred := pipeline.Prediction{Status: status, PlatformConf: conf}
 	return &pipeline.FlowRecord{
-		Classified: true, Provider: prov, Transport: fingerprint.TCP,
-		Prediction: pipeline.Prediction{Status: status, PlatformConf: conf},
+		Verdict: pred.Verdict(), Provider: prov, Transport: fingerprint.TCP,
+		Prediction: pred,
 	}
 }
 
@@ -85,7 +86,7 @@ func TestWarmup(t *testing.T) {
 
 func TestUnclassifiedIgnored(t *testing.T) {
 	m := NewMonitor(Config{})
-	m.Observe(&pipeline.FlowRecord{Classified: false})
+	m.Observe(&pipeline.FlowRecord{Verdict: pipeline.VerdictNoHandshake})
 	if len(m.Statuses()) != 0 {
 		t.Error("unclassified record created a series")
 	}
@@ -176,7 +177,7 @@ func TestEndToEndWithOpenSetDrift(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			m.Observe(&pipeline.FlowRecord{Classified: true, Provider: ft.Provider,
+			m.Observe(&pipeline.FlowRecord{Verdict: pred.Verdict(), Provider: ft.Provider,
 				Transport: ft.Transport, Prediction: pred})
 		}
 	}

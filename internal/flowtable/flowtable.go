@@ -32,14 +32,19 @@ const (
 	// ReasonCap: the table was full and this was the least recently used
 	// flow.
 	ReasonCap
+	// ReasonDrain: the owner emptied the table (Drain), e.g. at shutdown.
+	ReasonDrain
 )
 
 // String names the reason.
 func (r Reason) String() string {
-	if r == ReasonIdle {
+	switch r {
+	case ReasonIdle:
 		return "idle"
+	case ReasonCap:
+		return "cap"
 	}
-	return "cap"
+	return "drain"
 }
 
 // Config bounds a Table. Zero values mean unbounded/never, which reproduces
@@ -56,15 +61,18 @@ type Config struct {
 // Stats are the table's occupancy and eviction counters. All fields are
 // monotonic except Active. Safe to read concurrently via Table.Stats.
 type Stats struct {
-	Active      uint64 `json:"active"`       // flows currently tracked
-	Inserted    uint64 `json:"inserted"`     // total flows ever inserted
-	EvictedIdle uint64 `json:"evicted_idle"` // flows evicted by idle timeout
-	EvictedCap  uint64 `json:"evicted_cap"`  // flows evicted by the MaxFlows cap
-	Rekeyed     uint64 `json:"rekeyed"`      // flows re-keyed by connection migration
+	Active       uint64 `json:"active"`        // flows currently tracked
+	Inserted     uint64 `json:"inserted"`      // total flows ever inserted
+	EvictedIdle  uint64 `json:"evicted_idle"`  // flows evicted by idle timeout
+	EvictedCap   uint64 `json:"evicted_cap"`   // flows evicted by the MaxFlows cap
+	EvictedDrain uint64 `json:"evicted_drain"` // flows evicted by Drain
+	Rekeyed      uint64 `json:"rekeyed"`       // flows re-keyed by connection migration
 }
 
-// Evicted returns the total number of evictions.
-func (s Stats) Evicted() uint64 { return s.EvictedIdle + s.EvictedCap }
+// Evicted returns the total number of evictions. A flow leaves the table only
+// by eviction, so Inserted = Active + Evicted whenever no call is mutating
+// the table.
+func (s Stats) Evicted() uint64 { return s.EvictedIdle + s.EvictedCap + s.EvictedDrain }
 
 type entry[V any] struct {
 	key        packet.FlowKey
@@ -82,17 +90,17 @@ type Table[V any] struct {
 	entries    map[packet.FlowKey]*entry[V]
 	head, tail *entry[V]
 
-	active      atomic.Uint64
-	inserted    atomic.Uint64
-	evictedIdle atomic.Uint64
-	evictedCap  atomic.Uint64
-	rekeyed     atomic.Uint64
+	active       atomic.Uint64
+	inserted     atomic.Uint64
+	evictedIdle  atomic.Uint64
+	evictedCap   atomic.Uint64
+	evictedDrain atomic.Uint64
+	rekeyed      atomic.Uint64
 }
 
 // New returns a Table bounded by cfg. onEvict, if non-nil, is called
 // synchronously with each evicted flow's key, state and eviction reason —
-// the hook through which final flow telemetry reaches a sink. It is not
-// called for entries dropped by Clear.
+// the hook through which final flow telemetry reaches a sink.
 func New[V any](cfg Config, onEvict func(packet.FlowKey, V, Reason)) *Table[V] {
 	return &Table[V]{
 		cfg:     cfg,
@@ -107,11 +115,12 @@ func (t *Table[V]) Len() int { return len(t.entries) }
 // Stats returns a snapshot of the counters. Safe from any goroutine.
 func (t *Table[V]) Stats() Stats {
 	return Stats{
-		Active:      t.active.Load(),
-		Inserted:    t.inserted.Load(),
-		EvictedIdle: t.evictedIdle.Load(),
-		EvictedCap:  t.evictedCap.Load(),
-		Rekeyed:     t.rekeyed.Load(),
+		Active:       t.active.Load(),
+		Inserted:     t.inserted.Load(),
+		EvictedIdle:  t.evictedIdle.Load(),
+		EvictedCap:   t.evictedCap.Load(),
+		EvictedDrain: t.evictedDrain.Load(),
+		Rekeyed:      t.rekeyed.Load(),
 	}
 }
 
@@ -192,11 +201,12 @@ func (t *Table[V]) ExpireIdle(now time.Time) int {
 	return n
 }
 
-// Clear drops every flow without invoking the eviction hook.
-func (t *Table[V]) Clear() {
-	t.entries = map[packet.FlowKey]*entry[V]{}
-	t.head, t.tail = nil, nil
-	t.active.Store(0)
+// Drain evicts every flow, least recently used first (ReasonDrain), so each
+// leaves through the eviction hook as an idle or capped one would.
+func (t *Table[V]) Drain() {
+	for t.tail != nil {
+		t.evict(t.tail, ReasonDrain)
+	}
 }
 
 // Range calls f for each tracked flow, most recently used first, stopping
@@ -213,10 +223,13 @@ func (t *Table[V]) evict(e *entry[V], reason Reason) {
 	t.unlink(e)
 	delete(t.entries, e.key)
 	t.active.Store(uint64(len(t.entries)))
-	if reason == ReasonIdle {
+	switch reason {
+	case ReasonIdle:
 		t.evictedIdle.Add(1)
-	} else {
+	case ReasonCap:
 		t.evictedCap.Add(1)
+	default:
+		t.evictedDrain.Add(1)
 	}
 	if t.onEvict != nil {
 		t.onEvict(e.key, e.value, reason)

@@ -115,12 +115,30 @@ func TestRangeMRUOrderAndDelete(t *testing.T) {
 	if len(got) != 3 || got[0] != 3 || got[2] != 1 {
 		t.Errorf("range order = %v, want [3 2 1]", got)
 	}
-	tb.Clear()
-	if tb.Len() != 0 || tb.Stats().Active != 0 {
-		t.Error("clear left entries")
+}
+
+// TestDrainEvictsOldestFirst: Drain empties the table through the eviction
+// hook, least recently used first, and counts every flow as evicted, so
+// Inserted = Active + Evicted still holds.
+func TestDrainEvictsOldestFirst(t *testing.T) {
+	var got []int
+	tb := New[int](Config{IdleTimeout: time.Hour}, func(_ packet.FlowKey, v int, r Reason) {
+		if r != ReasonDrain || r.String() != "drain" {
+			t.Errorf("reason = %v, want drain", r)
+		}
+		got = append(got, v)
+	})
+	for i := 1; i <= 3; i++ {
+		tb.Put(key(i), i, t0.Add(time.Duration(i)*time.Second))
 	}
-	if st := tb.Stats(); st.Evicted() != 0 {
-		t.Errorf("clear counted as eviction: %+v", st)
+	tb.Touch(key(1), t0.Add(4*time.Second))
+	tb.Drain()
+	if len(got) != 3 || got[0] != 2 || got[1] != 3 || got[2] != 1 {
+		t.Errorf("drain order = %v, want [2 3 1]", got)
+	}
+	st := tb.Stats()
+	if tb.Len() != 0 || st.Active != 0 || st.EvictedDrain != 3 || st.Inserted != st.Active+st.Evicted() {
+		t.Errorf("after drain: len %d, stats %+v", tb.Len(), st)
 	}
 }
 

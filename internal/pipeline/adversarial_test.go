@@ -36,9 +36,6 @@ func TestECHAbstainsWithoutHint(t *testing.T) {
 	if rec.Verdict != VerdictAbstainedECH {
 		t.Fatalf("verdict = %s, want %s", rec.Verdict, VerdictAbstainedECH)
 	}
-	if rec.Classified {
-		t.Error("ECH flow marked classified without a hint")
-	}
 	if rec.SNI == "" {
 		t.Error("record lost the outer SNI — the fronted name is observable truth")
 	}
@@ -71,8 +68,8 @@ func TestZeroRTTAbstainsWithoutHint(t *testing.T) {
 	if rec.Transport != fingerprint.QUIC {
 		t.Errorf("transport = %v, want QUIC", rec.Transport)
 	}
-	if rec.Classified || rec.SNI != "" {
-		t.Errorf("0-RTT flow leaked classification state: classified=%v sni=%q", rec.Classified, rec.SNI)
+	if rec.Prediction.Platform != "" || rec.SNI != "" {
+		t.Errorf("0-RTT flow leaked classification state: platform=%q sni=%q", rec.Prediction.Platform, rec.SNI)
 	}
 	if got := p.Stats().Verdicts[VerdictAbstainedZeroRTT]; got != 1 {
 		t.Errorf("Stats().Verdicts[abstained-0rtt] = %d, want 1", got)
@@ -161,16 +158,16 @@ func TestECHDegradedClassification(t *testing.T) {
 	rec, st := recs[0], p.Stats()
 	switch rec.Verdict {
 	case VerdictClassified:
-		if !rec.Classified || rec.Provider != fingerprint.Netflix {
-			t.Errorf("classified record inconsistent: classified=%v provider=%v", rec.Classified, rec.Provider)
+		if rec.Prediction.Platform == "" || rec.Provider != fingerprint.Netflix {
+			t.Errorf("classified record inconsistent: platform=%q provider=%v", rec.Prediction.Platform, rec.Provider)
 		}
 		if st.EarlyClassified != 1 || st.Verdicts[VerdictClassified] != 1 || st.Verdicts[VerdictAbstainedECH] != 0 {
 			t.Errorf("counters = early %d / classified %d / abstained-ech %d, want 1/1/0",
 				st.EarlyClassified, st.Verdicts[VerdictClassified], st.Verdicts[VerdictAbstainedECH])
 		}
 	case VerdictAbstainedECH:
-		if rec.Classified {
-			t.Error("abstained record marked classified")
+		if rec.Prediction.Platform != "" {
+			t.Errorf("abstained record carries a prediction for %q", rec.Prediction.Platform)
 		}
 		if st.EarlyClassified != 0 || st.Verdicts[VerdictAbstainedECH] != 1 {
 			t.Errorf("counters = early %d / abstained-ech %d, want 0/1",
@@ -246,7 +243,7 @@ func TestMigrationClassifiedVerdict(t *testing.T) {
 	}
 	if st := p.Stats(); st.EarlyClassified != 0 {
 		t.Errorf("EarlyClassified = %d, want 0 — migration is not a degraded path", st.EarlyClassified)
-	} else if st.Migrations != 1 {
-		t.Errorf("Migrations = %d, want 1", st.Migrations)
+	} else if n := p.TableStats().Rekeyed; n != 1 {
+		t.Errorf("TableStats().Rekeyed = %d, want 1", n)
 	}
 }

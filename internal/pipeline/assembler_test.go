@@ -160,7 +160,7 @@ func TestStreamingSplitHelloWithServerInterleave(t *testing.T) {
 		step++
 	})
 	flows := p.Flows()
-	if len(flows) != 1 || !flows[0].Classified {
+	if len(flows) != 1 || !flows[0].Verdict.ClassifierRan() {
 		t.Fatalf("want 1 classified flow, got %+v", flows)
 	}
 	if flows[0].PacketsDown != 4 || flows[0].PacketsUp != 4 {
@@ -212,7 +212,7 @@ func TestMaxHelloBytesAbandonsOversizedFlow(t *testing.T) {
 		t.Fatalf("oversized counted twice: %d", got)
 	}
 	flows := p.Flows()
-	if len(flows) != 1 || flows[0].Classified {
+	if len(flows) != 1 || flows[0].Verdict != VerdictOversized {
 		t.Fatalf("oversized flow should be tracked but unclassified: %+v", flows)
 	}
 	// Telemetry still accumulates for the abandoned flow.
@@ -277,8 +277,8 @@ func TestShardedOversizedCounter(t *testing.T) {
 	s.HandlePacket(ts, ff.client(nil, packet.FlagSYN))
 	s.HandlePacket(ts, ff.client(endlessRecordChunk(true, 600), packet.FlagACK|packet.FlagPSH))
 	s.Close()
-	if got := s.IngestStats().OversizedHandshakes; got != 1 {
-		t.Fatalf("sharded oversized_handshakes = %d, want 1", got)
+	if got := s.IngestStats().Verdicts[VerdictOversized]; got != 1 {
+		t.Fatalf("sharded oversized verdicts = %d, want 1", got)
 	}
 }
 

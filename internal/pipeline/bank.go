@@ -305,6 +305,15 @@ type Prediction struct {
 	AgentConf      float64
 }
 
+// Verdict is the decision a full-feature prediction gives its flow:
+// classified, or abstained when the confidence selector rejected it.
+func (p Prediction) Verdict() Verdict {
+	if p.Status == Unknown {
+		return VerdictAbstained
+	}
+	return VerdictClassified
+}
+
 // ClassifyScratch holds one worker's reusable classification buffers: the
 // encoded row matrix, the forest probability matrix and the compiled
 // encoder's extension-walking scratch. Each pipeline (and thus each shard)

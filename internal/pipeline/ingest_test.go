@@ -329,7 +329,7 @@ func TestBatchedMatchesSinglePacket(t *testing.T) {
 					verdict:    rec.Verdict,
 					platform:   rec.Prediction.Platform,
 					status:     rec.Prediction.Status,
-					classified: rec.Classified,
+					classified: rec.Verdict.ClassifierRan(),
 					bytesDown:  rec.BytesDown,
 					bytesUp:    rec.BytesUp,
 					pktsDown:   rec.PacketsDown,
@@ -356,7 +356,7 @@ func TestBatchedMatchesSinglePacket(t *testing.T) {
 					record(rec)
 				}
 				st := p.Stats()
-				out.verdicts, out.migrations = st.Verdicts, st.Migrations
+				out.verdicts, out.migrations = st.Verdicts, p.TableStats().Rekeyed
 				return out
 			}
 			s := NewShardedWithConfig(bank, in.shards, cfg)
@@ -380,7 +380,7 @@ func TestBatchedMatchesSinglePacket(t *testing.T) {
 				for v, n := range st.Verdicts {
 					out.verdicts[v] += n
 				}
-				out.migrations += st.Migrations
+				out.migrations += sh.p.TableStats().Rekeyed
 			}
 			return out
 		}

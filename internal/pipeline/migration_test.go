@@ -50,9 +50,6 @@ func TestMigrationMidStreamSingleRecord(t *testing.T) {
 	if got := rec.PacketsUp + rec.PacketsDown; got != len(ft.Frames) {
 		t.Errorf("record counted %d packets, want all %d (pre- and post-migration)", got, len(ft.Frames))
 	}
-	if got := p.Stats().Migrations; got != 1 {
-		t.Errorf("Stats().Migrations = %d, want 1", got)
-	}
 	if st := p.TableStats(); st.Rekeyed != 1 || st.Inserted != 1 || st.Active != 1 {
 		t.Errorf("table stats = %+v, want 1 rekey of 1 inserted flow", st)
 	}
@@ -81,8 +78,8 @@ func TestMigrationMidHandshakeAssemblerSurvives(t *testing.T) {
 	if rec.Provider != fingerprint.YouTube {
 		t.Errorf("record provider = %v, want YouTube", rec.Provider)
 	}
-	if got := p.Stats().Migrations; got != 1 {
-		t.Errorf("Stats().Migrations = %d, want 1", got)
+	if got := p.TableStats().Rekeyed; got != 1 {
+		t.Errorf("TableStats().Rekeyed = %d, want 1", got)
 	}
 }
 
@@ -114,9 +111,6 @@ func TestMigrationUnderCapPressure(t *testing.T) {
 		if total[k] != 1 {
 			t.Errorf("flow %s produced %d records, want exactly 1", k, total[k])
 		}
-	}
-	if got := p.Stats().Migrations; got != flows {
-		t.Errorf("Stats().Migrations = %d, want %d", got, flows)
 	}
 	if st := p.TableStats(); st.Rekeyed != flows {
 		t.Errorf("table rekeyed = %d, want %d", st.Rekeyed, flows)
@@ -173,8 +167,8 @@ func TestMigrationTrailerPaddedFrames(t *testing.T) {
 			t.Errorf("CID index holds %d IDs after the padded long-header flights, want 2", p.cids.len())
 		}
 	}
-	if st := p.TableStats(); p.Stats().Migrations != 1 || st.Rekeyed != 1 || st.Inserted != 1 {
-		t.Errorf("Pipeline: %d migrations, table %+v; want 1 migration re-keying the 1 inserted flow", p.Stats().Migrations, st)
+	if st := p.TableStats(); st.Rekeyed != 1 || st.Inserted != 1 {
+		t.Errorf("Pipeline: table %+v; want 1 migration re-keying the 1 inserted flow", st)
 	}
 
 	s := NewSharded(emptyBank(), 4)

@@ -147,7 +147,7 @@ func TestSpanVerdicts(t *testing.T) {
 	// Classified flows carry their classification latency on the record.
 	var sawNanos bool
 	for _, rec := range s.Flows() {
-		if rec.Classified && rec.ClassifyNanos > 0 {
+		if rec.Verdict.ClassifierRan() && rec.ClassifyNanos > 0 {
 			sawNanos = true
 		}
 	}

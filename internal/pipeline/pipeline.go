@@ -86,6 +86,18 @@ func (v Verdict) String() string {
 	}
 }
 
+// ClassifierRan reports whether the flow's Prediction is the classifier's:
+// the confidence selector accepted it (classified) or rejected it
+// (abstained). A degraded flow the margin gate turned away leaves with its
+// explicit abstain verdict instead, and no prediction.
+func (v Verdict) ClassifierRan() bool { return v == VerdictClassified || v == VerdictAbstained }
+
+// ProviderKnown reports whether FlowRecord.Provider names the flow's
+// provider: its SNI matched one (classified, abstained, classifier error), or
+// a provider hint classified it. For every other verdict Provider holds its
+// zero value, which is not a provider.
+func (v Verdict) ProviderKnown() bool { return v.ClassifierRan() || v == VerdictError }
+
 // VerdictNames lists every verdict's stable string, indexed by Verdict
 // value, for emitters that enumerate the taxonomy (metrics, docs).
 func VerdictNames() [NumVerdicts]string {
@@ -102,17 +114,19 @@ func VerdictNames() [NumVerdicts]string {
 type FlowRecord struct {
 	// Key is the flow's 5-tuple in client-to-server orientation (see
 	// ClientSide) as first seen; a migrated flow keeps its original tuple.
-	Key       packet.FlowKey
+	Key packet.FlowKey
+	// Provider means something only when Verdict.ProviderKnown.
 	Provider  fingerprint.Provider
 	Transport fingerprint.Transport
 	SNI       string
 	Content   bool // content server (video bytes) vs management front-end
 
+	// Prediction is the classifier's when Verdict.ClassifierRan, zero
+	// otherwise.
 	Prediction Prediction
-	Classified bool
-	// Verdict records why the flow reached its terminal state — classified,
-	// abstained, or one of the never-classified outcomes. VerdictPending for
-	// flows evicted before a decision.
+	// Verdict is the flow's one decision: classified, abstained, or why it
+	// was never classified. It is the only field that says whether the flow
+	// was classified. VerdictPending while the flow awaits its handshake.
 	Verdict Verdict
 	// ModelVersion is the registry version of the bank that classified the
 	// flow (empty for unversioned banks), so downstream telemetry remains
@@ -153,8 +167,8 @@ type flowState struct {
 }
 
 // Config bounds a Pipeline's flow table for long-running deployments.
-// The zero value reproduces the batch behaviour: every flow is kept until
-// Reset, which is fine for finite traces but leaks under a live tap.
+// The zero value reproduces the batch behaviour: every flow is kept, which
+// is fine for finite traces but leaks under a live tap.
 type Config struct {
 	// MaxFlows caps tracked flows (LRU eviction on overflow). 0 = unbounded.
 	MaxFlows int
@@ -308,29 +322,27 @@ type Stats struct {
 	// provider: the per-provider stream counts of the paper's §5, exact
 	// because finalize bumps them beside the verdict.
 	ClassifiedByProvider [fingerprint.NumProviders]uint64
-	// Migrations counts flows re-keyed onto a new 5-tuple by QUIC
-	// connection migration: the flow table's Rekeyed, which nothing else
-	// moves.
-	Migrations uint64
 	// EarlyClassified counts degraded (partial-feature) classifications
 	// accepted by the EarlyMinMargin gate; they are also counted in
 	// Verdicts[VerdictClassified].
 	EarlyClassified uint64
 }
 
-// Stats snapshots the pipeline's counters. Safe from any goroutine.
+// Stats snapshots the pipeline's counters. Safe from any goroutine. A
+// counter is read only after every counter it must not exceed, so the
+// snapshot is consistent while flows are finalized under it: finalize bumps
+// a flow's verdict before its provider and its early count, so those are
+// read first and never exceed Verdicts[VerdictClassified].
 func (p *Pipeline) Stats() Stats {
-	st := Stats{
-		Packets:         p.packets.Load(),
-		Migrations:      p.flows.Stats().Rekeyed,
-		EarlyClassified: p.earlyClassified.Load(),
-	}
-	for v := range st.Verdicts {
-		st.Verdicts[v] = p.verdicts[v].Load()
-	}
+	var st Stats
 	for i := range st.ClassifiedByProvider {
 		st.ClassifiedByProvider[i] = p.classifiedBy[i].Load()
 	}
+	st.EarlyClassified = p.earlyClassified.Load()
+	for v := range st.Verdicts {
+		st.Verdicts[v] = p.verdicts[v].Load()
+	}
+	st.Packets = p.packets.Load()
 	return st
 }
 
@@ -378,7 +390,7 @@ func NewWithConfig(bank *Bank, cfg Config) *Pipeline {
 func (p *Pipeline) finalize(st *flowState, v Verdict) {
 	st.done = true
 	st.rec.Verdict = v
-	p.verdicts[v].Add(1)
+	p.verdicts[v].Add(1) // before the provider split: see Stats
 	// A ProviderHint may name a provider outside the studied four.
 	if prov := int(st.rec.Provider); v == VerdictClassified && prov < len(p.classifiedBy) {
 		p.classifiedBy[prov].Add(1)
@@ -614,14 +626,9 @@ func (p *Pipeline) handleKeyed(ts time.Time, frame, payload []byte, key packet.F
 		return nil, err
 	}
 	st.rec.Prediction = pred
-	st.rec.Classified = true
 	st.rec.ModelVersion = bank.Version
-	v := VerdictClassified
-	if pred.Status == Unknown {
-		v = VerdictAbstained
-	}
 	hs := *info // finalize releases the assembler info points into; OnClassify runs after it
-	p.finalize(st, v)
+	p.finalize(st, pred.Verdict())
 	out := st.rec // copy at classification time
 	if p.cfg.OnClassify != nil {
 		hookRec, hookHS := st.rec, hs
@@ -685,10 +692,9 @@ func (p *Pipeline) finishDegraded(st *flowState, info *features.HandshakeInfo, f
 	}
 	st.rec.Provider = prov
 	st.rec.Prediction = pred
-	st.rec.Classified = true
 	st.rec.ModelVersion = bank.Version
-	p.earlyClassified.Add(1)
 	p.finalize(st, VerdictClassified)
+	p.earlyClassified.Add(1) // after the verdict: see Stats
 	out := st.rec
 	return &out, nil
 }
@@ -786,7 +792,9 @@ func (p *Pipeline) maybeSweep(ts time.Time) {
 // final telemetry. Flows already evicted from a bounded table are not
 // included — they were delivered to Config.OnEvict with the same record
 // contents at eviction time, so OnEvict output plus Flows() covers every
-// flow exactly once.
+// flow exactly once. A record taken here is not finalized: a flow still
+// waiting for its handshake reads VerdictPending (Sharded.Drain finalizes
+// it).
 func (p *Pipeline) Flows() []*FlowRecord {
 	out := make([]*FlowRecord, 0, p.flows.Len())
 	p.flows.Range(func(_ packet.FlowKey, st *flowState) bool {
@@ -795,12 +803,4 @@ func (p *Pipeline) Flows() []*FlowRecord {
 		return true
 	})
 	return out
-}
-
-// Reset drops all flow state (e.g. between measurement windows) without
-// invoking the eviction hook.
-func (p *Pipeline) Reset() {
-	p.flows.Clear()
-	p.cids = cidIndex[packet.FlowKey]{}
-	p.lastSweep = time.Time{}
 }

@@ -258,7 +258,7 @@ func TestStreamingPipelineEndToEnd(t *testing.T) {
 		t.Fatalf("classified %d flows, want 3", len(classified))
 	}
 	for sni, rec := range classified {
-		if !rec.Classified {
+		if !rec.Verdict.ClassifierRan() {
 			t.Errorf("%s not classified", sni)
 		}
 		if rec.Provider == fingerprint.YouTube && rec.Transport != fingerprint.QUIC {

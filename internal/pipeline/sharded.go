@@ -90,8 +90,9 @@ type IngestPacket struct {
 // deadlocks on a stalled consumer. The buffer defaults to
 // DefaultResultsBufferPerShard per shard (Config.ResultsBuffer overrides), so
 // a consumer that is actively draining rides out bursts proportional to the
-// fan-out width. Complete final state is always available from Flows() (plus
-// the Config.OnEvict hook for flows evicted from a bounded table).
+// fan-out width. Complete final state always reaches the Config.OnEvict
+// hook: flows evicted from a bounded table as they go, the rest when Drain
+// empties the tables (or, left in place by Close, from Flows()).
 type Sharded struct {
 	shards   []*shard
 	results  chan *FlowRecord
@@ -151,12 +152,14 @@ type shard struct {
 	p  *Pipeline
 }
 
-// shardMsg carries a batch of summarized frames or, when snap is non-nil, a
-// request for the shard's current flow records (answered from the worker
-// goroutine, so snapshots never race packet processing).
+// shardMsg carries a batch of summarized frames or a request answered from
+// the worker goroutine, so it never races packet processing: when snap is
+// non-nil, for the shard's current flow records; when drained is, to evict
+// every flow (Drain) and report back.
 type shardMsg struct {
-	batch *ingestBatch
-	snap  chan []*FlowRecord
+	batch   *ingestBatch
+	snap    chan []*FlowRecord
+	drained chan struct{}
 	// enq stamps when the message entered the inbox, set only when latency
 	// observation is on; the worker turns it into a queue-wait sample.
 	enq time.Time
@@ -271,6 +274,11 @@ func NewShardedWithConfig(bank *Bank, n int, cfg Config) *Sharded {
 			for msg := range sh.in {
 				if msg.snap != nil {
 					msg.snap <- sh.p.Flows()
+					continue
+				}
+				if msg.drained != nil {
+					sh.p.flows.Drain()
+					msg.drained <- struct{}{}
 					continue
 				}
 				if !msg.enq.IsZero() {
@@ -530,23 +538,17 @@ type IngestStats struct {
 	// had to wait — sustained growth means the shard workers can't keep up
 	// with the offered rate (add shards, or accept the backpressure).
 	Stalls uint64 `json:"stalls"`
-	// OversizedHandshakes counts flows abandoned on the shard workers
-	// because their buffered handshake bytes exceeded maxHelloBytes (summed
-	// across shards).
-	OversizedHandshakes uint64 `json:"oversized_handshakes"`
 	// Migrations counts flows re-keyed onto a new 5-tuple by QUIC
-	// connection migration (summed across shards).
+	// connection migration: the flow tables' Rekeyed (summed across shards).
 	Migrations uint64 `json:"migrations"`
 	// EarlyClassified counts degraded (partial-feature) classifications
 	// accepted by the EarlyMinMargin gate (summed across shards).
 	EarlyClassified uint64 `json:"early_classified"`
-	// Classified and Abstained count the flows finalized as
-	// VerdictClassified and VerdictAbstained, and ClassifiedByProvider
-	// splits the former by fingerprint.Provider (all summed across shards).
-	// They are the shard workers' own verdict counters, so they are exact
-	// however many records Results() dropped.
-	Classified           uint64                           `json:"classified_flows"`
-	Abstained            uint64                           `json:"abstained_flows"`
+	// Verdicts counts finalized flows by verdict, and ClassifiedByProvider
+	// splits Verdicts[VerdictClassified] by fingerprint.Provider (both
+	// Stats, summed across shards). They are the shard workers' own
+	// counters, so they are exact however many records Results() dropped.
+	Verdicts             [NumVerdicts]uint64              `json:"verdicts"`
 	ClassifiedByProvider [fingerprint.NumProviders]uint64 `json:"classified_by_provider"`
 }
 
@@ -560,11 +562,11 @@ func (s *Sharded) IngestStats() IngestStats {
 	}
 	for _, sh := range s.shards {
 		ps := sh.p.Stats()
-		st.OversizedHandshakes += ps.Verdicts[VerdictOversized]
-		st.Migrations += ps.Migrations
+		st.Migrations += sh.p.TableStats().Rekeyed
 		st.EarlyClassified += ps.EarlyClassified
-		st.Classified += ps.Verdicts[VerdictClassified]
-		st.Abstained += ps.Verdicts[VerdictAbstained]
+		for v, n := range ps.Verdicts {
+			st.Verdicts[v] += n
+		}
 		for i, n := range ps.ClassifiedByProvider {
 			st.ClassifiedByProvider[i] += n
 		}
@@ -587,7 +589,27 @@ func (s *Sharded) QueueDepths() []int {
 // QueueCapacity reports the per-shard inbox capacity in messages.
 func (s *Sharded) QueueCapacity() int { return cap(s.shards[0].in) }
 
+// Drain finalizes every flow still tracked: each shard, once it has
+// processed the frames queued before the request, evicts its flows oldest
+// first (flowtable.ReasonDrain) through the same eviction path as an idle
+// flow, which resolves an undecided flow's verdict — no-handshake, or
+// abstained-0rtt after 0-RTT early data — and hands every record to
+// Config.OnEvict. It returns once every shard has drained. Call it after
+// the last HandlePacketBatch and before Close; afterwards Flows() is empty
+// and every inserted flow has been counted in IngestStats().Verdicts.
+func (s *Sharded) Drain() {
+	done := make(chan struct{}, len(s.shards))
+	for _, sh := range s.shards {
+		sh.in <- shardMsg{drained: done}
+	}
+	for range s.shards {
+		<-done
+	}
+}
+
 // Close stops the workers after draining queued packets and closes Results.
+// The flows still tracked stay as they are, readable through Flows(); call
+// Drain first to finalize them.
 func (s *Sharded) Close() {
 	for _, sh := range s.shards {
 		close(sh.in)
@@ -631,6 +653,7 @@ func (s *Sharded) TableStats() flowtable.Stats {
 		st.Inserted += t.Inserted
 		st.EvictedIdle += t.EvictedIdle
 		st.EvictedCap += t.EvictedCap
+		st.EvictedDrain += t.EvictedDrain
 		st.Rekeyed += t.Rekeyed
 	}
 	return st

@@ -41,7 +41,7 @@ func TestConcurrentHotSwapUnderLoad(t *testing.T) {
 	go func() {
 		defer close(collected)
 		for rec := range s.Results() {
-			if !rec.Classified {
+			if !rec.Verdict.ClassifierRan() {
 				errRecs++
 				continue
 			}
@@ -113,7 +113,7 @@ func TestConcurrentHotSwapUnderLoad(t *testing.T) {
 	// paths rather than asserting zero drops.)
 	// Flow records from the final drain must also be coherently stamped.
 	for _, rec := range s.Flows() {
-		if rec.Classified && rec.ModelVersion != "vA" && rec.ModelVersion != "vB" {
+		if rec.Verdict.ClassifierRan() && rec.ModelVersion != "vA" && rec.ModelVersion != "vB" {
 			t.Errorf("drained record has version %q", rec.ModelVersion)
 		}
 	}

@@ -47,7 +47,7 @@ func classifyAll(t testing.TB, bank *pipeline.Bank, ds *tracegen.Dataset) ([]*pi
 			t.Fatal(err)
 		}
 		recs = append(recs, &pipeline.FlowRecord{
-			Classified: true, Provider: ft.Provider, Transport: ft.Transport,
+			Verdict: pred.Verdict(), Provider: ft.Provider, Transport: ft.Transport,
 			Prediction: pred, ModelVersion: bank.Version,
 		})
 		infos = append(infos, info)

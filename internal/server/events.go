@@ -8,7 +8,6 @@ import (
 	"strconv"
 
 	"videoplat/internal/obs"
-	"videoplat/internal/pipeline"
 	"videoplat/internal/telemetry"
 )
 
@@ -84,18 +83,6 @@ func knownEventType(typ obs.EventType) bool {
 		}
 	}
 	return false
-}
-
-// verdictCounts snapshots the per-verdict flow counters, omitting
-// never-seen verdicts.
-func (s *Server) verdictCounts() map[string]uint64 {
-	out := make(map[string]uint64, len(s.verdicts))
-	for i := range s.verdicts {
-		if n := s.verdicts[i].Load(); n > 0 {
-			out[pipeline.Verdict(i).String()] = n
-		}
-	}
-	return out
 }
 
 // enrichWindow stamps window-scoped quality gauges into a sealing window:

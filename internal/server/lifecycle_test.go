@@ -402,7 +402,7 @@ func TestAutoRetrainSwapsUnderInjectedDrift(t *testing.T) {
 	if st.Replay.Error != "" {
 		t.Errorf("replay error during swap: %s", st.Replay.Error)
 	}
-	if st.ClassifiedFlows == 0 {
+	if st.FlowVerdicts["classified"] == 0 {
 		t.Error("no flows classified")
 	}
 	if st.Models.ActiveVersion == "v0001" || st.Models.ActiveVersion == "unversioned" || st.Models.Swaps == 0 {

@@ -54,21 +54,14 @@ var metricsCatalog = []metricDef{
 			return []sample{
 				count(`{reason="idle"}`, st.FlowTable.EvictedIdle),
 				count(`{reason="cap"}`, st.FlowTable.EvictedCap),
+				count(`{reason="drain"}`, st.FlowTable.EvictedDrain),
 			}
 		}},
 	{"videoplat_flows_rekeyed_total", "counter", "Flows re-keyed in place by QUIC connection migration.",
 		func(st *Stats) []sample { return value(float64(st.FlowTable.Rekeyed)) }},
-	{"videoplat_flow_migrations_total", "counter", "QUIC connection migrations absorbed by CID re-keying.",
-		func(st *Stats) []sample { return value(float64(st.Ingest.Migrations)) }},
 	{"videoplat_flows_early_classified_total", "counter", "Flows classified from partial handshake evidence (ECH or 0-RTT).",
 		func(st *Stats) []sample { return value(float64(st.Ingest.EarlyClassified)) }},
-	{"videoplat_flows_classified_total", "counter", "Flows classified with a platform prediction.",
-		func(st *Stats) []sample { return value(float64(st.ClassifiedFlows)) }},
-	{"videoplat_flows_unknown_total", "counter", "Flows rejected by the confidence selector.",
-		func(st *Stats) []sample { return value(float64(st.UnknownFlows)) }},
-	{"videoplat_flows_finalized_total", "counter", "Flow records rolled up (evicted or drained).",
-		func(st *Stats) []sample { return value(float64(st.FinalizedFlows)) }},
-	{"videoplat_flow_verdicts_total", "counter", "Finalized flows by terminal verdict (verdict label: classified, abstained, no-handshake, …).",
+	{"videoplat_flow_verdicts_total", "counter", "Flows by terminal verdict, counted when decided (verdict label: classified, abstained, no-handshake, …).",
 		func(st *Stats) []sample {
 			var out []sample
 			for _, name := range pipeline.VerdictNames() {
@@ -96,8 +89,6 @@ var metricsCatalog = []metricDef{
 		func(st *Stats) []sample { return value(float64(st.Ingest.FilteredFrames)) }},
 	{"videoplat_ingest_stalls_total", "counter", "Ingest submissions that blocked on a full shard inbox.",
 		func(st *Stats) []sample { return value(float64(st.Ingest.Stalls)) }},
-	{"videoplat_ingest_oversized_handshakes_total", "counter", "Flows abandoned because buffered handshake bytes exceeded the cap.",
-		func(st *Stats) []sample { return value(float64(st.Ingest.OversizedHandshakes)) }},
 	{"videoplat_rollup_windows_sealed_total", "counter", "Rollup windows sealed and retired to the sink.",
 		func(st *Stats) []sample { return value(float64(st.Rollup.Sealed)) }},
 	{"videoplat_telemetry_sink_errors_total", "counter", "Rollup sink writes that failed (every failure, not just the first).",

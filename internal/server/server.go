@@ -188,12 +188,7 @@ type Server struct {
 	packets   atomic.Uint64
 	batches   atomic.Uint64
 	bytes     atomic.Uint64
-	finalized atomic.Uint64 // records that reached the rollup
 	swaps     atomic.Uint64 // bank hot-swaps applied to the pipeline
-
-	// verdicts counts finalized flows by pipeline.Verdict, for /stats and
-	// the videoplat_flow_verdicts_total metric.
-	verdicts [pipeline.NumVerdicts]atomic.Uint64
 
 	// Journal edge-detection state for window-seal health events and shadow
 	// delta stamping. lastSealed/lastSinkErrs/lastCompactions/lastCapEvict
@@ -213,10 +208,9 @@ type Server struct {
 
 	lastTS atomic.Int64 // latest packet timestamp (trace clock), unix nanos
 
-	mu         sync.RWMutex
-	replayErr  error
-	closed     bool
-	finalFlows []*pipeline.FlowRecord
+	mu        sync.RWMutex
+	replayErr error
+	closed    bool // shutdown has started: /flows no longer snapshots the shards
 }
 
 // New builds a Server over a trained bank and a replay source and binds the
@@ -355,9 +349,9 @@ func (s *Server) Addr() string { return s.lis.Addr().String() }
 func (s *Server) ReplayDone() <-chan struct{} { return s.replayDone }
 
 // Run serves until ctx is cancelled, then shuts down gracefully: the replay
-// stops, the shards drain, residual flows are rolled up, the final partial
-// window is flushed to the sink, and the HTTP server closes. Run returns
-// nil on a clean shutdown.
+// stops, the shards finalize and evict every flow still open, the final
+// partial window is flushed to the sink, and the HTTP server closes. Run
+// returns nil on a clean shutdown.
 func (s *Server) Run(ctx context.Context) error {
 	s.startWall = time.Now()
 
@@ -404,8 +398,11 @@ func (s *Server) Run(ctx context.Context) error {
 	return nil
 }
 
-// finishPipeline drains the shards and rolls up whatever flow state
-// remains, so a finite replay's telemetry is complete at exit.
+// finishPipeline finalizes every flow still open and rolls it up, so a
+// finite replay's telemetry is complete at exit. The flows leave the way an
+// idle one does — the shards evict them, oldest first, and aggregate folds
+// the records — so a flow's verdict is decided in one place whenever it
+// ends.
 func (s *Server) finishPipeline() {
 	s.mu.Lock()
 	if s.closed {
@@ -415,36 +412,19 @@ func (s *Server) finishPipeline() {
 	s.closed = true
 	s.mu.Unlock()
 
-	s.sharded.Close()  // drains queued packets; evictions may still fire
-	close(s.evictions) // shard workers are done: no more OnEvict calls
+	s.sharded.Drain()  // the replay has stopped: evicts every flow through OnEvict
+	s.sharded.Close()  // no OnEvict call is running or queued after this
+	close(s.evictions) // so aggregate can finish folding and exit
 	<-s.aggDone
 
 	if c, ok := s.src.(io.Closer); ok {
 		c.Close() // replay goroutine has exited; release e.g. the capture fd
-	}
-
-	residual := s.sharded.Flows()
-	if residual == nil {
-		residual = []*pipeline.FlowRecord{} // non-nil: /flows treats nil as "draining"
-	}
-	for _, rec := range residual {
-		if rec.Verdict == pipeline.VerdictPending {
-			// Still open at shutdown with no completed handshake; this is
-			// its finalization, so resolve the verdict.
-			rec.Verdict = pipeline.VerdictNoHandshake
-		}
-		s.addToRollup(rec)
-		s.finalized.Add(1)
 	}
 	s.rollup.Flush()
 	if sealed := s.rollup.Sealed(); sealed != s.lastSealed {
 		s.lastSealed = sealed
 		s.sealHealthEvents()
 	}
-
-	s.mu.Lock()
-	s.finalFlows = residual
-	s.mu.Unlock()
 }
 
 // replay streams the source through the sharded pipeline in batches of up
@@ -543,21 +523,17 @@ func (s *Server) aggregate() {
 				continue
 			}
 			s.addToRollup(rec)
-			s.finalized.Add(1)
 		}
 	}
 }
 
 // addToRollup commits one finalized record to the rollup, timed as the
-// pipeline's rollup stage, and counts its verdict. When the add seals a
-// window, pipeline-health deltas (sink errors, store compactions, flow-table
-// cap pressure) are checked and journaled — once per sealed window, not per
-// flow, so the checks stay off the per-record path.
+// pipeline's rollup stage. When the add seals a window, pipeline-health
+// deltas (sink errors, store compactions, flow-table cap pressure) are
+// checked and journaled — once per sealed window, not per flow, so the
+// checks stay off the per-record path.
 func (s *Server) addToRollup(rec *pipeline.FlowRecord) {
 	t0 := time.Now()
-	if v := int(rec.Verdict); v < len(s.verdicts) {
-		s.verdicts[v].Add(1)
-	}
 	s.rollup.Add(rec)
 	s.obsv.Record(obs.StageRollup, time.Since(t0))
 	if sealed := s.rollup.Sealed(); sealed != s.lastSealed {
@@ -598,9 +574,6 @@ type Stats struct {
 		// Stalls counts ingest submissions that blocked on a full shard
 		// inbox (backpressure, not loss).
 		Stalls uint64 `json:"stalls"`
-		// OversizedHandshakes counts flows abandoned because their
-		// buffered handshake bytes exceeded the 64 KiB handshake cap.
-		OversizedHandshakes uint64 `json:"oversized_handshakes"`
 		// Migrations counts QUIC connection migrations absorbed by CID
 		// re-keying (each is a flow whose 5-tuple changed mid-connection).
 		Migrations uint64 `json:"migrations"`
@@ -648,18 +621,15 @@ type Stats struct {
 		PprofEnabled     bool    `json:"pprof_enabled"`
 	} `json:"config"`
 
-	// ClassifiedFlows, UnknownFlows and ByProvider are read from the shard
-	// workers' verdict counters (pipeline.IngestStats): flows finalized as
-	// classified, as abstained, and the former split by provider. Exact and
-	// live — they count a flow when its handshake resolves, not when it is
-	// evicted into FinalizedFlows.
-	ClassifiedFlows uint64            `json:"classified_flows"`
-	UnknownFlows    uint64            `json:"unknown_flows"`
-	FinalizedFlows  uint64            `json:"finalized_flows"`
-	ByProvider      map[string]uint64 `json:"classified_by_provider"`
-	// FlowVerdicts counts finalized flows by terminal verdict (classified,
-	// abstained, no-handshake, …) — the decision-quality taxonomy.
-	FlowVerdicts map[string]uint64 `json:"flow_verdicts,omitempty"`
+	// FlowVerdicts counts flows by terminal verdict (classified, abstained,
+	// no-handshake, …; verdicts no flow has reached are omitted), and
+	// ByProvider splits the classified ones by provider. Both are the shard
+	// workers' own counters (pipeline.IngestStats), exact and live: a flow
+	// is counted once, when its verdict is decided, not when its record is
+	// evicted and rolled up. FinalizedFlows is their sum.
+	FlowVerdicts   map[string]uint64 `json:"flow_verdicts,omitempty"`
+	ByProvider     map[string]uint64 `json:"classified_by_provider"`
+	FinalizedFlows uint64            `json:"finalized_flows"`
 
 	// Events summarizes the ops event journal; the events themselves are
 	// served by GET /events.
@@ -715,15 +685,17 @@ func (s *Server) Snapshot() Stats {
 		st.Replay.Done = true
 	default:
 	}
-	st.FlowTable = s.sharded.TableStats()
+	// The verdicts before the table: a flow is inserted before it is
+	// decided, so read in this order no scrape counts more decided flows
+	// than inserted ones.
 	ing := s.sharded.IngestStats()
+	st.FlowTable = s.sharded.TableStats()
 	st.DroppedResults = ing.DroppedResults
 	st.Ingest.BatchSize = s.effectiveBatchSize()
 	st.Ingest.Batches = s.batches.Load()
 	st.Ingest.IgnoredFrames = ing.Ignored
 	st.Ingest.FilteredFrames = ing.Filtered
 	st.Ingest.Stalls = ing.Stalls
-	st.Ingest.OversizedHandshakes = ing.OversizedHandshakes
 	st.Ingest.Migrations = ing.Migrations
 	st.Ingest.EarlyClassified = ing.EarlyClassified
 	st.Ingest.QueueDepths = s.sharded.QueueDepths()
@@ -742,16 +714,19 @@ func (s *Server) Snapshot() Stats {
 	st.Config.WindowSeconds = s.cfg.WindowWidth.Seconds()
 	st.Config.TraceSampleEvery = tsnap.SampleEvery
 	st.Config.PprofEnabled = s.cfg.EnablePprof
-	st.ClassifiedFlows = ing.Classified
-	st.UnknownFlows = ing.Abstained
+	st.FlowVerdicts = map[string]uint64{}
+	for v, n := range ing.Verdicts {
+		if n > 0 {
+			st.FlowVerdicts[pipeline.Verdict(v).String()] = n
+			st.FinalizedFlows += n
+		}
+	}
 	st.ByProvider = map[string]uint64{}
 	for prov, n := range ing.ClassifiedByProvider {
 		if n > 0 {
 			st.ByProvider[fingerprint.Provider(prov).String()] = n
 		}
 	}
-	st.FinalizedFlows = s.finalized.Load()
-	st.FlowVerdicts = s.verdictCounts()
 	st.Events = s.journal.Stats()
 	st.Rollup.WindowSeconds = s.rollup.Width().Seconds()
 	st.Rollup.Sealed = s.rollup.Sealed()
@@ -800,17 +775,17 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 
 // flowSummary is one /flows row.
 type flowSummary struct {
-	Src        string  `json:"src"`
-	Dst        string  `json:"dst"`
-	Transport  string  `json:"transport"`
-	Provider   string  `json:"provider,omitempty"`
-	SNI        string  `json:"sni,omitempty"`
-	Classified bool    `json:"classified"`
-	Platform   string  `json:"platform,omitempty"`
-	DurationS  float64 `json:"duration_seconds"`
-	BytesDown  int64   `json:"bytes_down"`
-	BytesUp    int64   `json:"bytes_up"`
-	MbpsDown   float64 `json:"mbps_down"`
+	Src       string  `json:"src"`
+	Dst       string  `json:"dst"`
+	Transport string  `json:"transport"`
+	Provider  string  `json:"provider,omitempty"`
+	SNI       string  `json:"sni,omitempty"`
+	Verdict   string  `json:"verdict"`
+	Platform  string  `json:"platform,omitempty"`
+	DurationS float64 `json:"duration_seconds"`
+	BytesDown int64   `json:"bytes_down"`
+	BytesUp   int64   `json:"bytes_up"`
+	MbpsDown  float64 `json:"mbps_down"`
 }
 
 func (s *Server) handleFlows(w http.ResponseWriter, r *http.Request) {
@@ -820,23 +795,17 @@ func (s *Server) handleFlows(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// The read lock is held across the live snapshot: finishPipeline flips
-	// closed under the write lock before closing shard channels, so no
-	// snapshot can race Close.
+	// closed under the write lock before it drains and closes the shards,
+	// so no snapshot can race either. From then on every flow is on its way
+	// out of the table, so there is nothing live to list.
 	s.mu.RLock()
-	var recs []*pipeline.FlowRecord
-	draining := false
 	if s.closed {
-		// finalFlows is nil only while finishPipeline is still draining
-		// the shards; afterwards it is always non-nil (possibly empty).
-		recs, draining = s.finalFlows, s.finalFlows == nil
-	} else {
-		recs = s.sharded.SnapshotFlows()
-	}
-	s.mu.RUnlock()
-	if draining {
-		http.Error(w, "draining", http.StatusServiceUnavailable)
+		s.mu.RUnlock()
+		http.Error(w, "shutting down", http.StatusServiceUnavailable)
 		return
 	}
+	recs := s.sharded.SnapshotFlows()
+	s.mu.RUnlock()
 
 	out := struct {
 		Active int           `json:"active_flows"`
@@ -847,22 +816,20 @@ func (s *Server) handleFlows(w http.ResponseWriter, r *http.Request) {
 			break
 		}
 		fs := flowSummary{
-			Src:        netip.AddrPortFrom(rec.Key.Src, rec.Key.SrcPort).String(),
-			Dst:        netip.AddrPortFrom(rec.Key.Dst, rec.Key.DstPort).String(),
-			Transport:  rec.Transport.String(),
-			SNI:        rec.SNI,
-			Classified: rec.Classified,
-			DurationS:  rec.Duration().Seconds(),
-			BytesDown:  rec.BytesDown,
-			BytesUp:    rec.BytesUp,
-			MbpsDown:   rec.MbpsDown(),
+			Src:       netip.AddrPortFrom(rec.Key.Src, rec.Key.SrcPort).String(),
+			Dst:       netip.AddrPortFrom(rec.Key.Dst, rec.Key.DstPort).String(),
+			Transport: rec.Transport.String(),
+			SNI:       rec.SNI,
+			Verdict:   rec.Verdict.String(),
+			DurationS: rec.Duration().Seconds(),
+			BytesDown: rec.BytesDown,
+			BytesUp:   rec.BytesUp,
+			MbpsDown:  rec.MbpsDown(),
 		}
-		// A classified flow has a provider even with no SNI: a 0-RTT
-		// resumption accepted through ProviderHint never shows a hello.
-		if rec.SNI != "" || rec.Classified {
+		if rec.Verdict.ProviderKnown() {
 			fs.Provider = rec.Provider.String()
 		}
-		if rec.Classified {
+		if rec.Verdict.ClassifierRan() {
 			fs.Platform = rec.Prediction.Platform
 		}
 		out.Flows = append(out.Flows, fs)

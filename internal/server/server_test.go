@@ -144,7 +144,7 @@ func TestServeSynthReplayEndToEnd(t *testing.T) {
 	if st.FlowTable.EvictedCap == 0 {
 		t.Error("no cap evictions despite tiny table: flow table is not bounded")
 	}
-	if st.ClassifiedFlows == 0 {
+	if st.FlowVerdicts["classified"] == 0 {
 		t.Error("no flows classified")
 	}
 	// Every inserted flow is finalized exactly once: evicted during the

@@ -141,7 +141,7 @@ func (q *QualitySummary) add(rec *pipeline.FlowRecord) {
 		q.Verdicts = make(map[string]uint64) // lazy one-time init, pinned by TestQualityFoldZeroAlloc
 	}
 	q.Verdicts[rec.Verdict.String()]++
-	if rec.Classified {
+	if rec.Verdict.ClassifierRan() {
 		if q.Confidence == nil {
 			q.Confidence = &ConfidenceHist{} // lazy one-time init, pinned by TestQualityFoldZeroAlloc
 		}

@@ -20,10 +20,10 @@ func qualRec(prov fingerprint.Provider, platform string, start time.Time, conf, 
 }
 
 // abstainRec is a flow the classifier saw but rejected below the confidence
-// floor: Classified is set (the model ran) but the prediction is Unknown.
+// floor: the model ran, so the verdict is abstained and the prediction
+// Unknown.
 func abstainRec(prov fingerprint.Provider, start time.Time, conf float64) *pipeline.FlowRecord {
 	r := rollRec(prov, "", start, 10*time.Second, 1<<20)
-	r.Classified = true
 	r.Verdict = pipeline.VerdictAbstained
 	r.Prediction = pipeline.Prediction{Status: pipeline.Unknown, PlatformConf: conf, PlatformMargin: conf}
 	return r
@@ -147,8 +147,8 @@ func TestWindowQualityFold(t *testing.T) {
 	r.Add(qualRec(fingerprint.YouTube, "windows_chrome", w0.Add(time.Second), 0.7, 0.3))
 	r.Add(abstainRec(fingerprint.YouTube, w0.Add(2*time.Second), 0.3))
 	nh := rollRec(fingerprint.Netflix, "", w0.Add(3*time.Second), time.Second, 1<<10)
-	nh.SNI = "nflxvideo.net" // provider matched, but the handshake never assembled
-	nh.Verdict = pipeline.VerdictNoHandshake
+	nh.SNI = "nflxvideo.net" // provider matched, but the bank had no model for it
+	nh.Verdict = pipeline.VerdictError
 	r.Add(nh)
 
 	cur := r.Current()
@@ -167,7 +167,7 @@ func TestWindowQualityFold(t *testing.T) {
 	}
 	w := cap.wins[0]
 	if w.Quality.Verdicts["classified"] != 2 || w.Quality.Verdicts["abstained"] != 1 ||
-		w.Quality.Verdicts["no-handshake"] != 1 {
+		w.Quality.Verdicts["error"] != 1 {
 		t.Fatalf("sealed verdicts = %v", w.Quality.Verdicts)
 	}
 	if w.Quality.Confidence.Count != 3 || w.Quality.Margin.Count != 3 {

@@ -39,8 +39,8 @@ type Cell struct {
 // pinned allocation-free (modulo lazy one-time inits) by TestQualityFoldZeroAlloc.
 func (c *Cell) add(rec *pipeline.FlowRecord) {
 	c.Flows++
-	if rec.Classified {
-		if rec.Prediction.Status != pipeline.Unknown {
+	if rec.Verdict.ClassifierRan() {
+		if rec.Verdict == pipeline.VerdictClassified {
 			c.ClassifiedFlows++
 		} else {
 			c.AbstainedFlows++
@@ -127,13 +127,13 @@ type Window struct {
 
 func (w *Window) add(rec *pipeline.FlowRecord) {
 	w.Flows++
-	classified := rec.Classified && rec.Prediction.Status != pipeline.Unknown
+	classified := rec.Verdict == pipeline.VerdictClassified
 	if classified {
 		w.ClassifiedFlows++
 	}
-	prov := rec.Provider.String()
-	if !rec.Classified && rec.SNI == "" {
-		prov = "unmatched" // never got far enough to identify a provider
+	prov := "unmatched" // never got far enough to identify a provider
+	if rec.Verdict.ProviderKnown() {
+		prov = rec.Provider.String()
 	}
 	cell := w.ByProvider[prov]
 	if cell == nil {
@@ -153,7 +153,7 @@ func (w *Window) add(rec *pipeline.FlowRecord) {
 	}
 	cell.add(rec)
 
-	if rec.Classified {
+	if rec.Verdict.ClassifierRan() {
 		ver := rec.ModelVersion
 		if ver == "" {
 			ver = "unversioned"

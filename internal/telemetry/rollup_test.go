@@ -19,7 +19,7 @@ func rollRec(prov fingerprint.Provider, platform string, start time.Time, dur ti
 		BytesDown: bytesDown,
 	}
 	if platform != "" {
-		r.Classified = true
+		r.Verdict = pipeline.VerdictClassified
 		r.Content = true
 		r.Prediction = pipeline.Prediction{Status: pipeline.Composite, Platform: platform}
 	}

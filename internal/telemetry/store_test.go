@@ -119,6 +119,7 @@ func TestStoreQueryRangeAndGroups(t *testing.T) {
 		rollRec(fingerprint.Disney, "macOS_safari", w0.Add(2*time.Minute), 10*time.Second, 3<<20),
 	}
 	recs[1].SNI = "nflxvideo.net" // provider identified but never classified
+	recs[1].Verdict = pipeline.VerdictError
 	s := NewStore(StoreConfig{})
 	feed(t, s, sealWindows(t, time.Minute, recs...)...)
 
@@ -442,7 +443,7 @@ func TestStoreQueryModelCountsAttempts(t *testing.T) {
 	ok := rollRec(fingerprint.YouTube, "windows_chrome", w0, 10*time.Second, 1<<20)
 	ok.ModelVersion = "v0001"
 	rejected := rollRec(fingerprint.Netflix, "", w0.Add(5*time.Second), 10*time.Second, 1<<20)
-	rejected.Classified = true
+	rejected.Verdict = pipeline.VerdictAbstained
 	rejected.Prediction = pipeline.Prediction{Status: pipeline.Unknown}
 	rejected.ModelVersion = "v0001"
 

@@ -59,7 +59,7 @@ func (a *Aggregator) Len() int { return len(a.records) }
 
 // usable reports whether a record contributes to platform-level stats.
 func usable(rec *pipeline.FlowRecord) bool {
-	return rec.Classified && rec.Content && rec.Prediction.Status == pipeline.Composite
+	return rec.Verdict == pipeline.VerdictClassified && rec.Content && rec.Prediction.Status == pipeline.Composite
 }
 
 func (a *Aggregator) days() float64 {
@@ -227,7 +227,7 @@ func (a *Aggregator) HourlyUsage(prov fingerprint.Provider) (pc, mobile [24]floa
 func (a *Aggregator) ExcludedFraction() float64 {
 	var excluded, total float64
 	for _, rec := range a.records {
-		if !rec.Classified || !rec.Content {
+		if !rec.Verdict.ClassifierRan() || !rec.Content {
 			continue
 		}
 		total++

@@ -12,10 +12,10 @@ import (
 func rec(prov fingerprint.Provider, device, agent string, start time.Time,
 	dur time.Duration, mbps float64, status pipeline.Status) *pipeline.FlowRecord {
 	bytes := int64(mbps * 1e6 / 8 * dur.Seconds())
+	pred := pipeline.Prediction{Status: status, Device: device, Agent: agent,
+		Platform: device + "_" + agent}
 	return &pipeline.FlowRecord{
-		Provider: prov, Content: true, Classified: true,
-		Prediction: pipeline.Prediction{Status: status, Device: device, Agent: agent,
-			Platform: device + "_" + agent},
+		Provider: prov, Content: true, Verdict: pred.Verdict(), Prediction: pred,
 		FirstSeen: start, LastSeen: start.Add(dur), BytesDown: bytes,
 	}
 }
