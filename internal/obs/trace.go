@@ -39,9 +39,17 @@ type Span struct {
 	// ModelVersion is the registry version of the bank that classified the
 	// flow (empty if never classified).
 	ModelVersion string `json:"model_version,omitempty"`
-	// Verdict is the terminal outcome: a platform label, "unknown",
-	// "not-video", "no-handshake", "oversized", or "evicted".
+	// Verdict is the terminal outcome. A classified flow carries what the
+	// confidence selector decided: its platform label ("android_chrome")
+	// when composite, or the confident half ("android", "chrome") when
+	// partial. Otherwise it is "unknown" (abstained), "not-video",
+	// "no-handshake", "oversized", "error", "abstained-ech",
+	// "abstained-0rtt", or "evicted".
 	Verdict string `json:"verdict"`
+	// Status is the §4.1 gate that decided a flow the classifier judged:
+	// "composite", "partial" or "unknown". Empty when the classifier never
+	// ran.
+	Status string `json:"status,omitempty"`
 }
 
 // TracerConfig tunes a Tracer.

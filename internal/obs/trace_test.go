@@ -100,9 +100,10 @@ func TestTracerSpanReuse(t *testing.T) {
 	sp.SNI = "video.example.com"
 	sp.Frames = 7
 	sp.Verdict = "roku"
+	sp.Status = "partial"
 	tr.Finish(sp)
 	sp2 := tr.Admit()
-	if sp2.SNI != "" || sp2.Frames != 0 || sp2.Verdict != "" {
+	if sp2.SNI != "" || sp2.Frames != 0 || sp2.Verdict != "" || sp2.Status != "" {
 		t.Fatalf("recycled span not reset: %+v", sp2)
 	}
 	if sp2.ID != 2 {

@@ -285,6 +285,12 @@ func (s Status) String() string {
 }
 
 // Prediction is the confidence-selected output for one video flow (§4.1).
+// The selector is a cascade: the composite platform model answers first, and
+// the device-type and software-agent models are consulted only when its
+// confidence falls below ConfidenceThreshold. DeviceConf and AgentConf are
+// those fallback models' confidences, zero when Status is Composite, because
+// §4.1 never consults them then; a composite prediction's Device and Agent
+// are DeviceOf and AgentOf its Platform.
 type Prediction struct {
 	Status Status
 
@@ -314,15 +320,34 @@ func (p Prediction) Verdict() Verdict {
 	return VerdictClassified
 }
 
+// label names what the selector decided, as a /trace span reports it: the
+// platform label when composite; for a partial prediction the confident half,
+// or both halves joined by "/" when the device and agent models were each
+// confident and the platform model was not; "unknown" when nothing was.
+func (p Prediction) label() string {
+	switch {
+	case p.Status == Composite:
+		return p.Platform
+	case p.Status == Unknown:
+		return "unknown"
+	case p.Agent == "":
+		return p.Device
+	case p.Device == "":
+		return p.Agent
+	}
+	return p.Device + "/" + p.Agent
+}
+
 // ClassifyScratch holds one worker's reusable classification buffers: the
-// encoded row matrix, the forest probability matrix and the compiled
+// encoded row matrix, the forest probability buffer and the compiled
 // encoder's extension-walking scratch. Each pipeline (and thus each shard)
 // owns one, so the steady-state encode+predict path performs no allocations.
 // The zero value is ready to use; not safe for concurrent use.
 type ClassifyScratch struct {
 	// rows is the encoded-row matrix (flows × encoder width, packed
-	// back-to-back); proba is one objective's probability matrix (flows ×
-	// class count). Both are reused via their capacity.
+	// back-to-back); proba holds first the platform model's probability
+	// matrix (flows × class count), then one fallback model's vector for one
+	// unsure row at a time. Both are reused via their capacity.
 	rows  []float64
 	proba []float64
 	enc   features.EncodeScratch
@@ -357,8 +382,10 @@ func (b *Bank) ClassifyHandshake(prov fingerprint.Provider, tr fingerprint.Trans
 // flow is Unknown). The flows are encoded back-to-back into sc's row matrix
 // by the three objectives' shared compiled encoder — raw wire values resolved
 // through interned tables, no FieldValues maps, no string formatting — and
-// each objective's compiled forest then evaluates the matrix. out[i] receives
-// infos[i]'s prediction, so out must hold at least len(infos) slots.
+// the platform model's compiled forest then evaluates the matrix; the device
+// and agent forests evaluate only the rows it was unsure of (classifyRows).
+// out[i] receives infos[i]'s prediction, so out must hold at least len(infos)
+// slots.
 // Predictions are byte-identical to the reference evaluator (features.Extract
 // → Encoder.Transform → pointer-walk forest), which lives test-side in
 // oracle_test.go and is pinned against this path by the golden-equivalence
@@ -386,13 +413,14 @@ func (b *Bank) ClassifyBatch(prov fingerprint.Provider, tr fingerprint.Transport
 	return nil
 }
 
-// classifyRows runs the three objectives' compiled forests over an encoded
-// row matrix and fills out[:n] with selector-applied predictions. Inside
+// classifyRows is the §4.1 cascade over an encoded row matrix, filling
+// out[:n] with selector-applied predictions. The platform forest evaluates
+// the whole matrix; the device and agent forests evaluate only the rows whose
+// platform confidence fell below ConfidenceThreshold, one row at a time
+// (PredictBatchInto's cost per row does not depend on batch size). Inside
 // ClassifyBatch's zero-allocation pin.
 func (e *bankEntry) classifyRows(sc *ClassifyScratch, n, stride int, out []Prediction) {
-	rows := sc.rows[:n*stride]
-
-	sc.proba = e.platform.cforest.PredictBatchInto(rows, stride, sc.proba)
+	sc.proba = e.platform.cforest.PredictBatchInto(sc.rows[:n*stride], stride, sc.proba)
 	w := e.platform.cforest.NumClasses()
 	for i := 0; i < n; i++ {
 		proba := sc.proba[i*w : (i+1)*w]
@@ -403,22 +431,18 @@ func (e *bankEntry) classifyRows(sc *ClassifyScratch, n, stride int, out []Predi
 			PlatformMargin: probaMargin(proba, ci, conf),
 		}
 	}
-
-	sc.proba = e.device.cforest.PredictBatchInto(rows, stride, sc.proba)
-	w = e.device.cforest.NumClasses()
+	// The platform probabilities are all read; sc.proba is free for the
+	// fallback models.
 	for i := 0; i < n; i++ {
-		ci, conf := argmaxProba(sc.proba[i*w : (i+1)*w])
-		out[i].Device = e.device.Classes[ci]
-		out[i].DeviceConf = conf
-	}
-
-	sc.proba = e.agent.cforest.PredictBatchInto(rows, stride, sc.proba)
-	w = e.agent.cforest.NumClasses()
-	for i := 0; i < n; i++ {
-		ci, conf := argmaxProba(sc.proba[i*w : (i+1)*w])
-		out[i].Agent = e.agent.Classes[ci]
-		out[i].AgentConf = conf
-		out[i].applySelector()
+		p := &out[i]
+		if p.PlatformConf < ConfidenceThreshold {
+			row := sc.rows[i*stride : (i+1)*stride]
+			ci, conf := e.device.cforest.PredictInto(row, &sc.proba)
+			p.Device, p.DeviceConf = e.device.Classes[ci], conf
+			ci, conf = e.agent.cforest.PredictInto(row, &sc.proba)
+			p.Agent, p.AgentConf = e.agent.Classes[ci], conf
+		}
+		p.applySelector()
 	}
 }
 

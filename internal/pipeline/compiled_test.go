@@ -16,7 +16,7 @@ import (
 // goldenBank trains a small bank whose vocabularies deliberately do NOT
 // cover the evaluation traffic (different generator seed, plus open-set
 // drifted profiles), so unseen tokens exercise the miss-to-zero path.
-func goldenBank(t *testing.T) *Bank {
+func goldenBank(t testing.TB) *Bank {
 	t.Helper()
 	ds, err := tracegen.New(1).LabDataset(0.04, fingerprint.Options{})
 	if err != nil {
@@ -29,7 +29,7 @@ func goldenBank(t *testing.T) *Bank {
 	return bank
 }
 
-func goldenEvalFlows(t *testing.T) []*tracegen.FlowTrace {
+func goldenEvalFlows(t testing.TB) []*tracegen.FlowTrace {
 	t.Helper()
 	fresh, err := tracegen.New(99).LabDataset(0.03, fingerprint.Options{})
 	if err != nil {
@@ -176,6 +176,102 @@ func TestCompiledBankGoldenEquivalence(t *testing.T) {
 		if a != b {
 			t.Fatalf("restored bank diverges on %s: %+v vs %+v", ft.Label, a, b)
 		}
+	}
+}
+
+// TestCascadeConsultsFallbackOnlyWhenUnsure pins the §4.1 cascade on the
+// golden flows: a composite prediction never consulted the device and agent
+// models (zero confidences, halves derived from the platform label), and
+// every other prediction carries exactly the confidences those models give
+// the entry's compiled row. The golden set holds both kinds, so the batch
+// sweep of checkBatchEquivalence mixes the two branches.
+func TestCascadeConsultsFallbackOnlyWhenUnsure(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains a bank")
+	}
+	bank := goldenBank(t)
+	var sc ClassifyScratch
+	var proba []float64
+	composite, unsure := 0, 0
+	for fi, ft := range goldenEvalFlows(t) {
+		info, err := ExtractTrace(ft)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := bank.ClassifyHandshake(ft.Provider, ft.Transport, info, &sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Status == Composite {
+			composite++
+			if p.DeviceConf != 0 || p.AgentConf != 0 || p.Device != DeviceOf(p.Platform) || p.Agent != AgentOf(p.Platform) {
+				t.Fatalf("flow %d (%s): composite prediction consulted the fallback models: %+v", fi, ft.Label, p)
+			}
+			continue
+		}
+		unsure++
+		e := bank.entry(ft.Provider, ft.Transport)
+		row := e.platform.Compiled().Encode(info)
+		_, devConf := e.device.CompiledForest().PredictInto(row, &proba)
+		_, agentConf := e.agent.CompiledForest().PredictInto(row, &proba)
+		if p.DeviceConf != devConf || p.AgentConf != agentConf {
+			t.Fatalf("flow %d (%s): %s prediction has device/agent confidence %v/%v, the fallback models give %v/%v",
+				fi, ft.Label, p.Status, p.DeviceConf, p.AgentConf, devConf, agentConf)
+		}
+	}
+	if composite == 0 || unsure == 0 {
+		t.Fatalf("golden set holds %d composite and %d partial/unknown flows, want both", composite, unsure)
+	}
+}
+
+// goldenInfoByBranch returns the handshake of the first golden YouTube flow
+// over tr that the cascade decides on its composite branch (composite true)
+// or, with platform confidence below ConfidenceThreshold, on its fallback
+// branch — picked by status, not by a generator seed.
+func goldenInfoByBranch(tb testing.TB, bank *Bank, tr fingerprint.Transport, composite bool) *features.HandshakeInfo {
+	tb.Helper()
+	for _, ft := range goldenEvalFlows(tb) {
+		if ft.Provider != fingerprint.YouTube || ft.Transport != tr {
+			continue
+		}
+		info, err := ExtractTrace(ft)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		p, err := bank.ClassifyHandshake(ft.Provider, tr, info, nil)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if (p.Status == Composite) == composite {
+			return info
+		}
+	}
+	tb.Fatalf("no golden youtube/%s flow takes the composite=%v branch", tr, composite)
+	return nil
+}
+
+// BenchmarkClassifyHandshake reports the warm-scratch cost of one YouTube TCP
+// classification on each branch of the §4.1 cascade: composite walks the
+// platform forest only, fallback walks all three.
+func BenchmarkClassifyHandshake(b *testing.B) {
+	bank := goldenBank(b)
+	for _, branch := range []struct {
+		name      string
+		composite bool
+	}{{"composite", true}, {"fallback", false}} {
+		info := goldenInfoByBranch(b, bank, fingerprint.TCP, branch.composite)
+		b.Run(branch.name, func(b *testing.B) {
+			var sc ClassifyScratch
+			if _, err := bank.ClassifyHandshake(fingerprint.YouTube, fingerprint.TCP, info, &sc); err != nil {
+				b.Fatal(err) // warms the scratch, as a shard's is after its first flow
+			}
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := bank.ClassifyHandshake(fingerprint.YouTube, fingerprint.TCP, info, &sc); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -331,13 +427,15 @@ func TestUnmarshalRefusesUnservableBank(t *testing.T) {
 
 // TestClassifyBatchZeroAlloc pins the batched serving budget: with warm
 // scratch matrices, a whole-group encode+classify sweep allocates nothing.
+// Each batch holds a golden flow from either branch of the cascade, so one
+// sweep takes both.
 func TestClassifyBatchZeroAlloc(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains a bank")
 	}
 	bank := goldenBank(t)
 	for _, tr := range []fingerprint.Transport{fingerprint.TCP, fingerprint.QUIC} {
-		infos := make([]*features.HandshakeInfo, 0, 8)
+		infos := make([]*features.HandshakeInfo, 0, 10)
 		for i := 0; i < 8; i++ {
 			ft, err := tracegen.New(uint64(20+i)).Flow("windows_chrome", fingerprint.YouTube, tr, tracegen.FlowSpec{PayloadFrames: 1})
 			if err != nil {
@@ -349,6 +447,7 @@ func TestClassifyBatchZeroAlloc(t *testing.T) {
 			}
 			infos = append(infos, info)
 		}
+		infos = append(infos, goldenInfoByBranch(t, bank, tr, true), goldenInfoByBranch(t, bank, tr, false))
 		var sc ClassifyScratch
 		out := make([]Prediction, len(infos))
 		if err := bank.ClassifyBatch(fingerprint.YouTube, tr, infos, &sc, out); err != nil {
@@ -366,33 +465,39 @@ func TestClassifyBatchZeroAlloc(t *testing.T) {
 }
 
 // TestClassifyHandshakeZeroAlloc pins the serving-path budget: with a warm
-// per-worker scratch, encode+predict allocates nothing.
+// per-worker scratch, encode+predict allocates nothing — for a windows_chrome
+// render and for a golden flow from each branch of the cascade.
 func TestClassifyHandshakeZeroAlloc(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains a bank")
 	}
 	bank := goldenBank(t)
 	for _, tr := range []fingerprint.Transport{fingerprint.TCP, fingerprint.QUIC} {
-		label := "windows_chrome"
-		ft, err := tracegen.New(7).Flow(label, fingerprint.YouTube, tr, tracegen.FlowSpec{PayloadFrames: 1})
+		ft, err := tracegen.New(7).Flow("windows_chrome", fingerprint.YouTube, tr, tracegen.FlowSpec{PayloadFrames: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		info, err := ExtractTrace(ft)
+		render, err := ExtractTrace(ft)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var sc ClassifyScratch
-		if _, err := bank.ClassifyHandshake(ft.Provider, tr, info, &sc); err != nil {
-			t.Fatal(err)
-		}
-		allocs := testing.AllocsPerRun(100, func() {
-			if _, err := bank.ClassifyHandshake(ft.Provider, tr, info, &sc); err != nil {
+		for name, info := range map[string]*features.HandshakeInfo{
+			"windows_chrome": render,
+			"composite":      goldenInfoByBranch(t, bank, tr, true),
+			"fallback":       goldenInfoByBranch(t, bank, tr, false),
+		} {
+			var sc ClassifyScratch
+			if _, err := bank.ClassifyHandshake(fingerprint.YouTube, tr, info, &sc); err != nil {
 				t.Fatal(err)
 			}
-		})
-		if allocs != 0 {
-			t.Errorf("%s: ClassifyHandshake allocates %.1f per call, want 0", tr, allocs)
+			allocs := testing.AllocsPerRun(100, func() {
+				if _, err := bank.ClassifyHandshake(fingerprint.YouTube, tr, info, &sc); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("%s %s: ClassifyHandshake allocates %.1f per call, want 0", tr, name, allocs)
+			}
 		}
 	}
 }

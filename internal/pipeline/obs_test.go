@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -153,6 +154,51 @@ func TestSpanVerdicts(t *testing.T) {
 	}
 	if !sawNanos {
 		t.Error("no classified record carries ClassifyNanos")
+	}
+}
+
+// TestSpanVerdictNamesThePlatform traces every golden flow and pins that a
+// judged flow's span says what the selector decided: a composite flow's
+// platform label ("android_chrome", not "android/chrome"), a partial flow's
+// confident half, "unknown" for an abstain — and which gate that was.
+func TestSpanVerdictNamesThePlatform(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains a bank")
+	}
+	tr := obs.NewTracer(obs.TracerConfig{SampleEvery: 1})
+	p := NewWithConfig(goldenBank(t), Config{Tracer: tr})
+	byStatus := map[Status]int{}
+	for _, ft := range goldenEvalFlows(t) {
+		var rec *FlowRecord
+		for _, fr := range ft.Frames {
+			r, err := p.HandlePacket(ft.Start.Add(fr.Offset), fr.Data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r != nil {
+				rec = r
+			}
+		}
+		if rec == nil {
+			continue
+		}
+		pred := rec.Prediction
+		byStatus[pred.Status]++
+		want := pred.Platform
+		switch pred.Status {
+		case Partial:
+			want = strings.Trim(pred.Device+"/"+pred.Agent, "/")
+		case Unknown:
+			want = "unknown"
+		}
+		sp := tr.Snapshot(1).Recent[0]
+		if sp.SNI != rec.SNI || sp.Verdict != want || sp.Status != pred.Status.String() {
+			t.Fatalf("%s flow %s: span verdict %q status %q, want %q %q",
+				pred.Status, ft.Label, sp.Verdict, sp.Status, want, pred.Status)
+		}
+	}
+	if byStatus[Composite] == 0 || byStatus[Partial] == 0 || byStatus[Unknown] == 0 {
+		t.Fatalf("judged flows by status %v: want every status", byStatus)
 	}
 }
 

@@ -20,8 +20,9 @@ func (m *Model) predict(v *features.FieldValues) (string, float64, float64) {
 	return m.Classes[ci], conf, probaMargin(proba, ci, conf)
 }
 
-// Classify runs the three objectives for a flow through the reference
-// evaluator and applies the confidence selector.
+// Classify runs the §4.1 cascade for a flow through the reference evaluator:
+// the platform objective, then — only when it is below the confidence
+// threshold — the device and agent objectives, then the confidence selector.
 func (b *Bank) Classify(prov fingerprint.Provider, tr fingerprint.Transport, v *features.FieldValues) (Prediction, error) {
 	var p Prediction
 	e := b.entry(prov, tr)
@@ -29,8 +30,10 @@ func (b *Bank) Classify(prov fingerprint.Provider, tr fingerprint.Transport, v *
 		return p, fmt.Errorf("pipeline: no models for %s/%s", prov, tr)
 	}
 	p.Platform, p.PlatformConf, p.PlatformMargin = e.platform.predict(v)
-	p.Device, p.DeviceConf, _ = e.device.predict(v)
-	p.Agent, p.AgentConf, _ = e.agent.predict(v)
+	if p.PlatformConf < ConfidenceThreshold {
+		p.Device, p.DeviceConf, _ = e.device.predict(v)
+		p.Agent, p.AgentConf, _ = e.agent.predict(v)
+	}
 	p.applySelector()
 	return p, nil
 }

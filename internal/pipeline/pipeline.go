@@ -397,11 +397,9 @@ func (p *Pipeline) finalize(st *flowState, v Verdict) {
 	}
 	if st.span != nil {
 		label := v.String()
-		switch v {
-		case VerdictClassified:
-			label = st.rec.Prediction.Device + "/" + st.rec.Prediction.Agent
-		case VerdictAbstained:
-			label = "unknown"
+		if v.ClassifierRan() {
+			label = st.rec.Prediction.label()
+			st.span.Status = st.rec.Prediction.Status.String()
 		}
 		p.finishSpan(st, label)
 	}
