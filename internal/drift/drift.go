@@ -56,13 +56,13 @@ type key struct {
 }
 
 type series struct {
-	baseline     []float64 // first Window confidences
-	recent       []float64 // ring of last Window confidences
-	recentIdx    int
-	recentFull   bool
+	baseline []float64 // first Window confidences
+	// recent and unknownRing are rings over the same last Window flows:
+	// idx is the next slot of both, and full is set once they have wrapped.
+	recent       []float64
 	unknownRing  []bool
-	unknownIdx   int
-	unknownFull  bool
+	idx          int
+	full         bool
 	observations int
 	notified     bool   // a drifting verdict was already delivered to subscribers
 	version      string // ModelVersion of the bank whose predictions fill the windows
@@ -170,15 +170,11 @@ func (m *Monitor) Observe(rec *pipeline.FlowRecord) {
 	if len(s.baseline) < m.cfg.Window {
 		s.baseline = append(s.baseline, conf)
 	}
-	s.recent[s.recentIdx] = conf
-	s.recentIdx = (s.recentIdx + 1) % m.cfg.Window
-	if s.recentIdx == 0 {
-		s.recentFull = true
-	}
-	s.unknownRing[s.unknownIdx] = unknown
-	s.unknownIdx = (s.unknownIdx + 1) % m.cfg.Window
-	if s.unknownIdx == 0 {
-		s.unknownFull = true
+	s.recent[s.idx] = conf
+	s.unknownRing[s.idx] = unknown
+	s.idx = (s.idx + 1) % m.cfg.Window
+	if s.idx == 0 {
+		s.full = true
 	}
 
 	// Amortized drift check for subscribers.
@@ -250,18 +246,18 @@ func (m *Monitor) statusLocked(k key, s *series) Status {
 	return st
 }
 
-func (s *series) recentWindow() []float64 {
-	if s.recentFull {
-		return s.recent
+// filled is how many slots of the rings hold observations.
+func (s *series) filled() int {
+	if s.full {
+		return len(s.recent)
 	}
-	return s.recent[:s.recentIdx]
+	return s.idx
 }
 
+func (s *series) recentWindow() []float64 { return s.recent[:s.filled()] }
+
 func (s *series) unknownRate() float64 {
-	ring := s.unknownRing
-	if !s.unknownFull {
-		ring = s.unknownRing[:s.unknownIdx]
-	}
+	ring := s.unknownRing[:s.filled()]
 	if len(ring) == 0 {
 		return 0
 	}

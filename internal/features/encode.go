@@ -138,9 +138,9 @@ func (e *Encoder) TransformAll(samples []*FieldValues) [][]float64 {
 
 // EquivalentTo reports whether two fitted encoders produce identical
 // vectors for every input: same attribute sequence and identical
-// vocabularies. The pipeline uses this to share one compiled encode pass
-// across the three per-objective models, which are fitted on the same
-// samples and therefore (deterministically) grow the same vocabularies.
+// vocabularies. A serialized pipeline bank carries one encoder blob per
+// objective model; its loader uses this to check that an entry's three
+// blobs describe the one encoder its models share.
 func (e *Encoder) EquivalentTo(o *Encoder) bool {
 	if o == nil || len(e.Attrs) != len(o.Attrs) {
 		return false

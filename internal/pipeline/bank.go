@@ -32,9 +32,11 @@ func (o Objective) String() string {
 	}
 }
 
-// Model is one trained classifier: its fitted encoder, forest and class
-// universe, plus the compiled serving forms of both, lowered once when the
-// bank that holds the model is built (Bank.buildIndex).
+// Model is one trained classifier: the forest and class universe of one
+// objective, the fitted encoder of the bank entry it belongs to, and the
+// compiled serving forms of both, lowered once when the bank that holds the
+// model is built (Bank.buildIndex). The three models of an entry share one
+// Encoder and one compiled encoder.
 type Model struct {
 	Encoder *features.Encoder
 	Forest  *ml.RandomForest
@@ -44,8 +46,9 @@ type Model struct {
 	cforest  *ml.CompiledForest
 }
 
-// Compiled returns the model's serving-path compiled encoder. Never nil for
-// a model of a bank TrainBank or UnmarshalBinary returned.
+// Compiled returns the model's serving-path compiled encoder, the one its
+// bank entry shares. Never nil for a model of a bank TrainBank or
+// UnmarshalBinary returned.
 func (m *Model) Compiled() *features.CompiledEncoder { return m.compiled }
 
 // CompiledForest returns the model's serving-path compiled forest (flat node
@@ -53,19 +56,11 @@ func (m *Model) Compiled() *features.CompiledEncoder { return m.compiled }
 // returned.
 func (m *Model) CompiledForest() *ml.CompiledForest { return m.cforest }
 
-// bankKey identifies a model in the bank.
-type bankKey struct {
-	Provider  fingerprint.Provider
-	Transport fingerprint.Transport
-	Objective Objective
-}
-
-// Bank is the classifier bank of Fig 4: three objectives per provider, with
-// separate models per transport (YouTube has both TCP and QUIC models, so a
-// full bank holds 15 models; the paper counts 12 classifiers by provider ×
+// Bank is the classifier bank of Fig 4: per provider and transport, one
+// entry (YouTube has both TCP and QUIC entries, so a full bank holds 5
+// entries and 15 models; the paper counts 12 classifiers by provider ×
 // objective).
 type Bank struct {
-	models map[bankKey]*Model
 	Config ml.ForestConfig
 	// Version is the registry identity of this bank (e.g. "v0003"), stamped
 	// by internal/registry when the bank is stored and carried through
@@ -73,10 +68,8 @@ type Bank struct {
 	// Empty for ad-hoc banks that never went through a registry.
 	Version string
 
-	// entries is the serving-path index: per (provider, transport), the
-	// three objective models, whose fitted encoders are equivalent so a flow
-	// is encoded once — by the platform model's compiled encoder — for all
-	// three predictions. Built by buildIndex; read-only afterwards.
+	// entries is the bank's one index. Built by TrainBank or UnmarshalBinary
+	// and compiled by buildIndex; read-only afterwards.
 	entries map[entryKey]*bankEntry
 }
 
@@ -85,52 +78,42 @@ type entryKey struct {
 	Transport fingerprint.Transport
 }
 
+// bankEntry is one provider's value-mapped Table 2 attributes over one
+// transport (§4.2.1) and the three classifiers they feed (§4.1): one fitted
+// encoder, its compiled form, and the platform, device and agent models.
 type bankEntry struct {
+	enc                     *features.Encoder
+	compiled                *features.CompiledEncoder
 	platform, device, agent *Model
 }
 
-// entry returns the serving index entry for a (provider, transport), or nil
-// when any objective model is missing.
+// objectives returns the entry's models indexed by Objective.
+func (e *bankEntry) objectives() [3]*Model {
+	return [3]*Model{e.platform, e.device, e.agent}
+}
+
+// entry returns the bank entry for a (provider, transport), or nil.
 func (b *Bank) entry(prov fingerprint.Provider, tr fingerprint.Transport) *bankEntry {
 	return b.entries[entryKey{prov, tr}]
 }
 
-// buildIndex lowers every model into its compiled serving forms and builds
-// the serving index over them — the last step of TrainBank and
-// UnmarshalBinary, so a bank that exists can be served: there is no
-// uncompiled path to fall back to. It fails, naming the model, when an
-// encoder or forest cannot compile or when the three objective encoders of
-// one (provider, transport) differ and so cannot share an encode pass.
+// buildIndex lowers every entry into its compiled serving forms: the
+// entry's encoder once, pointed at by all three of its models, and each
+// model's forest — the last step of TrainBank and UnmarshalBinary, so a bank
+// that exists can be served: there is no uncompiled path to fall back to. It
+// fails, naming the entry or model, when an encoder or forest cannot compile.
 func (b *Bank) buildIndex() error {
-	for key, m := range b.models {
+	for key, e := range b.entries {
 		var err error
-		if m.compiled, err = features.Compile(m.Encoder); err == nil {
-			m.cforest, err = ml.CompileForest(m.Forest)
+		if e.compiled, err = features.Compile(e.enc); err != nil {
+			return fmt.Errorf("pipeline: compiling %s/%s encoder: %w", key.Provider, key.Transport, err)
 		}
-		if err != nil {
-			return fmt.Errorf("pipeline: compiling %s/%s/%s: %w", key.Provider, key.Transport, key.Objective, err)
-		}
-	}
-	b.entries = map[entryKey]*bankEntry{}
-	for key, m := range b.models {
-		if key.Objective != PlatformObjective {
-			continue
-		}
-		e := &bankEntry{
-			platform: m,
-			device:   b.models[bankKey{key.Provider, key.Transport, DeviceObjective}],
-			agent:    b.models[bankKey{key.Provider, key.Transport, AgentObjective}],
-		}
-		if e.device == nil || e.agent == nil {
-			continue
-		}
-		for obj, other := range map[Objective]*Model{DeviceObjective: e.device, AgentObjective: e.agent} {
-			if !m.Encoder.EquivalentTo(other.Encoder) {
-				return fmt.Errorf("pipeline: %s/%s/%s: encoder differs from the %s model's",
-					key.Provider, key.Transport, obj, PlatformObjective)
+		for obj, m := range e.objectives() {
+			m.Encoder, m.compiled = e.enc, e.compiled
+			if m.cforest, err = ml.CompileForest(m.Forest); err != nil {
+				return fmt.Errorf("pipeline: compiling %s/%s/%s: %w", key.Provider, key.Transport, Objective(obj), err)
 			}
 		}
-		b.entries[entryKey{key.Provider, key.Transport}] = e
 	}
 	return nil
 }
@@ -149,26 +132,27 @@ func DefaultForestConfig() ml.ForestConfig {
 	return ml.ForestConfig{NumTrees: 40, MaxDepth: 20, MaxFeatures: 34, Seed: 1}
 }
 
-// TrainBank trains models for every (provider, transport, objective) with
-// data in the dataset.
+// TrainBank trains one entry for every (provider, transport) with data in
+// the dataset: one encoder fitted and applied once, and the three objective
+// forests fitted on the matrix it produced.
 func TrainBank(ds *tracegen.Dataset, cfg TrainConfig) (*Bank, error) {
 	if cfg.Forest.NumTrees == 0 {
 		cfg.Forest = DefaultForestConfig()
 	}
-	b := &Bank{models: map[bankKey]*Model{}, Config: cfg.Forest}
+	b := &Bank{Config: cfg.Forest, entries: map[entryKey]*bankEntry{}}
 
 	type group struct {
 		values []*features.FieldValues
 		labels []string
 	}
-	groups := map[[2]int]*group{}
+	groups := map[entryKey]*group{}
 	for _, ft := range ds.Flows {
 		info, err := ExtractTrace(ft)
 		if err != nil {
 			return nil, err
 		}
 		v := features.Extract(info)
-		k := [2]int{int(ft.Provider), int(ft.Transport)}
+		k := entryKey{ft.Provider, ft.Transport}
 		g := groups[k]
 		if g == nil {
 			g = &group{}
@@ -179,15 +163,19 @@ func TrainBank(ds *tracegen.Dataset, cfg TrainConfig) (*Bank, error) {
 	}
 
 	for k, g := range groups {
-		prov := fingerprint.Provider(k[0])
-		tr := fingerprint.Transport(k[1])
-		for _, obj := range []Objective{PlatformObjective, DeviceObjective, AgentObjective} {
-			m, err := trainOne(g.values, g.labels, tr == fingerprint.QUIC, obj, cfg)
-			if err != nil {
-				return nil, fmt.Errorf("pipeline: training %s/%s/%s: %w", prov, tr, obj, err)
-			}
-			b.models[bankKey{prov, tr, obj}] = m
+		enc, err := features.NewEncoder(k.Transport == fingerprint.QUIC, cfg.Subset)
+		if err != nil {
+			return nil, fmt.Errorf("pipeline: training %s/%s: %w", k.Provider, k.Transport, err)
 		}
+		enc.Fit(g.values)
+		x := enc.TransformAll(g.values)
+		var ms [3]*Model
+		for obj := range ms {
+			if ms[obj], err = trainOne(x, g.labels, Objective(obj), cfg.Forest); err != nil {
+				return nil, fmt.Errorf("pipeline: training %s/%s/%s: %w", k.Provider, k.Transport, Objective(obj), err)
+			}
+		}
+		b.entries[k] = &bankEntry{enc: enc, platform: ms[PlatformObjective], device: ms[DeviceObjective], agent: ms[AgentObjective]}
 	}
 	if err := b.buildIndex(); err != nil {
 		return nil, err
@@ -195,14 +183,9 @@ func TrainBank(ds *tracegen.Dataset, cfg TrainConfig) (*Bank, error) {
 	return b, nil
 }
 
-func trainOne(values []*features.FieldValues, labels []string, quic bool, obj Objective, cfg TrainConfig) (*Model, error) {
-	enc, err := features.NewEncoder(quic, cfg.Subset)
-	if err != nil {
-		return nil, err
-	}
-	enc.Fit(values)
-	x := enc.TransformAll(values)
-
+// trainOne fits one objective's forest on an entry's encoded matrix x, which
+// it only reads.
+func trainOne(x [][]float64, labels []string, obj Objective, cfg ml.ForestConfig) (*Model, error) {
 	objLabels := make([]string, len(labels))
 	for i, l := range labels {
 		objLabels[i] = objectiveLabel(l, obj)
@@ -211,9 +194,9 @@ func trainOne(values []*features.FieldValues, labels []string, quic bool, obj Ob
 	if err != nil {
 		return nil, err
 	}
-	forest := &ml.RandomForest{Config: cfg.Forest}
+	forest := &ml.RandomForest{Config: cfg}
 	forest.Fit(d)
-	return &Model{Encoder: enc, Forest: forest, Classes: d.Classes}, nil
+	return &Model{Forest: forest, Classes: d.Classes}, nil
 }
 
 func objectiveLabel(label string, obj Objective) string {
@@ -229,7 +212,11 @@ func objectiveLabel(label string, obj Objective) string {
 
 // Model returns the trained model for a key, or nil.
 func (b *Bank) Model(prov fingerprint.Provider, tr fingerprint.Transport, obj Objective) *Model {
-	return b.models[bankKey{prov, tr, obj}]
+	e := b.entry(prov, tr)
+	if e == nil || obj > AgentObjective {
+		return nil
+	}
+	return e.objectives()[obj]
 }
 
 // CompiledFootprint summarizes the bank's compiled serving index: its
@@ -249,11 +236,13 @@ type CompiledFootprint struct {
 // CompiledFootprint reports the bank's compiled serving-index footprint.
 func (b *Bank) CompiledFootprint() CompiledFootprint {
 	var fp CompiledFootprint
-	for _, m := range b.models {
-		fp.Models++
-		fp.CompiledModels++
-		fp.Nodes += m.cforest.NumNodes()
-		fp.Bytes += m.cforest.Bytes()
+	for _, e := range b.entries {
+		for _, m := range e.objectives() {
+			fp.Models++
+			fp.CompiledModels++
+			fp.Nodes += m.cforest.NumNodes()
+			fp.Bytes += m.cforest.Bytes()
+		}
 	}
 	return fp
 }
@@ -339,123 +328,71 @@ func (p Prediction) label() string {
 }
 
 // ClassifyScratch holds one worker's reusable classification buffers: the
-// encoded row matrix, the forest probability buffer and the compiled
-// encoder's extension-walking scratch. Each pipeline (and thus each shard)
-// owns one, so the steady-state encode+predict path performs no allocations.
-// The zero value is ready to use; not safe for concurrent use.
+// encoded row, the forest probability buffer and the compiled encoder's
+// extension-walking scratch. Each pipeline (and thus each shard) owns one, so
+// the steady-state encode+predict path performs no allocations. The zero
+// value is ready to use; not safe for concurrent use.
 type ClassifyScratch struct {
-	// rows is the encoded-row matrix (flows × encoder width, packed
-	// back-to-back); proba holds first the platform model's probability
-	// matrix (flows × class count), then one fallback model's vector for one
-	// unsure row at a time. Both are reused via their capacity.
-	rows  []float64
+	row   []float64
 	proba []float64
 	enc   features.EncodeScratch
 }
 
-// growFloats resizes a scratch buffer to n elements, growing its capacity
-// amortized and zeroing the visible window.
-func growFloats(s []float64, n int) []float64 {
-	if cap(s) < n {
-		s = append(s[:cap(s)], make([]float64, n-cap(s))...) // amortized scratch growth, pinned by TestClassifyBatchZeroAlloc
-	}
-	s = s[:n]
-	clear(s)
-	return s
-}
-
-// ClassifyHandshake classifies one assembled handshake: ClassifyBatch over a
-// single flow. Zero-allocation with a warm scratch, pinned by
-// TestClassifyHandshakeZeroAlloc.
-func (b *Bank) ClassifyHandshake(prov fingerprint.Provider, tr fingerprint.Transport, info *features.HandshakeInfo, sc *ClassifyScratch) (Prediction, error) {
-	infos := [1]*features.HandshakeInfo{info}
-	var out [1]Prediction
-	err := b.ClassifyBatch(prov, tr, infos[:], sc, out[:])
-	return out[0], err
-}
-
-// ClassifyBatch is the bank's one classifier — serving, experiments and the
-// campus simulation all answer through it: it classifies the handshakes of
-// one (provider, transport) through the bank's compiled evaluator and applies
-// the §4.1 confidence selector (composite first; below threshold, fall back
-// to the individual device/agent models; if none clears the threshold the
-// flow is Unknown). The flows are encoded back-to-back into sc's row matrix
-// by the three objectives' shared compiled encoder — raw wire values resolved
-// through interned tables, no FieldValues maps, no string formatting — and
-// the platform model's compiled forest then evaluates the matrix; the device
-// and agent forests evaluate only the rows it was unsure of (classifyRows).
-// out[i] receives infos[i]'s prediction, so out must hold at least len(infos)
-// slots.
+// ClassifyHandshake is the bank's one classifier — serving, experiments and
+// the campus simulation all answer through it. It encodes one assembled
+// handshake of a (provider, transport) into one row through the entry's
+// compiled encoder — raw wire values resolved through interned tables, no
+// FieldValues maps, no string formatting — and runs the §4.1 cascade over
+// that row: the platform forest answers first, and only below
+// ConfidenceThreshold do the device and agent forests walk the same row; if
+// none clears the threshold the flow is Unknown.
 // Predictions are byte-identical to the reference evaluator (features.Extract
 // → Encoder.Transform → pointer-walk forest), which lives test-side in
 // oracle_test.go and is pinned against this path by the golden-equivalence
 // tests. A nil sc allocates temporaries (used by off-path callers like the
 // shadow evaluator). Zero-allocation with a warm scratch, pinned by
-// TestClassifyBatchZeroAlloc.
-func (b *Bank) ClassifyBatch(prov fingerprint.Provider, tr fingerprint.Transport, infos []*features.HandshakeInfo, sc *ClassifyScratch, out []Prediction) error {
-	if len(infos) == 0 {
-		return nil
-	}
+// TestClassifyHandshakeZeroAlloc.
+func (b *Bank) ClassifyHandshake(prov fingerprint.Provider, tr fingerprint.Transport, info *features.HandshakeInfo, sc *ClassifyScratch) (Prediction, error) {
 	e := b.entry(prov, tr)
 	if e == nil {
-		return fmt.Errorf("pipeline: no models for %s/%s", prov, tr) // cold no-models error path
+		return Prediction{}, fmt.Errorf("pipeline: no models for %s/%s", prov, tr) // cold no-models error path
 	}
 	if sc == nil {
 		sc = &ClassifyScratch{} // cold nil-scratch path for off-path callers
 	}
-	enc := e.platform.compiled
-	stride := enc.Width()
-	sc.rows = growFloats(sc.rows, len(infos)*stride)
+	sc.row = e.compiled.EncodeInto(sc.row, info, &sc.enc)
+	ci, conf := e.platform.cforest.PredictInto(sc.row, &sc.proba)
+	p := Prediction{
+		Platform:       e.platform.Classes[ci],
+		PlatformConf:   conf,
+		PlatformMargin: probaMargin(sc.proba, ci, conf),
+	}
+	if conf < ConfidenceThreshold {
+		ci, conf = e.device.cforest.PredictInto(sc.row, &sc.proba)
+		p.Device, p.DeviceConf = e.device.Classes[ci], conf
+		ci, conf = e.agent.cforest.PredictInto(sc.row, &sc.proba)
+		p.Agent, p.AgentConf = e.agent.Classes[ci], conf
+	}
+	p.applySelector()
+	return p, nil
+}
+
+// ClassifyBatch classifies the handshakes of one (provider, transport) with
+// ClassifyHandshake, one row per flow, over one scratch: out[i] receives
+// infos[i]'s prediction, so out must hold at least len(infos) slots.
+// Zero-allocation with a warm scratch, pinned by TestClassifyBatchZeroAlloc.
+func (b *Bank) ClassifyBatch(prov fingerprint.Provider, tr fingerprint.Transport, infos []*features.HandshakeInfo, sc *ClassifyScratch, out []Prediction) error {
+	if sc == nil {
+		sc = &ClassifyScratch{} // cold nil-scratch path: one scratch for the whole batch
+	}
 	for i, info := range infos {
-		enc.EncodeInto(sc.rows[i*stride:i*stride:(i+1)*stride], info, &sc.enc)
+		p, err := b.ClassifyHandshake(prov, tr, info, sc)
+		if err != nil {
+			return err
+		}
+		out[i] = p
 	}
-	e.classifyRows(sc, len(infos), stride, out)
 	return nil
-}
-
-// classifyRows is the §4.1 cascade over an encoded row matrix, filling
-// out[:n] with selector-applied predictions. The platform forest evaluates
-// the whole matrix; the device and agent forests evaluate only the rows whose
-// platform confidence fell below ConfidenceThreshold, one row at a time
-// (PredictBatchInto's cost per row does not depend on batch size). Inside
-// ClassifyBatch's zero-allocation pin.
-func (e *bankEntry) classifyRows(sc *ClassifyScratch, n, stride int, out []Prediction) {
-	sc.proba = e.platform.cforest.PredictBatchInto(sc.rows[:n*stride], stride, sc.proba)
-	w := e.platform.cforest.NumClasses()
-	for i := 0; i < n; i++ {
-		proba := sc.proba[i*w : (i+1)*w]
-		ci, conf := argmaxProba(proba)
-		out[i] = Prediction{
-			Platform:       e.platform.Classes[ci],
-			PlatformConf:   conf,
-			PlatformMargin: probaMargin(proba, ci, conf),
-		}
-	}
-	// The platform probabilities are all read; sc.proba is free for the
-	// fallback models.
-	for i := 0; i < n; i++ {
-		p := &out[i]
-		if p.PlatformConf < ConfidenceThreshold {
-			row := sc.rows[i*stride : (i+1)*stride]
-			ci, conf := e.device.cforest.PredictInto(row, &sc.proba)
-			p.Device, p.DeviceConf = e.device.Classes[ci], conf
-			ci, conf = e.agent.cforest.PredictInto(row, &sc.proba)
-			p.Agent, p.AgentConf = e.agent.Classes[ci], conf
-		}
-		p.applySelector()
-	}
-}
-
-// argmaxProba returns the winning class index and probability with the same
-// tie-breaking as RandomForest.PredictInto (first strict maximum wins).
-func argmaxProba(proba []float64) (int, float64) {
-	best, bestP := 0, -1.0
-	for i, v := range proba {
-		if v > bestP {
-			best, bestP = i, v
-		}
-	}
-	return best, bestP
 }
 
 // probaMargin is the gap between the winning class probability and the best

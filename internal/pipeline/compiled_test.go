@@ -354,10 +354,10 @@ func TestBankReloadRebuildsCompiledForests(t *testing.T) {
 }
 
 // TestUnmarshalRefusesUnservableBank pins the load-time contract: a blob
-// holding a model that cannot be lowered into the compiled serving forms —
-// a forest with no trees, or objective encoders that cannot share an encode
-// pass — is refused with an error naming the model, and a Bank reloaded in
-// place keeps serving what it held.
+// holding an entry that cannot be served — a forest with no trees, objective
+// encoders that cannot share one encoder, or an objective model missing — is
+// refused with an error naming the model, and a Bank reloaded in place keeps
+// serving what it held.
 func TestUnmarshalRefusesUnservableBank(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains a bank")
@@ -366,18 +366,24 @@ func TestUnmarshalRefusesUnservableBank(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// corrupt re-encodes the blob with one model's field rewritten.
-	corrupt := func(prov fingerprint.Provider, tr fingerprint.Transport, obj Objective, edit func(*modelDTO)) []byte {
+	// rewrite re-encodes the blob with one model's DTO edited, or dropped
+	// when edit is nil.
+	rewrite := func(prov fingerprint.Provider, tr fingerprint.Transport, obj Objective, edit func(*modelDTO)) []byte {
 		var dto bankDTO
 		if err := gob.NewDecoder(bytes.NewReader(good)).Decode(&dto); err != nil {
 			t.Fatal(err)
 		}
-		for i := range dto.Models {
-			md := &dto.Models[i]
+		kept := dto.Models[:0]
+		for _, md := range dto.Models {
 			if md.Provider == uint8(prov) && md.Transport == uint8(tr) && md.Objective == uint8(obj) {
-				edit(md)
+				if edit == nil {
+					continue
+				}
+				edit(&md)
 			}
+			kept = append(kept, md)
 		}
+		dto.Models = kept
 		var buf bytes.Buffer
 		if err := gob.NewEncoder(&buf).Encode(dto); err != nil {
 			t.Fatal(err)
@@ -403,11 +409,17 @@ func TestUnmarshalRefusesUnservableBank(t *testing.T) {
 		want string
 	}{
 		{"forest without trees",
-			corrupt(fingerprint.Netflix, fingerprint.TCP, DeviceObjective, func(md *modelDTO) { md.Forest = emptyForest }),
+			rewrite(fingerprint.Netflix, fingerprint.TCP, DeviceObjective, func(md *modelDTO) { md.Forest = emptyForest }),
 			"netflix/tcp/device type"},
 		{"objective encoders differ",
-			corrupt(fingerprint.YouTube, fingerprint.TCP, AgentObjective, func(md *modelDTO) { md.Encoder = otherEncoder }),
+			rewrite(fingerprint.YouTube, fingerprint.TCP, AgentObjective, func(md *modelDTO) { md.Encoder = otherEncoder }),
 			"youtube/tcp/software agent"},
+		{"objective model missing",
+			rewrite(fingerprint.YouTube, fingerprint.QUIC, AgentObjective, nil),
+			"youtube/quic/software agent"},
+		{"objective out of range",
+			rewrite(fingerprint.Amazon, fingerprint.TCP, DeviceObjective, func(md *modelDTO) { md.Objective = 7 }),
+			"amazon/tcp: unknown objective 7"},
 	} {
 		b := &Bank{}
 		if err := b.UnmarshalBinary(good); err != nil {
@@ -421,6 +433,72 @@ func TestUnmarshalRefusesUnservableBank(t *testing.T) {
 		if b.Model(fingerprint.YouTube, fingerprint.TCP, PlatformObjective) != before ||
 			b.entry(fingerprint.YouTube, fingerprint.TCP) == nil {
 			t.Errorf("%s: a refused reload disturbed the bank it was loading into", tc.name)
+		}
+	}
+}
+
+// TestEntrySharesOneEncoder pins the bank's unit: an entry's three models
+// share one fitted encoder and one compiled encoder, after TrainBank and after
+// a gob round trip. On the wire the blob keeps its layout — format 1, three
+// modelDTOs per entry, each with an encoder blob — and those blobs decode to
+// equivalent encoders, which is what a loader that keeps three encoders per
+// entry checks.
+func TestEntrySharesOneEncoder(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains a bank")
+	}
+	trained := goldenBank(t)
+	blob, err := trained.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored := &Bank{}
+	if err := restored.UnmarshalBinary(blob); err != nil {
+		t.Fatal(err)
+	}
+	for tag, b := range map[string]*Bank{"trained": trained, "gob-roundtrip": restored} {
+		if len(b.entries) != 5 {
+			t.Fatalf("%s: %d entries, want 5", tag, len(b.entries))
+		}
+		for key := range b.entries {
+			p := b.Model(key.Provider, key.Transport, PlatformObjective)
+			for _, obj := range []Objective{DeviceObjective, AgentObjective} {
+				m := b.Model(key.Provider, key.Transport, obj)
+				if m.Encoder != p.Encoder || m.Compiled() != p.Compiled() || p.Compiled() == nil {
+					t.Errorf("%s: %s/%s/%s does not share the %s model's encoder and compiled encoder",
+						tag, key.Provider, key.Transport, obj, PlatformObjective)
+				}
+			}
+		}
+	}
+
+	var dto bankDTO
+	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&dto); err != nil {
+		t.Fatal(err)
+	}
+	if dto.Format != 1 {
+		t.Errorf("blob format %d, want 1", dto.Format)
+	}
+	encoders := map[entryKey][]*features.Encoder{}
+	for _, md := range dto.Models {
+		enc := &features.Encoder{}
+		if err := enc.UnmarshalBinary(md.Encoder); err != nil {
+			t.Fatal(err)
+		}
+		k := entryKey{fingerprint.Provider(md.Provider), fingerprint.Transport(md.Transport)}
+		encoders[k] = append(encoders[k], enc)
+	}
+	if len(encoders) != 5 {
+		t.Fatalf("blob holds %d entries, want 5", len(encoders))
+	}
+	for k, encs := range encoders {
+		if len(encs) != 3 {
+			t.Errorf("%s/%s: %d modelDTOs, want 3", k.Provider, k.Transport, len(encs))
+		}
+		for _, enc := range encs[1:] {
+			if !enc.EquivalentTo(encs[0]) {
+				t.Errorf("%s/%s: the entry's encoder blobs decode to encoders that differ", k.Provider, k.Transport)
+			}
 		}
 	}
 }

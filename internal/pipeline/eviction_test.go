@@ -13,7 +13,7 @@ import (
 // emptyBank classifies nothing (every classification attempt errors), which
 // is enough to exercise flow tracking, telemetry and eviction without the
 // cost of training.
-func emptyBank() *Bank { return &Bank{models: map[bankKey]*Model{}} }
+func emptyBank() *Bank { return &Bank{} }
 
 func renderFlow(t *testing.T, g *tracegen.Generator, label string, prov fingerprint.Provider) *tracegen.FlowTrace {
 	t.Helper()

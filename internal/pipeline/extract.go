@@ -82,12 +82,13 @@
 //     bounded by maxHelloBytes (oversized flows are abandoned with
 //     VerdictOversized).
 //
-//   - One compiled evaluator. Bank.ClassifyBatch encodes handshakes through
-//     the three objectives' shared features.CompiledEncoder — raw wire
-//     values resolved through interned tables, no FieldValues maps, no
-//     string formatting — into a row matrix and runs each objective's
-//     ml.CompiledForest over it; Bank.ClassifyHandshake, what the pipeline
-//     calls, is its one-row case. The stage performs zero steady-state
+//   - One compiled evaluator. Bank.ClassifyHandshake encodes a flow's
+//     handshake into one row through its bank entry's one
+//     features.CompiledEncoder — raw wire values resolved through interned
+//     tables, no FieldValues maps, no string formatting — and runs the §4.1
+//     cascade over that row: the platform ml.CompiledForest first, the
+//     device and agent forests only when it is unsure (Bank.ClassifyBatch
+//     is a loop over it). The stage performs zero steady-state
 //     allocations over the pipeline-owned ClassifyScratch, and its output
 //     is byte-identical to the reference Extract+Transform+Classify path
 //     (pinned by the golden-equivalence tests). That reference path is the

@@ -37,7 +37,7 @@ func icmpFrame(t *testing.T) []byte {
 // fallback), skewing its load and wasting a copy + channel send each. They
 // must now be dropped at ingest, counted in IngestStats, and reach no shard.
 func TestIngestDropsUndecodableFrames(t *testing.T) {
-	bank := &Bank{models: map[bankKey]*Model{}}
+	bank := &Bank{}
 	s := NewSharded(bank, 4)
 	now := time.Now()
 
@@ -637,7 +637,7 @@ func TestResultsDropUnderStalledConsumer(t *testing.T) {
 // TestShardedDefaultQueueDepths pins what a default Config serves with: the
 // shard-count-scaled results buffer and inboxes of shardQueueDepth.
 func TestShardedDefaultQueueDepths(t *testing.T) {
-	bank := &Bank{models: map[bankKey]*Model{}}
+	bank := &Bank{}
 	for _, n := range []int{1, 4} {
 		s := NewSharded(bank, n)
 		if got, want := cap(s.results), DefaultResultsBufferPerShard*n; got != want {
@@ -661,7 +661,7 @@ func TestShardedDefaultQueueDepths(t *testing.T) {
 // TestIngestStallCounter drives more batches than a one-slot inbox can hold
 // so ingest must block at least once, and the stall is counted.
 func TestIngestStallCounter(t *testing.T) {
-	bank := &Bank{models: map[bankKey]*Model{}}
+	bank := &Bank{}
 	s := NewShardedWithConfig(bank, 1, Config{inboxDepth: 1})
 	now := time.Now()
 	for i := 0; i < 2000; i++ {

@@ -41,7 +41,7 @@ func feedShardedFlow(t *testing.T, s *Sharded, g *tracegen.Generator, label stri
 // (empty bank, so classification errors — the stage still times) and checks
 // every ingest-side stage collected samples.
 func TestObserverRecordsStages(t *testing.T) {
-	bank := &Bank{models: map[bankKey]*Model{}}
+	bank := &Bank{}
 	s, o, tr := observedSharded(bank, 1)
 	g := tracegen.New(7)
 	for _, label := range []string{"windows_chrome", "iOS_nativeApp", "macOS_safari"} {
@@ -101,7 +101,7 @@ func TestObserverRecordsStages(t *testing.T) {
 // records nothing and spans never exist — the nil checks must keep the
 // un-instrumented path identical to before this layer existed.
 func TestObserverOffIsInert(t *testing.T) {
-	bank := &Bank{models: map[bankKey]*Model{}}
+	bank := &Bank{}
 	s := NewShardedWithConfig(bank, 2, Config{})
 	g := tracegen.New(7)
 	feedShardedFlow(t, s, g, "windows_chrome")
@@ -205,7 +205,7 @@ func TestSpanVerdictNamesThePlatform(t *testing.T) {
 // TestSpanEvictedVerdict forces cap eviction of a flow mid-handshake and
 // checks its span finishes with the "evicted" verdict.
 func TestSpanEvictedVerdict(t *testing.T) {
-	bank := &Bank{models: map[bankKey]*Model{}}
+	bank := &Bank{}
 	o := obs.NewPipelineObserver()
 	tr := obs.NewTracer(obs.TracerConfig{SampleEvery: 1})
 	p := NewWithConfig(bank, Config{MaxFlows: 1, Observer: o, Tracer: tr})

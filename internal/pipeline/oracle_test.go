@@ -8,9 +8,10 @@ import (
 )
 
 // The reference evaluator: Encoder.Transform over extracted FieldValues, then
-// the pointer-walk forest. It is the oracle the golden-equivalence tests pin
-// the compiled evaluator (Bank.ClassifyBatch) against, and lives in a _test
-// file so nothing can serve, simulate or experiment through it.
+// the pointer-walk forests, in the same §4.1 cascade. It is the oracle the
+// golden-equivalence tests pin the compiled evaluator (Bank.ClassifyHandshake,
+// one encoded row per flow) against, and lives in a _test file so nothing can
+// serve, simulate or experiment through it.
 
 // predict returns the winning class, its probability and the top-1/top-2
 // margin read from the same probability vector.

@@ -281,7 +281,7 @@ func TestStreamingPipelineEndToEnd(t *testing.T) {
 }
 
 func TestPipelineIgnoresNonVideoTraffic(t *testing.T) {
-	bank := &Bank{models: nil}
+	bank := &Bank{}
 	p := New(bank)
 	// Garbage frame and a non-443 frame must be ignored without error.
 	if _, err := p.HandlePacket(time.Now(), []byte{1, 2, 3}); err != nil {

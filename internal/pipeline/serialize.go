@@ -32,26 +32,31 @@ type bankDTO struct {
 }
 
 // MarshalBinary serializes the trained bank with encoding/gob, so a model
-// trained by cmd/vptrain can be deployed by cmd/vpclassify.
+// trained by cmd/vptrain can be deployed by cmd/vpclassify. The layout keeps
+// one modelDTO per model, each with an encoder blob: an entry's encoder is
+// marshaled once and written into its three models, so builds that load
+// three encoders per entry read this blob too.
 func (b *Bank) MarshalBinary() ([]byte, error) {
 	dto := bankDTO{Format: bankFormat, Version: b.Version, Config: b.Config}
-	for key, m := range b.models {
-		encBlob, err := m.Encoder.MarshalBinary()
+	for key, e := range b.entries {
+		encBlob, err := e.enc.MarshalBinary()
 		if err != nil {
 			return nil, err
 		}
-		forestBlob, err := m.Forest.MarshalBinary()
-		if err != nil {
-			return nil, err
+		for obj, m := range e.objectives() {
+			forestBlob, err := m.Forest.MarshalBinary()
+			if err != nil {
+				return nil, err
+			}
+			dto.Models = append(dto.Models, modelDTO{
+				Provider:  uint8(key.Provider),
+				Transport: uint8(key.Transport),
+				Objective: uint8(obj),
+				Encoder:   encBlob,
+				Forest:    forestBlob,
+				Classes:   m.Classes,
+			})
 		}
-		dto.Models = append(dto.Models, modelDTO{
-			Provider:  uint8(key.Provider),
-			Transport: uint8(key.Transport),
-			Objective: uint8(key.Objective),
-			Encoder:   encBlob,
-			Forest:    forestBlob,
-			Classes:   m.Classes,
-		})
 	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(dto); err != nil {
@@ -61,9 +66,12 @@ func (b *Bank) MarshalBinary() ([]byte, error) {
 }
 
 // UnmarshalBinary restores a bank serialized by MarshalBinary, serving index
-// included. A blob holding a model that cannot be compiled is refused (see
-// buildIndex); on any error b is left as it was, so a Bank reloaded in place
-// either serves the decoded models or keeps serving the old ones.
+// included. A blob is refused, with an error naming the model, when an entry
+// lacks one of its three objective models, when an objective's encoder
+// differs from the platform model's (they could not share one encoder), or
+// when a model cannot be compiled (see buildIndex). On any error b is left as
+// it was, so a Bank reloaded in place either serves the decoded models or
+// keeps serving the old ones.
 func (b *Bank) UnmarshalBinary(data []byte) error {
 	var dto bankDTO
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&dto); err != nil {
@@ -73,8 +81,13 @@ func (b *Bank) UnmarshalBinary(data []byte) error {
 		return fmt.Errorf("pipeline: bank format v%d was written by a newer build (this build reads up to v%d)",
 			dto.Format, bankFormat)
 	}
-	nb := Bank{Version: dto.Version, Config: dto.Config, models: map[bankKey]*Model{}}
+	decoded := map[entryKey]*[3]*Model{}
 	for _, md := range dto.Models {
+		key := entryKey{fingerprint.Provider(md.Provider), fingerprint.Transport(md.Transport)}
+		obj := Objective(md.Objective)
+		if obj > AgentObjective {
+			return fmt.Errorf("pipeline: %s/%s: unknown objective %d", key.Provider, key.Transport, md.Objective)
+		}
 		enc := &features.Encoder{}
 		if err := enc.UnmarshalBinary(md.Encoder); err != nil {
 			return err
@@ -83,11 +96,28 @@ func (b *Bank) UnmarshalBinary(data []byte) error {
 		if err := forest.UnmarshalBinary(md.Forest); err != nil {
 			return err
 		}
-		nb.models[bankKey{
-			Provider:  fingerprint.Provider(md.Provider),
-			Transport: fingerprint.Transport(md.Transport),
-			Objective: Objective(md.Objective),
-		}] = &Model{Encoder: enc, Forest: forest, Classes: md.Classes}
+		if decoded[key] == nil {
+			decoded[key] = &[3]*Model{}
+		}
+		decoded[key][obj] = &Model{Encoder: enc, Forest: forest, Classes: md.Classes}
+	}
+	nb := Bank{Version: dto.Version, Config: dto.Config, entries: map[entryKey]*bankEntry{}}
+	for key, ms := range decoded {
+		for obj, m := range ms {
+			if m == nil {
+				return fmt.Errorf("pipeline: %s/%s/%s: model missing from the bank", key.Provider, key.Transport, Objective(obj))
+			}
+			if !m.Encoder.EquivalentTo(ms[PlatformObjective].Encoder) {
+				return fmt.Errorf("pipeline: %s/%s/%s: encoder differs from the %s model's",
+					key.Provider, key.Transport, Objective(obj), PlatformObjective)
+			}
+		}
+		nb.entries[key] = &bankEntry{
+			enc:      ms[PlatformObjective].Encoder,
+			platform: ms[PlatformObjective],
+			device:   ms[DeviceObjective],
+			agent:    ms[AgentObjective],
+		}
 	}
 	if err := nb.buildIndex(); err != nil {
 		return err

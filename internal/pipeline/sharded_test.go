@@ -157,7 +157,7 @@ func TestHashKeyDistribution(t *testing.T) {
 
 func TestShardedSingleShard(t *testing.T) {
 	leakcheck.Check(t)
-	bank := &Bank{models: map[bankKey]*Model{}}
+	bank := &Bank{}
 	s := NewSharded(bank, 0) // clamps to 1
 	if len(s.shards) != 1 {
 		t.Fatalf("shards = %d", len(s.shards))
