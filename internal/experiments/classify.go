@@ -55,16 +55,9 @@ func attributeImportance(c *Context, sc Scenario, id string) (*Report, error) {
 
 	imps := map[pipeline.Objective]map[string]float64{}
 	for _, obj := range []pipeline.Objective{pipeline.PlatformObjective, pipeline.DeviceObjective, pipeline.AgentObjective} {
-		d, enc, err := encodeDataset(quic, nil, values, relabelFor(obj, labels))
-		if err != nil {
+		if imps[obj], err = importance(quic, values, relabelFor(obj, labels)); err != nil {
 			return nil, err
 		}
-		gains := ml.InformationGain(d, 64)
-		attrCols := map[string][]int{}
-		for _, a := range features.ForTransport(quic) {
-			attrCols[a.Label] = enc.AttrColumns(a.Label)
-		}
-		imps[obj] = ml.AttributeImportance(gains, attrCols)
 	}
 
 	rate := func(v float64) string {

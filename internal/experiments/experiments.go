@@ -259,36 +259,38 @@ func encodeDataset(quic bool, subset []string, values []*features.FieldValues, l
 	return d, enc, nil
 }
 
-// relabelFor maps labels for an objective.
+// relabelFor maps labels for an objective, as TrainBank does.
 func relabelFor(obj pipeline.Objective, labels []string) []string {
 	out := make([]string, len(labels))
 	for i, l := range labels {
-		switch obj {
-		case pipeline.DeviceObjective:
-			out[i] = pipeline.DeviceOf(l)
-		case pipeline.AgentObjective:
-			out[i] = pipeline.AgentOf(l)
-		default:
-			out[i] = l
-		}
+		out[i] = obj.Label(l)
 	}
 	return out
 }
 
-// rankAttributes orders the applicable Table 2 attributes by normalized
-// information gain for the platform objective (used by Fig 6(a)'s
-// "number of attributes" axis and Table 5's subsets).
-func rankAttributes(quic bool, values []*features.FieldValues, labels []string) ([]string, map[string]float64, error) {
+// importance is each applicable Table 2 attribute's normalized information
+// gain for labels, over an encoder fitted on values.
+func importance(quic bool, values []*features.FieldValues, labels []string) (map[string]float64, error) {
 	d, enc, err := encodeDataset(quic, nil, values, labels)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	gains := ml.InformationGain(d, 64)
 	attrCols := map[string][]int{}
 	for _, a := range features.ForTransport(quic) {
 		attrCols[a.Label] = enc.AttrColumns(a.Label)
 	}
-	imp := ml.AttributeImportance(gains, attrCols)
+	return ml.AttributeImportance(gains, attrCols), nil
+}
+
+// rankAttributes orders the applicable Table 2 attributes by normalized
+// information gain for the platform objective (used by Fig 6(a)'s
+// "number of attributes" axis and Table 5's subsets).
+func rankAttributes(quic bool, values []*features.FieldValues, labels []string) ([]string, map[string]float64, error) {
+	imp, err := importance(quic, values, labels)
+	if err != nil {
+		return nil, nil, err
+	}
 	ranked := make([]string, 0, len(imp))
 	for label := range imp {
 		ranked = append(ranked, label)

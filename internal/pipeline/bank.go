@@ -188,7 +188,7 @@ func TrainBank(ds *tracegen.Dataset, cfg TrainConfig) (*Bank, error) {
 func trainOne(x [][]float64, labels []string, obj Objective, cfg ml.ForestConfig) (*Model, error) {
 	objLabels := make([]string, len(labels))
 	for i, l := range labels {
-		objLabels[i] = objectiveLabel(l, obj)
+		objLabels[i] = obj.Label(l)
 	}
 	d, err := ml.NewDataset(x, objLabels)
 	if err != nil {
@@ -199,14 +199,18 @@ func trainOne(x [][]float64, labels []string, obj Objective, cfg ml.ForestConfig
 	return &Model{Forest: forest, Classes: d.Classes}, nil
 }
 
-func objectiveLabel(label string, obj Objective) string {
-	switch obj {
+// Label maps a composite platform label to the class this objective
+// predicts: the label itself, its device type (DeviceOf) or its software
+// agent (AgentOf). It is how a bank's training labels are made, and how
+// anything that trains or scores against one must make them.
+func (o Objective) Label(platform string) string {
+	switch o {
 	case DeviceObjective:
-		return DeviceOf(label)
+		return DeviceOf(platform)
 	case AgentObjective:
-		return AgentOf(label)
+		return AgentOf(platform)
 	default:
-		return label
+		return platform
 	}
 }
 

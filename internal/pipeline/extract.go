@@ -170,7 +170,9 @@ func MatchProvider(sni string) (prov fingerprint.Provider, content, ok bool) {
 // re-running full reassembly over every buffered frame on every packet.
 // Consuming a flow's client frames in order leaves the assembler in exactly
 // the state ExtractFrames' batch fold would have reached — ExtractFrames is
-// implemented on top of it.
+// implemented on top of it. It counts no frames: the pipeline's frame-count
+// heuristics read FlowRecord.PacketsUp, which counts exactly the client
+// frames an undecided flow's assembler has consumed.
 //
 // The assembler owns every byte it retains, in one buffer, and the
 // assembled Hello aliases nothing else: a flow is TCP or QUIC, so stream
@@ -190,12 +192,7 @@ type hsAssembler struct {
 	// continue it ends the flow as no-handshake rather than buying an
 	// unbounded reorder buffer.
 	stream []byte
-	frames int // client frames consumed so far
 	sawSYN bool
-	// sawInit records that the transport attributes (TTL, initial packet
-	// size) were captured from the flow's first QUIC packet, so later
-	// packets never overwrite them.
-	sawInit bool
 	// zeroRTT marks that the client sent 0-RTT early data: the handshake
 	// rides resumed keys and no fresh ClientHello may ever appear.
 	zeroRTT bool
@@ -232,7 +229,6 @@ func (a *hsAssembler) buffered() int { return len(a.stream) }
 // pre-parsed QUIC transport parameters) and no further frames should be
 // offered.
 func (a *hsAssembler) consume(s *asmScratch, frame []byte) bool {
-	a.frames++
 	parsed := &s.parsed
 	if err := s.parser.Parse(frame, parsed); err != nil {
 		return false // non-IP noise is skipped, as a tap would
@@ -287,9 +283,9 @@ func (a *hsAssembler) consume(s *asmScratch, frame []byte) bool {
 		}
 		// The flow's first QUIC packet, early data or Initial, carries the
 		// transport attributes — what the degraded path classifies on when
-		// no hello ever comes.
-		if !a.sawInit {
-			a.sawInit = true
+		// no hello ever comes. info.QUIC marks them captured, so later
+		// packets never overwrite them.
+		if !info.QUIC {
 			info.QUIC = true
 			info.TTL = parsed.TTL()
 			info.InitPacketSize = len(parsed.Payload)

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"videoplat/internal/fingerprint"
+	"videoplat/internal/flowtable"
 	"videoplat/internal/obs"
 	"videoplat/internal/tracegen"
 )
@@ -232,4 +233,87 @@ func TestSpanEvictedVerdict(t *testing.T) {
 	if !evicted {
 		t.Fatalf("no evicted-verdict span; recent = %+v", snap.Recent)
 	}
+}
+
+// TestSpanReadsItsRecord pins that a finished span's frame count, first
+// packet time and classify time are its flow record's at that moment:
+// finishSpan copies them from the FlowRecord, which owns them, instead of
+// the span counting them again. It traces every golden flow, one flow that
+// migrates mid-handshake, and one flow evicted before its handshake
+// resolved.
+func TestSpanReadsItsRecord(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains a bank")
+	}
+	tr := obs.NewTracer(obs.TracerConfig{SampleEvery: 1})
+	checked := 0
+	check := func(name string, rec *FlowRecord) {
+		t.Helper()
+		snap := tr.Snapshot(1)
+		if snap.Finished != uint64(checked+1) {
+			t.Fatalf("%s: %d spans finished, want %d", name, snap.Finished, checked+1)
+		}
+		checked++
+		sp := snap.Recent[0]
+		if sp.Frames != rec.PacketsUp+rec.PacketsDown || !sp.FirstPacket.Equal(rec.FirstSeen) || sp.ClassifyNS != rec.ClassifyNanos {
+			t.Errorf("%s: span frames %d, first packet %v, classify %d ns; record %d, %v, %d ns", name,
+				sp.Frames, sp.FirstPacket, sp.ClassifyNS, rec.PacketsUp+rec.PacketsDown, rec.FirstSeen, rec.ClassifyNanos)
+		}
+	}
+
+	bank := goldenBank(t)
+	p := NewWithConfig(bank, Config{Tracer: tr})
+	feed := func(ft *tracegen.FlowTrace) *FlowRecord {
+		var rec *FlowRecord
+		for _, fr := range ft.Frames {
+			r, err := p.HandlePacket(ft.Start.Add(fr.Offset), fr.Data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r != nil {
+				rec = r
+			}
+		}
+		if rec == nil {
+			t.Fatalf("%s flow %s was not classified", ft.Provider, ft.Label)
+		}
+		return rec
+	}
+	timed := 0
+	for _, ft := range goldenEvalFlows(t) {
+		rec := feed(ft)
+		check(ft.Label, rec)
+		if rec.ClassifyNanos > 0 {
+			timed++
+		}
+	}
+	if timed == 0 {
+		t.Error("no traced flow carries a classify time")
+	}
+	migrated := renderScenarioFlow(t, 41, fingerprint.Options{Migration: true}, true)
+	check("migrating", feed(migrated))
+	if p.TableStats().Rekeyed != 1 {
+		t.Fatalf("rekeyed %d flows, want the migrating one", p.TableStats().Rekeyed)
+	}
+
+	var evicted FlowRecord
+	q := NewWithConfig(bank, Config{MaxFlows: 1, Tracer: tr,
+		OnEvict: func(rec *FlowRecord, _ flowtable.Reason) { evicted = *rec }})
+	g := tracegen.New(9)
+	for i, label := range []string{"windows_chrome", "macOS_safari"} {
+		ft, err := g.Flow(label, fingerprint.Netflix, fingerprint.TCP, tracegen.FlowSpec{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The first flow's SYN and SYN-ACK leave it mid-handshake; the next
+		// flow's arrival evicts it (MaxFlows: 1).
+		for _, fr := range ft.Frames[:2-i] {
+			q.HandlePacket(ft.Start.Add(fr.Offset), fr.Data)
+		}
+	}
+	if evicted.Verdict != VerdictNoHandshake || evicted.PacketsUp != 1 || evicted.PacketsDown != 1 {
+		t.Fatalf("evicted %s with %d/%d packets, want an undecided flow's no-handshake with 1/1",
+			evicted.Verdict, evicted.PacketsUp, evicted.PacketsDown)
+	}
+	check("evicted", &evicted)
 }

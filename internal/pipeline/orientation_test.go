@@ -106,3 +106,58 @@ func TestServerFirstFlowOrientation(t *testing.T) {
 		}
 	}
 }
+
+// TestFlowSpansPacketTime pins that a record's FirstSeen and LastSeen are the
+// earliest and latest packet times of the flow, whatever order its frames
+// arrive in. Two taps merged without sorting deliver the first server frame
+// ahead of the SYN, and a frame stamped earlier than the one before it last;
+// the record still spans the flow's packet times, as the flow table's idle
+// clock does, so Duration and MbpsDown are the flow's.
+func TestFlowSpansPacketTime(t *testing.T) {
+	bank := platformBank(t, "windows_chrome", fingerprint.TCP, "")
+	ft, err := tracegen.New(62).Flow("windows_chrome", fingerprint.YouTube, fingerprint.TCP, tracegen.FlowSpec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inOrder := tracePackets(ft, 0)
+	n := len(inOrder)
+	inOrder[n-1].TS = inOrder[n-3].TS // the last frame carries an earlier stamp
+	server := 0
+	for ft.Frames[server].ClientToServer {
+		server++
+	}
+	pkts := append([]IngestPacket{inOrder[server]}, inOrder[:server]...)
+	pkts = append(pkts, inOrder[server+1:]...)
+	first, last := pkts[0].TS, pkts[0].TS
+	for _, pkt := range pkts {
+		if pkt.TS.Before(first) {
+			first = pkt.TS
+		}
+		if pkt.TS.After(last) {
+			last = pkt.TS
+		}
+	}
+	if first.Equal(pkts[0].TS) || last.Equal(pkts[n-1].TS) {
+		t.Fatal("arrival order matches packet time: not the input this test needs")
+	}
+
+	p := New(bank)
+	for _, pkt := range pkts {
+		if _, err := p.HandlePacket(pkt.TS, pkt.Data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := NewSharded(bank, 1)
+	s.HandlePacketBatch(pkts)
+	s.Close()
+	for name, recs := range map[string][]*FlowRecord{"Pipeline": p.Flows(), "Sharded": s.Flows()} {
+		if len(recs) != 1 {
+			t.Fatalf("%s: tracked %d flows, want 1", name, len(recs))
+		}
+		rec := recs[0]
+		if !rec.FirstSeen.Equal(first) || !rec.LastSeen.Equal(last) {
+			t.Errorf("%s: flow seen %v to %v after start, packets span %v to %v", name,
+				rec.FirstSeen.Sub(ft.Start), rec.LastSeen.Sub(ft.Start), first.Sub(ft.Start), last.Sub(ft.Start))
+		}
+	}
+}

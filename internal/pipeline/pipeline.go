@@ -133,6 +133,8 @@ type FlowRecord struct {
 	// attributable to the exact model that produced it across hot-swaps.
 	ModelVersion string
 
+	// FirstSeen and LastSeen are the earliest and latest packet times of the
+	// flow, whatever order its frames arrived in.
 	FirstSeen, LastSeen    time.Time
 	BytesDown, BytesUp     int64
 	PacketsDown, PacketsUp int
@@ -155,12 +157,19 @@ func (r *FlowRecord) MbpsDown() float64 {
 	return float64(r.BytesDown) * 8 / 1e6 / d
 }
 
+// flowState is a tracked flow. Each fact about it is kept once, and the
+// record owns what it holds: whether the flow is decided is rec.Verdict
+// (finalize writes it), how many client frames assembly has seen is
+// rec.PacketsUp, and a sampled span takes its frame count, first packet and
+// classify time from the record when it finishes (finishSpan).
 type flowState struct {
-	rec       FlowRecord
-	asm       hsAssembler    // incremental handshake assembly state
-	clientKey packet.FlowKey // client-to-server direction of the current tuple: ClientSide of it
-	done      bool           // finalize ran: rec.Verdict is terminal
-	span      *obs.Span      // lifecycle trace, non-nil only for sampled flows
+	rec FlowRecord
+	asm hsAssembler // incremental handshake assembly state
+	// clientReversed says the current tuple's client-to-server direction
+	// (ClientSide of it) is its canonical key reversed, so a frame is
+	// client-direction exactly when its Summary.Reversed equals it.
+	clientReversed bool
+	span           *obs.Span // lifecycle trace, non-nil only for sampled flows
 	// cids lists this flow's registrations in the pipeline's CID index so
 	// eviction can unregister them.
 	cids []cidKey
@@ -360,7 +369,7 @@ func NewWithConfig(bank *Bank, cfg Config) *Pipeline {
 		flowtable.Config{MaxFlows: cfg.MaxFlows, IdleTimeout: cfg.IdleTimeout},
 		func(_ packet.FlowKey, st *flowState, reason flowtable.Reason) {
 			p.unregisterCIDs(st)
-			if !st.done {
+			if st.rec.Verdict == VerdictPending {
 				// Evicted before the handshake resolved: the classifier never
 				// saw this flow. With only 0-RTT early data seen the hello was
 				// never coming, so the flow leaves as an explicit resumption
@@ -388,7 +397,6 @@ func NewWithConfig(bank *Bank, cfg Config) *Pipeline {
 // call. The flow's buffered handshake bytes are released: st.asm, and any
 // HandshakeInfo pointing into it, is dead afterwards.
 func (p *Pipeline) finalize(st *flowState, v Verdict) {
-	st.done = true
 	st.rec.Verdict = v
 	p.verdicts[v].Add(1) // before the provider split: see Stats
 	// A ProviderHint may name a provider outside the studied four.
@@ -407,13 +415,17 @@ func (p *Pipeline) finalize(st *flowState, v Verdict) {
 }
 
 // finishSpan completes a sampled flow's span with its terminal label and
-// hands it back to the tracer. No-op for unsampled flows.
+// what the record holds of it — frames so far, first packet time, classify
+// time — and hands it back to the tracer. No-op for unsampled flows.
 func (p *Pipeline) finishSpan(st *flowState, label string) {
 	if st.span == nil {
 		return
 	}
 	sp := st.span
 	st.span = nil
+	sp.Frames = st.rec.PacketsUp + st.rec.PacketsDown
+	sp.FirstPacket = st.rec.FirstSeen
+	sp.ClassifyNS = st.rec.ClassifyNanos
 	if sp.SNI == "" {
 		sp.SNI = st.rec.SNI
 	}
@@ -458,11 +470,11 @@ func (p *Pipeline) HandlePacket(ts time.Time, frame []byte) (*FlowRecord, error)
 // endpoint talking to :443, whichever side the tap happened to see first —
 // a server flight that overtakes the SYN on a two-tap merge, or a daemon
 // started mid-flow, must not swap upstream and downstream. With both ports
-// 443 the packet's own direction stands. Every assignment of
-// flowState.clientKey goes through here, so a segment from the :443 side is
-// never the client direction and never reaches handshake assembly — the
-// fact Sharded's ingest relies on when it ships such segments without their
-// payload.
+// 443 the packet's own direction stands. FlowRecord.Key and every assignment
+// of flowState.clientReversed go through here, so a segment from the :443
+// side is never the client direction and never reaches handshake assembly —
+// the fact Sharded's ingest relies on when it ships such segments without
+// their payload.
 func ClientSide(key packet.FlowKey) packet.FlowKey {
 	if key.DstPort != 443 && key.SrcPort == 443 {
 		return key.Reverse()
@@ -481,8 +493,9 @@ func ClientSide(key packet.FlowKey) packet.FlowKey {
 // shard worker) is for handshake assembly alone: a client-direction frame of
 // a flow with no verdict yet gets the full decode there (hsAssembler.consume)
 // — a few frames per flow, never cut — and its payload bytes are copied into
-// flow state until a ClientHello parses out. A handshake that completes is
-// classified here, on arrival, and the flow finalized before the call
+// flow state until a ClientHello parses out. A frame is client-direction
+// when reversed equals the flow's clientReversed. A handshake that completes
+// is classified here, on arrival, and the flow finalized before the call
 // returns.
 func (p *Pipeline) handleKeyed(ts time.Time, frame, payload []byte, key packet.FlowKey, reversed bool, payloadLen int) (*FlowRecord, error) {
 	p.packets.Add(1)
@@ -499,8 +512,9 @@ func (p *Pipeline) handleKeyed(ts time.Time, frame, payload []byte, key packet.F
 		st, ok = p.migrateFlow(key, canon, payload, ts)
 	}
 	if !ok {
-		st = &flowState{clientKey: ClientSide(key)}
-		st.rec.Key = st.clientKey
+		client := ClientSide(key)
+		st = &flowState{clientReversed: client != canon}
+		st.rec.Key = client
 		st.rec.FirstSeen = ts
 		st.asm.init()
 		if p.cfg.Tracer != nil {
@@ -510,14 +524,12 @@ func (p *Pipeline) handleKeyed(ts time.Time, frame, payload []byte, key packet.F
 				if p.cfg.queueDepth != nil {
 					sp.QueueDepth = p.cfg.queueDepth()
 				}
-				sp.FirstPacket = ts
 				st.span = sp
 			}
 		}
 		p.flows.Put(canon, st, ts)
 	}
 	if st.span != nil {
-		st.span.Frames++
 		st.span.QueueWaitNS += p.batchQueueWait
 	}
 
@@ -530,9 +542,17 @@ func (p *Pipeline) handleKeyed(ts time.Time, frame, payload []byte, key packet.F
 		p.learnCIDs(st, canon, payload)
 	}
 
-	// Telemetry split by direction.
-	st.rec.LastSeen = ts
-	if key == st.clientKey {
+	// Telemetry split by direction. The flow spans the earliest to the
+	// latest packet time, whatever order frames arrive in (two taps merged
+	// without sorting), as the flow table's idle clock does.
+	if ts.Before(st.rec.FirstSeen) {
+		st.rec.FirstSeen = ts
+	}
+	if ts.After(st.rec.LastSeen) {
+		st.rec.LastSeen = ts
+	}
+	client := reversed == st.clientReversed
+	if client {
 		st.rec.BytesUp += int64(payloadLen)
 		st.rec.PacketsUp++
 	} else {
@@ -540,14 +560,12 @@ func (p *Pipeline) handleKeyed(ts time.Time, frame, payload []byte, key packet.F
 		st.rec.PacketsDown++
 	}
 
-	if st.done {
-		return nil, nil
-	}
-
 	// Handshake splitter: only client-direction bytes can advance handshake
 	// assembly (the ClientHello rides the client side), so server packets on
 	// a still-unclassified flow cost nothing beyond the telemetry above.
-	if key != st.clientKey {
+	// Every client frame of an undecided flow reaches consume, so
+	// rec.PacketsUp is also the count of frames the assembler has seen.
+	if st.rec.Verdict != VerdictPending || !client {
 		return nil, nil
 	}
 	var asmStart time.Time
@@ -565,11 +583,11 @@ func (p *Pipeline) handleKeyed(ts time.Time, frame, payload []byte, key packet.F
 	}
 	if !complete {
 		switch {
-		case st.asm.giveUp, st.asm.zeroRTT && st.asm.frames > 8:
+		case st.asm.giveUp, st.asm.zeroRTT && st.rec.PacketsUp > 8:
 			// 0-RTT resumption: the hello is not coming. Decide on partial
 			// features or abstain explicitly into the open-set bucket.
-			return p.finishDegraded(st, &st.asm.info, VerdictAbstainedZeroRTT)
-		case st.asm.frames > 8:
+			return p.finishDegraded(st, key, &st.asm.info, VerdictAbstainedZeroRTT)
+		case st.rec.PacketsUp > 8:
 			// No hello in the first packets: not a video flow.
 			p.finalize(st, VerdictNoHandshake)
 		case st.asm.buffered() > p.cfg.helloCap:
@@ -589,7 +607,7 @@ func (p *Pipeline) handleKeyed(ts time.Time, frame, payload []byte, key packet.F
 			// still a full client fingerprint, so degraded classification
 			// under a hinted provider sees everything but the SNI.
 			st.rec.SNI = sni // the fronted (outer) name — observable truth
-			return p.finishDegraded(st, info, VerdictAbstainedECH)
+			return p.finishDegraded(st, key, info, VerdictAbstainedECH)
 		}
 		if st.span != nil {
 			st.span.SNI = sni // the record stays SNI-less for non-video flows
@@ -612,9 +630,6 @@ func (p *Pipeline) handleKeyed(ts time.Time, frame, payload []byte, key packet.F
 		d := time.Since(clStart)
 		p.cfg.Observer.Record(obs.StageClassify, d)
 		st.rec.ClassifyNanos = int64(d)
-		if st.span != nil {
-			st.span.ClassifyNS += int64(d)
-		}
 	}
 	if err != nil {
 		if st.span != nil {
@@ -643,13 +658,13 @@ func transportOf(info *features.HandshakeInfo) fingerprint.Transport {
 	return fingerprint.TCP
 }
 
-// hintFor resolves the provider hint for a flow's server side, which
-// ClientSide makes the destination of clientKey.
-func (p *Pipeline) hintFor(st *flowState) (fingerprint.Provider, bool) {
+// hintFor resolves the provider hint for a flow's server side, the
+// destination of key, a client-direction frame's key.
+func (p *Pipeline) hintFor(key packet.FlowKey) (fingerprint.Provider, bool) {
 	if p.cfg.ProviderHint == nil {
 		return 0, false
 	}
-	return p.cfg.ProviderHint(st.clientKey.Dst)
+	return p.cfg.ProviderHint(key.Dst)
 }
 
 // earlyMinMargin resolves the Config.EarlyMinMargin default.
@@ -674,10 +689,10 @@ func (p *Pipeline) earlyMinMargin() float64 {
 // explicit fallback verdict. Config.OnClassify is deliberately not invoked:
 // drift monitors and shadow evaluators compare full-feature
 // classifications, and feeding them partial-feature records would poison
-// both baselines.
-func (p *Pipeline) finishDegraded(st *flowState, info *features.HandshakeInfo, fallback Verdict) (*FlowRecord, error) {
+// both baselines. key is the client-direction frame that ended assembly.
+func (p *Pipeline) finishDegraded(st *flowState, key packet.FlowKey, info *features.HandshakeInfo, fallback Verdict) (*FlowRecord, error) {
 	st.rec.Transport = transportOf(info)
-	prov, hinted := p.hintFor(st)
+	prov, hinted := p.hintFor(key)
 	if !hinted {
 		p.finalize(st, fallback)
 		return nil, nil
@@ -716,9 +731,9 @@ func (p *Pipeline) migrateFlow(key, canon packet.FlowKey, payload []byte, ts tim
 		return nil, false // unreachable: Rekey just installed canon
 	}
 	// The client now speaks from the migrated tuple (the 443 side stays the
-	// server); re-pointing clientKey keeps the direction split and any
+	// server); re-orienting the flow keeps the direction split and any
 	// still-running handshake assembly correct for everything that follows.
-	st.clientKey = ClientSide(key)
+	st.clientReversed = ClientSide(key) != canon
 	// Follow the flow in the CID index so a second migration re-keys again
 	// and eviction cleans up under the current key.
 	for _, ck := range st.cids {
