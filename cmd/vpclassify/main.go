@@ -1,5 +1,8 @@
 // Command vpclassify replays a PCAP through the streaming classification
-// pipeline and prints one labeled telemetry row per detected video flow.
+// pipeline and prints one labeled telemetry row per port-443 flow as the flow
+// is finalized: the platform (or the partial device/agent) of a flow the
+// classifier labeled, otherwise the flow's verdict. A summary of the verdict
+// counts follows; they add up to the flows printed.
 //
 // Usage:
 //
@@ -12,6 +15,7 @@ import (
 	"io"
 	"os"
 
+	"videoplat/internal/flowtable"
 	"videoplat/internal/pcap"
 	"videoplat/internal/pipeline"
 )
@@ -32,50 +36,70 @@ func main() {
 	f, err := os.Open(flag.Arg(0))
 	exitOn(err)
 	defer f.Close()
-	r, err := pcap.OpenReader(f) // accepts classic pcap and pcapng
-	exitOn(err)
+	exitOn(classify(f, &bank, os.Stdout))
+}
 
-	p := pipeline.New(&bank)
+// classify replays the capture in through a pipeline over bank and writes to
+// out one row per flow as it leaves the table — idle or over the cap during
+// the replay, drained at the end — then the verdict counts.
+func classify(in io.ReadSeeker, bank *pipeline.Bank, out io.Writer) error {
+	r, err := pcap.OpenReader(in) // accepts classic pcap and pcapng
+	if err != nil {
+		return err
+	}
+	p := pipeline.NewWithConfig(bank, pipeline.Config{
+		MaxFlows:    pipeline.DefaultMaxFlows,
+		IdleTimeout: pipeline.DefaultIdleTimeout,
+		OnEvict:     func(rec *pipeline.FlowRecord, _ flowtable.Reason) { printRecord(out, rec) },
+	})
 	for {
 		pkt, err := r.Next()
 		if err == io.EOF {
 			break
 		}
-		exitOn(err)
-		rec, err := p.HandlePacket(pkt.Timestamp, pkt.Data)
-		exitOn(err)
-		if rec != nil {
-			printRecord(rec)
+		if err != nil {
+			return err
 		}
+		p.HandlePacket(pkt.Timestamp, pkt.Data) // a classifier error is the flow's verdict
 	}
-	st := p.Stats()
-	fmt.Printf("\npackets: %d  classified flows: %d  unknown: %d\n",
-		st.Packets, st.Verdicts[pipeline.VerdictClassified],
-		st.Verdicts[pipeline.VerdictAbstained]+st.Verdicts[pipeline.VerdictAbstainedECH]+st.Verdicts[pipeline.VerdictAbstainedZeroRTT])
+	p.Drain()
 
-	fmt.Println("\nfinal flow telemetry:")
-	for _, rec := range p.Flows() {
-		if !rec.Verdict.ClassifierRan() {
-			continue
-		}
-		fmt.Printf("  %-46s %8s %6.1fs %8.2f Mbps\n",
-			rec.SNI, rec.Provider, rec.Duration().Seconds(), rec.MbpsDown())
+	st := p.Stats()
+	fmt.Fprintf(out, "\npackets: %d\nflows: %d\nclassified flows: %d\n",
+		st.Packets, p.TableStats().Inserted, st.Verdicts[pipeline.VerdictClassified])
+	for v := pipeline.VerdictAbstained; int(v) < pipeline.NumVerdicts; v++ {
+		fmt.Fprintf(out, "%s: %d\n", v, st.Verdicts[v])
 	}
+	return nil
 }
 
-func printRecord(rec *pipeline.FlowRecord) {
-	pred := rec.Prediction
-	switch pred.Status {
-	case pipeline.Composite:
-		fmt.Printf("%-10s %-5s %-46s -> %s (%.0f%%)\n",
-			rec.Provider, rec.Transport, rec.SNI, pred.Platform, pred.PlatformConf*100)
-	case pipeline.Partial:
-		fmt.Printf("%-10s %-5s %-46s -> partial device=%q agent=%q\n",
-			rec.Provider, rec.Transport, rec.SNI, pred.Device, pred.Agent)
-	default:
-		fmt.Printf("%-10s %-5s %-46s -> unknown platform\n",
-			rec.Provider, rec.Transport, rec.SNI)
+// printRecord writes a finalized flow's row: provider and transport when
+// known, the SNI (the flow key when none was seen), the outcome, and the
+// flow's duration and mean downstream rate.
+func printRecord(out io.Writer, rec *pipeline.FlowRecord) {
+	who := "-"
+	if rec.Verdict.ProviderKnown() {
+		who = rec.Provider.String() + "/" + rec.Transport.String()
 	}
+	name := rec.SNI
+	if name == "" {
+		name = rec.Key.String()
+	}
+	fmt.Fprintf(out, "%-13s %-46s -> %-40s %6.1fs %8.2f Mbps\n",
+		who, name, outcome(rec), rec.Duration().Seconds(), rec.MbpsDown())
+}
+
+// outcome names what was decided: the platform of a composite prediction,
+// the device and agent of a partial one, otherwise the verdict.
+func outcome(rec *pipeline.FlowRecord) string {
+	pred := rec.Prediction
+	switch {
+	case rec.Verdict != pipeline.VerdictClassified:
+		return rec.Verdict.String()
+	case pred.Status == pipeline.Composite:
+		return fmt.Sprintf("%s (%.0f%%)", pred.Platform, pred.PlatformConf*100)
+	}
+	return fmt.Sprintf("partial device=%q agent=%q", pred.Device, pred.Agent)
 }
 
 func exitOn(err error) {

@@ -112,8 +112,8 @@ func registerFlags(fs *flag.FlagSet) *options {
 	fs.Uint64Var(&o.seed, "seed", 1, "seed for synthetic traffic and self-training")
 	fs.Float64Var(&o.rate, "rate", 0, "replay pace in packets/sec (0 = as fast as possible)")
 	fs.IntVar(&o.shards, "shards", 0, "pipeline shards (0 = GOMAXPROCS)")
-	fs.IntVar(&o.maxFlows, "max-flows", 65536, "flow-table cap across shards")
-	fs.DurationVar(&o.idleTimeout, "idle-timeout", 90*time.Second, "evict flows idle for this long, in trace time")
+	fs.IntVar(&o.maxFlows, "max-flows", pipeline.DefaultMaxFlows, "flow-table cap across shards")
+	fs.DurationVar(&o.idleTimeout, "idle-timeout", pipeline.DefaultIdleTimeout, "evict flows idle for this long, in trace time")
 	fs.DurationVar(&o.window, "window", time.Minute, "rollup window width")
 	fs.Float64Var(&o.trainScale, "train-scale", 0.04, "lab-dataset scale for self-trained and retrained banks")
 	fs.BoolVar(&o.exitWhenDone, "exit-when-done", false, "shut down once the replay source is exhausted")

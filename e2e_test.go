@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"videoplat/internal/fingerprint"
+	"videoplat/internal/flowtable"
 	"videoplat/internal/ml"
 	"videoplat/internal/pipeline"
 	"videoplat/internal/telemetry"
@@ -35,19 +36,20 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := pipeline.New(bank)
-	var got *pipeline.FlowRecord
+	var recs []*pipeline.FlowRecord
+	p := pipeline.NewWithConfig(bank, pipeline.Config{
+		OnEvict: func(rec *pipeline.FlowRecord, _ flowtable.Reason) { recs = append(recs, rec) },
+	})
 	for _, fr := range ft.Frames {
-		rec, err := p.HandlePacket(ft.Start.Add(fr.Offset), fr.Data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rec != nil {
-			got = rec
-		}
+		p.HandlePacket(ft.Start.Add(fr.Offset), fr.Data)
 	}
-	if got == nil {
-		t.Fatal("flow never classified")
+	p.Drain()
+	if len(recs) != 1 {
+		t.Fatalf("%d records out of the pipeline, want 1", len(recs))
+	}
+	got := recs[0]
+	if !got.Verdict.ClassifierRan() {
+		t.Fatalf("flow left as %s, never classified", got.Verdict)
 	}
 	if got.Provider != fingerprint.Netflix {
 		t.Errorf("provider = %v", got.Provider)
@@ -57,7 +59,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 
 	agg := &telemetry.Aggregator{Days: 1}
-	for _, rec := range p.Flows() {
+	for _, rec := range recs {
 		agg.Add(rec)
 	}
 	if agg.Len() != 1 {

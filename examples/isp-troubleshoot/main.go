@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"videoplat/internal/fingerprint"
+	"videoplat/internal/flowtable"
 	"videoplat/internal/pipeline"
 	"videoplat/internal/tracegen"
 )
@@ -42,45 +43,51 @@ func main() {
 	}
 
 	g := tracegen.New(99)
-	p := pipeline.New(bank)
 	start := time.Date(2023, 10, 1, 20, 0, 0, 0, time.UTC)
 
-	fmt.Println("household flows as seen at the ISP (one shared IPv4):")
-	for i, h := range household {
+	// Each flow's finalized record comes out of OnEvict once; Drain, after
+	// the last packet, empties the table. Rows print in flow order, keyed by
+	// the flow's client port.
+	recs := map[uint16]*pipeline.FlowRecord{}
+	p := pipeline.NewWithConfig(bank, pipeline.Config{
+		OnEvict: func(rec *pipeline.FlowRecord, _ flowtable.Reason) { recs[rec.Key.SrcPort] = rec },
+	})
+	var ports []uint16
+	for _, h := range household {
 		flow, err := g.Flow(h.label, h.prov, h.tr, tracegen.FlowSpec{Start: start})
 		if err != nil {
 			log.Fatal(err)
 		}
+		ports = append(ports, flow.ClientPort)
 		for _, fr := range flow.Frames {
-			rec, err := p.HandlePacket(flow.Start.Add(fr.Offset), fr.Data)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if rec == nil {
-				continue
-			}
-			verdict := rec.Prediction.Platform
-			if rec.Prediction.Status != pipeline.Composite {
-				verdict = fmt.Sprintf("partial(device=%s)", rec.Prediction.Device)
-			}
-			match := " "
-			if verdict == h.label {
-				match = "✓"
-			}
-			fmt.Printf("  flow %d: %-8s -> %-22s %s  (truth: %-22s %s)\n",
-				i+1, rec.Provider, verdict, match, h.label, h.note)
+			p.HandlePacket(flow.Start.Add(fr.Offset), fr.Data)
 		}
+	}
+	p.Drain()
+
+	fmt.Println("household flows as seen at the ISP (one shared IPv4):")
+	byPlatform := map[string]int{} // the complaint's provider, by platform
+	for i, h := range household {
+		rec := recs[ports[i]]
+		verdict := rec.Prediction.Platform
+		switch {
+		case rec.Verdict != pipeline.VerdictClassified:
+			verdict = rec.Verdict.String()
+		case rec.Prediction.Status != pipeline.Composite:
+			verdict = fmt.Sprintf("partial(device=%s)", rec.Prediction.Device)
+		case rec.Provider == fingerprint.Netflix:
+			byPlatform[verdict]++
+		}
+		match := " "
+		if verdict == h.label {
+			match = "✓"
+		}
+		fmt.Printf("  flow %d: %-8s -> %-22s %s  (truth: %-22s %s)\n",
+			i+1, h.prov, verdict, match, h.label, h.note)
 	}
 
 	// Support-desk view: platform mix of the complaint's provider.
 	fmt.Println("\nsupport-desk summary for the Netflix ticket:")
-	byPlatform := map[string]int{}
-	for _, rec := range p.Flows() {
-		if rec.Verdict == pipeline.VerdictClassified && rec.Provider == fingerprint.Netflix &&
-			rec.Prediction.Status == pipeline.Composite {
-			byPlatform[rec.Prediction.Platform]++
-		}
-	}
 	keys := make([]string, 0, len(byPlatform))
 	for k := range byPlatform {
 		keys = append(keys, k)

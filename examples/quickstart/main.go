@@ -8,6 +8,7 @@ import (
 	"log"
 
 	"videoplat/internal/fingerprint"
+	"videoplat/internal/flowtable"
 	"videoplat/internal/pipeline"
 	"videoplat/internal/tracegen"
 )
@@ -30,50 +31,41 @@ func main() {
 	}
 
 	// 3. Classify packets the bank has never seen: an iPhone streaming
-	//    Disney+ through the native app.
+	//    Disney+ through the native app, and a Chrome-on-Windows YouTube
+	//    flow over QUIC. Each flow's finalized record comes out of OnEvict
+	//    once, when it leaves the table; Drain empties the table at the end.
 	g := tracegen.New(42)
-	flow, err := g.Flow("iOS_nativeApp", fingerprint.Disney, fingerprint.TCP, tracegen.FlowSpec{})
+	disney, err := g.Flow("iOS_nativeApp", fingerprint.Disney, fingerprint.TCP, tracegen.FlowSpec{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	p := pipeline.New(bank)
-	for _, fr := range flow.Frames {
-		rec, err := p.HandlePacket(flow.Start.Add(fr.Offset), fr.Data)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if rec == nil {
-			continue
-		}
-		fmt.Printf("\nflow to %s (%s over %s)\n", rec.SNI, rec.Provider, rec.Transport)
-		switch rec.Prediction.Status {
-		case pipeline.Composite:
-			fmt.Printf("  platform: %s (confidence %.0f%%)\n",
-				rec.Prediction.Platform, rec.Prediction.PlatformConf*100)
-		case pipeline.Partial:
-			fmt.Printf("  partial: device=%q agent=%q\n",
-				rec.Prediction.Device, rec.Prediction.Agent)
-		default:
-			fmt.Println("  platform: unknown (low confidence)")
-		}
-		fmt.Printf("  ground truth: %s\n", flow.Label)
-	}
-
-	// 4. The same bank handles QUIC: a Chrome-on-Windows YouTube flow.
-	quicFlow, err := g.Flow("windows_chrome", fingerprint.YouTube, fingerprint.QUIC, tracegen.FlowSpec{})
+	youtube, err := g.Flow("windows_chrome", fingerprint.YouTube, fingerprint.QUIC, tracegen.FlowSpec{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, fr := range quicFlow.Frames {
-		rec, err := p.HandlePacket(quicFlow.Start.Add(fr.Offset), fr.Data)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if rec != nil {
-			fmt.Printf("\nQUIC flow to %s\n  platform: %s (%.0f%%), truth: %s\n",
-				rec.SNI, rec.Prediction.Platform, rec.Prediction.PlatformConf*100, quicFlow.Label)
+	truth := map[string]string{disney.SNI: disney.Label, youtube.SNI: youtube.Label}
+	p := pipeline.NewWithConfig(bank, pipeline.Config{
+		OnEvict: func(rec *pipeline.FlowRecord, _ flowtable.Reason) {
+			fmt.Printf("\nflow to %s (%s over %s): %s\n", rec.SNI, rec.Provider, rec.Transport, rec.Verdict)
+			switch rec.Prediction.Status {
+			case pipeline.Composite:
+				fmt.Printf("  platform: %s (confidence %.0f%%)\n",
+					rec.Prediction.Platform, rec.Prediction.PlatformConf*100)
+			case pipeline.Partial:
+				fmt.Printf("  partial: device=%q agent=%q\n",
+					rec.Prediction.Device, rec.Prediction.Agent)
+			default:
+				fmt.Println("  platform: unknown")
+			}
+			fmt.Printf("  ground truth: %s\n", truth[rec.SNI])
+		},
+	})
+	for _, flow := range []*tracegen.FlowTrace{disney, youtube} {
+		for _, fr := range flow.Frames {
+			p.HandlePacket(flow.Start.Add(fr.Offset), fr.Data)
 		}
 	}
+	p.Drain()
 
 	fmt.Println("\nsupported platforms:", fingerprint.AllPlatformLabels())
 }

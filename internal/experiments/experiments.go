@@ -161,6 +161,10 @@ func (c *Context) labDatasetLocked() (*tracegen.Dataset, error) {
 func (c *Context) OpenSetDataset() (*tracegen.Dataset, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.openSetDatasetLocked()
+}
+
+func (c *Context) openSetDatasetLocked() (*tracegen.Dataset, error) {
 	c.defaults()
 	if c.openDS == nil {
 		g := tracegen.New(c.Seed + 0x05e2)
@@ -176,39 +180,26 @@ func (c *Context) OpenSetDataset() (*tracegen.Dataset, error) {
 // LabValues extracts (once, via the packet path) the field values of a
 // scenario's lab flows.
 func (c *Context) LabValues(sc Scenario) ([]*features.FieldValues, []string, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.labVals == nil {
-		c.labVals = map[Scenario]*scenarioData{}
-	}
-	if d, ok := c.labVals[sc]; ok {
-		return d.values, d.labels, nil
-	}
-	ds, err := c.labDatasetLocked()
-	if err != nil {
-		return nil, nil, err
-	}
-	d, err := extractScenario(ds, sc)
-	if err != nil {
-		return nil, nil, err
-	}
-	c.labVals[sc] = d
-	return d.values, d.labels, nil
+	return c.scenarioValues(sc, c.labDatasetLocked, &c.labVals)
 }
 
 // OpenSetValues extracts (once) the field values of a scenario's open-set
 // flows.
 func (c *Context) OpenSetValues(sc Scenario) ([]*features.FieldValues, []string, error) {
+	return c.scenarioValues(sc, c.openSetDatasetLocked, &c.openVals)
+}
+
+// scenarioValues is LabValues and OpenSetValues: the scenario's field
+// values from the dataset datasetLocked renders, extracted once and cached
+// in *cache. It holds c.mu throughout, so concurrent callers extract a
+// scenario once.
+func (c *Context) scenarioValues(sc Scenario, datasetLocked func() (*tracegen.Dataset, error), cache *map[Scenario]*scenarioData) ([]*features.FieldValues, []string, error) {
 	c.mu.Lock()
-	if c.openVals == nil {
-		c.openVals = map[Scenario]*scenarioData{}
-	}
-	if d, ok := c.openVals[sc]; ok {
-		c.mu.Unlock()
+	defer c.mu.Unlock()
+	if d, ok := (*cache)[sc]; ok {
 		return d.values, d.labels, nil
 	}
-	c.mu.Unlock()
-	ds, err := c.OpenSetDataset()
+	ds, err := datasetLocked()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -216,9 +207,10 @@ func (c *Context) OpenSetValues(sc Scenario) ([]*features.FieldValues, []string,
 	if err != nil {
 		return nil, nil, err
 	}
-	c.mu.Lock()
-	c.openVals[sc] = d
-	c.mu.Unlock()
+	if *cache == nil {
+		*cache = map[Scenario]*scenarioData{}
+	}
+	(*cache)[sc] = d
 	return d.values, d.labels, nil
 }
 

@@ -105,6 +105,13 @@
 //     handshake bytes. A flow therefore carries exactly one verdict and is
 //     counted exactly once; anything that reports how many flows were
 //     classified reads those counters (Sharded.IngestStats sums them).
+//     There is one way out, too: Config.OnEvict is the stream of finalized
+//     records, one per flow, delivered as each flow leaves its table —
+//     idle, over the cap, or emptied by Drain (Pipeline.Drain, or
+//     Sharded.Drain on every shard) at the end of the input. Once a table
+//     is drained, the records OnEvict received are every flow it inserted.
+//     Flows and Sharded.SnapshotFlows are the live view of flows still
+//     tracked, not finalized.
 //
 // Scratch-reuse rules: each Pipeline owns one asmScratch and one
 // ClassifyScratch (and each Sharded shard owns its Pipeline), so scratch

@@ -191,10 +191,12 @@ type Config struct {
 	// packet time so trace replay and live capture behave identically.
 	// 0 = never.
 	IdleTimeout time.Duration
-	// OnEvict, if non-nil, receives a copy of each evicted flow's final
-	// record — identical to what Flows() would have reported — so evicted
-	// telemetry can reach a sink instead of vanishing. Called synchronously
-	// from HandlePacket (for Sharded, from the owning shard's goroutine).
+	// OnEvict, if non-nil, receives a copy of each flow's finalized record
+	// as the flow leaves the table — idle, over MaxFlows, or emptied by
+	// Drain — with its one terminal verdict: a flow still undecided is
+	// resolved on the way out. It is the one place every flow's record
+	// comes out, exactly once. Called synchronously from HandlePacket or
+	// Drain (for Sharded, from the owning shard's goroutine).
 	OnEvict func(rec *FlowRecord, reason flowtable.Reason)
 	// OnClassify, if non-nil, is invoked once per classification attempt
 	// with a copy of the flow record (after the confidence selector ran)
@@ -248,6 +250,15 @@ type Config struct {
 	helloCap   int
 }
 
+// DefaultMaxFlows and DefaultIdleTimeout are the flow-table bounds of a
+// consumer whose input has no end in sight: the daemon, which splits
+// MaxFlows across its shards (vpserve's -max-flows and -idle-timeout
+// default to them), and vpclassify.
+const (
+	DefaultMaxFlows    = 65536
+	DefaultIdleTimeout = 90 * time.Second
+)
+
 // maxHelloBytes caps the client handshake bytes buffered per flow while
 // waiting for a complete ClientHello: four maximum-size TLS records, where
 // a real hello is a fraction of one, yet tight enough that a million
@@ -272,12 +283,13 @@ const DefaultEarlyMinMargin = 0.10
 const maxFlowCIDs = 8
 
 // Pipeline is the streaming packet processor of Fig 4. Feed packets with
-// HandlePacket; classified flows are returned as events and accumulated for
-// Flows(). Not safe for concurrent use — shard by flow hash across instances
-// for multi-core deployments, as the DPDK prototype does — with two
-// exceptions: SwapBank may be called from any goroutine to hot-swap the
-// classifier bank without pausing packet processing, and Stats and
-// TableStats may be read from any goroutine.
+// HandlePacket and call Drain at the end of the input; every flow's
+// finalized record comes out once, through Config.OnEvict, and Flows() is
+// the live view of the flows still tracked. Not safe for concurrent use —
+// Sharded runs one per shard, as the DPDK prototype shards by flow hash —
+// with two exceptions: SwapBank may be called from any goroutine to
+// hot-swap the classifier bank without pausing packet processing, and
+// Stats and TableStats may be read from any goroutine.
 type Pipeline struct {
 	bank atomic.Pointer[Bank]
 
@@ -451,11 +463,13 @@ func (p *Pipeline) Bank() *Bank { return p.bank.Load() }
 func (p *Pipeline) SwapBank(bank *Bank) { p.bank.Store(bank) }
 
 // HandlePacket processes one frame. It returns a non-nil FlowRecord exactly
-// when the frame completed a flow's classification. The frame gets the same
-// per-packet decode a Sharded's ingest gives it (packet.Summary) and goes on
-// to handleKeyed as a shard worker's frames do, whole. The pipeline copies
-// anything it retains past the call, so the caller may recycle frame as soon
-// as it returns.
+// when the frame completed a flow's classification, and the classifier's
+// error when it failed; both are also in the record Config.OnEvict receives
+// when the flow leaves (a failure as VerdictError), which is where a
+// consumer reads them. The frame gets the same per-packet decode a
+// Sharded's ingest gives it (packet.Summary) and goes on to handleKeyed as a
+// shard worker's frames do, whole. The pipeline copies anything it retains
+// past the call, so the caller may recycle frame as soon as it returns.
 func (p *Pipeline) HandlePacket(ts time.Time, frame []byte) (*FlowRecord, error) {
 	var sum packet.Summary
 	if !sum.Decode(frame) {
@@ -801,13 +815,20 @@ func (p *Pipeline) maybeSweep(ts time.Time) {
 	}
 }
 
-// Flows returns the tracked per-flow records (classified or not), with
-// final telemetry. Flows already evicted from a bounded table are not
-// included — they were delivered to Config.OnEvict with the same record
-// contents at eviction time, so OnEvict output plus Flows() covers every
-// flow exactly once. A record taken here is not finalized: a flow still
-// waiting for its handshake reads VerdictPending (Sharded.Drain finalizes
-// it).
+// Drain finalizes every tracked flow: it evicts them oldest first
+// (flowtable.ReasonDrain) through the eviction hook, as an idle flow
+// leaves, which resolves a flow still undecided — no-handshake, or
+// abstained-0rtt after 0-RTT early data — and hands each record to
+// Config.OnEvict. Call it at the end of the input; afterwards Flows() is
+// empty and Stats().Verdicts sums to TableStats().Inserted.
+func (p *Pipeline) Drain() { p.flows.Drain() }
+
+// Flows returns copies of the records of the flows still tracked: the live
+// view, not the output. A record taken here is not finalized — a flow still
+// waiting for its handshake reads VerdictPending, where the eviction hook
+// would have resolved it — and a flow already evicted is not included.
+// Config.OnEvict, with Drain at the end, is where finalized records come
+// out.
 func (p *Pipeline) Flows() []*FlowRecord {
 	out := make([]*FlowRecord, 0, p.flows.Len())
 	p.flows.Range(func(_ packet.FlowKey, st *flowState) bool {

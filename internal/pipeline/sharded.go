@@ -152,14 +152,13 @@ type shard struct {
 	p  *Pipeline
 }
 
-// shardMsg carries a batch of summarized frames or a request answered from
-// the worker goroutine, so it never races packet processing: when snap is
-// non-nil, for the shard's current flow records; when drained is, to evict
-// every flow (Drain) and report back.
+// shardMsg carries a batch of summarized frames or, when do is non-nil, a
+// side request: the worker runs do on its pipeline behind the frames queued
+// before it, so the request never races packet processing, and do signals
+// its caller (see onEachShard). Drain and SnapshotFlows are such requests.
 type shardMsg struct {
-	batch   *ingestBatch
-	snap    chan []*FlowRecord
-	drained chan struct{}
+	batch *ingestBatch
+	do    func(*Pipeline)
 	// enq stamps when the message entered the inbox, set only when latency
 	// observation is on; the worker turns it into a queue-wait sample.
 	enq time.Time
@@ -272,13 +271,8 @@ func NewShardedWithConfig(bank *Bank, n int, cfg Config) *Sharded {
 		go func() {
 			defer s.wg.Done()
 			for msg := range sh.in {
-				if msg.snap != nil {
-					msg.snap <- sh.p.Flows()
-					continue
-				}
-				if msg.drained != nil {
-					sh.p.flows.Drain()
-					msg.drained <- struct{}{}
+				if msg.do != nil {
+					msg.do(sh.p)
 					continue
 				}
 				if !msg.enq.IsZero() {
@@ -589,23 +583,26 @@ func (s *Sharded) QueueDepths() []int {
 // QueueCapacity reports the per-shard inbox capacity in messages.
 func (s *Sharded) QueueCapacity() int { return cap(s.shards[0].in) }
 
-// Drain finalizes every flow still tracked: each shard, once it has
-// processed the frames queued before the request, evicts its flows oldest
-// first (flowtable.ReasonDrain) through the same eviction path as an idle
-// flow, which resolves an undecided flow's verdict — no-handshake, or
-// abstained-0rtt after 0-RTT early data — and hands every record to
-// Config.OnEvict. It returns once every shard has drained. Call it after
-// the last HandlePacketBatch and before Close; afterwards Flows() is empty
-// and every inserted flow has been counted in IngestStats().Verdicts.
-func (s *Sharded) Drain() {
-	done := make(chan struct{}, len(s.shards))
-	for _, sh := range s.shards {
-		sh.in <- shardMsg{drained: done}
+// onEachShard runs f on every shard's pipeline, on the shard's worker once
+// it has processed the frames queued before the call, and returns when every
+// shard has run it. f runs concurrently across shards; i is the shard's
+// index. Must not be called after (or concurrently with) Close.
+func (s *Sharded) onEachShard(f func(i int, p *Pipeline)) {
+	var wg sync.WaitGroup
+	wg.Add(len(s.shards))
+	for i, sh := range s.shards {
+		sh.in <- shardMsg{do: func(p *Pipeline) { f(i, p); wg.Done() }}
 	}
-	for range s.shards {
-		<-done
-	}
+	wg.Wait()
 }
+
+// Drain finalizes every flow still tracked: each shard, once it has
+// processed the frames queued before the request, runs Pipeline.Drain, so
+// every record reaches Config.OnEvict with its terminal verdict. It returns
+// once every shard has drained. Call it after the last HandlePacketBatch
+// and before Close; afterwards Flows() is empty and every inserted flow has
+// been counted in IngestStats().Verdicts.
+func (s *Sharded) Drain() { s.onEachShard(func(_ int, p *Pipeline) { p.Drain() }) }
 
 // Close stops the workers after draining queued packets and closes Results.
 // The flows still tracked stay as they are, readable through Flows(); call
@@ -631,14 +628,11 @@ func (s *Sharded) Flows() []*FlowRecord {
 // workers are running, by queueing a snapshot request behind each shard's
 // pending packets. Must not be called after (or concurrently with) Close.
 func (s *Sharded) SnapshotFlows() []*FlowRecord {
-	chans := make([]chan []*FlowRecord, len(s.shards))
-	for i, sh := range s.shards {
-		chans[i] = make(chan []*FlowRecord, 1)
-		sh.in <- shardMsg{snap: chans[i]}
-	}
+	per := make([][]*FlowRecord, len(s.shards))
+	s.onEachShard(func(i int, p *Pipeline) { per[i] = p.Flows() })
 	var out []*FlowRecord
-	for _, c := range chans {
-		out = append(out, <-c...)
+	for _, recs := range per {
+		out = append(out, recs...)
 	}
 	return out
 }

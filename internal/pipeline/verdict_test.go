@@ -209,33 +209,34 @@ func classifiedByProvider(recs []*FlowRecord) (by [fingerprint.NumProviders]uint
 }
 
 // TestEveryFlowFinalizedExactlyOnce replays everyTerminalKind through a
-// bounded pipeline, whose last flow moves packet time past the idle timeout
-// so all the others evict. Every record must leave with a terminal verdict,
+// bounded pipeline and drains it, so its records come from OnEvict alone.
+// Every record must leave with a terminal verdict, the table must be empty,
 // and the verdict counters must account for each inserted flow once: per
 // verdict they equal the records that carry it, in sum the table's
 // insertions, and the classified ones split by provider the way the records
-// do.
+// do. TestShardedCountersSurviveDroppedResults is its Sharded twin.
 func TestEveryFlowFinalizedExactlyOnce(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bank training is slow")
 	}
 	bank, _ := trainSmallBank(t, 31, 0.02)
-	var evicted []*FlowRecord
+	var recs []*FlowRecord
 	p := NewWithConfig(bank, Config{
 		MaxFlows:     64,
 		IdleTimeout:  time.Minute,
 		helloCap:     1024,
 		ProviderHint: tracegen.ProviderOfAddr,
-		OnEvict:      func(rec *FlowRecord, _ flowtable.Reason) { evicted = append(evicted, rec) },
+		OnEvict:      func(rec *FlowRecord, _ flowtable.Reason) { recs = append(recs, rec) },
 	})
 	for _, pkt := range everyTerminalKind(t) {
-		if _, err := p.HandlePacket(pkt.TS, pkt.Data); err != nil {
-			t.Fatal(err)
-		}
+		p.HandlePacket(pkt.TS, pkt.Data)
+	}
+	p.Drain()
+	if left := p.Flows(); len(left) != 0 {
+		t.Errorf("%d flows left in the table after Drain", len(left))
 	}
 
 	st, table := p.Stats(), p.TableStats()
-	recs := append(evicted, p.Flows()...)
 	var carried [NumVerdicts]uint64
 	for _, rec := range recs {
 		carried[rec.Verdict]++
@@ -253,7 +254,7 @@ func TestEveryFlowFinalizedExactlyOnce(t *testing.T) {
 	if sum != table.Inserted || table.Inserted != 10 {
 		t.Errorf("verdicts sum to %d over %d inserted flows, want 10 and 10", sum, table.Inserted)
 	}
-	for v, want := range map[Verdict]uint64{VerdictNoHandshake: 2, VerdictOversized: 1, VerdictNotVideo: 1} {
+	for v, want := range map[Verdict]uint64{VerdictNoHandshake: 2, VerdictOversized: 1, VerdictNotVideo: 1, VerdictError: 0} {
 		if st.Verdicts[v] != want {
 			t.Errorf("Verdicts[%s] = %d, want %d", v, st.Verdicts[v], want)
 		}

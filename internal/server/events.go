@@ -11,8 +11,9 @@ import (
 	"videoplat/internal/telemetry"
 )
 
-// writeJSONBody encodes v without touching the status line, for handlers
-// that already wrote a non-200 status.
+// writeJSONBody encodes v indented without touching the headers or the
+// status line, for handlers that already wrote a non-200 status; writeJSON
+// is it with the JSON content type.
 func writeJSONBody(w io.Writer, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

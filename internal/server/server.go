@@ -40,7 +40,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -72,11 +71,11 @@ type Config struct {
 	Addr string
 	// Shards is the pipeline fan-out width (default GOMAXPROCS).
 	Shards int
-	// MaxFlows caps tracked flows across all shards (default 65536,
-	// divided evenly per shard).
+	// MaxFlows caps tracked flows across all shards (default
+	// pipeline.DefaultMaxFlows, divided evenly per shard).
 	MaxFlows int
 	// IdleTimeout retires flows with no packet for this long, in trace
-	// time (default 90s).
+	// time (default pipeline.DefaultIdleTimeout).
 	IdleTimeout time.Duration
 	// WindowWidth is the tumbling rollup window width (default 1 minute).
 	WindowWidth time.Duration
@@ -156,10 +155,10 @@ func (c *Config) fillDefaults() {
 	// No value lifts the flow-table bounds: a daemon that never restarts has
 	// no use for an unbounded table.
 	if c.MaxFlows <= 0 {
-		c.MaxFlows = 65536
+		c.MaxFlows = pipeline.DefaultMaxFlows
 	}
 	if c.IdleTimeout <= 0 {
-		c.IdleTimeout = 90 * time.Second
+		c.IdleTimeout = pipeline.DefaultIdleTimeout
 	}
 	if c.WindowWidth <= 0 {
 		c.WindowWidth = time.Minute
@@ -971,7 +970,5 @@ func parseLimit(w http.ResponseWriter, r *http.Request, def int) (limit int, ok 
 
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	writeJSONBody(w, v)
 }

@@ -430,10 +430,7 @@ func (r *Rollup) Current() *Window {
 }
 
 func (r *Rollup) open(ts time.Time) {
-	start := ts.Truncate(r.width)
-	if ts.Before(start) { // Truncate rounds toward zero; guard pre-epoch times
-		start = start.Add(-r.width)
-	}
+	start := bucketStart(ts, r.width)
 	r.cur = &Window{
 		Start:      start,
 		End:        start.Add(r.width),

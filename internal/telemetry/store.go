@@ -162,11 +162,11 @@ func (t *tier) fold(w *Window) {
 	bounds(t.open)
 }
 
-// bucketStart aligns ts to a width boundary, guarding pre-epoch times the
-// same way Rollup.open does.
+// bucketStart aligns ts to a width boundary: a rollup window's start, and a
+// downsampling tier's bucket.
 func bucketStart(ts time.Time, width time.Duration) time.Time {
 	start := ts.Truncate(width)
-	if ts.Before(start) {
+	if ts.Before(start) { // Truncate rounds toward zero; guard pre-epoch times
 		start = start.Add(-width)
 	}
 	return start
