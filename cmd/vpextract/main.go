@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"videoplat/internal/features"
 	"videoplat/internal/packet"
@@ -105,7 +104,7 @@ func extract(in io.ReadSeeker, out io.Writer) error {
 		v := features.Extract(info)
 		row := []string{fb.key.String(), sni, provName, transport}
 		for _, a := range features.Table2 {
-			row = append(row, renderValue(v, a))
+			row = append(row, v.Render(a))
 		}
 		if err := w.Write(row); err != nil {
 			return err
@@ -113,20 +112,6 @@ func extract(in io.ReadSeeker, out io.Writer) error {
 	}
 	w.Flush()
 	return w.Error()
-}
-
-func renderValue(v *features.FieldValues, a features.Attribute) string {
-	switch a.Kind {
-	case features.Categorical:
-		return v.Cats[a.Label]
-	case features.List:
-		return strings.Join(v.Lists[a.Label], "|")
-	default:
-		if val, ok := v.Nums[a.Label]; ok {
-			return fmt.Sprintf("%g", val)
-		}
-		return ""
-	}
 }
 
 func exitOn(err error) {

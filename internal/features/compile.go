@@ -53,49 +53,14 @@ type EncodeScratch struct {
 	tok    []byte
 }
 
-// slot-writer opcodes; one per distinct extraction routine.
-type compiledOp uint8
-
-const (
-	opInitPacketSize compiledOp = iota
-	opTTL
-	opTCPFlag
-	opTCPWindow
-	opTCPMSS
-	opTCPWScale
-	opTCPSACK
-	opHandshakeLength
-	opLegacyVersion
-	opCipherSuites
-	opCompressionLen
-	opExtensionsLength
-	opExtTypes
-	opExtLen
-	opStatusRequest
-	opU16List
-	opU8BytesCat
-	opALPN
-	opPresence
-	opCompressCert
-	opRecordSizeLimit
-	opSupportedVersions
-	opKeyShare
-	opQParamIDs
-	opQUint
-	opQPresence
-	opQLen
-	opQCat
-)
-
-// compiledAttr is one Table 2 attribute lowered to an opcode plus the
-// interned lookup tables its tokens resolve through.
+// compiledAttr is one Table 2 attribute's wire source plus the interned
+// lookup tables its tokens resolve through.
 type compiledAttr struct {
-	op    compiledOp
-	col   int // first output column
-	width int // expanded columns (list width, else 1)
-	bit   uint8
+	op    source
+	key   uint64 // the row's key: TCP flag bit, transport-parameter id
+	col   int    // first output column
+	width int    // expanded columns (list width, else 1)
 	ext   int    // slot in EncodeScratch.extPos for ext-sourced ops, else -1
-	param uint64 // QUIC transport-parameter id, for q-ops
 
 	// u16 maps a raw uint16 wire value (cipher suite, extension id, named
 	// group, ...; for o3 the status_request type byte) to its 1-based vocab
@@ -109,166 +74,37 @@ type compiledAttr struct {
 
 // Compile lowers a fitted encoder into its serving-path form, equivalent to
 // Transform∘Extract: default extraction options, the paper's configuration
-// (the GREASE ablation goes through the reference ExtractWithOptions). It
-// fails only for attribute labels this build does not know how to lower.
+// (the GREASE ablation goes through the reference ExtractWithOptions). Each
+// attribute is read from its Table 2 row's wire source. It fails only for a
+// vocabulary id it cannot intern.
 func Compile(e *Encoder) (*CompiledEncoder, error) {
 	ce := &CompiledEncoder{}
 	col := 0
 	extSlots := map[uint16]int{} // extension type -> 1-based slot
 	for _, a := range e.Attrs {
-		ca := compiledAttr{col: col, width: 1, ext: -1}
+		ca := compiledAttr{op: a.src, key: a.key, col: col, width: 1, ext: -1}
 		if a.Kind == List {
 			ca.width = a.Width
 		}
 		col += ca.width
-		ext, err := lowerAttr(&ca, a)
-		if err != nil {
-			return nil, err
-		}
-		if ext >= 0 {
-			slot, ok := extSlots[uint16(ext)]
+		if a.src.readsExt() {
+			slot, ok := extSlots[uint16(a.key)]
 			if !ok {
 				slot = len(extSlots) + 1
-				extSlots[uint16(ext)] = slot
+				extSlots[uint16(a.key)] = slot
 			}
 			ca.ext = slot - 1
 		}
 		if err := buildTables(&ca, e.vocabs[a.Label]); err != nil {
 			return nil, fmt.Errorf("features: attribute %q: %w", a.Label, err)
 		}
-		switch ca.op {
-		case opQParamIDs, opQUint, opQPresence, opQLen, opQCat:
-			ce.quicAttrs = true
-		}
+		ce.quicAttrs = ce.quicAttrs || a.src.readsParams()
 		ce.attrs = append(ce.attrs, ca)
 	}
 	ce.width = col
 	ce.numExts = len(extSlots)
 	ce.extSlots, _ = newFlatTable(extSlots) // slots are 1..n: always internable
 	return ce, nil
-}
-
-// lowerAttr maps a Table 2 label to its opcode and wire source. ext is the
-// TLS extension type the attribute reads, -1 when it reads none.
-func lowerAttr(ca *compiledAttr, a Attribute) (ext int, err error) {
-	ext = -1
-	switch a.Label {
-	case "t1":
-		ca.op = opInitPacketSize
-	case "t2":
-		ca.op = opTTL
-	case "t3", "t4", "t5", "t6", "t7", "t8", "t9", "t10":
-		ca.op = opTCPFlag
-		n, _ := strconv.Atoi(a.Label[1:])
-		ca.bit = 1 << (10 - n) // t3 = bit 7 (CWR) ... t10 = bit 0 (FIN)
-	case "t11":
-		ca.op = opTCPWindow
-	case "t12":
-		ca.op = opTCPMSS
-	case "t13":
-		ca.op = opTCPWScale
-	case "t14":
-		ca.op = opTCPSACK
-	case "m1":
-		ca.op = opHandshakeLength
-	case "m2":
-		ca.op = opLegacyVersion
-	case "m3":
-		ca.op = opCipherSuites
-	case "m4":
-		ca.op = opCompressionLen
-	case "m5":
-		ca.op = opExtensionsLength
-	case "o1":
-		ca.op = opExtTypes
-	case "o2":
-		ca.op, ext = opExtLen, int(tlsproto.ExtServerName)
-	case "o3":
-		ca.op, ext = opStatusRequest, int(tlsproto.ExtStatusRequest)
-	case "o4":
-		ca.op, ext = opU16List, int(tlsproto.ExtSupportedGroups)
-	case "o5":
-		ca.op, ext = opU8BytesCat, int(tlsproto.ExtECPointFormats)
-	case "o6":
-		ca.op, ext = opU16List, int(tlsproto.ExtSignatureAlgorithms)
-	case "o7":
-		ca.op, ext = opALPN, int(tlsproto.ExtALPN)
-	case "o8":
-		ca.op, ext = opExtLen, int(tlsproto.ExtSCT)
-	case "o9":
-		ca.op, ext = opExtLen, int(tlsproto.ExtPadding)
-	case "o10":
-		ca.op, ext = opPresence, int(tlsproto.ExtEncryptThenMac)
-	case "o11":
-		ca.op, ext = opPresence, int(tlsproto.ExtExtendedMasterSecret)
-	case "o12":
-		ca.op, ext = opCompressCert, int(tlsproto.ExtCompressCertificate)
-	case "o13":
-		ca.op, ext = opRecordSizeLimit, int(tlsproto.ExtRecordSizeLimit)
-	case "o14":
-		ca.op, ext = opU16List, int(tlsproto.ExtDelegatedCredentials)
-	case "o15":
-		ca.op, ext = opExtLen, int(tlsproto.ExtSessionTicket)
-	case "o16":
-		ca.op, ext = opPresence, int(tlsproto.ExtPreSharedKey)
-	case "o17":
-		ca.op, ext = opExtLen, int(tlsproto.ExtEarlyData)
-	case "o18":
-		ca.op, ext = opSupportedVersions, int(tlsproto.ExtSupportedVersions)
-	case "o19":
-		ca.op, ext = opU8BytesCat, int(tlsproto.ExtPSKKeyExchangeModes)
-	case "o20":
-		ca.op, ext = opPresence, int(tlsproto.ExtPostHandshakeAuth)
-	case "o21":
-		ca.op, ext = opKeyShare, int(tlsproto.ExtKeyShare)
-	case "o22":
-		ca.op, ext = opALPN, int(tlsproto.ExtApplicationSettings)
-	case "o23":
-		ca.op, ext = opPresence, int(tlsproto.ExtRenegotiationInfo)
-	case "q1":
-		ca.op = opQParamIDs
-	case "q2":
-		ca.op, ca.param = opQUint, quicproto.ParamMaxIdleTimeout
-	case "q3":
-		ca.op, ca.param = opQUint, quicproto.ParamMaxUDPPayloadSize
-	case "q4":
-		ca.op, ca.param = opQUint, quicproto.ParamInitialMaxData
-	case "q5":
-		ca.op, ca.param = opQUint, quicproto.ParamInitialMaxStreamDataBidiLocal
-	case "q6":
-		ca.op, ca.param = opQUint, quicproto.ParamInitialMaxStreamDataBidiRemote
-	case "q7":
-		ca.op, ca.param = opQUint, quicproto.ParamInitialMaxStreamDataUni
-	case "q8":
-		ca.op, ca.param = opQUint, quicproto.ParamInitialMaxStreamsBidi
-	case "q9":
-		ca.op, ca.param = opQUint, quicproto.ParamInitialMaxStreamsUni
-	case "q10":
-		ca.op, ca.param = opQUint, quicproto.ParamMaxAckDelay
-	case "q11":
-		ca.op, ca.param = opQPresence, quicproto.ParamDisableActiveMigration
-	case "q12":
-		ca.op, ca.param = opQUint, quicproto.ParamActiveConnectionIDLimit
-	case "q13":
-		ca.op, ca.param = opQLen, quicproto.ParamInitialSourceConnectionID
-	case "q14":
-		ca.op, ca.param = opQUint, quicproto.ParamMaxDatagramFrameSize
-	case "q15":
-		ca.op, ca.param = opQPresence, quicproto.ParamGreaseQuicBit
-	case "q16":
-		ca.op, ca.param = opQPresence, quicproto.ParamInitialRTT
-	case "q17":
-		ca.op, ca.param = opQCat, quicproto.ParamGoogleConnectionOptions
-	case "q18":
-		ca.op, ca.param = opQCat, quicproto.ParamUserAgent
-	case "q19":
-		ca.op, ca.param = opQCat, quicproto.ParamGoogleVersion
-	case "q20":
-		ca.op, ca.param = opQCat, quicproto.ParamVersionInformation
-	default:
-		return ext, fmt.Errorf("features: cannot compile attribute %q", a.Label)
-	}
-	return ext, nil
 }
 
 // buildTables interns an attribute's fitted vocabulary as raw-wire-value
@@ -316,22 +152,17 @@ func buildTables(ca *compiledAttr, vocab map[string]int) (err error) {
 			}
 		}
 		ca.u16, err = newFlatTable(u8)
-	case opU8BytesCat, opQCat:
+	case opU8BytesCat, opQBytesCat:
+		// bytesToken renders raw bytes as lowercase hex; key the table on
+		// the decoded bytes so lookups skip the render.
 		ca.str = make(map[string]int, len(vocab))
-		hexKeyed := ca.op == opU8BytesCat || ca.param == quicproto.ParamVersionInformation
 		for tok, id := range vocab {
-			if hexKeyed {
-				// bytesToken renders raw bytes as lowercase hex; key the
-				// table on the decoded bytes so lookups skip the render.
-				raw, err := hex.DecodeString(tok)
-				if err == nil && hex.EncodeToString(raw) == tok {
-					ca.str[string(raw)] = id
-				}
-				continue
+			raw, err := hex.DecodeString(tok)
+			if err == nil && hex.EncodeToString(raw) == tok {
+				ca.str[string(raw)] = id
 			}
-			ca.str[tok] = id
 		}
-	case opALPN, opCompressCert:
+	case opALPN, opCompressCert, opQCat:
 		ca.str = make(map[string]int, len(vocab))
 		for tok, id := range vocab {
 			ca.str[tok] = id
@@ -386,14 +217,9 @@ func (ce *CompiledEncoder) EncodeInto(dst []float64, info *HandshakeInfo, sc *En
 	}
 	var tp *quicproto.TransportParameters
 	if info.QUIC && ce.quicAttrs {
-		// Mirrors extractQUIC's lazy parse; the pipeline's assembler
-		// pre-populates Params so this branch never allocates when serving.
-		tp = info.Params
-		if tp == nil && ch != nil {
-			if e, ok := ch.Extension(tlsproto.ExtQUICTransportParams); ok {
-				tp, _ = quicproto.ParseTransportParameters(e.Data) // cold lazy parse; assembler pre-populates Params when serving
-			}
-		}
+		// The pipeline's assembler pre-populates Params, so serving never
+		// takes transportParams' lazy parse of extension 57.
+		tp = info.transportParams()
 	}
 
 	for i := range ce.attrs {
@@ -404,7 +230,7 @@ func (ce *CompiledEncoder) EncodeInto(dst []float64, info *HandshakeInfo, sc *En
 		case opTTL:
 			dst[ca.col] = float64(info.TTL)
 		case opTCPFlag:
-			if !info.QUIC && info.TCPFlags&ca.bit != 0 {
+			if !info.QUIC && info.TCPFlags&uint8(ca.key) != 0 {
 				dst[ca.col] = 1
 			}
 		case opTCPWindow:
@@ -474,22 +300,22 @@ func (ce *CompiledEncoder) EncodeInto(dst []float64, info *HandshakeInfo, sc *En
 			if tp == nil {
 				break
 			}
-			if v, ok := tp.Uint(ca.param); ok {
+			if v, ok := tp.Uint(ca.key); ok {
 				dst[ca.col] = float64(v)
 			}
 		case opQPresence:
-			if tp != nil && tp.Has(ca.param) {
+			if tp != nil && tp.Has(ca.key) {
 				dst[ca.col] = 1
 			}
 		case opQLen:
 			if tp != nil {
-				dst[ca.col] = lengthValue(tp.ValueLen(ca.param))
+				dst[ca.col] = lengthValue(tp.ValueLen(ca.key))
 			}
-		case opQCat:
+		case opQCat, opQBytesCat:
 			if tp == nil {
 				break
 			}
-			if p, ok := tp.Get(ca.param); ok {
+			if p, ok := tp.Get(ca.key); ok {
 				dst[ca.col] = float64(ca.str[string(p.Value)]) // map-index string conversion is not materialized
 			}
 		case opExtLen:
@@ -564,8 +390,8 @@ func (ce *CompiledEncoder) indexExtensions(sc *EncodeScratch, ch *tlsproto.Clien
 	}
 }
 
-// appendCompressToken renders the o12 certificate-compression token exactly
-// as compressToken does, into a reusable buffer.
+// appendCompressToken renders the o12 certificate-compression token — the
+// paper's zlib/brotli example of §3.3.2 — into a reusable buffer.
 func appendCompressToken(tok []byte, algs []uint16) []byte {
 	for i, a := range algs {
 		if i > 0 {

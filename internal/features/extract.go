@@ -89,189 +89,154 @@ func Extract(info *HandshakeInfo) *FieldValues {
 	return ExtractWithOptions(info, Options{})
 }
 
-// ExtractWithOptions derives the Table 2 field values from a handshake.
+// ExtractWithOptions derives the Table 2 field values from a handshake: one
+// pass over the transport's rows, rendering each row's wire source as the
+// tokens training consumes. Numeric, presence and length attributes always
+// get a value; a list always gets an entry, nil when its field is absent; a
+// categorical is set only when its field yields a token. Rows read from the
+// ClientHello are left out when the flow has none, and QUIC rows when the
+// hello carries no transport parameters.
 func ExtractWithOptions(info *HandshakeInfo, o Options) *FieldValues {
 	v := NewFieldValues()
-	v.Nums["t1"] = float64(info.InitPacketSize)
-	v.Nums["t2"] = float64(info.TTL)
-
-	if !info.QUIC {
-		flagBits := []struct {
-			label string
-			bit   uint8
-		}{
-			{"t3", 1 << 7}, {"t4", 1 << 6}, {"t5", 1 << 5}, {"t6", 1 << 4},
-			{"t7", 1 << 3}, {"t8", 1 << 2}, {"t9", 1 << 1}, {"t10", 1 << 0},
+	ch := info.Hello
+	var tp *quicproto.TransportParameters
+	if info.QUIC {
+		tp = info.transportParams()
+	}
+	var u16 []uint16
+	for _, a := range transportRows[info.QUIC] {
+		if a.src.fromHello() && ch == nil || a.src.readsParams() && tp == nil {
+			continue
 		}
-		for _, f := range flagBits {
-			if info.TCPFlags&f.bit != 0 {
-				v.Nums[f.label] = 1
-			} else {
-				v.Nums[f.label] = 0
+		var e tlsproto.Extension
+		present := false
+		if a.src.readsExt() {
+			e, present = ch.Extension(uint16(a.key))
+		}
+		l := a.Label
+		switch a.src {
+		case opInitPacketSize:
+			v.Nums[l] = float64(info.InitPacketSize)
+		case opTTL:
+			v.Nums[l] = float64(info.TTL)
+		case opTCPFlag:
+			v.Nums[l] = presenceValue(info.TCPFlags&uint8(a.key) != 0)
+		case opTCPWindow:
+			v.Nums[l] = float64(info.TCPWindow)
+		case opTCPMSS:
+			v.Nums[l] = float64(info.TCPMSS)
+		case opTCPWScale:
+			v.Nums[l] = float64(max(info.TCPWScale, 0))
+		case opTCPSACK:
+			v.Nums[l] = presenceValue(info.TCPSACK)
+		case opHandshakeLength:
+			v.Nums[l] = float64(ch.HandshakeLength)
+		case opLegacyVersion:
+			v.Cats[l] = "0x" + strconv.FormatUint(uint64(ch.LegacyVersion), 16)
+		case opCipherSuites:
+			v.Lists[l] = o.suiteTokens(ch.CipherSuites)
+		case opCompressionLen:
+			v.Nums[l] = lengthValue(len(ch.CompressionMethods))
+		case opExtensionsLength:
+			v.Nums[l] = float64(ch.ExtensionsLength)
+		case opExtTypes:
+			u16 = u16[:0]
+			for _, e := range ch.Extensions {
+				u16 = append(u16, e.Type)
+			}
+			v.Lists[l] = o.suiteTokens(u16)
+		case opExtLen:
+			n := -1
+			if present {
+				n = len(e.Data)
+			}
+			v.Nums[l] = lengthValue(n)
+		case opStatusRequest:
+			if len(e.Data) > 0 && e.Data[0] != 0 {
+				v.Cats[l] = strconv.Itoa(int(e.Data[0]))
+			}
+		case opU16List:
+			u16 = e.AppendUint16List(u16[:0])
+			v.Lists[l] = o.suiteTokens(u16)
+		case opSupportedVersions:
+			u16 = e.AppendU8Uint16List(u16[:0])
+			v.Lists[l] = o.suiteTokens(u16)
+		case opKeyShare:
+			u16 = e.AppendKeyShareGroups(u16[:0])
+			v.Lists[l] = o.suiteTokens(u16)
+		case opU8BytesCat:
+			if b := e.U8PrefixedBytes(); b != nil {
+				v.Cats[l] = bytesToken(b)
+			}
+		case opALPN:
+			var names []string
+			for _, name := range e.AppendALPN(nil) {
+				names = append(names, string(name))
+			}
+			v.Lists[l] = names
+		case opPresence:
+			v.Nums[l] = presenceValue(present)
+		case opCompressCert:
+			if u16 = e.AppendU8Uint16List(u16[:0]); len(u16) > 0 {
+				v.Cats[l] = string(appendCompressToken(nil, u16))
+			}
+		case opRecordSizeLimit:
+			v.Nums[l] = 0
+			if len(e.Data) == 2 {
+				v.Nums[l] = float64(uint16(e.Data[0])<<8 | uint16(e.Data[1]))
+			}
+		case opQParamIDs:
+			ids := make([]string, 0, len(tp.Params))
+			for _, p := range tp.Params {
+				ids = append(ids, o.paramToken(p.ID))
+			}
+			v.Lists[l] = ids
+		case opQUint:
+			n, _ := tp.Uint(a.key)
+			v.Nums[l] = float64(n)
+		case opQPresence:
+			v.Nums[l] = presenceValue(tp.Has(a.key))
+		case opQLen:
+			v.Nums[l] = lengthValue(tp.ValueLen(a.key))
+		case opQCat:
+			if p, ok := tp.Get(a.key); ok {
+				v.Cats[l] = string(p.Value)
+			}
+		case opQBytesCat:
+			if p, ok := tp.Get(a.key); ok {
+				v.Cats[l] = bytesToken(p.Value)
 			}
 		}
-		v.Nums["t11"] = float64(info.TCPWindow)
-		v.Nums["t12"] = float64(info.TCPMSS)
-		if info.TCPWScale >= 0 {
-			v.Nums["t13"] = float64(info.TCPWScale)
-		} else {
-			v.Nums["t13"] = 0
-		}
-		if info.TCPSACK {
-			v.Nums["t14"] = 1
-		} else {
-			v.Nums["t14"] = 0
-		}
-	}
-
-	ch := info.Hello
-	if ch == nil {
-		return v
-	}
-	v.Nums["m1"] = float64(ch.HandshakeLength)
-	v.Cats["m2"] = "0x" + strconv.FormatUint(uint64(ch.LegacyVersion), 16)
-	suites := make([]string, 0, len(ch.CipherSuites))
-	for _, s := range ch.CipherSuites {
-		suites = append(suites, o.suiteToken(s))
-	}
-	v.Lists["m3"] = suites
-	v.Nums["m4"] = lengthValue(len(ch.CompressionMethods))
-	v.Nums["m5"] = float64(ch.ExtensionsLength)
-
-	exts := make([]string, 0, len(ch.Extensions))
-	for _, e := range ch.Extensions {
-		exts = append(exts, o.suiteToken(e.Type))
-	}
-	v.Lists["o1"] = exts
-	v.Nums["o2"] = lengthValue(extLenOrAbsent(ch, tlsproto.ExtServerName))
-	if t := ch.StatusRequestType(); t != 0 {
-		v.Cats["o3"] = strconv.Itoa(int(t))
-	}
-	v.Lists["o4"] = o.uint16Tokens(ch.SupportedGroups())
-	if pf := ch.ECPointFormats(); pf != nil {
-		v.Cats["o5"] = bytesToken(pf)
-	}
-	v.Lists["o6"] = o.uint16Tokens(ch.SignatureAlgorithms())
-	v.Lists["o7"] = ch.ALPNProtocols()
-	v.Nums["o8"] = lengthValue(extLenOrAbsent(ch, tlsproto.ExtSCT))
-	v.Nums["o9"] = lengthValue(extLenOrAbsent(ch, tlsproto.ExtPadding))
-	v.Nums["o10"] = presence(ch, tlsproto.ExtEncryptThenMac)
-	v.Nums["o11"] = presence(ch, tlsproto.ExtExtendedMasterSecret)
-	if algs := ch.CompressCertificateAlgorithms(); len(algs) > 0 {
-		v.Cats["o12"] = compressToken(algs)
-	}
-	if lim := ch.RecordSizeLimit(); lim > 0 {
-		v.Nums["o13"] = float64(lim)
-	} else {
-		v.Nums["o13"] = 0
-	}
-	v.Lists["o14"] = o.uint16Tokens(ch.DelegatedCredentials())
-	v.Nums["o15"] = lengthValue(extLenOrAbsent(ch, tlsproto.ExtSessionTicket))
-	v.Nums["o16"] = presence(ch, tlsproto.ExtPreSharedKey)
-	v.Nums["o17"] = lengthValue(extLenOrAbsent(ch, tlsproto.ExtEarlyData))
-	v.Lists["o18"] = o.uint16Tokens(ch.SupportedVersions())
-	if m := ch.PSKKeyExchangeModes(); m != nil {
-		v.Cats["o19"] = bytesToken(m)
-	}
-	v.Nums["o20"] = presence(ch, tlsproto.ExtPostHandshakeAuth)
-	v.Lists["o21"] = o.uint16Tokens(ch.KeyShareGroups())
-	v.Lists["o22"] = ch.ApplicationSettings()
-	v.Nums["o23"] = presence(ch, tlsproto.ExtRenegotiationInfo)
-
-	if info.QUIC {
-		extractQUIC(info, v, o)
 	}
 	return v
 }
 
-func extractQUIC(info *HandshakeInfo, v *FieldValues, o Options) {
-	tp := info.Params
-	if tp == nil && info.Hello != nil {
-		if e, ok := info.Hello.Extension(tlsproto.ExtQUICTransportParams); ok {
-			tp, _ = quicproto.ParseTransportParameters(e.Data)
-		}
+// transportParams returns the flow's QUIC transport parameters: Params when
+// the assembler pre-parsed them, else a parse of the hello's extension 57,
+// nil when there is none or it does not parse.
+func (info *HandshakeInfo) transportParams() *quicproto.TransportParameters {
+	if info.Params != nil || info.Hello == nil {
+		return info.Params
 	}
-	if tp == nil {
-		return
-	}
-	ids := make([]string, 0, len(tp.Params))
-	for _, id := range tp.IDs() {
-		ids = append(ids, o.paramToken(id))
-	}
-	v.Lists["q1"] = ids
-
-	numeric := []struct {
-		label string
-		id    uint64
-	}{
-		{"q2", quicproto.ParamMaxIdleTimeout},
-		{"q3", quicproto.ParamMaxUDPPayloadSize},
-		{"q4", quicproto.ParamInitialMaxData},
-		{"q5", quicproto.ParamInitialMaxStreamDataBidiLocal},
-		{"q6", quicproto.ParamInitialMaxStreamDataBidiRemote},
-		{"q7", quicproto.ParamInitialMaxStreamDataUni},
-		{"q8", quicproto.ParamInitialMaxStreamsBidi},
-		{"q9", quicproto.ParamInitialMaxStreamsUni},
-		{"q10", quicproto.ParamMaxAckDelay},
-		{"q12", quicproto.ParamActiveConnectionIDLimit},
-		{"q14", quicproto.ParamMaxDatagramFrameSize},
-	}
-	for _, n := range numeric {
-		if val, ok := tp.Uint(n.id); ok {
-			v.Nums[n.label] = float64(val)
-		} else {
-			v.Nums[n.label] = 0
-		}
-	}
-	v.Nums["q11"] = presenceTP(tp, quicproto.ParamDisableActiveMigration)
-	v.Nums["q13"] = lengthValue(tp.ValueLen(quicproto.ParamInitialSourceConnectionID))
-	v.Nums["q15"] = presenceTP(tp, quicproto.ParamGreaseQuicBit)
-	v.Nums["q16"] = presenceTP(tp, quicproto.ParamInitialRTT)
-	if p, ok := tp.Get(quicproto.ParamGoogleConnectionOptions); ok {
-		v.Cats["q17"] = string(p.Value)
-	}
-	if p, ok := tp.Get(quicproto.ParamUserAgent); ok {
-		v.Cats["q18"] = string(p.Value)
-	}
-	if p, ok := tp.Get(quicproto.ParamGoogleVersion); ok {
-		v.Cats["q19"] = string(p.Value)
-	}
-	if p, ok := tp.Get(quicproto.ParamVersionInformation); ok {
-		v.Cats["q20"] = bytesToken(p.Value)
-	}
-}
-
-func extLenOrAbsent(ch *tlsproto.ClientHello, typ uint16) int { return ch.ExtensionLen(typ) }
-
-func presence(ch *tlsproto.ClientHello, typ uint16) float64 {
-	if ch.HasExtension(typ) {
-		return 1
-	}
-	return 0
-}
-
-func presenceTP(tp *quicproto.TransportParameters, id uint64) float64 {
-	if tp.Has(id) {
-		return 1
-	}
-	return 0
-}
-
-func (o Options) uint16Tokens(vals []uint16) []string {
-	if vals == nil {
+	e, ok := info.Hello.Extension(tlsproto.ExtQUICTransportParams)
+	if !ok {
 		return nil
 	}
+	tp, _ := quicproto.ParseTransportParameters(e.Data)
+	return tp
+}
+
+func presenceValue(present bool) float64 {
+	if present {
+		return 1
+	}
+	return 0
+}
+
+func (o Options) suiteTokens(vals []uint16) []string {
 	out := make([]string, 0, len(vals))
 	for _, v := range vals {
 		out = append(out, o.suiteToken(v))
 	}
 	return out
-}
-
-// compressToken maps certificate-compression algorithm lists to readable
-// tokens (the paper's zlib/brotli example of §3.3.2). It delegates to the
-// append-style renderer the compiled serving path uses, so the two can
-// never drift.
-func compressToken(algs []uint16) string {
-	return string(appendCompressToken(nil, algs))
 }

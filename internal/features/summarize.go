@@ -26,25 +26,20 @@ type FieldSummary struct {
 	UniqueByPlatform map[string]int
 }
 
-// fieldValueString renders the whole-field value of one sample, or
-// ("", false) if absent.
-func fieldValueString(s *FieldValues, a Attribute) (string, bool) {
+// Render renders one attribute's whole-field value as text: a categorical
+// token, a list's tokens joined by "|", a number as %g. An absent field, or
+// an empty list, renders as "".
+func (s *FieldValues) Render(a Attribute) string {
 	switch a.Kind {
 	case Categorical:
-		v, ok := s.Cats[a.Label]
-		return v, ok
+		return s.Cats[a.Label]
 	case List:
-		l, ok := s.Lists[a.Label]
-		if !ok || len(l) == 0 {
-			return "", false
-		}
-		return strings.Join(l, "|"), true
+		return strings.Join(s.Lists[a.Label], "|")
 	default:
-		v, ok := s.Nums[a.Label]
-		if !ok {
-			return "", false
+		if v, ok := s.Nums[a.Label]; ok {
+			return fmt.Sprintf("%g", v)
 		}
-		return fmt.Sprintf("%g", v), true
+		return ""
 	}
 }
 
@@ -64,10 +59,7 @@ func Summarize(samples []*FieldValues, labels []string, attrs []Attribute) []Fie
 		valueSet := map[string]bool{}
 		perPlatform := map[string][]string{}
 		for i, s := range samples {
-			v, ok := fieldValueString(s, a)
-			if !ok {
-				v = "" // absent is itself a value ("0" in the paper)
-			}
+			v := s.Render(a) // absent is itself a value, "" ("0" in the paper)
 			valueSet[v] = true
 			perPlatform[labels[i]] = append(perPlatform[labels[i]], v)
 		}

@@ -11,7 +11,6 @@
 package obs
 
 import (
-	"math"
 	"math/bits"
 	"sync/atomic"
 	"time"
@@ -95,68 +94,30 @@ func (h *Histogram) Record(d time.Duration) {
 	}
 }
 
-// Snapshot captures the histogram's current contents. The total count is
-// derived from the bucket counts themselves, so quantiles computed from a
-// snapshot are always internally consistent even while writers race. A nil
-// receiver yields an empty snapshot.
-func (h *Histogram) Snapshot() *Snapshot {
+// Snapshot captures the histogram's current contents as a Summary. The
+// total count is derived from the bucket counts themselves, so quantiles
+// computed from a snapshot are always internally consistent even while
+// writers race; SumNS may transiently lag it. A nil receiver yields an empty
+// summary.
+func (h *Histogram) Snapshot() *Summary {
 	if h == nil {
-		return &Snapshot{}
+		return &Summary{}
 	}
-	s := &Snapshot{counts: make([]uint64, NumBuckets)}
+	var counts [NumBuckets]uint64
+	n := 0
 	for i := range h.counts {
-		c := h.counts[i].Load()
-		s.counts[i] = c
-		s.Count += c
-	}
-	s.Sum = h.sum.Load()
-	s.Max = h.max.Load()
-	return s
-}
-
-// Snapshot is a point-in-time copy of a Histogram, safe to read at leisure.
-type Snapshot struct {
-	// Count is the number of recorded samples (the sum of all buckets).
-	Count uint64
-	// Sum is the total recorded nanoseconds (may transiently lag Count
-	// while writers race; use Mean for the derived value).
-	Sum int64
-	// Max is the largest recorded sample in nanoseconds (exact, not
-	// bucket-quantized).
-	Max int64
-
-	counts []uint64
-}
-
-// Quantile returns the q-quantile (0 < q <= 1) as a duration, estimated at
-// the containing bucket's upper bound so it never under-reports. Zero
-// samples yield zero.
-func (s *Snapshot) Quantile(q float64) time.Duration {
-	if s.Count == 0 {
-		return 0
-	}
-	rank := uint64(math.Ceil(q * float64(s.Count)))
-	if rank < 1 {
-		rank = 1
-	}
-	var cum uint64
-	for i, c := range s.counts {
-		cum += c
-		if cum >= rank {
-			ub := BucketUpperBound(i)
-			if ub > s.Max && s.Max > 0 {
-				ub = s.Max // never report past the observed maximum
-			}
-			return time.Duration(ub)
+		if counts[i] = h.counts[i].Load(); counts[i] > 0 {
+			n++
 		}
 	}
-	return time.Duration(s.Max)
-}
-
-// Mean returns the mean recorded latency.
-func (s *Snapshot) Mean() time.Duration {
-	if s.Count == 0 {
-		return 0
+	s := &Summary{Buckets: make(map[int]uint64, n)}
+	for i, c := range counts {
+		if c > 0 {
+			s.Buckets[i] = c
+			s.Count += c
+		}
 	}
-	return time.Duration(s.Sum / int64(s.Count))
+	s.SumNS = h.sum.Load()
+	s.MaxNS = h.max.Load()
+	return s
 }

@@ -73,8 +73,8 @@ func TestHistogramQuantiles(t *testing.T) {
 	if s.Count != 1000 {
 		t.Fatalf("Count = %d, want 1000", s.Count)
 	}
-	if s.Max != int64(1000*time.Microsecond) {
-		t.Fatalf("Max = %d, want %d", s.Max, int64(1000*time.Microsecond))
+	if s.MaxNS != int64(1000*time.Microsecond) {
+		t.Fatalf("Max = %d, want %d", s.MaxNS, int64(1000*time.Microsecond))
 	}
 	check := func(q, want float64) {
 		got := s.Quantile(q).Seconds() * 1e6 // microseconds
@@ -93,7 +93,7 @@ func TestHistogramQuantiles(t *testing.T) {
 func TestHistogramEmpty(t *testing.T) {
 	var h Histogram
 	s := h.Snapshot()
-	if s.Count != 0 || s.Quantile(0.99) != 0 || s.Mean() != 0 || s.Max != 0 {
+	if s.Count != 0 || s.Quantile(0.99) != 0 || s.Mean() != 0 || s.MaxNS != 0 {
 		t.Fatalf("empty histogram snapshot not zero: %+v", s)
 	}
 }
@@ -118,8 +118,8 @@ func TestHistogramConcurrent(t *testing.T) {
 	if s.Count != workers*per {
 		t.Fatalf("Count = %d, want %d", s.Count, workers*per)
 	}
-	if s.Max != int64(workers*per-1) {
-		t.Fatalf("Max = %d, want %d", s.Max, workers*per-1)
+	if s.MaxNS != int64(workers*per-1) {
+		t.Fatalf("Max = %d, want %d", s.MaxNS, workers*per-1)
 	}
 }
 

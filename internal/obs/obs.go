@@ -103,7 +103,7 @@ func (o *PipelineObserver) StageStats() []StageStats {
 			P50Ms:  durMs(snap.Quantile(0.50)),
 			P90Ms:  durMs(snap.Quantile(0.90)),
 			P99Ms:  durMs(snap.Quantile(0.99)),
-			MaxMs:  durMs(time.Duration(snap.Max)),
+			MaxMs:  durMs(time.Duration(snap.MaxNS)),
 		})
 	}
 	return out

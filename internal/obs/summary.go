@@ -6,8 +6,9 @@ import (
 )
 
 // Summary is a mergeable, JSON-serializable latency digest for embedding in
-// telemetry windows: the same log-linear bucket layout as Histogram, stored
-// sparsely so idle windows cost nothing on the wire. Unlike Histogram it is
+// telemetry windows, and what Histogram.Snapshot returns: the same
+// log-linear bucket layout as Histogram, stored sparsely so idle windows
+// cost nothing on the wire. Unlike Histogram it is
 // not safe for concurrent use — it lives inside structures that already
 // serialize access (a rollup window behind its mutex).
 type Summary struct {
@@ -60,7 +61,8 @@ func (s *Summary) Merge(other *Summary) {
 }
 
 // Quantile returns the q-quantile (0 < q <= 1) as a duration, reported at
-// the containing bucket's upper bound, clamped to the observed maximum.
+// the containing bucket's upper bound, clamped to the observed maximum, so
+// it never under-reports. It walks the non-empty buckets in index order.
 // Zero samples (or a nil summary) yield zero.
 func (s *Summary) Quantile(q float64) time.Duration {
 	if s == nil || s.Count == 0 {
@@ -70,14 +72,19 @@ func (s *Summary) Quantile(q float64) time.Duration {
 	if rank < 1 {
 		rank = 1
 	}
-	var cum uint64
-	for i := 0; i < NumBuckets; i++ {
-		c, ok := s.Buckets[i]
-		if !ok {
-			continue
+	// One pass over the map spreads the counts into bucket order, and the
+	// walk is a scan of that array, not a map probe per bucket. An index
+	// outside the layout, which only a corrupt archive could hold, is
+	// skipped.
+	var counts [NumBuckets]uint64
+	for i, c := range s.Buckets {
+		if i >= 0 && i < NumBuckets {
+			counts[i] = c
 		}
-		cum += c
-		if cum >= rank {
+	}
+	var cum uint64
+	for i, c := range counts {
+		if cum += c; cum >= rank {
 			ub := BucketUpperBound(i)
 			if ub > s.MaxNS && s.MaxNS > 0 {
 				ub = s.MaxNS

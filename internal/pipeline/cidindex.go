@@ -1,6 +1,10 @@
 package pipeline
 
-import "videoplat/internal/quicproto"
+import (
+	"maps"
+
+	"videoplat/internal/quicproto"
+)
 
 // cidKey is a QUIC connection ID as a map key: fixed array plus length, so
 // indexing allocates nothing.
@@ -96,11 +100,17 @@ func (x *cidIndex[V]) lookup(payload []byte) (v V, hit bool) {
 // and the map never holds more than 2×bound entries. Rotation recycles the
 // dropped generation's map, so it allocates nothing once both exist. A zero
 // bound never rotates: the map is authoritative and its owner deletes what
-// it retires.
+// it retires. A swiss map does not reuse the tombstones deletes leave, and
+// grows to make room instead, so once deletes since the last rebuild exceed
+// max(len, minRebuild) the live entries move into a fresh map sized to them.
 type generations[K comparable, V any] struct {
 	cur, prev map[K]V
 	bound     int
+	deletes   int
 }
+
+// minRebuild keeps a small map from being rebuilt every few deletes.
+const minRebuild = 1024
 
 func (g *generations[K, V]) len() int { return len(g.cur) + len(g.prev) }
 
@@ -128,4 +138,9 @@ func (g *generations[K, V]) put(k K, v V) {
 func (g *generations[K, V]) delete(k K) {
 	delete(g.cur, k)
 	delete(g.prev, k)
+	if g.deletes++; g.deletes > max(g.len(), minRebuild) {
+		g.deletes = 0
+		g.cur = maps.Clone(g.cur)
+		g.prev = maps.Clone(g.prev)
+	}
 }

@@ -170,67 +170,37 @@ func (ch *ClientHello) ServerName() string {
 	return ""
 }
 
+// The accessors below serve callers outside the attribute pipeline: JA3
+// and inspection tools. The attribute pipeline locates extensions itself
+// and runs the Extension body parsers of append.go.
+
 // SupportedGroups returns the named-group list, or nil if absent.
 func (ch *ClientHello) SupportedGroups() []uint16 {
-	return ch.uint16List(ExtSupportedGroups)
-}
-
-// SignatureAlgorithms returns the signature-scheme list, or nil if absent.
-func (ch *ClientHello) SignatureAlgorithms() []uint16 {
-	return ch.uint16List(ExtSignatureAlgorithms)
-}
-
-// DelegatedCredentials returns the delegated-credential scheme list.
-func (ch *ClientHello) DelegatedCredentials() []uint16 {
-	return ch.uint16List(ExtDelegatedCredentials)
-}
-
-func (ch *ClientHello) uint16List(typ uint16) []uint16 {
-	return ch.AppendUint16List(typ, nil)
+	e, _ := ch.Extension(ExtSupportedGroups)
+	return e.AppendUint16List(nil)
 }
 
 // ECPointFormats returns the point-format list, or nil if absent.
 func (ch *ClientHello) ECPointFormats() []byte {
-	return ch.U8PrefixedBytes(ExtECPointFormats)
+	e, _ := ch.Extension(ExtECPointFormats)
+	return e.U8PrefixedBytes()
 }
 
 // ALPNProtocols returns the ALPN protocol names in preference order.
 func (ch *ClientHello) ALPNProtocols() []string {
-	return alpnList(ch, ExtALPN)
-}
-
-// ApplicationSettings returns the ALPS-supported ALPN list.
-func (ch *ClientHello) ApplicationSettings() []string {
-	return alpnList(ch, ExtApplicationSettings)
-}
-
-func alpnList(ch *ClientHello, typ uint16) []string {
+	e, _ := ch.Extension(ExtALPN)
 	var out []string
-	for _, name := range ch.AppendALPN(typ, nil) {
+	for _, name := range e.AppendALPN(nil) {
 		out = append(out, string(name))
 	}
 	return out
 }
 
-// SupportedVersions returns the offered TLS versions.
-func (ch *ClientHello) SupportedVersions() []uint16 {
-	return ch.AppendSupportedVersions(nil)
-}
-
-// PSKKeyExchangeModes returns the psk_key_exchange_modes list.
-func (ch *ClientHello) PSKKeyExchangeModes() []byte {
-	return ch.U8PrefixedBytes(ExtPSKKeyExchangeModes)
-}
-
-// KeyShareGroups returns the named groups for which key shares are offered.
-func (ch *ClientHello) KeyShareGroups() []uint16 {
-	return ch.AppendKeyShareGroups(nil)
-}
-
 // CompressCertificateAlgorithms returns the certificate-compression
 // algorithm list (e.g. 1=zlib, 2=brotli, 3=zstd).
 func (ch *ClientHello) CompressCertificateAlgorithms() []uint16 {
-	return ch.AppendCompressCertAlgorithms(nil)
+	e, _ := ch.Extension(ExtCompressCertificate)
+	return e.AppendU8Uint16List(nil)
 }
 
 // RecordSizeLimit returns the record_size_limit value, or 0 if absent.
@@ -240,27 +210,6 @@ func (ch *ClientHello) RecordSizeLimit() uint16 {
 		return 0
 	}
 	return uint16(e.Data[0])<<8 | uint16(e.Data[1])
-}
-
-// StatusRequestType returns the status_request type (1 = OCSP) or 0 if the
-// extension is absent/empty.
-func (ch *ClientHello) StatusRequestType() uint8 {
-	e, ok := ch.Extension(ExtStatusRequest)
-	if !ok || len(e.Data) == 0 {
-		return 0
-	}
-	return e.Data[0]
-}
-
-// ExtensionLen returns the wire length in bytes of the body of an extension,
-// or -1 if absent. Used for the length-typed attributes of Table 2
-// (session_ticket, early_data, padding, SCT, server_name...).
-func (ch *ClientHello) ExtensionLen(typ uint16) int {
-	e, ok := ch.Extension(typ)
-	if !ok {
-		return -1
-	}
-	return len(e.Data)
 }
 
 // Parse decodes a ClientHello handshake message (starting at the handshake

@@ -126,17 +126,29 @@ func TestAccessors(t *testing.T) {
 	if a := got.ALPNProtocols(); !reflect.DeepEqual(a, []string{"h2", "http/1.1"}) {
 		t.Errorf("ALPN = %v", a)
 	}
-	if s := got.ApplicationSettings(); !reflect.DeepEqual(s, []string{"h2"}) {
-		t.Errorf("ALPS = %v", s)
+	ext := func(typ uint16) Extension {
+		t.Helper()
+		e, ok := got.Extension(typ)
+		if !ok {
+			t.Fatalf("extension %d missing", typ)
+		}
+		return e
 	}
-	if v := got.SupportedVersions(); !reflect.DeepEqual(v, []uint16{VersionTLS13, VersionTLS12}) {
-		t.Errorf("SupportedVersions = %v", v)
+	var alps []string
+	for _, name := range ext(ExtApplicationSettings).AppendALPN(nil) {
+		alps = append(alps, string(name))
 	}
-	if m := got.PSKKeyExchangeModes(); !bytes.Equal(m, []byte{1}) {
+	if !reflect.DeepEqual(alps, []string{"h2"}) {
+		t.Errorf("ALPS = %v", alps)
+	}
+	if v := ext(ExtSupportedVersions).AppendU8Uint16List(nil); !reflect.DeepEqual(v, []uint16{VersionTLS13, VersionTLS12}) {
+		t.Errorf("supported_versions = %v", v)
+	}
+	if m := ext(ExtPSKKeyExchangeModes).U8PrefixedBytes(); !bytes.Equal(m, []byte{1}) {
 		t.Errorf("PSKModes = %v", m)
 	}
-	if k := got.KeyShareGroups(); !reflect.DeepEqual(k, []uint16{0x001d}) {
-		t.Errorf("KeyShareGroups = %v", k)
+	if k := ext(ExtKeyShare).AppendKeyShareGroups(nil); !reflect.DeepEqual(k, []uint16{0x001d}) {
+		t.Errorf("key_share groups = %v", k)
 	}
 	if c := got.CompressCertificateAlgorithms(); !reflect.DeepEqual(c, []uint16{2}) {
 		t.Errorf("CompressCert = %v", c)
@@ -147,17 +159,17 @@ func TestAccessors(t *testing.T) {
 	if p := got.ECPointFormats(); !bytes.Equal(p, []byte{0}) {
 		t.Errorf("ECPointFormats = %v", p)
 	}
-	if s := got.SignatureAlgorithms(); !reflect.DeepEqual(s, []uint16{0x0403, 0x0804, 0x0401}) {
-		t.Errorf("SignatureAlgorithms = %v", s)
+	if s := ext(ExtSignatureAlgorithms).AppendUint16List(nil); !reflect.DeepEqual(s, []uint16{0x0403, 0x0804, 0x0401}) {
+		t.Errorf("signature_algorithms = %v", s)
 	}
-	if typ := got.StatusRequestType(); typ != 1 {
-		t.Errorf("StatusRequestType = %d", typ)
+	if e := ext(ExtStatusRequest); len(e.Data) == 0 || e.Data[0] != 1 {
+		t.Errorf("status_request = %x", e.Data)
 	}
-	if n := got.ExtensionLen(ExtPadding); n != 175 {
+	if n := len(ext(ExtPadding).Data); n != 175 {
 		t.Errorf("padding len = %d", n)
 	}
-	if n := got.ExtensionLen(ExtEarlyData); n != -1 {
-		t.Errorf("absent extension len = %d, want -1", n)
+	if _, ok := got.Extension(ExtEarlyData); ok {
+		t.Error("unexpected early_data")
 	}
 	if got.HasExtension(ExtEncryptThenMac) {
 		t.Error("unexpected encrypt_then_mac")
@@ -236,8 +248,10 @@ func TestParseFuzzResilience(t *testing.T) {
 		_ = ch.ServerName()
 		_ = ch.SupportedGroups()
 		_ = ch.ALPNProtocols()
-		_ = ch.KeyShareGroups()
-		_ = ch.SupportedVersions()
+		for _, e := range ch.Extensions {
+			_ = e.AppendKeyShareGroups(nil)
+			_ = e.AppendU8Uint16List(nil)
+		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {

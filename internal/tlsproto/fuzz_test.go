@@ -61,24 +61,25 @@ func corpusHellos(tb testing.TB) [][]byte {
 	return append(out, mutated...)
 }
 
-// exercise walks every accessor so a malformed-but-accepted hello cannot
-// hide an out-of-bounds read behind a lazily parsed extension.
+// exercise walks every accessor, and runs every extension body parser on
+// every extension whatever its type, so a malformed-but-accepted hello
+// cannot hide an out-of-bounds read behind a lazily parsed extension.
 func exercise(ch *tlsproto.ClientHello) {
 	ch.ServerName()
 	ch.ExtensionTypes()
 	ch.SupportedGroups()
-	ch.SignatureAlgorithms()
-	ch.DelegatedCredentials()
 	ch.ECPointFormats()
 	ch.ALPNProtocols()
-	ch.ApplicationSettings()
-	ch.SupportedVersions()
-	ch.PSKKeyExchangeModes()
-	ch.KeyShareGroups()
 	ch.CompressCertificateAlgorithms()
 	ch.RecordSizeLimit()
-	ch.StatusRequestType()
 	ch.HasExtension(tlsproto.ExtEncryptedClientHello)
+	for _, e := range ch.Extensions {
+		e.AppendUint16List(nil)
+		e.AppendU8Uint16List(nil)
+		e.AppendKeyShareGroups(nil)
+		e.U8PrefixedBytes()
+		e.AppendALPN(nil)
+	}
 }
 
 func FuzzParse(f *testing.F) {
