@@ -69,13 +69,16 @@
 // the frame that completes it, in Pipeline.handleKeyed — for a Sharded, on
 // the owning shard's worker. Three pieces make that one path:
 //
-//   - Incremental handshake assembly. Each flow owns an hsAssembler, a
-//     small state machine that consumes client-direction bytes as they
-//     arrive and remembers parse progress (SYN fields, and one buffer of
-//     handshake bytes: the TCP payload, or the QUIC CRYPTO runs copied out
-//     of each Initial as it is opened), so a flow is reassembled once in
-//     O(client handshake bytes) instead of re-running full reassembly over
-//     every buffered frame on every packet. What decoding and decrypting a
+//   - Incremental handshake assembly. Each undecided flow owns an
+//     hsAssembler, a small state machine that consumes client-direction
+//     bytes as they arrive and remembers parse progress (SYN fields, and one
+//     buffer of handshake bytes: the TCP payload, or the QUIC CRYPTO runs
+//     copied out of each Initial as it is opened), so a flow is reassembled
+//     once in O(client handshake bytes) instead of re-running full
+//     reassembly over every buffered frame on every packet. The assembler
+//     sits in the flow's cold record (flowCold), which the flow lets go of
+//     at its verdict: a decided flow, tracked for the rest of its session,
+//     keeps only its hot record (flowState). What decoding and decrypting a
 //     frame needs beyond that — parser state, the Opener, the decrypted
 //     Initial — is one asmScratch per pipeline, kept by no flow.
 //     Server-direction packets never touch assembly, and buffered bytes are
@@ -99,12 +102,13 @@
 //   - One exit. Every terminal decision — classified, abstained, not video,
 //     no handshake, oversized, classifier error, the ECH and 0-RTT abstains,
 //     and eviction of a flow still undecided — goes through
-//     Pipeline.finalize, the only code that stamps FlowRecord.Verdict, bumps
+//     Pipeline.finalize, the only code that stamps a flow's verdict, bumps
 //     the per-verdict (and, for a classified flow, per-provider) counter
-//     behind Pipeline.Stats, closes the flow's span and releases its buffered
-//     handshake bytes. A flow therefore carries exactly one verdict and is
-//     counted exactly once; anything that reports how many flows were
-//     classified reads those counters (Sharded.IngestStats sums them).
+//     behind Pipeline.Stats, closes the flow's span and drops its cold
+//     record, with the buffered handshake bytes. A flow therefore carries
+//     exactly one verdict and is counted exactly once; anything that
+//     reports how many flows were classified reads those counters
+//     (Sharded.IngestStats sums them).
 //     There is one way out, too: Config.OnEvict is the stream of finalized
 //     records, one per flow, delivered as each flow leaves its table —
 //     idle, over the cap, or emptied by Drain (Pipeline.Drain, or
@@ -188,10 +192,11 @@ func MatchProvider(sni string) (prov fingerprint.Provider, content, ok bool) {
 // opened, and the hello is parsed where it lies there. Never the input frame
 // — callers may recycle frame buffers (e.g. Sharded's batch arenas) as soon
 // as consume returns — and never the asmScratch, which the pipeline's other
-// flows reuse. The buffer lives until the flow's assembler is released by
-// Pipeline.finalize (or, for an OnClassify hook still reading the handshake,
-// until the last reference to info.Hello goes), and with it everything
-// info.Hello points into.
+// flows reuse. Pipeline.finalize drops the flow's cold record, and with it
+// the assembler, but writes to neither: the buffer, and everything info.Hello
+// points into, is never reused, and lives until nothing references it — at
+// the verdict, or once an OnClassify hook reading the handshake lets go of
+// it.
 type hsAssembler struct {
 	info features.HandshakeInfo
 	// stream buffers the flow's client handshake bytes. For QUIC only a

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"net/netip"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -157,23 +158,134 @@ func (r *FlowRecord) MbpsDown() float64 {
 	return float64(r.BytesDown) * 8 / 1e6 / d
 }
 
-// flowState is a tracked flow. Each fact about it is kept once, and the
-// record owns what it holds: whether the flow is decided is rec.Verdict
-// (finalize writes it), how many client frames assembly has seen is
-// rec.PacketsUp, and a sampled span takes its frame count, first packet and
-// classify time from the record when it finishes (finishSpan).
+// flowState is a tracked flow's hot record: what it keeps for its whole
+// life, which for a video session is minutes to hours after the few packets
+// that decide it. Everything that matters only until the verdict — the
+// handshake assembler and a sampled flow's span — is in cold, which finalize
+// drops, so a decided flow is this record alone. Each fact about the flow is
+// kept once: whether it is decided is verdict (finalize writes it), how many
+// client frames assembly has seen is packetsUp, and a sampled span takes its
+// frame count, first packet and classify time from here when it finishes
+// (finishSpan). record builds the FlowRecord every exit hands out.
+//
+// The fields every packet of a decided flow reads or writes come first, so
+// they share the record's first two cache lines: verdict, clientReversed,
+// cold (nil), the timestamps and the counters.
 type flowState struct {
-	rec FlowRecord
-	asm hsAssembler // incremental handshake assembly state
+	verdict Verdict
 	// clientReversed says the current tuple's client-to-server direction
 	// (ClientSide of it) is its canonical key reversed, so a frame is
 	// client-direction exactly when its Summary.Reversed equals it.
 	clientReversed bool
-	span           *obs.Span // lifecycle trace, non-nil only for sampled flows
+	provider       fingerprint.Provider
+	transport      fingerprint.Transport
+	content        bool
+	status         Status
+	// label is the id in Pipeline.labels of the prediction's platform,
+	// device and agent names: 0, no names, unless the classifier ran.
+	label uint32
+	// cold is the flow's assembly state, non-nil exactly while verdict is
+	// VerdictPending.
+	cold                   *flowCold
+	firstSeen, lastSeen    time.Time
+	bytesDown, bytesUp     int64
+	packetsDown, packetsUp int
+
+	key                                                 packet.FlowKey // FlowRecord.Key
+	sni, modelVersion                                   string
+	classifyNanos                                       int64
+	platformConf, platformMargin, deviceConf, agentConf float64
 	// cids lists this flow's registrations in the pipeline's CID index so
 	// eviction can unregister them.
 	cids []cidKey
 }
+
+// flowCold is what a flow needs only until its verdict. It is allocated with
+// the flow, since every flow starts undecided, and finalize lets it go.
+type flowCold struct {
+	asm  hsAssembler // incremental handshake assembly state
+	span *obs.Span   // lifecycle trace, non-nil only for sampled flows
+}
+
+// record builds the flow's FlowRecord, the one shape every exit hands out:
+// Config.OnEvict, Config.OnClassify, HandlePacket's return and Flows.
+func (st *flowState) record(labels *labelTable) FlowRecord {
+	return FlowRecord{
+		Key:           st.key,
+		Provider:      st.provider,
+		Transport:     st.transport,
+		SNI:           st.sni,
+		Content:       st.content,
+		Prediction:    st.prediction(labels),
+		Verdict:       st.verdict,
+		ModelVersion:  st.modelVersion,
+		FirstSeen:     st.firstSeen,
+		LastSeen:      st.lastSeen,
+		BytesDown:     st.bytesDown,
+		BytesUp:       st.bytesUp,
+		PacketsDown:   st.packetsDown,
+		PacketsUp:     st.packetsUp,
+		ClassifyNanos: st.classifyNanos,
+	}
+}
+
+// prediction rebuilds the flow's Prediction: the zero value unless
+// setPrediction stored one.
+func (st *flowState) prediction(labels *labelTable) Prediction {
+	l := labels.at(st.label)
+	return Prediction{
+		Status:         st.status,
+		Platform:       l.platform,
+		PlatformConf:   st.platformConf,
+		PlatformMargin: st.platformMargin,
+		Device:         l.device,
+		DeviceConf:     st.deviceConf,
+		Agent:          l.agent,
+		AgentConf:      st.agentConf,
+	}
+}
+
+// setPrediction stores pred in the flow, its names as one label id.
+func (st *flowState) setPrediction(pred *Prediction, labels *labelTable) {
+	st.status = pred.Status
+	st.label = labels.intern(predLabels{pred.Platform, pred.Device, pred.Agent})
+	st.platformConf, st.platformMargin = pred.PlatformConf, pred.PlatformMargin
+	st.deviceConf, st.agentConf = pred.DeviceConf, pred.AgentConf
+}
+
+// predLabels is a prediction's class names.
+type predLabels struct{ platform, device, agent string }
+
+// labelTable interns prediction names, so a flow holds one id in place of
+// three strings drawn from a few dozen class names. It is keyed by value:
+// it grows with the distinct names the banks it served use, not with how
+// many banks were swapped in, and it keeps its own copies of the names, so
+// no flow holds a retired bank's memory. Id 0 is the empty triple, a zero
+// flowState's. Owned by the goroutine calling HandlePacket, as the flow
+// table is.
+type labelTable struct {
+	ids     map[predLabels]uint32
+	entries []predLabels // by id
+}
+
+func newLabelTable() labelTable {
+	return labelTable{ids: map[predLabels]uint32{{}: 0}, entries: []predLabels{{}}}
+}
+
+// intern returns l's id, adding it on first sight.
+func (t *labelTable) intern(l predLabels) uint32 {
+	id, ok := t.ids[l]
+	if !ok {
+		l = predLabels{strings.Clone(l.platform), strings.Clone(l.device), strings.Clone(l.agent)}
+		id = uint32(len(t.entries))
+		t.entries = append(t.entries, l)
+		t.ids[l] = id
+	}
+	return id
+}
+
+// at returns the names interned under id.
+func (t *labelTable) at(id uint32) predLabels { return t.entries[id] }
 
 // Config bounds a Pipeline's flow table for long-running deployments.
 // The zero value reproduces the batch behaviour: every flow is kept, which
@@ -306,6 +418,8 @@ type Pipeline struct {
 	// is safe: HandlePacket is single-goroutine by contract, and each shard
 	// of a Sharded owns its own Pipeline.
 	scratch ClassifyScratch
+	// labels holds the prediction names of this pipeline's flows.
+	labels labelTable
 
 	// cids indexes the QUIC connection IDs observed on live flows back to
 	// their canonical flow key, so a packet arriving on an unknown 5-tuple
@@ -375,26 +489,26 @@ func NewWithConfig(bank *Bank, cfg Config) *Pipeline {
 	if cfg.helloCap == 0 {
 		cfg.helloCap = maxHelloBytes
 	}
-	p := &Pipeline{cfg: cfg}
+	p := &Pipeline{cfg: cfg, labels: newLabelTable()}
 	p.bank.Store(bank)
 	p.flows = flowtable.New[*flowState](
 		flowtable.Config{MaxFlows: cfg.MaxFlows, IdleTimeout: cfg.IdleTimeout},
 		func(_ packet.FlowKey, st *flowState, reason flowtable.Reason) {
 			p.unregisterCIDs(st)
-			if st.rec.Verdict == VerdictPending {
+			if st.verdict == VerdictPending {
 				// Evicted before the handshake resolved: the classifier never
 				// saw this flow. With only 0-RTT early data seen the hello was
 				// never coming, so the flow leaves as an explicit resumption
 				// abstain rather than a generic no-handshake.
 				p.finishSpan(st, "evicted")
 				v := VerdictNoHandshake
-				if st.asm.zeroRTT {
+				if st.cold.asm.zeroRTT {
 					v = VerdictAbstainedZeroRTT
 				}
 				p.finalize(st, v)
 			}
 			if cfg.OnEvict != nil {
-				rec := st.rec
+				rec := st.record(&p.labels)
 				cfg.OnEvict(&rec, reason)
 			}
 		})
@@ -406,43 +520,45 @@ func NewWithConfig(bank *Bank, cfg Config) *Pipeline {
 // and eviction of a flow still undecided — ends here, so a flow carries
 // exactly one verdict and is counted exactly once. Anything else the record
 // should say (prediction, provider, model version) must be set before the
-// call. The flow's buffered handshake bytes are released: st.asm, and any
-// HandshakeInfo pointing into it, is dead afterwards.
+// call. The flow lets go of its cold record, and with it the assembler and
+// its buffered handshake bytes: a HandshakeInfo pointing into them stays
+// valid for whoever still holds it, and nothing writes to it again.
 func (p *Pipeline) finalize(st *flowState, v Verdict) {
-	st.rec.Verdict = v
+	st.verdict = v
 	p.verdicts[v].Add(1) // before the provider split: see Stats
 	// A ProviderHint may name a provider outside the studied four.
-	if prov := int(st.rec.Provider); v == VerdictClassified && prov < len(p.classifiedBy) {
+	if prov := int(st.provider); v == VerdictClassified && prov < len(p.classifiedBy) {
 		p.classifiedBy[prov].Add(1)
 	}
-	if st.span != nil {
+	if sp := st.cold.span; sp != nil {
 		label := v.String()
 		if v.ClassifierRan() {
-			label = st.rec.Prediction.label()
-			st.span.Status = st.rec.Prediction.Status.String()
+			label = st.prediction(&p.labels).label()
+			sp.Status = st.status.String()
 		}
 		p.finishSpan(st, label)
 	}
-	st.asm = hsAssembler{}
+	st.cold = nil
 }
 
 // finishSpan completes a sampled flow's span with its terminal label and
 // what the record holds of it — frames so far, first packet time, classify
-// time — and hands it back to the tracer. No-op for unsampled flows.
+// time — and hands it back to the tracer. No-op for unsampled flows; call
+// only while the flow is undecided.
 func (p *Pipeline) finishSpan(st *flowState, label string) {
-	if st.span == nil {
+	sp := st.cold.span
+	if sp == nil {
 		return
 	}
-	sp := st.span
-	st.span = nil
-	sp.Frames = st.rec.PacketsUp + st.rec.PacketsDown
-	sp.FirstPacket = st.rec.FirstSeen
-	sp.ClassifyNS = st.rec.ClassifyNanos
+	st.cold.span = nil
+	sp.Frames = st.packetsUp + st.packetsDown
+	sp.FirstPacket = st.firstSeen
+	sp.ClassifyNS = st.classifyNanos
 	if sp.SNI == "" {
-		sp.SNI = st.rec.SNI
+		sp.SNI = st.sni
 	}
 	if sp.ModelVersion == "" {
-		sp.ModelVersion = st.rec.ModelVersion
+		sp.ModelVersion = st.modelVersion
 	}
 	sp.Verdict = label
 	p.cfg.Tracer.Finish(sp)
@@ -527,10 +643,8 @@ func (p *Pipeline) handleKeyed(ts time.Time, frame, payload []byte, key packet.F
 	}
 	if !ok {
 		client := ClientSide(key)
-		st = &flowState{clientReversed: client != canon}
-		st.rec.Key = client
-		st.rec.FirstSeen = ts
-		st.asm.init()
+		st = &flowState{clientReversed: client != canon, key: client, firstSeen: ts, cold: &flowCold{}}
+		st.cold.asm.init()
 		if p.cfg.Tracer != nil {
 			if sp := p.cfg.Tracer.Admit(); sp != nil {
 				sp.Flow = canon.String()
@@ -538,13 +652,13 @@ func (p *Pipeline) handleKeyed(ts time.Time, frame, payload []byte, key packet.F
 				if p.cfg.queueDepth != nil {
 					sp.QueueDepth = p.cfg.queueDepth()
 				}
-				st.span = sp
+				st.cold.span = sp
 			}
 		}
 		p.flows.Put(canon, st, ts)
 	}
-	if st.span != nil {
-		st.span.QueueWaitNS += p.batchQueueWait
+	if st.cold != nil && st.cold.span != nil {
+		st.cold.span.QueueWaitNS += p.batchQueueWait
 	}
 
 	// Register QUIC connection IDs from long-header frames — both
@@ -559,58 +673,59 @@ func (p *Pipeline) handleKeyed(ts time.Time, frame, payload []byte, key packet.F
 	// Telemetry split by direction. The flow spans the earliest to the
 	// latest packet time, whatever order frames arrive in (two taps merged
 	// without sorting), as the flow table's idle clock does.
-	if ts.Before(st.rec.FirstSeen) {
-		st.rec.FirstSeen = ts
+	if ts.Before(st.firstSeen) {
+		st.firstSeen = ts
 	}
-	if ts.After(st.rec.LastSeen) {
-		st.rec.LastSeen = ts
+	if ts.After(st.lastSeen) {
+		st.lastSeen = ts
 	}
 	client := reversed == st.clientReversed
 	if client {
-		st.rec.BytesUp += int64(payloadLen)
-		st.rec.PacketsUp++
+		st.bytesUp += int64(payloadLen)
+		st.packetsUp++
 	} else {
-		st.rec.BytesDown += int64(payloadLen)
-		st.rec.PacketsDown++
+		st.bytesDown += int64(payloadLen)
+		st.packetsDown++
 	}
 
 	// Handshake splitter: only client-direction bytes can advance handshake
 	// assembly (the ClientHello rides the client side), so server packets on
 	// a still-unclassified flow cost nothing beyond the telemetry above.
 	// Every client frame of an undecided flow reaches consume, so
-	// rec.PacketsUp is also the count of frames the assembler has seen.
-	if st.rec.Verdict != VerdictPending || !client {
+	// packetsUp is also the count of frames the assembler has seen.
+	if st.verdict != VerdictPending || !client {
 		return nil, nil
 	}
+	cold := st.cold
 	var asmStart time.Time
-	timed := p.cfg.Observer != nil || st.span != nil
+	timed := p.cfg.Observer != nil || cold.span != nil
 	if timed {
 		asmStart = time.Now()
 	}
-	complete := st.asm.consume(&p.assembly, frame)
+	complete := cold.asm.consume(&p.assembly, frame)
 	if timed {
 		d := time.Since(asmStart)
 		p.cfg.Observer.Record(obs.StageAssembly, d)
-		if st.span != nil {
-			st.span.AssemblyNS += int64(d)
+		if cold.span != nil {
+			cold.span.AssemblyNS += int64(d)
 		}
 	}
 	if !complete {
 		switch {
-		case st.asm.giveUp, st.asm.zeroRTT && st.rec.PacketsUp > 8:
+		case cold.asm.giveUp, cold.asm.zeroRTT && st.packetsUp > 8:
 			// 0-RTT resumption: the hello is not coming. Decide on partial
 			// features or abstain explicitly into the open-set bucket.
-			return p.finishDegraded(st, key, &st.asm.info, VerdictAbstainedZeroRTT)
-		case st.rec.PacketsUp > 8:
+			return p.finishDegraded(st, key, &cold.asm.info, VerdictAbstainedZeroRTT)
+		case st.packetsUp > 8:
 			// No hello in the first packets: not a video flow.
 			p.finalize(st, VerdictNoHandshake)
-		case st.asm.buffered() > p.cfg.helloCap:
+		case cold.asm.buffered() > p.cfg.helloCap:
 			// Oversized handshake: abandon, don't buffer more.
 			p.finalize(st, VerdictOversized)
 		}
 		return nil, nil
 	}
-	info := st.asm.finish()
+	info := cold.asm.finish()
 
 	sni := info.Hello.ServerName()
 	prov, content, ok := MatchProvider(sni)
@@ -620,46 +735,45 @@ func (p *Pipeline) handleKeyed(ts time.Time, frame, payload []byte, key packet.F
 			// hostname rides encrypted in the hello. The outer hello is
 			// still a full client fingerprint, so degraded classification
 			// under a hinted provider sees everything but the SNI.
-			st.rec.SNI = sni // the fronted (outer) name — observable truth
+			st.sni = sni // the fronted (outer) name — observable truth
 			return p.finishDegraded(st, key, info, VerdictAbstainedECH)
 		}
-		if st.span != nil {
-			st.span.SNI = sni // the record stays SNI-less for non-video flows
+		if cold.span != nil {
+			cold.span.SNI = sni // the record stays SNI-less for non-video flows
 		}
 		p.finalize(st, VerdictNotVideo)
 		return nil, nil
 	}
-	st.rec.SNI = sni
-	st.rec.Provider = prov
-	st.rec.Content = content
-	st.rec.Transport = transportOf(info)
+	st.sni = sni
+	st.provider = prov
+	st.content = content
+	st.transport = transportOf(info)
 
 	bank := p.bank.Load() // one load: the whole classification uses one bank
 	var clStart time.Time
 	if timed {
 		clStart = time.Now()
 	}
-	pred, err := bank.ClassifyHandshake(prov, st.rec.Transport, info, &p.scratch)
+	pred, err := bank.ClassifyHandshake(prov, st.transport, info, &p.scratch)
 	if timed {
 		d := time.Since(clStart)
 		p.cfg.Observer.Record(obs.StageClassify, d)
-		st.rec.ClassifyNanos = int64(d)
+		st.classifyNanos = int64(d)
 	}
 	if err != nil {
-		if st.span != nil {
-			st.span.ModelVersion = bank.Version
+		if cold.span != nil {
+			cold.span.ModelVersion = bank.Version
 		}
 		p.finalize(st, VerdictError)
 		return nil, err
 	}
-	st.rec.Prediction = pred
-	st.rec.ModelVersion = bank.Version
-	hs := *info // finalize releases the assembler info points into; OnClassify runs after it
-	p.finalize(st, pred.Verdict())
-	out := st.rec // copy at classification time
+	st.setPrediction(&pred, &p.labels)
+	st.modelVersion = bank.Version
+	p.finalize(st, pred.Verdict()) // drops st.cold; info, which points into it, stays valid for the hook
+	out := st.record(&p.labels)
 	if p.cfg.OnClassify != nil {
-		hookRec, hookHS := st.rec, hs
-		p.cfg.OnClassify(&hookRec, &hookHS)
+		hookRec := out
+		p.cfg.OnClassify(&hookRec, info)
 	}
 	return &out, nil
 }
@@ -705,24 +819,24 @@ func (p *Pipeline) earlyMinMargin() float64 {
 // classifications, and feeding them partial-feature records would poison
 // both baselines. key is the client-direction frame that ended assembly.
 func (p *Pipeline) finishDegraded(st *flowState, key packet.FlowKey, info *features.HandshakeInfo, fallback Verdict) (*FlowRecord, error) {
-	st.rec.Transport = transportOf(info)
+	st.transport = transportOf(info)
 	prov, hinted := p.hintFor(key)
 	if !hinted {
 		p.finalize(st, fallback)
 		return nil, nil
 	}
 	bank := p.bank.Load() // one load: the prediction and its version stamp
-	pred, err := bank.ClassifyHandshake(prov, st.rec.Transport, info, &p.scratch)
+	pred, err := bank.ClassifyHandshake(prov, st.transport, info, &p.scratch)
 	if err != nil || pred.Status == Unknown || pred.PlatformMargin < p.earlyMinMargin() {
 		p.finalize(st, fallback)
 		return nil, nil
 	}
-	st.rec.Provider = prov
-	st.rec.Prediction = pred
-	st.rec.ModelVersion = bank.Version
+	st.provider = prov
+	st.setPrediction(&pred, &p.labels)
+	st.modelVersion = bank.Version
 	p.finalize(st, VerdictClassified)
 	p.earlyClassified.Add(1) // after the verdict: see Stats
-	out := st.rec
+	out := st.record(&p.labels)
 	return &out, nil
 }
 
@@ -832,7 +946,7 @@ func (p *Pipeline) Drain() { p.flows.Drain() }
 func (p *Pipeline) Flows() []*FlowRecord {
 	out := make([]*FlowRecord, 0, p.flows.Len())
 	p.flows.Range(func(_ packet.FlowKey, st *flowState) bool {
-		rec := st.rec
+		rec := st.record(&p.labels)
 		out = append(out, &rec)
 		return true
 	})

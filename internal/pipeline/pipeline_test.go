@@ -8,10 +8,12 @@ import (
 	"testing"
 	"time"
 	"unsafe"
+	"weak"
 
 	"videoplat/internal/features"
 	"videoplat/internal/fingerprint"
 	"videoplat/internal/ml"
+	"videoplat/internal/packet"
 	"videoplat/internal/tracegen"
 )
 
@@ -30,22 +32,53 @@ func trainSmallBank(t testing.TB, seed uint64, scale float64) (*Bank, *tracegen.
 	return bank, ds
 }
 
-// decidedFlowBytes is the heap a decided flow may hold in a Pipeline's
-// table: its flowState, its table entry and index slot, and its SNI. The
-// flows of TestFlowStateFootprint measure 590 bytes each on amd64 with Go
-// 1.24: 416 of flowState, 96 of slab entry plus append's spare capacity,
-// 21 of index (10^5 flows in 2^18 slots), and the SNI. A table built on a
-// Go map and heap-allocated list entries gave 680.
-const decidedFlowBytes = 600
+// What a tracked flow may hold of a Pipeline's heap, measured by
+// TestFlowStateFootprint on amd64 with Go 1.24 over 10^5 flows (2x10^4 for
+// QUIC) after the table has been filled with as many others and drained:
+//
+//   - decidedFlowBytes, a classified TCP flow: 430 bytes. 256 of flowState,
+//     96 of slab entry plus append's spare capacity, 21 of index (10^5 flows
+//     in 2^18 slots), and the SNI.
+//   - decidedQUICFlowBytes, a classified QUIC flow: 760 bytes, the same plus
+//     its three connection IDs, listed in the flow (cids) and indexed in
+//     Pipeline.cids.
+//   - undecidedFlowBytes, a flow with only its SYN seen: 478 bytes, the hot
+//     record, the 96-byte cold one (assembler and span pointer) and the
+//     table's share.
+const (
+	decidedFlowBytes     = 440
+	decidedQUICFlowBytes = 780
+	undecidedFlowBytes   = 490
+)
 
-// TestFlowStateFootprint pins what a tracked flow costs once it is decided,
-// the resident bytes at N active flows a daemon pays. A flowState fits the
-// 416-byte size class, and 10^5 classified flows in a default-Config
-// Pipeline hold at most decidedFlowBytes of heap each, after the table has
-// already been filled with 10^5 others and drained.
+// heapPerFlow is the heap a Pipeline holds per tracked flow once feed(i) has
+// sent flows 0..n-1 through it, taken after the same table was first filled
+// with n other flows (feed(n..2n-1)) and drained, so storage that grows with
+// the flows that came and went, not with those tracked, is weighed too.
+func heapPerFlow(p *Pipeline, n int, feed func(i int)) float64 {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := n; i < 2*n; i++ {
+		feed(i)
+	}
+	p.Drain()
+	for i := 0; i < n; i++ {
+		feed(i)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(p)
+	return float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(n)
+}
+
+// TestFlowStateFootprint pins what a tracked flow costs, the resident bytes
+// at N active flows a daemon pays: a flowState fits the 256-byte size class,
+// and a decided TCP flow, a decided QUIC flow and an undecided flow each hold
+// at most their bound of heap.
 func TestFlowStateFootprint(t *testing.T) {
-	if size := unsafe.Sizeof(flowState{}); size > 416 {
-		t.Errorf("flowState is %d bytes, want <= 416", size)
+	if size := unsafe.Sizeof(flowState{}); size > 256 {
+		t.Errorf("flowState is %d bytes, want <= 256", size)
 	}
 
 	const flows = 100_000
@@ -55,34 +88,98 @@ func TestFlowStateFootprint(t *testing.T) {
 		t.Fatal(err)
 	}
 	hello := append([]byte(nil), ft.Frames[3].Data...) // the ClientHello segment
-	client := hello[26:30]                             // its IPv4 source
+	syn := append([]byte(nil), ft.Frames[0].Data...)
+	for _, c := range []struct {
+		name  string
+		frame []byte
+		want  Verdict
+		bound float64
+	}{
+		{"decided TCP", hello, VerdictClassified, decidedFlowBytes},
+		{"undecided", syn, VerdictPending, undecidedFlowBytes},
+	} {
+		p := New(bank)
+		client := c.frame[26:30] // its IPv4 source
+		perFlow := heapPerFlow(p, flows, func(i int) {
+			client[0], client[1], client[2], client[3] = 10+byte(i>>24), byte(i>>16), byte(i>>8), byte(i)
+			p.HandlePacket(ft.Start, c.frame)
+		})
+		checkFootprint(t, p, c.name, flows, c.want, perFlow, c.bound)
+	}
+
+	// A QUIC flow's connection IDs are drawn per flow, so each flow is a
+	// fresh render, its client address rewritten to be unique: fewer of them.
+	const quicFlows = 20_000
+	qbank := platformBank(t, "android_chrome", fingerprint.QUIC, "")
+	g := tracegen.New(63)
+	p := New(qbank)
+	perFlow := heapPerFlow(p, quicFlows, func(i int) {
+		qt, err := g.Flow("android_chrome", fingerprint.YouTube, fingerprint.QUIC, tracegen.FlowSpec{PayloadFrames: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, fr := range qt.Frames {
+			client := fr.Data[30:34] // the IPv4 destination
+			if fr.ClientToServer {
+				client = fr.Data[26:30]
+			}
+			client[0], client[1], client[2], client[3] = 10+byte(i>>24), byte(i>>16), byte(i>>8), byte(i)
+			p.HandlePacket(qt.Start.Add(fr.Offset), fr.Data)
+		}
+	})
+	checkFootprint(t, p, "decided QUIC", quicFlows, VerdictClassified, perFlow, decidedQUICFlowBytes)
+}
+
+// checkFootprint checks that p tracks flows flows, all with verdict want, at
+// no more than bound bytes of heap each.
+func checkFootprint(t *testing.T, p *Pipeline, name string, flows int, want Verdict, perFlow, bound float64) {
+	t.Helper()
+	recs := p.Flows()
+	for _, rec := range recs {
+		if rec.Verdict != want {
+			t.Fatalf("%s: a flow is %s, want %s", name, rec.Verdict, want)
+		}
+	}
+	if len(recs) != flows {
+		t.Fatalf("%s: %d flows tracked, want %d", name, len(recs), flows)
+	}
+	if perFlow > bound {
+		t.Errorf("%s: a flow holds %.0f bytes of heap, want <= %.0f", name, perFlow, bound)
+	}
+	t.Logf("%s: %.0f bytes per flow", name, perFlow)
+}
+
+// TestDecidedFlowReleasesColdRecord checks that the assembly state a flow
+// needs until its verdict is garbage once the verdict is in, while the flow
+// itself stays tracked.
+func TestDecidedFlowReleasesColdRecord(t *testing.T) {
+	bank := platformBank(t, "windows_chrome", fingerprint.TCP, "")
+	ft, err := tracegen.New(62).Flow("windows_chrome", fingerprint.YouTube, fingerprint.TCP, tracegen.FlowSpec{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	p := New(bank)
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	// Fill, drain, and fill again with new flows, so storage that grows
-	// with the flows that came and went, not with those tracked, is weighed.
-	for cycle := byte(0); cycle < 2; cycle++ {
-		client[0] ^= cycle
-		for i := 0; i < flows; i++ {
-			client[1], client[2], client[3] = byte(i>>16), byte(i>>8), byte(i)
-			p.HandlePacket(ft.Start, hello)
-		}
-		if cycle == 0 {
-			p.Drain()
-		}
+	only := func() *flowState {
+		var st *flowState
+		p.flows.Range(func(_ packet.FlowKey, s *flowState) bool { st = s; return true })
+		return st
+	}
+	p.HandlePacket(ft.Start, ft.Frames[0].Data) // the SYN
+	cold := weak.Make(only().cold)
+	if cold.Value() == nil {
+		t.Fatal("an undecided flow has no cold record")
+	}
+	for _, fr := range ft.Frames[1:4] { // through the ClientHello
+		p.HandlePacket(ft.Start.Add(fr.Offset), fr.Data)
+	}
+	if st := only(); st.verdict != VerdictClassified || st.cold != nil {
+		t.Fatalf("flow is %s with cold record %p, want classified with none", st.verdict, st.cold)
 	}
 	runtime.GC()
-	runtime.ReadMemStats(&after)
-	if got := p.Stats().Verdicts[VerdictClassified]; got != 2*flows || p.TableStats().Active != flows {
-		t.Fatalf("%d of %d flows classified, %d tracked", got, 2*flows, p.TableStats().Active)
+	if cold.Value() != nil {
+		t.Error("a decided flow's cold record is still reachable")
 	}
-	perFlow := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / flows
 	runtime.KeepAlive(p)
-	if perFlow > decidedFlowBytes {
-		t.Errorf("a decided flow holds %.0f bytes of heap, want <= %d", perFlow, decidedFlowBytes)
-	}
-	t.Logf("%.0f bytes per decided flow", perFlow)
 }
 
 func TestMatchProvider(t *testing.T) {
