@@ -2,6 +2,8 @@ package telemetry
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"time"
 
@@ -219,9 +221,11 @@ func (s *Store) Query(since, until time.Time, step time.Duration, groupBy string
 		base := QueryPoint{Start: b.agg.Start, End: b.agg.End, Windows: b.windows}
 		switch groupBy {
 		case GroupTotal:
+			// Providers merge in key order: float sums (watch time,
+			// confidence) must not depend on map iteration order.
 			total := &Cell{}
-			for _, c := range b.agg.ByProvider {
-				total.Merge(c)
+			for _, key := range slices.Sorted(maps.Keys(b.agg.ByProvider)) {
+				total.Merge(b.agg.ByProvider[key])
 			}
 			p := base
 			p.fromCell(total)
