@@ -110,10 +110,10 @@ func (h *Histogram) Snapshot() *Summary {
 			n++
 		}
 	}
-	s := &Summary{Buckets: make(map[int]uint64, n)}
+	s := &Summary{buckets: make([]uint64, 0, n)}
 	for i, c := range counts {
 		if c > 0 {
-			s.Buckets[i] = c
+			s.buckets = append(s.buckets, bucketWord(i, c))
 			s.Count += c
 		}
 	}

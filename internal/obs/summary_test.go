@@ -66,7 +66,7 @@ func TestSummaryCloneIndependence(t *testing.T) {
 	var c Summary
 	c.Merge(&s)
 	c.Observe(2 * time.Millisecond)
-	if s.Count != 1 || c.Count != 2 || s.Buckets[bucketIndex(int64(2*time.Millisecond))] != 0 {
+	if s.Count != 1 || c.Count != 2 || bucketCounts(&s)[bucketIndex(int64(2*time.Millisecond))] != 0 {
 		t.Fatalf("copy not independent: orig %d, copy %d", s.Count, c.Count)
 	}
 	var nilSum *Summary

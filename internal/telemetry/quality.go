@@ -1,6 +1,10 @@
 package telemetry
 
-import "videoplat/internal/pipeline"
+import (
+	"encoding/json"
+
+	"videoplat/internal/pipeline"
+)
 
 // NumConfidenceBuckets is the confidence histogram resolution: the [0, 1]
 // probability range split into equal-width buckets of 1/NumConfidenceBuckets.
@@ -13,14 +17,17 @@ const NumConfidenceBuckets = 20
 
 // ConfidenceHist is a mergeable histogram over [0, 1] probability values
 // (prediction confidences and margins). The zero value is ready to use.
-// Buckets is sparse: bucket i counts observations in
-// (i/NumConfidenceBuckets, (i+1)/NumConfidenceBuckets], with 0.0 landing in
-// bucket 0. Not safe for concurrent use — windows are mutated under the
-// rollup lock and immutable once sealed.
+// Bucket i counts observations in (i/NumConfidenceBuckets,
+// (i+1)/NumConfidenceBuckets], with 0.0 landing in bucket 0. The buckets
+// are a fixed array in the value, so observing and merging are array adds
+// and a histogram is one allocation. Its JSON form is count, sum and a
+// sparse buckets object holding the non-empty buckets. Not safe for
+// concurrent use — windows are mutated under the rollup lock and immutable
+// once sealed.
 type ConfidenceHist struct {
-	Count   uint64         `json:"count"`
-	Sum     float64        `json:"sum"`
-	Buckets map[int]uint64 `json:"buckets,omitempty"`
+	Count   uint64
+	Sum     float64
+	Buckets [NumConfidenceBuckets]uint64
 }
 
 // confBucket maps a probability to its bucket index, clamping out-of-domain
@@ -48,9 +55,6 @@ func confBucket(v float64) int {
 func (h *ConfidenceHist) Observe(v float64) {
 	h.Count++
 	h.Sum += v
-	if h.Buckets == nil {
-		h.Buckets = make(map[int]uint64) // lazy one-time init, pinned by TestQualityFoldZeroAlloc
-	}
 	h.Buckets[confBucket(v)]++
 }
 
@@ -61,9 +65,6 @@ func (h *ConfidenceHist) Merge(src *ConfidenceHist) {
 	}
 	h.Count += src.Count
 	h.Sum += src.Sum
-	if h.Buckets == nil {
-		h.Buckets = make(map[int]uint64, len(src.Buckets))
-	}
 	for b, n := range src.Buckets {
 		h.Buckets[b] += n
 	}
@@ -88,9 +89,8 @@ func (h *ConfidenceHist) Quantile(q float64) float64 {
 		rank = h.Count - 1
 	}
 	var seen uint64
-	for b := 0; b < NumConfidenceBuckets; b++ {
-		seen += h.Buckets[b]
-		if seen > rank {
+	for b, n := range h.Buckets {
+		if seen += n; seen > rank {
 			return float64(b+1) / NumConfidenceBuckets
 		}
 	}
@@ -104,6 +104,47 @@ func (h *ConfidenceHist) Mean() float64 {
 		return 0
 	}
 	return h.Sum / float64(h.Count)
+}
+
+// confidenceWire is ConfidenceHist's JSON form. encoding/json writes a
+// map's integer keys sorted as decimal strings, the order every archived
+// window has.
+type confidenceWire struct {
+	Count   uint64         `json:"count"`
+	Sum     float64        `json:"sum"`
+	Buckets map[int]uint64 `json:"buckets,omitempty"`
+}
+
+// MarshalJSON writes the histogram in its wire form. It runs once per
+// sealed window and per /windows read, off the fold path.
+func (h ConfidenceHist) MarshalJSON() ([]byte, error) {
+	w := confidenceWire{Count: h.Count, Sum: h.Sum}
+	for b, n := range h.Buckets {
+		if n > 0 {
+			if w.Buckets == nil {
+				w.Buckets = make(map[int]uint64, NumConfidenceBuckets)
+			}
+			w.Buckets[b] = n
+		}
+	}
+	return json.Marshal(w)
+}
+
+// UnmarshalJSON reads the wire form. Count and sum are kept as written; a
+// bucket index outside [0, NumConfidenceBuckets), which only a corrupt
+// archive could hold, is dropped.
+func (h *ConfidenceHist) UnmarshalJSON(data []byte) error {
+	var w confidenceWire
+	if err := json.Unmarshal(data, &w); err != nil {
+		return err
+	}
+	*h = ConfidenceHist{Count: w.Count, Sum: w.Sum}
+	for b, n := range w.Buckets {
+		if b >= 0 && b < NumConfidenceBuckets {
+			h.Buckets[b] = n
+		}
+	}
+	return nil
 }
 
 // QualitySummary is a window's decision-quality digest: what the classifier

@@ -139,11 +139,10 @@ func (s *Store) Query(since, until time.Time, step time.Duration, groupBy string
 		return nil, fmt.Errorf("telemetry: query: unknown group-by %q (want provider, platform or model)", groupBy)
 	}
 
-	s.mu.Lock()
-	defer s.mu.Unlock()
-
 	res := &QueryResult{Since: since, Until: until, GroupBy: groupBy, Series: []QuerySeries{}}
+	s.mu.Lock()
 	if s.rawWidth == 0 { // no window accepted yet
+		s.mu.Unlock()
 		if step > 0 {
 			res.StepSeconds = step.Seconds()
 		}
@@ -167,10 +166,18 @@ func (s *Store) Query(since, until time.Time, step time.Duration, groupBy string
 	}
 	res.StepSeconds = step.Seconds()
 	res.TierSeconds = tierWidth.Seconds()
+	// Ring windows are immutable, so a copy of the ring's pointers and of
+	// the open bucket, the one window still folding, is all the merge needs
+	// from under the lock; seals wait for that copy, not for the merge.
+	ring := append(make([]*Window, 0, len(t.ring)+1), t.ring...)
+	if t.open != nil {
+		ring = append(ring, t.open.Clone())
+	}
+	s.mu.Unlock()
 
-	// Merge qualifying windows into step-aligned buckets. Ring windows are
-	// merge sources only (Merge never mutates src), so no copies are made
-	// until the per-bucket aggregates themselves.
+	// Merge qualifying windows into step-aligned buckets. Windows are merge
+	// sources only (Merge never mutates src), so no copies are made until
+	// the per-bucket aggregates themselves.
 	type bucket struct {
 		agg     *Window
 		windows int
@@ -194,11 +201,8 @@ func (s *Store) Query(since, until time.Time, step time.Duration, groupBy string
 		b.agg.Start, b.agg.End = bs, bs.Add(step)
 		b.windows++
 	}
-	for _, w := range t.ring {
+	for _, w := range ring {
 		scan(w)
-	}
-	if t.open != nil {
-		scan(t.open)
 	}
 
 	starts := make([]time.Time, 0, len(buckets))
@@ -373,11 +377,11 @@ func tierOldest(t *tier) (time.Time, bool) {
 // last). It returns deep copies in ascending Start order — at most limit
 // of them, keeping the newest (limit <= 0 = all) — plus the total number
 // of windows matching the range, so a truncated listing still reports how
-// much history qualifies. Only the returned windows are cloned; the limit
-// also bounds the copy work done under the store's lock.
+// much history qualifies. Only the returned windows are cloned, after the
+// store's lock is released: ring windows are immutable, and the open
+// bucket is copied under the lock first.
 func (s *Store) Windows(since, until time.Time, tierWidth time.Duration, limit int) ([]*Window, int, error) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	t := s.raw
 	if tierWidth > 0 && tierWidth != s.rawWidth {
 		t = nil
@@ -388,6 +392,7 @@ func (s *Store) Windows(since, until time.Time, tierWidth time.Duration, limit i
 			}
 		}
 		if t == nil {
+			s.mu.Unlock()
 			return nil, 0, fmt.Errorf("telemetry: no %v tier (configured: %v)", tierWidth, s.tierWidths())
 		}
 	}
@@ -404,8 +409,10 @@ func (s *Store) Windows(since, until time.Time, tierWidth time.Duration, limit i
 		}
 	}
 	if t.open != nil && include(t.open) {
-		matching = append(matching, t.open)
+		matching = append(matching, t.open.Clone()) // still folding: copied under mu
 	}
+	s.mu.Unlock()
+
 	total := len(matching)
 	if limit > 0 && len(matching) > limit {
 		matching = matching[len(matching)-limit:]

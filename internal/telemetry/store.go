@@ -46,7 +46,9 @@ type tier struct {
 //
 // Every accepted window is deep-copied and folded into each downsampling
 // tier's current bucket; Query and Windows serve re-aggregated copies, so
-// callers can never observe or corrupt shared state. Store is safe for
+// callers can never observe or corrupt shared state. Windows in a ring are
+// immutable once inserted, so readers copy the ring's pointers under mu and
+// do their merging and copying after releasing it. Store is safe for
 // concurrent use.
 type Store struct {
 	mu    sync.Mutex
@@ -128,7 +130,9 @@ func (t *tier) insert(w *Window) {
 // previous bucket when w has moved past it (empty gap buckets are skipped,
 // mirroring the rollup). A window arriving before the open bucket — reload
 // interleaving with live windows — is folded into a fresh sealed bucket of
-// its own rather than reopening history.
+// its own rather than reopening history, or, when its bucket is already
+// sealed, into a copy that replaces it: a window in the ring is never
+// modified, which is what lets Query merge ring windows outside mu.
 func (t *tier) fold(w *Window) {
 	start := bucketStart(w.Start, t.width)
 	bounds := func(b *Window) { b.Start, b.End = start, start.Add(t.width) }
@@ -136,8 +140,10 @@ func (t *tier) fold(w *Window) {
 		if i := sort.Search(len(t.ring), func(i int) bool {
 			return !t.ring[i].Start.Before(start)
 		}); i < len(t.ring) && t.ring[i].Start.Equal(start) {
-			t.ring[i].Merge(w)
-			bounds(t.ring[i])
+			merged := t.ring[i].Clone()
+			merged.Merge(w)
+			bounds(merged)
+			t.ring[i] = merged
 			return
 		}
 		late := &Window{}

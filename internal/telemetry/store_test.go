@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"math/rand/v2"
 	"reflect"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -506,5 +509,170 @@ func TestMultiSinkFanOut(t *testing.T) {
 	// The failing sink must not starve later sinks.
 	if len(good.wins) != 1 {
 		t.Errorf("good sink got %d windows", len(good.wins))
+	}
+}
+
+// storeBytesPerWindow is the heap a retained window may cost in a store at
+// vpserve's default retention: TestStoreBytesPerWindow's ceiling.
+const storeBytesPerWindow = 11_000
+
+// TestStoreBytesPerWindow pins what the store of a daemon that never
+// restarts costs: vpserve's default retention (1,440 one-minute windows
+// and the 10m and 1h tiers) filled by a Rollup with 1,500 flows a window
+// over every provider and platform, confidences spread over [0.5, 1] and
+// timed classifications. It logs the heap per retained window, counting
+// the windows of every tier, and requires at most storeBytesPerWindow.
+func TestStoreBytesPerWindow(t *testing.T) {
+	if testing.Short() {
+		t.Skip("folds two million records")
+	}
+	const windows, flowsPerWindow = 1440, 1500
+	rng := rand.New(rand.NewPCG(1, 2))
+	labels := fingerprint.AllPlatformLabels()
+	rec := &pipeline.FlowRecord{Content: true, BytesDown: 40 << 20, BytesUp: 1 << 20}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	store := NewStore(StoreConfig{MaxWindows: windows, Tiers: []time.Duration{10 * time.Minute, time.Hour}})
+	roll := NewRollup(time.Minute, store)
+	for w := 0; w < windows; w++ {
+		for i := 0; i < flowsPerWindow; i++ {
+			rec.Provider = fingerprint.Provider(i % fingerprint.NumProviders)
+			rec.LastSeen = w0.Add(time.Duration(w)*time.Minute + time.Duration(i)*time.Millisecond)
+			rec.FirstSeen = rec.LastSeen.Add(-time.Duration(30+i%300) * time.Second)
+			rec.Verdict, rec.Prediction = pipeline.VerdictClassified, pipeline.Prediction{
+				Status: pipeline.Composite, Platform: labels[i%len(labels)]}
+			if i%5 == 0 {
+				rec.Verdict, rec.Prediction = pipeline.VerdictAbstained, pipeline.Prediction{Status: pipeline.Unknown}
+			}
+			rec.Prediction.PlatformConf = 0.5 + rng.Float64()/2
+			rec.Prediction.PlatformMargin = rng.Float64() / 2
+			rec.ClassifyNanos = int64(20_000 * math.Exp(rng.NormFloat64()/2))
+			rec.ModelVersion = "v0001"
+			roll.Add(rec)
+		}
+	}
+	roll.Flush()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(store)
+	retained := 0
+	for _, ts := range store.Stats().Tiers {
+		retained += ts.Windows
+		if ts.OpenBucket {
+			retained++
+		}
+	}
+	heap := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	perWindow := float64(heap) / float64(retained)
+	t.Logf("store: %d windows retained, %.1f MB, %.0f B per window", retained, float64(heap)/1e6, perWindow)
+	if retained != windows+windows/10+windows/60 {
+		t.Fatalf("retained %d windows, want %d", retained, windows+windows/10+windows/60)
+	}
+	if perWindow > storeBytesPerWindow {
+		t.Errorf("a retained window costs %.0f B of heap, want <= %d", perWindow, storeBytesPerWindow)
+	}
+}
+
+// TestStoreQueryBesideSeals runs Query and Windows in a loop on two
+// goroutines while windows are written, late ones among them: the late
+// windows refold sealed downsampled buckets, which the store replaces
+// rather than modifies, because readers merge ring windows outside its
+// lock. Run under -race. Once writing stops, every query must answer what
+// the same store fed serially answers.
+func TestStoreQueryBesideSeals(t *testing.T) {
+	leakcheck.Check(t)
+	labels := fingerprint.AllPlatformLabels()
+	stream := func(offset int) []*Window {
+		var recs []*pipeline.FlowRecord
+		for m := 0; m < 180; m++ {
+			for i := 0; i < 3; i++ {
+				n := m*3 + i + offset
+				r := qualRec(fingerprint.Provider(n%fingerprint.NumProviders), labels[n%len(labels)],
+					w0.Add(time.Duration(m)*time.Minute+time.Duration(i)*time.Second), 0.5+float64(n%10)/20, 0.1)
+				r.ClassifyNanos = int64(n+1) * 1000
+				r.ModelVersion = []string{"v1", "v2"}[n%2]
+				recs = append(recs, r)
+			}
+		}
+		return sealWindows(t, time.Minute, recs...)
+	}
+	wins, late := stream(0), stream(7)
+	// Every seventh window is followed by one from 30 minutes earlier:
+	// past every open 10m bucket and, across an hour boundary, past the
+	// open 1h one.
+	var seq []*Window
+	for i, w := range wins {
+		seq = append(seq, w)
+		if i >= 30 && i%7 == 6 {
+			seq = append(seq, late[i-30])
+		}
+	}
+	cfg := StoreConfig{MaxWindows: 120, Tiers: []time.Duration{10 * time.Minute, time.Hour}}
+	queries := []struct {
+		since time.Time
+		step  time.Duration
+		group string
+	}{
+		{time.Time{}, 0, GroupTotal},
+		{time.Time{}, 10 * time.Minute, GroupProvider},
+		{w0.Add(time.Hour), time.Hour, GroupPlatform},
+		{time.Time{}, 3 * time.Hour, GroupModel},
+	}
+
+	serial := NewStore(cfg)
+	feed(t, serial, seq...)
+	s := NewStore(cfg)
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				for _, q := range queries {
+					if _, err := s.Query(q.since, time.Time{}, q.step, q.group); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+				if _, _, err := s.Windows(time.Time{}, time.Time{}, 10*time.Minute, 5); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	feed(t, s, seq...)
+	close(done)
+	wg.Wait()
+
+	if st := s.Stats(); st.Compactions == 0 || st.EvictedCount == 0 {
+		t.Fatalf("stream neither compacted nor evicted: %+v", st)
+	}
+	for _, q := range queries {
+		got, err := s.Query(q.since, time.Time{}, q.step, q.group)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := serial.Query(q.since, time.Time{}, q.step, q.group)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("query %+v beside seals differs from the serial store's", q)
+		}
+	}
+	for _, width := range []time.Duration{0, 10 * time.Minute, time.Hour} {
+		got, _, _ := s.Windows(time.Time{}, time.Time{}, width, 0)
+		want, _, _ := serial.Windows(time.Time{}, time.Time{}, width, 0)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("tier %v windows beside seals differ from the serial store's", width)
+		}
 	}
 }
