@@ -392,8 +392,9 @@ func (s *Store) Windows(since, until time.Time, tierWidth time.Duration, limit i
 			}
 		}
 		if t == nil {
+			err := fmt.Errorf("telemetry: no %v tier (configured: %v)", tierWidth, s.tierWidths())
 			s.mu.Unlock()
-			return nil, 0, fmt.Errorf("telemetry: no %v tier (configured: %v)", tierWidth, s.tierWidths())
+			return nil, 0, err
 		}
 	}
 	include := func(w *Window) bool {
