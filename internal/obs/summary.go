@@ -73,6 +73,9 @@ func (s *Summary) Observe(d time.Duration) {
 	}
 }
 
+// Reset empties s, keeping its bucket storage for the next observations.
+func (s *Summary) Reset() { *s = Summary{buckets: s.buckets[:0]} }
+
 // Merge folds other into s. Bucket counts add, so quantiles of the merged
 // summary equal quantiles of the union of samples (to bucket resolution).
 // Merging into an empty summary copies other and shares nothing with it.

@@ -533,10 +533,10 @@ func (s *Server) aggregate() {
 // checks stay off the per-record path.
 func (s *Server) addToRollup(rec *pipeline.FlowRecord) {
 	t0 := time.Now()
-	s.rollup.Add(rec)
+	sealed := s.rollup.Add(rec)
 	s.obsv.Record(obs.StageRollup, time.Since(t0))
-	if sealed := s.rollup.Sealed(); sealed != s.lastSealed {
-		s.lastSealed = sealed
+	if sealed {
+		s.lastSealed++
 		s.sealHealthEvents()
 	}
 }

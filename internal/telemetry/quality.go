@@ -1,10 +1,6 @@
 package telemetry
 
-import (
-	"encoding/json"
-
-	"videoplat/internal/pipeline"
-)
+import "encoding/json"
 
 // NumConfidenceBuckets is the confidence histogram resolution: the [0, 1]
 // probability range split into equal-width buckets of 1/NumConfidenceBuckets.
@@ -173,25 +169,6 @@ type QualitySummary struct {
 	// across merges like every other counter.
 	ShadowAgreed    uint64 `json:"shadow_agreed,omitempty"`
 	ShadowDisagreed uint64 `json:"shadow_disagreed,omitempty"`
-}
-
-// add folds one finalized flow into the summary. Allocation-free once the
-// lazy maps and digests exist, pinned by TestQualityFoldZeroAlloc.
-func (q *QualitySummary) add(rec *pipeline.FlowRecord) {
-	if q.Verdicts == nil {
-		q.Verdicts = make(map[string]uint64) // lazy one-time init, pinned by TestQualityFoldZeroAlloc
-	}
-	q.Verdicts[rec.Verdict.String()]++
-	if rec.Verdict.ClassifierRan() {
-		if q.Confidence == nil {
-			q.Confidence = &ConfidenceHist{} // lazy one-time init, pinned by TestQualityFoldZeroAlloc
-		}
-		q.Confidence.Observe(rec.Prediction.PlatformConf)
-		if q.Margin == nil {
-			q.Margin = &ConfidenceHist{} // lazy one-time init, pinned by TestQualityFoldZeroAlloc
-		}
-		q.Margin.Observe(rec.Prediction.PlatformMargin)
-	}
 }
 
 // Merge folds src into q. nil src is a no-op.

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 	"time"
 
@@ -331,30 +332,62 @@ func TestQueryQualitySeries(t *testing.T) {
 
 // TestQualityFoldZeroAlloc pins that folding a flow into a warm window
 // allocates nothing — the recording path runs once per finalized flow on the
-// aggregate goroutine. The whole fold first (Rollup.Add into an open window:
-// both cells, the model-version count, obs.Summary.Observe for the latency
-// summary and the quality summary, in one chain), then the two parts with
-// folds of their own.
+// aggregate goroutine. Rollup.Add into an open window covers the whole fold
+// (both cells, the model-version count, the latency summary and the quality
+// summary). The first record after a seal allocates nothing either, since
+// the Rollup reuses its open window's storage; what a seal allocates is the
+// Window it hands the sink, pinned for a window holding every provider,
+// both kinds of cell and a timed classification.
 func TestQualityFoldZeroAlloc(t *testing.T) {
 	rec := qualRec(fingerprint.YouTube, "windows_chrome", w0, 0.9, 0.5)
 	rec.ModelVersion = "v1"
 	rec.ClassifyNanos = 40_000
 	r := NewRollup(time.Minute, nil)
-	r.Add(rec) // warm: cells, maps and histograms exist after the first fold
+	r.Add(rec) // warm: the open window's storage exists after the first fold
 	if allocs := testing.AllocsPerRun(100, func() { r.Add(rec) }); allocs != 0 {
 		t.Errorf("window fold allocates %v times per record, want 0", allocs)
 	}
 	if w := r.Current(); w.Latency == nil || w.Latency.Count != 102 || w.ModelVersions["v1"] != 102 {
 		t.Fatalf("the folds did not reach the latency summary and the version count: %+v", w)
 	}
-	q := &QualitySummary{}
-	q.add(rec)
-	if allocs := testing.AllocsPerRun(100, func() { q.add(rec) }); allocs != 0 {
-		t.Errorf("quality fold allocates %v times per record, want 0", allocs)
+
+	// A window as a seal sees it: four providers, an unmatched flow, two
+	// platforms and the unclassified cell, two model versions.
+	window := []*pipeline.FlowRecord{rec}
+	for _, p := range fingerprint.AllProviders() {
+		c := qualRec(p, "iOS_nativeApp", w0.Add(time.Second), 0.7, 0.2)
+		c.ModelVersion = "v2"
+		window = append(window, c, abstainRec(p, w0.Add(2*time.Second), 0.3))
 	}
-	c := &Cell{}
-	c.add(rec)
-	if allocs := testing.AllocsPerRun(100, func() { c.add(rec) }); allocs != 0 {
-		t.Errorf("cell fold allocates %v times per record, want 0", allocs)
+	nh := rollRec(fingerprint.Netflix, "", w0.Add(3*time.Second), time.Second, 1<<10)
+	nh.Verdict = pipeline.VerdictNoHandshake
+	window = append(window, nh)
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	r = NewRollup(time.Minute, nil)
+	for _, rec := range window {
+		r.Add(rec)
 	}
+	const sealAllocs = 14 // measured on Go 1.24, amd64
+	for i := 0; i < 20; i++ {
+		if n := mallocs(r.Flush); n > sealAllocs {
+			t.Errorf("sealing a window allocates %d times, want at most %d", n, sealAllocs)
+		}
+		if n := mallocs(func() { r.Add(window[0]) }); n != 0 {
+			t.Errorf("the first record after a seal allocates %d times, want 0", n)
+		}
+		for _, rec := range window[1:] {
+			r.Add(rec)
+		}
+	}
+}
+
+// mallocs reports how many heap allocations f makes.
+func mallocs(f func()) uint64 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.Mallocs
+	f()
+	runtime.ReadMemStats(&ms)
+	return ms.Mallocs - before
 }

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"videoplat/internal/fingerprint"
 	"videoplat/internal/obs"
 	"videoplat/internal/pipeline"
 )
@@ -33,29 +34,6 @@ type Cell struct {
 	// Confidence digests the platform-model top probability of this cell's
 	// classification attempts; nil when the classifier never ran here.
 	Confidence *ConfidenceHist `json:"confidence,omitempty"`
-}
-
-// add folds one finalized flow into the cell. On the window-fold path,
-// pinned allocation-free (modulo lazy one-time inits) by TestQualityFoldZeroAlloc.
-func (c *Cell) add(rec *pipeline.FlowRecord) {
-	c.Flows++
-	if rec.Verdict.ClassifierRan() {
-		if rec.Verdict == pipeline.VerdictClassified {
-			c.ClassifiedFlows++
-		} else {
-			c.AbstainedFlows++
-		}
-		if c.Confidence == nil {
-			c.Confidence = &ConfidenceHist{} // lazy one-time init per window cell
-		}
-		c.Confidence.Observe(rec.Prediction.PlatformConf)
-	}
-	c.WatchSeconds += rec.Duration().Seconds()
-	c.BytesDown += rec.BytesDown
-	c.BytesUp += rec.BytesUp
-	if m := rec.MbpsDown(); m > c.PeakMbpsDown {
-		c.PeakMbpsDown = m
-	}
 }
 
 func (c *Cell) seal() {
@@ -123,58 +101,6 @@ type Window struct {
 	// histograms, drift score and shadow agreement. Non-nil for any window
 	// with at least one flow.
 	Quality *QualitySummary `json:"quality,omitempty"`
-}
-
-func (w *Window) add(rec *pipeline.FlowRecord) {
-	w.Flows++
-	classified := rec.Verdict == pipeline.VerdictClassified
-	if classified {
-		w.ClassifiedFlows++
-	}
-	prov := "unmatched" // never got far enough to identify a provider
-	if rec.Verdict.ProviderKnown() {
-		prov = rec.Provider.String()
-	}
-	cell := w.ByProvider[prov]
-	if cell == nil {
-		cell = &Cell{}
-		w.ByProvider[prov] = cell
-	}
-	cell.add(rec)
-
-	platform := "unclassified"
-	if classified && rec.Prediction.Platform != "" {
-		platform = rec.Prediction.Platform
-	}
-	cell = w.ByPlatform[platform]
-	if cell == nil {
-		cell = &Cell{}
-		w.ByPlatform[platform] = cell
-	}
-	cell.add(rec)
-
-	if rec.Verdict.ClassifierRan() {
-		ver := rec.ModelVersion
-		if ver == "" {
-			ver = "unversioned"
-		}
-		if w.ModelVersions == nil {
-			w.ModelVersions = map[string]int{}
-		}
-		w.ModelVersions[ver]++
-	}
-
-	if rec.ClassifyNanos > 0 {
-		if w.Latency == nil {
-			w.Latency = &obs.Summary{}
-		}
-		w.Latency.Observe(time.Duration(rec.ClassifyNanos))
-	}
-
-	if w.Quality == nil {
-		w.Quality = &QualitySummary{}
-	}
-	w.Quality.add(rec)
 }
 
 func (w *Window) seal() {
@@ -324,13 +250,18 @@ func (s *JSONLSink) Windows() int {
 // to multiples of the width. Time is record-supplied (LastSeen), so replay
 // and live operation roll up identically.
 //
+// The open window is folded in a dense form the Rollup owns and reuses (see
+// openWindow); each seal, and each Current snapshot, builds a newly
+// allocated Window from it.
+//
 // Rollup is safe for concurrent use.
 type Rollup struct {
 	mu       sync.Mutex
 	width    time.Duration
 	sink     Sink
 	enrich   func(*Window)
-	cur      *Window
+	cur      openWindow // the in-progress window while active
+	active   bool
 	sealed   int
 	sinkErr  error  // first failure, kept verbatim for /stats
 	sinkErrs uint64 // every failure, for the sink-errors counter
@@ -362,23 +293,23 @@ func (r *Rollup) SetEnrich(fn func(*Window)) {
 }
 
 // Add folds one finalized flow record into the rollup, sealing the current
-// window first if rec.LastSeen has moved past its end. Records older than
-// the current window are folded in as late flows.
-func (r *Rollup) Add(rec *pipeline.FlowRecord) {
+// window first if rec.LastSeen has moved past its end, and reports whether
+// it sealed one. Records older than the current window are folded in as
+// late flows.
+func (r *Rollup) Add(rec *pipeline.FlowRecord) (sealed bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	ts := rec.LastSeen
-	if r.cur == nil {
+	if !r.active {
 		r.open(ts)
 	}
-	if !ts.Before(r.cur.End) {
+	if !ts.Before(r.cur.end) {
 		r.seal()
 		r.open(ts) // skip empty gap windows rather than sealing them
+		sealed = true
 	}
-	if ts.Before(r.cur.Start) {
-		r.cur.LateFlows++
-	}
-	r.cur.add(rec)
+	r.cur.add(rec, ts.Before(r.cur.start))
+	return sealed
 }
 
 // Flush seals and retires the current window, if any. Call at shutdown so
@@ -386,10 +317,10 @@ func (r *Rollup) Add(rec *pipeline.FlowRecord) {
 func (r *Rollup) Flush() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.cur != nil && r.cur.Flows > 0 {
+	if r.active && r.cur.flows > 0 {
 		r.seal()
 	}
-	r.cur = nil
+	r.active = false
 }
 
 // Sealed reports how many windows have been sealed and offered to the sink.
@@ -421,38 +352,272 @@ func (r *Rollup) SinkErrors() uint64 {
 func (r *Rollup) Current() *Window {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.cur == nil {
+	if !r.active {
 		return nil
 	}
-	snap := r.cur.Clone()
+	snap := r.cur.window()
 	snap.seal()
 	return snap
 }
 
 func (r *Rollup) open(ts time.Time) {
 	start := bucketStart(ts, r.width)
-	r.cur = &Window{
-		Start:      start,
-		End:        start.Add(r.width),
-		ByProvider: map[string]*Cell{},
-		ByPlatform: map[string]*Cell{},
-	}
+	r.cur.reset(start, start.Add(r.width))
+	r.active = true
 }
 
-// seal finalizes cur and hands it to the sink; callers must hold mu and
-// replace cur afterwards.
+// seal builds the current window, finalizes it and hands it to the sink;
+// callers must hold mu and open or deactivate cur afterwards.
 func (r *Rollup) seal() {
+	w := r.cur.window()
 	if r.enrich != nil {
-		r.enrich(r.cur)
+		r.enrich(w)
 	}
-	r.cur.seal()
+	w.seal()
 	r.sealed++
 	if r.sink != nil {
-		if err := r.sink.WriteWindow(r.cur); err != nil {
+		if err := r.sink.WriteWindow(w); err != nil {
 			r.sinkErrs++
 			if r.sinkErr == nil {
 				r.sinkErr = err
 			}
 		}
 	}
+}
+
+// openWindow is a Window being folded, in the shape the per-record fold
+// wants: provider cells indexed by Provider, platform cells and model
+// versions in short slices searched linearly (the pipeline interns platform
+// labels, so a match is usually a pointer compare), and verdicts counted by
+// value. The Rollup resets one for each window and keeps its storage, so a
+// warm fold allocates nothing; window builds the map-shaped Window that
+// sinks and /stats see, byte for byte what folding into the maps directly
+// would give.
+type openWindow struct {
+	start, end              time.Time
+	flows, classified, late int
+
+	providers [fingerprint.NumProviders + 1]openCell // the last is "unmatched"
+	// oddProviders holds Provider values past NumProviders, by name. The
+	// pipeline never sets one; a hand-built record might.
+	oddProviders []namedCell
+	platforms    []namedCell
+	versions     []versionCount
+
+	verdicts     [pipeline.NumVerdicts]uint64
+	latency      obs.Summary
+	conf, margin ConfidenceHist
+}
+
+// openCell is a Cell being folded. Its Confidence stays nil: the digest
+// accumulates in conf, so resetting the cell frees nothing.
+type openCell struct {
+	Cell
+	conf ConfidenceHist
+}
+
+type namedCell struct {
+	name string
+	openCell
+}
+
+// versionCount counts classifier runs by ModelVersion ("" until window
+// names it "unversioned").
+type versionCount struct {
+	version string
+	n       int
+}
+
+// unmatched is the provider cell of flows that never got far enough to
+// identify a provider.
+const unmatched = fingerprint.NumProviders
+
+func (o *openWindow) reset(start, end time.Time) {
+	o.start, o.end = start, end
+	o.flows, o.classified, o.late = 0, 0, 0
+	o.providers = [fingerprint.NumProviders + 1]openCell{}
+	o.oddProviders = o.oddProviders[:0]
+	o.platforms = o.platforms[:0]
+	o.versions = o.versions[:0]
+	o.verdicts = [pipeline.NumVerdicts]uint64{}
+	o.latency.Reset()
+	o.conf, o.margin = ConfidenceHist{}, ConfidenceHist{}
+}
+
+// add folds one finalized flow into the window. Its duration, watch
+// seconds and bandwidth are computed once and shared by both cells.
+// Allocation-free once the window's cells exist, and after a reset too,
+// pinned by TestQualityFoldZeroAlloc.
+func (o *openWindow) add(rec *pipeline.FlowRecord, late bool) {
+	o.flows++
+	if late {
+		o.late++
+	}
+	classified := rec.Verdict == pipeline.VerdictClassified
+	if classified {
+		o.classified++
+	}
+	ran := rec.Verdict.ClassifierRan()
+	secs := rec.Duration().Seconds()
+	var mbps float64 // rec.MbpsDown()
+	if secs > 0 {
+		mbps = float64(rec.BytesDown) * 8 / 1e6 / secs
+	}
+
+	var prov *openCell
+	switch {
+	case !rec.Verdict.ProviderKnown():
+		prov = &o.providers[unmatched]
+	case int(rec.Provider) < fingerprint.NumProviders:
+		prov = &o.providers[rec.Provider]
+	default:
+		prov = findCell(&o.oddProviders, rec.Provider.String())
+	}
+	prov.add(rec, ran, secs, mbps)
+	platform := "unclassified"
+	if classified && rec.Prediction.Platform != "" {
+		platform = rec.Prediction.Platform
+	}
+	findCell(&o.platforms, platform).add(rec, ran, secs, mbps)
+
+	if ran {
+		o.countVersion(rec.ModelVersion)
+		o.conf.Observe(rec.Prediction.PlatformConf)
+		o.margin.Observe(rec.Prediction.PlatformMargin)
+	}
+	if rec.ClassifyNanos > 0 {
+		o.latency.Observe(time.Duration(rec.ClassifyNanos))
+	}
+	v := rec.Verdict
+	if int(v) >= pipeline.NumVerdicts {
+		v = pipeline.VerdictPending // as Verdict.String names it
+	}
+	o.verdicts[v]++
+}
+
+func (c *openCell) add(rec *pipeline.FlowRecord, ran bool, secs, mbps float64) {
+	c.Flows++
+	if ran {
+		if rec.Verdict == pipeline.VerdictClassified {
+			c.ClassifiedFlows++
+		} else {
+			c.AbstainedFlows++
+		}
+		c.conf.Observe(rec.Prediction.PlatformConf)
+	}
+	c.WatchSeconds += secs
+	c.BytesDown += rec.BytesDown
+	c.BytesUp += rec.BytesUp
+	if mbps > c.PeakMbpsDown {
+		c.PeakMbpsDown = mbps
+	}
+}
+
+// findCell returns the cell named name, appending an empty one if there is
+// none.
+func findCell(cells *[]namedCell, name string) *openCell {
+	for i := range *cells {
+		if (*cells)[i].name == name {
+			return &(*cells)[i].openCell
+		}
+	}
+	*cells = append(*cells, namedCell{name: name})
+	return &(*cells)[len(*cells)-1].openCell
+}
+
+func (o *openWindow) countVersion(version string) {
+	for i := range o.versions {
+		if o.versions[i].version == version {
+			o.versions[i].n++
+			return
+		}
+	}
+	o.versions = append(o.versions, versionCount{version: version, n: 1})
+}
+
+// window builds the map-shaped Window from o, sharing no state with it.
+// The derived fields (rates, means) are left for Window.seal. A cell,
+// summary or map is present exactly when a record put something in it: a
+// cell's Confidence when the classifier ran on one of its flows,
+// ModelVersions and the quality digests likewise, Latency when a timed
+// classification landed, and Quality when the window holds a flow. The
+// window's cells and confidence digests are each one allocation.
+func (o *openWindow) window() *Window {
+	w := &Window{Start: o.start, End: o.end, Flows: o.flows, ClassifiedFlows: o.classified, LateFlows: o.late}
+	nprov := 0
+	for i := range o.providers {
+		if o.providers[i].Flows > 0 {
+			nprov++
+		}
+	}
+	ncells := nprov + len(o.oddProviders) + len(o.platforms)
+	b := windowSlab{
+		cells: make([]Cell, 0, ncells),
+		hists: make([]ConfidenceHist, 0, ncells+2), // a digest per cell at most, plus the quality confidence and margin
+	}
+
+	w.ByProvider = make(map[string]*Cell, nprov+len(o.oddProviders))
+	for i := range o.providers {
+		if c := &o.providers[i]; c.Flows > 0 {
+			name := "unmatched"
+			if i != unmatched {
+				name = fingerprint.Provider(i).String()
+			}
+			w.ByProvider[name] = b.cell(c)
+		}
+	}
+	for i := range o.oddProviders {
+		w.ByProvider[o.oddProviders[i].name] = b.cell(&o.oddProviders[i].openCell)
+	}
+	w.ByPlatform = make(map[string]*Cell, len(o.platforms))
+	for i := range o.platforms {
+		w.ByPlatform[o.platforms[i].name] = b.cell(&o.platforms[i].openCell)
+	}
+
+	if len(o.versions) > 0 {
+		w.ModelVersions = make(map[string]int, len(o.versions))
+		for _, v := range o.versions {
+			name := v.version
+			if name == "" {
+				name = "unversioned"
+			}
+			w.ModelVersions[name] += v.n
+		}
+	}
+	if o.latency.Count > 0 {
+		w.Latency = &obs.Summary{}
+		w.Latency.Merge(&o.latency)
+	}
+	if o.flows > 0 {
+		w.Quality = &QualitySummary{Verdicts: map[string]uint64{}, Confidence: b.hist(&o.conf), Margin: b.hist(&o.margin)}
+		for v, n := range o.verdicts {
+			if n > 0 {
+				w.Quality.Verdicts[pipeline.Verdict(v).String()] = n
+			}
+		}
+	}
+	return w
+}
+
+// windowSlab hands out a window's cells and confidence digests from one
+// slice each, sized up front so that appending never moves them.
+type windowSlab struct {
+	cells []Cell
+	hists []ConfidenceHist
+}
+
+func (b *windowSlab) cell(c *openCell) *Cell {
+	b.cells = append(b.cells, c.Cell)
+	out := &b.cells[len(b.cells)-1]
+	out.Confidence = b.hist(&c.conf)
+	return out
+}
+
+// hist copies h, or returns nil for an empty digest.
+func (b *windowSlab) hist(h *ConfidenceHist) *ConfidenceHist {
+	if h.Count == 0 {
+		return nil
+	}
+	b.hists = append(b.hists, *h)
+	return &b.hists[len(b.hists)-1]
 }

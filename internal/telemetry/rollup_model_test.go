@@ -1,0 +1,294 @@
+package telemetry
+
+import (
+	"bytes"
+	"encoding/json"
+	"strings"
+	"testing"
+	"time"
+
+	"videoplat/internal/fingerprint"
+	"videoplat/internal/obs"
+	"videoplat/internal/pipeline"
+)
+
+// The map fold below is how a Rollup folded records before its open window
+// became dense: every record updates the Window's string-keyed maps
+// directly. It is kept as the oracle FuzzRollupMatchesMapFold checks the
+// Rollup against.
+
+// add folds one finalized flow into the cell.
+func (c *Cell) add(rec *pipeline.FlowRecord) {
+	c.Flows++
+	if rec.Verdict.ClassifierRan() {
+		if rec.Verdict == pipeline.VerdictClassified {
+			c.ClassifiedFlows++
+		} else {
+			c.AbstainedFlows++
+		}
+		if c.Confidence == nil {
+			c.Confidence = &ConfidenceHist{}
+		}
+		c.Confidence.Observe(rec.Prediction.PlatformConf)
+	}
+	c.WatchSeconds += rec.Duration().Seconds()
+	c.BytesDown += rec.BytesDown
+	c.BytesUp += rec.BytesUp
+	if m := rec.MbpsDown(); m > c.PeakMbpsDown {
+		c.PeakMbpsDown = m
+	}
+}
+
+// add folds one finalized flow into the summary.
+func (q *QualitySummary) add(rec *pipeline.FlowRecord) {
+	if q.Verdicts == nil {
+		q.Verdicts = make(map[string]uint64)
+	}
+	q.Verdicts[rec.Verdict.String()]++
+	if rec.Verdict.ClassifierRan() {
+		if q.Confidence == nil {
+			q.Confidence = &ConfidenceHist{}
+		}
+		q.Confidence.Observe(rec.Prediction.PlatformConf)
+		if q.Margin == nil {
+			q.Margin = &ConfidenceHist{}
+		}
+		q.Margin.Observe(rec.Prediction.PlatformMargin)
+	}
+}
+
+// add folds one finalized flow into the window's maps.
+func (w *Window) add(rec *pipeline.FlowRecord) {
+	w.Flows++
+	classified := rec.Verdict == pipeline.VerdictClassified
+	if classified {
+		w.ClassifiedFlows++
+	}
+	prov := "unmatched" // never got far enough to identify a provider
+	if rec.Verdict.ProviderKnown() {
+		prov = rec.Provider.String()
+	}
+	cell := w.ByProvider[prov]
+	if cell == nil {
+		cell = &Cell{}
+		w.ByProvider[prov] = cell
+	}
+	cell.add(rec)
+
+	platform := "unclassified"
+	if classified && rec.Prediction.Platform != "" {
+		platform = rec.Prediction.Platform
+	}
+	cell = w.ByPlatform[platform]
+	if cell == nil {
+		cell = &Cell{}
+		w.ByPlatform[platform] = cell
+	}
+	cell.add(rec)
+
+	if rec.Verdict.ClassifierRan() {
+		ver := rec.ModelVersion
+		if ver == "" {
+			ver = "unversioned"
+		}
+		if w.ModelVersions == nil {
+			w.ModelVersions = map[string]int{}
+		}
+		w.ModelVersions[ver]++
+	}
+
+	if rec.ClassifyNanos > 0 {
+		if w.Latency == nil {
+			w.Latency = &obs.Summary{}
+		}
+		w.Latency.Observe(time.Duration(rec.ClassifyNanos))
+	}
+
+	if w.Quality == nil {
+		w.Quality = &QualitySummary{}
+	}
+	w.Quality.add(rec)
+}
+
+// mapRollup is Rollup's windowing over the map fold: one open *Window
+// folded in place, sealed to sink when a record crosses its end.
+type mapRollup struct {
+	width  time.Duration
+	sink   func(*Window)
+	enrich func(*Window)
+	cur    *Window
+}
+
+func (r *mapRollup) add(rec *pipeline.FlowRecord) (sealed bool) {
+	ts := rec.LastSeen
+	if r.cur == nil {
+		r.open(ts)
+	}
+	if !ts.Before(r.cur.End) {
+		r.seal()
+		r.open(ts)
+		sealed = true
+	}
+	if ts.Before(r.cur.Start) {
+		r.cur.LateFlows++
+	}
+	r.cur.add(rec)
+	return sealed
+}
+
+func (r *mapRollup) flush() {
+	if r.cur != nil && r.cur.Flows > 0 {
+		r.seal()
+	}
+	r.cur = nil
+}
+
+func (r *mapRollup) current() *Window {
+	if r.cur == nil {
+		return nil
+	}
+	snap := r.cur.Clone()
+	snap.seal()
+	return snap
+}
+
+func (r *mapRollup) open(ts time.Time) {
+	start := bucketStart(ts, r.width)
+	r.cur = &Window{
+		Start:      start,
+		End:        start.Add(r.width),
+		ByProvider: map[string]*Cell{},
+		ByPlatform: map[string]*Cell{},
+	}
+}
+
+func (r *mapRollup) seal() {
+	if r.enrich != nil {
+		r.enrich(r.cur)
+	}
+	r.cur.seal()
+	r.sink(r.cur)
+}
+
+// fuzzRecord builds one record from six bytes: provider and verdict (each
+// including one value past the last), platform label (interned, a copy
+// with its own storage, empty, or "unclassified" itself), model version,
+// clock advance or lateness, duration (zero and negative included),
+// confidence and margin (bucket edges included), and a classification
+// latency or none.
+func fuzzRecord(b [6]byte, clock *time.Time) *pipeline.FlowRecord {
+	labels := fingerprint.AllPlatformLabels()
+	versions := []string{"v0001", "v0002", "", "unversioned"}
+	rec := &pipeline.FlowRecord{
+		Provider: fingerprint.Provider(int(b[0]&7) % (fingerprint.NumProviders + 1)),
+		Verdict:  pipeline.Verdict(int(b[0]>>3) % (pipeline.NumVerdicts + 1)),
+	}
+	switch i := int(b[1] & 31); {
+	case i < len(labels):
+		rec.Prediction.Platform = labels[i]
+	case i == len(labels):
+		rec.Prediction.Platform = strings.Clone(labels[int(b[1]>>5)%len(labels)])
+	case i == len(labels)+1:
+		rec.Prediction.Platform = "unclassified"
+	}
+	rec.ModelVersion = versions[int(b[1]>>5)%len(versions)]
+	if b[2]&0x80 != 0 {
+		rec.LastSeen = clock.Add(-time.Duration(b[2]&0x7f) * time.Second) // late, or not, by up to two minutes
+	} else {
+		*clock = clock.Add(time.Duration(b[2]) * 1500 * time.Millisecond)
+		rec.LastSeen = *clock
+	}
+	dur := time.Duration(b[3]) * 997 * time.Millisecond
+	if b[3] == 0xff {
+		dur = -3 * time.Second
+	}
+	rec.FirstSeen = rec.LastSeen.Add(-dur)
+	rec.BytesDown = int64(b[3])<<16 | int64(b[4])<<8 | int64(b[1])
+	rec.BytesUp = int64(b[4]) << 6
+	rec.Prediction.PlatformConf = float64(b[4]) / 255
+	if b[4]&0x80 != 0 {
+		rec.Prediction.PlatformConf = float64(b[4]%(NumConfidenceBuckets+1)) / NumConfidenceBuckets
+	}
+	rec.Prediction.PlatformMargin = rec.Prediction.PlatformConf * float64(b[5]>>4) / 15
+	if b[5]&1 != 0 {
+		rec.ClassifyNanos = int64(1)<<(4+int(b[5]>>1&31)%28) + int64(b[2])
+	}
+	return rec
+}
+
+// sinkFunc adapts a function to Sink.
+type sinkFunc func(*Window) error
+
+func (f sinkFunc) WriteWindow(w *Window) error { return f(w) }
+
+// FuzzRollupMatchesMapFold feeds one byte-driven record stream to a Rollup
+// and to mapRollup, the map fold it replaced, with Current snapshots and
+// Flushes interleaved. The streams mix every provider and verdict, platform
+// labels, model versions, timed and untimed classifications, late records
+// and window crossings. Both sides stamp the same gauges at seal; every
+// sealed window and every snapshot must encode to identical JSON.
+func FuzzRollupMatchesMapFold(f *testing.F) {
+	f.Add([]byte{0, 0x11, 3, 0x20, 10, 0x80, 0x0f, 0x03, 0x42, 0x80, 0x91, 0x33, 2, 1, 0x29, 0x07, 0x28, 0xff, 0xe1, 0x15, 3})
+	f.Add(bytes.Repeat([]byte{1, 0x0a, 0x31, 0x0b, 0x9a, 0xc7, 0x4f}, 12))
+	f.Add(bytes.Repeat([]byte{0, 0x4b, 0xf2, 0x85, 0x00, 0x33, 0x81, 2, 0x37, 0x12, 0x22, 0xff, 0x90, 0x2c}, 10))
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		encode := func(w *Window) string {
+			raw, err := json.Marshal(w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return string(raw)
+		}
+		enrich := func(sealed *int) func(*Window) {
+			return func(w *Window) {
+				*sealed++
+				w.Quality.DriftScore = float64(*sealed%4) / 8
+				w.Quality.ShadowAgreed = uint64(*sealed * 3)
+			}
+		}
+		var got, want []string
+		var gotSealed, wantSealed int
+		r := NewRollup(time.Minute, sinkFunc(func(w *Window) error {
+			got = append(got, encode(w))
+			return nil
+		}))
+		r.SetEnrich(enrich(&gotSealed))
+		m := &mapRollup{width: time.Minute, sink: func(w *Window) { want = append(want, encode(w)) }, enrich: enrich(&wantSealed)}
+
+		clock := w0
+		for step := 0; len(ops) > 0; step++ {
+			op := ops[0]
+			ops = ops[1:]
+			switch {
+			case op < 0xe0: // a record
+				var b [6]byte
+				ops = ops[copy(b[:], ops):]
+				b[0] ^= op
+				rec := fuzzRecord(b, &clock)
+				if g, w := r.Add(rec), m.add(rec); g != w {
+					t.Fatalf("step %d: Add sealed %v, map fold %v", step, g, w)
+				}
+			case op < 0xf0:
+				if g, w := encode(r.Current()), encode(m.current()); g != w {
+					t.Fatalf("step %d: snapshot\n%s\nmap fold\n%s", step, g, w)
+				}
+			default:
+				r.Flush()
+				m.flush()
+			}
+			if len(got) != len(want) {
+				t.Fatalf("step %d: %d windows sealed, map fold %d", step, len(got), len(want))
+			}
+		}
+		r.Flush()
+		m.flush()
+		if len(got) != len(want) || r.Sealed() != len(want) {
+			t.Fatalf("%d windows sealed (Sealed %d), map fold %d", len(got), r.Sealed(), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("window %d:\n%s\nmap fold\n%s", i, got[i], want[i])
+			}
+		}
+	})
+}
