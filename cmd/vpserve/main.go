@@ -40,6 +40,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"os"
 	"os/signal"
@@ -420,6 +421,19 @@ func buildStore(window time.Duration, retain, tiers, persist string) (*telemetry
 	}
 	if n > 0 {
 		slog.Info("reloaded telemetry windows", "windows", n, "path", persist)
+	}
+	// A torn last line is cut off, or the next window would be appended
+	// to it and become a corrupt line in the middle of the archive.
+	if torn := store.Stats().TruncatedTailBytes; torn > 0 {
+		end, err := f.Seek(-torn, io.SeekEnd)
+		if err == nil {
+			err = f.Truncate(end)
+		}
+		if err != nil {
+			f.Close()
+			return nil, nil, nil, fmt.Errorf("-telemetry-persist %s: cutting a torn last line: %w", persist, err)
+		}
+		slog.Warn("truncated a torn telemetry archive line", "bytes", torn, "path", persist)
 	}
 	return store, telemetry.NewJSONLSink(f), func() { f.Close() }, nil
 }

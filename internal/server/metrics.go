@@ -116,6 +116,8 @@ var metricsCatalog = []metricDef{
 		func(st *Stats) []sample { return value(float64(st.Rollup.Store.Compactions)) }},
 	{"videoplat_telemetry_store_loaded_windows", "gauge", "Windows reloaded from persistence at startup.",
 		func(st *Stats) []sample { return value(float64(st.Rollup.Store.LoadedWindows)) }},
+	{"videoplat_telemetry_store_truncated_tail_bytes", "gauge", "Bytes of a torn final archive line dropped at startup.",
+		func(st *Stats) []sample { return value(float64(st.Rollup.Store.TruncatedTailBytes)) }},
 	{"videoplat_model_active_info", "gauge", "Active model bank version (value is always 1).",
 		func(st *Stats) []sample {
 			return []sample{count(fmt.Sprintf("{version=%q}", st.Models.ActiveVersion), 1)}

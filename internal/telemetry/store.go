@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -61,6 +62,7 @@ type Store struct {
 	evictCount uint64
 	evictAge   uint64
 	loaded     int
+	tornTail   int64 // bytes of unterminated final lines Reload dropped
 }
 
 // NewStore returns a Store with cfg's retention and tiers. Tier widths are
@@ -208,9 +210,24 @@ func (s *Store) retain() {
 // store, returning how many were loaded. Call before serving traffic to
 // restore a previous run's history; reloaded windows follow the normal
 // downsampling and retention paths and are written to no sink.
+//
+// Only newline-terminated lines are records. An unterminated final
+// fragment — what a crash or a full disk leaves mid-append — is dropped
+// whether or not it parses, and its length is counted in
+// StoreStats.TruncatedTailBytes; the caller truncating the file to its
+// last complete line before appending is what keeps the archive whole. A
+// terminated line that does not parse is an error.
 func (s *Store) Reload(r io.Reader) (int, error) {
+	var tail int
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16<<20) // windows with many cells exceed the default line cap
+	sc.Split(func(data []byte, atEOF bool) (int, []byte, error) {
+		if atEOF && bytes.IndexByte(data, '\n') < 0 {
+			tail += len(data)
+			return len(data), nil, nil
+		}
+		return bufio.ScanLines(data, false)
+	})
 	n, lineNo := 0, 0
 	for sc.Scan() {
 		lineNo++
@@ -231,6 +248,9 @@ func (s *Store) Reload(r io.Reader) (int, error) {
 	if err := sc.Err(); err != nil {
 		return n, fmt.Errorf("telemetry: store reload: %w", err)
 	}
+	s.mu.Lock()
+	s.tornTail += int64(tail)
+	s.mu.Unlock()
 	return n, nil
 }
 
@@ -265,6 +285,9 @@ type StoreStats struct {
 	Compactions uint64 `json:"compactions"`
 	// LoadedWindows is how many windows Reload restored at startup.
 	LoadedWindows int `json:"loaded_windows,omitempty"`
+	// TruncatedTailBytes is the length of the unterminated final line
+	// Reload dropped: a torn archive tail, not a window.
+	TruncatedTailBytes int64 `json:"truncated_tail_bytes,omitempty"`
 }
 
 // Stats snapshots the store's occupancy and counters.
@@ -272,9 +295,10 @@ func (s *Store) Stats() StoreStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := StoreStats{
-		EvictedCount:  s.evictCount,
-		EvictedAge:    s.evictAge,
-		LoadedWindows: s.loaded,
+		EvictedCount:       s.evictCount,
+		EvictedAge:         s.evictAge,
+		LoadedWindows:      s.loaded,
+		TruncatedTailBytes: s.tornTail,
 	}
 	for _, t := range append([]*tier{s.raw}, s.tiers...) {
 		ts := TierStats{Windows: len(t.ring), OpenBucket: t.open != nil, Compactions: t.compactions}
