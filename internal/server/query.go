@@ -41,8 +41,8 @@ func (s *Server) handleWindows(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// The store applies the limit (keeping the newest windows) so only the
-	// listed tail is deep-copied.
+	// The store applies the limit (keeping the newest windows) and hands
+	// out the sealed windows it retains, shared, not copied.
 	wins, total, err := s.store.Windows(since, until, tierWidth, limit)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)

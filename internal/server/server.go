@@ -639,10 +639,13 @@ type Stats struct {
 		Sealed        int     `json:"sealed_windows"`
 		// SinkError is the first sink write failure; SinkErrors counts
 		// every failure, so later errors are no longer invisible.
-		SinkError  string               `json:"sink_error,omitempty"`
-		SinkErrors uint64               `json:"sink_errors,omitempty"`
-		Current    *telemetry.Window    `json:"current_window,omitempty"`
-		Store      telemetry.StoreStats `json:"store"`
+		SinkError  string `json:"sink_error,omitempty"`
+		SinkErrors uint64 `json:"sink_errors,omitempty"`
+		// Current is the in-progress window. Only /stats fills it in:
+		// building it takes the rollup lock the fold takes, and no
+		// /metrics series reads it, so Snapshot leaves it nil.
+		Current *telemetry.Window    `json:"current_window,omitempty"`
+		Store   telemetry.StoreStats `json:"store"`
 	} `json:"rollup"`
 
 	// Models reports the serving bank's identity and, with a registry
@@ -733,7 +736,6 @@ func (s *Server) Snapshot() Stats {
 		st.Rollup.SinkError = err.Error()
 	}
 	st.Rollup.SinkErrors = s.rollup.SinkErrors()
-	st.Rollup.Current = s.rollup.Current()
 	st.Rollup.Store = s.store.Stats()
 
 	st.Models.ActiveVersion = s.activeVersion()
@@ -769,7 +771,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, s.Snapshot())
+	st := s.Snapshot()
+	st.Rollup.Current = s.rollup.Current()
+	writeJSON(w, st)
 }
 
 // flowSummary is one /flows row.

@@ -198,6 +198,17 @@ func TestWindowsAndQueryEndpoints(t *testing.T) {
 		}
 	}
 
+	// The rollup's open window reaches /stats, but no Snapshot (and so no
+	// /metrics scrape) builds it.
+	var st Stats
+	getJSON(t, base+"/stats", &st)
+	if st.Rollup.Current == nil || st.Rollup.Current.Flows == 0 {
+		t.Errorf("/stats current_window = %+v, want the open window", st.Rollup.Current)
+	}
+	if cur := srv.Snapshot().Rollup.Current; cur != nil {
+		t.Errorf("Snapshot built the current window: %+v", cur)
+	}
+
 	var wins struct {
 		Count   int                 `json:"count"`
 		Listed  int                 `json:"listed"`

@@ -147,9 +147,9 @@ func (h *ConfidenceHist) UnmarshalJSON(data []byte) error {
 // decided (verdict counts), how sure it was (confidence and margin
 // histograms over classification attempts), and the model-lifecycle signals
 // in force while the window was open (drift score, shadow agreement). Every
-// field merges exactly — counts and histogram buckets sum, the drift gauge
-// takes the max — so downsampled tiers and Query re-aggregation report what
-// a single wider window would have.
+// field merges exactly (openWindow.merge): counts and histogram buckets
+// sum, the drift gauge takes the max, so downsampled tiers and Query
+// re-aggregation report what a single wider window would have.
 type QualitySummary struct {
 	// Verdicts counts the window's flows by pipeline.Verdict string.
 	Verdicts map[string]uint64 `json:"verdicts,omitempty"`
@@ -169,36 +169,4 @@ type QualitySummary struct {
 	// across merges like every other counter.
 	ShadowAgreed    uint64 `json:"shadow_agreed,omitempty"`
 	ShadowDisagreed uint64 `json:"shadow_disagreed,omitempty"`
-}
-
-// Merge folds src into q. nil src is a no-op.
-func (q *QualitySummary) Merge(src *QualitySummary) {
-	if src == nil {
-		return
-	}
-	if len(src.Verdicts) > 0 {
-		if q.Verdicts == nil {
-			q.Verdicts = make(map[string]uint64, len(src.Verdicts))
-		}
-		for k, v := range src.Verdicts {
-			q.Verdicts[k] += v
-		}
-	}
-	if src.Confidence != nil {
-		if q.Confidence == nil {
-			q.Confidence = &ConfidenceHist{}
-		}
-		q.Confidence.Merge(src.Confidence)
-	}
-	if src.Margin != nil {
-		if q.Margin == nil {
-			q.Margin = &ConfidenceHist{}
-		}
-		q.Margin.Merge(src.Margin)
-	}
-	if src.DriftScore > q.DriftScore {
-		q.DriftScore = src.DriftScore
-	}
-	q.ShadowAgreed += src.ShadowAgreed
-	q.ShadowDisagreed += src.ShadowDisagreed
 }

@@ -74,29 +74,34 @@ func TestConfidenceHistBuckets(t *testing.T) {
 	}
 }
 
-// TestQualitySummaryMergeClone checks exact verdict counts and bucket totals
-// across Merge — the arithmetic every downsampled tier depends on — and that
-// Merge into an empty summary aliases nothing of its source, which is how
-// Window.Clone copies one.
-func TestQualitySummaryMergeClone(t *testing.T) {
-	a := &QualitySummary{}
-	a.add(qualRec(fingerprint.YouTube, "windows_chrome", w0, 0.9, 0.5))
-	a.add(abstainRec(fingerprint.Netflix, w0, 0.3))
-	a.DriftScore = 0.08
-	a.ShadowAgreed = 4
+// TestQualitySummaryMerge checks exact verdict counts, digest buckets, the
+// drift maximum and the shadow sums across openWindow.merge — the
+// arithmetic every downsampled tier depends on — and that the window it
+// builds aliases nothing of the windows merged into it. The two sources
+// carry a quality summary and no flows, which the built window keeps.
+func TestQualitySummaryMerge(t *testing.T) {
+	a := &Window{Quality: &QualitySummary{}}
+	a.Quality.add(qualRec(fingerprint.YouTube, "windows_chrome", w0, 0.9, 0.5))
+	a.Quality.add(abstainRec(fingerprint.Netflix, w0, 0.3))
+	a.Quality.DriftScore = 0.08
+	a.Quality.ShadowAgreed = 4
 
-	b := &QualitySummary{}
-	b.add(qualRec(fingerprint.YouTube, "iOS_nativeApp", w0, 0.7, 0.2))
+	b := &Window{Quality: &QualitySummary{}}
+	b.Quality.add(qualRec(fingerprint.YouTube, "iOS_nativeApp", w0, 0.7, 0.2))
 	nh := rollRec(fingerprint.Netflix, "", w0, time.Second, 1<<10)
 	nh.Verdict = pipeline.VerdictNoHandshake
-	b.add(nh)
-	b.DriftScore = 0.03
-	b.ShadowAgreed = 1
-	b.ShadowDisagreed = 2
+	b.Quality.add(nh)
+	b.Quality.DriftScore = 0.03
+	b.Quality.ShadowAgreed = 1
+	b.Quality.ShadowDisagreed = 2
 
-	m := &QualitySummary{}
-	m.Merge(a)
-	m.Merge(b)
+	var o openWindow
+	o.merge(a)
+	o.merge(b)
+	m := o.window().Quality
+	if m == nil {
+		t.Fatal("merging two quality summaries built a window without one")
+	}
 	wantVerdicts := map[string]uint64{"classified": 2, "abstained": 1, "no-handshake": 1}
 	for k, want := range wantVerdicts {
 		if m.Verdicts[k] != want {
@@ -125,22 +130,22 @@ func TestQualitySummaryMergeClone(t *testing.T) {
 		t.Errorf("merged shadow = %d/%d, want 5/2", m.ShadowAgreed, m.ShadowDisagreed)
 	}
 
-	// The copy must be deep: mutating the merge result cannot reach a. (a
-	// holds two classification attempts — the classified flow and the
+	// The built window must be deep: mutating it cannot reach a. (a holds
+	// two classification attempts — the classified flow and the
 	// abstention.)
-	if a.Verdicts["classified"] != 1 || a.Confidence.Count != 2 {
-		t.Fatalf("Merge mutated its source: %+v", a)
+	if a.Quality.Verdicts["classified"] != 1 || a.Quality.Confidence.Count != 2 {
+		t.Fatalf("merge mutated its source: %+v", a.Quality)
 	}
 	m.Verdicts["classified"] = 99
 	m.Confidence.Observe(0.5)
-	if a.Verdicts["classified"] != 1 || a.Confidence.Count != 2 {
-		t.Error("Merge into an empty summary aliases its source's maps or histograms")
+	if a.Quality.Verdicts["classified"] != 1 || a.Quality.Confidence.Count != 2 {
+		t.Error("the merged window aliases its source's maps or histograms")
 	}
 }
 
 // TestWindowQualityFold checks the rollup folds verdicts and confidence into
 // the window's quality summary and per-cell abstain counters, and that
-// Current/Clone deep-copy them.
+// Current deep-copies them.
 func TestWindowQualityFold(t *testing.T) {
 	cap := &captureSink{}
 	r := NewRollup(time.Minute, cap)
@@ -184,18 +189,6 @@ func TestWindowQualityFold(t *testing.T) {
 		t.Fatalf("netflix cell should have no classification attempts: %+v", nf)
 	}
 
-	c := w.Clone()
-	c.Quality.Verdicts["classified"] = 99
-	c.Quality.Confidence.Observe(0.1)
-	c.Quality.Margin.Observe(0.1)
-	c.ByProvider[fingerprint.YouTube.String()].Confidence.Observe(0.1)
-	c.ByPlatform["windows_chrome"].Flows = 99
-	c.ModelVersions["unversioned"] = 99
-	if w.Quality.Verdicts["classified"] != 2 || w.Quality.Confidence.Count != 3 ||
-		w.Quality.Margin.Count != 3 || yt.Confidence.Count != 3 ||
-		w.ByPlatform["windows_chrome"].Flows != 2 || w.ModelVersions["unversioned"] != 3 {
-		t.Error("Window.Clone aliases quality state, cells or model versions")
-	}
 }
 
 // TestQueryQualitySeries is the acceptance-criteria path: verdict-count,
@@ -335,9 +328,10 @@ func TestQueryQualitySeries(t *testing.T) {
 // aggregate goroutine. Rollup.Add into an open window covers the whole fold
 // (both cells, the model-version count, the latency summary and the quality
 // summary). The first record after a seal allocates nothing either, since
-// the Rollup reuses its open window's storage; what a seal allocates is the
-// Window it hands the sink, pinned for a window holding every provider,
-// both kinds of cell and a timed classification.
+// the Rollup reuses its open window's storage. What a window costs on the
+// rest of its path — built at the seal, retained by a Store's raw tier and
+// folded into its two downsampling tiers — is pinned per window for one
+// holding every provider, both kinds of cell and a timed classification.
 func TestQualityFoldZeroAlloc(t *testing.T) {
 	rec := qualRec(fingerprint.YouTube, "windows_chrome", w0, 0.9, 0.5)
 	rec.ModelVersion = "v1"
@@ -364,21 +358,29 @@ func TestQualityFoldZeroAlloc(t *testing.T) {
 	window = append(window, nh)
 
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	r = NewRollup(time.Minute, nil)
+	store := NewStore(StoreConfig{Tiers: []time.Duration{10 * time.Minute, time.Hour}})
+	r = NewRollup(time.Minute, store)
 	for _, rec := range window {
 		r.Add(rec)
 	}
-	const sealAllocs = 14 // measured on Go 1.24, amd64
-	for i := 0; i < 20; i++ {
-		if n := mallocs(r.Flush); n > sealAllocs {
-			t.Errorf("sealing a window allocates %d times, want at most %d", n, sealAllocs)
-		}
+	const seals, windowAllocs = 20, 24.0 // measured on Go 1.24, amd64
+	var allocs uint64
+	for i := 0; i < seals; i++ {
+		allocs += mallocs(r.Flush)
 		if n := mallocs(func() { r.Add(window[0]) }); n != 0 {
 			t.Errorf("the first record after a seal allocates %d times, want 0", n)
 		}
 		for _, rec := range window[1:] {
 			r.Add(rec)
 		}
+	}
+	per := float64(allocs) / seals
+	t.Logf("a window sealed into a store with two tiers: %.1f allocations", per)
+	if per > windowAllocs {
+		t.Errorf("sealing a window into a store allocates %.1f times per window, want at most %v", per, windowAllocs)
+	}
+	if st := store.Stats(); st.Tiers[0].Windows != seals || !st.Tiers[1].OpenBucket || !st.Tiers[2].OpenBucket {
+		t.Fatalf("the store did not take every window into every tier: %+v", st)
 	}
 }
 

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"maps"
 	"slices"
-	"sort"
+	"strings"
 	"time"
 
 	"videoplat/internal/obs"
@@ -166,51 +166,25 @@ func (s *Store) Query(since, until time.Time, step time.Duration, groupBy string
 	}
 	res.StepSeconds = step.Seconds()
 	res.TierSeconds = tierWidth.Seconds()
-	// Ring windows are immutable, so a copy of the ring's pointers and of
-	// the open bucket, the one window still folding, is all the merge needs
-	// from under the lock; seals wait for that copy, not for the merge.
-	ring := append(make([]*Window, 0, len(t.ring)+1), t.ring...)
-	if t.open != nil {
-		ring = append(ring, t.open.Clone())
+	// Ring windows are immutable, so a copy of the ring's pointers and a
+	// snapshot of the open bucket, the one window still folding, is all
+	// the merge needs from under the lock; seals wait for that copy, not
+	// for the merge.
+	ring := make([]*Window, 0, len(t.ring)+1)
+	for _, w := range t.ring {
+		if startsIn(w.Start, since, until) {
+			ring = append(ring, w)
+		}
+	}
+	if t.folding && startsIn(t.open.start, since, until) {
+		ring = append(ring, t.open.window())
 	}
 	s.mu.Unlock()
+	res.SourceWindows = len(ring)
 
-	// Merge qualifying windows into step-aligned buckets. Windows are merge
-	// sources only (Merge never mutates src), so no copies are made until
-	// the per-bucket aggregates themselves.
-	type bucket struct {
-		agg     *Window
-		windows int
-	}
-	buckets := map[time.Time]*bucket{}
-	scan := func(w *Window) {
-		if !since.IsZero() && w.Start.Before(since) {
-			return
-		}
-		if !until.IsZero() && !w.Start.Before(until) {
-			return
-		}
-		res.SourceWindows++
-		bs := bucketStart(w.Start, step)
-		b := buckets[bs]
-		if b == nil {
-			b = &bucket{agg: &Window{Start: bs, End: bs.Add(step)}}
-			buckets[bs] = b
-		}
-		b.agg.Merge(w)
-		b.agg.Start, b.agg.End = bs, bs.Add(step)
-		b.windows++
-	}
-	for _, w := range ring {
-		scan(w)
-	}
-
-	starts := make([]time.Time, 0, len(buckets))
-	for bs := range buckets {
-		starts = append(starts, bs)
-	}
-	sort.Slice(starts, func(i, j int) bool { return starts[i].Before(starts[j]) })
-
+	// The ring is in Start order and the open bucket is the newest, so each
+	// step-aligned bucket's windows are contiguous: one accumulator folds a
+	// bucket and emits its points when the next bucket begins.
 	series := map[string]*QuerySeries{}
 	appendPoint := func(key string, p QueryPoint) {
 		sr := series[key]
@@ -220,59 +194,71 @@ func (s *Store) Query(since, until time.Time, step time.Duration, groupBy string
 		}
 		sr.Points = append(sr.Points, p)
 	}
-	for _, bs := range starts {
-		b := buckets[bs]
-		base := QueryPoint{Start: b.agg.Start, End: b.agg.End, Windows: b.windows}
+	type namedRef struct {
+		name string
+		c    *openCell
+	}
+	var acc openWindow
+	var providers []namedRef
+	for i := 0; i < len(ring); {
+		bs := bucketStart(ring[i].Start, step)
+		acc.reset(bs, bs.Add(step))
+		base := QueryPoint{Start: acc.start, End: acc.end}
+		for ; i < len(ring) && bucketStart(ring[i].Start, step).Equal(bs); i++ {
+			acc.merge(ring[i])
+			base.Windows++
+		}
 		switch groupBy {
 		case GroupTotal:
-			// Providers merge in key order: float sums (watch time,
-			// confidence) must not depend on map iteration order.
-			total := &Cell{}
-			for _, key := range slices.Sorted(maps.Keys(b.agg.ByProvider)) {
-				total.Merge(b.agg.ByProvider[key])
+			// Providers merge in name order: float sums (watch time,
+			// confidence) must not depend on the order cells were made.
+			providers = providers[:0]
+			for name, c := range acc.providerCells {
+				providers = append(providers, namedRef{name, c})
+			}
+			slices.SortFunc(providers, func(a, b namedRef) int { return strings.Compare(a.name, b.name) })
+			var total openCell
+			for _, pc := range providers {
+				total.merge(&pc.c.Cell, &pc.c.conf)
 			}
 			p := base
-			p.fromCell(total)
-			p.Flows = b.agg.Flows // includes flows with no provider cell, if any
-			p.ClassifiedFlows = b.agg.ClassifiedFlows
-			p.LateFlows = b.agg.LateFlows
-			p.fromLatency(b.agg.Latency)
-			p.fromQuality(b.agg.Quality)
+			p.fromCell(&total)
+			p.Flows = acc.flows // includes flows with no provider cell, if any
+			p.ClassifiedFlows = acc.classified
+			p.LateFlows = acc.late
+			p.fromLatency(&acc.latency)
+			p.fromQuality(&acc)
 			appendPoint("total", p)
 		case GroupProvider:
-			for key, c := range b.agg.ByProvider {
+			for name, c := range acc.providerCells {
 				p := base
 				p.fromCell(c)
-				appendPoint(key, p)
+				appendPoint(name, p)
 			}
 		case GroupPlatform:
-			for key, c := range b.agg.ByPlatform {
+			for k := range acc.platforms {
+				c := &acc.platforms[k]
 				p := base
-				p.fromCell(c)
-				appendPoint(key, p)
+				p.fromCell(&c.openCell)
+				appendPoint(c.name, p)
 			}
 		case GroupModel:
-			for key, n := range b.agg.ModelVersions {
+			for _, v := range acc.versions {
 				p := base
-				p.Flows = n // attempts attributed to the version; see GroupModel
-				appendPoint(key, p)
+				p.Flows = v.n // attempts attributed to the version; see GroupModel
+				appendPoint(v.version, p)
 			}
 		}
 	}
 
-	keys := make([]string, 0, len(series))
-	for k := range series {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
+	for _, k := range slices.Sorted(maps.Keys(series)) {
 		res.Series = append(res.Series, *series[k])
 	}
 	return res, nil
 }
 
-// fromLatency fills the point's latency digest from a merged window
-// summary; a nil summary leaves the fields zero.
+// fromLatency fills the point's latency digest from a bucket's merged
+// summary; an empty summary leaves the fields zero.
 func (p *QueryPoint) fromLatency(l *obs.Summary) {
 	if l == nil || l.Count == 0 {
 		return
@@ -286,43 +272,37 @@ func (p *QueryPoint) fromLatency(l *obs.Summary) {
 	p.LatencyMeanMs = float64(l.Mean()) / ms
 }
 
-// fromCell copies a merged cell's aggregates into the point.
-func (p *QueryPoint) fromCell(c *Cell) {
+// fromCell copies a bucket cell's aggregates into the point.
+func (p *QueryPoint) fromCell(c *openCell) {
 	p.Flows = c.Flows
 	p.ClassifiedFlows = c.ClassifiedFlows
 	p.WatchSeconds = c.WatchSeconds
 	p.BytesDown = c.BytesDown
 	p.BytesUp = c.BytesUp
-	p.MeanMbpsDown = c.MeanMbpsDown
+	p.MeanMbpsDown = c.meanMbpsDown()
 	p.PeakMbpsDown = c.PeakMbpsDown
 	p.AbstainedFlows = c.AbstainedFlows
 	if att := c.ClassifiedFlows + c.AbstainedFlows; att > 0 {
 		p.AbstainRate = float64(c.AbstainedFlows) / float64(att)
 	}
-	if c.Confidence != nil && c.Confidence.Count > 0 {
-		p.ConfidenceCount = c.Confidence.Count
-		p.ConfidenceP10 = c.Confidence.Quantile(0.10)
-		p.ConfidenceP50 = c.Confidence.Quantile(0.50)
-		p.ConfidenceMean = c.Confidence.Mean()
+	if c.conf.Count > 0 {
+		p.ConfidenceCount = c.conf.Count
+		p.ConfidenceP10 = c.conf.Quantile(0.10)
+		p.ConfidenceP50 = c.conf.Quantile(0.50)
+		p.ConfidenceMean = c.conf.Mean()
 	}
 }
 
-// fromQuality surfaces a merged window-level quality summary into the point
+// fromQuality surfaces a bucket's window-level quality into the point
 // (verdict counts, drift gauge, shadow counters). The per-cell confidence
-// fields are filled by fromCell; a nil summary leaves everything zero.
-func (p *QueryPoint) fromQuality(q *QualitySummary) {
-	if q == nil {
-		return
+// fields are filled by fromCell.
+func (p *QueryPoint) fromQuality(o *openWindow) {
+	if v := o.verdictCounts(); len(v) > 0 {
+		p.Verdicts = v
 	}
-	if len(q.Verdicts) > 0 {
-		p.Verdicts = make(map[string]uint64, len(q.Verdicts))
-		for k, v := range q.Verdicts {
-			p.Verdicts[k] = v
-		}
-	}
-	p.DriftScore = q.DriftScore
-	p.ShadowAgreed = q.ShadowAgreed
-	p.ShadowDisagreed = q.ShadowDisagreed
+	p.DriftScore = o.drift
+	p.ShadowAgreed = o.shadowAgreed
+	p.ShadowDisagreed = o.shadowDisagreed
 }
 
 // pickTier selects the tier serving a query: the finest with resolution at
@@ -365,8 +345,8 @@ func tierOldest(t *tier) (time.Time, bool) {
 	if len(t.ring) > 0 {
 		return t.ring[0].Start, true
 	}
-	if t.open != nil {
-		return t.open.Start, true
+	if t.folding {
+		return t.open.start, true
 	}
 	return time.Time{}, false
 }
@@ -374,14 +354,15 @@ func tierOldest(t *tier) (time.Time, bool) {
 // Windows lists retained sealed windows with Start in [since, until) (zero
 // bounds are unbounded) from the tier whose bucket width matches tierWidth
 // (0 = the raw tier; a downsampled tier's in-progress bucket is included
-// last). It returns deep copies in ascending Start order — at most limit
-// of them, keeping the newest (limit <= 0 = all) — plus the total number
-// of windows matching the range, so a truncated listing still reports how
-// much history qualifies. Only the returned windows are cloned, after the
-// store's lock is released: ring windows are immutable, and the open
-// bucket is copied under the lock first.
+// last). It returns the retained windows themselves, which are sealed and
+// must not be modified, in ascending Start order — at most limit of them,
+// keeping the newest (limit <= 0 = all) — plus the total number of windows
+// matching the range, so a truncated listing still reports how much
+// history qualifies. Only the open bucket is built, under the store's
+// lock, and only when the range includes it.
 func (s *Store) Windows(since, until time.Time, tierWidth time.Duration, limit int) ([]*Window, int, error) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	t := s.raw
 	if tierWidth > 0 && tierWidth != s.rawWidth {
 		t = nil
@@ -392,37 +373,29 @@ func (s *Store) Windows(since, until time.Time, tierWidth time.Duration, limit i
 			}
 		}
 		if t == nil {
-			err := fmt.Errorf("telemetry: no %v tier (configured: %v)", tierWidth, s.tierWidths())
-			s.mu.Unlock()
-			return nil, 0, err
+			return nil, 0, fmt.Errorf("telemetry: no %v tier (configured: %v)", tierWidth, s.tierWidths())
 		}
-	}
-	include := func(w *Window) bool {
-		if !since.IsZero() && w.Start.Before(since) {
-			return false
-		}
-		return until.IsZero() || w.Start.Before(until)
 	}
 	matching := make([]*Window, 0, len(t.ring)+1)
 	for _, w := range t.ring {
-		if include(w) {
+		if startsIn(w.Start, since, until) {
 			matching = append(matching, w)
 		}
 	}
-	if t.open != nil && include(t.open) {
-		matching = append(matching, t.open.Clone()) // still folding: copied under mu
+	if t.folding && startsIn(t.open.start, since, until) {
+		matching = append(matching, t.open.window())
 	}
-	s.mu.Unlock()
-
 	total := len(matching)
 	if limit > 0 && len(matching) > limit {
 		matching = matching[len(matching)-limit:]
 	}
-	out := make([]*Window, len(matching))
-	for i, w := range matching {
-		out[i] = w.Clone()
-	}
-	return out, total, nil
+	return matching, total, nil
+}
+
+// startsIn reports whether a window starting at start falls in [since,
+// until), a zero bound being unbounded.
+func startsIn(start, since, until time.Time) bool {
+	return (since.IsZero() || !start.Before(since)) && (until.IsZero() || start.Before(until))
 }
 
 // tierWidths lists the configured downsampling widths. Callers hold mu.

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
+	"slices"
 	"sync"
 	"time"
 
@@ -36,37 +38,14 @@ type Cell struct {
 	Confidence *ConfidenceHist `json:"confidence,omitempty"`
 }
 
-func (c *Cell) seal() {
-	if c.WatchSeconds > 0 {
-		c.MeanMbpsDown = float64(c.BytesDown) * 8 / 1e6 / c.WatchSeconds
-	}
-}
-
-// Merge folds src into c. Additive fields sum, PeakMbpsDown takes the max,
-// and MeanMbpsDown is recomputed from the merged totals — the watch-time-
-// weighted mean, not an average of the two means.
-func (c *Cell) Merge(src *Cell) {
-	c.Flows += src.Flows
-	c.ClassifiedFlows += src.ClassifiedFlows
-	c.AbstainedFlows += src.AbstainedFlows
-	if src.Confidence != nil {
-		if c.Confidence == nil {
-			c.Confidence = &ConfidenceHist{}
-		}
-		c.Confidence.Merge(src.Confidence)
-	}
-	c.WatchSeconds += src.WatchSeconds
-	c.BytesDown += src.BytesDown
-	c.BytesUp += src.BytesUp
-	if src.PeakMbpsDown > c.PeakMbpsDown {
-		c.PeakMbpsDown = src.PeakMbpsDown
-	}
-	c.seal()
-}
-
 // Window is one sealed tumbling window of flow aggregates: the unit the
 // rollup engine retires to its sink. Flows are assigned to windows by their
 // LastSeen timestamp (the moment the flow finalized).
+//
+// A sealed Window is immutable. The Rollup builds it once, its sinks and
+// the Store's tiers retain the pointer, and every reader shares it, so
+// nothing may modify a window after it is built (the Rollup's enrich hook,
+// which runs before any sink sees the window, aside).
 type Window struct {
 	Start time.Time `json:"start"`
 	End   time.Time `json:"end"`
@@ -103,104 +82,19 @@ type Window struct {
 	Quality *QualitySummary `json:"quality,omitempty"`
 }
 
-func (w *Window) seal() {
-	if w.Flows > 0 {
-		w.ClassificationRate = float64(w.ClassifiedFlows) / float64(w.Flows)
-	}
-	for _, c := range w.ByProvider {
-		c.seal()
-	}
-	for _, c := range w.ByPlatform {
-		c.seal()
-	}
-}
-
-// Clone returns a deep copy of w that shares no state with the original:
-// Merge into an empty window aliases nothing of its source and recomputes
-// the derived fields to the values they already hold, so it is the one
-// place that knows how a window is copied.
-func (w *Window) Clone() *Window {
-	c := &Window{}
-	c.Merge(w)
-	return c
-}
-
-// Merge folds src into w: the time range extends to cover both windows,
-// counters sum, per-key cells merge (watch-time-weighted means, max peaks),
-// ModelVersions counts add, and ClassificationRate is recomputed from the
-// merged totals. Merging sealed windows this way keeps every derived field
-// consistent with what a single wider rollup window over the same flows
-// would have produced — the invariant the store's downsampling tiers and
-// Query re-aggregation both rely on. src is not modified.
-func (w *Window) Merge(src *Window) {
-	if w.Start.IsZero() || src.Start.Before(w.Start) {
-		w.Start = src.Start
-	}
-	if src.End.After(w.End) {
-		w.End = src.End
-	}
-	w.Flows += src.Flows
-	w.ClassifiedFlows += src.ClassifiedFlows
-	w.LateFlows += src.LateFlows
-	if w.Flows > 0 {
-		w.ClassificationRate = float64(w.ClassifiedFlows) / float64(w.Flows)
-	}
-	w.ByProvider = mergeCells(w.ByProvider, src.ByProvider)
-	w.ByPlatform = mergeCells(w.ByPlatform, src.ByPlatform)
-	if len(src.ModelVersions) > 0 {
-		if w.ModelVersions == nil {
-			w.ModelVersions = make(map[string]int, len(src.ModelVersions))
-		}
-		for k, v := range src.ModelVersions {
-			w.ModelVersions[k] += v
-		}
-	}
-	if src.Latency != nil {
-		if w.Latency == nil {
-			w.Latency = &obs.Summary{}
-		}
-		w.Latency.Merge(src.Latency)
-	}
-	if src.Quality != nil {
-		if w.Quality == nil {
-			w.Quality = &QualitySummary{}
-		}
-		w.Quality.Merge(src.Quality)
-	}
-}
-
-// mergeCells folds src's cells into dst by key, allocating dst (and copies
-// of src's cells) as needed; src cells are never aliased.
-func mergeCells(dst, src map[string]*Cell) map[string]*Cell {
-	if len(src) == 0 {
-		return dst
-	}
-	if dst == nil {
-		dst = make(map[string]*Cell, len(src))
-	}
-	for k, c := range src {
-		d := dst[k]
-		if d == nil {
-			d = &Cell{}
-			dst[k] = d
-		}
-		d.Merge(c)
-	}
-	return dst
-}
-
 // Sink receives sealed windows. WriteWindow may be called from the
 // goroutine driving Rollup.Add; implementations that share state with other
-// goroutines must synchronize internally.
+// goroutines must synchronize internally. A sink must not modify the
+// window: it is sealed, and shared with every other sink and reader.
 type Sink interface {
 	WriteWindow(w *Window) error
 }
 
 // MultiSink fans each sealed window out to every sink in order, e.g. a
 // queryable Store plus a JSONL archive. All sinks are offered every window
-// even when an earlier one fails; the errors are joined. The window pointer
-// is shared across sinks, so sinks that retain windows (the Store) must
-// copy rather than mutate.
+// even when an earlier one fails; the errors are joined. Every sink gets
+// the same sealed window, which the Store retains as it is, so no sink may
+// modify it.
 func MultiSink(sinks ...Sink) Sink { return multiSink(sinks) }
 
 type multiSink []Sink
@@ -281,9 +175,10 @@ func NewRollup(width time.Duration, sink Sink) *Rollup {
 func (r *Rollup) Width() time.Duration { return r.width }
 
 // SetEnrich installs a hook invoked with each window at seal time, just
-// before the window is finalized and offered to the sink — the seam where
-// the server stamps window-scoped gauges that no flow record carries (drift
-// score, shadow agreement deltas). The hook runs with the rollup lock held:
+// before the window is offered to the sink — the one moment a sealed window
+// may be modified, and the seam where the server stamps window-scoped
+// gauges that no flow record carries (drift score, shadow agreement
+// deltas). The hook runs with the rollup lock held:
 // it must not call back into the Rollup (deadlock) and should be cheap.
 // Call before the first Add; not synchronized against concurrent Adds.
 func (r *Rollup) SetEnrich(fn func(*Window)) {
@@ -355,9 +250,7 @@ func (r *Rollup) Current() *Window {
 	if !r.active {
 		return nil
 	}
-	snap := r.cur.window()
-	snap.seal()
-	return snap
+	return r.cur.window()
 }
 
 func (r *Rollup) open(ts time.Time) {
@@ -366,14 +259,14 @@ func (r *Rollup) open(ts time.Time) {
 	r.active = true
 }
 
-// seal builds the current window, finalizes it and hands it to the sink;
-// callers must hold mu and open or deactivate cur afterwards.
+// seal builds the current window, stamps it with the enrich hook and hands
+// it to the sink; callers must hold mu and open or deactivate cur
+// afterwards.
 func (r *Rollup) seal() {
 	w := r.cur.window()
 	if r.enrich != nil {
 		r.enrich(w)
 	}
-	w.seal()
 	r.sealed++
 	if r.sink != nil {
 		if err := r.sink.WriteWindow(w); err != nil {
@@ -385,28 +278,40 @@ func (r *Rollup) seal() {
 	}
 }
 
-// openWindow is a Window being folded, in the shape the per-record fold
-// wants: provider cells indexed by Provider, platform cells and model
-// versions in short slices searched linearly (the pipeline interns platform
-// labels, so a match is usually a pointer compare), and verdicts counted by
-// value. The Rollup resets one for each window and keeps its storage, so a
-// warm fold allocates nothing; window builds the map-shaped Window that
-// sinks and /stats see, byte for byte what folding into the maps directly
-// would give.
+// openWindow is a Window being folded, in the shape a fold wants: provider
+// cells indexed by Provider, platform cells and model versions in short
+// slices searched linearly (the pipeline interns platform labels, so a
+// match is usually a pointer compare), and verdicts counted by value. It is
+// the package's one aggregator: the Rollup folds records into it (add), and
+// the Store's tiers and Query fold sealed windows into it (merge). Each
+// owner resets one per window and keeps its storage, so a warm fold
+// allocates nothing, and window builds the sealed Window, byte for byte
+// what folding into the Window's maps directly would give.
 type openWindow struct {
 	start, end              time.Time
 	flows, classified, late int
 
 	providers [fingerprint.NumProviders + 1]openCell // the last is "unmatched"
-	// oddProviders holds Provider values past NumProviders, by name. The
-	// pipeline never sets one; a hand-built record might.
+	// oddProviders holds providers outside the enum, by name: a Provider
+	// value past NumProviders, which the pipeline never sets but a
+	// hand-built record might, or a name from another build's archive.
 	oddProviders []namedCell
 	platforms    []namedCell
 	versions     []versionCount
 
-	verdicts     [pipeline.NumVerdicts]uint64
+	verdicts [pipeline.NumVerdicts]uint64
+	// oddVerdicts counts verdict names outside pipeline.VerdictNames(),
+	// which only a merged window from another build's archive carries.
+	oddVerdicts  map[string]uint64
 	latency      obs.Summary
 	conf, margin ConfidenceHist
+
+	// What only merged windows carry: the window-scoped gauges the
+	// Rollup's enrich hook stamps on a built window, and whether a quality
+	// summary was present at all.
+	drift                         float64
+	shadowAgreed, shadowDisagreed uint64
+	quality                       bool
 }
 
 // openCell is a Cell being folded. Its Confidence stays nil: the digest
@@ -421,8 +326,8 @@ type namedCell struct {
 	openCell
 }
 
-// versionCount counts classifier runs by ModelVersion ("" until window
-// names it "unversioned").
+// versionCount counts classifier runs by model version, "unversioned" for
+// a bank with none.
 type versionCount struct {
 	version string
 	n       int
@@ -432,16 +337,31 @@ type versionCount struct {
 // identify a provider.
 const unmatched = fingerprint.NumProviders
 
+// providerNames names the provider cells by index.
+var providerNames = func() (names [fingerprint.NumProviders + 1]string) {
+	for i := range fingerprint.NumProviders {
+		names[i] = fingerprint.Provider(i).String()
+	}
+	names[unmatched] = "unmatched"
+	return names
+}()
+
+// verdictNames names the verdict counts by index.
+var verdictNames = pipeline.VerdictNames()
+
 func (o *openWindow) reset(start, end time.Time) {
-	o.start, o.end = start, end
-	o.flows, o.classified, o.late = 0, 0, 0
-	o.providers = [fingerprint.NumProviders + 1]openCell{}
-	o.oddProviders = o.oddProviders[:0]
-	o.platforms = o.platforms[:0]
-	o.versions = o.versions[:0]
-	o.verdicts = [pipeline.NumVerdicts]uint64{}
-	o.latency.Reset()
-	o.conf, o.margin = ConfidenceHist{}, ConfidenceHist{}
+	latency := o.latency
+	latency.Reset()
+	clear(o.oddVerdicts)
+	*o = openWindow{
+		start:        start,
+		end:          end,
+		oddProviders: o.oddProviders[:0],
+		platforms:    o.platforms[:0],
+		versions:     o.versions[:0],
+		oddVerdicts:  o.oddVerdicts,
+		latency:      latency,
+	}
 }
 
 // add folds one finalized flow into the window. Its duration, watch
@@ -481,7 +401,7 @@ func (o *openWindow) add(rec *pipeline.FlowRecord, late bool) {
 	findCell(&o.platforms, platform).add(rec, ran, secs, mbps)
 
 	if ran {
-		o.countVersion(rec.ModelVersion)
+		o.countVersion(rec.ModelVersion, 1)
 		o.conf.Observe(rec.Prediction.PlatformConf)
 		o.margin.Observe(rec.Prediction.PlatformMargin)
 	}
@@ -493,6 +413,85 @@ func (o *openWindow) add(rec *pipeline.FlowRecord, late bool) {
 		v = pipeline.VerdictPending // as Verdict.String names it
 	}
 	o.verdicts[v]++
+}
+
+// merge folds a sealed window into o, as if o had folded the window's
+// flows itself: counters sum, cells merge by name, the digests merge, the
+// drift gauge takes the max and the shadow counters sum. Start, End and
+// the derived fields are o's own. A provider or verdict name this build
+// does not know is kept by name: a reloaded archive is outside input, so
+// nothing in it is dropped or renamed. w is not modified.
+func (o *openWindow) merge(w *Window) {
+	o.flows += w.Flows
+	o.classified += w.ClassifiedFlows
+	o.late += w.LateFlows
+	for name, c := range w.ByProvider {
+		o.provider(name).merge(c, c.Confidence)
+	}
+	for name, c := range w.ByPlatform {
+		findCell(&o.platforms, name).merge(c, c.Confidence)
+	}
+	for version, n := range w.ModelVersions {
+		o.countVersion(version, n)
+	}
+	o.latency.Merge(w.Latency)
+	q := w.Quality
+	if q == nil {
+		return
+	}
+	o.quality = true
+	for name, n := range q.Verdicts {
+		if v := slices.Index(verdictNames[:], name); v >= 0 {
+			o.verdicts[v] += n
+			continue
+		}
+		if o.oddVerdicts == nil {
+			o.oddVerdicts = map[string]uint64{}
+		}
+		o.oddVerdicts[name] += n
+	}
+	o.conf.Merge(q.Confidence)
+	o.margin.Merge(q.Margin)
+	o.drift = max(o.drift, q.DriftScore)
+	o.shadowAgreed += q.ShadowAgreed
+	o.shadowDisagreed += q.ShadowDisagreed
+}
+
+// providerCells yields the provider cells o holds, by name. An enum
+// provider's cell is held when a record or a merged window put anything in
+// it.
+func (o *openWindow) providerCells(yield func(string, *openCell) bool) {
+	for i := range o.providers {
+		if c := &o.providers[i]; *c != (openCell{}) && !yield(providerNames[i], c) {
+			return
+		}
+	}
+	for i := range o.oddProviders {
+		if c := &o.oddProviders[i]; !yield(c.name, &c.openCell) {
+			return
+		}
+	}
+}
+
+// verdictCounts names o's verdict counts, those outside VerdictNames()
+// included.
+func (o *openWindow) verdictCounts() map[string]uint64 {
+	counts := map[string]uint64{}
+	for v, n := range o.verdicts {
+		if n > 0 {
+			counts[verdictNames[v]] = n
+		}
+	}
+	maps.Copy(counts, o.oddVerdicts)
+	return counts
+}
+
+// provider returns the cell of the provider named name.
+func (o *openWindow) provider(name string) *openCell {
+	if i := slices.Index(providerNames[:], name); i >= 0 {
+		return &o.providers[i]
+	}
+	return findCell(&o.oddProviders, name)
 }
 
 func (c *openCell) add(rec *pipeline.FlowRecord, ran bool, secs, mbps float64) {
@@ -513,6 +512,51 @@ func (c *openCell) add(rec *pipeline.FlowRecord, ran bool, secs, mbps float64) {
 	}
 }
 
+// merge folds a cell and its confidence digest into c: PeakMbpsDown takes
+// the max, the rest sums.
+func (c *openCell) merge(src *Cell, conf *ConfidenceHist) {
+	c.Flows += src.Flows
+	c.ClassifiedFlows += src.ClassifiedFlows
+	c.AbstainedFlows += src.AbstainedFlows
+	c.conf.Merge(conf)
+	c.WatchSeconds += src.WatchSeconds
+	c.BytesDown += src.BytesDown
+	c.BytesUp += src.BytesUp
+	if src.PeakMbpsDown > c.PeakMbpsDown {
+		c.PeakMbpsDown = src.PeakMbpsDown
+	}
+}
+
+// cell returns c sealed: its mean bandwidth derived and its digest in an
+// allocation of its own.
+func (c *openCell) cell() Cell {
+	out := c.Cell
+	out.MeanMbpsDown = c.meanMbpsDown()
+	out.Confidence = digest(&c.conf)
+	return out
+}
+
+// meanMbpsDown is the cell's mean downstream bandwidth over its watch
+// time, from the totals: the watch-time-weighted mean, not an average of
+// means.
+func (c *openCell) meanMbpsDown() float64 {
+	if c.WatchSeconds <= 0 {
+		return 0
+	}
+	return float64(c.BytesDown) * 8 / 1e6 / c.WatchSeconds
+}
+
+// digest copies h into an allocation of its own, or returns nil for an
+// empty digest. One allocation each keeps a retained window's digests in
+// their exact size class; one slice of them would round up to the next.
+func digest(h *ConfidenceHist) *ConfidenceHist {
+	if h.Count == 0 {
+		return nil
+	}
+	d := *h
+	return &d
+}
+
 // findCell returns the cell named name, appending an empty one if there is
 // none.
 func findCell(cells *[]namedCell, name string) *openCell {
@@ -525,99 +569,70 @@ func findCell(cells *[]namedCell, name string) *openCell {
 	return &(*cells)[len(*cells)-1].openCell
 }
 
-func (o *openWindow) countVersion(version string) {
+func (o *openWindow) countVersion(version string, n int) {
+	if version == "" {
+		version = "unversioned"
+	}
 	for i := range o.versions {
 		if o.versions[i].version == version {
-			o.versions[i].n++
+			o.versions[i].n += n
 			return
 		}
 	}
-	o.versions = append(o.versions, versionCount{version: version, n: 1})
+	o.versions = append(o.versions, versionCount{version: version, n: n})
 }
 
-// window builds the map-shaped Window from o, sharing no state with it.
-// The derived fields (rates, means) are left for Window.seal. A cell,
-// summary or map is present exactly when a record put something in it: a
-// cell's Confidence when the classifier ran on one of its flows,
-// ModelVersions and the quality digests likewise, Latency when a timed
-// classification landed, and Quality when the window holds a flow. The
-// window's cells and confidence digests are each one allocation.
+// window builds the sealed Window from o, sharing no mutable state with
+// it, derived fields (rates, means) included. A cell, summary or map is
+// present exactly when a record or a merged window put something in it:
+// the provider cells providerCells yields, a cell's Confidence when the
+// classifier ran on one of its flows, ModelVersions and the quality digests
+// likewise, Latency when a timed classification landed, and Quality when
+// the window holds a flow or a merged window carried one. The window's
+// cells are one allocation.
 func (o *openWindow) window() *Window {
 	w := &Window{Start: o.start, End: o.end, Flows: o.flows, ClassifiedFlows: o.classified, LateFlows: o.late}
-	nprov := 0
-	for i := range o.providers {
-		if o.providers[i].Flows > 0 {
-			nprov++
-		}
+	if o.flows > 0 {
+		w.ClassificationRate = float64(o.classified) / float64(o.flows)
 	}
-	ncells := nprov + len(o.oddProviders) + len(o.platforms)
-	b := windowSlab{
-		cells: make([]Cell, 0, ncells),
-		hists: make([]ConfidenceHist, 0, ncells+2), // a digest per cell at most, plus the quality confidence and margin
+	nprov := 0
+	for range o.providerCells {
+		nprov++
+	}
+	cells := make([]Cell, 0, nprov+len(o.platforms)) // sized so that appending never moves them
+	cell := func(c *openCell) *Cell {
+		cells = append(cells, c.cell())
+		return &cells[len(cells)-1]
 	}
 
-	w.ByProvider = make(map[string]*Cell, nprov+len(o.oddProviders))
-	for i := range o.providers {
-		if c := &o.providers[i]; c.Flows > 0 {
-			name := "unmatched"
-			if i != unmatched {
-				name = fingerprint.Provider(i).String()
-			}
-			w.ByProvider[name] = b.cell(c)
-		}
-	}
-	for i := range o.oddProviders {
-		w.ByProvider[o.oddProviders[i].name] = b.cell(&o.oddProviders[i].openCell)
+	w.ByProvider = make(map[string]*Cell, nprov)
+	for name, c := range o.providerCells {
+		w.ByProvider[name] = cell(c)
 	}
 	w.ByPlatform = make(map[string]*Cell, len(o.platforms))
 	for i := range o.platforms {
-		w.ByPlatform[o.platforms[i].name] = b.cell(&o.platforms[i].openCell)
+		w.ByPlatform[o.platforms[i].name] = cell(&o.platforms[i].openCell)
 	}
 
 	if len(o.versions) > 0 {
 		w.ModelVersions = make(map[string]int, len(o.versions))
 		for _, v := range o.versions {
-			name := v.version
-			if name == "" {
-				name = "unversioned"
-			}
-			w.ModelVersions[name] += v.n
+			w.ModelVersions[v.version] = v.n
 		}
 	}
 	if o.latency.Count > 0 {
 		w.Latency = &obs.Summary{}
 		w.Latency.Merge(&o.latency)
 	}
-	if o.flows > 0 {
-		w.Quality = &QualitySummary{Verdicts: map[string]uint64{}, Confidence: b.hist(&o.conf), Margin: b.hist(&o.margin)}
-		for v, n := range o.verdicts {
-			if n > 0 {
-				w.Quality.Verdicts[pipeline.Verdict(v).String()] = n
-			}
+	if o.flows > 0 || o.quality {
+		w.Quality = &QualitySummary{
+			Verdicts:        o.verdictCounts(),
+			Confidence:      digest(&o.conf),
+			Margin:          digest(&o.margin),
+			DriftScore:      o.drift,
+			ShadowAgreed:    o.shadowAgreed,
+			ShadowDisagreed: o.shadowDisagreed,
 		}
 	}
 	return w
-}
-
-// windowSlab hands out a window's cells and confidence digests from one
-// slice each, sized up front so that appending never moves them.
-type windowSlab struct {
-	cells []Cell
-	hists []ConfidenceHist
-}
-
-func (b *windowSlab) cell(c *openCell) *Cell {
-	b.cells = append(b.cells, c.Cell)
-	out := &b.cells[len(b.cells)-1]
-	out.Confidence = b.hist(&c.conf)
-	return out
-}
-
-// hist copies h, or returns nil for an empty digest.
-func (b *windowSlab) hist(h *ConfidenceHist) *ConfidenceHist {
-	if h.Count == 0 {
-		return nil
-	}
-	b.hists = append(b.hists, *h)
-	return &b.hists[len(b.hists)-1]
 }

@@ -15,7 +15,9 @@ import (
 // The map fold below is how a Rollup folded records before its open window
 // became dense: every record updates the Window's string-keyed maps
 // directly. It is kept as the oracle FuzzRollupMatchesMapFold checks the
-// Rollup against.
+// Rollup against. The map merge after it is how the Store's tiers and
+// Query merged sealed windows before they folded them into an openWindow
+// too; it is the oracle of FuzzStoreMatchesMapMerge.
 
 // add folds one finalized flow into the cell.
 func (c *Cell) add(rec *pipeline.FlowRecord) {
@@ -108,6 +110,152 @@ func (w *Window) add(rec *pipeline.FlowRecord) {
 		w.Quality = &QualitySummary{}
 	}
 	w.Quality.add(rec)
+}
+
+// seal derives MeanMbpsDown from the totals alone. (The map merge once
+// kept the previous mean when a merge left the watch time at or below
+// zero, which only records with negative durations can do; the mean of a
+// single wider window over the same flows is 0 there, as openCell.cell
+// gives.)
+func (c *Cell) seal() {
+	c.MeanMbpsDown = 0
+	if c.WatchSeconds > 0 {
+		c.MeanMbpsDown = float64(c.BytesDown) * 8 / 1e6 / c.WatchSeconds
+	}
+}
+
+// Merge folds src into c. Additive fields sum, PeakMbpsDown takes the max,
+// and MeanMbpsDown is recomputed from the merged totals — the watch-time-
+// weighted mean, not an average of the two means.
+func (c *Cell) Merge(src *Cell) {
+	c.Flows += src.Flows
+	c.ClassifiedFlows += src.ClassifiedFlows
+	c.AbstainedFlows += src.AbstainedFlows
+	if src.Confidence != nil {
+		if c.Confidence == nil {
+			c.Confidence = &ConfidenceHist{}
+		}
+		c.Confidence.Merge(src.Confidence)
+	}
+	c.WatchSeconds += src.WatchSeconds
+	c.BytesDown += src.BytesDown
+	c.BytesUp += src.BytesUp
+	if src.PeakMbpsDown > c.PeakMbpsDown {
+		c.PeakMbpsDown = src.PeakMbpsDown
+	}
+	c.seal()
+}
+
+func (w *Window) seal() {
+	if w.Flows > 0 {
+		w.ClassificationRate = float64(w.ClassifiedFlows) / float64(w.Flows)
+	}
+	for _, c := range w.ByProvider {
+		c.seal()
+	}
+	for _, c := range w.ByPlatform {
+		c.seal()
+	}
+}
+
+// Clone returns a deep copy of w that shares no state with the original.
+func (w *Window) Clone() *Window {
+	c := &Window{}
+	c.Merge(w)
+	return c
+}
+
+// Merge folds src into w: the time range extends to cover both windows,
+// counters sum, per-key cells merge (watch-time-weighted means, max peaks),
+// ModelVersions counts add, and ClassificationRate is recomputed from the
+// merged totals. src is not modified.
+func (w *Window) Merge(src *Window) {
+	if w.Start.IsZero() || src.Start.Before(w.Start) {
+		w.Start = src.Start
+	}
+	if src.End.After(w.End) {
+		w.End = src.End
+	}
+	w.Flows += src.Flows
+	w.ClassifiedFlows += src.ClassifiedFlows
+	w.LateFlows += src.LateFlows
+	if w.Flows > 0 {
+		w.ClassificationRate = float64(w.ClassifiedFlows) / float64(w.Flows)
+	}
+	w.ByProvider = mergeCells(w.ByProvider, src.ByProvider)
+	w.ByPlatform = mergeCells(w.ByPlatform, src.ByPlatform)
+	if len(src.ModelVersions) > 0 {
+		if w.ModelVersions == nil {
+			w.ModelVersions = make(map[string]int, len(src.ModelVersions))
+		}
+		for k, v := range src.ModelVersions {
+			w.ModelVersions[k] += v
+		}
+	}
+	if src.Latency != nil {
+		if w.Latency == nil {
+			w.Latency = &obs.Summary{}
+		}
+		w.Latency.Merge(src.Latency)
+	}
+	if src.Quality != nil {
+		if w.Quality == nil {
+			w.Quality = &QualitySummary{}
+		}
+		w.Quality.Merge(src.Quality)
+	}
+}
+
+// mergeCells folds src's cells into dst by key, allocating dst (and copies
+// of src's cells) as needed; src cells are never aliased.
+func mergeCells(dst, src map[string]*Cell) map[string]*Cell {
+	if len(src) == 0 {
+		return dst
+	}
+	if dst == nil {
+		dst = make(map[string]*Cell, len(src))
+	}
+	for k, c := range src {
+		d := dst[k]
+		if d == nil {
+			d = &Cell{}
+			dst[k] = d
+		}
+		d.Merge(c)
+	}
+	return dst
+}
+
+// Merge folds src into q. nil src is a no-op.
+func (q *QualitySummary) Merge(src *QualitySummary) {
+	if src == nil {
+		return
+	}
+	if len(src.Verdicts) > 0 {
+		if q.Verdicts == nil {
+			q.Verdicts = make(map[string]uint64, len(src.Verdicts))
+		}
+		for k, v := range src.Verdicts {
+			q.Verdicts[k] += v
+		}
+	}
+	if src.Confidence != nil {
+		if q.Confidence == nil {
+			q.Confidence = &ConfidenceHist{}
+		}
+		q.Confidence.Merge(src.Confidence)
+	}
+	if src.Margin != nil {
+		if q.Margin == nil {
+			q.Margin = &ConfidenceHist{}
+		}
+		q.Margin.Merge(src.Margin)
+	}
+	if src.DriftScore > q.DriftScore {
+		q.DriftScore = src.DriftScore
+	}
+	q.ShadowAgreed += src.ShadowAgreed
+	q.ShadowDisagreed += src.ShadowDisagreed
 }
 
 // mapRollup is Rollup's windowing over the map fold: one open *Window

@@ -29,13 +29,15 @@ type StoreConfig struct {
 }
 
 // tier is one retention ring: sealed windows in ascending Start order plus,
-// for downsampled tiers, the in-progress bucket.
+// for downsampled tiers, the in-progress bucket, folded in an openWindow
+// the tier reuses from bucket to bucket.
 type tier struct {
 	width       time.Duration // 0 for the raw tier
 	ring        []*Window
-	open        *Window // current partial bucket (downsampled tiers only)
-	compactions uint64  // buckets sealed into ring
-	evictions   uint64  // windows dropped by retention: history is incomplete
+	open        openWindow // current partial bucket, while folding
+	folding     bool       // downsampled tiers only, once a window arrived
+	compactions uint64     // buckets sealed into ring
+	evictions   uint64     // windows dropped by retention: history is incomplete
 }
 
 // Store retains sealed rollup windows for live querying: a bounded
@@ -45,12 +47,12 @@ type tier struct {
 // JSONL archive — which Reload replays into a fresh store, so history
 // survives restarts.
 //
-// Every accepted window is deep-copied and folded into each downsampling
-// tier's current bucket; Query and Windows serve re-aggregated copies, so
-// callers can never observe or corrupt shared state. Windows in a ring are
-// immutable once inserted, so readers copy the ring's pointers under mu and
-// do their merging and copying after releasing it. Store is safe for
-// concurrent use.
+// The raw tier retains each accepted window as it is, and every
+// downsampling tier folds it into its current bucket. Windows in a ring
+// are sealed and never modified (a late window's bucket is rebuilt and
+// replaced), so Windows hands out the retained windows themselves, and
+// readers copy the ring's pointers under mu and merge after releasing it.
+// Store is safe for concurrent use.
 type Store struct {
 	mu    sync.Mutex
 	cfg   StoreConfig
@@ -62,7 +64,8 @@ type Store struct {
 	evictCount uint64
 	evictAge   uint64
 	loaded     int
-	tornTail   int64 // bytes of unterminated final lines Reload dropped
+	tornTail   int64      // bytes of unterminated final lines Reload dropped
+	refold     openWindow // a late window's bucket, rebuilt
 }
 
 // NewStore returns a Store with cfg's retention and tiers. Tier widths are
@@ -85,9 +88,9 @@ func NewStore(cfg StoreConfig) *Store {
 	return s
 }
 
-// WriteWindow accepts one sealed window: a deep copy enters the raw ring
-// and every downsampling tier, and retention is enforced. Implements Sink;
-// it never fails.
+// WriteWindow accepts one sealed window: the raw ring retains it, every
+// downsampling tier folds it, and retention is enforced. w must not be
+// modified afterwards. Implements Sink; it never fails.
 func (s *Store) WriteWindow(w *Window) error {
 	s.mu.Lock()
 	s.add(w)
@@ -106,9 +109,9 @@ func (s *Store) add(w *Window) {
 	if w.End.After(s.latest) {
 		s.latest = w.End
 	}
-	s.raw.insert(w.Clone())
+	s.raw.insert(w)
 	for _, t := range s.tiers {
-		t.fold(w)
+		t.fold(w, &s.refold)
 	}
 	s.retain()
 }
@@ -131,43 +134,37 @@ func (t *tier) insert(w *Window) {
 // fold merges w into the tier's bucket containing w.Start, sealing the
 // previous bucket when w has moved past it (empty gap buckets are skipped,
 // mirroring the rollup). A window arriving before the open bucket — reload
-// interleaving with live windows — is folded into a fresh sealed bucket of
-// its own rather than reopening history, or, when its bucket is already
-// sealed, into a copy that replaces it: a window in the ring is never
-// modified, which is what lets Query merge ring windows outside mu.
-func (t *tier) fold(w *Window) {
+// interleaving with live windows — is folded in scratch into a fresh sealed
+// bucket of its own rather than reopening history, or, when its bucket is
+// already sealed, into a rebuilt one that replaces it: a window in the
+// ring is never modified, which is what lets Query merge ring windows
+// outside mu.
+func (t *tier) fold(w *Window, scratch *openWindow) {
 	start := bucketStart(w.Start, t.width)
-	bounds := func(b *Window) { b.Start, b.End = start, start.Add(t.width) }
-	if t.open != nil && w.Start.Before(t.open.Start) {
-		if i := sort.Search(len(t.ring), func(i int) bool {
-			return !t.ring[i].Start.Before(start)
-		}); i < len(t.ring) && t.ring[i].Start.Equal(start) {
-			merged := t.ring[i].Clone()
-			merged.Merge(w)
-			bounds(merged)
-			t.ring[i] = merged
+	if t.folding && start.Before(t.open.start) {
+		scratch.reset(start, start.Add(t.width))
+		i := sort.Search(len(t.ring), func(i int) bool { return !t.ring[i].Start.Before(start) })
+		if i < len(t.ring) && t.ring[i].Start.Equal(start) {
+			scratch.merge(t.ring[i])
+			scratch.merge(w)
+			t.ring[i] = scratch.window()
 			return
 		}
-		late := &Window{}
-		late.Merge(w)
-		bounds(late)
-		t.insert(late)
+		scratch.merge(w)
+		t.insert(scratch.window())
 		t.compactions++
 		return
 	}
-	if t.open != nil && !start.Equal(t.open.Start) {
-		t.insert(t.open)
+	if t.folding && !start.Equal(t.open.start) {
+		t.insert(t.open.window())
 		t.compactions++
-		t.open = nil
+		t.folding = false
 	}
-	if t.open == nil {
-		t.open = &Window{}
-		t.open.Merge(w)
-		bounds(t.open)
-		return
+	if !t.folding {
+		t.open.reset(start, start.Add(t.width))
+		t.folding = true
 	}
-	t.open.Merge(w)
-	bounds(t.open)
+	t.open.merge(w)
 }
 
 // bucketStart aligns ts to a width boundary: a rollup window's start, and a
@@ -301,7 +298,7 @@ func (s *Store) Stats() StoreStats {
 		TruncatedTailBytes: s.tornTail,
 	}
 	for _, t := range append([]*tier{s.raw}, s.tiers...) {
-		ts := TierStats{Windows: len(t.ring), OpenBucket: t.open != nil, Compactions: t.compactions}
+		ts := TierStats{Windows: len(t.ring), OpenBucket: t.folding, Compactions: t.compactions}
 		if t.width > 0 {
 			ts.WidthSeconds = t.width.Seconds()
 		} else {
@@ -311,12 +308,12 @@ func (s *Store) Stats() StoreStats {
 			ts.OldestStart = t.ring[0].Start
 			ts.NewestEnd = t.ring[len(t.ring)-1].End
 		}
-		if t.open != nil {
+		if t.folding {
 			if ts.OldestStart.IsZero() {
-				ts.OldestStart = t.open.Start
+				ts.OldestStart = t.open.start
 			}
-			if t.open.End.After(ts.NewestEnd) {
-				ts.NewestEnd = t.open.End
+			if t.open.end.After(ts.NewestEnd) {
+				ts.NewestEnd = t.open.end
 			}
 		}
 		st.Compactions += t.compactions

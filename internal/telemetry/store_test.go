@@ -2,11 +2,13 @@ package telemetry
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"math"
 	"math/rand/v2"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -673,6 +675,84 @@ func TestStoreQueryBesideSeals(t *testing.T) {
 		want, _, _ := serial.Windows(time.Time{}, time.Time{}, width, 0)
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("tier %v windows beside seals differ from the serial store's", width)
+		}
+	}
+}
+
+// TestForeignNamesSurvive reloads an archive line written by a build that
+// knows a provider ("vimeo") and a verdict ("quarantined") this one does
+// not, beside a live window. Both names must come through the raw tier,
+// the downsampling tiers and Query unchanged: an archive is outside input,
+// and nothing in it may be dropped or renamed — a known provider's cell
+// that counts bytes but no flows included.
+func TestForeignNamesSurvive(t *testing.T) {
+	leakcheck.Check(t)
+	const line = `{"start":"2023-07-07T12:00:00Z","end":"2023-07-07T12:01:00Z","flows":3,"classified_flows":1,"classification_rate":0.3333333333333333,` +
+		`"by_provider":{"netflix":{"flows":0,"classified_flows":0,"watch_seconds":0,"bytes_down":4096,"bytes_up":0,"mean_mbps_down":0,"peak_mbps_down":0},"vimeo":{"flows":3,"classified_flows":1,"abstained_flows":1,"watch_seconds":20,"bytes_down":2000000,"bytes_up":1000,"mean_mbps_down":0.8,"peak_mbps_down":1.5,"confidence":{"count":2,"sum":1.2,"buckets":{"17":1,"5":1}}}},` +
+		`"by_platform":{"unclassified":{"flows":2,"classified_flows":0,"abstained_flows":1,"watch_seconds":10,"bytes_down":500000,"bytes_up":500,"mean_mbps_down":0.4,"peak_mbps_down":0.4,"confidence":{"count":1,"sum":0.3,"buckets":{"5":1}}},` +
+		`"windows_chrome":{"flows":1,"classified_flows":1,"watch_seconds":10,"bytes_down":1500000,"bytes_up":500,"mean_mbps_down":1.2,"peak_mbps_down":1.5,"confidence":{"count":1,"sum":0.9,"buckets":{"17":1}}}},` +
+		`"model_versions":{"v0009":2},` +
+		`"quality":{"verdicts":{"abstained":1,"classified":1,"quarantined":1},"confidence":{"count":2,"sum":1.2,"buckets":{"17":1,"5":1}},"margin":{"count":2,"sum":0.5,"buckets":{"2":1,"5":1}},"drift_score":0.25}}`
+	tiers := []time.Duration{10 * time.Minute, time.Hour}
+	s := NewStore(StoreConfig{Tiers: tiers})
+	if n, err := s.Reload(strings.NewReader(line + "\n")); err != nil || n != 1 {
+		t.Fatalf("Reload = %d, %v; want 1, nil", n, err)
+	}
+	feed(t, s, sealWindows(t, time.Minute, qualRec(fingerprint.YouTube, "windows_chrome", w0.Add(time.Minute), 0.7, 0.2))...)
+
+	var archived Window
+	if err := json.Unmarshal([]byte(line), &archived); err != nil {
+		t.Fatal(err)
+	}
+	encode := func(v any) string {
+		raw, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(raw)
+	}
+	raw, _, err := s.Windows(time.Time{}, time.Time{}, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(raw) != 2 || encode(raw[0]) != line {
+		t.Fatalf("the raw tier re-encodes the archived window as\n%s\nwant\n%s", encode(raw[0]), line)
+	}
+	for _, width := range tiers {
+		wins, _, err := s.Windows(time.Time{}, time.Time{}, width, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(wins) != 1 || wins[0].Flows != 4 {
+			t.Fatalf("tier %v: %d windows, want one bucket of 4 flows", width, len(wins))
+		}
+		b := wins[0]
+		for _, name := range []string{"vimeo", "netflix"} {
+			if got, want := encode(b.ByProvider[name]), encode(archived.ByProvider[name]); got != want {
+				t.Errorf("tier %v: %s cell %s, want %s", width, name, got, want)
+			}
+		}
+		if b.ByProvider["youtube"] == nil || b.Quality.Verdicts["quarantined"] != 1 || b.Quality.Verdicts["classified"] != 2 ||
+			b.Quality.DriftScore != 0.25 || b.ModelVersions["v0009"] != 2 || b.ModelVersions["unversioned"] != 1 {
+			t.Errorf("tier %v bucket lost or renamed a name: %s", width, encode(b))
+		}
+	}
+
+	for _, step := range []time.Duration{time.Minute, time.Hour} {
+		res, err := s.Query(time.Time{}, time.Time{}, step, GroupProvider)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Series) != 3 || res.Series[0].Key != "netflix" || res.Series[1].Key != "vimeo" ||
+			res.Series[1].Points[0].Flows != 3 || res.Series[1].Points[0].BytesDown != 2000000 || res.Series[2].Key != "youtube" {
+			t.Errorf("step %v: provider series %s, want netflix, vimeo (3 flows) and youtube", step, encode(res.Series))
+		}
+		res, err = s.Query(time.Time{}, time.Time{}, step, GroupTotal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p := res.Series[0].Points[0]; p.Verdicts["quarantined"] != 1 {
+			t.Errorf("step %v: total verdicts %v, want quarantined 1", step, p.Verdicts)
 		}
 	}
 }
