@@ -277,7 +277,7 @@ func main() {
 			"adversarial", o.adversarial)
 	}
 
-	store, sink, closeStore, err := buildStore(o.window, o.telemetryRetain, o.telemetryTiers, o.telemetryPersist)
+	store, sink, closeStore, err := buildStore(o.window, o.telemetryRetain, o.telemetryTiers, o.telemetryPersist, journal)
 	exitOn(err)
 	defer closeStore()
 
@@ -366,8 +366,9 @@ func printVersion() {
 // relative to the rollup width. With -telemetry-persist it also reloads the
 // file's history into the store and returns the JSONL sink that appends to
 // it, which the server hands every sealed window beside the store (nil
-// without the flag).
-func buildStore(window time.Duration, retain, tiers, persist string) (*telemetry.Store, telemetry.Sink, func(), error) {
+// without the flag). A torn last line it cuts off is recorded in journal as
+// an archive_truncated event.
+func buildStore(window time.Duration, retain, tiers, persist string, journal *obs.Journal) (*telemetry.Store, telemetry.Sink, func(), error) {
 	cfg := telemetry.StoreConfig{}
 	if n, err := strconv.Atoi(retain); err == nil {
 		if n <= 0 {
@@ -433,7 +434,8 @@ func buildStore(window time.Duration, retain, tiers, persist string) (*telemetry
 			f.Close()
 			return nil, nil, nil, fmt.Errorf("-telemetry-persist %s: cutting a torn last line: %w", persist, err)
 		}
-		slog.Warn("truncated a torn telemetry archive line", "bytes", torn, "path", persist)
+		journal.Record(obs.EventArchiveTruncated, "truncated a torn telemetry archive line",
+			"bytes", strconv.FormatInt(torn, 10), "path", persist)
 	}
 	return store, telemetry.NewJSONLSink(f), func() { f.Close() }, nil
 }

@@ -4,19 +4,24 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
+	"strconv"
 	"testing"
 	"time"
 
 	"videoplat/internal/fingerprint"
+	"videoplat/internal/obs"
 	"videoplat/internal/pipeline"
 	"videoplat/internal/telemetry"
 )
 
 // TestTornArchiveTail cuts a -telemetry-persist archive at every byte offset
 // of its last line, as a crash mid-append would. Each time buildStore must
-// reload every complete window, count the dropped fragment, and leave the
-// file ending at the last complete line, so the window the sink appends
-// next lands on a line of its own and a second start reloads cleanly.
+// reload every complete window, count the dropped fragment, journal one
+// archive_truncated event carrying its byte count (none when there is no
+// fragment), and leave the file ending at the last complete line, so the
+// window the sink appends next lands on a line of its own and a second
+// start reloads cleanly, journaling nothing.
 func TestTornArchiveTail(t *testing.T) {
 	var archive bytes.Buffer
 	var sealed []*telemetry.Window
@@ -55,7 +60,8 @@ func TestTornArchiveTail(t *testing.T) {
 		if err := os.WriteFile(path, full[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		store, sink, closeStore, err := buildStore(time.Minute, "1440", "auto", path)
+		journal := obs.NewJournal(0, nil)
+		store, sink, closeStore, err := buildStore(time.Minute, "1440", "auto", path, journal)
 		if err != nil {
 			t.Fatalf("cut at %d: %v", cut, err)
 		}
@@ -63,6 +69,13 @@ func TestTornArchiveTail(t *testing.T) {
 		if st.LoadedWindows != complete || st.TruncatedTailBytes != int64(cut-lastStart) {
 			t.Fatalf("cut at %d: reloaded %d windows dropping %d bytes, want %d and %d",
 				cut, st.LoadedWindows, st.TruncatedTailBytes, complete, cut-lastStart)
+		}
+		var events []string
+		if torn := cut - lastStart; torn > 0 {
+			events = []string{string(obs.EventArchiveTruncated) + " bytes=" + strconv.Itoa(torn)}
+		}
+		if got := journaled(journal); !slices.Equal(got, events) {
+			t.Fatalf("cut at %d: journaled %q, want %q", cut, got, events)
 		}
 		if err := sink.WriteWindow(next); err != nil {
 			t.Fatal(err)
@@ -72,7 +85,8 @@ func TestTornArchiveTail(t *testing.T) {
 			t.Fatalf("cut at %d: the archive after one append ends\n%q\nwant\n%q", cut, got[lastStart:], want.Bytes()[lastStart:])
 		}
 
-		store, _, closeStore, err = buildStore(time.Minute, "1440", "auto", path)
+		journal = obs.NewJournal(0, nil)
+		store, _, closeStore, err = buildStore(time.Minute, "1440", "auto", path, journal)
 		if err != nil {
 			t.Fatalf("cut at %d, second start: %v", cut, err)
 		}
@@ -81,15 +95,27 @@ func TestTornArchiveTail(t *testing.T) {
 			t.Fatalf("cut at %d, second start: reloaded %d windows dropping %d bytes, want %d and 0",
 				cut, st.LoadedWindows, st.TruncatedTailBytes, complete+1)
 		}
+		if got := journaled(journal); len(got) != 0 {
+			t.Fatalf("cut at %d, second start: journaled %q", cut, got)
+		}
 	}
 
 	// A terminated line that does not parse is still an error.
 	if err := os.WriteFile(path, append(append([]byte(nil), full[:lastStart]...), "{\"start\":\n"...), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := buildStore(time.Minute, "1440", "auto", path); err == nil {
+	if _, _, _, err := buildStore(time.Minute, "1440", "auto", path, nil); err == nil {
 		t.Fatal("a corrupt complete line reloaded without error")
 	}
+}
+
+// journaled lists a journal's events as "type bytes=N".
+func journaled(j *obs.Journal) []string {
+	var out []string
+	for _, ev := range j.Events(0, "", 0) {
+		out = append(out, string(ev.Type)+" bytes="+ev.Fields["bytes"])
+	}
+	return out
 }
 
 // keep retains the windows a rollup seals; the rollup hands each seal a

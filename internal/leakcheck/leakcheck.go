@@ -41,17 +41,6 @@ func Check(t testing.TB) {
 	})
 }
 
-// Running reports whether some goroutine's stack names fn, e.g.
-// "server.(*Server).aggregate".
-func Running(fn string) bool {
-	for _, g := range goroutines() {
-		if strings.Contains(g, fn) {
-			return true
-		}
-	}
-	return false
-}
-
 // goroutines returns the stack of every goroutine, one string each.
 func goroutines() []string {
 	buf := make([]byte, 64<<10)

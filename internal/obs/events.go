@@ -43,6 +43,9 @@ const (
 	// EventStoreCompaction: the telemetry store evicted retained windows to
 	// honor its retention bounds.
 	EventStoreCompaction EventType = "store_compaction"
+	// EventArchiveTruncated: at startup, a torn (unterminated) last line of
+	// the telemetry archive was cut off; the bytes field says how much.
+	EventArchiveTruncated EventType = "archive_truncated"
 )
 
 // EventTypes lists every event type a Journal can record, in a stable order
@@ -60,6 +63,7 @@ func EventTypes() []EventType {
 		EventEvictionPressure,
 		EventSinkError,
 		EventStoreCompaction,
+		EventArchiveTruncated,
 	}
 }
 

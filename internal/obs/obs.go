@@ -20,7 +20,9 @@ const (
 	// completed handshake (the Bank.ClassifyHandshake call).
 	StageClassify
 	// StageRollup is committing one finalized flow record into the
-	// telemetry rollup on the server's aggregation goroutine.
+	// telemetry rollup (Rollup.Add, waiting for its lock included) on the
+	// worker of the shard that evicted the flow; a record that seals a
+	// window also pays for the seal.
 	StageRollup
 
 	// NumStages is the number of pipeline stages.

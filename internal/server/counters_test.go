@@ -82,7 +82,9 @@ func counterReadings(st *Stats) map[string]uint64 {
 // it adversarial so early classifications and abstains occur, and checks
 // the counters of /stats at every scrape while it runs: no flow is counted
 // decided before it was inserted, no provider split outruns the classified
-// count, and no counter goes down. After shutdown every inserted flow has
+// count, no counter goes down, and every evicted flow is already in a window
+// but for at most one in flight per shard (the shard that evicts a flow folds
+// it before its next packet). After shutdown every inserted flow has
 // been decided and rolled up exactly once, so the verdict counters, the
 // table and the sealed windows agree exactly. While the daemon is up it also
 // pins the one ?limit= parser on the four endpoints that take one.
@@ -90,12 +92,13 @@ func TestLiveCountersAreTheVerdictCounters(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bank training is slow")
 	}
+	const shards = 4
 	src := NewSynthSource(3, 30)
 	src.SetAdversarial(0.5)
 	sink := &windowTotals{}
 	srv, err := New(trainBank(t), src, Config{
 		Addr:         "127.0.0.1:0",
-		Shards:       4,
+		Shards:       shards,
 		MaxFlows:     16, // small cap: most flows leave by eviction mid-run
 		IdleTimeout:  45 * time.Second,
 		Rate:         4000, // a second or so of replay to scrape during
@@ -127,6 +130,19 @@ func TestLiveCountersAreTheVerdictCounters(t *testing.T) {
 
 	check := func(st *Stats, prev map[string]uint64, when string) map[string]uint64 {
 		t.Helper()
+		// The evicted total is read first, the open window next (handleStats
+		// builds it after the snapshot) and the sealed windows last: a seal in
+		// between can count a window twice, never miss one.
+		evicted := st.FlowTable.Evicted()
+		var open uint64
+		if cur := st.Rollup.Current; cur != nil {
+			open = uint64(cur.Flows)
+		}
+		sealed, _ := sink.totals()
+		if folded := open + sealed; folded+shards < evicted {
+			t.Errorf("%s: %d flows evicted, %d folded into windows; want at most %d in flight",
+				when, evicted, folded, shards)
+		}
 		if decided := sum(st.FlowVerdicts); decided > st.FlowTable.Inserted {
 			t.Errorf("%s: %d flows decided, %d inserted", when, decided, st.FlowTable.Inserted)
 		}

@@ -3,13 +3,18 @@ package server
 import (
 	"os"
 	"regexp"
+	"slices"
+	"strings"
 	"testing"
+
+	"videoplat/internal/obs"
 )
 
-// These tests pin docs/OPERATIONS.md to the two tables the operations API is
-// built from — routes and metricsCatalog — in both directions: adding an
-// endpoint or a series without documenting it, documenting one that no
-// longer exists, or documenting a series under the wrong type fails CI.
+// These tests pin docs/OPERATIONS.md to the tables the operations API is
+// built from — routes, metricsCatalog and the journal's event types — in
+// both directions: adding an endpoint, a series or an event type without
+// documenting it, documenting one that no longer exists, or documenting a
+// series under the wrong type fails CI.
 
 func operationsDoc(t *testing.T) string {
 	t.Helper()
@@ -69,5 +74,28 @@ func TestOperationsDocCoversMetrics(t *testing.T) {
 		if !catalog[name] && !removed[name] {
 			t.Errorf("docs/OPERATIONS.md documents %s, which is not in the /metrics catalog", name)
 		}
+	}
+}
+
+// TestOperationsDocCoversEventTypes pins the GET /events vocabulary: the
+// runbook's "Event types:" sentence names every obs.EventTypes value, in
+// order, and nothing else.
+func TestOperationsDocCoversEventTypes(t *testing.T) {
+	doc := operationsDoc(t)
+	_, list, ok := strings.Cut(doc, "Event types: ")
+	if !ok {
+		t.Fatal(`docs/OPERATIONS.md has no "Event types:" sentence`)
+	}
+	list, _, _ = strings.Cut(list, ". ")
+	var documented []string
+	for _, m := range regexp.MustCompile("`([a-z_]+)`").FindAllStringSubmatch(list, -1) {
+		documented = append(documented, m[1])
+	}
+	var types []string
+	for _, typ := range obs.EventTypes() {
+		types = append(types, string(typ))
+	}
+	if !slices.Equal(documented, types) {
+		t.Errorf("docs/OPERATIONS.md lists event types %q; the journal records %q", documented, types)
 	}
 }

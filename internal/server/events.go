@@ -129,10 +129,13 @@ func (s *Server) enrichWindow(w *telemetry.Window) {
 
 // sealHealthEvents journals pipeline-health regressions observed since the
 // previous sealed window: telemetry sink write failures, store compactions,
-// and capacity-pressure flow evictions. Called from the aggregate goroutine
-// (and finishPipeline's tail) right after a window seals, so each event
-// describes roughly one window's worth of trouble.
+// and capacity-pressure flow evictions. Called right after a window seals —
+// on whichever shard worker's Add sealed it, or from finishPipeline's Flush —
+// so each event describes roughly one window's worth of trouble. sealMu
+// orders the callers; it waits on no shard (TableStats reads atomics).
 func (s *Server) sealHealthEvents() {
+	s.sealMu.Lock()
+	defer s.sealMu.Unlock()
 	if errs := s.rollup.SinkErrors(); errs > s.lastSinkErrs {
 		s.journal.Record(obs.EventSinkError, "telemetry sink writes failed",
 			"failures", strconv.FormatUint(errs-s.lastSinkErrs, 10),

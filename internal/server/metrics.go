@@ -79,8 +79,6 @@ var metricsCatalog = []metricDef{
 		}},
 	{"videoplat_events_dropped_total", "counter", "Ops journal events aged out of the bounded ring.",
 		func(st *Stats) []sample { return value(float64(st.Events.Dropped)) }},
-	{"videoplat_results_dropped_total", "counter", "Results dropped because the consumer lagged.",
-		func(st *Stats) []sample { return value(float64(st.DroppedResults)) }},
 	{"videoplat_ingest_batches_total", "counter", "Frame batches dispatched to the pipeline.",
 		func(st *Stats) []sample { return value(float64(st.Ingest.Batches)) }},
 	{"videoplat_ingest_frames_ignored_total", "counter", "Frames dropped at ingest (malformed, not TCP/UDP, or a non-first IP fragment).",

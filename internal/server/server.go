@@ -2,10 +2,10 @@
 // long-running streaming ingest daemon: a replay source streams frames at a
 // configurable packet rate through the sharded pipeline, per-shard flow
 // tables are bounded (LRU + idle eviction) so memory stays flat under
-// sustained traffic, finalized flows roll up into tumbling telemetry
-// windows retired to a pluggable sink, and an HTTP operations API exposes
-// live counters (/stats), the active flow table (/flows), liveness
-// (/healthz) and Prometheus-style gauges (/metrics).
+// sustained traffic, the shard worker that evicts a flow folds its finalized
+// record into tumbling telemetry windows retired to a pluggable sink, and an
+// HTTP operations API exposes live counters (/stats), the active flow table
+// (/flows), liveness (/healthz) and Prometheus-style gauges (/metrics).
 //
 // The replay loop reads and dispatches frames in batches
 // (Config.BatchSize) through the pipeline's batch ingest path: each frame's
@@ -15,8 +15,12 @@
 // layer decode off the handshake, no per-packet allocation, one channel
 // send per shard per batch. Frames that carry no TCP/UDP 5-tuple are
 // dropped at ingest and surface as ignored_frames in
-// /stats and /metrics, alongside the ingest stall (backpressure) and
-// dropped-result counters.
+// /stats and /metrics, alongside the ingest stall (backpressure) counter.
+//
+// A finalized flow takes one hop to its window: the pipeline's OnEvict hook,
+// on the shard worker that owns the flow and its packet clock, calls
+// Rollup.Add. Any shard may therefore seal a window, and the seal-health
+// journaling behind a seal is serialized by a mutex of its own.
 //
 // Sealed rollup windows are also retained in a queryable telemetry store
 // (Config.Store, defaulted when nil): a bounded in-memory ring with
@@ -189,21 +193,20 @@ type Server struct {
 	bytes     atomic.Uint64
 	swaps     atomic.Uint64 // bank hot-swaps applied to the pipeline
 
-	// Journal edge-detection state for window-seal health events and shadow
-	// delta stamping. lastSealed/lastSinkErrs/lastCompactions/lastCapEvict
-	// are touched only from the aggregate goroutine (and finishPipeline,
-	// which runs after it exits); lastShadowAgreed/Disagreed only from the
-	// rollup enrich hook, serialized under the rollup's lock.
-	lastSealed         int
-	lastSinkErrs       uint64
-	lastCompactions    uint64
-	lastCapEvict       uint64
+	// Journal edge-detection state for window-seal health events. Any shard
+	// may seal a window (or finishPipeline's Flush may), so sealHealthEvents
+	// holds sealMu over lastSinkErrs/lastCompactions/lastCapEvict; it is
+	// taken once per reported seal, never per record.
+	sealMu          sync.Mutex
+	lastSinkErrs    uint64
+	lastCompactions uint64
+	lastCapEvict    uint64
+	// Shadow delta stamping state, touched only from the rollup enrich hook,
+	// serialized under the rollup's lock.
 	lastShadowAgreed   uint64
 	lastShadowDisagree uint64
 
-	evictions  chan *pipeline.FlowRecord
 	replayDone chan struct{}
-	aggDone    chan struct{}
 
 	lastTS atomic.Int64 // latest packet timestamp (trace clock), unix nanos
 
@@ -236,9 +239,7 @@ func New(bank *pipeline.Bank, src Source, cfg Config) (*Server, error) {
 		obsv:       obs.NewPipelineObserver(),
 		tracer:     obs.NewTracer(obs.TracerConfig{SampleEvery: cfg.TraceSampleEvery}),
 		journal:    cfg.Journal,
-		evictions:  make(chan *pipeline.FlowRecord, 1024),
 		replayDone: make(chan struct{}),
-		aggDone:    make(chan struct{}),
 	}
 	if s.journal == nil {
 		s.journal = obs.NewJournal(0, nil)
@@ -255,8 +256,14 @@ func New(bank *pipeline.Bank, src Source, cfg Config) (*Server, error) {
 		ProviderHint:   cfg.ProviderHint,
 		Observer:       s.obsv,
 		Tracer:         s.tracer,
+		// The evicting shard folds the record itself. The fold takes the
+		// rollup's lock (and, behind a seal, the sink's, the store's and
+		// sealMu), and nothing holding any of them waits on a shard: not the
+		// sink, not enrichWindow's drift and retrainer reads, not Snapshot.
+		// /flows holds s.mu while it waits on the shards, and the fold never
+		// takes s.mu, so no lock cycle runs through a shard worker.
 		OnEvict: func(rec *pipeline.FlowRecord, _ flowtable.Reason) {
-			s.evictions <- rec
+			s.addToRollup(rec)
 		},
 	}
 	if cfg.Drift != nil || cfg.Retrainer != nil {
@@ -354,7 +361,6 @@ func (s *Server) ReplayDone() <-chan struct{} { return s.replayDone }
 func (s *Server) Run(ctx context.Context) error {
 	s.startWall = time.Now()
 
-	go s.aggregate()
 	replayCtx, cancelReplay := context.WithCancel(ctx)
 	defer cancelReplay()
 	go s.replay(replayCtx)
@@ -399,9 +405,8 @@ func (s *Server) Run(ctx context.Context) error {
 
 // finishPipeline finalizes every flow still open and rolls it up, so a
 // finite replay's telemetry is complete at exit. The flows leave the way an
-// idle one does — the shards evict them, oldest first, and aggregate folds
-// the records — so a flow's verdict is decided in one place whenever it
-// ends.
+// idle one does — the shards evict them, oldest first, and fold the records
+// — so a flow's verdict is decided in one place whenever it ends.
 func (s *Server) finishPipeline() {
 	s.mu.Lock()
 	if s.closed {
@@ -411,17 +416,13 @@ func (s *Server) finishPipeline() {
 	s.closed = true
 	s.mu.Unlock()
 
-	s.sharded.Drain()  // the replay has stopped: evicts every flow through OnEvict
-	s.sharded.Close()  // no OnEvict call is running or queued after this
-	close(s.evictions) // so aggregate can finish folding and exit
-	<-s.aggDone
+	s.sharded.Drain() // the replay has stopped: evicts and folds every flow
+	s.sharded.Close() // no OnEvict call is running or queued after this
 
 	if c, ok := s.src.(io.Closer); ok {
 		c.Close() // replay goroutine has exited; release e.g. the capture fd
 	}
-	s.rollup.Flush()
-	if sealed := s.rollup.Sealed(); sealed != s.lastSealed {
-		s.lastSealed = sealed
+	if s.rollup.Flush() {
 		s.sealHealthEvents()
 	}
 }
@@ -500,43 +501,16 @@ func (s *Server) effectiveBatchSize() int {
 	return size
 }
 
-// aggregate folds evicted flows (final telemetry → rollup) until the
-// evictions channel closes. It must never wait on s.mu, which /flows holds
-// across a shard snapshot — a shard blocked on a full evictions buffer would
-// deadlock otherwise. It also drains Results() and discards what it reads:
-// the live counters come from the shard verdict counters (Snapshot), and
-// draining keeps dropped_results meaning "the consumer lagged".
-func (s *Server) aggregate() {
-	defer close(s.aggDone)
-	results := s.sharded.Results()
-	evictions := s.evictions
-	for results != nil || evictions != nil {
-		select {
-		case _, ok := <-results:
-			if !ok {
-				results = nil
-			}
-		case rec, ok := <-evictions:
-			if !ok {
-				evictions = nil
-				continue
-			}
-			s.addToRollup(rec)
-		}
-	}
-}
-
-// addToRollup commits one finalized record to the rollup, timed as the
-// pipeline's rollup stage. When the add seals a window, pipeline-health
-// deltas (sink errors, store compactions, flow-table cap pressure) are
-// checked and journaled — once per sealed window, not per flow, so the
-// checks stay off the per-record path.
+// addToRollup commits one finalized record to the rollup on the shard
+// worker that evicted it, timed as the pipeline's rollup stage. When the add
+// seals a window, pipeline-health deltas (sink errors, store compactions,
+// flow-table cap pressure) are checked and journaled — once per sealed
+// window, not per flow, so the checks stay off the per-record path.
 func (s *Server) addToRollup(rec *pipeline.FlowRecord) {
 	t0 := time.Now()
 	sealed := s.rollup.Add(rec)
 	s.obsv.Record(obs.StageRollup, time.Since(t0))
 	if sealed {
-		s.lastSealed++
 		s.sealHealthEvents()
 	}
 }
@@ -554,8 +528,12 @@ type Stats struct {
 		Error          string    `json:"error,omitempty"`
 	} `json:"replay"`
 
-	FlowTable      flowtable.Stats `json:"flow_table"`
-	DroppedResults uint64          `json:"dropped_results"`
+	FlowTable flowtable.Stats `json:"flow_table"`
+	// DroppedResults counts classified records the pipeline offered to its
+	// best-effort Results channel and found no room for. The daemon reads
+	// none of them (windows are folded from evictions), so past the
+	// channel's buffer of 64 records per shard every classified flow counts.
+	DroppedResults uint64 `json:"dropped_results"`
 
 	// Ingest reports the batch ingest path's counters.
 	Ingest struct {

@@ -186,8 +186,9 @@ func TestWindowsAndQueryEndpoints(t *testing.T) {
 	case <-time.After(60 * time.Second):
 		t.Fatal("replay did not finish")
 	}
-	// The aggregate goroutine drains eviction-driven rollups shortly after
-	// the source is exhausted; wait for the first sealed windows to land.
+	// The shards fold evicted flows as they work through the last queued
+	// batches, shortly after the source is exhausted; wait for the first
+	// sealed windows to land.
 	deadline := time.After(30 * time.Second)
 	for srv.Store().Stats().Tiers[0].Windows == 0 {
 		select {

@@ -325,7 +325,7 @@ func TestQueryQualitySeries(t *testing.T) {
 
 // TestQualityFoldZeroAlloc pins that folding a flow into a warm window
 // allocates nothing — the recording path runs once per finalized flow on the
-// aggregate goroutine. Rollup.Add into an open window covers the whole fold
+// shard worker that evicted it. Rollup.Add into an open window covers the whole fold
 // (both cells, the model-version count, the latency summary and the quality
 // summary). The first record after a seal allocates nothing either, since
 // the Rollup reuses its open window's storage. What a window costs on the
@@ -366,7 +366,7 @@ func TestQualityFoldZeroAlloc(t *testing.T) {
 	const seals, windowAllocs = 20, 24.0 // measured on Go 1.24, amd64
 	var allocs uint64
 	for i := 0; i < seals; i++ {
-		allocs += mallocs(r.Flush)
+		allocs += mallocs(func() { r.Flush() })
 		if n := mallocs(func() { r.Add(window[0]) }); n != 0 {
 			t.Errorf("the first record after a seal allocates %d times, want 0", n)
 		}

@@ -207,15 +207,18 @@ func (r *Rollup) Add(rec *pipeline.FlowRecord) (sealed bool) {
 	return sealed
 }
 
-// Flush seals and retires the current window, if any. Call at shutdown so
-// the trailing partial window reaches the sink.
-func (r *Rollup) Flush() {
+// Flush seals and retires the current window, if any, and reports whether
+// it sealed one. Call at shutdown so the trailing partial window reaches the
+// sink.
+func (r *Rollup) Flush() (sealed bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.active && r.cur.flows > 0 {
 		r.seal()
+		sealed = true
 	}
 	r.active = false
+	return sealed
 }
 
 // Sealed reports how many windows have been sealed and offered to the sink.
