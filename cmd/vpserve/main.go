@@ -20,9 +20,9 @@
 // registry: /models lists the version history, /models/promote and
 // /models/rollback hot-swap the serving bank without dropping a packet,
 // and /models/export captures the active bank as a vptrain-style gob.
-// -auto-retrain closes the paper's §5.3 loop: a drift monitor watches
-// every classification, a flagged classifier triggers a background
-// retrain, and the candidate is promoted only after shadow evaluation on
+// -auto-retrain closes the paper's §5.3 loop: a drift monitor records
+// every classification, each sealed window judges it, a flagged classifier
+// triggers a background retrain, and the candidate is promoted only after shadow evaluation on
 // live traffic clears the gate.
 //
 // Usage:
@@ -258,7 +258,6 @@ func main() {
 			},
 		})
 		exitOn(err)
-		rt.BindMonitor(mon)
 	}
 
 	var src server.Source

@@ -6,13 +6,16 @@
 //  2. the daemon classifies live synthetic traffic; after 100 sessions the
 //     "fleet updates" (tracegen renders flows with the open-set profile
 //     perturbation), so v0001's confidence decays;
-//  3. the drift monitor flags the decaying classifiers — the example prints
-//     every classifier's baseline vs recent confidence at that moment — and
-//     triggers the retrainer, which trains a replacement on fresh ground
-//     truth (lab + drifted profiles) off the hot path;
+//  3. at each sealed telemetry window the daemon judges drift: a decaying
+//     classifier is journaled as drift_trigger and triggers the retrainer,
+//     which trains a replacement on fresh ground truth (lab + drifted
+//     profiles) off the hot path;
 //  4. the candidate shadow-classifies a sample of live flows alongside
 //     v0001 and is promoted only when it clears the gate — an atomic bank
 //     swap that never pauses classification.
+//
+// At the end the example prints the lifecycle from the ops journal it
+// passed to the daemon and the retrainer, then the version history.
 //
 // Run it:
 //
@@ -33,6 +36,7 @@ import (
 	"videoplat/internal/drift"
 	"videoplat/internal/fingerprint"
 	"videoplat/internal/ml"
+	"videoplat/internal/obs"
 	"videoplat/internal/pipeline"
 	"videoplat/internal/registry"
 	"videoplat/internal/server"
@@ -73,9 +77,11 @@ func main() {
 		fmt.Printf(">>> hot-swap: now serving %s (%s)\n", v.Manifest.ID, v.Manifest.Reason)
 	})
 
-	// 2-4. Drift monitor + retrainer, wired through the daemon. The train
-	// func models "collect fresh ground truth from the updated fleet":
-	// current lab profiles plus the open-set (drifted) ones.
+	// 2-4. Drift monitor + retrainer, wired through the daemon, both
+	// recording into one ops journal. The train func models "collect fresh
+	// ground truth from the updated fleet": current lab profiles plus the
+	// open-set (drifted) ones.
+	journal := obs.NewJournal(0, nil)
 	mon := drift.NewMonitor(drift.Config{
 		Window: 40, ConfidenceDrop: 0.05})
 	rt, err := registry.NewRetrainer(reg, registry.RetrainerConfig{
@@ -93,28 +99,13 @@ func main() {
 			return pipeline.TrainBank(ds, pipeline.TrainConfig{Forest: ml.ForestConfig{
 				NumTrees: 15, MaxDepth: 20, MaxFeatures: 34, Seed: seed}})
 		},
-		Gate: registry.Gate{SampleRate: 1, MinFlows: 30, MinAgreement: 0.1},
-		Seed: 1000,
+		Gate:   registry.Gate{SampleRate: 1, MinFlows: 30, MinAgreement: 0.1},
+		Seed:   1000,
+		Events: journal,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	// Subscribers run in registration order, so the monitor's view is printed
-	// before the retrainer (bound next) is triggered by the same transition.
-	mon.Subscribe(func(drift.Status) {
-		fmt.Println("drift monitor flagged a classifier:")
-		for _, st := range mon.Statuses() {
-			flag := "healthy"
-			if st.Drifting {
-				flag = "RETRAIN"
-			}
-			fmt.Printf("  %-8s %-5s  baseline=%.0f%% recent=%.0f%% unknown=%.0f%%  [%s] %s\n",
-				st.Provider, st.Transport, st.BaselineMedian*100, st.RecentMedian*100,
-				st.UnknownRate*100, flag, st.Reason)
-		}
-	})
-	rt.BindMonitor(mon)
-
 	// Live traffic: 600 sessions paced at 800 packets/sec, with the fleet
 	// update (open-set perturbation) injected after session 100. Pacing
 	// matters: it leaves the retrainer wall-clock time to train and
@@ -123,7 +114,7 @@ func main() {
 		server.NewDriftingSynthSource(7, 600, 100),
 		server.Config{
 			Addr: "127.0.0.1:0", Rate: 800,
-			Registry: reg, Drift: mon, Retrainer: rt,
+			Registry: reg, Drift: mon, Retrainer: rt, Journal: journal,
 		})
 	if err != nil {
 		log.Fatal(err)
@@ -137,6 +128,17 @@ func main() {
 	}()
 	if err := srv.Run(ctx); err != nil {
 		log.Fatal(err)
+	}
+
+	// The lifecycle as the daemon journaled it: drift flags, candidates
+	// entering and leaving shadow evaluation, swaps.
+	fmt.Println("\nmodel lifecycle events:")
+	for _, ev := range journal.Events(0, "", 0) {
+		switch ev.Type {
+		case obs.EventDriftTrigger, obs.EventShadowStart, obs.EventShadowVerdict,
+			obs.EventRetrainError, obs.EventModelSwap:
+			fmt.Printf("  %-14s %s %v\n", ev.Type, ev.Message, ev.Fields)
+		}
 	}
 
 	// The version history: every candidate, its drift reason, and the

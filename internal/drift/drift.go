@@ -7,10 +7,11 @@
 // confidence and unknown-rates. A classifier is flagged when its recent
 // median confidence falls a configurable margin below its baseline, or when
 // the share of rejected (unknown) flows exceeds a threshold — both symptoms
-// the paper associates with drifting traffic. Verdicts are pollable
-// (Statuses, NeedsRetraining) and pushed (Subscribe); after a bank
-// hot-swap, Rebaseline starts fresh reference windows so the replacement
-// model is never judged against its predecessor's distribution.
+// the paper associates with drifting traffic. Observe only records; the
+// verdicts are computed when Statuses is read (the daemon reads it once per
+// sealed telemetry window). After a bank hot-swap, Rebaseline starts fresh
+// reference windows so the replacement model is never judged against its
+// predecessor's distribution.
 package drift
 
 import (
@@ -64,29 +65,24 @@ type series struct {
 	idx          int
 	full         bool
 	observations int
-	notified     bool   // a drifting verdict was already delivered to subscribers
 	version      string // ModelVersion of the bank whose predictions fill the windows
 }
 
 // Status is the monitor's verdict for one classifier.
 type Status struct {
-	Provider  fingerprint.Provider
-	Transport fingerprint.Transport
+	Provider  fingerprint.Provider  `json:"provider"`
+	Transport fingerprint.Transport `json:"transport"`
+	// Version is the ModelVersion of the bank this series judges.
+	Version string `json:"version"`
 
-	Observations   int
-	BaselineMedian float64
-	RecentMedian   float64
-	UnknownRate    float64
+	Observations   int     `json:"observations"`
+	BaselineMedian float64 `json:"baseline_median"`
+	RecentMedian   float64 `json:"recent_median"`
+	UnknownRate    float64 `json:"unknown_rate"`
 	// Drifting reports whether retraining is recommended.
-	Drifting bool
-	Reason   string
+	Drifting bool   `json:"drifting"`
+	Reason   string `json:"reason"`
 }
-
-// evalPeriod is how many observations pass between subscriber-facing drift
-// evaluations of a series. Computing medians costs a sort over the window,
-// so Observe amortizes it instead of re-evaluating per flow; subscribers
-// learn of a drifting classifier at most evalPeriod observations late.
-const evalPeriod = 25
 
 // Monitor accumulates prediction outcomes. Safe for concurrent use.
 type Monitor struct {
@@ -94,7 +90,6 @@ type Monitor struct {
 
 	mu     sync.Mutex
 	series map[key]*series
-	subs   []func(Status)
 }
 
 // NewMonitor returns a Monitor with the given configuration.
@@ -103,45 +98,21 @@ func NewMonitor(cfg Config) *Monitor {
 	return &Monitor{cfg: cfg, series: map[key]*series{}}
 }
 
-// Subscribe registers fn to be called when a classifier transitions to
-// drifting — the push counterpart of polling NeedsRetraining, used by
-// registry.Retrainer to kick off retraining the moment decay is detected.
-// Each classifier fires at most once until Rebaseline resets it. Callbacks
-// run synchronously from the Observe caller's goroutine (without the
-// monitor's lock held) and must be quick or hand off to their own
-// goroutine.
-func (m *Monitor) Subscribe(fn func(Status)) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.subs = append(m.subs, fn)
-}
-
 // Rebaseline drops every classifier's reference and recent windows. Call
 // after a bank hot-swap: the new bank must build its own baseline from its
 // own predictions rather than being judged against the distribution of the
-// model it replaced. Also re-arms Subscribe notifications. (With versioned
-// banks each series additionally resets itself whenever the observed
-// ModelVersion changes, so old-bank stragglers around a swap cannot
-// contaminate the new baseline even before Rebaseline runs.)
+// model it replaced. (With versioned banks each series additionally resets
+// itself whenever the observed ModelVersion changes, so old-bank stragglers
+// around a swap cannot contaminate the new baseline even before Rebaseline
+// runs.)
 func (m *Monitor) Rebaseline() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.series = map[key]*series{}
 }
 
-// Rearm clears the once-per-drift notification latch without touching the
-// windows, so a still-drifting classifier notifies subscribers again — used
-// after a rejected retrain candidate, where the drift is real but the first
-// remedy failed and another attempt should be triggered.
-func (m *Monitor) Rearm() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, s := range m.series {
-		s.notified = false
-	}
-}
-
-// Observe records one classified flow.
+// Observe records one classified flow. It only records: no verdict is
+// computed here, and a series that has seen Window flows allocates nothing.
 func (m *Monitor) Observe(rec *pipeline.FlowRecord) {
 	if !rec.Verdict.ClassifierRan() {
 		return
@@ -157,6 +128,7 @@ func (m *Monitor) Observe(rec *pipeline.FlowRecord) {
 	}
 	if s == nil {
 		s = &series{
+			baseline:    make([]float64, 0, m.cfg.Window),
 			recent:      make([]float64, m.cfg.Window),
 			unknownRing: make([]bool, m.cfg.Window),
 			version:     rec.ModelVersion,
@@ -176,22 +148,7 @@ func (m *Monitor) Observe(rec *pipeline.FlowRecord) {
 	if s.idx == 0 {
 		s.full = true
 	}
-
-	// Amortized drift check for subscribers.
-	var fire []func(Status)
-	var st Status
-	if len(m.subs) > 0 && !s.notified &&
-		s.observations >= m.cfg.Window && s.observations%evalPeriod == 0 {
-		st = m.statusLocked(k, s)
-		if st.Drifting {
-			s.notified = true
-			fire = append(fire, m.subs...)
-		}
-	}
 	m.mu.Unlock()
-	for _, fn := range fire {
-		fn(st)
-	}
 }
 
 // Statuses reports per-classifier drift verdicts, sorted by provider then
@@ -212,20 +169,10 @@ func (m *Monitor) Statuses() []Status {
 	return out
 }
 
-// NeedsRetraining lists the classifiers currently flagged.
-func (m *Monitor) NeedsRetraining() []Status {
-	var out []Status
-	for _, st := range m.Statuses() {
-		if st.Drifting {
-			out = append(out, st)
-		}
-	}
-	return out
-}
-
 // statusLocked computes one classifier's verdict; callers must hold mu.
 func (m *Monitor) statusLocked(k key, s *series) Status {
-	st := Status{Provider: k.Provider, Transport: k.Transport, Observations: s.observations}
+	st := Status{Provider: k.Provider, Transport: k.Transport, Version: s.version,
+		Observations: s.observations}
 	st.BaselineMedian = median(s.baseline)
 	st.RecentMedian = median(s.recentWindow())
 	st.UnknownRate = s.unknownRate()

@@ -1,6 +1,7 @@
 package fingerprint
 
 import (
+	"encoding/json"
 	"math/rand/v2"
 	"testing"
 
@@ -275,5 +276,44 @@ func BenchmarkGenerateTCPFlow(b *testing.B) {
 		if _, err := Generate(rng, "windows_chrome", Netflix, TCP, Options{}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestProviderTransportJSONByName: both enums encode as their names in JSON,
+// map keys included, and decode back; unknown names and values are errors.
+func TestProviderTransportJSONByName(t *testing.T) {
+	type pair struct {
+		P Provider  `json:"p"`
+		T Transport `json:"t"`
+	}
+	for _, p := range AllProviders() {
+		for _, tr := range []Transport{TCP, QUIC} {
+			blob, err := json.Marshal(pair{p, tr})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := `{"p":"` + p.String() + `","t":"` + tr.String() + `"}`; string(blob) != want {
+				t.Errorf("encoded %s, want %s", blob, want)
+			}
+			var back pair
+			if err := json.Unmarshal(blob, &back); err != nil || back != (pair{p, tr}) {
+				t.Errorf("decoded %s to %+v (err %v)", blob, back, err)
+			}
+		}
+	}
+	if blob, err := json.Marshal(map[Provider]int{Netflix: 1}); err != nil || string(blob) != `{"netflix":1}` {
+		t.Errorf("map key encoded %s (err %v)", blob, err)
+	}
+	var back pair
+	for _, bad := range []string{`{"p":"hulu"}`, `{"t":"udp"}`, `{"p":1}`} {
+		if err := json.Unmarshal([]byte(bad), &back); err == nil {
+			t.Errorf("decoded %s without error", bad)
+		}
+	}
+	if _, err := json.Marshal(pair{P: Provider(NumProviders)}); err == nil {
+		t.Error("encoded an invalid provider")
+	}
+	if _, err := json.Marshal(pair{T: QUIC + 1}); err == nil {
+		t.Error("encoded an invalid transport")
 	}
 }

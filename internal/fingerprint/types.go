@@ -49,6 +49,26 @@ func (p Provider) String() string {
 	return fmt.Sprintf("provider(%d)", uint8(p))
 }
 
+// MarshalText encodes the provider by name, so JSON carries "youtube"
+// rather than an integer.
+func (p Provider) MarshalText() ([]byte, error) {
+	if int(p) >= NumProviders {
+		return nil, fmt.Errorf("fingerprint: invalid provider %d", uint8(p))
+	}
+	return []byte(p.String()), nil
+}
+
+// UnmarshalText parses a name written by MarshalText.
+func (p *Provider) UnmarshalText(text []byte) error {
+	for _, q := range AllProviders() {
+		if q.String() == string(text) {
+			*p = q
+			return nil
+		}
+	}
+	return fmt.Errorf("fingerprint: unknown provider %q", text)
+}
+
 // Abbrev returns the paper's two-letter code (YT/NF/DN/AP).
 func (p Provider) Abbrev() string {
 	switch p {
@@ -205,4 +225,25 @@ func (t Transport) String() string {
 		return "quic"
 	}
 	return "tcp"
+}
+
+// MarshalText encodes the transport by name ("tcp" or "quic").
+func (t Transport) MarshalText() ([]byte, error) {
+	if t > QUIC {
+		return nil, fmt.Errorf("fingerprint: invalid transport %d", uint8(t))
+	}
+	return []byte(t.String()), nil
+}
+
+// UnmarshalText parses a name written by MarshalText.
+func (t *Transport) UnmarshalText(text []byte) error {
+	switch string(text) {
+	case "tcp":
+		*t = TCP
+	case "quic":
+		*t = QUIC
+	default:
+		return fmt.Errorf("fingerprint: unknown transport %q", text)
+	}
+	return nil
 }

@@ -21,11 +21,9 @@ const (
 	// EventModelSwap: the serving pipeline hot-swapped to a new bank (fires
 	// for operator promotes, rollbacks and shadow-gate promotions alike).
 	EventModelSwap EventType = "model_swap"
-	// EventDriftTrigger: the drift monitor latched a drifting classifier.
+	// EventDriftTrigger: a window seal found a classifier drifting, the
+	// first time for that classifier under the serving bank version.
 	EventDriftTrigger EventType = "drift_trigger"
-	// EventDriftRearm: the drift monitor re-armed after a rejected candidate
-	// so it can trigger again.
-	EventDriftRearm EventType = "drift_rearm"
 	// EventShadowStart: a freshly retrained candidate bank entered shadow
 	// evaluation against live flows.
 	EventShadowStart EventType = "shadow_start"
@@ -40,8 +38,8 @@ const (
 	EventEvictionPressure EventType = "eviction_pressure"
 	// EventSinkError: telemetry window writes to a sink failed.
 	EventSinkError EventType = "sink_error"
-	// EventStoreCompaction: the telemetry store evicted retained windows to
-	// honor its retention bounds.
+	// EventStoreCompaction: the telemetry store sealed downsampled buckets
+	// into its coarser tiers since the last rollup window sealed.
 	EventStoreCompaction EventType = "store_compaction"
 	// EventArchiveTruncated: at startup, a torn (unterminated) last line of
 	// the telemetry archive was cut off; the bytes field says how much.
@@ -56,7 +54,6 @@ func EventTypes() []EventType {
 		EventModelRollback,
 		EventModelSwap,
 		EventDriftTrigger,
-		EventDriftRearm,
 		EventShadowStart,
 		EventShadowVerdict,
 		EventRetrainError,

@@ -943,9 +943,15 @@ func (p *Pipeline) Drain() { p.flows.Drain() }
 // would have resolved it — and a flow already evicted is not included.
 // Config.OnEvict, with Drain at the end, is where finalized records come
 // out.
-func (p *Pipeline) Flows() []*FlowRecord {
-	out := make([]*FlowRecord, 0, p.flows.Len())
+func (p *Pipeline) Flows() []*FlowRecord { return p.flowsUpTo(p.flows.Len()) }
+
+// flowsUpTo is Flows copying at most limit records.
+func (p *Pipeline) flowsUpTo(limit int) []*FlowRecord {
+	out := make([]*FlowRecord, 0, min(limit, p.flows.Len()))
 	p.flows.Range(func(_ packet.FlowKey, st *flowState) bool {
+		if len(out) == limit {
+			return false
+		}
 		rec := st.record(&p.labels)
 		out = append(out, &rec)
 		return true

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"math"
 	"math/bits"
 	"sync"
 	"sync/atomic"
@@ -627,9 +628,15 @@ func (s *Sharded) Flows() []*FlowRecord {
 // SnapshotFlows gathers every shard's current flow records while the
 // workers are running, by queueing a snapshot request behind each shard's
 // pending packets. Must not be called after (or concurrently with) Close.
-func (s *Sharded) SnapshotFlows() []*FlowRecord {
+func (s *Sharded) SnapshotFlows() []*FlowRecord { return s.SnapshotFlowsUpTo(math.MaxInt) }
+
+// SnapshotFlowsUpTo is SnapshotFlows copying at most limit records per
+// shard, so a caller that shows a page of flows does not copy the whole
+// table while each worker waits. Shard i's records precede shard i+1's, as
+// in SnapshotFlows.
+func (s *Sharded) SnapshotFlowsUpTo(limit int) []*FlowRecord {
 	per := make([][]*FlowRecord, len(s.shards))
-	s.onEachShard(func(i int, p *Pipeline) { per[i] = p.Flows() })
+	s.onEachShard(func(i int, p *Pipeline) { per[i] = p.flowsUpTo(limit) })
 	var out []*FlowRecord
 	for _, recs := range per {
 		out = append(out, recs...)

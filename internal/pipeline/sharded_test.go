@@ -308,3 +308,45 @@ feed:
 		t.Errorf("table rekeyed = %d, want %d", st.Rekeyed, flows)
 	}
 }
+
+// TestSnapshotFlowsUpTo: a limited snapshot copies at most limit records
+// from each shard, and they are the head of what SnapshotFlows lists for
+// that shard.
+func TestSnapshotFlowsUpTo(t *testing.T) {
+	s := NewShardedWithConfig(emptyBank(), 2, Config{})
+	defer s.Close()
+	dst := netip.MustParseAddrPort("192.0.2.1:443")
+	var pkts []IngestPacket
+	for i := 0; i < 40; i++ {
+		src := netip.AddrPortFrom(netip.AddrFrom4([4]byte{10, 0, 0, byte(i)}), 40000)
+		pkts = append(pkts, IngestPacket{TS: time.Unix(1, 0),
+			Data: craftFrame(src, dst, packet.ProtoTCP, packet.FlagSYN, nil, 0)})
+	}
+	s.HandlePacketBatch(pkts)
+	all := s.SnapshotFlows()
+	if len(all) != 40 {
+		t.Fatalf("SnapshotFlows = %d records, want 40", len(all))
+	}
+	if n := len(s.SnapshotFlowsUpTo(40)); n != 40 {
+		t.Errorf("SnapshotFlowsUpTo(40) = %d records, want 40", n)
+	}
+	page := s.SnapshotFlowsUpTo(3)
+	if len(page) != 6 {
+		t.Fatalf("SnapshotFlowsUpTo(3) over 2 shards = %d records, want 6", len(page))
+	}
+	// The second shard's records start where the first shard's end in the
+	// full listing.
+	second := 3
+	for second < len(all) && all[second].Key != page[3].Key {
+		second++
+	}
+	for i, rec := range page {
+		at := i
+		if i >= 3 {
+			at = second + i - 3
+		}
+		if at >= len(all) || rec.Key != all[at].Key {
+			t.Fatalf("record %d of the page is %v, not the head of its shard's listing", i, rec.Key)
+		}
+	}
+}

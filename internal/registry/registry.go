@@ -12,10 +12,11 @@
 // one.
 //
 // A Shadow evaluates a candidate bank against the active one on a sampled
-// stream of live flows, and a Retrainer ties the pieces together: a
-// drift.Monitor flags a decaying classifier, a replacement bank is trained
-// off the hot path, shadow-evaluated, and promoted only when it clears the
-// gate.
+// stream of live flows, and a Retrainer ties the pieces together: on
+// Trigger, a replacement bank is trained off the hot path,
+// shadow-evaluated, and promoted only when it clears the gate. The package
+// does not read drift verdicts itself; the daemon judges drift once per
+// sealed telemetry window and calls Trigger while a classifier is flagged.
 package registry
 
 import (

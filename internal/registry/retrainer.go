@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"videoplat/internal/drift"
 	"videoplat/internal/features"
 	"videoplat/internal/obs"
 	"videoplat/internal/pipeline"
@@ -35,8 +34,8 @@ type RetrainerConfig struct {
 	Cooldown time.Duration
 	// Events, if non-nil, receives the retrain lifecycle as typed ops
 	// events: shadow_start when a candidate enters evaluation,
-	// shadow_verdict when it resolves, drift_rearm after a rejection, and
-	// retrain_error on training failures.
+	// shadow_verdict when it resolves, and retrain_error on training
+	// failures.
 	Events *obs.Journal
 }
 
@@ -54,19 +53,23 @@ type triggerReq struct {
 	at     time.Time
 }
 
-// Retrainer closes the paper's §5.3 loop: a drift.Monitor flags a decaying
-// classifier (BindMonitor), a candidate bank is trained off the hot path,
-// stored in the registry, shadow-evaluated on live traffic, and promoted —
-// hot-swapping every subscriber via Registry.OnSwap — only when it clears
-// the gate. Rejected candidates are recorded and the monitor re-armed so
-// persistent drift triggers another attempt with a fresh seed.
+// Retrainer closes the paper's §5.3 loop: a caller that reads a drift
+// verdict calls Trigger (the daemon does so at each sealed telemetry window
+// while a classifier is flagged), a candidate bank is trained off the hot
+// path, stored in the registry, shadow-evaluated on live traffic, and
+// promoted — hot-swapping every subscriber via Registry.OnSwap — only when
+// it clears the gate. A rejected candidate is recorded; while the drift
+// persists the next Trigger after the cooldown trains another with a fresh
+// seed. Everything but the shadow's sampling runs on Start's goroutine.
 type Retrainer struct {
 	reg *Registry
 	cfg RetrainerConfig
-	mon *drift.Monitor // optional; set by BindMonitor
 
 	shadow  atomic.Pointer[shadowEval]
 	trigger chan triggerReq
+	// ready carries at most one pending "the shadow has its verdict" token
+	// from ObserveClassified to Start.
+	ready chan struct{}
 
 	retrains   atomic.Uint64
 	promotions atomic.Uint64
@@ -81,11 +84,6 @@ type Retrainer struct {
 	lastAttempt time.Time
 	lastSwap    time.Time
 	lastErr     error
-	// stopped is set when Start returns; from then on ObserveClassified
-	// starts no resolve goroutine. resolving tracks the ones in flight, so
-	// Start can wait for them: Start owns every goroutine the retrainer runs.
-	stopped   bool
-	resolving sync.WaitGroup
 }
 
 // NewRetrainer returns a Retrainer over a registry with at least one
@@ -98,25 +96,14 @@ func NewRetrainer(reg *Registry, cfg RetrainerConfig) (*Retrainer, error) {
 		cfg.Cooldown = time.Minute
 	}
 	cfg.Gate.defaults()
-	rt := &Retrainer{reg: reg, cfg: cfg, trigger: make(chan triggerReq, 1)}
+	rt := &Retrainer{reg: reg, cfg: cfg,
+		trigger: make(chan triggerReq, 1), ready: make(chan struct{}, 1)}
 	reg.OnSwap(func(*Version) {
 		rt.mu.Lock()
 		rt.lastSwap = time.Now()
 		rt.mu.Unlock()
 	})
 	return rt, nil
-}
-
-// BindMonitor subscribes the retrainer to a drift monitor's flag events and
-// arranges for the monitor to rebaseline whenever the registry activates a
-// new version, so the swapped-in bank is judged against its own reference
-// distribution.
-func (rt *Retrainer) BindMonitor(mon *drift.Monitor) {
-	rt.mon = mon
-	mon.Subscribe(func(st drift.Status) {
-		rt.Trigger(fmt.Sprintf("drift: %s/%s %s", st.Provider, st.Transport, st.Reason))
-	})
-	rt.reg.OnSwap(func(*Version) { mon.Rebaseline() })
 }
 
 // Trigger requests a retrain (non-blocking; duplicate requests while one is
@@ -129,23 +116,26 @@ func (rt *Retrainer) Trigger(reason string) {
 }
 
 // Start runs the retrain loop until ctx is cancelled. Call from its own
-// goroutine; training happens here, never on the serving path. When Start
-// returns the retrainer is quiescent: any shadow resolution in flight has
-// finished and no later ObserveClassified or Trigger starts work, so the
-// caller may tear down the registry directory once it has waited for Start.
+// goroutine; training and the promote-or-reject of a finished shadow
+// evaluation happen here, never on the serving path. When Start returns
+// the retrainer writes nothing more to the registry, so the caller may tear
+// down the registry directory once it has waited for Start.
 func (rt *Retrainer) Start(ctx context.Context) {
-	defer func() {
-		rt.mu.Lock()
-		rt.stopped = true
-		rt.mu.Unlock()
-		rt.resolving.Wait()
-	}()
 	attempt := uint64(0)
 	for {
 		var req triggerReq
 		select {
 		case <-ctx.Done():
 			return
+		case <-rt.ready:
+			// A token can outlive the evaluation it announced; resolve only
+			// a shadow that has its verdict.
+			if se := rt.shadow.Load(); se != nil {
+				if metrics, ok := se.sh.Verdict(); ok && rt.shadow.CompareAndSwap(se, nil) {
+					rt.resolve(se, metrics)
+				}
+			}
+			continue
 		case req = <-rt.trigger:
 		}
 		if rt.shadow.Load() != nil {
@@ -190,39 +180,25 @@ func (rt *Retrainer) Start(ctx context.Context) {
 
 // ObserveClassified feeds one live classification to the running shadow
 // evaluation, if any — wire it to pipeline Config.OnClassify. When the
-// shadow reaches its verdict the candidate is promoted or rejected on a
-// separate goroutine, so the serving path never waits on registry disk IO.
-// Safe for concurrent use from shard goroutines. The HandshakeInfo is only
-// borrowed for the duration of the call (the OnClassify contract).
+// shadow reaches its verdict it hands Start a token and returns: Start
+// promotes or rejects the candidate, so the serving path never waits on
+// registry disk IO. Safe for concurrent use from shard goroutines. The
+// HandshakeInfo is only borrowed for the duration of the call (the
+// OnClassify contract).
 func (rt *Retrainer) ObserveClassified(rec *pipeline.FlowRecord, hs *features.HandshakeInfo) {
 	se := rt.shadow.Load()
-	if se == nil {
+	if se == nil || !se.sh.Observe(rec, hs) {
 		return
 	}
-	if !se.sh.Observe(rec, hs) {
-		return
+	select {
+	case rt.ready <- struct{}{}:
+	default: // a token is already waiting
 	}
-	// Verdict is ready; exactly one observer claims the resolution.
-	if !rt.shadow.CompareAndSwap(se, nil) {
-		return
-	}
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	if rt.stopped {
-		return
-	}
-	rt.resolving.Add(1)
-	go func() {
-		defer rt.resolving.Done()
-		rt.resolve(se)
-	}()
 }
 
-func (rt *Retrainer) resolve(se *shadowEval) {
-	metrics, ok := se.sh.Verdict()
-	if !ok {
-		return // unreachable: Observe reported readiness
-	}
+// resolve records a finished shadow evaluation and promotes or rejects its
+// candidate.
+func (rt *Retrainer) resolve(se *shadowEval, metrics ShadowMetrics) {
 	agreed, disagreed := se.sh.Counts()
 	rt.shadowAgreed.Add(agreed)
 	rt.shadowDisagreed.Add(disagreed)
@@ -242,13 +218,6 @@ func (rt *Retrainer) resolve(se *shadowEval) {
 		return
 	}
 	rt.rejections.Add(1)
-	if rt.mon != nil {
-		// The drift is still real; let the monitor flag it again so the
-		// next attempt trains with a different seed.
-		rt.mon.Rearm()
-		rt.cfg.Events.Record(obs.EventDriftRearm, "drift monitor re-armed after rejected candidate",
-			"version", se.id)
-	}
 }
 
 // ShadowCounts reports cumulative shadow agreement/disagreement across every

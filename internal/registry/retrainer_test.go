@@ -2,12 +2,12 @@ package registry
 
 import (
 	"context"
-
+	"fmt"
 	"testing"
 	"time"
-	"videoplat/internal/fingerprint"
 
 	"videoplat/internal/drift"
+	"videoplat/internal/fingerprint"
 	"videoplat/internal/leakcheck"
 	"videoplat/internal/ml"
 	"videoplat/internal/pipeline"
@@ -16,7 +16,7 @@ import (
 
 // TestRetrainerClosesTheDriftLoop drives the full §5.3 lifecycle without a
 // server: in-distribution traffic establishes the drift baseline, open-set
-// (platform-update) traffic degrades confidence, the monitor's subscription
+// (platform-update) traffic degrades confidence, the monitor's verdict
 // triggers a retrain, the candidate is shadow-evaluated on the same drifted
 // stream, and promotion hot-swaps the active version in the registry.
 func TestRetrainerClosesTheDriftLoop(t *testing.T) {
@@ -66,7 +66,7 @@ func TestRetrainerClosesTheDriftLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt.BindMonitor(mon)
+	reg.OnSwap(func(*Version) { mon.Rebaseline() })
 	stop := runRetrainer(t, rt)
 
 	closed, err := tracegen.New(22).LabDataset(0.03, fingerprint.Options{})
@@ -80,7 +80,8 @@ func TestRetrainerClosesTheDriftLoop(t *testing.T) {
 
 	// feed classifies every flow against whatever bank is currently active
 	// — exactly what the serving pipeline does — and wires the monitor and
-	// shadow hooks the way internal/server does.
+	// shadow hooks the way internal/server does, judging drift after each
+	// batch as the server does at each sealed window.
 	feed := func(ds *tracegen.Dataset) {
 		cur := reg.Current()
 		recs, vals := classifyAll(t, cur.Bank, ds)
@@ -88,6 +89,7 @@ func TestRetrainerClosesTheDriftLoop(t *testing.T) {
 			mon.Observe(recs[i])
 			rt.ObserveClassified(recs[i], vals[i])
 		}
+		judgeDrift(rt, mon)
 	}
 
 	// Phase 1: baseline on in-distribution traffic.
@@ -158,9 +160,10 @@ func TestRetrainerClosesTheDriftLoop(t *testing.T) {
 	}
 }
 
-// TestRetrainerRejectionRearmsMonitor: a candidate that fails the gate is
-// recorded as rejected and the monitor re-arms so the next flag can fire.
-func TestRetrainerRejectionRearmsMonitor(t *testing.T) {
+// TestRetrainerRetriesAfterRejection: a candidate that fails the gate is
+// recorded as rejected, and while the drift persists the next Trigger after
+// the cooldown trains another candidate.
+func TestRetrainerRetriesAfterRejection(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains banks")
 	}
@@ -188,7 +191,6 @@ func TestRetrainerRejectionRearmsMonitor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt.BindMonitor(mon)
 	runRetrainer(t, rt)
 
 	closed, err := tracegen.New(22).LabDataset(0.03, fingerprint.Options{})
@@ -205,15 +207,16 @@ func TestRetrainerRejectionRearmsMonitor(t *testing.T) {
 			mon.Observe(recs[i])
 			rt.ObserveClassified(recs[i], vals[i])
 		}
+		judgeDrift(rt, mon)
 	}
 	for i := 0; i < 3; i++ {
 		feed(closed)
 	}
 	deadline := time.After(60 * time.Second)
-	for rt.Status().Rejections == 0 {
+	for st := rt.Status(); st.Rejections == 0 || st.Retrains < 2; st = rt.Status() {
 		select {
 		case <-deadline:
-			t.Fatalf("no rejection; retrainer=%+v registry=%+v", rt.Status(), reg.List())
+			t.Fatalf("no retry after a rejection; retrainer=%+v registry=%+v", rt.Status(), reg.List())
 		default:
 		}
 		feed(open)
@@ -229,6 +232,16 @@ func TestRetrainerRejectionRearmsMonitor(t *testing.T) {
 		}
 		return false
 	})
+}
+
+// judgeDrift does what the server does at each sealed window: Trigger the
+// retrainer for every classifier the monitor flags.
+func judgeDrift(rt *Retrainer, mon *drift.Monitor) {
+	for _, st := range mon.Statuses() {
+		if st.Drifting {
+			rt.Trigger(fmt.Sprintf("drift: %s/%s %s", st.Provider, st.Transport, st.Reason))
+		}
+	}
 }
 
 // runRetrainer runs rt's loop and returns a stop function that cancels it

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"strconv"
 
+	"videoplat/internal/drift"
 	"videoplat/internal/obs"
 	"videoplat/internal/telemetry"
 )
@@ -88,9 +89,12 @@ func knownEventType(typ obs.EventType) bool {
 
 // enrichWindow stamps window-scoped quality gauges into a sealing window:
 // the drift monitor's current worst confidence drop and the shadow
-// evaluator's agreement deltas since the previous window. Runs under the
-// rollup lock (see Rollup.SetEnrich), so it must not call back into the
-// rollup; the drift and retrainer reads take only their own locks/atomics.
+// evaluator's agreement deltas since the previous window. It is also the
+// one place drift is judged: each flagged classifier is journaled once per
+// bank version and triggers the retrainer, which coalesces the triggers and
+// waits out its cooldown. Runs under the rollup lock (see Rollup.SetEnrich),
+// so it must not call back into the rollup; the drift, journal and
+// retrainer calls take only their own locks/atomics and never block.
 func (s *Server) enrichWindow(w *telemetry.Window) {
 	if s.cfg.Drift == nil && s.cfg.Retrainer == nil {
 		return
@@ -106,6 +110,9 @@ func (s *Server) enrichWindow(w *telemetry.Window) {
 		for _, st := range s.cfg.Drift.Statuses() {
 			if drop := st.BaselineMedian - st.RecentMedian; drop > score {
 				score = drop
+			}
+			if st.Drifting {
+				s.judgeDrift(st)
 			}
 		}
 		if score > 0 {
@@ -124,6 +131,23 @@ func (s *Server) enrichWindow(w *telemetry.Window) {
 			quality().ShadowDisagreed += disagreed - s.lastShadowDisagree
 			s.lastShadowDisagree = disagreed
 		}
+	}
+}
+
+// judgeDrift acts on one flagged classifier at a window seal: it journals
+// drift_trigger the first time the classifier is flagged under this bank
+// version, and triggers the retrainer every time.
+func (s *Server) judgeDrift(st drift.Status) {
+	name := st.Provider.String() + "/" + st.Transport.String()
+	if v, ok := s.driftJournaled[name]; !ok || v != st.Version {
+		s.driftJournaled[name] = st.Version
+		s.journal.Record(obs.EventDriftTrigger, st.Reason,
+			"provider", st.Provider.String(),
+			"transport", st.Transport.String(),
+			"version", st.Version)
+	}
+	if s.cfg.Retrainer != nil {
+		s.cfg.Retrainer.Trigger("drift: " + name + " " + st.Reason)
 	}
 }
 

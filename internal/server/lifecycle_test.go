@@ -297,7 +297,6 @@ func TestAutoRetrainSwapsUnderInjectedDrift(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt.BindMonitor(mon)
 
 	srv, err := New(reg.Current().Bank, NewDriftingSynthSource(7, 0, 100), Config{
 		Addr: "127.0.0.1:0", Shards: 2, Rate: 4000,
@@ -424,4 +423,150 @@ func TestAutoRetrainSwapsUnderInjectedDrift(t *testing.T) {
 		}
 	}
 	t.Errorf("no promoted shadow verdict in journal: %+v", evs)
+}
+
+// TestRejectedCandidateRetriedWhileDriftPersists: a classifier stays flagged
+// and every candidate fails the shadow gate. The seal journals one
+// drift_trigger per (classifier, bank version), however many seals find it
+// flagged, and keeps triggering the retrainer, so a second candidate is
+// trained once the cooldown after the first attempt has passed.
+func TestRejectedCandidateRetriedWhileDriftPersists(t *testing.T) {
+	if testing.Short() {
+		t.Skip("bank training is slow")
+	}
+	leakcheck.Check(t)
+	reg, err := registry.New(registry.Config{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m0, err := reg.Add(trainBankSeed(t, 9), "initial", 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reg.Promote(m0.ID); err != nil {
+		t.Fatal(err)
+	}
+
+	// Depth-1 forests: far less confident than the serving bank, so the
+	// gate rejects every candidate. Each attempt gets its own copy, since
+	// the registry stamps the version into the bank it stores.
+	ds, err := tracegen.New(2).LabDataset(0.02, fingerprint.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stumps, err := pipeline.TrainBank(ds, pipeline.TrainConfig{Forest: ml.ForestConfig{
+		NumTrees: 12, MaxDepth: 1, MaxFeatures: 34, Seed: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := stumps.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const cooldown = 200 * time.Millisecond
+	var attemptsMu sync.Mutex
+	var attempts []time.Time
+	journal := obs.NewJournal(4096, nil)
+	// A negative margin flags every classifier once its window fills and
+	// keeps it flagged: the drift persists whatever the candidate.
+	mon := drift.NewMonitor(drift.Config{Window: 20, ConfidenceDrop: -1})
+	rt, err := registry.NewRetrainer(reg, registry.RetrainerConfig{
+		Train: func(string, uint64) (*pipeline.Bank, error) {
+			attemptsMu.Lock()
+			attempts = append(attempts, time.Now())
+			attemptsMu.Unlock()
+			var b pipeline.Bank
+			return &b, b.UnmarshalBinary(blob)
+		},
+		Gate:     registry.Gate{SampleRate: 1, MinFlows: 25},
+		Cooldown: cooldown,
+		Events:   journal,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	srv, err := New(reg.Current().Bank, NewSynthSource(7, 0), Config{
+		Addr: "127.0.0.1:0", Shards: 2, Rate: 4000,
+		Registry: reg, Drift: mon, Retrainer: rt, Journal: journal,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	runErr := make(chan error, 1)
+	go func() { runErr <- srv.Run(ctx) }()
+	stop := sync.OnceValue(func() error { cancel(); return <-runErr })
+	t.Cleanup(func() { stop() })
+
+	deadline := time.After(60 * time.Second)
+	for len(journal.Events(0, obs.EventShadowStart, 0)) < 2 {
+		select {
+		case <-deadline:
+			t.Fatalf("no second candidate; retrainer=%+v drift=%+v events=%+v",
+				rt.Status(), mon.Statuses(), journal.Events(0, "", 0))
+		case <-time.After(20 * time.Millisecond):
+		}
+	}
+
+	// /stats names the classifiers and the version each verdict judges.
+	var raw struct {
+		Drift []map[string]any `json:"drift"`
+	}
+	getJSON(t, "http://"+srv.Addr()+"/stats", &raw)
+	if len(raw.Drift) == 0 {
+		t.Fatal("/stats has no drift entries")
+	}
+	for _, d := range raw.Drift {
+		p, _ := d["provider"].(string)
+		tr, _ := d["transport"].(string)
+		if p == "" || (tr != "tcp" && tr != "quic") || d["version"] != "v0001" {
+			t.Errorf("/stats drift entry = %v", d)
+		}
+	}
+
+	if err := stop(); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if got := reg.Current().Manifest.ID; got != "v0001" {
+		t.Fatalf("a stump candidate was promoted: %s", got)
+	}
+
+	triggers := map[string]int{}
+	for _, ev := range journal.Events(0, obs.EventDriftTrigger, 0) {
+		if ev.Fields["version"] != "v0001" {
+			t.Errorf("drift_trigger for version %q: %+v", ev.Fields["version"], ev)
+		}
+		triggers[ev.Fields["provider"]+"/"+ev.Fields["transport"]+"@"+ev.Fields["version"]]++
+	}
+	if len(triggers) == 0 {
+		t.Fatal("no drift_trigger journaled")
+	}
+	for k, n := range triggers {
+		if n != 1 {
+			t.Errorf("%d drift_trigger events for %s, want 1", n, k)
+		}
+	}
+
+	// The second candidate follows the first one's rejection, and its
+	// training began no sooner than the cooldown after the first attempt.
+	starts := journal.Events(0, obs.EventShadowStart, 0)
+	var rejectedAt uint64
+	for _, ev := range journal.Events(0, obs.EventShadowVerdict, 0) {
+		if ev.Fields["version"] == starts[0].Fields["version"] {
+			if ev.Fields["promoted"] != "false" {
+				t.Fatalf("first candidate not rejected: %+v", ev)
+			}
+			rejectedAt = ev.Seq
+		}
+	}
+	if rejectedAt == 0 || starts[1].Seq < rejectedAt {
+		t.Errorf("second shadow_start (seq %d) does not follow the first rejection (seq %d)",
+			starts[1].Seq, rejectedAt)
+	}
+	attemptsMu.Lock()
+	defer attemptsMu.Unlock()
+	if gap := attempts[1].Sub(attempts[0]); gap < cooldown {
+		t.Errorf("second attempt %v after the first, inside the %v cooldown", gap, cooldown)
+	}
 }

@@ -39,7 +39,9 @@
 // one, /models/promote and /models/rollback hot-swap the serving bank with
 // zero downtime, /models/export captures the active bank as a vptrain-style
 // gob, and a drift monitor plus retrainer (Config.Drift, Config.Retrainer)
-// close the paper's §5.3 detect→retrain→redeploy loop automatically.
+// close the paper's §5.3 detect→retrain→redeploy loop automatically: each
+// sealed window judges drift once and triggers the retrainer while a
+// classifier is flagged.
 package server
 
 import (
@@ -117,16 +119,18 @@ type Config struct {
 	// bank with zero downtime. The caller remains responsible for seeding
 	// an empty registry and passing its active bank to New.
 	Registry *registry.Registry
-	// Drift, if non-nil, observes every classification (the complete
-	// stream, not the best-effort Results channel) and surfaces per-
-	// classifier verdicts in /stats. When Registry is also set and no
-	// Retrainer owns the monitor, the server rebaselines it after each
-	// swap so a new bank is judged against its own reference.
+	// Drift, if non-nil, records every classification and surfaces per-
+	// classifier verdicts in /stats. Drift is judged once per sealed
+	// window: the seal stamps the window's drift_score, journals
+	// drift_trigger the first time a classifier is flagged under a bank
+	// version, and triggers Retrainer while it stays flagged. When
+	// Registry is also set, every swap rebaselines the monitor so a new
+	// bank is judged against its own reference.
 	Drift *drift.Monitor
-	// Retrainer, if non-nil, runs the drift-triggered retrain loop for the
-	// daemon's lifetime: shadow evaluations are fed from the serving
-	// path's classifications and promotions hot-swap the bank. The caller
-	// should have bound it to Drift via BindMonitor.
+	// Retrainer, if non-nil, runs the retrain loop for the daemon's
+	// lifetime: window seals trigger it from Drift's verdicts, shadow
+	// evaluations are fed from the serving path's classifications, and
+	// promotions hot-swap the bank.
 	Retrainer *registry.Retrainer
 
 	// Journal receives the daemon's typed ops events (model lifecycle, drift
@@ -201,10 +205,13 @@ type Server struct {
 	lastSinkErrs    uint64
 	lastCompactions uint64
 	lastCapEvict    uint64
-	// Shadow delta stamping state, touched only from the rollup enrich hook,
-	// serialized under the rollup's lock.
+	// Shadow delta stamping and drift_trigger edge state, touched only from
+	// the rollup enrich hook, serialized under the rollup's lock.
+	// driftJournaled maps "provider/transport" to the bank version it last
+	// journaled a drift_trigger for.
 	lastShadowAgreed   uint64
 	lastShadowDisagree uint64
+	driftJournaled     map[string]string
 
 	replayDone chan struct{}
 
@@ -240,13 +247,16 @@ func New(bank *pipeline.Bank, src Source, cfg Config) (*Server, error) {
 		tracer:     obs.NewTracer(obs.TracerConfig{SampleEvery: cfg.TraceSampleEvery}),
 		journal:    cfg.Journal,
 		replayDone: make(chan struct{}),
+
+		driftJournaled: map[string]string{},
 	}
 	if s.journal == nil {
 		s.journal = obs.NewJournal(0, nil)
 	}
 	// Window-scoped quality gauges (drift score, shadow agreement deltas)
-	// are stamped into each window as it seals; the hook runs under the
-	// rollup lock and must not call back into the rollup.
+	// are stamped into each window as it seals, where drift is also judged;
+	// the hook runs under the rollup lock and must not call back into the
+	// rollup.
 	s.rollup.SetEnrich(s.enrichWindow)
 
 	pcfg := pipeline.Config{
@@ -267,10 +277,11 @@ func New(bank *pipeline.Bank, src Source, cfg Config) (*Server, error) {
 		},
 	}
 	if cfg.Drift != nil || cfg.Retrainer != nil {
-		// One hook covers both consumers: the drift monitor sees the
-		// complete classification stream, and the retrainer's shadow
-		// evaluation samples from it. Runs on shard goroutines; both
-		// consumers are concurrency-safe and non-blocking.
+		// One hook covers both consumers: the drift monitor records the
+		// complete classification stream (its verdicts are read at the
+		// seal), and the retrainer's shadow evaluation samples from it.
+		// Runs on shard goroutines; both consumers are concurrency-safe and
+		// non-blocking.
 		pcfg.OnClassify = func(rec *pipeline.FlowRecord, hs *features.HandshakeInfo) {
 			if cfg.Drift != nil {
 				cfg.Drift.Observe(rec)
@@ -291,19 +302,11 @@ func New(bank *pipeline.Bank, src Source, cfg Config) (*Server, error) {
 			s.swaps.Add(1)
 			s.journal.Record(obs.EventModelSwap, "serving bank hot-swapped",
 				"version", v.Manifest.ID)
-			if cfg.Drift != nil && cfg.Retrainer == nil {
-				// No retrainer owns the monitor: reset the reference
-				// distribution here so the new bank is not judged against
-				// the old model's baseline.
+			if cfg.Drift != nil {
+				// The new bank is judged against its own baseline, not the
+				// old model's.
 				cfg.Drift.Rebaseline()
 			}
-		})
-	}
-	if cfg.Drift != nil {
-		cfg.Drift.Subscribe(func(st drift.Status) {
-			s.journal.Record(obs.EventDriftTrigger, st.Reason,
-				"provider", st.Provider.String(),
-				"transport", st.Transport.String())
 		})
 	}
 
@@ -785,17 +788,15 @@ func (s *Server) handleFlows(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "shutting down", http.StatusServiceUnavailable)
 		return
 	}
-	recs := s.sharded.SnapshotFlows()
+	// Each shard copies at most limit records: the page, not the table.
+	recs := s.sharded.SnapshotFlowsUpTo(limit)
 	s.mu.RUnlock()
 
 	out := struct {
-		Active int           `json:"active_flows"`
+		Active uint64        `json:"active_flows"`
 		Flows  []flowSummary `json:"flows"`
-	}{Active: len(recs), Flows: []flowSummary{}}
-	for _, rec := range recs {
-		if len(out.Flows) >= limit {
-			break
-		}
+	}{Active: s.sharded.TableStats().Active, Flows: []flowSummary{}}
+	for _, rec := range recs[:min(limit, len(recs))] {
 		fs := flowSummary{
 			Src:       netip.AddrPortFrom(rec.Key.Src, rec.Key.SrcPort).String(),
 			Dst:       netip.AddrPortFrom(rec.Key.Dst, rec.Key.DstPort).String(),

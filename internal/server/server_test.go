@@ -394,13 +394,26 @@ func TestFlowsRowsNameProviderAndEndpoints(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("replay did not finish")
 	}
-	var fl struct {
-		Flows []flowSummary `json:"flows"`
+	type flowsDoc struct {
+		Active int           `json:"active_flows"`
+		Flows  []flowSummary `json:"flows"`
 	}
+	var fl, page flowsDoc
 	getJSON(t, "http://"+srv.Addr()+"/flows?limit=1000", &fl)
+	// A limit below the table's size: each shard copies at most limit
+	// records, and the page is the head of the full listing, with the
+	// table's size still counted in full.
+	getJSON(t, "http://"+srv.Addr()+"/flows?limit=2", &page)
 	cancel()
 	if err := <-runErr; err != nil {
 		t.Fatalf("run: %v", err)
+	}
+	if fl.Active != len(fl.Flows) || len(fl.Flows) <= 2 {
+		t.Fatalf("full listing: active_flows %d, %d rows; want equal and > 2", fl.Active, len(fl.Flows))
+	}
+	if page.Active != fl.Active || len(page.Flows) != 2 ||
+		page.Flows[0] != fl.Flows[0] || page.Flows[1] != fl.Flows[1] {
+		t.Errorf("limit=2 page = %+v, want active_flows %d and the first two of %+v", page, fl.Active, fl.Flows)
 	}
 
 	var resumed, v6 int

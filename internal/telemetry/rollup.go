@@ -178,7 +178,7 @@ func (r *Rollup) Width() time.Duration { return r.width }
 // before the window is offered to the sink — the one moment a sealed window
 // may be modified, and the seam where the server stamps window-scoped
 // gauges that no flow record carries (drift score, shadow agreement
-// deltas). The hook runs with the rollup lock held:
+// deltas) and judges drift. The hook runs with the rollup lock held:
 // it must not call back into the Rollup (deadlock) and should be cheap.
 // Call before the first Add; not synchronized against concurrent Adds.
 func (r *Rollup) SetEnrich(fn func(*Window)) {

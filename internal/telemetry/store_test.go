@@ -518,24 +518,25 @@ func TestMultiSinkFanOut(t *testing.T) {
 // vpserve's default retention: TestStoreBytesPerWindow's ceiling.
 const storeBytesPerWindow = 11_000
 
-// TestStoreBytesPerWindow pins what the store of a daemon that never
-// restarts costs: vpserve's default retention (1,440 one-minute windows
-// and the 10m and 1h tiers) filled by a Rollup with 1,500 flows a window
-// over every provider and platform, confidences spread over [0.5, 1] and
-// timed classifications. It logs the heap per retained window, counting
-// the windows of every tier, and requires at most storeBytesPerWindow.
-func TestStoreBytesPerWindow(t *testing.T) {
-	if testing.Short() {
-		t.Skip("folds two million records")
-	}
-	const windows, flowsPerWindow = 1440, 1500
+// storeBytesPerBucket is TestStoreBytesPerBucket's ceiling on the heap a
+// retained downsampled bucket may cost.
+const storeBytesPerBucket = 12_000
+
+// fillStore folds windows one-minute windows of 1,500 flows each — every
+// provider and platform, confidences spread over [0.5, 1], timed
+// classifications — through a Rollup into a store with the given tiers and
+// a count limit of 1,440 per tier, vpserve's default. It returns the heap
+// the store holds and how many windows it retains over all tiers, an open
+// bucket counting as one.
+func fillStore(windows int, tiers []time.Duration) (heap int64, retained int) {
+	const flowsPerWindow = 1500
 	rng := rand.New(rand.NewPCG(1, 2))
 	labels := fingerprint.AllPlatformLabels()
 	rec := &pipeline.FlowRecord{Content: true, BytesDown: 40 << 20, BytesUp: 1 << 20}
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	store := NewStore(StoreConfig{MaxWindows: windows, Tiers: []time.Duration{10 * time.Minute, time.Hour}})
+	store := NewStore(StoreConfig{MaxWindows: 1440, Tiers: tiers})
 	roll := NewRollup(time.Minute, store)
 	for w := 0; w < windows; w++ {
 		for i := 0; i < flowsPerWindow; i++ {
@@ -558,14 +559,26 @@ func TestStoreBytesPerWindow(t *testing.T) {
 	runtime.GC()
 	runtime.ReadMemStats(&after)
 	runtime.KeepAlive(store)
-	retained := 0
 	for _, ts := range store.Stats().Tiers {
 		retained += ts.Windows
 		if ts.OpenBucket {
 			retained++
 		}
 	}
-	heap := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	return int64(after.HeapAlloc) - int64(before.HeapAlloc), retained
+}
+
+// TestStoreBytesPerWindow pins what the store of a daemon costs after one
+// day of trace time at vpserve's default retention: 1,440 one-minute
+// windows and the 10m and 1h tiers, filled by fillStore. It logs the heap
+// per retained window, counting the windows of every tier, and requires at
+// most storeBytesPerWindow.
+func TestStoreBytesPerWindow(t *testing.T) {
+	if testing.Short() {
+		t.Skip("folds two million records")
+	}
+	const windows = 1440
+	heap, retained := fillStore(windows, []time.Duration{10 * time.Minute, time.Hour})
 	perWindow := float64(heap) / float64(retained)
 	t.Logf("store: %d windows retained, %.1f MB, %.0f B per window", retained, float64(heap)/1e6, perWindow)
 	if retained != windows+windows/10+windows/60 {
@@ -573,6 +586,32 @@ func TestStoreBytesPerWindow(t *testing.T) {
 	}
 	if perWindow > storeBytesPerWindow {
 		t.Errorf("a retained window costs %.0f B of heap, want <= %d", perWindow, storeBytesPerWindow)
+	}
+}
+
+// TestStoreBytesPerBucket measures what a downsampled bucket costs, which
+// sizes the 10m and 1h tiers: the count limit applies to each tier, so at
+// the default retention each of them also fills to 1,440 buckets, after 10
+// and 60 days of trace time. The bucket cost is the heap a tiered store
+// holds beyond a raw-only one fed the same day of windows, per retained
+// bucket; it must stay within storeBytesPerBucket.
+func TestStoreBytesPerBucket(t *testing.T) {
+	if testing.Short() {
+		t.Skip("folds four million records")
+	}
+	const windows = 1440
+	rawHeap, rawRetained := fillStore(windows, nil)
+	heap, retained := fillStore(windows, []time.Duration{10 * time.Minute, time.Hour})
+	buckets := retained - rawRetained
+	perBucket := float64(heap-rawHeap) / float64(buckets)
+	t.Logf("store: %d buckets over %d raw windows, %.0f B per bucket, %.0f B per raw window",
+		buckets, rawRetained, perBucket, float64(rawHeap)/float64(rawRetained))
+	if rawRetained != windows || buckets != windows/10+windows/60 {
+		t.Fatalf("retained %d raw windows and %d buckets, want %d and %d",
+			rawRetained, buckets, windows, windows/10+windows/60)
+	}
+	if perBucket > storeBytesPerBucket {
+		t.Errorf("a retained bucket costs %.0f B of heap, want <= %d", perBucket, storeBytesPerBucket)
 	}
 }
 
