@@ -2,15 +2,19 @@ package server
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"videoplat/internal/obs"
+	"videoplat/internal/telemetry"
 )
 
 // TestReadyzLifecycle: /readyz refuses before the ingest loop starts and
@@ -166,5 +170,95 @@ func TestEventsEndpoint(t *testing.T) {
 	cancel()
 	if err := <-runErr; err != nil {
 		t.Fatalf("run: %v", err)
+	}
+}
+
+// flakySink fails every other window it is offered, starting with the
+// first, and counts the failures.
+type flakySink struct {
+	mu            sync.Mutex
+	writes, fails int
+}
+
+func (f *flakySink) WriteWindow(*telemetry.Window) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.writes++
+	if f.writes%2 == 1 {
+		f.fails++
+		return errors.New("archive unavailable")
+	}
+	return nil
+}
+
+// TestSealJournalsHealthEvents pins the three health events a window seal
+// journals, at one and at two shards: one sink_error per failed archive
+// write, store_compaction buckets summing to the store's compactions, and
+// eviction_pressure counts summing to the flow table's cap evictions.
+func TestSealJournalsHealthEvents(t *testing.T) {
+	if testing.Short() {
+		t.Skip("bank training is slow")
+	}
+	bank := trainBank(t)
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			journal := obs.NewJournal(4096, nil)
+			sink := &flakySink{}
+			srv, err := New(bank, NewSynthSource(3, 40), Config{
+				Addr:        "127.0.0.1:0",
+				Shards:      shards,
+				MaxFlows:    4,
+				WindowWidth: time.Minute,
+				Sink:        sink,
+				Store:       telemetry.NewStore(telemetry.StoreConfig{Tiers: []time.Duration{2 * time.Minute}}),
+				Journal:     journal,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			runErr := make(chan error, 1)
+			go func() { runErr <- srv.Run(ctx) }()
+			select {
+			case <-srv.ReplayDone():
+			case <-time.After(60 * time.Second):
+				t.Fatal("replay did not finish")
+			}
+			cancel()
+			if err := <-runErr; err != nil {
+				t.Fatalf("run: %v", err)
+			}
+			st := srv.Snapshot()
+
+			sum := func(typ obs.EventType, field string) (events int, total uint64) {
+				for _, ev := range journal.Events(0, typ, 4096) {
+					events++
+					n, err := strconv.ParseUint(ev.Fields[field], 10, 64)
+					if field != "" && err != nil {
+						t.Fatalf("%s event %+v: %v", typ, ev, err)
+					}
+					total += n
+				}
+				return events, total
+			}
+
+			sink.mu.Lock()
+			writes, fails := sink.writes, sink.fails
+			sink.mu.Unlock()
+			if writes < 4 || writes != st.Rollup.Sealed {
+				t.Fatalf("archive offered %d windows, rollup sealed %d", writes, st.Rollup.Sealed)
+			}
+			if n, _ := sum(obs.EventSinkError, ""); n != fails || st.Rollup.SinkErrors != uint64(fails) {
+				t.Errorf("%d sink_error events, %d failed writes, /stats sink_errors %d", n, fails, st.Rollup.SinkErrors)
+			}
+			n, buckets := sum(obs.EventStoreCompaction, "buckets")
+			if n == 0 || buckets != st.Rollup.Store.Compactions {
+				t.Errorf("%d store_compaction events for %d buckets, store compactions %d", n, buckets, st.Rollup.Store.Compactions)
+			}
+			n, evicted := sum(obs.EventEvictionPressure, "evicted")
+			if n == 0 || evicted != st.FlowTable.EvictedCap {
+				t.Errorf("%d eviction_pressure events for %d flows, flow table evicted_cap %d", n, evicted, st.FlowTable.EvictedCap)
+			}
+		})
 	}
 }
