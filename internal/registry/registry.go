@@ -133,7 +133,27 @@ func New(cfg Config) (*Registry, error) {
 	if err := r.loadHistory(); err != nil {
 		return nil, err
 	}
-	if active := r.activeIDLocked(); active != "" {
+	// HISTORY is the one record of the active version. An activation writes
+	// the old manifest, the new one, then HISTORY, so a crash between them
+	// leaves manifests that disagree with it; persist them back in line, or
+	// a stale "active" manifest would outlive every later promotion (pruning
+	// never touches one).
+	active := r.activeIDLocked()
+	for id, m := range r.manifests {
+		state := m.State
+		if id == active {
+			state = StateActive
+		} else if state == StateActive {
+			state = StateRetired
+		}
+		if state != m.State {
+			m.State = state
+			if err := r.writeManifestLocked(m); err != nil {
+				return nil, err
+			}
+		}
+	}
+	if active != "" {
 		bank, err := r.loadBank(active)
 		if err != nil {
 			return nil, fmt.Errorf("registry: loading active version %s: %w", active, err)

@@ -1,6 +1,7 @@
 package registry
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -338,5 +339,100 @@ func TestKeepPrunesOldRetiredVersions(t *testing.T) {
 	}
 	if v.Manifest.ID != "v0002" {
 		t.Errorf("rollback after prune landed on %s, want v0002", v.Manifest.ID)
+	}
+}
+
+// TestNewReconcilesManifestsWithHistory opens a registry directory edited by
+// hand into what a crash inside an activation leaves: the old active
+// version's manifest rewritten as retired and the new one's as active, but
+// HISTORY not yet appended. HISTORY is the one record of the active
+// version, so New must serve its last entry, persist that manifest as
+// active and the other as retired; a later promotion then leaves exactly one
+// active manifest, and the stale one is prunable.
+func TestNewReconcilesManifestsWithHistory(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains banks")
+	}
+	dir := t.TempDir()
+	reg, err := New(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seed := uint64(1); seed <= 2; seed++ {
+		bank := trainBank(t, seed, ml.ForestConfig{NumTrees: 3, MaxDepth: 5, MaxFeatures: 10, Seed: seed})
+		if _, err := reg.Add(bank, "hand-edited", seed); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := reg.Promote("v0001"); err != nil {
+		t.Fatal(err)
+	}
+	setState := func(id, state string) {
+		path := filepath.Join(dir, id+".json")
+		blob, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m Manifest
+		if err := json.Unmarshal(blob, &m); err != nil {
+			t.Fatal(err)
+		}
+		m.State = state
+		if blob, err = json.Marshal(m); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	setState("v0001", StateRetired)
+	setState("v0002", StateActive)
+
+	states := func(reg *Registry) map[string]string {
+		out := map[string]string{}
+		for _, m := range reg.List() {
+			out[m.ID] = m.State
+		}
+		return out
+	}
+	reg, err = New(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cur := reg.Current(); cur == nil || cur.Manifest.ID != "v0001" || cur.Manifest.State != StateActive {
+		t.Fatalf("serving %+v, want v0001 active", cur)
+	}
+	want := map[string]string{"v0001": StateActive, "v0002": StateRetired}
+	if got := states(reg); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("after reopen: states %v, want %v", got, want)
+	}
+	// The reconciliation is persisted, not only applied in memory.
+	reopened, err := New(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := states(reopened); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("after second reopen: states %v, want %v", got, want)
+	}
+
+	bank := trainBank(t, 3, ml.ForestConfig{NumTrees: 3, MaxDepth: 5, MaxFeatures: 10, Seed: 3})
+	m, err := reg.Add(bank, "hand-edited", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reg.Promote(m.ID); err != nil {
+		t.Fatal(err)
+	}
+	want = map[string]string{"v0001": StateRetired, "v0002": StateRetired, "v0003": StateActive}
+	if got := states(reg); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("after promoting v0003: states %v, want %v", got, want)
+	}
+	reg.mu.Lock()
+	reg.keep = 0
+	reg.pruneLocked()
+	reg.mu.Unlock()
+	// Rollback's target (v0001) is kept; the retired v0002 is not.
+	if got := states(reg); got["v0002"] != "" || got["v0003"] != StateActive {
+		t.Fatalf("after pruning: states %v, want v0002 gone and v0003 active", got)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"time"
 
 	"videoplat/internal/drift"
 	"videoplat/internal/obs"
@@ -87,18 +88,23 @@ func knownEventType(typ obs.EventType) bool {
 	return false
 }
 
-// enrichWindow stamps window-scoped quality gauges into a sealing window:
-// the drift monitor's current worst confidence drop and the shadow
-// evaluator's agreement deltas since the previous window. It is also the
-// one place drift is judged: each flagged classifier is journaled once per
+// sealStage is the server as its rollup's only sink: the one place a sealed
+// window's side effects happen. The rollup calls WriteWindow under its lock,
+// once per seal and in seal order, whichever shard worker (or shutdown's
+// Flush) sealed the window, so the state kept between seals needs no lock of
+// its own. Nothing here calls back into the rollup or waits on a shard.
+type sealStage Server
+
+// WriteWindow stamps the window with the drift monitor's worst confidence
+// drop and the shadow evaluator's agreement deltas since the previous seal,
+// judging drift as it goes (each flagged classifier is journaled once per
 // bank version and triggers the retrainer, which coalesces the triggers and
-// waits out its cooldown. Runs under the rollup lock (see Rollup.SetEnrich),
-// so it must not call back into the rollup; the drift, journal and
-// retrainer calls take only their own locks/atomics and never block.
-func (s *Server) enrichWindow(w *telemetry.Window) {
-	if s.cfg.Drift == nil && s.cfg.Retrainer == nil {
-		return
-	}
+// waits out its cooldown). It then writes the store and cfg.Sink, and
+// journals what the seal saw: the archive's error, and store compactions
+// and flow-table cap evictions since the previous seal. The archive's error
+// is returned for the rollup's sink-error count.
+func (st *sealStage) WriteWindow(w *telemetry.Window) error {
+	s := (*Server)(st)
 	quality := func() *telemetry.QualitySummary {
 		if w.Quality == nil {
 			w.Quality = &telemetry.QualitySummary{}
@@ -132,6 +138,29 @@ func (s *Server) enrichWindow(w *telemetry.Window) {
 			s.lastShadowDisagree = disagreed
 		}
 	}
+
+	_ = s.store.WriteWindow(w) // in memory: never fails
+	var err error
+	if s.cfg.Sink != nil {
+		if err = s.cfg.Sink.WriteWindow(w); err != nil {
+			s.journal.Record(obs.EventSinkError, "telemetry sink write failed",
+				"error", err.Error(),
+				"window_start", w.Start.UTC().Format(time.RFC3339))
+		}
+	}
+	if comp := s.store.Stats().Compactions; comp > s.lastCompactions {
+		s.journal.Record(obs.EventStoreCompaction, "telemetry store compacted windows into coarser tiers",
+			"buckets", strconv.FormatUint(comp-s.lastCompactions, 10),
+			"total", strconv.FormatUint(comp, 10))
+		s.lastCompactions = comp
+	}
+	if capEv := s.sharded.TableStats().EvictedCap; capEv > s.lastCapEvict {
+		s.journal.Record(obs.EventEvictionPressure, "flow table evicted flows at capacity",
+			"evicted", strconv.FormatUint(capEv-s.lastCapEvict, 10),
+			"total", strconv.FormatUint(capEv, 10))
+		s.lastCapEvict = capEv
+	}
+	return err
 }
 
 // judgeDrift acts on one flagged classifier at a window seal: it journals
@@ -148,34 +177,5 @@ func (s *Server) judgeDrift(st drift.Status) {
 	}
 	if s.cfg.Retrainer != nil {
 		s.cfg.Retrainer.Trigger("drift: " + name + " " + st.Reason)
-	}
-}
-
-// sealHealthEvents journals pipeline-health regressions observed since the
-// previous sealed window: telemetry sink write failures, store compactions,
-// and capacity-pressure flow evictions. Called right after a window seals —
-// on whichever shard worker's Add sealed it, or from finishPipeline's Flush —
-// so each event describes roughly one window's worth of trouble. sealMu
-// orders the callers; it waits on no shard (TableStats reads atomics).
-func (s *Server) sealHealthEvents() {
-	s.sealMu.Lock()
-	defer s.sealMu.Unlock()
-	if errs := s.rollup.SinkErrors(); errs > s.lastSinkErrs {
-		s.journal.Record(obs.EventSinkError, "telemetry sink writes failed",
-			"failures", strconv.FormatUint(errs-s.lastSinkErrs, 10),
-			"total", strconv.FormatUint(errs, 10))
-		s.lastSinkErrs = errs
-	}
-	if comp := s.store.Stats().Compactions; comp > s.lastCompactions {
-		s.journal.Record(obs.EventStoreCompaction, "telemetry store compacted windows into coarser tiers",
-			"buckets", strconv.FormatUint(comp-s.lastCompactions, 10),
-			"total", strconv.FormatUint(comp, 10))
-		s.lastCompactions = comp
-	}
-	if capEv := s.sharded.TableStats().EvictedCap; capEv > s.lastCapEvict {
-		s.journal.Record(obs.EventEvictionPressure, "flow table evicted flows at capacity",
-			"evicted", strconv.FormatUint(capEv-s.lastCapEvict, 10),
-			"total", strconv.FormatUint(capEv, 10))
-		s.lastCapEvict = capEv
 	}
 }

@@ -19,8 +19,10 @@
 //
 // A finalized flow takes one hop to its window: the pipeline's OnEvict hook,
 // on the shard worker that owns the flow and its packet clock, calls
-// Rollup.Add. Any shard may therefore seal a window, and the seal-health
-// journaling behind a seal is serialized by a mutex of its own.
+// Rollup.Add, so any shard may seal a window. The server is its rollup's
+// only sink, the one seal stage: under the rollup lock that orders seals it
+// stamps the window and judges drift, writes the store and Config.Sink, and
+// journals the seal's health events.
 //
 // Sealed rollup windows are also retained in a queryable telemetry store
 // (Config.Store, defaulted when nil): a bounded in-memory ring with
@@ -104,7 +106,8 @@ type Config struct {
 	ProviderHint func(addr netip.Addr) (fingerprint.Provider, bool)
 	// Sink receives sealed rollup windows (nil = discard), e.g. the JSONL
 	// archive of vpserve -telemetry-persist. Independent of the Store:
-	// windows always reach both.
+	// windows always reach both, the Store first. A failed write journals a
+	// sink_error event; a slow one stalls the sealing shard.
 	Sink telemetry.Sink
 	// Store retains sealed rollup windows for the /windows and /query
 	// endpoints. Nil selects a default store (1024 windows per tier, with
@@ -197,18 +200,11 @@ type Server struct {
 	bytes     atomic.Uint64
 	swaps     atomic.Uint64 // bank hot-swaps applied to the pipeline
 
-	// Journal edge-detection state for window-seal health events. Any shard
-	// may seal a window (or finishPipeline's Flush may), so sealHealthEvents
-	// holds sealMu over lastSinkErrs/lastCompactions/lastCapEvict; it is
-	// taken once per reported seal, never per record.
-	sealMu          sync.Mutex
-	lastSinkErrs    uint64
-	lastCompactions uint64
-	lastCapEvict    uint64
-	// Shadow delta stamping and drift_trigger edge state, touched only from
-	// the rollup enrich hook, serialized under the rollup's lock.
-	// driftJournaled maps "provider/transport" to the bank version it last
-	// journaled a drift_trigger for.
+	// The seal stage's state between seals, guarded by the rollup's lock
+	// (see sealStage). driftJournaled maps "provider/transport" to the bank
+	// version it last journaled a drift_trigger for.
+	lastCompactions    uint64
+	lastCapEvict       uint64
 	lastShadowAgreed   uint64
 	lastShadowDisagree uint64
 	driftJournaled     map[string]string
@@ -232,16 +228,9 @@ func New(bank *pipeline.Bank, src Source, cfg Config) (*Server, error) {
 			Tiers: []time.Duration{10 * cfg.WindowWidth, 60 * cfg.WindowWidth},
 		})
 	}
-	// Every sealed window reaches the queryable store; the configured sink
-	// (e.g. a JSONL archive) rides alongside.
-	sink := telemetry.Sink(store)
-	if cfg.Sink != nil {
-		sink = telemetry.MultiSink(store, cfg.Sink)
-	}
 	s := &Server{
 		cfg:        cfg,
 		src:        src,
-		rollup:     telemetry.NewRollup(cfg.WindowWidth, sink),
 		store:      store,
 		obsv:       obs.NewPipelineObserver(),
 		tracer:     obs.NewTracer(obs.TracerConfig{SampleEvery: cfg.TraceSampleEvery}),
@@ -253,11 +242,7 @@ func New(bank *pipeline.Bank, src Source, cfg Config) (*Server, error) {
 	if s.journal == nil {
 		s.journal = obs.NewJournal(0, nil)
 	}
-	// Window-scoped quality gauges (drift score, shadow agreement deltas)
-	// are stamped into each window as it seals, where drift is also judged;
-	// the hook runs under the rollup lock and must not call back into the
-	// rollup.
-	s.rollup.SetEnrich(s.enrichWindow)
+	s.rollup = telemetry.NewRollup(cfg.WindowWidth, (*sealStage)(s))
 
 	pcfg := pipeline.Config{
 		MaxFlows:       max(cfg.MaxFlows/cfg.Shards, 1), // per shard
@@ -267,9 +252,10 @@ func New(bank *pipeline.Bank, src Source, cfg Config) (*Server, error) {
 		Observer:       s.obsv,
 		Tracer:         s.tracer,
 		// The evicting shard folds the record itself. The fold takes the
-		// rollup's lock (and, behind a seal, the sink's, the store's and
-		// sealMu), and nothing holding any of them waits on a shard: not the
-		// sink, not enrichWindow's drift and retrainer reads, not Snapshot.
+		// rollup's lock (and, behind a seal, the store's, cfg.Sink's and the
+		// journal's), and nothing holding any of them waits on a shard: not
+		// the seal stage's drift, retrainer and flow-table reads, not
+		// Snapshot.
 		// /flows holds s.mu while it waits on the shards, and the fold never
 		// takes s.mu, so no lock cycle runs through a shard worker.
 		OnEvict: func(rec *pipeline.FlowRecord, _ flowtable.Reason) {
@@ -425,9 +411,7 @@ func (s *Server) finishPipeline() {
 	if c, ok := s.src.(io.Closer); ok {
 		c.Close() // replay goroutine has exited; release e.g. the capture fd
 	}
-	if s.rollup.Flush() {
-		s.sealHealthEvents()
-	}
+	s.rollup.Flush()
 }
 
 // replay streams the source through the sharded pipeline in batches of up
@@ -505,17 +489,12 @@ func (s *Server) effectiveBatchSize() int {
 }
 
 // addToRollup commits one finalized record to the rollup on the shard
-// worker that evicted it, timed as the pipeline's rollup stage. When the add
-// seals a window, pipeline-health deltas (sink errors, store compactions,
-// flow-table cap pressure) are checked and journaled — once per sealed
-// window, not per flow, so the checks stay off the per-record path.
+// worker that evicted it, timed as the pipeline's rollup stage (a seal the
+// add triggers, seal stage included, counts toward it).
 func (s *Server) addToRollup(rec *pipeline.FlowRecord) {
 	t0 := time.Now()
-	sealed := s.rollup.Add(rec)
+	s.rollup.Add(rec)
 	s.obsv.Record(obs.StageRollup, time.Since(t0))
-	if sealed {
-		s.sealHealthEvents()
-	}
 }
 
 // Stats is the /stats document.

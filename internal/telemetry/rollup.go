@@ -42,10 +42,11 @@ type Cell struct {
 // rollup engine retires to its sink. Flows are assigned to windows by their
 // LastSeen timestamp (the moment the flow finalized).
 //
-// A sealed Window is immutable. The Rollup builds it once, its sinks and
-// the Store's tiers retain the pointer, and every reader shares it, so
-// nothing may modify a window after it is built (the Rollup's enrich hook,
-// which runs before any sink sees the window, aside).
+// A sealed Window is immutable once the Rollup's sink has passed it on. The
+// Rollup builds it once and hands it to its one sink first and alone, which
+// may stamp window-scoped fields no flow record carries; after that the
+// Store's tiers and archives retain the pointer and every reader shares it,
+// so nothing may modify it.
 type Window struct {
 	Start time.Time `json:"start"`
 	End   time.Time `json:"end"`
@@ -82,10 +83,14 @@ type Window struct {
 	Quality *QualitySummary `json:"quality,omitempty"`
 }
 
-// Sink receives sealed windows. WriteWindow may be called from the
-// goroutine driving Rollup.Add; implementations that share state with other
-// goroutines must synchronize internally. A sink must not modify the
-// window: it is sealed, and shared with every other sink and reader.
+// Sink receives sealed windows. A Rollup calls WriteWindow on the goroutine
+// driving Add or Flush, with the rollup lock held: seals reach the sink one
+// at a time, in seal order, and the sink must not call back into the
+// Rollup. A Rollup's sink gets each window first and alone, so it may stamp
+// window-scoped fields before passing the window on; once passed on, the
+// window is shared with every other sink and reader and must not be
+// modified. Implementations that share state with other goroutines must
+// synchronize internally.
 type Sink interface {
 	WriteWindow(w *Window) error
 }
@@ -148,12 +153,13 @@ func (s *JSONLSink) Windows() int {
 // openWindow); each seal, and each Current snapshot, builds a newly
 // allocated Window from it.
 //
-// Rollup is safe for concurrent use.
+// Rollup is safe for concurrent use. Seals are serialized: the sink gets
+// each sealed window under the rollup lock (see Sink), so state a sink
+// keeps from one seal to the next needs no lock of its own.
 type Rollup struct {
 	mu       sync.Mutex
 	width    time.Duration
 	sink     Sink
-	enrich   func(*Window)
 	cur      openWindow // the in-progress window while active
 	active   bool
 	sealed   int
@@ -174,24 +180,10 @@ func NewRollup(width time.Duration, sink Sink) *Rollup {
 // Width returns the tumbling window width.
 func (r *Rollup) Width() time.Duration { return r.width }
 
-// SetEnrich installs a hook invoked with each window at seal time, just
-// before the window is offered to the sink — the one moment a sealed window
-// may be modified, and the seam where the server stamps window-scoped
-// gauges that no flow record carries (drift score, shadow agreement
-// deltas) and judges drift. The hook runs with the rollup lock held:
-// it must not call back into the Rollup (deadlock) and should be cheap.
-// Call before the first Add; not synchronized against concurrent Adds.
-func (r *Rollup) SetEnrich(fn func(*Window)) {
-	r.mu.Lock()
-	r.enrich = fn
-	r.mu.Unlock()
-}
-
 // Add folds one finalized flow record into the rollup, sealing the current
-// window first if rec.LastSeen has moved past its end, and reports whether
-// it sealed one. Records older than the current window are folded in as
-// late flows.
-func (r *Rollup) Add(rec *pipeline.FlowRecord) (sealed bool) {
+// window first if rec.LastSeen has moved past its end. Records older than
+// the current window are folded in as late flows.
+func (r *Rollup) Add(rec *pipeline.FlowRecord) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	ts := rec.LastSeen
@@ -201,24 +193,19 @@ func (r *Rollup) Add(rec *pipeline.FlowRecord) (sealed bool) {
 	if !ts.Before(r.cur.end) {
 		r.seal()
 		r.open(ts) // skip empty gap windows rather than sealing them
-		sealed = true
 	}
 	r.cur.add(rec, ts.Before(r.cur.start))
-	return sealed
 }
 
-// Flush seals and retires the current window, if any, and reports whether
-// it sealed one. Call at shutdown so the trailing partial window reaches the
-// sink.
-func (r *Rollup) Flush() (sealed bool) {
+// Flush seals and retires the current window, if any. Call at shutdown so
+// the trailing partial window reaches the sink.
+func (r *Rollup) Flush() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.active && r.cur.flows > 0 {
 		r.seal()
-		sealed = true
 	}
 	r.active = false
-	return sealed
 }
 
 // Sealed reports how many windows have been sealed and offered to the sink.
@@ -262,17 +249,12 @@ func (r *Rollup) open(ts time.Time) {
 	r.active = true
 }
 
-// seal builds the current window, stamps it with the enrich hook and hands
-// it to the sink; callers must hold mu and open or deactivate cur
-// afterwards.
+// seal builds the current window and hands it to the sink; callers must
+// hold mu and open or deactivate cur afterwards.
 func (r *Rollup) seal() {
-	w := r.cur.window()
-	if r.enrich != nil {
-		r.enrich(w)
-	}
 	r.sealed++
 	if r.sink != nil {
-		if err := r.sink.WriteWindow(w); err != nil {
+		if err := r.sink.WriteWindow(r.cur.window()); err != nil {
 			r.sinkErrs++
 			if r.sinkErr == nil {
 				r.sinkErr = err
@@ -309,9 +291,9 @@ type openWindow struct {
 	latency      obs.Summary
 	conf, margin ConfidenceHist
 
-	// What only merged windows carry: the window-scoped gauges the
-	// Rollup's enrich hook stamps on a built window, and whether a quality
-	// summary was present at all.
+	// What only merged windows carry: the window-scoped gauges a Rollup's
+	// sink stamps on a sealed window, and whether a quality summary was
+	// present at all.
 	drift                         float64
 	shadowAgreed, shadowDisagreed uint64
 	quality                       bool

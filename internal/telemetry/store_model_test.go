@@ -273,14 +273,16 @@ func FuzzStoreMatchesMapMerge(f *testing.F) {
 			m.add(w)
 			return s.WriteWindow(w)
 		}
-		live := NewRollup(time.Minute, sinkFunc(write))
-		live.SetEnrich(enrich)
+		live := NewRollup(time.Minute, sinkFunc(func(w *Window) error {
+			enrich(w)
+			return write(w)
+		}))
 		var held []*Window
 		behind := NewRollup(time.Minute, sinkFunc(func(w *Window) error {
+			enrich(w)
 			held = append(held, w)
 			return nil
 		}))
-		behind.SetEnrich(enrich)
 
 		check := func(step int) {
 			for _, width := range append([]time.Duration{0}, tiers...) {

@@ -139,9 +139,9 @@ func TestWindowJSONUnchanged(t *testing.T) {
 	tiers := []time.Duration{10 * time.Minute, time.Hour}
 	store := NewStore(StoreConfig{Tiers: tiers})
 	var archive bytes.Buffer
-	roll := NewRollup(time.Minute, MultiSink(store, NewJSONLSink(&archive)))
+	sink := MultiSink(store, NewJSONLSink(&archive))
 	sealed := 0
-	roll.SetEnrich(func(w *Window) {
+	roll := NewRollup(time.Minute, sinkFunc(func(w *Window) error {
 		sealed++
 		if w.Quality == nil {
 			w.Quality = &QualitySummary{}
@@ -149,7 +149,8 @@ func TestWindowJSONUnchanged(t *testing.T) {
 		w.Quality.DriftScore = float64(sealed%4) / 8
 		w.Quality.ShadowAgreed = uint64(sealed * 3)
 		w.Quality.ShadowDisagreed = uint64(sealed % 3)
-	})
+		return sink.WriteWindow(w)
+	}))
 	recs := goldenRecords()
 	var seen [pipeline.NumVerdicts]int
 	for _, r := range recs {
