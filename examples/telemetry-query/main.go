@@ -71,9 +71,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// The server hands every sealed window to the store and the sink alike
-	// (telemetry.MultiSink): the JSONL file is the archive, the store what
-	// /query reads.
+	// The server hands every sealed window to the store and then the sink:
+	// the JSONL file is the archive, the store what /query reads.
 	srv, err := server.New(bank, src, server.Config{
 		Addr:        "127.0.0.1:0",
 		WindowWidth: time.Minute,

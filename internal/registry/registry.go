@@ -101,7 +101,8 @@ type Registry struct {
 }
 
 // New opens (or initializes) a registry at cfg.Dir, loading manifests and
-// the active bank recorded by a previous run.
+// the active bank recorded by a previous run. The last HISTORY entry is the
+// active version; New rewrites any manifest that disagrees with it.
 func New(cfg Config) (*Registry, error) {
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("registry: Config.Dir is required")

@@ -103,8 +103,8 @@ type sealStage Server
 // journals what the seal saw: the archive's error, and store compactions
 // and flow-table cap evictions since the previous seal. The archive's error
 // is returned for the rollup's sink-error count.
-func (st *sealStage) WriteWindow(w *telemetry.Window) error {
-	s := (*Server)(st)
+func (stage *sealStage) WriteWindow(w *telemetry.Window) error {
+	s := (*Server)(stage)
 	quality := func() *telemetry.QualitySummary {
 		if w.Quality == nil {
 			w.Quality = &telemetry.QualitySummary{}

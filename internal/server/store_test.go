@@ -86,8 +86,8 @@ func TestQueryConsistentWithSealedJSONL(t *testing.T) {
 		t.Fatal("no sealed windows")
 	}
 
-	// The store saw the same windows the sink did (MultiSink fan-out), so
-	// a full-history query must reproduce the sums exactly.
+	// The store saw the same windows the sink did (the seal stage writes
+	// both), so a full-history query must reproduce the sums exactly.
 	res, err := srv.Store().Query(time.Time{}, time.Time{}, 0, telemetry.GroupProvider)
 	if err != nil {
 		t.Fatal(err)
