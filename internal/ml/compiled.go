@@ -3,14 +3,16 @@ package ml
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 )
 
-// cnode is one flattened tree node: 16 bytes, so a root-to-leaf walk touches
-// one cache line per visited node instead of chasing *node pointers across
-// the heap. Trees are laid out in preorder with the left subtree emitted
-// immediately after its parent, so the left child is implicitly id+1 and
-// only the right child needs storing.
+// cnode is one compiled tree node: 16 bytes, so a root-to-leaf walk touches
+// one cache line per visited node, where the reference walk reads 56-byte
+// nodes that carry their leaf distributions. Trees keep the preorder layout
+// they are fitted and saved in, with the left subtree immediately after its
+// parent, so the left child is implicitly id+1 and only the right child
+// needs storing.
 //
 // Leaves are self-loops: thresh is NaN (every `x <= NaN` is false) and right
 // is the leaf's own id, so a walk that reaches a leaf parks there harmlessly.
@@ -28,14 +30,14 @@ type cnode struct {
 }
 
 // CompiledForest is a fitted RandomForest lowered into the serving
-// representation: every tree's nodes flattened into one contiguous array of
-// packed 16-byte records (split feature, threshold, right-child id — the
-// left child is implicit in the preorder layout) with leaf distributions
-// gathered into one shared probability table, evaluated with a tight loop
-// over array indices instead of chasing *node pointers across the heap.
-// Where the reference ensemble walks ~50 heap-scattered trees per
+// representation: every tree's nodes packed back to back into one
+// contiguous array of 16-byte records (split feature, threshold, right-child
+// id — the left child is implicit in the preorder layout) with leaf
+// distributions gathered into one shared probability table. Where the
+// reference walk visits ~50 separately allocated trees one at a time per
 // prediction, the compiled form streams through one dense array whose hot
-// prefix stays cache-resident across predictions.
+// prefix stays cache-resident across predictions, walking many trees at
+// once.
 //
 // Accumulation happens in the same tree order and with the same float
 // operations as RandomForest.PredictProbaInto, so compiled predictions are
@@ -91,18 +93,20 @@ var (
 	errRaggedForest = errors.New("ml: cannot compile a forest with mixed leaf-distribution widths")
 )
 
-// CompileForest lowers a fitted forest into its compiled serving form. It
-// fails for ensembles the flat layout cannot represent faithfully — no
-// trees, or leaf distributions of differing widths (impossible for forests
-// trained by Fit, defensive for hand-assembled or corrupted ones).
-func CompileForest(f *RandomForest) (*CompiledForest, error) {
+// CompileForest lowers a fitted forest into its compiled serving form for
+// rows of width features. It fails for ensembles the compiled layout cannot
+// represent faithfully or that would read past such a row — no trees, leaf
+// distributions of differing widths, a NaN split threshold, or a split on a
+// feature at or past width (impossible for forests trained by Fit on rows of
+// that width, defensive for hand-assembled or corrupted ones).
+func CompileForest(f *RandomForest, width int) (*CompiledForest, error) {
 	if f == nil || len(f.trees) == 0 {
 		return nil, errEmptyForest
 	}
 	cf := &CompiledForest{classes: -1, trees: len(f.trees)}
 	nodes := 0
 	for _, t := range f.trees {
-		nodes += countNodes(t.root)
+		nodes += len(t.nodes)
 	}
 	cf.nodes = make([]cnode, 0, nodes)
 	cf.leafRow = make([]int32, 0, nodes)
@@ -116,11 +120,11 @@ func CompileForest(f *RandomForest) (*CompiledForest, error) {
 	// any result.
 	lc := compileCtx{cf: cf, dedup: make(map[string]int32)}
 	for _, t := range f.trees {
-		root, depth, err := lc.lower(t.root)
+		cf.roots = append(cf.roots, int32(len(cf.nodes)))
+		depth, err := lc.lower(t.nodes, width)
 		if err != nil {
 			return nil, err
 		}
-		cf.roots = append(cf.roots, root)
 		cf.depths = append(cf.depths, depth)
 	}
 	// Pad the node array to a power of two with unreachable self-loops so
@@ -207,53 +211,44 @@ func (cf *CompiledForest) buildEvalOrder() {
 	}
 }
 
-func countNodes(n *node) int {
-	if n == nil {
-		return 0
-	}
-	if n.isLeaf() {
-		return 1
-	}
-	return 1 + countNodes(n.left) + countNodes(n.right)
-}
-
-// lower appends one subtree in preorder (parent, left subtree, right
-// subtree — making every left child id+1) and returns its root's node id and
-// edge depth.
-func (lc *compileCtx) lower(n *node) (int32, int32, error) {
-	if n == nil {
-		return 0, 0, errors.New("ml: cannot compile a forest with nil nodes")
-	}
+// lower appends one tree's preorder nodes at the end of the forest's array,
+// where every left child stays id+1 and each right child is shifted by the
+// tree's offset, and returns the tree's edge depth.
+func (lc *compileCtx) lower(nodes []flatNode, width int) (int32, error) {
 	cf := lc.cf
-	id := int32(len(cf.nodes))
-	if n.isLeaf() {
-		if cf.classes < 0 {
-			cf.classes = len(n.proba)
-		} else if len(n.proba) != cf.classes {
-			return 0, 0, errRaggedForest
+	base := int32(len(cf.nodes))
+	for i, n := range nodes {
+		id := base + int32(i)
+		if n.Left < 0 {
+			if cf.classes < 0 {
+				cf.classes = len(n.Proba)
+			} else if len(n.Proba) != cf.classes {
+				return 0, errRaggedForest
+			}
+			cf.nodes = append(cf.nodes, cnode{feat: 0, right: id, thresh: math.NaN()})
+			cf.leafRow = append(cf.leafRow, lc.probaRow(n.Proba))
+			continue
 		}
-		row := lc.probaRow(n.proba)
-		cf.nodes = append(cf.nodes, cnode{feat: 0, right: id, thresh: math.NaN()})
-		cf.leafRow = append(cf.leafRow, row)
-		return id, 0, nil
+		if uint(n.Feature) >= uint(width) { // a negative feature wraps past width too
+			return 0, fmt.Errorf("ml: cannot compile a split on feature %d for rows of width %d", n.Feature, width)
+		}
+		if math.IsNaN(n.Threshold) {
+			// NaN marks leaves in the compiled form; an internal NaN split (never
+			// produced by Fit) cannot be represented faithfully.
+			return 0, errors.New("ml: cannot compile a forest with NaN split thresholds")
+		}
+		cf.nodes = append(cf.nodes, cnode{feat: int32(n.Feature), right: base + int32(n.Right), thresh: n.Threshold})
+		cf.leafRow = append(cf.leafRow, 0)
 	}
-	if math.IsNaN(n.threshold) {
-		// NaN marks leaves in the compiled form; an internal NaN split (never
-		// produced by Fit) cannot be represented faithfully.
-		return 0, 0, errors.New("ml: cannot compile a forest with NaN split thresholds")
+	// Children follow their parent, so one backward pass sees both of a
+	// split's depths before the split's own.
+	depth := make([]int32, len(nodes))
+	for i := len(nodes) - 1; i >= 0; i-- {
+		if n := nodes[i]; n.Left >= 0 {
+			depth[i] = 1 + max(depth[i+1], depth[n.Right])
+		}
 	}
-	cf.nodes = append(cf.nodes, cnode{feat: int32(n.feature), thresh: n.threshold})
-	cf.leafRow = append(cf.leafRow, 0)
-	_, dl, err := lc.lower(n.left) // lands at id+1: the implicit left child
-	if err != nil {
-		return 0, 0, err
-	}
-	r, dr, err := lc.lower(n.right)
-	if err != nil {
-		return 0, 0, err
-	}
-	cf.nodes[id].right = r
-	return id, 1 + max(dl, dr), nil
+	return depth[0], nil
 }
 
 // NumTrees reports the compiled ensemble size.
@@ -263,7 +258,7 @@ func (cf *CompiledForest) NumTrees() int { return cf.trees }
 // probability vector the compiled forest produces).
 func (cf *CompiledForest) NumClasses() int { return cf.classes }
 
-// NumNodes reports the total flattened node count across all trees
+// NumNodes reports the total compiled node count across all trees
 // (excluding the power-of-two padding records; Bytes includes them).
 func (cf *CompiledForest) NumNodes() int { return cf.realNodes }
 

@@ -2,12 +2,26 @@ package ml
 
 import (
 	"math/rand/v2"
+	"strings"
 	"testing"
 )
 
-// compiledFixture trains a small forest plus its compiled form over a
-// 3-class synthetic dataset.
+// compiledFixture trains a small forest plus its compiled form over
+// fixtureDataset.
 func compiledFixture(t testing.TB) (*RandomForest, *CompiledForest, *Dataset) {
+	t.Helper()
+	d := fixtureDataset(t)
+	f := &RandomForest{Config: ForestConfig{NumTrees: 11, MaxDepth: 7, Seed: 9}}
+	f.Fit(d)
+	cf, err := CompileForest(f, d.NumFeatures())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f, cf, d
+}
+
+// fixtureDataset is 300 rows of 8 features over 3 classes.
+func fixtureDataset(t testing.TB) *Dataset {
 	t.Helper()
 	rng := rand.New(rand.NewPCG(5, 7))
 	var x [][]float64
@@ -26,17 +40,11 @@ func compiledFixture(t testing.TB) (*RandomForest, *CompiledForest, *Dataset) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := &RandomForest{Config: ForestConfig{NumTrees: 11, MaxDepth: 7, Seed: 9}}
-	f.Fit(d)
-	cf, err := CompileForest(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return f, cf, d
+	return d
 }
 
 // TestCompiledForestMatchesReference pins that the flat-array evaluation is
-// byte-identical to the pointer walk: same probability vectors, same argmax,
+// byte-identical to the reference walk: same probability vectors, same argmax,
 // for both the per-row and the batched entry points.
 func TestCompiledForestMatchesReference(t *testing.T) {
 	f, cf, d := compiledFixture(t)
@@ -104,7 +112,7 @@ func TestCompiledForestSurvivesGobRoundTrip(t *testing.T) {
 	if restored.NumClasses() != f.NumClasses() {
 		t.Fatalf("round-trip lost the class count: %d != %d", restored.NumClasses(), f.NumClasses())
 	}
-	rcf, err := CompileForest(restored)
+	rcf, err := CompileForest(restored, d.NumFeatures())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,22 +128,26 @@ func TestCompiledForestSurvivesGobRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCompileForestErrors pins the two refusal modes: an empty ensemble and
-// a hand-assembled one with mixed leaf widths must not compile (callers fall
-// back to the pointer walk).
+// TestCompileForestErrors pins the refusal modes: an empty ensemble, a
+// hand-assembled one with mixed leaf widths and a forest split on a feature
+// past the rows it would walk must not compile.
 func TestCompileForestErrors(t *testing.T) {
-	if _, err := CompileForest(nil); err == nil {
+	if _, err := CompileForest(nil, 1); err == nil {
 		t.Error("CompileForest(nil) did not fail")
 	}
-	if _, err := CompileForest(&RandomForest{}); err == nil {
+	if _, err := CompileForest(&RandomForest{}, 1); err == nil {
 		t.Error("CompileForest of an untrained forest did not fail")
 	}
 	ragged := &RandomForest{trees: []*DecisionTree{
-		{root: &node{proba: []float64{1}}, classes: 1},
-		{root: &node{proba: []float64{0.5, 0.5}}, classes: 2},
+		{nodes: []flatNode{{Left: -1, Right: -1, Proba: []float64{1}}}, classes: 1},
+		{nodes: []flatNode{{Left: -1, Right: -1, Proba: []float64{0.5, 0.5}}}, classes: 2},
 	}, classes: 2}
-	if _, err := CompileForest(ragged); err == nil {
+	if _, err := CompileForest(ragged, 1); err == nil {
 		t.Error("CompileForest of a ragged forest did not fail")
+	}
+	f, _, _ := compiledFixture(t)
+	if _, err := CompileForest(f, 1); err == nil || !strings.Contains(err.Error(), "width") {
+		t.Errorf("CompileForest for rows narrower than its splits: err = %v, want a width error", err)
 	}
 }
 

@@ -76,17 +76,17 @@ func TestDecisionTreeDepthLimit(t *testing.T) {
 	d := synthBlobs(300, 4, 2.0)
 	tree := &DecisionTree{Config: TreeConfig{MaxDepth: 2}}
 	tree.Fit(d)
-	if got := depthOf(tree.root); got > 2 {
+	if got := depthOf(tree.nodes, 0); got > 2 {
 		t.Errorf("depth = %d, want <= 2", got)
 	}
 }
 
-// depthOf is a subtree's maximum depth (a leaf = 0).
-func depthOf(n *node) int {
-	if n == nil || n.isLeaf() {
+// depthOf is the maximum depth of the subtree at nodes[i] (a leaf = 0).
+func depthOf(nodes []flatNode, i int) int {
+	if nodes[i].Left < 0 {
 		return 0
 	}
-	return 1 + max(depthOf(n.left), depthOf(n.right))
+	return 1 + max(depthOf(nodes, nodes[i].Left), depthOf(nodes, nodes[i].Right))
 }
 
 func TestDecisionTreeSingleClass(t *testing.T) {

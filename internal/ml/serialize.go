@@ -3,18 +3,12 @@ package ml
 import (
 	"bytes"
 	"encoding/gob"
+	"errors"
 	"fmt"
 )
 
-// flatNode is the serialized form of a tree node; Left/Right index into the
-// flattened node array, -1 for leaves.
-type flatNode struct {
-	Feature     int
-	Threshold   float64
-	Left, Right int
-	Proba       []float64
-}
-
+// flatTree and flatForest are the saved forest: each tree's preorder nodes
+// as the tree holds them. The type names are part of the format.
 type flatTree struct {
 	Config TreeConfig
 	Nodes  []flatNode
@@ -25,48 +19,11 @@ type flatForest struct {
 	Trees  []flatTree
 }
 
-func flatten(n *node, nodes *[]flatNode) int {
-	idx := len(*nodes)
-	*nodes = append(*nodes, flatNode{Left: -1, Right: -1})
-	if n.isLeaf() {
-		(*nodes)[idx].Proba = n.proba
-		return idx
-	}
-	(*nodes)[idx].Feature = n.feature
-	(*nodes)[idx].Threshold = n.threshold
-	l := flatten(n.left, nodes)
-	r := flatten(n.right, nodes)
-	(*nodes)[idx].Left = l
-	(*nodes)[idx].Right = r
-	return idx
-}
-
-func unflatten(nodes []flatNode, idx int) (*node, error) {
-	if idx < 0 || idx >= len(nodes) {
-		return nil, fmt.Errorf("ml: node index %d out of range", idx)
-	}
-	fn := nodes[idx]
-	if fn.Left < 0 {
-		return &node{proba: fn.Proba}, nil
-	}
-	left, err := unflatten(nodes, fn.Left)
-	if err != nil {
-		return nil, err
-	}
-	right, err := unflatten(nodes, fn.Right)
-	if err != nil {
-		return nil, err
-	}
-	return &node{feature: fn.Feature, threshold: fn.Threshold, left: left, right: right}, nil
-}
-
 // MarshalBinary serializes the trained forest with encoding/gob.
 func (f *RandomForest) MarshalBinary() ([]byte, error) {
 	ff := flatForest{Config: f.Config}
 	for _, t := range f.trees {
-		ft := flatTree{Config: t.Config}
-		flatten(t.root, &ft.Nodes)
-		ff.Trees = append(ff.Trees, ft)
+		ff.Trees = append(ff.Trees, flatTree{Config: t.Config, Nodes: t.nodes})
 	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(ff); err != nil {
@@ -75,32 +32,58 @@ func (f *RandomForest) MarshalBinary() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// UnmarshalBinary restores a forest serialized by MarshalBinary.
+// UnmarshalBinary restores a forest serialized by MarshalBinary. It refuses
+// any tree that is not a preorder tree as Fit lays one out (see checkTree),
+// so a loaded forest can be walked without bounds or cycle checks.
 func (f *RandomForest) UnmarshalBinary(data []byte) error {
 	var ff flatForest
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&ff); err != nil {
 		return fmt.Errorf("ml: decoding forest: %w", err)
 	}
-	f.Config = ff.Config
-	f.trees = nil
-	f.classes = 0
-	for _, ft := range ff.Trees {
-		root, err := unflatten(ft.Nodes, 0)
+	trees := make([]*DecisionTree, len(ff.Trees))
+	classes := 0
+	for i, ft := range ff.Trees {
+		width, err := checkTree(ft.Nodes)
 		if err != nil {
-			return err
+			return fmt.Errorf("ml: tree %d: %w", i, err)
 		}
-		nClasses := 0
-		if len(ft.Nodes) > 0 {
-			for _, n := range ft.Nodes {
-				if len(n.Proba) > nClasses {
-					nClasses = len(n.Proba)
-				}
+		trees[i] = &DecisionTree{Config: ft.Config, nodes: ft.Nodes, classes: width}
+		classes = max(classes, width)
+	}
+	f.Config, f.trees, f.classes = ff.Config, trees, classes
+	return nil
+}
+
+// checkTree verifies in one backward pass that nodes is a preorder tree:
+// every split's left child is the next node and its right child starts
+// right where the left subtree ends, every leaf has a class distribution,
+// and the root's subtree spans the whole slice, so every node but the root
+// is exactly one split's child. It returns the widest leaf distribution.
+func checkTree(nodes []flatNode) (int, error) {
+	if len(nodes) == 0 {
+		return 0, errors.New("no nodes")
+	}
+	end := make([]int, len(nodes)) // end[i]: one past the last node of i's subtree
+	width := 0
+	for i := len(nodes) - 1; i >= 0; i-- {
+		n := nodes[i]
+		switch {
+		case n.Left == -1 && n.Right == -1:
+			if len(n.Proba) == 0 {
+				return 0, fmt.Errorf("leaf %d has no class distribution", i)
 			}
-		}
-		f.trees = append(f.trees, &DecisionTree{Config: ft.Config, root: root, classes: nClasses})
-		if nClasses > f.classes {
-			f.classes = nClasses
+			end[i] = i + 1
+			width = max(width, len(n.Proba))
+		case n.Left != i+1 || n.Right <= i+1 || n.Right >= len(nodes) || end[i+1] != n.Right:
+			return 0, fmt.Errorf("split %d has children %d and %d, not %d and the end of its left subtree", i, n.Left, n.Right, i+1)
+		case n.Feature < 0:
+			return 0, fmt.Errorf("split %d is on feature %d", i, n.Feature)
+		default:
+			end[i] = end[n.Right]
 		}
 	}
-	return nil
+	if end[0] != len(nodes) {
+		return 0, fmt.Errorf("root's subtree ends at node %d of %d", end[0], len(nodes))
+	}
+	return width, nil
 }

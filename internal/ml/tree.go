@@ -17,20 +17,23 @@ type TreeConfig struct {
 
 // DecisionTree is a CART classifier with gini impurity.
 type DecisionTree struct {
-	Config  TreeConfig
-	root    *node
+	Config TreeConfig
+	// nodes is the tree in preorder, the layout MarshalBinary writes and
+	// CompileForest lowers: nodes[0] is the root, a split's left child is
+	// the next node and its right child follows the whole left subtree.
+	nodes   []flatNode
 	classes int
 }
 
-type node struct {
-	feature   int
-	threshold float64
-	left      *node
-	right     *node
-	proba     []float64 // leaf class distribution
+// flatNode is one tree node. A split has Left = its own index + 1 and Right
+// = the index of its right child; a leaf has Left = Right = -1 and its class
+// distribution in Proba. Its name is part of the saved format: gob writes it.
+type flatNode struct {
+	Feature     int
+	Threshold   float64
+	Left, Right int
+	Proba       []float64
 }
-
-func (n *node) isLeaf() bool { return n.left == nil }
 
 // Fit grows the tree on d.
 func (t *DecisionTree) Fit(d *Dataset) {
@@ -50,10 +53,13 @@ func (t *DecisionTree) FitRows(d *Dataset, rows []int) {
 	if minLeaf <= 0 {
 		minLeaf = 1
 	}
-	t.root = t.grow(d, rows, 0, rng, minLeaf)
+	t.nodes = nil
+	t.grow(d, rows, 0, rng, minLeaf)
+	t.nodes = append(make([]flatNode, 0, len(t.nodes)), t.nodes...) // a bank keeps its trees: no append slack
 }
 
-func (t *DecisionTree) grow(d *Dataset, rows []int, depth int, rng *rand.Rand, minLeaf int) *node {
+// grow appends the subtree fitted on rows in preorder.
+func (t *DecisionTree) grow(d *Dataset, rows []int, depth int, rng *rand.Rand, minLeaf int) {
 	counts := make([]int, t.classes)
 	for _, r := range rows {
 		counts[d.Y[r]]++
@@ -65,12 +71,14 @@ func (t *DecisionTree) grow(d *Dataset, rows []int, depth int, rng *rand.Rand, m
 		}
 	}
 	if pure || len(rows) < 2*minLeaf || (t.Config.MaxDepth > 0 && depth >= t.Config.MaxDepth) {
-		return leafNode(counts, len(rows))
+		t.leaf(counts, len(rows))
+		return
 	}
 
 	feat, thresh, ok := t.bestSplit(d, rows, rng, minLeaf, counts)
 	if !ok {
-		return leafNode(counts, len(rows))
+		t.leaf(counts, len(rows))
+		return
 	}
 	var left, right []int
 	for _, r := range rows {
@@ -81,24 +89,24 @@ func (t *DecisionTree) grow(d *Dataset, rows []int, depth int, rng *rand.Rand, m
 		}
 	}
 	if len(left) < minLeaf || len(right) < minLeaf {
-		return leafNode(counts, len(rows))
+		t.leaf(counts, len(rows))
+		return
 	}
-	return &node{
-		feature:   feat,
-		threshold: thresh,
-		left:      t.grow(d, left, depth+1, rng, minLeaf),
-		right:     t.grow(d, right, depth+1, rng, minLeaf),
-	}
+	id := len(t.nodes)
+	t.nodes = append(t.nodes, flatNode{Feature: feat, Threshold: thresh, Left: id + 1})
+	t.grow(d, left, depth+1, rng, minLeaf)
+	t.nodes[id].Right = len(t.nodes)
+	t.grow(d, right, depth+1, rng, minLeaf)
 }
 
-func leafNode(counts []int, total int) *node {
+func (t *DecisionTree) leaf(counts []int, total int) {
 	proba := make([]float64, len(counts))
 	if total > 0 {
 		for i, c := range counts {
 			proba[i] = float64(c) / float64(total)
 		}
 	}
-	return &node{proba: proba}
+	t.nodes = append(t.nodes, flatNode{Left: -1, Right: -1, Proba: proba})
 }
 
 // bestSplit searches candidate features for the gini-optimal threshold.
@@ -171,13 +179,13 @@ func giniOf(counts []int, total int) float64 {
 
 // PredictProba returns the leaf class distribution for x.
 func (t *DecisionTree) PredictProba(x []float64) []float64 {
-	n := t.root
-	for !n.isLeaf() {
-		if x[n.feature] <= n.threshold {
-			n = n.left
+	n := &t.nodes[0]
+	for n.Left >= 0 {
+		if x[n.Feature] <= n.Threshold {
+			n = &t.nodes[n.Left]
 		} else {
-			n = n.right
+			n = &t.nodes[n.Right]
 		}
 	}
-	return n.proba
+	return n.Proba
 }

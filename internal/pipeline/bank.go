@@ -110,7 +110,7 @@ func (b *Bank) buildIndex() error {
 		}
 		for obj, m := range e.objectives() {
 			m.Encoder, m.compiled = e.enc, e.compiled
-			if m.cforest, err = ml.CompileForest(m.Forest); err != nil {
+			if m.cforest, err = ml.CompileForest(m.Forest, e.compiled.Width()); err != nil {
 				return fmt.Errorf("pipeline: compiling %s/%s/%s: %w", key.Provider, key.Transport, Objective(obj), err)
 			}
 		}
@@ -351,7 +351,7 @@ type ClassifyScratch struct {
 // ConfidenceThreshold do the device and agent forests walk the same row; if
 // none clears the threshold the flow is Unknown.
 // Predictions are byte-identical to the reference evaluator (features.Extract
-// → Encoder.Transform → pointer-walk forest), which lives test-side in
+// → Encoder.Transform → the forest's reference walk), which lives test-side in
 // oracle_test.go and is pinned against this path by the golden-equivalence
 // tests. A nil sc allocates temporaries (used by off-path callers like the
 // shadow evaluator). Zero-allocation with a warm scratch, pinned by

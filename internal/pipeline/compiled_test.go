@@ -355,9 +355,11 @@ func TestBankReloadRebuildsCompiledForests(t *testing.T) {
 
 // TestUnmarshalRefusesUnservableBank pins the load-time contract: a blob
 // holding an entry that cannot be served — a forest with no trees, objective
-// encoders that cannot share one encoder, or an objective model missing — is
-// refused with an error naming the model, and a Bank reloaded in place keeps
-// serving what it held.
+// encoders that cannot share one encoder, an objective model missing, a
+// forest split past its entry's encoded row, or class names that differ from
+// the forest's distribution width, either of which would index out of range
+// on a serving goroutine — is refused with an error naming the model, and a
+// Bank reloaded in place keeps serving what it held.
 func TestUnmarshalRefusesUnservableBank(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains a bank")
@@ -366,30 +368,62 @@ func TestUnmarshalRefusesUnservableBank(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// rewrite re-encodes the blob with one model's DTO edited, or dropped
-	// when edit is nil.
-	rewrite := func(prov fingerprint.Provider, tr fingerprint.Transport, obj Objective, edit func(*modelDTO)) []byte {
+	// reencode decodes the good blob, applies edit and encodes it again.
+	reencode := func(edit func(*bankDTO)) []byte {
 		var dto bankDTO
 		if err := gob.NewDecoder(bytes.NewReader(good)).Decode(&dto); err != nil {
 			t.Fatal(err)
 		}
-		kept := dto.Models[:0]
-		for _, md := range dto.Models {
-			if md.Provider == uint8(prov) && md.Transport == uint8(tr) && md.Objective == uint8(obj) {
-				if edit == nil {
-					continue
-				}
-				edit(&md)
-			}
-			kept = append(kept, md)
-		}
-		dto.Models = kept
+		edit(&dto)
 		var buf bytes.Buffer
 		if err := gob.NewEncoder(&buf).Encode(dto); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
 	}
+	// rewrite re-encodes the blob with one model's DTO edited, or dropped
+	// when edit is nil.
+	rewrite := func(prov fingerprint.Provider, tr fingerprint.Transport, obj Objective, edit func(*modelDTO)) []byte {
+		return reencode(func(dto *bankDTO) {
+			kept := dto.Models[:0]
+			for _, md := range dto.Models {
+				if md.Provider == uint8(prov) && md.Transport == uint8(tr) && md.Objective == uint8(obj) {
+					if edit == nil {
+						continue
+					}
+					edit(&md)
+				}
+				kept = append(kept, md)
+			}
+			dto.Models = kept
+		})
+	}
+	// quicTwins gives every TCP model its QUIC twin's forest, and its class
+	// names too when withClasses is set, so only the encoded row's width
+	// misfits.
+	quicTwins := func(withClasses bool) []byte {
+		return reencode(func(dto *bankDTO) {
+			twin := map[[2]uint8]modelDTO{}
+			for _, md := range dto.Models {
+				if md.Transport == uint8(fingerprint.QUIC) {
+					twin[[2]uint8{md.Provider, md.Objective}] = md
+				}
+			}
+			for i, md := range dto.Models {
+				if q, ok := twin[[2]uint8{md.Provider, md.Objective}]; ok && md.Transport == uint8(fingerprint.TCP) {
+					dto.Models[i].Forest = q.Forest
+					if withClasses {
+						dto.Models[i].Classes = q.Classes
+					}
+				}
+			}
+		})
+	}
+	oneClass := reencode(func(dto *bankDTO) {
+		for i := range dto.Models {
+			dto.Models[i].Classes = dto.Models[i].Classes[:1]
+		}
+	})
 	emptyForest, err := (&ml.RandomForest{}).MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
@@ -420,6 +454,12 @@ func TestUnmarshalRefusesUnservableBank(t *testing.T) {
 		{"objective out of range",
 			rewrite(fingerprint.Amazon, fingerprint.TCP, DeviceObjective, func(md *modelDTO) { md.Objective = 7 }),
 			"amazon/tcp: unknown objective 7"},
+		{"TCP models given their QUIC twins' forests", quicTwins(false),
+			"youtube/tcp/user platform: 14 class names for a forest of 12 classes"},
+		{"TCP models given their QUIC twins' forests and class names", quicTwins(true),
+			"compiling youtube/tcp/user platform: ml: cannot compile a split on feature"},
+		{"one class name per model", oneClass,
+			"/user platform: 1 class names for a forest of"},
 	} {
 		b := &Bank{}
 		if err := b.UnmarshalBinary(good); err != nil {

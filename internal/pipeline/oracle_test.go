@@ -8,7 +8,7 @@ import (
 )
 
 // The reference evaluator: Encoder.Transform over extracted FieldValues, then
-// the pointer-walk forests, in the same §4.1 cascade. It is the oracle the
+// the forests' reference walk, in the same §4.1 cascade. It is the oracle the
 // golden-equivalence tests pin the compiled evaluator (Bank.ClassifyHandshake,
 // one encoded row per flow) against, and lives in a _test file so nothing can
 // serve, simulate or experiment through it.

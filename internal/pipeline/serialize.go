@@ -67,9 +67,10 @@ func (b *Bank) MarshalBinary() ([]byte, error) {
 
 // UnmarshalBinary restores a bank serialized by MarshalBinary, serving index
 // included. A blob is refused, with an error naming the model, when an entry
-// lacks one of its three objective models, when an objective's encoder
-// differs from the platform model's (they could not share one encoder), or
-// when a model cannot be compiled (see buildIndex). On any error b is left as
+// lacks one of its three objective models, when a model's class names do not
+// match its forest's distribution width, when an objective's encoder differs
+// from the platform model's (they could not share one encoder), or when a
+// model cannot be compiled for its entry's encoded rows (see buildIndex). On any error b is left as
 // it was, so a Bank reloaded in place either serves the decoded models or
 // keeps serving the old ones.
 func (b *Bank) UnmarshalBinary(data []byte) error {
@@ -95,6 +96,10 @@ func (b *Bank) UnmarshalBinary(data []byte) error {
 		forest := &ml.RandomForest{}
 		if err := forest.UnmarshalBinary(md.Forest); err != nil {
 			return err
+		}
+		if len(md.Classes) != forest.NumClasses() {
+			return fmt.Errorf("pipeline: %s/%s/%s: %d class names for a forest of %d classes",
+				key.Provider, key.Transport, obj, len(md.Classes), forest.NumClasses())
 		}
 		if decoded[key] == nil {
 			decoded[key] = &[3]*Model{}

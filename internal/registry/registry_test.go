@@ -1,6 +1,8 @@
 package registry
 
 import (
+	"bytes"
+	"encoding/gob"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -434,5 +436,75 @@ func TestNewReconcilesManifestsWithHistory(t *testing.T) {
 	// Rollback's target (v0001) is kept; the retired v0002 is not.
 	if got := states(reg); got["v0002"] != "" || got["v0003"] != StateActive {
 		t.Fatalf("after pruning: states %v, want v0002 gone and v0003 active", got)
+	}
+}
+
+// misfitBlob is bank's blob with every model's class names cut to one: a
+// bank that decodes but cannot serve, which Bank.UnmarshalBinary refuses.
+// The struct mirrors the bank's wire fields; gob matches them by name.
+func misfitBlob(t *testing.T, bank *pipeline.Bank) []byte {
+	t.Helper()
+	blob, err := bank.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dto struct {
+		Format  uint32
+		Version string
+		Config  ml.ForestConfig
+		Models  []struct {
+			Provider, Transport, Objective uint8
+			Encoder, Forest                []byte
+			Classes                        []string
+		}
+	}
+	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&dto); err != nil {
+		t.Fatal(err)
+	}
+	for i := range dto.Models {
+		dto.Models[i].Classes = dto.Models[i].Classes[:1]
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(dto); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestPromoteRefusesMisfitBank: a stored version whose bank file no longer
+// fits its models is refused by Promote, and the registry keeps serving the
+// version it had — no swap, no subscriber call.
+func TestPromoteRefusesMisfitBank(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains a bank")
+	}
+	dir := t.TempDir()
+	reg, err := New(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bank := trainBank(t, 1, ml.ForestConfig{})
+	if _, err := reg.Add(bank, "initial", 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reg.Promote("v0001"); err != nil {
+		t.Fatal(err)
+	}
+	m, err := reg.Add(bank, "candidate", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, m.ID+".bank"), misfitBlob(t, bank), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	swaps := 0
+	reg.OnSwap(func(*Version) { swaps++ })
+	cur := reg.Current()
+	if _, err := reg.Promote(m.ID); err == nil || !strings.Contains(err.Error(), "class names") {
+		t.Fatalf("Promote of a misfit bank: err = %v, want a refusal naming the class names", err)
+	}
+	if reg.Current() != cur || swaps != 0 {
+		t.Errorf("a refused Promote swapped: current %s (was %s), %d subscriber calls",
+			reg.Current().Manifest.ID, cur.Manifest.ID, swaps)
 	}
 }

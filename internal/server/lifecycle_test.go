@@ -1,10 +1,14 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"encoding/gob"
 	"encoding/json"
 	"io"
 	"net/http"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -188,6 +192,108 @@ func TestModelsEndpointsHotSwapRoundTrip(t *testing.T) {
 	}
 	if exported.Version != "v0001" {
 		t.Errorf("exported version = %q, want v0001", exported.Version)
+	}
+
+	cancel()
+	if err := <-runErr; err != nil {
+		t.Fatalf("run: %v", err)
+	}
+}
+
+// misfitBlob is bank's blob with every model's class names cut to one: a
+// bank that decodes but cannot serve, which Bank.UnmarshalBinary refuses.
+// The struct mirrors the bank's wire fields; gob matches them by name.
+func misfitBlob(t *testing.T, bank *pipeline.Bank) []byte {
+	t.Helper()
+	blob, err := bank.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dto struct {
+		Format  uint32
+		Version string
+		Config  ml.ForestConfig
+		Models  []struct {
+			Provider, Transport, Objective uint8
+			Encoder, Forest                []byte
+			Classes                        []string
+		}
+	}
+	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&dto); err != nil {
+		t.Fatal(err)
+	}
+	for i := range dto.Models {
+		dto.Models[i].Classes = dto.Models[i].Classes[:1]
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(dto); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestPromoteOfMisfitBankKeepsServing: an operator promote of a stored
+// version whose bank file no longer fits its models is a client error, and
+// the daemon keeps classifying with the bank it had.
+func TestPromoteOfMisfitBankKeepsServing(t *testing.T) {
+	if testing.Short() {
+		t.Skip("bank training is slow")
+	}
+	leakcheck.Check(t)
+	dir := t.TempDir()
+	reg, err := registry.New(registry.Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bank := trainBankSeed(t, 9)
+	if _, err := reg.Add(bank, "initial", 9); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reg.Promote("v0001"); err != nil {
+		t.Fatal(err)
+	}
+	m, err := reg.Add(bank, "candidate", 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, m.ID+".bank"), misfitBlob(t, bank), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	srv, err := New(reg.Current().Bank, NewSynthSource(3, 0), Config{
+		Addr: "127.0.0.1:0", Shards: 2, Registry: reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	runErr := make(chan error, 1)
+	go func() { runErr <- srv.Run(ctx) }()
+	base := "http://" + srv.Addr()
+	classified := func() (uint64, string) {
+		var st Stats
+		getJSON(t, base+"/stats", &st)
+		var n uint64
+		for _, c := range st.ByProvider {
+			n += c
+		}
+		return n, st.Models.ActiveVersion
+	}
+
+	if code, body := postJSON(t, base+"/models/promote?version="+m.ID, nil); code != http.StatusBadRequest {
+		t.Fatalf("promote of a misfit bank: %d %s, want 400", code, body)
+	}
+	before, active := classified()
+	if active != "v0001" {
+		t.Fatalf("active_version after a refused promote = %q, want v0001", active)
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		if n, _ := classified(); n > before {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no flow classified after the refused promote (%d before it)", before)
+		}
 	}
 
 	cancel()
