@@ -9,9 +9,10 @@
 // the share of rejected (unknown) flows exceeds a threshold — both symptoms
 // the paper associates with drifting traffic. Observe only records; the
 // verdicts are computed when Statuses is read (the daemon reads it once per
-// sealed telemetry window). After a bank hot-swap, Rebaseline starts fresh
-// reference windows so the replacement model is never judged against its
-// predecessor's distribution.
+// sealed telemetry window). Each series judges one bank version: a flow
+// classified by another ModelVersion restarts it, so after a hot-swap the
+// replacement model builds its own reference from its first Window flows and
+// is never judged against its predecessor's distribution.
 package drift
 
 import (
@@ -96,19 +97,6 @@ type Monitor struct {
 func NewMonitor(cfg Config) *Monitor {
 	cfg.defaults()
 	return &Monitor{cfg: cfg, series: map[key]*series{}}
-}
-
-// Rebaseline drops every classifier's reference and recent windows. Call
-// after a bank hot-swap: the new bank must build its own baseline from its
-// own predictions rather than being judged against the distribution of the
-// model it replaced. (With versioned banks each series additionally resets
-// itself whenever the observed ModelVersion changes, so old-bank stragglers
-// around a swap cannot contaminate the new baseline even before Rebaseline
-// runs.)
-func (m *Monitor) Rebaseline() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.series = map[key]*series{}
 }
 
 // Observe records one classified flow. It only records: no verdict is

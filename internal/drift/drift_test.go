@@ -116,13 +116,19 @@ func TestRebaselineResetsReference(t *testing.T) {
 	}
 
 	// The bank was swapped: the new model's steady 0.60 confidence is its
-	// own baseline, not a drop from the old model's 0.95.
-	m.Rebaseline()
-	if len(m.Statuses()) != 0 {
+	// own baseline, not a drop from the old model's 0.95. Its first flow
+	// restarts the series.
+	swapped := func(conf float64) *pipeline.FlowRecord {
+		rec := obs(fingerprint.Netflix, conf, pipeline.Composite)
+		rec.ModelVersion = "v0002"
+		return rec
+	}
+	m.Observe(swapped(0.60))
+	if sts := m.Statuses(); len(sts) != 1 || sts[0].Observations != 1 {
 		t.Fatal("rebaseline kept old series")
 	}
-	for i := 0; i < 200; i++ {
-		m.Observe(obs(fingerprint.Netflix, 0.60, pipeline.Composite))
+	for i := 1; i < 200; i++ {
+		m.Observe(swapped(0.60))
 	}
 	if f := flagged(m); len(f) != 0 {
 		t.Errorf("new model judged against old baseline: %+v", f)
@@ -130,7 +136,7 @@ func TestRebaselineResetsReference(t *testing.T) {
 
 	// But a genuine new drop after the swap is detected.
 	for i := 0; i < 200; i++ {
-		m.Observe(obs(fingerprint.Netflix, 0.30, pipeline.Composite))
+		m.Observe(swapped(0.30))
 	}
 	if len(flagged(m)) != 1 {
 		t.Fatalf("post-swap drop not flagged: %+v", m.Statuses())

@@ -5,11 +5,11 @@
 //
 // A Registry is a disk-backed, versioned store of serialized classifier
 // banks. Every stored bank gets a manifest (version id, training config,
-// seed, creation time, evaluation metrics) and the active version sits
-// behind an atomic pointer, so the serving path reads Current() lock-free
-// and a Promote or Rollback is a zero-downtime hot-swap: classification in
-// flight completes against the bank it loaded, the next flow sees the new
-// one.
+// seed, creation time, evaluation metrics), the HISTORY file is the one
+// record of which version serves, and the active version sits behind an
+// atomic pointer, so the serving path reads Current() lock-free and a
+// Promote or Rollback is a zero-downtime hot-swap: classification in flight
+// completes against the bank it loaded, the next flow sees the new one.
 //
 // A Shadow evaluates a candidate bank against the active one on a sampled
 // stream of live flows, and a Retrainer ties the pieces together: on
@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -34,10 +35,10 @@ import (
 	"videoplat/internal/pipeline"
 )
 
-// Manifest states. A version is a candidate until promoted; promotion
-// retires the previously active version; a candidate that fails its shadow
-// evaluation is rejected (kept on disk for post-mortem, never auto-promoted
-// again).
+// Manifest states, derived from HISTORY and never stored: the last HISTORY
+// entry is active, a version named earlier in it is retired, one that failed
+// its shadow evaluation and never served is rejected (kept on disk for
+// post-mortem, never auto-promoted again), and any other is a candidate.
 const (
 	StateCandidate = "candidate"
 	StateActive    = "active"
@@ -54,7 +55,9 @@ type Manifest struct {
 	// Reason records why the version exists ("initial", "operator import",
 	// "drift: youtube/QUIC median confidence dropped ...").
 	Reason string `json:"reason"`
-	State  string `json:"state"`
+	// State is filled in by List, Add and Current from HISTORY; a manifest
+	// on disk carries none.
+	State string `json:"state,omitempty"`
 	// Shadow holds the shadow-evaluation metrics that admitted (or
 	// rejected) the version, when it went through the gate.
 	Shadow *ShadowMetrics `json:"shadow,omitempty"`
@@ -73,12 +76,12 @@ type Config struct {
 }
 
 // keepVersions is how many retired or rejected versions a registry retains
-// beside the active one and any un-evaluated candidates; the oldest beyond
-// it are pruned. Retention is behaviour, not an option: an auto-retraining
-// daemon adds a version (~100 KB at the vpserve defaults) per attempt, up to
-// one per cooldown while drift persists, for as long as it lives. Sixteen
-// is a post-mortem's worth of history; Rollback's target is always among
-// them (see pruneLocked).
+// beside the active one and any candidates; the oldest beyond it are
+// pruned. Retention is behaviour, not an option: an auto-retraining daemon
+// adds a version (~100 KB at the vpserve defaults) per attempt, up to one
+// per cooldown while drift persists, for as long as it lives. Sixteen is a
+// post-mortem's worth of history; Rollback's target is always among them
+// (see pruneLocked).
 const keepVersions = 16
 
 // Registry is a versioned bank store with an atomically swappable active
@@ -88,7 +91,7 @@ type Registry struct {
 	keep int // keepVersions; a field so an in-package test can shrink it
 	cur  atomic.Pointer[Version]
 
-	// swapMu serializes whole activations (state change + OnSwap fan-out):
+	// swapMu serializes whole activations (HISTORY write + OnSwap fan-out):
 	// without it two concurrent Promotes could run their subscriber
 	// callbacks out of order, leaving serving pipelines on a bank that is
 	// not the registry's active version. Held around mu, never inside it.
@@ -96,13 +99,13 @@ type Registry struct {
 
 	mu        sync.Mutex
 	manifests map[string]*Manifest
-	history   []string // promotion order, last entry = active
+	history   []string // promotion order, last entry = active; HISTORY on disk
 	onSwap    []func(*Version)
 }
 
 // New opens (or initializes) a registry at cfg.Dir, loading manifests and
-// the active bank recorded by a previous run. The last HISTORY entry is the
-// active version; New rewrites any manifest that disagrees with it.
+// the active bank recorded by a previous run: the last HISTORY entry. New
+// writes no file; a state stored by an older build's manifest is ignored.
 func New(cfg Config) (*Registry, error) {
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("registry: Config.Dir is required")
@@ -128,53 +131,31 @@ func New(cfg Config) (*Registry, error) {
 		if err := json.Unmarshal(blob, &m); err != nil {
 			return nil, fmt.Errorf("registry: manifest %s: %w", e.Name(), err)
 		}
+		m.State = "" // an older build's; never written back
 		r.manifests[m.ID] = &m
 	}
 
 	if err := r.loadHistory(); err != nil {
 		return nil, err
 	}
-	// HISTORY is the one record of the active version. An activation writes
-	// the old manifest, the new one, then HISTORY, so a crash between them
-	// leaves manifests that disagree with it; persist them back in line, or
-	// a stale "active" manifest would outlive every later promotion (pruning
-	// never touches one).
-	active := r.activeIDLocked()
-	for id, m := range r.manifests {
-		state := m.State
-		if id == active {
-			state = StateActive
-		} else if state == StateActive {
-			state = StateRetired
-		}
-		if state != m.State {
-			m.State = state
-			if err := r.writeManifestLocked(m); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if active != "" {
+	if active := r.activeIDLocked(); active != "" {
 		bank, err := r.loadBank(active)
 		if err != nil {
 			return nil, fmt.Errorf("registry: loading active version %s: %w", active, err)
 		}
-		r.cur.Store(&Version{Manifest: *r.manifests[active], Bank: bank})
+		r.cur.Store(&Version{Manifest: r.viewLocked(r.manifests[active]), Bank: bank})
 	}
 	return r, nil
 }
-
-// Dir returns the registry's on-disk store.
-func (r *Registry) Dir() string { return r.cfg.Dir }
 
 // Current returns the active version, or nil if none has been promoted.
 // Lock-free: safe to call per packet.
 func (r *Registry) Current() *Version { return r.cur.Load() }
 
 // OnSwap registers fn to run after every activation (Promote or Rollback)
-// with the newly active version — how a serving pipeline hot-swaps its bank
-// and a drift monitor rebaselines. Callbacks run synchronously from the
-// promoting goroutine, in registration order.
+// with the newly active version — how a serving pipeline hot-swaps its bank.
+// Callbacks run synchronously from the promoting goroutine, in registration
+// order.
 func (r *Registry) OnSwap(fn func(*Version)) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -203,7 +184,6 @@ func (r *Registry) Add(bank *pipeline.Bank, reason string, seed uint64) (Manifes
 		Seed:      seed,
 		Forest:    bank.Config,
 		Reason:    reason,
-		State:     StateCandidate,
 	}
 	if err := writeFileAtomic(r.bankPath(id), blob); err != nil {
 		return Manifest{}, err
@@ -213,15 +193,16 @@ func (r *Registry) Add(bank *pipeline.Bank, reason string, seed uint64) (Manifes
 	}
 	r.manifests[id] = m
 	r.pruneLocked()
-	return *m, nil
+	return r.viewLocked(m), nil
 }
 
 // Promote activates a stored version: the bank is loaded from disk, the
-// active pointer swaps, the previous active version is retired, and OnSwap
-// subscribers run. The swap itself is a single atomic store — readers
-// never block — and activations (including their subscriber fan-out) are
-// serialized, so subscribers always observe promotions in activation
-// order.
+// version is appended to HISTORY (one atomic file replace, the activation's
+// only write), the active pointer swaps, and OnSwap subscribers run. If the
+// HISTORY write fails nothing changes: no swap, no subscriber call. The
+// swap itself is a single atomic store — readers never block — and
+// activations (including their subscriber fan-out) are serialized, so
+// subscribers always observe promotions in activation order.
 func (r *Registry) Promote(id string) (*Version, error) {
 	r.swapMu.Lock()
 	defer r.swapMu.Unlock()
@@ -268,13 +249,14 @@ func (r *Registry) Rollback() (*Version, error) {
 	return r.Promote(prev)
 }
 
-// List returns every stored manifest, oldest version first.
+// List returns every stored manifest with its derived state, oldest version
+// first.
 func (r *Registry) List() []Manifest {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := make([]Manifest, 0, len(r.manifests))
 	for _, m := range r.manifests {
-		out = append(out, *m)
+		out = append(out, r.viewLocked(m))
 	}
 	sort.Slice(out, func(i, j int) bool { return older(out[i].ID, out[j].ID) })
 	return out
@@ -288,18 +270,8 @@ func (r *Registry) History() []string {
 	return append([]string{}, r.history...)
 }
 
-// Load reads a stored version's bank from disk.
-func (r *Registry) Load(id string) (*pipeline.Bank, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.manifests[id]; !ok {
-		return nil, fmt.Errorf("registry: unknown version %q", id)
-	}
-	return r.loadBank(id)
-}
-
 // SetShadowMetrics records a candidate's shadow-evaluation outcome in its
-// manifest; rejected candidates flip to StateRejected.
+// manifest; one not promoted is rejected until it serves.
 func (r *Registry) SetShadowMetrics(id string, metrics ShadowMetrics, promoted bool) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -307,33 +279,21 @@ func (r *Registry) SetShadowMetrics(id string, metrics ShadowMetrics, promoted b
 	if !ok {
 		return fmt.Errorf("registry: unknown version %q", id)
 	}
+	metrics.Promoted = promoted
 	m.Shadow = &metrics
-	if !promoted && m.State == StateCandidate {
-		m.State = StateRejected
-	}
 	return r.writeManifestLocked(m)
 }
 
-// activateLocked swaps the active pointer to (m, bank), persists the
-// promotion, and returns the new Version. Callers hold mu.
+// activateLocked persists the promotion of (m, bank) to HISTORY, swaps the
+// active pointer and returns the new Version. A failed write leaves the
+// history as it was. Callers hold mu.
 func (r *Registry) activateLocked(m *Manifest, bank *pipeline.Bank) (*Version, error) {
-	if prev := r.cur.Load(); prev != nil && prev.Manifest.ID != m.ID {
-		if pm, ok := r.manifests[prev.Manifest.ID]; ok && pm.State == StateActive {
-			pm.State = StateRetired
-			if err := r.writeManifestLocked(pm); err != nil {
-				return nil, err
-			}
-		}
-	}
-	m.State = StateActive
-	if err := r.writeManifestLocked(m); err != nil {
-		return nil, err
-	}
 	r.history = append(r.history, m.ID)
 	if err := r.writeHistoryLocked(); err != nil {
+		r.history = r.history[:len(r.history)-1]
 		return nil, err
 	}
-	v := &Version{Manifest: *m, Bank: bank}
+	v := &Version{Manifest: r.viewLocked(m), Bank: bank}
 	r.cur.Store(v)
 	r.pruneLocked() // the version just retired may be one too many
 	return v, nil
@@ -397,6 +357,23 @@ func (r *Registry) writeHistoryLocked() error {
 	return writeFileAtomic(r.historyPath(), []byte(strings.Join(r.history, "\n")+"\n"))
 }
 
+// viewLocked is m as List, Add and Current report it: with its state
+// derived from HISTORY and its shadow verdict.
+func (r *Registry) viewLocked(m *Manifest) Manifest {
+	v := *m
+	switch {
+	case m.ID == r.activeIDLocked():
+		v.State = StateActive
+	case slices.Contains(r.history, m.ID):
+		v.State = StateRetired
+	case m.Shadow != nil && !m.Shadow.Promoted:
+		v.State = StateRejected
+	default:
+		v.State = StateCandidate
+	}
+	return v
+}
+
 func (r *Registry) activeIDLocked() string {
 	if len(r.history) == 0 {
 		return ""
@@ -446,18 +423,18 @@ func (r *Registry) nextOrdinalLocked() int {
 }
 
 // pruneLocked removes the oldest retired and rejected versions beyond
-// r.keep. The active version and un-evaluated candidates are never pruned.
+// r.keep. The active version and candidates are never pruned.
 // Nor is Rollback's target, which takes one of the keep slots wherever it
 // ranks: a run of rejected candidates all outrank the version they failed
 // to replace, and must not push it out before the one that finally passes
 // the gate can be rolled back.
 func (r *Registry) pruneLocked() {
-	active, rollback := r.activeIDLocked(), r.rollbackTargetLocked()
+	rollback := r.rollbackTargetLocked()
 	keep := r.keep
 	var prunable []string
 	for id, m := range r.manifests {
-		switch {
-		case id == active || m.State == StateCandidate || m.State == StateActive:
+		switch state := r.viewLocked(m).State; {
+		case state == StateActive || state == StateCandidate:
 		case id == rollback:
 			keep--
 		default:

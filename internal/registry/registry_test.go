@@ -281,7 +281,7 @@ func TestVersionOrderIsOrdinalThenID(t *testing.T) {
 	}
 	ids := []string{"imported-b", "imported-a", "v9999", "v10000", "v10001"}
 	for _, id := range ids {
-		reg.manifests[id] = &Manifest{ID: id, State: StateRetired}
+		reg.manifests[id] = &Manifest{ID: id, Shadow: &ShadowMetrics{}} // rejected
 	}
 	var got []string
 	for _, m := range reg.List() {
@@ -344,13 +344,13 @@ func TestKeepPrunesOldRetiredVersions(t *testing.T) {
 	}
 }
 
-// TestNewReconcilesManifestsWithHistory opens a registry directory edited by
-// hand into what a crash inside an activation leaves: the old active
-// version's manifest rewritten as retired and the new one's as active, but
-// HISTORY not yet appended. HISTORY is the one record of the active
-// version, so New must serve its last entry, persist that manifest as
-// active and the other as retired; a later promotion then leaves exactly one
-// active manifest, and the stale one is prunable.
+// TestNewReconcilesManifestsWithHistory opens a registry directory whose
+// manifests an older build left disagreeing with HISTORY, as a crash inside
+// its activation did: the old active version's manifest rewritten as retired
+// and the new one's as active, but HISTORY not yet appended. HISTORY is the
+// one record of which version serves, so New must serve its last entry and
+// ignore the stored states: the version that never served is a candidate,
+// across reopens and a later promotion, and pruning keeps it.
 func TestNewReconcilesManifestsWithHistory(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains banks")
@@ -404,11 +404,11 @@ func TestNewReconcilesManifestsWithHistory(t *testing.T) {
 	if cur := reg.Current(); cur == nil || cur.Manifest.ID != "v0001" || cur.Manifest.State != StateActive {
 		t.Fatalf("serving %+v, want v0001 active", cur)
 	}
-	want := map[string]string{"v0001": StateActive, "v0002": StateRetired}
+	want := map[string]string{"v0001": StateActive, "v0002": StateCandidate}
 	if got := states(reg); fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("after reopen: states %v, want %v", got, want)
 	}
-	// The reconciliation is persisted, not only applied in memory.
+	// The derived states hold across a reopen.
 	reopened, err := New(Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
@@ -425,7 +425,7 @@ func TestNewReconcilesManifestsWithHistory(t *testing.T) {
 	if _, err := reg.Promote(m.ID); err != nil {
 		t.Fatal(err)
 	}
-	want = map[string]string{"v0001": StateRetired, "v0002": StateRetired, "v0003": StateActive}
+	want = map[string]string{"v0001": StateRetired, "v0002": StateCandidate, "v0003": StateActive}
 	if got := states(reg); fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("after promoting v0003: states %v, want %v", got, want)
 	}
@@ -433,9 +433,57 @@ func TestNewReconcilesManifestsWithHistory(t *testing.T) {
 	reg.keep = 0
 	reg.pruneLocked()
 	reg.mu.Unlock()
-	// Rollback's target (v0001) is kept; the retired v0002 is not.
-	if got := states(reg); got["v0002"] != "" || got["v0003"] != StateActive {
-		t.Fatalf("after pruning: states %v, want v0002 gone and v0003 active", got)
+	// Rollback's target (v0001) is kept, and so is the candidate v0002.
+	if got := states(reg); got["v0002"] != StateCandidate || got["v0003"] != StateActive {
+		t.Fatalf("after pruning: states %v, want v0002 candidate and v0003 active", got)
+	}
+}
+
+// TestFailedActivationChangesNothing: an activation is one HISTORY write, so
+// when that write fails the promotion has not happened anywhere — the old
+// version keeps serving, and neither List nor History names the new one as
+// having served.
+func TestFailedActivationChangesNothing(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains a bank")
+	}
+	dir := t.TempDir()
+	reg, err := New(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bank := trainBank(t, 1, ml.ForestConfig{NumTrees: 3, MaxDepth: 5, MaxFeatures: 10, Seed: 1})
+	for i := 0; i < 2; i++ {
+		if _, err := reg.Add(bank, "initial", 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := reg.Promote("v0001"); err != nil {
+		t.Fatal(err)
+	}
+	// A directory in HISTORY's place: the rename that replaces it fails.
+	history := filepath.Join(dir, "HISTORY")
+	if err := os.Remove(history); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(history, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reg.Promote("v0002"); err == nil {
+		t.Fatal("Promote succeeded with HISTORY unwritable")
+	}
+	if cur := reg.Current(); cur == nil || cur.Manifest.ID != "v0001" {
+		t.Errorf("serving %+v after a failed activation, want v0001", cur)
+	}
+	states := map[string]string{}
+	for _, m := range reg.List() {
+		states[m.ID] = m.State
+	}
+	if want := map[string]string{"v0001": StateActive, "v0002": StateCandidate}; fmt.Sprint(states) != fmt.Sprint(want) {
+		t.Errorf("states %v after a failed activation, want %v", states, want)
+	}
+	if h := reg.History(); strings.Join(h, " ") != "v0001" {
+		t.Errorf("history %v after a failed activation, want [v0001]", h)
 	}
 }
 

@@ -45,22 +45,23 @@ type shadowEval struct {
 	id string
 }
 
-// triggerReq is a timestamped retrain request; requests raised before the
-// most recent swap are stale (they described the bank that was just
-// replaced) and are dropped.
+// triggerReq is a retrain request for the bank version whose drift verdict
+// raised it; once that version no longer serves the request is stale and is
+// dropped.
 type triggerReq struct {
-	reason string
-	at     time.Time
+	version, reason string
 }
 
 // Retrainer closes the paper's §5.3 loop: a caller that reads a drift
-// verdict calls Trigger (the daemon does so at each sealed telemetry window
-// while a classifier is flagged), a candidate bank is trained off the hot
-// path, stored in the registry, shadow-evaluated on live traffic, and
-// promoted — hot-swapping every subscriber via Registry.OnSwap — only when
-// it clears the gate. A rejected candidate is recorded; while the drift
-// persists the next Trigger after the cooldown trains another with a fresh
-// seed. Everything but the shadow's sampling runs on Start's goroutine.
+// verdict calls Trigger with the version it judged (the daemon does so at
+// each sealed telemetry window while a classifier is flagged), a request for
+// a version the registry no longer serves is dropped, and otherwise a
+// candidate bank is trained off the hot path, stored in the registry,
+// shadow-evaluated on live traffic, and promoted — hot-swapping every
+// subscriber via Registry.OnSwap — only when it clears the gate. A rejected
+// candidate is recorded; while the drift persists the next Trigger after the
+// cooldown trains another with a fresh seed. Everything but the shadow's
+// sampling runs on Start's goroutine.
 type Retrainer struct {
 	reg *Registry
 	cfg RetrainerConfig
@@ -82,7 +83,6 @@ type Retrainer struct {
 
 	mu          sync.Mutex
 	lastAttempt time.Time
-	lastSwap    time.Time
 	lastErr     error
 }
 
@@ -96,21 +96,17 @@ func NewRetrainer(reg *Registry, cfg RetrainerConfig) (*Retrainer, error) {
 		cfg.Cooldown = time.Minute
 	}
 	cfg.Gate.defaults()
-	rt := &Retrainer{reg: reg, cfg: cfg,
-		trigger: make(chan triggerReq, 1), ready: make(chan struct{}, 1)}
-	reg.OnSwap(func(*Version) {
-		rt.mu.Lock()
-		rt.lastSwap = time.Now()
-		rt.mu.Unlock()
-	})
-	return rt, nil
+	return &Retrainer{reg: reg, cfg: cfg,
+		trigger: make(chan triggerReq, 1), ready: make(chan struct{}, 1)}, nil
 }
 
-// Trigger requests a retrain (non-blocking; duplicate requests while one is
-// pending or a shadow is running are coalesced/dropped).
-func (rt *Retrainer) Trigger(reason string) {
+// Trigger requests a retrain of version, the bank version whose drift
+// verdict is reason (non-blocking; duplicate requests while one is pending
+// or a shadow is running are coalesced/dropped, and Start drops a request
+// once version no longer serves).
+func (rt *Retrainer) Trigger(version, reason string) {
 	select {
-	case rt.trigger <- triggerReq{reason: reason, at: time.Now()}:
+	case rt.trigger <- triggerReq{version: version, reason: reason}:
 	default:
 	}
 }
@@ -141,11 +137,8 @@ func (rt *Retrainer) Start(ctx context.Context) {
 		if rt.shadow.Load() != nil {
 			continue // already evaluating a candidate
 		}
-		rt.mu.Lock()
-		stale := !rt.lastSwap.IsZero() && req.at.Before(rt.lastSwap)
-		rt.mu.Unlock()
-		if stale {
-			continue // verdict described the bank that was just replaced
+		if cur := rt.reg.Current(); cur == nil || cur.Manifest.ID != req.version {
+			continue // verdict described a bank that no longer serves
 		}
 		if !rt.waitCooldown(ctx) {
 			return

@@ -66,7 +66,6 @@ func TestRetrainerClosesTheDriftLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg.OnSwap(func(*Version) { mon.Rebaseline() })
 	stop := runRetrainer(t, rt)
 
 	closed, err := tracegen.New(22).LabDataset(0.03, fingerprint.Options{})
@@ -141,8 +140,8 @@ func TestRetrainerClosesTheDriftLoop(t *testing.T) {
 		return false
 	})
 
-	// And the monitor was rebaselined: the new bank on drifted traffic is
-	// healthy against its own reference. Feed the monitor only — the
+	// And the new bank's series restarted: on drifted traffic it is healthy
+	// against its own reference. Feed the monitor only — the
 	// retrainer is stopped, and a live shadow must not resolve mid-assert.
 	for i := 0; i < 3; i++ {
 		recs, _ := classifyAll(t, reg.Current().Bank, open)
@@ -234,12 +233,59 @@ func TestRetrainerRetriesAfterRejection(t *testing.T) {
 	})
 }
 
+// TestTriggerForReplacedVersionIsDropped: a retrain request names the
+// version whose drift verdict raised it, and Start drops it once that version
+// no longer serves. Start takes requests in order, so once the stale one has
+// left the channel the next one Train sees is the current version's.
+func TestTriggerForReplacedVersionIsDropped(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains a bank")
+	}
+	leakcheck.Check(t)
+	reg, err := New(Config{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bank := trainBank(t, 1, ml.ForestConfig{NumTrees: 3, MaxDepth: 5, MaxFeatures: 10, Seed: 1})
+	for _, id := range []string{"v0001", "v0002"} {
+		if _, err := reg.Add(bank, "cycle", 1); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := reg.Promote(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reasons := make(chan string, 2)
+	rt, err := NewRetrainer(reg, RetrainerConfig{
+		Train: func(reason string, _ uint64) (*pipeline.Bank, error) {
+			reasons <- reason
+			return nil, fmt.Errorf("not training in this test")
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runRetrainer(t, rt)
+
+	rt.Trigger("v0001", "stale")
+	waitFor(t, 5*time.Second, func() bool { return len(rt.trigger) == 0 })
+	rt.Trigger("v0002", "current")
+	select {
+	case reason := <-reasons:
+		if reason != "current" {
+			t.Errorf("Train got %q first, want the serving version's request %q", reason, "current")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the serving version's request never trained")
+	}
+}
+
 // judgeDrift does what the server does at each sealed window: Trigger the
 // retrainer for every classifier the monitor flags.
 func judgeDrift(rt *Retrainer, mon *drift.Monitor) {
 	for _, st := range mon.Statuses() {
 		if st.Drifting {
-			rt.Trigger(fmt.Sprintf("drift: %s/%s %s", st.Provider, st.Transport, st.Reason))
+			rt.Trigger(st.Version, fmt.Sprintf("drift: %s/%s %s", st.Provider, st.Transport, st.Reason))
 		}
 	}
 }

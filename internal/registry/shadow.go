@@ -101,9 +101,6 @@ func NewShadow(candidate *pipeline.Bank, gate Gate) *Shadow {
 	return &Shadow{gate: gate, candidate: candidate, every: every}
 }
 
-// Candidate returns the bank under evaluation.
-func (sh *Shadow) Candidate() *pipeline.Bank { return sh.candidate }
-
 // Observe offers one live classification (the active bank's record plus the
 // assembled handshake) to the sampler. When the flow is sampled, the
 // candidate classifies the same handshake and the outcomes are accumulated.

@@ -95,11 +95,11 @@ func knownEventType(typ obs.EventType) bool {
 // its own. Nothing here calls back into the rollup or waits on a shard.
 type sealStage Server
 
-// WriteWindow stamps the window with the drift monitor's worst confidence
+// WriteWindow stamps the window with the serving bank's worst confidence
 // drop and the shadow evaluator's agreement deltas since the previous seal,
 // judging drift as it goes (each flagged classifier is journaled once per
-// bank version and triggers the retrainer, which coalesces the triggers and
-// waits out its cooldown). It then writes the store and cfg.Sink, and
+// bank version and triggers the retrainer for that version, which coalesces
+// the triggers and waits out its cooldown). It then writes the store and cfg.Sink, and
 // journals what the seal saw: the archive's error, and store compactions
 // and flow-table cap evictions since the previous seal. The archive's error
 // is returned for the rollup's sink-error count.
@@ -113,7 +113,7 @@ func (stage *sealStage) WriteWindow(w *telemetry.Window) error {
 	}
 	if s.cfg.Drift != nil {
 		var score float64
-		for _, st := range s.cfg.Drift.Statuses() {
+		for _, st := range s.servingDrift() {
 			if drop := st.BaselineMedian - st.RecentMedian; drop > score {
 				score = drop
 			}
@@ -165,7 +165,7 @@ func (stage *sealStage) WriteWindow(w *telemetry.Window) error {
 
 // judgeDrift acts on one flagged classifier at a window seal: it journals
 // drift_trigger the first time the classifier is flagged under this bank
-// version, and triggers the retrainer every time.
+// version, and triggers the retrainer for that version every time.
 func (s *Server) judgeDrift(st drift.Status) {
 	name := st.Provider.String() + "/" + st.Transport.String()
 	if v, ok := s.driftJournaled[name]; !ok || v != st.Version {
@@ -176,6 +176,6 @@ func (s *Server) judgeDrift(st drift.Status) {
 			"version", st.Version)
 	}
 	if s.cfg.Retrainer != nil {
-		s.cfg.Retrainer.Trigger("drift: " + name + " " + st.Reason)
+		s.cfg.Retrainer.Trigger(st.Version, "drift: "+name+" "+st.Reason)
 	}
 }

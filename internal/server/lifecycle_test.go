@@ -353,9 +353,9 @@ func TestModelsWithoutRegistry(t *testing.T) {
 // /models and per-window model attribution in the rollup.
 //
 // The source never runs dry and is paced, so traffic still flows when the
-// swap lands and after it, however the scheduler treats the test: each swap
-// rebaselines the monitor, clearing its series, and only post-swap
-// classifications refill them.
+// swap lands and after it, however the scheduler treats the test: after each
+// swap /stats shows only the new version's series, and only post-swap
+// classifications start them.
 func TestAutoRetrainSwapsUnderInjectedDrift(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bank training is slow")
@@ -439,9 +439,9 @@ func TestAutoRetrainSwapsUnderInjectedDrift(t *testing.T) {
 		}
 	}
 
-	// The swap can land between two of the polls above, and each promotion
-	// rebaselines the monitor (clearing its series), so keep polling while
-	// post-swap traffic repopulates it — drift verdicts must surface in
+	// The swap can land between two of the polls above, and after each
+	// promotion /stats shows only the new version's series, so keep polling
+	// while post-swap traffic starts them — drift verdicts must surface in
 	// /stats at some point while the monitor observes.
 	for !driftSeen {
 		var st Stats

@@ -56,6 +56,7 @@ import (
 	netpprof "net/http/pprof"
 	"net/netip"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -126,9 +127,10 @@ type Config struct {
 	// classifier verdicts in /stats. Drift is judged once per sealed
 	// window: the seal stamps the window's drift_score, journals
 	// drift_trigger the first time a classifier is flagged under a bank
-	// version, and triggers Retrainer while it stays flagged. When
-	// Registry is also set, every swap rebaselines the monitor so a new
-	// bank is judged against its own reference.
+	// version, and triggers Retrainer for that version while it stays
+	// flagged. The seal and /stats read only the serving bank's series: a
+	// new bank starts its own at its first flow, so it is judged against
+	// its own reference, never its predecessor's.
 	Drift *drift.Monitor
 	// Retrainer, if non-nil, runs the retrain loop for the daemon's
 	// lifetime: window seals trigger it from Drift's verdicts, shadow
@@ -288,11 +290,6 @@ func New(bank *pipeline.Bank, src Source, cfg Config) (*Server, error) {
 			s.swaps.Add(1)
 			s.journal.Record(obs.EventModelSwap, "serving bank hot-swapped",
 				"version", v.Manifest.ID)
-			if cfg.Drift != nil {
-				// The new bank is judged against its own baseline, not the
-				// old model's.
-				cfg.Drift.Rebaseline()
-			}
 		})
 	}
 
@@ -611,7 +608,8 @@ type Stats struct {
 	// Models reports the serving bank's identity and, with a registry
 	// attached, the lifecycle state.
 	Models ModelsStats `json:"models"`
-	// Drift lists per-classifier drift verdicts when a monitor is attached.
+	// Drift lists the serving bank version's per-classifier drift verdicts
+	// when a monitor is attached.
 	Drift []drift.Status `json:"drift,omitempty"`
 }
 
@@ -709,7 +707,7 @@ func (s *Server) Snapshot() Stats {
 		st.Models.Retrainer = &rst
 	}
 	if s.cfg.Drift != nil {
-		st.Drift = s.cfg.Drift.Statuses()
+		st.Drift = s.servingDrift()
 	}
 
 	if ns := s.lastTS.Load(); ns != 0 {
@@ -796,6 +794,16 @@ func (s *Server) handleFlows(w http.ResponseWriter, r *http.Request) {
 		out.Flows = append(out.Flows, fs)
 	}
 	writeJSON(w, out)
+}
+
+// servingDrift is the drift monitor's verdicts on the serving bank: a
+// series a replaced bank's straggling record re-created is neither judged
+// nor shown.
+func (s *Server) servingDrift() []drift.Status {
+	version := s.sharded.Bank().Version
+	return slices.DeleteFunc(s.cfg.Drift.Statuses(), func(st drift.Status) bool {
+		return st.Version != version
+	})
 }
 
 // activeVersion names the bank currently serving classifications.
