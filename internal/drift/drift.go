@@ -10,13 +10,18 @@
 // the paper associates with drifting traffic. Observe only records; the
 // verdicts are computed when Statuses is read (the daemon reads it once per
 // sealed telemetry window). Each series judges one bank version: a flow
-// classified by another ModelVersion restarts it, so after a hot-swap the
+// goes to the series of its own ModelVersion, so after a hot-swap the
 // replacement model builds its own reference from its first Window flows and
-// is never judged against its predecessor's distribution.
+// is never judged against its predecessor's distribution, and a record the
+// replaced bank classified — they straggle in around a swap — leaves the
+// serving version's series as it was. A classifier keeps the series of its
+// two most recently observed versions (maxVersions); a third version's
+// first flow drops the least recent.
 package drift
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -50,6 +55,11 @@ func (c *Config) defaults() {
 		c.MaxUnknownRate = 0.35
 	}
 }
+
+// maxVersions bounds the series one classifier keeps: the serving bank's
+// and the one it replaced, whose records straggle in after a swap (or which
+// serves again after a rollback).
+const maxVersions = 2
 
 // key identifies one monitored classifier.
 type key struct {
@@ -89,14 +99,16 @@ type Status struct {
 type Monitor struct {
 	cfg Config
 
-	mu     sync.Mutex
-	series map[key]*series
+	mu sync.Mutex
+	// series holds each classifier's series, one per bank version, the most
+	// recently observed last.
+	series map[key][]*series
 }
 
 // NewMonitor returns a Monitor with the given configuration.
 func NewMonitor(cfg Config) *Monitor {
 	cfg.defaults()
-	return &Monitor{cfg: cfg, series: map[key]*series{}}
+	return &Monitor{cfg: cfg, series: map[key][]*series{}}
 }
 
 // Observe records one classified flow. It only records: no verdict is
@@ -107,22 +119,25 @@ func (m *Monitor) Observe(rec *pipeline.FlowRecord) {
 	}
 	m.mu.Lock()
 	k := key{rec.Provider, rec.Transport}
-	s := m.series[k]
-	if s != nil && s.version != rec.ModelVersion {
-		// The serving bank changed under this series (records classified by
-		// a replaced bank can straggle in around a hot-swap): never mix two
-		// models' confidence distributions in one reference window.
-		s = nil
-	}
-	if s == nil {
-		s = &series{
+	ss := m.series[k]
+	i := slices.IndexFunc(ss, func(s *series) bool { return s.version == rec.ModelVersion })
+	if i < 0 {
+		// A version this classifier has not seen lately: its own series,
+		// never mixing two models' confidence distributions in one window.
+		if len(ss) == maxVersions {
+			ss = slices.Delete(ss, 0, 1)
+		}
+		ss = append(ss, &series{
 			baseline:    make([]float64, 0, m.cfg.Window),
 			recent:      make([]float64, m.cfg.Window),
 			unknownRing: make([]bool, m.cfg.Window),
 			version:     rec.ModelVersion,
-		}
-		m.series[k] = s
+		})
+		m.series[k] = ss
+		i = len(ss) - 1
 	}
+	s := ss[i]
+	ss[i], ss[len(ss)-1] = ss[len(ss)-1], s // the most recently observed last
 	s.observations++
 
 	conf := rec.Prediction.PlatformConf
@@ -139,20 +154,25 @@ func (m *Monitor) Observe(rec *pipeline.FlowRecord) {
 	m.mu.Unlock()
 }
 
-// Statuses reports per-classifier drift verdicts, sorted by provider then
-// transport for stable output.
+// Statuses reports a drift verdict per classifier and bank version, sorted
+// by provider, transport and version for stable output.
 func (m *Monitor) Statuses() []Status {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	var out []Status
-	for k, s := range m.series {
-		out = append(out, m.statusLocked(k, s))
+	for k, ss := range m.series {
+		for _, s := range ss {
+			out = append(out, m.statusLocked(k, s))
+		}
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Provider != out[j].Provider {
 			return out[i].Provider < out[j].Provider
 		}
-		return out[i].Transport < out[j].Transport
+		if out[i].Transport != out[j].Transport {
+			return out[i].Transport < out[j].Transport
+		}
+		return out[i].Version < out[j].Version
 	})
 	return out
 }

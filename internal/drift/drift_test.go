@@ -26,6 +26,16 @@ func flagged(m *Monitor) []Status {
 	return out
 }
 
+// of is the status of version's series, or nil.
+func of(sts []Status, version string) *Status {
+	for i := range sts {
+		if sts[i].Version == version {
+			return &sts[i]
+		}
+	}
+	return nil
+}
+
 func TestHealthyClassifierNotFlagged(t *testing.T) {
 	m := NewMonitor(Config{Window: 50})
 	for i := 0; i < 200; i++ {
@@ -124,27 +134,28 @@ func TestRebaselineResetsReference(t *testing.T) {
 		return rec
 	}
 	m.Observe(swapped(0.60))
-	if sts := m.Statuses(); len(sts) != 1 || sts[0].Observations != 1 {
-		t.Fatal("rebaseline kept old series")
+	if st := of(m.Statuses(), "v0002"); st == nil || st.Observations != 1 {
+		t.Fatal("the new version's series did not start afresh")
 	}
 	for i := 1; i < 200; i++ {
 		m.Observe(swapped(0.60))
 	}
-	if f := flagged(m); len(f) != 0 {
-		t.Errorf("new model judged against old baseline: %+v", f)
+	if st := of(m.Statuses(), "v0002"); st.Drifting {
+		t.Errorf("new model judged against old baseline: %+v", st)
 	}
 
 	// But a genuine new drop after the swap is detected.
 	for i := 0; i < 200; i++ {
 		m.Observe(swapped(0.30))
 	}
-	if len(flagged(m)) != 1 {
-		t.Fatalf("post-swap drop not flagged: %+v", m.Statuses())
+	if st := of(m.Statuses(), "v0002"); !st.Drifting {
+		t.Fatalf("post-swap drop not flagged: %+v", st)
 	}
 }
 
 // TestStatusNamesJudgedVersion: each verdict names the bank version its
-// series judges, and a record from another version restarts the series.
+// series judges, and a record from another version starts that version's
+// own series beside it.
 func TestStatusNamesJudgedVersion(t *testing.T) {
 	m := NewMonitor(Config{Window: 10})
 	rec := obs(fingerprint.YouTube, 0.9, pipeline.Composite)
@@ -157,8 +168,68 @@ func TestStatusNamesJudgedVersion(t *testing.T) {
 	}
 	rec.ModelVersion = "v0002"
 	m.Observe(rec)
-	if sts := m.Statuses(); len(sts) != 1 || sts[0].Version != "v0002" || sts[0].Observations != 1 {
+	if sts := m.Statuses(); len(sts) != 2 || sts[0].Version != "v0001" || sts[0].Observations != 20 ||
+		sts[1].Version != "v0002" || sts[1].Observations != 1 {
 		t.Fatalf("statuses after a version change = %+v", sts)
+	}
+}
+
+// TestStragglerKeepsServingSeries: a record the replaced bank classified,
+// arriving after the swap, leaves the serving version's series as it was.
+func TestStragglerKeepsServingSeries(t *testing.T) {
+	m := NewMonitor(Config{Window: 10})
+	rec := obs(fingerprint.YouTube, 0.9, pipeline.Composite)
+	version := func(v string) *pipeline.FlowRecord { rec.ModelVersion = v; return rec }
+	for i := 0; i < 20; i++ {
+		m.Observe(version("v2"))
+	}
+	m.Observe(version("v1"))
+	m.Observe(version("v2"))
+	sts := m.Statuses()
+	if st := of(sts, "v2"); st == nil || st.Observations != 21 || st.Reason != "healthy" {
+		t.Fatalf("v2 series after a v1 straggler = %+v", st)
+	}
+	if st := of(sts, "v1"); st == nil || st.Observations != 1 {
+		t.Fatalf("v1 series = %+v", st)
+	}
+}
+
+// TestAlternatingSwapsKeepTwoSeries: promotes and rollbacks back and forth
+// keep at most maxVersions series per classifier, each continuing its own
+// history, and a third version drops the least recently observed.
+func TestAlternatingSwapsKeepTwoSeries(t *testing.T) {
+	m := NewMonitor(Config{Window: 10})
+	yt := obs(fingerprint.YouTube, 0.9, pipeline.Composite)
+	nf := obs(fingerprint.Netflix, 0.9, pipeline.Composite)
+	for i := 0; i < 10; i++ {
+		v := []string{"v1", "v2"}[i%2]
+		yt.ModelVersion, nf.ModelVersion = v, v
+		for j := 0; j < 3; j++ {
+			m.Observe(yt)
+			m.Observe(nf)
+		}
+	}
+	sts := m.Statuses()
+	if len(sts) != 2*maxVersions {
+		t.Fatalf("%d series for two classifiers: %+v", len(sts), sts)
+	}
+	for _, st := range sts {
+		if st.Observations != 15 {
+			t.Errorf("%s %s series has %d observations, want 15", st.Provider, st.Version, st.Observations)
+		}
+	}
+	yt.ModelVersion = "v1"
+	m.Observe(yt) // v1 is the most recent again, so v2 goes next
+	yt.ModelVersion = "v3"
+	m.Observe(yt)
+	var got []string
+	for _, st := range m.Statuses() {
+		if st.Provider == fingerprint.YouTube {
+			got = append(got, st.Version)
+		}
+	}
+	if len(got) != 2 || got[0] != "v1" || got[1] != "v3" {
+		t.Errorf("YouTube series after a third version = %v, want [v1 v3]", got)
 	}
 }
 

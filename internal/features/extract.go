@@ -12,21 +12,25 @@ import (
 // HandshakeInfo is the assembled handshake state of one video flow, the
 // input to attribute extraction. The pipeline builds it from the first few
 // packets of a flow (SYN + ClientHello for TCP, the Initial for QUIC).
+//
+// The fields are ordered widest first, so the struct packs into 40 bytes:
+// it sits in every undecided flow's assembler.
 type HandshakeInfo struct {
-	QUIC           bool
-	InitPacketSize int
-	TTL            uint8
-
-	// TCP SYN fields.
-	TCPFlags  uint8
-	TCPWindow uint16
-	TCPMSS    uint16
-	TCPWScale int // -1 absent
-	TCPSACK   bool
-
 	Hello *tlsproto.ClientHello
 	// Params is parsed lazily from Hello's extension 57 when nil.
 	Params *quicproto.TransportParameters
+
+	InitPacketSize int
+	TCPWScale      int // TCP SYN field; -1 absent
+
+	// TCP SYN fields.
+	TCPWindow uint16
+	TCPMSS    uint16
+	TCPFlags  uint8
+	TCPSACK   bool
+
+	TTL  uint8
+	QUIC bool
 }
 
 // FieldValues holds extracted, typed attribute values keyed by Table 2

@@ -13,8 +13,9 @@ const (
 	// StageQueueWait is the time a batch spends in a shard's channel between
 	// the ingest goroutine's send and the shard worker picking it up.
 	StageQueueWait
-	// StageAssembly is handshake reassembly: appending a frame's payload to
-	// the flow's handshake buffer and scanning for a complete ClientHello.
+	// StageAssembly is handshake reassembly: placing a frame's handshake
+	// bytes at their stream offsets in the flow's buffer and scanning for a
+	// complete ClientHello.
 	StageAssembly
 	// StageClassify is feature encoding plus model inference for one
 	// completed handshake (the Bank.ClassifyHandshake call).

@@ -1,41 +1,51 @@
 package pipeline
 
 import (
+	"bytes"
 	"math/rand/v2"
 	"net/netip"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
 	"videoplat/internal/features"
 	"videoplat/internal/fingerprint"
 	"videoplat/internal/packet"
+	"videoplat/internal/quicproto"
 	"videoplat/internal/tracegen"
 )
 
 // tcpFlowFrames builds handcrafted frames for one TCP flow. Client frames
 // originate from src:50000 -> dst:443; server frames are the reverse.
+// Client frames carry real sequence numbers, in the order they are built.
 type tcpFlowFrames struct {
 	src, dst netip.Addr
+	seq      uint32 // the client's next sequence number
 }
 
-func newTCPFlowFrames() tcpFlowFrames {
-	return tcpFlowFrames{
+func newTCPFlowFrames() *tcpFlowFrames {
+	return &tcpFlowFrames{
 		src: netip.MustParseAddr("192.168.1.2"),
 		dst: netip.MustParseAddr("203.0.113.40"),
+		seq: 0xffff_fff0, // an ISN whose stream wraps the 32-bit sequence space
 	}
 }
 
-func (ff tcpFlowFrames) client(payload []byte, flags uint8) []byte {
-	tcp := packet.TCP{SrcPort: 50000, DstPort: 443, Flags: flags, Window: 65535}
+func (ff *tcpFlowFrames) client(payload []byte, flags uint8) []byte {
+	tcp := packet.TCP{SrcPort: 50000, DstPort: 443, Seq: ff.seq, Flags: flags, Window: 65535}
+	ff.seq += uint32(len(payload))
+	if flags&packet.FlagSYN != 0 {
+		ff.seq++
+	}
 	seg := tcp.Append(nil, payload, ff.src, ff.dst)
 	ip := packet.IPv4{TTL: 62, Protocol: packet.ProtoTCP, Src: ff.src, Dst: ff.dst}
 	eth := packet.Ethernet{EtherType: packet.EtherTypeIPv4}
 	return eth.Append(nil, ip.Append(nil, seg))
 }
 
-func (ff tcpFlowFrames) server(payload []byte, flags uint8) []byte {
+func (ff *tcpFlowFrames) server(payload []byte, flags uint8) []byte {
 	tcp := packet.TCP{SrcPort: 443, DstPort: 50000, Flags: flags, Window: 65535}
 	seg := tcp.Append(nil, payload, ff.dst, ff.src)
 	ip := packet.IPv4{TTL: 57, Protocol: packet.ProtoTCP, Src: ff.dst, Dst: ff.src}
@@ -321,7 +331,7 @@ func TestAssemblerAllocCeilings(t *testing.T) {
 			a.init()
 			for _, fr := range frames {
 				if a.consume(&scratch, fr) {
-					return a.finish().Hello != nil
+					return a.info.Hello != nil
 				}
 			}
 			return false
@@ -353,7 +363,7 @@ func TestAssembledHelloSurvivesLaterFlows(t *testing.T) {
 				done := a.consume(&scratch, arena)
 				clear(arena)
 				if done {
-					return a.finish()
+					return &a.info
 				}
 			}
 			t.Fatalf("%s: flow %d did not assemble", tr, seed)
@@ -371,5 +381,268 @@ func TestAssembledHelloSurvivesLaterFlows(t *testing.T) {
 		if want := features.Extract(run(&fresh, 7)); !reflect.DeepEqual(before, want) {
 			t.Errorf("%s: flow A extracted differently from a fresh assembly of the same frames", tr)
 		}
+	}
+}
+
+// assembleFlight runs frames through a fresh assembler and returns it with
+// the index of the frame that completed the hello, or -1.
+func assembleFlight(frames [][]byte) (*hsAssembler, int) {
+	var s asmScratch
+	a := new(hsAssembler)
+	a.init()
+	for i, fr := range frames {
+		if a.consume(&s, fr) {
+			return a, i
+		}
+	}
+	return a, -1
+}
+
+// quicFlight is a rendered QUIC flow taken apart, and the in-order
+// attributes its hello gives.
+func quicFlight(t *testing.T) (*helloFlight, *features.FieldValues) {
+	t.Helper()
+	ft, err := tracegen.New(7).Flow("android_chrome", fingerprint.YouTube, fingerprint.QUIC, tracegen.FlowSpec{PayloadFrames: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := newHelloFlight(t, ft)
+	return f, extracted(f.original)
+}
+
+// initials seals one Initial per frame list, in order.
+func (f *helloFlight) initials(t *testing.T, lists ...[]quicproto.CryptoFrame) [][]byte {
+	t.Helper()
+	var out [][]byte
+	for i, l := range lists {
+		fr, _ := f.initialFrame(t, l, uint64(i))
+		out = append(out, fr)
+	}
+	return out
+}
+
+// cryptoAt is the CRYPTO frame carrying f.hello[lo:hi].
+func (f *helloFlight) cryptoAt(lo, hi int) quicproto.CryptoFrame {
+	return quicproto.CryptoFrame{Offset: uint64(lo), Data: f.hello[lo:hi]}
+}
+
+// TestAssemblerReorderedHellos: the three flights an arrival-order
+// assembler loses — a two-segment TCP hello delivered out of order, the
+// same hello with its first segment retransmitted, a two-Initial QUIC hello
+// delivered out of order — assemble on the frame that closes the hole, to
+// the in-order attributes; so does a retransmission on a flow whose SYN the
+// tap missed, whose stream starts at its first payload segment.
+func TestAssemblerReorderedHellos(t *testing.T) {
+	ft, err := tracegen.New(7).Flow("windows_chrome", fingerprint.Netflix, fingerprint.TCP, tracegen.FlowSpec{PayloadFrames: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tcp := newHelloFlight(t, ft)
+	quic, quicWant := quicFlight(t)
+	k, q := len(tcp.hello)/2, len(quic.hello)/2
+	for _, c := range []struct {
+		name   string
+		frames [][]byte
+		done   int
+		want   *features.FieldValues
+		held   int // the hello's length: all the flow holds once it is assembled
+	}{
+		{"TCP, second segment first", [][]byte{tcp.synFrame(), tcp.piece(k, len(tcp.hello)), tcp.piece(0, k)}, 2, extracted(tcp.original), len(tcp.hello)},
+		{"TCP, first segment retransmitted", [][]byte{tcp.synFrame(), tcp.piece(0, k), tcp.piece(0, k), tcp.piece(k, len(tcp.hello))}, 3, extracted(tcp.original), len(tcp.hello)},
+		{"TCP first seen after its SYN, first segment retransmitted", [][]byte{tcp.piece(0, k), tcp.piece(0, k), tcp.piece(k, len(tcp.hello))}, 2,
+			extracted([][]byte{tcp.piece(0, len(tcp.hello))}), len(tcp.hello)},
+		{"QUIC, second Initial first", quic.initials(t,
+			[]quicproto.CryptoFrame{quic.cryptoAt(q, len(quic.hello))},
+			[]quicproto.CryptoFrame{quic.cryptoAt(0, q)}), 1, quicWant, len(quic.hello)},
+	} {
+		a, done := assembleFlight(c.frames)
+		if done != c.done {
+			t.Errorf("%s: assembled on frame %d, want %d", c.name, done, c.done)
+			continue
+		}
+		if got := features.Extract(&a.info); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s: attributes differ from the in-order flight's", c.name)
+		}
+		if a.ahead != nil || len(a.stream) != c.held {
+			t.Errorf("%s: holds %d bytes of a %d-byte hello, out-of-order state %v", c.name, len(a.stream), c.held, a.ahead != nil)
+		}
+	}
+}
+
+// TestAssemblerCryptoOutOfOrderFrames: one Initial whose CRYPTO frames
+// come last-first, with the hello scattered over as many frames as
+// quicproto lets one Initial carry, assembles on that Initial.
+func TestAssemblerCryptoOutOfOrderFrames(t *testing.T) {
+	f, want := quicFlight(t)
+	for _, n := range []int{2, 7, 32} {
+		var frames []quicproto.CryptoFrame
+		for i := n - 1; i >= 0; i-- {
+			frames = append(frames, f.cryptoAt(i*len(f.hello)/n, (i+1)*len(f.hello)/n))
+		}
+		a, done := assembleFlight(f.initials(t, frames))
+		if done != 0 {
+			t.Fatalf("%d frames: no hello", n)
+		}
+		if got := features.Extract(&a.info); !reflect.DeepEqual(got, want) {
+			t.Errorf("%d frames: attributes differ from the in-order flight's", n)
+		}
+	}
+}
+
+// TestAssemblerCryptoOverlappingFrames: where CRYPTO frames overlap, the
+// bytes already held win — a later frame whose overlap is garbage changes
+// nothing — and a duplicate adds nothing.
+func TestAssemblerCryptoOverlappingFrames(t *testing.T) {
+	f, want := quicFlight(t)
+	n := len(f.hello)
+	garbled := append([]byte(nil), f.hello[n/3:]...)
+	for i := range n / 3 { // the part [n/3, 2n/3) the first frame already holds
+		garbled[i] ^= 0xff
+	}
+	a, done := assembleFlight(f.initials(t,
+		[]quicproto.CryptoFrame{f.cryptoAt(0, 2*n/3), {Offset: uint64(n / 3), Data: garbled}, f.cryptoAt(0, n/2)}))
+	if done != 0 {
+		t.Fatal("no hello")
+	}
+	if len(a.stream) != n {
+		t.Errorf("holds %d bytes of a %d-byte hello", len(a.stream), n)
+	}
+	if got := features.Extract(&a.info); !reflect.DeepEqual(got, want) {
+		t.Error("attributes differ from the in-order flight's")
+	}
+}
+
+// TestAssemblerCryptoHoleWaits: a hole inside one Initial is not malformed
+// but waits for the Initial that fills it, and the bytes past it are held
+// as received, not at their offset in a grown buffer.
+func TestAssemblerCryptoHoleWaits(t *testing.T) {
+	f, want := quicFlight(t)
+	n := len(f.hello)
+	frames := f.initials(t,
+		[]quicproto.CryptoFrame{f.cryptoAt(0, n/4), f.cryptoAt(3*n/4, n)},
+		[]quicproto.CryptoFrame{f.cryptoAt(n/4, 3*n/4)})
+	var s asmScratch
+	var a hsAssembler
+	a.init()
+	if a.consume(&s, frames[0]) {
+		t.Fatal("assembled across a hole")
+	}
+	if held := n/4 + n - 3*n/4; len(a.stream) != held || a.inOrder() != n/4 {
+		t.Fatalf("holds %d bytes, %d in order; want %d, %d", len(a.stream), a.inOrder(), held, n/4)
+	}
+	if !a.consume(&s, frames[1]) {
+		t.Fatal("the Initial that fills the hole did not complete the hello")
+	}
+	if got := features.Extract(&a.info); !reflect.DeepEqual(got, want) {
+		t.Error("attributes differ from the in-order flight's")
+	}
+}
+
+// TestAheadBoundIsOversized: a flow may hold maxAhead ranges past the hole;
+// the piece that would make one more ends it VerdictOversized, two packets
+// in — an Initial can carry 32 islands of CRYPTO data.
+func TestAheadBoundIsOversized(t *testing.T) {
+	f, _ := quicFlight(t)
+	var islands, more []quicproto.CryptoFrame
+	for i := range maxAhead {
+		islands = append(islands, f.cryptoAt(4+8*i, 8+8*i))
+	}
+	more = append(more, f.cryptoAt(4+8*maxAhead, 8+8*maxAhead))
+	frames := f.initials(t, islands, more)
+
+	var s asmScratch
+	var a hsAssembler
+	a.init()
+	a.consume(&s, frames[0])
+	if a.overflow || a.ahead == nil || a.ahead.n != 1+maxAhead {
+		t.Fatalf("%d islands: overflow %v", maxAhead, a.overflow)
+	}
+	a.consume(&s, frames[1])
+	if !a.overflow {
+		t.Fatalf("%d islands: no overflow", maxAhead+1)
+	}
+
+	p := New(emptyBank())
+	ts := time.Date(2023, 7, 7, 0, 0, 0, 0, time.UTC)
+	for _, fr := range frames {
+		p.HandlePacket(ts, fr)
+	}
+	if flows := p.Flows(); len(flows) != 1 || flows[0].Verdict != VerdictOversized {
+		t.Fatalf("want one flow finalized oversized, got %+v", flows)
+	}
+}
+
+// TestPlaceHoldsEachByteOnce places random pieces of a random stream — in
+// any order, overlapping and repeated — and checks after every piece that
+// the flow holds exactly the bytes placed so far, each once and in offset
+// order, as the fewest ranges (the run from offset 0 first), with no
+// out-of-order state once there is no hole; and that a piece that would
+// make more than maxAhead ranges past the hole is refused.
+func TestPlaceHoldsEachByteOnce(t *testing.T) {
+	rng := rand.New(rand.NewPCG(3, 4))
+	overflows := 0
+	for iter := 0; iter < 3000; iter++ {
+		want := make([]byte, 1+rng.IntN(300))
+		for i := range want {
+			want[i] = byte(rng.IntN(256))
+		}
+		var a hsAssembler
+		placed := make([]bool, len(want))
+		for step := 0; step < 50; step++ {
+			lo := rng.IntN(len(want))
+			piece := 40
+			if iter%2 == 0 { // crumbs: enough islands to reach the bound
+				piece = 2
+			}
+			hi := lo + 1 + rng.IntN(min(len(want)-lo, piece))
+			ok := a.place(uint32(lo), want[lo:hi])
+			before := slices.Clone(placed)
+			for i := lo; i < hi; i++ {
+				placed[i] = true
+			}
+			// The ranges the placed bytes make: the run from 0, then the rest.
+			ranges := []extent{{0, 0}}
+			for i, in := range placed {
+				switch last := &ranges[len(ranges)-1]; {
+				case in && int(last.end) == i:
+					last.end++
+				case in:
+					ranges = append(ranges, extent{uint32(i), uint32(i + 1)})
+				}
+			}
+			if !ok {
+				if len(ranges) <= 1+maxAhead || !a.overflow {
+					t.Fatalf("iter %d: %d ranges refused", iter, len(ranges))
+				}
+				placed = before
+				overflows++
+				break
+			}
+			var held []byte
+			for _, e := range ranges {
+				held = append(held, want[e.off:e.end]...)
+			}
+			if !bytes.Equal(a.stream, held) {
+				t.Fatalf("iter %d step %d: holds %d bytes, want %d in offset order", iter, step, len(a.stream), len(held))
+			}
+			switch {
+			case len(ranges) == 1 && a.ahead != nil:
+				t.Fatalf("iter %d step %d: out-of-order state with no hole", iter, step)
+			case len(ranges) > 1 && (a.ahead == nil || !slices.Equal(a.ahead.r[:a.ahead.n], ranges)):
+				t.Fatalf("iter %d step %d: ranges %v, want %v", iter, step, a.ahead, ranges)
+			case a.inOrder() != int(ranges[0].end):
+				t.Fatalf("iter %d step %d: run of %d, want %d", iter, step, a.inOrder(), ranges[0].end)
+			}
+		}
+		if a.overflow {
+			continue
+		}
+		a.place(0, want)
+		if !bytes.Equal(a.stream, want) || a.ahead != nil {
+			t.Fatalf("iter %d: the whole stream placed is not the stream", iter)
+		}
+	}
+	if overflows == 0 {
+		t.Error("no draw reached the maxAhead bound")
 	}
 }

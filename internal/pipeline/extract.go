@@ -7,61 +7,44 @@
 //
 // # Summarize-once batch ingest
 //
-// Two entry points feed the pipeline. Pipeline.HandlePacket is the
-// single-core path. Sharded is the deployment shape of the paper's
+// Two entry points feed the pipeline: Pipeline.HandlePacket, the
+// single-core path, and Sharded, the deployment shape of the paper's
 // multi-queue DPDK prototype. Both give a frame the same per-packet decode,
-// packet.Summary: one pass over the fixed header offsets that yields the
-// 5-tuple, whether the canonical key is its reverse, the canonical key as
-// hash input and where the payload starts and how long it is on the wire —
-// no layer struct filled, no address compared or hashed a second time — and
-// both hand the result to Pipeline.handleKeyed. A Sharded's ingest goroutine
-// (Sharded.decode) writes the summary, with the frame's timestamp, into the
-// owning shard's pending batch, beside the bytes of the frame the shard can
-// still read, packed back-to-back into a pooled per-batch arena; one channel
-// send per shard per batch (HandlePacketBatch; HandlePacket ships a batch of
-// one). The paper classifies a flow from its handshake and wants nothing
-// else of the stream but byte and packet counts, so what is kept of a frame
-// (keepLen) is all of it, Ethernet trailer included, except for the two kinds
-// that make up the bulk of a video stream: a TCP segment from port 443 to any
-// other port is kept through its TCP header, and a QUIC short header through
-// the flags byte and the longest connection ID. The first is exact because
-// of one orientation rule, applied wherever a flow's client side is set
-// (ClientSide): the client is the endpoint talking to :443, so a segment
-// from the :443 side is never client-direction and never reaches handshake
-// assembly. The second because connection-ID lookup and the assembler read
-// nothing further into a short header. The flow stage routes and accounts
-// every frame from its summary — and gives the full decode
-// (packet.Parser.Parse: TTL, TCP flags, window and options) only to the
-// frames that can still advance a handshake: the client-direction frames of
-// a flow with no verdict yet (hsAssembler.consume), a handful per flow, none
-// of them cut. packet.Parser.Parse is also the summary's oracle
-// (TestSummaryMatchesParse, FuzzSummaryMatchesParse): the two agree on every
-// frame about whether there is a 5-tuple, what it is and where the payload
-// lies.
+// packet.Summary — one pass over the fixed header offsets yielding the
+// 5-tuple, whether the canonical key is its reverse, the hash input and
+// where the payload lies, with no layer struct filled — and hand it to
+// Pipeline.handleKeyed. A Sharded's ingest goroutine (Sharded.decode)
+// writes the summary into the owning shard's pending batch, beside the
+// bytes of the frame the shard can still read, packed into a pooled
+// per-batch arena; one channel send per shard per batch. The paper wants
+// nothing of the stream past the handshake but byte and packet counts, so
+// what is kept of a frame (keepLen) is all of it but for the bulk of a
+// video stream, server TCP segments and QUIC short headers, of which the
+// flow stage reads only headers. Only the client-direction frames of a flow
+// with no verdict yet (hsAssembler.consume), a handful per flow and none of
+// them cut, get the full decode (packet.Parser.Parse: TTL, TCP flags,
+// window and options), which is also the summary's oracle
+// (TestSummaryMatchesParse, FuzzSummaryMatchesParse).
 //
 // Buffer-reuse rules: the caller's frame buffers are free as soon as
-// HandlePacketBatch returns — what is kept was copied. A batch's arena is
-// recycled as soon as the shard worker has run every frame through the
-// pipeline, which is safe because the pipeline copies anything it retains
-// past the call (client handshake payload bytes are copied into the flow's
-// assembler; flow keys and telemetry are values). Code that adds retention
-// to the flow path must keep that copy-on-retain invariant or the arena
-// recycle in Sharded becomes a use-after-free. The guard is dynamic:
-// TestBatchedMatchesSinglePacket, TestStreamingSplitHelloWithServerInterleave
-// and FuzzShardedMatchesPipeline lend every frame from a buffer they
-// overwrite the moment the entry point returns, make a Sharded pack each
-// frame into the arena the one before it used, and carry a ClientHello that
-// spans segments — so a pointer kept into a frame reads something else by
-// the time the flow is classified, and the flow's verdict says so. Code that
-// reads further into a frame on the flow path must widen keepLen, or it
-// reads a cut frame on a Sharded and a whole one on a Pipeline (the same
-// tests compare the two). The payload is never found by
-// counting back from a frame's end: packet.Summary.PayloadOff (and
-// packet.Parsed.PayloadOff) says where it starts, whatever padding follows
-// the datagram. Frames with no TCP/UDP 5-tuple are dropped at ingest
-// (counted in IngestStats.Ignored). The shard inbox depth is a constant
-// (shardQueueDepth); the best-effort results buffer is Config.ResultsBuffer,
-// with a shard-count-scaled default.
+// HandlePacketBatch returns, and a batch's arena as soon as the shard
+// worker has run its frames, because the pipeline copies anything it
+// retains past the call (handshake bytes into the flow's assembler; flow
+// keys and telemetry are values). Code that adds retention to the flow
+// path must keep that copy-on-retain invariant, or the arena recycle is a
+// use-after-free; code that reads further into a frame must widen keepLen,
+// or it reads a cut frame on a Sharded and a whole one on a Pipeline. The
+// guard is dynamic: TestBatchedMatchesSinglePacket,
+// TestStreamingSplitHelloWithServerInterleave and FuzzShardedMatchesPipeline
+// lend every frame from a buffer they overwrite the moment the entry point
+// returns, make a Sharded pack each frame into the arena the one before it
+// used, carry a ClientHello that spans segments and compare the two entry
+// points, so a pointer kept into a frame changes the flow's verdict. The
+// payload is never found by counting back from a frame's end:
+// packet.Summary.PayloadOff (and packet.Parsed.PayloadOff) says where it
+// starts, whatever padding follows the datagram. The shard inbox depth is
+// a constant (shardQueueDepth); the best-effort results buffer is
+// Config.ResultsBuffer, with a shard-count-scaled default.
 //
 // # Classify on arrival, finalize once
 //
@@ -70,20 +53,17 @@
 // the owning shard's worker. Three pieces make that one path:
 //
 //   - Incremental handshake assembly. Each undecided flow owns an
-//     hsAssembler, a small state machine that consumes client-direction
-//     bytes as they arrive and remembers parse progress (SYN fields, and one
-//     buffer of handshake bytes: the TCP payload, or the QUIC CRYPTO runs
-//     copied out of each Initial as it is opened), so a flow is reassembled
-//     once in O(client handshake bytes) instead of re-running full
-//     reassembly over every buffered frame on every packet. The assembler
-//     sits in the flow's cold record (flowCold), which the flow lets go of
-//     at its verdict: a decided flow, tracked for the rest of its session,
-//     keeps only its hot record (flowState). What decoding and decrypting a
-//     frame needs beyond that — parser state, the Opener, the decrypted
-//     Initial — is one asmScratch per pipeline, kept by no flow.
-//     Server-direction packets never touch assembly, and buffered bytes are
-//     bounded by maxHelloBytes (oversized flows are abandoned with
-//     VerdictOversized).
+//     hsAssembler, which consumes client-direction frames as they arrive
+//     and puts their handshake bytes — TCP payload, or the CRYPTO frames of
+//     every Initial — in stream order in one buffer, whatever order,
+//     duplication or cut the path gave them; the hello is parsed once the
+//     run from offset 0 holds it. The assembler sits in the flow's cold
+//     record (flowCold), which the flow lets go of at its verdict: a decided
+//     flow keeps only its hot record (flowState). Parser state, the Opener
+//     and the decrypted Initial are one asmScratch per pipeline, kept by no
+//     flow. Server-direction packets never touch assembly, and what a flow
+//     holds is bounded (maxHelloBytes, maxAhead; oversized flows are
+//     abandoned with VerdictOversized).
 //
 //   - One compiled evaluator. Bank.ClassifyHandshake encodes a flow's
 //     handshake into one row through its bank entry's one
@@ -133,6 +113,7 @@ package pipeline
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
 	"videoplat/internal/features"
@@ -176,62 +157,134 @@ func MatchProvider(sni string) (prov fingerprint.Provider, content, ok bool) {
 
 // hsAssembler is the incremental per-flow handshake assembler: a small
 // state machine that consumes client-direction frames one at a time,
-// remembering parse progress (SYN fields seen, handshake bytes buffered),
-// so a flow's handshake is reassembled in O(total client bytes) instead of
-// re-running full reassembly over every buffered frame on every packet.
-// Consuming a flow's client frames in order leaves the assembler in exactly
-// the state ExtractFrames' batch fold would have reached — ExtractFrames is
-// implemented on top of it. It counts no frames: the pipeline's frame-count
-// heuristics read FlowRecord.PacketsUp, which counts exactly the client
-// frames an undecided flow's assembler has consumed.
+// remembering parse progress (SYN fields, handshake bytes held), so a flow
+// is reassembled once in O(client handshake bytes). ExtractFrames is built
+// on it. It counts no frames: the pipeline's frame-count heuristics read
+// FlowRecord.PacketsUp, the client frames an undecided flow has consumed.
 //
-// The assembler owns every byte it retains, in one buffer, and the
-// assembled Hello aliases nothing else: a flow is TCP or QUIC, so stream
-// holds either the client's TCP payload as it arrives or the QUIC CRYPTO
-// runs that continue the stream, copied out of each Initial as it is
-// opened, and the hello is parsed where it lies there. Never the input frame
-// — callers may recycle frame buffers (e.g. Sharded's batch arenas) as soon
-// as consume returns — and never the asmScratch, which the pipeline's other
-// flows reuse. Pipeline.finalize drops the flow's cold record, and with it
-// the assembler, but writes to neither: the buffer, and everything info.Hello
-// points into, is never reused, and lives until nothing references it — at
-// the verdict, or once an OnClassify hook reading the handshake lets go of
-// it.
+// It is the one place handshake bytes are put in order. Each piece of the
+// stream goes through place at its stream offset, whatever the order and
+// however often it arrives: a TCP segment's payload at its sequence number
+// minus the base — the client's ISN + 1 once its SYN is seen, so a SYN's own
+// payload (TCP Fast Open) sits at offset 0, else the first payload
+// segment's — and a CRYPTO frame of any Initial at the offset it names.
+// Bytes already held win over any overlap. The hello is parsed each time a
+// piece lengthens the run from offset 0, which has no hole. Every byte held
+// counts against maxHelloBytes, and at most maxAhead ranges wait past the
+// hole; going over either ends the flow VerdictOversized.
+//
+// The assembled Hello aliases only stream: never the input frame, which
+// callers recycle (Sharded's batch arenas) as soon as consume returns, nor
+// the asmScratch other flows reuse. Pipeline.finalize drops the assembler
+// but writes to neither, so what info.Hello points into lives until
+// nothing references it.
 type hsAssembler struct {
 	info features.HandshakeInfo
-	// stream buffers the flow's client handshake bytes. For QUIC only a
-	// contiguous prefix of the CRYPTO stream is kept; a run that does not
-	// continue it ends the flow as no-handshake rather than buying an
-	// unbounded reorder buffer.
-	stream []byte
-	sawSYN bool
+	// stream holds each received handshake byte once: the run from offset
+	// 0, then, while ahead is set, the ranges past the hole in offset order.
+	stream   []byte
+	ahead    *aheadRanges // from a piece past a hole until the hole closes
+	base     uint32       // the TCP sequence number of offset 0, once haveBase
+	haveBase bool
+	sawSYN   bool
 	// zeroRTT marks that the client sent 0-RTT early data: the handshake
 	// rides resumed keys and no fresh ClientHello may ever appear.
 	zeroRTT bool
 	// giveUp marks that the assembler has proof no hello is coming — the
 	// client moved to short-header (1-RTT) packets after 0-RTT early data
 	// without ever showing a ClientHello.
-	giveUp bool
+	giveUp   bool
+	overflow bool // a piece needed more than maxAhead ranges
 }
 
+// maxAhead bounds the ranges a flow holds past the hole in its handshake
+// stream: the 32 CRYPTO frames quicproto lets one Initial carry, so an
+// Initial scattered past the hole always fits.
+const maxAhead = 32
+
+// aheadRanges lists the stream offsets a flow holds while it has a hole, in
+// order and none touching the next: r[0] is the run from offset 0, maybe
+// empty. Their bytes lie in stream in the same order, so a range starts at
+// the sum of the lengths before it.
+type aheadRanges struct {
+	n int
+	r [1 + maxAhead]extent
+}
+
+type extent struct{ off, end uint32 } // stream offsets [off, end)
+
 // asmScratch is what assembling a frame uses and keeps nothing of: the full
-// decode's parser state, the Opener, and the buffer a QUIC Initial is
-// decrypted into. One serves every flow of a pipeline, because consume
-// copies whatever a flow keeps into that flow's own stream before it
-// returns; and one per Pipeline (each Sharded shard owns its own) makes it
-// single-goroutine by construction.
+// decode's parser state, the Opener, and the buffers a QUIC Initial is
+// decrypted and listed into. One per Pipeline serves all its flows, since
+// consume copies what a flow keeps into its own stream before it returns.
 type asmScratch struct {
 	parser packet.Parser
 	parsed packet.Parsed
 	opener quicproto.Opener
-	plain  []byte // the latest Initial's decrypted payload
+	plain  []byte                  // the latest Initial's decrypted payload
+	crypto []quicproto.CryptoFrame // its CRYPTO frames, which alias plain
 }
 
 func (a *hsAssembler) init() { a.info.TCPWScale = -1 }
 
-// buffered reports the client handshake bytes currently held for this flow
-// (the quantity maxHelloBytes bounds).
-func (a *hsAssembler) buffered() int { return len(a.stream) }
+// inOrder is the length of the run from offset 0.
+func (a *hsAssembler) inOrder() int {
+	if a.ahead == nil {
+		return len(a.stream)
+	}
+	return int(a.ahead.r[0].end)
+}
+
+// place writes data at stream offset off: the bytes no held range covers
+// are inserted into stream where their offset orders them. It reports
+// false, placing no more, when that needs more than maxAhead ranges.
+func (a *hsAssembler) place(off uint32, data []byte) bool {
+	if a.ahead == nil {
+		if n := uint32(len(a.stream)); off <= n { // the in-order case
+			a.stream = append(a.stream, data[min(n-off, uint32(len(data))):]...)
+			return true
+		}
+		a.ahead = &aheadRanges{n: 1, r: [1 + maxAhead]extent{{0, uint32(len(a.stream))}}}
+	}
+	r := a.ahead
+	for len(data) > 0 {
+		i, pos := 0, 0 // the first range not wholly before off, where it starts in stream
+		for ; i < r.n && r.r[i].end <= off; i++ {
+			pos += int(r.r[i].end - r.r[i].off)
+		}
+		n := uint32(len(data))
+		if i < r.n {
+			if r.r[i].off <= off { // held
+				n = min(n, r.r[i].end-off)
+				data, off = data[n:], off+n
+				continue
+			}
+			n = min(n, r.r[i].off-off)
+		}
+		switch {
+		case i > 0 && r.r[i-1].end == off:
+			if r.r[i-1].end += n; i < r.n && r.r[i].off == r.r[i-1].end { // the hole closed
+				r.r[i-1].end = r.r[i].end
+				copy(r.r[i:], r.r[i+1:r.n])
+				r.n--
+			}
+		case i < r.n && r.r[i].off == off+n:
+			r.r[i].off = off
+		case r.n == len(r.r):
+			a.overflow = true
+			return false
+		default:
+			copy(r.r[i+1:r.n+1], r.r[i:r.n])
+			r.r[i], r.n = extent{off, off + n}, r.n+1
+		}
+		a.stream = slices.Insert(a.stream, pos, data[:n]...)
+		data, off = data[n:], off+n
+	}
+	if r.n == 1 {
+		a.ahead = nil // no hole is left
+	}
+	return true
+}
 
 // consume feeds one client-direction frame to the state machine, decoding it
 // in full with the scratch parser state — the TTL, flags and options the
@@ -246,31 +299,49 @@ func (a *hsAssembler) consume(s *asmScratch, frame []byte) bool {
 		return false // non-IP noise is skipped, as a tap would
 	}
 	info := &a.info
+	held := a.inOrder()
 	switch {
 	case parsed.Has(packet.LayerTCP):
 		t := &parsed.TCP
-		if t.Flags&packet.FlagSYN != 0 && t.Flags&packet.FlagACK == 0 && !a.sawSYN {
-			a.sawSYN = true
-			info.QUIC = false
-			info.TTL = parsed.TTL()
-			info.InitPacketSize = parsed.IPLen()
-			info.TCPFlags = t.Flags
-			info.TCPWindow = t.Window
-			info.TCPMSS = t.MSS()
-			info.TCPWScale = t.WindowScale()
-			info.TCPSACK = t.SACKPermitted()
+		seq := t.Seq // of the payload: a SYN's own sequence number precedes it
+		if t.Flags&packet.FlagSYN != 0 {
+			seq++
+			if t.Flags&packet.FlagACK == 0 && !a.sawSYN {
+				a.sawSYN = true
+				info.QUIC = false
+				info.TTL = parsed.TTL()
+				info.InitPacketSize = parsed.IPLen()
+				info.TCPFlags = t.Flags
+				info.TCPWindow = t.Window
+				info.TCPMSS = t.MSS()
+				info.TCPWScale = t.WindowScale()
+				info.TCPSACK = t.SACKPermitted()
+				a.base, a.haveBase = seq, true
+			}
 		}
-		if len(parsed.Payload) > 0 && info.Hello == nil {
-			a.stream = append(a.stream, parsed.Payload...)
-			ch, err := tlsproto.ParseRecord(a.stream)
-			if err == nil {
-				info.Hello = ch
-				return true
-			}
-			if !errors.Is(err, tlsproto.ErrMalformed) {
-				// Not a handshake record at all: wrong flow start.
-				a.stream = a.stream[:0]
-			}
+		data := parsed.Payload
+		if len(data) == 0 || info.Hello != nil {
+			return false
+		}
+		if !a.haveBase {
+			a.base, a.haveBase = seq, true
+		}
+		off := int32(seq - a.base)
+		if off < 0 { // starts before offset 0: only its tail can be new
+			data, off = data[min(len(data), int(-int64(off))):], 0
+		}
+		if !a.place(uint32(off), data) || a.inOrder() == held {
+			return false
+		}
+		ch, err := tlsproto.ParseRecord(a.stream[:a.inOrder()])
+		if err == nil {
+			info.Hello = ch
+			return true
+		}
+		if !errors.Is(err, tlsproto.ErrMalformed) {
+			// Not a handshake record at all: wrong flow start. Drop what
+			// is held; the next payload segment sets the base afresh.
+			a.stream, a.ahead, a.haveBase = a.stream[:0], nil, false
 		}
 	case parsed.Has(packet.LayerUDP):
 		if !quicproto.IsLongHeader(parsed.Payload) {
@@ -282,16 +353,18 @@ func (a *hsAssembler) consume(s *asmScratch, frame []byte) bool {
 			}
 			return false
 		}
-		var init quicproto.Initial
+		var crypto []quicproto.CryptoFrame
 		if quicproto.LongHeaderType(parsed.Payload) == quicproto.Type0RTT {
 			// 0-RTT early data: opaque under resumed keys, and evidence the
 			// flow is a session resumption. It carries no CRYPTO stream.
 			a.zeroRTT = true
 		} else {
+			init := quicproto.Initial{Crypto: s.crypto[:0]} // a local: its IDs alias the frame
 			var err error
 			if s.plain, err = s.opener.Open(&init, parsed.Payload, s.plain); err != nil {
 				return false
 			}
+			crypto, s.crypto = init.Crypto, init.Crypto
 		}
 		// The flow's first QUIC packet, early data or Initial, carries the
 		// transport attributes — what the degraded path classifies on when
@@ -302,35 +375,27 @@ func (a *hsAssembler) consume(s *asmScratch, frame []byte) bool {
 			info.TTL = parsed.TTL()
 			info.InitPacketSize = len(parsed.Payload)
 		}
-		// A hello split across Initials (a client that migrated
-		// mid-handshake fragments its flight) arrives as several CRYPTO
-		// runs. Each that continues the stream is copied onto it; a gap
-		// means the flow ends as no-handshake via the frame-count heuristic.
-		if len(init.CryptoData) == 0 || int(init.CryptoOffset) != len(a.stream) {
+		for _, f := range crypto {
+			if !a.place(uint32(f.Offset), f.Data) {
+				return false
+			}
+		}
+		if a.inOrder() == held {
 			return false
 		}
-		a.stream = append(a.stream, init.CryptoData...)
-		ch, err := tlsproto.Parse(a.stream)
+		ch, err := tlsproto.Parse(a.stream[:a.inOrder()])
 		if err != nil {
 			return false
+		}
+		// The transport parameters are parsed once, here, so the serving
+		// path's compiled encoders never re-parse extension 57.
+		if e, ok := ch.Extension(tlsproto.ExtQUICTransportParams); ok {
+			info.Params, _ = quicproto.ParseTransportParameters(e.Data)
 		}
 		info.Hello = ch
 		return true
 	}
 	return false
-}
-
-// finish completes an assembled handshake: for QUIC it pre-parses the
-// transport parameters once, so the serving path's compiled encoders never
-// re-parse extension 57. Call only after consume returned true.
-func (a *hsAssembler) finish() *features.HandshakeInfo {
-	info := &a.info
-	if info.QUIC && info.Params == nil && info.Hello != nil {
-		if e, ok := info.Hello.Extension(tlsproto.ExtQUICTransportParams); ok {
-			info.Params, _ = quicproto.ParseTransportParameters(e.Data)
-		}
-	}
-	return info
 }
 
 // ExtractFrames assembles a flow's HandshakeInfo from its client-side
@@ -345,7 +410,7 @@ func ExtractFrames(frames [][]byte) (*features.HandshakeInfo, error) {
 	x.a.init()
 	for _, frame := range frames {
 		if x.a.consume(&x.s, frame) {
-			return x.a.finish(), nil
+			return &x.a.info, nil
 		}
 	}
 	return nil, ErrNoHandshake

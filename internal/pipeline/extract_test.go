@@ -25,8 +25,9 @@ func TestExtractFramesSplitClientHello(t *testing.T) {
 
 	src := netip.MustParseAddr("192.168.1.2")
 	dst := netip.MustParseAddr("203.0.113.40")
-	mkFrame := func(payload []byte, flags uint8, withOpts bool) []byte {
-		tcp := packet.TCP{SrcPort: 50000, DstPort: 443, Flags: flags, Window: f.Window}
+	const isn = 4000
+	mkFrame := func(seq uint32, payload []byte, flags uint8, withOpts bool) []byte {
+		tcp := packet.TCP{SrcPort: 50000, DstPort: 443, Seq: seq, Flags: flags, Window: f.Window}
 		if withOpts {
 			tcp.Options = []packet.TCPOption{
 				{Kind: packet.OptMSS, Data: []byte{byte(f.MSS >> 8), byte(f.MSS)}},
@@ -43,9 +44,9 @@ func TestExtractFramesSplitClientHello(t *testing.T) {
 	}
 
 	frames := [][]byte{
-		mkFrame(nil, packet.FlagSYN|packet.FlagECE|packet.FlagCWR, true),
-		mkFrame(record[:cut], packet.FlagACK|packet.FlagPSH, false),
-		mkFrame(record[cut:], packet.FlagACK|packet.FlagPSH, false),
+		mkFrame(isn, nil, packet.FlagSYN|packet.FlagECE|packet.FlagCWR, true),
+		mkFrame(isn+1, record[:cut], packet.FlagACK|packet.FlagPSH, false),
+		mkFrame(isn+1+uint32(cut), record[cut:], packet.FlagACK|packet.FlagPSH, false),
 	}
 	info, err := ExtractFrames(frames)
 	if err != nil {
@@ -123,12 +124,12 @@ func TestFromFlowMatchesPacketPath(t *testing.T) {
 		if f.ECN {
 			flags |= packet.FlagECE | packet.FlagCWR
 		}
-		syn := packet.TCP{SrcPort: 40000, DstPort: 443, Flags: flags, Window: f.Window, Options: opts}
+		syn := packet.TCP{SrcPort: 40000, DstPort: 443, Seq: 99, Flags: flags, Window: f.Window, Options: opts}
 		ip := packet.IPv4{TTL: f.TTL - hops, Protocol: packet.ProtoTCP, Src: src, Dst: dst}
 		eth := packet.Ethernet{EtherType: packet.EtherTypeIPv4}
 		synFrame := eth.Append(nil, ip.Append(nil, syn.Append(nil, nil, src, dst)))
 
-		chlo := packet.TCP{SrcPort: 40000, DstPort: 443, Flags: packet.FlagACK | packet.FlagPSH, Window: f.Window}
+		chlo := packet.TCP{SrcPort: 40000, DstPort: 443, Seq: 100, Flags: packet.FlagACK | packet.FlagPSH, Window: f.Window}
 		chloFrame := eth.Append(nil, ip.Append(nil, chlo.Append(nil, f.Hello.MarshalRecord(), src, dst)))
 
 		info, err := ExtractFrames([][]byte{synFrame, chloFrame})

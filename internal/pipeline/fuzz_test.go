@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"encoding/binary"
+	"math/rand/v2"
 	"reflect"
 	"testing"
 	"time"
@@ -51,9 +52,10 @@ func splitFrames(data []byte) [][]byte {
 // the whole flow stage, so state that aliases a frame instead of copying it
 // reads the frame on one side and something else on the other, and the
 // records differ. The corpus is seeded with the adversarial scenario flows, a
-// handshake-then-bulk flow and a hello split over three segments, so
-// mutations start from frames that reach every branch of the keep rule and
-// from a flow that outlives its first frame.
+// handshake-then-bulk flow, a hello split over three segments and one
+// re-cut, retransmitted and reordered (helloFlight.impair), so mutations
+// start from frames that reach every branch of the keep rule and from flows
+// that outlive their first frame.
 func FuzzShardedMatchesPipeline(f *testing.F) {
 	bank, _ := trainSmallBank(f, 31, 0.02)
 	var scenario [][]byte
@@ -84,6 +86,9 @@ func FuzzShardedMatchesPipeline(f *testing.F) {
 		split = append(split, pkt.Data)
 	}
 	f.Add(packFrames(split))
+	// A hello re-cut, retransmitted and reordered on the way.
+	impaired, _ := orderFreeSeeds(f)[0].impair(f, rngChooser{rand.New(rand.NewPCG(9, 9))})
+	f.Add(packFrames(impaired))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		start := time.Date(2023, 7, 7, 0, 0, 0, 0, time.UTC)

@@ -89,13 +89,21 @@ func TestIngestDropsUndecodableFrames(t *testing.T) {
 	}
 }
 
+// craftISN is the client ISN of the TCP frames craftFrame builds.
+const craftISN = 0x1234_5678
+
 // craftFrame builds one Ethernet frame between two endpoints — IPv4 or IPv6
 // by the addresses' family, TCP with the given flags or UDP — followed by
-// trailer bytes of Ethernet padding after the IP datagram.
+// trailer bytes of Ethernet padding after the IP datagram. A TCP frame is
+// its flow's SYN or the segment that follows it: the SYN at sequence number
+// craftISN, anything else at craftISN + 1.
 func craftFrame(src, dst netip.AddrPort, proto, tcpFlags uint8, payload []byte, trailer int) []byte {
 	var seg []byte
 	if proto == packet.ProtoTCP {
-		tcp := packet.TCP{SrcPort: src.Port(), DstPort: dst.Port(), Flags: tcpFlags, Window: 64240}
+		tcp := packet.TCP{SrcPort: src.Port(), DstPort: dst.Port(), Seq: craftISN + 1, Flags: tcpFlags, Window: 64240}
+		if tcpFlags&packet.FlagSYN != 0 {
+			tcp.Seq = craftISN
+		}
 		seg = tcp.Append(nil, payload, src.Addr(), dst.Addr())
 	} else {
 		udp := packet.UDP{SrcPort: src.Port(), DstPort: dst.Port()}

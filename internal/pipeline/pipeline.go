@@ -37,8 +37,8 @@ const (
 	VerdictAbstained
 	// VerdictNoHandshake: no ClientHello surfaced in the first packets.
 	VerdictNoHandshake
-	// VerdictOversized: buffered handshake bytes exceeded maxHelloBytes and
-	// the flow was abandoned unclassified.
+	// VerdictOversized: the handshake bytes held went over a reassembly
+	// bound (maxHelloBytes, maxAhead) and the flow was abandoned.
 	VerdictOversized
 	// VerdictNotVideo: a handshake parsed but its SNI matched no video
 	// provider.
@@ -371,13 +371,11 @@ const (
 	DefaultIdleTimeout = 90 * time.Second
 )
 
-// maxHelloBytes caps the client handshake bytes buffered per flow while
-// waiting for a complete ClientHello: four maximum-size TLS records, where
-// a real hello is a fraction of one, yet tight enough that a million
-// tracked flows cannot pin gigabytes. A flow over it is abandoned and
-// finalized as VerdictOversized — without the cap a peer streaming endless
-// handshake records down one flow grows that flow's buffer until the
-// 8-frame heuristic trips, and frames can be arbitrarily large. A parser
+// maxHelloBytes caps the client handshake bytes a flow holds, in order or
+// past a hole, while waiting for a complete ClientHello: four maximum-size
+// TLS records, where a real hello is a fraction of one, yet tight enough
+// that a million tracked flows cannot pin gigabytes. A flow over it (or
+// over maxAhead) is abandoned and finalized as VerdictOversized. A parser
 // bound, not a deployment setting: no traffic mix wants another value.
 const maxHelloBytes = 64 << 10
 
@@ -719,13 +717,13 @@ func (p *Pipeline) handleKeyed(ts time.Time, frame, payload []byte, key packet.F
 		case st.packetsUp > 8:
 			// No hello in the first packets: not a video flow.
 			p.finalize(st, VerdictNoHandshake)
-		case cold.asm.buffered() > p.cfg.helloCap:
+		case cold.asm.overflow || len(cold.asm.stream) > p.cfg.helloCap:
 			// Oversized handshake: abandon, don't buffer more.
 			p.finalize(st, VerdictOversized)
 		}
 		return nil, nil
 	}
-	info := cold.asm.finish()
+	info := &cold.asm.info
 
 	sni := info.Hello.ServerName()
 	prov, content, ok := MatchProvider(sni)

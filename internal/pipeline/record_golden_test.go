@@ -119,7 +119,7 @@ func recordsGoldenCorpus(t *testing.T) []IngestPacket {
 		add(ft.Frames)
 	}
 
-	handmade := func(host byte) tcpFlowFrames {
+	handmade := func(host byte) *tcpFlowFrames {
 		ff := newTCPFlowFrames()
 		ff.src = netip.AddrFrom4([4]byte{192, 168, 9, host})
 		return ff

@@ -50,33 +50,18 @@ type IngestPacket struct {
 // 20 Gbps tap. Hashing is symmetric (both directions of a flow land on the
 // same shard), and each shard owns its flow table, so shards never contend.
 //
-// Ingest contract: the ingest goroutine summarizes each frame
-// (Sharded.decode, over packet.Summary: the wire key, its direction relative
-// to the canonical key, the shard hash's input and the payload's offset and
-// on-the-wire length, all read at fixed header offsets with no layer struct
-// filled) in place into the owning shard's pending batch, with the header of
-// the frame prefetchAhead slots later already prefetched, so the summary's
-// first load rarely waits on memory. Only that summary
-// and the leading bytes of the frame that the flow stage can still read
-// (keepLen) cross the queue: server-side TCP payloads and the bodies of QUIC
-// short headers, which nothing past ingest looks at, are counted and left
-// behind. A shard worker accounts a frame from its summary alone
-// (Pipeline.handleKeyed) — unless the frame is a client-direction frame of a
-// flow that has no verdict yet: handshake assembly needs TTL, TCP flags and
-// options, and hsAssembler.consume gives those few frames per flow, always
-// kept whole, the one full decode (packet.Parser.Parse) any frame gets.
-// Frames of decided flows, server-direction frames and everything on an
-// established flow are never decoded past the summary. A frame that
-// completes a handshake is classified by its shard worker on the spot, so a
-// flow's verdict never waits on the rest of its ingest batch. Frames that
-// carry no TCP/UDP 5-tuple are dropped at ingest and counted in
-// IngestStats.Ignored — they carry no flow, so copying them and occupying a
-// shard queue slot bought nothing — and decodable flows off port 443 are
-// likewise dropped and counted in IngestStats.Filtered, since the pipeline's
-// video filter would discard them anyway. Kept bytes are packed back-to-back
-// into per-batch arenas drawn from a sync.Pool and recycled once the owning
-// shard's pipeline has consumed the batch; the pipeline copies anything it
-// retains, so recycled arenas never alias live flow state.
+// Ingest contract (the package doc's "Summarize-once batch ingest" has the
+// whole rule): the ingest goroutine writes each frame's packet.Summary into
+// the owning shard's pending batch, prefetching the header of the frame
+// prefetchAhead slots later, and packs the bytes the flow stage can still
+// read (keepLen) into a per-batch arena from a sync.Pool, recycled once the
+// shard's pipeline has consumed the batch — the pipeline copies anything it
+// retains, so a recycled arena never aliases live flow state. Only
+// client-direction frames of undecided flows are decoded in full
+// (hsAssembler.consume), and a frame that completes a handshake is
+// classified by its shard worker on the spot. Frames with no TCP/UDP
+// 5-tuple and flows off port 443 are dropped at ingest, counted in
+// IngestStats.Ignored and IngestStats.Filtered.
 //
 // HandlePacket and HandlePacketBatch are intended for a single ingest
 // goroutine (the shard workers provide the parallelism) and must not be

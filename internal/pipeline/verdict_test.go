@@ -162,7 +162,7 @@ func everyTerminalKind(t *testing.T) []IngestPacket {
 	trace(cut, 0)
 	trace(renderScenarioFlow(t, 11, fingerprint.Options{Migration: true}, true), 0)
 
-	handmade := func(host byte) tcpFlowFrames {
+	handmade := func(host byte) *tcpFlowFrames {
 		ff := newTCPFlowFrames()
 		ff.src = netip.AddrFrom4([4]byte{192, 168, 7, host})
 		return ff

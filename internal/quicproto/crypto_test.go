@@ -1,14 +1,13 @@
 package quicproto
 
 import (
-	"bytes"
 	"errors"
 	"testing"
 
 	"videoplat/internal/wire"
 )
 
-// cryptoFrame encodes one CRYPTO frame for assembleCrypto tests.
+// cryptoFrame encodes one CRYPTO frame for frame-walk tests.
 func cryptoFrame(off uint64, data []byte) []byte {
 	w := wire.NewWriter(16 + len(data))
 	w.Uint8(frameCrypto)
@@ -18,53 +17,12 @@ func cryptoFrame(off uint64, data []byte) []byte {
 	return w.Bytes()
 }
 
-// assemble runs a raw frame sequence through the frame walk.
+// assemble runs a raw frame sequence through the frame walk. Putting the
+// listed frames in order is the flow assembler's job, and its tests (in
+// internal/pipeline) cover out-of-order, overlapping and gapped frames.
 func assemble(frames []byte) (*Initial, error) {
 	p := &Initial{}
-	_, err := assembleCrypto(p, frames)
-	return p, err
-}
-
-func TestAssembleCryptoOutOfOrderSegments(t *testing.T) {
-	want := []byte("0123456789abcdef")
-	var frames []byte
-	frames = append(frames, cryptoFrame(8, want[8:])...)
-	frames = append(frames, 0x01) // PING between segments
-	frames = append(frames, cryptoFrame(0, want[:8])...)
-	frames = append(frames, 0x00, 0x00) // trailing PADDING
-
-	p, err := assemble(frames)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(p.CryptoData, want) {
-		t.Errorf("crypto = %q, want %q", p.CryptoData, want)
-	}
-}
-
-func TestAssembleCryptoOverlappingSegments(t *testing.T) {
-	want := []byte("hello quic world")
-	var frames []byte
-	frames = append(frames, cryptoFrame(0, want[:10])...)
-	frames = append(frames, cryptoFrame(6, want[6:])...) // overlaps 6..10
-
-	p, err := assemble(frames)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(p.CryptoData, want) {
-		t.Errorf("crypto = %q, want %q", p.CryptoData, want)
-	}
-}
-
-func TestAssembleCryptoGapDetected(t *testing.T) {
-	var frames []byte
-	frames = append(frames, cryptoFrame(0, []byte("abc"))...)
-	frames = append(frames, cryptoFrame(10, []byte("xyz"))...) // hole 3..10
-
-	if _, err := assemble(frames); !errors.Is(err, ErrMalformed) {
-		t.Errorf("gap not detected: err = %v", err)
-	}
+	return p, listCrypto(p, frames)
 }
 
 func TestAssembleCryptoSkipsACK(t *testing.T) {
@@ -75,8 +33,34 @@ func TestAssembleCryptoSkipsACK(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(p.CryptoData) != "ch" {
-		t.Errorf("crypto = %q", p.CryptoData)
+	if len(p.Crypto) != 1 || p.Crypto[0].Offset != 0 || string(p.Crypto[0].Data) != "ch" {
+		t.Errorf("crypto = %+v", p.Crypto)
+	}
+}
+
+// TestListCryptoKeepsWireOrder: frames are listed as the packet carries
+// them — out of order, overlapping, with a hole — PINGs and PADDING
+// skipped, and empty frames dropped.
+func TestListCryptoKeepsWireOrder(t *testing.T) {
+	var frames []byte
+	frames = append(frames, cryptoFrame(8, []byte("89abcdef"))...)
+	frames = append(frames, framePing)
+	frames = append(frames, cryptoFrame(0, []byte("0123456789"))...) // overlaps 8..10
+	frames = append(frames, cryptoFrame(3, nil)...)
+	frames = append(frames, cryptoFrame(40, []byte("xyz"))...) // a hole at 16..40
+	frames = append(frames, 0x00, 0x00)                        // trailing PADDING
+	p, err := assemble(frames)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []CryptoFrame{{8, []byte("89abcdef")}, {0, []byte("0123456789")}, {40, []byte("xyz")}}
+	if len(p.Crypto) != len(want) {
+		t.Fatalf("listed %d frames, want %d: %+v", len(p.Crypto), len(want), p.Crypto)
+	}
+	for i, f := range p.Crypto {
+		if f.Offset != want[i].Offset || string(f.Data) != string(want[i].Data) {
+			t.Errorf("frame %d = %d:%q, want %d:%q", i, f.Offset, f.Data, want[i].Offset, want[i].Data)
+		}
 	}
 }
 
@@ -92,5 +76,16 @@ func TestAssembleCryptoTruncatedFrame(t *testing.T) {
 	bad := []byte{frameCrypto, 0x00, 0x64, 'a', 'b'}
 	if _, err := assemble(bad); !errors.Is(err, ErrMalformed) {
 		t.Errorf("truncated crypto accepted: err = %v", err)
+	}
+}
+
+// TestListCryptoBoundsOffsets: a frame reaching past maxCryptoLen is
+// malformed, so no listed offset overflows the flow assembler's 32 bits.
+func TestListCryptoBoundsOffsets(t *testing.T) {
+	if _, err := assemble(cryptoFrame(maxCryptoLen-1, []byte("ab"))); !errors.Is(err, ErrMalformed) {
+		t.Errorf("frame ending past %d accepted: err = %v", maxCryptoLen, err)
+	}
+	if _, err := assemble(cryptoFrame(maxCryptoLen-2, []byte("ab"))); err != nil {
+		t.Errorf("frame ending at %d rejected: %v", maxCryptoLen, err)
 	}
 }

@@ -2,19 +2,23 @@ package quicproto
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 )
 
 // fuzzSeeds renders valid sealed Initials — plain, tokened, split-CRYPTO
-// and padded, the same shapes tracegen emits — plus truncations and bit
-// flips of each, so the fuzzer starts from the decrypt/parse happy path.
+// and padded, the same shapes tracegen emits, and a scattered frame list —
+// plus truncations and bit flips of each, so the fuzzer starts from the
+// decrypt/parse happy path.
 func fuzzSeeds(tb testing.TB) [][]byte {
 	tb.Helper()
 	hello := sampleCrypto()
 	shapes := []*Initial{
-		{Version: Version1, DCID: []byte{1, 2, 3, 4, 5, 6, 7, 8}, SCID: []byte{9, 10}, CryptoData: hello},
-		{Version: Version1, DCID: []byte{0xaa, 0xbb, 0xcc, 0xdd}, Token: []byte("retry-token"), CryptoData: hello},
-		{Version: Version1, DCID: []byte{1}, PacketNumber: 1, CryptoOffset: uint64(len(hello) / 2), CryptoData: hello[len(hello)/2:]},
+		{Version: Version1, DCID: []byte{1, 2, 3, 4, 5, 6, 7, 8}, SCID: []byte{9, 10}, Crypto: whole(hello)},
+		{Version: Version1, DCID: []byte{0xaa, 0xbb, 0xcc, 0xdd}, Token: []byte("retry-token"), Crypto: whole(hello)},
+		{Version: Version1, DCID: []byte{1}, PacketNumber: 1, Crypto: []CryptoFrame{{Offset: uint64(len(hello) / 2), Data: hello[len(hello)/2:]}}},
+		// A hello scattered over frames out of order, overlapping and with a hole.
+		{Version: Version1, DCID: []byte{2}, Crypto: []CryptoFrame{{Offset: 100, Data: hello[100:200]}, {Data: hello[:120]}, {Offset: 250, Data: hello[250:]}}},
 	}
 	var out [][]byte
 	for _, in := range shapes {
@@ -69,25 +73,31 @@ func FuzzParseInitial(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if !bytes.Equal(q.CryptoData, p.CryptoData) || q.CryptoOffset != p.CryptoOffset ||
+		if !sameFrames(q.Crypto, p.Crypto) ||
 			q.PacketNumber != p.PacketNumber || !bytes.Equal(q.DCID, p.DCID) ||
 			!bytes.Equal(q.SCID, p.SCID) || !bytes.Equal(q.Token, p.Token) {
 			t.Fatalf("long-lived Opener decoded %+v, fresh one %+v", q, *p)
 		}
-		// Accepted packets must respect the reassembly bounds: CIDs capped
-		// at the RFC 9000 maximum, CRYPTO capped so an attacker-controlled
-		// offset varint cannot size an allocation.
+		// Accepted packets must respect the parse bounds: CIDs capped at the
+		// RFC 9000 maximum, CRYPTO frames capped in number and in the offsets
+		// they reach, so an attacker-controlled varint names nothing a flow's
+		// 32-bit reassembler cannot hold.
 		if len(p.DCID) > 20 || len(p.SCID) > 20 {
 			t.Fatalf("oversized CID: dcid=%d scid=%d", len(p.DCID), len(p.SCID))
 		}
-		if len(p.CryptoData) > maxCryptoLen || p.CryptoOffset > maxCryptoLen {
-			t.Fatalf("CRYPTO over cap: len=%d off=%d", len(p.CryptoData), p.CryptoOffset)
+		if len(p.Crypto) > maxCryptoSegments {
+			t.Fatalf("%d CRYPTO frames listed", len(p.Crypto))
+		}
+		for _, c := range p.Crypto {
+			if len(c.Data) == 0 || c.Offset+uint64(len(c.Data)) > maxCryptoLen {
+				t.Fatalf("CRYPTO frame of %d bytes at %d listed", len(c.Data), c.Offset)
+			}
 		}
 		if p.WireSize <= 0 || p.WireSize > len(data) {
 			t.Fatalf("WireSize %d outside datagram (%d bytes)", p.WireSize, len(data))
 		}
-		// Re-seal and re-parse: the decrypted view must survive its own
-		// canonical encoding.
+		// Re-seal and re-parse: the frame list must survive its own
+		// canonical encoding, frame for frame and in order.
 		dg, err := p.Seal(0)
 		if err != nil {
 			t.Fatalf("re-seal of parsed Initial failed: %v", err)
@@ -96,10 +106,17 @@ func FuzzParseInitial(f *testing.F) {
 		if err != nil {
 			t.Fatalf("reparse of re-sealed Initial failed: %v", err)
 		}
-		if !bytes.Equal(rt.CryptoData, p.CryptoData) || rt.CryptoOffset != p.CryptoOffset {
-			t.Fatalf("CRYPTO did not round-trip: %d/%d bytes at %d/%d",
-				len(rt.CryptoData), len(p.CryptoData), rt.CryptoOffset, p.CryptoOffset)
+		if !sameFrames(rt.Crypto, p.Crypto) {
+			t.Fatalf("CRYPTO frames did not round-trip: %d frames, then %d", len(p.Crypto), len(rt.Crypto))
 		}
+	})
+}
+
+// sameFrames reports whether two CRYPTO frame lists are equal, frame for
+// frame and in order.
+func sameFrames(a, b []CryptoFrame) bool {
+	return slices.EqualFunc(a, b, func(x, y CryptoFrame) bool {
+		return x.Offset == y.Offset && bytes.Equal(x.Data, y.Data)
 	})
 }
 

@@ -1,9 +1,14 @@
 // Package quicproto implements the subset of QUIC v1 (RFC 9000/9001) needed
 // to generate and analyze Initial packets: long-header encoding, the Initial
 // secret schedule (HKDF over SHA-256), AES-128-GCM payload protection,
-// AES-based header protection, CRYPTO-frame (re)assembly, and the transport
-// parameter codec including the Google-specific parameters observed in
-// YouTube traffic.
+// AES-based header protection, the CRYPTO frames of an Initial, and the
+// transport parameter codec including the Google-specific parameters
+// observed in YouTube traffic.
+//
+// It reads and writes packets but reassembles no stream: an opened Initial
+// lists its CRYPTO frames as they lie, in any order, overlapping or not, and
+// a flow's assembler (internal/pipeline) puts the pieces of all its
+// Initials in order.
 //
 // Initial packets are encrypted with keys derived from public values (the
 // destination connection ID), so an on-path observer — the ISP vantage point
@@ -35,26 +40,29 @@ type Initial struct {
 	DCID, SCID   []byte
 	Token        []byte
 	PacketNumber uint64
-	CryptoData   []byte // reassembled CRYPTO stream carried by this packet
 
-	// CryptoOffset is the stream offset of CryptoData: 0 when the packet
-	// carries the start of the ClientHello (the common single-Initial
-	// case), nonzero when it carries a later fragment of a hello split
-	// across Initials — e.g. a client that migrated mid-handshake. On
-	// encode, Seal emits the CRYPTO frame at this offset.
-	CryptoOffset uint64
+	// Crypto lists the packet's CRYPTO frames in wire order: the whole hello
+	// at offset 0 in the common case, or pieces of one scattered over
+	// frames (Chromium) or split across Initials (a client that migrated
+	// mid-handshake). Seal writes one CRYPTO frame per entry, in order.
+	Crypto []CryptoFrame
 
 	// WireSize is the size of the UDP payload this packet was parsed from
 	// or encoded to — the paper's init_packet_size attribute.
 	WireSize int
 }
 
+// CryptoFrame is one CRYPTO frame: Data is the handshake stream's bytes
+// from stream offset Offset on.
+type CryptoFrame struct {
+	Offset uint64
+	Data   []byte
+}
+
 // ParseInitial decrypts and decodes a client Initial packet from a UDP
-// datagram. Coalesced packets after the Initial are ignored. The CRYPTO
-// stream is reassembled in offset order. The returned DCID, SCID and Token
-// alias datagram; CryptoData is freshly allocated. It is Opener.Open with a
-// fresh Opener and buffer, for callers that parse one packet; a per-packet
-// path keeps an Opener.
+// datagram: Opener.Open with a fresh Opener and buffer, for callers that
+// parse one packet (a per-packet path keeps an Opener). Crypto lists the
+// CRYPTO frames as the packet carries them, unordered and unmerged.
 func ParseInitial(datagram []byte) (*Initial, error) {
 	// Open makes this check itself; making it here first keeps the common
 	// rejections clear of the two allocations below.
@@ -62,38 +70,36 @@ func ParseInitial(datagram []byte) (*Initial, error) {
 		return nil, err
 	}
 	var o Opener
-	p := new(Initial)
-	if _, err := o.Open(p, datagram, nil); err != nil {
+	x := new(struct { // the Initial and its usual one frame, in one allocation
+		p Initial
+		c [1]CryptoFrame
+	})
+	x.p.Crypto = x.c[:0]
+	if _, err := o.Open(&x.p, datagram, nil); err != nil {
 		return nil, err
 	}
-	return p, nil
+	return &x.p, nil
 }
 
 // MinInitialSize is the minimum UDP payload size for client Initials
 // (RFC 9000 §14.1).
 const MinInitialSize = 1200
 
-// Seal encodes and encrypts the Initial into a UDP datagram. CryptoData is
-// carried in a single CRYPTO frame at CryptoOffset (0 for a complete hello),
-// padded with PADDING frames to at least minSize (use 0 for the RFC default
-// of 1200).
+// Seal encodes and encrypts the Initial into a UDP datagram: one CRYPTO
+// frame per Crypto entry, in list order, padded with PADDING frames to at
+// least minSize (use 0 for the RFC default of 1200).
 func (p *Initial) Seal(minSize int) ([]byte, error) {
-	frames := wire.NewWriter(len(p.CryptoData) + 64)
-	frames.Uint8(frameCrypto)
-	if err := frames.Varint(p.CryptoOffset); err != nil {
-		return nil, err
+	frames := wire.NewWriter(max(minSize, MinInitialSize))
+	for _, f := range p.Crypto {
+		frames.Uint8(frameCrypto)
+		if err := frames.Varint(f.Offset); err != nil {
+			return nil, err
+		}
+		if err := frames.Varint(uint64(len(f.Data))); err != nil {
+			return nil, err
+		}
+		frames.Write(f.Data)
 	}
-	if err := frames.Varint(uint64(len(p.CryptoData))); err != nil {
-		return nil, err
-	}
-	frames.Write(p.CryptoData)
-	return p.sealFrames(frames, minSize)
-}
-
-// sealFrames is Seal for an arbitrary frame sequence: pad to minSize,
-// encrypt, protect the header. Seal's single CRYPTO frame is the only
-// sequence the generator needs; tests seal the shapes it never emits.
-func (p *Initial) sealFrames(frames *wire.Writer, minSize int) ([]byte, error) {
 	if minSize == 0 {
 		minSize = MinInitialSize
 	}

@@ -10,12 +10,11 @@ import (
 // Parse bounds, fixed up front so no length or count read off the wire
 // sizes a loop or a buffer.
 const (
-	// maxCryptoLen bounds the reassembled CRYPTO stream of one packet.
+	// maxCryptoLen bounds the CRYPTO stream offsets one frame may name.
 	// CRYPTO offset and length ride attacker-controlled varints (up to
-	// 2^62-1), so without a cap a single forged Initial could demand an
-	// arbitrarily large reassembly buffer. Real first-flight hellos are
-	// well under 16 KB; 256 KB leaves room for any conceivable hello while
-	// keeping the worst-case allocation trivial.
+	// 2^62-1); a frame reaching past 256 KB is malformed, so what a packet
+	// lists always fits the 32-bit offsets a flow's reassembler keeps. Real
+	// first-flight hellos are well under 16 KB.
 	maxCryptoLen = 1 << 18
 	// maxCryptoSegments bounds the CRYPTO frames of one Initial. Stacks
 	// that scatter the hello to resist ossification (Chromium's chaos
@@ -39,7 +38,6 @@ var (
 	errFrameType      = malformed("unexpected frame type in Initial")
 	errCryptoLength   = malformed("crypto stream exceeds 256 KiB")
 	errCryptoSegments = malformed("more than 32 crypto frames")
-	errCryptoGap      = malformed("crypto stream has gaps")
 )
 
 func malformed(what string) error { return fmt.Errorf("%w: %s", ErrMalformed, what) }
@@ -51,13 +49,6 @@ const (
 	frameACK     = 0x02
 	frameCrypto  = 0x06
 )
-
-// cryptoSegment is one CRYPTO frame of the packet being opened: its stream
-// offset and where its data sits in the decrypted payload.
-type cryptoSegment struct {
-	off        uint32 // stream offset, at most maxCryptoLen
-	start, end uint32 // data is plaintext[start:end]
-}
 
 // Opener decrypts client Initial packets. It holds the scratch that has to
 // be handed to the cipher interfaces while a packet is being opened — the
@@ -80,17 +71,18 @@ type Opener struct {
 // The decrypted payload is written into buf's backing array when it fits
 // and into a newly allocated one when it does not; either way the buffer is
 // returned — also on error — for the caller to keep and offer again.
-// p.CryptoData aliases that buffer and nothing else: not datagram and not
-// the Opener, so it stays valid across later Opens for as long as the
-// caller leaves the buffer alone. (A packet whose CRYPTO frames are not one
-// run in memory has them reassembled, in offset order, behind the payload
-// in the same buffer.) p.DCID, p.SCID and p.Token alias datagram.
+// p.Crypto lists the packet's CRYPTO frames in wire order, unordered and
+// unmerged — pieces of the stream for the caller's reassembler to place —
+// in the capacity of the list p held before. Each frame's Data aliases
+// that buffer and nothing else: not datagram and not the Opener, so it
+// stays valid across later Opens for as long as the caller leaves the
+// buffer alone. p.DCID, p.SCID and p.Token alias datagram.
 //
-// Apart from that buffer, the only allocations are the three cipher objects
-// of the packet's key schedule, inside crypto/aes and crypto/cipher
-// (TestOpenAllocs pins both counts).
+// Apart from that buffer and a list that outgrows its capacity, the only
+// allocations are the three cipher objects of the packet's key schedule,
+// inside crypto/aes and crypto/cipher (TestOpenAllocs pins the counts).
 func (o *Opener) Open(p *Initial, datagram, buf []byte) ([]byte, error) {
-	*p = Initial{}
+	*p = Initial{Crypto: p.Crypto[:0]}
 	err := checkInitial(datagram)
 	if err != nil {
 		return buf, err
@@ -143,14 +135,14 @@ func (o *Opener) Open(p *Initial, datagram, buf []byte) ([]byte, error) {
 
 	ciphertext := datagram[pnOffset+pnLen : pnOffset+int(length)]
 	if need := len(ciphertext) - k.aead.Overhead(); cap(buf) < need {
-		buf = make([]byte, 0, need) // the one flow-owned payload buffer: whatever p.CryptoData aliases must outlive this call
+		buf = make([]byte, 0, need) // the one flow-owned payload buffer: whatever p.Crypto aliases must outlive this call
 	}
 	plaintext, err := k.aead.Open(buf[:0], o.nonce[:], ciphertext, o.hdr)
 	if err != nil {
 		return buf, ErrAuthFailure
 	}
 	p.WireSize = len(datagram)
-	return assembleCrypto(p, plaintext)
+	return plaintext, listCrypto(p, plaintext)
 }
 
 // checkInitial classifies a datagram by the five bytes no protection covers:
@@ -186,26 +178,15 @@ func readCID(r *wire.Reader) ([]byte, error) {
 	return cid, nil
 }
 
-// assembleCrypto walks the frame sequence of a decrypted payload and sets
-// (p.CryptoOffset, p.CryptoData) to the one contiguous run of CRYPTO stream
-// the packet carries. The run need not start at stream offset 0 — a hello
-// split across Initials puts later fragments at nonzero offsets. Gaps
-// *within* one packet's segments remain malformed (no real stack leaves a
-// hole in its own flight), and the total is bounded by maxCryptoLen so
-// forged offset varints cannot demand huge buffers.
-//
-// A single CRYPTO frame — every stack that does not scatter its hello — is
-// aliased where it lies in plaintext. Several are sorted by offset, checked
-// for contiguity, and copied into one run appended behind plaintext; the
-// (possibly regrown) buffer is returned.
-func assembleCrypto(p *Initial, plaintext []byte) ([]byte, error) {
-	var segs [maxCryptoSegments]cryptoSegment
-	n := 0
+// listCrypto walks the frame sequence of a decrypted payload and appends
+// each CRYPTO frame that carries bytes to p.Crypto, its Data aliasing
+// plaintext, within maxCryptoLen and maxCryptoSegments.
+func listCrypto(p *Initial, plaintext []byte) error {
 	r := wire.NewReader(plaintext)
 	for !r.Empty() {
 		ft, err := r.Varint()
 		if err != nil {
-			return plaintext, errFrame
+			return errFrame
 		}
 		switch ft {
 		case framePadding:
@@ -214,69 +195,36 @@ func assembleCrypto(p *Initial, plaintext []byte) ([]byte, error) {
 			// no body
 		case frameACK, frameACK + 1:
 			if err := skipACK(r, ft); err != nil {
-				return plaintext, err
+				return err
 			}
 		case frameCrypto:
 			off, err := r.Varint()
 			if err != nil {
-				return plaintext, errFrame
+				return errFrame
 			}
 			size, err := r.Varint()
 			if err != nil {
-				return plaintext, errFrame
+				return errFrame
 			}
 			if off > maxCryptoLen || size > maxCryptoLen || off+size > maxCryptoLen {
-				return plaintext, errCryptoLength
+				return errCryptoLength
 			}
-			start := r.Offset()
-			if r.Skip(int(size)) != nil {
-				return plaintext, errFrame
+			data, err := r.Bytes(int(size))
+			if err != nil {
+				return errFrame
 			}
 			if size == 0 {
 				continue // carries no stream bytes
 			}
-			if n == maxCryptoSegments {
-				return plaintext, errCryptoSegments
+			if len(p.Crypto) == maxCryptoSegments {
+				return errCryptoSegments
 			}
-			segs[n] = cryptoSegment{off: uint32(off), start: uint32(start), end: uint32(r.Offset())}
-			n++
+			p.Crypto = append(p.Crypto, CryptoFrame{Offset: off, Data: data[:len(data):len(data)]})
 		default:
-			return plaintext, errFrameType
+			return errFrameType
 		}
 	}
-	if n == 0 {
-		return plaintext, nil
-	}
-	// Insertion sort by stream offset: n is small and usually 1.
-	for i := 1; i < n; i++ {
-		for j := i; j > 0 && segs[j].off < segs[j-1].off; j-- {
-			segs[j], segs[j-1] = segs[j-1], segs[j]
-		}
-	}
-	base := segs[0].off
-	end := base + (segs[0].end - segs[0].start)
-	for _, s := range segs[1:n] {
-		if s.off > end {
-			return plaintext, errCryptoGap
-		}
-		end = max(end, s.off+(s.end-s.start))
-	}
-	p.CryptoOffset = uint64(base)
-	if n == 1 {
-		p.CryptoData = plaintext[segs[0].start:segs[0].end:segs[0].end]
-		return plaintext, nil
-	}
-	// Grow the buffer by the run's length. What the growth copies in is
-	// irrelevant — contiguity means the segments overwrite every byte — and
-	// the run is no longer than the payload its segments came out of.
-	mark := len(plaintext)
-	plaintext = append(plaintext, plaintext[:end-base]...)
-	run := plaintext[mark:]
-	for _, s := range segs[:n] {
-		copy(run[s.off-base:], plaintext[s.start:s.end])
-	}
-	p.CryptoData = run
-	return plaintext, nil
+	return nil
 }
 
 func skipACK(r *wire.Reader, ft uint64) error {

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"videoplat/internal/tlsproto"
-	"videoplat/internal/wire"
 )
 
 // quicHello builds a ClientHello carrying QUIC transport parameters, sized
@@ -31,6 +30,19 @@ func quicHello(tb testing.TB, sni string, pad int) []byte {
 	return ch.Marshal()
 }
 
+// whole is a CRYPTO frame list carrying data whole, at offset 0.
+func whole(data []byte) []CryptoFrame { return []CryptoFrame{{Data: data}} }
+
+// wholeCrypto is the CRYPTO data of an Initial that carries it whole, in
+// one frame at offset 0.
+func wholeCrypto(tb testing.TB, p *Initial) []byte {
+	tb.Helper()
+	if len(p.Crypto) != 1 || p.Crypto[0].Offset != 0 {
+		tb.Fatalf("CRYPTO frames %+v, want one at offset 0", p.Crypto)
+	}
+	return p.Crypto[0].Data
+}
+
 // decoded is everything a flow keeps of an opened Initial, re-encoded so two
 // snapshots compare byte for byte.
 type decoded struct {
@@ -39,7 +51,7 @@ type decoded struct {
 
 func decode(tb testing.TB, p *Initial) (*tlsproto.ClientHello, *TransportParameters) {
 	tb.Helper()
-	ch, err := tlsproto.Parse(p.CryptoData)
+	ch, err := tlsproto.Parse(wholeCrypto(tb, p))
 	if err != nil {
 		tb.Fatalf("parsing ClientHello: %v", err)
 	}
@@ -56,7 +68,7 @@ func decode(tb testing.TB, p *Initial) (*tlsproto.ClientHello, *TransportParamet
 
 func snapshot(p *Initial, ch *tlsproto.ClientHello, tp *TransportParameters) decoded {
 	return decoded{
-		crypto: append([]byte(nil), p.CryptoData...),
+		crypto: append([]byte(nil), p.Crypto[0].Data...),
 		hello:  ch.Marshal(),
 		params: tp.Marshal(),
 	}
@@ -80,12 +92,12 @@ func TestOpenerReuseKeepsEarlierPacket(t *testing.T) {
 		}
 		return dg
 	}
-	dgA := seal(&Initial{Version: Version1, DCID: []byte{1, 2, 3, 4, 5, 6, 7, 8}, SCID: []byte{9}, CryptoData: helloA})
+	dgA := seal(&Initial{Version: Version1, DCID: []byte{1, 2, 3, 4, 5, 6, 7, 8}, SCID: []byte{9}, Crypto: whole(helloA)})
 	// B differs in every scratch-sized quantity: a header longer than the
 	// Opener's inline header buffer (full-length CIDs and a token), another
 	// packet number, a longer payload.
 	dgB := seal(&Initial{Version: Version1, DCID: bytes.Repeat([]byte{0xbb}, 20), SCID: bytes.Repeat([]byte{0xcc}, 20),
-		Token: bytes.Repeat([]byte("retry"), 20), PacketNumber: 77, CryptoData: helloB})
+		Token: bytes.Repeat([]byte("retry"), 20), PacketNumber: 77, Crypto: whole(helloB)})
 
 	var o Opener
 	var a, b, a2 Initial
@@ -103,7 +115,7 @@ func TestOpenerReuseKeepsEarlierPacket(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(b.CryptoData, helloB) || !bytes.Equal(b.Token, bytes.Repeat([]byte("retry"), 20)) || b.PacketNumber != 77 {
+	if !bytes.Equal(wholeCrypto(t, &b), helloB) || !bytes.Equal(b.Token, bytes.Repeat([]byte("retry"), 20)) || b.PacketNumber != 77 {
 		t.Fatal("B did not decode to what was sealed")
 	}
 	bufA2, err := o.Open(&a2, dgA, nil)
@@ -125,10 +137,10 @@ func TestOpenerReuseKeepsEarlierPacket(t *testing.T) {
 
 // TestOpenerReusesCallerBuffer pins the other half of the buffer contract:
 // a buffer that fits is written in place, returned, and aliased by
-// CryptoData — also when it comes back from a failed open.
+// the CRYPTO frame's Data — also when it comes back from a failed open.
 func TestOpenerReusesCallerBuffer(t *testing.T) {
 	hello := quicHello(t, "a.googlevideo.com", 10)
-	dg, err := (&Initial{Version: Version1, DCID: []byte{1, 2, 3, 4}, CryptoData: hello}).Seal(0)
+	dg, err := (&Initial{Version: Version1, DCID: []byte{1, 2, 3, 4}, Crypto: whole(hello)}).Seal(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,13 +160,13 @@ func TestOpenerReusesCallerBuffer(t *testing.T) {
 	if &buf[:1][0] != &own[:1][0] {
 		t.Error("a fitting buffer was not used in place")
 	}
-	if !bytes.Equal(p.CryptoData, hello) {
+	if !bytes.Equal(wholeCrypto(t, &p), hello) {
 		t.Fatal("CRYPTO data mismatch")
 	}
-	// CryptoData lies inside the returned buffer.
+	// The frame's Data lies inside the returned buffer.
 	off := bytes.Index(buf, hello)
-	if off < 0 || &buf[off] != &p.CryptoData[0] {
-		t.Error("CryptoData does not alias the returned buffer")
+	if off < 0 || &buf[off] != &p.Crypto[0].Data[0] {
+		t.Error("CRYPTO data does not alias the returned buffer")
 	}
 }
 
@@ -177,24 +189,34 @@ func TestRFC9001VectorThroughUsedOpener(t *testing.T) {
 }
 
 // scatteredInitial seals an Initial whose CRYPTO stream is cut into n
-// frames emitted last-first with PINGs between them, as stacks that
-// scatter their hello do.
+// frames emitted last-first, as stacks that scatter their hello do.
 func scatteredInitial(tb testing.TB, crypto []byte, n int) []byte {
 	tb.Helper()
-	frames := wire.NewWriter(len(crypto) + 8*n)
+	in := &Initial{Version: Version1, DCID: []byte{5, 4, 3, 2, 1}}
 	for i := n - 1; i >= 0; i-- {
 		lo, hi := i*len(crypto)/n, (i+1)*len(crypto)/n
-		frames.Write(cryptoFrame(uint64(lo), crypto[lo:hi]))
-		frames.Uint8(framePing)
+		in.Crypto = append(in.Crypto, CryptoFrame{Offset: uint64(lo), Data: crypto[lo:hi]})
 	}
-	in := &Initial{Version: Version1, DCID: []byte{5, 4, 3, 2, 1}}
-	dg, err := in.sealFrames(frames, 0)
+	dg, err := in.Seal(0)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	return dg
 }
 
+// within reports whether d starts inside buf's bytes.
+func within(buf, d []byte) bool {
+	for i := range buf {
+		if &buf[i] == &d[0] {
+			return true
+		}
+	}
+	return false
+}
+
+// TestOpenerScatteredCrypto: a scattered hello's frames are listed as the
+// packet carries them, last-first, each aliasing the returned buffer, and
+// together they are the hello. Putting them in order is the flow's job.
 func TestOpenerScatteredCrypto(t *testing.T) {
 	hello := quicHello(t, "scattered.googlevideo.com", 200)
 	var o Opener
@@ -204,14 +226,24 @@ func TestOpenerScatteredCrypto(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%d segments: %v", n, err)
 		}
-		if !bytes.Equal(p.CryptoData, hello) || p.CryptoOffset != 0 {
-			t.Fatalf("%d segments: reassembled %d bytes at %d, want %d at 0", n, len(p.CryptoData), p.CryptoOffset, len(hello))
+		if len(p.Crypto) != n {
+			t.Fatalf("%d segments: listed %d frames", n, len(p.Crypto))
 		}
-		if off := len(buf) - len(hello); off < 0 || &buf[off] != &p.CryptoData[0] {
-			t.Errorf("%d segments: the run does not sit behind the payload in the returned buffer", n)
+		got := make([]byte, len(hello))
+		for i, f := range p.Crypto {
+			if lo := (n - 1 - i) * len(hello) / n; f.Offset != uint64(lo) {
+				t.Fatalf("%d segments: frame %d at offset %d, want %d", n, i, f.Offset, lo)
+			}
+			if !within(buf, f.Data) {
+				t.Errorf("%d segments: frame %d does not alias the returned buffer", n, i)
+			}
+			copy(got[f.Offset:], f.Data)
+		}
+		if !bytes.Equal(got, hello) {
+			t.Fatalf("%d segments: the frames do not cover the hello", n)
 		}
 	}
-	// One frame too many is malformed, not a bigger table.
+	// One frame too many is malformed, not a longer list.
 	if _, err := o.Open(&p, scatteredInitial(t, hello, maxCryptoSegments+1), nil); !errors.Is(err, ErrMalformed) {
 		t.Errorf("%d segments: err = %v, want ErrMalformed", maxCryptoSegments+1, err)
 	}
@@ -222,7 +254,7 @@ func TestOpenerScatteredCrypto(t *testing.T) {
 // ParseInitial adds its fresh Opener and the Initial it returns.
 func TestOpenAllocs(t *testing.T) {
 	dg, err := (&Initial{Version: Version1, DCID: []byte{1, 2, 3, 4, 5, 6, 7, 8},
-		CryptoData: quicHello(t, "a.googlevideo.com", 100)}).Seal(0)
+		Crypto: whole(quicHello(t, "a.googlevideo.com", 100))}).Seal(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +278,7 @@ func TestOpenAllocs(t *testing.T) {
 // TestRejectPathsAllocFree pins the per-packet reject paths: the errors are
 // pre-built, so turning a packet away allocates nothing.
 func TestRejectPathsAllocFree(t *testing.T) {
-	dg, err := (&Initial{Version: Version1, DCID: []byte{1, 2, 3, 4}, CryptoData: []byte{1, 0, 0, 0}}).Seal(0)
+	dg, err := (&Initial{Version: Version1, DCID: []byte{1, 2, 3, 4}, Crypto: whole([]byte{1, 0, 0, 0})}).Seal(0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -109,10 +109,11 @@ func checkRFC9001ClientInitial(t *testing.T, p *Initial) {
 	wantPrefix, _ := hex.DecodeString("010000ed0303ebf8fa56f129 39b9584a3896472ec40bb863cfd3e868" +
 		"04fe3a47f06a2b69484c")
 	_ = wantPrefix
-	if len(p.CryptoData) < 4 || p.CryptoData[0] != 0x01 {
-		t.Fatalf("crypto data does not start with ClientHello: %x", p.CryptoData[:8])
+	crypto := wholeCrypto(t, p)
+	if len(crypto) < 4 || crypto[0] != 0x01 {
+		t.Fatalf("crypto data does not start with ClientHello: %x", crypto[:8])
 	}
-	ch, err := tlsproto.Parse(p.CryptoData)
+	ch, err := tlsproto.Parse(crypto)
 	if err != nil {
 		t.Fatalf("parsing embedded ClientHello: %v", err)
 	}
@@ -134,7 +135,7 @@ func TestSealParseRoundTrip(t *testing.T) {
 		DCID:         []byte{1, 2, 3, 4, 5, 6, 7, 8},
 		SCID:         []byte{9, 10, 11},
 		PacketNumber: 0,
-		CryptoData:   crypto,
+		Crypto:       whole(crypto),
 	}
 	datagram, err := in.Seal(0)
 	if err != nil {
@@ -147,7 +148,7 @@ func TestSealParseRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(out.CryptoData, crypto) {
+	if !bytes.Equal(wholeCrypto(t, out), crypto) {
 		t.Error("crypto data mismatch")
 	}
 	if !bytes.Equal(out.DCID, in.DCID) || !bytes.Equal(out.SCID, in.SCID) {
@@ -165,7 +166,7 @@ func TestSealRoundTripProperty(t *testing.T) {
 			Version:      Version1,
 			DCID:         dcidSeed[:],
 			PacketNumber: uint64(pn),
-			CryptoData:   crypto,
+			Crypto:       whole(crypto),
 		}
 		dg, err := in.Seal(0)
 		if err != nil {
@@ -175,7 +176,8 @@ func TestSealRoundTripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return bytes.Equal(out.CryptoData, crypto) && out.PacketNumber == uint64(pn)
+		return len(out.Crypto) == 1 && out.Crypto[0].Offset == 0 &&
+			bytes.Equal(out.Crypto[0].Data, crypto) && out.PacketNumber == uint64(pn)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
@@ -183,7 +185,7 @@ func TestSealRoundTripProperty(t *testing.T) {
 }
 
 func TestParseInitialCorruption(t *testing.T) {
-	in := &Initial{Version: Version1, DCID: []byte{1, 2, 3, 4}, CryptoData: []byte{1, 0, 0, 0}}
+	in := &Initial{Version: Version1, DCID: []byte{1, 2, 3, 4}, Crypto: whole([]byte{1, 0, 0, 0})}
 	dg, err := in.Seal(0)
 	if err != nil {
 		t.Fatal(err)
@@ -215,7 +217,7 @@ func TestParseInitialCorruption(t *testing.T) {
 }
 
 func TestHandshakePacketRejected(t *testing.T) {
-	in := &Initial{Version: Version1, DCID: []byte{1}, CryptoData: []byte{0}}
+	in := &Initial{Version: Version1, DCID: []byte{1}, Crypto: whole([]byte{0})}
 	dg, _ := in.Seal(0)
 	dg[0] = 0xe0 // long header, type=2 (Handshake)
 	if _, err := ParseInitial(dg); err != ErrNotInitial {
@@ -277,10 +279,10 @@ func TestTransportParametersMalformed(t *testing.T) {
 
 func TestInitialWithTokenAndCoalescedPadding(t *testing.T) {
 	in := &Initial{
-		Version:    Version1,
-		DCID:       []byte{0xaa, 0xbb, 0xcc, 0xdd, 0xee},
-		Token:      []byte("retry-token-value"),
-		CryptoData: bytes.Repeat([]byte{0x42}, 64),
+		Version: Version1,
+		DCID:    []byte{0xaa, 0xbb, 0xcc, 0xdd, 0xee},
+		Token:   []byte("retry-token-value"),
+		Crypto:  whole(bytes.Repeat([]byte{0x42}, 64)),
 	}
 	dg, err := in.Seal(1400)
 	if err != nil {
@@ -300,7 +302,7 @@ func TestInitialWithTokenAndCoalescedPadding(t *testing.T) {
 
 func BenchmarkSealInitial(b *testing.B) {
 	in := &Initial{Version: Version1, DCID: []byte{1, 2, 3, 4, 5, 6, 7, 8},
-		CryptoData: make([]byte, 512)}
+		Crypto: whole(make([]byte, 512))}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := in.Seal(0); err != nil {

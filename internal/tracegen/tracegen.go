@@ -343,41 +343,39 @@ func (g *Generator) renderQUIC(ft *FlowTrace, fp *fingerprint.Flow, ttl uint8, s
 
 	hello := fp.Hello.Marshal()
 	udp := packet.UDP{SrcPort: ft.ClientPort, DstPort: ft.ServerPort}
+	// seal encrypts client Initial pn, carrying hello[off:end] in one CRYPTO frame.
+	seal := func(pn uint64, off, end, minSize int) ([]byte, error) {
+		in := quicproto.Initial{Version: quicproto.Version1, DCID: fp.DCID, SCID: fp.SCID, PacketNumber: pn,
+			Crypto: []quicproto.CryptoFrame{{Offset: uint64(off), Data: hello[off:end]}}}
+		dg, err := in.Seal(minSize)
+		if err != nil {
+			return nil, fmt.Errorf("tracegen: sealing initial: %w", err)
+		}
+		return dg, nil
+	}
 	splitHandshake := ft.Migrated && spec.MigrateMidHandshake
 	if splitHandshake {
 		// Hello split across two Initials; the path changes between them,
 		// so the second CRYPTO fragment arrives from the migrated tuple and
 		// only the connection IDs tie the halves together.
 		k := len(hello) / 2
-		first := &quicproto.Initial{Version: quicproto.Version1,
-			DCID: fp.DCID, SCID: fp.SCID, CryptoData: hello[:k]}
-		dg1, err := first.Seal(0)
+		dg1, err := seal(0, 0, k, 0)
 		if err != nil {
-			return fmt.Errorf("tracegen: sealing split initial: %w", err)
+			return err
 		}
 		g.appendFrame(ft, 0, true, ttl, packet.ProtoUDP,
 			udp.Append(nil, dg1, ft.ClientAddr, ft.ServerAddr))
-
-		second := &quicproto.Initial{Version: quicproto.Version1,
-			DCID: fp.DCID, SCID: fp.SCID, PacketNumber: 1,
-			CryptoOffset: uint64(k), CryptoData: hello[k:]}
-		dg2, err := second.Seal(0)
+		dg2, err := seal(1, k, len(hello), 0)
 		if err != nil {
-			return fmt.Errorf("tracegen: sealing split initial: %w", err)
+			return err
 		}
 		migUDP := packet.UDP{SrcPort: ft.MigratedPort, DstPort: ft.ServerPort}
 		g.appendMigratedFrame(ft, 2*time.Millisecond, true, ttl,
 			migUDP.Append(nil, dg2, ft.MigratedAddr, ft.ServerAddr))
 	} else {
-		initial := &quicproto.Initial{
-			Version:    quicproto.Version1,
-			DCID:       fp.DCID,
-			SCID:       fp.SCID,
-			CryptoData: hello,
-		}
-		datagram, err := initial.Seal(fp.QUICTargetSize)
+		datagram, err := seal(0, 0, len(hello), fp.QUICTargetSize)
 		if err != nil {
-			return fmt.Errorf("tracegen: sealing initial: %w", err)
+			return err
 		}
 		g.appendFrame(ft, 0, true, ttl, packet.ProtoUDP,
 			udp.Append(nil, datagram, ft.ClientAddr, ft.ServerAddr))

@@ -80,7 +80,10 @@ func TestQUICFlowRendersDecryptableInitial(t *testing.T) {
 	if init.WireSize < 1200 {
 		t.Errorf("initial size = %d", init.WireSize)
 	}
-	ch, err := tlsproto.Parse(init.CryptoData)
+	if len(init.Crypto) != 1 || init.Crypto[0].Offset != 0 {
+		t.Fatalf("CRYPTO frames = %d, want the whole hello in one at offset 0", len(init.Crypto))
+	}
+	ch, err := tlsproto.Parse(init.Crypto[0].Data)
 	if err != nil {
 		t.Fatal(err)
 	}
