@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"math/rand/v2"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -162,6 +164,9 @@ func TestRecordZeroAlloc(t *testing.T) {
 	if n := testing.AllocsPerRun(1000, func() { h.Record(123 * time.Microsecond) }); n != 0 {
 		t.Fatalf("Histogram.Record allocates %.1f/op, want 0", n)
 	}
+	if n := testing.AllocsPerRun(1000, func() { h.RecordN(2*time.Microsecond, 64) }); n != 0 {
+		t.Fatalf("Histogram.RecordN allocates %.1f/op, want 0", n)
+	}
 	o := NewPipelineObserver()
 	if n := testing.AllocsPerRun(1000, func() {
 		for s := 0; s < NumStages; s++ {
@@ -169,6 +174,58 @@ func TestRecordZeroAlloc(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Fatalf("PipelineObserver.Record allocates %.1f/op, want 0", n)
+	}
+	if n := testing.AllocsPerRun(1000, func() {
+		for s := 0; s < NumStages; s++ {
+			o.RecordN(Stage(s), 42*time.Microsecond, 7)
+		}
+	}); n != 0 {
+		t.Fatalf("PipelineObserver.RecordN allocates %.1f/op, want 0", n)
+	}
+}
+
+// TestRecordNMatchesRecord is RecordN's model: RecordN(d, n) snapshots the
+// same as n calls of Record(d) — bucket counts, SumNS and MaxNS — over
+// durations of every magnitude, negative and zero ones too, and n of 0, 1
+// and a batch's worth.
+func TestRecordNMatchesRecord(t *testing.T) {
+	rng := rand.New(rand.NewPCG(46, 1))
+	var batched, single Histogram
+	for step := 0; step < 2000; step++ {
+		d := time.Duration(rng.Int64() >> rng.IntN(64))
+		switch step % 7 {
+		case 0:
+			d = -d
+		case 1:
+			d = 0
+		}
+		n := rng.IntN(70)
+		batched.RecordN(d, n)
+		for i := 0; i < n; i++ {
+			single.Record(d)
+		}
+		got, want := batched.Snapshot(), single.Snapshot()
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("step %d, RecordN(%v, %d): count/sum/max %d/%d/%d, %d Records %d/%d/%d",
+				step, d, n, got.Count, got.SumNS, got.MaxNS, n, want.Count, want.SumNS, want.MaxNS)
+		}
+	}
+	o := NewPipelineObserver()
+	o.RecordN(StageDecode, 3*time.Microsecond, 64)
+	o.RecordN(StageDecode, time.Microsecond, 0)
+	if s := o.Stage(StageDecode).Snapshot(); s.Count != 64 || s.SumNS != 64*3000 || s.MaxNS != 3000 {
+		t.Fatalf("observer decode count/sum/max = %d/%d/%d, want 64/192000/3000", s.Count, s.SumNS, s.MaxNS)
+	}
+}
+
+// TestNanotime checks the stage clock: it never runs backwards, and two
+// readings span at least the time slept between them.
+func TestNanotime(t *testing.T) {
+	t0 := Nanotime()
+	time.Sleep(2 * time.Millisecond)
+	t1 := Nanotime()
+	if t0 <= 0 || t1-t0 < int64(2*time.Millisecond) {
+		t.Fatalf("Nanotime read %d then %d across a 2ms sleep", t0, t1)
 	}
 }
 

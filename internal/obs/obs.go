@@ -8,7 +8,11 @@ type Stage int
 const (
 	// StageDecode is a frame's whole ingest: the header summary (5-tuple,
 	// shard hash, payload bounds), routing and the arena copy, on the single
-	// ingest goroutine.
+	// ingest goroutine. Sharded.HandlePacketBatch times the batch, not the
+	// frame: two clock reads span its frame loop, and each of its frames gets
+	// one sample of the batch's per-frame mean (one RecordN). So the stage's
+	// count and mean are exact, and its quantiles and max are those of
+	// per-batch means: a single slow frame is spread over its batch.
 	StageDecode Stage = iota
 	// StageQueueWait is the time a batch spends in a shard's channel between
 	// the ingest goroutine's send and the shard worker picking it up.
@@ -58,12 +62,28 @@ func NewPipelineObserver() *PipelineObserver { return &PipelineObserver{} }
 
 // Record adds one latency sample to the stage's histogram. 0 allocs/op
 // (TestRecordZeroAlloc); a nil receiver or out-of-range stage is a no-op.
-func (o *PipelineObserver) Record(s Stage, d time.Duration) {
+func (o *PipelineObserver) Record(s Stage, d time.Duration) { o.RecordN(s, d, 1) }
+
+// RecordN adds n samples of d to the stage's histogram in one update
+// (Histogram.RecordN). 0 allocs/op; a nil receiver, an out-of-range stage or
+// n < 1 is a no-op.
+func (o *PipelineObserver) RecordN(s Stage, d time.Duration, n int) {
 	if o == nil || s < 0 || int(s) >= NumStages {
 		return
 	}
-	o.hists[s].Record(d)
+	o.hists[s].RecordN(d, n)
 }
+
+// epoch is Nanotime's zero. time.Now stamps it with a monotonic reading, and
+// time.Since of such a Time reads the monotonic clock alone.
+var epoch = time.Now()
+
+// Nanotime returns monotonic nanoseconds since the package was initialised:
+// one clock read, where time.Now makes two (wall and monotonic). Every stage
+// timer on the packet path takes both of its ends from it, and the
+// difference of two readings is the stage's duration. Never 0 in practice,
+// so callers may use 0 for "not stamped".
+func Nanotime() int64 { return int64(time.Since(epoch)) }
 
 // Stage exposes one stage's histogram (nil for a nil receiver or an
 // out-of-range stage).

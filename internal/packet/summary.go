@@ -43,10 +43,13 @@ func (s *Summary) Decode(frame []byte) bool {
 		seg   []byte // the transport segment: IP payload, trailer cut off
 		off   int    // where seg starts in frame
 		proto uint8
-		// Each address as hash words, and how src orders against dst the
-		// way netip.Addr.Compare would say (big-endian, byte by byte).
-		src, dst    [2]uint64
-		after, same bool
+		// Each address as two hash words, and how src orders against dst
+		// the way netip.Addr.Compare would say (big-endian, byte by byte).
+		// Scalars, not [2]uint64 arrays: those went through the stack, and
+		// reloading two 8-byte stores as one 16-byte copy stalled store
+		// forwarding by an amount that moved with the caller's frame size.
+		src0, src1, dst0, dst1 uint64
+		after, same            bool
 	)
 	switch binary.BigEndian.Uint16(frame[12:14]) {
 	case EtherTypeIPv4:
@@ -69,8 +72,8 @@ func (s *Summary) Decode(frame []byte) bool {
 		s.Key.Src = netip.AddrFrom4([4]byte(ip[12:16]))
 		s.Key.Dst = netip.AddrFrom4([4]byte(ip[16:20]))
 		const mapped = 0xffff0000 // bytes 8..11 of ::ffff:a.b.c.d, little-endian
-		src[1] = mapped | uint64(binary.LittleEndian.Uint32(ip[12:16]))<<32
-		dst[1] = mapped | uint64(binary.LittleEndian.Uint32(ip[16:20]))<<32
+		src1 = mapped | uint64(binary.LittleEndian.Uint32(ip[12:16]))<<32
+		dst1 = mapped | uint64(binary.LittleEndian.Uint32(ip[16:20]))<<32
 		a, b := binary.BigEndian.Uint32(ip[12:16]), binary.BigEndian.Uint32(ip[16:20])
 		after, same = a > b, a == b
 	case EtherTypeIPv6:
@@ -85,8 +88,8 @@ func (s *Summary) Decode(frame []byte) bool {
 		seg, off, proto = ip[40:end], 14+40, ip[6] // extension headers are not walked
 		s.Key.Src = netip.AddrFrom16([16]byte(ip[8:24]))
 		s.Key.Dst = netip.AddrFrom16([16]byte(ip[24:40]))
-		src = [2]uint64{binary.LittleEndian.Uint64(ip[8:16]), binary.LittleEndian.Uint64(ip[16:24])}
-		dst = [2]uint64{binary.LittleEndian.Uint64(ip[24:32]), binary.LittleEndian.Uint64(ip[32:40])}
+		src0, src1 = binary.LittleEndian.Uint64(ip[8:16]), binary.LittleEndian.Uint64(ip[16:24])
+		dst0, dst1 = binary.LittleEndian.Uint64(ip[24:32]), binary.LittleEndian.Uint64(ip[32:40])
 		aHi, bHi := binary.BigEndian.Uint64(ip[8:16]), binary.BigEndian.Uint64(ip[24:32])
 		aLo, bLo := binary.BigEndian.Uint64(ip[16:24]), binary.BigEndian.Uint64(ip[32:40])
 		after, same = aHi > bHi || (aHi == bHi && aLo > bLo), aHi == bHi && aLo == bLo
@@ -130,17 +133,15 @@ func (s *Summary) Decode(frame []byte) bool {
 	default:
 		return false
 	}
-	s.Key.SrcPort = binary.BigEndian.Uint16(seg[0:2])
-	s.Key.DstPort = binary.BigEndian.Uint16(seg[2:4])
-	s.Key.Proto = proto
+	sport, dport := binary.BigEndian.Uint16(seg[0:2]), binary.BigEndian.Uint16(seg[2:4])
+	s.Key.SrcPort, s.Key.DstPort, s.Key.Proto = sport, dport, proto
 
 	// Canonical order: the smaller address first, ports breaking a tie.
-	s.Reversed = after || (same && s.Key.SrcPort > s.Key.DstPort)
-	lo, hi, loPort, hiPort := src, dst, s.Key.SrcPort, s.Key.DstPort
+	s.Reversed = after || (same && sport > dport)
 	if s.Reversed {
-		lo, hi, loPort, hiPort = dst, src, s.Key.DstPort, s.Key.SrcPort
+		src0, src1, dst0, dst1, sport, dport = dst0, dst1, src0, src1, dport, sport
 	}
-	s.Words = [5]uint64{lo[0], lo[1], hi[0], hi[1],
-		uint64(loPort)<<24 | uint64(hiPort)<<8 | uint64(proto)}
+	s.Words[0], s.Words[1], s.Words[2], s.Words[3] = src0, src1, dst0, dst1
+	s.Words[4] = uint64(sport)<<24 | uint64(dport)<<8 | uint64(proto)
 	return true
 }

@@ -415,7 +415,7 @@ func (f *helloFlight) initials(t *testing.T, lists ...[]quicproto.CryptoFrame) [
 	t.Helper()
 	var out [][]byte
 	for i, l := range lists {
-		fr, _ := f.initialFrame(t, l, uint64(i))
+		fr, _ := f.initialFrame(t, l, uint64(i), f.size)
 		out = append(out, fr)
 	}
 	return out
@@ -466,6 +466,60 @@ func TestAssemblerReorderedHellos(t *testing.T) {
 		if a.ahead != nil || len(a.stream) != c.held {
 			t.Errorf("%s: holds %d bytes of a %d-byte hello, out-of-order state %v", c.name, len(a.stream), c.held, a.ahead != nil)
 		}
+	}
+}
+
+// zeroRTTFrame is a 0-RTT early-data packet of the flight's connection, size
+// bytes of UDP payload: a long header and an opaque body.
+func (f *helloFlight) zeroRTTFrame(size int) []byte {
+	pkt := append([]byte{0xc0 | quicproto.Type0RTT<<4, 0, 0, 0, 1, byte(len(f.initial.DCID))}, f.initial.DCID...)
+	pkt = append(append(pkt, byte(len(f.initial.SCID))), f.initial.SCID...)
+	pkt = append(pkt, make([]byte, size-len(pkt))...)
+	udp := packet.UDP{SrcPort: f.sport, DstPort: 443}
+	return f.frame(packet.ProtoUDP, udp.Append(nil, pkt, f.src, f.dst))
+}
+
+// TestQUICAttributesFromFirstInitial: a QUIC flow's TTL and
+// init_packet_size are those of the Initial carrying CRYPTO offset 0,
+// whatever arrives first — a later Initial of another size and TTL, or a
+// 0-RTT packet that overtakes it. Only a flow that never shows that
+// Initial (resumption, the degraded path) reports its first QUIC packet.
+func TestQUICAttributesFromFirstInitial(t *testing.T) {
+	f, _ := quicFlight(t)
+	q := len(f.hello) / 2
+	first, ok := f.initialFrame(t, []quicproto.CryptoFrame{f.cryptoAt(0, q)}, 0, 1205)
+	later := *f
+	later.ttl = f.ttl - 7
+	second, ok2 := later.initialFrame(t, []quicproto.CryptoFrame{f.cryptoAt(q, len(f.hello))}, 1, 1200)
+	whole, ok3 := f.initialFrame(t, []quicproto.CryptoFrame{f.cryptoAt(0, len(f.hello))}, 0, f.size)
+	if !ok || !ok2 || !ok3 {
+		t.Fatal("a hello half does not fit a 1,200-byte Initial")
+	}
+	for _, c := range []struct {
+		name   string
+		frames [][]byte
+		size   int
+	}{
+		{"in order", [][]byte{first, second}, 1205},
+		{"second Initial first", [][]byte{second, first}, 1205},
+		{"0-RTT before the Initial", [][]byte{f.zeroRTTFrame(1300), whole}, f.size},
+		{"0-RTT and the second Initial before the first", [][]byte{f.zeroRTTFrame(1300), second, first}, 1205},
+	} {
+		a, done := assembleFlight(c.frames)
+		if done != len(c.frames)-1 {
+			t.Errorf("%s: assembled on frame %d, want %d", c.name, done, len(c.frames)-1)
+			continue
+		}
+		if a.info.InitPacketSize != c.size || a.info.TTL != f.ttl || !a.info.QUIC {
+			t.Errorf("%s: init_packet_size %d, TTL %d, want %d, %d", c.name, a.info.InitPacketSize, a.info.TTL, c.size, f.ttl)
+		}
+	}
+
+	// Resumption: no Initial ever comes, so the first 0-RTT packet stands.
+	a, done := assembleFlight([][]byte{f.zeroRTTFrame(1300), f.zeroRTTFrame(1250)})
+	if done != -1 || !a.zeroRTT || !a.info.QUIC || a.info.InitPacketSize != 1300 || a.info.TTL != f.ttl {
+		t.Errorf("0-RTT only: assembled on %d, zeroRTT %v, QUIC %v, init_packet_size %d, TTL %d; want -1, true, true, 1300, %d",
+			done, a.zeroRTT, a.info.QUIC, a.info.InitPacketSize, a.info.TTL, f.ttl)
 	}
 }
 

@@ -195,6 +195,9 @@ type hsAssembler struct {
 	// without ever showing a ClientHello.
 	giveUp   bool
 	overflow bool // a piece needed more than maxAhead ranges
+	// firstInitial marks that info's TTL and InitPacketSize are the first
+	// Initial's: the one carrying CRYPTO offset 0.
+	firstInitial bool
 }
 
 // maxAhead bounds the ranges a flow holds past the hole in its handshake
@@ -366,14 +369,16 @@ func (a *hsAssembler) consume(s *asmScratch, frame []byte) bool {
 			}
 			crypto, s.crypto = init.Crypto, init.Crypto
 		}
-		// The flow's first QUIC packet, early data or Initial, carries the
-		// transport attributes — what the degraded path classifies on when
-		// no hello ever comes. info.QUIC marks them captured, so later
-		// packets never overwrite them.
-		if !info.QUIC {
+		// The transport attributes are the client's first Initial's, the
+		// one that carries CRYPTO offset 0, whichever packet arrives first.
+		// Until it comes, the flow's first QUIC packet, early data or a
+		// later Initial, stands in: that is what the degraded path
+		// classifies on when no hello ever comes.
+		if first := startsCrypto(crypto); !a.firstInitial && (first || !info.QUIC) {
 			info.QUIC = true
 			info.TTL = parsed.TTL()
 			info.InitPacketSize = len(parsed.Payload)
+			a.firstInitial = first
 		}
 		for _, f := range crypto {
 			if !a.place(uint32(f.Offset), f.Data) {
@@ -394,6 +399,18 @@ func (a *hsAssembler) consume(s *asmScratch, frame []byte) bool {
 		}
 		info.Hello = ch
 		return true
+	}
+	return false
+}
+
+// startsCrypto reports whether an Initial's CRYPTO frames include the one at
+// offset 0, which only the client's first Initial (or a retransmission of
+// it) carries.
+func startsCrypto(crypto []quicproto.CryptoFrame) bool {
+	for _, f := range crypto {
+		if f.Offset == 0 {
+			return true
+		}
 	}
 	return false
 }

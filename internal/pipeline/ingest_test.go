@@ -9,6 +9,7 @@ import (
 	"videoplat/internal/features"
 	"videoplat/internal/fingerprint"
 	"videoplat/internal/flowtable"
+	"videoplat/internal/obs"
 	"videoplat/internal/packet"
 	"videoplat/internal/quicproto"
 	"videoplat/internal/tracegen"
@@ -510,17 +511,10 @@ func TestBatchArenaBound(t *testing.T) {
 	}
 }
 
-// TestHandlePacketBatchZeroAlloc pins the steady state of the whole ingest
-// hand-off — decode, route, pack, queue, and the shard worker's replay: with
-// pools warm and every flow decided, a 64-frame batch allocates nothing on
-// either side of the queue. The inboxes are one deep so that only a handful
-// of batches can be in flight at once: the pool then holds them all after
-// the warm-up, where a deep inbox would let ingest run ahead of the workers
-// and draw fresh batches for as long as the queue keeps growing.
-func TestHandlePacketBatchZeroAlloc(t *testing.T) {
-	if raceEnabled {
-		t.Skip("under the race detector sync.Pool drops a quarter of what it is handed")
-	}
+// decidedBatch is 64 frames of established-flow traffic over 16 flows, TCP
+// and QUIC, server bulk and client acks: nine client frames in, every flow
+// is no-handshake, so from then on the batch is all decided-flow traffic.
+func decidedBatch() []IngestPacket {
 	server := netip.MustParseAddrPort("203.0.113.10:443")
 	var pkts []IngestPacket
 	now := time.Now()
@@ -539,23 +533,84 @@ func TestHandlePacketBatchZeroAlloc(t *testing.T) {
 		}
 		pkts = append(pkts, IngestPacket{TS: now, Data: frame})
 	}
-	s := NewShardedWithConfig(emptyBank(), 2, Config{inboxDepth: 1})
-	go func() {
-		for range s.Results() {
-		}
-	}()
-	for i := 0; i < 512; i++ {
-		s.HandlePacketBatch(pkts) // nine client frames in, every flow is no-handshake
+	return pkts
+}
+
+// TestHandlePacketBatchZeroAlloc pins the steady state of the whole ingest
+// hand-off — decode, route, pack, queue, and the shard worker's replay: with
+// pools warm and every flow decided, a 64-frame batch allocates nothing on
+// either side of the queue, bare or with an observer and a sample-every-flow
+// tracer attached. The inboxes are one deep so that only a handful of
+// batches can be in flight at once: the pool then holds them all after the
+// warm-up, where a deep inbox would let ingest run ahead of the workers and
+// draw fresh batches for as long as the queue keeps growing.
+func TestHandlePacketBatchZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under the race detector sync.Pool drops a quarter of what it is handed")
 	}
-	allocs := testing.AllocsPerRun(500, func() { s.HandlePacketBatch(pkts) })
-	s.Close()
-	if allocs != 0 {
-		t.Errorf("a steady-state 64-frame batch allocates %.1f times, want 0", allocs)
-	}
-	for _, rec := range s.Flows() {
-		if rec.Verdict != VerdictNoHandshake {
-			t.Fatalf("flow %v is %s: the batches were not all decided-flow traffic", rec.Key, rec.Verdict)
+	pkts := decidedBatch()
+	for _, c := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"bare", Config{inboxDepth: 1}},
+		{"observed", Config{inboxDepth: 1, Observer: obs.NewPipelineObserver(), Tracer: obs.NewTracer(obs.TracerConfig{SampleEvery: 1})}},
+	} {
+		s := NewShardedWithConfig(emptyBank(), 2, c.cfg)
+		go func() {
+			for range s.Results() {
+			}
+		}()
+		for i := 0; i < 512; i++ {
+			s.HandlePacketBatch(pkts)
 		}
+		allocs := testing.AllocsPerRun(500, func() { s.HandlePacketBatch(pkts) })
+		s.Close()
+		if allocs != 0 {
+			t.Errorf("%s: a steady-state 64-frame batch allocates %.1f times, want 0", c.name, allocs)
+		}
+		for _, rec := range s.Flows() {
+			if rec.Verdict != VerdictNoHandshake {
+				t.Fatalf("%s: flow %v is %s: the batches were not all decided-flow traffic", c.name, rec.Key, rec.Verdict)
+			}
+		}
+		if c.cfg.Observer != nil && c.cfg.Observer.Stage(obs.StageDecode).Snapshot().Count == 0 {
+			t.Errorf("%s: the observer recorded no decode samples", c.name)
+		}
+	}
+}
+
+// BenchmarkHandlePacketBatch is the cost of ingest instrumentation: the
+// decided-flow batch of TestHandlePacketBatchZeroAlloc through a 2-shard
+// Sharded, bare and with an observer and tracer attached, in ns/frame.
+func BenchmarkHandlePacketBatch(b *testing.B) {
+	pkts := decidedBatch()
+	for _, c := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"bare", Config{}},
+		{"observed", Config{Observer: obs.NewPipelineObserver(), Tracer: obs.NewTracer(obs.TracerConfig{})}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			s := NewShardedWithConfig(emptyBank(), 2, c.cfg)
+			go func() {
+				for range s.Results() {
+				}
+			}()
+			for i := 0; i < 16; i++ {
+				s.HandlePacketBatch(pkts) // decide every flow before timing
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.HandlePacketBatch(pkts)
+			}
+			s.Drain() // the workers' share of the batches counts too
+			b.StopTimer()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(pkts)), "ns/frame")
+			s.Close()
+		})
 	}
 }
 

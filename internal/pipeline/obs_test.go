@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -8,6 +9,7 @@ import (
 	"videoplat/internal/fingerprint"
 	"videoplat/internal/flowtable"
 	"videoplat/internal/obs"
+	"videoplat/internal/packet"
 	"videoplat/internal/tracegen"
 )
 
@@ -95,6 +97,96 @@ func TestObserverRecordsStages(t *testing.T) {
 	}
 	if !sawError {
 		t.Fatalf("no error-verdict span among %d recent spans", len(snap.Recent))
+	}
+}
+
+// TestStageCountsExact pins what each stage's sample count means, over a
+// fixed render of TCP and QUIC flows (with undecodable and off-port frames
+// among them) replayed through an observed 2-shard Sharded in batches of
+// 1, 5, 64 and 17 frames, then drained. decode counts every frame handed to
+// HandlePacketBatch, queue_wait every batch message sent to a shard,
+// classify every flow that reached ClassifyHandshake (all of them: each
+// carries a provider's SNI), and assembly every client frame a flow
+// consumed while undecided — up to the one that completed its hello. The
+// expectations come from the render: the shard is the one packet.Summary's
+// hash picks (no flow migrates, so no cache overrides it), and where a
+// flow's hello completes is what a fresh assembler says of its client
+// frames.
+func TestStageCountsExact(t *testing.T) {
+	g := tracegen.New(46)
+	var flows [][]IngestPacket
+	var wantFlows, wantAssembly uint64
+	for i, label := range []string{"windows_chrome", "iOS_nativeApp", "macOS_safari", "android_chrome", "windows_firefox", "androidTV_nativeApp"} {
+		prov := fingerprint.AllProviders()[i%len(fingerprint.AllProviders())]
+		if !fingerprint.SupportMatrix(label, prov) {
+			prov = fingerprint.YouTube
+		}
+		for _, tr := range []fingerprint.Transport{fingerprint.TCP, fingerprint.QUIC} {
+			if tr == fingerprint.TCP && !fingerprint.SupportsTCP(label, prov) ||
+				tr == fingerprint.QUIC && !fingerprint.SupportsQUIC(label, prov) {
+				continue
+			}
+			ft, err := g.Flow(label, prov, tr, tracegen.FlowSpec{PayloadFrames: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var client [][]byte
+			for _, fr := range ft.Frames {
+				if fr.ClientToServer {
+					client = append(client, fr.Data)
+				}
+			}
+			_, done := assembleFlight(client)
+			if done < 0 {
+				t.Fatalf("%s/%s: the render assembles no hello", label, tr)
+			}
+			wantFlows++
+			wantAssembly += uint64(done + 1)
+			flows = append(flows, tracePackets(ft, 0))
+		}
+	}
+	pkts := interleave(flows...)
+	pkts = slices.Insert(pkts, 3, IngestPacket{TS: pkts[0].TS, Data: icmpFrame(t)}, IngestPacket{TS: pkts[0].TS, Data: tcpFrame(t, 50000, 80)})
+
+	s, o, _ := observedSharded(emptyBank(), 1)
+	var wantMsgs uint64
+	sizes := []int{1, 5, 64, 17}
+	for i, k := 0, 0; i < len(pkts); k++ {
+		batch := pkts[i:min(i+sizes[k%len(sizes)], len(pkts))]
+		i += len(batch)
+		var to [2]bool
+		for _, p := range batch {
+			var sum packet.Summary
+			if sum.Decode(p.Data) && isVideoPort(sum.Key) {
+				to[hashWords(&sum.Words)%2] = true
+			}
+		}
+		for _, hit := range to {
+			if hit {
+				wantMsgs++
+			}
+		}
+		s.HandlePacketBatch(batch)
+	}
+	s.Drain()
+	s.Close()
+
+	st := s.IngestStats()
+	if st.Ignored != 1 || st.Filtered != 1 || st.Verdicts[VerdictError] != wantFlows {
+		t.Fatalf("ignored %d, filtered %d, error verdicts %d; want 1, 1, %d", st.Ignored, st.Filtered, st.Verdicts[VerdictError], wantFlows)
+	}
+	for _, c := range []struct {
+		stage obs.Stage
+		want  uint64
+	}{
+		{obs.StageDecode, uint64(len(pkts))},
+		{obs.StageQueueWait, wantMsgs},
+		{obs.StageClassify, wantFlows},
+		{obs.StageAssembly, wantAssembly},
+	} {
+		if got := o.Stage(c.stage).Snapshot().Count; got != c.want {
+			t.Errorf("%s count = %d, want %d", c.stage, got, c.want)
+		}
 	}
 }
 

@@ -118,17 +118,17 @@ func (f *helloFlight) synFrame() []byte {
 	return f.frame(packet.ProtoTCP, f.syn.Append(nil, f.hello[:f.synData], f.src, f.dst))
 }
 
-// initialFrame seals an Initial carrying frames, padded to the rendered
-// Initial's size; false if the frames do not fit it.
-func (f *helloFlight) initialFrame(tb testing.TB, frames []quicproto.CryptoFrame, pn uint64) ([]byte, bool) {
+// initialFrame seals an Initial carrying frames, padded to size; false if
+// the frames do not fit it.
+func (f *helloFlight) initialFrame(tb testing.TB, frames []quicproto.CryptoFrame, pn uint64, size int) ([]byte, bool) {
 	in := f.initial
 	in.PacketNumber, in.Crypto = pn, frames
-	dg, err := in.Seal(f.size)
+	dg, err := in.Seal(size)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	udp := packet.UDP{SrcPort: f.sport, DstPort: 443}
-	return f.frame(packet.ProtoUDP, udp.Append(nil, dg, f.src, f.dst)), len(dg) == f.size
+	return f.frame(packet.ProtoUDP, udp.Append(nil, dg, f.src, f.dst)), len(dg) == size
 }
 
 // inOrder is the flight as a well-behaved client sends it: the SYN, the
@@ -136,7 +136,7 @@ func (f *helloFlight) initialFrame(tb testing.TB, frames []quicproto.CryptoFrame
 // hello whole in one Initial.
 func (f *helloFlight) inOrder(tb testing.TB) [][]byte {
 	if f.quic {
-		fr, _ := f.initialFrame(tb, []quicproto.CryptoFrame{{Data: f.hello}}, 0)
+		fr, _ := f.initialFrame(tb, []quicproto.CryptoFrame{{Data: f.hello}}, 0, f.size)
 		return append([][]byte{fr}, f.others...)
 	}
 	out := append([][]byte{f.synFrame()}, f.others...)
@@ -151,12 +151,15 @@ func (f *helloFlight) inOrder(tb testing.TB) [][]byte {
 // into up to four segments at correct sequence numbers, plus up to two
 // retransmissions, each a copy of a segment or a range re-cut across them.
 // A QUIC hello is cut into up to six CRYPTO frames plus up to two
-// overlapping ones, scattered over up to three Initials (each sealed to the
-// rendered Initial's size, so the first QUIC packet's size does not depend
-// on which arrives first), and one Initial may arrive twice. Every frame is
-// then shuffled — all but a TCP SYN, which leads: its fields are the
-// flow's, and a hello before it is a flow first seen after its SYN. It
-// reports false when a draw's Initial outgrows the rendered size.
+// overlapping ones, scattered over up to three Initials, and one Initial
+// may arrive twice. An Initial carrying CRYPTO offset 0 is sealed to the
+// rendered Initial's size, since that is the client's first Initial whose
+// size the flow reports; any other is padded to a size drawn from 1,200
+// bytes to 60 past the rendered one, so a reordered flight puts a packet of
+// another size first. Every frame is then shuffled — all but a TCP SYN,
+// which leads: its fields are the flow's, and a hello before it is a flow
+// first seen after its SYN. It reports false when a draw's offset-0 Initial
+// outgrows the rendered size.
 func (f *helloFlight) impair(tb testing.TB, c chooser) ([][]byte, bool) {
 	lo, n := f.synData, len(f.hello)
 	if lo == n { // all of the hello rides the SYN
@@ -195,8 +198,13 @@ func (f *helloFlight) impair(tb testing.TB, c chooser) ([][]byte, bool) {
 				continue
 			}
 			shuffle(g, c)
-			fr, ok := f.initialFrame(tb, g, uint64(len(initials)))
-			if !ok {
+			size := quicproto.MinInitialSize + c.intn(f.size+61-quicproto.MinInitialSize)
+			first := slices.ContainsFunc(g, func(cf quicproto.CryptoFrame) bool { return cf.Offset == 0 })
+			if first {
+				size = f.size
+			}
+			fr, fits := f.initialFrame(tb, g, uint64(len(initials)), size)
+			if first && !fits {
 				return nil, false
 			}
 			initials = append(initials, fr)

@@ -101,8 +101,7 @@ type Sharded struct {
 	sum packet.Summary
 
 	// obsv/tracer mirror Config.Observer/Config.Tracer. When both are nil
-	// the instrumentation collapses to one nil check per frame and shard
-	// messages carry no enqueue timestamps.
+	// ingest reads no clock and shard messages carry no enqueue stamps.
 	obsv   *obs.PipelineObserver
 	tracer *obs.Tracer
 
@@ -145,9 +144,10 @@ type shard struct {
 type shardMsg struct {
 	batch *ingestBatch
 	do    func(*Pipeline)
-	// enq stamps when the message entered the inbox, set only when latency
-	// observation is on; the worker turns it into a queue-wait sample.
-	enq time.Time
+	// enq stamps (obs.Nanotime) when the message entered the inbox, set only
+	// when latency observation is on, else 0; the worker turns it into a
+	// queue-wait sample.
+	enq int64
 }
 
 // ingestBatch is the unit shipped to a shard: the summaries of one or more
@@ -261,8 +261,8 @@ func NewShardedWithConfig(bank *Bank, n int, cfg Config) *Sharded {
 					msg.do(sh.p)
 					continue
 				}
-				if !msg.enq.IsZero() {
-					wait := time.Since(msg.enq)
+				if msg.enq != 0 {
+					wait := time.Duration(obs.Nanotime() - msg.enq)
 					s.obsv.Record(obs.StageQueueWait, wait)
 					sh.p.noteQueueWait(wait)
 				}
@@ -340,7 +340,7 @@ func (s *Sharded) decode(ts time.Time, data []byte) {
 	keep := keepLen(sum.Key, len(data), sum.PayloadOff, payload)
 	b := s.pending[idx]
 	if b != nil && len(b.arena)+keep > maxBatchArena {
-		s.flush(idx)
+		s.flush(idx, s.stamp())
 		b = nil
 	}
 	if b == nil {
@@ -359,11 +359,21 @@ func (s *Sharded) decode(ts time.Time, data []byte) {
 	f.payloadLen = int32(sum.PayloadLen)
 }
 
-// flush hands a shard its pending batch; the shard owns it from here.
-func (s *Sharded) flush(idx int) {
+// flush hands a shard its pending batch, stamped enq; the shard owns it
+// from here.
+func (s *Sharded) flush(idx int, enq int64) {
 	b := s.pending[idx]
 	s.pending[idx] = nil
-	s.send(s.shards[idx], shardMsg{batch: b})
+	s.send(s.shards[idx], shardMsg{batch: b, enq: enq})
+}
+
+// stamp is a message's enqueue stamp: a clock read when latency observation
+// is on, else 0 (unstamped).
+func (s *Sharded) stamp() int64 {
+	if s.obsv == nil && s.tracer == nil {
+		return 0
+	}
+	return obs.Nanotime()
 }
 
 // routeQUIC overrides the hash-based shard of a QUIC frame when its
@@ -407,12 +417,8 @@ func (s *Sharded) routeQUIC(payload []byte, hashIdx int) int {
 
 // send enqueues a shard message, counting the stall when the inbox is full
 // before blocking until the worker catches up (backpressure, not loss).
-// With observation on, the message is stamped so the worker can measure how
-// long it sat in the inbox.
+// It reads no clock: the caller stamps msg.enq.
 func (s *Sharded) send(sh *shard, msg shardMsg) {
-	if s.obsv != nil || s.tracer != nil {
-		msg.enq = time.Now()
-	}
 	select {
 	case sh.in <- msg:
 	default:
@@ -443,27 +449,31 @@ const prefetchAhead = 2
 // is already on its way into cache. What is kept of each pkt.Data is copied
 // into a pooled arena, so callers may reuse the batch and its buffers
 // immediately. See the type comment for the ingest contract.
+//
+// Observed, the call times the batch, not the frame: one monotonic clock
+// read before the frame loop and one after it. The second is also the
+// enqueue stamp of every shard message the call sends at its end; only an
+// early flush at maxBatchArena reads the clock again. StageDecode gets
+// len(pkts) samples of the batch's per-frame mean in one RecordN, so its
+// count and mean are exact and its quantiles are per-batch means.
 func (s *Sharded) HandlePacketBatch(pkts []IngestPacket) {
-	// Rolling clock: one time.Now per frame when observed, attributing the
-	// full per-frame ingest cost (decode + arena pack) to StageDecode.
-	var t0 time.Time
+	var t0 int64
 	if s.obsv != nil {
-		t0 = time.Now()
+		t0 = obs.Nanotime()
 	}
 	for i := range pkts {
 		if j := i + prefetchAhead; j < len(pkts) && len(pkts[j].Data) > 0 {
 			prefetch(&pkts[j].Data[0])
 		}
 		s.decode(pkts[i].TS, pkts[i].Data)
-		if s.obsv != nil {
-			t1 := time.Now()
-			s.obsv.Record(obs.StageDecode, t1.Sub(t0))
-			t0 = t1
-		}
+	}
+	now := s.stamp()
+	if s.obsv != nil && len(pkts) > 0 {
+		s.obsv.RecordN(obs.StageDecode, time.Duration((now-t0)/int64(len(pkts))), len(pkts))
 	}
 	for idx, b := range s.pending {
 		if b != nil {
-			s.flush(idx)
+			s.flush(idx, now)
 		}
 	}
 }

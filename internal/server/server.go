@@ -431,7 +431,11 @@ func (s *Server) replay(ctx context.Context) {
 		default:
 		}
 		batch = batch[:0]
-		var srcErr error
+		var (
+			srcErr error
+			nbytes uint64
+			newest int64 // the batch's latest packet time, unix nanos
+		)
 		for len(batch) < size {
 			pkt, err := s.src.Next()
 			if err != nil {
@@ -439,12 +443,17 @@ func (s *Server) replay(ctx context.Context) {
 				break
 			}
 			batch = append(batch, pipeline.IngestPacket{TS: pkt.Timestamp, Data: pkt.Data})
-			s.bytes.Add(uint64(len(pkt.Data)))
-			if ns := pkt.Timestamp.UnixNano(); ns > s.lastTS.Load() {
-				s.lastTS.Store(ns)
-			}
+			nbytes += uint64(len(pkt.Data))
+			newest = max(newest, pkt.Timestamp.UnixNano())
 		}
 		if len(batch) > 0 {
+			// One atomic add and at most one store per batch: the replay is
+			// lastTS's only writer, so the load-compare-store keeps it a
+			// monotonic max.
+			s.bytes.Add(nbytes)
+			if newest > s.lastTS.Load() {
+				s.lastTS.Store(newest)
+			}
 			s.sharded.HandlePacketBatch(batch)
 			s.packets.Add(uint64(len(batch)))
 			s.batches.Add(1)
@@ -489,9 +498,9 @@ func (s *Server) effectiveBatchSize() int {
 // worker that evicted it, timed as the pipeline's rollup stage (a seal the
 // add triggers, seal stage included, counts toward it).
 func (s *Server) addToRollup(rec *pipeline.FlowRecord) {
-	t0 := time.Now()
+	t0 := obs.Nanotime()
 	s.rollup.Add(rec)
-	s.obsv.Record(obs.StageRollup, time.Since(t0))
+	s.obsv.Record(obs.StageRollup, time.Duration(obs.Nanotime()-t0))
 }
 
 // Stats is the /stats document.
