@@ -25,6 +25,7 @@ package flowtable
 
 import (
 	"encoding/binary"
+	"math"
 	"math/bits"
 	"math/rand/v2"
 	"sync/atomic"
@@ -96,16 +97,16 @@ const minIndex = 8
 type entry[V any] struct {
 	key        packet.FlowKey
 	value      V
-	lastSeen   time.Time
+	lastSeen   int64 // UnixNano of the flow's latest packet
 	prev, next int32 // LRU list: head = most recent
 }
 
 // Table maps canonical flow keys to per-flow state with LRU + idle-timeout
 // eviction. The zero value is not usable; create with New.
 //
-// Each flow is one inline entry of a slab (key, value, last-seen time and
-// int32 LRU links); slots freed by eviction are reused before the slab
-// grows, so once warm an insert allocates nothing. The index is a
+// Each flow is one inline entry of a slab (key, value, last-seen time as
+// UnixNano and int32 LRU links); slots freed by eviction are reused before
+// the slab grows, so once warm an insert allocates nothing. The index is a
 // power-of-two array of 8-byte slots, each 32 hash bits and a slab id,
 // linearly probed at no more than 3/4 load; deletion shifts the rest of the
 // probe run back (Knuth, TAOCP vol. 3, §6.4, Algorithm R), so churn leaves
@@ -194,8 +195,8 @@ func (t *Table[V]) Touch(key packet.FlowKey, ts time.Time) (V, bool) {
 		return zero, false
 	}
 	e := &t.slab[id]
-	if ts.After(e.lastSeen) {
-		e.lastSeen = ts
+	if ns := UnixNano(ts); ns > e.lastSeen {
+		e.lastSeen = ns
 	}
 	t.moveToFront(id)
 	return e.value, true
@@ -205,12 +206,13 @@ func (t *Table[V]) Touch(key packet.FlowKey, ts time.Time) (V, bool) {
 // least recently used flow is evicted first (with ReasonCap). Inserting an
 // existing key overwrites its state and touches it.
 func (t *Table[V]) Put(key packet.FlowKey, value V, ts time.Time) {
+	ns := UnixNano(ts)
 	tag := t.hash(&key)
 	if _, id := t.find(&key, tag); id != none {
 		e := &t.slab[id]
 		e.value = value
-		if ts.After(e.lastSeen) {
-			e.lastSeen = ts
+		if ns > e.lastSeen {
+			e.lastSeen = ns
 		}
 		t.moveToFront(id)
 		return
@@ -227,7 +229,7 @@ func (t *Table[V]) Put(key packet.FlowKey, value V, ts time.Time) {
 		t.slab = append(t.slab, entry[V]{})
 		id = int32(len(t.slab) - 1)
 	}
-	t.slab[id] = entry[V]{key: key, value: value, lastSeen: ts}
+	t.slab[id] = entry[V]{key: key, value: value, lastSeen: ns}
 	if 4*(t.live+1) > 3*len(t.index) {
 		t.grow()
 	}
@@ -246,9 +248,13 @@ func (t *Table[V]) ExpireIdle(now time.Time) int {
 	if t.cfg.IdleTimeout <= 0 {
 		return 0
 	}
-	deadline := now.Add(-t.cfg.IdleTimeout)
+	at := UnixNano(now)
+	deadline := at - int64(t.cfg.IdleTimeout)
+	if deadline > at {
+		return 0 // now is within IdleTimeout of the clock's start: nothing is older
+	}
 	n := 0
-	for t.tail != none && !t.slab[t.tail].lastSeen.After(deadline) {
+	for t.tail != none && t.slab[t.tail].lastSeen <= deadline {
 		t.evict(t.tail, ReasonIdle)
 		n++
 	}
@@ -270,6 +276,26 @@ func (t *Table[V]) Range(f func(key packet.FlowKey, value V) bool) {
 		if e := &t.slab[id]; !f(e.key, e.value) {
 			return
 		}
+	}
+}
+
+// UnixNano is t.UnixNano() where that is defined, and saturates at the int64
+// ends outside it, where time.Time.UnixNano's result is undefined: an instant
+// in 1677-09-21 00:12:43 UTC or earlier reads math.MinInt64, one in
+// 2262-04-11 23:47:16 UTC or later reads math.MaxInt64 (the two seconds that
+// int64 nanoseconds hold only in part saturate whole). A packet clock fed
+// from a capture file sees whatever times the file names, so every packet
+// time this table or its callers keep goes through here; the mapping never
+// reverses the order of two instants.
+func UnixNano(t time.Time) int64 {
+	const sec = int64(time.Second)
+	switch s := t.Unix(); {
+	case s < math.MinInt64/sec:
+		return math.MinInt64
+	case s >= math.MaxInt64/sec:
+		return math.MaxInt64
+	default:
+		return s*sec + int64(t.Nanosecond())
 	}
 }
 

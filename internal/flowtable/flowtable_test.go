@@ -1,6 +1,7 @@
 package flowtable
 
 import (
+	"math"
 	"net/netip"
 	"testing"
 	"time"
@@ -160,5 +161,78 @@ func TestPutExistingOverwritesAndTouches(t *testing.T) {
 	}
 	if _, ok := tb.Touch(key(2), t0); ok {
 		t.Error("stale flow survived")
+	}
+}
+
+// TestUnixNanoSaturates pins the packet-clock conversion: exact wherever
+// time.Time.UnixNano is, pinned to the int64 ends past them, and never
+// reversing the order of two instants — so an idle sweep at a time no int64
+// holds evicts as the nearest one it does.
+func TestUnixNanoSaturates(t *testing.T) {
+	lo, hi := time.Unix(0, math.MinInt64), time.Unix(0, math.MaxInt64)
+	times := []time.Time{
+		{}, // year 1
+		time.Date(1000, 1, 1, 0, 0, 0, 0, time.UTC),
+		lo.Add(-time.Second),
+		lo,                      // in a second int64 holds only in part: saturates
+		lo.Add(time.Second - 1), // in the first second held whole
+		lo.Add(time.Second),
+		time.Unix(-1, 999_999_999),
+		time.Unix(0, 0),
+		t0,
+		t0.In(time.FixedZone("IST", 5*3600+1800)).Add(1),
+		hi.Add(-2 * time.Second),
+		hi.Add(-time.Second), // in the last second held whole
+		hi,                   // saturates, as lo does
+		hi.Add(1),
+		time.Date(3000, 1, 1, 0, 0, 0, 0, time.UTC),
+	}
+	for i, ts := range times {
+		got := UnixNano(ts)
+		switch s := ts.Unix(); {
+		case s < math.MinInt64/int64(time.Second):
+			if got != math.MinInt64 {
+				t.Errorf("UnixNano(%v) = %d, want math.MinInt64", ts, got)
+			}
+		case s >= math.MaxInt64/int64(time.Second):
+			if got != math.MaxInt64 {
+				t.Errorf("UnixNano(%v) = %d, want math.MaxInt64", ts, got)
+			}
+		default:
+			if want := ts.UnixNano(); got != want {
+				t.Errorf("UnixNano(%v) = %d, want %d", ts, got, want)
+			}
+		}
+		if i > 0 && got < UnixNano(times[i-1]) {
+			t.Errorf("UnixNano(%v) = %d is below UnixNano(%v) = %d", ts, got, times[i-1], UnixNano(times[i-1]))
+		}
+	}
+}
+
+// TestIdleClockAtTheEnds drives the idle clock with instants no int64 of
+// nanoseconds holds: a year-1 flow is swept by a present-day clock, a
+// present-day flow by a year-3000 one, and a year-1 sweep — an idle deadline
+// before the clock's start — evicts nothing.
+func TestIdleClockAtTheEnds(t *testing.T) {
+	var evicted []int
+	tb := New[int](Config{IdleTimeout: time.Minute}, func(_ packet.FlowKey, v int, _ Reason) { evicted = append(evicted, v) })
+	year1, year3000 := time.Time{}, time.Date(3000, 1, 1, 0, 0, 0, 0, time.UTC)
+	tb.Put(key(1), 1, year1)
+	if n := tb.ExpireIdle(year1.Add(time.Hour)); n != 0 {
+		t.Errorf("a sweep in year 1 evicted %d flows, want 0", n)
+	}
+	tb.Put(key(2), 2, t0)
+	if n := tb.ExpireIdle(t0); n != 1 || len(evicted) != 1 || evicted[0] != 1 {
+		t.Errorf("a present-day sweep evicted %v, want the year-1 flow", evicted)
+	}
+	if _, ok := tb.Touch(key(2), year1); !ok {
+		t.Fatal("flow 2 missing")
+	}
+	tb.Put(key(3), 3, year3000)
+	if n := tb.ExpireIdle(year3000); n != 1 || len(evicted) != 2 || evicted[1] != 2 {
+		t.Errorf("a year-3000 sweep evicted %v, want the year-1 and present-day flows in that order", evicted)
+	}
+	if tb.Len() != 1 {
+		t.Errorf("%d flows tracked, want the year-3000 one", tb.Len())
 	}
 }

@@ -697,6 +697,73 @@ func TestResultsDropUnderStalledConsumer(t *testing.T) {
 	}
 }
 
+// TestUndrainedResultsAllocateNothing pins what a classified flow costs when
+// nobody reads Results, as in the daemon: its record is copied to the heap
+// only for a channel with room, so a dropped record allocates nothing. The
+// same classified flows, one ClientHello segment each on a fresh client
+// address, go through two one-shard Shardeds that nobody drains: one whose
+// channel has room for every record and one whose single slot the first
+// record fills. Every flow costs the second exactly one allocation less, the
+// record it never delivered.
+func TestUndrainedResultsAllocateNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under the race detector sync.Pool drops a quarter of what it is handed")
+	}
+	bank := platformBank(t, "windows_chrome", fingerprint.TCP, "")
+	ft, err := tracegen.New(62).Flow("windows_chrome", fingerprint.YouTube, fingerprint.TCP, tracegen.FlowSpec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const (
+		perBatch = 64
+		warm     = 16
+		runs     = 50
+		flows    = (warm + 1 + runs) * perBatch // AllocsPerRun calls once more to warm up
+	)
+	hello := ft.Frames[3].Data // the ClientHello segment
+	perFlow := func(buffer int) (allocs float64, st IngestStats) {
+		s := NewShardedWithConfig(bank, 1, Config{MaxFlows: 4 * perBatch, ResultsBuffer: buffer})
+		pkts := make([]IngestPacket, perBatch)
+		for i := range pkts {
+			pkts[i] = IngestPacket{TS: ft.Start, Data: append([]byte(nil), hello...)}
+		}
+		n := 0
+		batch := func() {
+			for i := range pkts {
+				client := pkts[i].Data[26:30] // its IPv4 source
+				client[0], client[1], client[2], client[3] = 10+byte(n>>24), byte(n>>16), byte(n>>8), byte(n)
+				n++
+			}
+			s.HandlePacketBatch(pkts)
+			s.onEachShard(func(int, *Pipeline) {}) // wait for the worker
+		}
+		for i := 0; i < warm; i++ {
+			batch()
+		}
+		allocs = testing.AllocsPerRun(runs, batch) / perBatch
+		s.Close()
+		return allocs, s.IngestStats()
+	}
+	room, roomSt := perFlow(flows)
+	full, fullSt := perFlow(1)
+	for _, c := range []struct {
+		name    string
+		st      IngestStats
+		dropped uint64
+	}{{"room", roomSt, 0}, {"full", fullSt, flows - 1}} {
+		if got := c.st.Verdicts[VerdictClassified]; got != flows {
+			t.Fatalf("%s: %d flows classified, want all %d", c.name, got, flows)
+		}
+		if c.st.DroppedResults != c.dropped {
+			t.Errorf("%s: %d results dropped, want %d", c.name, c.st.DroppedResults, c.dropped)
+		}
+	}
+	if d := room - full; d < 0.99 || d > 1.01 {
+		t.Errorf("a classified flow allocates %.2f times with room in Results and %.2f with Results full, want exactly one fewer", room, full)
+	}
+	t.Logf("allocations per classified flow: %.2f delivered, %.2f dropped", room, full)
+}
+
 // TestShardedDefaultQueueDepths pins what a default Config serves with: the
 // shard-count-scaled results buffer and inboxes of shardQueueDepth.
 func TestShardedDefaultQueueDepths(t *testing.T) {

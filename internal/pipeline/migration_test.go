@@ -1,12 +1,14 @@
 package pipeline
 
 import (
+	"encoding/binary"
 	"testing"
 	"time"
 
 	"videoplat/internal/fingerprint"
 	"videoplat/internal/flowtable"
 	"videoplat/internal/leakcheck"
+	"videoplat/internal/packet"
 	"videoplat/internal/tracegen"
 )
 
@@ -238,5 +240,65 @@ func TestShardedMigrationRouting(t *testing.T) {
 	ing := s.IngestStats()
 	if ing.Migrations != uint64(flows) {
 		t.Errorf("IngestStats().Migrations = %d, want %d", ing.Migrations, flows)
+	}
+}
+
+// TestMigrationTwiceKeepsFirstTuple pins FlowRecord.Key across more than one
+// migration: the table holds a flow under its current tuple only, so the
+// tuple it was first seen on has to be kept aside at the first re-key and
+// must survive the second. The migrated frames are replayed once more from a
+// third client port, after the trace, and the flow must stay one record on
+// its original tuple, on a Pipeline and a Sharded alike.
+func TestMigrationTwiceKeepsFirstTuple(t *testing.T) {
+	ft := renderScenarioFlow(t, 41, fingerprint.Options{Migration: true}, false)
+	if !ft.Migrated {
+		t.Fatal("trace did not migrate")
+	}
+	pkts := tracePackets(ft, 0)
+	moved := ft.MigratedKey()
+	third := moved
+	third.SrcPort++
+	for _, fr := range ft.Frames {
+		var sum packet.Summary
+		if !sum.Decode(fr.Data) {
+			t.Fatal("a trace frame does not decode")
+		}
+		if ClientSide(sum.Key) != moved {
+			continue
+		}
+		data := append([]byte(nil), fr.Data...)
+		port := sum.PayloadOff - 8 // the UDP source port of a client frame
+		if !fr.ClientToServer {
+			port += 2 // and the destination port of a server one
+		}
+		binary.BigEndian.PutUint16(data[port:], third.SrcPort)
+		pkts = append(pkts, IngestPacket{TS: ft.Start.Add(ft.Duration + time.Second + fr.Offset), Data: data})
+	}
+	if len(pkts) == len(ft.Frames) {
+		t.Fatal("no frame rides the migrated tuple")
+	}
+
+	p := New(emptyBank())
+	for _, pkt := range pkts {
+		p.HandlePacket(pkt.TS, pkt.Data)
+	}
+	s := NewSharded(emptyBank(), 4)
+	s.HandlePacketBatch(pkts)
+	s.Close()
+	for name, c := range map[string]struct {
+		recs []*FlowRecord
+		st   flowtable.Stats
+	}{"Pipeline": {p.Flows(), p.TableStats()}, "Sharded": {s.Flows(), s.TableStats()}} {
+		if c.st.Rekeyed != 2 || c.st.Inserted != 1 || len(c.recs) != 1 {
+			t.Errorf("%s: %d records, table %+v; want 1 flow re-keyed twice", name, len(c.recs), c.st)
+			continue
+		}
+		rec := c.recs[0]
+		if rec.Key != ft.Key() {
+			t.Errorf("%s: record key = %v, want the first tuple %v", name, rec.Key, ft.Key())
+		}
+		if got := rec.PacketsUp + rec.PacketsDown; got != len(pkts) {
+			t.Errorf("%s: record counted %d packets, want %d", name, got, len(pkts))
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"math"
 	"net/netip"
 	"strings"
 	"sync/atomic"
@@ -135,7 +136,9 @@ type FlowRecord struct {
 	ModelVersion string
 
 	// FirstSeen and LastSeen are the earliest and latest packet times of the
-	// flow, whatever order its frames arrived in.
+	// flow, whatever order its frames arrived in, in UTC. A time outside
+	// what int64 Unix nanoseconds hold reads as the nearest one they do
+	// (flowtable.UnixNano).
 	FirstSeen, LastSeen    time.Time
 	BytesDown, BytesUp     int64
 	PacketsDown, PacketsUp int
@@ -168,9 +171,14 @@ func (r *FlowRecord) MbpsDown() float64 {
 // frame count, first packet and classify time from here when it finishes
 // (finishSpan). record builds the FlowRecord every exit hands out.
 //
+// The flow's tuple is not here: the flow table holds it, as the canonical key
+// every caller of record passes in, and only a migrated flow keeps the tuple
+// it was first seen on (orig). Packet times are int64 Unix nanoseconds
+// (flowtable.UnixNano), 8 bytes where a time.Time takes 24.
+//
 // The fields every packet of a decided flow reads or writes come first, so
-// they share the record's first two cache lines: verdict, clientReversed,
-// cold (nil), the timestamps and the counters.
+// they share the record's first 72 bytes, two cache lines at most: verdict,
+// clientReversed, cold (nil), the timestamps and the counters.
 type flowState struct {
 	verdict Verdict
 	// clientReversed says the current tuple's client-to-server direction
@@ -187,11 +195,14 @@ type flowState struct {
 	// cold is the flow's assembly state, non-nil exactly while verdict is
 	// VerdictPending.
 	cold                   *flowCold
-	firstSeen, lastSeen    time.Time
+	firstSeen, lastSeen    int64 // UnixNano
 	bytesDown, bytesUp     int64
 	packetsDown, packetsUp int
 
-	key                                                 packet.FlowKey // FlowRecord.Key
+	// orig is FlowRecord.Key of a flow that migrated, the client-to-server
+	// tuple it was first seen on; nil for every other flow, whose Key is its
+	// canonical table key in client orientation (clientKey).
+	orig                                                *packet.FlowKey
 	sni, modelVersion                                   string
 	classifyNanos                                       int64
 	platformConf, platformMargin, deviceConf, agentConf float64
@@ -207,11 +218,25 @@ type flowCold struct {
 	span *obs.Span   // lifecycle trace, non-nil only for sampled flows
 }
 
+// clientKey is the flow's current tuple in client-to-server orientation,
+// given canon, its canonical key in the flow table.
+func (st *flowState) clientKey(canon packet.FlowKey) packet.FlowKey {
+	if st.clientReversed {
+		return canon.Reverse()
+	}
+	return canon
+}
+
 // record builds the flow's FlowRecord, the one shape every exit hands out:
-// Config.OnEvict, Config.OnClassify, HandlePacket's return and Flows.
-func (st *flowState) record(labels *labelTable) FlowRecord {
+// Config.OnEvict, Config.OnClassify, HandlePacket's return and Flows. canon
+// is the flow's canonical key in the flow table.
+func (st *flowState) record(canon packet.FlowKey, labels *labelTable) FlowRecord {
+	key := st.clientKey(canon)
+	if st.orig != nil {
+		key = *st.orig
+	}
 	return FlowRecord{
-		Key:           st.key,
+		Key:           key,
 		Provider:      st.provider,
 		Transport:     st.transport,
 		SNI:           st.sni,
@@ -219,8 +244,8 @@ func (st *flowState) record(labels *labelTable) FlowRecord {
 		Prediction:    st.prediction(labels),
 		Verdict:       st.verdict,
 		ModelVersion:  st.modelVersion,
-		FirstSeen:     st.firstSeen,
-		LastSeen:      st.lastSeen,
+		FirstSeen:     time.Unix(0, st.firstSeen).UTC(),
+		LastSeen:      time.Unix(0, st.lastSeen).UTC(),
 		BytesDown:     st.bytesDown,
 		BytesUp:       st.bytesUp,
 		PacketsDown:   st.packetsDown,
@@ -407,9 +432,11 @@ const maxFlowCIDs = 8
 type Pipeline struct {
 	bank atomic.Pointer[Bank]
 
-	cfg       Config
-	flows     *flowtable.Table[*flowState]
-	lastSweep time.Time
+	cfg   Config
+	flows *flowtable.Table[*flowState]
+	// lastSweep is the packet time (UnixNano) of the last idle sweep,
+	// math.MinInt64 until the first packet sets it.
+	lastSweep int64
 
 	// assembly is what every flow's hsAssembler.consume borrows for a frame
 	// and keeps nothing of (the flow copies its handshake bytes into its own
@@ -491,11 +518,11 @@ func NewWithConfig(bank *Bank, cfg Config) *Pipeline {
 	if cfg.helloCap == 0 {
 		cfg.helloCap = maxHelloBytes
 	}
-	p := &Pipeline{cfg: cfg, labels: newLabelTable()}
+	p := &Pipeline{cfg: cfg, labels: newLabelTable(), lastSweep: math.MinInt64}
 	p.bank.Store(bank)
 	p.flows = flowtable.New[*flowState](
 		flowtable.Config{MaxFlows: cfg.MaxFlows, IdleTimeout: cfg.IdleTimeout},
-		func(_ packet.FlowKey, st *flowState, reason flowtable.Reason) {
+		func(canon packet.FlowKey, st *flowState, reason flowtable.Reason) {
 			p.unregisterCIDs(st)
 			if st.verdict == VerdictPending {
 				// Evicted before the handshake resolved: the classifier never
@@ -510,7 +537,7 @@ func NewWithConfig(bank *Bank, cfg Config) *Pipeline {
 				p.finalize(st, v)
 			}
 			if cfg.OnEvict != nil {
-				rec := st.record(&p.labels)
+				rec := st.record(canon, &p.labels)
 				cfg.OnEvict(&rec, reason)
 			}
 		})
@@ -554,7 +581,7 @@ func (p *Pipeline) finishSpan(st *flowState, label string) {
 	}
 	st.cold.span = nil
 	sp.Frames = st.packetsUp + st.packetsDown
-	sp.FirstPacket = st.firstSeen
+	sp.FirstPacket = time.Unix(0, st.firstSeen).UTC()
 	sp.ClassifyNS = st.classifyNanos
 	if sp.SNI == "" {
 		sp.SNI = st.sni
@@ -588,6 +615,11 @@ func (p *Pipeline) SwapBank(bank *Bank) { p.bank.Store(bank) }
 // Sharded's ingest gives it (packet.Summary) and goes on to handleKeyed as a
 // shard worker's frames do, whole. The pipeline copies anything it retains
 // past the call, so the caller may recycle frame as soon as it returns.
+//
+// ts may be any instant: one outside what int64 Unix nanoseconds hold (before
+// 1677 or after 2262, which a crafted capture can name) is kept as the
+// nearest one they do (flowtable.UnixNano), for the flow's record and its
+// idle clock alike.
 func (p *Pipeline) HandlePacket(ts time.Time, frame []byte) (*FlowRecord, error) {
 	var sum packet.Summary
 	if !sum.Decode(frame) {
@@ -595,7 +627,12 @@ func (p *Pipeline) HandlePacket(ts time.Time, frame []byte) (*FlowRecord, error)
 		return nil, nil // frames with no TCP/UDP 5-tuple are not errors for the tap
 	}
 	payload := frame[sum.PayloadOff : sum.PayloadOff+sum.PayloadLen]
-	return p.handleKeyed(ts, frame, payload, sum.Key, sum.Reversed, sum.PayloadLen)
+	var rec FlowRecord
+	if done, err := p.handleKeyed(&rec, ts, frame, payload, sum.Key, sum.Reversed, sum.PayloadLen); !done {
+		return nil, err
+	}
+	out := rec // the one allocation, made only for a classified flow
+	return &out, nil
 }
 
 // ClientSide orients a port-443 flow key client to server: the client is the
@@ -628,13 +665,18 @@ func ClientSide(key packet.FlowKey) packet.FlowKey {
 // flow state until a ClientHello parses out. A frame is client-direction
 // when reversed equals the flow's clientReversed. A handshake that completes
 // is classified here, on arrival, and the flow finalized before the call
-// returns.
-func (p *Pipeline) handleKeyed(ts time.Time, frame, payload []byte, key packet.FlowKey, reversed bool, payloadLen int) (*FlowRecord, error) {
+// returns: done says the frame completed a classification, whose record is
+// then written to *rec. The record is the caller's memory, not a heap copy,
+// so a caller with nowhere to put it (a full Results channel) allocates
+// nothing; a result returned by value would cost the zeroing of a whole
+// FlowRecord on every packet.
+func (p *Pipeline) handleKeyed(rec *FlowRecord, ts time.Time, frame, payload []byte, key packet.FlowKey, reversed bool, payloadLen int) (done bool, err error) {
 	p.packets.Add(1)
 	if !isVideoPort(key) {
-		return nil, nil
+		return false, nil
 	}
-	p.maybeSweep(ts)
+	at := flowtable.UnixNano(ts)
+	p.maybeSweep(ts, at)
 	canon := key
 	if reversed {
 		canon = key.Reverse()
@@ -644,8 +686,7 @@ func (p *Pipeline) handleKeyed(ts time.Time, frame, payload []byte, key packet.F
 		st, ok = p.migrateFlow(key, canon, payload, ts)
 	}
 	if !ok {
-		client := ClientSide(key)
-		st = &flowState{clientReversed: client != canon, key: client, firstSeen: ts, cold: &flowCold{}}
+		st = &flowState{clientReversed: ClientSide(key) != canon, firstSeen: at, lastSeen: at, cold: &flowCold{}}
 		st.cold.asm.init()
 		if p.cfg.Tracer != nil {
 			if sp := p.cfg.Tracer.Admit(); sp != nil {
@@ -675,11 +716,11 @@ func (p *Pipeline) handleKeyed(ts time.Time, frame, payload []byte, key packet.F
 	// Telemetry split by direction. The flow spans the earliest to the
 	// latest packet time, whatever order frames arrive in (two taps merged
 	// without sorting), as the flow table's idle clock does.
-	if ts.Before(st.firstSeen) {
-		st.firstSeen = ts
+	if at < st.firstSeen {
+		st.firstSeen = at
 	}
-	if ts.After(st.lastSeen) {
-		st.lastSeen = ts
+	if at > st.lastSeen {
+		st.lastSeen = at
 	}
 	client := reversed == st.clientReversed
 	if client {
@@ -696,7 +737,7 @@ func (p *Pipeline) handleKeyed(ts time.Time, frame, payload []byte, key packet.F
 	// Every client frame of an undecided flow reaches consume, so
 	// packetsUp is also the count of frames the assembler has seen.
 	if st.verdict != VerdictPending || !client {
-		return nil, nil
+		return false, nil
 	}
 	cold := st.cold
 	var asmStart int64
@@ -717,7 +758,7 @@ func (p *Pipeline) handleKeyed(ts time.Time, frame, payload []byte, key packet.F
 		case cold.asm.giveUp, cold.asm.zeroRTT && st.packetsUp > 8:
 			// 0-RTT resumption: the hello is not coming. Decide on partial
 			// features or abstain explicitly into the open-set bucket.
-			return p.finishDegraded(st, key, &cold.asm.info, VerdictAbstainedZeroRTT)
+			return p.finishDegraded(rec, st, canon, &cold.asm.info, VerdictAbstainedZeroRTT), nil
 		case st.packetsUp > 8:
 			// No hello in the first packets: not a video flow.
 			p.finalize(st, VerdictNoHandshake)
@@ -725,7 +766,7 @@ func (p *Pipeline) handleKeyed(ts time.Time, frame, payload []byte, key packet.F
 			// Oversized handshake: abandon, don't buffer more.
 			p.finalize(st, VerdictOversized)
 		}
-		return nil, nil
+		return false, nil
 	}
 	info := &cold.asm.info
 
@@ -738,13 +779,13 @@ func (p *Pipeline) handleKeyed(ts time.Time, frame, payload []byte, key packet.F
 			// still a full client fingerprint, so degraded classification
 			// under a hinted provider sees everything but the SNI.
 			st.sni = sni // the fronted (outer) name — observable truth
-			return p.finishDegraded(st, key, info, VerdictAbstainedECH)
+			return p.finishDegraded(rec, st, canon, info, VerdictAbstainedECH), nil
 		}
 		if cold.span != nil {
 			cold.span.SNI = sni // the record stays SNI-less for non-video flows
 		}
 		p.finalize(st, VerdictNotVideo)
-		return nil, nil
+		return false, nil
 	}
 	st.sni = sni
 	st.provider = prov
@@ -767,17 +808,17 @@ func (p *Pipeline) handleKeyed(ts time.Time, frame, payload []byte, key packet.F
 			cold.span.ModelVersion = bank.Version
 		}
 		p.finalize(st, VerdictError)
-		return nil, err
+		return false, err
 	}
 	st.setPrediction(&pred, &p.labels)
 	st.modelVersion = bank.Version
 	p.finalize(st, pred.Verdict()) // drops st.cold; info, which points into it, stays valid for the hook
-	out := st.record(&p.labels)
+	*rec = st.record(canon, &p.labels)
 	if p.cfg.OnClassify != nil {
-		hookRec := out
+		hookRec := *rec
 		p.cfg.OnClassify(&hookRec, info)
 	}
-	return &out, nil
+	return true, nil
 }
 
 // transportOf names the transport an assembled (or partial) handshake rode.
@@ -789,7 +830,7 @@ func transportOf(info *features.HandshakeInfo) fingerprint.Transport {
 }
 
 // hintFor resolves the provider hint for a flow's server side, the
-// destination of key, a client-direction frame's key.
+// destination of key, a client-to-server tuple.
 func (p *Pipeline) hintFor(key packet.FlowKey) (fingerprint.Provider, bool) {
 	if p.cfg.ProviderHint == nil {
 		return 0, false
@@ -819,27 +860,29 @@ func (p *Pipeline) earlyMinMargin() float64 {
 // explicit fallback verdict. Config.OnClassify is deliberately not invoked:
 // drift monitors and shadow evaluators compare full-feature
 // classifications, and feeding them partial-feature records would poison
-// both baselines. key is the client-direction frame that ended assembly.
-func (p *Pipeline) finishDegraded(st *flowState, key packet.FlowKey, info *features.HandshakeInfo, fallback Verdict) (*FlowRecord, error) {
+// both baselines. canon is the flow's canonical key; the hint is looked up
+// for its server side. It reports whether the flow was classified, and then
+// writes its record to *rec, as handleKeyed does.
+func (p *Pipeline) finishDegraded(rec *FlowRecord, st *flowState, canon packet.FlowKey, info *features.HandshakeInfo, fallback Verdict) bool {
 	st.transport = transportOf(info)
-	prov, hinted := p.hintFor(key)
+	prov, hinted := p.hintFor(st.clientKey(canon))
 	if !hinted {
 		p.finalize(st, fallback)
-		return nil, nil
+		return false
 	}
 	bank := p.bank.Load() // one load: the prediction and its version stamp
 	pred, err := bank.ClassifyHandshake(prov, st.transport, info, &p.scratch)
 	if err != nil || pred.Status == Unknown || pred.PlatformMargin < p.earlyMinMargin() {
 		p.finalize(st, fallback)
-		return nil, nil
+		return false
 	}
 	st.provider = prov
 	st.setPrediction(&pred, &p.labels)
 	st.modelVersion = bank.Version
 	p.finalize(st, VerdictClassified)
 	p.earlyClassified.Add(1) // after the verdict: see Stats
-	out := st.record(&p.labels)
-	return &out, nil
+	*rec = st.record(canon, &p.labels)
+	return true
 }
 
 // migrateFlow resolves a flow-table miss against the CID index: when the
@@ -859,6 +902,12 @@ func (p *Pipeline) migrateFlow(key, canon packet.FlowKey, payload []byte, ts tim
 	st, ok := p.flows.Touch(canon, ts)
 	if !ok {
 		return nil, false // unreachable: Rekey just installed canon
+	}
+	// The record keeps the tuple the flow was first seen on: save it before
+	// the first re-orientation, since the table now holds only the new one.
+	if st.orig == nil {
+		orig := st.clientKey(oldCanon)
+		st.orig = &orig
 	}
 	// The client now speaks from the migrated tuple (the 443 side stays the
 	// server); re-orienting the flow keeps the direction split and any
@@ -915,19 +964,21 @@ func isVideoPort(key packet.FlowKey) bool {
 }
 
 // maybeSweep runs idle expiry at most once per quarter idle-timeout,
-// driven by packet timestamps. Evictions therefore lag idleness by at most
-// a quarter timeout of trace time.
-func (p *Pipeline) maybeSweep(ts time.Time) {
+// driven by packet timestamps: ts, whose UnixNano is at. Evictions therefore
+// lag idleness by at most a quarter timeout of trace time.
+func (p *Pipeline) maybeSweep(ts time.Time, at int64) {
 	if p.cfg.IdleTimeout <= 0 {
 		return
 	}
-	if p.lastSweep.IsZero() {
-		p.lastSweep = ts
+	if p.lastSweep == math.MinInt64 {
+		p.lastSweep = at
 		return
 	}
-	if ts.Sub(p.lastSweep) >= p.cfg.IdleTimeout/4 {
+	// at >= lastSweep makes the difference exact as a uint64, however far
+	// apart the two times are.
+	if at >= p.lastSweep && uint64(at-p.lastSweep) >= uint64(p.cfg.IdleTimeout/4) {
 		p.flows.ExpireIdle(ts)
-		p.lastSweep = ts
+		p.lastSweep = at
 	}
 }
 
@@ -950,11 +1001,11 @@ func (p *Pipeline) Flows() []*FlowRecord { return p.flowsUpTo(p.flows.Len()) }
 // flowsUpTo is Flows copying at most limit records.
 func (p *Pipeline) flowsUpTo(limit int) []*FlowRecord {
 	out := make([]*FlowRecord, 0, min(limit, p.flows.Len()))
-	p.flows.Range(func(_ packet.FlowKey, st *flowState) bool {
+	p.flows.Range(func(canon packet.FlowKey, st *flowState) bool {
 		if len(out) == limit {
 			return false
 		}
-		rec := st.record(&p.labels)
+		rec := st.record(canon, &p.labels)
 		out = append(out, &rec)
 		return true
 	})

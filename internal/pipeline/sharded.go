@@ -41,6 +41,10 @@ const (
 // ingest, so the caller may reuse the bytes as soon as HandlePacketBatch
 // returns.
 type IngestPacket struct {
+	// TS is the frame's packet time. It may be any instant: one outside what
+	// int64 Unix nanoseconds hold (before 1677 or after 2262, which a crafted
+	// capture can name) is kept as the nearest one they do
+	// (flowtable.UnixNano), as Pipeline.HandlePacket keeps it.
 	TS   time.Time
 	Data []byte
 }
@@ -72,8 +76,9 @@ type IngestPacket struct {
 // Results delivery contract: classified-flow records are delivered on
 // Results() on a best-effort basis. A consumer that stops draining does not
 // block the shard workers — once the buffer fills, further records are
-// counted in IngestStats.DroppedResults and discarded, so Close never
-// deadlocks on a stalled consumer. The buffer defaults to
+// counted in IngestStats.DroppedResults and discarded, never built on the
+// heap, so Close never deadlocks on a stalled consumer and a deployment that
+// reads no results pays nothing for them. The buffer defaults to
 // DefaultResultsBufferPerShard per shard (Config.ResultsBuffer overrides), so
 // a consumer that is actively draining rides out bursts proportional to the
 // fan-out width. Complete final state always reaches the Config.OnEvict
@@ -267,6 +272,7 @@ func NewShardedWithConfig(bank *Bank, n int, cfg Config) *Sharded {
 					sh.p.noteQueueWait(wait)
 				}
 				b := msg.batch
+				var rec FlowRecord // a classified flow's, copied out by deliver
 				for i := range b.frames {
 					f := &b.frames[i]
 					kept := b.arena[f.off:f.end]
@@ -274,9 +280,8 @@ func NewShardedWithConfig(bank *Bank, n int, cfg Config) *Sharded {
 					if len(payload) > int(f.payloadLen) {
 						payload = payload[:f.payloadLen] // an Ethernet trailer follows it
 					}
-					rec, err := sh.p.handleKeyed(f.ts, kept, payload, f.key, f.reversed, int(f.payloadLen))
-					if err == nil && rec != nil {
-						s.deliver(rec)
+					if done, _ := sh.p.handleKeyed(&rec, f.ts, kept, payload, f.key, f.reversed, int(f.payloadLen)); done {
+						s.deliver(&rec)
 					}
 				}
 				// The pipeline copies anything it retains, so the arena is
@@ -478,11 +483,21 @@ func (s *Sharded) HandlePacketBatch(pkts []IngestPacket) {
 	}
 }
 
-// deliver offers a record to the results channel without ever blocking a
-// shard worker; records nobody is draining are dropped and counted.
+// deliver offers a copy of rec to the results channel without ever blocking a
+// shard worker; records nobody is draining are dropped and counted. The copy
+// is made on the heap only once the channel has room, so a classified flow
+// that nobody reads costs no allocation. The shard workers share the
+// channel, so room seen here can be taken by another worker before the send;
+// that record is then dropped and counted as if the channel had been full.
 func (s *Sharded) deliver(rec *FlowRecord) {
+	if len(s.results) == cap(s.results) {
+		s.dropped.Add(1)
+		return
+	}
+	out := new(FlowRecord)
+	*out = *rec
 	select {
-	case s.results <- rec:
+	case s.results <- out:
 	default:
 		s.dropped.Add(1)
 	}
