@@ -26,8 +26,9 @@ const (
 	StageClassify
 	// StageRollup is committing one finalized flow record into the
 	// telemetry rollup (Rollup.Add, waiting for its lock included) on the
-	// worker of the shard that evicted the flow; a record that seals a
-	// window also pays for the seal.
+	// worker of the shard that evicted the flow, and moving the rollup's
+	// watermark (Rollup.Advance, the seals it triggers included) on the
+	// worker whose batch moved the shards' watermark.
 	StageRollup
 
 	// NumStages is the number of pipeline stages.

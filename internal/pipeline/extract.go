@@ -165,9 +165,15 @@ func MatchProvider(sni string) (prov fingerprint.Provider, content, ok bool) {
 // It is the one place handshake bytes are put in order. Each piece of the
 // stream goes through place at its stream offset, whatever the order and
 // however often it arrives: a TCP segment's payload at its sequence number
-// minus the base — the client's ISN + 1 once its SYN is seen, so a SYN's own
-// payload (TCP Fast Open) sits at offset 0, else the first payload
-// segment's — and a CRYPTO frame of any Initial at the offset it names.
+// minus the base, and a CRYPTO frame of any Initial at the offset it names.
+// The client's SYN fixes the base at its ISN + 1, so a SYN's own payload
+// (TCP Fast Open) sits at offset 0, and so does a segment that begins with a
+// handshake record header. Until one of them comes, the base is the lowest
+// sequence number seen: a segment before it moves it down, and every byte
+// held keeps its sequence number (rebase), so a hello whose SYN and first
+// segment arrive after a later segment still assembles. Only a run from
+// offset 0 that begins with a TLS record header of another kind — a flow
+// joined mid-stream — drops what is held.
 // Bytes already held win over any overlap. The hello is parsed each time a
 // piece lengthens the run from offset 0, which has no hole. Every byte held
 // counts against maxHelloBytes, and at most maxAhead ranges wait past the
@@ -186,6 +192,7 @@ type hsAssembler struct {
 	ahead    *aheadRanges // from a piece past a hole until the hole closes
 	base     uint32       // the TCP sequence number of offset 0, once haveBase
 	haveBase bool
+	fixed    bool // the base is the SYN's or a handshake record's start
 	sawSYN   bool
 	// zeroRTT marks that the client sent 0-RTT early data: the handshake
 	// rides resumed keys and no fresh ClientHello may ever appear.
@@ -289,6 +296,53 @@ func (a *hsAssembler) place(off uint32, data []byte) bool {
 	return true
 }
 
+// rebase makes base the sequence number of offset 0. Held bytes keep their
+// sequence numbers: a base d lower moves them d further from offset 0
+// (shift); a higher one, or one more than maxHelloBytes lower, leaves them
+// before offset 0 or past any hello that fits, so they are dropped.
+func (a *hsAssembler) rebase(base uint32) {
+	if d := a.base - base; a.haveBase && d != 0 && len(a.stream) > 0 {
+		if int32(d) < 0 || d > maxHelloBytes {
+			a.stream, a.ahead = a.stream[:0], nil
+		} else {
+			a.shift(d)
+		}
+	}
+	a.base, a.haveBase = base, true
+}
+
+// shift moves every held byte d further from offset 0, behind a hole at
+// the start. It moves nothing and marks the flow overflowed when that needs
+// more than maxAhead ranges, as place does.
+func (a *hsAssembler) shift(d uint32) {
+	if a.ahead == nil {
+		a.ahead = &aheadRanges{n: 1, r: [1 + maxAhead]extent{{0, uint32(len(a.stream))}}}
+	}
+	r := a.ahead
+	if r.r[0].end > 0 { // the run from offset 0 becomes a range past the hole
+		if r.n == len(r.r) {
+			a.overflow = true
+			return
+		}
+		copy(r.r[1:r.n+1], r.r[:r.n])
+		r.r[0], r.n = extent{}, r.n+1
+	}
+	for i := 1; i < r.n; i++ {
+		r.r[i].off += d
+		r.r[i].end += d
+	}
+}
+
+// recordHeader reports whether b begins with a TLS record header — a
+// content type from change_cipher_spec (20) to heartbeat (24) and a 3.x
+// version — and whether it is a handshake record's (22).
+func recordHeader(b []byte) (ok, handshake bool) {
+	if len(b) < 3 || b[0] < 20 || b[0] > 24 || b[1] != 3 || b[2] > 4 {
+		return false, false
+	}
+	return true, b[0] == 22
+}
+
 // consume feeds one client-direction frame to the state machine, decoding it
 // in full with the scratch parser state — the TTL, flags and options the
 // per-packet packet.Summary skips are read here — and opening QUIC Initials
@@ -319,15 +373,18 @@ func (a *hsAssembler) consume(s *asmScratch, frame []byte) bool {
 				info.TCPMSS = t.MSS()
 				info.TCPWScale = t.WindowScale()
 				info.TCPSACK = t.SACKPermitted()
-				a.base, a.haveBase = seq, true
+				a.rebase(seq)
+				a.fixed = true
 			}
 		}
 		data := parsed.Payload
 		if len(data) == 0 || info.Hello != nil {
 			return false
 		}
-		if !a.haveBase {
-			a.base, a.haveBase = seq, true
+		if !a.fixed && (!a.haveBase || int32(seq-a.base) < 0) {
+			// Before every byte held, with offset 0 not fixed yet.
+			a.rebase(seq)
+			_, a.fixed = recordHeader(data)
 		}
 		off := int32(seq - a.base)
 		if off < 0 { // starts before offset 0: only its tail can be new
@@ -341,10 +398,11 @@ func (a *hsAssembler) consume(s *asmScratch, frame []byte) bool {
 			info.Hello = ch
 			return true
 		}
-		if !errors.Is(err, tlsproto.ErrMalformed) {
-			// Not a handshake record at all: wrong flow start. Drop what
-			// is held; the next payload segment sets the base afresh.
-			a.stream, a.ahead, a.haveBase = a.stream[:0], nil, false
+		if rec, hs := recordHeader(a.stream); !errors.Is(err, tlsproto.ErrMalformed) && rec && !hs {
+			// A record of another kind at offset 0: the flow was joined
+			// mid-stream. Drop what is held; the next payload segment sets
+			// the base afresh.
+			a.stream, a.ahead, a.haveBase, a.fixed = a.stream[:0], nil, false, false
 		}
 	case parsed.Has(packet.LayerUDP):
 		if !quicproto.IsLongHeader(parsed.Payload) {

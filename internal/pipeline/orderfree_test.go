@@ -46,7 +46,7 @@ type helloFlight struct {
 	src, dst netip.Addr
 	sport    uint16
 	ttl      uint8
-	syn      packet.TCP // TCP: the SYN, which leads every flight
+	syn      packet.TCP // TCP: the SYN
 	seg      packet.TCP // TCP: the hello segment, the header of every piece
 	initial  quicproto.Initial
 	size     int    // QUIC: the Initial's datagram size
@@ -156,10 +156,12 @@ func (f *helloFlight) inOrder(tb testing.TB) [][]byte {
 // rendered Initial's size, since that is the client's first Initial whose
 // size the flow reports; any other is padded to a size drawn from 1,200
 // bytes to 60 past the rendered one, so a reordered flight puts a packet of
-// another size first. Every frame is then shuffled — all but a TCP SYN,
-// which leads: its fields are the flow's, and a hello before it is a flow
-// first seen after its SYN. It reports false when a draw's offset-0 Initial
-// outgrows the rendered size.
+// another size first. Every frame is then shuffled, a TCP SYN too: the
+// segments that overtake it are held until it fixes offset 0. Only the
+// segment that completes the hello may not overtake it, since a hello whole
+// before the SYN is a flow first seen after its SYN, classified without the
+// SYN's fields. It reports false when a draw's offset-0 Initial outgrows
+// the rendered size.
 func (f *helloFlight) impair(tb testing.TB, c chooser) ([][]byte, bool) {
 	lo, n := f.synData, len(f.hello)
 	if lo == n { // all of the hello rides the SYN
@@ -185,43 +187,67 @@ func (f *helloFlight) impair(tb testing.TB, c chooser) ([][]byte, bool) {
 		spans = append(spans, span{a, a + 1 + c.intn(n-a)})
 	}
 
-	frames := slices.Clone(f.others)
-	if f.quic {
-		groups := make([][]quicproto.CryptoFrame, 1+c.intn(3))
-		for _, s := range spans {
-			g := c.intn(len(groups))
-			groups[g] = append(groups[g], quicproto.CryptoFrame{Offset: uint64(s.lo), Data: f.hello[s.lo:s.hi]})
-		}
-		var initials [][]byte
-		for _, g := range groups {
-			if len(g) == 0 {
-				continue
-			}
-			shuffle(g, c)
-			size := quicproto.MinInitialSize + c.intn(f.size+61-quicproto.MinInitialSize)
-			first := slices.ContainsFunc(g, func(cf quicproto.CryptoFrame) bool { return cf.Offset == 0 })
-			if first {
-				size = f.size
-			}
-			fr, fits := f.initialFrame(tb, g, uint64(len(initials)), size)
-			if first && !fits {
-				return nil, false
-			}
-			initials = append(initials, fr)
-		}
-		if c.intn(2) == 1 {
-			initials = append(initials, initials[c.intn(len(initials))])
-		}
-		frames = append(frames, initials...)
-	} else {
-		for _, s := range spans {
-			frames = append(frames, f.piece(s.lo, s.hi))
-		}
-	}
-	shuffle(frames, c)
 	if !f.quic {
-		frames = append([][]byte{f.synFrame()}, frames...)
+		type segment struct {
+			b   []byte
+			s   span // the hello bytes it carries
+			syn bool
+		}
+		segs := []segment{{b: f.synFrame(), syn: true}}
+		for _, o := range f.others {
+			segs = append(segs, segment{b: o})
+		}
+		for _, s := range spans {
+			segs = append(segs, segment{b: f.piece(s.lo, s.hi), s: s})
+		}
+		shuffle(segs, c)
+		covered, missing, done := make([]bool, n), n-lo, 0
+		for ; missing > 0; done++ {
+			for k := segs[done].s.lo; k < segs[done].s.hi; k++ {
+				if !covered[k] {
+					covered[k], missing = true, missing-1
+				}
+			}
+		}
+		// done is now one past the segment that completes the hello.
+		if at := slices.IndexFunc(segs, func(s segment) bool { return s.syn }); at >= done {
+			syn := segs[at]
+			segs = slices.Insert(slices.Delete(segs, at, at+1), c.intn(done), syn)
+		}
+		var frames [][]byte
+		for _, s := range segs {
+			frames = append(frames, s.b)
+		}
+		return frames, true
 	}
+	frames := slices.Clone(f.others)
+	groups := make([][]quicproto.CryptoFrame, 1+c.intn(3))
+	for _, s := range spans {
+		g := c.intn(len(groups))
+		groups[g] = append(groups[g], quicproto.CryptoFrame{Offset: uint64(s.lo), Data: f.hello[s.lo:s.hi]})
+	}
+	var initials [][]byte
+	for _, g := range groups {
+		if len(g) == 0 {
+			continue
+		}
+		shuffle(g, c)
+		size := quicproto.MinInitialSize + c.intn(f.size+61-quicproto.MinInitialSize)
+		first := slices.ContainsFunc(g, func(cf quicproto.CryptoFrame) bool { return cf.Offset == 0 })
+		if first {
+			size = f.size
+		}
+		fr, fits := f.initialFrame(tb, g, uint64(len(initials)), size)
+		if first && !fits {
+			return nil, false
+		}
+		initials = append(initials, fr)
+	}
+	if c.intn(2) == 1 {
+		initials = append(initials, initials[c.intn(len(initials))])
+	}
+	frames = append(frames, initials...)
+	shuffle(frames, c)
 	return frames, true
 }
 
@@ -409,4 +435,36 @@ func FuzzAssemblyOrderFree(f *testing.F) {
 			t.Errorf("seed %d: the impaired flight's attributes differ from the in-order flight's", i)
 		}
 	})
+}
+
+// TestLateSYNAssembles: a segment that overtakes the SYN, and the hello's
+// first segment with it, is held at its sequence number until the SYN fixes
+// offset 0, so seg2, SYN, seg1 assembles what SYN, seg1, seg2 does. Bytes
+// that begin no record are held, not dropped: a run from offset 0 that
+// begins with a record header of another kind, a flow joined mid-stream,
+// is what drops them.
+func TestLateSYNAssembles(t *testing.T) {
+	f := orderFreeSeeds(t)[0]
+	k := len(f.hello) / 2
+	seg1, seg2 := f.piece(0, k), f.piece(k, len(f.hello))
+	want := extracted(append([][]byte{f.synFrame(), seg1, seg2}, f.others...))
+	if want == nil {
+		t.Fatal("the in-order flight assembles no hello")
+	}
+	if got := extracted(append([][]byte{seg2, f.synFrame(), seg1}, f.others...)); !reflect.DeepEqual(got, want) {
+		t.Errorf("seg2, SYN, seg1 assembles %v, in order %v", got, want)
+	}
+
+	var a hsAssembler
+	var s asmScratch
+	a.init()
+	if a.consume(&s, seg2) || len(a.stream) != len(f.hello)-k {
+		t.Fatalf("the second segment alone: %d bytes held, want %d", len(a.stream), len(f.hello)-k)
+	}
+	appData := f.seg
+	appData.Seq = f.syn.Seq + 1 - 64
+	join := f.frame(packet.ProtoTCP, appData.Append(nil, []byte{23, 3, 3, 0, 4, 1, 2, 3, 4}, f.src, f.dst))
+	if a.consume(&s, join) || len(a.stream) != 0 || a.haveBase {
+		t.Fatalf("an application-data record at offset 0 left %d bytes held (base %v)", len(a.stream), a.haveBase)
+	}
 }

@@ -982,6 +982,30 @@ func (p *Pipeline) maybeSweep(ts time.Time, at int64) {
 	}
 }
 
+// watermark is the packet time (UnixNano) no record still to come out of
+// OnEvict can have a LastSeen at or before, for input in packet-time order:
+// the last idle sweep minus IdleTimeout (sweepWatermark). The sweep at S
+// evicted every flow whose idle clock was at or before S - IdleTimeout,
+// from the LRU tail, which in order is the oldest, so a flow still held was
+// last seen after it, and a flow yet to be created will be seen at S or
+// later. It is math.MaxInt64, no bound at all, before the first frame.
+func (p *Pipeline) watermark() int64 {
+	if p.packets.Load() == 0 {
+		return math.MaxInt64
+	}
+	return sweepWatermark(p.lastSweep, p.cfg.IdleTimeout)
+}
+
+// sweepWatermark is the watermark of a pipeline whose last idle sweep was
+// at sweep (UnixNano), saturating at math.MinInt64. With no idle timeout a
+// held flow may be as old as the input, and it is math.MinInt64.
+func sweepWatermark(sweep int64, idle time.Duration) int64 {
+	if idle <= 0 || sweep < math.MinInt64+int64(idle) {
+		return math.MinInt64
+	}
+	return sweep - int64(idle)
+}
+
 // Drain finalizes every tracked flow: it evicts them oldest first
 // (flowtable.ReasonDrain) through the eviction hook, as an idle flow
 // leaves, which resolves a flow still undecided — no-handshake, or

@@ -95,6 +95,13 @@ type Sharded struct {
 	batchPool sync.Pool // *ingestBatch
 	wg        sync.WaitGroup
 
+	// onWatermark is what OnWatermark registered, run by a shard worker
+	// whose batch moved its watermark.
+	onWatermark func(time.Time)
+	// unstarted counts the shards that ingest has handed no frame yet (see
+	// startPending).
+	unstarted int
+
 	// pending holds each shard's batch under construction during a
 	// HandlePacketBatch call; a persistent field (legal under the
 	// single-ingest-goroutine contract) so the hot path never allocates it.
@@ -140,6 +147,9 @@ const maxCIDRoutes = 1 << 16
 type shard struct {
 	in chan shardMsg
 	p  *Pipeline
+	// wm is the pipeline's watermark as of its last batch, published by the
+	// worker for Watermark to read.
+	wm atomic.Int64
 }
 
 // shardMsg carries a batch of summarized frames or, when do is non-nil, a
@@ -242,10 +252,11 @@ func NewShardedWithConfig(bank *Bank, n int, cfg Config) *Sharded {
 		rbuf = DefaultResultsBufferPerShard * n
 	}
 	s := &Sharded{
-		results: make(chan *FlowRecord, rbuf),
-		pending: make([]*ingestBatch, n),
-		obsv:    cfg.Observer,
-		tracer:  cfg.Tracer,
+		results:   make(chan *FlowRecord, rbuf),
+		pending:   make([]*ingestBatch, n),
+		obsv:      cfg.Observer,
+		tracer:    cfg.Tracer,
+		unstarted: n,
 	}
 	s.cidRoute.m.bound = maxCIDRoutes / 2
 	s.tupleRoute.bound = maxCIDRoutes / 2
@@ -257,6 +268,7 @@ func NewShardedWithConfig(bank *Bank, n int, cfg Config) *Sharded {
 		shCfg.shardID = i
 		shCfg.queueDepth = func() int { return len(in) }
 		sh := &shard{in: in, p: NewWithConfig(bank, shCfg)}
+		sh.wm.Store(math.MaxInt64) // no frame yet
 		s.shards = append(s.shards, sh)
 		s.wg.Add(1)
 		go func() {
@@ -287,6 +299,12 @@ func NewShardedWithConfig(bank *Bank, n int, cfg Config) *Sharded {
 				// The pipeline copies anything it retains, so the arena is
 				// dead here and the whole batch recycles in one pool op.
 				s.batchPool.Put(b)
+				if wm := sh.p.watermark(); wm != sh.wm.Load() {
+					sh.wm.Store(wm)
+					if s.onWatermark != nil {
+						s.onWatermark(s.Watermark())
+					}
+				}
 			}
 		}()
 	}
@@ -345,6 +363,7 @@ func (s *Sharded) decode(ts time.Time, data []byte) {
 	keep := keepLen(sum.Key, len(data), sum.PayloadOff, payload)
 	b := s.pending[idx]
 	if b != nil && len(b.arena)+keep > maxBatchArena {
+		s.startPending()
 		s.flush(idx, s.stamp())
 		b = nil
 	}
@@ -362,6 +381,26 @@ func (s *Sharded) decode(ts time.Time, data []byte) {
 	f.end = int32(len(b.arena))
 	f.payloadOff = int32(sum.PayloadOff)
 	f.payloadLen = int32(sum.PayloadLen)
+}
+
+// startPending publishes, for each shard about to get its first frames, the
+// watermark its pipeline will have once it has processed the first of them.
+// Until then a shard bounds nothing (Watermark), and it must bound before
+// any batch of the call goes out: a shard that ran ahead on a batch handed
+// over first could otherwise move the watermark past frames still waiting in
+// another shard's first batch. Only ingest moves a shard off "no frame yet"
+// (its worker publishes only after a frame), so a plain load and store
+// serve; once every shard has had frames it is one compare per call.
+func (s *Sharded) startPending() {
+	if s.unstarted == 0 {
+		return
+	}
+	for idx, b := range s.pending {
+		if sh := s.shards[idx]; b != nil && sh.wm.Load() == math.MaxInt64 {
+			sh.wm.Store(sweepWatermark(flowtable.UnixNano(b.frames[0].ts), sh.p.cfg.IdleTimeout))
+			s.unstarted--
+		}
+	}
 }
 
 // flush hands a shard its pending batch, stamped enq; the shard owns it
@@ -476,6 +515,7 @@ func (s *Sharded) HandlePacketBatch(pkts []IngestPacket) {
 	if s.obsv != nil && len(pkts) > 0 {
 		s.obsv.RecordN(obs.StageDecode, time.Duration((now-t0)/int64(len(pkts))), len(pkts))
 	}
+	s.startPending()
 	for idx, b := range s.pending {
 		if b != nil {
 			s.flush(idx, now)
@@ -502,6 +542,37 @@ func (s *Sharded) deliver(rec *FlowRecord) {
 		s.dropped.Add(1)
 	}
 }
+
+// Watermark is the shards' packet clock as a consumer of Config.OnEvict
+// reads it: no record still to come out of the hook has a LastSeen at or
+// before it, for input handed over in packet-time order. It is the least of
+// the shards' watermarks, each published after every batch: the shard's
+// last idle sweep minus IdleTimeout, so it trails the packets by about
+// IdleTimeout plus the quarter timeout between sweeps. A shard that has
+// been handed no frame yet holds nothing and bounds nothing, whatever the
+// others' clocks (its first frames will be later than theirs); the zero
+// Time means no shard has been handed one. With no IdleTimeout nothing
+// bounds a held flow's age, and Watermark stays in 1677 (math.MinInt64
+// nanoseconds). Out-of-order input breaks the promise for the frames out of
+// order. Safe from any goroutine.
+func (s *Sharded) Watermark() time.Time {
+	wm := int64(math.MaxInt64)
+	for _, sh := range s.shards {
+		wm = min(wm, sh.wm.Load())
+	}
+	if wm == math.MaxInt64 {
+		return time.Time{}
+	}
+	return time.Unix(0, wm).UTC()
+}
+
+// OnWatermark registers f to run on a shard worker after each batch that
+// moved that shard's watermark, with Watermark as it then reads: the hook a
+// consumer of Config.OnEvict seals its windows from. Shard workers may run
+// f concurrently, and a later call may carry an earlier watermark than one
+// already run, so f must keep the greatest. Call it before the first frame
+// is handed over.
+func (s *Sharded) OnWatermark(f func(time.Time)) { s.onWatermark = f }
 
 // Results delivers classified flow records as they complete. See the type
 // comment for the best-effort delivery contract.

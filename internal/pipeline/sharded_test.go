@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"math/rand/v2"
 	"net/netip"
+	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -348,5 +350,46 @@ func TestSnapshotFlowsUpTo(t *testing.T) {
 		if at >= len(all) || rec.Key != all[at].Key {
 			t.Fatalf("record %d of the page is %v, not the head of its shard's listing", i, rec.Key)
 		}
+	}
+}
+
+// TestShardedWatermark feeds one flow, a frame every 10 s of packet time, to
+// a four-shard pipeline with a 60 s idle timeout. After each batch the
+// watermark is the flow's shard's last idle sweep less the timeout — the
+// sweeps come at least a quarter timeout apart — and the three shards that
+// never get a frame do not hold it back. OnWatermark sees it move, never
+// backwards, and its last call carries the final value.
+func TestShardedWatermark(t *testing.T) {
+	const idle = 60 * time.Second
+	s := NewShardedWithConfig(nil, 4, Config{IdleTimeout: idle})
+	defer s.Close()
+	var mu sync.Mutex
+	var seen []time.Time
+	s.OnWatermark(func(wm time.Time) {
+		mu.Lock()
+		seen = append(seen, wm)
+		mu.Unlock()
+	})
+	if wm := s.Watermark(); !wm.IsZero() {
+		t.Fatalf("watermark %v before any frame, want the zero Time", wm)
+	}
+	frame := tcpFrame(t, 50000, 443)
+	t0 := time.Date(2023, 7, 7, 12, 0, 0, 0, time.UTC)
+	sweep := t0
+	for k := 0; k <= 30; k++ {
+		ts := t0.Add(time.Duration(k) * 10 * time.Second)
+		if ts.Sub(sweep) >= idle/4 {
+			sweep = ts
+		}
+		s.HandlePacketBatch([]IngestPacket{{TS: ts, Data: frame}})
+		s.SnapshotFlowsUpTo(0) // behind the batch on every shard
+		if got, want := s.Watermark(), sweep.Add(-idle); !got.Equal(want) {
+			t.Fatalf("frame %d at %v: watermark %v, want %v", k, ts.Format(time.TimeOnly), got, want)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(seen) < 10 || !slices.IsSortedFunc(seen, time.Time.Compare) || !seen[len(seen)-1].Equal(sweep.Add(-idle)) {
+		t.Errorf("OnWatermark saw %v", seen)
 	}
 }

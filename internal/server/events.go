@@ -99,10 +99,12 @@ type sealStage Server
 // drop and the shadow evaluator's agreement deltas since the previous seal,
 // judging drift as it goes (each flagged classifier is journaled once per
 // bank version and triggers the retrainer for that version, which coalesces
-// the triggers and waits out its cooldown). It then writes the store and cfg.Sink, and
-// journals what the seal saw: the archive's error, and store compactions
-// and flow-table cap evictions since the previous seal. The archive's error
-// is returned for the rollup's sink-error count.
+// the triggers and waits out its cooldown). It then writes the store and
+// cfg.Sink, and journals what the seal saw: the archive's error, the store
+// compactions since the previous seal, and the flows evicted at capacity
+// whose last packet is in the window or in an earlier one no seal has
+// counted. The archive's error is returned for the rollup's sink-error
+// count.
 func (stage *sealStage) WriteWindow(w *telemetry.Window) error {
 	s := (*Server)(stage)
 	quality := func() *telemetry.QualitySummary {
@@ -154,13 +156,28 @@ func (stage *sealStage) WriteWindow(w *telemetry.Window) error {
 			"total", strconv.FormatUint(comp, 10))
 		s.lastCompactions = comp
 	}
-	if capEv := s.sharded.TableStats().EvictedCap; capEv > s.lastCapEvict {
+	if capEv := s.takeCapEvictions(w.Start); capEv > 0 {
+		s.capJournaled += capEv
 		s.journal.Record(obs.EventEvictionPressure, "flow table evicted flows at capacity",
-			"evicted", strconv.FormatUint(capEv-s.lastCapEvict, 10),
-			"total", strconv.FormatUint(capEv, 10))
-		s.lastCapEvict = capEv
+			"evicted", strconv.FormatUint(capEv, 10),
+			"total", strconv.FormatUint(s.capJournaled, 10))
 	}
 	return err
+}
+
+// takeCapEvictions removes and sums the capacity evictions counted for the
+// window starting at start and every window before it: once it seals, no
+// flow of theirs is still to come.
+func (s *Server) takeCapEvictions(start time.Time) (n uint64) {
+	s.capMu.Lock()
+	defer s.capMu.Unlock()
+	for at, c := range s.capEvicted {
+		if at <= start.UnixNano() {
+			n += c
+			delete(s.capEvicted, at)
+		}
+	}
+	return n
 }
 
 // judgeDrift acts on one flagged classifier at a window seal: it journals

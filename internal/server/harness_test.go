@@ -1,0 +1,79 @@
+package server
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"net/http/httptest"
+	"testing"
+	"time"
+
+	"videoplat/internal/obs"
+	"videoplat/internal/pipeline"
+	"videoplat/internal/telemetry"
+)
+
+// replayResult is what a finished in-process replay leaves behind: the
+// documents the daemon serves, read after shutdown, the ops journal and
+// the JSONL archive of every sealed window.
+type replayResult struct {
+	Stats   Stats
+	Windows []byte // the /windows body, every raw window listed
+	Metrics string // the /metrics body
+	Events  []obs.Event
+	Archive []byte // one JSON window per line, in seal order
+}
+
+// replayInProcess runs a Server over a finite source the way Run does,
+// without an HTTP listener: the replay loop until the source ends (with the
+// retrainer's loop beside it when cfg has one), then the shutdown path,
+// which drains the shards and flushes the rollup. cfg.Sink, if set, gets
+// every sealed window after the archive. watch, if non-nil, gets the server
+// before the replay starts, for a test that samples it while it runs.
+func replayInProcess(t *testing.T, bank *pipeline.Bank, src Source, cfg Config, watch func(*Server)) replayResult {
+	t.Helper()
+	var archive bytes.Buffer
+	sinks := []telemetry.Sink{telemetry.NewJSONLSink(&archive)}
+	if cfg.Sink != nil {
+		sinks = append(sinks, cfg.Sink)
+	}
+	cfg.Sink = telemetry.MultiSink(sinks...)
+	s := newServer(bank, src, cfg)
+	if watch != nil {
+		watch(s)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	s.startWall = time.Now()
+	s.running.Store(true)
+	retrainDone := make(chan struct{})
+	go func() {
+		defer close(retrainDone)
+		if s.cfg.Retrainer != nil {
+			s.cfg.Retrainer.Start(ctx)
+		}
+	}()
+	s.replay(ctx)
+	cancel()
+	<-retrainDone
+	s.finishPipeline()
+	if err := s.replayErr; err != nil {
+		t.Fatalf("replay: %v", err)
+	}
+
+	res := replayResult{Events: s.journal.Events(0, "", 0), Archive: archive.Bytes()}
+	get := func(target string) []byte {
+		rec := httptest.NewRecorder()
+		s.httpSrv.Handler.ServeHTTP(rec, httptest.NewRequest("GET", target, nil))
+		if rec.Code != 200 {
+			t.Fatalf("GET %s: %d %s", target, rec.Code, rec.Body)
+		}
+		return rec.Body.Bytes()
+	}
+	if err := json.Unmarshal(get("/stats"), &res.Stats); err != nil {
+		t.Fatalf("/stats: %v", err)
+	}
+	res.Windows = get("/windows?limit=1000000")
+	res.Metrics = string(get("/metrics"))
+	return res
+}

@@ -18,11 +18,16 @@
 // /stats and /metrics, alongside the ingest stall (backpressure) counter.
 //
 // A finalized flow takes one hop to its window: the pipeline's OnEvict hook,
-// on the shard worker that owns the flow and its packet clock, calls
-// Rollup.Add, so any shard may seal a window. The server is its rollup's
-// only sink, the one seal stage: under the rollup lock that orders seals it
-// stamps the window and judges drift, writes the store and Config.Sink, and
-// journals the seal's health events.
+// on the shard worker that owns the flow, calls Rollup.Add, which folds it
+// into the window its LastSeen names and seals nothing. A window seals once
+// every shard's packet clock is past it: after each batch a shard publishes
+// its watermark (pipeline.Sharded.Watermark), and the shard whose batch
+// moved the least of them calls Rollup.Advance, which seals, oldest first,
+// every window ending at or before it. So the windows, and everything
+// sealed from them, are a function of the packets, whatever the shard
+// count. The server is its rollup's only sink, the one seal stage: under
+// the rollup lock that orders seals it stamps the window and judges drift,
+// writes the store and Config.Sink, and journals the seal's health events.
 //
 // Sealed rollup windows are also retained in a queryable telemetry store
 // (Config.Store, defaulted when nil): a bounded in-memory ring with
@@ -108,7 +113,8 @@ type Config struct {
 	// Sink receives sealed rollup windows (nil = discard), e.g. the JSONL
 	// archive of vpserve -telemetry-persist. Independent of the Store:
 	// windows always reach both, the Store first. A failed write journals a
-	// sink_error event; a slow one stalls the sealing shard.
+	// sink_error event; a slow one stalls the shard whose batch moved the
+	// watermark, and every shard folding a flow behind it.
 	Sink telemetry.Sink
 	// Store retains sealed rollup windows for the /windows and /query
 	// endpoints. Nil selects a default store (1024 windows per tier, with
@@ -206,10 +212,17 @@ type Server struct {
 	// (see sealStage). driftJournaled maps "provider/transport" to the bank
 	// version it last journaled a drift_trigger for.
 	lastCompactions    uint64
-	lastCapEvict       uint64
+	capJournaled       uint64 // Σ eviction_pressure evicted
 	lastShadowAgreed   uint64
 	lastShadowDisagree uint64
 	driftJournaled     map[string]string
+
+	// capEvicted counts the flows the tables evicted at capacity by the
+	// start of the window their LastSeen names (Unix nanoseconds), on the
+	// evicting worker; a seal journals and drops every count up to its own
+	// window, so eviction_pressure is a function of the packets too.
+	capMu      sync.Mutex
+	capEvicted map[int64]uint64
 
 	replayDone chan struct{}
 
@@ -223,6 +236,19 @@ type Server struct {
 // New builds a Server over a trained bank and a replay source and binds the
 // operations listener, so Addr() is valid before Run is called.
 func New(bank *pipeline.Bank, src Source, cfg Config) (*Server, error) {
+	s := newServer(bank, src, cfg)
+	lis, err := net.Listen("tcp", s.cfg.Addr)
+	if err != nil {
+		s.sharded.Close()
+		return nil, fmt.Errorf("server: listen %s: %w", s.cfg.Addr, err)
+	}
+	s.lis = lis
+	return s, nil
+}
+
+// newServer is New without the listener: the pipeline, the rollup and the
+// HTTP handlers, wired and idle.
+func newServer(bank *pipeline.Bank, src Source, cfg Config) *Server {
 	cfg.fillDefaults()
 	store := cfg.Store
 	if store == nil {
@@ -240,6 +266,7 @@ func New(bank *pipeline.Bank, src Source, cfg Config) (*Server, error) {
 		replayDone: make(chan struct{}),
 
 		driftJournaled: map[string]string{},
+		capEvicted:     map[int64]uint64{},
 	}
 	if s.journal == nil {
 		s.journal = obs.NewJournal(0, nil)
@@ -260,7 +287,12 @@ func New(bank *pipeline.Bank, src Source, cfg Config) (*Server, error) {
 		// Snapshot.
 		// /flows holds s.mu while it waits on the shards, and the fold never
 		// takes s.mu, so no lock cycle runs through a shard worker.
-		OnEvict: func(rec *pipeline.FlowRecord, _ flowtable.Reason) {
+		OnEvict: func(rec *pipeline.FlowRecord, reason flowtable.Reason) {
+			if reason == flowtable.ReasonCap {
+				s.capMu.Lock()
+				s.capEvicted[rec.LastSeen.Truncate(cfg.WindowWidth).UnixNano()]++
+				s.capMu.Unlock()
+			}
 			s.addToRollup(rec)
 		},
 	}
@@ -280,6 +312,9 @@ func New(bank *pipeline.Bank, src Source, cfg Config) (*Server, error) {
 		}
 	}
 	s.sharded = pipeline.NewShardedWithConfig(bank, cfg.Shards, pcfg)
+	// The shard whose batch moved the shards' watermark seals the windows
+	// it passed, on its own worker, as a fold is.
+	s.sharded.OnWatermark(s.advanceRollup)
 
 	if cfg.Registry != nil {
 		// Every activation — operator promote/rollback or retrainer
@@ -293,13 +328,6 @@ func New(bank *pipeline.Bank, src Source, cfg Config) (*Server, error) {
 		})
 	}
 
-	lis, err := net.Listen("tcp", cfg.Addr)
-	if err != nil {
-		s.sharded.Close()
-		return nil, fmt.Errorf("server: listen %s: %w", cfg.Addr, err)
-	}
-	s.lis = lis
-
 	mux := http.NewServeMux()
 	for _, rt := range routes {
 		mux.HandleFunc(rt.pattern, func(w http.ResponseWriter, r *http.Request) {
@@ -307,7 +335,7 @@ func New(bank *pipeline.Bank, src Source, cfg Config) (*Server, error) {
 		})
 	}
 	s.httpSrv = &http.Server{Handler: mux}
-	return s, nil
+	return s
 }
 
 // routes is the complete operations API surface. Registration and the
@@ -495,11 +523,19 @@ func (s *Server) effectiveBatchSize() int {
 }
 
 // addToRollup commits one finalized record to the rollup on the shard
-// worker that evicted it, timed as the pipeline's rollup stage (a seal the
-// add triggers, seal stage included, counts toward it).
+// worker that evicted it, timed as the pipeline's rollup stage.
 func (s *Server) addToRollup(rec *pipeline.FlowRecord) {
 	t0 := obs.Nanotime()
 	s.rollup.Add(rec)
+	s.obsv.Record(obs.StageRollup, time.Duration(obs.Nanotime()-t0))
+}
+
+// advanceRollup moves the rollup's watermark to the shards' on the worker
+// whose batch moved it, timed as the rollup stage too: the seals it
+// triggers, seal stage included, count toward it.
+func (s *Server) advanceRollup(wm time.Time) {
+	t0 := obs.Nanotime()
+	s.rollup.Advance(wm)
 	s.obsv.Record(obs.StageRollup, time.Duration(obs.Nanotime()-t0))
 }
 

@@ -81,16 +81,16 @@ func TestConfidenceHistBuckets(t *testing.T) {
 // carry a quality summary and no flows, which the built window keeps.
 func TestQualitySummaryMerge(t *testing.T) {
 	a := &Window{Quality: &QualitySummary{}}
-	a.Quality.add(qualRec(fingerprint.YouTube, "windows_chrome", w0, 0.9, 0.5))
-	a.Quality.add(abstainRec(fingerprint.Netflix, w0, 0.3))
+	a.Quality.add(qualRec(fingerprint.YouTube, "windows_chrome", w0, 0.9, 0.5), nil)
+	a.Quality.add(abstainRec(fingerprint.Netflix, w0, 0.3), nil)
 	a.Quality.DriftScore = 0.08
 	a.Quality.ShadowAgreed = 4
 
 	b := &Window{Quality: &QualitySummary{}}
-	b.Quality.add(qualRec(fingerprint.YouTube, "iOS_nativeApp", w0, 0.7, 0.2))
+	b.Quality.add(qualRec(fingerprint.YouTube, "iOS_nativeApp", w0, 0.7, 0.2), nil)
 	nh := rollRec(fingerprint.Netflix, "", w0, time.Second, 1<<10)
 	nh.Verdict = pipeline.VerdictNoHandshake
-	b.Quality.add(nh)
+	b.Quality.add(nh, nil)
 	b.Quality.DriftScore = 0.03
 	b.Quality.ShadowAgreed = 1
 	b.Quality.ShadowDisagreed = 2

@@ -219,7 +219,7 @@ func (s *Store) Query(since, until time.Time, step time.Duration, groupBy string
 			slices.SortFunc(providers, func(a, b namedRef) int { return strings.Compare(a.name, b.name) })
 			var total openCell
 			for _, pc := range providers {
-				total.merge(&pc.c.Cell, &pc.c.conf)
+				total.merge(&pc.c.Cell, &pc.c.conf.ConfidenceHist)
 			}
 			p := base
 			p.fromCell(&total)
@@ -276,7 +276,7 @@ func (p *QueryPoint) fromLatency(l *obs.Summary) {
 func (p *QueryPoint) fromCell(c *openCell) {
 	p.Flows = c.Flows
 	p.ClassifiedFlows = c.ClassifiedFlows
-	p.WatchSeconds = c.WatchSeconds
+	p.WatchSeconds = c.watchSeconds()
 	p.BytesDown = c.BytesDown
 	p.BytesUp = c.BytesUp
 	p.MeanMbpsDown = c.meanMbpsDown()

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"maps"
+	"math"
 	"slices"
 	"sync"
 	"time"
@@ -40,7 +41,7 @@ type Cell struct {
 
 // Window is one sealed tumbling window of flow aggregates: the unit the
 // rollup engine retires to its sink. Flows are assigned to windows by their
-// LastSeen timestamp (the moment the flow finalized).
+// LastSeen timestamp, the flow's last packet.
 //
 // A sealed Window is immutable once the Rollup's sink has passed it on. The
 // Rollup builds it once and hands it to its one sink first and alone, which
@@ -53,9 +54,10 @@ type Window struct {
 
 	Flows           int `json:"flows"`
 	ClassifiedFlows int `json:"classified_flows"`
-	// LateFlows counts records whose LastSeen predated the window (e.g.
-	// idle evictions surfacing after their window closed); they are folded
-	// into this window rather than reopening a sealed one.
+	// LateFlows counts records that arrived after the window their LastSeen
+	// names had sealed — input out of packet-time order by more than the
+	// watermark's lag — folded into this window, the oldest still open,
+	// rather than reopening a sealed one.
 	LateFlows int `json:"late_flows,omitempty"`
 	// ClassificationRate is ClassifiedFlows/Flows; filled when sealed.
 	ClassificationRate float64 `json:"classification_rate"`
@@ -84,13 +86,13 @@ type Window struct {
 }
 
 // Sink receives sealed windows. A Rollup calls WriteWindow on the goroutine
-// driving Add or Flush, with the rollup lock held: seals reach the sink one
-// at a time, in seal order, and the sink must not call back into the
-// Rollup. A Rollup's sink gets each window first and alone, so it may stamp
-// window-scoped fields before passing the window on; once passed on, the
-// window is shared with every other sink and reader and must not be
-// modified. Implementations that share state with other goroutines must
-// synchronize internally.
+// that calls Advance or Flush (or an Add past MaxOpenWindows), with the
+// rollup lock held: seals reach the sink one at a time, in seal order, and
+// the sink must not call back into the Rollup. A Rollup's sink gets each
+// window first and alone, so it may stamp window-scoped fields before
+// passing the window on; once passed on, the window is shared with every
+// other sink and reader and must not be modified. Implementations that
+// share state with other goroutines must synchronize internally.
 type Sink interface {
 	WriteWindow(w *Window) error
 }
@@ -144,12 +146,23 @@ func (s *JSONLSink) Windows() int {
 }
 
 // Rollup maintains tumbling time windows of per-provider and per-platform
-// aggregates over finalized flow records, sealing and retiring each window
-// to the sink as flow time crosses the window boundary. Windows are aligned
-// to multiples of the width. Time is record-supplied (LastSeen), so replay
-// and live operation roll up identically.
+// aggregates over finalized flow records. Windows are aligned to multiples
+// of the width, and a record is folded into the window its LastSeen names.
+// Time is record-supplied, so replay and live operation roll up identically.
 //
-// The open window is folded in a dense form the Rollup owns and reuses (see
+// A window seals, oldest first, once the watermark passes its end: Advance
+// says that no record still to come has a LastSeen before the given time,
+// and the records of every window ending at or before it are then all in.
+// Flush seals whatever is still open. What a window holds is therefore a
+// function of the records alone, not of the order they arrive in: the
+// fold's sums are integers, so even their last bits are order-free. A
+// record behind a window already sealed (its producer broke the watermark's
+// promise) is folded into the oldest window still open to it and counted in
+// that window's LateFlows.
+//
+// At most MaxOpenWindows windows are open at once; a record that would open
+// one more seals the oldest first, as if the watermark had passed it. Open
+// windows are folded in a dense form the Rollup owns and reuses (see
 // openWindow); each seal, and each Current snapshot, builds a newly
 // allocated Window from it.
 //
@@ -157,15 +170,30 @@ func (s *JSONLSink) Windows() int {
 // each sealed window under the rollup lock (see Sink), so state a sink
 // keeps from one seal to the next needs no lock of its own.
 type Rollup struct {
-	mu       sync.Mutex
-	width    time.Duration
-	sink     Sink
-	cur      openWindow // the in-progress window while active
-	active   bool
+	mu    sync.Mutex
+	width time.Duration
+	sink  Sink
+	// open holds the windows not yet sealed, oldest first. Past its length,
+	// up to its capacity, it keeps the storage of sealed ones for the next
+	// windows to open.
+	open []*openWindow
+	// closed is where the open windows begin: every window ending at or
+	// before it has sealed, and a record whose LastSeen is before it is
+	// late. The zero Time until the first seal or Advance, and again after
+	// a Flush.
+	closed   time.Time
 	sealed   int
 	sinkErr  error  // first failure, kept verbatim for /stats
 	sinkErrs uint64 // every failure, for the sink-errors counter
 }
+
+// MaxOpenWindows bounds the windows a Rollup holds open. A daemon's
+// watermark trails its packet clock by about IdleTimeout + IdleTimeout/4
+// (see pipeline.Sharded.Watermark), so it holds that much packet time plus
+// one width open: three or four one-minute windows at the default 90 s
+// timeout. The bound leaves room for a timeout of some fifty widths, and a
+// window's storage is a few kilobytes.
+const MaxOpenWindows = 64
 
 // NewRollup returns a Rollup with the given window width (default 1 minute
 // if non-positive) retiring sealed windows to sink (which may be nil to
@@ -180,32 +208,49 @@ func NewRollup(width time.Duration, sink Sink) *Rollup {
 // Width returns the tumbling window width.
 func (r *Rollup) Width() time.Duration { return r.width }
 
-// Add folds one finalized flow record into the rollup, sealing the current
-// window first if rec.LastSeen has moved past its end. Records older than
-// the current window are folded in as late flows.
+// Add folds one finalized flow record into the window its LastSeen names,
+// or, when that window has already sealed, into the oldest one still open
+// to it as a late flow. Add never seals a window the watermark has not
+// passed; only opening one past MaxOpenWindows seals the oldest.
 func (r *Rollup) Add(rec *pipeline.FlowRecord) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	ts := rec.LastSeen
-	if !r.active {
-		r.open(ts)
+	o := r.find(ts)
+	if o == nil && len(r.open) == MaxOpenWindows {
+		r.sealBefore(r.open[0].end)
 	}
-	if !ts.Before(r.cur.end) {
-		r.seal()
-		r.open(ts) // skip empty gap windows rather than sealing them
+	late := ts.Before(r.closed) // closed is a window boundary
+	if late {
+		ts = r.closed
+		o = r.find(ts)
 	}
-	r.cur.add(rec, ts.Before(r.cur.start))
+	if o == nil {
+		o = r.openAt(bucketStart(ts, r.width))
+	}
+	o.add(rec, late)
 }
 
-// Flush seals and retires the current window, if any. Call at shutdown so
-// the trailing partial window reaches the sink.
+// Advance moves the watermark to wm: the caller promises that no record
+// still to come has a LastSeen before it. Every open window ending at or
+// before wm seals, oldest first. A watermark behind an earlier one changes
+// nothing.
+func (r *Rollup) Advance(wm time.Time) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.sealBefore(bucketStart(wm, r.width))
+}
+
+// Flush seals every open window, oldest first, and forgets the watermark:
+// the Rollup starts over as a new one would. Call at shutdown, once the
+// last record is in, so the trailing windows reach the sink.
 func (r *Rollup) Flush() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.active && r.cur.flows > 0 {
-		r.seal()
+	if n := len(r.open); n > 0 {
+		r.sealBefore(r.open[n-1].end)
 	}
-	r.active = false
+	r.closed = time.Time{}
 }
 
 // Sealed reports how many windows have been sealed and offered to the sink.
@@ -213,6 +258,14 @@ func (r *Rollup) Sealed() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.sealed
+}
+
+// OpenWindows reports how many windows are open: folded into, not yet
+// sealed. Never more than MaxOpenWindows.
+func (r *Rollup) OpenWindows() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.open)
 }
 
 // Err returns the first sink write error, if any.
@@ -232,29 +285,81 @@ func (r *Rollup) SinkErrors() uint64 {
 	return r.sinkErrs
 }
 
-// Current returns a deep snapshot of the in-progress window, or nil if no
-// record has arrived yet — the live view the /stats endpoint serves.
+// Current returns a deep snapshot of the open windows merged into one, from
+// the oldest one's start to the newest one's end, or nil if none is open —
+// the live view the /stats endpoint serves.
 func (r *Rollup) Current() *Window {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if !r.active {
+	if len(r.open) == 0 {
 		return nil
 	}
-	return r.cur.window()
+	var m openWindow
+	m.reset(r.open[0].start, r.open[len(r.open)-1].end)
+	for _, o := range r.open {
+		m.merge(o.window())
+	}
+	return m.window()
 }
 
-func (r *Rollup) open(ts time.Time) {
-	start := bucketStart(ts, r.width)
-	r.cur.reset(start, start.Add(r.width))
-	r.active = true
+// find returns the open window holding ts, or nil. Records mostly land in
+// the newest windows, so the search runs from there.
+func (r *Rollup) find(ts time.Time) *openWindow {
+	for i := len(r.open) - 1; i >= 0; i-- {
+		if o := r.open[i]; !ts.Before(o.start) {
+			if ts.Before(o.end) {
+				return o
+			}
+			return nil
+		}
+	}
+	return nil
 }
 
-// seal builds the current window and hands it to the sink; callers must
-// hold mu and open or deactivate cur afterwards.
-func (r *Rollup) seal() {
+// openAt opens the window starting at start, in its place among the open
+// ones, on a sealed window's storage when there is one.
+func (r *Rollup) openAt(start time.Time) *openWindow {
+	n := len(r.open)
+	if n == cap(r.open) {
+		r.open = append(r.open, new(openWindow))[:n]
+	}
+	r.open = r.open[:n+1]
+	o := r.open[n]
+	if o == nil {
+		o = new(openWindow)
+	}
+	o.reset(start, start.Add(r.width))
+	i := n
+	for i > 0 && r.open[i-1].start.After(start) {
+		i--
+	}
+	copy(r.open[i+1:], r.open[i:n])
+	r.open[i] = o
+	return o
+}
+
+// sealBefore seals, oldest first, every open window ending at or before t,
+// and moves closed up to t. A sealed window's storage moves behind the
+// open ones. Callers hold mu.
+func (r *Rollup) sealBefore(t time.Time) {
+	if !r.closed.IsZero() && !t.After(r.closed) {
+		return
+	}
+	for n := len(r.open); n > 0 && !r.open[0].end.After(t); n-- {
+		o := r.open[0]
+		r.seal(o)
+		copy(r.open, r.open[1:n])
+		r.open[n-1] = o
+		r.open = r.open[:n-1]
+	}
+	r.closed = t
+}
+
+// seal builds one window and hands it to the sink. Callers hold mu.
+func (r *Rollup) seal(o *openWindow) {
 	r.sealed++
 	if r.sink != nil {
-		if err := r.sink.WriteWindow(r.cur.window()); err != nil {
+		if err := r.sink.WriteWindow(o.window()); err != nil {
 			r.sinkErrs++
 			if r.sinkErr == nil {
 				r.sinkErr = err
@@ -289,7 +394,7 @@ type openWindow struct {
 	// which only a merged window from another build's archive carries.
 	oddVerdicts  map[string]uint64
 	latency      obs.Summary
-	conf, margin ConfidenceHist
+	conf, margin confFold
 
 	// What only merged windows carry: the window-scoped gauges a Rollup's
 	// sink stamps on a sealed window, and whether a quality summary was
@@ -300,10 +405,44 @@ type openWindow struct {
 }
 
 // openCell is a Cell being folded. Its Confidence stays nil: the digest
-// accumulates in conf, so resetting the cell frees nothing.
+// accumulates in conf, so resetting the cell frees nothing. A record's
+// watch time is summed in watch, as integer nanoseconds, so the sum does
+// not depend on the order records arrive in (a float sum's last bits do);
+// WatchSeconds sums only what merged windows carry, in the fixed order a
+// Store merges them.
 type openCell struct {
 	Cell
-	conf ConfidenceHist
+	watch time.Duration
+	conf  confFold
+}
+
+// confFold is a ConfidenceHist being folded. A record's probability is
+// summed in nanos, as an integer count of 1e-9 units, for the same reason
+// watch time is; the histogram's Sum sums only merged digests.
+type confFold struct {
+	ConfidenceHist
+	nanos int64
+}
+
+// observe folds one probability in, clamped into [0, 1] for the sum as it
+// is for the buckets.
+func (f *confFold) observe(v float64) {
+	f.Count++
+	f.Buckets[confBucket(v)]++
+	f.nanos += int64(math.Round(min(max(v, 0), 1) * 1e9))
+}
+
+// digest returns the histogram f folded, in an allocation of its own, or
+// nil when it is empty. One allocation each keeps a retained window's
+// digests in their exact size class; one slice of them would round up to
+// the next.
+func (f *confFold) digest() *ConfidenceHist {
+	if f.Count == 0 {
+		return nil
+	}
+	d := f.ConfidenceHist
+	d.Sum += float64(f.nanos) / 1e9
+	return &d
 }
 
 type namedCell struct {
@@ -363,9 +502,9 @@ func (o *openWindow) add(rec *pipeline.FlowRecord, late bool) {
 		o.classified++
 	}
 	ran := rec.Verdict.ClassifierRan()
-	secs := rec.Duration().Seconds()
+	dur := rec.Duration()
 	var mbps float64 // rec.MbpsDown()
-	if secs > 0 {
+	if secs := dur.Seconds(); secs > 0 {
 		mbps = float64(rec.BytesDown) * 8 / 1e6 / secs
 	}
 
@@ -378,17 +517,17 @@ func (o *openWindow) add(rec *pipeline.FlowRecord, late bool) {
 	default:
 		prov = findCell(&o.oddProviders, rec.Provider.String())
 	}
-	prov.add(rec, ran, secs, mbps)
+	prov.add(rec, ran, dur, mbps)
 	platform := "unclassified"
 	if classified && rec.Prediction.Platform != "" {
 		platform = rec.Prediction.Platform
 	}
-	findCell(&o.platforms, platform).add(rec, ran, secs, mbps)
+	findCell(&o.platforms, platform).add(rec, ran, dur, mbps)
 
 	if ran {
 		o.countVersion(rec.ModelVersion, 1)
-		o.conf.Observe(rec.Prediction.PlatformConf)
-		o.margin.Observe(rec.Prediction.PlatformMargin)
+		o.conf.observe(rec.Prediction.PlatformConf)
+		o.margin.observe(rec.Prediction.PlatformMargin)
 	}
 	if rec.ClassifyNanos > 0 {
 		o.latency.Observe(time.Duration(rec.ClassifyNanos))
@@ -479,7 +618,7 @@ func (o *openWindow) provider(name string) *openCell {
 	return findCell(&o.oddProviders, name)
 }
 
-func (c *openCell) add(rec *pipeline.FlowRecord, ran bool, secs, mbps float64) {
+func (c *openCell) add(rec *pipeline.FlowRecord, ran bool, dur time.Duration, mbps float64) {
 	c.Flows++
 	if ran {
 		if rec.Verdict == pipeline.VerdictClassified {
@@ -487,9 +626,9 @@ func (c *openCell) add(rec *pipeline.FlowRecord, ran bool, secs, mbps float64) {
 		} else {
 			c.AbstainedFlows++
 		}
-		c.conf.Observe(rec.Prediction.PlatformConf)
+		c.conf.observe(rec.Prediction.PlatformConf)
 	}
-	c.WatchSeconds += secs
+	c.watch += dur
 	c.BytesDown += rec.BytesDown
 	c.BytesUp += rec.BytesUp
 	if mbps > c.PeakMbpsDown {
@@ -512,34 +651,29 @@ func (c *openCell) merge(src *Cell, conf *ConfidenceHist) {
 	}
 }
 
-// cell returns c sealed: its mean bandwidth derived and its digest in an
-// allocation of its own.
+// cell returns c sealed: its watch time and mean bandwidth derived and its
+// digest in an allocation of its own.
 func (c *openCell) cell() Cell {
 	out := c.Cell
+	out.WatchSeconds = c.watchSeconds()
 	out.MeanMbpsDown = c.meanMbpsDown()
-	out.Confidence = digest(&c.conf)
+	out.Confidence = c.conf.digest()
 	return out
 }
+
+// watchSeconds is the cell's watch time: what merged windows carried plus
+// what records folded in.
+func (c *openCell) watchSeconds() float64 { return c.WatchSeconds + c.watch.Seconds() }
 
 // meanMbpsDown is the cell's mean downstream bandwidth over its watch
 // time, from the totals: the watch-time-weighted mean, not an average of
 // means.
 func (c *openCell) meanMbpsDown() float64 {
-	if c.WatchSeconds <= 0 {
+	secs := c.watchSeconds()
+	if secs <= 0 {
 		return 0
 	}
-	return float64(c.BytesDown) * 8 / 1e6 / c.WatchSeconds
-}
-
-// digest copies h into an allocation of its own, or returns nil for an
-// empty digest. One allocation each keeps a retained window's digests in
-// their exact size class; one slice of them would round up to the next.
-func digest(h *ConfidenceHist) *ConfidenceHist {
-	if h.Count == 0 {
-		return nil
-	}
-	d := *h
-	return &d
+	return float64(c.BytesDown) * 8 / 1e6 / secs
 }
 
 // findCell returns the cell named name, appending an empty one if there is
@@ -612,8 +746,8 @@ func (o *openWindow) window() *Window {
 	if o.flows > 0 || o.quality {
 		w.Quality = &QualitySummary{
 			Verdicts:        o.verdictCounts(),
-			Confidence:      digest(&o.conf),
-			Margin:          digest(&o.margin),
+			Confidence:      o.conf.digest(),
+			Margin:          o.margin.digest(),
 			DriftScore:      o.drift,
 			ShadowAgreed:    o.shadowAgreed,
 			ShadowDisagreed: o.shadowDisagreed,

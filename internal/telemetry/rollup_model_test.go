@@ -3,6 +3,8 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -19,8 +21,50 @@ import (
 // Query merged sealed windows before they folded them into an openWindow
 // too; it is the oracle of FuzzStoreMatchesMapMerge.
 
+// intSums keeps the sums a Rollup folds as integers — watch time per cell
+// in nanoseconds, probabilities per digest in 1e-9 units — beside the map
+// fold's float fields; materialize writes them over those fields, as a seal
+// derives them. A nil *intSums keeps nothing, for a summary folded only to
+// be merged.
+type intSums struct {
+	watch map[*Cell]time.Duration
+	nanos map[*ConfidenceHist]int64
+}
+
+func newIntSums() *intSums {
+	return &intSums{watch: map[*Cell]time.Duration{}, nanos: map[*ConfidenceHist]int64{}}
+}
+
+// observe folds one probability into h, the integer sum beside it.
+func (s *intSums) observe(h *ConfidenceHist, v float64) {
+	h.Observe(v)
+	if s != nil {
+		s.nanos[h] += int64(math.Round(min(max(v, 0), 1) * 1e9))
+	}
+}
+
+// materialize writes the integer sums of w's cells and digests over their
+// float fields.
+func (s *intSums) materialize(w *Window) {
+	for _, cells := range []map[string]*Cell{w.ByProvider, w.ByPlatform} {
+		for _, c := range cells {
+			c.WatchSeconds = s.watch[c].Seconds()
+			if c.Confidence != nil {
+				c.Confidence.Sum = float64(s.nanos[c.Confidence]) / 1e9
+			}
+		}
+	}
+	if q := w.Quality; q != nil {
+		for _, h := range []*ConfidenceHist{q.Confidence, q.Margin} {
+			if h != nil {
+				h.Sum = float64(s.nanos[h]) / 1e9
+			}
+		}
+	}
+}
+
 // add folds one finalized flow into the cell.
-func (c *Cell) add(rec *pipeline.FlowRecord) {
+func (c *Cell) add(rec *pipeline.FlowRecord, sums *intSums) {
 	c.Flows++
 	if rec.Verdict.ClassifierRan() {
 		if rec.Verdict == pipeline.VerdictClassified {
@@ -31,9 +75,12 @@ func (c *Cell) add(rec *pipeline.FlowRecord) {
 		if c.Confidence == nil {
 			c.Confidence = &ConfidenceHist{}
 		}
-		c.Confidence.Observe(rec.Prediction.PlatformConf)
+		sums.observe(c.Confidence, rec.Prediction.PlatformConf)
 	}
 	c.WatchSeconds += rec.Duration().Seconds()
+	if sums != nil {
+		sums.watch[c] += rec.Duration()
+	}
 	c.BytesDown += rec.BytesDown
 	c.BytesUp += rec.BytesUp
 	if m := rec.MbpsDown(); m > c.PeakMbpsDown {
@@ -42,7 +89,7 @@ func (c *Cell) add(rec *pipeline.FlowRecord) {
 }
 
 // add folds one finalized flow into the summary.
-func (q *QualitySummary) add(rec *pipeline.FlowRecord) {
+func (q *QualitySummary) add(rec *pipeline.FlowRecord, sums *intSums) {
 	if q.Verdicts == nil {
 		q.Verdicts = make(map[string]uint64)
 	}
@@ -51,16 +98,16 @@ func (q *QualitySummary) add(rec *pipeline.FlowRecord) {
 		if q.Confidence == nil {
 			q.Confidence = &ConfidenceHist{}
 		}
-		q.Confidence.Observe(rec.Prediction.PlatformConf)
+		sums.observe(q.Confidence, rec.Prediction.PlatformConf)
 		if q.Margin == nil {
 			q.Margin = &ConfidenceHist{}
 		}
-		q.Margin.Observe(rec.Prediction.PlatformMargin)
+		sums.observe(q.Margin, rec.Prediction.PlatformMargin)
 	}
 }
 
 // add folds one finalized flow into the window's maps.
-func (w *Window) add(rec *pipeline.FlowRecord) {
+func (w *Window) add(rec *pipeline.FlowRecord, sums *intSums) {
 	w.Flows++
 	classified := rec.Verdict == pipeline.VerdictClassified
 	if classified {
@@ -75,7 +122,7 @@ func (w *Window) add(rec *pipeline.FlowRecord) {
 		cell = &Cell{}
 		w.ByProvider[prov] = cell
 	}
-	cell.add(rec)
+	cell.add(rec, sums)
 
 	platform := "unclassified"
 	if classified && rec.Prediction.Platform != "" {
@@ -86,7 +133,7 @@ func (w *Window) add(rec *pipeline.FlowRecord) {
 		cell = &Cell{}
 		w.ByPlatform[platform] = cell
 	}
-	cell.add(rec)
+	cell.add(rec, sums)
 
 	if rec.Verdict.ClassifierRan() {
 		ver := rec.ModelVersion
@@ -109,7 +156,7 @@ func (w *Window) add(rec *pipeline.FlowRecord) {
 	if w.Quality == nil {
 		w.Quality = &QualitySummary{}
 	}
-	w.Quality.add(rec)
+	w.Quality.add(rec, sums)
 }
 
 // seal derives MeanMbpsDown from the totals alone. (The map merge once
@@ -258,64 +305,97 @@ func (q *QualitySummary) Merge(src *QualitySummary) {
 	q.ShadowDisagreed += src.ShadowDisagreed
 }
 
-// mapRollup is Rollup's windowing over the map fold: one open *Window
-// folded in place, sealed to sink when a record crosses its end.
+// mapRollup is Rollup's windowing over the map fold: a record is folded
+// into the window its LastSeen names, or, behind the last window sealed,
+// into the oldest one still open to it as a late flow. Windows seal oldest
+// first when the watermark passes their end, when one more would be open
+// than MaxOpenWindows, and at flush, which also forgets the watermark.
 type mapRollup struct {
 	width  time.Duration
 	sink   func(*Window)
 	enrich func(*Window)
-	cur    *Window
+	open   []*Window // oldest first
+	closed time.Time
+	sums   *intSums
 }
 
-func (r *mapRollup) add(rec *pipeline.FlowRecord) (sealed bool) {
-	ts := rec.LastSeen
-	if r.cur == nil {
-		r.open(ts)
+func (r *mapRollup) add(rec *pipeline.FlowRecord) {
+	if r.sums == nil {
+		r.sums = newIntSums()
 	}
-	if !ts.Before(r.cur.End) {
-		r.seal()
-		r.open(ts)
-		sealed = true
+	start := bucketStart(rec.LastSeen, r.width)
+	w := r.find(start)
+	if w == nil && len(r.open) == MaxOpenWindows {
+		r.sealBefore(r.open[0].End)
 	}
-	if ts.Before(r.cur.Start) {
-		r.cur.LateFlows++
+	late := start.Before(r.closed)
+	if late {
+		start = r.closed
+		w = r.find(start)
 	}
-	r.cur.add(rec)
-	return sealed
+	if w == nil {
+		w = &Window{
+			Start:      start,
+			End:        start.Add(r.width),
+			ByProvider: map[string]*Cell{},
+			ByPlatform: map[string]*Cell{},
+		}
+		r.open = append(r.open, w)
+		slices.SortFunc(r.open, func(a, b *Window) int { return a.Start.Compare(b.Start) })
+	}
+	if late {
+		w.LateFlows++
+	}
+	w.add(rec, r.sums)
 }
+
+func (r *mapRollup) find(start time.Time) *Window {
+	for _, w := range r.open {
+		if w.Start.Equal(start) {
+			return w
+		}
+	}
+	return nil
+}
+
+func (r *mapRollup) advance(wm time.Time) { r.sealBefore(bucketStart(wm, r.width)) }
 
 func (r *mapRollup) flush() {
-	if r.cur != nil && r.cur.Flows > 0 {
-		r.seal()
+	if len(r.open) > 0 {
+		r.sealBefore(r.open[len(r.open)-1].End)
 	}
-	r.cur = nil
+	r.closed = time.Time{}
 }
 
+func (r *mapRollup) sealBefore(t time.Time) {
+	if !r.closed.IsZero() && !t.After(r.closed) {
+		return
+	}
+	for len(r.open) > 0 && !r.open[0].End.After(t) {
+		w := r.open[0]
+		r.open = r.open[1:]
+		if r.enrich != nil {
+			r.enrich(w)
+		}
+		r.sums.materialize(w)
+		w.seal()
+		r.sink(w)
+	}
+	r.closed = t
+}
+
+// current merges the open windows, as Rollup.Current does.
 func (r *mapRollup) current() *Window {
-	if r.cur == nil {
+	if len(r.open) == 0 {
 		return nil
 	}
-	snap := r.cur.Clone()
+	snap := &Window{}
+	for _, w := range r.open {
+		r.sums.materialize(w)
+		snap.Merge(w)
+	}
 	snap.seal()
 	return snap
-}
-
-func (r *mapRollup) open(ts time.Time) {
-	start := bucketStart(ts, r.width)
-	r.cur = &Window{
-		Start:      start,
-		End:        start.Add(r.width),
-		ByProvider: map[string]*Cell{},
-		ByPlatform: map[string]*Cell{},
-	}
-}
-
-func (r *mapRollup) seal() {
-	if r.enrich != nil {
-		r.enrich(r.cur)
-	}
-	r.cur.seal()
-	r.sink(r.cur)
 }
 
 // fuzzRecord builds one record from six bytes: provider and verdict (each
@@ -370,15 +450,17 @@ type sinkFunc func(*Window) error
 func (f sinkFunc) WriteWindow(w *Window) error { return f(w) }
 
 // FuzzRollupMatchesMapFold feeds one byte-driven record stream to a Rollup
-// and to mapRollup, the map fold it replaced, with Current snapshots and
-// Flushes interleaved. The streams mix every provider and verdict, platform
-// labels, model versions, timed and untimed classifications, late records
-// and window crossings. Both sides stamp the same gauges at seal; every
+// and to mapRollup, the map fold it replaced, with watermark advances,
+// Current snapshots and Flushes interleaved. The streams mix every provider
+// and verdict, platform labels, model versions, timed and untimed
+// classifications, records behind the watermark and window crossings, and
+// run past MaxOpenWindows. Both sides stamp the same gauges at seal; every
 // sealed window and every snapshot must encode to identical JSON.
 func FuzzRollupMatchesMapFold(f *testing.F) {
-	f.Add([]byte{0, 0x11, 3, 0x20, 10, 0x80, 0x0f, 0x03, 0x42, 0x80, 0x91, 0x33, 2, 1, 0x29, 0x07, 0x28, 0xff, 0xe1, 0x15, 3})
-	f.Add(bytes.Repeat([]byte{1, 0x0a, 0x31, 0x0b, 0x9a, 0xc7, 0x4f}, 12))
+	f.Add([]byte{0, 0x11, 3, 0x20, 10, 0x80, 0x0f, 0x03, 0x42, 0x80, 0x91, 0x33, 2, 1, 0x29, 0xd3, 0x07, 0x28, 0xff, 0xe1, 0x15, 3})
+	f.Add(bytes.Repeat([]byte{1, 0x0a, 0x31, 0x0b, 0x9a, 0xc7, 0x4f, 0xd1}, 12))
 	f.Add(bytes.Repeat([]byte{0, 0x4b, 0xf2, 0x85, 0x00, 0x33, 0x81, 2, 0x37, 0x12, 0x22, 0xff, 0x90, 0x2c}, 10))
+	f.Add(bytes.Repeat([]byte{3, 0x21, 0x7f, 0x40, 0x13, 0x05, 0xd0, 0xe4}, 90)) // past MaxOpenWindows
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		encode := func(w *Window) string {
 			raw, err := json.Marshal(w)
@@ -409,16 +491,17 @@ func FuzzRollupMatchesMapFold(f *testing.F) {
 			op := ops[0]
 			ops = ops[1:]
 			switch {
-			case op < 0xe0: // a record
+			case op < 0xd0: // a record
 				var b [6]byte
 				ops = ops[copy(b[:], ops):]
 				b[0] ^= op
 				rec := fuzzRecord(b, &clock)
-				before := len(got)
 				r.Add(rec)
-				if g, w := len(got) > before, m.add(rec); g != w {
-					t.Fatalf("step %d: Add sealed %v, map fold %v", step, g, w)
-				}
+				m.add(rec)
+			case op < 0xe0: // the watermark, up to seven and a half minutes behind the clock
+				wm := clock.Add(-time.Duration(op&0x0f) * 30 * time.Second)
+				r.Advance(wm)
+				m.advance(wm)
 			case op < 0xf0:
 				if g, w := encode(r.Current()), encode(m.current()); g != w {
 					t.Fatalf("step %d: snapshot\n%s\nmap fold\n%s", step, g, w)
@@ -429,6 +512,9 @@ func FuzzRollupMatchesMapFold(f *testing.F) {
 			}
 			if len(got) != len(want) {
 				t.Fatalf("step %d: %d windows sealed, map fold %d", step, len(got), len(want))
+			}
+			if n := r.OpenWindows(); n != len(m.open) || n > MaxOpenWindows {
+				t.Fatalf("step %d: %d windows open, map fold %d, bound %d", step, n, len(m.open), MaxOpenWindows)
 			}
 		}
 		r.Flush()

@@ -4,6 +4,9 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"math/rand/v2"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -48,9 +51,18 @@ func TestRollupTumblingWindows(t *testing.T) {
 	}
 
 	r.Add(rollRec(fingerprint.YouTube, "iOS_nativeApp", w0.Add(2*time.Minute), 15*time.Second, 1<<20))
-	if got := r.Sealed(); got != 1 {
-		t.Fatalf("sealed = %d after boundary, want 1", got)
+	if got := r.Sealed(); got != 0 {
+		t.Fatalf("sealed = %d when a record crossed the boundary, want 0: records never seal", got)
 	}
+	r.Advance(w0.Add(time.Minute - time.Nanosecond))
+	if got := r.Sealed(); got != 0 {
+		t.Fatalf("sealed = %d with the watermark short of the end, want 0", got)
+	}
+	r.Advance(w0.Add(time.Minute + 30*time.Second))
+	if got := r.Sealed(); got != 1 {
+		t.Fatalf("sealed = %d with the watermark past the end, want 1", got)
+	}
+	r.Advance(w0) // behind the last watermark: changes nothing
 	r.Flush()
 	if got, want := r.Sealed(), 2; got != want {
 		t.Fatalf("sealed = %d after flush, want %d", got, want)
@@ -127,17 +139,25 @@ func TestRollupModelVersionAttribution(t *testing.T) {
 	}
 }
 
+// TestRollupLateRecords: a record whose window is open lands in it, however
+// far behind the newest window; only one behind the watermark, whose window
+// has sealed, is late, and it lands in the oldest window still open.
 func TestRollupLateRecords(t *testing.T) {
 	r := NewRollup(time.Minute, nil)
 	r.Add(rollRec(fingerprint.Disney, "", w0.Add(5*time.Minute), time.Second, 1000))
-	// An idle eviction surfacing long after its flow ended.
 	r.Add(rollRec(fingerprint.Disney, "", w0, 30*time.Second, 1000))
-	cur := r.Current()
-	if cur.Flows != 2 || cur.LateFlows != 1 {
-		t.Errorf("window = flows %d late %d, want 2/1", cur.Flows, cur.LateFlows)
+	if cur := r.Current(); cur.Flows != 2 || cur.LateFlows != 0 || r.OpenWindows() != 2 {
+		t.Errorf("open = %d windows, flows %d late %d, want 2 windows, 2/0", r.OpenWindows(), cur.Flows, cur.LateFlows)
 	}
-	if r.Sealed() != 0 {
-		t.Errorf("late record sealed a window")
+	r.Advance(w0.Add(4 * time.Minute)) // seals the w0 window
+	// An idle eviction surfacing after the watermark passed its flow.
+	r.Add(rollRec(fingerprint.Disney, "", w0.Add(time.Minute), 30*time.Second, 1000))
+	cur := r.Current()
+	if cur.Flows != 2 || cur.LateFlows != 1 || !cur.Start.Equal(w0.Add(4*time.Minute)) {
+		t.Errorf("window = %v flows %d late %d, want the 12:04 window, 2/1", cur.Start, cur.Flows, cur.LateFlows)
+	}
+	if r.Sealed() != 1 {
+		t.Errorf("sealed = %d, want 1: a late record seals nothing", r.Sealed())
 	}
 }
 
@@ -149,5 +169,118 @@ func TestRollupFlushEmpty(t *testing.T) {
 	r.Flush() // no window yet: must not panic or seal
 	if r.Sealed() != 0 || r.Current() != nil {
 		t.Error("flush of empty rollup produced a window")
+	}
+}
+
+// orderFreeRecords is a record stream over a few windows whose sums a float
+// fold would round differently in different orders: confidences, margins
+// and durations at full precision.
+func orderFreeRecords(rng *rand.Rand, n, windows int) []*pipeline.FlowRecord {
+	labels := fingerprint.AllPlatformLabels()
+	recs := make([]*pipeline.FlowRecord, n)
+	for i := range recs {
+		last := w0.Add(time.Duration(rng.Int64N(int64(windows) * int64(time.Minute))))
+		dur := time.Duration(rng.Int64N(int64(time.Hour)))
+		r := rollRec(fingerprint.Provider(rng.IntN(fingerprint.NumProviders)), "", last.Add(-dur), dur, rng.Int64N(1<<30))
+		r.BytesUp = rng.Int64N(1 << 20)
+		r.Verdict = pipeline.Verdict(rng.IntN(pipeline.NumVerdicts))
+		r.Prediction.PlatformConf = rng.Float64()
+		r.Prediction.PlatformMargin = rng.Float64() * r.Prediction.PlatformConf
+		if r.Verdict == pipeline.VerdictClassified {
+			r.Prediction.Platform = labels[rng.IntN(len(labels))]
+		}
+		r.ModelVersion = []string{"v0001", "v0002", ""}[rng.IntN(3)]
+		r.ClassifyNanos = rng.Int64N(1 << 30)
+		recs[i] = r
+	}
+	return recs
+}
+
+// foldInOrder adds recs to a fresh one-minute Rollup in the given order.
+// After each Add it may advance the watermark, as far as the promise allows
+// (the oldest LastSeen still to come) or to a random point short of that;
+// then it flushes. It returns every sealed window, encoded.
+func foldInOrder(t *testing.T, recs []*pipeline.FlowRecord, order []int, rng *rand.Rand) []string {
+	t.Helper()
+	var out []string
+	r := NewRollup(time.Minute, sinkFunc(func(w *Window) error {
+		raw, err := json.Marshal(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, string(raw))
+		return nil
+	}))
+	for i, idx := range order {
+		r.Add(recs[idx])
+		if rng == nil || rng.IntN(2) == 0 {
+			continue
+		}
+		promise := recs[order[len(order)-1]].LastSeen.Add(time.Hour)
+		for _, j := range order[i+1:] {
+			if recs[j].LastSeen.Before(promise) {
+				promise = recs[j].LastSeen
+			}
+		}
+		r.Advance(promise.Add(-time.Duration(rng.Int64N(int64(2 * time.Minute)))))
+		r.Advance(promise)
+	}
+	r.Flush()
+	return out
+}
+
+// TestRollupWindowsOrderFree: every permutation of a record stream, with any
+// watermark schedule that keeps the promise, seals the same windows, byte
+// for byte, with no late flows — the property that makes a daemon's windows
+// the same at any shard count. Exhaustive over the 720 orders of six
+// records in three windows, then random orders and schedules of a longer
+// stream.
+func TestRollupWindowsOrderFree(t *testing.T) {
+	rng := rand.New(rand.NewPCG(48, 1))
+	check := func(recs []*pipeline.FlowRecord, order []int, want []string, rng *rand.Rand) {
+		t.Helper()
+		got := foldInOrder(t, recs, order, rng)
+		if len(got) != len(want) {
+			t.Fatalf("order %v: %d windows, in LastSeen order %d", order, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("order %v: window %d\n%s\nin LastSeen order\n%s", order, i, got[i], want[i])
+			}
+		}
+	}
+	sorted := func(recs []*pipeline.FlowRecord) []int {
+		order := make([]int, len(recs))
+		for i := range order {
+			order[i] = i
+		}
+		slices.SortStableFunc(order, func(a, b int) int { return recs[a].LastSeen.Compare(recs[b].LastSeen) })
+		return order
+	}
+
+	six := orderFreeRecords(rng, 6, 3)
+	want := foldInOrder(t, six, sorted(six), nil)
+	if strings.Contains(strings.Join(want, ""), "late_flows") {
+		t.Fatal("a record in LastSeen order landed late")
+	}
+	var permute func(order []int, k int)
+	permute = func(order []int, k int) {
+		if k == len(order) {
+			check(six, order, want, nil)
+			check(six, order, want, rand.New(rand.NewPCG(uint64(order[0]), uint64(order[5]))))
+			return
+		}
+		for i := k; i < len(order); i++ {
+			order[k], order[i] = order[i], order[k]
+			permute(order, k+1)
+			order[k], order[i] = order[i], order[k]
+		}
+	}
+	permute([]int{0, 1, 2, 3, 4, 5}, 0)
+
+	long := orderFreeRecords(rng, 300, 12)
+	want = foldInOrder(t, long, sorted(long), nil)
+	for trial := 0; trial < 100; trial++ {
+		check(long, rng.Perm(len(long)), want, rng)
 	}
 }

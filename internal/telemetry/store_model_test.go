@@ -324,9 +324,11 @@ func FuzzStoreMatchesMapMerge(f *testing.F) {
 				if op&1 == 0 {
 					b[0] ^= op
 					live.Add(fuzzRecord(b, &clock))
+					live.Advance(clock.Add(-time.Minute)) // windows reach the store as they close
 				} else {
 					b[0] ^= op >> 1
 					behind.Add(fuzzRecord(b, &behindClock))
+					behind.Advance(behindClock.Add(-time.Minute))
 				}
 			case op < 0xd0: // the held windows, written late
 				behind.Flush()

@@ -172,7 +172,8 @@ func TestStoreQueryLateFlowsAndModelVersions(t *testing.T) {
 	cap := &captureSink{}
 	r := NewRollup(time.Minute, cap)
 	r.Add(a)
-	r.Add(late) // folded into the open window as a late flow
+	r.Advance(w0) // no record before w0 is still to come
+	r.Add(late)   // so this one is late: folded into the open window
 	r.Add(b)
 	r.Add(c)
 	r.Flush()
