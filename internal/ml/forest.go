@@ -30,7 +30,9 @@ type RandomForest struct {
 }
 
 // Fit trains the ensemble on bootstrap samples of d. Training is
-// parallelized across trees.
+// parallelized across trees, which share one ranking of d's columns. A NaN
+// feature value ranks above every number, so no split sends it left: x <= t
+// is false for it, as at predict.
 func (f *RandomForest) Fit(d *Dataset) {
 	cfg := f.Config
 	if cfg.NumTrees <= 0 {
@@ -45,6 +47,7 @@ func (f *RandomForest) Fit(d *Dataset) {
 	}
 	f.trees = make([]*DecisionTree, cfg.NumTrees)
 	f.classes = len(d.Classes)
+	cols := rankColumns(d)
 
 	workers := runtime.GOMAXPROCS(0)
 	if workers > cfg.NumTrees {
@@ -57,18 +60,9 @@ func (f *RandomForest) Fit(d *Dataset) {
 		go func() {
 			defer wg.Done()
 			for ti := range jobs {
-				rng := rand.New(rand.NewPCG(cfg.Seed, uint64(ti)*0x9e3779b97f4a7c15+1))
-				rows := make([]int, d.Len())
-				for i := range rows {
-					rows[i] = rng.IntN(d.Len())
-				}
-				tree := &DecisionTree{Config: TreeConfig{
-					MaxDepth:       cfg.MaxDepth,
-					MinSamplesLeaf: cfg.MinSamplesLeaf,
-					MaxFeatures:    maxFeat,
-					Seed:           cfg.Seed ^ uint64(ti),
-				}}
-				tree.FitRows(d, rows)
+				tc, rows := cfg.member(ti, maxFeat, d.Len())
+				tree := &DecisionTree{Config: tc}
+				tree.fit(d, cols, rows)
 				f.trees[ti] = tree
 			}
 		}()
@@ -78,6 +72,21 @@ func (f *RandomForest) Fit(d *Dataset) {
 	}
 	close(jobs)
 	wg.Wait()
+}
+
+// member is tree ti's configuration and bootstrap sample of n rows.
+func (cfg ForestConfig) member(ti, maxFeat, n int) (TreeConfig, []int) {
+	rng := rand.New(rand.NewPCG(cfg.Seed, uint64(ti)*0x9e3779b97f4a7c15+1))
+	rows := make([]int, n)
+	for i := range rows {
+		rows[i] = rng.IntN(n)
+	}
+	return TreeConfig{
+		MaxDepth:       cfg.MaxDepth,
+		MinSamplesLeaf: cfg.MinSamplesLeaf,
+		MaxFeatures:    maxFeat,
+		Seed:           cfg.Seed ^ uint64(ti),
+	}, rows
 }
 
 // PredictProba averages member probabilities.

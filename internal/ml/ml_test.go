@@ -372,11 +372,24 @@ func TestForestSerializationRoundTrip(t *testing.T) {
 	}
 }
 
+// BenchmarkForestFit fits small blobs, and a continuous dataset whose every
+// column has about 24,000 distinct values: split search must not cost in
+// proportion to a column's distinct values across the whole dataset.
 func BenchmarkForestFit(b *testing.B) {
-	d := synthBlobs(500, 19, 1.0)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		f := &RandomForest{Config: ForestConfig{NumTrees: 20, MaxDepth: 10, Seed: 7}}
-		f.Fit(d)
+	for _, c := range []struct {
+		name string
+		d    *Dataset
+		cfg  ForestConfig
+	}{
+		{"blobs", synthBlobs(500, 19, 1.0), ForestConfig{NumTrees: 20, MaxDepth: 10, Seed: 7}},
+		{"continuous", synthBlobs(24000, 23, 4.0), ForestConfig{NumTrees: 4, MaxDepth: 12, Seed: 7}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				f := &RandomForest{Config: c.cfg}
+				f.Fit(c.d)
+			}
+		})
 	}
 }

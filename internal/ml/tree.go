@@ -1,8 +1,10 @@
 package ml
 
 import (
+	"math"
+	"math/bits"
 	"math/rand/v2"
-	"sort"
+	"slices"
 )
 
 // TreeConfig are the CART hyperparameters tuned in Fig 6(a).
@@ -35,68 +37,170 @@ type flatNode struct {
 	Proba       []float64
 }
 
-// Fit grows the tree on d.
+// Fit grows the tree on d. A NaN feature value ranks above every number,
+// so no split sends it left: x <= t is false for it, as at predict.
 func (t *DecisionTree) Fit(d *Dataset) {
 	rows := make([]int, d.Len())
 	for i := range rows {
 		rows[i] = i
 	}
-	t.FitRows(d, rows)
+	t.fit(d, rankColumns(d), rows)
 }
 
-// FitRows grows the tree on a row subset (used by the forest for bootstrap
-// samples).
-func (t *DecisionTree) FitRows(d *Dataset, rows []int) {
+// columns is a dataset's feature matrix as value ranks. The rank of X[r][f]
+// is its index among column f's sorted distinct numbers (-0 and +0 are one),
+// and NaN ranks above them all. A forest ranks once; its trees share the
+// table read-only.
+type columns struct {
+	rank    [][]int32   // rank[f][r]
+	value   [][]float64 // value[f][k]: column f's number of rank k
+	used    []int       // used[f]: the ranks column f holds, NaN's included
+	maxUsed int         // the most ranks any column holds
+}
+
+// rankColumns ranks every column of d. It gathers a column's distinct
+// numbers in a hash table and sorts only those, so a column of a few integer
+// codes costs a pass over its rows, not a sort of them.
+func rankColumns(d *Dataset) *columns {
+	n, nFeat := d.Len(), d.NumFeatures()
+	c := &columns{rank: make([][]int32, nFeat), value: make([][]float64, nFeat), used: make([]int, nFeat)}
+	ranks := make([]int32, n*nFeat)
+	// slots is an open-addressing table of the column's distinct numbers,
+	// at most half full: a slot holds 1 + the number's index in seen.
+	shift := 64 - bits.Len(uint(2*n))
+	slots := make([]int32, 1<<(64-shift))
+	mask := len(slots) - 1
+	var seen []float64
+	var remap []int32
+	for f := range nFeat {
+		clear(slots)
+		seen = seen[:0]
+		rank := ranks[f*n : (f+1)*n : (f+1)*n]
+		nan := false
+		for r, x := range d.X {
+			v := x[f]
+			if math.IsNaN(v) {
+				rank[r] = -1
+				nan = true
+				continue
+			}
+			if v == 0 {
+				v = 0 // -0 and +0 are one number
+			}
+			h := int(math.Float64bits(v) * 0x9e3779b97f4a7c15 >> shift)
+			for slots[h] != 0 && seen[slots[h]-1] != v {
+				h = (h + 1) & mask
+			}
+			if slots[h] == 0 {
+				seen = append(seen, v)
+				slots[h] = int32(len(seen))
+			}
+			rank[r] = slots[h] - 1
+		}
+		value := slices.Clone(seen)
+		slices.Sort(value)
+		remap = remap[:0]
+		for _, v := range seen {
+			k, _ := slices.BinarySearch(value, v)
+			remap = append(remap, int32(k))
+		}
+		for r, id := range rank {
+			if id < 0 {
+				rank[r] = int32(len(value)) // NaN
+			} else {
+				rank[r] = remap[id]
+			}
+		}
+		c.rank[f], c.value[f] = rank, value
+		c.used[f] = len(value)
+		if nan {
+			c.used[f]++
+		}
+		c.maxUsed = max(c.maxUsed, c.used[f])
+	}
+	return c
+}
+
+// fit grows the tree on rows of d, which it reorders; cols is d ranked.
+func (t *DecisionTree) fit(d *Dataset, cols *columns, rows []int) {
 	t.classes = len(d.Classes)
-	rng := rand.New(rand.NewPCG(t.Config.Seed, 0x5bf0_3635))
-	minLeaf := t.Config.MinSamplesLeaf
-	if minLeaf <= 0 {
-		minLeaf = 1
+	g := &grower{
+		t: t, d: d, cols: cols,
+		rng:     rand.New(rand.NewPCG(t.Config.Seed, 0x5bf0_3635)),
+		minLeaf: max(t.Config.MinSamplesLeaf, 1),
+		counts:  make([]int, t.classes),
+		left:    make([]int, t.classes),
+		right:   make([]int, t.classes),
+		ys:      make([]int, len(rows)),
+		cand:    make([]int, len(cols.rank)),
+		perRank: make([]int, cols.maxUsed),
+		hist:    make([]int, cols.maxUsed*t.classes),
 	}
 	t.nodes = nil
-	t.grow(d, rows, 0, rng, minLeaf)
+	g.grow(rows, 0)
 	t.nodes = append(make([]flatNode, 0, len(t.nodes)), t.nodes...) // a bank keeps its trees: no append slack
 }
 
-// grow appends the subtree fitted on rows in preorder.
-func (t *DecisionTree) grow(d *Dataset, rows []int, depth int, rng *rand.Rand, minLeaf int) {
-	counts := make([]int, t.classes)
-	for _, r := range rows {
-		counts[d.Y[r]]++
+// grower is one fit's state. Its scratch is sized once and reused at every
+// node; perRank and hist are all zero between candidate features.
+type grower struct {
+	t       *DecisionTree
+	d       *Dataset
+	cols    *columns
+	rng     *rand.Rand
+	minLeaf int
+
+	counts      []int   // the node's rows per class
+	ys          []int   // ys[i]: the class of the node's i-th row
+	left, right []int   // rows per class either side of a boundary
+	cand        []int   // the node's candidate features
+	present     []int32 // the ranks present in the node
+	perRank     []int   // the node's rows per rank
+	hist        []int   // the node's rows per (rank, class), rank-major
+}
+
+// grow appends the subtree fitted on rows in preorder. It partitions rows in
+// place, left side first.
+func (g *grower) grow(rows []int, depth int) {
+	t := g.t
+	clear(g.counts)
+	ys := g.ys[:len(rows)]
+	for i, r := range rows {
+		ys[i] = g.d.Y[r]
+		g.counts[ys[i]]++
 	}
 	pure := false
-	for _, c := range counts {
+	for _, c := range g.counts {
 		if c == len(rows) {
 			pure = true
 		}
 	}
-	if pure || len(rows) < 2*minLeaf || (t.Config.MaxDepth > 0 && depth >= t.Config.MaxDepth) {
-		t.leaf(counts, len(rows))
+	if pure || len(rows) < 2*g.minLeaf || (t.Config.MaxDepth > 0 && depth >= t.Config.MaxDepth) {
+		t.leaf(g.counts, len(rows))
 		return
 	}
 
-	feat, thresh, ok := t.bestSplit(d, rows, rng, minLeaf, counts)
+	feat, thresh, ok := g.bestSplit(rows)
 	if !ok {
-		t.leaf(counts, len(rows))
+		t.leaf(g.counts, len(rows))
 		return
 	}
-	var left, right []int
-	for _, r := range rows {
-		if d.X[r][feat] <= thresh {
-			left = append(left, r)
-		} else {
-			right = append(right, r)
+	nLeft := 0
+	for i, r := range rows {
+		if g.d.X[r][feat] <= thresh {
+			rows[i], rows[nLeft] = rows[nLeft], r
+			nLeft++
 		}
 	}
-	if len(left) < minLeaf || len(right) < minLeaf {
-		t.leaf(counts, len(rows))
+	if nLeft < g.minLeaf || len(rows)-nLeft < g.minLeaf {
+		t.leaf(g.counts, len(rows))
 		return
 	}
 	id := len(t.nodes)
 	t.nodes = append(t.nodes, flatNode{Feature: feat, Threshold: thresh, Left: id + 1})
-	t.grow(d, left, depth+1, rng, minLeaf)
+	g.grow(rows[:nLeft], depth+1)
 	t.nodes[id].Right = len(t.nodes)
-	t.grow(d, right, depth+1, rng, minLeaf)
+	g.grow(rows[nLeft:], depth+1)
 }
 
 func (t *DecisionTree) leaf(counts []int, total int) {
@@ -109,60 +213,83 @@ func (t *DecisionTree) leaf(counts []int, total int) {
 	t.nodes = append(t.nodes, flatNode{Left: -1, Right: -1, Proba: proba})
 }
 
-// bestSplit searches candidate features for the gini-optimal threshold.
-func (t *DecisionTree) bestSplit(d *Dataset, rows []int, rng *rand.Rand, minLeaf int, parentCounts []int) (int, float64, bool) {
-	nFeat := d.NumFeatures()
-	candidates := make([]int, nFeat)
+// bestSplit searches candidate features for the gini-optimal threshold. For
+// each it counts the node's rows per (rank, class) and walks the ranks
+// present in ascending order, so its cost follows the node's rows, not the
+// column's distinct values. Thresholds lie midway between the neighbouring
+// values present; below NaN, the threshold is the largest number.
+func (g *grower) bestSplit(rows []int) (int, float64, bool) {
+	nFeat := len(g.cand)
+	candidates := g.cand
 	for i := range candidates {
 		candidates[i] = i
 	}
-	if t.Config.MaxFeatures > 0 && t.Config.MaxFeatures < nFeat {
-		rng.Shuffle(nFeat, func(i, j int) { candidates[i], candidates[j] = candidates[j], candidates[i] })
-		candidates = candidates[:t.Config.MaxFeatures]
+	if mf := g.t.Config.MaxFeatures; mf > 0 && mf < nFeat {
+		g.rng.Shuffle(nFeat, func(i, j int) { candidates[i], candidates[j] = candidates[j], candidates[i] })
+		candidates = candidates[:mf]
 	}
 
-	type pair struct {
-		v float64
-		y int
-	}
-	bestGini := giniOf(parentCounts, len(rows))
+	classes := len(g.counts)
+	n := len(rows)
+	ys := g.ys[:n]
+	total := float64(n)
+	bestGini := giniOf(g.counts, n)
 	bestFeat, bestThresh, found := -1, 0.0, false
-	pairs := make([]pair, len(rows))
 
 	for _, f := range candidates {
+		if g.cols.used[f] < 2 {
+			continue // constant over the whole dataset
+		}
+		rank := g.cols.rank[f]
+		present := g.present[:0]
 		for i, r := range rows {
-			pairs[i] = pair{d.X[r][f], d.Y[r]}
+			k := rank[r]
+			if g.perRank[k] == 0 {
+				present = append(present, k)
+			}
+			g.perRank[k]++
+			g.hist[int(k)*classes+ys[i]]++
 		}
-		sort.Slice(pairs, func(i, j int) bool { return pairs[i].v < pairs[j].v })
-		if pairs[0].v == pairs[len(pairs)-1].v {
-			continue // constant feature
+		g.present = present
+		if len(present) > 1 { // else constant over the node
+			slices.Sort(present)
+			copy(g.right, g.counts)
+			clear(g.left)
+			nLeft := 0
+			for i, k := range present[:len(present)-1] {
+				for c, m := range g.hist[int(k)*classes : int(k+1)*classes] {
+					g.left[c] += m
+					g.right[c] -= m
+				}
+				nLeft += g.perRank[k]
+				if nLeft < g.minLeaf || n-nLeft < g.minLeaf {
+					continue
+				}
+				gini := (float64(nLeft)*giniOf(g.left, nLeft) +
+					(total-float64(nLeft))*giniOf(g.right, n-nLeft)) / total
+				if gini < bestGini-1e-12 {
+					bestGini = gini
+					bestFeat = f
+					bestThresh = g.threshold(f, k, present[i+1])
+					found = true
+				}
+			}
 		}
-		leftCounts := make([]int, t.classes)
-		rightCounts := make([]int, t.classes)
-		copy(rightCounts, parentCounts)
-		nLeft := 0
-		total := float64(len(rows))
-		for i := 0; i < len(pairs)-1; i++ {
-			leftCounts[pairs[i].y]++
-			rightCounts[pairs[i].y]--
-			nLeft++
-			if pairs[i].v == pairs[i+1].v {
-				continue // can only split between distinct values
-			}
-			if nLeft < minLeaf || len(rows)-nLeft < minLeaf {
-				continue
-			}
-			g := (float64(nLeft)*giniOf(leftCounts, nLeft) +
-				(total-float64(nLeft))*giniOf(rightCounts, len(rows)-nLeft)) / total
-			if g < bestGini-1e-12 {
-				bestGini = g
-				bestFeat = f
-				bestThresh = (pairs[i].v + pairs[i+1].v) / 2
-				found = true
-			}
+		for _, k := range present {
+			g.perRank[k] = 0
+			clear(g.hist[int(k)*classes : int(k+1)*classes])
 		}
 	}
 	return bestFeat, bestThresh, found
+}
+
+// threshold is the split between ranks lo < hi of feature f.
+func (g *grower) threshold(f int, lo, hi int32) float64 {
+	value := g.cols.value[f]
+	if int(hi) == len(value) { // NaN
+		return value[lo]
+	}
+	return (value[lo] + value[hi]) / 2
 }
 
 func giniOf(counts []int, total int) float64 {

@@ -319,10 +319,10 @@ type Config struct {
 	// MaxFlows caps tracked flows (LRU eviction on overflow). 0 = unbounded.
 	MaxFlows int
 	// ResultsBuffer is the capacity of a Sharded pipeline's Results channel.
-	// 0 selects DefaultResultsBufferPerShard per shard, so wider deployments
-	// get proportionally more burst headroom before best-effort delivery
-	// starts dropping (see IngestStats.DroppedResults). Ignored by a plain
-	// Pipeline.
+	// 0 selects DefaultResultsBufferPerShard per shard. Past it, delivery
+	// drops records (IngestStats.DroppedResults) even while a consumer
+	// drains, so OnEvict, not Results, is the complete stream (see Sharded).
+	// Ignored by a plain Pipeline.
 	ResultsBuffer int
 	// IdleTimeout retires flows with no packet for this long, measured in
 	// packet time so trace replay and live capture behave identically.

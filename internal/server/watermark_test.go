@@ -107,8 +107,11 @@ func (c *sealClock) WriteWindow(w *telemetry.Window) error {
 	return nil
 }
 
-// openSampler is a Source that checks, before every frame it hands the
-// replay, that the rollup holds no more windows open than its bound.
+// openSampler is a Source that, before every frame it hands the replay,
+// waits until every shard has processed the frames handed before it, then
+// checks that the rollup holds no more windows open than its bound. Between
+// two batches the open windows are a function of the frames alone, so
+// maxOpen does not depend on how the shard workers were scheduled.
 type openSampler struct {
 	Source
 	t       *testing.T
@@ -117,6 +120,7 @@ type openSampler struct {
 }
 
 func (o *openSampler) Next() (pcap.Packet, error) {
+	o.srv.sharded.SnapshotFlowsUpTo(0) // queued behind every frame handed so far
 	n := o.srv.rollup.OpenWindows()
 	o.maxOpen = max(o.maxOpen, n)
 	if n > telemetry.MaxOpenWindows {
