@@ -1,6 +1,8 @@
 package features
 
 import (
+	"bytes"
+	"encoding/gob"
 	"fmt"
 	"strconv"
 	"testing"
@@ -181,6 +183,46 @@ func TestCompiledEncoderSurvivesSerialization(t *testing.T) {
 	}
 	for i, info := range eval {
 		checkEqual(t, enc, ce, info, fmt.Sprintf("roundtrip[%d]", i))
+	}
+}
+
+// TestEncoderBlobDeterministicAndOldLayoutLoads pins that an encoder
+// marshals to the same bytes every time, and that a blob of the layout
+// written before the sorted vocabulary lists (vocabularies as one gob map)
+// still loads to an equivalent encoder.
+func TestEncoderBlobDeterministicAndOldLayoutLoads(t *testing.T) {
+	for _, quic := range []bool{false, true} {
+		enc := fitted(t, quic, Options{})
+		blob, err := enc.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 5; i++ {
+			again, err := enc.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(again, blob) {
+				t.Fatalf("quic=%v: two marshals of one encoder differ", quic)
+			}
+		}
+		old := encoderDTO{Vocabs: enc.vocabs, QUIC: quic}
+		for _, a := range enc.Attrs {
+			old.Labels = append(old.Labels, a.Label)
+		}
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(old); err != nil {
+			t.Fatal(err)
+		}
+		for name, b := range map[string][]byte{"current": blob, "old layout": buf.Bytes()} {
+			restored := &Encoder{}
+			if err := restored.UnmarshalBinary(b); err != nil {
+				t.Fatalf("quic=%v %s: %v", quic, name, err)
+			}
+			if !enc.EquivalentTo(restored) {
+				t.Fatalf("quic=%v %s: restored encoder not equivalent", quic, name)
+			}
+		}
 	}
 }
 

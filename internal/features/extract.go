@@ -65,14 +65,20 @@ func (o Options) suiteToken(v uint16) string {
 	if !o.KeepGrease && wire.IsGrease(v) {
 		return greaseToken
 	}
-	return "0x" + strconv.FormatUint(uint64(v), 16)
+	return hexToken(uint64(v))
 }
 
 func (o Options) paramToken(id uint64) string {
 	if !o.KeepGrease && wire.GreaseTransportParam(id) {
 		return greaseToken
 	}
-	return "0x" + strconv.FormatUint(id, 16)
+	return hexToken(id)
+}
+
+// hexToken renders v as "0x" and lowercase hex digits, in one allocation.
+func hexToken(v uint64) string {
+	var b [18]byte
+	return string(strconv.AppendUint(append(b[:0], "0x"...), v, 16))
 }
 
 func bytesToken(b []byte) string { return fmt.Sprintf("%x", b) }
@@ -136,7 +142,7 @@ func ExtractWithOptions(info *HandshakeInfo, o Options) *FieldValues {
 		case opHandshakeLength:
 			v.Nums[l] = float64(ch.HandshakeLength)
 		case opLegacyVersion:
-			v.Cats[l] = "0x" + strconv.FormatUint(uint64(ch.LegacyVersion), 16)
+			v.Cats[l] = hexToken(uint64(ch.LegacyVersion))
 		case opCipherSuites:
 			v.Lists[l] = o.suiteTokens(ch.CipherSuites)
 		case opCompressionLen:

@@ -4,18 +4,42 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"maps"
+	"slices"
 )
 
 type encoderDTO struct {
 	Labels []string
+	// Vocabs is how blobs written before VocabList carried the
+	// vocabularies. It is read, never written: gob writes a map in
+	// iteration order, so the same encoder gave different bytes each time.
 	Vocabs map[string]map[string]int
 	QUIC   bool
+	// VocabList holds the vocabularies sorted by label, each one's tokens
+	// sorted, so an encoder always marshals to the same bytes.
+	VocabList []vocabDTO
+}
+
+// vocabDTO is one attribute's vocabulary: Tokens[i] has id IDs[i].
+type vocabDTO struct {
+	Label  string
+	Tokens []string
+	IDs    []int
 }
 
 // MarshalBinary serializes the fitted encoder (attribute subset and
-// vocabularies) with encoding/gob.
+// vocabularies) with encoding/gob. The same encoder always gives the same
+// bytes.
 func (e *Encoder) MarshalBinary() ([]byte, error) {
-	dto := encoderDTO{Vocabs: e.vocabs}
+	var dto encoderDTO
+	for _, label := range slices.Sorted(maps.Keys(e.vocabs)) {
+		vocab := e.vocabs[label]
+		v := vocabDTO{Label: label, Tokens: slices.Sorted(maps.Keys(vocab))}
+		for _, tok := range v.Tokens {
+			v.IDs = append(v.IDs, vocab[tok])
+		}
+		dto.VocabList = append(dto.VocabList, v)
+	}
 	for _, a := range e.Attrs {
 		dto.Labels = append(dto.Labels, a.Label)
 	}
@@ -46,6 +70,17 @@ func (e *Encoder) UnmarshalBinary(data []byte) error {
 	*e = *ne
 	if dto.Vocabs != nil {
 		e.vocabs = dto.Vocabs
+	}
+	for _, v := range dto.VocabList {
+		if len(v.IDs) != len(v.Tokens) {
+			return fmt.Errorf("features: decoding encoder: %s vocabulary has %d tokens and %d ids",
+				v.Label, len(v.Tokens), len(v.IDs))
+		}
+		vocab := make(map[string]int, len(v.Tokens))
+		for i, tok := range v.Tokens {
+			vocab[tok] = v.IDs[i]
+		}
+		e.vocabs[v.Label] = vocab
 	}
 	return nil
 }

@@ -17,6 +17,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"net/netip"
 )
 
@@ -108,17 +109,16 @@ func (ip *IPv4) Decode(b []byte) (payload []byte, err error) {
 	return b[ihl:end], nil
 }
 
-// Append serializes the header (with a correct checksum and TotalLen) followed
-// by payload onto dst.
-func (ip *IPv4) Append(dst, payload []byte) []byte {
+// AppendHeader serializes the header alone, with a correct checksum and a
+// TotalLen for an n-byte payload, onto dst.
+func (ip *IPv4) AppendHeader(dst []byte, n int) []byte {
 	ihl := 20 + len(ip.Options)
 	if ihl%4 != 0 {
 		panic("packet: IPv4 options not 32-bit aligned")
 	}
-	total := ihl + len(payload)
 	start := len(dst)
 	dst = append(dst, byte(4<<4|ihl/4), ip.TOS)
-	dst = binary.BigEndian.AppendUint16(dst, uint16(total))
+	dst = binary.BigEndian.AppendUint16(dst, uint16(ihl+n))
 	dst = binary.BigEndian.AppendUint16(dst, ip.ID)
 	dst = binary.BigEndian.AppendUint16(dst, uint16(ip.Flags)<<13|ip.FragOff&0x1fff)
 	dst = append(dst, ip.TTL, ip.Protocol, 0, 0)
@@ -128,7 +128,13 @@ func (ip *IPv4) Append(dst, payload []byte) []byte {
 	dst = append(dst, ip.Options...)
 	ck := Checksum(dst[start : start+ihl])
 	binary.BigEndian.PutUint16(dst[start+10:], ck)
-	return append(dst, payload...)
+	return dst
+}
+
+// Append serializes the header (with a correct checksum and TotalLen) followed
+// by payload onto dst.
+func (ip *IPv4) Append(dst, payload []byte) []byte {
+	return append(ip.AppendHeader(dst, len(payload)), payload...)
 }
 
 // IPv6 is a decoded IPv6 header. Extension headers are not walked; Protocol
@@ -353,56 +359,105 @@ func (u *UDP) Decode(b []byte) (payload []byte, err error) {
 	return b[8:end], nil
 }
 
-// Append serializes the header followed by payload onto dst, computing the
-// checksum over the pseudo-header for src/dst.
+// Append serializes the header followed by payload onto dst. The checksum is
+// computed over the pseudo-header formed from src and dst addresses.
 func (u *UDP) Append(dst, payload []byte, src, dstAddr netip.Addr) []byte {
 	start := len(dst)
-	dst = binary.BigEndian.AppendUint16(dst, u.SrcPort)
-	dst = binary.BigEndian.AppendUint16(dst, u.DstPort)
-	dst = binary.BigEndian.AppendUint16(dst, uint16(8+len(payload)))
-	dst = append(dst, 0, 0)
+	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0)
 	dst = append(dst, payload...)
-	ck := pseudoChecksum(src, dstAddr, ProtoUDP, dst[start:])
-	if ck == 0 {
-		ck = 0xffff
-	}
-	binary.BigEndian.PutUint16(dst[start+6:], ck)
+	u.Put(dst[start:], src, dstAddr)
 	return dst
 }
 
-// Checksum computes the RFC 1071 Internet checksum of b.
+// Put writes the header into seg[:8] for the payload already in seg[8:],
+// computing the checksum over the pseudo-header formed from src and dst
+// addresses. It lets a caller build the payload in place and frame it
+// without copying.
+func (u *UDP) Put(seg []byte, src, dstAddr netip.Addr) {
+	binary.BigEndian.PutUint16(seg[0:], u.SrcPort)
+	binary.BigEndian.PutUint16(seg[2:], u.DstPort)
+	binary.BigEndian.PutUint16(seg[4:], uint16(len(seg)))
+	binary.BigEndian.PutUint16(seg[6:], 0)
+	ck := pseudoChecksum(src, dstAddr, ProtoUDP, seg)
+	if ck == 0 {
+		ck = 0xffff
+	}
+	binary.BigEndian.PutUint16(seg[6:], ck)
+}
+
+// Checksum computes the RFC 1071 Internet checksum of b. It equals the
+// byte-pair sum RFC 1071 describes (FuzzChecksumMatchesReference).
 func Checksum(b []byte) uint16 {
-	var sum uint32
-	for len(b) >= 2 {
-		sum += uint32(binary.BigEndian.Uint16(b))
+	return ^fold(sum(0, b))
+}
+
+// sum adds b, read as big-endian 16-bit words from an even offset, to the
+// one's-complement accumulator acc. It adds 64-bit words, carrying each
+// carry into the next add and the last one around, and leaves the folding to
+// fold, as RFC 1071 §2 allows: the result is that of summing 16-bit words.
+func sum(acc uint64, b []byte) uint64 {
+	var c uint64
+	for len(b) >= 32 {
+		acc, c = bits.Add64(acc, binary.BigEndian.Uint64(b), c)
+		acc, c = bits.Add64(acc, binary.BigEndian.Uint64(b[8:]), c)
+		acc, c = bits.Add64(acc, binary.BigEndian.Uint64(b[16:]), c)
+		acc, c = bits.Add64(acc, binary.BigEndian.Uint64(b[24:]), c)
+		b = b[32:]
+	}
+	for len(b) >= 8 {
+		acc, c = bits.Add64(acc, binary.BigEndian.Uint64(b), c)
+		b = b[8:]
+	}
+	var tail uint64
+	if len(b) >= 4 {
+		tail = uint64(binary.BigEndian.Uint32(b))
+		b = b[4:]
+	}
+	if len(b) >= 2 {
+		tail += uint64(binary.BigEndian.Uint16(b))
 		b = b[2:]
 	}
 	if len(b) == 1 {
-		sum += uint32(b[0]) << 8
+		tail += uint64(b[0]) << 8
 	}
-	for sum > 0xffff {
-		sum = sum&0xffff + sum>>16
-	}
-	return ^uint16(sum)
+	acc, c = bits.Add64(acc, tail, c)
+	// tail < 2^33, so a carry out leaves acc below 2^33: adding it back
+	// cannot carry again.
+	return acc + c
 }
 
+// fold reduces a one's-complement accumulator to 16 bits.
+func fold(acc uint64) uint16 {
+	acc = acc>>32 + acc&0xffffffff
+	acc = acc>>32 + acc&0xffffffff
+	acc = acc>>16 + acc&0xffff
+	acc = acc>>16 + acc&0xffff
+	return uint16(acc)
+}
+
+// pseudoChecksum is the TCP/UDP checksum of segment under the IPv4 or IPv6
+// pseudo-header for src, dst and proto. The pseudo-header is summed from a
+// stack array and the segment in place, so nothing is copied, and TCP and
+// UDP Append allocate nothing into a dst with room
+// (TestSegmentAppendAllocFree).
 func pseudoChecksum(src, dst netip.Addr, proto uint8, segment []byte) uint16 {
-	var pseudo []byte
+	var acc uint64
 	if src.Is4() && dst.Is4() {
+		var pseudo [12]byte
 		s, d := src.As4(), dst.As4()
-		pseudo = make([]byte, 0, 12+len(segment))
-		pseudo = append(pseudo, s[:]...)
-		pseudo = append(pseudo, d[:]...)
-		pseudo = append(pseudo, 0, proto)
-		pseudo = binary.BigEndian.AppendUint16(pseudo, uint16(len(segment)))
+		copy(pseudo[0:], s[:])
+		copy(pseudo[4:], d[:])
+		pseudo[9] = proto
+		binary.BigEndian.PutUint16(pseudo[10:], uint16(len(segment)))
+		acc = sum(0, pseudo[:])
 	} else {
+		var pseudo [40]byte
 		s, d := src.As16(), dst.As16()
-		pseudo = make([]byte, 0, 40+len(segment))
-		pseudo = append(pseudo, s[:]...)
-		pseudo = append(pseudo, d[:]...)
-		pseudo = binary.BigEndian.AppendUint32(pseudo, uint32(len(segment)))
-		pseudo = append(pseudo, 0, 0, 0, proto)
+		copy(pseudo[0:], s[:])
+		copy(pseudo[16:], d[:])
+		binary.BigEndian.PutUint32(pseudo[32:], uint32(len(segment)))
+		pseudo[39] = proto
+		acc = sum(0, pseudo[:])
 	}
-	pseudo = append(pseudo, segment...)
-	return Checksum(pseudo)
+	return ^fold(sum(acc, segment))
 }

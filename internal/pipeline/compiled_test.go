@@ -516,8 +516,8 @@ func TestEntrySharesOneEncoder(t *testing.T) {
 	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&dto); err != nil {
 		t.Fatal(err)
 	}
-	if dto.Format != 1 {
-		t.Errorf("blob format %d, want 1", dto.Format)
+	if dto.Format != 2 {
+		t.Errorf("blob format %d, want 2", dto.Format)
 	}
 	encoders := map[entryKey][]*features.Encoder{}
 	for _, md := range dto.Models {

@@ -440,6 +440,41 @@ func TestBankSerializationRoundTrip(t *testing.T) {
 	}
 }
 
+// TestBankBlobDeterministic pins that a bank's blob depends on the bank
+// alone: two marshals of one bank, and the blobs of two banks trained from
+// one seed, are the same bytes, and the blob round-trips to itself.
+func TestBankBlobDeterministic(t *testing.T) {
+	if testing.Short() {
+		t.Skip("bank training is slow")
+	}
+	marshal := func(b *Bank) []byte {
+		t.Helper()
+		blob, err := b.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return blob
+	}
+	a, _ := trainSmallBank(t, 6, 0.02)
+	b, _ := trainSmallBank(t, 6, 0.02)
+	blob := marshal(a)
+	for i := 0; i < 3; i++ {
+		if !bytes.Equal(marshal(a), blob) {
+			t.Fatal("two marshals of one bank differ")
+		}
+	}
+	if !bytes.Equal(marshal(b), blob) {
+		t.Fatal("banks trained from one seed marshal to different bytes")
+	}
+	var restored Bank
+	if err := restored.UnmarshalBinary(blob); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(marshal(&restored), blob) {
+		t.Fatal("a restored bank marshals to different bytes")
+	}
+}
+
 func TestBankSerializationVersionAndFormat(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bank training is slow")

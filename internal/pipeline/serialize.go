@@ -2,8 +2,11 @@ package pipeline
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/gob"
 	"fmt"
+	"maps"
+	"slices"
 
 	"videoplat/internal/features"
 	"videoplat/internal/fingerprint"
@@ -22,7 +25,11 @@ type modelDTO struct {
 // bankFormat is the on-wire format generation of serialized banks. Format 0
 // is the pre-versioning layout (identical fields minus Format/Version), so
 // decoding accepts 0..bankFormat and rejects only formats from the future.
-const bankFormat = 1
+// Format 2 writes the models in (provider, transport, objective) order and
+// each encoder's vocabularies as sorted lists, so a bank marshals to the
+// same bytes every time; a format-1 build would read those encoders as
+// empty, so it must refuse them.
+const bankFormat = 2
 
 type bankDTO struct {
 	Format  uint32
@@ -35,10 +42,16 @@ type bankDTO struct {
 // trained by cmd/vptrain can be deployed by cmd/vpclassify. The layout keeps
 // one modelDTO per model, each with an encoder blob: an entry's encoder is
 // marshaled once and written into its three models, so builds that load
-// three encoders per entry read this blob too.
+// three encoders per entry read this blob too. The models are written in
+// (provider, transport, objective) order, so the same bank always gives the
+// same bytes.
 func (b *Bank) MarshalBinary() ([]byte, error) {
 	dto := bankDTO{Format: bankFormat, Version: b.Version, Config: b.Config}
-	for key, e := range b.entries {
+	keys := slices.SortedFunc(maps.Keys(b.entries), func(x, y entryKey) int {
+		return cmp.Or(cmp.Compare(x.Provider, y.Provider), cmp.Compare(x.Transport, y.Transport))
+	})
+	for _, key := range keys {
+		e := b.entries[key]
 		encBlob, err := e.enc.MarshalBinary()
 		if err != nil {
 			return nil, err

@@ -23,7 +23,10 @@ import (
 
 // Frame is one rendered packet with its offset from the flow start.
 type Frame struct {
-	Offset         time.Duration
+	Offset time.Duration
+	// Data is the whole Ethernet frame. Each frame owns its buffer: it
+	// shares no bytes with another frame, and a caller may modify it
+	// (TestFramesOwnTheirBuffers).
 	Data           []byte
 	ClientToServer bool
 }
@@ -81,11 +84,15 @@ func (ft *FlowTrace) Key() packet.FlowKey {
 // Generator renders flows and datasets deterministically from a seed.
 type Generator struct {
 	rng *rand.Rand
+	// src is rng's source. Opaque bytes are drawn from it directly:
+	// byte(src.Uint64()) is the value and the draw rng.UintN(256) makes.
+	src *rand.PCG
 }
 
 // New returns a Generator seeded deterministically.
 func New(seed uint64) *Generator {
-	return &Generator{rng: rand.New(rand.NewPCG(seed, seed^0xda3e39cb94b95bdb))}
+	src := rand.NewPCG(seed, seed^0xda3e39cb94b95bdb)
+	return &Generator{rng: rand.New(src), src: src}
 }
 
 // serverAddrFor gives each provider a stable, documentation-range server
@@ -161,6 +168,8 @@ func (g *Generator) Flow(label string, prov fingerprint.Provider, tr fingerprint
 		ServerAddr: serverAddrFor(prov),
 		ClientPort: uint16(49152 + g.rng.IntN(16000)),
 		ServerPort: 443,
+		// Every frame the flow can have: five handshake frames at most.
+		Frames: make([]Frame, 0, 5+spec.PayloadFrames),
 	}
 
 	// The ISP observes TTLs after a few campus/home hops.
@@ -177,53 +186,85 @@ func (g *Generator) Flow(label string, prov fingerprint.Provider, tr fingerprint
 	return ft, nil
 }
 
-func (g *Generator) ipTemplate(ft *FlowTrace, ttl uint8, c2s bool) (packet.IPv4, packet.Ethernet) {
-	ip := packet.IPv4{TTL: ttl, Protocol: packet.ProtoTCP,
-		Src: ft.ClientAddr, Dst: ft.ServerAddr, ID: uint16(g.rng.UintN(65536))}
-	if !c2s {
-		ip.Src, ip.Dst = ft.ServerAddr, ft.ClientAddr
-		ip.TTL = 57 // server-side TTL as seen at the tap
+// frameHeadroom is the room a frame buffer keeps ahead of its segment for
+// the Ethernet and IPv4 headers, written in place once the segment is done.
+const frameHeadroom = 14 + 20
+
+// zeros backs the all-zero bodies (TCP payload and the TCP server flight).
+// They are copied from it, never aliased, and it is never written.
+var zeros [1400]byte
+
+// newFrame returns an empty frame buffer for ft: the room its headers take
+// (Ethernet, IPv4 and, on a QUIC flow, UDP), with capacity for n more bytes
+// — the TCP segment, or the UDP payload, that the caller appends.
+func newFrame(ft *FlowTrace, n int) []byte {
+	room := frameHeadroom
+	if ft.Transport == fingerprint.QUIC {
+		room += 8
 	}
-	return ip, packet.Ethernet{EtherType: packet.EtherTypeIPv4}
+	return make([]byte, room, room+n)
 }
 
-func (g *Generator) appendFrame(ft *FlowTrace, off time.Duration, c2s bool, ttl uint8, proto uint8, segment []byte) {
-	ip, eth := g.ipTemplate(ft, ttl, c2s)
-	ip.Protocol = proto
-	frame := eth.Append(nil, ip.Append(nil, segment))
-	ft.Frames = append(ft.Frames, Frame{Offset: off, Data: frame, ClientToServer: c2s})
+// appendFrame completes buf, a newFrame buffer holding a segment or UDP
+// payload, as a packet between the client tuple and ft's server: it writes
+// the UDP header (on a QUIC flow), then the IPv4 and Ethernet headers into
+// the room left for them, and adds the frame to ft. The IP ID is drawn
+// after every draw the segment made: the draw order is part of every
+// rendered byte (TestRenderedBytesPinned).
+func (g *Generator) appendFrame(ft *FlowTrace, off time.Duration, c2s bool, ttl uint8, client netip.AddrPort, buf []byte) {
+	ip := packet.IPv4{TTL: ttl, Protocol: packet.ProtoTCP, Src: client.Addr(), Dst: ft.ServerAddr}
+	if !c2s {
+		ip.Src, ip.Dst = ft.ServerAddr, client.Addr()
+		ip.TTL = 57 // server-side TTL as seen at the tap
+	}
+	if ft.Transport == fingerprint.QUIC {
+		ip.Protocol = packet.ProtoUDP
+		udp := packet.UDP{SrcPort: client.Port(), DstPort: ft.ServerPort}
+		if !c2s {
+			udp.SrcPort, udp.DstPort = ft.ServerPort, client.Port()
+		}
+		udp.Put(buf[frameHeadroom:], ip.Src, ip.Dst)
+	}
+	ip.ID = uint16(g.rng.UintN(65536))
+	// Appending to a prefix of buf writes into its headroom.
+	eth := packet.Ethernet{EtherType: packet.EtherTypeIPv4}
+	ip.AppendHeader(eth.Append(buf[:0], nil), len(buf)-frameHeadroom)
+	ft.Frames = append(ft.Frames, Frame{Offset: off, Data: buf, ClientToServer: c2s})
+}
+
+// appendTCP renders t, carrying payload, as a frame between ft's client and
+// server.
+func (g *Generator) appendTCP(ft *FlowTrace, off time.Duration, c2s bool, ttl uint8, t *packet.TCP, payload []byte) {
+	src, dst := ft.ClientAddr, ft.ServerAddr
+	if !c2s {
+		src, dst = dst, src
+	}
+	buf := t.Append(newFrame(ft, 60+len(payload)), payload, src, dst)
+	g.appendFrame(ft, off, c2s, ttl, netip.AddrPortFrom(ft.ClientAddr, ft.ClientPort), buf)
 }
 
 // renderTCP renders SYN, SYN-ACK, ACK, ClientHello, a server flight and a
 // few payload frames.
 func (g *Generator) renderTCP(ft *FlowTrace, fp *fingerprint.Flow, ttl uint8, spec FlowSpec) {
-	mkOpts := func(syn bool) []packet.TCPOption {
-		var opts []packet.TCPOption
-		if !syn {
-			if fp.Timestamps {
-				tsVal := make([]byte, 8)
-				opts = append(opts, packet.TCPOption{Kind: packet.OptNOP},
-					packet.TCPOption{Kind: packet.OptNOP},
-					packet.TCPOption{Kind: packet.OptTimestamps, Data: tsVal})
-			}
-			return opts
-		}
-		opts = append(opts, packet.TCPOption{Kind: packet.OptMSS,
-			Data: []byte{byte(fp.MSS >> 8), byte(fp.MSS)}})
-		if fp.SACK {
-			opts = append(opts, packet.TCPOption{Kind: packet.OptNOP},
-				packet.TCPOption{Kind: packet.OptNOP},
-				packet.TCPOption{Kind: packet.OptSACKPermitted})
-		}
-		if fp.Timestamps {
-			tsVal := make([]byte, 8)
-			opts = append(opts, packet.TCPOption{Kind: packet.OptTimestamps, Data: tsVal})
-		}
-		if fp.WScale >= 0 {
-			opts = append(opts, packet.TCPOption{Kind: packet.OptNOP},
-				packet.TCPOption{Kind: packet.OptWindowScale, Data: []byte{byte(fp.WScale)}})
-		}
-		return opts
+	// The handshake's options, built once: both SYNs carry synOpts and
+	// every later segment of the handshake dataOpts. Append only reads them.
+	synOpts := make([]packet.TCPOption, 0, 8)
+	synOpts = append(synOpts, packet.TCPOption{Kind: packet.OptMSS,
+		Data: []byte{byte(fp.MSS >> 8), byte(fp.MSS)}})
+	if fp.SACK {
+		synOpts = append(synOpts, packet.TCPOption{Kind: packet.OptNOP},
+			packet.TCPOption{Kind: packet.OptNOP},
+			packet.TCPOption{Kind: packet.OptSACKPermitted})
+	}
+	var dataOpts []packet.TCPOption
+	if fp.Timestamps {
+		synOpts = append(synOpts, packet.TCPOption{Kind: packet.OptTimestamps, Data: zeros[:8]})
+		dataOpts = []packet.TCPOption{{Kind: packet.OptNOP}, {Kind: packet.OptNOP},
+			{Kind: packet.OptTimestamps, Data: zeros[:8]}}
+	}
+	if fp.WScale >= 0 {
+		synOpts = append(synOpts, packet.TCPOption{Kind: packet.OptNOP},
+			packet.TCPOption{Kind: packet.OptWindowScale, Data: []byte{byte(fp.WScale)}})
 	}
 
 	clientSeq := g.rng.Uint32()
@@ -234,90 +275,79 @@ func (g *Generator) renderTCP(ft *FlowTrace, fp *fingerprint.Flow, ttl uint8, sp
 		synFlags |= packet.FlagECE | packet.FlagCWR
 	}
 	syn := packet.TCP{SrcPort: ft.ClientPort, DstPort: ft.ServerPort,
-		Seq: clientSeq, Flags: synFlags, Window: fp.Window, Options: mkOpts(true)}
-	g.appendFrame(ft, 0, true, ttl, packet.ProtoTCP,
-		syn.Append(nil, nil, ft.ClientAddr, ft.ServerAddr))
+		Seq: clientSeq, Flags: synFlags, Window: fp.Window, Options: synOpts}
+	g.appendTCP(ft, 0, true, ttl, &syn, nil)
 
 	synAck := packet.TCP{SrcPort: ft.ServerPort, DstPort: ft.ClientPort,
 		Seq: serverSeq, Ack: clientSeq + 1, Flags: packet.FlagSYN | packet.FlagACK,
-		Window: 65160, Options: mkOpts(true)}
-	g.appendFrame(ft, 12*time.Millisecond, false, 0, packet.ProtoTCP,
-		synAck.Append(nil, nil, ft.ServerAddr, ft.ClientAddr))
+		Window: 65160, Options: synOpts}
+	g.appendTCP(ft, 12*time.Millisecond, false, 0, &synAck, nil)
 
 	ack := packet.TCP{SrcPort: ft.ClientPort, DstPort: ft.ServerPort,
 		Seq: clientSeq + 1, Ack: serverSeq + 1, Flags: packet.FlagACK,
-		Window: fp.Window, Options: mkOpts(false)}
-	g.appendFrame(ft, 13*time.Millisecond, true, ttl, packet.ProtoTCP,
-		ack.Append(nil, nil, ft.ClientAddr, ft.ServerAddr))
+		Window: fp.Window, Options: dataOpts}
+	g.appendTCP(ft, 13*time.Millisecond, true, ttl, &ack, nil)
 
 	chloRecord := fp.Hello.MarshalRecord()
 	chlo := packet.TCP{SrcPort: ft.ClientPort, DstPort: ft.ServerPort,
 		Seq: clientSeq + 1, Ack: serverSeq + 1, Flags: packet.FlagACK | packet.FlagPSH,
-		Window: fp.Window, Options: mkOpts(false)}
-	g.appendFrame(ft, 14*time.Millisecond, true, ttl, packet.ProtoTCP,
-		chlo.Append(nil, chloRecord, ft.ClientAddr, ft.ServerAddr))
+		Window: fp.Window, Options: dataOpts}
+	g.appendTCP(ft, 14*time.Millisecond, true, ttl, &chlo, chloRecord)
 
 	// Server flight (ServerHello + encrypted extensions, abstracted).
 	sh := packet.TCP{SrcPort: ft.ServerPort, DstPort: ft.ClientPort,
 		Seq: serverSeq + 1, Ack: clientSeq + 1 + uint32(len(chloRecord)),
-		Flags: packet.FlagACK | packet.FlagPSH, Window: 65160, Options: mkOpts(false)}
-	g.appendFrame(ft, 26*time.Millisecond, false, 0, packet.ProtoTCP,
-		sh.Append(nil, make([]byte, 1200), ft.ServerAddr, ft.ClientAddr))
+		Flags: packet.FlagACK | packet.FlagPSH, Window: 65160, Options: dataOpts}
+	g.appendTCP(ft, 26*time.Millisecond, false, 0, &sh, zeros[:1200])
 
-	g.renderPayload(ft, spec, packet.ProtoTCP, ttl)
+	// A few representative application-data frames spread over the flow.
+	for i, n := 0, spec.PayloadFrames; i < n; i++ {
+		size := 1200 + g.rng.IntN(200)
+		data := packet.TCP{SrcPort: ft.ServerPort, DstPort: ft.ClientPort,
+			Seq: g.rng.Uint32(), Ack: g.rng.Uint32(), Flags: packet.FlagACK,
+			Window: 65160}
+		g.appendTCP(ft, payloadOffset(spec, i), false, 0, &data, zeros[:size])
+	}
 }
 
-// randomCID draws an n-byte connection ID.
-func (g *Generator) randomCID(n int) []byte {
-	b := make([]byte, n)
-	for i := range b {
-		b[i] = byte(g.rng.UintN(256))
-	}
-	return b
+// payloadOffset spreads the i-th of spec.PayloadFrames over the flow.
+func payloadOffset(spec FlowSpec, i int) time.Duration {
+	n := spec.PayloadFrames
+	return 50*time.Millisecond + time.Duration(float64(spec.Duration)*float64(i+1)/float64(n+1))
 }
 
-// longHeaderPacket builds a structurally valid long-header packet of the
-// given type: readable first byte, version and connection IDs, followed by
-// an opaque (random) body. This is exactly what an on-path observer can and
-// cannot see of a server flight, a 0-RTT packet or a Handshake packet.
-func (g *Generator) longHeaderPacket(typ uint8, dcid, scid []byte, size int) []byte {
-	buf := make([]byte, 0, size)
-	buf = append(buf, 0xc0|typ<<4|byte(g.rng.UintN(16)))
-	buf = append(buf, 0, 0, 0, 1) // version 1
-	buf = append(buf, byte(len(dcid)))
-	buf = append(buf, dcid...)
-	buf = append(buf, byte(len(scid)))
-	buf = append(buf, scid...)
-	for len(buf) < size {
-		buf = append(buf, byte(g.rng.UintN(256)))
+// appendRandom appends n opaque bytes, one draw each.
+func (g *Generator) appendRandom(dst []byte, n int) []byte {
+	for ; n > 0; n-- {
+		dst = append(dst, byte(g.src.Uint64()))
 	}
-	return buf
+	return dst
 }
 
-// shortHeaderPacket builds a 1-RTT short-header packet: fixed bit, random
-// spin/key bits, the destination CID (whose length is not on the wire), and
-// an opaque body.
-func (g *Generator) shortHeaderPacket(dcid []byte, size int) []byte {
-	buf := make([]byte, 0, size)
-	buf = append(buf, 0x40|byte(g.rng.UintN(0x40)))
-	buf = append(buf, dcid...)
-	for len(buf) < size {
-		buf = append(buf, byte(g.rng.UintN(256)))
-	}
-	return buf
+// appendLongHeader appends a structurally valid long-header packet of the
+// given type and size: readable first byte, version and connection IDs,
+// followed by an opaque (random) body. This is exactly what an on-path
+// observer can and cannot see of a server flight, a 0-RTT packet or a
+// Handshake packet.
+func (g *Generator) appendLongHeader(dst []byte, typ uint8, dcid, scid []byte, size int) []byte {
+	start := len(dst)
+	dst = append(dst, 0xc0|typ<<4|byte(g.rng.UintN(16)))
+	dst = append(dst, 0, 0, 0, 1) // version 1
+	dst = append(dst, byte(len(dcid)))
+	dst = append(dst, dcid...)
+	dst = append(dst, byte(len(scid)))
+	dst = append(dst, scid...)
+	return g.appendRandom(dst, size-(len(dst)-start))
 }
 
-// appendMigratedFrame renders a frame on the post-migration client tuple.
-func (g *Generator) appendMigratedFrame(ft *FlowTrace, off time.Duration, c2s bool, ttl uint8, segment []byte) {
-	ip := packet.IPv4{TTL: ttl, Protocol: packet.ProtoUDP,
-		Src: ft.MigratedAddr, Dst: ft.ServerAddr, ID: uint16(g.rng.UintN(65536))}
-	if !c2s {
-		ip.Src, ip.Dst = ft.ServerAddr, ft.MigratedAddr
-		ip.TTL = 57
-	}
-	eth := packet.Ethernet{EtherType: packet.EtherTypeIPv4}
-	frame := eth.Append(nil, ip.Append(nil, segment))
-	ft.Frames = append(ft.Frames, Frame{Offset: off, Data: frame, ClientToServer: c2s})
+// appendShortHeader appends a 1-RTT short-header packet of the given size:
+// fixed bit, random spin/key bits, the destination CID (whose length is not
+// on the wire), and an opaque body.
+func (g *Generator) appendShortHeader(dst, dcid []byte, size int) []byte {
+	start := len(dst)
+	dst = append(dst, 0x40|byte(g.rng.UintN(0x40)))
+	dst = append(dst, dcid...)
+	return g.appendRandom(dst, size-(len(dst)-start))
 }
 
 // renderQUIC renders the client Initial (carrying the ClientHello in a
@@ -329,7 +359,7 @@ func (g *Generator) appendMigratedFrame(ft *FlowTrace, off time.Duration, c2s bo
 func (g *Generator) renderQUIC(ft *FlowTrace, fp *fingerprint.Flow, ttl uint8, spec FlowSpec) error {
 	// The server's chosen CID, which post-handshake client packets carry as
 	// their destination. Observable in the server's long-header flight.
-	serverCID := g.randomCID(8)
+	serverCID := g.appendRandom(make([]byte, 0, 8), 8)
 	if spec.Options.Migration {
 		ft.Migrated = true
 		// A path change typically lands the client on a different access
@@ -341,17 +371,20 @@ func (g *Generator) renderQUIC(ft *FlowTrace, fp *fingerprint.Flow, ttl uint8, s
 		return g.renderQUICZeroRTT(ft, fp, serverCID, ttl, spec)
 	}
 
+	client := netip.AddrPortFrom(ft.ClientAddr, ft.ClientPort)
+	migrated := netip.AddrPortFrom(ft.MigratedAddr, ft.MigratedPort)
 	hello := fp.Hello.Marshal()
-	udp := packet.UDP{SrcPort: ft.ClientPort, DstPort: ft.ServerPort}
-	// seal encrypts client Initial pn, carrying hello[off:end] in one CRYPTO frame.
-	seal := func(pn uint64, off, end, minSize int) ([]byte, error) {
+	// sendInitial seals client Initial pn, carrying hello[off:end] in one
+	// CRYPTO frame, and sends it from the given client tuple.
+	sendInitial := func(off time.Duration, from netip.AddrPort, pn uint64, start, end, minSize int) error {
 		in := quicproto.Initial{Version: quicproto.Version1, DCID: fp.DCID, SCID: fp.SCID, PacketNumber: pn,
-			Crypto: []quicproto.CryptoFrame{{Offset: uint64(off), Data: hello[off:end]}}}
+			Crypto: []quicproto.CryptoFrame{{Offset: uint64(start), Data: hello[start:end]}}}
 		dg, err := in.Seal(minSize)
 		if err != nil {
-			return nil, fmt.Errorf("tracegen: sealing initial: %w", err)
+			return fmt.Errorf("tracegen: sealing initial: %w", err)
 		}
-		return dg, nil
+		g.appendFrame(ft, off, true, ttl, from, append(newFrame(ft, len(dg)), dg...))
+		return nil
 	}
 	splitHandshake := ft.Migrated && spec.MigrateMidHandshake
 	if splitHandshake {
@@ -359,52 +392,33 @@ func (g *Generator) renderQUIC(ft *FlowTrace, fp *fingerprint.Flow, ttl uint8, s
 		// so the second CRYPTO fragment arrives from the migrated tuple and
 		// only the connection IDs tie the halves together.
 		k := len(hello) / 2
-		dg1, err := seal(0, 0, k, 0)
-		if err != nil {
+		if err := sendInitial(0, client, 0, 0, k, 0); err != nil {
 			return err
 		}
-		g.appendFrame(ft, 0, true, ttl, packet.ProtoUDP,
-			udp.Append(nil, dg1, ft.ClientAddr, ft.ServerAddr))
-		dg2, err := seal(1, k, len(hello), 0)
-		if err != nil {
+		if err := sendInitial(2*time.Millisecond, migrated, 1, k, len(hello), 0); err != nil {
 			return err
 		}
-		migUDP := packet.UDP{SrcPort: ft.MigratedPort, DstPort: ft.ServerPort}
-		g.appendMigratedFrame(ft, 2*time.Millisecond, true, ttl,
-			migUDP.Append(nil, dg2, ft.MigratedAddr, ft.ServerAddr))
-	} else {
-		datagram, err := seal(0, 0, len(hello), fp.QUICTargetSize)
-		if err != nil {
-			return err
-		}
-		g.appendFrame(ft, 0, true, ttl, packet.ProtoUDP,
-			udp.Append(nil, datagram, ft.ClientAddr, ft.ServerAddr))
+	} else if err := sendInitial(0, client, 0, 0, len(hello), fp.QUICTargetSize); err != nil {
+		return err
 	}
 
 	// Server Initial+Handshake flight: opaque body behind a readable
 	// long-header prefix that echoes the client's SCID and announces the
-	// server's CID.
-	resp := g.longHeaderPacket(quicproto.TypeHandshake, fp.SCID, serverCID, 1200)
-	respUDP := packet.UDP{SrcPort: ft.ServerPort, DstPort: ft.ClientPort}
+	// server's CID. The server replies to wherever the handshake finished —
+	// on a split handshake the migrated tuple, port included.
+	respTo := client
 	if splitHandshake {
-		// The server replies to wherever the handshake finished — the
-		// migrated tuple, port included.
-		respUDP.DstPort = ft.MigratedPort
-		g.appendMigratedFrame(ft, 14*time.Millisecond, false, 0,
-			respUDP.Append(nil, resp, ft.ServerAddr, ft.MigratedAddr))
-	} else {
-		g.appendFrame(ft, 14*time.Millisecond, false, 0, packet.ProtoUDP,
-			respUDP.Append(nil, resp, ft.ServerAddr, ft.ClientAddr))
+		respTo = migrated
 	}
+	resp := g.appendLongHeader(newFrame(ft, 1200), quicproto.TypeHandshake, fp.SCID, serverCID, 1200)
+	g.appendFrame(ft, 14*time.Millisecond, false, 0, respTo, resp)
 
 	if ft.Migrated && !splitHandshake {
 		// Mid-stream migration: the first packet on the new path is a
 		// client short header carrying the server's CID — the only wire
 		// evidence linking the tuples.
-		seg := g.shortHeaderPacket(serverCID, 160)
-		migUDP := packet.UDP{SrcPort: ft.MigratedPort, DstPort: ft.ServerPort}
-		g.appendMigratedFrame(ft, 40*time.Millisecond, true, ttl,
-			migUDP.Append(nil, seg, ft.MigratedAddr, ft.ServerAddr))
+		seg := g.appendShortHeader(newFrame(ft, 160), serverCID, 160)
+		g.appendFrame(ft, 40*time.Millisecond, true, ttl, migrated, seg)
 	}
 
 	g.renderPayloadQUIC(ft, fp.SCID, spec)
@@ -416,69 +430,41 @@ func (g *Generator) renderQUIC(ft *FlowTrace, fp *fingerprint.Flow, ttl uint8, s
 // ClientHello ever crosses the tap. Everything past the long-header CIDs is
 // opaque.
 func (g *Generator) renderQUICZeroRTT(ft *FlowTrace, fp *fingerprint.Flow, serverCID []byte, ttl uint8, spec FlowSpec) error {
-	udp := packet.UDP{SrcPort: ft.ClientPort, DstPort: ft.ServerPort}
+	client := netip.AddrPortFrom(ft.ClientAddr, ft.ClientPort)
 	for i := 0; i < 2; i++ {
-		early := g.longHeaderPacket(quicproto.Type0RTT, fp.DCID, fp.SCID, fp.QUICTargetSize)
-		g.appendFrame(ft, time.Duration(i)*time.Millisecond, true, ttl, packet.ProtoUDP,
-			udp.Append(nil, early, ft.ClientAddr, ft.ServerAddr))
+		early := g.appendLongHeader(newFrame(ft, fp.QUICTargetSize), quicproto.Type0RTT, fp.DCID, fp.SCID, fp.QUICTargetSize)
+		g.appendFrame(ft, time.Duration(i)*time.Millisecond, true, ttl, client, early)
 	}
 
-	resp := g.longHeaderPacket(quicproto.TypeHandshake, fp.SCID, serverCID, 1200)
-	respUDP := packet.UDP{SrcPort: ft.ServerPort, DstPort: ft.ClientPort}
-	g.appendFrame(ft, 14*time.Millisecond, false, 0, packet.ProtoUDP,
-		respUDP.Append(nil, resp, ft.ServerAddr, ft.ClientAddr))
+	resp := g.appendLongHeader(newFrame(ft, 1200), quicproto.TypeHandshake, fp.SCID, serverCID, 1200)
+	g.appendFrame(ft, 14*time.Millisecond, false, 0, client, resp)
 
 	// The client's switch to short headers confirms no fresh handshake is
 	// coming: the resumption either completed or was rejected, and either
 	// way the tap never saw a hello.
-	seg := g.shortHeaderPacket(serverCID, 160)
+	seg := g.appendShortHeader(newFrame(ft, 160), serverCID, 160)
 	if ft.Migrated {
-		migUDP := packet.UDP{SrcPort: ft.MigratedPort, DstPort: ft.ServerPort}
-		g.appendMigratedFrame(ft, 40*time.Millisecond, true, ttl,
-			migUDP.Append(nil, seg, ft.MigratedAddr, ft.ServerAddr))
+		g.appendFrame(ft, 40*time.Millisecond, true, ttl, netip.AddrPortFrom(ft.MigratedAddr, ft.MigratedPort), seg)
 	} else {
-		g.appendFrame(ft, 16*time.Millisecond, true, ttl, packet.ProtoUDP,
-			udp.Append(nil, seg, ft.ClientAddr, ft.ServerAddr))
+		g.appendFrame(ft, 16*time.Millisecond, true, ttl, client, seg)
 	}
 
 	g.renderPayloadQUIC(ft, fp.SCID, spec)
 	return nil
 }
 
-// renderPayload adds a few representative TCP application-data frames
-// spread over the flow duration.
-func (g *Generator) renderPayload(ft *FlowTrace, spec FlowSpec, proto uint8, ttl uint8) {
-	n := spec.PayloadFrames
-	for i := 0; i < n; i++ {
-		off := 50*time.Millisecond + time.Duration(float64(spec.Duration)*float64(i+1)/float64(n+1))
-		size := 1200 + g.rng.IntN(200)
-		body := make([]byte, size)
-		tcp := packet.TCP{SrcPort: ft.ServerPort, DstPort: ft.ClientPort,
-			Seq: g.rng.Uint32(), Ack: g.rng.Uint32(), Flags: packet.FlagACK,
-			Window: 65160}
-		g.appendFrame(ft, off, false, 0, proto,
-			tcp.Append(nil, body, ft.ServerAddr, ft.ClientAddr))
-	}
-}
-
 // renderPayloadQUIC adds representative server→client short-header frames
 // carrying the client's CID as destination. On migrated flows the frames
 // follow the client to its post-migration tuple.
 func (g *Generator) renderPayloadQUIC(ft *FlowTrace, clientCID []byte, spec FlowSpec) {
-	n := spec.PayloadFrames
-	for i := 0; i < n; i++ {
-		off := 50*time.Millisecond + time.Duration(float64(spec.Duration)*float64(i+1)/float64(n+1))
+	to := netip.AddrPortFrom(ft.ClientAddr, ft.ClientPort)
+	if ft.Migrated {
+		to = netip.AddrPortFrom(ft.MigratedAddr, ft.MigratedPort)
+	}
+	for i := 0; i < spec.PayloadFrames; i++ {
 		size := 1200 + g.rng.IntN(200)
-		body := g.shortHeaderPacket(clientCID, size)
-		if ft.Migrated {
-			udp := packet.UDP{SrcPort: ft.ServerPort, DstPort: ft.MigratedPort}
-			g.appendMigratedFrame(ft, off, false, 0,
-				udp.Append(nil, body, ft.ServerAddr, ft.MigratedAddr))
-		} else {
-			udp := packet.UDP{SrcPort: ft.ServerPort, DstPort: ft.ClientPort}
-			g.appendFrame(ft, off, false, 0, packet.ProtoUDP,
-				udp.Append(nil, body, ft.ServerAddr, ft.ClientAddr))
-		}
+		body := g.appendShortHeader(newFrame(ft, size), clientCID, size)
+		g.appendFrame(ft, payloadOffset(spec, i), false, 0, to, body)
 	}
 }
 

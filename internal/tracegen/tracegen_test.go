@@ -2,6 +2,9 @@ package tracegen
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"io"
 	"strings"
 	"testing"
@@ -357,6 +360,150 @@ func TestScenarioDatasetDeterminism(t *testing.T) {
 			if !bytes.Equal(a.Frames[j].Data, b.Frames[j].Data) {
 				t.Fatalf("flow %d frame %d differs across identical seeds", i, j)
 			}
+		}
+	}
+}
+
+// pinnedRenders renders a fixed set covering every frame builder: plain TCP
+// and QUIC, ECH, 0-RTT, mid-stream and mid-handshake migration, a Session
+// and a small LabDataset, all from one generator.
+func pinnedRenders(t *testing.T) []*FlowTrace {
+	t.Helper()
+	g := New(50)
+	var flows []*FlowTrace
+	for _, sc := range []struct {
+		label string
+		prov  fingerprint.Provider
+		tr    fingerprint.Transport
+		spec  FlowSpec
+	}{
+		{"windows_firefox", fingerprint.Netflix, fingerprint.TCP, FlowSpec{}},
+		{"macOS_chrome", fingerprint.YouTube, fingerprint.QUIC, FlowSpec{}},
+		{"windows_chrome", fingerprint.Disney, fingerprint.TCP,
+			FlowSpec{Options: fingerprint.Options{ECH: true}, PayloadFrames: 2}},
+		{"android_chrome", fingerprint.YouTube, fingerprint.QUIC,
+			FlowSpec{Options: fingerprint.Options{ECH: true}, PayloadFrames: 1}},
+		{"android_chrome", fingerprint.YouTube, fingerprint.QUIC,
+			FlowSpec{Options: fingerprint.Options{ZeroRTT: true}, PayloadFrames: 2}},
+		{"iOS_chrome", fingerprint.YouTube, fingerprint.QUIC,
+			FlowSpec{Options: fingerprint.Options{Migration: true}, PayloadFrames: 3}},
+		{"macOS_chrome", fingerprint.YouTube, fingerprint.QUIC,
+			FlowSpec{Options: fingerprint.Options{Migration: true}, MigrateMidHandshake: true, PayloadFrames: 2}},
+		{"android_chrome", fingerprint.YouTube, fingerprint.QUIC,
+			FlowSpec{Options: fingerprint.Options{ZeroRTT: true, Migration: true}, PayloadFrames: 1}},
+	} {
+		ft, err := g.Flow(sc.label, sc.prov, sc.tr, sc.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		flows = append(flows, ft)
+	}
+	sess, err := g.Session("iOS_nativeApp", fingerprint.Amazon, fingerprint.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	flows = append(flows, sess...)
+	d, err := g.LabDataset(0.01, fingerprint.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(flows, d.Flows...)
+}
+
+// TestRenderedBytesPinned pins every rendered byte across commits: a change
+// to how frames are built must leave this hash, and so every dataset and
+// golden downstream of tracegen, as it is.
+func TestRenderedBytesPinned(t *testing.T) {
+	const want = "2f36fda1ad55110758b9985e4099b27a18a9718d6e7103bd580b34fefa53d39c"
+	h := sha256.New()
+	var n [8]byte
+	frames := 0
+	for _, ft := range pinnedRenders(t) {
+		for _, fr := range ft.Frames {
+			binary.BigEndian.PutUint64(n[:], uint64(fr.Offset))
+			h.Write(n[:])
+			binary.BigEndian.PutUint64(n[:], uint64(len(fr.Data)))
+			h.Write(n[:])
+			if fr.ClientToServer {
+				h.Write([]byte{1})
+			} else {
+				h.Write([]byte{0})
+			}
+			h.Write(fr.Data)
+			frames++
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("rendered bytes of %d frames hash to %s, want %s", frames, got, want)
+	}
+}
+
+// TestFramesOwnTheirBuffers checks that no frame shares bytes with another
+// frame, the zero bodies or the option bytes it was built from. It fills
+// every frame of one render with a byte of its own, checks that each frame
+// still holds only its own byte, and then that a later render from a
+// generator in the same state comes out unchanged.
+func TestFramesOwnTheirBuffers(t *testing.T) {
+	var want [][]byte
+	for _, ft := range pinnedRenders(t) {
+		for _, fr := range ft.Frames {
+			want = append(want, bytes.Clone(fr.Data))
+		}
+	}
+	var frames [][]byte
+	for _, ft := range pinnedRenders(t) {
+		for _, fr := range ft.Frames {
+			frames = append(frames, fr.Data)
+		}
+	}
+	fill := func(i int) byte { return byte(i%255 + 1) }
+	for i, f := range frames {
+		for j := range f {
+			f[j] = fill(i)
+		}
+	}
+	for i, f := range frames {
+		for k, b := range f {
+			if b != fill(i) {
+				t.Fatalf("frame %d byte %d was overwritten through another frame", i, k)
+			}
+		}
+	}
+	i := 0
+	for _, ft := range pinnedRenders(t) {
+		for _, fr := range ft.Frames {
+			if !bytes.Equal(fr.Data, want[i]) {
+				t.Fatalf("frame %d changed after an earlier render's frames were overwritten", i)
+			}
+			i++
+		}
+	}
+}
+
+// TestRenderAllocCeilings pins the allocations of one rendered flow, each
+// frame one buffer (amd64, Go 1.24). Most of what is left is building and
+// sealing the ClientHello.
+func TestRenderAllocCeilings(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation moves some of a render's values to the heap")
+	}
+	for _, c := range []struct {
+		tr   fingerprint.Transport
+		prov fingerprint.Provider
+		max  float64
+	}{
+		{fingerprint.TCP, fingerprint.Netflix, 61},
+		{fingerprint.QUIC, fingerprint.YouTube, 92},
+	} {
+		g := New(8)
+		allocs := testing.AllocsPerRun(200, func() {
+			if _, err := g.Flow("windows_chrome", c.prov, c.tr, FlowSpec{PayloadFrames: 1}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s flow: %.2f allocs per render", c.tr, allocs)
+		if allocs > c.max {
+			t.Errorf("%s flow: %.1f allocs per render, want at most %v", c.tr, allocs, c.max)
 		}
 	}
 }
