@@ -92,7 +92,7 @@ func BenchmarkSwapUnderLoad(b *testing.B) {
 	run := func(b *testing.B, swapping bool) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			s := pipeline.NewSharded(bankA, 4)
+			s := pipeline.NewShardedWithConfig(bankA, 4, pipeline.Config{})
 			go func() {
 				for range s.Results() {
 				}

@@ -1,5 +1,9 @@
 // Command vpgen renders synthetic labeled video-streaming traffic to a PCAP
 // file, for feeding vpextract and vpclassify or for inspection in Wireshark.
+// It writes the session stream vpserve -synth replays: vpserve -synth N
+// -seed S replays exactly the packets vpgen -sessions N -seed S writes, so
+// vpserve -pcap of a vpgen capture is the same traffic without the render
+// cost.
 //
 // Usage:
 //
@@ -8,11 +12,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
-	"math/rand/v2"
 	"os"
-	"time"
 
 	"videoplat/internal/fingerprint"
 	"videoplat/internal/tracegen"
@@ -28,63 +31,38 @@ func main() {
 	)
 	flag.Parse()
 
-	g := tracegen.New(*seed)
-	rng := rand.New(rand.NewPCG(*seed, 2))
-
-	provs := fingerprint.AllProviders()
+	cfg := tracegen.StreamConfig{Seed: *seed, Sessions: *sessions, Platform: *platform}
 	if *provider != "" {
-		provs = nil
-		for _, p := range fingerprint.AllProviders() {
-			if p.String() == *provider {
-				provs = []fingerprint.Provider{p}
-			}
-		}
-		if provs == nil {
+		var p fingerprint.Provider
+		if err := p.UnmarshalText([]byte(*provider)); err != nil {
 			fmt.Fprintf(os.Stderr, "unknown provider %q\n", *provider)
 			os.Exit(2)
 		}
+		cfg.Providers = []fingerprint.Provider{p}
 	}
-
-	start := time.Date(2023, 7, 7, 12, 0, 0, 0, time.UTC)
-	var traces []*tracegen.FlowTrace
-	for i := 0; i < *sessions; i++ {
-		prov := provs[rng.IntN(len(provs))]
-		label := *platform
-		if label == "" {
-			labels := supported(prov)
-			label = labels[rng.IntN(len(labels))]
-		} else if !fingerprint.SupportMatrix(label, prov) {
-			fmt.Fprintf(os.Stderr, "%s does not support %s\n", label, prov)
-			os.Exit(2)
-		}
-		flows, err := g.Session(label, prov, fingerprint.Options{})
-		exitOn(err)
-		for _, ft := range flows {
-			ft.Start = start.Add(time.Duration(i) * 30 * time.Second)
-			traces = append(traces, ft)
-		}
+	if *sessions < 1 {
+		// The stream reads 0 as unlimited; a capture file must end.
+		fmt.Fprintln(os.Stderr, "-sessions must be at least 1")
+		os.Exit(2)
 	}
 
 	f, err := os.Create(*out)
 	exitOn(err)
-	defer f.Close()
-	exitOn(tracegen.WritePCAP(f, traces))
-	var packets int
-	for _, ft := range traces {
-		packets += len(ft.Frames)
+	stream := tracegen.NewStream(cfg)
+	packets, err := stream.WritePCAP(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
+	if err != nil {
+		os.Remove(*out) // no partial capture
+	}
+	if errors.Is(err, tracegen.ErrUnsupported) {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	exitOn(err)
 	fmt.Fprintf(os.Stderr, "wrote %s: %d sessions, %d flows, %d packets\n",
-		*out, *sessions, len(traces), packets)
-}
-
-func supported(prov fingerprint.Provider) []string {
-	var out []string
-	for _, l := range fingerprint.AllPlatformLabels() {
-		if fingerprint.SupportMatrix(l, prov) {
-			out = append(out, l)
-		}
-	}
-	return out
+		*out, *sessions, stream.Flows(), packets)
 }
 
 func exitOn(err error) {

@@ -268,9 +268,8 @@ func main() {
 		exitOn(err)
 		slog.Info("replaying capture", "pcap", o.pcapPath)
 	default:
-		synth := server.NewDriftingSynthSource(o.seed, o.synth, o.driftAfter)
-		synth.SetAdversarial(o.adversarial)
-		src = synth
+		src = tracegen.NewStream(tracegen.StreamConfig{Seed: o.seed, Sessions: o.synth,
+			DriftAfter: o.driftAfter, Adversarial: o.adversarial})
 		slog.Info("generating synthetic traffic",
 			"sessions", sessionsDesc(o.synth), "drift_after", o.driftAfter,
 			"adversarial", o.adversarial)

@@ -111,7 +111,7 @@ func main() {
 	// matters: it leaves the retrainer wall-clock time to train and
 	// shadow-evaluate while traffic still flows.
 	srv, err := server.New(reg.Current().Bank,
-		server.NewDriftingSynthSource(7, 600, 100),
+		tracegen.NewStream(tracegen.StreamConfig{Seed: 7, Sessions: 600, DriftAfter: 100}),
 		server.Config{
 			Addr: "127.0.0.1:0", Rate: 800,
 			Registry: reg, Drift: mon, Retrainer: rt, Journal: journal,

@@ -10,7 +10,7 @@
 //
 // This is the in-process equivalent of:
 //
-//	vpgen -sessions 40 -out traffic.pcap
+//	vpgen -sessions 40 -seed 11 -out traffic.pcap
 //	vpserve -pcap traffic.pcap -window 1m -telemetry-tiers 5m \
 //	        -telemetry-persist history.jsonl
 //	curl localhost:8080/stats
@@ -33,7 +33,6 @@ import (
 
 	"videoplat/internal/fingerprint"
 	"videoplat/internal/ml"
-	"videoplat/internal/pcap"
 	"videoplat/internal/pipeline"
 	"videoplat/internal/server"
 	"videoplat/internal/telemetry"
@@ -193,27 +192,14 @@ func sumFlows(res *telemetry.QueryResult) int {
 }
 
 // writeTraffic renders 40 mixed video sessions — the daemon's own synthetic
-// workload — into a pcap at path.
+// workload, and what vpgen -sessions 40 -seed 11 writes — into a pcap at path.
 func writeTraffic(path string) {
 	f, err := os.Create(path)
 	if err != nil {
 		log.Fatal(err)
 	}
-	w, err := pcap.NewWriter(f, 0)
-	if err != nil {
+	if _, err := tracegen.NewStream(tracegen.StreamConfig{Seed: 11, Sessions: 40}).WritePCAP(f); err != nil {
 		log.Fatal(err)
-	}
-	for src := server.NewSynthSource(11, 40); ; {
-		pkt, err := src.Next()
-		if err == io.EOF {
-			break
-		}
-		if err == nil {
-			err = w.WritePacket(pkt.Timestamp, pkt.Data)
-		}
-		if err != nil {
-			log.Fatal(err)
-		}
 	}
 	if err := f.Close(); err != nil {
 		log.Fatal(err)

@@ -317,3 +317,6 @@ func TestProviderTransportJSONByName(t *testing.T) {
 		t.Error("encoded an invalid transport")
 	}
 }
+
+// ProfileFor returns the profile of a platform label, or nil.
+func ProfileFor(label string) *Profile { return profiles[label] }

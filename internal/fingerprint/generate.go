@@ -281,16 +281,17 @@ func buildHello(rng *rand.Rand, tls *TLSProfile, p *Profile, f *Flow, prov Provi
 	}
 
 	ch.Extensions = exts
+	ch.SetLengths()
 	if hasExt(tls.Extensions, tlsproto.ExtPadding) && tls.PadTo > 0 {
-		cur := len(ch.Marshal())
-		pad := tls.PadTo - cur - 4 // 4 bytes of extension header
+		// Pad the handshake message (its 4-byte header included) to PadTo.
+		pad := tls.PadTo - (4 + ch.HandshakeLength) - 4 // 4 bytes of extension header
 		if pad < 0 {
 			pad = rng.IntN(32)
 		}
 		ch.Extensions = append(ch.Extensions, tlsproto.Extension{
 			Type: tlsproto.ExtPadding, Data: tlsproto.PaddingData(pad)})
+		ch.SetLengths()
 	}
-	ch.Marshal() // populate HandshakeLength / ExtensionsLength
 	return ch
 }
 

@@ -480,9 +480,6 @@ func removeExt(exts []uint16, typ uint16) []uint16 {
 	return out
 }
 
-// ProfileFor returns the profile of a platform label, or nil.
-func ProfileFor(label string) *Profile { return profiles[label] }
-
 // AllPlatformLabels lists the 17 concrete platforms in a stable order.
 func AllPlatformLabels() []string {
 	return []string{

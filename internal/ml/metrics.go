@@ -123,23 +123,6 @@ func median(xs []float64) float64 {
 	return (s[n/2-1] + s[n/2]) / 2
 }
 
-// Evaluate scores a trained classifier on test data whose class universe
-// matches the training set.
-func Evaluate(c Classifier, test *Dataset) *EvalResult {
-	res := &EvalResult{Confusion: NewConfusionMatrix(test.Classes)}
-	for i, x := range test.X {
-		pred, conf := Predict(c, x)
-		res.Confusion.Add(test.Y[i], pred)
-		if pred == test.Y[i] {
-			res.CorrectConf = append(res.CorrectConf, conf)
-		} else {
-			res.IncorrectConf = append(res.IncorrectConf, conf)
-		}
-	}
-	res.Accuracy = res.Confusion.Accuracy()
-	return res
-}
-
 // CrossValidate runs stratified k-fold cross-validation (10-fold in §4.3.1),
 // training a fresh classifier per fold via factory, and aggregates the
 // results over all folds.

@@ -393,3 +393,20 @@ func BenchmarkForestFit(b *testing.B) {
 		})
 	}
 }
+
+// Evaluate scores a trained classifier on test data whose class universe
+// matches the training set.
+func Evaluate(c Classifier, test *Dataset) *EvalResult {
+	res := &EvalResult{Confusion: NewConfusionMatrix(test.Classes)}
+	for i, x := range test.X {
+		pred, conf := Predict(c, x)
+		res.Confusion.Add(test.Y[i], pred)
+		if pred == test.Y[i] {
+			res.CorrectConf = append(res.CorrectConf, conf)
+		} else {
+			res.IncorrectConf = append(res.IncorrectConf, conf)
+		}
+	}
+	res.Accuracy = res.Confusion.Accuracy()
+	return res
+}

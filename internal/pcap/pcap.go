@@ -1,5 +1,5 @@
 // Package pcap reads and writes libpcap capture files, the classic
-// tcpdump format (Reader, Writer) and pcapng (NGReader, NGWriter). Both byte
+// tcpdump format (Reader, Writer) and pcapng (NGReader). Both byte
 // orders and both microsecond and nanosecond timestamp variants are
 // supported on read; writes use little-endian microsecond files, the most
 // widely compatible variant.

@@ -237,75 +237,6 @@ func (ng *NGReader) handleEnhanced(body []byte) (Packet, error) {
 	}, nil
 }
 
-// NGWriter emits a minimal single-interface pcapng file (section header +
-// Ethernet interface description, then one enhanced packet block per
-// packet), with microsecond timestamps.
-type NGWriter struct {
-	w io.Writer
-}
-
-// NewNGWriter writes the section and interface headers.
-func NewNGWriter(w io.Writer, snaplen uint32) (*NGWriter, error) {
-	if snaplen == 0 {
-		snaplen = 262144
-	}
-	le := binary.LittleEndian
-	shb := make([]byte, 28)
-	le.PutUint32(shb[0:], blockSectionHeader)
-	le.PutUint32(shb[4:], 28)
-	le.PutUint32(shb[8:], byteOrderMagic)
-	le.PutUint16(shb[12:], 1) // major
-	le.PutUint16(shb[14:], 0) // minor
-	for i := 16; i < 24; i++ {
-		shb[i] = 0xff // unknown section length
-	}
-	le.PutUint32(shb[24:], 28)
-	idb := make([]byte, 20)
-	le.PutUint32(idb[0:], blockInterfaceDesc)
-	le.PutUint32(idb[4:], 20)
-	le.PutUint16(idb[8:], LinkTypeEthernet)
-	le.PutUint32(idb[12:], snaplen)
-	le.PutUint32(idb[16:], 20)
-	if _, err := w.Write(shb); err != nil {
-		return nil, err
-	}
-	if _, err := w.Write(idb); err != nil {
-		return nil, err
-	}
-	return &NGWriter{w: w}, nil
-}
-
-// WritePacket appends one enhanced packet block.
-func (nw *NGWriter) WritePacket(ts time.Time, data []byte) error {
-	le := binary.LittleEndian
-	pad := (4 - len(data)%4) % 4
-	total := uint32(32 + len(data) + pad)
-	hdr := make([]byte, 28)
-	le.PutUint32(hdr[0:], blockEnhancedPacket)
-	le.PutUint32(hdr[4:], total)
-	le.PutUint32(hdr[8:], 0) // interface 0
-	usec := uint64(ts.UnixMicro())
-	le.PutUint32(hdr[12:], uint32(usec>>32))
-	le.PutUint32(hdr[16:], uint32(usec))
-	le.PutUint32(hdr[20:], uint32(len(data)))
-	le.PutUint32(hdr[24:], uint32(len(data)))
-	if _, err := nw.w.Write(hdr); err != nil {
-		return err
-	}
-	if _, err := nw.w.Write(data); err != nil {
-		return err
-	}
-	if pad > 0 {
-		if _, err := nw.w.Write(make([]byte, pad)); err != nil {
-			return err
-		}
-	}
-	var trailer [4]byte
-	le.PutUint32(trailer[:], total)
-	_, err := nw.w.Write(trailer[:])
-	return err
-}
-
 // OpenReader sniffs the magic bytes and returns a unified packet iterator
 // for either classic libpcap or pcapng input.
 func OpenReader(r io.ReadSeeker) (interface{ Next() (Packet, error) }, error) {

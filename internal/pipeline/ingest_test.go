@@ -39,7 +39,7 @@ func icmpFrame(t *testing.T) []byte {
 // must now be dropped at ingest, counted in IngestStats, and reach no shard.
 func TestIngestDropsUndecodableFrames(t *testing.T) {
 	bank := &Bank{}
-	s := NewSharded(bank, 4)
+	s := NewShardedWithConfig(bank, 4, Config{})
 	now := time.Now()
 
 	garbage := [][]byte{
@@ -464,7 +464,7 @@ func TestKeepRule(t *testing.T) {
 		{"IPv6 server data", craftFrame(server6, client6, packet.ProtoTCP, packet.FlagACK, make([]byte, 1400), 0), eth + ip6 + tcp, eth + ip6 + tcp},
 		{"IPv6 short header", craftFrame(server6, client6, packet.ProtoUDP, 0, shortHeader(nil, 1350), 0), eth + ip6 + udp + 21, eth + ip6 + udp},
 	} {
-		s := NewSharded(emptyBank(), 1)
+		s := NewShardedWithConfig(emptyBank(), 1, Config{})
 		s.decode(time.Time{}, c.frame)
 		b := s.pending[0]
 		if b == nil || len(b.frames) != 1 {
@@ -497,7 +497,7 @@ func TestBatchArenaBound(t *testing.T) {
 	server := netip.MustParseAddrPort("203.0.113.10:443")
 	frame := craftFrame(client, server, packet.ProtoTCP, packet.FlagACK, make([]byte, 1400), 0)
 	n := 3*maxBatchArena/len(frame) + 1
-	s := NewSharded(emptyBank(), 1)
+	s := NewShardedWithConfig(emptyBank(), 1, Config{})
 	for i := 0; i < n; i++ {
 		s.decode(time.Time{}, frame)
 		if got := len(s.pending[0].arena); got > maxBatchArena {
@@ -634,7 +634,7 @@ func TestHandlePacketBatchShortFrames(t *testing.T) {
 					pkts[i].Data = good
 				}
 				pkts[pos].Data = short
-				s := NewSharded(emptyBank(), 2)
+				s := NewShardedWithConfig(emptyBank(), 2, Config{})
 				s.HandlePacketBatch(pkts)
 				s.Close()
 				if got := s.IngestStats().Ignored; got != 1 {
@@ -769,7 +769,7 @@ func TestUndrainedResultsAllocateNothing(t *testing.T) {
 func TestShardedDefaultQueueDepths(t *testing.T) {
 	bank := &Bank{}
 	for _, n := range []int{1, 4} {
-		s := NewSharded(bank, n)
+		s := NewShardedWithConfig(bank, n, Config{})
 		if got, want := cap(s.results), DefaultResultsBufferPerShard*n; got != want {
 			t.Errorf("n=%d: results buffer = %d, want %d", n, got, want)
 		}

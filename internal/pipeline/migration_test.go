@@ -173,7 +173,7 @@ func TestMigrationTrailerPaddedFrames(t *testing.T) {
 		t.Errorf("Pipeline: table %+v; want 1 migration re-keying the 1 inserted flow", st)
 	}
 
-	s := NewSharded(emptyBank(), 4)
+	s := NewShardedWithConfig(emptyBank(), 4, Config{})
 	go func() {
 		for range s.Results() {
 		}
@@ -197,7 +197,7 @@ func TestMigrationTrailerPaddedFrames(t *testing.T) {
 func TestShardedMigrationRouting(t *testing.T) {
 	leakcheck.Check(t)
 	const flows = 6
-	s := NewSharded(emptyBank(), 4)
+	s := NewShardedWithConfig(emptyBank(), 4, Config{})
 	go func() {
 		for range s.Results() {
 		}
@@ -282,7 +282,7 @@ func TestMigrationTwiceKeepsFirstTuple(t *testing.T) {
 	for _, pkt := range pkts {
 		p.HandlePacket(pkt.TS, pkt.Data)
 	}
-	s := NewSharded(emptyBank(), 4)
+	s := NewShardedWithConfig(emptyBank(), 4, Config{})
 	s.HandlePacketBatch(pkts)
 	s.Close()
 	for name, c := range map[string]struct {

@@ -123,7 +123,7 @@ func (f *helloFlight) synFrame() []byte {
 func (f *helloFlight) initialFrame(tb testing.TB, frames []quicproto.CryptoFrame, pn uint64, size int) ([]byte, bool) {
 	in := f.initial
 	in.PacketNumber, in.Crypto = pn, frames
-	dg, err := in.Seal(size)
+	dg, err := in.Seal(nil, size)
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -28,7 +28,7 @@ func TestServerFirstFlowOrientation(t *testing.T) {
 		t.Helper()
 		var recs []*FlowRecord
 		if sharded {
-			s := NewSharded(bank, 4)
+			s := NewShardedWithConfig(bank, 4, Config{})
 			go func() {
 				for range s.Results() {
 				}
@@ -147,7 +147,7 @@ func TestFlowSpansPacketTime(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s := NewSharded(bank, 1)
+	s := NewShardedWithConfig(bank, 1, Config{})
 	s.HandlePacketBatch(pkts)
 	s.Close()
 	for name, recs := range map[string][]*FlowRecord{"Pipeline": p.Flows(), "Sharded": s.Flows()} {

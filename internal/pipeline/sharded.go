@@ -233,10 +233,6 @@ func keepLen(key packet.FlowKey, frameLen, payloadOff int, payload []byte) int {
 	return frameLen
 }
 
-// NewSharded starts n shard workers over a shared trained bank with
-// unbounded per-shard flow tables and default queue depths.
-func NewSharded(bank *Bank, n int) *Sharded { return NewShardedWithConfig(bank, n, Config{}) }
-
 // NewShardedWithConfig starts n shard workers whose pipelines are each
 // bounded by cfg. cfg.MaxFlows applies per shard; cfg.OnEvict is invoked
 // from shard goroutines and must be safe for concurrent use.

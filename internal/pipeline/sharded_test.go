@@ -24,7 +24,7 @@ func TestShardedPipelineClassifiesAllFlows(t *testing.T) {
 	}
 	leakcheck.Check(t)
 	bank, _ := trainSmallBank(t, 31, 0.02)
-	s := NewSharded(bank, 4)
+	s := NewShardedWithConfig(bank, 4, Config{})
 
 	g := tracegen.New(77)
 	want := map[string]string{}
@@ -160,7 +160,7 @@ func TestHashKeyDistribution(t *testing.T) {
 func TestShardedSingleShard(t *testing.T) {
 	leakcheck.Check(t)
 	bank := &Bank{}
-	s := NewSharded(bank, 0) // clamps to 1
+	s := NewShardedWithConfig(bank, 0, Config{}) // clamps to 1
 	if len(s.shards) != 1 {
 		t.Fatalf("shards = %d", len(s.shards))
 	}

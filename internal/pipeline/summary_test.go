@@ -249,7 +249,7 @@ func TestFragmentBodyIsNoFlow(t *testing.T) {
 		t.Errorf("Pipeline counted %d packets, want 2", got)
 	}
 
-	s := NewSharded(emptyBank(), 2)
+	s := NewShardedWithConfig(emptyBank(), 2, Config{})
 	for _, fr := range frags {
 		s.HandlePacket(now, fr)
 	}

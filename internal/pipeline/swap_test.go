@@ -31,7 +31,7 @@ func TestConcurrentHotSwapUnderLoad(t *testing.T) {
 	}
 	bankB.Version = "vB"
 
-	s := NewSharded(bankA, 4)
+	s := NewShardedWithConfig(bankA, 4, Config{})
 
 	// Collect results concurrently; every record must carry a coherent
 	// version stamp.

@@ -9,12 +9,9 @@ import (
 
 // cryptoFrame encodes one CRYPTO frame for frame-walk tests.
 func cryptoFrame(off uint64, data []byte) []byte {
-	w := wire.NewWriter(16 + len(data))
-	w.Uint8(frameCrypto)
-	_ = w.Varint(off)
-	_ = w.Varint(uint64(len(data)))
-	w.Write(data)
-	return w.Bytes()
+	b := wire.AppendVarint([]byte{frameCrypto}, off)
+	b = wire.AppendVarint(b, uint64(len(data)))
+	return append(b, data...)
 }
 
 // assemble runs a raw frame sequence through the frame walk. Putting the

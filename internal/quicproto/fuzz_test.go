@@ -22,13 +22,13 @@ func fuzzSeeds(tb testing.TB) [][]byte {
 	}
 	var out [][]byte
 	for _, in := range shapes {
-		dg, err := in.Seal(0)
+		dg, err := in.Seal(nil, 0)
 		if err != nil {
 			tb.Fatalf("sealing seed: %v", err)
 		}
 		out = append(out, dg)
 	}
-	if dg, err := shapes[0].Seal(1300); err == nil {
+	if dg, err := shapes[0].Seal(nil, 1300); err == nil {
 		out = append(out, dg)
 	}
 	// A scattered hello at the CRYPTO-frame bound, and one frame over it.
@@ -98,7 +98,7 @@ func FuzzParseInitial(f *testing.F) {
 		}
 		// Re-seal and re-parse: the frame list must survive its own
 		// canonical encoding, frame for frame and in order.
-		dg, err := p.Seal(0)
+		dg, err := p.Seal(nil, 0)
 		if err != nil {
 			t.Fatalf("re-seal of parsed Initial failed: %v", err)
 		}

@@ -16,8 +16,10 @@
 package quicproto
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"videoplat/internal/wire"
 )
@@ -85,26 +87,24 @@ func ParseInitial(datagram []byte) (*Initial, error) {
 // (RFC 9000 §14.1).
 const MinInitialSize = 1200
 
-// Seal encodes and encrypts the Initial into a UDP datagram: one CRYPTO
-// frame per Crypto entry, in list order, padded with PADDING frames to at
-// least minSize (use 0 for the RFC default of 1200).
-func (p *Initial) Seal(minSize int) ([]byte, error) {
-	frames := wire.NewWriter(max(minSize, MinInitialSize))
+// Seal appends the Initial, encoded and encrypted, to dst as one UDP
+// datagram: one CRYPTO frame per Crypto entry, in list order, padded with
+// PADDING frames to at least minSize (use 0 for the RFC default of 1200).
+// The header and frames are written into dst and sealed where they lie, so
+// the datagram takes no buffer but dst.
+func (p *Initial) Seal(dst []byte, minSize int) ([]byte, error) {
+	if len(p.DCID) > maxCIDLen || len(p.SCID) > maxCIDLen {
+		return nil, errCID
+	}
+	plainLen := 0
 	for _, f := range p.Crypto {
-		frames.Uint8(frameCrypto)
-		if err := frames.Varint(f.Offset); err != nil {
-			return nil, err
+		if wire.VarintLen(f.Offset) == 0 {
+			return nil, fmt.Errorf("quicproto: CRYPTO offset %d out of varint range", f.Offset)
 		}
-		if err := frames.Varint(uint64(len(f.Data))); err != nil {
-			return nil, err
-		}
-		frames.Write(f.Data)
+		plainLen += 1 + wire.VarintLen(f.Offset) + wire.VarintLen(uint64(len(f.Data))) + len(f.Data)
 	}
 	if minSize == 0 {
 		minSize = MinInitialSize
-	}
-	if len(p.DCID) > maxCIDLen || len(p.SCID) > maxCIDLen {
-		return nil, errCID
 	}
 	const pnLen = 4 // fixed-length packet number keeps the header math simple
 
@@ -115,34 +115,31 @@ func (p *Initial) Seal(minSize int) ([]byte, error) {
 		n += wire.VarintLen(uint64(pnLen + payloadLen + 16)) // length field
 		return n
 	}
-	plainLen := frames.Len()
-	total := hdrLen(plainLen) + pnLen + plainLen + 16
-	if total < minSize {
-		pad := minSize - total
-		frames.Write(make([]byte, pad))
-		plainLen += pad
+	if total := hdrLen(plainLen) + pnLen + plainLen + 16; total < minSize {
+		plainLen += minSize - total
 	}
 
-	// Header.
-	hdr := wire.NewWriter(64)
-	first := byte(0xc0 | (pnLen - 1)) // long header, fixed bit, Initial, pn len
-	hdr.Uint8(first)
-	hdr.Uint32(p.Version)
-	hdr.Uint8(uint8(len(p.DCID)))
-	hdr.Write(p.DCID)
-	hdr.Uint8(uint8(len(p.SCID)))
-	hdr.Write(p.SCID)
-	if err := hdr.Varint(uint64(len(p.Token))); err != nil {
-		return nil, err
+	start := len(dst)
+	dst = slices.Grow(dst, hdrLen(plainLen)+pnLen+plainLen+16)
+	dst = append(dst, 0xc0|(pnLen-1)) // long header, fixed bit, Initial, pn len
+	dst = binary.BigEndian.AppendUint32(dst, p.Version)
+	dst = append(dst, uint8(len(p.DCID)))
+	dst = append(dst, p.DCID...)
+	dst = append(dst, uint8(len(p.SCID)))
+	dst = append(dst, p.SCID...)
+	dst = wire.AppendVarint(dst, uint64(len(p.Token)))
+	dst = append(dst, p.Token...)
+	dst = wire.AppendVarint(dst, uint64(pnLen+plainLen+16))
+	pnOffset := len(dst) - start
+	dst = binary.BigEndian.AppendUint32(dst, uint32(p.PacketNumber))
+	body := len(dst)
+	for _, f := range p.Crypto {
+		dst = append(dst, frameCrypto)
+		dst = wire.AppendVarint(dst, f.Offset)
+		dst = wire.AppendVarint(dst, uint64(len(f.Data)))
+		dst = append(dst, f.Data...)
 	}
-	hdr.Write(p.Token)
-	if err := hdr.Varint(uint64(pnLen + plainLen + 16)); err != nil {
-		return nil, err
-	}
-	pnOffset := hdr.Len()
-	for i := pnLen - 1; i >= 0; i-- {
-		hdr.Uint8(byte(p.PacketNumber >> (8 * i)))
-	}
+	dst = append(dst, make([]byte, body+plainLen-len(dst))...) // PADDING frames
 
 	k, err := clientKeys(p.DCID)
 	if err != nil {
@@ -150,11 +147,12 @@ func (p *Initial) Seal(minSize int) ([]byte, error) {
 	}
 	var nonce [12]byte
 	k.nonce(&nonce, p.PacketNumber)
-	ciphertext := k.aead.Seal(nil, nonce[:], frames.Bytes(), hdr.Bytes())
-
-	out := append(append([]byte{}, hdr.Bytes()...), ciphertext...)
+	// The ciphertext overwrites the plaintext exactly, which AEAD allows;
+	// the header before it is the additional data.
+	dst = k.aead.Seal(dst[:body], nonce[:], dst[body:], dst[start:body])
 
 	// Apply header protection.
+	out := dst[start:]
 	var mask [16]byte
 	k.headerProtectionMask(&mask, out[pnOffset+4:pnOffset+4+16])
 	out[0] ^= mask[0] & 0x0f
@@ -162,7 +160,7 @@ func (p *Initial) Seal(minSize int) ([]byte, error) {
 		out[pnOffset+i] ^= mask[1+i]
 	}
 	p.WireSize = len(out)
-	return out, nil
+	return dst, nil
 }
 
 // IsLongHeader reports whether a UDP payload starts with a QUIC long header.

@@ -86,7 +86,7 @@ func (d decoded) equal(o decoded) bool {
 func TestOpenerReuseKeepsEarlierPacket(t *testing.T) {
 	helloA, helloB := quicHello(t, "a.googlevideo.com", 10), quicHello(t, "b.example.net", 300)
 	seal := func(in *Initial) []byte {
-		dg, err := in.Seal(0)
+		dg, err := in.Seal(nil, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,7 +140,7 @@ func TestOpenerReuseKeepsEarlierPacket(t *testing.T) {
 // the CRYPTO frame's Data — also when it comes back from a failed open.
 func TestOpenerReusesCallerBuffer(t *testing.T) {
 	hello := quicHello(t, "a.googlevideo.com", 10)
-	dg, err := (&Initial{Version: Version1, DCID: []byte{1, 2, 3, 4}, Crypto: whole(hello)}).Seal(0)
+	dg, err := (&Initial{Version: Version1, DCID: []byte{1, 2, 3, 4}, Crypto: whole(hello)}).Seal(nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func scatteredInitial(tb testing.TB, crypto []byte, n int) []byte {
 		lo, hi := i*len(crypto)/n, (i+1)*len(crypto)/n
 		in.Crypto = append(in.Crypto, CryptoFrame{Offset: uint64(lo), Data: crypto[lo:hi]})
 	}
-	dg, err := in.Seal(0)
+	dg, err := in.Seal(nil, 0)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func TestOpenerScatteredCrypto(t *testing.T) {
 // ParseInitial adds its fresh Opener and the Initial it returns.
 func TestOpenAllocs(t *testing.T) {
 	dg, err := (&Initial{Version: Version1, DCID: []byte{1, 2, 3, 4, 5, 6, 7, 8},
-		Crypto: whole(quicHello(t, "a.googlevideo.com", 100))}).Seal(0)
+		Crypto: whole(quicHello(t, "a.googlevideo.com", 100))}).Seal(nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +278,7 @@ func TestOpenAllocs(t *testing.T) {
 // TestRejectPathsAllocFree pins the per-packet reject paths: the errors are
 // pre-built, so turning a packet away allocates nothing.
 func TestRejectPathsAllocFree(t *testing.T) {
-	dg, err := (&Initial{Version: Version1, DCID: []byte{1, 2, 3, 4}, Crypto: whole([]byte{1, 0, 0, 0})}).Seal(0)
+	dg, err := (&Initial{Version: Version1, DCID: []byte{1, 2, 3, 4}, Crypto: whole([]byte{1, 0, 0, 0})}).Seal(nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

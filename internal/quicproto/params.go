@@ -72,13 +72,13 @@ func ParseTransportParameters(b []byte) (*TransportParameters, error) {
 
 // Marshal encodes the parameters in order.
 func (tp *TransportParameters) Marshal() []byte {
-	w := wire.NewWriter(128)
+	b := make([]byte, 0, 128)
 	for _, p := range tp.Params {
-		_ = w.Varint(p.ID)
-		_ = w.Varint(uint64(len(p.Value)))
-		w.Write(p.Value)
+		b = wire.AppendVarint(b, p.ID)
+		b = wire.AppendVarint(b, uint64(len(p.Value)))
+		b = append(b, p.Value...)
 	}
-	return w.Bytes()
+	return b
 }
 
 // Get returns the first parameter with the given ID.

@@ -137,7 +137,7 @@ func TestSealParseRoundTrip(t *testing.T) {
 		PacketNumber: 0,
 		Crypto:       whole(crypto),
 	}
-	datagram, err := in.Seal(0)
+	datagram, err := in.Seal(nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestSealRoundTripProperty(t *testing.T) {
 			PacketNumber: uint64(pn),
 			Crypto:       whole(crypto),
 		}
-		dg, err := in.Seal(0)
+		dg, err := in.Seal(nil, 0)
 		if err != nil {
 			return false
 		}
@@ -186,7 +186,7 @@ func TestSealRoundTripProperty(t *testing.T) {
 
 func TestParseInitialCorruption(t *testing.T) {
 	in := &Initial{Version: Version1, DCID: []byte{1, 2, 3, 4}, Crypto: whole([]byte{1, 0, 0, 0})}
-	dg, err := in.Seal(0)
+	dg, err := in.Seal(nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestParseInitialCorruption(t *testing.T) {
 
 func TestHandshakePacketRejected(t *testing.T) {
 	in := &Initial{Version: Version1, DCID: []byte{1}, Crypto: whole([]byte{0})}
-	dg, _ := in.Seal(0)
+	dg, _ := in.Seal(nil, 0)
 	dg[0] = 0xe0 // long header, type=2 (Handshake)
 	if _, err := ParseInitial(dg); err != ErrNotInitial {
 		t.Errorf("err = %v, want ErrNotInitial", err)
@@ -284,7 +284,7 @@ func TestInitialWithTokenAndCoalescedPadding(t *testing.T) {
 		Token:   []byte("retry-token-value"),
 		Crypto:  whole(bytes.Repeat([]byte{0x42}, 64)),
 	}
-	dg, err := in.Seal(1400)
+	dg, err := in.Seal(nil, 1400)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +305,7 @@ func BenchmarkSealInitial(b *testing.B) {
 		Crypto: whole(make([]byte, 512))}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := in.Seal(0); err != nil {
+		if _, err := in.Seal(nil, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

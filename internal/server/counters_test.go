@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -93,8 +94,7 @@ func TestLiveCountersAreTheVerdictCounters(t *testing.T) {
 		t.Skip("bank training is slow")
 	}
 	const shards = 4
-	src := NewSynthSource(3, 30)
-	src.SetAdversarial(0.5)
+	src := tracegen.NewStream(tracegen.StreamConfig{Seed: 3, Sessions: 30, Adversarial: 0.5})
 	sink := &windowTotals{}
 	srv, err := New(trainBank(t), src, Config{
 		Addr:         "127.0.0.1:0",
@@ -241,7 +241,8 @@ func TestAbstainsKeepTheirVerdictAndNoProvider(t *testing.T) {
 		}
 		return out
 	}
-	pkts := mergeByTime(packets(ech), packets(resumed))
+	pkts := append(packets(ech), packets(resumed)...)
+	sort.SliceStable(pkts, func(i, j int) bool { return pkts[i].Timestamp.Before(pkts[j].Timestamp) })
 
 	sink := &windowTotals{}
 	srv, err := New(&pipeline.Bank{}, &sliceSource{pkts: pkts}, Config{Addr: "127.0.0.1:0", Shards: 2, Sink: sink})

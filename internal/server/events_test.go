@@ -24,7 +24,7 @@ func TestReadyzLifecycle(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bank training is slow")
 	}
-	srv, err := New(trainBank(t), NewSynthSource(3, 5), Config{Addr: "127.0.0.1:0", Shards: 1})
+	srv, err := New(trainBank(t), synth(3, 5), Config{Addr: "127.0.0.1:0", Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestEventsEndpoint(t *testing.T) {
 		t.Skip("bank training is slow")
 	}
 	journal := obs.NewJournal(64, nil)
-	srv, err := New(trainBank(t), NewSynthSource(3, 5), Config{
+	srv, err := New(trainBank(t), synth(3, 5), Config{
 		Addr: "127.0.0.1:0", Shards: 1, Journal: journal,
 	})
 	if err != nil {
@@ -204,7 +204,7 @@ func TestSealJournalsHealthEvents(t *testing.T) {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			journal := obs.NewJournal(4096, nil)
 			sink := &flakySink{}
-			srv, err := New(bank, NewSynthSource(3, 40), Config{
+			srv, err := New(bank, synth(3, 40), Config{
 				Addr:        "127.0.0.1:0",
 				Shards:      shards,
 				MaxFlows:    4,

@@ -11,7 +11,14 @@ import (
 	"videoplat/internal/obs"
 	"videoplat/internal/pipeline"
 	"videoplat/internal/telemetry"
+	"videoplat/internal/tracegen"
 )
+
+// synth is the synthetic session stream of n sessions (n <= 0: unlimited),
+// what vpserve -synth n -seed seed replays.
+func synth(seed uint64, n int) *tracegen.Stream {
+	return tracegen.NewStream(tracegen.StreamConfig{Seed: seed, Sessions: n})
+}
 
 // replayResult is what a finished in-process replay leaves behind: the
 // documents the daemon serves, read after shutdown, the ops journal and

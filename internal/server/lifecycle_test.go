@@ -59,7 +59,7 @@ func postJSON(t *testing.T, url string, out any) (int, string) {
 // must have exited once Run returns from a cancellation mid-replay.
 func TestShutdownJoinsEveryGoroutine(t *testing.T) {
 	leakcheck.Check(t)
-	srv, err := New(&pipeline.Bank{}, NewSynthSource(3, 0), Config{Addr: "127.0.0.1:0", Shards: 2})
+	srv, err := New(&pipeline.Bank{}, synth(3, 0), Config{Addr: "127.0.0.1:0", Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestModelsEndpointsHotSwapRoundTrip(t *testing.T) {
 	}
 
 	journal := obs.NewJournal(64, nil)
-	srv, err := New(reg.Current().Bank, NewSynthSource(3, 500), Config{
+	srv, err := New(reg.Current().Bank, synth(3, 500), Config{
 		Addr: "127.0.0.1:0", Shards: 2, Registry: reg, Journal: journal,
 	})
 	if err != nil {
@@ -260,7 +260,7 @@ func TestPromoteOfMisfitBankKeepsServing(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv, err := New(reg.Current().Bank, NewSynthSource(3, 0), Config{
+	srv, err := New(reg.Current().Bank, synth(3, 0), Config{
 		Addr: "127.0.0.1:0", Shards: 2, Registry: reg,
 	})
 	if err != nil {
@@ -309,7 +309,7 @@ func TestModelsWithoutRegistry(t *testing.T) {
 		t.Skip("bank training is slow")
 	}
 	leakcheck.Check(t)
-	srv, err := New(trainBank(t), NewSynthSource(3, 5), Config{Addr: "127.0.0.1:0", Shards: 1})
+	srv, err := New(trainBank(t), synth(3, 5), Config{Addr: "127.0.0.1:0", Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,7 +404,7 @@ func TestAutoRetrainSwapsUnderInjectedDrift(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv, err := New(reg.Current().Bank, NewDriftingSynthSource(7, 0, 100), Config{
+	srv, err := New(reg.Current().Bank, tracegen.NewStream(tracegen.StreamConfig{Seed: 7, DriftAfter: 100}), Config{
 		Addr: "127.0.0.1:0", Shards: 2, Rate: 4000,
 		Registry: reg, Drift: mon, Retrainer: rt, Journal: journal,
 	})
@@ -592,7 +592,7 @@ func TestRejectedCandidateRetriedWhileDriftPersists(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv, err := New(reg.Current().Bank, NewSynthSource(7, 0), Config{
+	srv, err := New(reg.Current().Bank, synth(7, 0), Config{
 		Addr: "127.0.0.1:0", Shards: 2, Rate: 4000,
 		Registry: reg, Drift: mon, Retrainer: rt, Journal: journal,
 	})

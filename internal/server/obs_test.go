@@ -18,7 +18,7 @@ import (
 func startObservedServer(t *testing.T, cfg Config) (*Server, string, context.CancelFunc, chan error) {
 	t.Helper()
 	cfg.Addr = "127.0.0.1:0"
-	srv, err := New(&pipeline.Bank{}, NewSynthSource(5, 40), cfg)
+	srv, err := New(&pipeline.Bank{}, synth(5, 40), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,19 +2,13 @@ package server
 
 import (
 	"fmt"
-	"io"
-	"math/rand/v2"
 	"os"
-	"sort"
-	"time"
 
-	"videoplat/internal/fingerprint"
 	"videoplat/internal/pcap"
-	"videoplat/internal/tracegen"
 )
 
 // Source streams timestamped frames into the daemon: a pcap/pcapng replay
-// or synthetic traffic. Next returns io.EOF when the source is exhausted.
+// or synthetic traffic (a tracegen.Stream). Next returns io.EOF when the source is exhausted.
 // Sources need not be safe for concurrent use; the replay loop is the only
 // reader. Each returned Packet's Data must stay valid across subsequent
 // Next calls — the batched replay loop accumulates up to a batch of
@@ -50,156 +44,3 @@ func (s *fileSource) Next() (pcap.Packet, error) { return s.r.Next() }
 
 // Close releases the underlying capture file.
 func (s *fileSource) Close() error { return s.f.Close() }
-
-// SynthSource renders tracegen video sessions on the fly — a load generator
-// for soak-testing the daemon without a capture file. Sessions start at
-// 30-second intervals of trace time, mirroring cmd/vpgen.
-type SynthSource struct {
-	g           *tracegen.Generator
-	rng         *rand.Rand
-	start       time.Time
-	sessions    int // remaining sessions to render
-	rendered    int
-	driftAfter  int     // sessions after which profiles drift (0 = never)
-	adversarial float64 // fraction of sessions rendered with an adversarial scenario
-	queue       []pcap.Packet
-}
-
-// SetAdversarial makes the given fraction of subsequent sessions render with
-// one adversarial handshake scenario — ECH, QUIC 0-RTT resumption or
-// connection migration, chosen uniformly — exercising the daemon's degraded
-// classification and flow re-keying paths under load.
-func (s *SynthSource) SetAdversarial(fraction float64) {
-	if fraction < 0 {
-		fraction = 0
-	}
-	if fraction > 1 {
-		fraction = 1
-	}
-	s.adversarial = fraction
-}
-
-// NewSynthSource returns a Source producing n synthetic video sessions
-// (io.EOF afterwards; n <= 0 means unlimited).
-func NewSynthSource(seed uint64, n int) *SynthSource {
-	if n <= 0 {
-		n = int(^uint(0) >> 1) // effectively unlimited
-	}
-	return &SynthSource{
-		g:        tracegen.New(seed),
-		rng:      rand.New(rand.NewPCG(seed, 2)),
-		start:    time.Date(2023, 7, 7, 12, 0, 0, 0, time.UTC),
-		sessions: n,
-	}
-}
-
-// NewDriftingSynthSource is NewSynthSource with an injected fleet update:
-// from session driftAfter on, flows are rendered with the open-set profile
-// perturbation (same devices, newer OS/app versions), reproducing the
-// concept drift of the paper's §5.3 under live load — the scenario the
-// drift monitor and retrainer exist for.
-func NewDriftingSynthSource(seed uint64, n, driftAfter int) *SynthSource {
-	s := NewSynthSource(seed, n)
-	s.driftAfter = driftAfter
-	return s
-}
-
-func (s *SynthSource) Next() (pcap.Packet, error) {
-	for {
-		// Render the next session as soon as the queue head would pass its
-		// start time, so concurrent sessions genuinely overlap and emitted
-		// timestamps stay monotonic (a session's frames span minutes,
-		// well past the next session's 30-second-later start).
-		nextBase := s.start.Add(time.Duration(s.rendered) * 30 * time.Second)
-		if s.sessions > 0 && (len(s.queue) == 0 || !s.queue[0].Timestamp.Before(nextBase)) {
-			if err := s.renderSession(); err != nil {
-				return pcap.Packet{}, err
-			}
-			continue
-		}
-		if len(s.queue) == 0 {
-			return pcap.Packet{}, io.EOF
-		}
-		pkt := s.queue[0]
-		s.queue = s.queue[1:]
-		return pkt, nil
-	}
-}
-
-func (s *SynthSource) renderSession() error {
-	provs := fingerprint.AllProviders()
-	prov := provs[s.rng.IntN(len(provs))]
-	var labels []string
-	for _, l := range fingerprint.AllPlatformLabels() {
-		if fingerprint.SupportMatrix(l, prov) {
-			labels = append(labels, l)
-		}
-	}
-	label := labels[s.rng.IntN(len(labels))]
-	opts := fingerprint.Options{OpenSet: s.driftAfter > 0 && s.rendered >= s.driftAfter}
-	if s.adversarial > 0 && s.rng.Float64() < s.adversarial {
-		switch s.rng.IntN(3) {
-		case 0:
-			opts.ECH = true
-		case 1:
-			opts.ZeroRTT = true
-		default:
-			opts.Migration = true
-		}
-	}
-	flows, err := s.g.Session(label, prov, opts)
-	if err != nil {
-		return fmt.Errorf("server: rendering session: %w", err)
-	}
-	base := s.start.Add(time.Duration(s.rendered) * 30 * time.Second)
-	n := 0
-	for _, ft := range flows {
-		n += len(ft.Frames)
-	}
-	session := make([]pcap.Packet, 0, n)
-	for _, ft := range flows {
-		for _, fr := range ft.Frames {
-			session = append(session, pcap.Packet{
-				Timestamp: base.Add(fr.Offset),
-				Data:      fr.Data,
-				OrigLen:   len(fr.Data),
-			})
-		}
-	}
-	// Sort only the new session, then merge it into the (always-sorted)
-	// queue: a full-queue re-sort per session is quadratic over a long soak
-	// replay. Ties keep queue-before-session and session append order —
-	// exactly what the former sort.SliceStable over the concatenation
-	// produced — so Next() output stays byte-identical for a fixed seed.
-	sort.SliceStable(session, func(i, j int) bool {
-		return session[i].Timestamp.Before(session[j].Timestamp)
-	})
-	s.queue = mergeByTime(s.queue, session)
-	s.rendered++
-	s.sessions--
-	return nil
-}
-
-// mergeByTime merges two timestamp-sorted packet runs, preferring queue on
-// ties so the merge is stable with queue first.
-func mergeByTime(queue, session []pcap.Packet) []pcap.Packet {
-	if len(queue) == 0 {
-		return session
-	}
-	if len(session) == 0 {
-		return queue
-	}
-	out := make([]pcap.Packet, 0, len(queue)+len(session))
-	i, j := 0, 0
-	for i < len(queue) && j < len(session) {
-		if session[j].Timestamp.Before(queue[i].Timestamp) {
-			out = append(out, session[j])
-			j++
-		} else {
-			out = append(out, queue[i])
-			i++
-		}
-	}
-	out = append(out, queue[i:]...)
-	return append(out, session[j:]...)
-}

@@ -3,62 +3,12 @@ package server
 import (
 	"context"
 	"io"
-	"math/rand/v2"
-	"sort"
 	"testing"
 	"time"
 
 	"videoplat/internal/pcap"
 	"videoplat/internal/pipeline"
 )
-
-// TestMergeByTimeMatchesStableSort pins the SynthSource bugfix contract:
-// merging each session's (stably) sorted frames into the already-sorted
-// queue must reproduce exactly what the former full-queue sort.SliceStable
-// produced — queue-before-session on timestamp ties, session frames in
-// append order — so Next() output stays byte-identical for a fixed seed.
-func TestMergeByTimeMatchesStableSort(t *testing.T) {
-	base := time.Date(2023, 7, 7, 12, 0, 0, 0, time.UTC)
-	rng := rand.New(rand.NewPCG(42, 0))
-	for trial := 0; trial < 50; trial++ {
-		// Sorted queue with deliberate duplicate timestamps; OrigLen tags
-		// each packet's identity so ordering of ties is observable.
-		id := 0
-		mk := func(sec int) pcap.Packet {
-			id++
-			return pcap.Packet{Timestamp: base.Add(time.Duration(sec) * time.Second), OrigLen: id}
-		}
-		var queue []pcap.Packet
-		for sec := 0; len(queue) < trial%17; sec += rng.IntN(2) {
-			queue = append(queue, mk(sec))
-		}
-		var session []pcap.Packet
-		for n := 0; n < trial%13; n++ {
-			session = append(session, mk(rng.IntN(10)))
-		}
-
-		before := func(s []pcap.Packet) func(i, j int) bool {
-			return func(i, j int) bool { return s[i].Timestamp.Before(s[j].Timestamp) }
-		}
-		// Reference: the old implementation — append, then stable-sort all.
-		want := append(append([]pcap.Packet{}, queue...), session...)
-		sort.SliceStable(want, before(want))
-
-		got := append([]pcap.Packet{}, session...)
-		sort.SliceStable(got, before(got))
-		got = mergeByTime(append([]pcap.Packet{}, queue...), got)
-
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: merged %d packets, want %d", trial, len(got), len(want))
-		}
-		for i := range want {
-			if got[i].OrigLen != want[i].OrigLen {
-				t.Fatalf("trial %d: order diverges at %d: packet %d, want %d",
-					trial, i, got[i].OrigLen, want[i].OrigLen)
-			}
-		}
-	}
-}
 
 // garbageSource yields frames that cannot carry a flow, then EOF — for
 // exercising the ingest drop counters end to end.

@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/netip"
@@ -63,7 +62,7 @@ func TestServeSynthReplayEndToEnd(t *testing.T) {
 	}
 	var sinkBuf bytes.Buffer
 	sink := telemetry.NewJSONLSink(&sinkBuf)
-	srv, err := New(trainBank(t), NewSynthSource(3, 30), Config{
+	srv, err := New(trainBank(t), synth(3, 30), Config{
 		Addr:        "127.0.0.1:0",
 		Shards:      4,
 		MaxFlows:    16, // small cap: force cap evictions
@@ -260,7 +259,7 @@ func TestRatePacing(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bank training is slow")
 	}
-	srv, err := New(trainBank(t), NewSynthSource(5, 2), Config{
+	srv, err := New(trainBank(t), synth(5, 2), Config{
 		Addr: "127.0.0.1:0", Shards: 1, Rate: 50})
 	if err != nil {
 		t.Fatal(err)
@@ -284,38 +283,6 @@ func TestRatePacing(t *testing.T) {
 	cancel()
 	if err := <-runErr; err != nil {
 		t.Fatalf("run: %v", err)
-	}
-}
-
-// TestSynthSourceDeterministicAndFinite pins the synthetic source contract.
-func TestSynthSourceDeterministicAndFinite(t *testing.T) {
-	count := func() (int, string) {
-		src := NewSynthSource(11, 3)
-		n := 0
-		var sig string
-		var prev time.Time
-		for {
-			pkt, err := src.Next()
-			if err == io.EOF {
-				return n, sig
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			if pkt.Timestamp.Before(prev) {
-				t.Fatalf("timestamp regression at packet %d: %s after %s", n, pkt.Timestamp, prev)
-			}
-			prev = pkt.Timestamp
-			n++
-			if n <= 3 {
-				sig += fmt.Sprintf("%d@%s;", len(pkt.Data), pkt.Timestamp)
-			}
-		}
-	}
-	n1, sig1 := count()
-	n2, sig2 := count()
-	if n1 == 0 || n1 != n2 || sig1 != sig2 {
-		t.Errorf("source not deterministic: %d/%d packets, %q vs %q", n1, n2, sig1, sig2)
 	}
 }
 

@@ -24,7 +24,7 @@ func TestQueryConsistentWithSealedJSONL(t *testing.T) {
 		t.Skip("bank training is slow")
 	}
 	var sinkBuf bytes.Buffer
-	srv, err := New(trainBank(t), NewSynthSource(3, 30), Config{
+	srv, err := New(trainBank(t), synth(3, 30), Config{
 		Addr:        "127.0.0.1:0",
 		Shards:      4,
 		WindowWidth: time.Minute,
@@ -159,7 +159,7 @@ func TestWindowsAndQueryEndpoints(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bank training is slow")
 	}
-	srv, err := New(trainBank(t), NewSynthSource(7, 20), Config{
+	srv, err := New(trainBank(t), synth(7, 20), Config{
 		Addr:        "127.0.0.1:0",
 		Shards:      2,
 		WindowWidth: time.Minute,
@@ -275,7 +275,7 @@ func TestMetricsMatchCatalog(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bank training is slow")
 	}
-	srv, err := New(trainBank(t), NewSynthSource(5, 2), Config{Addr: "127.0.0.1:0", Shards: 1})
+	srv, err := New(trainBank(t), synth(5, 2), Config{Addr: "127.0.0.1:0", Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

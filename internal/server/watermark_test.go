@@ -44,7 +44,7 @@ func TestWindowsIndependentOfShardCount(t *testing.T) {
 	bank := trainBank(t)
 	var archive0, listing0 []string
 	for _, shards := range []int{1, 2, 4} {
-		res := replayInProcess(t, bank, NewSynthSource(5, 40), Config{Shards: shards}, nil)
+		res := replayInProcess(t, bank, synth(5, 40), Config{Shards: shards}, nil)
 		var archive []string
 		for _, line := range bytes.Split(bytes.TrimSpace(res.Archive), []byte("\n")) {
 			archive = append(archive, withoutLatency(t, line))
@@ -148,7 +148,7 @@ func TestWindowsSealOnTime(t *testing.T) {
 		width = 30 * time.Second
 	)
 	clock := &sealClock{}
-	src := &openSampler{Source: NewSynthSource(11, 40), t: t}
+	src := &openSampler{Source: synth(11, 40), t: t}
 	cfg := Config{Shards: 2, IdleTimeout: idle, WindowWidth: width, BatchSize: 4, Sink: clock}
 	replayInProcess(t, trainBank(t), src, cfg, func(s *Server) { clock.srv, src.srv = s, s })
 
@@ -188,7 +188,7 @@ func TestSealEventsReplay(t *testing.T) {
 	events := func() []string {
 		cfg := Config{Shards: 2, MaxFlows: 8, Store: telemetry.NewStore(telemetry.StoreConfig{Tiers: []time.Duration{2 * time.Minute}})}
 		var out []string
-		for _, ev := range replayInProcess(t, bank, NewSynthSource(3, 60), cfg, nil).Events {
+		for _, ev := range replayInProcess(t, bank, synth(3, 60), cfg, nil).Events {
 			if ev.Type == obs.EventEvictionPressure || ev.Type == obs.EventStoreCompaction {
 				out = append(out, fmt.Sprint(ev.Type, ev.Fields))
 			}

@@ -1,18 +1,16 @@
 package tlsproto
 
-import "videoplat/internal/wire"
+import "encoding/binary"
 
 // Helpers to construct extension bodies. Each returns the Data field of an
 // Extension; combine with the type constants to assemble a ClientHello.
 
 // ServerNameData builds a server_name extension body for host.
 func ServerNameData(host string) []byte {
-	w := wire.NewWriter(5 + len(host))
-	w.Uint16(uint16(3 + len(host)))
-	w.Uint8(0) // host_name
-	w.Uint16(uint16(len(host)))
-	w.Write([]byte(host))
-	return w.Bytes()
+	b := binary.BigEndian.AppendUint16(make([]byte, 0, 5+len(host)), uint16(3+len(host)))
+	b = append(b, 0) // host_name
+	b = binary.BigEndian.AppendUint16(b, uint16(len(host)))
+	return append(b, host...)
 }
 
 // StatusRequestData builds an OCSP status_request body.
@@ -23,80 +21,67 @@ func StatusRequestData() []byte {
 // Uint16ListData builds a body holding a 16-bit-length-prefixed list of
 // 16-bit values (supported_groups, signature_algorithms, delegated_credentials).
 func Uint16ListData(values []uint16) []byte {
-	w := wire.NewWriter(2 + 2*len(values))
-	w.Uint16(uint16(2 * len(values)))
+	b := binary.BigEndian.AppendUint16(make([]byte, 0, 2+2*len(values)), uint16(2*len(values)))
 	for _, v := range values {
-		w.Uint16(v)
+		b = binary.BigEndian.AppendUint16(b, v)
 	}
-	return w.Bytes()
+	return b
 }
 
 // ECPointFormatsData builds an ec_point_formats body.
 func ECPointFormatsData(formats []byte) []byte {
-	w := wire.NewWriter(1 + len(formats))
-	w.Uint8(uint8(len(formats)))
-	w.Write(formats)
-	return w.Bytes()
+	return append([]byte{uint8(len(formats))}, formats...)
 }
 
 // ALPNData builds an ALPN (or ALPS) body from protocol names.
 func ALPNData(protocols []string) []byte {
-	inner := wire.NewWriter(16)
+	b := make([]byte, 2, 16)
 	for _, p := range protocols {
-		inner.Uint8(uint8(len(p)))
-		inner.Write([]byte(p))
+		b = append(b, uint8(len(p)))
+		b = append(b, p...)
 	}
-	w := wire.NewWriter(2 + inner.Len())
-	w.Uint16(uint16(inner.Len()))
-	w.Write(inner.Bytes())
-	return w.Bytes()
+	binary.BigEndian.PutUint16(b, uint16(len(b)-2))
+	return b
 }
 
 // SupportedVersionsData builds a supported_versions body.
 func SupportedVersionsData(versions []uint16) []byte {
-	w := wire.NewWriter(1 + 2*len(versions))
-	w.Uint8(uint8(2 * len(versions)))
+	b := append(make([]byte, 0, 1+2*len(versions)), uint8(2*len(versions)))
 	for _, v := range versions {
-		w.Uint16(v)
+		b = binary.BigEndian.AppendUint16(b, v)
 	}
-	return w.Bytes()
+	return b
 }
 
 // PSKKeyExchangeModesData builds a psk_key_exchange_modes body.
 func PSKKeyExchangeModesData(modes []byte) []byte {
-	w := wire.NewWriter(1 + len(modes))
-	w.Uint8(uint8(len(modes)))
-	w.Write(modes)
-	return w.Bytes()
+	return append([]byte{uint8(len(modes))}, modes...)
 }
 
 // KeyShareData builds a key_share body with a zero-filled (structurally
 // valid) public key of the given length per group.
 func KeyShareData(groups []uint16, keyLens []int) []byte {
-	inner := wire.NewWriter(64)
+	b := make([]byte, 2, 64)
 	for i, g := range groups {
-		inner.Uint16(g)
 		n := 32
 		if i < len(keyLens) {
 			n = keyLens[i]
 		}
-		inner.Uint16(uint16(n))
-		inner.Write(make([]byte, n))
+		b = binary.BigEndian.AppendUint16(b, g)
+		b = binary.BigEndian.AppendUint16(b, uint16(n))
+		b = append(b, make([]byte, n)...)
 	}
-	w := wire.NewWriter(2 + inner.Len())
-	w.Uint16(uint16(inner.Len()))
-	w.Write(inner.Bytes())
-	return w.Bytes()
+	binary.BigEndian.PutUint16(b, uint16(len(b)-2))
+	return b
 }
 
 // CompressCertificateData builds a compress_certificate body.
 func CompressCertificateData(algorithms []uint16) []byte {
-	w := wire.NewWriter(1 + 2*len(algorithms))
-	w.Uint8(uint8(2 * len(algorithms)))
+	b := append(make([]byte, 0, 1+2*len(algorithms)), uint8(2*len(algorithms)))
 	for _, a := range algorithms {
-		w.Uint16(a)
+		b = binary.BigEndian.AppendUint16(b, a)
 	}
-	return w.Bytes()
+	return b
 }
 
 // RecordSizeLimitData builds a record_size_limit body.

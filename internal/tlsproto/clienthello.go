@@ -10,6 +10,7 @@
 package tlsproto
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -107,7 +108,7 @@ type ClientHello struct {
 	Extensions         []Extension
 
 	// HandshakeLength and ExtensionsLength are the lengths observed on the
-	// wire when parsed (attributes m1 and m5 of the paper); Marshal fills
+	// wire when parsed (attributes m1 and m5 of the paper); SetLengths fills
 	// them in for generated hellos.
 	HandshakeLength  int
 	ExtensionsLength int
@@ -364,50 +365,72 @@ func ParseRecord(stream []byte) (*ClientHello, error) {
 	return Parse(msg[:want])
 }
 
-// Marshal encodes the ClientHello as a handshake message (handshake header
-// included, no record framing) and updates HandshakeLength and
-// ExtensionsLength to the encoded sizes.
-func (ch *ClientHello) Marshal() []byte {
-	body := wire.NewWriter(512)
-	body.Uint16(ch.LegacyVersion)
-	body.Write(ch.Random[:])
-	body.Uint8(uint8(len(ch.SessionID)))
-	body.Write(ch.SessionID)
-	body.Uint16(uint16(2 * len(ch.CipherSuites)))
-	for _, cs := range ch.CipherSuites {
-		body.Uint16(cs)
-	}
-	body.Uint8(uint8(len(ch.CompressionMethods)))
-	body.Write(ch.CompressionMethods)
-
-	exts := wire.NewWriter(256)
+// SetLengths sets HandshakeLength and ExtensionsLength to the sizes the hello
+// encodes to, without encoding it.
+func (ch *ClientHello) SetLengths() {
+	exts := 0
 	for _, e := range ch.Extensions {
-		exts.Uint16(e.Type)
-		exts.Uint16(uint16(len(e.Data)))
-		exts.Write(e.Data)
+		exts += 4 + len(e.Data)
 	}
+	n := 2 + len(ch.Random) + 1 + len(ch.SessionID) + 2 + 2*len(ch.CipherSuites) + 1 + len(ch.CompressionMethods)
 	if len(ch.Extensions) > 0 {
-		body.Uint16(uint16(exts.Len()))
-		body.Write(exts.Bytes())
+		n += 2 + exts
 	}
-	ch.ExtensionsLength = exts.Len()
-	ch.HandshakeLength = body.Len()
-
-	out := wire.NewWriter(4 + body.Len())
-	out.Uint8(handshakeClientHello)
-	out.Uint24(uint32(body.Len()))
-	out.Write(body.Bytes())
-	return out.Bytes()
+	ch.ExtensionsLength, ch.HandshakeLength = exts, n
 }
 
-// MarshalRecord encodes the ClientHello wrapped in a single TLS record with
-// the legacy record version 0x0301, as real clients emit.
+// appendHandshake appends the ClientHello as a handshake message (handshake
+// header included, no record framing) to dst. Each length prefix is written
+// once the bytes it counts are in place.
+func (ch *ClientHello) appendHandshake(dst []byte) []byte {
+	be := binary.BigEndian
+	msg := len(dst)
+	dst = append(dst, handshakeClientHello, 0, 0, 0)
+	dst = be.AppendUint16(dst, ch.LegacyVersion)
+	dst = append(dst, ch.Random[:]...)
+	dst = append(dst, uint8(len(ch.SessionID)))
+	dst = append(dst, ch.SessionID...)
+	dst = be.AppendUint16(dst, uint16(2*len(ch.CipherSuites)))
+	for _, cs := range ch.CipherSuites {
+		dst = be.AppendUint16(dst, cs)
+	}
+	dst = append(dst, uint8(len(ch.CompressionMethods)))
+	dst = append(dst, ch.CompressionMethods...)
+	if len(ch.Extensions) > 0 {
+		exts := len(dst)
+		dst = append(dst, 0, 0)
+		for _, e := range ch.Extensions {
+			dst = be.AppendUint16(dst, e.Type)
+			dst = be.AppendUint16(dst, uint16(len(e.Data)))
+			dst = append(dst, e.Data...)
+		}
+		be.PutUint16(dst[exts:], uint16(len(dst)-exts-2))
+	}
+	n := len(dst) - msg - 4
+	dst[msg+1], dst[msg+2], dst[msg+3] = byte(n>>16), byte(n>>8), byte(n)
+	return dst
+}
+
+// appendRecord appends the ClientHello wrapped in a single TLS record, with
+// the legacy record version 0x0301 real clients emit, to dst.
+func (ch *ClientHello) appendRecord(dst []byte) []byte {
+	rec := len(dst)
+	dst = append(dst, recordTypeHandshake, byte(VersionTLS10>>8), byte(VersionTLS10&0xff), 0, 0)
+	dst = ch.appendHandshake(dst)
+	binary.BigEndian.PutUint16(dst[rec+3:], uint16(len(dst)-rec-recordHeaderLen))
+	return dst
+}
+
+// Marshal encodes the ClientHello as a handshake message (appendHandshake)
+// and sets HandshakeLength and ExtensionsLength (SetLengths).
+func (ch *ClientHello) Marshal() []byte {
+	ch.SetLengths()
+	return ch.appendHandshake(make([]byte, 0, 4+ch.HandshakeLength))
+}
+
+// MarshalRecord encodes the ClientHello as one TLS record (appendRecord) and
+// sets HandshakeLength and ExtensionsLength (SetLengths).
 func (ch *ClientHello) MarshalRecord() []byte {
-	hs := ch.Marshal()
-	out := wire.NewWriter(5 + len(hs))
-	out.Uint8(recordTypeHandshake)
-	out.Uint16(VersionTLS10)
-	out.Uint16(uint16(len(hs)))
-	out.Write(hs)
-	return out.Bytes()
+	ch.SetLengths()
+	return ch.appendRecord(make([]byte, 0, recordHeaderLen+4+ch.HandshakeLength))
 }

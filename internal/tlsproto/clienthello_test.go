@@ -97,12 +97,8 @@ func TestParseRecordSplitAcrossRecords(t *testing.T) {
 	cut := len(hs) / 2
 	var buf bytes.Buffer
 	for _, frag := range [][]byte{hs[:cut], hs[cut:]} {
-		w := wire.NewWriter(5 + len(frag))
-		w.Uint8(recordTypeHandshake)
-		w.Uint16(VersionTLS10)
-		w.Uint16(uint16(len(frag)))
-		w.Write(frag)
-		buf.Write(w.Bytes())
+		buf.Write([]byte{recordTypeHandshake, byte(VersionTLS10 >> 8), byte(VersionTLS10 & 0xff), byte(len(frag) >> 8), byte(len(frag))})
+		buf.Write(frag)
 	}
 	got, err := ParseRecord(buf.Bytes())
 	if err != nil {

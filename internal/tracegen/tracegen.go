@@ -17,7 +17,6 @@ import (
 
 	"videoplat/internal/fingerprint"
 	"videoplat/internal/packet"
-	"videoplat/internal/pcap"
 	"videoplat/internal/quicproto"
 )
 
@@ -379,11 +378,11 @@ func (g *Generator) renderQUIC(ft *FlowTrace, fp *fingerprint.Flow, ttl uint8, s
 	sendInitial := func(off time.Duration, from netip.AddrPort, pn uint64, start, end, minSize int) error {
 		in := quicproto.Initial{Version: quicproto.Version1, DCID: fp.DCID, SCID: fp.SCID, PacketNumber: pn,
 			Crypto: []quicproto.CryptoFrame{{Offset: uint64(start), Data: hello[start:end]}}}
-		dg, err := in.Seal(minSize)
+		buf, err := in.Seal(newFrame(ft, max(minSize, quicproto.MinInitialSize)), minSize)
 		if err != nil {
 			return fmt.Errorf("tracegen: sealing initial: %w", err)
 		}
-		g.appendFrame(ft, off, true, ttl, from, append(newFrame(ft, len(dg)), dg...))
+		g.appendFrame(ft, off, true, ttl, from, buf)
 		return nil
 	}
 	splitHandshake := ft.Migrated && spec.MigrateMidHandshake
@@ -498,30 +497,6 @@ func (g *Generator) Session(label string, prov fingerprint.Provider, opts finger
 // WritePCAP writes the traces' frames, merged in timestamp order, as a
 // libpcap file.
 func WritePCAP(w io.Writer, traces []*FlowTrace) error {
-	pw, err := pcap.NewWriter(w, 0)
-	if err != nil {
-		return err
-	}
-	type ev struct {
-		ts   time.Time
-		data []byte
-	}
-	var evs []ev
-	for _, ft := range traces {
-		for _, fr := range ft.Frames {
-			evs = append(evs, ev{ft.Start.Add(fr.Offset), fr.Data})
-		}
-	}
-	// insertion sort by timestamp (trace lists are mostly ordered)
-	for i := 1; i < len(evs); i++ {
-		for j := i; j > 0 && evs[j].ts.Before(evs[j-1].ts); j-- {
-			evs[j], evs[j-1] = evs[j-1], evs[j]
-		}
-	}
-	for _, e := range evs {
-		if err := pw.WritePacket(e.ts, e.data); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err := (&Stream{queue: timeOrdered(traces)}).WritePCAP(w) // a stream with no session left to render
+	return err
 }

@@ -492,8 +492,8 @@ func TestRenderAllocCeilings(t *testing.T) {
 		prov fingerprint.Provider
 		max  float64
 	}{
-		{fingerprint.TCP, fingerprint.Netflix, 61},
-		{fingerprint.QUIC, fingerprint.YouTube, 92},
+		{fingerprint.TCP, fingerprint.Netflix, 45},
+		{fingerprint.QUIC, fingerprint.YouTube, 69},
 	} {
 		g := New(8)
 		allocs := testing.AllocsPerRun(200, func() {

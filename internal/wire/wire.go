@@ -1,7 +1,7 @@
 // Package wire provides low-level byte-order encoding helpers shared by the
-// packet, TLS and QUIC codecs: a bounds-checked big-endian reader, an
-// append-style writer, QUIC variable-length integers (RFC 9000 §16) and
-// GREASE value tables (RFC 8701).
+// packet, TLS and QUIC codecs: a bounds-checked big-endian reader, QUIC
+// variable-length integers (RFC 9000 §16) and GREASE value tables (RFC 8701).
+// Encoders append to a byte slice with encoding/binary and AppendVarint.
 package wire
 
 import (
@@ -12,10 +12,6 @@ import (
 
 // ErrShortBuffer is returned when a read runs past the end of the input.
 var ErrShortBuffer = errors.New("wire: short buffer")
-
-// ErrVarintRange is returned when a value does not fit the requested
-// variable-length integer encoding.
-var ErrVarintRange = errors.New("wire: varint out of range")
 
 // Reader is a bounds-checked cursor over a byte slice. All multi-byte reads
 // are big-endian (network order). Methods return ErrShortBuffer instead of
@@ -143,58 +139,6 @@ func (r *Reader) Varint() (uint64, error) {
 	return v, nil
 }
 
-// Writer accumulates bytes in network order. The zero value is ready to use.
-type Writer struct {
-	buf []byte
-}
-
-// NewWriter returns a Writer with the given initial capacity.
-func NewWriter(capacity int) *Writer { return &Writer{buf: make([]byte, 0, capacity)} }
-
-// Bytes returns the accumulated buffer.
-func (w *Writer) Bytes() []byte { return w.buf }
-
-// Len reports the number of bytes written so far.
-func (w *Writer) Len() int { return len(w.buf) }
-
-// Uint8 appends one byte.
-func (w *Writer) Uint8(v uint8) { w.buf = append(w.buf, v) }
-
-// Uint16 appends a big-endian 16-bit integer.
-func (w *Writer) Uint16(v uint16) { w.buf = binary.BigEndian.AppendUint16(w.buf, v) }
-
-// Uint24 appends a big-endian 24-bit integer.
-func (w *Writer) Uint24(v uint32) {
-	w.buf = append(w.buf, byte(v>>16), byte(v>>8), byte(v))
-}
-
-// Uint32 appends a big-endian 32-bit integer.
-func (w *Writer) Uint32(v uint32) { w.buf = binary.BigEndian.AppendUint32(w.buf, v) }
-
-// Uint64 appends a big-endian 64-bit integer.
-func (w *Writer) Uint64(v uint64) { w.buf = binary.BigEndian.AppendUint64(w.buf, v) }
-
-// Write appends raw bytes.
-func (w *Writer) Write(b []byte) { w.buf = append(w.buf, b...) }
-
-// Varint appends a QUIC variable-length integer using the smallest encoding.
-func (w *Writer) Varint(v uint64) error {
-	switch {
-	case v < 1<<6:
-		w.buf = append(w.buf, byte(v))
-	case v < 1<<14:
-		w.buf = append(w.buf, 0x40|byte(v>>8), byte(v))
-	case v < 1<<30:
-		w.buf = append(w.buf, 0x80|byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
-	case v < 1<<62:
-		w.buf = append(w.buf, 0xc0|byte(v>>56), byte(v>>48), byte(v>>40),
-			byte(v>>32), byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
-	default:
-		return ErrVarintRange
-	}
-	return nil
-}
-
 // VarintLen reports the encoded size in bytes of v, or 0 if out of range.
 func VarintLen(v uint64) int {
 	switch {
@@ -211,14 +155,21 @@ func VarintLen(v uint64) int {
 }
 
 // AppendVarint appends a QUIC varint to b using the smallest encoding.
-// It panics if v is out of range; callers constructing protocol constants
-// should validate with VarintLen first.
+// It panics if v is out of range; callers encoding a value that may be out
+// of range check it with VarintLen first.
 func AppendVarint(b []byte, v uint64) []byte {
-	w := Writer{buf: b}
-	if err := w.Varint(v); err != nil {
-		panic(fmt.Sprintf("wire: varint %d out of range", v))
+	switch VarintLen(v) {
+	case 1:
+		return append(b, byte(v))
+	case 2:
+		return append(b, 0x40|byte(v>>8), byte(v))
+	case 4:
+		return append(b, 0x80|byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
+	case 8:
+		return append(b, 0xc0|byte(v>>56), byte(v>>48), byte(v>>40),
+			byte(v>>32), byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
 	}
-	return w.buf
+	panic(fmt.Sprintf("wire: varint %d out of range", v))
 }
 
 // GREASE values reserved by RFC 8701 for TLS cipher suites, extensions and

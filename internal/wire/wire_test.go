@@ -2,21 +2,19 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"testing"
 	"testing/quick"
 )
 
 func TestReaderBasics(t *testing.T) {
-	w := NewWriter(32)
-	w.Uint8(0xab)
-	w.Uint16(0x1234)
-	w.Uint24(0x00c0ffe)
-	w.Uint32(0xdeadbeef)
-	w.Uint64(0x0102030405060708)
-	w.Write([]byte{1, 2, 3})
+	buf := []byte{0xab, 0x12, 0x34, 0x0c, 0x0f, 0xfe}
+	buf = binary.BigEndian.AppendUint32(buf, 0xdeadbeef)
+	buf = binary.BigEndian.AppendUint64(buf, 0x0102030405060708)
+	buf = append(buf, 1, 2, 3)
 
-	r := NewReader(w.Bytes())
+	r := NewReader(buf)
 	if v, err := r.Uint8(); err != nil || v != 0xab {
 		t.Fatalf("Uint8 = %#x, %v", v, err)
 	}
@@ -86,12 +84,8 @@ func TestVarintKnownEncodings(t *testing.T) {
 		{151288809941952652, []byte{0xc2, 0x19, 0x7c, 0x5e, 0xff, 0x14, 0xe8, 0x8c}},
 	}
 	for _, c := range cases {
-		w := NewWriter(8)
-		if err := w.Varint(c.val); err != nil {
-			t.Fatalf("Varint(%d): %v", c.val, err)
-		}
-		if !bytes.Equal(w.Bytes(), c.enc) {
-			t.Errorf("Varint(%d) = %x, want %x", c.val, w.Bytes(), c.enc)
+		if got := AppendVarint(nil, c.val); !bytes.Equal(got, c.enc) {
+			t.Errorf("AppendVarint(%d) = %x, want %x", c.val, got, c.enc)
 		}
 		got, err := NewReader(c.enc).Varint()
 		if err != nil || got != c.val {
@@ -101,10 +95,14 @@ func TestVarintKnownEncodings(t *testing.T) {
 }
 
 func TestVarintRange(t *testing.T) {
-	w := NewWriter(8)
-	if err := w.Varint(1 << 62); err != ErrVarintRange {
-		t.Fatalf("Varint(2^62): err = %v, want ErrVarintRange", err)
-	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("AppendVarint(2^62) did not panic")
+			}
+		}()
+		AppendVarint(nil, 1<<62)
+	}()
 	if n := VarintLen(1 << 62); n != 0 {
 		t.Fatalf("VarintLen(2^62) = %d, want 0", n)
 	}
@@ -116,14 +114,11 @@ func TestVarintRange(t *testing.T) {
 func TestVarintRoundTripProperty(t *testing.T) {
 	f := func(v uint64) bool {
 		v &= (1 << 62) - 1
-		w := NewWriter(8)
-		if err := w.Varint(v); err != nil {
+		enc := AppendVarint(nil, v)
+		if len(enc) != VarintLen(v) {
 			return false
 		}
-		if len(w.Bytes()) != VarintLen(v) {
-			return false
-		}
-		got, err := NewReader(w.Bytes()).Varint()
+		got, err := NewReader(enc).Varint()
 		return err == nil && got == v
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -133,12 +128,10 @@ func TestVarintRoundTripProperty(t *testing.T) {
 
 func TestUintRoundTripProperty(t *testing.T) {
 	f := func(a uint8, b uint16, c uint32, d uint64) bool {
-		w := NewWriter(16)
-		w.Uint8(a)
-		w.Uint16(b)
-		w.Uint32(c)
-		w.Uint64(d)
-		r := NewReader(w.Bytes())
+		buf := binary.BigEndian.AppendUint16([]byte{a}, b)
+		buf = binary.BigEndian.AppendUint32(buf, c)
+		buf = binary.BigEndian.AppendUint64(buf, d)
+		r := NewReader(buf)
 		ga, _ := r.Uint8()
 		gb, _ := r.Uint16()
 		gc, _ := r.Uint32()
