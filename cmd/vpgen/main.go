@@ -26,7 +26,7 @@ func main() {
 		out      = flag.String("out", "traffic.pcap", "output PCAP file")
 		seed     = flag.Uint64("seed", 1, "deterministic seed")
 		sessions = flag.Int("sessions", 10, "number of video sessions")
-		platform = flag.String("platform", "", "restrict to one platform label (default: random mix)")
+		platform = flag.String("platform", "", "restrict to one platform label (default: random mix); without -provider, sessions draw from the providers it supports")
 		provider = flag.String("provider", "", "restrict to one provider (youtube/netflix/disney/amazon)")
 	)
 	flag.Parse()

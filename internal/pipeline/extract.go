@@ -59,9 +59,11 @@
 //     duplication or cut the path gave them; the hello is parsed once the
 //     run from offset 0 holds it. The assembler sits in the flow's cold
 //     record (flowCold), which the flow lets go of at its verdict: a decided
-//     flow keeps only its hot record (flowState). Parser state, the Opener
-//     and the decrypted Initial are one asmScratch per pipeline, kept by no
-//     flow. Server-direction packets never touch assembly, and what a flow
+//     flow keeps only its hot record (flowState). Parser state, the Opener,
+//     the decrypted Initial and the handshake storage decided flows gave
+//     back are one asmScratch per pipeline, kept by no flow, so a new flow
+//     assembles and parses into storage an earlier one used.
+//     Server-direction packets never touch assembly, and what a flow
 //     holds is bounded (maxHelloBytes, maxAhead; oversized flows are
 //     abandoned with VerdictOversized).
 //
@@ -84,8 +86,8 @@
 //     and eviction of a flow still undecided — goes through
 //     Pipeline.finalize, the only code that stamps a flow's verdict, bumps
 //     the per-verdict (and, for a classified flow, per-provider) counter
-//     behind Pipeline.Stats, closes the flow's span and drops its cold
-//     record, with the buffered handshake bytes. A flow therefore carries
+//     behind Pipeline.Stats, closes the flow's span, drops its cold record
+//     and gives its handshake storage back for reuse. A flow therefore carries
 //     exactly one verdict and is counted exactly once; anything that
 //     reports how many flows were classified reads those counters
 //     (Sharded.IngestStats sums them).
@@ -99,15 +101,18 @@
 //
 // Scratch-reuse rules: each Pipeline owns one asmScratch and one
 // ClassifyScratch (and each Sharded shard owns its Pipeline), so scratch
-// state is single-goroutine by construction. The HandshakeInfo passed to
-// Config.OnClassify is lent for the hook call and points into the flow's
-// own handshake buffer, not into scratch: nothing reuses those bytes, but a
-// hook that kept it would pin a flow's worth of handshake (see
-// Config.OnClassify); the shadow evaluator classifies synchronously within
-// the call. Serialized banks carry only encoders and forests —
-// UnmarshalBinary rebuilds the compiled tables and the serving index before
-// it returns — so the gob format is unchanged and older banks load into the
-// compiled evaluator.
+// state is single-goroutine by construction. A decided flow gives its
+// handshake buffer, ClientHello and transport parameters back to the
+// asmScratch (Pipeline.finalize, asmScratch.release), and a later flow's
+// assembly fills them. The HandshakeInfo passed to Config.OnClassify is
+// lent for the hook call: the hook runs after finalize, in the same call,
+// and nothing is reused before the next frame is consumed, so what info
+// points into is intact until the hook returns and is overwritten by a
+// later flow after (see Config.OnClassify); the shadow evaluator
+// classifies synchronously within the call. Serialized banks carry only
+// encoders and forests — UnmarshalBinary rebuilds the compiled tables and
+// the serving index before it returns — so the gob format is unchanged and
+// older banks load into the compiled evaluator.
 package pipeline
 
 import (
@@ -131,28 +136,37 @@ var ErrNoHandshake = errors.New("pipeline: no ClientHello in flow")
 // SNI-based traffic detection (content and management hostnames).
 // The boolean reports whether the SNI matched at all; content reports
 // whether it is a content (video-carrying) server rather than a management
-// front-end.
+// front-end. Case is ignored as DNS ignores it, ASCII letters only: an SNI
+// is an ASCII hostname (RFC 6066 §3), and Unicode case mapping would let
+// a non-ASCII name match (strings.ToLower maps U+0130 to "i").
 func MatchProvider(sni string) (prov fingerprint.Provider, content, ok bool) {
-	s := strings.ToLower(sni)
 	switch {
-	case strings.HasSuffix(s, ".googlevideo.com"):
+	case hasSuffixFold(sni, ".googlevideo.com"):
 		return fingerprint.YouTube, true, true
-	case strings.HasSuffix(s, "youtube.com"):
+	case hasSuffixFold(sni, "youtube.com"):
 		return fingerprint.YouTube, false, true
-	case strings.HasSuffix(s, ".nflxvideo.net"):
+	case hasSuffixFold(sni, ".nflxvideo.net"):
 		return fingerprint.Netflix, true, true
-	case strings.HasSuffix(s, "netflix.com"):
+	case hasSuffixFold(sni, "netflix.com"):
 		return fingerprint.Netflix, false, true
-	case strings.HasSuffix(s, ".media.dssott.com"), strings.HasSuffix(s, ".dssott.com"):
+	case hasSuffixFold(sni, ".dssott.com"): // .media.dssott.com among them
 		return fingerprint.Disney, true, true
-	case strings.HasSuffix(s, "disneyplus.com"):
+	case hasSuffixFold(sni, "disneyplus.com"):
 		return fingerprint.Disney, false, true
-	case strings.HasSuffix(s, ".aiv-cdn.net"), strings.HasSuffix(s, ".cloudfront.net"):
+	case hasSuffixFold(sni, ".aiv-cdn.net"), hasSuffixFold(sni, ".cloudfront.net"):
 		return fingerprint.Amazon, true, true
-	case strings.HasSuffix(s, "primevideo.com"), strings.HasSuffix(s, "amazonvideo.com"):
+	case hasSuffixFold(sni, "primevideo.com"), hasSuffixFold(sni, "amazonvideo.com"):
 		return fingerprint.Amazon, false, true
 	}
 	return 0, false, false
+}
+
+// hasSuffixFold reports whether s ends in suffix, a lower-case ASCII
+// string, reading s in place with ASCII letters' case ignored. The tail
+// compared has suffix's byte length, so a non-ASCII rune, longer than the
+// one ASCII letter it might fold to, never matches.
+func hasSuffixFold(s, suffix string) bool {
+	return len(s) >= len(suffix) && strings.EqualFold(s[len(s)-len(suffix):], suffix)
 }
 
 // hsAssembler is the incremental per-flow handshake assembler: a small
@@ -181,9 +195,11 @@ func MatchProvider(sni string) (prov fingerprint.Provider, content, ok bool) {
 //
 // The assembled Hello aliases only stream: never the input frame, which
 // callers recycle (Sharded's batch arenas) as soon as consume returns, nor
-// the asmScratch other flows reuse. Pipeline.finalize drops the assembler
-// but writes to neither, so what info.Hello points into lives until
-// nothing references it.
+// the decrypted Initial in the asmScratch. The stream, the Hello and the
+// transport parameters may be storage an earlier decided flow gave back,
+// and Pipeline.finalize gives them back in turn (asmScratch.release): what
+// info points into stays intact until the call that decided the flow
+// returns, and a later flow's assembly overwrites it after that.
 type hsAssembler struct {
 	info features.HandshakeInfo
 	// stream holds each received handshake byte once: the run from offset
@@ -227,12 +243,90 @@ type extent struct{ off, end uint32 } // stream offsets [off, end)
 // decode's parser state, the Opener, and the buffers a QUIC Initial is
 // decrypted and listed into. One per Pipeline serves all its flows, since
 // consume copies what a flow keeps into its own stream before it returns.
+//
+// It also keeps the handshake storage decided flows gave back (release) for
+// the next flows' assembly to fill instead of allocating: stream buffers,
+// and the ClientHello and transport parameters parsed from them. A spare is
+// taken only by a later consume on the pipeline's goroutine, so what a
+// decided flow's HandshakeInfo points into stays intact until the call
+// that decided it returns.
 type asmScratch struct {
 	parser packet.Parser
 	parsed packet.Parsed
 	opener quicproto.Opener
 	plain  []byte                  // the latest Initial's decrypted payload
 	crypto []quicproto.CryptoFrame // its CRYPTO frames, which alias plain
+
+	streams spares[[]byte] // empty, each of capacity at most maxSpareStream
+	hellos  spares[*tlsproto.ClientHello]
+	params  spares[*quicproto.TransportParameters]
+}
+
+// The bounds of the storage an asmScratch keeps. At most maxSpares of each
+// kind: stream buffers of at most maxSpareStream bytes, a real hello's
+// several times over (the synthetic ones are under 1 KB), and hellos and
+// parameter lists whose lists hold at most maxSpareList entries (the
+// parser already bounds a hello's extensions to 64). A spare
+// hello (and its parameters) aliases one buffer no larger than a spare
+// stream, the one it was parsed from. So a pipeline retains at most about
+// maxSpares × (2 × 4 KiB + 4.3 KiB) = 98 KiB.
+const (
+	maxSpares      = 8
+	maxSpareStream = 4 << 10
+	maxSpareList   = 64
+)
+
+// spares is a bounded stack of storage kept for reuse.
+type spares[T any] struct {
+	n int
+	v [maxSpares]T
+}
+
+// push keeps v, reporting false when the stack is full.
+func (s *spares[T]) push(v T) bool {
+	if s.n == len(s.v) {
+		return false
+	}
+	s.v[s.n], s.n = v, s.n+1
+	return true
+}
+
+// pop takes the top spare, or the zero T when there is none.
+func (s *spares[T]) pop() (v T) {
+	if s.n > 0 {
+		s.n--
+		v, s.v[s.n] = s.v[s.n], v
+	}
+	return v
+}
+
+// target is what a parse writes into: the top spare, or a new one made
+// spare when there is none. The caller pops it once the parse succeeds, so
+// a failed parse leaves it spare for the next.
+func target[T any](s *spares[*T]) *T {
+	if s.n == 0 {
+		s.push(new(T))
+	}
+	return s.v[s.n-1]
+}
+
+// release keeps a decided flow's handshake storage for the flows after it:
+// its stream buffer, then the hello and transport parameters parsed from
+// it, which alias it and so are kept only with it. What is over its bound,
+// or finds its stack full, is left to the collector. Pipeline.finalize is
+// the one caller; the flow's HandshakeInfo stays readable until the next
+// consume.
+func (s *asmScratch) release(a *hsAssembler) {
+	if c := cap(a.stream); c == 0 || c > maxSpareStream || !s.streams.push(a.stream[:0]) {
+		return
+	}
+	ch := a.info.Hello
+	if ch == nil || cap(ch.CipherSuites) > maxSpareList || !s.hellos.push(ch) {
+		return
+	}
+	if tp := a.info.Params; tp != nil && cap(tp.Params) <= maxSpareList {
+		s.params.push(tp)
+	}
 }
 
 func (a *hsAssembler) init() { a.info.TCPWScale = -1 }
@@ -390,12 +484,15 @@ func (a *hsAssembler) consume(s *asmScratch, frame []byte) bool {
 		if off < 0 { // starts before offset 0: only its tail can be new
 			data, off = data[min(len(data), int(-int64(off))):], 0
 		}
+		if a.stream == nil {
+			a.stream = s.streams.pop()
+		}
 		if !a.place(uint32(off), data) || a.inOrder() == held {
 			return false
 		}
-		ch, err := tlsproto.ParseRecord(a.stream[:a.inOrder()])
+		err := target(&s.hellos).ParseRecordInto(a.stream[:a.inOrder()])
 		if err == nil {
-			info.Hello = ch
+			info.Hello = s.hellos.pop()
 			return true
 		}
 		if rec, hs := recordHeader(a.stream); !errors.Is(err, tlsproto.ErrMalformed) && rec && !hs {
@@ -438,6 +535,9 @@ func (a *hsAssembler) consume(s *asmScratch, frame []byte) bool {
 			info.InitPacketSize = len(parsed.Payload)
 			a.firstInitial = first
 		}
+		if a.stream == nil && len(crypto) > 0 {
+			a.stream = s.streams.pop()
+		}
 		for _, f := range crypto {
 			if !a.place(uint32(f.Offset), f.Data) {
 				return false
@@ -446,16 +546,18 @@ func (a *hsAssembler) consume(s *asmScratch, frame []byte) bool {
 		if a.inOrder() == held {
 			return false
 		}
-		ch, err := tlsproto.Parse(a.stream[:a.inOrder()])
-		if err != nil {
+		ch := target(&s.hellos)
+		if ch.ParseInto(a.stream[:a.inOrder()]) != nil {
 			return false
 		}
 		// The transport parameters are parsed once, here, so the serving
 		// path's compiled encoders never re-parse extension 57.
 		if e, ok := ch.Extension(tlsproto.ExtQUICTransportParams); ok {
-			info.Params, _ = quicproto.ParseTransportParameters(e.Data)
+			if tp := target(&s.params); tp.ParseInto(e.Data) == nil {
+				info.Params = s.params.pop()
+			}
 		}
-		info.Hello = ch
+		info.Hello = s.hellos.pop()
 		return true
 	}
 	return false

@@ -339,10 +339,11 @@ type Config struct {
 	// with a copy of the flow record (after the confidence selector ran)
 	// and the assembled handshake, letting a shadow evaluator re-classify
 	// the same flow with a candidate bank. The HandshakeInfo is lent for
-	// the duration of the call. What it points into is the flow's own
-	// handshake buffer, which nothing reuses, so a hook that kept it would
-	// read the same bytes later — and hold that buffer, a flow's worth of
-	// handshake, for as long as it did (TestAssembledHelloSurvivesLaterFlows).
+	// the duration of the call: what it points into — the flow's handshake
+	// buffer, ClientHello and transport parameters — goes back to the
+	// pipeline when the flow is decided, and a later flow's assembly
+	// reuses it once the call returns, so a hook must copy what it keeps
+	// (TestRecycledAssemblyMatchesFresh).
 	// Called synchronously from HandlePacket; for Sharded it runs on shard
 	// goroutines and must be safe for concurrent use.
 	OnClassify func(rec *FlowRecord, hs *features.HandshakeInfo)
@@ -440,7 +441,8 @@ type Pipeline struct {
 
 	// assembly is what every flow's hsAssembler.consume borrows for a frame
 	// and keeps nothing of (the flow copies its handshake bytes into its own
-	// buffer), so one per pipeline is safe for the same reason scratch is.
+	// buffer), and the handshake storage finalize gives back, so one per
+	// pipeline is safe for the same reason scratch is.
 	assembly asmScratch
 	// scratch holds the classification path's reusable buffers (encoded
 	// rows, forest probabilities, extension-walk scratch). One per pipeline
@@ -549,9 +551,11 @@ func NewWithConfig(bank *Bank, cfg Config) *Pipeline {
 // and eviction of a flow still undecided — ends here, so a flow carries
 // exactly one verdict and is counted exactly once. Anything else the record
 // should say (prediction, provider, model version) must be set before the
-// call. The flow lets go of its cold record, and with it the assembler and
-// its buffered handshake bytes: a HandshakeInfo pointing into them stays
-// valid for whoever still holds it, and nothing writes to it again.
+// call. The flow lets go of its cold record and gives its handshake
+// storage back to the pipeline's asmScratch (release): a HandshakeInfo
+// pointing into it stays intact until the current call returns — the
+// OnClassify hook runs after finalize — and a later flow's assembly
+// overwrites it after that.
 func (p *Pipeline) finalize(st *flowState, v Verdict) {
 	st.verdict = v
 	p.verdicts[v].Add(1) // before the provider split: see Stats
@@ -567,6 +571,7 @@ func (p *Pipeline) finalize(st *flowState, v Verdict) {
 		}
 		p.finishSpan(st, label)
 	}
+	p.assembly.release(&st.cold.asm)
 	st.cold = nil
 }
 
@@ -812,7 +817,7 @@ func (p *Pipeline) handleKeyed(rec *FlowRecord, ts time.Time, frame, payload []b
 	}
 	st.setPrediction(&pred, &p.labels)
 	st.modelVersion = bank.Version
-	p.finalize(st, pred.Verdict()) // drops st.cold; info, which points into it, stays valid for the hook
+	p.finalize(st, pred.Verdict()) // gives info's storage back; nothing reuses it before the hook returns
 	*rec = st.record(canon, &p.labels)
 	if p.cfg.OnClassify != nil {
 		hookRec := *rec

@@ -202,6 +202,18 @@ func TestMatchProvider(t *testing.T) {
 		{"www.primevideo.com", fingerprint.Amazon, false, true},
 		{"example.com", 0, false, false},
 		{"", 0, false, false},
+		// Case is ignored, in the suffix and before it, ASCII letters only.
+		{"RR4---SN-ABC.GoogleVideo.COM", fingerprint.YouTube, true, true},
+		{"WWW.YouTube.Com", fingerprint.YouTube, false, true},
+		{"Ipv4-C001.OCA.NflxVideo.Net", fingerprint.Netflix, true, true},
+		{"vod.Media.DSSOTT.com", fingerprint.Disney, true, true},
+		{"WWW.DisneyPlus.COM", fingerprint.Disney, false, true},
+		{"d1.CloudFront.NET", fingerprint.Amazon, true, true},
+		{"Atv-Ps.AmazonVideo.com", fingerprint.Amazon, false, true},
+		{"EXAMPLE.COM", 0, false, false},
+		{"www.youtube.co", 0, false, false},
+		{"nflxvideo.net", 0, false, false},   // the content suffixes need a label before them
+		{"www.netflİx.com", 0, false, false}, // U+0130 is not an ASCII "i"
 	}
 	for _, c := range cases {
 		prov, content, ok := MatchProvider(c.sni)

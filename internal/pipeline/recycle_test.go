@@ -1,0 +1,249 @@
+package pipeline
+
+import (
+	"math/rand/v2"
+	"net/netip"
+	"reflect"
+	"testing"
+	"time"
+
+	"videoplat/internal/features"
+	"videoplat/internal/fingerprint"
+	"videoplat/internal/flowtable"
+	"videoplat/internal/packet"
+	"videoplat/internal/quicproto"
+	"videoplat/internal/tlsproto"
+	"videoplat/internal/tracegen"
+)
+
+// recycleFlows is a sequence of flows, each on its own tuple, that leaves
+// behind every kind of handshake storage a pipeline keeps for reuse, and
+// reuses it in every state: the largest hellos first, TCP and QUIC flows,
+// ECH and 0-RTT flows, a hello split over two TLS records, a TCP and a QUIC
+// hello delivered out of order, a QUIC hello whose parse fails on its first
+// half and whose second half never comes, a TCP hello cut short, an
+// oversized handshake and a non-video hello, then small hellos again. Each
+// flow is its frames, client and server, in arrival order. name says which
+// flow it is when a test fails.
+func recycleFlows(t *testing.T) (name []string, flows [][][]byte) {
+	t.Helper()
+	add := func(n string, frames [][]byte) {
+		name, flows = append(name, n), append(flows, frames)
+	}
+	render := func(seed uint64, label string, prov fingerprint.Provider, tr fingerprint.Transport, opts fingerprint.Options) *tracegen.FlowTrace {
+		t.Helper()
+		ft, err := tracegen.New(seed).Flow(label, prov, tr, tracegen.FlowSpec{Options: opts, PayloadFrames: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ft
+	}
+	all := func(ft *tracegen.FlowTrace) [][]byte {
+		var frames [][]byte
+		for _, fr := range ft.Frames {
+			frames = append(frames, fr.Data)
+		}
+		return frames
+	}
+	rng := rand.New(rand.NewPCG(52, 52))
+	hello := func(label string, prov fingerprint.Provider) *tlsproto.ClientHello {
+		t.Helper()
+		f, err := fingerprint.Generate(rng, label, prov, fingerprint.TCP, fingerprint.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f.Hello
+	}
+	tcpFlow := func(host byte) *tcpFlowFrames {
+		ff := newTCPFlowFrames()
+		ff.src = netip.AddrFrom4([4]byte{192, 168, 52, host})
+		return ff
+	}
+	const syn, psh = packet.FlagSYN, packet.FlagACK | packet.FlagPSH
+
+	add("QUIC", all(render(1, "windows_chrome", fingerprint.YouTube, fingerprint.QUIC, fingerprint.Options{})))
+	add("TCP", all(render(2, "windows_chrome", fingerprint.Netflix, fingerprint.TCP, fingerprint.Options{})))
+	add("TCP ECH", all(render(3, "windows_chrome", fingerprint.Netflix, fingerprint.TCP, fingerprint.Options{ECH: true})))
+	add("QUIC ECH", all(render(4, "android_chrome", fingerprint.YouTube, fingerprint.QUIC, fingerprint.Options{ECH: true})))
+	add("QUIC 0-RTT", all(render(5, "android_chrome", fingerprint.YouTube, fingerprint.QUIC, fingerprint.Options{ZeroRTT: true})))
+
+	msg := hello("windows_firefox", fingerprint.Disney).Marshal()
+	k := len(msg) / 2
+	records := append(tlsRecord(msg[:k]), tlsRecord(msg[k:])...)
+	ff := tcpFlow(1)
+	add("TCP, hello in two records", [][]byte{ff.client(nil, syn), ff.client(records[:100], psh), ff.client(records[100:], psh)})
+
+	tcp := newHelloFlight(t, render(6, "macOS_chrome", fingerprint.YouTube, fingerprint.TCP, fingerprint.Options{}))
+	k = len(tcp.hello) / 2
+	add("TCP, second segment first", [][]byte{tcp.synFrame(), tcp.piece(k, len(tcp.hello)), tcp.piece(0, k)})
+	quic := newHelloFlight(t, render(7, "android_chrome", fingerprint.YouTube, fingerprint.QUIC, fingerprint.Options{}))
+	k = len(quic.hello) / 2
+	add("QUIC, second Initial first", quic.initials(t,
+		[]quicproto.CryptoFrame{quic.cryptoAt(k, len(quic.hello))},
+		[]quicproto.CryptoFrame{quic.cryptoAt(0, k)}))
+	half := newHelloFlight(t, render(8, "windows_edge", fingerprint.YouTube, fingerprint.QUIC, fingerprint.Options{}))
+	add("QUIC, first half only", half.initials(t, []quicproto.CryptoFrame{half.cryptoAt(0, len(half.hello)/2)}))
+
+	rec := hello("macOS_safari", fingerprint.Amazon).MarshalRecord()
+	ff = tcpFlow(2)
+	add("TCP, hello cut short", [][]byte{ff.client(nil, syn), ff.client(rec[:len(rec)/2], psh)})
+	ff = tcpFlow(3)
+	add("oversized", [][]byte{ff.client(nil, syn), ff.client(endlessRecordChunk(true, 600), psh), ff.client(endlessRecordChunk(false, 600), psh)})
+	nv := hello("windows_chrome", fingerprint.YouTube)
+	for i := range nv.Extensions {
+		if nv.Extensions[i].Type == tlsproto.ExtServerName {
+			nv.Extensions[i].Data = tlsproto.ServerNameData("www.example.com")
+		}
+	}
+	ff = tcpFlow(4)
+	add("not video", [][]byte{ff.client(nil, syn), ff.client(nv.MarshalRecord(), psh), ff.server([]byte{1}, packet.FlagACK)})
+
+	add("TCP, small hello", all(render(9, "iOS_safari", fingerprint.YouTube, fingerprint.TCP, fingerprint.Options{})))
+	add("QUIC again", all(render(10, "android_nativeApp", fingerprint.YouTube, fingerprint.QUIC, fingerprint.Options{})))
+	add("TCP, native app", all(render(11, "ps5_nativeApp", fingerprint.Amazon, fingerprint.TCP, fingerprint.Options{})))
+	return name, flows
+}
+
+// tlsRecord wraps b in one TLS handshake record.
+func tlsRecord(b []byte) []byte {
+	return append([]byte{22, 3, 1, byte(len(b) >> 8), byte(len(b))}, b...)
+}
+
+// recycled is what one pipeline said of a flow: its finalized record and,
+// when the classifier ran on a whole hello, the handshake's attributes as
+// Config.OnClassify saw them.
+type recycled struct {
+	rec FlowRecord
+	hs  *features.FieldValues
+}
+
+// TestRecycledAssemblyMatchesFresh is the reuse contract of asmScratch: a
+// pipeline whose flows assemble into the stream buffers, hellos and
+// transport parameters earlier flows gave back decides every flow as a
+// fresh pipeline given that flow alone does, record for record and
+// attribute for attribute. The recycling pipeline holds two flows at most,
+// so flows are evicted, and give their storage back, mid-sequence, and it
+// runs the sequence twice, the second time over storage the first left.
+// FuzzShardedMatchesPipeline cannot see a leak from one flow into the next:
+// both of its sides recycle.
+func TestRecycledAssemblyMatchesFresh(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains a bank")
+	}
+	bank := goldenBank(t)
+	names, flows := recycleFlows(t)
+	start := time.Date(2023, 7, 7, 0, 0, 0, 0, time.UTC)
+	run := func(maxFlows int, passes int, flows [][][]byte) []map[packet.FlowKey]recycled {
+		var (
+			out   []map[packet.FlowKey]recycled
+			got   map[packet.FlowKey]recycled
+			attrs map[packet.FlowKey]*features.FieldValues
+		)
+		p := NewWithConfig(bank, Config{
+			MaxFlows:     maxFlows,
+			ProviderHint: tracegen.ProviderOfAddr,
+			helloCap:     1024, // over every hello here, under the oversized flow
+			OnClassify: func(rec *FlowRecord, hs *features.HandshakeInfo) {
+				attrs[rec.Key] = features.Extract(hs)
+			},
+			OnEvict: func(rec *FlowRecord, _ flowtable.Reason) {
+				got[rec.Key] = recycled{rec: *rec, hs: attrs[rec.Key]}
+			},
+		})
+		for range passes {
+			got, attrs = map[packet.FlowKey]recycled{}, map[packet.FlowKey]*features.FieldValues{}
+			for i, frames := range flows {
+				for j, fr := range frames {
+					p.HandlePacket(start.Add(time.Duration(i)*time.Second+time.Duration(j)*time.Millisecond), fr)
+				}
+			}
+			p.Drain()
+			out = append(out, got)
+		}
+		return out
+	}
+
+	fresh := map[packet.FlowKey]recycled{}
+	name := map[packet.FlowKey]string{}
+	verdicts := map[Verdict]bool{}
+	for i := range flows {
+		// Flow i alone, at the times it has in the sequence.
+		alone := make([][][]byte, i+1)
+		alone[i] = flows[i]
+		got := run(0, 1, alone)[0]
+		if len(got) != 1 {
+			t.Fatalf("%s: %d records from one flow", names[i], len(got))
+		}
+		for key, r := range got {
+			if _, dup := fresh[key]; dup {
+				t.Fatalf("%s: the tuple of %s again", names[i], name[key])
+			}
+			fresh[key], name[key] = r, names[i]
+			verdicts[r.rec.Verdict] = true
+		}
+	}
+	for _, v := range []Verdict{VerdictClassified, VerdictAbstainedZeroRTT, VerdictNoHandshake, VerdictOversized, VerdictNotVideo} {
+		if !verdicts[v] {
+			t.Errorf("no flow of the sequence ends %s", v)
+		}
+	}
+
+	for pass, got := range run(2, 2, flows) {
+		if len(got) != len(fresh) {
+			t.Errorf("pass %d: %d records, want %d", pass+1, len(got), len(fresh))
+		}
+		for key, want := range fresh {
+			if r := got[key]; !reflect.DeepEqual(r, want) {
+				t.Errorf("pass %d, %s: recycled storage decided\n%+v\nwant, as a fresh pipeline does,\n%+v", pass+1, name[key], r, want)
+			}
+		}
+	}
+}
+
+// TestDecidedFlowAllocCeiling pins what a warm pipeline allocates for one
+// decided TCP flow and one decided QUIC flow — SYN or Initial, hello, data,
+// evicted — once finalized flows give their handshake storage back (amd64,
+// Go 1.24): per flow its hot and cold records, its SNI string, the record
+// HandlePacket returns and the one OnEvict is lent; for the QUIC flow the
+// Initial's three cipher objects and its CID registration. No stream
+// buffer, ClientHello or transport parameters: those were 10 more.
+func TestDecidedFlowAllocCeiling(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains a bank")
+	}
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation moves some of the flow path's values to the heap")
+	}
+	bank := goldenBank(t)
+	var frames [][]byte
+	for _, tr := range []fingerprint.Transport{fingerprint.TCP, fingerprint.QUIC} {
+		ft, err := tracegen.New(52).Flow("windows_chrome", fingerprint.YouTube, tr, tracegen.FlowSpec{PayloadFrames: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, fr := range ft.Frames {
+			frames = append(frames, fr.Data)
+		}
+	}
+	classified := 0
+	p := NewWithConfig(bank, Config{OnEvict: func(rec *FlowRecord, _ flowtable.Reason) {
+		if rec.Verdict.ClassifierRan() {
+			classified++
+		}
+	}})
+	ts := time.Date(2023, 7, 7, 0, 0, 0, 0, time.UTC)
+	flows := func() {
+		for _, fr := range frames {
+			p.HandlePacket(ts, fr)
+		}
+		p.Drain()
+	}
+	flows()
+	if classified != 2 {
+		t.Fatalf("%d of the 2 flows classified", classified)
+	}
+	const ceiling = 15
+	if n := testing.AllocsPerRun(100, flows); n > ceiling {
+		t.Errorf("a decided TCP and QUIC flow allocate %.1f, want <= %d", n, ceiling)
+	}
+}

@@ -143,3 +143,65 @@ func FuzzParseLongHeaderCIDs(f *testing.F) {
 		}
 	})
 }
+
+// paramSeeds are extension-57 bodies: the parameters a browser sends, one
+// empty body, and a list longer than any of them whose values all carry
+// bytes, which the fuzz target parses first to leave its target dirty.
+func paramSeeds() (dirty []byte, seeds [][]byte) {
+	var long TransportParameters
+	for i := 0; i < 64; i++ {
+		long.AppendBytes(uint64(0x40+i), []byte{byte(i), 0xee})
+	}
+	var browser TransportParameters
+	browser.AppendUint(ParamMaxIdleTimeout, 30000)
+	browser.AppendUint(ParamInitialMaxData, 15<<20)
+	browser.AppendBytes(ParamDisableActiveMigration, nil)
+	browser.AppendBytes(ParamInitialSourceConnectionID, []byte{1, 2, 3, 4, 5, 6, 7, 8})
+	browser.AppendUint(ParamGreaseQuicBit, 0)
+	b := browser.Marshal()
+	return long.Marshal(), [][]byte{b, b[:len(b)/2], {}, {0x40}}
+}
+
+// FuzzParseIntoMatchesParse: parsing into a TransportParameters that
+// earlier inputs left dirty — the long list of paramSeeds, then first,
+// accepted or not — gives what ParseTransportParameters gives on a fresh
+// one; a rejected body leaves the list as it was, and an accepted one keeps
+// no parameter past the new list's end that could hold an earlier input's
+// bytes.
+func FuzzParseIntoMatchesParse(f *testing.F) {
+	dirty, seeds := paramSeeds()
+	for _, b := range seeds {
+		f.Add(dirty, b)
+	}
+	f.Fuzz(func(t *testing.T, first, data []byte) {
+		var tp TransportParameters
+		if err := tp.ParseInto(dirty); err != nil {
+			t.Fatal(err)
+		}
+		_ = tp.ParseInto(first)
+		before := slices.Clone(tp.Params)
+		want, werr := ParseTransportParameters(data)
+		if err := tp.ParseInto(data); err != werr {
+			t.Fatalf("ParseInto into used parameters: %v; ParseTransportParameters: %v", err, werr)
+		}
+		same := func(a, b []TransportParameter) bool {
+			return slices.EqualFunc(a, b, func(x, y TransportParameter) bool {
+				return x.ID == y.ID && bytes.Equal(x.Value, y.Value)
+			})
+		}
+		if werr != nil {
+			if !same(tp.Params, before) {
+				t.Fatal("a rejected body changed the parameters it was parsed into")
+			}
+			return
+		}
+		if !same(tp.Params, want.Params) {
+			t.Fatalf("ParseInto into used parameters gave %+v; ParseTransportParameters gave %+v", tp.Params, want.Params)
+		}
+		for _, p := range tp.Params[len(tp.Params):cap(tp.Params)] {
+			if p.Value != nil {
+				t.Fatal("a parameter past the list's end still holds an earlier input's bytes")
+			}
+		}
+	})
+}

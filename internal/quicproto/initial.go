@@ -88,11 +88,29 @@ func ParseInitial(datagram []byte) (*Initial, error) {
 const MinInitialSize = 1200
 
 // Seal appends the Initial, encoded and encrypted, to dst as one UDP
-// datagram: one CRYPTO frame per Crypto entry, in list order, padded with
-// PADDING frames to at least minSize (use 0 for the RFC default of 1200).
-// The header and frames are written into dst and sealed where they lie, so
-// the datagram takes no buffer but dst.
+// datagram: Sealer.Seal with a fresh Sealer, for callers that seal one
+// packet (a generator keeps a Sealer).
 func (p *Initial) Seal(dst []byte, minSize int) ([]byte, error) {
+	var s Sealer
+	return s.Seal(p, dst, minSize)
+}
+
+// Sealer encrypts client Initial packets. Like Opener, it holds the scratch
+// handed to the cipher interfaces while a packet is sealed — the nonce and
+// the header-protection mask, which would each be a heap allocation per
+// packet as locals. The zero value is ready to use; a Sealer is
+// single-goroutine.
+type Sealer struct {
+	nonce [12]byte
+	mask  [16]byte
+}
+
+// Seal appends p, encoded and encrypted, to dst as one UDP datagram: one
+// CRYPTO frame per Crypto entry, in list order, padded with PADDING frames
+// to at least minSize (use 0 for the RFC default of 1200). The header and
+// frames are written into dst and sealed where they lie, so the datagram
+// takes no buffer but dst. It sets p.WireSize.
+func (s *Sealer) Seal(p *Initial, dst []byte, minSize int) ([]byte, error) {
 	if len(p.DCID) > maxCIDLen || len(p.SCID) > maxCIDLen {
 		return nil, errCID
 	}
@@ -145,19 +163,17 @@ func (p *Initial) Seal(dst []byte, minSize int) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("quicproto: initial keys: %w", err)
 	}
-	var nonce [12]byte
-	k.nonce(&nonce, p.PacketNumber)
+	k.nonce(&s.nonce, p.PacketNumber)
 	// The ciphertext overwrites the plaintext exactly, which AEAD allows;
 	// the header before it is the additional data.
-	dst = k.aead.Seal(dst[:body], nonce[:], dst[body:], dst[start:body])
+	dst = k.aead.Seal(dst[:body], s.nonce[:], dst[body:], dst[start:body])
 
 	// Apply header protection.
 	out := dst[start:]
-	var mask [16]byte
-	k.headerProtectionMask(&mask, out[pnOffset+4:pnOffset+4+16])
-	out[0] ^= mask[0] & 0x0f
+	k.headerProtectionMask(&s.mask, out[pnOffset+4:pnOffset+4+16])
+	out[0] ^= s.mask[0] & 0x0f
 	for i := 0; i < pnLen; i++ {
-		out[pnOffset+i] ^= mask[1+i]
+		out[pnOffset+i] ^= s.mask[1+i]
 	}
 	p.WireSize = len(out)
 	return dst, nil

@@ -275,6 +275,32 @@ func TestOpenAllocs(t *testing.T) {
 	}
 }
 
+// TestSealAllocs pins what sealing a packet costs: with a kept Sealer and a
+// buffer that fits, the three cipher objects of its key schedule and
+// nothing else — the nonce and header-protection mask live in the Sealer.
+// Initial.Seal adds its fresh Sealer.
+func TestSealAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation moves a sealed packet's values to the heap")
+	}
+	in := &Initial{Version: Version1, DCID: []byte{1, 2, 3, 4, 5, 6, 7, 8},
+		Crypto: whole(quicHello(t, "a.googlevideo.com", 100))}
+	var s Sealer
+	buf, err := s.Seal(in, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() { buf, _ = s.Seal(in, buf[:0], 0) }); n > 3 {
+		t.Errorf("Sealer.Seal into a fitting buffer: %.0f allocs, want <= 3", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { buf, _ = in.Seal(buf[:0], 0) }); n > 4 {
+		t.Errorf("Initial.Seal into a fitting buffer: %.0f allocs, want <= 4", n)
+	}
+	if got, err := ParseInitial(buf); err != nil || !sameFrames(got.Crypto, in.Crypto) {
+		t.Errorf("a kept Sealer's packet does not open to what it sealed: %v", err)
+	}
+}
+
 // TestRejectPathsAllocFree pins the per-packet reject paths: the errors are
 // pre-built, so turning a packet away allocates nothing.
 func TestRejectPathsAllocFree(t *testing.T) {

@@ -41,25 +41,39 @@ type TransportParameters struct {
 	Params []TransportParameter
 }
 
-// ParseTransportParameters decodes an extension-57 body. Values alias b.
-// The body is walked twice, first to validate and count, so Params is
-// allocated once at its exact size.
+// ParseTransportParameters decodes an extension-57 body into a new
+// TransportParameters: see ParseInto.
 func ParseTransportParameters(b []byte) (*TransportParameters, error) {
+	var tp TransportParameters
+	if err := tp.ParseInto(b); err != nil {
+		return nil, err
+	}
+	out := tp // only an accepted list reaches the heap
+	return &out, nil
+}
+
+// ParseInto decodes an extension-57 body into tp, overwriting Params.
+// Values alias b. The body is walked twice, first to validate and count, so
+// Params is written into tp's own list when it has the capacity and
+// allocated once at its exact size when it does not. On error tp is left
+// as it was and may be parsed into again.
+func (tp *TransportParameters) ParseInto(b []byte) error {
 	n := 0
 	for r := wire.NewReader(b); !r.Empty(); n++ {
 		if _, err := r.Varint(); err != nil {
-			return nil, errParam
+			return errParam
 		}
 		size, err := r.Varint()
 		if err != nil || r.Skip(int(size)) != nil {
-			return nil, errParam
+			return errParam
 		}
 	}
-	tp := &TransportParameters{}
-	if n == 0 {
-		return tp, nil
+	old := tp.Params
+	if cap(old) < n {
+		tp.Params = make([]TransportParameter, n)
+	} else {
+		tp.Params = old[:n]
 	}
-	tp.Params = make([]TransportParameter, n)
 	r := wire.NewReader(b)
 	for i := range tp.Params { // the reads cannot fail: checked above
 		p := &tp.Params[i]
@@ -67,7 +81,10 @@ func ParseTransportParameters(b []byte) (*TransportParameters, error) {
 		size, _ := r.Varint()
 		p.Value, _ = r.Bytes(int(size))
 	}
-	return tp, nil
+	if len(old) > n {
+		clear(old[n:]) // what an earlier, longer list left: it must not hold that list's bytes
+	}
+	return nil
 }
 
 // Marshal encodes the parameters in order.

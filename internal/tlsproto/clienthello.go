@@ -214,96 +214,122 @@ func (ch *ClientHello) RecordSizeLimit() uint16 {
 }
 
 // Parse decodes a ClientHello handshake message (starting at the handshake
-// header, i.e. after any TLS record framing). Returned slices alias msg.
-// CipherSuites and Extensions are each allocated once at their exact size —
-// the extensions block is walked twice, first to validate and count — so a
-// hello costs three allocations whatever it carries.
+// header, i.e. after any TLS record framing) into a new ClientHello: see
+// ParseInto. An accepted hello costs at most three allocations — the
+// ClientHello, and its cipher suite and extension lists when not empty —
+// and a rejected message none.
 func Parse(msg []byte) (*ClientHello, error) {
+	var ch ClientHello
+	if err := ch.ParseInto(msg); err != nil {
+		return nil, err
+	}
+	out := ch // only an accepted hello reaches the heap
+	return &out, nil
+}
+
+// ParseInto decodes a ClientHello handshake message into ch, overwriting
+// every field. The hello's slices alias msg, but for CipherSuites and
+// Extensions, which are written into ch's own lists when they have the
+// capacity and allocated once at their exact size when they do not (the
+// message is validated whole, the extensions block counted, before
+// anything is written). So a caller that parses hello after hello into one
+// ClientHello allocates nothing once its lists have grown. On error ch is
+// left as it was and may be parsed into again.
+func (ch *ClientHello) ParseInto(msg []byte) error {
 	r := wire.NewReader(msg)
 	typ, err := r.Uint8()
 	if err != nil {
-		return nil, errTruncated
+		return errTruncated
 	}
 	if typ != handshakeClientHello {
-		return nil, ErrNotClientHello
+		return ErrNotClientHello
 	}
 	bodyLen, err := r.Uint24()
 	if err != nil {
-		return nil, errTruncated
+		return errTruncated
 	}
 	body, err := r.Bytes(int(bodyLen))
 	if err != nil {
-		return nil, errTruncated
+		return errTruncated
 	}
-	ch := &ClientHello{HandshakeLength: int(bodyLen)}
 	br := wire.NewReader(body)
 
-	if ch.LegacyVersion, err = br.Uint16(); err != nil {
-		return nil, errField
+	version, err := br.Uint16()
+	if err != nil {
+		return errField
 	}
 	random, err := br.Bytes(32)
 	if err != nil {
-		return nil, errField
+		return errField
 	}
-	copy(ch.Random[:], random)
-
 	sidLen, err := br.Uint8()
 	if err != nil {
-		return nil, errField
+		return errField
 	}
-	if ch.SessionID, err = br.Bytes(int(sidLen)); err != nil {
-		return nil, errField
+	sessionID, err := br.Bytes(int(sidLen))
+	if err != nil {
+		return errField
 	}
 
 	csLen, err := br.Uint16()
-	if err != nil || csLen%2 != 0 || int(csLen) > br.Len() {
-		return nil, errCipherSuites
+	if err != nil || csLen%2 != 0 {
+		return errCipherSuites
 	}
-	ch.CipherSuites = make([]uint16, csLen/2)
-	for i := range ch.CipherSuites {
-		ch.CipherSuites[i], _ = br.Uint16() // csLen bytes are there: checked above
+	suites, err := br.Bytes(int(csLen))
+	if err != nil {
+		return errCipherSuites
 	}
 
 	cmLen, err := br.Uint8()
 	if err != nil {
-		return nil, errField
+		return errField
 	}
-	if ch.CompressionMethods, err = br.Bytes(int(cmLen)); err != nil {
-		return nil, errField
+	compression, err := br.Bytes(int(cmLen))
+	if err != nil {
+		return errField
 	}
 
-	if br.Empty() {
-		return ch, nil // extensions are optional in TLS <= 1.2
+	var exts []byte
+	if !br.Empty() { // extensions are optional in TLS <= 1.2
+		extLen, err := br.Uint16()
+		if err != nil {
+			return errExtensions
+		}
+		if exts, err = br.Bytes(int(extLen)); err != nil {
+			return errExtensions
+		}
 	}
-	extLen, err := br.Uint16()
-	if err != nil {
-		return nil, errExtensions
-	}
-	exts, err := br.Bytes(int(extLen))
-	if err != nil {
-		return nil, errExtensions
-	}
-	ch.ExtensionsLength = int(extLen)
-
 	// Pass one: every extension lies inside the block, and how many.
 	n := 0
 	for er := wire.NewReader(exts); !er.Empty(); n++ {
 		if n == maxExtensions {
-			return nil, errTooManyExts
+			return errTooManyExts
 		}
 		if er.Skip(2) != nil {
-			return nil, errExtension
+			return errExtension
 		}
 		dataLen, err := er.Uint16()
 		if err != nil || er.Skip(int(dataLen)) != nil {
-			return nil, errExtension
+			return errExtension
 		}
 	}
-	if n == 0 {
-		return ch, nil
+
+	// Accepted: from here on nothing fails, and ch is written.
+	old := ch.Extensions
+	*ch = ClientHello{
+		LegacyVersion:      version,
+		SessionID:          sessionID,
+		CipherSuites:       resize(ch.CipherSuites, len(suites)/2),
+		CompressionMethods: compression,
+		Extensions:         resize(old, n),
+		HandshakeLength:    int(bodyLen),
+		ExtensionsLength:   len(exts),
+	}
+	copy(ch.Random[:], random)
+	for i := range ch.CipherSuites {
+		ch.CipherSuites[i] = binary.BigEndian.Uint16(suites[2*i:])
 	}
 	// Pass two: the reads cannot fail.
-	ch.Extensions = make([]Extension, n)
 	er := wire.NewReader(exts)
 	for i := range ch.Extensions {
 		e := &ch.Extensions[i]
@@ -311,7 +337,20 @@ func Parse(msg []byte) (*ClientHello, error) {
 		dataLen, _ := er.Uint16()
 		e.Data, _ = er.Bytes(int(dataLen))
 	}
-	return ch, nil
+	if len(old) > n {
+		clear(old[n:]) // what an earlier, longer hello left: it must not hold that hello's bytes
+	}
+	return nil
+}
+
+// resize returns s with n elements: in its own array when that has the
+// capacity, else in a new one of exactly n. (slices.Grow rounds the new
+// array up, and under the race detector allocates it twice.)
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // recordHeaderLen is a TLS record's header: type, legacy version, length.
@@ -326,22 +365,35 @@ const recordHeaderLen = 5
 // more bytes), or it is complete. Only a complete hello is parsed. One that
 // sits in a single record — every real one; records hold 16 KB — is parsed
 // where it lies, so the returned slices alias stream; one split across
-// records is first reassembled into a buffer of its own.
+// records is first reassembled into a buffer of its own. The hello is
+// written into a new ClientHello, as Parse does, and a rejected stream
+// allocates nothing.
 func ParseRecord(stream []byte) (*ClientHello, error) {
+	var ch ClientHello
+	if err := ch.ParseRecordInto(stream); err != nil {
+		return nil, err
+	}
+	out := ch
+	return &out, nil
+}
+
+// ParseRecordInto is ParseRecord writing the hello into ch, as ParseInto
+// does.
+func (ch *ClientHello) ParseRecordInto(stream []byte) error {
 	var hdr [4]byte      // the handshake header, which may itself span records
 	have, want := 0, -1  // handshake bytes framed so far; message length once hdr is whole
 	off, records := 0, 0 // end of the last complete record; how many
 	for want < 0 || have < want {
 		rest := stream[off:]
 		if len(rest) > 0 && rest[0] != recordTypeHandshake {
-			return nil, ErrNotHandshake // decided on the type byte alone
+			return ErrNotHandshake // decided on the type byte alone
 		}
 		if len(rest) < recordHeaderLen {
-			return nil, errRecordTruncated
+			return errRecordTruncated
 		}
 		n := int(rest[3])<<8 | int(rest[4])
 		if len(rest)-recordHeaderLen < n {
-			return nil, errRecordTruncated
+			return errRecordTruncated
 		}
 		if have < len(hdr) {
 			copy(hdr[have:], rest[recordHeaderLen:recordHeaderLen+n])
@@ -354,7 +406,7 @@ func ParseRecord(stream []byte) (*ClientHello, error) {
 		records++
 	}
 	if records == 1 {
-		return Parse(stream[recordHeaderLen : recordHeaderLen+want])
+		return ch.ParseInto(stream[recordHeaderLen : recordHeaderLen+want])
 	}
 	msg := make([]byte, 0, have)
 	for off = 0; len(msg) < want; {
@@ -362,7 +414,7 @@ func ParseRecord(stream []byte) (*ClientHello, error) {
 		msg = append(msg, stream[off+recordHeaderLen:off+recordHeaderLen+n]...)
 		off += recordHeaderLen + n
 	}
-	return Parse(msg[:want])
+	return ch.ParseInto(msg[:want])
 }
 
 // SetLengths sets HandshakeLength and ExtensionsLength to the sizes the hello

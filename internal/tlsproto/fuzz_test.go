@@ -1,7 +1,9 @@
 package tlsproto_test
 
 import (
+	"bytes"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"videoplat/internal/fingerprint"
@@ -115,4 +117,89 @@ func FuzzParseRecord(f *testing.F) {
 			t.Fatalf("reparse of MarshalRecord() failed: %v", err)
 		}
 	})
+}
+
+// dirtyHello is a hello at the parser's bounds: a full session ID, many
+// cipher suites and maxExtensions extensions, each carrying bytes. Parsed
+// into a ClientHello first, it leaves every list longer than any other
+// input's and every aliased field pointing at its own bytes.
+func dirtyHello() []byte {
+	ch := &tlsproto.ClientHello{LegacyVersion: tlsproto.VersionTLS12, SessionID: make([]byte, 32), CompressionMethods: []byte{0, 1}}
+	for i := range ch.Random {
+		ch.Random[i] = byte(i)
+	}
+	for i := 0; i < 200; i++ {
+		ch.CipherSuites = append(ch.CipherSuites, uint16(0xc000+i))
+	}
+	for i := 0; i < 64; i++ {
+		ch.Extensions = append(ch.Extensions, tlsproto.Extension{Type: uint16(0x200 + i), Data: []byte{byte(i), 0xee, 0xee}})
+	}
+	return ch.Marshal()
+}
+
+// sameHello reports whether two parsed hellos say the same thing, reading a
+// nil list and an empty one alike.
+func sameHello(a, b *tlsproto.ClientHello) bool {
+	return a.LegacyVersion == b.LegacyVersion && a.Random == b.Random &&
+		bytes.Equal(a.SessionID, b.SessionID) && slices.Equal(a.CipherSuites, b.CipherSuites) &&
+		bytes.Equal(a.CompressionMethods, b.CompressionMethods) &&
+		slices.EqualFunc(a.Extensions, b.Extensions, func(x, y tlsproto.Extension) bool {
+			return x.Type == y.Type && bytes.Equal(x.Data, y.Data)
+		}) &&
+		a.HandshakeLength == b.HandshakeLength && a.ExtensionsLength == b.ExtensionsLength
+}
+
+// FuzzParseIntoMatchesParse: parsing into a ClientHello that earlier inputs
+// left dirty — the hello at the parser's bounds, then first, accepted or
+// not — gives what Parse gives on a fresh one, error for error; a rejected
+// message leaves the hello as it was, and an accepted one keeps no
+// extension past the new list's end that could hold an earlier input's
+// bytes. ParseRecordInto is held to ParseRecord the same way, with data cut
+// across two records.
+func FuzzParseIntoMatchesParse(f *testing.F) {
+	dirty := dirtyHello()
+	for _, msg := range corpusHellos(f) {
+		f.Add(dirty, msg)
+	}
+	f.Fuzz(func(t *testing.T, first, data []byte) {
+		var ch tlsproto.ClientHello
+		if err := ch.ParseInto(dirty); err != nil {
+			t.Fatal(err)
+		}
+		_ = ch.ParseInto(first)
+		before := ch
+		before.CipherSuites, before.Extensions = slices.Clone(ch.CipherSuites), slices.Clone(ch.Extensions)
+		want, werr := tlsproto.Parse(data)
+		if err := ch.ParseInto(data); err != werr {
+			t.Fatalf("ParseInto into a used hello: %v; Parse: %v", err, werr)
+		}
+		if werr != nil && !sameHello(&ch, &before) {
+			t.Fatal("a rejected message changed the hello it was parsed into")
+		}
+		if werr == nil && !sameHello(&ch, want) {
+			t.Fatalf("ParseInto into a used hello gave %+v; Parse gave %+v", ch, *want)
+		}
+		if werr == nil {
+			for _, e := range ch.Extensions[len(ch.Extensions):cap(ch.Extensions)] {
+				if e.Data != nil {
+					t.Fatal("an extension past the list's end still holds an earlier input's bytes")
+				}
+			}
+		}
+
+		k := len(data) / 2
+		rec := append(record(data[:k]), record(data[k:])...)
+		want, werr = tlsproto.ParseRecord(rec)
+		if err := ch.ParseRecordInto(rec); err != werr {
+			t.Fatalf("ParseRecordInto into a used hello: %v; ParseRecord: %v", err, werr)
+		}
+		if werr == nil && !sameHello(&ch, want) {
+			t.Fatalf("ParseRecordInto into a used hello gave %+v; ParseRecord gave %+v", ch, *want)
+		}
+	})
+}
+
+// record wraps b in one TLS handshake record, its length cut to 16 bits.
+func record(b []byte) []byte {
+	return append([]byte{0x16, 0x03, 0x01, byte(len(b) >> 8), byte(len(b))}, b...)
 }

@@ -14,7 +14,8 @@ import (
 )
 
 // ErrUnsupported is returned by Stream.Next when a fixed platform does not
-// serve the provider a session drew.
+// serve the provider a session drew: one StreamConfig.Providers names, or
+// any provider when the platform is not one of AllPlatformLabels.
 var ErrUnsupported = errors.New("tracegen: unsupported platform/provider pair")
 
 // StreamConfig holds a Stream's settable values.
@@ -27,8 +28,10 @@ type StreamConfig struct {
 	// Adversarial is the fraction of sessions rendered with one adversarial
 	// scenario (ECH, QUIC 0-RTT or migration, chosen uniformly), in [0, 1].
 	Adversarial float64
-	Platform    string                 // every session's label; "" draws one the provider supports
-	Providers   []fingerprint.Provider // the providers sessions draw from; empty means all
+	Platform    string // every session's label; "" draws one the provider supports
+	// Providers lists the providers sessions draw from. Empty means all of
+	// them, or with Platform set, all Platform supports (SupportMatrix).
+	Providers []fingerprint.Provider
 }
 
 // Stream renders Fig 2 video sessions one after another and yields their
@@ -52,7 +55,14 @@ type Stream struct {
 func NewStream(cfg StreamConfig) *Stream {
 	cfg.Adversarial = min(max(cfg.Adversarial, 0), 1)
 	if len(cfg.Providers) == 0 {
-		cfg.Providers = fingerprint.AllProviders()
+		for _, prov := range fingerprint.AllProviders() {
+			if cfg.Platform == "" || fingerprint.SupportMatrix(cfg.Platform, prov) {
+				cfg.Providers = append(cfg.Providers, prov)
+			}
+		}
+		if len(cfg.Providers) == 0 { // an unknown platform: Next says so
+			cfg.Providers = fingerprint.AllProviders()
+		}
 	}
 	left := cfg.Sessions
 	if left <= 0 {

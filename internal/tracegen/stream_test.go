@@ -85,6 +85,27 @@ func TestStreamUnsupportedPair(t *testing.T) {
 	t.Skip("every platform supports every provider")
 }
 
+// TestStreamPlatformDrawsSupportedProviders checks that a fixed platform
+// with no provider list draws only providers it serves: 50 sessions of
+// every platform render with no ErrUnsupported, whatever the seed draws.
+func TestStreamPlatformDrawsSupportedProviders(t *testing.T) {
+	for _, label := range fingerprint.AllPlatformLabels() {
+		s := NewStream(StreamConfig{Seed: 2, Sessions: 50, Platform: label})
+		for {
+			_, err := s.Next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+		}
+		if s.Flows() < 50 {
+			t.Errorf("%s: %d flows from 50 sessions", label, s.Flows())
+		}
+	}
+}
+
 // TestMergeByTimeMatchesStableSort pins the Stream's merge contract: merging
 // each session's (stably) sorted frames into the already-sorted queue must
 // reproduce exactly what a full-queue sort.SliceStable produced —

@@ -86,6 +86,8 @@ type Generator struct {
 	// src is rng's source. Opaque bytes are drawn from it directly:
 	// byte(src.Uint64()) is the value and the draw rng.UintN(256) makes.
 	src *rand.PCG
+	// sealer encrypts the client Initials of QUIC renders.
+	sealer quicproto.Sealer
 }
 
 // New returns a Generator seeded deterministically.
@@ -378,7 +380,7 @@ func (g *Generator) renderQUIC(ft *FlowTrace, fp *fingerprint.Flow, ttl uint8, s
 	sendInitial := func(off time.Duration, from netip.AddrPort, pn uint64, start, end, minSize int) error {
 		in := quicproto.Initial{Version: quicproto.Version1, DCID: fp.DCID, SCID: fp.SCID, PacketNumber: pn,
 			Crypto: []quicproto.CryptoFrame{{Offset: uint64(start), Data: hello[start:end]}}}
-		buf, err := in.Seal(newFrame(ft, max(minSize, quicproto.MinInitialSize)), minSize)
+		buf, err := g.sealer.Seal(&in, newFrame(ft, max(minSize, quicproto.MinInitialSize)), minSize)
 		if err != nil {
 			return fmt.Errorf("tracegen: sealing initial: %w", err)
 		}

@@ -493,7 +493,7 @@ func TestRenderAllocCeilings(t *testing.T) {
 		max  float64
 	}{
 		{fingerprint.TCP, fingerprint.Netflix, 45},
-		{fingerprint.QUIC, fingerprint.YouTube, 69},
+		{fingerprint.QUIC, fingerprint.YouTube, 67},
 	} {
 		g := New(8)
 		allocs := testing.AllocsPerRun(200, func() {
