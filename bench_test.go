@@ -116,7 +116,7 @@ func BenchmarkSwapUnderLoad(b *testing.B) {
 				close(done)
 			}
 			for _, fr := range frames {
-				s.HandlePacket(start, fr.Data)
+				s.HandlePacketBatch([]pipeline.IngestPacket{{TS: start, Data: fr.Data}})
 			}
 			close(stop)
 			<-done

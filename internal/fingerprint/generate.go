@@ -7,6 +7,7 @@ import (
 
 	"videoplat/internal/quicproto"
 	"videoplat/internal/tlsproto"
+	"videoplat/internal/wire"
 )
 
 // Flow is the handshake-level description of one generated video flow: the
@@ -149,7 +150,7 @@ func buildHello(rng *rand.Rand, tls *TLSProfile, p *Profile, f *Flow, prov Provi
 	greaseIdx := rng.IntN(16)
 	suites := make([]uint16, 0, len(tls.CipherSuites)+1)
 	if tls.Grease {
-		suites = append(suites, greaseVal(greaseIdx))
+		suites = append(suites, wire.GreaseValue(greaseIdx))
 	}
 	suites = append(suites, tls.CipherSuites...)
 	ch.CipherSuites = suites
@@ -182,7 +183,7 @@ func buildHello(rng *rand.Rand, tls *TLSProfile, p *Profile, f *Flow, prov Provi
 
 	var exts []tlsproto.Extension
 	if tls.Grease {
-		exts = append(exts, tlsproto.Extension{Type: greaseVal(greaseIdx + 1), Data: nil})
+		exts = append(exts, tlsproto.Extension{Type: wire.GreaseValue(greaseIdx + 1), Data: nil})
 	}
 	for _, typ := range order {
 		switch typ {
@@ -199,7 +200,7 @@ func buildHello(rng *rand.Rand, tls *TLSProfile, p *Profile, f *Flow, prov Provi
 		case tlsproto.ExtSupportedGroups:
 			groups := tls.Groups
 			if tls.Grease {
-				groups = append([]uint16{greaseVal(greaseIdx + 2)}, groups...)
+				groups = append([]uint16{wire.GreaseValue(greaseIdx + 2)}, groups...)
 			}
 			exts = append(exts, tlsproto.Extension{Type: typ, Data: tlsproto.Uint16ListData(groups)})
 		case tlsproto.ExtECPointFormats:
@@ -226,7 +227,7 @@ func buildHello(rng *rand.Rand, tls *TLSProfile, p *Profile, f *Flow, prov Provi
 			shares := tls.KeyShares
 			lens := tls.KeyShareLens
 			if tls.Grease {
-				shares = append([]uint16{greaseVal(greaseIdx + 2)}, shares...)
+				shares = append([]uint16{wire.GreaseValue(greaseIdx + 2)}, shares...)
 				lens = append([]int{1}, lens...)
 			}
 			// Real key-share payloads are random public keys.
@@ -243,7 +244,7 @@ func buildHello(rng *rand.Rand, tls *TLSProfile, p *Profile, f *Flow, prov Provi
 				versions = []uint16{tlsproto.VersionTLS13}
 			}
 			if tls.Grease {
-				versions = append([]uint16{greaseVal(greaseIdx + 3)}, versions...)
+				versions = append([]uint16{wire.GreaseValue(greaseIdx + 3)}, versions...)
 			}
 			exts = append(exts, tlsproto.Extension{Type: typ, Data: tlsproto.SupportedVersionsData(versions)})
 		case tlsproto.ExtCompressCertificate:
@@ -439,13 +440,6 @@ func shuffledExts(rng *rand.Rand, order []uint16) []uint16 {
 		out = append(out, tlsproto.ExtPadding)
 	}
 	return out
-}
-
-func greaseVal(i int) uint16 {
-	// Mirror wire.GreaseValue without importing wire here.
-	vals := [...]uint16{0x0a0a, 0x1a1a, 0x2a2a, 0x3a3a, 0x4a4a, 0x5a5a, 0x6a6a, 0x7a7a,
-		0x8a8a, 0x9a9a, 0xaaaa, 0xbaba, 0xcaca, 0xdada, 0xeaea, 0xfafa}
-	return vals[((i%16)+16)%16]
 }
 
 // providerALPN applies the small per-provider deltas observed between native

@@ -88,8 +88,8 @@ func (l *frameLender) each(pkts []IngestPacket, handle func(ts time.Time, frame 
 	}
 }
 
-// eachRecycled lends pkts to a Sharded one frame per HandlePacket call and
-// makes each call pack into the arena the call before it used. A busy tap
+// eachRecycled lends pkts to a Sharded in batches of one frame and makes
+// each batch pack into the arena the batch before it used. A busy tap
 // gets that recycling by volume; here a SnapshotFlows round trip after every
 // frame waits until the worker has put the batch back, and one P makes
 // sync.Pool hand that very batch to the next call (its caches are per P, so
@@ -98,10 +98,10 @@ func (l *frameLender) each(pkts []IngestPacket, handle func(ts time.Time, frame 
 // usual.
 func (l *frameLender) eachRecycled(s *Sharded, pkts []IngestPacket) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	l.each(pkts, func(ts time.Time, frame []byte) {
-		s.HandlePacket(ts, frame)
+	for i := range pkts {
+		l.batch(pkts[i:i+1], s.HandlePacketBatch)
 		s.SnapshotFlows()
-	})
+	}
 }
 
 // splitHelloIndex is the frame of splitHelloPackets that completes the hello.
@@ -284,8 +284,8 @@ func TestShardedOversizedCounter(t *testing.T) {
 	s := NewShardedWithConfig(bank, 2, Config{helloCap: 512})
 	ff := newTCPFlowFrames()
 	ts := time.Date(2023, 7, 7, 0, 0, 0, 0, time.UTC)
-	s.HandlePacket(ts, ff.client(nil, packet.FlagSYN))
-	s.HandlePacket(ts, ff.client(endlessRecordChunk(true, 600), packet.FlagACK|packet.FlagPSH))
+	s.HandlePacketBatch([]IngestPacket{{TS: ts, Data: ff.client(nil, packet.FlagSYN)}})
+	s.HandlePacketBatch([]IngestPacket{{TS: ts, Data: ff.client(endlessRecordChunk(true, 600), packet.FlagACK|packet.FlagPSH)}})
 	s.Close()
 	if got := s.IngestStats().Verdicts[VerdictOversized]; got != 1 {
 		t.Fatalf("sharded oversized verdicts = %d, want 1", got)
@@ -309,20 +309,20 @@ func clientFrames(t *testing.T, seed uint64, tr fingerprint.Transport) [][]byte 
 }
 
 // TestAssemblerAllocCeilings pins what assembling one whole flow allocates
-// — only what the flow has to own until it is classified. TCP: the copy of
-// its client bytes, and the ClientHello with its cipher suites and
-// extensions, parsed where they lie in that copy. QUIC: the copy of its
-// CRYPTO bytes (the Initial is decrypted into the scratch, which every flow
+// — only what the flow has to own until it is classified, here with no
+// store given back to take. TCP: the handshake store, the copy of its
+// client bytes, and the ClientHello's cipher suites and extensions, parsed
+// where they lie in that copy. QUIC: the store, the copy of its CRYPTO
+// bytes (the Initial is decrypted into the scratch, which every flow
 // shares), the Initial's three cipher objects (crypto/aes cannot re-key
-// one), the ClientHello's three, and the transport parameters with their
-// list.
+// one), the ClientHello's two lists and the transport parameters' list.
 func TestAssemblerAllocCeilings(t *testing.T) {
 	for _, c := range []struct {
 		tr      fingerprint.Transport
 		ceiling float64
 	}{
 		{fingerprint.TCP, 4},
-		{fingerprint.QUIC, 9},
+		{fingerprint.QUIC, 8},
 	} {
 		frames := clientFrames(t, 7, c.tr)
 		var scratch asmScratch
@@ -411,7 +411,7 @@ func quicFlight(t *testing.T) (*helloFlight, *features.FieldValues) {
 }
 
 // initials seals one Initial per frame list, in order.
-func (f *helloFlight) initials(t *testing.T, lists ...[]quicproto.CryptoFrame) [][]byte {
+func (f *helloFlight) initials(t testing.TB, lists ...[]quicproto.CryptoFrame) [][]byte {
 	t.Helper()
 	var out [][]byte
 	for i, l := range lists {
@@ -463,8 +463,8 @@ func TestAssemblerReorderedHellos(t *testing.T) {
 		if got := features.Extract(&a.info); !reflect.DeepEqual(got, c.want) {
 			t.Errorf("%s: attributes differ from the in-order flight's", c.name)
 		}
-		if a.ahead != nil || len(a.stream) != c.held {
-			t.Errorf("%s: holds %d bytes of a %d-byte hello, out-of-order state %v", c.name, len(a.stream), c.held, a.ahead != nil)
+		if a.ahead != nil || len(a.stream()) != c.held {
+			t.Errorf("%s: holds %d bytes of a %d-byte hello, out-of-order state %v", c.name, len(a.stream()), c.held, a.ahead != nil)
 		}
 	}
 }
@@ -558,8 +558,8 @@ func TestAssemblerCryptoOverlappingFrames(t *testing.T) {
 	if done != 0 {
 		t.Fatal("no hello")
 	}
-	if len(a.stream) != n {
-		t.Errorf("holds %d bytes of a %d-byte hello", len(a.stream), n)
+	if len(a.stream()) != n {
+		t.Errorf("holds %d bytes of a %d-byte hello", len(a.stream()), n)
 	}
 	if got := features.Extract(&a.info); !reflect.DeepEqual(got, want) {
 		t.Error("attributes differ from the in-order flight's")
@@ -581,8 +581,8 @@ func TestAssemblerCryptoHoleWaits(t *testing.T) {
 	if a.consume(&s, frames[0]) {
 		t.Fatal("assembled across a hole")
 	}
-	if held := n/4 + n - 3*n/4; len(a.stream) != held || a.inOrder() != n/4 {
-		t.Fatalf("holds %d bytes, %d in order; want %d, %d", len(a.stream), a.inOrder(), held, n/4)
+	if held := n/4 + n - 3*n/4; len(a.stream()) != held || a.inOrder() != n/4 {
+		t.Fatalf("holds %d bytes, %d in order; want %d, %d", len(a.stream()), a.inOrder(), held, n/4)
 	}
 	if !a.consume(&s, frames[1]) {
 		t.Fatal("the Initial that fills the hole did not complete the hello")
@@ -640,7 +640,7 @@ func TestPlaceHoldsEachByteOnce(t *testing.T) {
 		for i := range want {
 			want[i] = byte(rng.IntN(256))
 		}
-		var a hsAssembler
+		a := hsAssembler{hs: new(hsStore)}
 		placed := make([]bool, len(want))
 		for step := 0; step < 50; step++ {
 			lo := rng.IntN(len(want))
@@ -676,8 +676,8 @@ func TestPlaceHoldsEachByteOnce(t *testing.T) {
 			for _, e := range ranges {
 				held = append(held, want[e.off:e.end]...)
 			}
-			if !bytes.Equal(a.stream, held) {
-				t.Fatalf("iter %d step %d: holds %d bytes, want %d in offset order", iter, step, len(a.stream), len(held))
+			if !bytes.Equal(a.stream(), held) {
+				t.Fatalf("iter %d step %d: holds %d bytes, want %d in offset order", iter, step, len(a.stream()), len(held))
 			}
 			switch {
 			case len(ranges) == 1 && a.ahead != nil:
@@ -692,7 +692,7 @@ func TestPlaceHoldsEachByteOnce(t *testing.T) {
 			continue
 		}
 		a.place(0, want)
-		if !bytes.Equal(a.stream, want) || a.ahead != nil {
+		if !bytes.Equal(a.stream(), want) || a.ahead != nil {
 			t.Fatalf("iter %d: the whole stream placed is not the stream", iter)
 		}
 	}

@@ -151,7 +151,7 @@ func TestShardedEvictionHook(t *testing.T) {
 	for i := 0; i < n; i++ {
 		ft := renderFlow(t, g, "android_nativeApp", fingerprint.Netflix)
 		for _, fr := range ft.Frames {
-			s.HandlePacket(t0.Add(fr.Offset), fr.Data)
+			s.HandlePacketBatch([]IngestPacket{{TS: t0.Add(fr.Offset), Data: fr.Data}})
 		}
 	}
 	go func() {

@@ -59,10 +59,12 @@
 //     duplication or cut the path gave them; the hello is parsed once the
 //     run from offset 0 holds it. The assembler sits in the flow's cold
 //     record (flowCold), which the flow lets go of at its verdict: a decided
-//     flow keeps only its hot record (flowState). Parser state, the Opener,
-//     the decrypted Initial and the handshake storage decided flows gave
-//     back are one asmScratch per pipeline, kept by no flow, so a new flow
-//     assembles and parses into storage an earlier one used.
+//     flow keeps only its hot record (flowState). Its handshake bytes,
+//     ClientHello and transport parameters are one hsStore, which the flow
+//     takes at its first handshake byte. Parser state, the Opener, the
+//     decrypted Initial and the stores decided flows gave back are one
+//     asmScratch per pipeline, kept by no flow, so a new flow assembles and
+//     parses into a store an earlier one used.
 //     Server-direction packets never touch assembly, and what a flow
 //     holds is bounded (maxHelloBytes, maxAhead; oversized flows are
 //     abandoned with VerdictOversized).
@@ -87,7 +89,7 @@
 //     Pipeline.finalize, the only code that stamps a flow's verdict, bumps
 //     the per-verdict (and, for a classified flow, per-provider) counter
 //     behind Pipeline.Stats, closes the flow's span, drops its cold record
-//     and gives its handshake storage back for reuse. A flow therefore carries
+//     and gives its handshake store back for reuse. A flow therefore carries
 //     exactly one verdict and is counted exactly once; anything that
 //     reports how many flows were classified reads those counters
 //     (Sharded.IngestStats sums them).
@@ -102,17 +104,18 @@
 // Scratch-reuse rules: each Pipeline owns one asmScratch and one
 // ClassifyScratch (and each Sharded shard owns its Pipeline), so scratch
 // state is single-goroutine by construction. A decided flow gives its
-// handshake buffer, ClientHello and transport parameters back to the
-// asmScratch (Pipeline.finalize, asmScratch.release), and a later flow's
-// assembly fills them. The HandshakeInfo passed to Config.OnClassify is
-// lent for the hook call: the hook runs after finalize, in the same call,
-// and nothing is reused before the next frame is consumed, so what info
-// points into is intact until the hook returns and is overwritten by a
-// later flow after (see Config.OnClassify); the shadow evaluator
-// classifies synchronously within the call. Serialized banks carry only
-// encoders and forests — UnmarshalBinary rebuilds the compiled tables and
-// the serving index before it returns — so the gob format is unchanged and
-// older banks load into the compiled evaluator.
+// hsStore — handshake bytes, ClientHello and transport parameters — back
+// whole to the asmScratch (Pipeline.finalize, asmScratch.release), and a
+// later flow takes it at its first handshake byte and fills it. The
+// HandshakeInfo passed to Config.OnClassify is lent for the hook call: the
+// hook runs after finalize, in the same call, and nothing is reused before
+// the next frame is consumed, so what info points into is intact until the
+// hook returns and is overwritten by a later flow after (see
+// Config.OnClassify); the shadow evaluator classifies synchronously within
+// the call. Serialized banks carry only encoders and forests —
+// UnmarshalBinary rebuilds the compiled tables and the serving index before
+// it returns — so the gob format is unchanged and older banks load into the
+// compiled evaluator.
 package pipeline
 
 import (
@@ -193,18 +196,18 @@ func hasSuffixFold(s, suffix string) bool {
 // counts against maxHelloBytes, and at most maxAhead ranges wait past the
 // hole; going over either ends the flow VerdictOversized.
 //
-// The assembled Hello aliases only stream: never the input frame, which
-// callers recycle (Sharded's batch arenas) as soon as consume returns, nor
-// the decrypted Initial in the asmScratch. The stream, the Hello and the
-// transport parameters may be storage an earlier decided flow gave back,
-// and Pipeline.finalize gives them back in turn (asmScratch.release): what
-// info points into stays intact until the call that decided the flow
-// returns, and a later flow's assembly overwrites it after that.
+// The bytes, the Hello and the transport parameters are one hsStore the
+// flow takes at its first handshake byte. The assembled Hello aliases only
+// the store's stream: never the input frame, which callers recycle
+// (Sharded's batch arenas) as soon as consume returns, nor the decrypted
+// Initial in the asmScratch. The store may be one an earlier decided flow
+// gave back, and Pipeline.finalize gives it back in turn
+// (asmScratch.release): what info points into stays intact until the call
+// that decided the flow returns, and a later flow's assembly overwrites it
+// after that.
 type hsAssembler struct {
-	info features.HandshakeInfo
-	// stream holds each received handshake byte once: the run from offset
-	// 0, then, while ahead is set, the ranges past the hole in offset order.
-	stream   []byte
+	info     features.HandshakeInfo
+	hs       *hsStore     // from the flow's first handshake byte
 	ahead    *aheadRanges // from a piece past a hole until the hole closes
 	base     uint32       // the TCP sequence number of offset 0, once haveBase
 	haveBase bool
@@ -239,17 +242,26 @@ type aheadRanges struct {
 
 type extent struct{ off, end uint32 } // stream offsets [off, end)
 
+// hsStore is a flow's handshake storage, one object from its first
+// handshake byte to its verdict. stream holds each received handshake byte
+// once: the run from offset 0, then, while the assembler's ahead is set,
+// the ranges past the hole in offset order. hello and params are parsed
+// from it and alias it; HandshakeInfo points at them once they parse.
+type hsStore struct {
+	stream []byte
+	hello  tlsproto.ClientHello
+	params quicproto.TransportParameters
+}
+
 // asmScratch is what assembling a frame uses and keeps nothing of: the full
 // decode's parser state, the Opener, and the buffers a QUIC Initial is
 // decrypted and listed into. One per Pipeline serves all its flows, since
-// consume copies what a flow keeps into its own stream before it returns.
+// consume copies what a flow keeps into its own store before it returns.
 //
-// It also keeps the handshake storage decided flows gave back (release) for
-// the next flows' assembly to fill instead of allocating: stream buffers,
-// and the ClientHello and transport parameters parsed from them. A spare is
-// taken only by a later consume on the pipeline's goroutine, so what a
-// decided flow's HandshakeInfo points into stays intact until the call
-// that decided it returns.
+// In spare[:n] it also keeps the handshake stores decided flows gave back
+// (release), for later flows to take (take) instead of allocating. A store is taken only by a later consume on the pipeline's
+// goroutine, so what a decided flow's HandshakeInfo points into stays
+// intact until the call that decided it returns.
 type asmScratch struct {
 	parser packet.Parser
 	parsed packet.Parsed
@@ -257,98 +269,80 @@ type asmScratch struct {
 	plain  []byte                  // the latest Initial's decrypted payload
 	crypto []quicproto.CryptoFrame // its CRYPTO frames, which alias plain
 
-	streams spares[[]byte] // empty, each of capacity at most maxSpareStream
-	hellos  spares[*tlsproto.ClientHello]
-	params  spares[*quicproto.TransportParameters]
+	n     int
+	spare [maxSpares]*hsStore
 }
 
-// The bounds of the storage an asmScratch keeps. At most maxSpares of each
-// kind: stream buffers of at most maxSpareStream bytes, a real hello's
-// several times over (the synthetic ones are under 1 KB), and hellos and
-// parameter lists whose lists hold at most maxSpareList entries (the
-// parser already bounds a hello's extensions to 64). A spare
-// hello (and its parameters) aliases one buffer no larger than a spare
-// stream, the one it was parsed from. So a pipeline retains at most about
-// maxSpares × (2 × 4 KiB + 4.3 KiB) = 98 KiB.
+// The bounds of the storage an asmScratch keeps: at most maxSpares stores,
+// each with a stream buffer of at most maxSpareStream bytes, a real hello's
+// several times over (the synthetic ones are under 1 KB), and hello and
+// parameter lists of at most maxSpareList entries (the parser already
+// bounds a hello's extensions to 64). A kept hello aliases its store's
+// stream or, when it was split over records, the no larger buffer they
+// were joined into. So a pipeline retains at most about maxSpares ×
+// (2 × 4 KiB + 4.3 KiB) = 98 KiB.
 const (
 	maxSpares      = 8
 	maxSpareStream = 4 << 10
 	maxSpareList   = 64
 )
 
-// spares is a bounded stack of storage kept for reuse.
-type spares[T any] struct {
-	n int
-	v [maxSpares]T
-}
-
-// push keeps v, reporting false when the stack is full.
-func (s *spares[T]) push(v T) bool {
-	if s.n == len(s.v) {
-		return false
-	}
-	s.v[s.n], s.n = v, s.n+1
-	return true
-}
-
-// pop takes the top spare, or the zero T when there is none.
-func (s *spares[T]) pop() (v T) {
-	if s.n > 0 {
-		s.n--
-		v, s.v[s.n] = s.v[s.n], v
-	}
-	return v
-}
-
-// target is what a parse writes into: the top spare, or a new one made
-// spare when there is none. The caller pops it once the parse succeeds, so
-// a failed parse leaves it spare for the next.
-func target[T any](s *spares[*T]) *T {
+// take hands a flow a handshake store: one a decided flow gave back, or a
+// new one when there is none.
+func (s *asmScratch) take() *hsStore {
 	if s.n == 0 {
-		s.push(new(T))
+		return new(hsStore)
 	}
-	return s.v[s.n-1]
+	s.n--
+	hs := s.spare[s.n]
+	s.spare[s.n] = nil
+	return hs
 }
 
-// release keeps a decided flow's handshake storage for the flows after it:
-// its stream buffer, then the hello and transport parameters parsed from
-// it, which alias it and so are kept only with it. What is over its bound,
-// or finds its stack full, is left to the collector. Pipeline.finalize is
-// the one caller; the flow's HandshakeInfo stays readable until the next
-// consume.
+// release keeps a decided flow's handshake store, whole, for the flows
+// after it. A store over the bounds, or one that finds the spares full, is
+// left to the collector. Pipeline.finalize is the one caller; the flow's
+// HandshakeInfo stays readable until the next consume.
 func (s *asmScratch) release(a *hsAssembler) {
-	if c := cap(a.stream); c == 0 || c > maxSpareStream || !s.streams.push(a.stream[:0]) {
+	hs := a.hs
+	if hs == nil || s.n == len(s.spare) || cap(hs.stream) > maxSpareStream ||
+		cap(hs.hello.CipherSuites) > maxSpareList || cap(hs.params.Params) > maxSpareList {
 		return
 	}
-	ch := a.info.Hello
-	if ch == nil || cap(ch.CipherSuites) > maxSpareList || !s.hellos.push(ch) {
-		return
-	}
-	if tp := a.info.Params; tp != nil && cap(tp.Params) <= maxSpareList {
-		s.params.push(tp)
-	}
+	hs.stream = hs.stream[:0]
+	s.spare[s.n], s.n = hs, s.n+1
 }
 
 func (a *hsAssembler) init() { a.info.TCPWScale = -1 }
 
+// stream is the handshake bytes the flow holds, none before its store.
+func (a *hsAssembler) stream() []byte {
+	if a.hs == nil {
+		return nil
+	}
+	return a.hs.stream
+}
+
 // inOrder is the length of the run from offset 0.
 func (a *hsAssembler) inOrder() int {
 	if a.ahead == nil {
-		return len(a.stream)
+		return len(a.stream())
 	}
 	return int(a.ahead.r[0].end)
 }
 
 // place writes data at stream offset off: the bytes no held range covers
-// are inserted into stream where their offset orders them. It reports
-// false, placing no more, when that needs more than maxAhead ranges.
+// are inserted into the store's stream where their offset orders them. It
+// reports false, placing no more, when that needs more than maxAhead
+// ranges. The flow must have its store.
 func (a *hsAssembler) place(off uint32, data []byte) bool {
+	hs := a.hs
 	if a.ahead == nil {
-		if n := uint32(len(a.stream)); off <= n { // the in-order case
-			a.stream = append(a.stream, data[min(n-off, uint32(len(data))):]...)
+		if n := uint32(len(hs.stream)); off <= n { // the in-order case
+			hs.stream = append(hs.stream, data[min(n-off, uint32(len(data))):]...)
 			return true
 		}
-		a.ahead = &aheadRanges{n: 1, r: [1 + maxAhead]extent{{0, uint32(len(a.stream))}}}
+		a.ahead = &aheadRanges{n: 1, r: [1 + maxAhead]extent{{0, uint32(len(hs.stream))}}}
 	}
 	r := a.ahead
 	for len(data) > 0 {
@@ -381,7 +375,7 @@ func (a *hsAssembler) place(off uint32, data []byte) bool {
 			copy(r.r[i+1:r.n+1], r.r[i:r.n])
 			r.r[i], r.n = extent{off, off + n}, r.n+1
 		}
-		a.stream = slices.Insert(a.stream, pos, data[:n]...)
+		hs.stream = slices.Insert(hs.stream, pos, data[:n]...)
 		data, off = data[n:], off+n
 	}
 	if r.n == 1 {
@@ -395,9 +389,9 @@ func (a *hsAssembler) place(off uint32, data []byte) bool {
 // (shift); a higher one, or one more than maxHelloBytes lower, leaves them
 // before offset 0 or past any hello that fits, so they are dropped.
 func (a *hsAssembler) rebase(base uint32) {
-	if d := a.base - base; a.haveBase && d != 0 && len(a.stream) > 0 {
+	if d := a.base - base; a.haveBase && d != 0 && len(a.stream()) > 0 {
 		if int32(d) < 0 || d > maxHelloBytes {
-			a.stream, a.ahead = a.stream[:0], nil
+			a.hs.stream, a.ahead = a.hs.stream[:0], nil
 		} else {
 			a.shift(d)
 		}
@@ -410,7 +404,7 @@ func (a *hsAssembler) rebase(base uint32) {
 // more than maxAhead ranges, as place does.
 func (a *hsAssembler) shift(d uint32) {
 	if a.ahead == nil {
-		a.ahead = &aheadRanges{n: 1, r: [1 + maxAhead]extent{{0, uint32(len(a.stream))}}}
+		a.ahead = &aheadRanges{n: 1, r: [1 + maxAhead]extent{{0, uint32(len(a.hs.stream))}}}
 	}
 	r := a.ahead
 	if r.r[0].end > 0 { // the run from offset 0 becomes a range past the hole
@@ -484,22 +478,23 @@ func (a *hsAssembler) consume(s *asmScratch, frame []byte) bool {
 		if off < 0 { // starts before offset 0: only its tail can be new
 			data, off = data[min(len(data), int(-int64(off))):], 0
 		}
-		if a.stream == nil {
-			a.stream = s.streams.pop()
+		if a.hs == nil {
+			a.hs = s.take()
 		}
+		hs := a.hs
 		if !a.place(uint32(off), data) || a.inOrder() == held {
 			return false
 		}
-		err := target(&s.hellos).ParseRecordInto(a.stream[:a.inOrder()])
+		err := hs.hello.ParseRecordInto(hs.stream[:a.inOrder()])
 		if err == nil {
-			info.Hello = s.hellos.pop()
+			info.Hello = &hs.hello
 			return true
 		}
-		if rec, hs := recordHeader(a.stream); !errors.Is(err, tlsproto.ErrMalformed) && rec && !hs {
+		if rec, handshake := recordHeader(hs.stream); !errors.Is(err, tlsproto.ErrMalformed) && rec && !handshake {
 			// A record of another kind at offset 0: the flow was joined
 			// mid-stream. Drop what is held; the next payload segment sets
 			// the base afresh.
-			a.stream, a.ahead, a.haveBase, a.fixed = a.stream[:0], nil, false, false
+			hs.stream, a.ahead, a.haveBase, a.fixed = hs.stream[:0], nil, false, false
 		}
 	case parsed.Has(packet.LayerUDP):
 		if !quicproto.IsLongHeader(parsed.Payload) {
@@ -535,29 +530,27 @@ func (a *hsAssembler) consume(s *asmScratch, frame []byte) bool {
 			info.InitPacketSize = len(parsed.Payload)
 			a.firstInitial = first
 		}
-		if a.stream == nil && len(crypto) > 0 {
-			a.stream = s.streams.pop()
+		if a.hs == nil && len(crypto) > 0 {
+			a.hs = s.take()
 		}
 		for _, f := range crypto {
 			if !a.place(uint32(f.Offset), f.Data) {
 				return false
 			}
 		}
-		if a.inOrder() == held {
+		if a.inOrder() == held { // so a byte was placed, and the flow has its store
 			return false
 		}
-		ch := target(&s.hellos)
-		if ch.ParseInto(a.stream[:a.inOrder()]) != nil {
+		hs := a.hs
+		if hs.hello.ParseInto(hs.stream[:a.inOrder()]) != nil {
 			return false
 		}
 		// The transport parameters are parsed once, here, so the serving
 		// path's compiled encoders never re-parse extension 57.
-		if e, ok := ch.Extension(tlsproto.ExtQUICTransportParams); ok {
-			if tp := target(&s.params); tp.ParseInto(e.Data) == nil {
-				info.Params = s.params.pop()
-			}
+		if e, ok := hs.hello.Extension(tlsproto.ExtQUICTransportParams); ok && hs.params.ParseInto(e.Data) == nil {
+			info.Params = &hs.params
 		}
-		info.Hello = s.hellos.pop()
+		info.Hello = &hs.hello
 		return true
 	}
 	return false

@@ -48,7 +48,7 @@ func TestIngestDropsUndecodableFrames(t *testing.T) {
 		icmpFrame(t),     // decodes, but no TCP/UDP 5-tuple
 	}
 	for _, fr := range garbage {
-		s.HandlePacket(now, fr)
+		s.HandlePacketBatch([]IngestPacket{{TS: now, Data: fr}})
 	}
 	s.HandlePacketBatch([]IngestPacket{
 		{TS: now, Data: garbage[0]},
@@ -57,14 +57,14 @@ func TestIngestDropsUndecodableFrames(t *testing.T) {
 
 	// Decodable flows off port 443 are dropped by the ingest-time video
 	// filter and counted separately from undecodable frames.
-	s.HandlePacket(now, tcpFrame(t, 51000, 8080))
+	s.HandlePacketBatch([]IngestPacket{{TS: now, Data: tcpFrame(t, 51000, 8080)}})
 	s.HandlePacketBatch([]IngestPacket{{TS: now, Data: tcpFrame(t, 51001, 22)}})
 
 	// Decodable TCP frames across many distinct flows: these must spread
 	// over the shards rather than pile onto shard 0.
 	const flows = 64
 	for i := 0; i < flows; i++ {
-		s.HandlePacket(now, tcpFrame(t, uint16(10000+i), 443))
+		s.HandlePacketBatch([]IngestPacket{{TS: now, Data: tcpFrame(t, uint16(10000+i), 443)}})
 	}
 	s.Close()
 
@@ -207,8 +207,8 @@ func interleave(flows ...[]IngestPacket) []IngestPacket {
 }
 
 // TestBatchedMatchesSinglePacket is the entry-point equivalence check: every
-// entry point — plain Pipeline.HandlePacket, Sharded.HandlePacket and
-// Sharded.HandlePacketBatch at several batch sizes — must produce exactly
+// entry point — plain Pipeline.HandlePacket and Sharded.HandlePacketBatch
+// at several batch sizes, one frame a batch among them — must produce exactly
 // the same terminal record per flow: same SNIs, verdicts, predictions, byte
 // and packet telemetry, and the same per-verdict counts. Terminal records
 // are OnEvict's plus Flows(). The handshake-then-bulk input is the check on
@@ -315,8 +315,8 @@ func TestBatchedMatchesSinglePacket(t *testing.T) {
 		{"handshake-then-bulk", 4, Config{}, bulk, 7, 2},
 	} {
 		// run replays the input through one entry point: batchSize < 0 is
-		// the plain Pipeline, 0 is Sharded.HandlePacket, anything else a
-		// Sharded.HandlePacketBatch size.
+		// the plain Pipeline, 0 is Sharded.HandlePacketBatch of one frame on
+		// a recycled arena, anything else a Sharded.HandlePacketBatch size.
 		run := func(batchSize int) outcome {
 			var mu sync.Mutex
 			out := outcome{flows: map[packet.FlowKey]summary{}}
@@ -681,7 +681,7 @@ func TestResultsDropUnderStalledConsumer(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, fr := range ft.Frames {
-			s.HandlePacket(ft.Start.Add(fr.Offset), fr.Data)
+			s.HandlePacketBatch([]IngestPacket{{TS: ft.Start.Add(fr.Offset), Data: fr.Data}})
 		}
 	}
 	s.Close() // nobody drained Results; Close must not deadlock
@@ -795,7 +795,7 @@ func TestIngestStallCounter(t *testing.T) {
 	s := NewShardedWithConfig(bank, 1, Config{inboxDepth: 1})
 	now := time.Now()
 	for i := 0; i < 2000; i++ {
-		s.HandlePacket(now, tcpFrame(t, uint16(1000+i%512), 443))
+		s.HandlePacketBatch([]IngestPacket{{TS: now, Data: tcpFrame(t, uint16(1000+i%512), 443)}})
 	}
 	s.Close()
 	if s.IngestStats().Stalls == 0 {

@@ -211,7 +211,7 @@ func TestShardedMigrationRouting(t *testing.T) {
 		any := false
 		for _, ft := range traces {
 			if j < len(ft.Frames) {
-				s.HandlePacket(ft.Start.Add(ft.Frames[j].Offset), ft.Frames[j].Data)
+				s.HandlePacketBatch([]IngestPacket{{TS: ft.Start.Add(ft.Frames[j].Offset), Data: ft.Frames[j].Data}})
 				any = true
 			}
 		}

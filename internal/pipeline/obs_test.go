@@ -36,7 +36,7 @@ func feedShardedFlow(t *testing.T, s *Sharded, g *tracegen.Generator, label stri
 		t.Fatal(err)
 	}
 	for _, fr := range ft.Frames {
-		s.HandlePacket(ft.Start.Add(fr.Offset), fr.Data)
+		s.HandlePacketBatch([]IngestPacket{{TS: ft.Start.Add(fr.Offset), Data: fr.Data}})
 	}
 }
 

@@ -458,13 +458,13 @@ func TestLateSYNAssembles(t *testing.T) {
 	var a hsAssembler
 	var s asmScratch
 	a.init()
-	if a.consume(&s, seg2) || len(a.stream) != len(f.hello)-k {
-		t.Fatalf("the second segment alone: %d bytes held, want %d", len(a.stream), len(f.hello)-k)
+	if a.consume(&s, seg2) || len(a.stream()) != len(f.hello)-k {
+		t.Fatalf("the second segment alone: %d bytes held, want %d", len(a.stream()), len(f.hello)-k)
 	}
 	appData := f.seg
 	appData.Seq = f.syn.Seq + 1 - 64
 	join := f.frame(packet.ProtoTCP, appData.Append(nil, []byte{23, 3, 3, 0, 4, 1, 2, 3, 4}, f.src, f.dst))
-	if a.consume(&s, join) || len(a.stream) != 0 || a.haveBase {
-		t.Fatalf("an application-data record at offset 0 left %d bytes held (base %v)", len(a.stream), a.haveBase)
+	if a.consume(&s, join) || len(a.stream()) != 0 || a.haveBase {
+		t.Fatalf("an application-data record at offset 0 left %d bytes held (base %v)", len(a.stream()), a.haveBase)
 	}
 }

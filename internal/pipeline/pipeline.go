@@ -441,7 +441,7 @@ type Pipeline struct {
 
 	// assembly is what every flow's hsAssembler.consume borrows for a frame
 	// and keeps nothing of (the flow copies its handshake bytes into its own
-	// buffer), and the handshake storage finalize gives back, so one per
+	// store), and the handshake stores finalize gives back, so one per
 	// pipeline is safe for the same reason scratch is.
 	assembly asmScratch
 	// scratch holds the classification path's reusable buffers (encoded
@@ -552,7 +552,7 @@ func NewWithConfig(bank *Bank, cfg Config) *Pipeline {
 // exactly one verdict and is counted exactly once. Anything else the record
 // should say (prediction, provider, model version) must be set before the
 // call. The flow lets go of its cold record and gives its handshake
-// storage back to the pipeline's asmScratch (release): a HandshakeInfo
+// store back to the pipeline's asmScratch (release): a HandshakeInfo
 // pointing into it stays intact until the current call returns — the
 // OnClassify hook runs after finalize — and a later flow's assembly
 // overwrites it after that.
@@ -767,7 +767,7 @@ func (p *Pipeline) handleKeyed(rec *FlowRecord, ts time.Time, frame, payload []b
 		case st.packetsUp > 8:
 			// No hello in the first packets: not a video flow.
 			p.finalize(st, VerdictNoHandshake)
-		case cold.asm.overflow || len(cold.asm.stream) > p.cfg.helloCap:
+		case cold.asm.overflow || len(cold.asm.stream()) > p.cfg.helloCap:
 			// Oversized handshake: abandon, don't buffer more.
 			p.finalize(st, VerdictOversized)
 		}
@@ -945,6 +945,9 @@ func (p *Pipeline) learnCID(st *flowState, canon packet.FlowKey, cid []byte) {
 		return
 	}
 	p.cids.put(ck, canon)
+	if st.cids == nil {
+		st.cids = make([]cidKey, 0, 2) // a QUIC flow's DCID and SCID
+	}
 	st.cids = append(st.cids, ck)
 }
 

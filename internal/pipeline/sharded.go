@@ -67,11 +67,11 @@ type IngestPacket struct {
 // 5-tuple and flows off port 443 are dropped at ingest, counted in
 // IngestStats.Ignored and IngestStats.Filtered.
 //
-// HandlePacket and HandlePacketBatch are intended for a single ingest
-// goroutine (the shard workers provide the parallelism) and must not be
-// called concurrently with each other. When a shard's inbox fills, ingest
-// blocks until the worker catches up — backpressure, not loss — and the
-// stall is counted in IngestStats.Stalls.
+// HandlePacketBatch is intended for a single ingest goroutine (the shard
+// workers provide the parallelism) and must not be called concurrently
+// with itself. When a shard's inbox fills, ingest blocks until the worker
+// catches up — backpressure, not loss — and the stall is counted in
+// IngestStats.Stalls.
 //
 // Results delivery contract: classified-flow records are delivered on
 // Results() on a best-effort basis. A consumer that stops draining does not
@@ -109,9 +109,8 @@ type Sharded struct {
 	// single-ingest-goroutine contract) so the hot path never allocates it.
 	pending []*ingestBatch
 
-	// sum is the ingest goroutine's scratch decode — HandlePacket and
-	// HandlePacketBatch are single-goroutine by contract, so one serves every
-	// frame.
+	// sum is the ingest goroutine's scratch decode — HandlePacketBatch is
+	// single-goroutine by contract, so one serves every frame.
 	sum packet.Summary
 
 	// obsv/tracer mirror Config.Observer/Config.Tracer. When both are nil
@@ -469,13 +468,6 @@ func (s *Sharded) send(sh *shard, msg shardMsg) {
 	}
 }
 
-// HandlePacket routes one frame to its flow's shard: HandlePacketBatch of
-// one element. What is kept of the frame is copied, so the caller may reuse
-// it immediately.
-func (s *Sharded) HandlePacket(ts time.Time, frame []byte) {
-	s.HandlePacketBatch([]IngestPacket{{TS: ts, Data: frame}})
-}
-
 // prefetchAhead is how many frames ahead of the one being summarized
 // HandlePacketBatch prefetches a header. A frame's bytes were last written by
 // whoever read it off the wire, so its header line is usually not in cache,
@@ -586,7 +578,8 @@ func (s *Sharded) Bank() *Bank { return s.shards[0].p.Bank() }
 // switch independently (not as one transaction), so during the swap some
 // shards may still classify against the old bank — records carry
 // ModelVersion so every classification stays attributable. Safe from any
-// goroutine, including concurrently with HandlePacket and SnapshotFlows.
+// goroutine, including concurrently with HandlePacketBatch and
+// SnapshotFlows.
 func (s *Sharded) SwapBank(bank *Bank) {
 	for _, sh := range s.shards {
 		sh.p.SwapBank(bank)

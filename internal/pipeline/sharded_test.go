@@ -55,7 +55,7 @@ func TestShardedPipelineClassifiesAllFlows(t *testing.T) {
 		any := false
 		for _, ft := range all {
 			if j < len(ft.Frames) {
-				s.HandlePacket(ft.Start.Add(ft.Frames[j].Offset), ft.Frames[j].Data)
+				s.HandlePacketBatch([]IngestPacket{{TS: ft.Start.Add(ft.Frames[j].Offset), Data: ft.Frames[j].Data}})
 				any = true
 			}
 		}
@@ -164,7 +164,7 @@ func TestShardedSingleShard(t *testing.T) {
 	if len(s.shards) != 1 {
 		t.Fatalf("shards = %d", len(s.shards))
 	}
-	s.HandlePacket(time.Now(), []byte{1, 2, 3}) // garbage is fine
+	s.HandlePacketBatch([]IngestPacket{{TS: time.Now(), Data: []byte{1, 2, 3}}}) // garbage is fine
 	s.Close()
 	if got := len(s.Flows()); got != 0 {
 		t.Errorf("flows = %d", got)

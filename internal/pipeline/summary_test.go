@@ -251,7 +251,7 @@ func TestFragmentBodyIsNoFlow(t *testing.T) {
 
 	s := NewShardedWithConfig(emptyBank(), 2, Config{})
 	for _, fr := range frags {
-		s.HandlePacket(now, fr)
+		s.HandlePacketBatch([]IngestPacket{{TS: now, Data: fr}})
 	}
 	s.Close()
 	check("Sharded", s.Flows())

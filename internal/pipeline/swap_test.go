@@ -85,7 +85,7 @@ func TestConcurrentHotSwapUnderLoad(t *testing.T) {
 		for _, ft := range flows {
 			base := start.Add(time.Duration(i) * time.Second)
 			for _, fr := range ft.Frames {
-				s.HandlePacket(base.Add(fr.Offset), fr.Data)
+				s.HandlePacketBatch([]IngestPacket{{TS: base.Add(fr.Offset), Data: fr.Data}})
 			}
 		}
 	}
