@@ -8,22 +8,28 @@ import (
 	"videoplat/internal/features"
 	"videoplat/internal/fingerprint"
 	"videoplat/internal/ml"
+	"videoplat/internal/pipeline"
 	"videoplat/internal/tlsproto"
+	"videoplat/internal/tracegen"
 )
 
 func genValues(t testing.TB, labels []string, prov fingerprint.Provider,
 	tr fingerprint.Transport, n int, seed uint64) ([]*features.FieldValues, []string) {
 	t.Helper()
-	rng := rand.New(rand.NewPCG(seed, 5))
+	g := tracegen.New(seed)
 	var values []*features.FieldValues
 	var y []string
 	for _, label := range labels {
 		for i := 0; i < n; i++ {
-			f, err := fingerprint.Generate(rng, label, prov, tr, fingerprint.Options{})
+			ft, err := g.Flow(label, prov, tr, tracegen.FlowSpec{PayloadFrames: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
-			values = append(values, features.Extract(features.FromFlow(f, 2)))
+			info, err := pipeline.ExtractTrace(ft)
+			if err != nil {
+				t.Fatal(err)
+			}
+			values = append(values, features.Extract(info))
 			y = append(y, label)
 		}
 	}

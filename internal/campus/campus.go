@@ -4,9 +4,11 @@
 // Figs 7–8 (YouTube mobile-heavy, subscription services PC-heavy), and
 // per-flow bandwidth follows per-(provider, platform) lognormal
 // distributions calibrated to Figs 9–10 (Amazon on Mac PCs the most
-// demanding). Every generated flow is pushed through the trained classifier
-// bank, so the §5 figures are computed from *predicted* platforms with the
-// same confidence filtering the paper applies.
+// demanding). Every generated flow's handshake is rendered into packets,
+// its attributes are read back off them by the assembler the serving
+// pipeline runs (pipeline.ExtractTrace), and the trained classifier bank
+// classifies them, so the §5 figures are computed from *predicted*
+// platforms with the same confidence filtering the paper applies.
 package campus
 
 import (
@@ -15,10 +17,10 @@ import (
 	"math/rand/v2"
 	"time"
 
-	"videoplat/internal/features"
 	"videoplat/internal/fingerprint"
 	"videoplat/internal/pipeline"
 	"videoplat/internal/telemetry"
+	"videoplat/internal/tracegen"
 )
 
 // Config sizes the simulation.
@@ -200,6 +202,9 @@ func Simulate(cfg Config, bank *pipeline.Bank) (*Result, error) {
 		TrueLabels: map[string]int{},
 	}
 	var sc pipeline.ClassifyScratch
+	// The renderer's draws (endpoints, sequence numbers, IP IDs) reach no
+	// attribute, so they are kept apart from the workload's draws.
+	gen := tracegen.New(cfg.Seed)
 
 	for day := 0; day < cfg.Days; day++ {
 		for _, prov := range fingerprint.AllProviders() {
@@ -216,7 +221,7 @@ func Simulate(cfg Config, bank *pipeline.Bank) (*Result, error) {
 					n++
 				}
 				for i := 0; i < n; i++ {
-					if err := oneSession(rng, cfg, res, bank, &sc, prov, day, h); err != nil {
+					if err := oneSession(rng, gen, cfg, res, bank, &sc, prov, day, h); err != nil {
 						return nil, err
 					}
 				}
@@ -226,7 +231,7 @@ func Simulate(cfg Config, bank *pipeline.Bank) (*Result, error) {
 	return res, nil
 }
 
-func oneSession(rng *rand.Rand, cfg Config, res *Result, bank *pipeline.Bank, sc *pipeline.ClassifyScratch, prov fingerprint.Provider, day, hour int) error {
+func oneSession(rng *rand.Rand, gen *tracegen.Generator, cfg Config, res *Result, bank *pipeline.Bank, sc *pipeline.ClassifyScratch, prov fingerprint.Provider, day, hour int) error {
 	label := pick(rng, platformWeights[prov])
 	if label == "" {
 		return fmt.Errorf("campus: no platforms for %s", prov)
@@ -239,7 +244,15 @@ func oneSession(rng *rand.Rand, cfg Config, res *Result, bank *pipeline.Bank, sc
 	if err != nil {
 		return err
 	}
-	info := features.FromFlow(fp, uint8(1+rng.IntN(3)))
+	// One payload frame, as in the lab dataset: only the handshake is read.
+	ft, err := gen.Render(label, fp, uint8(1+rng.IntN(3)), tracegen.FlowSpec{PayloadFrames: 1})
+	if err != nil {
+		return err
+	}
+	info, err := pipeline.ExtractTrace(ft)
+	if err != nil {
+		return err
+	}
 	pred, err := bank.ClassifyHandshake(prov, tr, info, sc)
 	if err != nil {
 		return err

@@ -22,7 +22,8 @@ var paperTable6 = map[string][5]float64{
 
 // Table6 regenerates the benchmarking table: our method against the six
 // prior techniques across the five scenarios, under a common random-forest
-// protocol with k-fold cross-validation.
+// protocol with k-fold cross-validation. Each row is followed by the
+// paper's accuracies for it.
 func Table6(c *Context) (*Report, error) {
 	r := &Report{ID: "Table 6", Title: "Ours vs six prior techniques (user platform accuracy)"}
 	header := "method               "
@@ -46,7 +47,7 @@ func Table6(c *Context) (*Report, error) {
 		oursRow += sprintfAcc(res.Accuracy, len(sc.Name()))
 		r.Metric("Ours/"+sc.Name(), res.Accuracy)
 	}
-	r.Lines = append(r.Lines, oursRow)
+	r.Lines = append(r.Lines, oursRow, paperRow("Ours"))
 
 	for _, tech := range baselines.All() {
 		row := padRight(tech.Name+" "+tech.Ref, 21)
@@ -76,12 +77,26 @@ func Table6(c *Context) (*Report, error) {
 			row += sprintfAcc(res.Accuracy, len(sc.Name()))
 			r.Metric(tech.Ref+"/"+sc.Name(), res.Accuracy)
 		}
-		r.Lines = append(r.Lines, row)
+		r.Lines = append(r.Lines, row, paperRow(tech.Ref))
 	}
 
 	r.Printf("paper ordering to reproduce: Ours >= every adaptable baseline per scenario;")
 	r.Printf("[53] collapses on YT QUIC (paper: 11.3%%); [55] and [40] are not adaptable.")
 	return r, nil
+}
+
+// paperRow formats paperTable6's row for key in the table's columns, "—"
+// where the paper has a dash.
+func paperRow(key string) string {
+	row := padRight("  paper", 21)
+	for i, sc := range Scenarios() {
+		if acc := paperTable6[key][i]; acc >= 0 {
+			row += sprintfAcc(acc, len(sc.Name()))
+		} else {
+			row += padLeft("—", len(sc.Name())+2)
+		}
+	}
+	return row
 }
 
 func sprintfAcc(acc float64, width int) string {

@@ -257,18 +257,6 @@ func TestAppleFamilySharesStack(t *testing.T) {
 	}
 }
 
-func TestDeviceClassGrouping(t *testing.T) {
-	if Windows.DeviceClass() != "PC" || MacOS.DeviceClass() != "PC" {
-		t.Error("PC grouping wrong")
-	}
-	if Android.DeviceClass() != "Mobile" || IOS.DeviceClass() != "Mobile" {
-		t.Error("Mobile grouping wrong")
-	}
-	if TV.DeviceClass() != "TV" {
-		t.Error("TV grouping wrong")
-	}
-}
-
 func BenchmarkGenerateTCPFlow(b *testing.B) {
 	rng := newRng(8)
 	b.ReportAllocs()

@@ -59,13 +59,12 @@ type QUICProfile struct {
 	ActiveCIDLimit uint64 // 0 = absent
 	MaxDatagram    uint64 // 0 = absent
 
-	DisableMigration bool
-	GreaseQuicBit    bool
-	InitialRTT       bool
-	GoogleConnOpts   string // "" = absent
-	UserAgent        string
-	GoogleVersion    string
-	VersionInfo      bool
+	GreaseQuicBit  bool
+	InitialRTT     bool
+	GoogleConnOpts string // "" = absent
+	UserAgent      string
+	GoogleVersion  string
+	VersionInfo    bool
 
 	DCIDLen, SCIDLen int
 	TargetSize       int // UDP payload size the client pads its Initial to

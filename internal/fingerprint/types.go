@@ -114,18 +114,6 @@ func (d DeviceType) String() string {
 	return fmt.Sprintf("device(%d)", uint8(d))
 }
 
-// DeviceClass groups device types into the PC/Mobile/TV classes of Fig 7.
-func (d DeviceType) DeviceClass() string {
-	switch d {
-	case Windows, MacOS:
-		return "PC"
-	case Android, IOS:
-		return "Mobile"
-	default:
-		return "TV"
-	}
-}
-
 // Agent is the software agent playing the video.
 type Agent uint8
 

@@ -11,14 +11,13 @@ import (
 
 // pcapng block types (the subset needed to read Wireshark captures).
 const (
-	blockSectionHeader    = 0x0a0d0d0a
-	blockInterfaceDesc    = 0x00000001
-	blockEnhancedPacket   = 0x00000006
-	blockSimplePacket     = 0x00000003
-	byteOrderMagic        = 0x1a2b3c4d
-	optEndOfOpt           = 0
-	optIfTsResol          = 9
-	defaultTsResolPower10 = 6 // microseconds
+	blockSectionHeader  = 0x0a0d0d0a
+	blockInterfaceDesc  = 0x00000001
+	blockEnhancedPacket = 0x00000006
+	blockSimplePacket   = 0x00000003
+	byteOrderMagic      = 0x1a2b3c4d
+	optEndOfOpt         = 0
+	optIfTsResol        = 9
 )
 
 // ErrNotPcapNG is returned when the stream does not start with a pcapng

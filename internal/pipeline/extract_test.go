@@ -6,10 +6,8 @@ import (
 	"reflect"
 	"testing"
 
-	"videoplat/internal/features"
 	"videoplat/internal/fingerprint"
 	"videoplat/internal/packet"
-	"videoplat/internal/quicproto"
 	"videoplat/internal/tracegen"
 )
 
@@ -80,97 +78,6 @@ func TestExtractFramesNoHello(t *testing.T) {
 	if _, err := ExtractFrames([][]byte{frame}); err == nil {
 		t.Error("SYN-only flow should have no hello")
 	}
-}
-
-// TestFromFlowMatchesPacketPath verifies the campus fast path
-// (features.FromFlow) and the packet path (ExtractFrames over rendered
-// frames) agree on every Table 2 attribute for the same underlying flow, for
-// every (platform, provider, transport) fingerprint.Generate accepts.
-func TestFromFlowMatchesPacketPath(t *testing.T) {
-	rng := rand.New(rand.NewPCG(2, 2))
-	n := 0
-	for _, label := range fingerprint.AllPlatformLabels() {
-		for _, prov := range fingerprint.AllProviders() {
-			for _, tr := range []fingerprint.Transport{fingerprint.TCP, fingerprint.QUIC} {
-				if !fingerprint.SupportMatrix(label, prov) || tr == fingerprint.QUIC && !fingerprint.SupportsQUIC(label, prov) {
-					continue // Generate refuses it
-				}
-				for range 3 {
-					f, err := fingerprint.Generate(rng, label, prov, tr, fingerprint.Options{})
-					if err != nil {
-						t.Fatal(err)
-					}
-					const hops = 2
-					fast := features.Extract(features.FromFlow(f, hops))
-					info, err := ExtractFrames(handshakeFrames(t, f, hops))
-					if err != nil {
-						t.Fatalf("%s/%s/%s: %v", label, prov, tr, err)
-					}
-					slow := features.Extract(info)
-					if !reflect.DeepEqual(fast.Nums, slow.Nums) {
-						t.Errorf("%s/%s/%s: numeric attributes diverge:\nfast: %v\nslow: %v", label, prov, tr, fast.Nums, slow.Nums)
-					}
-					if !reflect.DeepEqual(fast.Cats, slow.Cats) {
-						t.Errorf("%s/%s/%s: categorical attributes diverge", label, prov, tr)
-					}
-					if !reflect.DeepEqual(fast.Lists, slow.Lists) {
-						t.Errorf("%s/%s/%s: list attributes diverge", label, prov, tr)
-					}
-					n++
-				}
-			}
-		}
-	}
-	if n == 0 {
-		t.Fatal("no fingerprint generated")
-	}
-}
-
-// handshakeFrames renders f's client handshake by hand, hops routers from
-// the client: a TCP flow's SYN, mirroring tracegen's SYN layout, and its
-// ClientHello record, or a QUIC flow's Initial sealed to f.QUICTargetSize.
-func handshakeFrames(t *testing.T, f *fingerprint.Flow, hops uint8) [][]byte {
-	t.Helper()
-	src := netip.MustParseAddr("192.168.1.9")
-	dst := netip.MustParseAddr("203.0.113.9")
-	eth := packet.Ethernet{EtherType: packet.EtherTypeIPv4}
-	if f.Transport == fingerprint.QUIC {
-		in := quicproto.Initial{Version: quicproto.Version1, DCID: f.DCID, SCID: f.SCID,
-			Crypto: []quicproto.CryptoFrame{{Data: f.Hello.Marshal()}}}
-		dgram, err := in.Seal(nil, f.QUICTargetSize)
-		if err != nil {
-			t.Fatal(err)
-		}
-		udp := packet.UDP{SrcPort: 40000, DstPort: 443}
-		ip := packet.IPv4{TTL: f.TTL - hops, Protocol: packet.ProtoUDP, Src: src, Dst: dst}
-		return [][]byte{eth.Append(nil, ip.Append(nil, udp.Append(nil, dgram, src, dst)))}
-	}
-	var opts []packet.TCPOption
-	opts = append(opts, packet.TCPOption{Kind: packet.OptMSS,
-		Data: []byte{byte(f.MSS >> 8), byte(f.MSS)}})
-	if f.SACK {
-		opts = append(opts, packet.TCPOption{Kind: packet.OptNOP},
-			packet.TCPOption{Kind: packet.OptNOP},
-			packet.TCPOption{Kind: packet.OptSACKPermitted})
-	}
-	if f.Timestamps {
-		opts = append(opts, packet.TCPOption{Kind: packet.OptTimestamps, Data: make([]byte, 8)})
-	}
-	if f.WScale >= 0 {
-		opts = append(opts, packet.TCPOption{Kind: packet.OptNOP},
-			packet.TCPOption{Kind: packet.OptWindowScale, Data: []byte{byte(f.WScale)}})
-	}
-	flags := packet.FlagSYN
-	if f.ECN {
-		flags |= packet.FlagECE | packet.FlagCWR
-	}
-	syn := packet.TCP{SrcPort: 40000, DstPort: 443, Seq: 99, Flags: flags, Window: f.Window, Options: opts}
-	ip := packet.IPv4{TTL: f.TTL - hops, Protocol: packet.ProtoTCP, Src: src, Dst: dst}
-	synFrame := eth.Append(nil, ip.Append(nil, syn.Append(nil, nil, src, dst)))
-
-	chlo := packet.TCP{SrcPort: 40000, DstPort: 443, Seq: 100, Flags: packet.FlagACK | packet.FlagPSH, Window: f.Window}
-	chloFrame := eth.Append(nil, ip.Append(nil, chlo.Append(nil, f.Hello.MarshalRecord(), src, dst)))
-	return [][]byte{synFrame, chloFrame}
 }
 
 func TestExtractFramesSkipsNonHandshakeTCPPayload(t *testing.T) {

@@ -76,8 +76,8 @@ type Retrainer struct {
 	promotions atomic.Uint64
 	rejections atomic.Uint64
 
-	// shadowAgreed/shadowDisagreed accumulate the agreement tallies of
-	// resolved shadow evaluations; ShadowCounts adds the live one on top.
+	// shadowAgreed/shadowDisagreed total the agreement tallies of every
+	// shadow evaluation, each sample added as ObserveClassified records it.
 	shadowAgreed    atomic.Uint64
 	shadowDisagreed atomic.Uint64
 
@@ -180,7 +180,16 @@ func (rt *Retrainer) Start(ctx context.Context) {
 // OnClassify contract).
 func (rt *Retrainer) ObserveClassified(rec *pipeline.FlowRecord, hs *features.HandshakeInfo) {
 	se := rt.shadow.Load()
-	if se == nil || !se.sh.Observe(rec, hs) {
+	if se == nil {
+		return
+	}
+	// A sample is totalled here, as its shadow counts it, so the totals
+	// take every sample exactly once, even one a shard adds after Start
+	// resolved the shadow.
+	agreed, disagreed, ready := se.sh.Observe(rec, hs)
+	rt.shadowAgreed.Add(agreed)
+	rt.shadowDisagreed.Add(disagreed)
+	if !ready {
 		return
 	}
 	select {
@@ -192,9 +201,6 @@ func (rt *Retrainer) ObserveClassified(rec *pipeline.FlowRecord, hs *features.Ha
 // resolve records a finished shadow evaluation and promotes or rejects its
 // candidate.
 func (rt *Retrainer) resolve(se *shadowEval, metrics ShadowMetrics) {
-	agreed, disagreed := se.sh.Counts()
-	rt.shadowAgreed.Add(agreed)
-	rt.shadowDisagreed.Add(disagreed)
 	rt.cfg.Events.Record(obs.EventShadowVerdict, metrics.Reason,
 		"version", se.id,
 		"promoted", fmt.Sprintf("%t", metrics.Promoted),
@@ -214,17 +220,11 @@ func (rt *Retrainer) resolve(se *shadowEval, metrics ShadowMetrics) {
 }
 
 // ShadowCounts reports cumulative shadow agreement/disagreement across every
-// shadow evaluation this retrainer ran — resolved ones plus the live one, if
-// any. Counts may transiently dip while an evaluation hands off from live to
-// resolved; consumers tracking deltas should clamp. Safe from any goroutine.
+// shadow evaluation this retrainer ran, resolved or live: the sum of their
+// Counts. Neither count ever decreases, so a consumer's deltas need no
+// clamp. Safe from any goroutine.
 func (rt *Retrainer) ShadowCounts() (agreed, disagreed uint64) {
-	agreed, disagreed = rt.shadowAgreed.Load(), rt.shadowDisagreed.Load()
-	if se := rt.shadow.Load(); se != nil {
-		a, d := se.sh.Counts()
-		agreed += a
-		disagreed += d
-	}
-	return agreed, disagreed
+	return rt.shadowAgreed.Load(), rt.shadowDisagreed.Load()
 }
 
 func (rt *Retrainer) waitCooldown(ctx context.Context) bool {

@@ -3,6 +3,8 @@ package registry
 import (
 	"context"
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -277,6 +279,89 @@ func TestTriggerForReplacedVersionIsDropped(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("the serving version's request never trained")
+	}
+}
+
+// TestShadowCountsNeverDip races shard goroutines calling
+// ObserveClassified against Start resolving one shadow evaluation after
+// another. The totals ShadowCounts reports never decrease, and once the
+// shards stop they equal the sum of every shadow's Counts, including the
+// samples a shard added after Start had resolved that shadow.
+func TestShadowCountsNeverDip(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains banks")
+	}
+	leakcheck.Check(t)
+	reg, err := New(Config{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	active := trainBank(t, 1, ml.ForestConfig{NumTrees: 3, MaxDepth: 5, MaxFeatures: 10, Seed: 1})
+	cand := trainBank(t, 2, ml.ForestConfig{NumTrees: 3, MaxDepth: 5, MaxFeatures: 10, Seed: 2})
+	if _, err := reg.Add(active, "initial", 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reg.Promote("v0001"); err != nil {
+		t.Fatal(err)
+	}
+	gate := Gate{SampleRate: 1, MinFlows: 20}
+	rt, err := NewRetrainer(reg, RetrainerConfig{Gate: gate,
+		Train: func(string, uint64) (*pipeline.Bank, error) { return nil, fmt.Errorf("not training in this test") }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := runRetrainer(t, rt)
+	live, err := tracegen.New(5).LabDataset(0.03, fingerprint.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, vals := classifyAll(t, active, live)
+
+	var done, dipped atomic.Bool
+	var wg sync.WaitGroup
+	for s := range 2 { // two shards
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := s; !done.Load(); i++ {
+				rt.ObserveClassified(recs[i%len(recs)], vals[i%len(vals)])
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() { // the seal stage
+		defer wg.Done()
+		var lastA, lastD uint64
+		for !done.Load() {
+			a, d := rt.ShadowCounts()
+			dipped.CompareAndSwap(false, a < lastA || d < lastD)
+			lastA, lastD = a, d
+		}
+	}()
+	var shadows []*Shadow
+	for range 20 {
+		man, err := reg.Add(cand, "race", 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shadows = append(shadows, NewShadow(cand, gate))
+		rt.shadow.Store(&shadowEval{sh: shadows[len(shadows)-1], id: man.ID})
+		waitFor(t, 10*time.Second, func() bool { return rt.shadow.Load() == nil })
+	}
+	done.Store(true)
+	wg.Wait()
+	stop()
+
+	if dipped.Load() {
+		t.Error("ShadowCounts decreased")
+	}
+	var wantA, wantD uint64
+	for _, sh := range shadows {
+		a, d := sh.Counts()
+		wantA, wantD = wantA+a, wantD+d
+	}
+	if a, d := rt.ShadowCounts(); a != wantA || d != wantD || a == 0 || d == 0 {
+		t.Errorf("ShadowCounts = (%d, %d), want the shadows' sum (%d, %d), both above 0", a, d, wantA, wantD)
 	}
 }
 

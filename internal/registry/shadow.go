@@ -105,15 +105,18 @@ func NewShadow(candidate *pipeline.Bank, gate Gate) *Shadow {
 // assembled handshake) to the sampler. When the flow is sampled, the
 // candidate classifies the same handshake and the outcomes are accumulated.
 // The HandshakeInfo is only borrowed for the duration of the call, matching
-// the pipeline's OnClassify contract. Returns true once enough samples
+// the pipeline's OnClassify contract. agreed or disagreed is 1 when the
+// flow was sampled and both banks predicted a composite platform: the
+// sample's share of Counts, so a caller can total agreement over many
+// shadows as each sample is counted. ready is true once enough samples
 // exist for a verdict.
-func (sh *Shadow) Observe(rec *pipeline.FlowRecord, hs *features.HandshakeInfo) bool {
+func (sh *Shadow) Observe(rec *pipeline.FlowRecord, hs *features.HandshakeInfo) (agreed, disagreed uint64, ready bool) {
 	sh.mu.Lock()
 	sh.seen++
 	if sh.seen%sh.every != 0 {
-		ready := sh.flows >= sh.gate.MinFlows
+		ready = sh.flows >= sh.gate.MinFlows
 		sh.mu.Unlock()
-		return ready
+		return 0, 0, ready
 	}
 	sh.mu.Unlock()
 
@@ -136,7 +139,7 @@ func (sh *Shadow) Observe(rec *pipeline.FlowRecord, hs *features.HandshakeInfo) 
 		if rec.Prediction.Status == pipeline.Unknown {
 			sh.actUnknown++
 		}
-		return sh.flows >= sh.gate.MinFlows
+		return 0, 0, sh.flows >= sh.gate.MinFlows
 	}
 	sh.candConfSum += pred.PlatformConf
 	sh.actConfSum += rec.Prediction.PlatformConf
@@ -150,9 +153,12 @@ func (sh *Shadow) Observe(rec *pipeline.FlowRecord, hs *features.HandshakeInfo) 
 		sh.bothComp++
 		if pred.Platform == rec.Prediction.Platform {
 			sh.agree++
+			agreed = 1
+		} else {
+			disagreed = 1
 		}
 	}
-	return sh.flows >= sh.gate.MinFlows
+	return agreed, disagreed, sh.flows >= sh.gate.MinFlows
 }
 
 // Counts reports the agreement tallies so far: among sampled flows where

@@ -60,7 +60,7 @@ func TestShadowGateAcceptsEquivalentCandidate(t *testing.T) {
 	sh := NewShadow(cand, Gate{SampleRate: 1, MinFlows: 50})
 	ready := false
 	for i := range recs {
-		ready = sh.Observe(recs[i], vals[i])
+		_, _, ready = sh.Observe(recs[i], vals[i])
 	}
 	if !ready {
 		t.Fatalf("shadow not ready after %d flows", len(recs))

@@ -128,16 +128,14 @@ func (stage *sealStage) WriteWindow(w *telemetry.Window) error {
 		}
 	}
 	if s.cfg.Retrainer != nil {
+		// The totals never decrease: the deltas are the samples since the
+		// previous seal.
 		agreed, disagreed := s.cfg.Retrainer.ShadowCounts()
-		// Cumulative totals can transiently dip during a live→resolved
-		// handoff; clamp so deltas stay monotone and nothing double-counts.
-		if agreed > s.lastShadowAgreed {
-			quality().ShadowAgreed += agreed - s.lastShadowAgreed
-			s.lastShadowAgreed = agreed
-		}
-		if disagreed > s.lastShadowDisagree {
-			quality().ShadowDisagreed += disagreed - s.lastShadowDisagree
-			s.lastShadowDisagree = disagreed
+		if agreed != s.lastShadowAgreed || disagreed != s.lastShadowDisagree {
+			q := quality()
+			q.ShadowAgreed += agreed - s.lastShadowAgreed
+			q.ShadowDisagreed += disagreed - s.lastShadowDisagree
+			s.lastShadowAgreed, s.lastShadowDisagree = agreed, disagreed
 		}
 	}
 

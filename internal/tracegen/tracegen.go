@@ -141,12 +141,25 @@ type FlowSpec struct {
 	MigrateMidHandshake bool
 }
 
-// Flow renders one labeled video flow.
+// Flow renders one labeled video flow: it draws the flow's fingerprint and
+// renders it with Render.
 func (g *Generator) Flow(label string, prov fingerprint.Provider, tr fingerprint.Transport, spec FlowSpec) (*FlowTrace, error) {
 	fp, err := fingerprint.Generate(g.rng, label, prov, tr, spec.Options)
 	if err != nil {
 		return nil, err
 	}
+	return g.Render(label, fp, 0, spec)
+}
+
+// Render renders fp, a fingerprint drawn for the platform label, into
+// frames. hops is the number of routers between the client and the tap,
+// which decrements the observed TTL; 0 draws 1–3 after the flow's
+// endpoints, as Flow does. fp and hops decide every Table 2 attribute of
+// the client's frames; the generator's own draws (endpoints, sequence
+// numbers, IP IDs, opaque bytes) decide none, so a caller that parses the
+// frames back gets the same attributes whatever the generator's seed.
+func (g *Generator) Render(label string, fp *fingerprint.Flow, hops uint8, spec FlowSpec) (*FlowTrace, error) {
+	prov, tr := fp.Provider, fp.Transport
 	if spec.Duration == 0 {
 		spec.Duration = time.Duration(60+g.rng.IntN(120)) * time.Second
 	}
@@ -174,7 +187,9 @@ func (g *Generator) Flow(label string, prov fingerprint.Provider, tr fingerprint
 	}
 
 	// The ISP observes TTLs after a few campus/home hops.
-	hops := uint8(1 + g.rng.IntN(3))
+	if hops == 0 {
+		hops = uint8(1 + g.rng.IntN(3))
+	}
 	obsTTL := fp.TTL - hops
 
 	if tr == fingerprint.TCP {
