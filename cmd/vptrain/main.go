@@ -1,6 +1,6 @@
-// Command vptrain generates the lab training dataset (or reads flows from a
-// PCAP with ground-truth labels) and trains the per-provider classifier
-// bank, writing the serialized models for cmd/vpclassify.
+// Command vptrain renders the lab training dataset and trains the
+// per-provider classifier bank on it, writing the serialized models for
+// cmd/vpclassify.
 //
 // Usage:
 //

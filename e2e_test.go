@@ -7,7 +7,6 @@ import (
 	"videoplat/internal/flowtable"
 	"videoplat/internal/ml"
 	"videoplat/internal/pipeline"
-	"videoplat/internal/telemetry"
 	"videoplat/internal/tracegen"
 )
 
@@ -56,14 +55,6 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 	if got.Prediction.Status == pipeline.Composite && got.Prediction.Platform != "windows_firefox" {
 		t.Errorf("platform = %q", got.Prediction.Platform)
-	}
-
-	agg := &telemetry.Aggregator{Days: 1}
-	for _, rec := range recs {
-		agg.Add(rec)
-	}
-	if agg.Len() != 1 {
-		t.Errorf("aggregator records = %d", agg.Len())
 	}
 }
 

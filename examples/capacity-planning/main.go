@@ -30,10 +30,10 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("simulated %d video flows over 3 days; %.0f%% excluded as low-confidence\n\n",
-		res.Flows, res.Agg.ExcludedFraction()*100)
+		res.Flows, res.ExcludedFraction()*100)
 
 	fmt.Println("watch time (hours/day) by device type:")
-	wt := res.Agg.WatchTimeByDevice()
+	wt := res.WatchTimeByDevice()
 	for _, prov := range fingerprint.AllProviders() {
 		fmt.Printf("  %-8s", prov)
 		for _, dev := range []string{"windows", "macOS", "android", "iOS", "TV"} {
@@ -43,7 +43,7 @@ func main() {
 	}
 
 	fmt.Println("\ndownstream bandwidth medians (Mbps) — provisioning input:")
-	bw := res.Agg.BandwidthByDevice()
+	bw := res.BandwidthByDevice()
 	for _, prov := range fingerprint.AllProviders() {
 		fmt.Printf("  %-8s", prov)
 		for _, dev := range []string{"windows", "macOS", "android", "iOS", "TV"} {
@@ -57,7 +57,7 @@ func main() {
 
 	fmt.Println("\nevening peak (median GB/hr, PC class):")
 	for _, prov := range fingerprint.AllProviders() {
-		pc, _ := res.Agg.HourlyUsage(prov)
+		pc, _ := res.HourlyUsage(prov)
 		peakHour, peak := 0, 0.0
 		for h, v := range pc {
 			if v > peak {

@@ -8,36 +8,28 @@
 // its attributes are read back off them by the assembler the serving
 // pipeline runs (pipeline.ExtractTrace), and the trained classifier bank
 // classifies them, so the §5 figures are computed from *predicted*
-// platforms with the same confidence filtering the paper applies.
+// platforms with the same confidence filtering the paper applies. Each
+// session is folded into the figures' cells (Result) as it is classified;
+// the simulation keeps no per-flow record.
 package campus
 
 import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"time"
 
 	"videoplat/internal/fingerprint"
 	"videoplat/internal/pipeline"
-	"videoplat/internal/telemetry"
 	"videoplat/internal/tracegen"
 )
 
 // Config sizes the simulation.
 type Config struct {
 	Seed           uint64
-	Days           int       // paper: ~125 days (Jul 7 – Nov 9 2023)
-	SessionsPerDay int       // scaled-down stand-in for campus volume
-	Start          time.Time // defaults to 2023-07-07 00:00 UTC
-}
-
-// Result is the simulation outcome.
-type Result struct {
-	Agg *telemetry.Aggregator
-	// TrueLabels counts ground-truth platform labels, for validating the
-	// classified aggregates.
-	TrueLabels map[string]int
-	Flows      int
+	Days           int // paper: ~125 days (Jul 7 – Nov 9 2023)
+	SessionsPerDay int // scaled-down stand-in for campus volume
 }
 
 // providerShare is the share of sessions per provider (YouTube dominates
@@ -192,15 +184,9 @@ func Simulate(cfg Config, bank *pipeline.Bank) (*Result, error) {
 	if cfg.SessionsPerDay <= 0 {
 		cfg.SessionsPerDay = 2000
 	}
-	if cfg.Start.IsZero() {
-		cfg.Start = time.Date(2023, 7, 7, 0, 0, 0, 0, time.UTC)
-	}
 	rng := rand.New(rand.NewPCG(cfg.Seed, 0xca3b05))
 
-	res := &Result{
-		Agg:        &telemetry.Aggregator{Days: float64(cfg.Days)},
-		TrueLabels: map[string]int{},
-	}
+	res := newResult(cfg.Days)
 	var sc pipeline.ClassifyScratch
 	// The renderer's draws (endpoints, sequence numbers, IP IDs) reach no
 	// attribute, so they are kept apart from the workload's draws.
@@ -221,7 +207,7 @@ func Simulate(cfg Config, bank *pipeline.Bank) (*Result, error) {
 					n++
 				}
 				for i := 0; i < n; i++ {
-					if err := oneSession(rng, gen, cfg, res, bank, &sc, prov, day, h); err != nil {
+					if err := oneSession(rng, gen, res, bank, &sc, prov, day, h); err != nil {
 						return nil, err
 					}
 				}
@@ -231,7 +217,9 @@ func Simulate(cfg Config, bank *pipeline.Bank) (*Result, error) {
 	return res, nil
 }
 
-func oneSession(rng *rand.Rand, gen *tracegen.Generator, cfg Config, res *Result, bank *pipeline.Bank, sc *pipeline.ClassifyScratch, prov fingerprint.Provider, day, hour int) error {
+// oneSession simulates one session that starts in hour of day, classifies
+// its flow and folds it into res.
+func oneSession(rng *rand.Rand, gen *tracegen.Generator, res *Result, bank *pipeline.Bank, sc *pipeline.ClassifyScratch, prov fingerprint.Provider, day, hour int) error {
 	label := pick(rng, platformWeights[prov])
 	if label == "" {
 		return fmt.Errorf("campus: no platforms for %s", prov)
@@ -273,24 +261,205 @@ func oneSession(rng *rand.Rand, gen *tracegen.Generator, cfg Config, res *Result
 	mbps := math.Exp(rng.NormFloat64()*0.45 + math.Log(med))
 	bytesDown := int64(mbps * 1e6 / 8 * dur.Seconds())
 
-	start := cfg.Start.Add(time.Duration(day)*24*time.Hour +
-		time.Duration(hour)*time.Hour +
-		time.Duration(rng.IntN(3600))*time.Second)
+	// The start second within the hour: no figure reads it, and drawing it
+	// keeps every later session's draws where they were.
+	_ = rng.IntN(3600)
 
-	rec := &pipeline.FlowRecord{
-		Provider:   prov,
-		Transport:  tr,
-		SNI:        fp.SNI,
-		Content:    true,
-		Prediction: pred,
-		Verdict:    pred.Verdict(),
-		FirstSeen:  start,
-		LastSeen:   start.Add(dur),
-		BytesDown:  bytesDown,
-		BytesUp:    bytesDown / 40,
-	}
-	res.Agg.Add(rec)
-	res.TrueLabels[label]++
-	res.Flows++
+	res.add(prov, pred, day, hour, dur, bytesDown)
 	return nil
+}
+
+// Result is the simulation's outcome, folded as each session is classified
+// into the cells the §5 figures read. Only composite predictions reach a
+// cell, the confidence filtering the paper applies; the rest count toward
+// ExcludedFraction.
+type Result struct {
+	Flows int
+
+	days     int
+	excluded int
+	// platforms holds, per (provider, device, agent), the watch time and
+	// every flow's downstream Mbps (Figs 7–10).
+	platforms map[platformKey]*platformCell
+	// hourly holds the GB per (provider, device class, day, hour of the
+	// session's start) (Fig 11).
+	hourly map[hourKey]float64
+}
+
+type platformKey struct {
+	prov          fingerprint.Provider
+	device, agent string
+}
+
+type platformCell struct {
+	watch time.Duration // summed as integers, so in any order the same
+	mbps  []float64
+}
+
+type hourKey struct {
+	prov      fingerprint.Provider
+	mobile    bool // android and iOS; windows and macOS are PC
+	day, hour int
+}
+
+func newResult(days int) *Result {
+	return &Result{days: days, platforms: map[platformKey]*platformCell{}, hourly: map[hourKey]float64{}}
+}
+
+// add folds one classified session that started in hour of day, lasted dur
+// and carried bytesDown downstream.
+func (r *Result) add(prov fingerprint.Provider, pred pipeline.Prediction, day, hour int, dur time.Duration, bytesDown int64) {
+	r.Flows++
+	if pred.Status != pipeline.Composite {
+		r.excluded++
+		return
+	}
+	k := platformKey{prov, pred.Device, pred.Agent}
+	c := r.platforms[k]
+	if c == nil {
+		c = &platformCell{}
+		r.platforms[k] = c
+	}
+	c.watch += dur
+	c.mbps = append(c.mbps, float64(bytesDown)*8/1e6/dur.Seconds()) // as FlowRecord.MbpsDown
+	switch pred.Device {
+	case "windows", "macOS":
+		r.hourly[hourKey{prov, false, day, hour}] += float64(bytesDown) / 1e9
+	case "android", "iOS":
+		r.hourly[hourKey{prov, true, day, hour}] += float64(bytesDown) / 1e9
+	}
+}
+
+// hoursPerDay is a watch time averaged over the simulated days.
+func (r *Result) hoursPerDay(d time.Duration) float64 { return d.Hours() / float64(r.days) }
+
+// WatchTimeByDevice returns hours/day of watch time per (provider, device
+// type) — Fig 7.
+func (r *Result) WatchTimeByDevice() map[fingerprint.Provider]map[string]float64 {
+	sums := map[fingerprint.Provider]map[string]time.Duration{}
+	for k, c := range r.platforms {
+		if sums[k.prov] == nil {
+			sums[k.prov] = map[string]time.Duration{}
+		}
+		sums[k.prov][k.device] += c.watch
+	}
+	out := map[fingerprint.Provider]map[string]float64{}
+	for prov, byDev := range sums {
+		out[prov] = map[string]float64{}
+		for dev, d := range byDev {
+			out[prov][dev] = r.hoursPerDay(d)
+		}
+	}
+	return out
+}
+
+// WatchTimeByAgent returns hours/day per (provider, device, agent) — Fig 8.
+func (r *Result) WatchTimeByAgent() map[fingerprint.Provider]map[string]map[string]float64 {
+	out := map[fingerprint.Provider]map[string]map[string]float64{}
+	for k, c := range r.platforms {
+		agents(out, k)[k.agent] = r.hoursPerDay(c.watch)
+	}
+	return out
+}
+
+// BandwidthByDevice returns downstream-bandwidth box stats per
+// (provider, device) — Fig 9.
+func (r *Result) BandwidthByDevice() map[fingerprint.Provider]map[string]BoxStats {
+	samples := map[fingerprint.Provider]map[string][]float64{}
+	for k, c := range r.platforms {
+		if samples[k.prov] == nil {
+			samples[k.prov] = map[string][]float64{}
+		}
+		samples[k.prov][k.device] = append(samples[k.prov][k.device], c.mbps...)
+	}
+	out := map[fingerprint.Provider]map[string]BoxStats{}
+	for prov, byDev := range samples {
+		out[prov] = map[string]BoxStats{}
+		for dev, xs := range byDev {
+			out[prov][dev] = newBoxStats(xs)
+		}
+	}
+	return out
+}
+
+// BandwidthByAgent returns bandwidth box stats per (provider, device,
+// agent) — Fig 10.
+func (r *Result) BandwidthByAgent() map[fingerprint.Provider]map[string]map[string]BoxStats {
+	out := map[fingerprint.Provider]map[string]map[string]BoxStats{}
+	for k, c := range r.platforms {
+		agents(out, k)[k.agent] = newBoxStats(c.mbps)
+	}
+	return out
+}
+
+// agents returns out's agent map for k's provider and device, making it and
+// its provider's map if absent.
+func agents[V any](out map[fingerprint.Provider]map[string]map[string]V, k platformKey) map[string]V {
+	byDev := out[k.prov]
+	if byDev == nil {
+		byDev = map[string]map[string]V{}
+		out[k.prov] = byDev
+	}
+	if byDev[k.device] == nil {
+		byDev[k.device] = map[string]V{}
+	}
+	return byDev[k.device]
+}
+
+// HourlyUsage returns median GB/hour for each hour of day, split into the
+// PC and Mobile device classes — Fig 11. A flow's volume counts toward the
+// day and hour it started; the median is over the days with usage in that
+// hour.
+func (r *Result) HourlyUsage(prov fingerprint.Provider) (pc, mobile [24]float64) {
+	var pcDays, mobileDays [24][]float64
+	for k, gb := range r.hourly {
+		if k.prov != prov {
+			continue
+		}
+		if k.mobile {
+			mobileDays[k.hour] = append(mobileDays[k.hour], gb)
+		} else {
+			pcDays[k.hour] = append(pcDays[k.hour], gb)
+		}
+	}
+	for h := range 24 {
+		pc[h] = newBoxStats(pcDays[h]).Median
+		mobile[h] = newBoxStats(mobileDays[h]).Median
+	}
+	return pc, mobile
+}
+
+// ExcludedFraction reports the share of flows the confidence selector
+// rejected (the paper excluded ~20%).
+func (r *Result) ExcludedFraction() float64 {
+	if r.Flows == 0 {
+		return 0
+	}
+	return float64(r.excluded) / float64(r.Flows)
+}
+
+// BoxStats are the five-number summary the paper's box plots show.
+type BoxStats struct {
+	Min, Q1, Median, Q3, Max float64
+	N                        int
+}
+
+// newBoxStats summarizes xs; it returns a zero value for empty input.
+func newBoxStats(xs []float64) BoxStats {
+	if len(xs) == 0 {
+		return BoxStats{}
+	}
+	xs = slices.Clone(xs)
+	slices.Sort(xs)
+	q := func(p float64) float64 {
+		idx := p * float64(len(xs)-1)
+		lo := int(math.Floor(idx))
+		hi := int(math.Ceil(idx))
+		if lo == hi {
+			return xs[lo]
+		}
+		frac := idx - float64(lo)
+		return xs[lo]*(1-frac) + xs[hi]*frac
+	}
+	return BoxStats{Min: xs[0], Q1: q(0.25), Median: q(0.5), Q3: q(0.75), Max: xs[len(xs)-1], N: len(xs)}
 }

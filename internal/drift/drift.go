@@ -6,7 +6,7 @@
 // The Monitor keeps per-(provider, transport) rolling windows of prediction
 // confidence and unknown-rates. A classifier is flagged when its recent
 // median confidence falls a configurable margin below its baseline, or when
-// the share of rejected (unknown) flows exceeds a threshold — both symptoms
+// the share of rejected (unknown) flows exceeds a fixed 35 % — both symptoms
 // the paper associates with drifting traffic. Observe only records; the
 // verdicts are computed when Statuses is read (the daemon reads it once per
 // sealed telemetry window). Each series judges one bank version: a flow
@@ -39,10 +39,11 @@ type Config struct {
 	// ConfidenceDrop flags a classifier when the current median confidence
 	// is below baseline median minus this margin (default 0.10).
 	ConfidenceDrop float64
-	// MaxUnknownRate flags a classifier when the current unknown-rate
-	// exceeds this value (default 0.35).
-	MaxUnknownRate float64
 }
+
+// maxUnknownRate flags a classifier when its current unknown-rate exceeds
+// it.
+const maxUnknownRate = 0.35
 
 func (c *Config) defaults() {
 	if c.Window <= 0 {
@@ -50,9 +51,6 @@ func (c *Config) defaults() {
 	}
 	if c.ConfidenceDrop == 0 {
 		c.ConfidenceDrop = 0.10
-	}
-	if c.MaxUnknownRate == 0 {
-		c.MaxUnknownRate = 0.35
 	}
 }
 
@@ -191,10 +189,10 @@ func (m *Monitor) statusLocked(k key, s *series) Status {
 		st.Drifting = true
 		st.Reason = fmt.Sprintf("median confidence dropped %.0f%% -> %.0f%%",
 			st.BaselineMedian*100, st.RecentMedian*100)
-	case st.UnknownRate > m.cfg.MaxUnknownRate:
+	case st.UnknownRate > maxUnknownRate:
 		st.Drifting = true
 		st.Reason = fmt.Sprintf("unknown rate %.0f%% exceeds %.0f%%",
-			st.UnknownRate*100, m.cfg.MaxUnknownRate*100)
+			st.UnknownRate*100, maxUnknownRate*100)
 	default:
 		st.Reason = "healthy"
 	}

@@ -72,7 +72,7 @@ func TestConfidenceDropFlagged(t *testing.T) {
 }
 
 func TestUnknownRateFlagged(t *testing.T) {
-	m := NewMonitor(Config{Window: 40, MaxUnknownRate: 0.3})
+	m := NewMonitor(Config{Window: 40})
 	for i := 0; i < 40; i++ {
 		m.Observe(obs(fingerprint.Disney, 0.9, pipeline.Composite))
 	}
@@ -89,7 +89,7 @@ func TestUnknownRateFlagged(t *testing.T) {
 	if len(need) != 1 {
 		t.Fatalf("unknown-rate drift not flagged: %+v", m.Statuses())
 	}
-	if need[0].UnknownRate < 0.3 {
+	if need[0].UnknownRate <= maxUnknownRate {
 		t.Errorf("unknown rate = %v", need[0].UnknownRate)
 	}
 }

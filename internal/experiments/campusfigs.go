@@ -53,7 +53,7 @@ func Fig7(c *Context) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	wt := res.Agg.WatchTimeByDevice()
+	wt := res.WatchTimeByDevice()
 	r := &Report{ID: "Fig 7", Title: "Watch time (hours/day) per device type and provider"}
 	r.Printf("%-10s %9s %9s %9s %9s %9s %9s", "provider", "windows", "macOS", "android", "iOS", "TV", "total")
 	for _, prov := range fingerprint.AllProviders() {
@@ -82,7 +82,7 @@ func Fig8(c *Context) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	byAgent := res.Agg.WatchTimeByAgent()
+	byAgent := res.WatchTimeByAgent()
 	r := &Report{ID: "Fig 8", Title: "Watch time (hours/day) per software agent on each device type"}
 	for _, prov := range fingerprint.AllProviders() {
 		r.Printf("-- %s --", prov)
@@ -114,7 +114,7 @@ func Fig9(c *Context) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	bw := res.Agg.BandwidthByDevice()
+	bw := res.BandwidthByDevice()
 	r := &Report{ID: "Fig 9", Title: "Downstream bandwidth (Mbps) per device type and provider"}
 	r.Printf("%-10s %-8s %7s %7s %7s %7s", "provider", "device", "q1", "median", "q3", "n")
 	for _, prov := range fingerprint.AllProviders() {
@@ -138,7 +138,7 @@ func Fig10(c *Context) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	bw := res.Agg.BandwidthByAgent()
+	bw := res.BandwidthByAgent()
 	r := &Report{ID: "Fig 10", Title: "Downstream bandwidth (Mbps) per software agent"}
 	for _, prov := range fingerprint.AllProviders() {
 		r.Printf("-- %s --", prov)
@@ -173,7 +173,7 @@ func Fig11(c *Context) (*Report, error) {
 	}
 	r := &Report{ID: "Fig 11", Title: "Median hourly data usage (GB/hr), PC vs Mobile"}
 	for _, prov := range fingerprint.AllProviders() {
-		pc, mobile := res.Agg.HourlyUsage(prov)
+		pc, mobile := res.HourlyUsage(prov)
 		r.Printf("-- %s --", prov)
 		row := "  hour:  "
 		for h := 0; h < 24; h += 2 {

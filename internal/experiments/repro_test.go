@@ -8,6 +8,9 @@ import (
 	"runtime/debug"
 	"strings"
 	"testing"
+	"unicode/utf8"
+
+	"videoplat/internal/baselines"
 )
 
 var update = flag.Bool("update", false, "rewrite "+reproPath+" from the catalog")
@@ -85,4 +88,34 @@ func raceBuild() bool {
 		}
 	}
 	return false
+}
+
+// TestTable6ColumnsAligned reads the checked-in Table 6 block and requires
+// every row, the paper's rows included, to be as wide as the header, so a
+// method label longer than the others cannot shift its accuracies out of
+// their columns.
+func TestTable6ColumnsAligned(t *testing.T) {
+	text, err := os.ReadFile(reproPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, block, ok := strings.Cut(string(text), "=== Table 6:")
+	if !ok {
+		t.Fatalf("%s has no Table 6 block", reproPath)
+	}
+	lines := strings.Split(block, "\n")[1:] // after the title
+	header := lines[0]
+	rows := 0
+	for _, row := range lines[1:] {
+		if strings.HasPrefix(row, "paper ordering") {
+			break
+		}
+		rows++
+		if got, want := utf8.RuneCountInString(row), utf8.RuneCountInString(header); got != want {
+			t.Errorf("row %q is %d runes wide, the header %d", row, got, want)
+		}
+	}
+	if rows != 2*(1+len(baselines.All())) {
+		t.Errorf("%d rows under the header, want a row and a paper row for Ours and each baseline", rows)
+	}
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"unicode/utf8"
 
 	"videoplat/internal/baselines"
 	"videoplat/internal/fingerprint"
@@ -26,14 +27,21 @@ var paperTable6 = map[string][5]float64{
 // paper's accuracies for it.
 func Table6(c *Context) (*Report, error) {
 	r := &Report{ID: "Table 6", Title: "Ours vs six prior techniques (user platform accuracy)"}
-	header := "method               "
+	techs := baselines.All()
+	// The method column is the widest label plus one space.
+	width := 0
+	for _, tech := range techs {
+		width = max(width, utf8.RuneCountInString(methodLabel(tech)))
+	}
+	width++
+	header := padRight("method", width)
 	for _, sc := range Scenarios() {
 		header += "  " + sc.Name()
 	}
 	r.Lines = append(r.Lines, header)
 
 	// Our method: full applicable attribute set.
-	oursRow := "Ours                 "
+	oursRow := padRight("Ours", width)
 	for _, sc := range Scenarios() {
 		values, labels, err := c.LabValues(sc)
 		if err != nil {
@@ -47,10 +55,10 @@ func Table6(c *Context) (*Report, error) {
 		oursRow += sprintfAcc(res.Accuracy, len(sc.Name()))
 		r.Metric("Ours/"+sc.Name(), res.Accuracy)
 	}
-	r.Lines = append(r.Lines, oursRow, paperRow("Ours"))
+	r.Lines = append(r.Lines, oursRow, paperRow("Ours", width))
 
-	for _, tech := range baselines.All() {
-		row := padRight(tech.Name+" "+tech.Ref, 21)
+	for _, tech := range techs {
+		row := padRight(methodLabel(tech), width)
 		for _, sc := range Scenarios() {
 			if !tech.Adaptable {
 				row += padLeft("—", len(sc.Name())+2)
@@ -77,7 +85,7 @@ func Table6(c *Context) (*Report, error) {
 			row += sprintfAcc(res.Accuracy, len(sc.Name()))
 			r.Metric(tech.Ref+"/"+sc.Name(), res.Accuracy)
 		}
-		r.Lines = append(r.Lines, row, paperRow(tech.Ref))
+		r.Lines = append(r.Lines, row, paperRow(tech.Ref, width))
 	}
 
 	r.Printf("paper ordering to reproduce: Ours >= every adaptable baseline per scenario;")
@@ -85,10 +93,13 @@ func Table6(c *Context) (*Report, error) {
 	return r, nil
 }
 
-// paperRow formats paperTable6's row for key in the table's columns, "—"
-// where the paper has a dash.
-func paperRow(key string) string {
-	row := padRight("  paper", 21)
+// methodLabel is a baseline's name in the method column.
+func methodLabel(tech *baselines.Technique) string { return tech.Name + " " + tech.Ref }
+
+// paperRow formats paperTable6's row for key in the table's columns, a
+// method column width wide, "—" where the paper has a dash.
+func paperRow(key string, width int) string {
+	row := padRight("  paper", width)
 	for i, sc := range Scenarios() {
 		if acc := paperTable6[key][i]; acc >= 0 {
 			row += sprintfAcc(acc, len(sc.Name()))

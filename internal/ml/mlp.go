@@ -5,22 +5,11 @@ import (
 	"math/rand/v2"
 )
 
-// Activation selects the hidden-layer nonlinearity, one of the MLP
-// hyperparameters tuned in §4.3.1.
-type Activation uint8
-
-// Supported activations.
-const (
-	ReLU Activation = iota
-	Tanh
-	Logistic
-)
-
-// MLPConfig are the neural-network hyperparameters of §4.3.1: hidden layout,
-// activation, plus the usual SGD knobs.
+// MLPConfig are the neural-network hyperparameters of §4.3.1: hidden layout
+// plus the usual SGD knobs. The hidden layers are ReLU, the activation
+// §4.3.1's comparison runs.
 type MLPConfig struct {
-	Hidden       []int // perceptrons per hidden layer
-	Activation   Activation
+	Hidden       []int   // perceptrons per hidden layer
 	LearningRate float64 // default 0.01
 	Epochs       int     // default 60
 	BatchSize    int     // default 32
@@ -39,32 +28,19 @@ type MLP struct {
 	classes int
 }
 
-func (m *MLP) act(v float64) float64 {
-	switch m.Config.Activation {
-	case Tanh:
-		return math.Tanh(v)
-	case Logistic:
-		return 1 / (1 + math.Exp(-v))
-	default:
-		if v > 0 {
-			return v
-		}
-		return 0
+func relu(v float64) float64 {
+	if v > 0 {
+		return v
 	}
+	return 0
 }
 
-func (m *MLP) actDeriv(activated float64) float64 {
-	switch m.Config.Activation {
-	case Tanh:
-		return 1 - activated*activated
-	case Logistic:
-		return activated * (1 - activated)
-	default:
-		if activated > 0 {
-			return 1
-		}
-		return 0
+// reluDeriv is ReLU's derivative, taken at its output.
+func reluDeriv(activated float64) float64 {
+	if activated > 0 {
+		return 1
 	}
+	return 0
 }
 
 // Fit trains the network.
@@ -161,7 +137,7 @@ func (m *MLP) forward(x []float64) [][]float64 {
 			if l == len(m.weights)-1 {
 				next[o] = sum // softmax applied by caller
 			} else {
-				next[o] = m.act(sum)
+				next[o] = relu(sum)
 			}
 		}
 		acts = append(acts, next)
@@ -215,7 +191,7 @@ func (m *MLP) backprop(x []float64, y int, gradW [][][]float64, gradB [][]float6
 			for o := range m.weights[l] {
 				sum += m.weights[l][o][i] * delta[o]
 			}
-			prev[i] = sum * m.actDeriv(in[i])
+			prev[i] = sum * reluDeriv(in[i])
 		}
 		delta = prev
 	}

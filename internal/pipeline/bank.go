@@ -118,12 +118,10 @@ func (b *Bank) buildIndex() error {
 	return nil
 }
 
-// TrainConfig controls bank training.
+// TrainConfig controls bank training. Each entry encodes every attribute
+// applicable to its transport, the deployed configuration.
 type TrainConfig struct {
 	Forest ml.ForestConfig
-	// Subset restricts the attribute set by Table 2 labels (nil = all
-	// applicable attributes, the deployed configuration).
-	Subset []string
 }
 
 // DefaultForestConfig mirrors the paper's selected hyperparameters:
@@ -163,7 +161,7 @@ func TrainBank(ds *tracegen.Dataset, cfg TrainConfig) (*Bank, error) {
 	}
 
 	for k, g := range groups {
-		enc, err := features.NewEncoder(k.Transport == fingerprint.QUIC, cfg.Subset)
+		enc, err := features.NewEncoder(k.Transport == fingerprint.QUIC, nil)
 		if err != nil {
 			return nil, fmt.Errorf("pipeline: training %s/%s: %w", k.Provider, k.Transport, err)
 		}

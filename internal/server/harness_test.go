@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"net/http/httptest"
 	"testing"
-	"time"
 
 	"videoplat/internal/obs"
 	"videoplat/internal/pipeline"
@@ -31,10 +30,10 @@ type replayResult struct {
 	Archive []byte // one JSON window per line, in seal order
 }
 
-// replayInProcess runs a Server over a finite source the way Run does,
-// without an HTTP listener: the replay loop until the source ends (with the
-// retrainer's loop beside it when cfg has one), then the shutdown path,
-// which drains the shards and flushes the rollup. cfg.Sink, if set, gets
+// replayInProcess runs a Server over a finite source through the ingest
+// lifecycle Run runs, without an HTTP listener: startIngest, a wait for the
+// replay to reach the source's end, then its stop, which drains the shards
+// and flushes the rollup. cfg.Sink, if set, gets
 // every sealed window after the archive. watch, if non-nil, gets the server
 // before the replay starts, for a test that samples it while it runs.
 func replayInProcess(t *testing.T, bank *pipeline.Bank, src Source, cfg Config, watch func(*Server)) replayResult {
@@ -50,20 +49,9 @@ func replayInProcess(t *testing.T, bank *pipeline.Bank, src Source, cfg Config, 
 		watch(s)
 	}
 
-	ctx, cancel := context.WithCancel(context.Background())
-	s.startWall = time.Now()
-	s.running.Store(true)
-	retrainDone := make(chan struct{})
-	go func() {
-		defer close(retrainDone)
-		if s.cfg.Retrainer != nil {
-			s.cfg.Retrainer.Start(ctx)
-		}
-	}()
-	s.replay(ctx)
-	cancel()
-	<-retrainDone
-	s.finishPipeline()
+	stop := s.startIngest(context.Background())
+	<-s.replayDone
+	stop()
 	if err := s.replayErr; err != nil {
 		t.Fatalf("replay: %v", err)
 	}

@@ -373,27 +373,7 @@ func (s *Server) ReplayDone() <-chan struct{} { return s.replayDone }
 // partial window is flushed to the sink, and the HTTP server closes. Run
 // returns nil on a clean shutdown.
 func (s *Server) Run(ctx context.Context) error {
-	s.startWall = time.Now()
-
-	replayCtx, cancelReplay := context.WithCancel(ctx)
-	defer cancelReplay()
-	go s.replay(replayCtx)
-	s.running.Store(true) // ingest machinery is live: readiness can pass
-	// retrainDone closes once the retrainer's loop has returned, by which
-	// point it has joined every goroutine it started.
-	retrainDone := make(chan struct{})
-	go func() {
-		defer close(retrainDone)
-		if s.cfg.Retrainer != nil {
-			s.cfg.Retrainer.Start(replayCtx) // training never runs on the serving path
-		}
-	}()
-	stopIngest := func() {
-		cancelReplay()
-		<-s.replayDone
-		<-retrainDone
-		s.finishPipeline()
-	}
+	stopIngest := s.startIngest(ctx)
 
 	httpErr := make(chan error, 1)
 	go func() { httpErr <- s.httpSrv.Serve(s.lis) }()
@@ -415,6 +395,31 @@ func (s *Server) Run(ctx context.Context) error {
 		return fmt.Errorf("server: http: %w", err)
 	}
 	return nil
+}
+
+// startIngest starts the ingest half of the daemon: the replay and, when
+// configured, the retrainer's loop, which ctx's end also stops. The
+// returned stop cancels both, waits until each has returned — the
+// retrainer's loop joins every goroutine it started — and then finalizes
+// the open flows (finishPipeline). Call it once.
+func (s *Server) startIngest(ctx context.Context) (stop func()) {
+	s.startWall = time.Now()
+	ctx, cancel := context.WithCancel(ctx)
+	go s.replay(ctx)
+	s.running.Store(true) // ingest machinery is live: readiness can pass
+	retrainDone := make(chan struct{})
+	go func() {
+		defer close(retrainDone)
+		if s.cfg.Retrainer != nil {
+			s.cfg.Retrainer.Start(ctx) // training never runs on the serving path
+		}
+	}()
+	return func() {
+		cancel()
+		<-s.replayDone
+		<-retrainDone
+		s.finishPipeline()
+	}
 }
 
 // finishPipeline finalizes every flow still open and rolls it up, so a

@@ -1,3 +1,9 @@
+// Package telemetry is the daemon's serving telemetry. The Rollup folds
+// each decided flow record into the window of its last packet and seals
+// windows on the shards' packet-time watermark; the Store retains sealed
+// windows in downsampling tiers, persists them as a JSONL archive and
+// answers /query. One aggregator, the dense open window (openWindow), folds
+// for all of them.
 package telemetry
 
 import (
