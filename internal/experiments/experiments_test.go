@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -136,21 +137,36 @@ func TestTable4ConfidenceGap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Correct predictions must be more confident than incorrect ones in
-	// the aggregate (paper: >88% vs <70%).
+	// Correct predictions must be more confident than incorrect ones (paper:
+	// >88% vs <70%): in the aggregate, and in every cell that has an
+	// incorrect prediction at all (a cell with none has a NaN median).
 	var corrSum, incSum float64
-	var n int
+	var n, nInc int
 	for k, v := range r.Metrics {
-		if strings.HasSuffix(k, "/correct") {
-			corrSum += v
-			n++
+		if !strings.HasSuffix(k, "/correct") {
+			continue
 		}
-		if strings.HasSuffix(k, "/incorrect") && v == v { // skip NaN
-			incSum += v
+		corrSum += v
+		n++
+		inc := r.Metrics[strings.TrimSuffix(k, "/correct")+"/incorrect"]
+		if math.IsNaN(inc) {
+			continue
+		}
+		incSum += inc
+		nInc++
+		if inc >= v {
+			t.Errorf("%s: incorrect median %.3f is not below correct median %.3f", strings.TrimSuffix(k, "/correct"), inc, v)
 		}
 	}
 	if n == 0 || corrSum/float64(n) < 0.7 {
 		t.Errorf("mean correct confidence = %v", corrSum/float64(n))
+	}
+	if nInc == 0 {
+		t.Fatal("no cell has an incorrect prediction, so the gap is unmeasured")
+	}
+	t.Logf("mean median confidence: correct %.3f over %d cells, incorrect %.3f over %d", corrSum/float64(n), n, incSum/float64(nInc), nInc)
+	if incSum/float64(nInc) >= corrSum/float64(n) {
+		t.Errorf("mean incorrect confidence %.3f is not below mean correct confidence %.3f", incSum/float64(nInc), corrSum/float64(n))
 	}
 }
 

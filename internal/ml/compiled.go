@@ -16,9 +16,9 @@ import (
 //
 // Leaves are self-loops: thresh is NaN (every `x <= NaN` is false) and right
 // is the leaf's own id, so a walk that reaches a leaf parks there harmlessly.
-// That lets the evaluators run a fixed number of branchless steps (the tree's
-// compiled depth) instead of testing for leaf arrival on every level — the
-// test would be an unpredictable branch precisely where walks diverge.
+// That lets a group of walks step together without testing each one for
+// leaf arrival — the test would be an unpredictable branch precisely where
+// walks diverge — and stop at the first step that moves none of them.
 type cnode struct {
 	// feat is the split feature for internal nodes; 0 for leaves (a safe
 	// dummy load — the NaN compare discards it).
@@ -36,7 +36,7 @@ type cnode struct {
 // distributions gathered into one shared probability table. Where the
 // reference walk visits ~50 separately allocated trees one at a time per
 // prediction, the compiled form streams through one dense array whose hot
-// prefix stays cache-resident across predictions, walking many trees at
+// prefix stays cache-resident across predictions, walking eight trees at
 // once.
 //
 // Accumulation happens in the same tree order and with the same float
@@ -46,23 +46,11 @@ type cnode struct {
 // concurrent use; probability scratch is caller-owned.
 type CompiledForest struct {
 	// nodes holds every tree's records back-to-back; roots[t] is tree t's
-	// root id and depths[t] its edge depth (walks run exactly depths[t]
-	// branchless steps; shallower paths park on their leaf's self-loop).
-	// Within a tree the layout is preorder (parent, then the whole left
-	// subtree, then the right), so a walk moves forward through memory.
-	nodes  []cnode
-	roots  []int32
-	depths []int32
-	// evalRoots/evalDepths are the batched walk order: within every chunk
-	// of batchChunk trees, the roots and depths permuted so depths ascend,
-	// so each lane group holds similar-depth trees and pads its fixed step
-	// count (the group max) as little as possible. pos[t] is tree t's slot
-	// within its chunk's walk scratch, used to read leaves back in original
-	// tree order when accumulating — float accumulation order is what keeps
-	// batched results byte-identical to the reference path.
-	evalRoots  []int32
-	evalDepths []int32
-	pos        []int32
+	// root id. Within a tree the layout is preorder (parent, then the whole
+	// left subtree, then the right), so a walk moves forward through memory
+	// until it parks on a leaf.
+	nodes []cnode
+	roots []int32
 	// The shared leaf-distribution table, stored sparse: row r's entries are
 	// probaIdx/probaVal[rowOff[r]:rowOff[r+1]] — only the nonzero class
 	// probabilities, in ascending class order, values copied verbatim from
@@ -82,7 +70,7 @@ type CompiledForest struct {
 	classes int
 	trees   int
 	// realNodes is the node count before the power-of-two padding appended
-	// so the evaluators can mask-index nodes without a bounds check.
+	// so the walk can mask-index nodes without a bounds check.
 	realNodes int
 }
 
@@ -112,7 +100,6 @@ func CompileForest(f *RandomForest, width int) (*CompiledForest, error) {
 	cf.leafRow = make([]int32, 0, nodes)
 	cf.rowOff = []int32{0}
 	cf.roots = make([]int32, 0, len(f.trees))
-	cf.depths = make([]int32, 0, len(f.trees))
 	// Identical leaf distributions (bitwise — overwhelmingly the pure
 	// single-class leaves a forest bottoms out in) share one proba-table
 	// row, which keeps the table small enough to stay cache-resident during
@@ -121,14 +108,12 @@ func CompileForest(f *RandomForest, width int) (*CompiledForest, error) {
 	lc := compileCtx{cf: cf, dedup: make(map[string]int32)}
 	for _, t := range f.trees {
 		cf.roots = append(cf.roots, int32(len(cf.nodes)))
-		depth, err := lc.lower(t.nodes, width)
-		if err != nil {
+		if err := lc.lower(t.nodes, width); err != nil {
 			return nil, err
 		}
-		cf.depths = append(cf.depths, depth)
 	}
 	// Pad the node array to a power of two with unreachable self-loops so
-	// the evaluators can index it as nodes[id&mask] with mask = len-1: the
+	// the walk can index it as nodes[id&mask] with mask = len-1: the
 	// mask is a no-op for every real id, and it lets the compiler prove the
 	// index in bounds, dropping the bounds check from the hottest loop.
 	cf.realNodes = len(cf.nodes)
@@ -137,7 +122,6 @@ func CompileForest(f *RandomForest, width int) (*CompiledForest, error) {
 		cf.nodes = append(cf.nodes, cnode{right: id, thresh: math.NaN()})
 		cf.leafRow = append(cf.leafRow, 0)
 	}
-	cf.buildEvalOrder()
 	return cf, nil
 }
 
@@ -176,45 +160,12 @@ func (lc *compileCtx) probaRow(proba []float64) int32 {
 	return row
 }
 
-// batchChunk is the batched evaluator's walk-scratch size: trees are
-// depth-sorted within chunks of this many, walked a chunk at a time into a
-// fixed stack array, and accumulated in original tree order.
-const batchChunk = 64
-
-// buildEvalOrder depth-sorts tree indices within each batchChunk-sized chunk
-// (insertion sort: chunks are tiny and this runs once per compile) and
-// records every tree's slot for the accumulate pass.
-func (cf *CompiledForest) buildEvalOrder() {
-	n := len(cf.roots)
-	order := make([]int32, n)
-	cf.pos = make([]int32, n)
-	for i := range order {
-		order[i] = int32(i)
-	}
-	for start := 0; start < n; start += batchChunk {
-		end := min(start+batchChunk, n)
-		ord := order[start:end]
-		for i := 1; i < len(ord); i++ {
-			for j := i; j > 0 && cf.depths[ord[j]] < cf.depths[ord[j-1]]; j-- {
-				ord[j], ord[j-1] = ord[j-1], ord[j]
-			}
-		}
-		for slot, t := range ord {
-			cf.pos[t] = int32(slot)
-		}
-	}
-	cf.evalRoots = make([]int32, n)
-	cf.evalDepths = make([]int32, n)
-	for k, t := range order {
-		cf.evalRoots[k] = cf.roots[t]
-		cf.evalDepths[k] = cf.depths[t]
-	}
-}
-
 // lower appends one tree's preorder nodes at the end of the forest's array,
 // where every left child stays id+1 and each right child is shifted by the
-// tree's offset, and returns the tree's edge depth.
-func (lc *compileCtx) lower(nodes []flatNode, width int) (int32, error) {
+// tree's offset. Every tree comes from Fit or through checkTree, which
+// refuses a right child at or before its split, so a walk's node id only
+// grows until it parks on a leaf: the walk always ends.
+func (lc *compileCtx) lower(nodes []flatNode, width int) error {
 	cf := lc.cf
 	base := int32(len(cf.nodes))
 	for i, n := range nodes {
@@ -223,32 +174,24 @@ func (lc *compileCtx) lower(nodes []flatNode, width int) (int32, error) {
 			if cf.classes < 0 {
 				cf.classes = len(n.Proba)
 			} else if len(n.Proba) != cf.classes {
-				return 0, errRaggedForest
+				return errRaggedForest
 			}
 			cf.nodes = append(cf.nodes, cnode{feat: 0, right: id, thresh: math.NaN()})
 			cf.leafRow = append(cf.leafRow, lc.probaRow(n.Proba))
 			continue
 		}
 		if uint(n.Feature) >= uint(width) { // a negative feature wraps past width too
-			return 0, fmt.Errorf("ml: cannot compile a split on feature %d for rows of width %d", n.Feature, width)
+			return fmt.Errorf("ml: cannot compile a split on feature %d for rows of width %d", n.Feature, width)
 		}
 		if math.IsNaN(n.Threshold) {
 			// NaN marks leaves in the compiled form; an internal NaN split (never
 			// produced by Fit) cannot be represented faithfully.
-			return 0, errors.New("ml: cannot compile a forest with NaN split thresholds")
+			return errors.New("ml: cannot compile a forest with NaN split thresholds")
 		}
 		cf.nodes = append(cf.nodes, cnode{feat: int32(n.Feature), right: base + int32(n.Right), thresh: n.Threshold})
 		cf.leafRow = append(cf.leafRow, 0)
 	}
-	// Children follow their parent, so one backward pass sees both of a
-	// split's depths before the split's own.
-	depth := make([]int32, len(nodes))
-	for i := len(nodes) - 1; i >= 0; i-- {
-		if n := nodes[i]; n.Left >= 0 {
-			depth[i] = 1 + max(depth[i+1], depth[n.Right])
-		}
-	}
-	return depth[0], nil
+	return nil
 }
 
 // NumTrees reports the compiled ensemble size.
@@ -266,34 +209,7 @@ func (cf *CompiledForest) NumNodes() int { return cf.realNodes }
 // memory an operator pays per compiled model.
 func (cf *CompiledForest) Bytes() int64 {
 	return int64(len(cf.nodes))*16 + int64(len(cf.probaVal))*8 +
-		int64(len(cf.probaIdx)+len(cf.rowOff)+len(cf.leafRow))*4 +
-		int64(len(cf.roots)+len(cf.depths)+len(cf.evalRoots)+len(cf.evalDepths)+len(cf.pos))*4
-}
-
-// leafOf walks one tree for one row and returns the reached leaf's node id.
-// The split select is branchless (CMOV — a split's direction is
-// data-dependent and near 50/50, so a conditional jump there would
-// mispredict on ~half the levels); the only branch is the exit test, which
-// fires once per walk when the node steps onto a leaf's self-loop.
-func (cf *CompiledForest) leafOf(nodes []cnode, root int32, x []float64) int32 {
-	// nodes is padded to a power of two, so the mask is a no-op for every
-	// real id and proves the index in bounds (no per-step bounds check).
-	if len(nodes) == 0 {
-		return root
-	}
-	mask := len(nodes) - 1
-	n := root
-	for {
-		nd := &nodes[int(n)&mask]
-		next := nd.right
-		if x[nd.feat] <= nd.thresh {
-			next = n + 1 // left child: next record in the preorder layout
-		}
-		if next == n {
-			return n // parked on a leaf self-loop
-		}
-		n = next
-	}
+		int64(len(cf.probaIdx)+len(cf.rowOff)+len(cf.leafRow)+len(cf.roots))*4
 }
 
 // PredictProbaInto averages member probabilities into out's capacity,
@@ -324,13 +240,14 @@ func (cf *CompiledForest) PredictInto(x []float64, proba *[]float64) (int, float
 // flows in one call: row r's feature vector is rows[r*stride :
 // r*stride+stride], and its averaged class distribution lands in the
 // returned buffer at [r*NumClasses() : (r+1)*NumClasses()]. Rows are the
-// outer loop and each row descends the whole forest in interleaved lanes, so
-// the cost per row does not depend on how many rows share the call. Per-tree
-// leaf distributions are accumulated in tree order and divided by the tree
-// count, in the same float operation order as
-// RandomForest.PredictProbaInto, so every row's result is byte-identical to
-// the reference. out is reused via its capacity. Zero-allocation with a
-// warm buffer, pinned by TestCompiledForestZeroAlloc.
+// outer loop, so the cost per row does not depend on how many rows share the
+// call. Each row walks its trees in tree order, eight lanes at a time, and
+// a group's leaf distributions are accumulated in lane order before the next
+// group starts; the sums are then divided by the tree count, in the same
+// float operation order as RandomForest.PredictProbaInto, so every row's
+// result is byte-identical to the reference. out is reused via its
+// capacity. Zero-allocation with a warm buffer, pinned by
+// TestCompiledForestZeroAlloc.
 func (cf *CompiledForest) PredictBatchInto(rows []float64, stride int, out []float64) []float64 {
 	n := 0
 	if stride > 0 {
@@ -350,105 +267,79 @@ func (cf *CompiledForest) PredictBatchInto(rows []float64, stride int, out []flo
 	rowOff := cf.rowOff
 	probaIdx := cf.probaIdx
 	probaVal := cf.probaVal
-	evalRoots := cf.evalRoots
-	evalDepths := cf.evalDepths
-	pos := cf.pos
-	// Each row descends a whole chunk of trees in interleaved lanes: a
-	// single walk is a serial chain of data-dependent node loads (each
-	// level's address depends on the previous), so one chain cannot go
-	// faster than one memory latency per level. Dozens of trees descending
-	// together give the CPU that many independent chains to overlap, while
-	// every chain reads the same feature row, which stays L1-hot for the
-	// whole forest. The inner loop carries no leaf-arrival test — a lane
-	// that bottoms out early parks on its leaf's self-loop, so there is no
-	// unpredictable branch exactly where walks diverge. Instead, trees walk
-	// in the compile-time depth-sorted order (evalOrder): the lanes finished
-	// by step d are always a prefix of the chunk, and advancing lo excludes
-	// them, so no step is spent spinning a finished tree on its self-loop.
-	// The accumulate pass reads leaves back in original tree order through
-	// pos, so per-row results stay byte-identical to the reference forest.
 	if len(nodes) == 0 {
 		return out
 	}
+	// A single walk is a serial chain of data-dependent node loads (each
+	// level's address depends on the previous), so one chain cannot go
+	// faster than one memory latency per level. Eight lanes descending
+	// together, held in registers, give the CPU eight independent chains to
+	// overlap, while every chain reads the same L1-hot feature row. A lane
+	// that reaches its leaf parks on the leaf's self-loop, so the steps carry
+	// no per-lane leaf test, only one test per step that some lane moved.
 	mask := len(nodes) - 1 // power-of-two padding: masking proves bounds
-	var cur [batchChunk]int32
+	var lane [8]int32
 	for r := 0; r < n; r++ {
 		x := rows[r*stride : r*stride+stride]
 		acc := out[r*classes : (r+1)*classes]
-		for start := 0; start < len(roots); start += batchChunk {
-			cn := min(batchChunk, len(roots)-start)
-			gd := evalDepths[start : start+cn]
-			cs := cur[:cn]
-			copy(cs, evalRoots[start:start+cn])
-			// Eight lanes per group live in registers for the whole
-			// descent — no per-level scratch traffic. The group runs to
-			// its deepest member's depth (sorting keeps groupmates
-			// similar, so the padding is small) with no leaf-arrival
-			// test: a lane that bottoms out early parks on its leaf's
-			// self-loop, since every x <= NaN is false.
-			g := 0
-			for ; g+8 <= len(cs); g += 8 {
-				maxd := gd[g+7] // sorted: the group max is the last lane's depth
-				c0, c1, c2, c3 := cs[g], cs[g+1], cs[g+2], cs[g+3]
-				c4, c5, c6, c7 := cs[g+4], cs[g+5], cs[g+6], cs[g+7]
-				for d := int32(0); d < maxd; d++ {
-					nd := &nodes[int(c0)&mask]
-					next := nd.right
-					if x[nd.feat] <= nd.thresh {
-						next = c0 + 1 // left child: next record in preorder
-					}
-					c0 = next
-					nd = &nodes[int(c1)&mask]
-					next = nd.right
-					if x[nd.feat] <= nd.thresh {
-						next = c1 + 1
-					}
-					c1 = next
-					nd = &nodes[int(c2)&mask]
-					next = nd.right
-					if x[nd.feat] <= nd.thresh {
-						next = c2 + 1
-					}
-					c2 = next
-					nd = &nodes[int(c3)&mask]
-					next = nd.right
-					if x[nd.feat] <= nd.thresh {
-						next = c3 + 1
-					}
-					c3 = next
-					nd = &nodes[int(c4)&mask]
-					next = nd.right
-					if x[nd.feat] <= nd.thresh {
-						next = c4 + 1
-					}
-					c4 = next
-					nd = &nodes[int(c5)&mask]
-					next = nd.right
-					if x[nd.feat] <= nd.thresh {
-						next = c5 + 1
-					}
-					c5 = next
-					nd = &nodes[int(c6)&mask]
-					next = nd.right
-					if x[nd.feat] <= nd.thresh {
-						next = c6 + 1
-					}
-					c6 = next
-					nd = &nodes[int(c7)&mask]
-					next = nd.right
-					if x[nd.feat] <= nd.thresh {
-						next = c7 + 1
-					}
-					c7 = next
+		for g := 0; g < len(roots); g += 8 {
+			group := roots[g:min(g+8, len(roots))]
+			// A short last group fills its spare lanes with its first
+			// tree; their leaves are never read.
+			lane = [8]int32{group[0], group[0], group[0], group[0], group[0], group[0], group[0], group[0]}
+			copy(lane[:], group)
+			c0, c1, c2, c3 := lane[0], lane[1], lane[2], lane[3]
+			c4, c5, c6, c7 := lane[4], lane[5], lane[6], lane[7]
+			for {
+				nd := &nodes[int(c0)&mask]
+				n0 := nd.right
+				if x[nd.feat] <= nd.thresh {
+					n0 = c0 + 1 // left child: next record in preorder
 				}
-				cs[g], cs[g+1], cs[g+2], cs[g+3] = c0, c1, c2, c3
-				cs[g+4], cs[g+5], cs[g+6], cs[g+7] = c4, c5, c6, c7
+				nd = &nodes[int(c1)&mask]
+				n1 := nd.right
+				if x[nd.feat] <= nd.thresh {
+					n1 = c1 + 1
+				}
+				nd = &nodes[int(c2)&mask]
+				n2 := nd.right
+				if x[nd.feat] <= nd.thresh {
+					n2 = c2 + 1
+				}
+				nd = &nodes[int(c3)&mask]
+				n3 := nd.right
+				if x[nd.feat] <= nd.thresh {
+					n3 = c3 + 1
+				}
+				nd = &nodes[int(c4)&mask]
+				n4 := nd.right
+				if x[nd.feat] <= nd.thresh {
+					n4 = c4 + 1
+				}
+				nd = &nodes[int(c5)&mask]
+				n5 := nd.right
+				if x[nd.feat] <= nd.thresh {
+					n5 = c5 + 1
+				}
+				nd = &nodes[int(c6)&mask]
+				n6 := nd.right
+				if x[nd.feat] <= nd.thresh {
+					n6 = c6 + 1
+				}
+				nd = &nodes[int(c7)&mask]
+				n7 := nd.right
+				if x[nd.feat] <= nd.thresh {
+					n7 = c7 + 1
+				}
+				moved := (n0 ^ c0) | (n1 ^ c1) | (n2 ^ c2) | (n3 ^ c3) | (n4 ^ c4) | (n5 ^ c5) | (n6 ^ c6) | (n7 ^ c7)
+				c0, c1, c2, c3, c4, c5, c6, c7 = n0, n1, n2, n3, n4, n5, n6, n7
+				if moved == 0 {
+					break // every lane is parked on its leaf
+				}
 			}
-			for ; g < len(cs); g++ { // remainder lanes walk solo
-				cs[g] = cf.leafOf(nodes, cs[g], x)
-			}
-			for _, t := range pos[start : start+cn] {
-				row := leafRow[cur[t]]
+			lane = [8]int32{c0, c1, c2, c3, c4, c5, c6, c7}
+			for _, id := range lane[:len(group)] {
+				row := leafRow[id]
 				for k := rowOff[row]; k < rowOff[row+1]; k++ {
 					acc[probaIdx[k]] += probaVal[k]
 				}

@@ -1,23 +1,32 @@
 package ml
 
 import (
+	"fmt"
+	"math"
 	"math/rand/v2"
 	"strings"
 	"testing"
 )
 
-// compiledFixture trains a small forest plus its compiled form over
+// compiledFixture trains an 11-tree forest plus its compiled form over
 // fixtureDataset.
 func compiledFixture(t testing.TB) (*RandomForest, *CompiledForest, *Dataset) {
 	t.Helper()
 	d := fixtureDataset(t)
-	f := &RandomForest{Config: ForestConfig{NumTrees: 11, MaxDepth: 7, Seed: 9}}
+	f, cf := fitCompiled(t, d, 11)
+	return f, cf, d
+}
+
+// fitCompiled fits a forest of the given size over d and compiles it.
+func fitCompiled(t testing.TB, d *Dataset, trees int) (*RandomForest, *CompiledForest) {
+	t.Helper()
+	f := &RandomForest{Config: ForestConfig{NumTrees: trees, MaxDepth: 7, Seed: 9}}
 	f.Fit(d)
 	cf, err := CompileForest(f, d.NumFeatures())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return f, cf, d
+	return f, cf
 }
 
 // fixtureDataset is 300 rows of 8 features over 3 classes.
@@ -43,53 +52,85 @@ func fixtureDataset(t testing.TB) *Dataset {
 	return d
 }
 
+// compiledTreeCounts are the forest sizes the compiled walk is checked at:
+// a lone tree, a short last lane group of eight (1, 7, 9, 15, 17), exact
+// multiples of eight, and a forest of a hundred trees.
+var compiledTreeCounts = []int{1, 7, 8, 9, 15, 16, 17, 100}
+
 // TestCompiledForestMatchesReference pins that the flat-array evaluation is
-// byte-identical to the reference walk: same probability vectors, same argmax,
-// for both the per-row and the batched entry points.
+// byte-identical to the reference walk at every forest size: same
+// probability vectors, same argmax, for both the per-row and the batched
+// entry points.
 func TestCompiledForestMatchesReference(t *testing.T) {
-	f, cf, d := compiledFixture(t)
+	d := fixtureDataset(t)
+	for _, trees := range compiledTreeCounts {
+		t.Run(fmt.Sprintf("%d trees", trees), func(t *testing.T) {
+			f, cf := fitCompiled(t, d, trees)
+			checkCompiledMatchesReference(t, f, cf, d.X)
+		})
+	}
+	// A forest fitted on one class is all lone leaves: every lane parks
+	// on its root.
+	t.Run("single class", func(t *testing.T) {
+		one, err := NewDataset(d.X, make([]string, len(d.X)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, cf := fitCompiled(t, one, 9)
+		if cf.NumNodes() != cf.NumTrees() {
+			t.Fatalf("single-class forest has %d nodes over %d trees, want lone leaves", cf.NumNodes(), cf.NumTrees())
+		}
+		checkCompiledMatchesReference(t, f, cf, one.X)
+	})
+}
+
+// checkCompiledMatchesReference compares cf against the forest it was
+// compiled from on every row of x, bitwise: through PredictProbaInto,
+// PredictInto and one PredictBatchInto over all the rows.
+func checkCompiledMatchesReference(t *testing.T, f *RandomForest, cf *CompiledForest, x [][]float64) {
+	t.Helper()
 	if cf.NumTrees() != f.NumTrees() || cf.NumClasses() != f.NumClasses() {
 		t.Fatalf("compiled shape (%d trees, %d classes) != reference (%d, %d)",
 			cf.NumTrees(), cf.NumClasses(), f.NumTrees(), f.NumClasses())
 	}
 
 	var refP, cP []float64
-	for ri, row := range d.X {
+	for ri, row := range x {
 		refP = f.PredictProbaInto(row, refP)
 		cP = cf.PredictProbaInto(row, cP)
 		if len(refP) != len(cP) {
 			t.Fatalf("row %d: proba widths differ: %d vs %d", ri, len(refP), len(cP))
 		}
 		for i := range refP {
-			if refP[i] != cP[i] {
+			if math.Float64bits(refP[i]) != math.Float64bits(cP[i]) {
 				t.Fatalf("row %d class %d: compiled %v != reference %v", ri, i, cP[i], refP[i])
 			}
 		}
 		wantC, wantConf := f.PredictInto(row, &refP)
 		gotC, gotConf := cf.PredictInto(row, &cP)
-		if wantC != gotC || wantConf != gotConf {
+		if wantC != gotC || math.Float64bits(wantConf) != math.Float64bits(gotConf) {
 			t.Fatalf("row %d: compiled argmax (%d, %v) != reference (%d, %v)",
 				ri, gotC, gotConf, wantC, wantConf)
 		}
 	}
 
-	// Batched evaluation over the whole dataset packed into one matrix must
+	// Batched evaluation over all rows packed into one matrix must
 	// reproduce the per-row results exactly.
-	stride := len(d.X[0])
-	rows := make([]float64, 0, len(d.X)*stride)
-	for _, row := range d.X {
+	stride := len(x[0])
+	rows := make([]float64, 0, len(x)*stride)
+	for _, row := range x {
 		rows = append(rows, row...)
 	}
 	out := cf.PredictBatchInto(rows, stride, nil)
 	w := cf.NumClasses()
-	if len(out) != len(d.X)*w {
-		t.Fatalf("batch output has %d values, want %d", len(out), len(d.X)*w)
+	if len(out) != len(x)*w {
+		t.Fatalf("batch output has %d values, want %d", len(out), len(x)*w)
 	}
-	for ri, row := range d.X {
+	for ri, row := range x {
 		refP = f.PredictProbaInto(row, refP)
 		got := out[ri*w : (ri+1)*w]
 		for i := range refP {
-			if refP[i] != got[i] {
+			if math.Float64bits(refP[i]) != math.Float64bits(got[i]) {
 				t.Fatalf("batch row %d class %d: %v != %v", ri, i, got[i], refP[i])
 			}
 		}
@@ -167,29 +208,35 @@ func TestCompiledForestFootprint(t *testing.T) {
 }
 
 // TestCompiledForestZeroAlloc pins the serving budget: warm-scratch
-// prediction — per-row and batched — allocates nothing.
+// prediction — per-row and batched — allocates nothing, at the fixture's
+// size and at the largest checked one.
 func TestCompiledForestZeroAlloc(t *testing.T) {
-	_, cf, d := compiledFixture(t)
-	var proba []float64
-	cf.PredictInto(d.X[0], &proba)
-	allocs := testing.AllocsPerRun(100, func() {
-		cf.PredictInto(d.X[0], &proba)
-	})
-	if allocs != 0 {
-		t.Errorf("PredictInto allocates %.1f per call, want 0", allocs)
-	}
+	d := fixtureDataset(t)
+	for _, trees := range []int{11, compiledTreeCounts[len(compiledTreeCounts)-1]} {
+		t.Run(fmt.Sprintf("%d trees", trees), func(t *testing.T) {
+			_, cf := fitCompiled(t, d, trees)
+			var proba []float64
+			cf.PredictInto(d.X[0], &proba)
+			allocs := testing.AllocsPerRun(100, func() {
+				cf.PredictInto(d.X[0], &proba)
+			})
+			if allocs != 0 {
+				t.Errorf("PredictInto allocates %.1f per call, want 0", allocs)
+			}
 
-	stride := len(d.X[0])
-	rows := make([]float64, 0, 32*stride)
-	for _, row := range d.X[:32] {
-		rows = append(rows, row...)
-	}
-	out := cf.PredictBatchInto(rows, stride, nil)
-	allocs = testing.AllocsPerRun(100, func() {
-		out = cf.PredictBatchInto(rows, stride, out)
-	})
-	if allocs != 0 {
-		t.Errorf("PredictBatchInto allocates %.1f per call, want 0", allocs)
+			stride := len(d.X[0])
+			rows := make([]float64, 0, 32*stride)
+			for _, row := range d.X[:32] {
+				rows = append(rows, row...)
+			}
+			out := cf.PredictBatchInto(rows, stride, nil)
+			allocs = testing.AllocsPerRun(100, func() {
+				out = cf.PredictBatchInto(rows, stride, out)
+			})
+			if allocs != 0 {
+				t.Errorf("PredictBatchInto allocates %.1f per call, want 0", allocs)
+			}
+		})
 	}
 }
 

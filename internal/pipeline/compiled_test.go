@@ -250,9 +250,12 @@ func goldenInfoByBranch(tb testing.TB, bank *Bank, tr fingerprint.Transport, com
 	return nil
 }
 
-// BenchmarkClassifyHandshake reports the warm-scratch cost of one YouTube TCP
-// classification on each branch of the §4.1 cascade: composite walks the
-// platform forest only, fallback walks all three.
+// BenchmarkClassifyHandshake reports the warm-scratch cost of one
+// classification. composite and fallback classify one YouTube TCP flow over
+// and over, on each branch of the §4.1 cascade: composite walks the platform
+// forest only, fallback walks all three. mixed classifies one flow per bank
+// entry in turn, the way a shard meets them, so each classification starts
+// on another entry's encoder and forests.
 func BenchmarkClassifyHandshake(b *testing.B) {
 	bank := goldenBank(b)
 	for _, branch := range []struct {
@@ -273,6 +276,45 @@ func BenchmarkClassifyHandshake(b *testing.B) {
 			}
 		})
 	}
+	var mixed []*tracegen.FlowTrace
+	seen := map[entryKey]bool{}
+	for _, ft := range goldenEvalFlows(b) {
+		key := entryKey{ft.Provider, ft.Transport}
+		if bank.entry(key.Provider, key.Transport) != nil && !seen[key] {
+			seen[key] = true
+			mixed = append(mixed, ft)
+		}
+	}
+	if len(mixed) != len(bank.entries) {
+		b.Fatalf("golden flows cover %d of the bank's %d entries", len(mixed), len(bank.entries))
+	}
+	infos := make([]*features.HandshakeInfo, len(mixed))
+	for i, ft := range mixed {
+		info, err := ExtractTrace(ft)
+		if err != nil {
+			b.Fatal(err)
+		}
+		infos[i] = info
+	}
+	b.Run("mixed", func(b *testing.B) {
+		var sc ClassifyScratch
+		classify := func(i int) {
+			if _, err := bank.ClassifyHandshake(mixed[i].Provider, mixed[i].Transport, infos[i], &sc); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for i := range mixed {
+			classify(i)
+		}
+		b.ReportAllocs()
+		i := 0
+		for b.Loop() {
+			classify(i)
+			if i++; i == len(mixed) {
+				i = 0
+			}
+		}
+	})
 }
 
 // TestBankReloadRebuildsServingIndex pins that UnmarshalBinary into a Bank
