@@ -113,12 +113,7 @@ func AblationGrease(c *Context) (*Report, error) {
 // device/agent fallback) against a composite-only policy, measuring how much
 // partial platform information the fallback recovers on the open-set data.
 func AblationConfidenceSelector(c *Context) (*Report, error) {
-	ds, err := c.LabDataset()
-	if err != nil {
-		return nil, err
-	}
-	bank, err := pipeline.TrainBank(ds, pipeline.TrainConfig{Forest: ml.ForestConfig{
-		NumTrees: c.Trees, MaxDepth: 20, MaxFeatures: 34, Seed: c.Seed}})
+	bank, err := c.bank()
 	if err != nil {
 		return nil, err
 	}

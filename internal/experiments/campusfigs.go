@@ -6,8 +6,6 @@ import (
 
 	"videoplat/internal/campus"
 	"videoplat/internal/fingerprint"
-	"videoplat/internal/ml"
-	"videoplat/internal/pipeline"
 )
 
 type campusCache struct {
@@ -25,12 +23,7 @@ func (c *Context) campusResult() (*campus.Result, error) {
 	}
 	c.mu.Unlock()
 
-	ds, err := c.LabDataset()
-	if err != nil {
-		return nil, err
-	}
-	bank, err := pipeline.TrainBank(ds, pipeline.TrainConfig{Forest: ml.ForestConfig{
-		NumTrees: c.Trees, MaxDepth: 20, MaxFeatures: 34, Seed: c.Seed}})
+	bank, err := c.bank()
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 
 	"videoplat/internal/features"
 	"videoplat/internal/fingerprint"
@@ -43,6 +44,48 @@ func Fig14(c *Context) ([]*Report, error) {
 		out = append(out, r)
 	}
 	return out, nil
+}
+
+// AttributesRead lists, for each (provider, transport) entry of the bank,
+// how many of its Table 2 attributes any split of its three forests reads
+// and which ones none does: the serving encoder resolves only the former
+// (features.Compile's live set), so the latter cost nothing per flow.
+func AttributesRead(c *Context) (*Report, error) {
+	bank, err := c.bank()
+	if err != nil {
+		return nil, err
+	}
+	r := &Report{ID: "Attributes", Title: "Table 2 attributes the bank's three forests read, per entry"}
+	r.Printf("%-10s %4s %3s  %s", "entry", "read", "of", "never read")
+	for _, sc := range Scenarios() {
+		var enc *features.Encoder
+		var read []bool
+		for _, obj := range []pipeline.Objective{pipeline.PlatformObjective, pipeline.DeviceObjective, pipeline.AgentObjective} {
+			m := bank.Model(sc.Provider, sc.Transport, obj)
+			if m == nil {
+				return nil, fmt.Errorf("experiments: the bank has no %s model for %s", obj, sc.Name())
+			}
+			enc = m.Encoder
+			if read == nil {
+				read = make([]bool, len(enc.Attrs))
+			}
+			for _, f := range m.CompiledForest().SplitFeatures() {
+				read[enc.Columns()[f].Attr] = true
+			}
+		}
+		n := 0
+		var never []string
+		for ai, a := range enc.Attrs {
+			if read[ai] {
+				n++
+			} else {
+				never = append(never, a.Label)
+			}
+		}
+		r.Printf("%-10s %4d %3d  %s", sc.Name(), n, len(enc.Attrs), strings.Join(never, " "))
+		r.Metric(sc.Name()+" read", float64(n))
+	}
+	return r, nil
 }
 
 func attributeImportance(c *Context, sc Scenario, id string) (*Report, error) {

@@ -92,6 +92,7 @@ type Context struct {
 
 	mu        sync.Mutex
 	labDS     *tracegen.Dataset
+	labBank   *pipeline.Bank
 	openDS    *tracegen.Dataset
 	labVals   map[Scenario]*scenarioData
 	openVals  map[Scenario]*scenarioData
@@ -155,6 +156,28 @@ func (c *Context) labDatasetLocked() (*tracegen.Dataset, error) {
 		c.labDS = ds
 	}
 	return c.labDS, nil
+}
+
+// bank trains (once) the Fig 4 classifier bank on the lab dataset: forests
+// of c.Trees trees at the paper's depth 20 and 34 candidate attributes per
+// split. The confidence-selector ablation, the §5 campus simulation and the
+// attribute-usage table all read it.
+func (c *Context) bank() (*pipeline.Bank, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.labBank == nil {
+		ds, err := c.labDatasetLocked()
+		if err != nil {
+			return nil, err
+		}
+		b, err := pipeline.TrainBank(ds, pipeline.TrainConfig{Forest: ml.ForestConfig{
+			NumTrees: c.Trees, MaxDepth: 20, MaxFeatures: 34, Seed: c.Seed}})
+		if err != nil {
+			return nil, err
+		}
+		c.labBank = b
+	}
+	return c.labBank, nil
 }
 
 // OpenSetDataset renders (once) the §4.3.2 open-set dataset.

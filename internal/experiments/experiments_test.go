@@ -349,7 +349,7 @@ func TestScenarioNames(t *testing.T) {
 // report at the quick context.
 func TestCatalog(t *testing.T) {
 	want := strings.Fields("table1 fig3 fig5 fig6a fig6bcd algocmp table3 table4 table5 table6 " +
-		"fig7 fig8 fig9 fig10 fig11 fig12 fig13 fig14 ablations")
+		"fig7 fig8 fig9 fig10 fig11 fig12 fig13 fig14 ablations attrs")
 	if len(Catalog) != len(want) {
 		t.Fatalf("catalog has %d entries, want %d", len(Catalog), len(want))
 	}

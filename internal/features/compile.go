@@ -18,15 +18,21 @@ import (
 // cipher-suite uint16s, extension ids, QUIC transport-parameter ids, raw
 // extension bytes — through interned lookup tables built once at compile
 // time, and writes the encoded vector straight into a caller-owned
-// []float64. EncodeInto(dst, info, sc) is element-identical to
-// Transform(Extract(info)) for every handshake (pinned by the
-// golden-equivalence tests).
+// []float64. It encodes only the live columns it was compiled for, the ones
+// some model reads: EncodeInto(dst, info, sc) is element-identical to
+// Transform(Extract(info)) on those columns and zero on every other, for
+// every handshake (pinned by the golden-equivalence tests). The row keeps
+// the encoder's full width, so no column is renumbered.
 //
 // A CompiledEncoder is immutable after Compile and safe for concurrent use;
 // per-call mutable state lives in the caller's EncodeScratch.
 type CompiledEncoder struct {
 	width int
+	// attrs are the attributes with a live column, each cut after its last
+	// live column; holes are the dead columns left inside them, cleared
+	// after the attributes are written.
 	attrs []compiledAttr
+	holes []int32
 	// quicAttrs reports whether any attribute reads QUIC transport
 	// parameters, so TCP-schema encoders never resolve them.
 	quicAttrs bool
@@ -73,12 +79,19 @@ type compiledAttr struct {
 }
 
 // Compile lowers a fitted encoder into its serving-path form, equivalent to
-// Transform∘Extract: default extraction options, the paper's configuration
-// (the GREASE ablation goes through the reference ExtractWithOptions). Each
-// attribute is read from its Table 2 row's wire source. It fails only for a
-// vocabulary id it cannot intern.
-func Compile(e *Encoder) (*CompiledEncoder, error) {
-	ce := &CompiledEncoder{}
+// Transform∘Extract on the columns live marks (live[c] for column c of
+// e.Columns(); a bank marks the columns its forests split on) and zero on
+// the rest: default extraction options, the paper's configuration (the
+// GREASE ablation goes through the reference ExtractWithOptions). Each
+// attribute with a live column is read from its Table 2 row's wire source;
+// the others are never read, and the extension index and transport
+// parameters cover the kept attributes only. It fails for a live set that
+// is not e.Width() long and for a vocabulary id it cannot intern.
+func Compile(e *Encoder, live []bool) (*CompiledEncoder, error) {
+	if len(live) != e.Width() {
+		return nil, fmt.Errorf("features: a live set of %d columns for an encoder of width %d", len(live), e.Width())
+	}
+	ce := &CompiledEncoder{width: e.Width()}
 	col := 0
 	extSlots := map[uint16]int{} // extension type -> 1-based slot
 	for _, a := range e.Attrs {
@@ -87,6 +100,17 @@ func Compile(e *Encoder) (*CompiledEncoder, error) {
 			ca.width = a.Width
 		}
 		col += ca.width
+		for ca.width > 0 && !live[ca.col+ca.width-1] {
+			ca.width--
+		}
+		if ca.width == 0 {
+			continue // no live column: the attribute is never read
+		}
+		for c := ca.col; c < ca.col+ca.width; c++ {
+			if !live[c] {
+				ce.holes = append(ce.holes, int32(c))
+			}
+		}
 		if a.src.readsExt() {
 			slot, ok := extSlots[uint16(a.key)]
 			if !ok {
@@ -101,7 +125,6 @@ func Compile(e *Encoder) (*CompiledEncoder, error) {
 		ce.quicAttrs = ce.quicAttrs || a.src.readsParams()
 		ce.attrs = append(ce.attrs, ca)
 	}
-	ce.width = col
 	ce.numExts = len(extSlots)
 	ce.extSlots, _ = newFlatTable(extSlots) // slots are 1..n: always internable
 	return ce, nil
@@ -196,7 +219,8 @@ func (ce *CompiledEncoder) Encode(info *HandshakeInfo) []float64 {
 
 // EncodeInto encodes a handshake directly into dst, reusing its capacity,
 // and returns the width-long vector. The result is element-identical to
-// Transform(Extract(info)) on the encoder this was compiled from. sc provides
+// Transform(Extract(info)) on the encoder this was compiled from in every
+// live column, and zero in every other. sc provides
 // the per-caller buffers that keep the steady state allocation-free; nil sc
 // allocates a temporary one. Zero-allocation in the steady state, pinned by
 // TestEncodeIntoZeroAlloc.
@@ -361,6 +385,9 @@ func (ce *CompiledEncoder) EncodeInto(dst []float64, info *HandshakeInfo, sc *En
 				dst[ca.col] = float64(uint16(e.Data[0])<<8 | uint16(e.Data[1]))
 			}
 		}
+	}
+	for _, c := range ce.holes {
+		dst[c] = 0
 	}
 	return dst
 }

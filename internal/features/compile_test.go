@@ -82,7 +82,18 @@ func edgeInfos() []*HandshakeInfo {
 	}
 }
 
-func checkEqual(t *testing.T, enc *Encoder, ce *CompiledEncoder, info *HandshakeInfo, tag string) {
+// allLive marks every column of enc live, so Compile keeps every attribute.
+func allLive(enc *Encoder) []bool {
+	live := make([]bool, enc.Width())
+	for c := range live {
+		live[c] = true
+	}
+	return live
+}
+
+// checkEqual pins ce, compiled from enc with live, to Transform(Extract) on
+// every live column and to zero on every other.
+func checkEqual(t *testing.T, enc *Encoder, ce *CompiledEncoder, live []bool, info *HandshakeInfo, tag string) {
 	t.Helper()
 	want := enc.Transform(Extract(info))
 	got := ce.EncodeInto(nil, info, nil)
@@ -90,9 +101,12 @@ func checkEqual(t *testing.T, enc *Encoder, ce *CompiledEncoder, info *Handshake
 		t.Fatalf("%s: width %d vs %d", tag, len(got), len(want))
 	}
 	for i := range want {
+		if !live[i] {
+			want[i] = 0
+		}
 		if want[i] != got[i] {
-			t.Fatalf("%s: column %d (%s): compiled %v, reference %v",
-				tag, i, enc.Columns()[i].Name, got[i], want[i])
+			t.Fatalf("%s: column %d (%s, live %v): compiled %v, want %v",
+				tag, i, enc.Columns()[i].Name, live[i], got[i], want[i])
 		}
 	}
 }
@@ -116,7 +130,7 @@ func TestCompiledEncoderMatchesTransform(t *testing.T) {
 			samples = append(samples, Extract(info))
 		}
 		enc.Fit(samples)
-		ce, err := Compile(enc)
+		ce, err := Compile(enc, allLive(enc))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,7 +160,7 @@ func TestCompiledEncoderMatchesTransform(t *testing.T) {
 	} {
 		enc, ce := fit(tc.quic, tc.train, tc.subset)
 		for i, info := range tc.eval {
-			checkEqual(t, enc, ce, info, fmt.Sprintf("%s[%d]", tc.name, i))
+			checkEqual(t, enc, ce, allLive(enc), info, fmt.Sprintf("%s[%d]", tc.name, i))
 		}
 	}
 }
@@ -177,12 +191,56 @@ func TestCompiledEncoderSurvivesSerialization(t *testing.T) {
 	if !enc.EquivalentTo(restored) {
 		t.Fatal("round-tripped encoder not equivalent")
 	}
-	ce, err := Compile(restored)
+	ce, err := Compile(restored, allLive(restored))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, info := range eval {
-		checkEqual(t, enc, ce, info, fmt.Sprintf("roundtrip[%d]", i))
+		checkEqual(t, enc, ce, allLive(enc), info, fmt.Sprintf("roundtrip[%d]", i))
+	}
+}
+
+// TestCompileKeepsOnlyLiveColumns pins the pruned encoder where
+// FuzzEncodeMatchesExtract's live sets may not reach: with every second or
+// third position of each list attribute live (so dead columns sit before,
+// between and after live ones) every live column matches Transform(Extract)
+// and every other is zero; with nothing live the encoder reads nothing; and
+// a live set of the wrong width is refused.
+func TestCompileKeepsOnlyLiveColumns(t *testing.T) {
+	for _, quic := range []bool{false, true} {
+		tr := fingerprint.TCP
+		if quic {
+			tr = fingerprint.QUIC
+		}
+		enc := fitted(t, quic, Options{})
+		eval := append(genInfos(t, tr, 77), edgeInfos()...)
+		for _, every := range []int{2, 3} {
+			live := make([]bool, enc.Width())
+			for c, col := range enc.Columns() {
+				live[c] = enc.Attrs[col.Attr].Kind == List && col.Index%every == 1
+			}
+			ce, err := Compile(enc, live)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(ce.holes) == 0 {
+				t.Fatalf("quic=%v every %d: no dead column inside a kept list", quic, every)
+			}
+			for i, info := range eval {
+				checkEqual(t, enc, ce, live, info, fmt.Sprintf("quic=%v every %d flow %d", quic, every, i))
+			}
+		}
+		none, err := Compile(enc, make([]bool, enc.Width()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(none.attrs) != 0 || len(none.holes) != 0 || none.numExts != 0 || none.quicAttrs {
+			t.Errorf("quic=%v: nothing live, yet %d attributes, %d holes, %d extensions, QUIC parameters %v",
+				quic, len(none.attrs), len(none.holes), none.numExts, none.quicAttrs)
+		}
+		if _, err := Compile(enc, make([]bool, enc.Width()-1)); err == nil {
+			t.Errorf("quic=%v: a live set one column short compiled", quic)
+		}
 	}
 }
 
@@ -245,7 +303,7 @@ func TestEncodeIntoZeroAlloc(t *testing.T) {
 			samples = append(samples, Extract(info))
 		}
 		enc.Fit(samples)
-		ce, err := Compile(enc)
+		ce, err := Compile(enc, allLive(enc))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -318,7 +376,7 @@ func TestU16TablesMatchVocabularyExhaustively(t *testing.T) {
 					}
 				}
 			}
-			ce, err := Compile(enc)
+			ce, err := Compile(enc, allLive(enc))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -382,7 +440,11 @@ func TestFlatTable(t *testing.T) {
 			}
 		}
 	}
-	for _, id := range []int{0, -1, 1 << 31} {
+	ids := []int{0, -1}
+	if big := int64(1) << 31; int64(int(big)) == big { // only where int holds it
+		ids = append(ids, int(big))
+	}
+	for _, id := range ids {
 		if _, err := newFlatTable(map[uint16]int{7: id}); err == nil {
 			t.Errorf("id %d interned; want an error so Compile falls back", id)
 		}

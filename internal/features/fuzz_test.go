@@ -107,7 +107,10 @@ func fitEncoder(tb testing.TB, quic bool, infos []*features.HandshakeInfo) *feat
 // extractor on arbitrary hellos: for every message tlsproto.Parse accepts,
 // over both transports, EncodeInto equals Transform(Extract(...)) under an
 // encoder fitted on that hello alone (every token known) and one fitted on
-// the lab dataset (the hello's unseen tokens map to 0).
+// the lab dataset (the hello's unseen tokens map to 0), on every column of
+// the live set drawn from live (column c is live when bit c%64 is set), and
+// every other column is zero. Each seed hello runs once with every column
+// live and once with about half of them.
 func FuzzEncodeMatchesExtract(f *testing.F) {
 	lab, err := tracegen.New(32).LabDataset(0.02, fingerprint.Options{})
 	if err != nil {
@@ -125,20 +128,17 @@ func FuzzEncodeMatchesExtract(f *testing.F) {
 		}
 		labInfos[q] = append(labInfos[q], info)
 	}
-	var labEncoders [2]*features.CompiledEncoder
 	var labRefs [2]*features.Encoder
-	for q := range labEncoders {
+	for q := range labRefs {
 		labRefs[q] = fitEncoder(f, q == 1, labInfos[q])
-		if labEncoders[q], err = features.Compile(labRefs[q]); err != nil {
-			f.Fatal(err)
-		}
 	}
 	for i, msg := range fuzzSeeds(f) {
-		f.Add(msg, uint16(60+i), uint8(i))
+		f.Add(msg, uint16(60+i), uint8(i), ^uint64(0))
+		f.Add(msg, uint16(60+i), uint8(i), uint64(0x9e3779b97f4a7c15)<<(i%5))
 	}
 
 	var sc features.EncodeScratch
-	f.Fuzz(func(t *testing.T, msg []byte, size uint16, ttl uint8) {
+	f.Fuzz(func(t *testing.T, msg []byte, size uint16, ttl uint8, liveBits uint64) {
 		ch, err := tlsproto.Parse(msg)
 		if err != nil {
 			return
@@ -146,25 +146,31 @@ func FuzzEncodeMatchesExtract(f *testing.F) {
 		for q, quic := range []bool{false, true} {
 			info := fuzzInfo(ch, quic, size, ttl)
 			own := fitEncoder(t, quic, []*features.HandshakeInfo{info})
-			ownCompiled, err := features.Compile(own)
-			if err != nil {
-				t.Fatal(err)
-			}
 			v := features.Extract(info)
 			for _, enc := range []struct {
-				name     string
-				ref      *features.Encoder
-				compiled *features.CompiledEncoder
-			}{{"own", own, ownCompiled}, {"lab", labRefs[q], labEncoders[q]}} {
+				name string
+				ref  *features.Encoder
+			}{{"own", own}, {"lab", labRefs[q]}} {
+				live := make([]bool, enc.ref.Width())
+				for c := range live {
+					live[c] = liveBits>>(c%64)&1 != 0
+				}
+				compiled, err := features.Compile(enc.ref, live)
+				if err != nil {
+					t.Fatal(err)
+				}
 				want := enc.ref.Transform(v)
-				got := enc.compiled.EncodeInto(nil, info, &sc)
+				got := compiled.EncodeInto(nil, info, &sc)
 				if len(got) != len(want) {
 					t.Fatalf("quic=%v %s encoder: width %d, want %d", quic, enc.name, len(got), len(want))
 				}
 				for i := range want {
+					if !live[i] {
+						want[i] = 0
+					}
 					if got[i] != want[i] {
-						t.Fatalf("quic=%v %s encoder: column %s = %v, Transform(Extract) says %v",
-							quic, enc.name, enc.ref.Columns()[i].Name, got[i], want[i])
+						t.Fatalf("quic=%v %s encoder: column %s (live %v) = %v, want %v",
+							quic, enc.name, enc.ref.Columns()[i].Name, live[i], got[i], want[i])
 					}
 				}
 			}

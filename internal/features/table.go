@@ -29,9 +29,10 @@
 //     state allocation-free.
 //
 // The two renderers are independent implementations of each source kind and
-// element-identical by contract — EncodeInto(dst, info, sc) equals
-// Transform(ExtractWithOptions(info, opts)) — pinned by the golden-
-// equivalence tests here and at the bank level and by
+// element-identical by contract on the columns a CompiledEncoder was
+// compiled live for — there EncodeInto(dst, info, sc) equals
+// Transform(ExtractWithOptions(info, opts)), and every other column is zero
+// — pinned by the golden-equivalence tests here and at the bank level and by
 // FuzzEncodeMatchesExtract.
 //
 // Reuse rules: a CompiledEncoder is immutable and safe to share across

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // cnode is one compiled tree node: 16 bytes, so a root-to-leaf walk touches
@@ -17,8 +18,9 @@ import (
 // Leaves are self-loops: thresh is NaN (every `x <= NaN` is false) and right
 // is the leaf's own id, so a walk that reaches a leaf parks there harmlessly.
 // That lets a group of walks step together without testing each one for
-// leaf arrival — the test would be an unpredictable branch precisely where
-// walks diverge — and stop at the first step that moves none of them.
+// leaf arrival, and stop at the first step that moves none of them. A step
+// picks each lane's child arithmetically (see PredictBatchInto), so the only
+// branch a walk takes on its data is that one stop test per step.
 type cnode struct {
 	// feat is the split feature for internal nodes; 0 for leaves (a safe
 	// dummy load — the NaN compare discards it).
@@ -201,6 +203,19 @@ func (cf *CompiledForest) NumTrees() int { return cf.trees }
 // probability vector the compiled forest produces).
 func (cf *CompiledForest) NumClasses() int { return cf.classes }
 
+// SplitFeatures returns the features any split of the forest reads, in
+// ascending order: the only columns of a row its predictions depend on.
+func (cf *CompiledForest) SplitFeatures() []int {
+	var feats []int
+	for id, nd := range cf.nodes[:cf.realNodes] {
+		if nd.right != int32(id) { // a leaf's feat is a dummy
+			feats = append(feats, int(nd.feat))
+		}
+	}
+	slices.Sort(feats)
+	return slices.Compact(feats)
+}
+
 // NumNodes reports the total compiled node count across all trees
 // (excluding the power-of-two padding records; Bytes includes them).
 func (cf *CompiledForest) NumNodes() int { return cf.realNodes }
@@ -277,6 +292,13 @@ func (cf *CompiledForest) PredictBatchInto(rows []float64, stride int, out []flo
 	// overlap, while every chain reads the same L1-hot feature row. A lane
 	// that reaches its leaf parks on the leaf's self-loop, so the steps carry
 	// no per-lane leaf test, only one test per step that some lane moved.
+	//
+	// Each lane's child is a select, not an if: the mask -b2i(cmp) is all
+	// ones when the row goes left (c+1) and zero when it goes right. Written
+	// as an if, gc emits UCOMISD then a conditional jump per lane, which
+	// mispredicts wherever rows diverge; written this way it emits UCOMISD
+	// then SETCC (check with `go build -gcflags=-S ./internal/ml`), with the
+	// same comparison, so every child and so every prediction is unchanged.
 	mask := len(nodes) - 1 // power-of-two padding: masking proves bounds
 	var lane [8]int32
 	for r := 0; r < n; r++ {
@@ -292,45 +314,21 @@ func (cf *CompiledForest) PredictBatchInto(rows []float64, stride int, out []flo
 			c4, c5, c6, c7 := lane[4], lane[5], lane[6], lane[7]
 			for {
 				nd := &nodes[int(c0)&mask]
-				n0 := nd.right
-				if x[nd.feat] <= nd.thresh {
-					n0 = c0 + 1 // left child: next record in preorder
-				}
+				n0 := nd.right + (c0+1-nd.right)&-b2i(x[nd.feat] <= nd.thresh)
 				nd = &nodes[int(c1)&mask]
-				n1 := nd.right
-				if x[nd.feat] <= nd.thresh {
-					n1 = c1 + 1
-				}
+				n1 := nd.right + (c1+1-nd.right)&-b2i(x[nd.feat] <= nd.thresh)
 				nd = &nodes[int(c2)&mask]
-				n2 := nd.right
-				if x[nd.feat] <= nd.thresh {
-					n2 = c2 + 1
-				}
+				n2 := nd.right + (c2+1-nd.right)&-b2i(x[nd.feat] <= nd.thresh)
 				nd = &nodes[int(c3)&mask]
-				n3 := nd.right
-				if x[nd.feat] <= nd.thresh {
-					n3 = c3 + 1
-				}
+				n3 := nd.right + (c3+1-nd.right)&-b2i(x[nd.feat] <= nd.thresh)
 				nd = &nodes[int(c4)&mask]
-				n4 := nd.right
-				if x[nd.feat] <= nd.thresh {
-					n4 = c4 + 1
-				}
+				n4 := nd.right + (c4+1-nd.right)&-b2i(x[nd.feat] <= nd.thresh)
 				nd = &nodes[int(c5)&mask]
-				n5 := nd.right
-				if x[nd.feat] <= nd.thresh {
-					n5 = c5 + 1
-				}
+				n5 := nd.right + (c5+1-nd.right)&-b2i(x[nd.feat] <= nd.thresh)
 				nd = &nodes[int(c6)&mask]
-				n6 := nd.right
-				if x[nd.feat] <= nd.thresh {
-					n6 = c6 + 1
-				}
+				n6 := nd.right + (c6+1-nd.right)&-b2i(x[nd.feat] <= nd.thresh)
 				nd = &nodes[int(c7)&mask]
-				n7 := nd.right
-				if x[nd.feat] <= nd.thresh {
-					n7 = c7 + 1
-				}
+				n7 := nd.right + (c7+1-nd.right)&-b2i(x[nd.feat] <= nd.thresh)
 				moved := (n0 ^ c0) | (n1 ^ c1) | (n2 ^ c2) | (n3 ^ c3) | (n4 ^ c4) | (n5 ^ c5) | (n6 ^ c6) | (n7 ^ c7)
 				c0, c1, c2, c3, c4, c5, c6, c7 = n0, n1, n2, n3, n4, n5, n6, n7
 				if moved == 0 {
@@ -350,4 +348,12 @@ func (cf *CompiledForest) PredictBatchInto(rows []float64, stride int, out []flo
 		out[i] /= float64(cf.trees)
 	}
 	return out
+}
+
+// b2i is 1 for true and 0 for false; gc lowers it to a SETcc, not a jump.
+func b2i(b bool) int32 {
+	if b {
+		return 1
+	}
+	return 0
 }

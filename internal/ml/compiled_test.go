@@ -192,6 +192,68 @@ func TestCompileForestErrors(t *testing.T) {
 	}
 }
 
+// TestCompiledForestSplitFeatures pins SplitFeatures to the reference
+// trees' splits, and that a row's other columns cannot move a prediction:
+// zeroing every unread column leaves each probability vector bitwise equal.
+func TestCompiledForestSplitFeatures(t *testing.T) {
+	d := fixtureDataset(t)
+	for _, cfg := range []ForestConfig{
+		{NumTrees: 3, MaxDepth: 2, MaxFeatures: 2, Seed: 4},
+		{NumTrees: 11, MaxDepth: 7, Seed: 9},
+	} {
+		f := &RandomForest{Config: cfg}
+		f.Fit(d)
+		cf, err := CompileForest(f, d.NumFeatures())
+		if err != nil {
+			t.Fatal(err)
+		}
+		read := make([]bool, d.NumFeatures())
+		for _, tr := range f.trees {
+			for _, n := range tr.nodes {
+				if n.Left >= 0 {
+					read[n.Feature] = true
+				}
+			}
+		}
+		var want []int
+		for c, ok := range read {
+			if ok {
+				want = append(want, c)
+			}
+		}
+		if cfg.MaxDepth == 2 && len(want) == len(read) {
+			t.Fatalf("the shallow forest reads every column %v, so zeroing unread ones checks nothing", want)
+		}
+		if got := cf.SplitFeatures(); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("%d trees: SplitFeatures() = %v, reference splits read %v", cfg.NumTrees, got, want)
+		}
+		var p, pDead []float64
+		dead := make([]float64, d.NumFeatures())
+		for ri, row := range d.X {
+			for c := range dead {
+				if read[c] {
+					dead[c] = row[c]
+				}
+			}
+			p = cf.PredictProbaInto(row, p)
+			pDead = cf.PredictProbaInto(dead, pDead)
+			for k := range p {
+				if math.Float64bits(p[k]) != math.Float64bits(pDead[k]) {
+					t.Fatalf("%d trees, row %d: zeroing unread columns moved class %d from %v to %v", cfg.NumTrees, ri, k, p[k], pDead[k])
+				}
+			}
+		}
+	}
+	// A forest of lone leaves reads nothing.
+	one, err := NewDataset(d.X, make([]string, len(d.X)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, cf := fitCompiled(t, one, 9); len(cf.SplitFeatures()) != 0 {
+		t.Errorf("single-class forest reads %v, want nothing", cf.SplitFeatures())
+	}
+}
+
 // TestCompiledForestFootprint sanity-checks the ops-facing size accessors.
 func TestCompiledForestFootprint(t *testing.T) {
 	f, cf, _ := compiledFixture(t)

@@ -47,7 +47,9 @@ type Model struct {
 }
 
 // Compiled returns the model's serving-path compiled encoder, the one its
-// bank entry shares. Never nil for a model of a bank TrainBank or
+// bank entry shares. It encodes only the columns the entry's three forests
+// split on and leaves the rest zero, so its rows feed those forests, not a
+// reader of other columns. Never nil for a model of a bank TrainBank or
 // UnmarshalBinary returned.
 func (m *Model) Compiled() *features.CompiledEncoder { return m.compiled }
 
@@ -97,22 +99,29 @@ func (b *Bank) entry(prov fingerprint.Provider, tr fingerprint.Transport) *bankE
 	return b.entries[entryKey{prov, tr}]
 }
 
-// buildIndex lowers every entry into its compiled serving forms: the
-// entry's encoder once, pointed at by all three of its models, and each
-// model's forest — the last step of TrainBank and UnmarshalBinary, so a bank
-// that exists can be served: there is no uncompiled path to fall back to. It
+// buildIndex lowers every entry into its compiled serving forms: each
+// model's forest, then the entry's encoder once, pointed at by all three of
+// its models and live only in the columns some split of those three forests
+// reads — the last step of TrainBank and UnmarshalBinary, so a bank that
+// exists can be served: there is no uncompiled path to fall back to. It
 // fails, naming the entry or model, when an encoder or forest cannot compile.
 func (b *Bank) buildIndex() error {
 	for key, e := range b.entries {
 		var err error
-		if e.compiled, err = features.Compile(e.enc); err != nil {
-			return fmt.Errorf("pipeline: compiling %s/%s encoder: %w", key.Provider, key.Transport, err)
-		}
+		live := make([]bool, e.enc.Width())
 		for obj, m := range e.objectives() {
-			m.Encoder, m.compiled = e.enc, e.compiled
-			if m.cforest, err = ml.CompileForest(m.Forest, e.compiled.Width()); err != nil {
+			if m.cforest, err = ml.CompileForest(m.Forest, len(live)); err != nil {
 				return fmt.Errorf("pipeline: compiling %s/%s/%s: %w", key.Provider, key.Transport, Objective(obj), err)
 			}
+			for _, f := range m.cforest.SplitFeatures() {
+				live[f] = true
+			}
+		}
+		if e.compiled, err = features.Compile(e.enc, live); err != nil {
+			return fmt.Errorf("pipeline: compiling %s/%s encoder: %w", key.Provider, key.Transport, err)
+		}
+		for _, m := range e.objectives() {
+			m.Encoder, m.compiled = e.enc, e.compiled
 		}
 	}
 	return nil

@@ -3,7 +3,6 @@ package pipeline
 import (
 	"bytes"
 	"encoding/gob"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -46,8 +45,9 @@ func goldenEvalFlows(t testing.TB) []*tracegen.FlowTrace {
 
 // checkBankEquivalence pins, for every evaluation flow and every model in
 // the bank, that the compiled fast path is element-identical to
-// Encoder.Transform over extracted field values, and that ClassifyHandshake
-// reproduces Classify byte for byte.
+// Encoder.Transform over extracted field values on the live columns — every
+// column some split of the entry's three forests reads — and zero on every
+// dead one, and that ClassifyHandshake reproduces Classify byte for byte.
 func checkBankEquivalence(t *testing.T, bank *Bank, flows []*tracegen.FlowTrace, tag string) {
 	t.Helper()
 	var sc ClassifyScratch
@@ -57,23 +57,38 @@ func checkBankEquivalence(t *testing.T, bank *Bank, flows []*tracegen.FlowTrace,
 			t.Fatal(err)
 		}
 		v := features.Extract(info)
+		models := make([]*Model, 0, 3)
 		for _, obj := range []Objective{PlatformObjective, DeviceObjective, AgentObjective} {
 			m := bank.Model(ft.Provider, ft.Transport, obj)
 			if m == nil {
 				t.Fatalf("%s: no %s model for %s/%s", tag, obj, ft.Provider, ft.Transport)
 			}
+			models = append(models, m)
+		}
+		live := make([]bool, models[0].Encoder.Width())
+		for _, m := range models {
+			for _, f := range m.CompiledForest().SplitFeatures() {
+				live[f] = true
+			}
+		}
+		for obj, m := range models {
 			ce := m.Compiled()
 			if ce == nil {
-				t.Fatalf("%s: encoder for %s/%s/%s did not compile", tag, ft.Provider, ft.Transport, obj)
+				t.Fatalf("%s: encoder for %s/%s/%s did not compile", tag, ft.Provider, ft.Transport, Objective(obj))
 			}
 			want := m.Encoder.Transform(v)
 			got := ce.Encode(info)
-			if !reflect.DeepEqual(want, got) {
-				for i := range want {
-					if want[i] != got[i] {
-						t.Fatalf("%s: flow %d (%s/%s/%s) column %d (%s): compiled %v, reference %v",
-							tag, fi, ft.Provider, ft.Transport, obj, i, m.Encoder.Columns()[i].Name, got[i], want[i])
-					}
+			if len(got) != len(want) {
+				t.Fatalf("%s: flow %d (%s/%s/%s): compiled width %d, reference %d",
+					tag, fi, ft.Provider, ft.Transport, Objective(obj), len(got), len(want))
+			}
+			for i := range want {
+				if !live[i] {
+					want[i] = 0 // no split reads it: the compiled encoder leaves it zero
+				}
+				if want[i] != got[i] {
+					t.Fatalf("%s: flow %d (%s/%s/%s) column %d (%s, live %v): compiled %v, want %v",
+						tag, fi, ft.Provider, ft.Transport, Objective(obj), i, m.Encoder.Columns()[i].Name, live[i], got[i], want[i])
 				}
 			}
 		}
@@ -255,7 +270,10 @@ func goldenInfoByBranch(tb testing.TB, bank *Bank, tr fingerprint.Transport, com
 // and over, on each branch of the §4.1 cascade: composite walks the platform
 // forest only, fallback walks all three. mixed classifies one flow per bank
 // entry in turn, the way a shard meets them, so each classification starts
-// on another entry's encoder and forests.
+// on another entry's encoder and forests. distinct classifies every golden
+// evaluation flow that has a bank entry in turn: mixed repeats a handful of
+// rows, so the branch predictor learns their paths through the trees, and
+// distinct rows show what a walk costs where it cannot.
 func BenchmarkClassifyHandshake(b *testing.B) {
 	bank := goldenBank(b)
 	for _, branch := range []struct {
@@ -276,45 +294,52 @@ func BenchmarkClassifyHandshake(b *testing.B) {
 			}
 		})
 	}
-	var mixed []*tracegen.FlowTrace
+	var distinct, mixed []*tracegen.FlowTrace
+	var infos, mixedInfos []*features.HandshakeInfo
 	seen := map[entryKey]bool{}
 	for _, ft := range goldenEvalFlows(b) {
 		key := entryKey{ft.Provider, ft.Transport}
-		if bank.entry(key.Provider, key.Transport) != nil && !seen[key] {
+		if bank.entry(key.Provider, key.Transport) == nil {
+			continue
+		}
+		info, err := ExtractTrace(ft)
+		if err != nil {
+			b.Fatal(err)
+		}
+		distinct, infos = append(distinct, ft), append(infos, info)
+		if !seen[key] {
 			seen[key] = true
-			mixed = append(mixed, ft)
+			mixed, mixedInfos = append(mixed, ft), append(mixedInfos, info)
 		}
 	}
 	if len(mixed) != len(bank.entries) {
 		b.Fatalf("golden flows cover %d of the bank's %d entries", len(mixed), len(bank.entries))
 	}
-	infos := make([]*features.HandshakeInfo, len(mixed))
-	for i, ft := range mixed {
-		info, err := ExtractTrace(ft)
-		if err != nil {
-			b.Fatal(err)
-		}
-		infos[i] = info
+	for _, c := range []struct {
+		name  string
+		flows []*tracegen.FlowTrace
+		infos []*features.HandshakeInfo
+	}{{"mixed", mixed, mixedInfos}, {"distinct", distinct, infos}} {
+		b.Run(c.name, func(b *testing.B) {
+			var sc ClassifyScratch
+			classify := func(i int) {
+				if _, err := bank.ClassifyHandshake(c.flows[i].Provider, c.flows[i].Transport, c.infos[i], &sc); err != nil {
+					b.Fatal(err)
+				}
+			}
+			for i := range c.flows {
+				classify(i)
+			}
+			b.ReportAllocs()
+			i := 0
+			for b.Loop() {
+				classify(i)
+				if i++; i == len(c.flows) {
+					i = 0
+				}
+			}
+		})
 	}
-	b.Run("mixed", func(b *testing.B) {
-		var sc ClassifyScratch
-		classify := func(i int) {
-			if _, err := bank.ClassifyHandshake(mixed[i].Provider, mixed[i].Transport, infos[i], &sc); err != nil {
-				b.Fatal(err)
-			}
-		}
-		for i := range mixed {
-			classify(i)
-		}
-		b.ReportAllocs()
-		i := 0
-		for b.Loop() {
-			classify(i)
-			if i++; i == len(mixed) {
-				i = 0
-			}
-		}
-	})
 }
 
 // TestBankReloadRebuildsServingIndex pins that UnmarshalBinary into a Bank
