@@ -3,6 +3,7 @@ package pipeline
 import (
 	"bytes"
 	"encoding/gob"
+	"os"
 	"runtime"
 	"strings"
 	"testing"
@@ -484,6 +485,35 @@ func TestBankBlobDeterministic(t *testing.T) {
 	}
 	if !bytes.Equal(marshal(&restored), blob) {
 		t.Fatal("a restored bank marshals to different bytes")
+	}
+}
+
+// fixtureBank is the configuration testdata/bank.gob was trained with, on
+// the lab dataset of seed 3 at scale 0.02, by a format-2 build.
+var fixtureBank = ml.ForestConfig{NumTrees: 2, MaxDepth: 4, MaxFeatures: 34, Seed: 3}
+
+// TestBankBlobFixture pins the bank format across builds: the fixture loads,
+// marshals back to its own bytes, and a bank trained today from the same
+// data and seed marshals to the same bytes. Never regenerate the fixture: a
+// build that fails this writes blobs that older builds read differently.
+func TestBankBlobFixture(t *testing.T) {
+	blob, err := os.ReadFile("testdata/bank.gob")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b Bank
+	if err := b.UnmarshalBinary(blob); err != nil {
+		t.Fatal(err)
+	}
+	if again, err := b.MarshalBinary(); err != nil || !bytes.Equal(again, blob) {
+		t.Errorf("the fixture does not marshal back to its own bytes (err %v)", err)
+	}
+	trained, err := TrainBank(mustLab(t, 3, 0.02), TrainConfig{Forest: fixtureBank})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tb, err := trained.MarshalBinary(); err != nil || !bytes.Equal(tb, blob) {
+		t.Errorf("a bank trained from the fixture's data and seed marshals to other bytes (err %v)", err)
 	}
 }
 
