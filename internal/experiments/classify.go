@@ -237,9 +237,7 @@ func AlgoComparison(c *Context) (*Report, error) {
 		{"MLP", func() ml.Classifier {
 			return &ml.MLP{Config: ml.MLPConfig{Hidden: []int{64, 32}, Epochs: 40, Seed: c.Seed}}
 		}, 0.651},
-		{"KNN", func() ml.Classifier {
-			return &ml.KNN{Config: ml.KNNConfig{K: 5, DistanceWeight: true}}
-		}, 0.691},
+		{"KNN", func() ml.Classifier { return &ml.KNN{} }, 0.691},
 	}
 	for _, a := range algos {
 		res := ml.CrossValidate(a.factory, d, c.Folds, c.Seed)

@@ -93,14 +93,24 @@ func Table4(c *Context) (*Report, error) {
 		return nil, err
 	}
 	r := &Report{ID: "Table 4", Title: "Median confidence of correct vs incorrect open-set predictions"}
-	r.Printf("%-12s %-16s %14s %14s", "provider", "objective", "med(correct)", "med(incorrect)")
+	r.Printf("%-12s %-16s %18s %18s", "provider", "objective", "med(correct) (n)", "med(incorrect) (n)")
 	for _, e := range evals {
 		cc, ic := e.result.MedianConfidence()
-		r.Printf("%-12s %-16s %13.1f%% %13.1f%%", e.scenario.Name(), e.objective, cc*100, ic*100)
+		r.Printf("%-12s %-16s %18s %18s", e.scenario.Name(), e.objective,
+			medianCell(cc, len(e.result.CorrectConf)), medianCell(ic, len(e.result.IncorrectConf)))
 		key := fmt.Sprintf("%s/%s", e.scenario.Name(), e.objective)
 		r.Metric(key+"/correct", cc)
 		r.Metric(key+"/incorrect", ic)
 	}
 	r.Printf("expected shape: correct ≫ incorrect everywhere (paper: >88%% vs <70%%)")
 	return r, nil
+}
+
+// medianCell prints a median confidence over n predictions, and "—" for a
+// side with none.
+func medianCell(median float64, n int) string {
+	if n == 0 {
+		return "— (0)"
+	}
+	return fmt.Sprintf("%.1f%% (%d)", median*100, n)
 }

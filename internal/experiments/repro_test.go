@@ -119,3 +119,18 @@ func TestTable6ColumnsAligned(t *testing.T) {
 		t.Errorf("%d rows under the header, want a row and a paper row for Ours and each baseline", rows)
 	}
 }
+
+// TestReproPrintsNoNaN reads the checked-in evaluation and requires that no
+// line prints NaN: a median or mean over no predictions is shown as what it
+// is, an empty side, not as a number.
+func TestReproPrintsNoNaN(t *testing.T) {
+	text, err := os.ReadFile(reproPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, line := range strings.Split(string(text), "\n") {
+		if strings.Contains(line, "NaN") {
+			t.Errorf("%s line %d prints NaN: %q", reproPath, i+1, line)
+		}
+	}
+}

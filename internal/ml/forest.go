@@ -10,11 +10,10 @@ import (
 // ForestConfig are the random-forest hyperparameters of §4.3.1: number of
 // trees, maximum depth and the number of candidate attributes per split.
 type ForestConfig struct {
-	NumTrees       int
-	MaxDepth       int
-	MaxFeatures    int // 0 = sqrt(total features)
-	MinSamplesLeaf int
-	Seed           uint64
+	NumTrees    int
+	MaxDepth    int
+	MaxFeatures int // 0 = sqrt(total features)
+	Seed        uint64
 }
 
 // RandomForest is a bagged ensemble of CART trees; PredictProba averages the
@@ -81,12 +80,7 @@ func (cfg ForestConfig) member(ti, maxFeat, n int) (TreeConfig, []int) {
 	for i := range rows {
 		rows[i] = rng.IntN(n)
 	}
-	return TreeConfig{
-		MaxDepth:       cfg.MaxDepth,
-		MinSamplesLeaf: cfg.MinSamplesLeaf,
-		MaxFeatures:    maxFeat,
-		Seed:           cfg.Seed ^ uint64(ti),
-	}, rows
+	return TreeConfig{MaxDepth: cfg.MaxDepth, MaxFeatures: maxFeat, Seed: cfg.Seed ^ uint64(ti)}, rows
 }
 
 // PredictProba averages member probabilities.

@@ -5,19 +5,14 @@ import (
 	"sort"
 )
 
-// KNNConfig are the neighbour-classifier hyperparameters of §4.3.1.
-type KNNConfig struct {
-	K int // number of neighbours, default 5
-	// DistanceWeight weights votes by inverse distance instead of uniformly.
-	DistanceWeight bool
-}
+// neighbours is the K of §4.3.1's neighbour classifier.
+const neighbours = 5
 
 // KNN is a k-nearest-neighbours classifier with per-feature standardization
 // (z-scores), which Euclidean distance requires on mixed-scale handshake
-// attributes.
+// attributes. Its neighbours vote with weights inversely proportional to
+// their distance.
 type KNN struct {
-	Config KNNConfig
-
 	x       [][]float64
 	y       []int
 	classes int
@@ -66,15 +61,9 @@ func (k *KNN) standardize(row []float64) []float64 {
 	return out
 }
 
-// PredictProba votes among the k nearest training samples.
+// PredictProba votes among the nearest training samples.
 func (k *KNN) PredictProba(x []float64) []float64 {
-	kk := k.Config.K
-	if kk <= 0 {
-		kk = 5
-	}
-	if kk > len(k.x) {
-		kk = len(k.x)
-	}
+	kk := min(neighbours, len(k.x))
 	q := k.standardize(x)
 	type nb struct {
 		dist float64
@@ -94,10 +83,7 @@ func (k *KNN) PredictProba(x []float64) []float64 {
 	proba := make([]float64, k.classes)
 	var total float64
 	for i := 0; i < kk; i++ {
-		w := 1.0
-		if k.Config.DistanceWeight {
-			w = 1.0 / (math.Sqrt(nbs[i].dist) + 1e-9)
-		}
+		w := 1.0 / (math.Sqrt(nbs[i].dist) + 1e-9)
 		proba[nbs[i].y] += w
 		total += w
 	}

@@ -163,7 +163,7 @@ func TestForestDeterministicWithSeed(t *testing.T) {
 func TestKNNLearnsBlobs(t *testing.T) {
 	train := synthBlobs(300, 9, 1.0)
 	test := synthBlobs(150, 10, 1.0)
-	k := &KNN{Config: KNNConfig{K: 5, DistanceWeight: true}}
+	k := &KNN{}
 	k.Fit(train)
 	res := EvaluateTransfer(k, train.Classes, test)
 	if res.Accuracy < 0.95 {
@@ -173,7 +173,7 @@ func TestKNNLearnsBlobs(t *testing.T) {
 
 func TestKNNKLargerThanTrainingSet(t *testing.T) {
 	d, _ := NewDataset([][]float64{{0}, {1}}, []string{"a", "b"})
-	k := &KNN{Config: KNNConfig{K: 10}}
+	k := &KNN{} // fewer rows than neighbours
 	k.Fit(d)
 	p := k.PredictProba([]float64{0.1})
 	if len(p) != 2 {
@@ -196,7 +196,7 @@ func TestMLPLearnsBlobs(t *testing.T) {
 // layers' ReLU lets the network fit it.
 func TestMLPActivations(t *testing.T) {
 	train := xorDataset(500, 13)
-	m := &MLP{Config: MLPConfig{Hidden: []int{16, 8}, Epochs: 150, LearningRate: 0.05, Seed: 4}}
+	m := &MLP{Config: MLPConfig{Hidden: []int{16, 8}, Epochs: 150, Seed: 4}}
 	m.Fit(train)
 	if res := Evaluate(m, train); res.Accuracy < 0.85 {
 		t.Errorf("XOR train accuracy = %.3f", res.Accuracy)

@@ -5,16 +5,20 @@ import (
 	"math/rand/v2"
 )
 
-// MLPConfig are the neural-network hyperparameters of §4.3.1: hidden layout
-// plus the usual SGD knobs. The hidden layers are ReLU, the activation
-// §4.3.1's comparison runs.
+// MLPConfig are the neural-network hyperparameters of §4.3.1: hidden layout,
+// epochs and seed. The hidden layers are ReLU, the activation §4.3.1's
+// comparison runs.
 type MLPConfig struct {
-	Hidden       []int   // perceptrons per hidden layer
-	LearningRate float64 // default 0.01
-	Epochs       int     // default 60
-	BatchSize    int     // default 32
-	Seed         uint64
+	Hidden []int // perceptrons per hidden layer
+	Epochs int   // default 60
+	Seed   uint64
 }
+
+// The SGD step: learning rate and mini-batch size.
+const (
+	learningRate = 0.01
+	batchSize    = 32
+)
 
 // MLP is a feed-forward network with a softmax head trained by mini-batch
 // SGD with momentum, standardizing inputs like the KNN.
@@ -46,14 +50,8 @@ func reluDeriv(activated float64) float64 {
 // Fit trains the network.
 func (m *MLP) Fit(d *Dataset) {
 	cfg := m.Config
-	if cfg.LearningRate == 0 {
-		cfg.LearningRate = 0.01
-	}
 	if cfg.Epochs == 0 {
 		cfg.Epochs = 60
-	}
-	if cfg.BatchSize == 0 {
-		cfg.BatchSize = 32
 	}
 	if len(cfg.Hidden) == 0 {
 		cfg.Hidden = []int{64}
@@ -89,8 +87,8 @@ func (m *MLP) Fit(d *Dataset) {
 
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-		for start := 0; start < len(order); start += cfg.BatchSize {
-			end := start + cfg.BatchSize
+		for start := 0; start < len(order); start += batchSize {
+			end := start + batchSize
 			if end > len(order) {
 				end = len(order)
 			}
@@ -99,7 +97,7 @@ func (m *MLP) Fit(d *Dataset) {
 			for _, r := range order[start:end] {
 				m.backprop(m.standardize(d.X[r]), d.Y[r], gradW, gradB)
 			}
-			lr := cfg.LearningRate / float64(end-start)
+			lr := learningRate / float64(end-start)
 			for l := range m.weights {
 				for o := range m.weights[l] {
 					for i := range m.weights[l][o] {

@@ -5,25 +5,33 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+
+	"videoplat/internal/ml/mlwire"
 )
 
 // flatTree and flatForest are the saved forest: each tree's preorder nodes
-// as the tree holds them. The type names are part of the format.
+// as the tree holds them. The type names are part of the format, and so are
+// the configs' (see mlwire), which are copied here and nowhere else.
 type flatTree struct {
-	Config TreeConfig
+	Config mlwire.TreeConfig
 	Nodes  []flatNode
 }
 
 type flatForest struct {
-	Config ForestConfig
+	Config mlwire.ForestConfig
 	Trees  []flatTree
 }
 
 // MarshalBinary serializes the trained forest with encoding/gob.
 func (f *RandomForest) MarshalBinary() ([]byte, error) {
-	ff := flatForest{Config: f.Config}
+	c := f.Config
+	ff := flatForest{Config: mlwire.ForestConfig{NumTrees: c.NumTrees, MaxDepth: c.MaxDepth, MaxFeatures: c.MaxFeatures, Seed: c.Seed}}
 	for _, t := range f.trees {
-		ff.Trees = append(ff.Trees, flatTree{Config: t.Config, Nodes: t.nodes})
+		tc := t.Config
+		ff.Trees = append(ff.Trees, flatTree{
+			Config: mlwire.TreeConfig{MaxDepth: tc.MaxDepth, MaxFeatures: tc.MaxFeatures, Seed: tc.Seed},
+			Nodes:  t.nodes,
+		})
 	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(ff); err != nil {
@@ -47,10 +55,13 @@ func (f *RandomForest) UnmarshalBinary(data []byte) error {
 		if err != nil {
 			return fmt.Errorf("ml: tree %d: %w", i, err)
 		}
-		trees[i] = &DecisionTree{Config: ft.Config, nodes: ft.Nodes, classes: width}
+		tc := TreeConfig{MaxDepth: ft.Config.MaxDepth, MaxFeatures: ft.Config.MaxFeatures, Seed: ft.Config.Seed}
+		trees[i] = &DecisionTree{Config: tc, nodes: ft.Nodes, classes: width}
 		classes = max(classes, width)
 	}
-	f.Config, f.trees, f.classes = ff.Config, trees, classes
+	c := ff.Config
+	f.Config = ForestConfig{NumTrees: c.NumTrees, MaxDepth: c.MaxDepth, MaxFeatures: c.MaxFeatures, Seed: c.Seed}
+	f.trees, f.classes = trees, classes
 	return nil
 }
 

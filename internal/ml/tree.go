@@ -9,8 +9,7 @@ import (
 
 // TreeConfig are the CART hyperparameters tuned in Fig 6(a).
 type TreeConfig struct {
-	MaxDepth       int // 0 = unlimited
-	MinSamplesLeaf int // default 1
+	MaxDepth int // 0 = unlimited
 	// MaxFeatures is the number of candidate features per split; 0 means
 	// all features (plain decision tree), sqrt is typical for forests.
 	MaxFeatures int
@@ -127,7 +126,6 @@ func (t *DecisionTree) fit(d *Dataset, cols *columns, rows []int) {
 	g := &grower{
 		t: t, d: d, cols: cols,
 		rng:     rand.New(rand.NewPCG(t.Config.Seed, 0x5bf0_3635)),
-		minLeaf: max(t.Config.MinSamplesLeaf, 1),
 		counts:  make([]int, t.classes),
 		left:    make([]int, t.classes),
 		right:   make([]int, t.classes),
@@ -144,11 +142,10 @@ func (t *DecisionTree) fit(d *Dataset, cols *columns, rows []int) {
 // grower is one fit's state. Its scratch is sized once and reused at every
 // node; perRank and hist are all zero between candidate features.
 type grower struct {
-	t       *DecisionTree
-	d       *Dataset
-	cols    *columns
-	rng     *rand.Rand
-	minLeaf int
+	t    *DecisionTree
+	d    *Dataset
+	cols *columns
+	rng  *rand.Rand
 
 	counts      []int   // the node's rows per class
 	ys          []int   // ys[i]: the class of the node's i-th row
@@ -160,7 +157,7 @@ type grower struct {
 }
 
 // grow appends the subtree fitted on rows in preorder. It partitions rows in
-// place, left side first.
+// place, left side first; a split leaves at least one row on either side.
 func (g *grower) grow(rows []int, depth int) {
 	t := g.t
 	clear(g.counts)
@@ -175,7 +172,7 @@ func (g *grower) grow(rows []int, depth int) {
 			pure = true
 		}
 	}
-	if pure || len(rows) < 2*g.minLeaf || (t.Config.MaxDepth > 0 && depth >= t.Config.MaxDepth) {
+	if pure || len(rows) < 2 || (t.Config.MaxDepth > 0 && depth >= t.Config.MaxDepth) {
 		t.leaf(g.counts, len(rows))
 		return
 	}
@@ -192,7 +189,7 @@ func (g *grower) grow(rows []int, depth int) {
 			nLeft++
 		}
 	}
-	if nLeft < g.minLeaf || len(rows)-nLeft < g.minLeaf {
+	if nLeft == 0 || nLeft == len(rows) { // the midpoint rounded or overflowed past one value
 		t.leaf(g.counts, len(rows))
 		return
 	}
@@ -262,9 +259,6 @@ func (g *grower) bestSplit(rows []int) (int, float64, bool) {
 					g.right[c] -= m
 				}
 				nLeft += g.perRank[k]
-				if nLeft < g.minLeaf || n-nLeft < g.minLeaf {
-					continue
-				}
 				gini := (float64(nLeft)*giniOf(g.left, nLeft) +
 					(total-float64(nLeft))*giniOf(g.right, n-nLeft)) / total
 				if gini < bestGini-1e-12 {

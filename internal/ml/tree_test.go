@@ -16,11 +16,11 @@ import (
 func referenceFit(cfg TreeConfig, d *Dataset, rows []int) []flatNode {
 	t := &DecisionTree{Config: cfg, classes: len(d.Classes)}
 	rng := rand.New(rand.NewPCG(cfg.Seed, 0x5bf0_3635))
-	referenceGrow(t, d, rows, 0, rng, max(cfg.MinSamplesLeaf, 1))
+	referenceGrow(t, d, rows, 0, rng)
 	return t.nodes
 }
 
-func referenceGrow(t *DecisionTree, d *Dataset, rows []int, depth int, rng *rand.Rand, minLeaf int) {
+func referenceGrow(t *DecisionTree, d *Dataset, rows []int, depth int, rng *rand.Rand) {
 	counts := make([]int, t.classes)
 	for _, r := range rows {
 		counts[d.Y[r]]++
@@ -31,11 +31,11 @@ func referenceGrow(t *DecisionTree, d *Dataset, rows []int, depth int, rng *rand
 			pure = true
 		}
 	}
-	if pure || len(rows) < 2*minLeaf || (t.Config.MaxDepth > 0 && depth >= t.Config.MaxDepth) {
+	if pure || len(rows) < 2 || (t.Config.MaxDepth > 0 && depth >= t.Config.MaxDepth) {
 		t.leaf(counts, len(rows))
 		return
 	}
-	feat, thresh, ok := referenceBestSplit(t, d, rows, rng, minLeaf, counts)
+	feat, thresh, ok := referenceBestSplit(t, d, rows, rng, counts)
 	if !ok {
 		t.leaf(counts, len(rows))
 		return
@@ -48,18 +48,18 @@ func referenceGrow(t *DecisionTree, d *Dataset, rows []int, depth int, rng *rand
 			right = append(right, r)
 		}
 	}
-	if len(left) < minLeaf || len(right) < minLeaf {
+	if len(left) == 0 || len(right) == 0 {
 		t.leaf(counts, len(rows))
 		return
 	}
 	id := len(t.nodes)
 	t.nodes = append(t.nodes, flatNode{Feature: feat, Threshold: thresh, Left: id + 1})
-	referenceGrow(t, d, left, depth+1, rng, minLeaf)
+	referenceGrow(t, d, left, depth+1, rng)
 	t.nodes[id].Right = len(t.nodes)
-	referenceGrow(t, d, right, depth+1, rng, minLeaf)
+	referenceGrow(t, d, right, depth+1, rng)
 }
 
-func referenceBestSplit(t *DecisionTree, d *Dataset, rows []int, rng *rand.Rand, minLeaf int, parentCounts []int) (int, float64, bool) {
+func referenceBestSplit(t *DecisionTree, d *Dataset, rows []int, rng *rand.Rand, parentCounts []int) (int, float64, bool) {
 	nFeat := d.NumFeatures()
 	candidates := make([]int, nFeat)
 	for i := range candidates {
@@ -97,9 +97,6 @@ func referenceBestSplit(t *DecisionTree, d *Dataset, rows []int, rng *rand.Rand,
 			nLeft++
 			if pairs[i].v == pairs[i+1].v {
 				continue // can only split between distinct values
-			}
-			if nLeft < minLeaf || len(rows)-nLeft < minLeaf {
-				continue
 			}
 			g := (float64(nLeft)*giniOf(leftCounts, nLeft) +
 				(total-float64(nLeft))*giniOf(rightCounts, len(rows)-nLeft)) / total
@@ -156,7 +153,8 @@ func fuzzDataset(data []byte) (*Dataset, TreeConfig) {
 	nFeat := 1 + int(b.next()%6)
 	n := 2 + int(b.next()%47)
 	classes := 1 + int(b.next()%4)
-	cfg := TreeConfig{MinSamplesLeaf: 1 + int(b.next()%3), MaxDepth: int(b.next() % 8), Seed: uint64(b.next())}
+	b.next() // the leaf floor, a setting no more: seed inputs still decode to the same datasets
+	cfg := TreeConfig{MaxDepth: int(b.next() % 8), Seed: uint64(b.next())}
 	if k := int(b.next() % 8); k <= nFeat {
 		cfg.MaxFeatures = k // 0 is every feature
 	}
@@ -211,7 +209,7 @@ func FuzzFitMatchesReference(f *testing.F) {
 		tree.Fit(d)
 		sameNodes(t, "tree", tree.nodes, referenceFit(cfg, d, rows))
 
-		forest := &RandomForest{Config: ForestConfig{NumTrees: 3, MaxDepth: cfg.MaxDepth, MaxFeatures: cfg.MaxFeatures, MinSamplesLeaf: cfg.MinSamplesLeaf, Seed: cfg.Seed}}
+		forest := &RandomForest{Config: ForestConfig{NumTrees: 3, MaxDepth: cfg.MaxDepth, MaxFeatures: cfg.MaxFeatures, Seed: cfg.Seed}}
 		forest.Fit(d)
 		for ti, member := range forest.trees {
 			tc, rows := forest.Config.member(ti, member.Config.MaxFeatures, d.Len())
@@ -232,7 +230,7 @@ func TestFitMatchesReferenceOnBlobs(t *testing.T) {
 	for i := range rows {
 		rows[i] = i
 	}
-	for _, cfg := range []TreeConfig{{}, {MaxDepth: 6, MinSamplesLeaf: 3, MaxFeatures: 1, Seed: 4}} {
+	for _, cfg := range []TreeConfig{{}, {MaxDepth: 6, MaxFeatures: 1, Seed: 4}} {
 		tree := &DecisionTree{Config: cfg}
 		tree.Fit(d)
 		sameNodes(t, "blobs", tree.nodes, referenceFit(cfg, d, rows))

@@ -11,6 +11,7 @@ import (
 	"videoplat/internal/features"
 	"videoplat/internal/fingerprint"
 	"videoplat/internal/ml"
+	"videoplat/internal/ml/mlwire"
 )
 
 type modelDTO struct {
@@ -31,10 +32,12 @@ type modelDTO struct {
 // empty, so it must refuse them.
 const bankFormat = 2
 
+// bankDTO is the saved bank. Its Config is the wire copy of Bank.Config
+// (see mlwire), so the in-memory config can change without changing a blob.
 type bankDTO struct {
 	Format  uint32
 	Version string
-	Config  ml.ForestConfig
+	Config  mlwire.ForestConfig
 	Models  []modelDTO
 }
 
@@ -46,7 +49,9 @@ type bankDTO struct {
 // (provider, transport, objective) order, so the same bank always gives the
 // same bytes.
 func (b *Bank) MarshalBinary() ([]byte, error) {
-	dto := bankDTO{Format: bankFormat, Version: b.Version, Config: b.Config}
+	c := b.Config
+	dto := bankDTO{Format: bankFormat, Version: b.Version, Config: mlwire.ForestConfig{
+		NumTrees: c.NumTrees, MaxDepth: c.MaxDepth, MaxFeatures: c.MaxFeatures, Seed: c.Seed}}
 	keys := slices.SortedFunc(maps.Keys(b.entries), func(x, y entryKey) int {
 		return cmp.Or(cmp.Compare(x.Provider, y.Provider), cmp.Compare(x.Transport, y.Transport))
 	})
@@ -119,7 +124,9 @@ func (b *Bank) UnmarshalBinary(data []byte) error {
 		}
 		decoded[key][obj] = &Model{Encoder: enc, Forest: forest, Classes: md.Classes}
 	}
-	nb := Bank{Version: dto.Version, Config: dto.Config, entries: map[entryKey]*bankEntry{}}
+	c := dto.Config
+	nb := Bank{Version: dto.Version, entries: map[entryKey]*bankEntry{}, Config: ml.ForestConfig{
+		NumTrees: c.NumTrees, MaxDepth: c.MaxDepth, MaxFeatures: c.MaxFeatures, Seed: c.Seed}}
 	for key, ms := range decoded {
 		for obj, m := range ms {
 			if m == nil {

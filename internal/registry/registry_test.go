@@ -350,7 +350,9 @@ func TestKeepPrunesOldRetiredVersions(t *testing.T) {
 // and the new one's as active, but HISTORY not yet appended. HISTORY is the
 // one record of which version serves, so New must serve its last entry and
 // ignore the stored states: the version that never served is a candidate,
-// across reopens and a later promotion, and pruning keeps it.
+// across reopens and a later promotion, and pruning keeps it. The older
+// build also wrote a forest setting this one lacks, "MinSamplesLeaf", and
+// its manifests still load with the rest of their forest config.
 func TestNewReconcilesManifestsWithHistory(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains banks")
@@ -375,11 +377,12 @@ func TestNewReconcilesManifestsWithHistory(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var m Manifest
+		var m map[string]any
 		if err := json.Unmarshal(blob, &m); err != nil {
 			t.Fatal(err)
 		}
-		m.State = state
+		m["state"] = state
+		m["forest"].(map[string]any)["MinSamplesLeaf"] = 0
 		if blob, err = json.Marshal(m); err != nil {
 			t.Fatal(err)
 		}
@@ -407,6 +410,11 @@ func TestNewReconcilesManifestsWithHistory(t *testing.T) {
 	want := map[string]string{"v0001": StateActive, "v0002": StateCandidate}
 	if got := states(reg); fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("after reopen: states %v, want %v", got, want)
+	}
+	for _, m := range reg.List() {
+		if want := (ml.ForestConfig{NumTrees: 3, MaxDepth: 5, MaxFeatures: 10, Seed: m.Seed}); m.Forest != want {
+			t.Errorf("%s: forest %+v after reopen, want %+v", m.ID, m.Forest, want)
+		}
 	}
 	// The derived states hold across a reopen.
 	reopened, err := New(Config{Dir: dir})
