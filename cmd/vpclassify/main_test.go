@@ -56,7 +56,7 @@ func TestEveryFlowPrintedOnce(t *testing.T) {
 	netflix := flow("windows_firefox", fingerprint.Netflix, fingerprint.TCP, fingerprint.Options{})
 
 	var capture, out bytes.Buffer
-	if err := tracegen.WritePCAP(&capture, []*tracegen.FlowTrace{plain, zeroRTT, cut, netflix}); err != nil {
+	if _, err := tracegen.Replay([]*tracegen.FlowTrace{plain, zeroRTT, cut, netflix}).WritePCAP(&capture); err != nil {
 		t.Fatal(err)
 	}
 	if err := classify(bytes.NewReader(capture.Bytes()), bank, &out); err != nil {

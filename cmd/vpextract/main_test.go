@@ -34,7 +34,7 @@ func sessionTraces(t *testing.T) []*tracegen.FlowTrace {
 func rows(t *testing.T, name string, traces []*tracegen.FlowTrace) [][]string {
 	t.Helper()
 	var capture, out bytes.Buffer
-	if err := tracegen.WritePCAP(&capture, traces); err != nil {
+	if _, err := tracegen.Replay(traces).WritePCAP(&capture); err != nil {
 		t.Fatal(err)
 	}
 	if err := extract(bytes.NewReader(capture.Bytes()), &out); err != nil {

@@ -10,7 +10,7 @@ import (
 )
 
 // renderAdversarial renders one flow with the given scenario options.
-func renderAdversarial(t *testing.T, seed uint64, label string, prov fingerprint.Provider, tr fingerprint.Transport, opts fingerprint.Options) *tracegen.FlowTrace {
+func renderAdversarial(t testing.TB, seed uint64, label string, prov fingerprint.Provider, tr fingerprint.Transport, opts fingerprint.Options) *tracegen.FlowTrace {
 	t.Helper()
 	ft, err := tracegen.New(seed).Flow(label, prov, tr, tracegen.FlowSpec{Options: opts, PayloadFrames: 2})
 	if err != nil {

@@ -17,42 +17,6 @@ import (
 	"videoplat/internal/tracegen"
 )
 
-// tcpFlowFrames builds handcrafted frames for one TCP flow. Client frames
-// originate from src:50000 -> dst:443; server frames are the reverse.
-// Client frames carry real sequence numbers, in the order they are built.
-type tcpFlowFrames struct {
-	src, dst netip.Addr
-	seq      uint32 // the client's next sequence number
-}
-
-func newTCPFlowFrames() *tcpFlowFrames {
-	return &tcpFlowFrames{
-		src: netip.MustParseAddr("192.168.1.2"),
-		dst: netip.MustParseAddr("203.0.113.40"),
-		seq: 0xffff_fff0, // an ISN whose stream wraps the 32-bit sequence space
-	}
-}
-
-func (ff *tcpFlowFrames) client(payload []byte, flags uint8) []byte {
-	tcp := packet.TCP{SrcPort: 50000, DstPort: 443, Seq: ff.seq, Flags: flags, Window: 65535}
-	ff.seq += uint32(len(payload))
-	if flags&packet.FlagSYN != 0 {
-		ff.seq++
-	}
-	seg := tcp.Append(nil, payload, ff.src, ff.dst)
-	ip := packet.IPv4{TTL: 62, Protocol: packet.ProtoTCP, Src: ff.src, Dst: ff.dst}
-	eth := packet.Ethernet{EtherType: packet.EtherTypeIPv4}
-	return eth.Append(nil, ip.Append(nil, seg))
-}
-
-func (ff *tcpFlowFrames) server(payload []byte, flags uint8) []byte {
-	tcp := packet.TCP{SrcPort: 443, DstPort: 50000, Flags: flags, Window: 65535}
-	seg := tcp.Append(nil, payload, ff.dst, ff.src)
-	ip := packet.IPv4{TTL: 57, Protocol: packet.ProtoTCP, Src: ff.dst, Dst: ff.src}
-	eth := packet.Ethernet{EtherType: packet.EtherTypeIPv4}
-	return eth.Append(nil, ip.Append(nil, seg))
-}
-
 // frameLender is the borrow contract as a test input. An entry point only
 // borrows the frames it is handed — what it keeps it must copy — so the
 // lender hands every frame over in one reused buffer and overwrites that
@@ -115,29 +79,32 @@ const splitHelloIndex = 6
 // both been handed on.
 func splitHelloPackets(t testing.TB, start time.Time) ([]IngestPacket, string) {
 	t.Helper()
-	rng := rand.New(rand.NewPCG(1, 1))
-	f, err := fingerprint.Generate(rng, "macOS_safari", fingerprint.Amazon, fingerprint.TCP, fingerprint.Options{})
+	ft, err := tracegen.New(1).Flow("macOS_safari", fingerprint.Amazon, fingerprint.TCP, tracegen.FlowSpec{PayloadFrames: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	record := f.Hello.MarshalRecord()
-	cut1, cut2 := len(record)/3, 2*len(record)/3
-
-	ff := newTCPFlowFrames()
+	var server [][]byte // SYN-ACK, the server's flight, two payload frames
+	for _, fr := range ft.Frames {
+		if !fr.ClientToServer {
+			server = append(server, fr.Data)
+		}
+	}
+	f := newHelloFlight(t, ft)
+	n := len(f.hello)
 	var pkts []IngestPacket
 	for i, frame := range [][]byte{
-		ff.client(nil, packet.FlagSYN),
-		ff.server(nil, packet.FlagSYN|packet.FlagACK),
-		ff.client(record[:cut1], packet.FlagACK|packet.FlagPSH),
-		ff.server([]byte{0xde, 0xad}, packet.FlagACK), // server bytes mid-handshake
-		ff.client(record[cut1:cut2], packet.FlagACK|packet.FlagPSH),
-		ff.server(nil, packet.FlagACK),
-		ff.client(record[cut2:], packet.FlagACK|packet.FlagPSH), // splitHelloIndex
-		ff.server([]byte{1, 2, 3}, packet.FlagACK),              // post-classification traffic
+		f.synFrame(),
+		server[0],
+		f.piece(0, n/3),
+		server[1], // server bytes mid-handshake
+		f.piece(n/3, 2*n/3),
+		server[2],
+		f.piece(2*n/3, n), // splitHelloIndex
+		server[3],         // post-classification traffic
 	} {
 		pkts = append(pkts, IngestPacket{TS: start.Add(time.Duration(i) * time.Millisecond), Data: frame})
 	}
-	return pkts, f.SNI
+	return pkts, ft.SNI
 }
 
 // TestStreamingSplitHelloWithServerInterleave pins the incremental
@@ -178,26 +145,15 @@ func TestStreamingSplitHelloWithServerInterleave(t *testing.T) {
 	}
 }
 
-// endlessRecordChunk returns TCP payload bytes that look like the start of
-// a huge handshake record: ParseRecord keeps reporting a truncated body, so
-// the assembler keeps buffering — the scenario maxHelloBytes bounds.
-func endlessRecordChunk(first bool, n int) []byte {
-	chunk := make([]byte, n)
-	if first {
-		chunk[0] = 22                   // handshake record
-		chunk[1], chunk[2] = 0x03, 0x01 // legacy version
-		chunk[3], chunk[4] = 0x3f, 0xff // record length far beyond what we send
-	}
-	return chunk
-}
-
 func TestMaxHelloBytesAbandonsOversizedFlow(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains a bank")
 	}
 	bank := goldenBank(t)
 	p := NewWithConfig(bank, Config{helloCap: 1024})
-	ff := newTCPFlowFrames()
+	// A SYN, then two 600-byte segments of a handshake record that never
+	// ends, so the assembler keeps buffering: the scenario maxHelloBytes bounds.
+	frames := frameData(tracegen.New(1).OversizedFlow(netip.MustParseAddr("192.168.1.2")))
 	ts := time.Date(2023, 7, 7, 0, 0, 0, 0, time.UTC)
 
 	feed := func(frame []byte) {
@@ -206,18 +162,18 @@ func TestMaxHelloBytesAbandonsOversizedFlow(t *testing.T) {
 			t.Fatalf("unexpected classification/err: %v %v", rec, err)
 		}
 	}
-	feed(ff.client(nil, packet.FlagSYN))
-	feed(ff.client(endlessRecordChunk(true, 600), packet.FlagACK|packet.FlagPSH))
+	feed(frames[0])
+	feed(frames[1])
 	if got := p.Stats().Verdicts[VerdictOversized]; got != 0 {
 		t.Fatalf("oversized after 600 buffered bytes = %d, want 0", got)
 	}
-	feed(ff.client(endlessRecordChunk(false, 600), packet.FlagACK|packet.FlagPSH))
+	feed(frames[2])
 	if got := p.Stats().Verdicts[VerdictOversized]; got != 1 {
 		t.Fatalf("oversized after 1200 buffered bytes = %d, want 1", got)
 	}
-	// The flow is abandoned: more client bytes neither re-trigger assembly
-	// nor bump the counter again.
-	feed(ff.client(endlessRecordChunk(false, 600), packet.FlagACK|packet.FlagPSH))
+	// The flow is abandoned: a further client segment, here the last one
+	// again, neither re-triggers assembly nor bumps the counter again.
+	feed(frames[2])
 	if got := p.Stats().Verdicts[VerdictOversized]; got != 1 {
 		t.Fatalf("oversized counted twice: %d", got)
 	}
@@ -250,22 +206,24 @@ func TestOversizedAtProductionBound(t *testing.T) {
 	}
 
 	p := New(emptyBank())
-	ff := newTCPFlowFrames()
+	// The oversized flow's SYN and segments, carrying stream instead.
+	f := newHelloFlight(t, tracegen.New(1).OversizedFlow(netip.MustParseAddr("192.168.1.2")))
+	f.hello = stream
 	ts := time.Date(2023, 7, 7, 0, 0, 0, 0, time.UTC)
 	oversized := func() uint64 { return p.Stats().Verdicts[VerdictOversized] }
-	feed := func(payload []byte, flags uint8) {
+	feed := func(frame []byte) {
 		t.Helper()
-		if rec, err := p.HandlePacket(ts, ff.client(payload, flags)); err != nil || rec != nil {
+		if rec, err := p.HandlePacket(ts, frame); err != nil || rec != nil {
 			t.Fatalf("unexpected classification/err: %v %v", rec, err)
 		}
 	}
-	feed(nil, packet.FlagSYN)
-	feed(stream[:40000], packet.FlagACK|packet.FlagPSH)
-	feed(stream[40000:maxHelloBytes], packet.FlagACK|packet.FlagPSH)
+	feed(f.synFrame())
+	feed(f.piece(0, 40000))
+	feed(f.piece(40000, maxHelloBytes))
 	if got := oversized(); got != 0 {
 		t.Fatalf("oversized with exactly %d bytes buffered = %d, want 0", maxHelloBytes, got)
 	}
-	feed(stream[maxHelloBytes:maxHelloBytes+1], packet.FlagACK|packet.FlagPSH)
+	feed(f.piece(maxHelloBytes, maxHelloBytes+1))
 	if got := oversized(); got != 1 {
 		t.Fatalf("oversized one byte past %d buffered = %d, want 1", maxHelloBytes, got)
 	}
@@ -282,10 +240,10 @@ func TestShardedOversizedCounter(t *testing.T) {
 	}
 	bank := goldenBank(t)
 	s := NewShardedWithConfig(bank, 2, Config{helloCap: 512})
-	ff := newTCPFlowFrames()
+	frames := frameData(tracegen.New(1).OversizedFlow(netip.MustParseAddr("192.168.1.2")))
 	ts := time.Date(2023, 7, 7, 0, 0, 0, 0, time.UTC)
-	s.HandlePacketBatch([]IngestPacket{{TS: ts, Data: ff.client(nil, packet.FlagSYN)}})
-	s.HandlePacketBatch([]IngestPacket{{TS: ts, Data: ff.client(endlessRecordChunk(true, 600), packet.FlagACK|packet.FlagPSH)}})
+	s.HandlePacketBatch([]IngestPacket{{TS: ts, Data: frames[0]}})
+	s.HandlePacketBatch([]IngestPacket{{TS: ts, Data: frames[1]}})
 	s.Close()
 	if got := s.IngestStats().Verdicts[VerdictOversized]; got != 1 {
 		t.Fatalf("sharded oversized verdicts = %d, want 1", got)
@@ -299,13 +257,7 @@ func clientFrames(t *testing.T, seed uint64, tr fingerprint.Transport) [][]byte 
 	if err != nil {
 		t.Fatal(err)
 	}
-	var frames [][]byte
-	for _, fr := range ft.Frames {
-		if fr.ClientToServer {
-			frames = append(frames, fr.Data)
-		}
-	}
-	return frames
+	return clientData(ft)
 }
 
 // TestAssemblerAllocCeilings pins what assembling one whole flow allocates

@@ -11,54 +11,30 @@ import (
 	"videoplat/internal/tracegen"
 )
 
-// TestExtractFramesSplitClientHello feeds a ClientHello split across two TCP
-// segments, exercising the stream-reassembly path of ExtractFrames.
+// TestExtractFramesSplitClientHello feeds a macOS ClientHello split across
+// two TCP segments, exercising the stream-reassembly path of ExtractFrames:
+// it must recover what the hello in one segment gives, the ECN-setup SYN's
+// flags and options included.
 func TestExtractFramesSplitClientHello(t *testing.T) {
-	rng := rand.New(rand.NewPCG(1, 1))
-	f, err := fingerprint.Generate(rng, "macOS_safari", fingerprint.Amazon, fingerprint.TCP, fingerprint.Options{})
+	ft, err := tracegen.New(1).Flow("macOS_safari", fingerprint.Amazon, fingerprint.TCP, tracegen.FlowSpec{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	record := f.Hello.MarshalRecord()
-	cut := len(record) / 3
-
-	src := netip.MustParseAddr("192.168.1.2")
-	dst := netip.MustParseAddr("203.0.113.40")
-	const isn = 4000
-	mkFrame := func(seq uint32, payload []byte, flags uint8, withOpts bool) []byte {
-		tcp := packet.TCP{SrcPort: 50000, DstPort: 443, Seq: seq, Flags: flags, Window: f.Window}
-		if withOpts {
-			tcp.Options = []packet.TCPOption{
-				{Kind: packet.OptMSS, Data: []byte{byte(f.MSS >> 8), byte(f.MSS)}},
-				{Kind: packet.OptNOP}, {Kind: packet.OptNOP},
-				{Kind: packet.OptSACKPermitted},
-				{Kind: packet.OptNOP},
-				{Kind: packet.OptWindowScale, Data: []byte{byte(f.WScale)}},
-			}
-		}
-		seg := tcp.Append(nil, payload, src, dst)
-		ip := packet.IPv4{TTL: f.TTL - 2, Protocol: packet.ProtoTCP, Src: src, Dst: dst}
-		eth := packet.Ethernet{EtherType: packet.EtherTypeIPv4}
-		return eth.Append(nil, ip.Append(nil, seg))
-	}
-
-	frames := [][]byte{
-		mkFrame(isn, nil, packet.FlagSYN|packet.FlagECE|packet.FlagCWR, true),
-		mkFrame(isn+1, record[:cut], packet.FlagACK|packet.FlagPSH, false),
-		mkFrame(isn+1+uint32(cut), record[cut:], packet.FlagACK|packet.FlagPSH, false),
-	}
-	info, err := ExtractFrames(frames)
+	want, err := ExtractTrace(ft)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Hello.ServerName() != f.SNI {
-		t.Errorf("SNI = %q, want %q", info.Hello.ServerName(), f.SNI)
+	f := newHelloFlight(t, ft)
+	cut := len(f.hello) / 3
+	info, err := ExtractFrames([][]byte{f.synFrame(), f.piece(0, cut), f.piece(cut, len(f.hello))})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if info.TCPMSS != f.MSS || info.TCPWScale != f.WScale {
-		t.Errorf("TCP opts not recovered: mss=%d wscale=%d", info.TCPMSS, info.TCPWScale)
+	if info.Hello.ServerName() != ft.SNI || info.TCPFlags&packet.FlagECE == 0 || info.TCPMSS == 0 {
+		t.Errorf("split hello: SNI %q (want %q), SYN flags %#x, MSS %d", info.Hello.ServerName(), ft.SNI, info.TCPFlags, info.TCPMSS)
 	}
-	if info.TCPFlags&packet.FlagECE == 0 {
-		t.Error("ECN flags lost")
+	if !reflect.DeepEqual(info, want) {
+		t.Errorf("split hello extracted\n%+v\nwant, as in one segment,\n%+v", info, want)
 	}
 }
 
@@ -66,44 +42,25 @@ func TestExtractFramesNoHello(t *testing.T) {
 	if _, err := ExtractFrames(nil); err == nil {
 		t.Error("empty frames accepted")
 	}
-	// Frames with only a SYN and application noise must fail with
-	// ErrNoHandshake.
-	src := netip.MustParseAddr("10.0.0.1")
-	dst := netip.MustParseAddr("10.0.0.2")
-	tcp := packet.TCP{SrcPort: 1234, DstPort: 443, Flags: packet.FlagSYN}
-	seg := tcp.Append(nil, nil, src, dst)
-	ip := packet.IPv4{TTL: 64, Protocol: packet.ProtoTCP, Src: src, Dst: dst}
-	eth := packet.Ethernet{EtherType: packet.EtherTypeIPv4}
-	frame := eth.Append(nil, ip.Append(nil, seg))
-	if _, err := ExtractFrames([][]byte{frame}); err == nil {
+	// A SYN alone holds no hello.
+	syn := frameData(tracegen.New(1).CutHelloFlow(netip.MustParseAddr("10.0.0.1")))[:1]
+	if _, err := ExtractFrames(syn); err == nil {
 		t.Error("SYN-only flow should have no hello")
 	}
 }
 
 func TestExtractFramesSkipsNonHandshakeTCPPayload(t *testing.T) {
 	// A flow whose first payload is HTTP (not TLS) must not yield a hello.
-	src := netip.MustParseAddr("10.1.1.1")
-	dst := netip.MustParseAddr("10.1.1.2")
-	tcp := packet.TCP{SrcPort: 1, DstPort: 443, Flags: packet.FlagACK}
-	seg := tcp.Append(nil, []byte("GET / HTTP/1.1\r\n"), src, dst)
-	ip := packet.IPv4{TTL: 64, Protocol: packet.ProtoTCP, Src: src, Dst: dst}
-	eth := packet.Ethernet{EtherType: packet.EtherTypeIPv4}
-	frame := eth.Append(nil, ip.Append(nil, seg))
+	frame := craftFrame(netip.MustParseAddrPort("10.1.1.1:1"), netip.MustParseAddrPort("10.1.1.2:443"),
+		packet.ProtoTCP, packet.FlagACK, []byte("GET / HTTP/1.1\r\n"), 0)
 	if _, err := ExtractFrames([][]byte{frame}); err == nil {
 		t.Error("HTTP payload misparsed as hello")
 	}
 }
 
 func TestExtractFramesQUICShortHeaderIgnored(t *testing.T) {
-	src := netip.MustParseAddr("10.2.2.1")
-	dst := netip.MustParseAddr("10.2.2.2")
-	udp := packet.UDP{SrcPort: 9999, DstPort: 443}
-	short := make([]byte, 100)
-	short[0] = 0x41 // short header
-	seg := udp.Append(nil, short, src, dst)
-	ip := packet.IPv4{TTL: 64, Protocol: packet.ProtoUDP, Src: src, Dst: dst}
-	eth := packet.Ethernet{EtherType: packet.EtherTypeIPv4}
-	frame := eth.Append(nil, ip.Append(nil, seg))
+	frame := craftFrame(netip.MustParseAddrPort("10.2.2.1:9999"), netip.MustParseAddrPort("10.2.2.2:443"),
+		packet.ProtoUDP, 0, shortHeader(nil, 100), 0)
 	if _, err := ExtractFrames([][]byte{frame}); err != ErrNoHandshake {
 		t.Errorf("err = %v, want ErrNoHandshake", err)
 	}
@@ -119,12 +76,7 @@ func TestTrailerDoesNotChangeInitPacketSize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var v4 [][]byte
-	for _, fr := range ft.Frames {
-		if fr.ClientToServer {
-			v4 = append(v4, fr.Data)
-		}
-	}
+	v4 := clientData(ft)
 
 	f, err := fingerprint.Generate(rand.New(rand.NewPCG(3, 3)), "iOS_nativeApp", fingerprint.Netflix, fingerprint.TCP, fingerprint.Options{})
 	if err != nil {

@@ -51,7 +51,8 @@ func splitFrames(data []byte) [][]byte {
 // returns and packed into the arena the frame before it used. The two share
 // the whole flow stage, so state that aliases a frame instead of copying it
 // reads the frame on one side and something else on the other, and the
-// records differ. The corpus is seeded with the adversarial scenario flows, a
+// records differ. The corpus is seeded with every flow of the scenario
+// corpus (tracegen.Corpus), the adversarial scenario flows, a
 // handshake-then-bulk flow, a hello split over three segments and one
 // re-cut, retransmitted and reordered (helloFlight.impair), so mutations
 // start from frames that reach every branch of the keep rule and from flows
@@ -59,11 +60,11 @@ func splitFrames(data []byte) [][]byte {
 func FuzzShardedMatchesPipeline(f *testing.F) {
 	bank, _ := trainSmallBank(f, 31, 0.02)
 	var scenario [][]byte
+	for _, ft := range tracegen.Corpus() {
+		f.Add(packFrames(frameData(ft)))
+	}
 	for i, ft := range scenarioEvalFlows(f) {
-		var frames [][]byte
-		for _, fr := range ft.Frames {
-			frames = append(frames, fr.Data)
-		}
+		frames := frameData(ft)
 		f.Add(packFrames(frames))
 		if i%3 == 0 {
 			scenario = append(scenario, frames...)

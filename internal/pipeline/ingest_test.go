@@ -144,6 +144,18 @@ func tracePackets(ft *tracegen.FlowTrace, trailer int) []IngestPacket {
 	return out
 }
 
+// replayPackets is tracegen.Replay(traces) as ingest input.
+func replayPackets(traces []*tracegen.FlowTrace) []IngestPacket {
+	var out []IngestPacket
+	for s := tracegen.Replay(traces); ; {
+		pkt, err := s.Next()
+		if err != nil { // io.EOF: a replay fails no other way
+			return out
+		}
+		out = append(out, IngestPacket{TS: pkt.Timestamp, Data: pkt.Data})
+	}
+}
+
 // withBulk splices an established flow's traffic into a rendered QUIC flow
 // after its first `at` frames: MTU-sized short headers from the server and
 // short ones from the client, all on the flow's original tuple.
@@ -168,20 +180,10 @@ func withBulk(ft *tracegen.FlowTrace, at int, pkts []IngestPacket) []IngestPacke
 // gone.
 func fastOpenPackets(t *testing.T, ft *tracegen.FlowTrace) []IngestPacket {
 	t.Helper()
-	var (
-		parser     packet.Parser
-		syn, hello packet.Parsed
-	)
-	if err := parser.Parse(ft.Frames[0].Data, &syn); err != nil {
-		t.Fatal(err)
-	}
-	if err := parser.Parse(ft.Frames[3].Data, &hello); err != nil || len(hello.Payload) == 0 {
-		t.Fatalf("frame 3 of a rendered TCP flow is not its ClientHello (err %v)", err)
-	}
-	seg := syn.TCP.Append(nil, hello.Payload, syn.IP4.Src, syn.IP4.Dst)
-	out := []IngestPacket{{TS: ft.Start, Data: syn.Eth.Append(nil, syn.IP4.Append(nil, seg))}}
-	for i, fr := range ft.Frames {
-		if i != 0 && !fr.ClientToServer {
+	f := newHelloFlight(t, ft)
+	out := []IngestPacket{{TS: ft.Start, Data: f.fastOpen(len(f.hello)).synFrame()}}
+	for _, fr := range ft.Frames {
+		if !fr.ClientToServer {
 			out = append(out, IngestPacket{TS: ft.Start.Add(fr.Offset), Data: fr.Data})
 		}
 	}

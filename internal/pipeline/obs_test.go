@@ -130,13 +130,7 @@ func TestStageCountsExact(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var client [][]byte
-			for _, fr := range ft.Frames {
-				if fr.ClientToServer {
-					client = append(client, fr.Data)
-				}
-			}
-			_, done := assembleFlight(client)
+			_, done := assembleFlight(clientData(ft))
 			if done < 0 {
 				t.Fatalf("%s/%s: the render assembles no hello", label, tr)
 			}

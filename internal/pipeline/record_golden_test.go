@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
-	"math/rand/v2"
-	"net/netip"
 	"os"
 	"path/filepath"
 	"sort"
@@ -17,8 +15,6 @@ import (
 	"videoplat/internal/flowtable"
 	"videoplat/internal/ml"
 	"videoplat/internal/obs"
-	"videoplat/internal/packet"
-	"videoplat/internal/tlsproto"
 	"videoplat/internal/tracegen"
 )
 
@@ -57,123 +53,11 @@ func untimed(rec FlowRecord) FlowRecord {
 	return rec
 }
 
-// recordsGoldenCorpus renders the frames TestFinalizedRecordsUnchanged
-// replays, one flow every two seconds of packet time, merged in timestamp
-// order: one open-set flow per (platform, provider, transport), which gives
-// composite, partial and abstained predictions and, for Amazon, classifier
-// errors; ECH over TCP and QUIC; 0-RTT, confirmed and cut short; QUIC
-// migration mid-stream and mid-handshake; and hand-built not-video,
-// no-handshake and oversized (over a helloCap of 1024) TCP flows.
-func recordsGoldenCorpus(t *testing.T) []IngestPacket {
-	t.Helper()
-	base := time.Date(2024, 3, 1, 20, 0, 0, 0, time.UTC)
-	type stamped struct {
-		IngestPacket
-		seq int
-	}
-	var all []stamped
-	flows := 0
-	add := func(frames []tracegen.Frame) {
-		start := base.Add(time.Duration(flows) * 2 * time.Second)
-		flows++
-		for _, fr := range frames {
-			all = append(all, stamped{IngestPacket{TS: start.Add(fr.Offset), Data: fr.Data}, len(all)})
-		}
-	}
-	g := tracegen.New(77)
-	render := func(label string, prov fingerprint.Provider, tr fingerprint.Transport, spec tracegen.FlowSpec) *tracegen.FlowTrace {
-		if spec.Duration == 0 {
-			spec.Duration = 20 * time.Second
-		}
-		if spec.PayloadFrames == 0 {
-			spec.PayloadFrames = 3
-		}
-		ft, err := g.Flow(label, prov, tr, spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ft
-	}
-
-	open, err := tracegen.New(78).OpenSetDataset(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, ft := range open.Flows {
-		add(ft.Frames)
-	}
-	for _, prov := range []fingerprint.Provider{fingerprint.Netflix, fingerprint.Amazon} {
-		add(render("windows_chrome", prov, fingerprint.TCP, tracegen.FlowSpec{Options: fingerprint.Options{ECH: true}}).Frames)
-	}
-	add(render("android_chrome", fingerprint.YouTube, fingerprint.QUIC, tracegen.FlowSpec{Options: fingerprint.Options{ECH: true}}).Frames)
-	add(render("android_chrome", fingerprint.YouTube, fingerprint.QUIC, tracegen.FlowSpec{Options: fingerprint.Options{ZeroRTT: true}}).Frames)
-	cut := render("iOS_chrome", fingerprint.YouTube, fingerprint.QUIC, tracegen.FlowSpec{Options: fingerprint.Options{ZeroRTT: true}})
-	add(cut.Frames[:2]) // early data only: the short-header confirmation never arrives
-	add(render("macOS_safari", fingerprint.Netflix, fingerprint.TCP, tracegen.FlowSpec{Options: fingerprint.Options{ZeroRTT: true}}).Frames)
-	for _, mid := range []bool{false, true} {
-		ft := render("android_chrome", fingerprint.YouTube, fingerprint.QUIC,
-			tracegen.FlowSpec{Options: fingerprint.Options{Migration: true}, MigrateMidHandshake: mid})
-		if !ft.Migrated {
-			t.Fatal("migration flow did not migrate")
-		}
-		add(ft.Frames)
-	}
-
-	handmade := func(host byte) *tcpFlowFrames {
-		ff := newTCPFlowFrames()
-		ff.src = netip.AddrFrom4([4]byte{192, 168, 9, host})
-		return ff
-	}
-	var frames []tracegen.Frame
-	at := func(ms int, data []byte) {
-		frames = append(frames, tracegen.Frame{Offset: time.Duration(ms) * time.Millisecond, ClientToServer: true, Data: data})
-	}
-	oversized := handmade(1)
-	at(0, oversized.client(nil, packet.FlagSYN))
-	at(10, oversized.client(endlessRecordChunk(true, 600), packet.FlagACK|packet.FlagPSH))
-	at(20, oversized.client(endlessRecordChunk(false, 600), packet.FlagACK|packet.FlagPSH))
-	add(frames)
-
-	fp, err := fingerprint.Generate(rand.New(rand.NewPCG(1, 1)), "windows_firefox", fingerprint.Netflix, fingerprint.TCP, fingerprint.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range fp.Hello.Extensions {
-		if fp.Hello.Extensions[i].Type == tlsproto.ExtServerName {
-			fp.Hello.Extensions[i].Data = tlsproto.ServerNameData("www.example.org")
-		}
-	}
-	frames = nil
-	notVideo := handmade(2)
-	at(0, notVideo.client(nil, packet.FlagSYN))
-	at(10, notVideo.client(fp.Hello.MarshalRecord(), packet.FlagACK|packet.FlagPSH))
-	at(20, notVideo.server(make([]byte, 900), packet.FlagACK))
-	add(frames)
-
-	frames = nil
-	silent := handmade(3)
-	for i := 0; i < 10; i++ {
-		at(10*i, silent.client(nil, packet.FlagACK)) // client frames, no hello
-	}
-	add(frames)
-
-	sort.SliceStable(all, func(i, j int) bool {
-		if !all[i].TS.Equal(all[j].TS) {
-			return all[i].TS.Before(all[j].TS)
-		}
-		return all[i].seq < all[j].seq
-	})
-	out := make([]IngestPacket, len(all))
-	for i, s := range all {
-		out[i] = s.IngestPacket
-	}
-	return out
-}
-
 // TestFinalizedRecordsUnchanged pins every field of every record the
 // pipeline hands out: the finalized stream (OnEvict, emptied by Drain), the
 // OnClassify records and one live Flows() view taken mid-replay, for the
-// corpus of recordsGoldenCorpus replayed twice: without a provider hint and
+// scenario corpus (tracegen.Corpus) replayed twice, under a helloCap of 1024
+// that only its oversized flow outgrows: without a provider hint and
 // untimed, then with a hint and a tracer sampling every flow, whose spans
 // are pinned too. The prediction golden suites compare what the classifier
 // says; this one compares what a flow's state keeps of it, its telemetry
@@ -186,7 +70,7 @@ func TestFinalizedRecordsUnchanged(t *testing.T) {
 		t.Skip("trains a bank")
 	}
 	bank := recordsGoldenBank(t)
-	pkts := recordsGoldenCorpus(t)
+	pkts := replayPackets(tracegen.Corpus())
 	var buf bytes.Buffer
 	var seen [NumVerdicts]int
 	var statuses [3]int

@@ -1,7 +1,6 @@
 package pipeline
 
 import (
-	"math/rand/v2"
 	"net/netip"
 	"reflect"
 	"slices"
@@ -13,7 +12,6 @@ import (
 	"videoplat/internal/flowtable"
 	"videoplat/internal/packet"
 	"videoplat/internal/quicproto"
-	"videoplat/internal/tlsproto"
 	"videoplat/internal/tracegen"
 )
 
@@ -31,83 +29,57 @@ func recycleFlows(t testing.TB) (name []string, flows [][][]byte) {
 	add := func(n string, frames [][]byte) {
 		name, flows = append(name, n), append(flows, frames)
 	}
-	render := func(seed uint64, label string, prov fingerprint.Provider, tr fingerprint.Transport, opts fingerprint.Options) *tracegen.FlowTrace {
-		t.Helper()
-		ft, err := tracegen.New(seed).Flow(label, prov, tr, tracegen.FlowSpec{Options: opts, PayloadFrames: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ft
+	render := func(seed uint64, label string, prov fingerprint.Provider, tr fingerprint.Transport, opts fingerprint.Options) [][]byte {
+		return frameData(renderAdversarial(t, seed, label, prov, tr, opts))
 	}
-	all := func(ft *tracegen.FlowTrace) [][]byte {
-		var frames [][]byte
-		for _, fr := range ft.Frames {
-			frames = append(frames, fr.Data)
-		}
-		return frames
-	}
-	rng := rand.New(rand.NewPCG(52, 52))
-	hello := func(label string, prov fingerprint.Provider) *tlsproto.ClientHello {
-		t.Helper()
-		f, err := fingerprint.Generate(rng, label, prov, fingerprint.TCP, fingerprint.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return f.Hello
-	}
-	tcpFlow := func(host byte) *tcpFlowFrames {
-		ff := newTCPFlowFrames()
-		ff.src = netip.AddrFrom4([4]byte{192, 168, 52, host})
-		return ff
-	}
-	const syn, psh = packet.FlagSYN, packet.FlagACK | packet.FlagPSH
+	g := tracegen.New(52)
+	host := func(b byte) netip.Addr { return netip.AddrFrom4([4]byte{192, 168, 52, b}) }
 
-	add("QUIC", all(render(1, "windows_chrome", fingerprint.YouTube, fingerprint.QUIC, fingerprint.Options{})))
-	add("TCP", all(render(2, "windows_chrome", fingerprint.Netflix, fingerprint.TCP, fingerprint.Options{})))
-	add("TCP ECH", all(render(3, "windows_chrome", fingerprint.Netflix, fingerprint.TCP, fingerprint.Options{ECH: true})))
-	add("QUIC ECH", all(render(4, "android_chrome", fingerprint.YouTube, fingerprint.QUIC, fingerprint.Options{ECH: true})))
-	add("QUIC 0-RTT", all(render(5, "android_chrome", fingerprint.YouTube, fingerprint.QUIC, fingerprint.Options{ZeroRTT: true})))
+	add("QUIC", render(1, "windows_chrome", fingerprint.YouTube, fingerprint.QUIC, fingerprint.Options{}))
+	add("TCP", render(2, "windows_chrome", fingerprint.Netflix, fingerprint.TCP, fingerprint.Options{}))
+	add("TCP ECH", render(3, "windows_chrome", fingerprint.Netflix, fingerprint.TCP, fingerprint.Options{ECH: true}))
+	add("QUIC ECH", render(4, "android_chrome", fingerprint.YouTube, fingerprint.QUIC, fingerprint.Options{ECH: true}))
+	add("QUIC 0-RTT", render(5, "android_chrome", fingerprint.YouTube, fingerprint.QUIC, fingerprint.Options{ZeroRTT: true}))
+	add("TCP, hello in two records", frameData(g.TwoRecordHelloFlow(host(1))))
 
-	msg := hello("windows_firefox", fingerprint.Disney).Marshal()
-	k := len(msg) / 2
-	records := append(tlsRecord(msg[:k]), tlsRecord(msg[k:])...)
-	ff := tcpFlow(1)
-	add("TCP, hello in two records", [][]byte{ff.client(nil, syn), ff.client(records[:100], psh), ff.client(records[100:], psh)})
-
-	tcp := newHelloFlight(t, render(6, "macOS_chrome", fingerprint.YouTube, fingerprint.TCP, fingerprint.Options{}))
-	k = len(tcp.hello) / 2
+	tcp := newHelloFlight(t, renderAdversarial(t, 6, "macOS_chrome", fingerprint.YouTube, fingerprint.TCP, fingerprint.Options{}))
+	k := len(tcp.hello) / 2
 	add("TCP, second segment first", [][]byte{tcp.synFrame(), tcp.piece(k, len(tcp.hello)), tcp.piece(0, k)})
-	quic := newHelloFlight(t, render(7, "android_chrome", fingerprint.YouTube, fingerprint.QUIC, fingerprint.Options{}))
+	quic := newHelloFlight(t, renderAdversarial(t, 7, "android_chrome", fingerprint.YouTube, fingerprint.QUIC, fingerprint.Options{}))
 	k = len(quic.hello) / 2
 	add("QUIC, second Initial first", quic.initials(t,
 		[]quicproto.CryptoFrame{quic.cryptoAt(k, len(quic.hello))},
 		[]quicproto.CryptoFrame{quic.cryptoAt(0, k)}))
-	half := newHelloFlight(t, render(8, "windows_edge", fingerprint.YouTube, fingerprint.QUIC, fingerprint.Options{}))
+	half := newHelloFlight(t, renderAdversarial(t, 8, "windows_edge", fingerprint.YouTube, fingerprint.QUIC, fingerprint.Options{}))
 	add("QUIC, first half only", half.initials(t, []quicproto.CryptoFrame{half.cryptoAt(0, len(half.hello)/2)}))
 
-	rec := hello("macOS_safari", fingerprint.Amazon).MarshalRecord()
-	ff = tcpFlow(2)
-	add("TCP, hello cut short", [][]byte{ff.client(nil, syn), ff.client(rec[:len(rec)/2], psh)})
-	ff = tcpFlow(3)
-	add("oversized", [][]byte{ff.client(nil, syn), ff.client(endlessRecordChunk(true, 600), psh), ff.client(endlessRecordChunk(false, 600), psh)})
-	nv := hello("windows_chrome", fingerprint.YouTube)
-	for i := range nv.Extensions {
-		if nv.Extensions[i].Type == tlsproto.ExtServerName {
-			nv.Extensions[i].Data = tlsproto.ServerNameData("www.example.com")
-		}
-	}
-	ff = tcpFlow(4)
-	add("not video", [][]byte{ff.client(nil, syn), ff.client(nv.MarshalRecord(), psh), ff.server([]byte{1}, packet.FlagACK)})
-
-	add("TCP, small hello", all(render(9, "iOS_safari", fingerprint.YouTube, fingerprint.TCP, fingerprint.Options{})))
-	add("QUIC again", all(render(10, "android_nativeApp", fingerprint.YouTube, fingerprint.QUIC, fingerprint.Options{})))
-	add("TCP, native app", all(render(11, "ps5_nativeApp", fingerprint.Amazon, fingerprint.TCP, fingerprint.Options{})))
+	add("TCP, hello cut short", frameData(g.CutHelloFlow(host(2))))
+	add("oversized", frameData(g.OversizedFlow(host(3))))
+	add("not video", frameData(g.NotVideoFlow(host(4))))
+	add("TCP, small hello", render(9, "iOS_safari", fingerprint.YouTube, fingerprint.TCP, fingerprint.Options{}))
+	add("QUIC again", render(10, "android_nativeApp", fingerprint.YouTube, fingerprint.QUIC, fingerprint.Options{}))
+	add("TCP, native app", render(11, "ps5_nativeApp", fingerprint.Amazon, fingerprint.TCP, fingerprint.Options{}))
 	return name, flows
 }
 
-// tlsRecord wraps b in one TLS handshake record.
-func tlsRecord(b []byte) []byte {
-	return append([]byte{22, 3, 1, byte(len(b) >> 8), byte(len(b))}, b...)
+// frameData is a rendered flow's frames, client and server, in order.
+func frameData(ft *tracegen.FlowTrace) [][]byte {
+	var frames [][]byte
+	for _, fr := range ft.Frames {
+		frames = append(frames, fr.Data)
+	}
+	return frames
+}
+
+// clientData is a rendered flow's client frames, in order.
+func clientData(ft *tracegen.FlowTrace) [][]byte {
+	var frames [][]byte
+	for _, fr := range ft.Frames {
+		if fr.ClientToServer {
+			frames = append(frames, fr.Data)
+		}
+	}
+	return frames
 }
 
 // recycled is what one pipeline said of a flow: its finalized record and,
@@ -222,9 +194,7 @@ func TestDecidedFlowAllocCeiling(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, fr := range ft.Frames {
-			frames = append(frames, fr.Data)
-		}
+		frames = append(frames, frameData(ft)...)
 	}
 	classified := 0
 	p := NewWithConfig(bank, Config{OnEvict: func(rec *FlowRecord, _ flowtable.Reason) {

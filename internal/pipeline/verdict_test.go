@@ -1,7 +1,6 @@
 package pipeline
 
 import (
-	"math/rand/v2"
 	"net/netip"
 	"sync"
 	"testing"
@@ -10,8 +9,6 @@ import (
 	"videoplat/internal/features"
 	"videoplat/internal/fingerprint"
 	"videoplat/internal/flowtable"
-	"videoplat/internal/packet"
-	"videoplat/internal/tlsproto"
 	"videoplat/internal/tracegen"
 )
 
@@ -141,10 +138,10 @@ func TestPipelineAssignsVerdicts(t *testing.T) {
 
 // everyTerminalKind renders one flow of every terminal kind — plain, ECH,
 // 0-RTT (confirmed and cut short), migrated, oversized (against a
-// helloCap of 1024), not-video, no-handshake (given up on and cut
-// short) — then the plain flow again an hour later, so that on the pipeline
-// that owns it its first frame sweeps every idle flow out and it classifies
-// once more: ten inserted flows in all.
+// helloCap of 1024), not-video, no-handshake (given up on, and cut short
+// mid-hello) — then the plain flow again an hour later, so that on the
+// pipeline that owns it its first frame sweeps every idle flow out and it
+// classifies once more: ten inserted flows in all.
 func everyTerminalKind(t *testing.T) []IngestPacket {
 	t.Helper()
 	var out []IngestPacket
@@ -162,36 +159,12 @@ func everyTerminalKind(t *testing.T) []IngestPacket {
 	trace(cut, 0)
 	trace(renderScenarioFlow(t, 11, fingerprint.Options{Migration: true}, true), 0)
 
-	handmade := func(host byte) *tcpFlowFrames {
-		ff := newTCPFlowFrames()
-		ff.src = netip.AddrFrom4([4]byte{192, 168, 7, host})
-		return ff
-	}
-	feed := func(frame []byte) { out = append(out, IngestPacket{TS: plain.Start, Data: frame}) }
-	oversized := handmade(1)
-	feed(oversized.client(nil, packet.FlagSYN))
-	feed(oversized.client(endlessRecordChunk(true, 600), packet.FlagACK|packet.FlagPSH))
-	feed(oversized.client(endlessRecordChunk(false, 600), packet.FlagACK|packet.FlagPSH))
-
-	fp, err := fingerprint.Generate(rand.New(rand.NewPCG(1, 1)), "windows_firefox", fingerprint.Netflix, fingerprint.TCP, fingerprint.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range fp.Hello.Extensions {
-		if fp.Hello.Extensions[i].Type == tlsproto.ExtServerName {
-			fp.Hello.Extensions[i].Data = tlsproto.ServerNameData("www.example.org")
-		}
-	}
-	notVideo := handmade(2)
-	feed(notVideo.client(nil, packet.FlagSYN))
-	feed(notVideo.client(fp.Hello.MarshalRecord(), packet.FlagACK|packet.FlagPSH))
-
-	silent := handmade(3)
-	feed(silent.client(nil, packet.FlagSYN))
-	for i := 0; i < 8; i++ {
-		feed(silent.client(nil, packet.FlagACK)) // nine client frames, no hello
-	}
-	feed(handmade(4).client(nil, packet.FlagSYN)) // mid-handshake when the sweep comes
+	g := tracegen.New(7)
+	host := func(b byte) netip.Addr { return netip.AddrFrom4([4]byte{192, 168, 7, b}) }
+	trace(g.OversizedFlow(host(1)), 0)
+	trace(g.NotVideoFlow(host(2)), 0)
+	trace(g.HelloLessFlow(host(3)), 0)
+	trace(g.CutHelloFlow(host(4)), 0) // mid-handshake when the sweep comes
 
 	trace(plain, time.Hour)
 	return out

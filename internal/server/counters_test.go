@@ -6,14 +6,12 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"videoplat/internal/fingerprint"
-	"videoplat/internal/pcap"
 	"videoplat/internal/pipeline"
 	"videoplat/internal/registry"
 	"videoplat/internal/telemetry"
@@ -235,17 +233,10 @@ func TestAbstainsKeepTheirVerdictAndNoProvider(t *testing.T) {
 		t.Fatal(err)
 	}
 	resumed.Frames = resumed.Frames[:3] // two 0-RTT packets and the server's flight
-	packets := func(ft *tracegen.FlowTrace) (out []pcap.Packet) {
-		for _, fr := range ft.Frames {
-			out = append(out, pcap.Packet{Timestamp: ft.Start.Add(fr.Offset), Data: fr.Data, OrigLen: len(fr.Data)})
-		}
-		return out
-	}
-	pkts := append(packets(ech), packets(resumed)...)
-	sort.SliceStable(pkts, func(i, j int) bool { return pkts[i].Timestamp.Before(pkts[j].Timestamp) })
 
 	sink := &windowTotals{}
-	srv, err := New(&pipeline.Bank{}, &sliceSource{pkts: pkts}, Config{Addr: "127.0.0.1:0", Shards: 2, Sink: sink})
+	src := tracegen.Replay([]*tracegen.FlowTrace{ech, resumed})
+	srv, err := New(&pipeline.Bank{}, src, Config{Addr: "127.0.0.1:0", Shards: 2, Sink: sink})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -194,7 +194,7 @@ func TestServePCAPReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tracegen.WritePCAP(f, traces); err != nil {
+	if _, err := tracegen.Replay(traces).WritePCAP(f); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()

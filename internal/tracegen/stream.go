@@ -38,7 +38,8 @@ type StreamConfig struct {
 // frames as one time-ordered packet stream. Session i starts at i·30 s of
 // trace time, so the frames of overlapping sessions interleave. It is the
 // synthetic traffic of both cmd/vpgen, which writes it to a capture, and
-// vpserve -synth, which replays it live.
+// vpserve -synth, which replays it live. A Stream from Replay renders no
+// session: it hands out fixed traces' frames.
 type Stream struct {
 	cfg      StreamConfig
 	g        *Generator
@@ -77,7 +78,7 @@ func NewStream(cfg StreamConfig) *Stream {
 	}
 }
 
-// Flows reports how many flows the stream has rendered so far.
+// Flows reports how many flows the stream has rendered so far, or replays.
 func (s *Stream) Flows() int { return s.flows }
 
 // Next returns the next packet, or io.EOF once every session is out. Each

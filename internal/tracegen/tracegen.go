@@ -6,11 +6,15 @@
 // It also assembles labeled datasets: the lab dataset with the exact flow
 // composition of Table 1 and the open-set dataset of §4.3.2 with
 // version-drifted platform behaviour.
+//
+// Corpus is the scenario corpus every golden, fuzz seed and daemon replay
+// draws: an open-set flow per (platform, provider, transport), ECH, 0-RTT and
+// migration flows, and hand-built flows no fingerprint renders. A new case is
+// added to it once; Replay turns it, or any fixed traces, into a Stream.
 package tracegen
 
 import (
 	"fmt"
-	"io"
 	"math/rand/v2"
 	"net/netip"
 	"time"
@@ -124,6 +128,9 @@ func ProviderOfAddr(addr netip.Addr) (fingerprint.Provider, bool) {
 	return 0, false
 }
 
+// renderEpoch is the start of a flow rendered without one.
+var renderEpoch = time.Date(2023, 7, 7, 0, 0, 0, 0, time.UTC)
+
 // FlowSpec controls payload shape; zero values draw lab-like defaults.
 type FlowSpec struct {
 	Start      time.Time
@@ -172,7 +179,7 @@ func (g *Generator) Render(label string, fp *fingerprint.Flow, hops uint8, spec 
 		spec.PayloadFrames = 4
 	}
 	if spec.Start.IsZero() {
-		spec.Start = time.Date(2023, 7, 7, 0, 0, 0, 0, time.UTC)
+		spec.Start = renderEpoch
 	}
 
 	ft := &FlowTrace{
@@ -509,11 +516,4 @@ func (g *Generator) Session(label string, prov fingerprint.Provider, opts finger
 		flows = append(flows, f)
 	}
 	return flows, nil
-}
-
-// WritePCAP writes the traces' frames, merged in timestamp order, as a
-// libpcap file.
-func WritePCAP(w io.Writer, traces []*FlowTrace) error {
-	_, err := (&Stream{queue: timeOrdered(traces)}).WritePCAP(w) // a stream with no session left to render
-	return err
 }

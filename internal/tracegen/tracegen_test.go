@@ -189,7 +189,7 @@ func TestWritePCAPRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WritePCAP(&buf, []*FlowTrace{ft}); err != nil {
+	if _, err := Replay([]*FlowTrace{ft}).WritePCAP(&buf); err != nil {
 		t.Fatal(err)
 	}
 	r, err := pcap.NewReader(bytes.NewReader(buf.Bytes()))
@@ -442,40 +442,46 @@ func TestRenderedBytesPinned(t *testing.T) {
 // frame, the zero bodies or the option bytes it was built from. It fills
 // every frame of one render with a byte of its own, checks that each frame
 // still holds only its own byte, and then that a later render from a
-// generator in the same state comes out unchanged.
+// generator in the same state comes out unchanged. The renders are the
+// pinned set and the scenario corpus.
 func TestFramesOwnTheirBuffers(t *testing.T) {
-	var want [][]byte
-	for _, ft := range pinnedRenders(t) {
-		for _, fr := range ft.Frames {
-			want = append(want, bytes.Clone(fr.Data))
-		}
-	}
-	var frames [][]byte
-	for _, ft := range pinnedRenders(t) {
-		for _, fr := range ft.Frames {
-			frames = append(frames, fr.Data)
-		}
-	}
-	fill := func(i int) byte { return byte(i%255 + 1) }
-	for i, f := range frames {
-		for j := range f {
-			f[j] = fill(i)
-		}
-	}
-	for i, f := range frames {
-		for k, b := range f {
-			if b != fill(i) {
-				t.Fatalf("frame %d byte %d was overwritten through another frame", i, k)
+	frames := func(traces []*FlowTrace) (out [][]byte) {
+		for _, ft := range traces {
+			for _, fr := range ft.Frames {
+				out = append(out, fr.Data)
 			}
 		}
+		return out
 	}
-	i := 0
-	for _, ft := range pinnedRenders(t) {
-		for _, fr := range ft.Frames {
-			if !bytes.Equal(fr.Data, want[i]) {
-				t.Fatalf("frame %d changed after an earlier render's frames were overwritten", i)
+	for _, input := range []struct {
+		name   string
+		render func() []*FlowTrace
+	}{
+		{"pinned renders", func() []*FlowTrace { return pinnedRenders(t) }},
+		{"corpus", Corpus},
+	} {
+		var want [][]byte
+		for _, f := range frames(input.render()) {
+			want = append(want, bytes.Clone(f))
+		}
+		got := frames(input.render())
+		fill := func(i int) byte { return byte(i%255 + 1) }
+		for i, f := range got {
+			for j := range f {
+				f[j] = fill(i)
 			}
-			i++
+		}
+		for i, f := range got {
+			for k, b := range f {
+				if b != fill(i) {
+					t.Fatalf("%s: frame %d byte %d was overwritten through another frame", input.name, i, k)
+				}
+			}
+		}
+		for i, f := range frames(input.render()) {
+			if !bytes.Equal(f, want[i]) {
+				t.Fatalf("%s: frame %d changed after an earlier render's frames were overwritten", input.name, i)
+			}
 		}
 	}
 }
